@@ -40,14 +40,16 @@ use gw_intermediate::{IntermediateConfig, IntermediateStore, Run, TempDir};
 use gw_net::{Fabric, NetProfile, ShuffleMsg, ShuffleReceiver, ShuffleSummary};
 use gw_storage::split::{FileStore, FileStoreExt};
 use gw_storage::NodeId;
-use gw_trace::{CounterId, LaneId, MetricsSummary, PerfAnalysis, Realm, Trace, Tracer};
+use gw_trace::{
+    CounterId, LaneId, MetricsSummary, PerfAnalysis, PipelineKind, Realm, StageSample, TimerReport,
+    Trace, Tracer,
+};
 
 use crate::api::GwApp;
 use crate::config::JobConfig;
 use crate::coordinator::{Coordinator, NodeChaos, RecoveryState, RunKey, SpeculationReport};
 use crate::map_pipeline::{MapPhase, MapPhaseReport};
 use crate::reduce_pipeline::{ReducePhase, ReducePhaseReport};
-use crate::timers::{StageTimers, TimerReport};
 use crate::EngineError;
 
 /// Supervised receiver poll tick: how often it interleaves liveness scans
@@ -67,7 +69,7 @@ pub struct NodeReport {
     /// Map pipeline stage timers.
     pub map_timers: TimerReport,
     /// Per-chunk map stage samples (for schedule replay).
-    pub map_samples: Vec<[crate::timers::StageSample; 5]>,
+    pub map_samples: Vec<[StageSample; 5]>,
     /// Merge delay: time after map completion until mergers finished.
     pub merge_delay: Duration,
     /// Runs received from peers during the shuffle.
@@ -451,6 +453,19 @@ impl Cluster {
         }
         reports.sort_by_key(|r| r.node.0);
         let trace = tracer.finish_job(scope.job);
+        let analysis = PerfAnalysis::from_trace(&trace);
+        // Stage timers are a view of the same fold (node threads leave
+        // them empty), so they agree with `metrics` and `analysis` by
+        // construction.
+        for r in &mut reports {
+            if let Some(map) = analysis.pipeline(r.node.0, PipelineKind::Map) {
+                r.map_timers = map.timers();
+                r.map_samples = map.chunk_samples.clone();
+            }
+            if let Some(reduce) = analysis.pipeline(r.node.0, PipelineKind::Reduce) {
+                r.reduce_timers = reduce.timers();
+            }
+        }
         Ok(JobReport {
             served_from_cache: false,
             elapsed,
@@ -462,7 +477,7 @@ impl Cluster {
                 .saturating_sub(failovers_before),
             speculation: coordinator.speculation_report(),
             metrics: trace.metrics(),
-            analysis: PerfAnalysis::from_trace(&trace),
+            analysis,
             trace,
         })
     }
@@ -581,10 +596,6 @@ impl FileStore for ScopedStore {
 
     fn delete(&self, path: &str) {
         self.inner.delete(path)
-    }
-
-    fn io_stats(&self) -> &gw_storage::IoStats {
-        self.inner.io_stats()
     }
 
     fn cluster_size(&self) -> u32 {
@@ -945,7 +956,6 @@ fn run_node(
     };
 
     // Map phase.
-    let map_timers = Arc::new(StageTimers::new());
     let map_report = MapPhase {
         cfg,
         node,
@@ -956,7 +966,6 @@ fn run_node(
         coordinator: Arc::clone(&coordinator),
         intermediate: Arc::clone(&intermediate),
         endpoint: Arc::clone(&endpoint),
-        timers: Arc::clone(&map_timers),
         tracer: Arc::clone(&tracer),
         durability_dir: durability.as_ref().map(|d| d.path().to_path_buf()),
         chaos: chaos.clone(),
@@ -986,7 +995,6 @@ fn run_node(
     }
 
     // Reduce phase.
-    let reduce_timers = Arc::new(StageTimers::new());
     let reduce_report = ReducePhase {
         cfg,
         node,
@@ -996,7 +1004,6 @@ fn run_node(
         store,
         coordinator: Arc::clone(&coordinator),
         intermediate: Arc::clone(&intermediate),
-        timers: Arc::clone(&reduce_timers),
         tracer,
         chaos,
     }
@@ -1005,12 +1012,12 @@ fn run_node(
     Ok(NodeReport {
         node,
         map: map_report,
-        map_timers: map_timers.report(),
-        map_samples: map_timers.chunk_samples(),
+        map_timers: TimerReport::default(),
+        map_samples: Vec::new(),
         merge_delay,
         shuffle_runs_received: shuffle_summary.runs,
         reduce: reduce_report,
-        reduce_timers: reduce_timers.report(),
+        reduce_timers: TimerReport::default(),
         intermediate: intermediate.metrics(),
     })
 }

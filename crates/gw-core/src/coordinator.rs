@@ -102,11 +102,6 @@ impl RecoveryState {
         self.received.lock().insert(key)
     }
 
-    /// Whether `key` has been admitted.
-    pub fn is_admitted(&self, key: RunKey) -> bool {
-        self.received.lock().contains(&key)
-    }
-
     /// Snapshot of the admitted set (for the missing-run scan).
     pub fn received_snapshot(&self) -> HashSet<RunKey> {
         self.received.lock().clone()

@@ -32,10 +32,11 @@
 //! with optional in-kernel combiner ([`collect`]).
 //!
 //! The [`cluster::Cluster`] runtime executes a job over `n` in-process
-//! nodes, with a locality-aware split [`coordinator`], per-node
-//! [`timers::StageTimers`], and a [`schedule`] model that converts per-chunk
-//! stage durations into pipeline makespans (used to validate the pipeline
-//! and to model accelerator timing).
+//! nodes, with a locality-aware split [`coordinator`], per-node stage
+//! timers ([`TimerReport`], folded from the job's trace), and a
+//! [`schedule`] model that converts per-chunk stage durations into
+//! pipeline makespans (used to validate the pipeline and to model
+//! accelerator timing).
 
 pub mod api;
 pub mod cluster;
@@ -46,7 +47,6 @@ pub mod hash;
 pub mod map_pipeline;
 pub mod reduce_pipeline;
 pub mod schedule;
-pub mod timers;
 
 pub use api::{Combiner, Emit, GwApp};
 pub use cluster::{read_job_output, Cluster, JobReport, NodeReport, RunScope};
@@ -54,15 +54,14 @@ pub use collect::{BufferPoolCollector, Collector, CollectorKind, HashTableCollec
 pub use config::{Buffering, JobConfig, LanePlan, SpeculationConfig, TimingMode};
 pub use coordinator::{Coordinator, SpeculationReport};
 pub use schedule::{pipeline_makespan, ChunkTimes};
-pub use timers::{PipelineKind, StageId, StageTimers, TimerReport};
 
 pub use gw_chaos::{CrashSite, FaultPlan};
 pub use gw_storage::NodeId;
 pub use gw_trace::{
     validate_json, Advice, Anomalies, CounterId, CriticalPath, Event, EventKind, Interference,
     JobActivity, JobOverlap, LaneId, LogicalKind, MarkId, MetricsSummary, NodePerf, OverlapMatrix,
-    PerfAnalysis, PipelinePerf, ReadClass, Realm, ServiceStats, SpanId, StagePerf, Straggler,
-    Trace, Tracer,
+    PerfAnalysis, PipelineKind, PipelinePerf, ReadClass, Realm, ServiceStats, SpanId, StageId,
+    StagePerf, StageSample, Straggler, TimerReport, Trace, Tracer,
 };
 
 /// Errors surfaced by the engine.

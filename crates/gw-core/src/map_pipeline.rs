@@ -56,14 +56,13 @@ use gw_pipeline::{
 };
 use gw_storage::split::FileStore;
 use gw_storage::{seqfile::SeqReader, InputSplit, NodeId};
-use gw_trace::{CounterId, Lane, LaneId, Realm, Tracer};
+use gw_trace::{CounterId, Lane, LaneId, Realm, StageId, Tracer};
 
 use crate::api::{Emit, GwApp};
 use crate::collect::{BufferPoolCollector, Collector, CollectorKind, HashTableCollector};
 use crate::config::{JobConfig, TimingMode};
 use crate::coordinator::{Coordinator, MapPipelineProbe, NodeChaos, RunKey};
 use crate::hash::partition_owner;
-use crate::timers::{StageId, StageTimers};
 use crate::EngineError;
 
 /// Byte offsets of one record inside its block.
@@ -619,8 +618,6 @@ pub struct MapPhase<'a> {
     pub intermediate: Arc<IntermediateStore>,
     /// The node's network endpoint (shared with its shuffle receiver).
     pub endpoint: Arc<Endpoint<ShuffleMsg>>,
-    /// Stage timers to fill.
-    pub timers: Arc<StageTimers>,
     /// Job-wide event tracer; the executor emits chunk spans and
     /// token-wait regions onto this node's pipeline lanes.
     pub tracer: Arc<Tracer>,
@@ -776,7 +773,6 @@ impl MapPhase<'_> {
             .stage_lanes(StageId::Partition, partition_lanes)
             .interlock(StageId::Input, StageId::Kernel)
             .interlock(StageId::Kernel, StageId::Partition)
-            .timers(Arc::clone(&self.timers), 0)
             .tracer(Arc::clone(&self.tracer), self.node.0);
         if let Some(chaos) = self.chaos.clone() {
             pipeline = pipeline.probe(MapPipelineProbe::new(

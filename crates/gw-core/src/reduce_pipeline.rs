@@ -57,13 +57,12 @@ use gw_pipeline::{
 };
 use gw_storage::split::{FileStore, RecordBlockBuilder};
 use gw_storage::NodeId;
-use gw_trace::Tracer;
+use gw_trace::{StageId, Tracer};
 
 use crate::api::{Emit, GwApp};
 use crate::collect::{for_each_record, BufferPoolCollector, Collector};
 use crate::config::{JobConfig, TimingMode};
 use crate::coordinator::{Coordinator, NodeChaos, ReduceTaskProbe};
-use crate::timers::{StageId, StageTimers};
 use crate::EngineError;
 
 /// Saved scratch entries for one chunk's keys (`None` = key had no
@@ -618,8 +617,6 @@ pub struct ReducePhase<'a> {
     /// Split/partition coordinator: the reduce phase asks it which global
     /// partitions this node owns (adopted partitions included).
     pub coordinator: Arc<Coordinator>,
-    /// Stage timers to fill.
-    pub timers: Arc<StageTimers>,
     /// Job-wide event tracer; the executor emits chunk spans and
     /// token-wait regions onto this node's pipeline lanes.
     pub tracer: Arc<Tracer>,
@@ -686,7 +683,7 @@ impl ReducePhase<'_> {
                     records: &records,
                 },
             )
-            .timers(Arc::clone(&self.timers), *chunk_seq)
+            .first_seq(*chunk_seq)
             .tracer(Arc::clone(&self.tracer), self.node.0)
             .run()?;
         *chunk_seq += 1;
@@ -788,7 +785,7 @@ impl ReducePhase<'_> {
             )
             .interlock(StageId::Input, StageId::Kernel)
             .interlock(StageId::Kernel, StageId::Partition)
-            .timers(Arc::clone(&self.timers), base_seq)
+            .first_seq(base_seq)
             .tracer(Arc::clone(&self.tracer), self.node.0);
         if let Some(chaos) = self.chaos.clone() {
             pipeline = pipeline.probe(ReduceTaskProbe::new(chaos, self.node));

@@ -17,15 +17,18 @@
 //! close to the kernel execution time, which is the dominant pipeline
 //! stage".
 //!
-//! The model is used three ways: validating the real pipeline's measured
-//! elapsed time, replaying measured chunk times under a different device
-//! profile (Table III(b)'s GPU column), and powering the cluster
-//! simulator's per-node service model.
+//! The recurrence itself lives in [`gw_trace::bounded_buffer_schedule`]
+//! (the same function the bottleneck advisor replays traces through);
+//! this module fixes its topology to the single-lane map pipeline and
+//! speaks `Duration`. It is used to validate the real pipeline's measured
+//! elapsed time and to replay measured chunk times under a different
+//! device profile (Table III(b)'s GPU column).
 
 use std::time::Duration;
 
+use gw_trace::{bounded_buffer_schedule, StageId, MAP_TOKEN_GROUPS};
+
 use crate::config::Buffering;
-use crate::timers::StageId;
 
 /// Per-chunk stage durations, in pipeline order
 /// `[input, stage, kernel, retrieve, partition]`.
@@ -49,46 +52,21 @@ impl Schedule {
     }
 }
 
-/// Compute the full schedule for `chunks` under buffering level `buffering`.
+/// Compute the full schedule for `chunks` under buffering level
+/// `buffering`: one lane per stage, the input group ending at Kernel and
+/// the output group at Partition (the executor's interlock endpoints).
 pub fn pipeline_schedule(chunks: &[ChunkTimes], buffering: Buffering) -> Schedule {
-    let b = buffering.depth();
-    let n = chunks.len();
-    let mut end = vec![[Duration::ZERO; 5]; n];
-    let zero = Duration::ZERO;
-    for c in 0..n {
-        let t = &chunks[c];
-        // Completion of my predecessor chunk in each stage (stage busy).
-        let prev = if c > 0 { end[c - 1] } else { [zero; 5] };
-        // Buffer-release constraints: the input group ends at Kernel, the
-        // output group at Partition (the executor's interlock endpoints).
-        let input_buffer_free = if c >= b {
-            end[c - b][StageId::Kernel.index()]
-        } else {
-            zero
-        };
-        let output_buffer_free = if c >= b {
-            end[c - b][StageId::Partition.index()]
-        } else {
-            zero
-        };
-
-        // Input: needs the input stage idle + a free input buffer.
-        let start_input = prev[0].max(input_buffer_free);
-        end[c][0] = start_input + t[0];
-        // Stage: after my input, stage idle.
-        let start_stage = end[c][0].max(prev[1]);
-        end[c][1] = start_stage + t[1];
-        // Kernel: after my staging, kernel idle, and a free output buffer.
-        let start_kernel = end[c][1].max(prev[2]).max(output_buffer_free);
-        end[c][2] = start_kernel + t[2];
-        // Retrieve: after my kernel, retrieve idle.
-        let start_retrieve = end[c][2].max(prev[3]);
-        end[c][3] = start_retrieve + t[3];
-        // Partition: after my retrieve, partition idle.
-        let start_partition = end[c][3].max(prev[4]);
-        end[c][4] = start_partition + t[4];
+    let nanos: Vec<[u64; 5]> = chunks
+        .iter()
+        .map(|c| c.map(|d| d.as_nanos() as u64))
+        .collect();
+    let end = bounded_buffer_schedule(&nanos, &MAP_TOKEN_GROUPS, buffering.depth(), [1; 5]);
+    Schedule {
+        end: end
+            .into_iter()
+            .map(|stages| stages.map(Duration::from_nanos))
+            .collect(),
     }
-    Schedule { end }
 }
 
 /// Makespan only.

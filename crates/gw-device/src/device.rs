@@ -9,7 +9,7 @@
 //! the profiled device would have taken), so instrumented experiments can
 //! report either.
 
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
 use crate::buffer::DeviceBuffer;
@@ -41,37 +41,11 @@ pub struct TransferStats {
     pub bytes: usize,
 }
 
-/// Cumulative device counters, useful for experiment reports.
-#[derive(Debug, Default)]
-pub struct DeviceCounters {
-    launches: AtomicUsize,
-    work_items: AtomicUsize,
-    bytes_h2d: AtomicUsize,
-    bytes_d2h: AtomicUsize,
-    kernel_wall_nanos: AtomicU64,
-}
-
-/// Snapshot of [`DeviceCounters`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct DeviceCountersSnapshot {
-    /// Number of kernel launches.
-    pub launches: usize,
-    /// Total work items executed.
-    pub work_items: usize,
-    /// Total bytes staged host→device.
-    pub bytes_h2d: usize,
-    /// Total bytes retrieved device→host.
-    pub bytes_d2h: usize,
-    /// Total wall time spent inside kernel launches.
-    pub kernel_wall: Duration,
-}
-
 /// A compute device: profile + worker pool + memory accounting.
 pub struct Device {
     profile: DeviceProfile,
     pool: WorkerPool,
     allocated: AtomicUsize,
-    counters: DeviceCounters,
 }
 
 impl Device {
@@ -94,7 +68,6 @@ impl Device {
             profile,
             pool: WorkerPool::new(background),
             allocated: AtomicUsize::new(0),
-            counters: DeviceCounters::default(),
         }
     }
 
@@ -181,9 +154,6 @@ impl Device {
         let start = Instant::now();
         dev.fill_from(host);
         let wall = start.elapsed();
-        self.counters
-            .bytes_h2d
-            .fetch_add(host.len(), Ordering::Relaxed);
         Ok(TransferStats {
             wall,
             modeled: self.profile.transfer_time(host.len(), true),
@@ -201,9 +171,6 @@ impl Device {
         host.clear();
         host.extend_from_slice(dev.bytes());
         let wall = start.elapsed();
-        self.counters
-            .bytes_d2h
-            .fetch_add(dev.len(), Ordering::Relaxed);
         Ok(TransferStats {
             wall,
             modeled: self.profile.transfer_time(dev.len(), false),
@@ -216,30 +183,10 @@ impl Device {
         let start = Instant::now();
         self.pool.run(range, kernel);
         let wall = start.elapsed();
-        self.counters.launches.fetch_add(1, Ordering::Relaxed);
-        self.counters
-            .work_items
-            .fetch_add(range.global_size, Ordering::Relaxed);
-        self.counters
-            .kernel_wall_nanos
-            .fetch_add(wall.as_nanos() as u64, Ordering::Relaxed);
         LaunchStats {
             wall,
             modeled: self.profile.model_kernel_time(wall),
             work_items: range.global_size,
-        }
-    }
-
-    /// Snapshot of cumulative counters.
-    pub fn counters(&self) -> DeviceCountersSnapshot {
-        DeviceCountersSnapshot {
-            launches: self.counters.launches.load(Ordering::Relaxed),
-            work_items: self.counters.work_items.load(Ordering::Relaxed),
-            bytes_h2d: self.counters.bytes_h2d.load(Ordering::Relaxed),
-            bytes_d2h: self.counters.bytes_d2h.load(Ordering::Relaxed),
-            kernel_wall: Duration::from_nanos(
-                self.counters.kernel_wall_nanos.load(Ordering::Relaxed),
-            ),
         }
     }
 }
@@ -322,9 +269,6 @@ mod tests {
         let stats = dev.launch(NdRange::new(500, 32).unwrap(), &k);
         assert_eq!(stats.work_items, 500);
         assert_eq!(hits.load(Ordering::Relaxed), 500);
-        let c = dev.counters();
-        assert_eq!(c.launches, 1);
-        assert_eq!(c.work_items, 500);
     }
 
     #[test]

@@ -224,12 +224,6 @@ impl RunBuilder {
         });
     }
 
-    /// Add one owned record. (Retained for API compatibility; the arena
-    /// layout copies payload bytes exactly once either way.)
-    pub fn push_owned(&mut self, key: Vec<u8>, value: Vec<u8>) {
-        self.push(&key, &value);
-    }
-
     /// Number of buffered records.
     pub fn len(&self) -> usize {
         self.parts.index.len()

@@ -31,7 +31,7 @@ pub use cursor::{MemCursor, RunCursor, SpillCursor};
 pub use frame::{SpillFaultHook, SpillOp};
 pub use gauge::MemGauge;
 pub use kv::{Run, RunBuilder};
-pub use merge::{merge_runs, CursorMerge, GroupSlice, GroupedCursorMerge, GroupedMerge, MergeIter};
+pub use merge::{merge_runs, CursorMerge, GroupSlice, GroupedCursorMerge, MergeIter};
 pub use pool::RunPool;
 pub use store::{IntermediateConfig, IntermediateStore, StoreMetrics};
 pub use tempdir::TempDir;

@@ -10,8 +10,8 @@
 //! replays exactly one root-to-leaf path — one comparison per level,
 //! `⌈log₂ k⌉` total. Two fronts wrap it:
 //!
-//! * [`MergeIter`]/[`GroupedMerge`] — borrowed in-memory runs, the
-//!   zero-copy fast path for per-chunk lane merges and tests;
+//! * [`MergeIter`] — borrowed in-memory runs, the zero-copy fast path
+//!   for per-chunk lane merges and tests;
 //! * [`CursorMerge`]/[`GroupedCursorMerge`] — boxed/owned cursors mixing
 //!   in-memory runs and framed spills, the **external merge**: peak
 //!   memory is `k` frames (one decode buffer per open spill cursor),
@@ -296,41 +296,6 @@ impl<C: RunCursor> CursorMerge<C> {
     }
 }
 
-/// Key-grouped view over a k-way merge: yields each distinct key once,
-/// with all of its values (already in sorted order).
-pub struct GroupedMerge<'a> {
-    inner: std::iter::Peekable<MergeIter<'a>>,
-}
-
-impl<'a> GroupedMerge<'a> {
-    /// Group the merge of `runs` by key.
-    pub fn new<I>(runs: I) -> Self
-    where
-        I: IntoIterator<Item = &'a Run>,
-    {
-        GroupedMerge {
-            inner: MergeIter::new(runs).peekable(),
-        }
-    }
-}
-
-impl<'a> Iterator for GroupedMerge<'a> {
-    type Item = (&'a [u8], Vec<&'a [u8]>);
-
-    fn next(&mut self) -> Option<Self::Item> {
-        let (key, first) = self.inner.next()?;
-        let mut values = vec![first];
-        while let Some((k, _)) = self.inner.peek() {
-            if *k != key {
-                break;
-            }
-            let (_, v) = self.inner.next().unwrap();
-            values.push(v);
-        }
-        Some((key, values))
-    }
-}
-
 /// One key-group slice streamed out of a [`GroupedCursorMerge`]: the key
 /// and value payloads were appended to the caller's arena, and the
 /// ranges here point into it (`(offset, len)` pairs).
@@ -344,8 +309,9 @@ pub struct GroupSlice {
     pub last: bool,
 }
 
-/// Streaming, bounded-memory counterpart of [`GroupedMerge`] over owned
-/// cursors: instead of collecting a key's full value list (which for a
+/// Key-grouped, bounded-memory view over a k-way merge of owned
+/// cursors: each distinct key comes out once with its values in sorted
+/// order, but instead of collecting a key's full value list (which for a
 /// hot key can exceed memory), values stream out in caller-sized slices
 /// copied into a caller-owned arena. A key whose values span multiple
 /// slices yields `last = false` until its final slice — exactly the
@@ -436,6 +402,54 @@ mod tests {
     use crate::kv::{run_from_pairs, RunBuilder, RunIter};
     use proptest::prelude::*;
 
+    type Groups = Vec<(Vec<u8>, Vec<Vec<u8>>)>;
+
+    /// Reference grouping: the borrowed merge's records folded by key.
+    fn grouped<'a>(runs: impl IntoIterator<Item = &'a Run>) -> Groups {
+        let mut out: Groups = Vec::new();
+        for (k, v) in MergeIter::new(runs) {
+            match out.last_mut() {
+                Some((key, values)) if key == k => values.push(v.to_vec()),
+                _ => out.push((k.to_vec(), vec![v.to_vec()])),
+            }
+        }
+        out
+    }
+
+    /// The engine's path: `runs` streamed through a [`GroupedCursorMerge`]
+    /// in slices of `max_values`, reassembled per key; checks the
+    /// last-flag protocol (continuations keep their key, only a key's
+    /// final slice may be short) on the way.
+    fn grouped_by_cursors<'a>(
+        runs: impl IntoIterator<Item = &'a Run>,
+        max_values: usize,
+    ) -> Groups {
+        let cursors: Vec<Box<dyn RunCursor>> = runs
+            .into_iter()
+            .map(|r| Box::new(MemCursor::new(r.clone())) as Box<dyn RunCursor>)
+            .collect();
+        let mut gm = GroupedCursorMerge::new(cursors);
+        let mut arena = Vec::new();
+        let mut got: Groups = Vec::new();
+        let mut prev_last = true;
+        while let Some(s) = gm.next_slice(max_values, &mut arena).unwrap() {
+            let bytes = |(off, len): (u32, u32)| arena[off as usize..(off + len) as usize].to_vec();
+            let values = s.values.iter().map(|&r| bytes(r));
+            if prev_last {
+                got.push((bytes(s.key), values.collect()));
+            } else {
+                let cur = got.last_mut().unwrap();
+                assert_eq!(cur.0, bytes(s.key), "continuation keeps its key");
+                cur.1.extend(values);
+            }
+            if !s.last {
+                assert_eq!(s.values.len(), max_values, "non-final slices are full");
+            }
+            prev_last = s.last;
+        }
+        got
+    }
+
     #[test]
     fn merge_interleaves_in_order() {
         let a = run_from_pairs([(b"a".as_slice(), b"1".as_slice()), (b"c", b"3")]);
@@ -468,9 +482,7 @@ mod tests {
     fn grouped_merge_collects_values_across_runs() {
         let a = run_from_pairs([(b"x".as_slice(), b"1".as_slice()), (b"y", b"2")]);
         let b = run_from_pairs([(b"x".as_slice(), b"3".as_slice())]);
-        let groups: Vec<(Vec<u8>, Vec<Vec<u8>>)> = GroupedMerge::new([&a, &b])
-            .map(|(k, vs)| (k.to_vec(), vs.iter().map(|v| v.to_vec()).collect()))
-            .collect();
+        let groups = grouped_by_cursors([&a, &b], 16);
         assert_eq!(groups.len(), 2);
         assert_eq!(groups[0].0, b"x");
         assert_eq!(groups[0].1, vec![b"1".to_vec(), b"3".to_vec()]);
@@ -515,35 +527,9 @@ mod tests {
             run_from_pairs((0..40).map(|_| (b"hot".as_slice(), b"v".as_slice()))),
             run_from_pairs([(b"cold".as_slice(), b"1".as_slice()), (b"hot", b"v")]),
         ];
-        // Reference: full value lists per key.
-        let reference: Vec<(Vec<u8>, usize)> = GroupedMerge::new(runs.iter())
-            .map(|(k, vs)| (k.to_vec(), vs.len()))
-            .collect();
-        // Streamed in slices of 16: reassemble per-key value counts and
-        // check the last-flag protocol.
-        let cursors: Vec<Box<dyn RunCursor>> = runs
-            .iter()
-            .map(|r| Box::new(MemCursor::new(r.clone())) as Box<dyn RunCursor>)
-            .collect();
-        let mut gm = GroupedCursorMerge::new(cursors);
-        let mut arena = Vec::new();
-        let mut got: Vec<(Vec<u8>, usize)> = Vec::new();
-        let mut prev_last = true;
-        while let Some(slice) = gm.next_slice(16, &mut arena).unwrap() {
-            let key = arena[slice.key.0 as usize..(slice.key.0 + slice.key.1) as usize].to_vec();
-            if prev_last {
-                got.push((key, slice.values.len()));
-            } else {
-                let cur = got.last_mut().unwrap();
-                assert_eq!(cur.0, key, "continuation keeps its key");
-                cur.1 += slice.values.len();
-            }
-            if !slice.last {
-                assert_eq!(slice.values.len(), 16, "non-final slices are full");
-            }
-            prev_last = slice.last;
-        }
-        assert_eq!(got, reference);
+        // 41 "hot" values streamed in slices of 16: two full continuation
+        // slices, then a short final one.
+        assert_eq!(grouped_by_cursors(runs.iter(), 16), grouped(runs.iter()));
     }
 
     /// Reference model: the previous `BinaryHeap`-based merge, preserved
@@ -731,31 +717,9 @@ mod tests {
             prop_assert_eq!(external, borrowed);
         }
 
-        #[test]
-        fn grouped_merge_covers_every_record(
-            pairs in proptest::collection::vec(
-                (proptest::collection::vec(any::<u8>(), 0..4),
-                 proptest::collection::vec(any::<u8>(), 0..4)), 0..100))
-        {
-            let run = {
-                let mut b = RunBuilder::new();
-                for (k, v) in &pairs {
-                    b.push(k, v);
-                }
-                b.build()
-            };
-            let total: usize = GroupedMerge::new([&run]).map(|(_, vs)| vs.len()).sum();
-            prop_assert_eq!(total, pairs.len());
-            // Distinct keys appear exactly once.
-            let keys: Vec<Vec<u8>> = GroupedMerge::new([&run]).map(|(k, _)| k.to_vec()).collect();
-            let mut dedup = keys.clone();
-            dedup.dedup();
-            prop_assert_eq!(keys.len(), dedup.len());
-        }
-
         /// Streamed group slices reassemble to exactly the grouped merge:
-        /// same keys in order, same per-key value multiset, full slices
-        /// everywhere except each key's final slice.
+        /// same keys in order (each exactly once), same per-key value
+        /// lists, full slices everywhere except each key's final slice.
         #[test]
         fn grouped_cursor_slices_reassemble(
             pairs in proptest::collection::vec(
@@ -770,33 +734,11 @@ mod tests {
                 }
                 b.build()
             };
-            let reference: Vec<(Vec<u8>, Vec<Vec<u8>>)> = GroupedMerge::new([&run])
-                .map(|(k, vs)| (k.to_vec(), vs.iter().map(|v| v.to_vec()).collect()))
-                .collect();
-            let cursors: Vec<Box<dyn RunCursor>> =
-                vec![Box::new(MemCursor::new(run.clone()))];
-            let mut gm = GroupedCursorMerge::new(cursors);
-            let mut arena = Vec::new();
-            let mut got: Vec<(Vec<u8>, Vec<Vec<u8>>)> = Vec::new();
-            let mut prev_last = true;
-            while let Some(s) = gm.next_slice(max_values, &mut arena).unwrap() {
-                let key = arena[s.key.0 as usize..(s.key.0 + s.key.1) as usize].to_vec();
-                let vals: Vec<Vec<u8>> = s.values.iter()
-                    .map(|&(o, l)| arena[o as usize..(o + l) as usize].to_vec())
-                    .collect();
-                if prev_last {
-                    got.push((key, vals));
-                } else {
-                    let cur = got.last_mut().unwrap();
-                    prop_assert_eq!(&cur.0, &key);
-                    cur.1.extend(vals);
-                }
-                if !s.last {
-                    prop_assert_eq!(s.values.len(), max_values);
-                }
-                prev_last = s.last;
-            }
-            prop_assert_eq!(got, reference);
+            let got = grouped_by_cursors([&run], max_values);
+            prop_assert_eq!(&got, &grouped([&run]));
+            let total: usize = got.iter().map(|(_, vs)| vs.len()).sum();
+            prop_assert_eq!(total, pairs.len());
+            prop_assert!(got.windows(2).all(|w| w[0].0 < w[1].0));
         }
     }
 }

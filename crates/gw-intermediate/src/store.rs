@@ -691,7 +691,7 @@ mod tests {
     use super::*;
     use crate::frame::SpillOp;
     use crate::kv::run_from_pairs;
-    use crate::merge::{GroupedMerge, MergeIter};
+    use crate::merge::{GroupedCursorMerge, MergeIter};
 
     fn cfg(parts: u32) -> IntermediateConfig {
         IntermediateConfig {
@@ -703,6 +703,20 @@ mod tests {
             frame_size: 1 << 10,
             memory_budget: None,
         }
+    }
+
+    /// `(key, value count)` per distinct key of partition `p`, read the
+    /// way the reduce phase reads it: a grouped merge over the store's
+    /// cursors.
+    fn key_groups(store: &IntermediateStore, p: PartitionId) -> Vec<(Vec<u8>, usize)> {
+        let mut merge = GroupedCursorMerge::new(store.partition_cursors(p).unwrap());
+        let mut arena = Vec::new();
+        let mut groups = Vec::new();
+        while let Some(s) = merge.next_slice(usize::MAX, &mut arena).unwrap() {
+            let (off, len) = (s.key.0 as usize, s.key.1 as usize);
+            groups.push((arena[off..off + len].to_vec(), s.values.len()));
+        }
+        groups
     }
 
     fn word_run(words: &[&str]) -> Run {
@@ -771,27 +785,18 @@ mod tests {
         store.add_run(0, word_run(&["b", "m", "q"]));
         store.add_run(0, word_run(&["a", "c"]));
         store.finish_map().unwrap();
-        let runs = store.partition_runs(0).unwrap();
-        let keys: Vec<Vec<u8>> = GroupedMerge::new(runs.iter())
-            .map(|(k, _)| k.to_vec())
-            .collect();
+        // "m" and "a" got two values each.
         assert_eq!(
-            keys,
+            key_groups(&store, 0),
             vec![
-                b"a".to_vec(),
-                b"b".to_vec(),
-                b"c".to_vec(),
-                b"m".to_vec(),
-                b"q".to_vec(),
-                b"z".to_vec()
+                (b"a".to_vec(), 2),
+                (b"b".to_vec(), 1),
+                (b"c".to_vec(), 1),
+                (b"m".to_vec(), 2),
+                (b"q".to_vec(), 1),
+                (b"z".to_vec(), 1)
             ]
         );
-        // "m" and "a" got two values each.
-        let groups: Vec<(Vec<u8>, usize)> = GroupedMerge::new(runs.iter())
-            .map(|(k, vs)| (k.to_vec(), vs.len()))
-            .collect();
-        assert!(groups.contains(&(b"a".to_vec(), 2)));
-        assert!(groups.contains(&(b"m".to_vec(), 2)));
     }
 
     #[test]
@@ -804,9 +809,10 @@ mod tests {
         store.finish_map().unwrap();
         for p in 0..4u32 {
             assert_eq!(store.partition_records(p), 1);
-            let runs = store.partition_runs(p).unwrap();
-            let (k, _) = GroupedMerge::new(runs.iter()).next().unwrap();
-            assert_eq!(k, format!("p{p}").as_bytes());
+            assert_eq!(
+                key_groups(&store, p),
+                vec![(format!("p{p}").into_bytes(), 1)]
+            );
         }
     }
 

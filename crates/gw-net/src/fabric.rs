@@ -1,6 +1,5 @@
 //! The in-process cluster fabric: one inbox per node, paced egress.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
@@ -18,31 +17,6 @@ pub struct Envelope<T> {
     pub from: NodeId,
     /// Payload.
     pub payload: T,
-}
-
-/// Per-node traffic counters.
-#[derive(Debug, Default)]
-pub struct NetStats {
-    bytes_sent: AtomicUsize,
-    bytes_received: AtomicUsize,
-    messages_sent: AtomicUsize,
-}
-
-impl NetStats {
-    /// Bytes sent by this node.
-    pub fn bytes_sent(&self) -> usize {
-        self.bytes_sent.load(Ordering::Relaxed)
-    }
-
-    /// Bytes received by this node.
-    pub fn bytes_received(&self) -> usize {
-        self.bytes_received.load(Ordering::Relaxed)
-    }
-
-    /// Messages sent by this node.
-    pub fn messages_sent(&self) -> usize {
-        self.messages_sent.load(Ordering::Relaxed)
-    }
 }
 
 /// Outcome of consulting a [`NetFaultHook`] for one data-class message.
@@ -69,7 +43,6 @@ pub trait NetFaultHook: Send + Sync {
 struct Shared<T> {
     inboxes: Vec<Sender<Envelope<T>>>,
     egress: Vec<Throttle>,
-    stats: Vec<NetStats>,
     fault: Option<Arc<dyn NetFaultHook>>,
     tracer: RwLock<Option<Arc<Tracer>>>,
 }
@@ -101,12 +74,10 @@ impl<T: Send + 'static> Fabric<T> {
             receivers.push(Some(rx));
         }
         let egress = (0..nodes).map(|_| Throttle::new(profile)).collect();
-        let stats = (0..nodes).map(|_| NetStats::default()).collect();
         Fabric {
             shared: Arc::new(Shared {
                 inboxes,
                 egress,
-                stats,
                 fault,
                 tracer: RwLock::new(None),
             }),
@@ -133,11 +104,6 @@ impl<T: Send + 'static> Fabric<T> {
             shared: Arc::clone(&self.shared),
             rx,
         }
-    }
-
-    /// Traffic counters for node `n`.
-    pub fn stats(&self, n: NodeId) -> &NetStats {
-        &self.shared.stats[n.index()]
     }
 
     /// Arm (or disarm, with `None`) the observability tracer. While
@@ -194,13 +160,7 @@ impl<T: Send + 'static> Endpoint<T> {
     /// Panics if `to` is out of range. Delivery to a dropped endpoint is
     /// silently discarded (the peer has left the computation).
     pub fn send(&self, to: NodeId, payload: T, wire_bytes: usize) -> std::time::Duration {
-        let stats = &self.shared.stats[self.node.index()];
-        stats.bytes_sent.fetch_add(wire_bytes, Ordering::Relaxed);
-        stats.messages_sent.fetch_add(1, Ordering::Relaxed);
         self.trace_send(wire_bytes);
-        self.shared.stats[to.index()]
-            .bytes_received
-            .fetch_add(wire_bytes, Ordering::Relaxed);
         let wire = self.shared.egress[self.node.index()].acquire(wire_bytes);
         let _ = self.shared.inboxes[to.index()].send(Envelope {
             from: self.node,
@@ -212,15 +172,12 @@ impl<T: Send + 'static> Endpoint<T> {
     /// Send a *data-class* message: like [`Endpoint::send`], but consults
     /// the fabric's chaos fault hook (if armed), which may drop the
     /// message or delay its delivery. Dropped messages are still charged
-    /// to the sender's stats and throttle — the bytes left the NIC.
+    /// to the sender's trace counters and throttle — the bytes left the NIC.
     pub fn send_data(&self, to: NodeId, payload: T, wire_bytes: usize) -> std::time::Duration {
         if let Some(hook) = &self.shared.fault {
             match hook.on_data_message(self.node, to) {
                 NetFaultAction::Deliver => {}
                 NetFaultAction::Drop => {
-                    let stats = &self.shared.stats[self.node.index()];
-                    stats.bytes_sent.fetch_add(wire_bytes, Ordering::Relaxed);
-                    stats.messages_sent.fetch_add(1, Ordering::Relaxed);
                     self.trace_send(wire_bytes);
                     return self.shared.egress[self.node.index()].acquire(wire_bytes);
                 }
@@ -281,19 +238,6 @@ mod tests {
     }
 
     #[test]
-    fn stats_track_traffic() {
-        let mut fabric: Fabric<u32> = Fabric::new(2, NetProfile::unlimited());
-        let a = fabric.endpoint(NodeId(0));
-        let b = fabric.endpoint(NodeId(1));
-        a.send(NodeId(1), 42, 1000);
-        a.send(NodeId(1), 43, 500);
-        assert_eq!(fabric.stats(NodeId(0)).bytes_sent(), 1500);
-        assert_eq!(fabric.stats(NodeId(0)).messages_sent(), 2);
-        assert_eq!(fabric.stats(NodeId(1)).bytes_received(), 1500);
-        drop(b);
-    }
-
-    #[test]
     fn send_to_self_works() {
         let mut fabric: Fabric<u8> = Fabric::new(1, NetProfile::unlimited());
         let a = fabric.endpoint(NodeId(0));
@@ -316,6 +260,8 @@ mod tests {
         use std::collections::HashMap;
         let nodes = 4u32;
         let mut fabric: Fabric<(u32, u64)> = Fabric::new(nodes, NetProfile::unlimited());
+        let tracer = Arc::new(Tracer::new());
+        fabric.arm_tracer(Some(Arc::clone(&tracer)));
         let endpoints: Vec<_> = (0..nodes)
             .map(|n| Arc::new(fabric.endpoint(NodeId(n))))
             .collect();
@@ -349,16 +295,15 @@ mod tests {
             want_s.sort_unstable();
             assert_eq!(got_s, want_s);
         }
-        let sent: usize = (0..nodes)
-            .map(|n| fabric.stats(NodeId(n)).messages_sent())
-            .sum();
-        assert_eq!(sent, 500);
-        use std::sync::Arc;
+        let m = tracer.finish().metrics();
+        assert_eq!(m.counter_total(CounterId::ShuffleSendMsgs), 500);
+        assert_eq!(m.counter_total(CounterId::ShuffleSendBytes), 500 * 16);
+        assert_eq!(m.counter_total(CounterId::ShuffleRecvMsgs), 500);
     }
 
     #[test]
     fn fault_hook_drops_and_delays_data_messages_only() {
-        use std::sync::atomic::AtomicUsize;
+        use std::sync::atomic::{AtomicUsize, Ordering};
         struct DropFirst(AtomicUsize);
         impl NetFaultHook for DropFirst {
             fn on_data_message(&self, _from: NodeId, _to: NodeId) -> NetFaultAction {
@@ -374,6 +319,8 @@ mod tests {
             NetProfile::unlimited(),
             Some(Arc::new(DropFirst(AtomicUsize::new(0)))),
         );
+        let tracer = Arc::new(Tracer::new());
+        fabric.arm_tracer(Some(Arc::clone(&tracer)));
         let a = fabric.endpoint(NodeId(0));
         let b = fabric.endpoint(NodeId(1));
         a.send_data(NodeId(1), 1, 8); // dropped
@@ -386,7 +333,9 @@ mod tests {
         assert_eq!(b.recv().unwrap().payload, 3);
         assert_eq!(b.recv().unwrap().payload, 4);
         // Dropped messages are still charged to the sender.
-        assert_eq!(fabric.stats(NodeId(0)).messages_sent(), 4);
+        let m = tracer.finish().metrics();
+        assert_eq!(m.counter(0, CounterId::ShuffleSendMsgs), 4);
+        assert_eq!(m.counter(1, CounterId::ShuffleRecvMsgs), 3);
     }
 
     #[test]
@@ -401,12 +350,11 @@ mod tests {
         assert!(b.recv().is_some());
         assert!(b.recv().is_some());
         fabric.arm_tracer(None);
-        a.send(NodeId(1), 3, 10); // disarmed: charged to stats only
+        a.send(NodeId(1), 3, 10); // disarmed: counted nowhere
         let m = tracer.finish().metrics();
         assert_eq!(m.counter(0, CounterId::ShuffleSendMsgs), 2);
         assert_eq!(m.counter(0, CounterId::ShuffleSendBytes), 150);
         assert_eq!(m.counter(1, CounterId::ShuffleRecvMsgs), 2);
-        assert_eq!(fabric.stats(NodeId(0)).messages_sent(), 3);
     }
 
     #[test]

@@ -17,7 +17,7 @@ pub mod profile;
 pub mod throttle;
 pub mod transport;
 
-pub use fabric::{Endpoint, Fabric, NetFaultAction, NetFaultHook, NetStats};
+pub use fabric::{Endpoint, Fabric, NetFaultAction, NetFaultHook};
 pub use profile::NetProfile;
 pub use throttle::Throttle;
 pub use transport::{RunTag, ShuffleMsg, ShuffleReceiver, ShuffleSummary};

@@ -36,10 +36,11 @@
 //!   death at this stage's crash site (addressable per lane). The source
 //!   is probed *after* it produces a chunk, so an injected Read crash
 //!   dies holding the fresh claim.
-//! * **Timing** — every chunk's pass through a stage is recorded into
-//!   [`StageTimers`]; the default window is the whole `run_chunk` call,
-//!   and a stage needing a narrower one calls [`StageCtx::add_time`].
-//!   Lanes of one slot fold into the same per-stage aggregate.
+//! * **Timing** — every chunk's pass through a stage closes a trace span
+//!   carrying its (wall, modeled) time; the default window is the whole
+//!   `run_chunk` call, and a stage needing a narrower one calls
+//!   [`StageCtx::add_time`]. The executor keeps no totals of its own:
+//!   stage timers are a fold of the finished trace.
 //! * **Unwinding** — a stage error kills the probe, drops the stage's
 //!   channel endpoints and lets the graph drain deterministically:
 //!   upstream sends fail, downstream receives drain, queued chunks drop
@@ -55,10 +56,9 @@ use std::time::{Duration, Instant};
 use crossbeam::channel::{bounded, Receiver, Sender};
 use parking_lot::{Condvar, Mutex};
 
-use gw_trace::{Event, EventKind, Lane, LaneId, MarkId, Realm, SpanId, Tracer};
+use gw_trace::{EventKind, Lane, LaneId, MarkId, Realm, SpanId, Tracer};
 
-use crate::timers::{StageId, StageTimers};
-use crate::{Buffering, PipelineKind};
+use crate::{Buffering, PipelineKind, StageId};
 
 /// A stage's view of the executor while it handles one chunk.
 pub struct StageCtx<'p> {
@@ -264,7 +264,7 @@ pub trait Stage<T, E>: Send {
     fn run_chunk(&mut self, chunk: T, ctx: &mut StageCtx<'_>) -> Result<Option<T>, E>;
 
     /// Build-time fusion hook: a `true` return removes the stage from the
-    /// graph entirely — no thread, no channel hop, no timer slot (the
+    /// graph entirely — no thread, no channel hop, no trace lane (the
     /// paper's "the input stager is disabled" on unified memory). The
     /// stage's *crash site* survives fusion: the next live stage probes it
     /// on the fused stage's behalf, so fault plans address all five slots
@@ -537,29 +537,18 @@ impl Drop for TurnFinishGuard {
     }
 }
 
-/// Per-stage event emitter: the executor constructs each event **once**
-/// and feeds the same value to both consumers — the tracer lane (when
-/// tracing is armed) and the [`StageTimers`] derived view. Neither
-/// consumer keeps bookkeeping of its own inside pipeline code; wall and
-/// modeled time flow from this one emission point. Each lane of a
-/// widened slot gets its own emitter on its own trace sub-lane, keeping
-/// the tracer's single-writer invariant.
-struct StageEvents<'t> {
-    stage: StageId,
+/// Per-stage event emitter onto the stage's trace lane (a no-op on
+/// untraced pipelines). Each lane of a widened slot gets its own emitter
+/// on its own trace sub-lane, keeping the tracer's single-writer
+/// invariant.
+struct StageEvents {
     lane: Option<Lane>,
-    timers: Option<&'t StageTimers>,
 }
 
-impl StageEvents<'_> {
+impl StageEvents {
     fn emit(&self, kind: EventKind) {
-        let ev = match &self.lane {
-            Some(lane) => lane.record(kind),
-            // Untraced runs still drive the timers view; the timestamp is
-            // never read by it.
-            None => Event { at_ns: 0, kind },
-        };
-        if let Some(t) = self.timers {
-            t.on_event(self.stage, &ev);
+        if let Some(lane) = &self.lane {
+            lane.record(kind);
         }
     }
 
@@ -691,7 +680,6 @@ pub struct PipelineBuilder<'a, T, E> {
     stages: Vec<(StageId, StageLaneVec<'a, T, E>)>,
     fused: Vec<StageId>,
     interlocks: Vec<(StageId, StageId)>,
-    timers: Option<Arc<StageTimers>>,
     first_seq: usize,
     probe: Option<Box<dyn PipelineProbe + 'a>>,
     tracer: Option<(Arc<Tracer>, u32)>,
@@ -707,7 +695,6 @@ impl<'a, T: Send + 'a, E: Send + 'a> PipelineBuilder<'a, T, E> {
             stages: Vec::new(),
             fused: Vec::new(),
             interlocks: Vec::new(),
-            timers: None,
             first_seq: 0,
             probe: None,
             tracer: None,
@@ -740,7 +727,7 @@ impl<'a, T: Send + 'a, E: Send + 'a> PipelineBuilder<'a, T, E> {
 
     /// Append a stage under slot `id`. A pass-through stage
     /// ([`Stage::passthrough`]) is fused out of the graph here, at build
-    /// time: it gets no thread, no channel and no timer slot.
+    /// time: it gets no thread, no channel and no trace lane.
     pub fn stage(mut self, id: StageId, stage: impl Stage<T, E> + 'a) -> Self {
         if stage.passthrough() {
             self.fused.push(id);
@@ -770,11 +757,10 @@ impl<'a, T: Send + 'a, E: Send + 'a> PipelineBuilder<'a, T, E> {
         self
     }
 
-    /// Record per-chunk stage timings, numbering chunks from `first_seq`
-    /// (the reduce pipeline threads one sample table through several
-    /// per-partition pipelines).
-    pub fn timers(mut self, timers: Arc<StageTimers>, first_seq: usize) -> Self {
-        self.timers = Some(timers);
+    /// Number chunks from `first_seq` instead of 0 (the reduce phase
+    /// threads one sequence through its per-partition pipelines, so their
+    /// spans never collide on the shared trace lanes).
+    pub fn first_seq(mut self, first_seq: usize) -> Self {
         self.first_seq = first_seq;
         self
     }
@@ -865,14 +851,11 @@ impl<'a, T: Send + 'a, E: Send + 'a> PipelineBuilder<'a, T, E> {
 
         let probe_box = self.probe.take();
         let probe: Option<&dyn PipelineProbe> = probe_box.as_deref();
-        let timers_arc = self.timers.take();
-        let timers: Option<&StageTimers> = timers_arc.as_deref();
         let chunks_emitted = AtomicUsize::new(0);
 
         let kind = self.kind;
         let tracer = self.tracer.take();
         let events_for = |id: StageId, lane_idx: u32| StageEvents {
-            stage: id,
             lane: tracer.as_ref().map(|(t, node)| {
                 t.lane(LaneId {
                     job: 0,
@@ -884,7 +867,6 @@ impl<'a, T: Send + 'a, E: Send + 'a> PipelineBuilder<'a, T, E> {
                     },
                 })
             }),
-            timers,
         };
 
         // §III-D topology marks: one per token group, on the acquiring
@@ -1526,7 +1508,7 @@ mod tests {
             }
         }
         let sum = AtomicUsize::new(0);
-        let timers = Arc::new(StageTimers::new());
+        let tracer = Arc::new(Tracer::new());
         PipelineBuilder::new(PipelineKind::Map, Buffering::Double)
             .source(
                 StageId::Input,
@@ -1538,15 +1520,20 @@ mod tests {
             )
             .stage(StageId::Kernel, Timed)
             .stage(StageId::Partition, SinkSum(&sum))
-            .timers(Arc::clone(&timers), 0)
+            .tracer(Arc::clone(&tracer), 0)
             .run()
             .expect("pipeline run");
-        assert_eq!(timers.chunks(StageId::Input), 4);
-        assert_eq!(timers.chunks(StageId::Kernel), 4);
+        let analysis = tracer.finish().analysis();
+        let map = analysis.pipeline(0, PipelineKind::Map).expect("map lanes");
+        let chunks = |s| map.stage(s).expect("live stage").chunks;
+        assert_eq!(chunks(StageId::Input), 4);
+        assert_eq!(chunks(StageId::Kernel), 4);
+        let timers = map.timers();
         assert_eq!(timers.wall(StageId::Kernel), Duration::from_millis(20));
         assert_eq!(timers.modeled(StageId::Kernel), Duration::from_millis(36));
-        // Default timing recorded something for the untimed stages.
-        assert_eq!(timers.chunks(StageId::Partition), 4);
+        // Default timing recorded a whole-call sample for the untimed stages.
+        assert_eq!(chunks(StageId::Partition), 4);
+        assert_eq!(map.chunk_samples.len(), 4);
     }
 
     #[test]

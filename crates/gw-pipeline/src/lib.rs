@@ -18,20 +18,19 @@
 //!   thread with channel hops);
 //! * the four cross-cutting concerns previously copy-pasted per stage:
 //!   crash-site probing between chunks ([`PipelineProbe`]), dead/abort-flag
-//!   checking, [`StageTimers`] wall+modeled accounting, and error
+//!   checking, wall+modeled span accounting on the `gw-trace` lanes, and error
 //!   unwinding that drains and closes the whole graph deterministically;
 //! * [`run_task_with_retries`] — the §III-E task re-execution loop
 //!   ("if a task fails, its partial output is discarded and its input is
 //!   rescheduled for processing") shared by both kernel stages.
 
 pub mod executor;
-pub mod timers;
 
 pub use executor::{
     run_task_with_retries, token_pool, LaneSource, PipelineBuilder, PipelineProbe, PipelineStats,
     PoolGet, PoolPut, RetryExhausted, Source, Stage, StageCtx,
 };
-pub use timers::{PipelineKind, StageId, StageSample, StageTimers, TimerReport};
+pub use gw_trace::{PipelineKind, StageId};
 
 /// Pipeline buffering level (paper §III-D).
 ///

@@ -30,10 +30,8 @@ pub mod glasswing_model;
 pub mod gpmr_model;
 pub mod hadoop_model;
 pub mod params;
-pub mod speculation;
 pub mod sweep;
 
 pub use engine::{ResourceId, SemaphoreId, Sim};
 pub use params::{AppParams, ClusterParams, DeviceClass, StorageKind};
-pub use speculation::{simulate_speculation, SpecOutcome, SpecParams};
 pub use sweep::{simulate, FrameworkKind, SimResult};

@@ -24,7 +24,7 @@ use parking_lot::RwLock;
 
 use gw_trace::{CounterId, LaneId, MarkId, ReadClass, Realm, Tracer};
 
-use crate::iomodel::{IoModel, IoSample, IoStats};
+use crate::iomodel::{IoModel, IoSample};
 use crate::split::{FileStore, InputSplit, StorageFaultHook};
 use crate::{NodeId, StorageError};
 
@@ -84,7 +84,6 @@ struct Namespace {
 pub struct Dfs {
     cfg: DfsConfig,
     ns: RwLock<Namespace>,
-    stats: IoStats,
     fault: RwLock<Option<Arc<dyn StorageFaultHook>>>,
     dead: RwLock<HashSet<NodeId>>,
     failovers: AtomicUsize,
@@ -98,7 +97,6 @@ impl Dfs {
         Dfs {
             cfg,
             ns: RwLock::new(Namespace::default()),
-            stats: IoStats::default(),
             fault: RwLock::new(None),
             dead: RwLock::new(HashSet::new()),
             failovers: AtomicUsize::new(0),
@@ -186,13 +184,11 @@ impl FileStore for Dfs {
             return Err(StorageError::AlreadyExists(path.to_string()));
         }
         ns.files.insert(path.to_string(), metas);
-        let sample = IoSample {
+        Ok(IoSample {
             modeled,
             bytes,
             local: true,
-        };
-        self.stats.record(sample);
-        Ok(sample)
+        })
     }
 
     fn splits(&self, path: &str) -> Result<Vec<InputSplit>, StorageError> {
@@ -269,7 +265,6 @@ impl FileStore for Dfs {
             bytes: block.data.len(),
             local,
         };
-        self.stats.record(sample);
         if let Some(t) = self.tracer.read().as_ref() {
             let class = if local {
                 ReadClass::Local
@@ -311,10 +306,6 @@ impl FileStore for Dfs {
 
     fn delete(&self, path: &str) {
         self.ns.write().files.remove(path);
-    }
-
-    fn io_stats(&self) -> &IoStats {
-        &self.stats
     }
 
     fn cluster_size(&self) -> u32 {
@@ -416,9 +407,9 @@ mod tests {
         assert!(local.local);
         assert!(!remote.local);
         // DAS-4: local software-RAID disk is slower per byte than IPoIB, so
-        // we only assert the locality flag and stats routing, not ordering.
-        assert!(dfs.io_stats().bytes_remote() > 0);
-        assert!(dfs.io_stats().bytes_local() > 0);
+        // we only assert the locality flag and byte accounting, not ordering.
+        assert!(local.bytes > 0);
+        assert_eq!(remote.bytes, local.bytes);
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Storage I/O timing model and accounting.
+//! Storage I/O timing model.
 //!
 //! The paper's HDFS-vs-local-FS results hinge on two effects this model
 //! captures:
@@ -10,7 +10,6 @@
 //!    file accesses are local", but remote block reads pay network
 //!    bandwidth instead of disk bandwidth.
 
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::time::Duration;
 
 /// Timing parameters for one storage backend.
@@ -86,60 +85,6 @@ pub struct IoSample {
     pub local: bool,
 }
 
-/// Cumulative I/O accounting, shared across threads.
-#[derive(Debug, Default)]
-pub struct IoStats {
-    calls: AtomicUsize,
-    bytes_local: AtomicUsize,
-    bytes_remote: AtomicUsize,
-    modeled_nanos: AtomicU64,
-}
-
-impl IoStats {
-    /// Record one operation.
-    pub fn record(&self, sample: IoSample) {
-        self.calls.fetch_add(1, Ordering::Relaxed);
-        if sample.local {
-            self.bytes_local.fetch_add(sample.bytes, Ordering::Relaxed);
-        } else {
-            self.bytes_remote.fetch_add(sample.bytes, Ordering::Relaxed);
-        }
-        self.modeled_nanos
-            .fetch_add(sample.modeled.as_nanos() as u64, Ordering::Relaxed);
-    }
-
-    /// Total calls recorded.
-    pub fn calls(&self) -> usize {
-        self.calls.load(Ordering::Relaxed)
-    }
-
-    /// Bytes served locally.
-    pub fn bytes_local(&self) -> usize {
-        self.bytes_local.load(Ordering::Relaxed)
-    }
-
-    /// Bytes served remotely.
-    pub fn bytes_remote(&self) -> usize {
-        self.bytes_remote.load(Ordering::Relaxed)
-    }
-
-    /// Sum of modeled durations.
-    pub fn modeled_total(&self) -> Duration {
-        Duration::from_nanos(self.modeled_nanos.load(Ordering::Relaxed))
-    }
-
-    /// Fraction of bytes served locally (1.0 when no traffic).
-    pub fn locality(&self) -> f64 {
-        let l = self.bytes_local() as f64;
-        let r = self.bytes_remote() as f64;
-        if l + r == 0.0 {
-            1.0
-        } else {
-            l / (l + r)
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -166,30 +111,5 @@ mod tests {
         let free = IoModel::free();
         assert_eq!(free.call_time(1 << 30, true), Duration::ZERO);
         assert_eq!(free.call_time(1 << 30, false), Duration::ZERO);
-    }
-
-    #[test]
-    fn stats_accumulate_and_report_locality() {
-        let stats = IoStats::default();
-        stats.record(IoSample {
-            modeled: Duration::from_millis(2),
-            bytes: 300,
-            local: true,
-        });
-        stats.record(IoSample {
-            modeled: Duration::from_millis(3),
-            bytes: 100,
-            local: false,
-        });
-        assert_eq!(stats.calls(), 2);
-        assert_eq!(stats.bytes_local(), 300);
-        assert_eq!(stats.bytes_remote(), 100);
-        assert_eq!(stats.modeled_total(), Duration::from_millis(5));
-        assert!((stats.locality() - 0.75).abs() < 1e-9);
-    }
-
-    #[test]
-    fn empty_stats_report_full_locality() {
-        assert_eq!(IoStats::default().locality(), 1.0);
     }
 }

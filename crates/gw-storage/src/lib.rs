@@ -30,7 +30,7 @@ pub mod split;
 pub mod varint;
 
 pub use dfs::{Dfs, DfsConfig};
-pub use iomodel::{IoModel, IoSample, IoStats};
+pub use iomodel::{IoModel, IoSample};
 pub use localfs::LocalFs;
 pub use seqfile::{SeqReader, SeqWriter};
 pub use split::{split_blocks, InputSplit, StorageFaultHook};

@@ -12,7 +12,7 @@ use std::sync::Arc;
 
 use parking_lot::RwLock;
 
-use crate::iomodel::{IoModel, IoSample, IoStats};
+use crate::iomodel::{IoModel, IoSample};
 use crate::split::{FileStore, InputSplit};
 use crate::{NodeId, StorageError};
 
@@ -27,7 +27,6 @@ pub struct LocalFs {
     nodes: u32,
     io: IoModel,
     files: RwLock<HashMap<String, Vec<LocalBlock>>>,
-    stats: IoStats,
 }
 
 impl LocalFs {
@@ -43,7 +42,6 @@ impl LocalFs {
             nodes,
             io,
             files: RwLock::new(HashMap::new()),
-            stats: IoStats::default(),
         }
     }
 
@@ -85,13 +83,11 @@ impl FileStore for LocalFs {
             return Err(StorageError::AlreadyExists(path.to_string()));
         }
         files.insert(path.to_string(), blocks);
-        let sample = IoSample {
+        Ok(IoSample {
             modeled,
             bytes,
             local: true,
-        };
-        self.stats.record(sample);
-        Ok(sample)
+        })
     }
 
     fn splits(&self, path: &str) -> Result<Vec<InputSplit>, StorageError> {
@@ -133,7 +129,6 @@ impl FileStore for LocalFs {
             bytes: block.data.len(),
             local: true,
         };
-        self.stats.record(sample);
         Ok((Arc::clone(&block.data), sample))
     }
 
@@ -143,10 +138,6 @@ impl FileStore for LocalFs {
 
     fn delete(&self, path: &str) {
         self.files.write().remove(path);
-    }
-
-    fn io_stats(&self) -> &IoStats {
-        &self.stats
     }
 
     fn cluster_size(&self) -> u32 {
@@ -180,7 +171,6 @@ mod tests {
                 assert!(sample.local);
             }
         }
-        assert_eq!(fs.io_stats().bytes_remote(), 0);
     }
 
     #[test]

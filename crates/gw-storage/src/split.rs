@@ -9,7 +9,7 @@
 
 use std::sync::Arc;
 
-use crate::iomodel::{IoSample, IoStats};
+use crate::iomodel::IoSample;
 use crate::varint;
 use crate::{NodeId, StorageError};
 
@@ -74,9 +74,6 @@ pub trait FileStore: Send + Sync {
 
     /// Remove a file. Removing a missing file is not an error.
     fn delete(&self, path: &str);
-
-    /// Cumulative I/O statistics for this store.
-    fn io_stats(&self) -> &IoStats;
 
     /// Number of cluster nodes this store serves.
     fn cluster_size(&self) -> u32;

@@ -34,6 +34,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
+use std::time::Duration;
 
 use crate::event::{EventKind, MarkId, Realm, SpanId};
 use crate::stage::{PipelineKind, StageId};
@@ -41,6 +42,13 @@ use crate::tracer::Trace;
 
 /// The §III-D buffering levels the advisor predicts across.
 const ADVISED_B: [usize; 3] = [1, 2, 3];
+
+/// The map pipeline's §III-D token groups: the input group ends at the
+/// kernel, the output group at the partitioner.
+pub const MAP_TOKEN_GROUPS: [(StageId, StageId); 2] = [
+    (StageId::Input, StageId::Kernel),
+    (StageId::Kernel, StageId::Partition),
+];
 
 /// Complete post-hoc analysis of one job trace.
 #[derive(Debug, Clone, Default)]
@@ -82,9 +90,65 @@ pub struct PipelinePerf {
     pub busy_sum_ns: u64,
     /// First begin → last end across this pipeline's lanes.
     pub span_ns: u64,
+    /// Per-chunk (wall, modeled) stage times from accounted chunk spans,
+    /// indexed by chunk sequence number, for schedule replay. Stages a
+    /// chunk never ran (fused, aborted) read zero.
+    pub chunk_samples: Vec<[StageSample; 5]>,
+}
+
+/// One stage's duration for one chunk (wall, modeled).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct StageSample {
+    /// Measured host time.
+    pub wall: Duration,
+    /// Model-transformed time.
+    pub modeled: Duration,
+}
+
+/// Per-stage timer totals of one pipeline (the paper's Tables II/III
+/// "timers for each pipeline stage"): the accounted wall and modeled
+/// time of every chunk and finish span, summed per stage.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct TimerReport {
+    /// Wall totals indexed by [`StageId::index`].
+    pub wall: [Duration; 5],
+    /// Modeled totals indexed by [`StageId::index`].
+    pub modeled: [Duration; 5],
+}
+
+impl TimerReport {
+    /// Wall total of a stage.
+    pub fn wall(&self, stage: StageId) -> Duration {
+        self.wall[stage.index()]
+    }
+
+    /// Modeled total of a stage.
+    pub fn modeled(&self, stage: StageId) -> Duration {
+        self.modeled[stage.index()]
+    }
+
+    /// Merge another report into this one (summing stage totals), used to
+    /// aggregate across nodes.
+    pub fn merge(&mut self, other: &TimerReport) {
+        for i in 0..5 {
+            self.wall[i] += other.wall[i];
+            self.modeled[i] += other.modeled[i];
+        }
+    }
 }
 
 impl PipelinePerf {
+    /// The per-stage timer totals, read off [`StagePerf::wall_ns`] and
+    /// [`StagePerf::modeled_ns`].
+    pub fn timers(&self) -> TimerReport {
+        let mut report = TimerReport::default();
+        for s in &self.stages {
+            report.wall[s.stage.index()] = Duration::from_nanos(s.wall_ns);
+            report.modeled[s.stage.index()] = Duration::from_nanos(s.modeled_ns);
+        }
+        report
+    }
+
     /// The paper's overlap win: `Σ stage busy ÷ busy union`. A fully
     /// serialized pipeline scores exactly 1.0 (the lower bound); any
     /// overlap pushes it above.
@@ -124,6 +188,11 @@ pub struct StagePerf {
     pub chunks: u64,
     /// Union length of the stage's busy (chunk + finish span) intervals.
     pub busy_ns: u64,
+    /// Accounted wall time: the durations the stage reported on its
+    /// chunk and finish span ends, summed.
+    pub wall_ns: u64,
+    /// Accounted modeled time, as [`StagePerf::wall_ns`].
+    pub modeled_ns: u64,
     /// Service-time distribution over accounted chunk spans.
     pub service: ServiceStats,
     /// Token-wait spans on this stage's lane (the executor brackets every
@@ -300,9 +369,12 @@ struct LaneFold {
     busy: Vec<(u64, u64)>,
     waits: Vec<(u64, u64)>,
     wait_count: u64,
-    /// Accounted chunk wall durations by sequence number.
-    chunk_wall: BTreeMap<u64, u64>,
+    /// Accounted chunk (wall, modeled) durations by sequence number.
+    chunk_times: BTreeMap<u64, (u64, u64)>,
     chunks: u64,
+    /// Accounted (wall, modeled) totals over chunk and finish spans.
+    wall_ns: u64,
+    modeled_ns: u64,
     service: ServiceStats,
     /// Fused-passage chunk counts observed on this (fronting) lane.
     fused_chunks: BTreeMap<StageId, u64>,
@@ -352,8 +424,8 @@ impl PerfAnalysis {
                     EventKind::End {
                         span,
                         wall_ns,
+                        modeled_ns,
                         accounted,
-                        ..
                     } => {
                         // Tolerant pairing: spans obey stack discipline in
                         // well-formed streams, but a truncated lane may
@@ -365,12 +437,16 @@ impl PerfAnalysis {
                         };
                         let (_, t0) = open.remove(pos);
                         let iv = (t0, ev.at_ns.max(t0));
+                        if accounted {
+                            fold.wall_ns += wall_ns;
+                            fold.modeled_ns += modeled_ns;
+                        }
                         match span {
                             SpanId::Chunk { seq } => {
                                 fold.busy.push(iv);
                                 if accounted {
                                     fold.chunks += 1;
-                                    fold.chunk_wall.insert(seq, wall_ns);
+                                    fold.chunk_times.insert(seq, (wall_ns, modeled_ns));
                                     fold.service.push(wall_ns);
                                 } else {
                                     anomalies.unaccounted_chunks += 1;
@@ -505,7 +581,7 @@ impl Trace {
 }
 
 /// Coalesce intervals into a sorted, disjoint union.
-fn merge_intervals(mut v: Vec<(u64, u64)>) -> Vec<(u64, u64)> {
+pub(crate) fn merge_intervals(mut v: Vec<(u64, u64)>) -> Vec<(u64, u64)> {
     v.sort_unstable();
     let mut out: Vec<(u64, u64)> = Vec::with_capacity(v.len());
     for (s, e) in v {
@@ -522,7 +598,7 @@ fn total_len(v: &[(u64, u64)]) -> u64 {
 }
 
 /// Intersection length of two disjoint sorted interval lists.
-fn intersect_len(a: &[(u64, u64)], b: &[(u64, u64)]) -> u64 {
+pub(crate) fn intersect_len(a: &[(u64, u64)], b: &[(u64, u64)]) -> u64 {
     let (mut i, mut j, mut acc) = (0, 0, 0u64);
     while i < a.len() && j < b.len() {
         let lo = a[i].0.max(b[j].0);
@@ -562,6 +638,8 @@ fn build_node_perfs(folds: &mut BTreeMap<(u32, PipelineKind, StageId), LaneFold>
                     fused: fold.busy.is_empty() && fold.service.count == 0 && fold.chunks > 0,
                     chunks: fold.chunks,
                     busy_ns: total_len(&fold.busy),
+                    wall_ns: fold.wall_ns,
+                    modeled_ns: fold.modeled_ns,
                     service: fold.service,
                     token_waits: fold.wait_count,
                     token_wait_ns: total_len(&fold.waits),
@@ -592,8 +670,23 @@ fn build_node_perfs(folds: &mut BTreeMap<(u32, PipelineKind, StageId), LaneFold>
             (Some((s, _)), Some((_, e))) => e - s,
             _ => 0,
         };
+        let rows = stages
+            .iter()
+            .filter_map(|s| folds[&(node, kind, *s)].chunk_times.keys().next_back())
+            .max()
+            .map_or(0, |last| *last as usize + 1);
+        let mut chunk_samples = vec![[StageSample::default(); 5]; rows];
+        for stage in &stages {
+            for (seq, (wall, modeled)) in &folds[&(node, kind, *stage)].chunk_times {
+                chunk_samples[*seq as usize][stage.index()] = StageSample {
+                    wall: Duration::from_nanos(*wall),
+                    modeled: Duration::from_nanos(*modeled),
+                };
+            }
+        }
         let pipe = PipelinePerf {
             kind,
+            chunk_samples,
             overlap: OverlapMatrix {
                 stages: stages.clone(),
                 chunk_counts: perfs.iter().map(|p| p.chunks).collect(),
@@ -722,23 +815,28 @@ fn build_stragglers(folds: &BTreeMap<(u32, PipelineKind, StageId), LaneFold>) ->
     ranked
 }
 
-/// Bounded-buffer pipeline schedule replay (the advisor's prediction
-/// model): chunk `c` starts stage `s` after finishing stage `s-1`, after
-/// its own lane frees up, and — per §III-D token group — after chunk
-/// `c-B` exits the group. Durations are the measured per-chunk wall
-/// times. `lanes[s]` models the stage's worker-lane count: chunks are
-/// dispatched round-robin (chunk `c` runs on lane `c % N`), so the
-/// stage-serial constraint is `end[c - N][s]`, not `end[c - 1][s]` — an
-/// N-lane stage services N chunks concurrently at unchanged per-chunk
-/// cost, which is exactly what the executor's deterministic round-robin
-/// front does.
-fn simulate(durs: &[Vec<u64>; 5], groups: &[(usize, usize)], b: usize, lanes: [usize; 5]) -> u64 {
-    let n = durs[0].len();
-    if n == 0 {
-        return 0;
-    }
-    let mut end = vec![[0u64; 5]; n];
-    for c in 0..n {
+/// The §III-D bounded-buffer pipeline recurrence — the one schedule
+/// model of the workspace (the advisor replays measured chunk times
+/// through it; `gw_core::schedule` adapts it to the map topology).
+///
+/// `chunks[c][s]` is chunk `c`'s service time in stage `s`; the result
+/// is the completion matrix `end[c][s]`, measured from pipeline start.
+/// Chunk `c` starts stage `s` after finishing stage `s-1`, after its own
+/// lane frees up, and — per token group `(first, last)` — after chunk
+/// `c-b` exits the group's last stage. `lanes[s]` is the stage's
+/// worker-lane count: chunks are dispatched round-robin (chunk `c` runs
+/// on lane `c % N`), so the stage-serial constraint is `end[c - N][s]`,
+/// not `end[c - 1][s]` — an N-lane stage services N chunks concurrently
+/// at unchanged per-chunk cost, which is exactly what the executor's
+/// deterministic round-robin front does.
+pub fn bounded_buffer_schedule(
+    chunks: &[[u64; 5]],
+    groups: &[(StageId, StageId)],
+    b: usize,
+    lanes: [usize; 5],
+) -> Vec<[u64; 5]> {
+    let mut end = vec![[0u64; 5]; chunks.len()];
+    for c in 0..chunks.len() {
         let mut prev = 0u64;
         for s in 0..5 {
             let mut start = prev;
@@ -747,16 +845,28 @@ fn simulate(durs: &[Vec<u64>; 5], groups: &[(usize, usize)], b: usize, lanes: [u
                 start = start.max(end[c - l][s]);
             }
             for &(first, last) in groups {
-                if first == s && c >= b {
-                    start = start.max(end[c - b][last]);
+                if first.index() == s && c >= b {
+                    start = start.max(end[c - b][last.index()]);
                 }
             }
-            let e = start + durs[s][c];
-            end[c][s] = e;
-            prev = e;
+            prev = start + chunks[c][s];
+            end[c][s] = prev;
         }
     }
-    end[n - 1][4]
+    end
+}
+
+/// Completion of the last chunk's last stage under
+/// [`bounded_buffer_schedule`].
+fn makespan(
+    chunks: &[[u64; 5]],
+    groups: &[(StageId, StageId)],
+    b: usize,
+    lanes: [usize; 5],
+) -> u64 {
+    bounded_buffer_schedule(chunks, groups, b, lanes)
+        .last()
+        .map_or(0, |stages| stages[4])
 }
 
 fn build_advice(
@@ -766,8 +876,8 @@ fn build_advice(
     // Assemble per-node map-pipeline chunk duration tables.
     struct NodeModel {
         node: u32,
-        durs: [Vec<u64>; 5],
-        groups: Vec<(usize, usize)>,
+        chunks: Vec<[u64; 5]>,
+        groups: Vec<(StageId, StageId)>,
         busy: [u64; 5],
         /// Lane counts the run actually used (from `StageLanes` marks and
         /// observed sub-lane indices; 1 where nothing says otherwise).
@@ -781,42 +891,34 @@ fn build_advice(
         .collect();
     for node in map_nodes {
         let mut seqs: BTreeSet<u64> = BTreeSet::new();
-        let mut groups: Vec<(usize, usize)> = Vec::new();
+        let mut groups: Vec<(StageId, StageId)> = Vec::new();
         for stage in StageId::ALL {
             if let Some(fold) = folds.get(&(node, PipelineKind::Map, stage)) {
-                seqs.extend(fold.chunk_wall.keys().copied());
-                for &(_, first, last) in &fold.groups {
-                    groups.push((first.index(), last.index()));
-                }
+                seqs.extend(fold.chunk_times.keys().copied());
+                groups.extend(fold.groups.iter().map(|&(_, first, last)| (first, last)));
             }
         }
         if groups.is_empty() {
             // Pre-topology traces: the map pipeline's standard groups.
-            groups = vec![
-                (StageId::Input.index(), StageId::Kernel.index()),
-                (StageId::Kernel.index(), StageId::Partition.index()),
-            ];
+            groups = MAP_TOKEN_GROUPS.to_vec();
         }
-        let seqs: Vec<u64> = seqs.into_iter().collect();
-        let mut durs: [Vec<u64>; 5] = Default::default();
+        let mut chunks = vec![[0u64; 5]; seqs.len()];
         let mut busy = [0u64; 5];
         let mut lanes = [1usize; 5];
         for stage in StageId::ALL {
-            let fold = folds.get(&(node, PipelineKind::Map, stage));
-            durs[stage.index()] = seqs
-                .iter()
-                .map(|seq| {
-                    fold.and_then(|f| f.chunk_wall.get(seq).copied())
-                        .unwrap_or(0)
-                })
-                .collect();
-            busy[stage.index()] = fold.map(|f| total_len(&f.busy)).unwrap_or(0);
-            lanes[stage.index()] = fold.map(|f| f.lanes.max(1)).unwrap_or(1);
+            let Some(fold) = folds.get(&(node, PipelineKind::Map, stage)) else {
+                continue;
+            };
+            for (chunk, seq) in chunks.iter_mut().zip(&seqs) {
+                chunk[stage.index()] = fold.chunk_times.get(seq).map_or(0, |&(wall, _)| wall);
+            }
+            busy[stage.index()] = total_len(&fold.busy);
+            lanes[stage.index()] = fold.lanes.max(1);
         }
-        if !seqs.is_empty() {
+        if !chunks.is_empty() {
             models.push(NodeModel {
                 node,
-                durs,
+                chunks,
                 groups,
                 busy,
                 lanes,
@@ -834,7 +936,7 @@ fn build_advice(
     let job_makespan = |b: usize, lanes_of: &dyn Fn(&NodeModel) -> [usize; 5]| -> u64 {
         models
             .iter()
-            .map(|m| simulate(&m.durs, &m.groups, b, lanes_of(m)))
+            .map(|m| makespan(&m.chunks, &m.groups, b, lanes_of(m)))
             .max()
             .unwrap_or(0)
     };
@@ -880,11 +982,11 @@ fn build_advice(
 
     for m in &models {
         let mut scaling: Vec<(StageId, f64)> = Vec::new();
-        let base = simulate(&m.durs, &m.groups, 2, m.lanes).max(1);
+        let base = makespan(&m.chunks, &m.groups, 2, m.lanes).max(1);
         for stage in &live {
             let mut lanes = m.lanes;
             lanes[stage.index()] *= 2;
-            let faster = simulate(&m.durs, &m.groups, 2, lanes).max(1);
+            let faster = makespan(&m.chunks, &m.groups, 2, lanes).max(1);
             scaling.push((*stage, base as f64 / faster as f64));
         }
         let node_busy = |s: StageId| -> u64 { m.busy[s.index()] };
@@ -1190,13 +1292,106 @@ mod tests {
     fn schedule_replay_respects_token_groups() {
         // One stage pair, duration 10 each, 4 chunks, one group over both
         // stages. B=1 serializes chunks end-to-end; B=2 overlaps them.
-        let durs: [Vec<u64>; 5] = [vec![10; 4], vec![0; 4], vec![10; 4], vec![0; 4], vec![0; 4]];
-        let groups = [(0usize, 2usize)];
-        let b1 = simulate(&durs, &groups, 1, [1usize; 5]);
-        let b2 = simulate(&durs, &groups, 2, [1usize; 5]);
+        let chunks = [[10, 0, 10, 0, 0]; 4];
+        let groups = [(StageId::Input, StageId::Kernel)];
+        let b1 = makespan(&chunks, &groups, 1, [1; 5]);
+        let b2 = makespan(&chunks, &groups, 2, [1; 5]);
         assert_eq!(b1, 80); // 4 chunks x (10+10), fully serialized
         assert_eq!(b2, 50); // steady-state pipelining: 10*(4+1)
-        assert!(simulate(&durs, &groups, 3, [1usize; 5]) <= b2);
+        assert!(makespan(&chunks, &groups, 3, [1; 5]) <= b2);
+    }
+
+    #[test]
+    fn recurrence_on_the_map_topology_reproduces_the_paper_regimes() {
+        let run = |chunks: &[[u64; 5]], b| makespan(chunks, &MAP_TOKEN_GROUPS, b, [1; 5]);
+        assert!(bounded_buffer_schedule(&[], &MAP_TOKEN_GROUPS, 2, [1; 5]).is_empty());
+        // A single chunk costs the sum of its stages at every B.
+        for b in ADVISED_B {
+            assert_eq!(run(&[[1, 2, 3, 4, 5]], b), 15);
+        }
+        // B=1 serialises each group: "the map elapsed time equals the sum
+        // of the input stage and the kernel stage" (partition is hidden
+        // behind the next chunk's input).
+        let chunks = [[5, 0, 8, 0, 2]; 40];
+        assert_eq!(run(&chunks, 1), (5 + 8) * 40 + 2);
+        // ...while the two groups still overlap each other: the period is
+        // kernel + partition, not input + kernel + partition.
+        let chunks = [[5, 0, 5, 0, 10]; 30];
+        assert_eq!(run(&chunks, 1), 5 + (5 + 10) * 30);
+        // B>=2 converges to the dominant stage plus fill/drain.
+        let chunks = [[4, 0, 10, 0, 3]; 50];
+        assert_eq!(run(&chunks, 2), 4 + 10 * 50 + 3);
+        // B=3, equal stages: a systolic array, (n + 4) * t.
+        assert_eq!(run(&[[2; 5]; 50], 3), 2 * (50 + 4));
+        // The completion matrix is monotone along both axes.
+        let end = bounded_buffer_schedule(&chunks, &MAP_TOKEN_GROUPS, 2, [1; 5]);
+        for c in 1..end.len() {
+            for s in 0..5 {
+                assert!(end[c][s] >= end[c - 1][s]);
+                assert!(s == 0 || end[c][s] >= end[c][s - 1]);
+            }
+        }
+    }
+
+    #[test]
+    fn timers_fold_accounted_chunk_and_finish_spans_only() {
+        let finish = |at, begin: bool, accounted| {
+            let span = SpanId::Finish { seq: 1 };
+            ev(
+                at,
+                if begin {
+                    EventKind::Begin { span }
+                } else {
+                    EventKind::End {
+                        span,
+                        wall_ns: 7,
+                        modeled_ns: 9,
+                        accounted,
+                    }
+                },
+            )
+        };
+        let trace = Trace {
+            lanes: vec![(
+                lane(0, PipelineKind::Reduce, StageId::Partition),
+                vec![
+                    begin(0, 0),
+                    end(10, 0, 10),
+                    begin(10, 1),
+                    ev(
+                        15,
+                        EventKind::End {
+                            span: SpanId::Chunk { seq: 1 },
+                            wall_ns: 0,
+                            modeled_ns: 0,
+                            accounted: false,
+                        },
+                    ),
+                    finish(20, true, true),
+                    finish(30, false, true),
+                    finish(30, true, false),
+                    finish(40, false, false),
+                ],
+            )],
+        };
+        let a = trace.analysis();
+        let p = a.pipeline(0, PipelineKind::Reduce).unwrap();
+        let sp = p.stage(StageId::Partition).unwrap();
+        assert_eq!((sp.chunks, sp.wall_ns, sp.modeled_ns), (1, 17, 19));
+        assert_eq!(sp.service.total_ns, 10);
+        let timers = p.timers();
+        assert_eq!(timers.wall(StageId::Partition), Duration::from_nanos(17));
+        assert_eq!(timers.modeled(StageId::Partition), Duration::from_nanos(19));
+        assert_eq!(timers.wall(StageId::Kernel), Duration::ZERO);
+        // Samples are positional by seq and hold chunk spans only.
+        assert_eq!(p.chunk_samples.len(), 1);
+        assert_eq!(
+            p.chunk_samples[0][StageId::Partition.index()],
+            StageSample {
+                wall: Duration::from_nanos(10),
+                modeled: Duration::from_nanos(10),
+            }
+        );
     }
 
     #[test]

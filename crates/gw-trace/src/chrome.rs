@@ -283,7 +283,8 @@ fn mark_args(out: &mut String, mark: MarkId) {
     }
 }
 
-fn escape_into(out: &mut String, s: &str) {
+/// Append `s` to `out` escaped for a JSON string literal.
+pub(crate) fn escape_into(out: &mut String, s: &str) {
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),

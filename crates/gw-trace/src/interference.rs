@@ -20,6 +20,7 @@
 
 use std::collections::BTreeMap;
 
+use crate::analysis::{intersect_len, merge_intervals};
 use crate::event::{EventKind, LaneId};
 use crate::tracer::Trace;
 
@@ -111,7 +112,7 @@ impl Interference {
 
         let unions: BTreeMap<u32, Vec<(u64, u64)>> = intervals
             .into_iter()
-            .map(|(job, ivs)| (job, union(ivs)))
+            .map(|(job, ivs)| (job, merge_intervals(ivs)))
             .collect();
 
         let jobs: Vec<JobActivity> = bounds
@@ -133,7 +134,7 @@ impl Interference {
             for j in (i + 1)..jobs.len() {
                 let (a, b) = (jobs[i].job, jobs[j].job);
                 let overlap_ns = match (unions.get(&a), unions.get(&b)) {
-                    (Some(ua), Some(ub)) => intersection_len(ua, ub),
+                    (Some(ua), Some(ub)) => intersect_len(ua, ub),
                     _ => 0,
                 };
                 let mut shared_nodes: Vec<u32> = jobs[i]
@@ -188,37 +189,6 @@ impl Interference {
         }
         out
     }
-}
-
-/// Merge possibly-overlapping intervals into a sorted disjoint union.
-fn union(mut ivs: Vec<(u64, u64)>) -> Vec<(u64, u64)> {
-    ivs.sort_unstable();
-    let mut out: Vec<(u64, u64)> = Vec::with_capacity(ivs.len());
-    for (s, e) in ivs {
-        match out.last_mut() {
-            Some(last) if s <= last.1 => last.1 = last.1.max(e),
-            _ => out.push((s, e)),
-        }
-    }
-    out
-}
-
-/// Total length of the intersection of two disjoint sorted unions.
-fn intersection_len(a: &[(u64, u64)], b: &[(u64, u64)]) -> u64 {
-    let (mut i, mut j, mut total) = (0usize, 0usize, 0u64);
-    while i < a.len() && j < b.len() {
-        let lo = a[i].0.max(b[j].0);
-        let hi = a[i].1.min(b[j].1);
-        if lo < hi {
-            total += hi - lo;
-        }
-        if a[i].1 <= b[j].1 {
-            i += 1;
-        } else {
-            j += 1;
-        }
-    }
-    total
 }
 
 #[cfg(test)]

@@ -4,8 +4,7 @@
 //! about *where time goes*: stage overlap, PCIe staging cost, shuffle
 //! occupancy. Aggregate timers can prove totals but not shapes; this
 //! crate records the shapes as a typed event stream and derives both the
-//! totals ([`MetricsSummary`], and `StageTimers` over in `gw-pipeline`)
-//! and a visual timeline ([`Trace::chrome_json`]) from that one stream.
+//! totals ([`MetricsSummary`], [`TimerReport`]) and a visual timeline ([`Trace::chrome_json`]) from that one stream.
 //!
 //! Three design rules, all load-bearing for the tests that pin this
 //! plane:
@@ -22,9 +21,10 @@
 //!    wall/modeled timing. [`Trace::logical_events`] strips the timing;
 //!    for a fixed `(seed, JobConfig)` the logical stream is
 //!    byte-reproducible across runs and across buffering levels.
-//! 3. **Views, not bookkeeping.** Consumers (`StageTimers`, the metrics
-//!    registry, the Chrome exporter) fold over emitted events; none of
-//!    them keeps its own instrumentation state inside pipeline code.
+//! 3. **Views, not bookkeeping.** Consumers (the stage timers, the
+//!    metrics registry, the Chrome exporter) fold over the finished
+//!    stream; none of them keeps instrumentation state inside pipeline
+//!    code.
 
 mod analysis;
 mod chrome;
@@ -37,8 +37,9 @@ mod stage;
 mod tracer;
 
 pub use analysis::{
-    Advice, Anomalies, CriticalPath, NodePerf, OverlapMatrix, PerfAnalysis, PipelinePerf,
-    ServiceStats, StagePerf, Straggler,
+    bounded_buffer_schedule, Advice, Anomalies, CriticalPath, NodePerf, OverlapMatrix,
+    PerfAnalysis, PipelinePerf, ServiceStats, StagePerf, StageSample, Straggler, TimerReport,
+    MAP_TOKEN_GROUPS,
 };
 pub use event::{
     CounterId, Event, EventKind, LaneId, LogicalKind, MarkId, ReadClass, Realm, SpanId,

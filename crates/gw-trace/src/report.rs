@@ -12,25 +12,11 @@
 use std::fmt::Write as _;
 
 use crate::analysis::{PerfAnalysis, PipelinePerf};
+use crate::chrome::escape_into;
 use crate::stage::StageId;
 
 fn ms(ns: u64) -> f64 {
     ns as f64 / 1e6
-}
-
-/// Escape a string for a JSON literal (names here are ASCII already, but
-/// stay correct for anything).
-fn escape_json(s: &str, out: &mut String) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
 }
 
 fn push_num(out: &mut String, v: f64) {
@@ -300,7 +286,7 @@ impl PerfAnalysis {
                 o.push(',');
             }
             o.push('"');
-            escape_json(line, &mut o);
+            escape_into(&mut o, line);
             o.push('"');
         }
         o.push_str("]}");

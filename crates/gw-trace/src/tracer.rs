@@ -181,9 +181,8 @@ impl std::fmt::Debug for Lane {
 }
 
 impl Lane {
-    /// Record `kind` at the current wall clock; returns the stored event
-    /// so callers can feed the same value to derived views.
-    pub fn record(&self, kind: EventKind) -> Event {
+    /// Record `kind` at the current wall clock.
+    pub fn record(&self, kind: EventKind) {
         let ev = Event {
             at_ns: self.epoch.elapsed().as_nanos() as u64,
             kind,
@@ -192,7 +191,6 @@ impl Lane {
         if let Some(sink) = &self.sink {
             sink.on_event(self.id, &ev);
         }
-        ev
     }
 
     /// Open a span.

@@ -3,13 +3,14 @@
 //!
 //! On unified-memory devices the builder fuses the Stage (H2D) and
 //! Retrieve (D2H) stages out of the graph. Before the observability
-//! plane landed, `StageTimers` only ever heard from live stage threads,
-//! so a fused graph reported **zero** chunks and zero time for Stage and
-//! Retrieve while the identical workload with the stages live reported
-//! real chunk counts — the two graphs disagreed about what the pipeline
-//! did. Now the executor emits a `FusedPassage` event per chunk on the
-//! fused stage's behalf and both `StageTimers` and the metrics rollup
-//! fold it in, so fused and unfused graphs report the same chunk counts
+//! plane landed, the stage timers only ever heard from live stage
+//! threads, so a fused graph reported **zero** chunks and zero time for
+//! Stage and Retrieve while the identical workload with the stages live
+//! reported real chunk counts — the two graphs disagreed about what the
+//! pipeline did. Now the executor emits a `FusedPassage` event per chunk
+//! on the fused stage's behalf and every fold of the trace (timers,
+//! metrics rollup, analysis) counts it, so fused and unfused graphs
+//! report the same chunk counts
 //! and the same modeled totals (transfers model to zero on unified
 //! memory either way). `JobConfig::disable_stage_fusion` exists to pin
 //! exactly this equivalence.

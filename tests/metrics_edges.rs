@@ -8,6 +8,11 @@
 //!   out of the graph: their chunk counts must equal the kernel's (via
 //!   fused passages) while everything the fused stages never did —
 //!   token waits, counters — still reads back as zero.
+//!
+//! Plus the reconciliation case: every report carried by `JobReport` is a
+//! fold of the one trace, so `NodeReport` timers/samples,
+//! `MetricsSummary` and `PerfAnalysis` must agree exactly at every
+//! buffering level, lane count and fusion setting.
 
 use std::sync::Arc;
 
@@ -30,6 +35,10 @@ fn empty_trace_rolls_up_to_zeros() {
 }
 
 fn run_job(records: &[(Vec<u8>, Vec<u8>)]) -> JobReport {
+    run_job_with(records, |_| {})
+}
+
+fn run_job_with(records: &[(Vec<u8>, Vec<u8>)], tune: impl FnOnce(&mut JobConfig)) -> JobReport {
     let dfs = Arc::new(Dfs::new(DfsConfig::new(1).free_io()));
     dfs.write_records(
         "/edge/in",
@@ -44,6 +53,7 @@ fn run_job(records: &[(Vec<u8>, Vec<u8>)]) -> JobReport {
     cfg.device_threads = 1;
     cfg.partition_threads = 1;
     cfg.output_replication = 1;
+    tune(&mut cfg);
     cluster.run(Arc::new(WordCount::new()), &cfg).unwrap()
 }
 
@@ -112,4 +122,82 @@ fn fused_single_node_run_counts_fused_stages_as_zero_not_absent() {
     assert_eq!(m.counter(0, CounterId::ShuffleRetransmit), 0);
     // The new arena counters are present (the job really built runs).
     assert!(m.counter(0, CounterId::RunPoolHit) + m.counter(0, CounterId::RunPoolMiss) > 0);
+}
+
+#[test]
+fn timers_metrics_and_analysis_reconcile_per_stage() {
+    let records: Vec<(Vec<u8>, Vec<u8>)> = (0..48)
+        .map(|i| {
+            (
+                format!("{i:04}").into_bytes(),
+                format!("alpha beta gamma delta{}", i % 7).into_bytes(),
+            )
+        })
+        .collect();
+    for buffering in [Buffering::Single, Buffering::Double, Buffering::Triple] {
+        for kernel_lanes in [1, 2] {
+            for disable_stage_fusion in [false, true] {
+                let what =
+                    format!("{buffering:?}/lanes={kernel_lanes}/unfused={disable_stage_fusion}");
+                let report = run_job_with(&records, |cfg| {
+                    cfg.buffering = buffering;
+                    cfg.lane_plan.kernel = kernel_lanes;
+                    cfg.disable_stage_fusion = disable_stage_fusion;
+                });
+                for n in &report.nodes {
+                    for (kind, timers) in [
+                        (PipelineKind::Map, &n.map_timers),
+                        (PipelineKind::Reduce, &n.reduce_timers),
+                    ] {
+                        let p = report
+                            .analysis
+                            .pipeline(n.node.0, kind)
+                            .expect("pipeline present");
+                        for stage in StageId::ALL {
+                            let sp = p.stage(stage).expect("all five stages are on the books");
+                            assert_eq!(
+                                report.metrics.chunks(n.node.0, kind, stage),
+                                sp.chunks,
+                                "{what}: {kind:?}/{stage:?} chunk counts"
+                            );
+                            assert!(sp.chunks > 0, "{what}: {kind:?}/{stage:?} saw no chunks");
+                            assert_eq!(timers.wall(stage).as_nanos() as u64, sp.wall_ns);
+                            assert_eq!(timers.modeled(stage).as_nanos() as u64, sp.modeled_ns);
+                            // Only the reduce output stage accounts a
+                            // finish span (its final write) on top of
+                            // its chunk spans.
+                            if (kind, stage) != (PipelineKind::Reduce, StageId::Partition) {
+                                assert_eq!(sp.wall_ns, sp.service.total_ns);
+                            } else {
+                                assert!(sp.wall_ns >= sp.service.total_ns);
+                            }
+                        }
+                    }
+                    // One sample row per map chunk, each stage's column
+                    // summing to its timer total.
+                    let map_chunks =
+                        report
+                            .metrics
+                            .chunks(n.node.0, PipelineKind::Map, StageId::Input);
+                    assert_eq!(
+                        n.map_samples.len() as u64,
+                        map_chunks,
+                        "{what}: sample rows"
+                    );
+                    for stage in StageId::ALL {
+                        let column: std::time::Duration = n
+                            .map_samples
+                            .iter()
+                            .map(|row| row[stage.index()].wall)
+                            .sum();
+                        assert_eq!(
+                            column,
+                            n.map_timers.wall(stage),
+                            "{what}: {stage:?} samples"
+                        );
+                    }
+                }
+            }
+        }
+    }
 }
