@@ -64,7 +64,7 @@ pub fn write(fields: &[(&str, Val)]) -> String {
     out
 }
 
-/// Parse a flat JSON object produced by [`write`] (or hand-edited in the
+/// Parse a flat JSON object produced by [`write()`] (or hand-edited in the
 /// same shape). Returns an error string on any malformation.
 pub fn parse(text: &str) -> Result<BTreeMap<String, Val>, String> {
     let body = text.trim();

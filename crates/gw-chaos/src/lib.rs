@@ -649,20 +649,14 @@ impl FaultPlan {
         self.slow.is_some() || self.stall.is_some() || self.flaky.is_some()
     }
 
-    /// Probe a map-pipeline crash site. Returns `true` exactly once — on
-    /// the victim node's `after+1`-th passage of the scheduled site — after
-    /// which the caller must treat the node as crashed. Equivalent to
-    /// [`FaultPlan::crash_fires_lane`] on lane 0 of a single-lane stage
-    /// (a lane-pinned fault still fires here when pinned to lane 0).
-    pub fn crash_fires(&self, node: u32, site: CrashSite) -> bool {
-        self.crash_fires_lane(node, site, 0)
-    }
-
-    /// Probe a map-pipeline crash site from lane `lane` of a (possibly
-    /// widened) stage. A lane-pinned fault only counts and fires on its
-    /// pinned lane — sibling lanes pass untouched and consume no
-    /// passages; an unpinned fault counts passages across all lanes.
-    pub fn crash_fires_lane(&self, node: u32, site: CrashSite, lane: u32) -> bool {
+    /// Probe a map-pipeline crash site from lane `lane` of its stage
+    /// (0 on a single-lane stage). Returns `true` exactly once — on the
+    /// victim node's `after+1`-th passage of the scheduled site — after
+    /// which the caller must treat the node as crashed. A lane-pinned
+    /// fault only counts and fires on its pinned lane — sibling lanes
+    /// pass untouched and consume no passages; an unpinned fault counts
+    /// passages across all lanes.
+    pub fn crash_fires(&self, node: u32, site: CrashSite, lane: u32) -> bool {
         let Some(c) = &self.crash else { return false };
         if c.site == CrashSite::Reduce
             || c.node != node
@@ -701,24 +695,19 @@ impl FaultPlan {
         fires
     }
 
-    /// Probe the gray-failure plane after `node` passed `site` in `wall`
-    /// time. Returns the extra time the caller must sleep to realise the
-    /// scheduled degradation, or `None` when no gray fault applies (the
-    /// common case — unarmed paths pay one branch per passage).
+    /// Probe the gray-failure plane after lane `lane` of `node`'s `site`
+    /// stage passed a chunk in `wall` time. Returns the extra time the
+    /// caller must sleep to realise the scheduled degradation, or `None`
+    /// when no gray fault applies (the common case — unarmed paths pay one
+    /// branch per passage). Lane-pinned stalls and slowdowns only touch
+    /// their pinned lane (and consume no passages elsewhere).
     ///
     /// Combines the one-shot stall (fires at most once per plan, emitting
     /// a `stall-fired` mark) with the persistent slowdown, which stretches
     /// every passage by `(factor − 1) × wall` and counts a
     /// [`CounterId::GraySlowdowns`] tick per throttled passage when a
     /// tracer is armed.
-    pub fn gray_delay(&self, node: u32, site: CrashSite, wall: Duration) -> Option<Duration> {
-        self.gray_delay_lane(node, site, 0, wall)
-    }
-
-    /// As [`FaultPlan::gray_delay`], probed from lane `lane` of a widened
-    /// stage: lane-pinned stalls and slowdowns only touch their pinned
-    /// lane (and consume no passages elsewhere).
-    pub fn gray_delay_lane(
+    pub fn gray_delay(
         &self,
         node: u32,
         site: CrashSite,
@@ -891,20 +880,20 @@ mod tests {
     fn crash_fires_once_at_the_right_passage() {
         let p = FaultPlan::crash(2, CrashSite::Kernel, 2);
         // Wrong node / site: never fires, never consumes passages.
-        assert!(!p.crash_fires(1, CrashSite::Kernel));
-        assert!(!p.crash_fires(2, CrashSite::Shuffle));
+        assert!(!p.crash_fires(1, CrashSite::Kernel, 0));
+        assert!(!p.crash_fires(2, CrashSite::Shuffle, 0));
         // Victim survives `after` passages, dies on the next, only once.
-        assert!(!p.crash_fires(2, CrashSite::Kernel));
-        assert!(!p.crash_fires(2, CrashSite::Kernel));
-        assert!(p.crash_fires(2, CrashSite::Kernel));
-        assert!(!p.crash_fires(2, CrashSite::Kernel));
+        assert!(!p.crash_fires(2, CrashSite::Kernel, 0));
+        assert!(!p.crash_fires(2, CrashSite::Kernel, 0));
+        assert!(p.crash_fires(2, CrashSite::Kernel, 0));
+        assert!(!p.crash_fires(2, CrashSite::Kernel, 0));
     }
 
     #[test]
     fn reduce_site_fires_via_reduce_probe_only() {
         let p = FaultPlan::crash(1, CrashSite::Reduce, 0);
         assert!(!p.schedules_node_crash());
-        assert!(!p.crash_fires(1, CrashSite::Kernel));
+        assert!(!p.crash_fires(1, CrashSite::Kernel, 0));
         assert!(!p.reduce_fault_fires(0));
         assert!(p.reduce_fault_fires(1));
         assert!(!p.reduce_fault_fires(1));
@@ -970,8 +959,8 @@ mod tests {
         let tracer = Arc::new(Tracer::new());
         let p = FaultPlan::crash(2, CrashSite::Kernel, 1).with_read_fault(3);
         p.arm_tracer(Some(Arc::clone(&tracer)));
-        assert!(!p.crash_fires(2, CrashSite::Kernel));
-        assert!(p.crash_fires(2, CrashSite::Kernel));
+        assert!(!p.crash_fires(2, CrashSite::Kernel, 0));
+        assert!(p.crash_fires(2, CrashSite::Kernel, 0));
         assert!(p.read_fault("/f", 3, NodeId(1)));
         let marks: Vec<(u32, MarkId)> = tracer
             .finish()
@@ -1026,15 +1015,15 @@ mod tests {
         // 4× slower: a 10ms passage owes 30ms of extra sleep, every time.
         let wall = Duration::from_millis(10);
         assert_eq!(
-            p.gray_delay(1, CrashSite::Kernel, wall),
+            p.gray_delay(1, CrashSite::Kernel, 0, wall),
             Some(Duration::from_millis(30))
         );
         assert_eq!(
-            p.gray_delay(1, CrashSite::Read, wall),
+            p.gray_delay(1, CrashSite::Read, 0, wall),
             Some(Duration::from_millis(30))
         );
         // Other nodes run at full speed.
-        assert_eq!(p.gray_delay(0, CrashSite::Kernel, wall), None);
+        assert_eq!(p.gray_delay(0, CrashSite::Kernel, 0, wall), None);
     }
 
     #[test]
@@ -1042,15 +1031,15 @@ mod tests {
         let p = FaultPlan::empty().with_stall(2, CrashSite::Stage, 1, 25);
         let wall = Duration::from_millis(1);
         // Wrong node / site never stalls and never consumes passages.
-        assert_eq!(p.gray_delay(1, CrashSite::Stage, wall), None);
-        assert_eq!(p.gray_delay(2, CrashSite::Kernel, wall), None);
+        assert_eq!(p.gray_delay(1, CrashSite::Stage, 0, wall), None);
+        assert_eq!(p.gray_delay(2, CrashSite::Kernel, 0, wall), None);
         // Victim survives `after` passages, stalls on the next, only once.
-        assert_eq!(p.gray_delay(2, CrashSite::Stage, wall), None);
+        assert_eq!(p.gray_delay(2, CrashSite::Stage, 0, wall), None);
         assert_eq!(
-            p.gray_delay(2, CrashSite::Stage, wall),
+            p.gray_delay(2, CrashSite::Stage, 0, wall),
             Some(Duration::from_millis(25))
         );
-        assert_eq!(p.gray_delay(2, CrashSite::Stage, wall), None);
+        assert_eq!(p.gray_delay(2, CrashSite::Stage, 0, wall), None);
     }
 
     #[test]
@@ -1086,7 +1075,7 @@ mod tests {
             .with_stall(1, CrashSite::Kernel, 0, 15);
         p.arm_tracer(Some(Arc::clone(&tracer)));
         assert!(p
-            .gray_delay(1, CrashSite::Kernel, Duration::from_millis(2))
+            .gray_delay(1, CrashSite::Kernel, 0, Duration::from_millis(2))
             .is_some());
         let trace = tracer.finish();
         let marks: Vec<MarkId> = trace
@@ -1116,7 +1105,7 @@ mod tests {
     fn unarmed_gray_probe_is_silent() {
         let p = FaultPlan::empty();
         assert_eq!(
-            p.gray_delay(0, CrashSite::Kernel, Duration::from_millis(5)),
+            p.gray_delay(0, CrashSite::Kernel, 0, Duration::from_millis(5)),
             None
         );
         assert_eq!(
@@ -1130,44 +1119,42 @@ mod tests {
         let p = FaultPlan::crash(2, CrashSite::Kernel, 1).with_crash_lane(1);
         assert!(p.describe().contains("lane=1"));
         // Sibling lanes never fire and never consume passages.
-        assert!(!p.crash_fires_lane(2, CrashSite::Kernel, 0));
-        assert!(!p.crash_fires_lane(2, CrashSite::Kernel, 0));
-        assert!(!p.crash_fires_lane(2, CrashSite::Kernel, 2));
+        assert!(!p.crash_fires(2, CrashSite::Kernel, 0));
+        assert!(!p.crash_fires(2, CrashSite::Kernel, 0));
+        assert!(!p.crash_fires(2, CrashSite::Kernel, 2));
         // The pinned lane survives `after` of *its own* passages first.
-        assert!(!p.crash_fires_lane(2, CrashSite::Kernel, 1));
-        assert!(p.crash_fires_lane(2, CrashSite::Kernel, 1));
-        assert!(!p.crash_fires_lane(2, CrashSite::Kernel, 1));
-        // The single-lane probe is lane 0, so a lane-1 pin never fires it.
+        assert!(!p.crash_fires(2, CrashSite::Kernel, 1));
+        assert!(p.crash_fires(2, CrashSite::Kernel, 1));
+        assert!(!p.crash_fires(2, CrashSite::Kernel, 1));
+        // A single-lane stage probes as lane 0, so a lane-1 pin never fires it.
         let q = FaultPlan::crash(2, CrashSite::Kernel, 0).with_crash_lane(1);
-        assert!(!q.crash_fires(2, CrashSite::Kernel));
-        assert!(q.crash_fires_lane(2, CrashSite::Kernel, 1));
+        assert!(!q.crash_fires(2, CrashSite::Kernel, 0));
+        assert!(q.crash_fires(2, CrashSite::Kernel, 1));
     }
 
     #[test]
     fn lane_pinned_gray_faults_only_touch_their_lane() {
         let wall = Duration::from_millis(10);
         let p = FaultPlan::empty().with_slowdown(1, 300).with_slow_lane(2);
-        assert_eq!(p.gray_delay_lane(1, CrashSite::Kernel, 0, wall), None);
+        assert_eq!(p.gray_delay(1, CrashSite::Kernel, 0, wall), None);
         assert_eq!(
-            p.gray_delay_lane(1, CrashSite::Kernel, 2, wall),
+            p.gray_delay(1, CrashSite::Kernel, 2, wall),
             Some(Duration::from_millis(20))
         );
-        // Legacy single-lane probe = lane 0: untouched by a lane-2 pin.
-        assert_eq!(p.gray_delay(1, CrashSite::Kernel, wall), None);
 
         let st = FaultPlan::empty()
             .with_stall(2, CrashSite::Stage, 1, 25)
             .with_stall_lane(0);
         // Lane-1 passages consume nothing.
-        assert_eq!(st.gray_delay_lane(2, CrashSite::Stage, 1, wall), None);
-        assert_eq!(st.gray_delay_lane(2, CrashSite::Stage, 1, wall), None);
+        assert_eq!(st.gray_delay(2, CrashSite::Stage, 1, wall), None);
+        assert_eq!(st.gray_delay(2, CrashSite::Stage, 1, wall), None);
         // Lane 0 survives `after` of its own passages, stalls once.
-        assert_eq!(st.gray_delay_lane(2, CrashSite::Stage, 0, wall), None);
+        assert_eq!(st.gray_delay(2, CrashSite::Stage, 0, wall), None);
         assert_eq!(
-            st.gray_delay_lane(2, CrashSite::Stage, 0, wall),
+            st.gray_delay(2, CrashSite::Stage, 0, wall),
             Some(Duration::from_millis(25))
         );
-        assert_eq!(st.gray_delay_lane(2, CrashSite::Stage, 0, wall), None);
+        assert_eq!(st.gray_delay(2, CrashSite::Stage, 0, wall), None);
     }
 
     #[test]

@@ -25,7 +25,7 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use gw_storage::varint;
+use gw_storage::varint::{self, RecRef};
 
 use crate::api::Combiner;
 use crate::hash::hash_bytes;
@@ -198,11 +198,9 @@ impl Collector for BufferPoolCollector {
             for region in [main, ovf.as_slice()] {
                 let mut rest = region;
                 while !rest.is_empty() {
-                    let (klen, n1) = varint::read_len(rest).expect("corrupt arena record");
-                    let (vlen, n2) = varint::read_len(&rest[n1..]).expect("corrupt arena record");
-                    let body = &rest[n1 + n2..];
-                    f(&body[..klen], &body[klen..klen + vlen]);
-                    rest = &body[klen + vlen..];
+                    let rec = RecRef::decode(rest, 0).expect("corrupt arena record");
+                    f(rec.key(rest), rec.value(rest));
+                    rest = &rest[rec.end()..];
                 }
             }
         }

@@ -2,6 +2,8 @@
 //! job parameters ... input files ... which compute devices are to be used
 //! and configure the pipeline buffering levels."
 
+use std::time::Duration;
+
 use gw_device::DeviceProfile;
 use gw_pipeline::StageId;
 use gw_trace::Advice;
@@ -20,6 +22,17 @@ pub enum TimingMode {
     /// Device/storage-model time (profile-transformed); equals wall for
     /// host CPU devices with free I/O models.
     Modeled,
+}
+
+impl TimingMode {
+    /// The duration a stage reports as its modeled time: the measured
+    /// `wall` under [`TimingMode::Wall`], the model's figure otherwise.
+    pub(crate) fn pick(self, wall: Duration, modeled: Duration) -> Duration {
+        match self {
+            TimingMode::Wall => wall,
+            TimingMode::Modeled => modeled,
+        }
+    }
 }
 
 /// Full job configuration.

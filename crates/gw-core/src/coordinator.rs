@@ -175,41 +175,23 @@ impl gw_pipeline::PipelineProbe for MapPipelineProbe {
                 && (self.coordinator.is_dead(self.node) || self.coordinator.aborted()))
     }
 
-    fn crash_fires(&self, stage: gw_pipeline::StageId) -> bool {
+    fn crash_fires(&self, stage: gw_pipeline::StageId, lane: u32) -> bool {
         self.chaos
             .plan
-            .crash_fires(self.node.0, gw_chaos::CrashSite::for_map_stage(stage))
+            .crash_fires(self.node.0, gw_chaos::CrashSite::for_map_stage(stage), lane)
     }
 
     fn kill(&self) {
         self.chaos.kill();
     }
 
-    fn gray_delay(&self, stage: gw_pipeline::StageId, wall: Duration) -> Option<Duration> {
-        self.chaos
-            .plan
-            .gray_delay(self.node.0, gw_chaos::CrashSite::for_map_stage(stage), wall)
-    }
-
-    // The executor probes per (stage, lane); lane-pinned faults in the
-    // plan target an individual lane of a widened stage, unpinned faults
-    // behave exactly as before.
-
-    fn crash_fires_on(&self, stage: gw_pipeline::StageId, lane: u32) -> bool {
-        self.chaos.plan.crash_fires_lane(
-            self.node.0,
-            gw_chaos::CrashSite::for_map_stage(stage),
-            lane,
-        )
-    }
-
-    fn gray_delay_on(
+    fn gray_delay(
         &self,
         stage: gw_pipeline::StageId,
         lane: u32,
         wall: Duration,
     ) -> Option<Duration> {
-        self.chaos.plan.gray_delay_lane(
+        self.chaos.plan.gray_delay(
             self.node.0,
             gw_chaos::CrashSite::for_map_stage(stage),
             lane,
@@ -239,7 +221,7 @@ impl gw_pipeline::PipelineProbe for ReduceTaskProbe {
         false
     }
 
-    fn crash_fires(&self, _stage: gw_pipeline::StageId) -> bool {
+    fn crash_fires(&self, _stage: gw_pipeline::StageId, _lane: u32) -> bool {
         false
     }
 
@@ -249,11 +231,16 @@ impl gw_pipeline::PipelineProbe for ReduceTaskProbe {
         self.chaos.plan.reduce_fault_fires(self.node.0)
     }
 
-    fn gray_delay(&self, _stage: gw_pipeline::StageId, wall: Duration) -> Option<Duration> {
+    fn gray_delay(
+        &self,
+        _stage: gw_pipeline::StageId,
+        lane: u32,
+        wall: Duration,
+    ) -> Option<Duration> {
         // Gray faults on the reduce side all map to the Reduce site.
         self.chaos
             .plan
-            .gray_delay(self.node.0, gw_chaos::CrashSite::Reduce, wall)
+            .gray_delay(self.node.0, gw_chaos::CrashSite::Reduce, lane, wall)
     }
 }
 

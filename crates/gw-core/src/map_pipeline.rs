@@ -47,6 +47,8 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use parking_lot::Mutex;
+
 use gw_device::{Device, DeviceBuffer, KernelFn, NdRange, WorkItemCtx, WorkerPool};
 use gw_intermediate::{merge_runs, IntermediateStore, Run, RunPool};
 use gw_net::{Endpoint, ShuffleMsg};
@@ -61,8 +63,7 @@ use gw_trace::{CounterId, Lane, LaneId, Realm, StageId, Tracer};
 use crate::api::{Emit, GwApp};
 use crate::collect::{BufferPoolCollector, Collector, CollectorKind, HashTableCollector};
 use crate::config::{JobConfig, TimingMode};
-use crate::coordinator::{Coordinator, MapPipelineProbe, NodeChaos, RunKey};
-use crate::hash::partition_owner;
+use crate::coordinator::{Coordinator, MapPipelineProbe, NodeChaos, RecoveryState, RunKey};
 use crate::EngineError;
 
 /// Byte offsets of one record inside its block.
@@ -165,7 +166,7 @@ struct MapInput<'a> {
     /// the queue exactly once (the paper's behaviour).
     supervised: bool,
     buffers: Option<PoolGet<DeviceBuffer>>,
-    report: &'a Mutexed<MapPhaseReport>,
+    report: &'a Mutex<MapPhaseReport>,
     /// The split (and staging buffer) claimed for this lane's next
     /// [`LaneSource::produce`].
     pending: Option<(InputSplit, Option<DeviceBuffer>)>,
@@ -208,11 +209,7 @@ impl LaneSource<MapChunk, EngineError> for MapInput<'_> {
         let (block, sample) = self.store.read_split(&split, self.node)?;
         let records = parse_block(&block)?;
         let wall = t0.elapsed();
-        let modeled = match self.timing {
-            TimingMode::Wall => wall,
-            TimingMode::Modeled => wall + sample.modeled,
-        };
-        ctx.add_time(wall, modeled);
+        ctx.add_time(wall, self.timing.pick(wall, wall + sample.modeled));
         {
             let mut r = self.report.lock();
             r.splits += 1;
@@ -260,11 +257,7 @@ impl Stage<MapChunk, EngineError> for MapStageH2D {
         let t0 = Instant::now();
         let stats = self.device.stage(&chunk.block, buf)?;
         let wall = t0.elapsed();
-        let modeled = match self.timing {
-            TimingMode::Wall => wall,
-            TimingMode::Modeled => stats.modeled,
-        };
-        ctx.add_time(wall, modeled);
+        ctx.add_time(wall, self.timing.pick(wall, stats.modeled));
         Ok(Some(chunk))
     }
 
@@ -358,10 +351,7 @@ impl Stage<MapChunk, EngineError> for MapKernel<'_> {
                 )));
             }
         };
-        let modeled = match self.cfg.timing {
-            TimingMode::Wall => stats.wall,
-            TimingMode::Modeled => stats.modeled,
-        };
+        let modeled = self.cfg.timing.pick(stats.wall, stats.modeled);
         ctx.add_time(stats.wall, modeled);
         // Kernel is done with the input buffer: recycle it.
         if let (Some(buf), Some(put)) = (chunk.buffer.take(), &self.buffers_back) {
@@ -372,39 +362,39 @@ impl Stage<MapChunk, EngineError> for MapKernel<'_> {
     }
 }
 
-/// Retrieve (D2H): charge the modeled PCIe retrieval of the collector's
-/// bytes (kernel output already lives in host memory — we execute on host
-/// threads). Fused out of the graph on unified-memory devices.
-struct MapRetrieve {
-    device: Arc<Device>,
-    timing: TimingMode,
-    unified: bool,
+/// A transfer stage with no host work of its own — kernel input and
+/// output already live in host memory, since we execute on host threads:
+/// it charges the device profile's modeled PCIe time for the bytes of the
+/// chunk that would cross the link, at zero wall. The map pipeline's
+/// Retrieve and the reduce pipeline's Stage and Retrieve are all this
+/// stage. Fused out of the graph on unified-memory devices.
+pub(crate) struct ModeledTransfer<C> {
+    pub(crate) device: Arc<Device>,
+    pub(crate) timing: TimingMode,
+    pub(crate) unified: bool,
+    /// Host→device (`true`) or device→host.
+    pub(crate) to_device: bool,
+    /// The bytes of a chunk that cross the link.
+    pub(crate) bytes: fn(&C) -> usize,
 }
 
-impl Stage<MapChunk, EngineError> for MapRetrieve {
-    fn run_chunk(
-        &mut self,
-        chunk: MapChunk,
-        ctx: &mut StageCtx<'_>,
-    ) -> Result<Option<MapChunk>, EngineError> {
-        let t0 = Instant::now();
-        let bytes = chunk
-            .collector
-            .as_ref()
-            .expect("kernel output collector")
-            .bytes();
-        let wall = t0.elapsed();
-        let modeled = match self.timing {
-            TimingMode::Wall => wall,
-            TimingMode::Modeled => self.device.profile().transfer_time(bytes, false),
-        };
-        ctx.add_time(wall, modeled);
+impl<C: Send> Stage<C, EngineError> for ModeledTransfer<C> {
+    fn run_chunk(&mut self, chunk: C, ctx: &mut StageCtx<'_>) -> Result<Option<C>, EngineError> {
+        let bytes = (self.bytes)(&chunk);
+        let transfer = self.device.profile().transfer_time(bytes, self.to_device);
+        ctx.add_time(Duration::ZERO, self.timing.pick(Duration::ZERO, transfer));
         Ok(Some(chunk))
     }
 
     fn passthrough(&self) -> bool {
         self.unified
     }
+}
+
+/// Bytes the kernel left in a chunk's output collector — what a Retrieve
+/// stage moves.
+pub(crate) fn output_bytes(collector: &Option<Box<dyn Collector>>) -> usize {
+    collector.as_ref().expect("kernel output collector").bytes()
 }
 
 /// Partition stage (sink): decode the collector over `N` lanes, bucket by
@@ -435,6 +425,61 @@ struct MapPartition<'a> {
     lane: Lane,
 }
 
+impl MapPartition<'_> {
+    /// Count one finished run of global partition `gp`, write its
+    /// durability copy (named by `file` = chunk seq and lane), and hand
+    /// it to the partition's current owner: the local store, or the
+    /// owner's node over the network. A supervised caller — having
+    /// entered the run in the ledger first, so a receiver can never be
+    /// owed a run the ledger does not know about — passes the run's
+    /// identity: the run is then admitted at most once locally, and
+    /// retained and tagged when sent. (Unsupervised jobs arm no fabric
+    /// fault hook, so `send_data` is a plain send for them.)
+    fn deliver_run(
+        &self,
+        gp: u32,
+        run: Run,
+        file: (usize, usize),
+        recovery: Option<(&RecoveryState, RunKey)>,
+    ) {
+        let node = self.node;
+        self.records_out.fetch_add(run.records(), Ordering::Relaxed);
+        // Durability copy (paper §III-E): map output is stored
+        // persistently on local disk.
+        if let Some(dir) = &self.durability_dir {
+            let (seq, lane) = file;
+            let path = dir.join(format!("map-{node}-c{seq}-l{lane}-p{gp}.gw"));
+            std::fs::write(path, run.bytes()).expect("durability write failed");
+        }
+        let owner = self.coordinator.owner_of(gp, self.nodes);
+        if owner == node.0 {
+            if recovery.is_none_or(|(state, key)| state.admit(key)) {
+                self.runs_local.fetch_add(1, Ordering::Relaxed);
+                self.intermediate.add_run(gp, run);
+            }
+        } else {
+            self.runs_remote.fetch_add(1, Ordering::Relaxed);
+            let records = run.records();
+            // Zero-copy ship: `into_shared` and the retention clone are
+            // refcount bumps, and the message frames the run's shared
+            // arena slice as-is.
+            let bytes = run.into_shared();
+            let tag = recovery.map(|(state, key)| {
+                state.retain(key, bytes.clone(), records);
+                key.tag(node.0)
+            });
+            let msg = ShuffleMsg::Partition {
+                partition: gp,
+                bytes,
+                records,
+                tag,
+            };
+            let wire = msg.wire_bytes();
+            self.endpoint.send_data(NodeId(owner), msg, wire);
+        }
+    }
+}
+
 impl Stage<MapChunk, EngineError> for MapPartition<'_> {
     fn run_chunk(
         &mut self,
@@ -442,42 +487,33 @@ impl Stage<MapChunk, EngineError> for MapPartition<'_> {
         ctx: &mut StageCtx<'_>,
     ) -> Result<Option<MapChunk>, EngineError> {
         let n_lanes = self.cfg.partition_threads;
-        let node = self.node;
-        let nodes = self.nodes;
         let total_partitions = self.total_partitions;
         let mut collector = chunk.collector.take().expect("kernel output collector");
         // Supervised mode collects every lane's runs here and merges them
         // per partition after the pool drains, so each (block, partition)
         // yields exactly one deterministic run.
-        let chunk_runs: Option<Mutexed<Vec<(u32, Run)>>> =
-            self.chaos.as_ref().map(|_| Mutexed::new(Vec::new()));
+        let chunk_runs: Option<Mutex<Vec<(u32, Run)>>> =
+            self.chaos.as_ref().map(|_| Mutex::new(Vec::new()));
+        // Durability copies are named by the chunk's pipeline sequence
+        // number, which equals arrival order on a single-lane stage and
+        // stays collision-free when the partition slot runs several lanes.
+        let dseq = ctx.seq();
         // Scope the kernel so its borrow of the collector ends before the
         // collector is reset and recycled.
         {
+            let this = &*self;
             let collector: &dyn Collector = collector.as_ref();
-            let app = &self.app;
-            let endpoint = &self.endpoint;
-            let intermediate = &self.intermediate;
-            let durability_dir = &self.durability_dir;
             let chunk_runs = &chunk_runs;
-            let run_pool = &self.run_pool;
-            let records_out = self.records_out;
-            let runs_remote = self.runs_remote;
-            let runs_local = self.runs_local;
-            // Durability copies are named by the chunk's pipeline sequence
-            // number, which equals arrival order on a single-lane stage
-            // (the historical per-instance counter) and stays collision-free
-            // when the partition slot runs several lanes.
-            let dseq = ctx.seq();
             let kernel = KernelFn(move |ctx: &WorkItemCtx| {
                 let lane = ctx.global_id();
                 // Decode this lane's share and bucket by global partition.
                 // Builders come from the recycling pool: their
                 // arenas/indexes carry capacity from previous chunks.
-                let mut builders: Vec<_> =
-                    (0..total_partitions).map(|_| run_pool.builder()).collect();
+                let mut builders: Vec<_> = (0..total_partitions)
+                    .map(|_| this.run_pool.builder())
+                    .collect();
                 collector.for_each_part(lane, n_lanes, &mut |k, v| {
-                    let gp = app.partition(k, total_partitions);
+                    let gp = this.app.partition(k, total_partitions);
                     builders[gp as usize].push(k, v);
                 });
                 for (gp, builder) in builders.into_iter().enumerate() {
@@ -485,37 +521,11 @@ impl Stage<MapChunk, EngineError> for MapPartition<'_> {
                         continue;
                     }
                     let run = builder.build();
-                    if let Some(chunk_runs) = chunk_runs {
+                    match chunk_runs {
                         // Supervised: hand the lane's run to the per-chunk
                         // merge below.
-                        chunk_runs.lock().push((gp as u32, run));
-                        continue;
-                    }
-                    records_out.fetch_add(run.records(), Ordering::Relaxed);
-                    // Durability copy (paper §III-E): map output is stored
-                    // persistently on local disk.
-                    if let Some(dir) = durability_dir {
-                        let path = dir.join(format!("map-{node}-c{dseq}-l{lane}-p{gp}.gw"));
-                        std::fs::write(path, run.bytes()).expect("durability write failed");
-                    }
-                    let owner = partition_owner(gp as u32, nodes);
-                    if owner == node.0 {
-                        runs_local.fetch_add(1, Ordering::Relaxed);
-                        intermediate.add_run(gp as u32, run);
-                    } else {
-                        runs_remote.fetch_add(1, Ordering::Relaxed);
-                        let records = run.records();
-                        // Zero-copy ship: the message frames the run's
-                        // shared arena slice as-is.
-                        let bytes = run.into_shared();
-                        let msg = ShuffleMsg::Partition {
-                            partition: gp as u32,
-                            bytes,
-                            records,
-                            tag: None,
-                        };
-                        let wire = msg.wire_bytes();
-                        endpoint.send(NodeId(owner), msg, wire);
+                        Some(chunk_runs) => chunk_runs.lock().push((gp as u32, run)),
+                        None => this.deliver_run(gp as u32, run, (dseq, lane), None),
                     }
                 }
             });
@@ -525,9 +535,7 @@ impl Stage<MapChunk, EngineError> for MapPartition<'_> {
             );
         }
         if let (Some(cx), Some(chunk_runs)) = (&self.chaos, chunk_runs) {
-            // Merge the chunk's lanes into one sorted run per partition;
-            // record in the ledger *before* delivering, so a receiver can
-            // never be owed a run the ledger does not know about.
+            // Merge the chunk's lanes into one sorted run per partition.
             let mut lane_runs = chunk_runs.into_inner();
             // A single lane run needs no grouping pass at all; only
             // re-order when lanes actually have to be grouped by partition.
@@ -553,44 +561,17 @@ impl Stage<MapChunk, EngineError> for MapPartition<'_> {
                 // deterministic even though lane completion order races.
                 self.lane.count(CounterId::MergeFanIn, (j - i) as u64);
                 i = j;
-                self.records_out.fetch_add(run.records(), Ordering::Relaxed);
-                if let Some(dir) = &self.durability_dir {
-                    let path =
-                        dir.join(format!("map-{node}-c{dseq}-l0-p{gp}.gw", dseq = ctx.seq()));
-                    std::fs::write(path, run.bytes()).expect("durability write failed");
-                }
                 let key = RunKey {
                     partition: gp,
                     block: chunk.block_idx as u32,
                     lane: 0,
                 };
-                self.coordinator.record_run(key, node.0);
-                let owner = self.coordinator.owner_of(gp, nodes);
-                if owner == node.0 {
-                    if cx.recovery.admit(key) {
-                        self.runs_local.fetch_add(1, Ordering::Relaxed);
-                        self.intermediate.add_run(gp, run);
-                    }
-                } else {
-                    self.runs_remote.fetch_add(1, Ordering::Relaxed);
-                    let records = run.records();
-                    // `into_shared` + clone are refcount bumps: retention
-                    // and the wire frame alias one arena slice.
-                    let bytes = run.into_shared();
-                    cx.recovery.retain(key, bytes.clone(), records);
-                    let msg = ShuffleMsg::Partition {
-                        partition: gp,
-                        bytes,
-                        records,
-                        tag: Some(key.tag(node.0)),
-                    };
-                    let wire = msg.wire_bytes();
-                    self.endpoint.send_data(NodeId(owner), msg, wire);
-                }
+                self.coordinator.record_run(key, self.node.0);
+                self.deliver_run(gp, run, (dseq, 0), Some((&cx.recovery, key)));
             }
             // The split is now fully processed: every run is in the
             // ledger and delivered or retained.
-            self.coordinator.complete_split(node, chunk.block_idx);
+            self.coordinator.complete_split(self.node, chunk.block_idx);
         }
         collector.reset();
         self.collectors_back.put(collector);
@@ -663,7 +644,7 @@ impl MapPhase<'_> {
         let (collectors, collectors_back) =
             token_pool((0..b).map(|_| make_collector(self.cfg, &self.app)));
 
-        let report = Mutexed::new(MapPhaseReport::default());
+        let report = Mutex::new(MapPhaseReport::default());
         let records_out = AtomicUsize::new(0);
         let runs_remote = AtomicUsize::new(0);
         let runs_local = AtomicUsize::new(0);
@@ -674,6 +655,17 @@ impl MapPhase<'_> {
         // each gets its own trace sub-lane so the single-writer invariant
         // holds per executor thread.
         let plan = self.cfg.lane_plan;
+        let stage_lane = |stage: StageId, lane: usize| {
+            self.tracer.lane(LaneId {
+                job: 0,
+                node: self.node.0,
+                realm: Realm::Pipeline {
+                    kind: PipelineKind::Map,
+                    stage,
+                    lane: lane as u32,
+                },
+            })
+        };
         let input_lanes: Vec<Box<dyn LaneSource<MapChunk, EngineError> + '_>> = (0..plan.input)
             .map(|_| {
                 Box::new(MapInput {
@@ -699,15 +691,7 @@ impl MapPhase<'_> {
                     collectors: collectors.clone(),
                     buffers_back: buffers_back.clone(),
                     tasks_retried: &tasks_retried,
-                    lane: self.tracer.lane(LaneId {
-                        job: 0,
-                        node: self.node.0,
-                        realm: Realm::Pipeline {
-                            kind: PipelineKind::Map,
-                            stage: StageId::Kernel,
-                            lane: lane as u32,
-                        },
-                    }),
+                    lane: stage_lane(StageId::Kernel, lane),
                 }) as Box<dyn Stage<MapChunk, EngineError> + '_>
             })
             .collect();
@@ -730,15 +714,7 @@ impl MapPhase<'_> {
                     durability_dir: self.durability_dir.clone(),
                     chaos: self.chaos.clone(),
                     collectors_back: collectors_back.clone(),
-                    lane: self.tracer.lane(LaneId {
-                        job: 0,
-                        node: self.node.0,
-                        realm: Realm::Pipeline {
-                            kind: PipelineKind::Map,
-                            stage: StageId::Partition,
-                            lane: lane as u32,
-                        },
-                    }),
+                    lane: stage_lane(StageId::Partition, lane),
                 }) as Box<dyn Stage<MapChunk, EngineError> + '_>
             })
             .collect();
@@ -764,10 +740,12 @@ impl MapPhase<'_> {
             .stage_lanes(StageId::Kernel, kernel_lanes)
             .stage(
                 StageId::Retrieve,
-                MapRetrieve {
+                ModeledTransfer {
                     device: Arc::clone(&self.device),
                     timing: self.cfg.timing,
                     unified,
+                    to_device: false,
+                    bytes: |c: &MapChunk| output_bytes(&c.collector),
                 },
             )
             .stage_lanes(StageId::Partition, partition_lanes)
@@ -827,20 +805,5 @@ impl MapPhase<'_> {
         r.max_in_flight = stats.max_in_flight;
         r.elapsed = start.elapsed();
         Ok(r)
-    }
-}
-
-/// Tiny Mutex wrapper so the closure-heavy code above reads cleanly.
-pub(crate) struct Mutexed<T>(parking_lot::Mutex<T>);
-
-impl<T> Mutexed<T> {
-    pub(crate) fn new(v: T) -> Self {
-        Mutexed(parking_lot::Mutex::new(v))
-    }
-    pub(crate) fn lock(&self) -> parking_lot::MutexGuard<'_, T> {
-        self.0.lock()
-    }
-    pub(crate) fn into_inner(self) -> T {
-        self.0.into_inner()
     }
 }

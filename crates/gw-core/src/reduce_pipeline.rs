@@ -45,7 +45,7 @@
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
 
@@ -61,8 +61,9 @@ use gw_trace::{StageId, Tracer};
 
 use crate::api::{Emit, GwApp};
 use crate::collect::{for_each_record, BufferPoolCollector, Collector};
-use crate::config::{JobConfig, TimingMode};
+use crate::config::JobConfig;
 use crate::coordinator::{Coordinator, NodeChaos, ReduceTaskProbe};
+use crate::map_pipeline::{output_bytes, ModeledTransfer};
 use crate::EngineError;
 
 /// Saved scratch entries for one chunk's keys (`None` = key had no
@@ -148,7 +149,7 @@ pub struct ReducePhaseReport {
     /// Output files written (paths).
     pub output_files: Vec<String>,
     /// Wall-clock duration of the phase.
-    pub elapsed: std::time::Duration,
+    pub elapsed: Duration,
 }
 
 /// MergeRead stage: pull key-group slices off the grouped external merge
@@ -223,35 +224,6 @@ impl Source<ReduceChunk, EngineError> for ReduceMergeRead<'_> {
             bytes,
             collector: None,
         }))
-    }
-}
-
-/// Stage (H2D): charge the modeled transfer of the chunk's key/value
-/// bytes to the device. Fused out of the graph on unified memory.
-struct ReduceStageH2D {
-    device: Arc<Device>,
-    timing: TimingMode,
-    unified: bool,
-}
-
-impl Stage<ReduceChunk, EngineError> for ReduceStageH2D {
-    fn run_chunk(
-        &mut self,
-        chunk: ReduceChunk,
-        ctx: &mut StageCtx<'_>,
-    ) -> Result<Option<ReduceChunk>, EngineError> {
-        let t0 = Instant::now();
-        let wall = t0.elapsed();
-        let modeled = match self.timing {
-            TimingMode::Wall => wall,
-            TimingMode::Modeled => self.device.profile().transfer_time(chunk.bytes, true),
-        };
-        ctx.add_time(wall, modeled);
-        Ok(Some(chunk))
-    }
-
-    fn passthrough(&self) -> bool {
-        self.unified
     }
 }
 
@@ -437,47 +409,10 @@ impl Stage<ReduceChunk, EngineError> for ReduceKernel<'_> {
         self.launches.fetch_add(1, Ordering::Relaxed);
         self.parallel_splits
             .fetch_add(coop_groups, Ordering::Relaxed);
-        let modeled = match self.cfg.timing {
-            TimingMode::Wall => stats.wall,
-            TimingMode::Modeled => stats.modeled,
-        };
+        let modeled = self.cfg.timing.pick(stats.wall, stats.modeled);
         ctx.add_time(stats.wall, modeled);
         chunk.collector = Some(collector);
         Ok(Some(chunk))
-    }
-}
-
-/// Retrieve (D2H): charge the modeled retrieval of the collector's bytes.
-/// Fused out of the graph on unified memory.
-struct ReduceRetrieve {
-    device: Arc<Device>,
-    timing: TimingMode,
-    unified: bool,
-}
-
-impl Stage<ReduceChunk, EngineError> for ReduceRetrieve {
-    fn run_chunk(
-        &mut self,
-        chunk: ReduceChunk,
-        ctx: &mut StageCtx<'_>,
-    ) -> Result<Option<ReduceChunk>, EngineError> {
-        let t0 = Instant::now();
-        let bytes = chunk
-            .collector
-            .as_ref()
-            .expect("kernel output collector")
-            .bytes();
-        let wall = t0.elapsed();
-        let modeled = match self.timing {
-            TimingMode::Wall => wall,
-            TimingMode::Modeled => self.device.profile().transfer_time(bytes, false),
-        };
-        ctx.add_time(wall, modeled);
-        Ok(Some(chunk))
-    }
-
-    fn passthrough(&self) -> bool {
-        self.unified
     }
 }
 
@@ -523,11 +458,7 @@ impl Stage<ReduceChunk, EngineError> for ReduceOutput<'_> {
             self.cfg.output_replication,
         )?;
         let wall = t0.elapsed();
-        let modeled = match self.cfg.timing {
-            TimingMode::Wall => wall,
-            TimingMode::Modeled => wall + sample.modeled,
-        };
-        ctx.add_time(wall, modeled);
+        ctx.add_time(wall, self.cfg.timing.pick(wall, wall + sample.modeled));
         Ok(())
     }
 }
@@ -588,11 +519,7 @@ impl Stage<PassChunk, EngineError> for PassthroughWrite<'_> {
             self.cfg.output_replication,
         )?;
         let wall = t0.elapsed();
-        let modeled = match self.cfg.timing {
-            TimingMode::Wall => wall,
-            TimingMode::Modeled => wall + sample.modeled,
-        };
-        ctx.add_time(wall, modeled);
+        ctx.add_time(wall, self.cfg.timing.pick(wall, wall + sample.modeled));
         self.records.fetch_add(chunk.records, Ordering::Relaxed);
         Ok(None)
     }
@@ -744,10 +671,12 @@ impl ReducePhase<'_> {
             )
             .stage(
                 StageId::Stage,
-                ReduceStageH2D {
+                ModeledTransfer {
                     device: Arc::clone(&self.device),
                     timing: cfg.timing,
                     unified,
+                    to_device: true,
+                    bytes: |c: &ReduceChunk| c.bytes,
                 },
             )
             .stage(
@@ -765,10 +694,12 @@ impl ReducePhase<'_> {
             )
             .stage(
                 StageId::Retrieve,
-                ReduceRetrieve {
+                ModeledTransfer {
                     device: Arc::clone(&self.device),
                     timing: cfg.timing,
                     unified,
+                    to_device: false,
+                    bytes: |c: &ReduceChunk| output_bytes(&c.collector),
                 },
             )
             .stage(

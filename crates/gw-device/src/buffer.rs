@@ -60,12 +60,6 @@ impl DeviceBuffer {
         &self.data[..self.len]
     }
 
-    /// Mutable access to the full capacity (for kernels/stagers to fill).
-    #[inline]
-    pub fn bytes_mut(&mut self) -> &mut [u8] {
-        &mut self.data
-    }
-
     /// Reset the valid length to zero, keeping the allocation.
     pub fn clear(&mut self) {
         self.len = 0;

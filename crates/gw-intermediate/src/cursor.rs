@@ -7,7 +7,8 @@
 //! fail, since it may touch disk). Two implementations cover the two
 //! places intermediate data lives:
 //!
-//! * [`MemCursor`] — an in-memory [`Run`] (refcounted, zero-copy);
+//! * [`MemCursor`] — in-memory run bytes, owned (a refcounted [`Run`]) or
+//!   borrowed, zero-copy either way;
 //! * [`SpillCursor`] — a framed spill file (see [`crate::frame`]),
 //!   streamed with exactly one decoded frame resident at a time.
 //!
@@ -17,11 +18,13 @@
 
 use std::fs::File;
 use std::io;
+use std::ops::Deref;
 use std::path::Path;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use gw_storage::varint;
+use bytes::Bytes;
+use gw_storage::varint::RecRef;
 
 use crate::frame::{self, FrameIndex, SpillFaultHook, SpillOp};
 use crate::gauge::MemGauge;
@@ -67,94 +70,75 @@ impl<T: RunCursor + ?Sized> RunCursor for Box<T> {
     }
 }
 
-/// Parse the record at `pos`: returns `(header_len, key_len, value_len)`.
+/// The record at `pos` of `buf`, or the typed error every cursor reports
+/// for bytes that are not a record.
 #[inline]
-fn parse_record(buf: &[u8], pos: usize) -> io::Result<(usize, usize, usize)> {
-    let corrupt =
-        |msg: &str| io::Error::new(io::ErrorKind::InvalidData, format!("corrupt run: {msg}"));
-    let rest = &buf[pos..];
-    let (klen, n1) = varint::read_len(rest).ok_or_else(|| corrupt("key length"))?;
-    let (vlen, n2) = varint::read_len(&rest[n1..]).ok_or_else(|| corrupt("value length"))?;
-    let hdr = n1 + n2;
-    if rest.len() < hdr + klen + vlen {
-        return Err(corrupt("truncated record"));
-    }
-    Ok((hdr, klen, vlen))
+fn record_at(buf: &[u8], pos: usize) -> io::Result<RecRef> {
+    RecRef::decode(buf, pos)
+        .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidData, "corrupt run: malformed record"))
 }
 
-/// Cursor over an owned in-memory [`Run`] (refcount clone; zero-copy).
-pub struct MemCursor {
-    run: Run,
-    /// Offset of the current record; `rec_end` is its exclusive end.
-    pos: usize,
-    hdr: usize,
-    klen: usize,
-    vlen: usize,
-    rec_end: usize,
+/// Cursor over in-memory run bytes: owned (`MemCursor<Bytes>`, a refcount
+/// clone of a [`Run`]) for merges that outlive their runs, or borrowed
+/// (`MemCursor<&[u8]>`) for merges over runs the caller keeps alive.
+/// Zero-copy either way.
+pub struct MemCursor<B = Bytes> {
+    pub(crate) buf: B,
+    /// Current record; the empty default position once `done`.
+    pub(crate) cur: RecRef,
     done: bool,
 }
 
 impl MemCursor {
     /// Position a cursor at the run's first record.
     pub fn new(run: Run) -> Self {
+        Self::over(run.into_shared())
+    }
+}
+
+impl<B: Deref<Target = [u8]>> MemCursor<B> {
+    /// Position a cursor at the first record of `buf`, which must hold a
+    /// valid sorted record stream.
+    pub(crate) fn over(buf: B) -> Self {
         let mut c = MemCursor {
-            run,
-            pos: 0,
-            hdr: 0,
-            klen: 0,
-            vlen: 0,
-            rec_end: 0,
+            buf,
+            cur: RecRef::default(),
             done: false,
         };
-        c.advance().expect("in-memory runs cannot fail to parse");
+        c.step().expect("in-memory runs cannot fail to parse");
         c
     }
 
-    fn load(&mut self) -> io::Result<()> {
-        let buf = self.run.bytes();
-        if self.pos == buf.len() {
+    fn step(&mut self) -> io::Result<()> {
+        let pos = self.cur.end();
+        if pos == self.buf.len() {
             self.done = true;
+            self.cur = RecRef::default();
             return Ok(());
         }
-        let (hdr, klen, vlen) = parse_record(buf, self.pos)?;
-        self.hdr = hdr;
-        self.klen = klen;
-        self.vlen = vlen;
-        self.rec_end = self.pos + hdr + klen + vlen;
+        self.cur = record_at(&self.buf, pos)?;
         Ok(())
     }
 }
 
-impl RunCursor for MemCursor {
+impl<B: Deref<Target = [u8]> + Send> RunCursor for MemCursor<B> {
     fn done(&self) -> bool {
         self.done
     }
     fn key(&self) -> &[u8] {
-        if self.done {
-            return &[];
-        }
-        let start = self.pos + self.hdr;
-        &self.run.bytes()[start..start + self.klen]
+        self.cur.key(&self.buf)
     }
     fn value(&self) -> &[u8] {
-        if self.done {
-            return &[];
-        }
-        let start = self.pos + self.hdr + self.klen;
-        &self.run.bytes()[start..start + self.vlen]
+        self.cur.value(&self.buf)
     }
     fn rec(&self) -> &[u8] {
-        if self.done {
-            return &[];
-        }
-        &self.run.bytes()[self.pos..self.rec_end]
+        self.cur.rec(&self.buf)
     }
     fn advance(&mut self) -> io::Result<()> {
         if self.done {
             return Ok(());
         }
-        self.pos = self.rec_end;
-        self.load()
+        self.step()
     }
 }
 
@@ -169,11 +153,9 @@ pub struct SpillCursor {
     buf: Vec<u8>,
     /// Stored (compressed) image scratch, reused across frames.
     scratch: Vec<u8>,
-    pos: usize,
-    hdr: usize,
-    klen: usize,
-    vlen: usize,
-    rec_end: usize,
+    /// Current record within `buf`; the empty default position at a
+    /// fresh frame's start and once `done`.
+    cur: RecRef,
     done: bool,
     gauge: Option<Arc<MemGauge>>,
     charged: usize,
@@ -204,11 +186,7 @@ impl SpillCursor {
             next_frame: 0,
             buf: Vec::new(),
             scratch: Vec::new(),
-            pos: 0,
-            hdr: 0,
-            klen: 0,
-            vlen: 0,
-            rec_end: 0,
+            cur: RecRef::default(),
             done: false,
             gauge,
             charged: 0,
@@ -222,11 +200,6 @@ impl SpillCursor {
     /// Total records in the spill (from the validated footer).
     pub fn records(&self) -> usize {
         self.index.records_total as usize
-    }
-
-    /// Total raw (decompressed) bytes in the spill (from the footer).
-    pub fn raw_bytes(&self) -> usize {
-        self.index.raw_total as usize
     }
 
     fn load_next_frame(&mut self) -> io::Result<()> {
@@ -252,8 +225,7 @@ impl SpillCursor {
         if let Some(c) = &self.frames_read {
             c.fetch_add(1, Ordering::Relaxed);
         }
-        self.pos = 0;
-        self.rec_end = 0;
+        self.cur = RecRef::default();
         Ok(())
     }
 }
@@ -263,42 +235,27 @@ impl RunCursor for SpillCursor {
         self.done
     }
     fn key(&self) -> &[u8] {
-        if self.done {
-            return &[];
-        }
-        let start = self.pos + self.hdr;
-        &self.buf[start..start + self.klen]
+        self.cur.key(&self.buf)
     }
     fn value(&self) -> &[u8] {
-        if self.done {
-            return &[];
-        }
-        let start = self.pos + self.hdr + self.klen;
-        &self.buf[start..start + self.vlen]
+        self.cur.value(&self.buf)
     }
     fn rec(&self) -> &[u8] {
-        if self.done {
-            return &[];
-        }
-        &self.buf[self.pos..self.rec_end]
+        self.cur.rec(&self.buf)
     }
     fn advance(&mut self) -> io::Result<()> {
         if self.done {
             return Ok(());
         }
-        self.pos = self.rec_end;
-        while self.pos == self.buf.len() {
+        while self.cur.end() == self.buf.len() {
             if self.next_frame == self.index.entries.len() {
                 self.done = true;
+                self.cur = RecRef::default();
                 return Ok(());
             }
             self.load_next_frame()?;
         }
-        let (hdr, klen, vlen) = parse_record(&self.buf, self.pos)?;
-        self.hdr = hdr;
-        self.klen = klen;
-        self.vlen = vlen;
-        self.rec_end = self.pos + hdr + klen + vlen;
+        self.cur = record_at(&self.buf, self.cur.end())?;
         Ok(())
     }
 }

@@ -99,7 +99,6 @@ pub(crate) struct FrameEntry {
 pub(crate) struct FrameIndex {
     pub(crate) entries: Vec<FrameEntry>,
     pub(crate) compressed: bool,
-    pub(crate) raw_total: u64,
     pub(crate) records_total: u64,
 }
 
@@ -156,7 +155,6 @@ pub(crate) fn read_index(file: &mut File) -> io::Result<FrameIndex> {
     Ok(FrameIndex {
         entries,
         compressed: flags & FLAG_COMPRESSED != 0,
-        raw_total,
         records_total,
     })
 }
@@ -369,7 +367,7 @@ mod tests {
             read_frame(&mut f, e, idx.compressed, &mut scratch, &mut out).unwrap();
             raw.extend_from_slice(&out);
         }
-        assert_eq!(raw.len() as u64, idx.raw_total);
+        assert_eq!(raw.len(), stats.raw_bytes);
     }
 
     #[test]

@@ -12,12 +12,12 @@
 //! refcounted arena slice instead of copying. [`RunBuilder`] accumulates
 //! records in a single flat arena (records serialized at push time) with a
 //! compact offset index; `build` sorts the index with the MSB radix sort in
-//! [`crate::radix`] and gathers the records in one pass — no per-record
+//! `radix` and gathers the records in one pass — no per-record
 //! allocation, and the arena/index buffers recycle through a
 //! [`crate::pool::RunPool`].
 
 use bytes::Bytes;
-use gw_storage::varint;
+use gw_storage::varint::RecRef;
 
 use crate::pool::RunPool;
 use crate::radix;
@@ -111,13 +111,9 @@ impl<'a> Iterator for RunIter<'a> {
         if self.rest.is_empty() {
             return None;
         }
-        let (klen, n1) = varint::read_len(self.rest).expect("corrupt run: key length");
-        let (vlen, n2) = varint::read_len(&self.rest[n1..]).expect("corrupt run: value length");
-        let body = &self.rest[n1 + n2..];
-        assert!(body.len() >= klen + vlen, "corrupt run: truncated record");
-        let key = &body[..klen];
-        let value = &body[klen..klen + vlen];
-        self.rest = &body[klen + vlen..];
+        let rec = RecRef::decode(self.rest, 0).expect("corrupt run: malformed record");
+        let (key, value) = (rec.key(self.rest), rec.value(self.rest));
+        self.rest = &self.rest[rec.end()..];
         Some((key, value))
     }
 }
@@ -127,37 +123,6 @@ impl<'a> IntoIterator for &'a Run {
     type IntoIter = RunIter<'a>;
     fn into_iter(self) -> Self::IntoIter {
         self.iter()
-    }
-}
-
-/// Compact reference to one serialized record inside a builder arena.
-#[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct RecRef {
-    /// Arena offset of the record header.
-    off: u32,
-    /// Header (two varints) length.
-    hdr: u16,
-    klen: u32,
-    vlen: u32,
-}
-
-impl RecRef {
-    #[inline]
-    pub(crate) fn key<'a>(&self, arena: &'a [u8]) -> &'a [u8] {
-        let start = self.off as usize + self.hdr as usize;
-        &arena[start..start + self.klen as usize]
-    }
-
-    #[inline]
-    pub(crate) fn value<'a>(&self, arena: &'a [u8]) -> &'a [u8] {
-        let start = self.off as usize + self.hdr as usize + self.klen as usize;
-        &arena[start..start + self.vlen as usize]
-    }
-
-    /// Serialized record length (header + key + value).
-    #[inline]
-    fn total(&self) -> usize {
-        self.hdr as usize + self.klen as usize + self.vlen as usize
     }
 }
 
@@ -207,21 +172,8 @@ impl RunBuilder {
 
     /// Add one record.
     pub fn push(&mut self, key: &[u8], value: &[u8]) {
-        let off = self.parts.arena.len();
-        assert!(
-            off + 20 + key.len() + value.len() <= u32::MAX as usize,
-            "run arena exceeds the 4 GiB index limit"
-        );
-        let h1 = varint::write_len(&mut self.parts.arena, key.len());
-        let h2 = varint::write_len(&mut self.parts.arena, value.len());
-        self.parts.arena.extend_from_slice(key);
-        self.parts.arena.extend_from_slice(value);
-        self.parts.index.push(RecRef {
-            off: off as u32,
-            hdr: (h1 + h2) as u16,
-            klen: key.len() as u32,
-            vlen: value.len() as u32,
-        });
+        let rec = RecRef::write(&mut self.parts.arena, key, value);
+        self.parts.index.push(rec);
     }
 
     /// Number of buffered records.
@@ -242,8 +194,7 @@ impl RunBuilder {
         radix::sort_index(&parts.arena, &mut parts.index, &mut parts.scratch);
         let mut bytes = Vec::with_capacity(parts.arena.len());
         for r in &parts.index {
-            let start = r.off as usize;
-            bytes.extend_from_slice(&parts.arena[start..start + r.total()]);
+            bytes.extend_from_slice(r.rec(&parts.arena));
         }
         let records = parts.index.len();
         // `self` drops here, recycling arena/index/scratch into the pool.

@@ -5,17 +5,14 @@
 //! count, and the reduce input reader's "one last merge operation" that
 //! presents a consistent, key-grouped view of a partition's data.
 //!
-//! All sites run on one **loser tree** (tournament tree) core,
-//! [`LoserTree`], generic over [`RunCursor`] sources: emitting a record
-//! replays exactly one root-to-leaf path — one comparison per level,
-//! `⌈log₂ k⌉` total. Two fronts wrap it:
-//!
-//! * [`MergeIter`] — borrowed in-memory runs, the zero-copy fast path
-//!   for per-chunk lane merges and tests;
-//! * [`CursorMerge`]/[`GroupedCursorMerge`] — boxed/owned cursors mixing
-//!   in-memory runs and framed spills, the **external merge**: peak
-//!   memory is `k` frames (one decode buffer per open spill cursor),
-//!   not `k` runs, no matter how large the partition is.
+//! All sites run on one **loser tree** (tournament tree) generic over
+//! [`RunCursor`] sources: emitting a record replays exactly one
+//! root-to-leaf path — one comparison per level, `⌈log₂ k⌉` total.
+//! [`CursorMerge`]/[`GroupedCursorMerge`] drive it over any mix of
+//! in-memory runs and framed spills (the **external merge**: peak memory
+//! is `k` frames, one decode buffer per open spill cursor, not `k` runs);
+//! [`MergeIter`] is an [`Iterator`] front over the same tree for borrowed
+//! in-memory runs.
 //!
 //! Output order is `(key, value, source index)` — record-for-record
 //! identical to the previous heap merge. Equal `(key, value)` records
@@ -23,74 +20,8 @@
 //! merged byte stream does not depend on how records were split across
 //! runs and spills: the determinism contract survives spilling.
 
-use gw_storage::varint;
-
-use crate::cursor::RunCursor;
+use crate::cursor::{MemCursor, RunCursor};
 use crate::kv::Run;
-
-/// A buffered read cursor over one sorted run's serialized bytes,
-/// borrowing from the run (`'a`-returning fields let [`MergeIter`]
-/// remain a plain [`Iterator`] decoupled from `&mut self`).
-struct SliceCursor<'a> {
-    key: &'a [u8],
-    value: &'a [u8],
-    /// Full serialized extent of the current record (header + payload).
-    rec: &'a [u8],
-    rest: &'a [u8],
-    done: bool,
-}
-
-impl<'a> SliceCursor<'a> {
-    fn new(bytes: &'a [u8]) -> Self {
-        let mut c = SliceCursor {
-            key: &[],
-            value: &[],
-            rec: &[],
-            rest: bytes,
-            done: false,
-        };
-        c.step();
-        c
-    }
-
-    fn step(&mut self) {
-        if self.rest.is_empty() {
-            self.done = true;
-            self.key = &[];
-            self.value = &[];
-            self.rec = &[];
-            return;
-        }
-        let (klen, n1) = varint::read_len(self.rest).expect("corrupt run: key length");
-        let (vlen, n2) = varint::read_len(&self.rest[n1..]).expect("corrupt run: value length");
-        let hdr = n1 + n2;
-        let total = hdr + klen + vlen;
-        assert!(self.rest.len() >= total, "corrupt run: truncated record");
-        self.rec = &self.rest[..total];
-        self.key = &self.rest[hdr..hdr + klen];
-        self.value = &self.rest[hdr + klen..total];
-        self.rest = &self.rest[total..];
-    }
-}
-
-impl RunCursor for SliceCursor<'_> {
-    fn done(&self) -> bool {
-        self.done
-    }
-    fn key(&self) -> &[u8] {
-        self.key
-    }
-    fn value(&self) -> &[u8] {
-        self.value
-    }
-    fn rec(&self) -> &[u8] {
-        self.rec
-    }
-    fn advance(&mut self) -> std::io::Result<()> {
-        self.step();
-        Ok(())
-    }
-}
 
 /// The shared loser-tree core, generic over cursor sources.
 ///
@@ -126,7 +57,13 @@ impl<C: RunCursor> LoserTree<C> {
         match (ca.done(), cb.done()) {
             (true, _) => false,
             (false, true) => true,
-            (false, false) => (ca.key(), ca.value(), a) < (cb.key(), cb.value(), b),
+            // Values are only sliced when the keys tie.
+            (false, false) => ca
+                .key()
+                .cmp(cb.key())
+                .then_with(|| ca.value().cmp(cb.value()))
+                .then(a.cmp(&b))
+                .is_lt(),
         }
     }
 
@@ -186,7 +123,7 @@ impl<C: RunCursor> LoserTree<C> {
 /// Streaming k-way merge over borrowed runs, yielding records in
 /// `(key, value)` order.
 pub struct MergeIter<'a> {
-    tree: LoserTree<SliceCursor<'a>>,
+    tree: LoserTree<MemCursor<&'a [u8]>>,
 }
 
 impl<'a> MergeIter<'a> {
@@ -195,26 +132,17 @@ impl<'a> MergeIter<'a> {
     where
         I: IntoIterator<Item = &'a Run>,
     {
-        let cursors: Vec<SliceCursor<'a>> = runs
-            .into_iter()
-            .filter(|r| !r.is_empty())
-            .map(|r| SliceCursor::new(r.bytes()))
-            .collect();
         MergeIter {
-            tree: LoserTree::new(cursors),
+            tree: LoserTree::new(borrowed_cursors(runs)),
         }
     }
+}
 
-    /// Next record with its full serialized slice (header included), for
-    /// gather-style merging without re-encoding.
-    pub(crate) fn next_record(&mut self) -> Option<&'a [u8]> {
-        let w = self.tree.winner()?;
-        let rec = self.tree.cursors[w].rec;
-        self.tree
-            .advance_winner()
-            .expect("in-memory merge cannot fail");
-        Some(rec)
-    }
+/// One borrowed cursor per run.
+fn borrowed_cursors<'a>(runs: impl IntoIterator<Item = &'a Run>) -> Vec<MemCursor<&'a [u8]>> {
+    runs.into_iter()
+        .map(|r| MemCursor::over(r.bytes()))
+        .collect()
 }
 
 impl<'a> Iterator for MergeIter<'a> {
@@ -222,11 +150,12 @@ impl<'a> Iterator for MergeIter<'a> {
 
     fn next(&mut self) -> Option<Self::Item> {
         let w = self.tree.winner()?;
-        let out = (self.tree.cursors[w].key, self.tree.cursors[w].value);
+        // Slice the run itself (`'a`), not the cursor: items outlive the step.
+        let (buf, cur) = (self.tree.cursors[w].buf, self.tree.cursors[w].cur);
         self.tree
             .advance_winner()
             .expect("in-memory merge cannot fail");
-        Some(out)
+        Some((cur.key(buf), cur.value(buf)))
     }
 }
 
@@ -248,19 +177,20 @@ where
             let total: usize = runs.iter().map(|r| r.len_bytes()).sum();
             let mut bytes = Vec::with_capacity(total);
             let mut records = 0usize;
-            let mut it = MergeIter::new(runs);
-            while let Some(rec) = it.next_record() {
+            let mut m = CursorMerge::new(borrowed_cursors(runs));
+            while let Some(rec) = m.peek_rec() {
                 bytes.extend_from_slice(rec);
                 records += 1;
+                m.advance().expect("in-memory merge cannot fail");
             }
             Run::from_sorted_bytes(bytes, records)
         }
     }
 }
 
-/// External (or mixed) k-way merge over owned cursors — the lending
-/// counterpart of [`MergeIter`] for sources whose buffers are refilled
-/// on `advance` (framed spills). Peek, copy what you need, advance.
+/// K-way merge over cursors — a lending view, since a source's buffer may
+/// be refilled on `advance` (framed spills). Peek, copy what you need,
+/// advance.
 pub struct CursorMerge<C: RunCursor = Box<dyn RunCursor>> {
     tree: LoserTree<C>,
 }
@@ -398,7 +328,6 @@ impl<C: RunCursor> GroupedCursorMerge<C> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cursor::MemCursor;
     use crate::kv::{run_from_pairs, RunBuilder, RunIter};
     use proptest::prelude::*;
 

@@ -17,7 +17,7 @@
 //! are byte-for-byte what the previous comparison sort emitted — the shuffle
 //! de-duplication of re-executed map tasks relies on this.
 
-use crate::kv::RecRef;
+use gw_storage::varint::RecRef;
 
 /// Below this many entries a bucket is comparison-sorted; the radix
 /// machinery only pays off on larger buckets.

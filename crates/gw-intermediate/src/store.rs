@@ -24,7 +24,7 @@
 //! continuous compaction here and the reduce-input merge downstream are
 //! true **external k-way merges**: data streams cursor-to-cursor through
 //! [`crate::cursor::SpillCursor`]s holding one decoded frame each, and a
-//! flush streams cache runs straight into a [`frame::FrameWriter`] without
+//! flush streams cache runs straight into a framed spill writer without
 //! materializing the merged run. Every resident intermediate byte —
 //! cached runs, writer staging buffers, cursor frames — is charged to one
 //! [`MemGauge`], whose high-water mark is exported as
@@ -51,7 +51,7 @@ use crate::cursor::{MemCursor, RunCursor, SpillCursor};
 use crate::frame::{self, SpillFaultHook};
 use crate::gauge::MemGauge;
 use crate::kv::Run;
-use crate::merge::{CursorMerge, MergeIter};
+use crate::merge::CursorMerge;
 use crate::tempdir::TempDir;
 use crate::PartitionId;
 
@@ -114,7 +114,6 @@ impl IntermediateConfig {
 struct SpillFile {
     path: PathBuf,
     records: usize,
-    raw_bytes: usize,
     frames: usize,
 }
 
@@ -241,7 +240,46 @@ impl Inner {
         self.dir.file(&format!("spill-{seq}.gw"))
     }
 
-    fn record_spill(&self, stats: &frame::SpillStats) {
+    /// Open a streaming cursor over one of this store's spill files,
+    /// charged to the gauge and counted in `frames_read`.
+    fn open_spill(&self, spill: &SpillFile) -> io::Result<SpillCursor> {
+        SpillCursor::open(
+            &spill.path,
+            Some(Arc::clone(&self.gauge)),
+            self.spill_hook(),
+            Some(Arc::clone(&self.metrics.frames_read)),
+        )
+    }
+
+    /// Stream the k-way merge of `cursors` into one new framed spill —
+    /// the single writer behind both a cache flush (borrowed in-memory
+    /// cursors) and a compaction (spill cursors). Peak memory is one
+    /// decode buffer per spill cursor plus the writer's staging buffers;
+    /// the merged run is never materialized. `None` when the merge was
+    /// empty (no file is left behind).
+    fn spill_merged<C: RunCursor>(&self, cursors: Vec<C>) -> io::Result<Option<SpillFile>> {
+        self.metrics.merges.fetch_add(1, Ordering::Relaxed);
+        self.metrics
+            .merge_fanin
+            .fetch_add(cursors.len(), Ordering::Relaxed);
+        let path = self.new_spill_path();
+        let mut w = frame::FrameWriter::create(
+            path.clone(),
+            self.cfg.frame_size,
+            self.cfg.compress,
+            Some(Arc::clone(&self.gauge)),
+            self.spill_hook(),
+        )?;
+        let mut m = CursorMerge::new(cursors);
+        while let Some(rec) = m.peek_rec() {
+            w.push(rec)?;
+            m.advance()?;
+        }
+        let stats = w.finish()?;
+        if stats.records == 0 {
+            let _ = std::fs::remove_file(&path);
+            return Ok(None);
+        }
         self.metrics.flushes.fetch_add(1, Ordering::Relaxed);
         self.metrics
             .spilled_raw
@@ -252,74 +290,11 @@ impl Inner {
         self.metrics
             .frames_written
             .fetch_add(stats.frames, Ordering::Relaxed);
-    }
-
-    /// Stream the merge of `runs` into a new framed spill. Peak memory is
-    /// the writer's staging buffers — the merged run is never materialized.
-    fn spill_cached_runs(&self, runs: &[Run]) -> io::Result<Option<SpillFile>> {
-        let path = self.new_spill_path();
-        let mut w = frame::FrameWriter::create(
-            path.clone(),
-            self.cfg.frame_size,
-            self.cfg.compress,
-            Some(Arc::clone(&self.gauge)),
-            self.spill_hook(),
-        )?;
-        let mut it = MergeIter::new(runs.iter());
-        while let Some(rec) = it.next_record() {
-            w.push(rec)?;
-        }
-        let stats = w.finish()?;
-        if stats.records == 0 {
-            let _ = std::fs::remove_file(&path);
-            return Ok(None);
-        }
-        self.record_spill(&stats);
         Ok(Some(SpillFile {
             path,
             records: stats.records,
-            raw_bytes: stats.raw_bytes,
             frames: stats.frames,
         }))
-    }
-
-    /// External k-way merge of `spills` into one new framed spill: one
-    /// decode buffer per input cursor, one staging buffer on the writer.
-    fn compact_spills(&self, spills: &[SpillFile]) -> io::Result<SpillFile> {
-        let hook = self.spill_hook();
-        let cursors: Vec<Box<dyn RunCursor>> = spills
-            .iter()
-            .map(|s| {
-                SpillCursor::open(
-                    &s.path,
-                    Some(Arc::clone(&self.gauge)),
-                    hook.clone(),
-                    Some(Arc::clone(&self.metrics.frames_read)),
-                )
-                .map(|c| Box::new(c) as Box<dyn RunCursor>)
-            })
-            .collect::<io::Result<_>>()?;
-        let mut m = CursorMerge::new(cursors);
-        let path = self.new_spill_path();
-        let mut w = frame::FrameWriter::create(
-            path.clone(),
-            self.cfg.frame_size,
-            self.cfg.compress,
-            Some(Arc::clone(&self.gauge)),
-            hook,
-        )?;
-        while let Some(rec) = m.peek_rec() {
-            w.push(rec)?;
-            m.advance()?;
-        }
-        let stats = w.finish()?;
-        self.record_spill(&stats);
-        Ok(SpillFile {
-            path,
-            records: stats.records,
-            raw_bytes: stats.raw_bytes,
-            frames: stats.frames,
-        })
     }
 
     /// Flush a partition's cache to one new spill, then compact if the
@@ -336,11 +311,8 @@ impl Inner {
             (std::mem::take(&mut st.cache), bytes)
         };
         if !runs.is_empty() {
-            self.metrics.merges.fetch_add(1, Ordering::Relaxed);
-            self.metrics
-                .merge_fanin
-                .fetch_add(runs.len(), Ordering::Relaxed);
-            let spilled = self.spill_cached_runs(&runs);
+            let spilled =
+                self.spill_merged(runs.iter().map(|r| MemCursor::over(r.bytes())).collect());
             // The cached bytes leave memory whether or not the spill
             // succeeded — discharge before propagating so backpressured
             // producers wake either way.
@@ -361,16 +333,16 @@ impl Inner {
                 }
                 std::mem::take(&mut st.spills)
             };
-            self.metrics.merges.fetch_add(1, Ordering::Relaxed);
-            self.metrics
-                .merge_fanin
-                .fetch_add(spills.len(), Ordering::Relaxed);
-            let merged = self.compact_spills(&spills)?;
+            let cursors = spills
+                .iter()
+                .map(|s| self.open_spill(s))
+                .collect::<io::Result<Vec<_>>>()?;
+            let merged = self.spill_merged(cursors)?;
             for s in &spills {
                 let _ = std::fs::remove_file(&s.path);
             }
             self.metrics.compactions.fetch_add(1, Ordering::Relaxed);
-            self.parts[idx].lock().spills.push(merged);
+            self.parts[idx].lock().spills.extend(merged);
         }
     }
 
@@ -576,53 +548,16 @@ impl IntermediateStore {
     /// ever materializing the partition.
     pub fn partition_cursors(&self, p: PartitionId) -> io::Result<Vec<Box<dyn RunCursor>>> {
         self.inner.check_poison()?;
-        let hook = self.inner.spill_hook();
         let st = self.inner.parts[p as usize].lock();
         let mut cursors: Vec<Box<dyn RunCursor>> =
             Vec::with_capacity(st.spills.len() + st.cache.len());
         for s in &st.spills {
-            let c = SpillCursor::open(
-                &s.path,
-                Some(Arc::clone(&self.inner.gauge)),
-                hook.clone(),
-                Some(Arc::clone(&self.inner.metrics.frames_read)),
-            )?;
-            cursors.push(Box::new(c));
+            cursors.push(Box::new(self.inner.open_spill(s)?));
         }
         for r in &st.cache {
             cursors.push(Box::new(MemCursor::new(r.clone())));
         }
         Ok(cursors)
-    }
-
-    /// Materialize all runs of partition `p` (every spill, fully decoded,
-    /// plus cached runs). Peak memory equals the partition size — kept for
-    /// tests and small-data tooling; the engine's reduce path uses
-    /// [`IntermediateStore::partition_cursors`] instead.
-    pub fn partition_runs(&self, p: PartitionId) -> io::Result<Vec<Run>> {
-        self.inner.check_poison()?;
-        let hook = self.inner.spill_hook();
-        let st = self.inner.parts[p as usize].lock();
-        let mut runs = Vec::with_capacity(st.spills.len() + st.cache.len());
-        for s in &st.spills {
-            let mut c = SpillCursor::open(
-                &s.path,
-                None,
-                hook.clone(),
-                Some(Arc::clone(&self.inner.metrics.frames_read)),
-            )?;
-            debug_assert_eq!(c.raw_bytes(), s.raw_bytes);
-            let mut bytes = Vec::with_capacity(c.raw_bytes());
-            let mut records = 0usize;
-            while !c.done() {
-                bytes.extend_from_slice(c.rec());
-                records += 1;
-                c.advance()?;
-            }
-            runs.push(Run::from_sorted_bytes(bytes, records));
-        }
-        runs.extend(st.cache.iter().cloned());
-        Ok(runs)
     }
 
     /// Number of spill files currently held by partition `p`.
@@ -691,7 +626,7 @@ mod tests {
     use super::*;
     use crate::frame::SpillOp;
     use crate::kv::run_from_pairs;
-    use crate::merge::{GroupedCursorMerge, MergeIter};
+    use crate::merge::GroupedCursorMerge;
 
     fn cfg(parts: u32) -> IntermediateConfig {
         IntermediateConfig {
@@ -869,29 +804,68 @@ mod tests {
 
     #[test]
     fn streaming_cursors_equal_materialized_runs() {
+        let runs: Vec<Run> = (0..40)
+            .map(|i| {
+                let words: Vec<String> = (0..20)
+                    .map(|j| format!("k{:03}-{i:02}", (i * 7 + j) % 50))
+                    .collect();
+                let refs: Vec<&str> = words.iter().map(|s| s.as_str()).collect();
+                word_run(&refs)
+            })
+            .collect();
+        let mut expect: Vec<(Vec<u8>, Vec<u8>)> = runs
+            .iter()
+            .flat_map(|r| r.iter().map(|(k, v)| (k.to_vec(), v.to_vec())))
+            .collect();
+        expect.sort();
+        assert_eq!(expect.len(), 800);
+        let lens: Vec<usize> = runs.iter().map(|r| r.len_bytes()).collect();
+        let total: usize = lens.iter().sum();
+
+        // Cached-run flush: nothing spills until `finish_map`, which merges
+        // all 40 cached runs into one spill through borrowed cursors.
+        let mut c = cfg(1);
+        c.cache_threshold = usize::MAX;
+        let flushed = IntermediateStore::new(c).unwrap();
+        for r in &runs {
+            flushed.add_run(0, r.clone());
+        }
+        flushed.finish_map().unwrap();
+        let m = flushed.metrics();
+        assert_eq!((m.flushes, m.compactions), (1, 0), "{m:?}");
+        assert_eq!((m.merges, m.merge_fanin), (1, 40), "{m:?}");
+        assert_eq!(m.spilled_raw, total, "{m:?}");
+        assert_eq!(m.frames_written, flushed.frame_count(0), "{m:?}");
+        assert_eq!(stream_partition(&flushed, 0), expect);
+        assert_eq!(flushed.metrics().frames_read, m.frames_written);
+
+        // Forced compaction: every run is flushed alone, and from the
+        // second on the new spill is at once merged with the previous one
+        // through spill cursors — the same writer, fed the other cursor.
         let mut c = cfg(1);
         c.cache_threshold = 1; // spill every run
-        c.max_spill_files = 2;
-        let store = IntermediateStore::new(c).unwrap();
-        for i in 0..40 {
-            let words: Vec<String> = (0..20)
-                .map(|j| format!("k{:03}-{i:02}", (i * 7 + j) % 50))
-                .collect();
-            let refs: Vec<&str> = words.iter().map(|s| s.as_str()).collect();
-            store.add_run(0, word_run(&refs));
+        c.max_spill_files = 1;
+        let compacted = IntermediateStore::new(c).unwrap();
+        for r in &runs {
+            compacted.add_run(0, r.clone());
             // Drain so every add becomes its own spill, forcing compaction.
-            store.quiesce();
+            compacted.quiesce();
         }
-        store.finish_map().unwrap();
-        assert!(store.metrics().compactions >= 1, "{:?}", store.metrics());
-        let runs = store.partition_runs(0).unwrap();
-        let expect: Vec<(Vec<u8>, Vec<u8>)> = MergeIter::new(runs.iter())
-            .map(|(k, v)| (k.to_vec(), v.to_vec()))
-            .collect();
-        assert_eq!(stream_partition(&store, 0), expect);
-        assert_eq!(expect.len(), 800);
-        let m = store.metrics();
-        assert!(m.frames_read > 0, "{m:?}");
+        compacted.finish_map().unwrap();
+        let m = compacted.metrics();
+        assert_eq!((m.flushes, m.compactions), (40 + 39, 39), "{m:?}");
+        assert_eq!((m.merges, m.merge_fanin), (40 + 39, 40 + 2 * 39), "{m:?}");
+        // Each flush writes its run; each compaction rewrites everything
+        // added so far.
+        let rewritten: usize = (2..=40).map(|n| lens[..n].iter().sum::<usize>()).sum();
+        assert_eq!(m.spilled_raw, total + rewritten, "{m:?}");
+        assert_eq!(compacted.spill_count(0), 1);
+        assert!(
+            m.frames_written >= 40 + 38 + compacted.frame_count(0),
+            "every write has at least one frame: {m:?}"
+        );
+        assert_eq!(stream_partition(&compacted, 0), expect);
+        assert!(compacted.metrics().frames_read > m.frames_read);
     }
 
     #[test]
@@ -956,7 +930,6 @@ mod tests {
         assert!(err.to_string().contains("injected"), "{err}");
         // The poison is sticky: later consumers see it too.
         assert!(store.partition_cursors(0).is_err());
-        assert!(store.partition_runs(0).is_err());
     }
 
     #[test]

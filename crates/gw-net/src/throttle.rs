@@ -68,11 +68,6 @@ impl Throttle {
         }
         wire
     }
-
-    /// Modeled cost without pacing (for accounting-only callers).
-    pub fn modeled_cost(&self, bytes: usize) -> Duration {
-        self.profile.wire_time(bytes)
-    }
 }
 
 #[cfg(test)]

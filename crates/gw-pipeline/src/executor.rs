@@ -24,7 +24,7 @@
 //!   each one — so a single-lane consumer (and the final stage) sees
 //!   chunks in exactly the global sequence order, byte-identical for
 //!   every lane count, with no separate reorder-buffer thread. A chunk
-//!   consumed mid-graph leaves a [`Payload::Skip`] hole that keeps
+//!   consumed mid-graph leaves a `Payload::Skip` hole that keeps
 //!   sequence numbers dense. Input claims and token-permit acquisition
 //!   stay in global sequence order (per-slot turn-taking), which is what
 //!   keeps the B-bounded interlocks deadlock-free at any lane count: a
@@ -32,8 +32,8 @@
 //!   acquired theirs.
 //! * **Crash probing and dead/abort flags** — between chunks the executor
 //!   consults the [`PipelineProbe`]: `should_abort` unwinds the stage
-//!   quietly (marking the node dead), `crash_fires_on` injects a node
-//!   death at this stage's crash site (addressable per lane). The source
+//!   quietly (marking the node dead), `crash_fires` injects a node
+//!   death at this stage's crash site, addressed per lane. The source
 //!   is probed *after* it produces a chunk, so an injected Read crash
 //!   dies holding the fresh claim.
 //! * **Timing** — every chunk's pass through a stage closes a trace span
@@ -153,9 +153,9 @@ pub trait PipelineProbe: Send + Sync {
     /// coordinator's dead/abort flags).
     fn should_abort(&self, stage: StageId) -> bool;
 
-    /// Crash-site probe for `stage`, counted per passage: `true` = the
-    /// node dies now.
-    fn crash_fires(&self, stage: StageId) -> bool;
+    /// Crash-site probe for lane `lane` of `stage` (0 on a single-lane
+    /// slot), counted per passage: `true` = the node dies now.
+    fn crash_fires(&self, stage: StageId, lane: u32) -> bool;
 
     /// Mark the node dead. Called when a crash fires, when `should_abort`
     /// trips, and when any stage returns an error.
@@ -168,28 +168,13 @@ pub trait PipelineProbe: Send + Sync {
         false
     }
 
-    /// Gray-failure probe, called after `stage` processed a chunk in
-    /// `wall` time: `Some(extra)` = this passage must be stretched by
-    /// sleeping `extra` (a slowdown or transient stall is scheduled).
-    /// The default keeps unarmed pipelines zero-cost.
-    fn gray_delay(&self, stage: StageId, wall: Duration) -> Option<Duration> {
-        let _ = (stage, wall);
+    /// Gray-failure probe, called after lane `lane` of `stage` processed
+    /// a chunk in `wall` time: `Some(extra)` = this passage must be
+    /// stretched by sleeping `extra` (a slowdown or transient stall is
+    /// scheduled). The default keeps unarmed pipelines zero-cost.
+    fn gray_delay(&self, stage: StageId, lane: u32, wall: Duration) -> Option<Duration> {
+        let _ = (stage, lane, wall);
         None
-    }
-
-    /// Lane-addressed crash probe — what the executor actually calls.
-    /// Defaults to the slot-level [`PipelineProbe::crash_fires`], so
-    /// existing probes see every lane's passages; lane-aware fault plans
-    /// override this to pin a fault to one lane of a widened stage.
-    fn crash_fires_on(&self, stage: StageId, lane: u32) -> bool {
-        let _ = lane;
-        self.crash_fires(stage)
-    }
-
-    /// Lane-addressed gray probe, as [`PipelineProbe::gray_delay`].
-    fn gray_delay_on(&self, stage: StageId, lane: u32, wall: Duration) -> Option<Duration> {
-        let _ = lane;
-        self.gray_delay(stage, wall)
     }
 }
 
@@ -1002,7 +987,7 @@ impl<'a, T: Send + 'a, E: Send + 'a> PipelineBuilder<'a, T, E> {
                             };
                             let mut wall = t0.elapsed();
                             if let Some(extra) =
-                                probe.and_then(|p| p.gray_delay_on(source_id, lane, wall))
+                                probe.and_then(|p| p.gray_delay(source_id, lane, wall))
                             {
                                 std::thread::sleep(extra);
                                 wall += extra;
@@ -1011,7 +996,7 @@ impl<'a, T: Send + 'a, E: Send + 'a> PipelineBuilder<'a, T, E> {
                             // crash dies holding the fresh claim (the
                             // survivors requeue it via liveness).
                             if let Some(p) = probe {
-                                if crash_ids.iter().any(|&cid| p.crash_fires_on(cid, lane)) {
+                                if crash_ids.iter().any(|&cid| p.crash_fires(cid, lane)) {
                                     p.kill();
                                     events.chunk_abort(seq);
                                     break;
@@ -1137,7 +1122,7 @@ impl<'a, T: Send + 'a, E: Send + 'a> PipelineBuilder<'a, T, E> {
                                     break;
                                 }
                                 if let Some(p) = probe {
-                                    if crash_ids.iter().any(|&cid| p.crash_fires_on(cid, lane)) {
+                                    if crash_ids.iter().any(|&cid| p.crash_fires(cid, lane)) {
                                         p.kill();
                                         break;
                                     }
@@ -1177,7 +1162,7 @@ impl<'a, T: Send + 'a, E: Send + 'a> PipelineBuilder<'a, T, E> {
                                 };
                                 let mut wall = t0.elapsed();
                                 if let Some(extra) =
-                                    probe.and_then(|p| p.gray_delay_on(id, lane, wall))
+                                    probe.and_then(|p| p.gray_delay(id, lane, wall))
                                 {
                                     std::thread::sleep(extra);
                                     wall += extra;
@@ -1575,7 +1560,7 @@ mod tests {
             fn should_abort(&self, _stage: StageId) -> bool {
                 self.dead.load(Ordering::SeqCst)
             }
-            fn crash_fires(&self, stage: StageId) -> bool {
+            fn crash_fires(&self, stage: StageId, _lane: u32) -> bool {
                 // The Stage slot is fused out of the graph below; its site
                 // must still see passages.
                 stage == StageId::Stage && self.passages.fetch_add(1, Ordering::SeqCst) == 1
@@ -1621,7 +1606,7 @@ mod tests {
             fn should_abort(&self, _stage: StageId) -> bool {
                 self.dead.load(Ordering::SeqCst)
             }
-            fn crash_fires(&self, stage: StageId) -> bool {
+            fn crash_fires(&self, stage: StageId, _lane: u32) -> bool {
                 stage == StageId::Kernel && self.passages.fetch_add(1, Ordering::SeqCst) == 2
             }
             fn kill(&self) {
@@ -1821,10 +1806,7 @@ mod tests {
             fn should_abort(&self, _stage: StageId) -> bool {
                 self.dead.load(Ordering::SeqCst)
             }
-            fn crash_fires(&self, _stage: StageId) -> bool {
-                false
-            }
-            fn crash_fires_on(&self, stage: StageId, lane: u32) -> bool {
+            fn crash_fires(&self, stage: StageId, lane: u32) -> bool {
                 stage == StageId::Kernel
                     && lane == 1
                     && self.fired.fetch_add(1, Ordering::SeqCst) == 0
@@ -1856,5 +1838,79 @@ mod tests {
             dead.load(Ordering::SeqCst),
             "kernel lane 1's first passage must fire the pinned crash"
         );
+    }
+
+    #[test]
+    fn lane_pinned_probe_sees_only_its_lanes_sequence_numbers() {
+        /// Counts the Kernel passages probed on lane `pin`; never fires.
+        struct Pinned<'a> {
+            pin: u32,
+            seen: &'a AtomicUsize,
+        }
+        impl PipelineProbe for Pinned<'_> {
+            fn should_abort(&self, _stage: StageId) -> bool {
+                false
+            }
+            fn crash_fires(&self, stage: StageId, lane: u32) -> bool {
+                if stage == StageId::Kernel && lane == self.pin {
+                    self.seen.fetch_add(1, Ordering::SeqCst);
+                }
+                false
+            }
+            fn kill(&self) {}
+        }
+        /// Logs which lane handled which sequence number.
+        struct LaneLog<'a>(&'a Mutex<Vec<(usize, u32)>>);
+        impl Stage<usize, String> for LaneLog<'_> {
+            fn run_chunk(
+                &mut self,
+                c: usize,
+                ctx: &mut StageCtx<'_>,
+            ) -> Result<Option<usize>, String> {
+                self.0.lock().push((ctx.seq(), ctx.lane()));
+                Ok(Some(c))
+            }
+        }
+        // (passages the pinned probe saw, seqs handled on the pinned lane)
+        let run = |lanes: usize, pin: u32| -> (usize, Vec<usize>) {
+            let seen = AtomicUsize::new(0);
+            let log = Mutex::new(Vec::new());
+            let sum = AtomicUsize::new(0);
+            PipelineBuilder::new(PipelineKind::Map, Buffering::Double)
+                .source(
+                    StageId::Input,
+                    Counter {
+                        next: 0,
+                        n: 20,
+                        closed: Arc::new(AtomicBool::new(false)),
+                    },
+                )
+                .stage_lanes(
+                    StageId::Kernel,
+                    (0..lanes)
+                        .map(|_| Box::new(LaneLog(&log)) as Box<dyn Stage<usize, String> + '_>)
+                        .collect(),
+                )
+                .stage(StageId::Partition, SinkSum(&sum))
+                .probe(Pinned { pin, seen: &seen })
+                .run()
+                .expect("pipeline run");
+            let mut seqs: Vec<usize> = log
+                .lock()
+                .iter()
+                .filter(|&&(_, lane)| lane == pin)
+                .map(|&(seq, _)| seq)
+                .collect();
+            seqs.sort_unstable();
+            (seen.load(Ordering::SeqCst), seqs)
+        };
+        // Lane 1 of a 2-lane slot owns exactly the odd sequence numbers,
+        // and the probe is consulted once for each of them.
+        let odd: Vec<usize> = (0..20).filter(|s| s % 2 == 1).collect();
+        assert_eq!(run(2, 1), (odd.len(), odd));
+        // A 1-lane slot is lane 0 handling every passage — not a special
+        // case, just a lane count.
+        assert_eq!(run(1, 0), (20, (0..20).collect()));
+        assert_eq!(run(1, 1), (0, Vec::new()));
     }
 }

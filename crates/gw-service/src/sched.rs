@@ -168,15 +168,6 @@ impl FairScheduler {
         });
     }
 
-    /// Age of the oldest queued job, if any.
-    pub fn oldest_age(&self, now: Duration) -> Option<Duration> {
-        self.tenants
-            .values()
-            .filter_map(|t| t.queue.front())
-            .map(|q| now.saturating_sub(q.at))
-            .max()
-    }
-
     /// Pick the next job to dispatch given `free_slots`, or `None` when
     /// nothing eligible fits (including the starvation-drain case).
     pub fn next(&mut self, now: Duration, free_slots: u32) -> Option<Dispatch> {

@@ -6,7 +6,7 @@
 //! in the paper's evaluation ("serialize input and output without the need
 //! for text formatting").
 
-use crate::varint;
+use crate::varint::{self, RecRef};
 use crate::StorageError;
 
 /// A borrowed key/value record.
@@ -93,22 +93,10 @@ impl<'a> SeqReader<'a> {
         if self.rest.is_empty() {
             return Ok(None);
         }
-        let (klen, n1) = varint::read_len(self.rest)
-            .ok_or_else(|| StorageError::Corrupt("truncated key length".into()))?;
-        let after_k = &self.rest[n1..];
-        let (vlen, n2) = varint::read_len(after_k)
-            .ok_or_else(|| StorageError::Corrupt("truncated value length".into()))?;
-        let body = &after_k[n2..];
-        if body.len() < klen + vlen {
-            return Err(StorageError::Corrupt(format!(
-                "record body truncated: need {} bytes, have {}",
-                klen + vlen,
-                body.len()
-            )));
-        }
-        let key = &body[..klen];
-        let value = &body[klen..klen + vlen];
-        self.rest = &body[klen + vlen..];
+        let rec = RecRef::decode(self.rest, 0)
+            .ok_or_else(|| StorageError::Corrupt("truncated or malformed record".into()))?;
+        let (key, value) = (rec.key(self.rest), rec.value(self.rest));
+        self.rest = &self.rest[rec.end()..];
         Ok(Some((key, value)))
     }
 
@@ -125,15 +113,6 @@ impl<'a> SeqReader<'a> {
         }
         Ok(out)
     }
-}
-
-/// Encode a whole record set into SeqFile bytes.
-pub fn encode_records<'r>(records: impl IntoIterator<Item = (&'r [u8], &'r [u8])>) -> Vec<u8> {
-    let mut w = SeqWriter::new();
-    for (k, v) in records {
-        w.append(k, v);
-    }
-    w.finish()
 }
 
 #[cfg(test)]

@@ -139,7 +139,7 @@ impl Tracer {
     }
 
     /// Snapshot only the lanes stamped with `job`, in canonical order.
-    /// This is what a service hands back in a per-job [`crate::report`]:
+    /// This is what a service hands back in a per-job report:
     /// the job's own event stream, free of co-tenant lanes.
     pub fn finish_job(&self, job: u32) -> Trace {
         let lanes = self

@@ -295,16 +295,14 @@ proptest! {
         // compare it as the sorted record multiset, which the merge
         // reproduces bit-for-bit.
         for p in 0..PARTS {
-            let mut got: Vec<(Vec<u8>, Vec<u8>)> = store
-                .partition_runs(p)
-                .expect("partition_runs")
-                .iter()
-                .flat_map(|r| {
-                    r.iter()
-                        .map(|(k, v)| (k.to_vec(), v.to_vec()))
-                        .collect::<Vec<_>>()
-                })
-                .collect();
+            let mut merge = glasswing::intermediate::CursorMerge::new(
+                store.partition_cursors(p).expect("partition_cursors"),
+            );
+            let mut got: Vec<(Vec<u8>, Vec<u8>)> = Vec::new();
+            while let Some((k, v)) = merge.peek() {
+                got.push((k.to_vec(), v.to_vec()));
+                merge.advance().expect("merge advance");
+            }
             got.sort();
             let mut want: Vec<(Vec<u8>, Vec<u8>)> = (0..4u32)
                 .flat_map(|block| {
