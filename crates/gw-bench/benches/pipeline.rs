@@ -21,8 +21,8 @@
 //!   paced Input stage is latency-bound, so extra lanes overlap its
 //!   waits even on one core. `predicted_lanes2_speedup` records what the
 //!   advisor's N-lane schedule replay promised for 2 lanes; a full run
-//!   asserts the measured `lanes2_over_lanes1` realises at least half of
-//!   that promise (the PR's acceptance floor).
+//!   asserts the measured `lanes2_over_lanes1` gain lands within
+//!   0.5–1.5× of the promised one (the only place that band is checked).
 //!
 //! Every run also asserts the executor's structural invariants: observed
 //! in-flight chunks never exceed the buffering depth, and the fused graph
@@ -378,18 +378,21 @@ fn main() {
         println!("pipeline bench check passed");
     } else {
         // Acceptance: lanes on the advisor-named bottleneck must realise
-        // at least half the speedup the advisor's replay predicted.
-        let acceptance_floor = 1.0 + 0.5 * (lanes.predicted2 - 1.0);
+        // at least half the gain the advisor's replay predicted, and at
+        // most 1.5× of it — a wildly larger gain would mean the model
+        // missed the bottleneck's true share of the makespan.
+        let gain = lanes.predicted2 - 1.0;
+        let (floor, ceiling) = (1.0 + 0.5 * gain, 1.0 + 1.5 * gain);
         let measured2 = lanes.lanes2_over_lanes1();
         println!(
-            "  lanes=2 on {}: measured {measured2:.3}x vs predicted {:.3}x (floor {acceptance_floor:.3}x)",
+            "  lanes=2 on {}: measured {measured2:.3}x vs predicted {:.3}x (band [{floor:.3}, {ceiling:.3}])",
             lanes.stage.name(),
             lanes.predicted2
         );
         assert!(
-            measured2 >= acceptance_floor,
-            "lanes=2 on {} gave {measured2:.3}x, below half the advisor's \
-             predicted {:.3}x",
+            (floor..=ceiling).contains(&measured2),
+            "lanes=2 on {} gave {measured2:.3}x, outside [{floor:.3}, {ceiling:.3}] \
+             around the advisor's predicted {:.3}x",
             lanes.stage.name(),
             lanes.predicted2
         );

@@ -70,7 +70,8 @@ pub struct NodeReport {
     pub map_timers: TimerReport,
     /// Per-chunk map stage samples (for schedule replay).
     pub map_samples: Vec<[StageSample; 5]>,
-    /// Merge delay: time after map completion until mergers finished.
+    /// Merge delay: time after map completion until the flush/compaction
+    /// tasks still in flight drained (~0 for a job that stayed in core).
     pub merge_delay: Duration,
     /// Runs received from peers during the shuffle.
     pub shuffle_runs_received: usize,
@@ -984,7 +985,8 @@ fn run_node(
         }
     };
 
-    // Wait for every peer's data, then let the mergers drain.
+    // Wait for every peer's data, then let the mergers drain. Runs still
+    // cached stay cached: the reduce merge reads them in place.
     let shuffle_summary = receiver.join()?;
     // A spill I/O error on a merger thread poisons the store and surfaces
     // here (and from `partition_cursors` in reduce) instead of panicking.

@@ -5,6 +5,7 @@
 use std::time::Duration;
 
 use gw_device::DeviceProfile;
+use gw_intermediate::IntermediateConfig;
 use gw_pipeline::StageId;
 use gw_trace::Advice;
 
@@ -67,7 +68,9 @@ pub struct JobConfig {
     pub partitions_per_node: u32,
     /// Background merger/flusher threads (the paper ties this to `P`).
     pub merger_threads: usize,
-    /// Intermediate cache flush threshold, bytes.
+    /// Intermediate cache flush threshold, bytes per node — the one rule
+    /// for when intermediate data leaves memory: a node whose cached runs
+    /// never exceed it never touches disk, and reduce merges them in place.
     pub cache_threshold: usize,
     /// Maximum spill files per partition before compaction.
     pub max_spill_files: usize,
@@ -313,7 +316,7 @@ impl JobConfig {
             partition_threads: 2,
             partitions_per_node: 1,
             merger_threads: 1,
-            cache_threshold: 32 << 20,
+            cache_threshold: IntermediateConfig::default().cache_threshold,
             max_spill_files: 8,
             compress_intermediate: true,
             memory_budget: None,

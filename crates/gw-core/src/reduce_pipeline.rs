@@ -6,13 +6,15 @@
 //! ```
 //!
 //! The first stage "performs one last merge operation and supplies the
-//! pipeline with a consistent view of the intermediate data": an
-//! **external** k-way loser-tree merge (`gw_intermediate::
-//! GroupedCursorMerge`, one comparison per tree level per record) over
-//! streaming cursors — one decoded frame per spill file plus the
-//! still-cached runs — grouped by key. Peak memory is `k` frames plus
-//! one in-flight chunk arena, never the partition size (paper §III-B's
-//! larger-than-memory intermediate data; DESIGN.md §3.10). As in the map
+//! pipeline with a consistent view of the intermediate data": a k-way
+//! loser-tree merge (`gw_intermediate::GroupedCursorMerge`, one
+//! comparison per tree level per record) over streaming cursors — every
+//! still-cached run plus one decoded frame per spill file — grouped by
+//! key. The store flushes nothing at end of map, so an in-core job's
+//! cached runs are the whole input and no byte is read from disk; for a
+//! job that spilled the merge is **external**, holding the cached
+//! remainder, `k` frames and one in-flight chunk arena, never the
+//! partition (paper §III-B; DESIGN.md §3.10). As in the map
 //! pipeline, all channel wiring, the §III-D token interlock, fault
 //! probing, timers and unwinding live in [`gw_pipeline`]; the Stage and
 //! Retrieve stages fuse out of the graph on unified-memory devices.
@@ -567,7 +569,7 @@ impl ReducePhase<'_> {
             }
             let path = format!("{}/part-r-{gp:05}", self.cfg.output);
             // Streaming cursors: spilled runs stay on disk and decode one
-            // frame at a time; only still-cached runs are memory-resident.
+            // frame at a time; cached runs are merged where they sit.
             let cursors = self.intermediate.partition_cursors(gp)?;
             report.partitions += 1;
             if self.app.has_reduce() {

@@ -16,7 +16,15 @@
 //!   the merge and flush operations" — `merger_threads`;
 //! * the **merge delay** metric — "the time dedicated to merging
 //!   intermediate data after the completion of the map phase and before
-//!   reduction starts" — measured by [`IntermediateStore::finish_map`].
+//!   reduction starts" — the wait in [`IntermediateStore::finish_map`]
+//!   for the flush/compaction tasks still in flight at map end.
+//!
+//! Intermediate bytes leave memory by exactly one rule, `add_run`'s
+//! `total > cache_threshold`, for budgeted and unbudgeted stores alike.
+//! Nothing is flushed at end of map: a job whose per-node intermediate
+//! data never crosses the threshold never touches disk (merge delay ~0),
+//! and the reduce input merge reads its cached runs directly — the
+//! paper's "one last merge operation" (§III-C).
 //!
 //! ## Out-of-core operation (DESIGN.md §3.10)
 //!
@@ -60,7 +68,9 @@ use crate::PartitionId;
 pub struct IntermediateConfig {
     /// Number of partitions hosted by this node (the paper's `P`).
     pub num_partitions: u32,
-    /// Aggregate cached bytes that trigger a merge-and-flush.
+    /// Aggregate cached bytes that trigger a merge-and-flush — the only
+    /// trigger: a store that never exceeds it never spills. Its default is
+    /// also `JobConfig::new`'s.
     pub cache_threshold: usize,
     /// Maximum spill files per partition before compaction merges them.
     pub max_spill_files: usize,
@@ -85,7 +95,7 @@ impl Default for IntermediateConfig {
     fn default() -> Self {
         IntermediateConfig {
             num_partitions: 1,
-            cache_threshold: 64 << 20,
+            cache_threshold: 32 << 20,
             max_spill_files: 8,
             merger_threads: 1,
             compress: true,
@@ -134,7 +144,6 @@ struct Metrics {
     spilled_disk: AtomicUsize,
     runs_added: AtomicUsize,
     records_added: AtomicUsize,
-    merge_delay_nanos: AtomicU64,
     merges: AtomicUsize,
     merge_fanin: AtomicUsize,
     frames_written: AtomicUsize,
@@ -156,8 +165,6 @@ pub struct StoreMetrics {
     pub runs_added: usize,
     /// Records across all added runs.
     pub records_added: usize,
-    /// Measured merge delay (zero until [`IntermediateStore::finish_map`]).
-    pub merge_delay: Duration,
     /// Background streaming merges (cache flushes + compactions).
     ///
     /// Kept as store metrics rather than trace counters on purpose: these
@@ -446,14 +453,19 @@ impl IntermediateStore {
             .fetch_add(run.records(), Ordering::Relaxed);
         let bytes = run.len_bytes();
         self.inner.gauge.charge(bytes);
-        {
+        let total = {
             let mut st = self.inner.parts[p as usize].lock();
             st.cache_bytes += bytes;
             st.cache.push(run);
-        }
-        let total = self.inner.cache_bytes.fetch_add(bytes, Ordering::Relaxed) + bytes;
+            // Counted under the partition lock: a flush that takes this run
+            // subtracts its bytes under the same lock, so never before this.
+            self.inner.cache_bytes.fetch_add(bytes, Ordering::Relaxed) + bytes
+        };
         if total > self.inner.cfg.cache_threshold {
-            self.flush_all();
+            // The only flush trigger: every partition with cached data.
+            for q in 0..self.inner.cfg.num_partitions {
+                self.schedule(q);
+            }
         }
         if let Some(budget) = self.inner.cfg.memory_budget {
             // Backpressure: park until the flushes in flight bring the
@@ -471,19 +483,14 @@ impl IntermediateStore {
         }
     }
 
-    /// Schedule a flush for every partition with cached data.
-    pub fn flush_all(&self) {
-        for p in 0..self.inner.cfg.num_partitions {
-            self.schedule(p);
-        }
-    }
-
+    /// Hand partition `p`'s cache to a merger thread unless it is empty or
+    /// a task for `p` is in flight. Spills never need a task of their own:
+    /// the one that wrote them compacted to the limit before clearing `busy`.
     fn schedule(&self, p: PartitionId) {
         let inner = &self.inner;
         {
             let mut st = inner.parts[p as usize].lock();
-            let needs_work = !st.cache.is_empty() || st.spills.len() > inner.cfg.max_spill_files;
-            if st.busy || !needs_work {
+            if st.busy || st.cache.is_empty() {
                 return;
             }
             st.busy = true;
@@ -499,53 +506,28 @@ impl IntermediateStore {
     }
 
     /// Signal that the map phase (including reception of all remote
-    /// partitions) has completed. Flushes all remaining cached data, waits
-    /// for the merger threads to drain, and returns the **merge delay**.
+    /// partitions) has completed: wait for the flush/compaction tasks
+    /// still in flight to drain and return that wait, the **merge delay**.
+    /// Nothing is flushed here — runs still cached stay cached and reach
+    /// the reduce merge through [`IntermediateStore::partition_cursors`] —
+    /// and nothing needs scheduling: a task compacts its partition down to
+    /// `max_spill_files` before it clears `busy`.
     ///
     /// Surfaces any spill I/O error recorded by the merger threads — the
     /// poisoned-store replacement for their former panics.
     pub fn finish_map(&self) -> io::Result<Duration> {
         let start = Instant::now();
-        // Mergers may still be working on the backlog; add final flushes.
-        self.flush_all();
-        // New work may have become schedulable after the first drain (a
-        // flush can push a partition over the spill-file limit), so loop.
-        loop {
-            self.inner.wait_quiesce();
-            self.inner.check_poison()?;
-            let mut scheduled = false;
-            for p in 0..self.inner.cfg.num_partitions {
-                let st = self.inner.parts[p as usize].lock();
-                let needs =
-                    !st.cache.is_empty() || st.spills.len() > self.inner.cfg.max_spill_files;
-                drop(st);
-                if needs {
-                    self.schedule(p);
-                    scheduled = true;
-                }
-            }
-            if !scheduled {
-                break;
-            }
-        }
-        let delay = start.elapsed();
-        self.inner
-            .metrics
-            .merge_delay_nanos
-            .store(delay.as_nanos() as u64, Ordering::Relaxed);
-        Ok(delay)
-    }
-
-    /// Block until all scheduled flush/compaction tasks have drained.
-    pub fn quiesce(&self) {
         self.inner.wait_quiesce();
+        self.inner.check_poison()?;
+        Ok(start.elapsed())
     }
 
     /// Open streaming cursors over partition `p` for reduction: one
     /// [`SpillCursor`] per spill file (a single decoded frame resident
-    /// each) plus a [`MemCursor`] per still-cached run. The reduce input
-    /// reader performs the final external k-way merge over these without
-    /// ever materializing the partition.
+    /// each) plus a [`MemCursor`] per cached run — for a job that never
+    /// crossed `cache_threshold`, the cached runs are all there is. The
+    /// reduce input reader performs the final k-way merge over these
+    /// without ever materializing the partition.
     pub fn partition_cursors(&self, p: PartitionId) -> io::Result<Vec<Box<dyn RunCursor>>> {
         self.inner.check_poison()?;
         let st = self.inner.parts[p as usize].lock();
@@ -602,7 +584,6 @@ impl IntermediateStore {
             spilled_disk: m.spilled_disk.load(Ordering::Relaxed),
             runs_added: m.runs_added.load(Ordering::Relaxed),
             records_added: m.records_added.load(Ordering::Relaxed),
-            merge_delay: Duration::from_nanos(m.merge_delay_nanos.load(Ordering::Relaxed)),
             merges: m.merges.load(Ordering::Relaxed),
             merge_fanin: m.merge_fanin.load(Ordering::Relaxed),
             frames_written: m.frames_written.load(Ordering::Relaxed),
@@ -658,14 +639,36 @@ mod tests {
         run_from_pairs(words.iter().map(|w| (w.as_bytes(), b"1".as_slice())))
     }
 
+    /// Every record of `runs` in merge order — the reference a partition's
+    /// cursors are checked against.
+    fn sorted_records(runs: &[Run]) -> Vec<(Vec<u8>, Vec<u8>)> {
+        let mut all: Vec<(Vec<u8>, Vec<u8>)> = runs
+            .iter()
+            .flat_map(|r| r.iter().map(|(k, v)| (k.to_vec(), v.to_vec())))
+            .collect();
+        all.sort();
+        all
+    }
+
     #[test]
-    fn small_data_stays_in_cache() {
-        let store = IntermediateStore::new(cfg(1)).unwrap();
-        store.add_run(0, word_run(&["a", "b"]));
+    fn in_core_store_never_touches_disk() {
+        let store = IntermediateStore::new(cfg(2)).unwrap();
+        let runs = [word_run(&["m", "z", "a"]), word_run(&["b", "m", "q"])];
+        for r in &runs {
+            store.add_run(0, r.clone());
+        }
+        store.add_run(1, word_run(&["p1"]));
         let delay = store.finish_map().unwrap();
         assert!(delay < Duration::from_secs(1));
-        // One flush happens at finish_map (cache drained to disk).
-        assert_eq!(store.partition_records(0), 2);
+        assert_eq!(stream_partition(&store, 0), sorted_records(&runs));
+        assert_eq!(store.partition_records(1), 1);
+        let m = store.metrics();
+        assert_eq!(
+            (m.flushes, m.frames_written, m.spilled_raw, m.frames_read),
+            (0, 0, 0, 0),
+            "{m:?}"
+        );
+        assert_eq!((store.spill_count(0), store.spill_count(1)), (0, 0));
     }
 
     #[test]
@@ -699,7 +702,7 @@ mod tests {
             store.add_run(0, word_run(&[w.as_str()]));
             // Drain after every run so each add produces its own spill and
             // the compaction path is exercised deterministically.
-            store.quiesce();
+            store.inner.wait_quiesce();
         }
         store.finish_map().unwrap();
         assert!(
@@ -767,28 +770,51 @@ mod tests {
         store.add_run(5, word_run(&["x"]));
     }
 
+    /// Four producer threads each adding `each` one-record runs, spread
+    /// round-robin over the partitions; returns the store after
+    /// `finish_map`.
+    fn hammer(c: IntermediateConfig, each: usize) -> IntermediateStore {
+        let parts = c.num_partitions as usize;
+        let store = IntermediateStore::new(c).unwrap();
+        std::thread::scope(|s| {
+            for t in 0..4 {
+                let store = &store;
+                s.spawn(move || {
+                    for i in 0..each {
+                        let w = format!("t{t}-k{i:05}");
+                        store.add_run((i % parts) as u32, word_run(&[w.as_str()]));
+                    }
+                });
+            }
+        });
+        store.finish_map().unwrap();
+        store
+    }
+
     #[test]
     fn concurrent_producers_do_not_lose_records() {
         let mut c = cfg(2);
         c.cache_threshold = 256;
-        let store = std::sync::Arc::new(IntermediateStore::new(c).unwrap());
-        let threads: Vec<_> = (0..4)
-            .map(|t| {
-                let store = std::sync::Arc::clone(&store);
-                std::thread::spawn(move || {
-                    for i in 0..50 {
-                        let w = format!("t{t}-k{i:03}");
-                        store.add_run((i % 2) as u32, word_run(&[w.as_str()]));
-                    }
-                })
-            })
-            .collect();
-        for t in threads {
-            t.join().unwrap();
-        }
-        store.finish_map().unwrap();
+        let store = hammer(c, 50);
         let total = store.partition_records(0) + store.partition_records(1);
         assert_eq!(total, 200);
+    }
+
+    #[test]
+    fn flushes_racing_producers_keep_the_cache_count_exact() {
+        // Every add crosses the threshold, so flush tasks take the cache
+        // while other producers are mid-`add_run`; the aggregate count must
+        // never see a run subtracted before it was added (the underflow
+        // panics in debug builds; in release it wraps and other producers
+        // read a spurious threshold crossing until the add lands).
+        let mut c = cfg(1);
+        c.cache_threshold = 1;
+        c.max_spill_files = 64;
+        c.compress = false;
+        let store = hammer(c, 3000);
+        assert_eq!(store.partition_records(0), 12_000);
+        let cached: usize = store.inner.parts[0].lock().cache_bytes;
+        assert_eq!(store.inner.cache_bytes.load(Ordering::Relaxed), cached);
     }
 
     /// Walk a partition's streaming cursors and collect every record.
@@ -813,19 +839,16 @@ mod tests {
                 word_run(&refs)
             })
             .collect();
-        let mut expect: Vec<(Vec<u8>, Vec<u8>)> = runs
-            .iter()
-            .flat_map(|r| r.iter().map(|(k, v)| (k.to_vec(), v.to_vec())))
-            .collect();
-        expect.sort();
+        let expect = sorted_records(&runs);
         assert_eq!(expect.len(), 800);
         let lens: Vec<usize> = runs.iter().map(|r| r.len_bytes()).collect();
         let total: usize = lens.iter().sum();
 
-        // Cached-run flush: nothing spills until `finish_map`, which merges
-        // all 40 cached runs into one spill through borrowed cursors.
+        // Cached-run flush: the 40th run tips the cache over the threshold,
+        // which merges all 40 cached runs into one spill through borrowed
+        // cursors.
         let mut c = cfg(1);
-        c.cache_threshold = usize::MAX;
+        c.cache_threshold = total - 1;
         let flushed = IntermediateStore::new(c).unwrap();
         for r in &runs {
             flushed.add_run(0, r.clone());
@@ -849,7 +872,7 @@ mod tests {
         for r in &runs {
             compacted.add_run(0, r.clone());
             // Drain so every add becomes its own spill, forcing compaction.
-            compacted.quiesce();
+            compacted.inner.wait_quiesce();
         }
         compacted.finish_map().unwrap();
         let m = compacted.metrics();
