@@ -169,7 +169,7 @@ impl PhoenixRuntime {
                     if t >= blocks.len() {
                         break;
                     }
-                    let collector = BufferPoolCollector::new(8 << 20, 2);
+                    let collector = BufferPoolCollector::new(8 << 20, 1);
                     let emit = Emit::new(&collector);
                     let mut reader = SeqReader::open_raw(&blocks[t]);
                     let mut count = 0usize;
@@ -224,7 +224,7 @@ impl PhoenixRuntime {
 
         // ---- Reduce ----
         let reduce_start = Instant::now();
-        let collector = BufferPoolCollector::new(8 << 20, 2);
+        let collector = BufferPoolCollector::new(8 << 20, 1);
         let emit = Emit::new(&collector);
         if app.has_reduce() {
             let mut i = 0usize;

@@ -6,25 +6,46 @@
 //! to store the key/value pairs. Glasswing provides support for an
 //! application-specific combiner stage ... only for the second mechanism."
 //!
-//! Both collectors are written against the same concurrency model as their
-//! OpenCL originals:
+//! On a GPU both mechanisms share device-global memory and every emit
+//! competes for it. On a host device that sharing buys nothing: the pool
+//! runs a work-group's items back to back on one thread, so everything a
+//! group emits can go to memory no other group touches. Both collectors
+//! are built on that. `emit` asks the device which work-group the calling
+//! thread is executing ([`gw_device::current_group_id`], 0 outside a
+//! launch — the `Collector` trait carries no group argument) and writes to
+//! that group's own storage:
 //!
 //! * [`BufferPoolCollector`] — "each thread allocates space via a single
-//!   atomic operation": a sharded bump arena; fast emits, but every
-//!   occurrence is stored, so downstream partitioning must decode every
-//!   record individually (Table II config (iii): fastest kernel, dominant
-//!   partitioning stage).
-//! * [`HashTableCollector`] — per-key storage with optional in-place
-//!   combining. Emits contend on bucket locks (the analogue of the paper's
-//!   "threads must loop multiple times before they allocate space"), so
-//!   the kernel stage is slower, but intermediate volume shrinks
-//!   dramatically (Table II configs (i)/(ii)).
+//!   atomic operation": one bump arena per shard, the shard picked by
+//!   work-group. Fast emits, but every occurrence is stored, so downstream
+//!   partitioning must decode every record individually (Table II config
+//!   (iii): dominant partitioning stage). Shards drain in index order, so
+//!   with at least as many shards as work-groups the record order is a
+//!   function of the NDRange.
+//! * [`HashTableCollector`] — one private open-addressing table per
+//!   work-group, keys and values in one arena, combining in place. An emit
+//!   takes no lock and no atomic another group takes and, once the first
+//!   chunk has sized the arenas, allocates nothing. Tables are read one
+//!   after the other in group order, each in insertion order. With a
+//!   combiner the first read after a launch (`for_each_part` or `records`)
+//!   first folds groups `1..G` into group 0's table, in that same order,
+//!   so a chunk still yields one record per distinct key. Either way what
+//!   the collector hands out, *and in which order*, depends on the chunk
+//!   and the NDRange only, never on which thread ran which group when
+//!   (Table II configs (i)/(ii)). In the map pipeline that first read is
+//!   the Partition stage's.
+//!
+//! The paper's "threads must loop multiple times before they allocate
+//! space" has no analogue left here: that cost belongs to a device whose
+//! threads share one table.
 
+use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
-use parking_lot::Mutex;
+use parking_lot::{Mutex, RwLock};
 
+use gw_device::current_group_id;
 use gw_storage::varint::{self, RecRef};
 
 use crate::api::Combiner;
@@ -35,7 +56,7 @@ use crate::hash::hash_bytes;
 pub enum CollectorKind {
     /// Shared buffer pool (simple output collection).
     BufferPool,
-    /// Concurrent hash table (enables the combiner).
+    /// Per-work-group hash tables (enables the combiner).
     HashTable,
 }
 
@@ -98,13 +119,19 @@ impl Drop for RawBuf {
     }
 }
 
+/// One work-group's arena (several groups', when the launch has more
+/// groups than the pool has shards). Aligned so that two shards never
+/// share a cache line.
+#[repr(align(128))]
 struct Shard {
     buf: RawBuf,
-    /// Next free offset (may exceed `cap` after failed reservations).
+    /// Next free offset: the bytes of every record emitted here, so it
+    /// exceeds `cap` once a reservation has failed.
     used: AtomicUsize,
     /// End of the last successfully written record (reservations succeed
     /// in prefix order, so this is a valid parse boundary).
     valid_end: AtomicUsize,
+    records: AtomicUsize,
     /// Slow path for records that no longer fit in the arena.
     overflow: Mutex<Vec<u8>>,
 }
@@ -115,17 +142,16 @@ impl Shard {
             buf: RawBuf::new(cap),
             used: AtomicUsize::new(0),
             valid_end: AtomicUsize::new(0),
+            records: AtomicUsize::new(0),
             overflow: Mutex::new(Vec::new()),
         }
     }
 }
 
-/// The shared-buffer-pool collector: sharded atomic bump allocation.
+/// The shared-buffer-pool collector: atomic bump allocation in the
+/// emitting work-group's shard.
 pub struct BufferPoolCollector {
     shards: Vec<Shard>,
-    records: AtomicUsize,
-    bytes: AtomicUsize,
-    next_shard: AtomicUsize,
 }
 
 impl BufferPoolCollector {
@@ -135,20 +161,16 @@ impl BufferPoolCollector {
         let per = (capacity / shards).max(256);
         BufferPoolCollector {
             shards: (0..shards).map(|_| Shard::new(per)).collect(),
-            records: AtomicUsize::new(0),
-            bytes: AtomicUsize::new(0),
-            next_shard: AtomicUsize::new(0),
         }
     }
 
+    /// The record header `varint(klen) varint(vlen)` and its length.
     #[inline]
     fn encode_header(key: &[u8], value: &[u8]) -> ([u8; 20], usize) {
         let mut hdr = [0u8; 20];
-        let mut tmp = Vec::with_capacity(20);
-        varint::write_len(&mut tmp, key.len());
-        varint::write_len(&mut tmp, value.len());
-        hdr[..tmp.len()].copy_from_slice(&tmp);
-        (hdr, tmp.len())
+        let n = varint::encode_u64(&mut hdr, key.len() as u64);
+        let n = n + varint::encode_u64(&mut hdr[n..], value.len() as u64);
+        (hdr, n)
     }
 }
 
@@ -156,10 +178,10 @@ impl Collector for BufferPoolCollector {
     fn emit(&self, key: &[u8], value: &[u8]) {
         let (hdr, hdr_len) = Self::encode_header(key, value);
         let total = hdr_len + key.len() + value.len();
-        // Spread emitters over shards round-robin; a shard keeps serving
-        // until full (one atomic op per allocation, as in the paper).
-        let shard_idx = self.next_shard.fetch_add(1, Ordering::Relaxed) % self.shards.len();
-        let shard = &self.shards[shard_idx];
+        // A work-group's records stay together, in emission order. A shard
+        // keeps serving until full (one atomic op per allocation, as in
+        // the paper).
+        let shard = &self.shards[current_group_id() % self.shards.len()];
         let off = shard.used.fetch_add(total, Ordering::Relaxed);
         if off + total <= shard.buf.cap {
             // SAFETY: `[off, off+total)` is exclusively ours (fetch_add)
@@ -182,8 +204,7 @@ impl Collector for BufferPoolCollector {
             ovf.extend_from_slice(key);
             ovf.extend_from_slice(value);
         }
-        self.records.fetch_add(1, Ordering::Relaxed);
-        self.bytes.fetch_add(total, Ordering::Relaxed);
+        shard.records.fetch_add(1, Ordering::Relaxed);
     }
 
     fn for_each_part(&self, part: usize, parts: usize, f: &mut dyn FnMut(&[u8], &[u8])) {
@@ -208,21 +229,21 @@ impl Collector for BufferPoolCollector {
 
     fn reset(&mut self) {
         for shard in &mut self.shards {
-            shard.used.store(0, Ordering::Relaxed);
-            shard.valid_end.store(0, Ordering::Relaxed);
+            *shard.used.get_mut() = 0;
+            *shard.valid_end.get_mut() = 0;
+            *shard.records.get_mut() = 0;
             shard.overflow.get_mut().clear();
         }
-        self.records.store(0, Ordering::Relaxed);
-        self.bytes.store(0, Ordering::Relaxed);
-        self.next_shard.store(0, Ordering::Relaxed);
     }
 
     fn records(&self) -> usize {
-        self.records.load(Ordering::Relaxed)
+        let count = |s: &Shard| s.records.load(Ordering::Relaxed);
+        self.shards.iter().map(count).sum()
     }
 
     fn bytes(&self) -> usize {
-        self.bytes.load(Ordering::Relaxed)
+        let bytes = |s: &Shard| s.used.load(Ordering::Relaxed);
+        self.shards.iter().map(bytes).sum()
     }
 }
 
@@ -230,137 +251,401 @@ impl Collector for BufferPoolCollector {
 // Hash table
 // ---------------------------------------------------------------------------
 
-enum Payload {
-    /// Combined accumulator (combiner mode): one value per key.
-    Combined(Vec<u8>),
-    /// Encoded value list `varint(len) value ...` with its count.
-    Values(Vec<u8>, usize),
+/// "No node" in a value chain.
+const NIL: u32 = u32::MAX;
+
+/// A value node's header in the arena: `next: u32`, `len: u32`, both LE.
+const NODE_HEADER: usize = 8;
+
+/// An arena offset or length. Tables index their arena with `u32`s, like
+/// [`RecRef`]: the entries of one chunk are walked and re-hashed far more
+/// often than a work-group emits 4 GiB.
+#[inline]
+fn span(n: usize) -> u32 {
+    u32::try_from(n).expect("a work-group's collector table exceeds the 4 GiB index limit")
 }
 
-struct HtEntry {
-    key: Vec<u8>,
-    payload: Payload,
+/// One distinct key of a [`GroupTable`].
+#[derive(Clone, Copy)]
+struct Entry {
+    /// The key's hash, kept for growing the index and for the fold.
+    hash: u64,
+    key_off: u32,
+    key_len: u32,
+    /// Arena offsets of the key's first and last value node. With a
+    /// combiner there is exactly one node, the accumulator.
+    head: u32,
+    tail: u32,
 }
 
-/// The hash-table collector with optional in-kernel combiner.
-pub struct HashTableCollector {
-    buckets: Vec<Mutex<Vec<HtEntry>>>,
+/// One work-group's table: an open-addressing index over entry ids, the
+/// entries in insertion order, and one arena holding every key and every
+/// value node (`next len value`, chained per key). Nothing here is
+/// allocated per key, and `clear` keeps every capacity.
+struct GroupTable {
     combiner: Option<Arc<dyn Combiner>>,
-    emits: AtomicUsize,
-    records: AtomicUsize,
-    bytes: AtomicUsize,
+    /// Slots the index opens with (`JobConfig::hash_buckets`).
+    opening_slots: usize,
+    /// `tag << 32 | entry id + 1`; 0 is an empty slot. The length is a
+    /// power of two at least twice `entries.len()`.
+    index: Vec<u64>,
+    entries: Vec<Entry>,
+    arena: Vec<u8>,
+    /// The accumulator's stand-in while [`Combiner::combine`], which wants
+    /// a `Vec`, works on it.
+    scratch: Vec<u8>,
+    emits: usize,
+    records: usize,
+    bytes: usize,
 }
 
-impl HashTableCollector {
-    /// Create with `buckets` chains; `combiner` enables combining mode.
-    pub fn new(buckets: usize, combiner: Option<Arc<dyn Combiner>>) -> Self {
-        let buckets = buckets.max(1);
-        HashTableCollector {
-            buckets: (0..buckets).map(|_| Mutex::new(Vec::new())).collect(),
+impl GroupTable {
+    fn new(opening_slots: usize, combiner: Option<Arc<dyn Combiner>>) -> Self {
+        GroupTable {
             combiner,
-            emits: AtomicUsize::new(0),
-            records: AtomicUsize::new(0),
-            bytes: AtomicUsize::new(0),
+            opening_slots,
+            index: Vec::new(),
+            entries: Vec::new(),
+            arena: Vec::new(),
+            scratch: Vec::new(),
+            emits: 0,
+            records: 0,
+            bytes: 0,
         }
     }
 
-    /// Total emit calls (pre-combining), for contention analysis.
+    fn clear(&mut self) {
+        if !self.entries.is_empty() {
+            self.index.fill(0);
+        }
+        self.entries.clear();
+        self.arena.clear();
+        self.emits = 0;
+        self.records = 0;
+        self.bytes = 0;
+    }
+
+    fn emit(&mut self, hash: u64, key: &[u8], value: &[u8]) {
+        self.emits += 1;
+        let id = self.entry(hash, key);
+        self.put(id, key, value);
+    }
+
+    fn key(&self, e: &Entry) -> &[u8] {
+        &self.arena[e.key_off as usize..][..e.key_len as usize]
+    }
+
+    /// Where the value of the node at arena offset `at` lies.
+    fn value_range(&self, at: u32) -> Range<usize> {
+        let len = &self.arena[at as usize + 4..at as usize + NODE_HEADER];
+        let start = at as usize + NODE_HEADER;
+        start..start + u32::from_le_bytes(len.try_into().expect("4 bytes")) as usize
+    }
+
+    /// The node at arena offset `at`: its successor and its value.
+    fn node(&self, at: u32) -> (u32, &[u8]) {
+        let next = &self.arena[at as usize..at as usize + 4];
+        (
+            u32::from_le_bytes(next.try_into().expect("4 bytes")),
+            &self.arena[self.value_range(at)],
+        )
+    }
+
+    /// The values chained under `e`, in emission order.
+    fn values<'a>(&'a self, e: &Entry) -> impl Iterator<Item = &'a [u8]> {
+        let mut at = e.head;
+        std::iter::from_fn(move || {
+            (at != NIL).then(|| {
+                let (next, value) = self.node(at);
+                at = next;
+                value
+            })
+        })
+    }
+
+    /// Append an unchained node holding `value`; returns its offset.
+    fn push_node(&mut self, value: &[u8]) -> u32 {
+        let at = span(self.arena.len());
+        let len = span(value.len());
+        self.arena.extend_from_slice(&NIL.to_le_bytes());
+        self.arena.extend_from_slice(&len.to_le_bytes());
+        self.arena.extend_from_slice(value);
+        at
+    }
+
+    /// Where `hash` starts probing: its top bits (FxHash mixes its low
+    /// bits poorly).
+    fn home(&self, hash: u64) -> usize {
+        (hash >> (u64::BITS - self.index.len().trailing_zeros())) as usize
+    }
+
+    /// Double the index (or open it) and re-seat every entry from its
+    /// stored hash.
+    fn grow(&mut self) {
+        let slots = (self.index.len() * 2)
+            .max(self.opening_slots.next_power_of_two())
+            .max(16);
+        self.index.clear();
+        self.index.resize(slots, 0);
+        for (id, e) in self.entries.iter().enumerate() {
+            let mut i = self.home(e.hash);
+            while self.index[i] != 0 {
+                i = (i + 1) & (slots - 1);
+            }
+            self.index[i] = (e.hash & 0xffff_ffff) << 32 | (id as u64 + 1);
+        }
+    }
+
+    /// The id of the entry for `key`, appended with no value yet if the
+    /// table has not seen the key.
+    fn entry(&mut self, hash: u64, key: &[u8]) -> usize {
+        if (self.entries.len() + 1) * 2 > self.index.len() {
+            self.grow();
+        }
+        let mask = self.index.len() - 1;
+        let tag = hash & 0xffff_ffff;
+        let mut i = self.home(hash);
+        loop {
+            let slot = self.index[i];
+            if slot == 0 {
+                break;
+            }
+            if slot >> 32 == tag {
+                let id = (slot & 0xffff_ffff) as usize - 1;
+                let e = &self.entries[id];
+                if e.hash == hash && self.key(e) == key {
+                    return id;
+                }
+            }
+            i = (i + 1) & mask;
+        }
+        let id = self.entries.len();
+        self.index[i] = tag << 32 | u64::from(span(id + 1));
+        self.entries.push(Entry {
+            hash,
+            key_off: span(self.arena.len()),
+            key_len: span(key.len()),
+            head: NIL,
+            tail: NIL,
+        });
+        self.arena.extend_from_slice(key);
+        id
+    }
+
+    /// Give entry `id` (whose key is `key`) one more value: its first,
+    /// else combined into the accumulator, else chained behind the others.
+    fn put(&mut self, id: usize, key: &[u8], value: &[u8]) {
+        let Entry { head, tail, .. } = self.entries[id];
+        if head == NIL {
+            let node = self.push_node(value);
+            (self.entries[id].head, self.entries[id].tail) = (node, node);
+            self.records += 1;
+            self.bytes += key.len() + value.len() + 2;
+        } else if let Some(combiner) = &self.combiner {
+            let acc = self.value_range(head);
+            let mut scratch = std::mem::take(&mut self.scratch);
+            scratch.clear();
+            scratch.extend_from_slice(&self.arena[acc.clone()]);
+            combiner.combine(key, &mut scratch, value);
+            if scratch.len() == acc.len() {
+                self.arena[acc].copy_from_slice(&scratch);
+            } else {
+                // The accumulator changed size: it moves to the arena's
+                // end, and the old bytes lie unreferenced until `clear`.
+                let node = self.push_node(&scratch);
+                (self.entries[id].head, self.entries[id].tail) = (node, node);
+                self.bytes = self.bytes + scratch.len() - acc.len();
+            }
+            self.scratch = scratch;
+        } else {
+            let node = self.push_node(value);
+            self.arena[tail as usize..][..4].copy_from_slice(&node.to_le_bytes());
+            self.entries[id].tail = node;
+            self.records += 1;
+            self.bytes += value.len() + 1;
+        }
+    }
+
+    /// Fold `other` in: every key of `other` in its insertion order, every
+    /// value of a key in its emission order, each key looked up once by
+    /// the hash `other` already computed.
+    fn absorb(&mut self, other: &GroupTable) {
+        for e in &other.entries {
+            let key = other.key(e);
+            let id = self.entry(e.hash, key);
+            for value in other.values(e) {
+                self.put(id, key, value);
+            }
+        }
+        self.emits += other.emits;
+    }
+
+    /// Visit the records of `entries`, a range of entry ids.
+    fn for_each(&self, entries: Range<usize>, f: &mut dyn FnMut(&[u8], &[u8])) {
+        for e in &self.entries[entries] {
+            let key = self.key(e);
+            for value in self.values(e) {
+                f(key, value);
+            }
+        }
+    }
+}
+
+/// One `T` per work-group, made on first touch without a lock: segment
+/// `s` holds the `2^s` groups from `2^s - 1` on, so finding a group's `T`
+/// is one `OnceLock` load and a `T` never moves.
+struct PerGroup<T> {
+    segments: [OnceLock<Box<[T]>>; usize::BITS as usize],
+}
+
+impl<T> PerGroup<T> {
+    fn new() -> Self {
+        PerGroup {
+            segments: std::array::from_fn(|_| OnceLock::new()),
+        }
+    }
+
+    /// `group`'s `T`, after `make`-ing its whole segment if this is the
+    /// segment's first touch.
+    fn get(&self, group: usize, make: impl Fn() -> T) -> &T {
+        let n = group.saturating_add(1);
+        let segment = n.ilog2();
+        let slots = self.segments[segment as usize]
+            .get_or_init(|| (0..1usize << segment).map(|_| make()).collect());
+        &slots[n - (1 << segment)]
+    }
+
+    /// Every `T` made so far, in group order.
+    fn iter(&self) -> impl Iterator<Item = &T> {
+        self.segments
+            .iter()
+            .filter_map(OnceLock::get)
+            .flat_map(|slots| slots.iter())
+    }
+
+    fn iter_mut(&mut self) -> impl Iterator<Item = &mut T> {
+        self.segments
+            .iter_mut()
+            .filter_map(OnceLock::get_mut)
+            .flat_map(|slots| slots.iter_mut())
+    }
+}
+
+/// A work-group's table behind its own lock, aligned so that two groups
+/// never share a cache line. In a launch only the group's thread takes
+/// the lock; it is there for emits that are not in one (group 0, from any
+/// thread) and for the fold.
+#[repr(align(128))]
+struct GroupSlot(RwLock<GroupTable>);
+
+/// The hash-table collector with optional in-kernel combiner: one table
+/// per work-group, read one after the other in group order — after the
+/// first read has folded them into group 0's, when there is a combiner.
+pub struct HashTableCollector {
+    combiner: Option<Arc<dyn Combiner>>,
+    buckets: usize,
+    groups: PerGroup<GroupSlot>,
+    /// Held while folding, so that concurrent first reads fold once.
+    folding: Mutex<()>,
+}
+
+impl HashTableCollector {
+    /// Create tables whose index opens with `buckets` slots; `combiner`
+    /// enables combining mode.
+    pub fn new(buckets: usize, combiner: Option<Arc<dyn Combiner>>) -> Self {
+        HashTableCollector {
+            combiner,
+            buckets,
+            groups: PerGroup::new(),
+            folding: Mutex::new(()),
+        }
+    }
+
+    /// Total emit calls (pre-combining).
     pub fn emits(&self) -> usize {
-        self.emits.load(Ordering::Relaxed)
+        self.sum(|table| table.emits)
+    }
+
+    fn table(&self, group: usize) -> &RwLock<GroupTable> {
+        let make = || {
+            GroupSlot(RwLock::new(GroupTable::new(
+                self.buckets,
+                self.combiner.clone(),
+            )))
+        };
+        &self.groups.get(group, make).0
+    }
+
+    fn sum(&self, of: impl Fn(&GroupTable) -> usize) -> usize {
+        self.groups.iter().map(|slot| of(&slot.0.read())).sum()
+    }
+
+    /// With a combiner, a key must leave the chunk as one record: move
+    /// every other group that has entries into group 0's table — in group
+    /// order, so the result does not depend on which thread ran which
+    /// group — leaving those groups empty, so a second read has nothing to
+    /// fold. Without a combiner there is nothing to combine and the tables
+    /// stay as they are.
+    fn fold(&self) {
+        if self.combiner.is_none() {
+            return;
+        }
+        // Made here if group 0 never emitted, so that it is the first slot
+        // `iter` yields.
+        let root = self.table(0);
+        let _folding = self.folding.lock();
+        let mut into = None;
+        for slot in self.groups.iter().skip(1) {
+            let mut table = slot.0.write();
+            if !table.entries.is_empty() {
+                into.get_or_insert_with(|| root.write()).absorb(&table);
+                table.clear();
+            }
+        }
     }
 }
 
 impl Collector for HashTableCollector {
     fn emit(&self, key: &[u8], value: &[u8]) {
-        self.emits.fetch_add(1, Ordering::Relaxed);
-        let b = crate::hash::bucket_of(hash_bytes(key), self.buckets.len());
-        let mut bucket = self.buckets[b].lock();
-        if let Some(entry) = bucket.iter_mut().find(|e| e.key == key) {
-            match &mut entry.payload {
-                Payload::Combined(acc) => {
-                    let before = acc.len();
-                    self.combiner
-                        .as_ref()
-                        .expect("combined payload without combiner")
-                        .combine(key, acc, value);
-                    // Accumulator may grow or shrink; adjust byte estimate.
-                    let after = acc.len();
-                    if after >= before {
-                        self.bytes.fetch_add(after - before, Ordering::Relaxed);
-                    } else {
-                        self.bytes.fetch_sub(before - after, Ordering::Relaxed);
-                    }
-                }
-                Payload::Values(values, count) => {
-                    varint::write_len(values, value.len());
-                    values.extend_from_slice(value);
-                    *count += 1;
-                    self.records.fetch_add(1, Ordering::Relaxed);
-                    self.bytes.fetch_add(value.len() + 1, Ordering::Relaxed);
-                }
-            }
-        } else {
-            let payload = if self.combiner.is_some() {
-                Payload::Combined(value.to_vec())
-            } else {
-                let mut values = Vec::with_capacity(value.len() + 2);
-                varint::write_len(&mut values, value.len());
-                values.extend_from_slice(value);
-                Payload::Values(values, 1)
-            };
-            self.bytes
-                .fetch_add(key.len() + value.len() + 2, Ordering::Relaxed);
-            self.records.fetch_add(1, Ordering::Relaxed);
-            bucket.push(HtEntry {
-                key: key.to_vec(),
-                payload,
-            });
-        }
+        let hash = hash_bytes(key);
+        self.table(current_group_id())
+            .write()
+            .emit(hash, key, value);
     }
 
+    /// The entries of all tables, in group order and insertion order, cut
+    /// into `parts` contiguous pieces.
     fn for_each_part(&self, part: usize, parts: usize, f: &mut dyn FnMut(&[u8], &[u8])) {
-        for (b, bucket) in self.buckets.iter().enumerate() {
-            if b % parts != part {
-                continue;
-            }
-            let bucket = bucket.lock();
-            for entry in bucket.iter() {
-                match &entry.payload {
-                    Payload::Combined(acc) => f(&entry.key, acc),
-                    Payload::Values(values, count) => {
-                        // The compacting pass: values of one key are stored
-                        // contiguously; decode each occurrence.
-                        let mut rest = values.as_slice();
-                        let mut seen = 0usize;
-                        while !rest.is_empty() {
-                            let (vlen, n) =
-                                varint::read_len(rest).expect("corrupt hash-table values");
-                            f(&entry.key, &rest[n..n + vlen]);
-                            rest = &rest[n + vlen..];
-                            seen += 1;
-                        }
-                        debug_assert_eq!(seen, *count);
-                    }
-                }
-            }
+        self.fold();
+        let entries = self.sum(|table| table.entries.len());
+        let mut skip = entries * part / parts;
+        let mut take = entries * (part + 1) / parts - skip;
+        for slot in self.groups.iter() {
+            let table = slot.0.read();
+            let from = skip.min(table.entries.len());
+            let to = (from + take).min(table.entries.len());
+            table.for_each(from..to, f);
+            skip -= from;
+            take -= to - from;
         }
     }
 
     fn reset(&mut self) {
-        for bucket in &mut self.buckets {
-            bucket.get_mut().clear();
+        for slot in self.groups.iter_mut() {
+            slot.0.get_mut().clear();
         }
-        self.emits.store(0, Ordering::Relaxed);
-        self.records.store(0, Ordering::Relaxed);
-        self.bytes.store(0, Ordering::Relaxed);
     }
 
     fn records(&self) -> usize {
-        self.records.load(Ordering::Relaxed)
+        self.fold();
+        self.sum(|table| table.records)
     }
 
+    /// What the tables hold as they stand, without folding them: a
+    /// Retrieve stage asks before the first read, and what would cross the
+    /// link then is every group's table.
     fn bytes(&self) -> usize {
-        self.bytes.load(Ordering::Relaxed)
+        self.sum(|table| table.bytes)
     }
 }
 
@@ -368,9 +653,15 @@ impl Collector for HashTableCollector {
 mod tests {
     use super::*;
 
-    fn collect_all(c: &dyn Collector) -> Vec<(Vec<u8>, Vec<u8>)> {
+    /// The records in the order the collector hands them out.
+    fn sequence(c: &dyn Collector) -> Vec<(Vec<u8>, Vec<u8>)> {
         let mut out = Vec::new();
         for_each_record(c, &mut |k, v| out.push((k.to_vec(), v.to_vec())));
+        out
+    }
+
+    fn collect_all(c: &dyn Collector) -> Vec<(Vec<u8>, Vec<u8>)> {
+        let mut out = sequence(c);
         out.sort();
         out
     }
@@ -577,5 +868,262 @@ mod tests {
         c.reset();
         assert_eq!(c.records(), 0);
         assert!(collect_all(&c).is_empty());
+    }
+
+    // --- work-group-local collection: order, fold, recycling ---
+
+    use gw_device::{KernelFn, NdRange, WorkItemCtx, WorkerPool};
+
+    /// A `CentroidCombiner`-style sum: `f32` addition does not associate,
+    /// so the accumulator's bits record the order values were combined in.
+    struct F32SumCombiner;
+    impl Combiner for F32SumCombiner {
+        fn combine(&self, _key: &[u8], acc: &mut Vec<u8>, value: &[u8]) {
+            let a = f32::from_le_bytes(acc.as_slice().try_into().unwrap());
+            let b = f32::from_le_bytes(value.try_into().unwrap());
+            acc.copy_from_slice(&(a + b).to_le_bytes());
+        }
+    }
+
+    /// Emit `chunk` from a kernel launch, records split evenly over the
+    /// work items the way the map kernel splits a block.
+    fn launch(pool: &WorkerPool, range: NdRange, c: &dyn Collector, chunk: &[(Vec<u8>, Vec<u8>)]) {
+        let kernel = KernelFn(|ctx: &WorkItemCtx| {
+            let (lo, hi) = ctx.my_items(chunk.len());
+            for (k, v) in &chunk[lo..hi] {
+                c.emit(k, v);
+            }
+        });
+        pool.run(range, &kernel);
+    }
+
+    /// 3000 emits over 49 keys (the values `i² + 7i` takes mod 97), so every
+    /// work-group meets most keys and the fold has real merging to do;
+    /// `value(i)` encodes the `i`-th value.
+    fn chunk_of(value: impl Fn(usize) -> Vec<u8>) -> Vec<(Vec<u8>, Vec<u8>)> {
+        (0..3000usize)
+            .map(|i| {
+                (
+                    format!("key{}", (i * i + 7 * i) % 97).into_bytes(),
+                    value(i),
+                )
+            })
+            .collect()
+    }
+
+    /// `chunk` emitted through pools of 0, 1 and 3 background threads
+    /// drains in one and the same order.
+    fn assert_same_sequence_on_every_pool(
+        name: &str,
+        chunk: &[(Vec<u8>, Vec<u8>)],
+        make: impl Fn() -> Box<dyn Collector>,
+    ) {
+        let [alone, one, three] = [0, 1, 3].map(|threads| {
+            let c = make();
+            let range = NdRange::new(64, 16).unwrap();
+            launch(&WorkerPool::new(threads), range, c.as_ref(), chunk);
+            sequence(c.as_ref())
+        });
+        assert!(!alone.is_empty());
+        assert_eq!(alone, one, "{name}: 0 vs 1 background threads");
+        assert_eq!(alone, three, "{name}: 0 vs 3 background threads");
+    }
+
+    #[test]
+    fn record_sequence_is_a_function_of_the_ndrange_not_of_the_schedule() {
+        let counts = chunk_of(|i| (i as u64).to_le_bytes().to_vec());
+        // Magnitudes spread over 40 binades: reordering the sum moves bits.
+        let floats = chunk_of(|i| (1.1f32.powi(i as i32 % 300) * 0.37).to_le_bytes().to_vec());
+        assert_same_sequence_on_every_pool("u64 sum", &counts, || {
+            Box::new(HashTableCollector::new(64, Some(Arc::new(SumCombiner))))
+        });
+        assert_same_sequence_on_every_pool("f32 sum", &floats, || {
+            Box::new(HashTableCollector::new(64, Some(Arc::new(F32SumCombiner))))
+        });
+        assert_same_sequence_on_every_pool("no combiner", &counts, || {
+            Box::new(HashTableCollector::new(64, None))
+        });
+        assert_same_sequence_on_every_pool("buffer pool", &counts, || {
+            Box::new(BufferPoolCollector::new(1 << 20, 4))
+        });
+    }
+
+    #[test]
+    fn reading_twice_folds_once() {
+        let c = HashTableCollector::new(64, Some(Arc::new(SumCombiner)));
+        let chunk = chunk_of(|_| 1u64.to_le_bytes().to_vec());
+        launch(
+            &WorkerPool::new(1),
+            NdRange::new(64, 16).unwrap(),
+            &c,
+            &chunk,
+        );
+        let filled = |c: &HashTableCollector| {
+            let filled = |slot: &GroupSlot| !slot.0.read().entries.is_empty();
+            c.groups.iter().filter(|slot| filled(slot)).count()
+        };
+        assert_eq!(
+            filled(&c),
+            4,
+            "one table per work-group before the first read"
+        );
+        assert_eq!(c.records(), 49);
+        assert_eq!(filled(&c), 1, "the first read leaves everything in group 0");
+        let first = sequence(&c);
+        assert_eq!(first, sequence(&c));
+        assert_eq!(c.emits(), 3000);
+        let total: u64 = first
+            .iter()
+            .map(|(_, v)| u64::from_le_bytes(v.as_slice().try_into().unwrap()))
+            .sum();
+        assert_eq!(total, 3000, "the fold combined, it did not overwrite");
+    }
+
+    #[test]
+    fn groups_fold_into_group_0_even_if_it_emitted_nothing() {
+        let c = HashTableCollector::new(16, Some(Arc::new(SumCombiner)));
+        let kernel = KernelFn(|ctx: &WorkItemCtx| {
+            if ctx.group_id() > 0 {
+                c.emit(b"k", &1u64.to_le_bytes());
+            }
+        });
+        WorkerPool::new(1).run(NdRange::new(8, 2).unwrap(), &kernel);
+        assert_eq!(c.records(), 1);
+        assert_eq!(
+            sequence(&c),
+            vec![(b"k".to_vec(), 6u64.to_le_bytes().to_vec())]
+        );
+    }
+
+    #[test]
+    fn reset_and_refill_grows_no_capacity_after_the_first_chunk() {
+        let capacities = |c: &HashTableCollector| -> Vec<[usize; 4]> {
+            c.groups
+                .iter()
+                .map(|slot| {
+                    let t = slot.0.read();
+                    [
+                        t.index.capacity(),
+                        t.entries.capacity(),
+                        t.arena.capacity(),
+                        t.scratch.capacity(),
+                    ]
+                })
+                .collect()
+        };
+        let pool = WorkerPool::new(1);
+        let range = NdRange::new(64, 16).unwrap();
+        let chunk = chunk_of(|i| (i as u64).to_le_bytes().to_vec());
+        for combiner in [Some(Arc::new(SumCombiner) as Arc<dyn Combiner>), None] {
+            let mut c = HashTableCollector::new(16, combiner);
+            launch(&pool, range, &c, &chunk);
+            let records = c.records();
+            let after_first = capacities(&c);
+            for _ in 0..3 {
+                c.reset();
+                assert_eq!(c.records(), 0);
+                launch(&pool, range, &c, &chunk);
+                assert_eq!(c.records(), records);
+                assert_eq!(capacities(&c), after_first);
+            }
+        }
+    }
+
+    #[test]
+    fn a_resized_accumulator_moves_and_survives_the_fold() {
+        /// Appends instead of summing, so every combine grows the accumulator.
+        struct Concat;
+        impl Combiner for Concat {
+            fn combine(&self, _key: &[u8], acc: &mut Vec<u8>, value: &[u8]) {
+                acc.extend_from_slice(value);
+            }
+        }
+        let c = HashTableCollector::new(16, Some(Arc::new(Concat)));
+        let chunk: Vec<_> = (0..64u8).map(|i| (vec![b'k', i % 3], vec![i])).collect();
+        // One item per group: the fold order is the emit order.
+        launch(
+            &WorkerPool::new(2),
+            NdRange::new(64, 1).unwrap(),
+            &c,
+            &chunk,
+        );
+        assert_eq!(c.records(), 3);
+        for (key, acc) in sequence(&c) {
+            let expect: Vec<u8> = (0..64u8).filter(|i| i % 3 == key[1]).collect();
+            assert_eq!(acc, expect);
+        }
+        assert_eq!(
+            c.bytes(),
+            3 * (2 + 2) + 64,
+            "keys, per-record overhead, payload"
+        );
+    }
+
+    mod group_properties {
+        use super::*;
+        use proptest::prelude::*;
+        use std::collections::BTreeMap;
+
+        proptest! {
+            /// Multi-group launches against a `BTreeMap` fold: the combined
+            /// table holds each key once with the sum of its values, the
+            /// plain table holds every value under its key in emission
+            /// order per work item, and `for_each_part` cuts the drain
+            /// sequence into contiguous pieces for every part count.
+            #[test]
+            fn launches_fold_to_the_reference(
+                emits in proptest::collection::vec((0u8..40, 0u64..1000), 0..400),
+                global in 1usize..40,
+                local in 1usize..9,
+                threads in 0usize..3)
+            {
+                let chunk: Vec<(Vec<u8>, Vec<u8>)> = emits
+                    .iter()
+                    .map(|(k, v)| (vec![b'k', *k], v.to_le_bytes().to_vec()))
+                    .collect();
+                let pool = WorkerPool::new(threads);
+                let range = NdRange::new(global, local).unwrap();
+                let mut sums: BTreeMap<Vec<u8>, u64> = BTreeMap::new();
+                let mut lists: BTreeMap<Vec<u8>, Vec<Vec<u8>>> = BTreeMap::new();
+                for ((k, v), (_, n)) in chunk.iter().zip(&emits) {
+                    *sums.entry(k.clone()).or_default() += n;
+                    lists.entry(k.clone()).or_default().push(v.clone());
+                }
+
+                let combined = HashTableCollector::new(4, Some(Arc::new(SumCombiner)));
+                launch(&pool, range, &combined, &chunk);
+                prop_assert_eq!(combined.records(), sums.len());
+                prop_assert_eq!(combined.emits(), chunk.len());
+                let got: BTreeMap<Vec<u8>, u64> = sequence(&combined)
+                    .into_iter()
+                    .map(|(k, v)| (k, u64::from_le_bytes(v.as_slice().try_into().unwrap())))
+                    .collect();
+                prop_assert_eq!(&got, &sums);
+
+                let plain = HashTableCollector::new(4, None);
+                launch(&pool, range, &plain, &chunk);
+                prop_assert_eq!(plain.records(), chunk.len());
+                let mut got: BTreeMap<Vec<u8>, Vec<Vec<u8>>> = BTreeMap::new();
+                for (k, v) in sequence(&plain) {
+                    got.entry(k).or_default().push(v);
+                }
+                // Work items own contiguous, ascending slices of the chunk
+                // and groups fold in order: a key's values keep chunk order.
+                prop_assert_eq!(&got, &lists);
+
+                for c in [&combined, &plain] {
+                    let whole = sequence(c);
+                    for parts in 1..10 {
+                        let mut pieces = Vec::new();
+                        for part in 0..parts {
+                            c.for_each_part(part, parts, &mut |k, v| {
+                                pieces.push((k.to_vec(), v.to_vec()));
+                            });
+                        }
+                        prop_assert_eq!(&pieces, &whole);
+                    }
+                }
+            }
+        }
     }
 }

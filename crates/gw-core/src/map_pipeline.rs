@@ -114,13 +114,22 @@ pub struct MapPhaseReport {
     pub elapsed: Duration,
 }
 
-/// Build a collector according to the job configuration.
+/// A buffer-pool collector for kernels of at most `work_items` work
+/// items: one shard per work-group, so that the order records drain in is
+/// a function of the NDRange, and never fewer than the partition lanes
+/// that share the drain.
+pub(crate) fn pool_collector(cfg: &JobConfig, work_items: usize) -> BufferPoolCollector {
+    let groups = work_items.div_ceil(cfg.work_group);
+    BufferPoolCollector::new(
+        cfg.collector_capacity,
+        groups.max(cfg.partition_threads).max(8),
+    )
+}
+
+/// Build the map kernel's collector according to the job configuration.
 pub(crate) fn make_collector(cfg: &JobConfig, app: &Arc<dyn GwApp>) -> Box<dyn Collector> {
     match cfg.collector {
-        CollectorKind::BufferPool => Box::new(BufferPoolCollector::new(
-            cfg.collector_capacity,
-            cfg.partition_threads.max(8),
-        )),
+        CollectorKind::BufferPool => Box::new(pool_collector(cfg, cfg.map_work_items)),
         CollectorKind::HashTable => {
             Box::new(HashTableCollector::new(cfg.hash_buckets, app.combiner()))
         }

@@ -62,10 +62,10 @@ use gw_storage::NodeId;
 use gw_trace::{StageId, Tracer};
 
 use crate::api::{Emit, GwApp};
-use crate::collect::{for_each_record, BufferPoolCollector, Collector};
+use crate::collect::{for_each_record, Collector};
 use crate::config::JobConfig;
 use crate::coordinator::{Coordinator, NodeChaos, ReduceTaskProbe};
-use crate::map_pipeline::{output_bytes, ModeledTransfer};
+use crate::map_pipeline::{output_bytes, pool_collector, ModeledTransfer};
 use crate::EngineError;
 
 /// Saved scratch entries for one chunk's keys (`None` = key had no
@@ -647,12 +647,11 @@ impl ReducePhase<'_> {
         // The §III-D output buffer sets: B collectors recycled through the
         // pool (the input group circulates the chunks themselves, so the
         // executor's tokens are its only currency there).
-        let (collectors, collectors_back) = token_pool((0..b).map(|_| {
-            Box::new(BufferPoolCollector::new(
-                cfg.collector_capacity,
-                cfg.partition_threads.max(8),
-            )) as Box<dyn Collector>
-        }));
+        let max_work_items =
+            (cfg.reduce_concurrent_keys * threads_per_key).div_ceil(cfg.reduce_keys_per_thread);
+        let (collectors, collectors_back) = token_pool(
+            (0..b).map(|_| Box::new(pool_collector(cfg, max_work_items)) as Box<dyn Collector>),
+        );
 
         let scratch: Mutex<HashMap<Vec<u8>, Vec<u8>>> = Mutex::new(HashMap::new());
         let keys_seen = AtomicUsize::new(0);

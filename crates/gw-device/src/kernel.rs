@@ -5,7 +5,45 @@
 //! the implementing struct (the OpenCL analogue of kernel arguments), which
 //! must be `Sync` because work items run concurrently.
 
+use std::cell::Cell;
+
 use crate::ndrange::{partition_items, NdRange};
+
+thread_local! {
+    /// The work-group this thread is executing; 0 outside a launch.
+    static GROUP_ID: Cell<usize> = const { Cell::new(0) };
+}
+
+/// The work-group the calling thread is executing right now —
+/// `get_group_id(0)` for code a kernel calls without handing it the
+/// [`WorkItemCtx`] (an output collector's `emit`). The pool runs a
+/// group's work items back to back on one thread and publishes the id for
+/// exactly that span, so inside a launch this equals
+/// [`WorkItemCtx::group_id`]; outside one it is 0.
+#[inline]
+pub fn current_group_id() -> usize {
+    GROUP_ID.with(Cell::get)
+}
+
+/// Publishes a work-group as [`current_group_id`] until dropped, then puts
+/// the previous id back — also when a work item's panic unwinds through it.
+pub(crate) struct GroupScope {
+    outer: usize,
+}
+
+impl GroupScope {
+    pub(crate) fn enter(group: usize) -> Self {
+        GroupScope {
+            outer: GROUP_ID.with(|id| id.replace(group)),
+        }
+    }
+}
+
+impl Drop for GroupScope {
+    fn drop(&mut self) {
+        GROUP_ID.with(|id| id.set(self.outer));
+    }
+}
 
 /// Execution context handed to every work item, mirroring OpenCL's
 /// `get_global_id` / `get_local_id` / `get_group_id` built-ins.

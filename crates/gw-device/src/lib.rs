@@ -33,7 +33,7 @@ pub mod profile;
 
 pub use buffer::DeviceBuffer;
 pub use device::{Device, LaunchStats, TransferStats};
-pub use kernel::{Kernel, KernelFn, WorkItemCtx};
+pub use kernel::{current_group_id, Kernel, KernelFn, WorkItemCtx};
 pub use ndrange::NdRange;
 pub use pool::WorkerPool;
 pub use profile::{DeviceKind, DeviceProfile};

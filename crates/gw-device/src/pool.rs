@@ -20,7 +20,7 @@ use std::thread::JoinHandle;
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use parking_lot::{Condvar, Mutex};
 
-use crate::kernel::{Kernel, WorkItemCtx};
+use crate::kernel::{GroupScope, Kernel, WorkItemCtx};
 use crate::ndrange::NdRange;
 
 /// A raw, lifetime-erased pointer to the kernel of an in-flight launch.
@@ -62,6 +62,7 @@ impl Job {
                 break;
             }
             let result = catch_unwind(AssertUnwindSafe(|| {
+                let _group = GroupScope::enter(group);
                 let (start, end) = self.range.group_span(group);
                 for gid in start..end {
                     let ctx = WorkItemCtx::new(&self.range, group, gid);
@@ -180,7 +181,7 @@ impl Drop for WorkerPool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::kernel::KernelFn;
+    use crate::kernel::{current_group_id, KernelFn};
     use std::sync::atomic::AtomicU64;
 
     #[test]
@@ -245,6 +246,65 @@ mod tests {
             let expect: usize = (1..=10).map(|r| r * 50 + t).sum();
             assert_eq!(total, expect, "thread {t}");
         }
+    }
+
+    #[test]
+    fn ambient_group_id_matches_the_ctx_on_every_pool_size() {
+        for threads in [0, 1, 3] {
+            let pool = WorkerPool::new(threads);
+            let items = AtomicUsize::new(0);
+            let kernel = KernelFn(|ctx: &WorkItemCtx| {
+                assert_eq!(current_group_id(), ctx.group_id());
+                items.fetch_add(1, Ordering::Relaxed);
+            });
+            pool.run(NdRange::new(100, 16).unwrap(), &kernel);
+            assert_eq!(items.load(Ordering::Relaxed), 100, "threads={threads}");
+            assert_eq!(current_group_id(), 0, "back to 0 after run");
+        }
+    }
+
+    #[test]
+    fn ambient_group_id_is_restored_after_a_kernel_panic() {
+        // Zero background threads: every group, the panicking last one
+        // included, runs on this thread.
+        let pool = WorkerPool::new(0);
+        let bad = KernelFn(|ctx: &WorkItemCtx| {
+            assert_eq!(current_group_id(), ctx.group_id());
+            if ctx.group_id() == 3 {
+                panic!("boom");
+            }
+        });
+        let caught = std::panic::catch_unwind(AssertUnwindSafe(|| {
+            pool.run(NdRange::new(8, 2).unwrap(), &bad)
+        }));
+        assert!(caught.is_err());
+        assert_eq!(current_group_id(), 0);
+    }
+
+    #[test]
+    fn concurrent_launches_do_not_see_each_others_group_id() {
+        // Two launches with different geometries share the pool's threads;
+        // the barrier keeps both in flight at once. A work item must read
+        // the group of *its* launch, whichever launch the thread served
+        // before.
+        let pool = std::sync::Arc::new(WorkerPool::new(3));
+        let both_running = std::sync::Barrier::new(2);
+        std::thread::scope(|s| {
+            for local in [1usize, 5] {
+                let (pool, both_running) = (&pool, &both_running);
+                s.spawn(move || {
+                    let kernel = KernelFn(|ctx: &WorkItemCtx| {
+                        if ctx.global_id() == 0 {
+                            both_running.wait();
+                        }
+                        assert_eq!(ctx.local_size(), local);
+                        assert_eq!(current_group_id(), ctx.global_id() / local);
+                    });
+                    pool.run(NdRange::new(40, local).unwrap(), &kernel);
+                    assert_eq!(current_group_id(), 0);
+                });
+            }
+        });
     }
 
     #[test]

@@ -149,8 +149,6 @@ mod tests {
 
     fn job_cfg() -> JobConfig {
         let mut cfg = JobConfig::new("/svc/in", "/ignored");
-        // Byte-identity comparisons require device_threads = 1 (§3.10).
-        cfg.device_threads = 1;
         cfg.collector_capacity = 1 << 20;
         cfg.cache_threshold = 1 << 16;
         cfg

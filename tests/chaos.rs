@@ -16,12 +16,17 @@ use glasswing::prelude::*;
 const CORPUS: &str = "the quick brown fox jumps over the lazy dog \
                       the dog barks and the fox runs away over the hill \
                       pack my box with five dozen liquor jugs";
-const NUM_LINES: usize = 48;
+const NUM_LINES: usize = 960;
 const NODES: u32 = 4;
 
 /// Input small enough to stay fast but split into enough DFS blocks
-/// (block size 300) that every node maps several splits — so a node that
-/// crashes mid-map always leaves claimed work behind to reschedule.
+/// (48 of 20 lines each) that every node maps several splits — so a node
+/// that crashes mid-map always leaves claimed work behind to reschedule.
+/// A split has to cost something too: at two lines a split the whole map
+/// phase was about a millisecond of work once the collector stopped
+/// charging a fixed 4096-bucket drain per chunk, and whichever node the
+/// scheduler ran first mapped all of it before an armed node claimed the
+/// chunk its fault was waiting for.
 fn write_input(dfs: &Dfs) {
     let lines: Vec<(Vec<u8>, Vec<u8>)> = (0..NUM_LINES)
         .map(|i| {
@@ -34,7 +39,7 @@ fn write_input(dfs: &Dfs) {
     dfs.write_records(
         "/chaos/in",
         NodeId(0),
-        300,
+        3200,
         3,
         lines.iter().map(|(k, v)| (k.as_slice(), v.as_slice())),
     )

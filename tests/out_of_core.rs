@@ -35,11 +35,6 @@ fn dfs_with(records: &workloads::Records, nodes: u32, block: usize) -> Arc<Dfs> 
 
 fn base_cfg() -> JobConfig {
     let mut cfg = JobConfig::new("/ooc/in", "/ooc/out");
-    // Byte-level output identity is only defined for deterministic kernel
-    // scheduling: concurrent kernel threads race the collector's shard
-    // round-robin, which permutes record order within a chunk (the chaos
-    // suite pins this the same way).
-    cfg.device_threads = 1;
     cfg.partition_threads = 2;
     cfg.partitions_per_node = 2;
     cfg.collector_capacity = 1 << 20;

@@ -55,10 +55,6 @@ fn buffering_levels_agree_byte_for_byte_and_respect_the_interlock() {
         let cluster = corpus_cluster(600, 2, 2048);
         let mut c = cfg();
         c.buffering = buffering;
-        // One device thread per node: concurrent work items emit into the
-        // sharded arena in race order, which is real nondeterminism but
-        // not the variable under test here.
-        c.device_threads = 1;
         let report = cluster.run(Arc::new(WordCount::new()), &c).unwrap();
         for n in &report.nodes {
             assert!(
@@ -97,7 +93,6 @@ fn lane_counts_agree_byte_for_byte_at_every_buffering_level() {
             let cluster = corpus_cluster(400, 2, 2048);
             let mut c = cfg();
             c.buffering = buffering;
-            c.device_threads = 1; // see buffering_levels_agree_*
             c.lane_plan = LanePlan {
                 input: lanes,
                 kernel: lanes,

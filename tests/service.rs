@@ -53,9 +53,6 @@ fn make_store(nodes: u32) -> Arc<Dfs> {
 
 fn job_cfg(seed: u64) -> JobConfig {
     let mut cfg = JobConfig::new(input_path(seed), "/ignored");
-    // Byte-level identity is only defined for device_threads = 1
-    // (DESIGN §3.10): concurrent kernel threads permute record order.
-    cfg.device_threads = 1;
     cfg.partitions_per_node = 2;
     cfg.collector_capacity = 1 << 20;
     cfg.cache_threshold = 1 << 16;
