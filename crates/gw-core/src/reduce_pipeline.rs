@@ -9,12 +9,20 @@
 //! pipeline with a consistent view of the intermediate data": a k-way
 //! loser-tree merge (`gw_intermediate::GroupedCursorMerge`, one
 //! comparison per tree level per record) over streaming cursors — every
-//! still-cached run plus one decoded frame per spill file — grouped by
-//! key. The store flushes nothing at end of map, so an in-core job's
-//! cached runs are the whole input and no byte is read from disk; for a
-//! job that spilled the merge is **external**, holding the cached
-//! remainder, `k` frames and one in-flight chunk arena, never the
-//! partition (paper §III-B; DESIGN.md §3.10). As in the map
+//! still-cached run plus one decoded frame per spill file, both behind
+//! the one concrete `gw_intermediate::PartCursor` type — grouped by
+//! key. The tree compares fixed-width sort heads (a key's first 16 bytes,
+//! a value's first 8, both lengths) and reads the records' bytes only for
+//! a tie that runs past a head; full ties still break by source index, so
+//! the order is `(key, value, source)` as ever. The store flushes nothing
+//! at end of map, so an in-core job's cached runs are the whole input and
+//! no byte is read from disk; for a job that spilled the merge is
+//! **external**, holding the cached remainder, `k` frames and one
+//! in-flight chunk arena, never the partition (paper §III-B; DESIGN.md
+//! §3.10). Between the tree and the kernel launch nothing is allocated
+//! per key: a chunk is four buffers (key/value arena, value spans, groups,
+//! work-item assignments) filled by the merge, and a launch adds one flat
+//! list of value slices over the arena. As in the map
 //! pipeline, all channel wiring, the §III-D token interlock, fault
 //! probing, timers and unwinding live in [`gw_pipeline`]; the Stage and
 //! Retrieve stages fuse out of the graph on unified-memory devices.
@@ -52,7 +60,7 @@ use std::time::{Duration, Instant};
 use parking_lot::Mutex;
 
 use gw_device::{Device, KernelFn, NdRange, WorkItemCtx};
-use gw_intermediate::{CursorMerge, GroupedCursorMerge, IntermediateStore, RunCursor};
+use gw_intermediate::{CursorMerge, GroupSlice, GroupedCursorMerge, IntermediateStore, PartCursor};
 use gw_pipeline::{
     run_task_with_retries, token_pool, PipelineBuilder, PipelineKind, PoolGet, PoolPut, Source,
     Stage, StageCtx,
@@ -73,21 +81,11 @@ use crate::EngineError;
 type ScratchSnapshot = Vec<(Vec<u8>, Option<Vec<u8>>)>;
 
 /// One key's slice of values within a reduce chunk, borrowed from the
-/// chunk's arena for the duration of a kernel launch.
+/// chunk's arena and its launch's flat view list ([`ReduceChunk::views`]).
+#[derive(Clone, Copy)]
 struct Group<'r> {
     key: &'r [u8],
-    values: Vec<&'r [u8]>,
-    /// Whether this is the key's final value chunk.
-    last: bool,
-}
-
-/// Arena-relative form of [`Group`]: `(offset, len)` spans into
-/// [`ReduceChunk::arena`]. Owning the bytes (instead of borrowing the
-/// merged runs) is what lets chunks outlive any in-memory view of the
-/// partition — upstream, the merge now streams from disk frame by frame.
-struct OwnedGroup {
-    key: (u32, u32),
-    values: Vec<(u32, u32)>,
+    values: &'r [&'r [u8]],
     /// Whether this is the key's final value chunk.
     last: bool,
 }
@@ -104,30 +102,38 @@ struct Assignment {
 /// A batch of up to `reduce_concurrent_keys` groups travelling the graph,
 /// annotated with its kernel-output collector once past the Kernel stage.
 /// Self-contained: key/value bytes live in the chunk's own arena, so the
-/// pipeline holds at most B chunks of intermediate data in memory.
+/// pipeline holds at most B chunks of intermediate data in memory. Every
+/// buffer here is per chunk — no key has an allocation of its own.
 struct ReduceChunk {
     arena: Vec<u8>,
-    groups: Vec<OwnedGroup>,
+    /// Every value of the chunk as an `(offset, len)` span of `arena`,
+    /// group after group in merge order.
+    spans: Vec<(u32, u32)>,
+    /// Arena-relative form of each [`Group`], as the merge handed it out:
+    /// the key's span and the range of `spans` holding its values'.
+    groups: Vec<GroupSlice>,
     assignments: Vec<Assignment>,
-    bytes: usize,
     collector: Option<Box<dyn Collector>>,
 }
 
 impl ReduceChunk {
-    /// Borrowed [`Group`] views over the arena for one kernel launch.
-    fn views<'a>(arena: &'a [u8], groups: &[OwnedGroup]) -> Vec<Group<'a>> {
-        groups
+    /// The chunk's values as slices of the arena, one flat list in span
+    /// order, for one kernel launch's [`Group`]s to borrow from.
+    fn views(&self) -> Vec<&[u8]> {
+        self.spans
             .iter()
-            .map(|g| Group {
-                key: &arena[g.key.0 as usize..][..g.key.1 as usize],
-                values: g
-                    .values
-                    .iter()
-                    .map(|&(off, len)| &arena[off as usize..][..len as usize])
-                    .collect(),
-                last: g.last,
-            })
+            .map(|&(off, len)| &self.arena[off as usize..][..len as usize])
             .collect()
+    }
+
+    /// Borrowed view of group `g` over the arena and `views`.
+    fn group<'a>(&'a self, views: &'a [&'a [u8]], g: usize) -> Group<'a> {
+        let owned = &self.groups[g];
+        Group {
+            key: &self.arena[owned.key.0 as usize..][..owned.key.1 as usize],
+            values: &views[owned.values.clone()],
+            last: owned.last,
+        }
     }
 }
 
@@ -160,7 +166,7 @@ pub struct ReducePhaseReport {
 /// `reduce_max_values_per_chunk` from the merge itself, so nothing here
 /// ever holds a whole key's value list.
 struct ReduceMergeRead<'a> {
-    merge: GroupedCursorMerge,
+    merge: GroupedCursorMerge<PartCursor>,
     cfg: &'a JobConfig,
     threads_per_key: usize,
     keys_seen: &'a AtomicUsize,
@@ -169,14 +175,14 @@ struct ReduceMergeRead<'a> {
 impl Source<ReduceChunk, EngineError> for ReduceMergeRead<'_> {
     fn next_chunk(&mut self, _ctx: &mut StageCtx<'_>) -> Result<Option<ReduceChunk>, EngineError> {
         let mut arena: Vec<u8> = Vec::new();
-        let mut groups: Vec<OwnedGroup> = Vec::new();
+        let mut spans: Vec<(u32, u32)> = Vec::new();
+        let mut groups: Vec<GroupSlice> = Vec::new();
         let mut assignments: Vec<Assignment> = Vec::new();
-        let mut bytes = 0usize;
         loop {
             let fresh = self.merge.at_key_start();
             let Some(slice) = self
                 .merge
-                .next_slice(self.cfg.reduce_max_values_per_chunk, &mut arena)
+                .next_slice(self.cfg.reduce_max_values_per_chunk, &mut arena, &mut spans)
                 .map_err(EngineError::Io)?
             else {
                 break;
@@ -184,8 +190,6 @@ impl Source<ReduceChunk, EngineError> for ReduceMergeRead<'_> {
             if fresh {
                 self.keys_seen.fetch_add(1, Ordering::Relaxed);
             }
-            bytes +=
-                slice.key.1 as usize + slice.values.iter().map(|&(_, l)| l as usize).sum::<usize>();
             // Split large value chunks over cooperating work items when
             // the app supports it.
             let parts =
@@ -203,11 +207,7 @@ impl Source<ReduceChunk, EngineError> for ReduceMergeRead<'_> {
                 });
             }
             let last = slice.last;
-            groups.push(OwnedGroup {
-                key: slice.key,
-                values: slice.values,
-                last,
-            });
+            groups.push(slice);
             // A key's scratch state is only consistent across *launches*:
             // a continued (non-final) slice must close this chunk so its
             // successor lands in a later launch (otherwise two work items
@@ -221,9 +221,9 @@ impl Source<ReduceChunk, EngineError> for ReduceMergeRead<'_> {
         }
         Ok(Some(ReduceChunk {
             arena,
+            spans,
             groups,
             assignments,
-            bytes,
             collector: None,
         }))
     }
@@ -257,7 +257,9 @@ impl Stage<ReduceChunk, EngineError> for ReduceKernel<'_> {
             ctx.stop(); // pool closed: the output stage died
             return Ok(None);
         };
-        let views = ReduceChunk::views(&chunk.arena, &chunk.groups);
+        let views = chunk.views();
+        let group = |g: usize| chunk.group(&views, g);
+        let n_groups = chunk.groups.len();
         let retries = self.cfg.max_task_retries;
         // Snapshot the scratch states this chunk can touch, so a failed
         // attempt rolls back and re-executes (paper §III-E, extended to
@@ -265,9 +267,9 @@ impl Stage<ReduceChunk, EngineError> for ReduceKernel<'_> {
         let snapshot: Option<ScratchSnapshot> = if retries > 0 {
             let s = self.scratch.lock();
             Some(
-                views
-                    .iter()
-                    .map(|g| (g.key.to_vec(), s.get(g.key).cloned()))
+                (0..n_groups)
+                    .map(|g| group(g).key)
+                    .map(|key| (key.to_vec(), s.get(key).cloned()))
                     .collect(),
             )
         } else {
@@ -282,7 +284,6 @@ impl Stage<ReduceChunk, EngineError> for ReduceKernel<'_> {
         let n_items = chunk.assignments.len().div_ceil(kpt);
         let range = NdRange::new(n_items.max(1), self.cfg.work_group.min(n_items.max(1)))
             .map_err(EngineError::Device)?;
-        let groups = &views;
         let assignments = &chunk.assignments;
         let scratch = self.scratch;
         let app = &self.app;
@@ -302,7 +303,7 @@ impl Stage<ReduceChunk, EngineError> for ReduceKernel<'_> {
                 // Per-(group, part) partial states for groups reduced
                 // cooperatively.
                 let partials: Vec<Mutex<Vec<Option<Vec<u8>>>>> =
-                    groups.iter().map(|_| Mutex::new(Vec::new())).collect();
+                    (0..n_groups).map(|_| Mutex::new(Vec::new())).collect();
                 for a in assignments {
                     if a.parts > 1 {
                         let mut slot = partials[a.group].lock();
@@ -317,12 +318,12 @@ impl Stage<ReduceChunk, EngineError> for ReduceKernel<'_> {
                     let lo = wctx.global_id() * kpt;
                     let hi = (lo + kpt).min(assignments.len());
                     for a in &assignments[lo..hi] {
-                        let group = &groups[a.group];
+                        let group = group(a.group);
                         if a.parts == 1 {
                             // Fetch the key's scratch state (if any earlier
                             // chunk left one).
                             let mut state = scratch.lock().remove(group.key).unwrap_or_default();
-                            app.reduce(group.key, &group.values, &mut state, group.last, &emit);
+                            app.reduce(group.key, group.values, &mut state, group.last, &emit);
                             if !group.last {
                                 scratch.lock().insert(group.key.to_vec(), state);
                             }
@@ -358,7 +359,7 @@ impl Stage<ReduceChunk, EngineError> for ReduceKernel<'_> {
                     if slots.is_empty() {
                         continue;
                     }
-                    let group = &groups[g];
+                    let group = group(g);
                     let mut acc = slots[0].take().expect("part 0 state");
                     for slot in slots.iter_mut().skip(1) {
                         let other = slot.take().expect("partial state");
@@ -476,7 +477,7 @@ struct PassChunk {
 /// file always exists). The merge streams record by record off the
 /// cursors — only the block builder accumulates, never the input.
 struct PassthroughMerge<'a> {
-    merge: CursorMerge,
+    merge: CursorMerge<PartCursor>,
     cfg: &'a JobConfig,
     done: bool,
 }
@@ -587,7 +588,7 @@ impl ReducePhase<'_> {
     /// 2-stage (merge → write) pipeline.
     fn passthrough_partition(
         &self,
-        cursors: Vec<Box<dyn RunCursor>>,
+        cursors: Vec<PartCursor>,
         path: &str,
         report: &mut ReducePhaseReport,
         chunk_seq: &mut usize,
@@ -625,7 +626,7 @@ impl ReducePhase<'_> {
     /// Full 5-stage pipelined reduction of one partition.
     fn reduce_partition(
         &self,
-        cursors: Vec<Box<dyn RunCursor>>,
+        cursors: Vec<PartCursor>,
         path: &str,
         report: &mut ReducePhaseReport,
         chunk_seq: &mut usize,
@@ -677,7 +678,8 @@ impl ReducePhase<'_> {
                     timing: cfg.timing,
                     unified,
                     to_device: true,
-                    bytes: |c: &ReduceChunk| c.bytes,
+                    // Exactly the chunk's key and value bytes.
+                    bytes: |c: &ReduceChunk| c.arena.len(),
                 },
             )
             .stage(

@@ -14,7 +14,10 @@
 //!
 //! The loser-tree merges in [`crate::merge`] are generic over this
 //! trait, so compaction and the reduce-input merge operate on any mix of
-//! cached and spilled data in `k × frame` memory — never `k × run`.
+//! cached and spilled data in `k × frame` memory — never `k × run`. A
+//! partition's reduce input is such a mix, so its cursors are the closed
+//! [`PartCursor`] enum of the two: one concrete type under the merge, no
+//! virtual call per comparison.
 
 use std::fs::File;
 use std::io;
@@ -50,24 +53,6 @@ pub trait RunCursor: Send {
     /// Step to the next record. Infallible for in-memory sources; a
     /// spill cursor may fail with a typed I/O or corruption error.
     fn advance(&mut self) -> io::Result<()>;
-}
-
-impl<T: RunCursor + ?Sized> RunCursor for Box<T> {
-    fn done(&self) -> bool {
-        (**self).done()
-    }
-    fn key(&self) -> &[u8] {
-        (**self).key()
-    }
-    fn value(&self) -> &[u8] {
-        (**self).value()
-    }
-    fn rec(&self) -> &[u8] {
-        (**self).rec()
-    }
-    fn advance(&mut self) -> io::Result<()> {
-        (**self).advance()
-    }
 }
 
 /// The record at `pos` of `buf`, or the typed error every cursor reports
@@ -231,15 +216,19 @@ impl SpillCursor {
 }
 
 impl RunCursor for SpillCursor {
+    #[inline]
     fn done(&self) -> bool {
         self.done
     }
+    #[inline]
     fn key(&self) -> &[u8] {
         self.cur.key(&self.buf)
     }
+    #[inline]
     fn value(&self) -> &[u8] {
         self.cur.value(&self.buf)
     }
+    #[inline]
     fn rec(&self) -> &[u8] {
         self.cur.rec(&self.buf)
     }
@@ -264,6 +253,55 @@ impl Drop for SpillCursor {
     fn drop(&mut self) {
         if let Some(g) = &self.gauge {
             g.discharge(self.charged);
+        }
+    }
+}
+
+/// One source of a partition's reduce input
+/// ([`crate::IntermediateStore::partition_cursors`]): a run still cached
+/// in memory or a spill file. The spill side is boxed so the enum stays
+/// the size of the in-memory cursor the in-core merge walks.
+pub enum PartCursor {
+    /// A cached run, read where it sits.
+    Mem(MemCursor),
+    /// A framed spill file, one decoded frame resident.
+    Spill(Box<SpillCursor>),
+}
+
+impl RunCursor for PartCursor {
+    #[inline]
+    fn done(&self) -> bool {
+        match self {
+            PartCursor::Mem(c) => c.done(),
+            PartCursor::Spill(c) => c.done(),
+        }
+    }
+    #[inline]
+    fn key(&self) -> &[u8] {
+        match self {
+            PartCursor::Mem(c) => c.key(),
+            PartCursor::Spill(c) => c.key(),
+        }
+    }
+    #[inline]
+    fn value(&self) -> &[u8] {
+        match self {
+            PartCursor::Mem(c) => c.value(),
+            PartCursor::Spill(c) => c.value(),
+        }
+    }
+    #[inline]
+    fn rec(&self) -> &[u8] {
+        match self {
+            PartCursor::Mem(c) => c.rec(),
+            PartCursor::Spill(c) => c.rec(),
+        }
+    }
+    #[inline]
+    fn advance(&mut self) -> io::Result<()> {
+        match self {
+            PartCursor::Mem(c) => c.advance(),
+            PartCursor::Spill(c) => c.advance(),
         }
     }
 }

@@ -27,7 +27,7 @@ mod radix;
 pub mod store;
 pub mod tempdir;
 
-pub use cursor::{MemCursor, RunCursor, SpillCursor};
+pub use cursor::{MemCursor, PartCursor, RunCursor, SpillCursor};
 pub use frame::{SpillFaultHook, SpillOp};
 pub use gauge::MemGauge;
 pub use kv::{Run, RunBuilder};

@@ -14,31 +14,117 @@
 //! [`MergeIter`] is an [`Iterator`] front over the same tree for borrowed
 //! in-memory runs.
 //!
+//! The tree compares in registers. Beside each cursor it keeps a
+//! fixed-width **sort head** — the current key's first 16 bytes and the
+//! value's first 8, zero-padded and read big-endian, plus both lengths —
+//! recomputed once per emitted record, and a match is decided on the
+//! heads of its two sources: key prefixes that differ order exactly as
+//! the key bytes do; equal prefixes of two keys no longer than the head
+//! order by length (the shorter is a prefix of the longer); the same two
+//! rules then order the values; and a full tie goes to the lower source
+//! index. Only a match that gets past equal prefixes to a key longer than
+//! 16 bytes or a value longer than 8 falls back to comparing the cursors'
+//! byte slices. An exhausted cursor's head carries a key length no record
+//! has, so it loses to every live record by the same rules.
+//!
 //! Output order is `(key, value, source index)` — record-for-record
 //! identical to the previous heap merge. Equal `(key, value)` records
 //! are byte-identical regardless of which source they came from, so the
 //! merged byte stream does not depend on how records were split across
 //! runs and spills: the determinism contract survives spilling.
 
+use std::io;
+use std::ops::Range;
+
 use crate::cursor::{MemCursor, RunCursor};
 use crate::kv::Run;
+
+/// Key bytes a [`SortHead`] holds.
+const KEY_HEAD: u32 = 16;
+/// Value bytes a [`SortHead`] holds.
+const VAL_HEAD: u32 = 8;
+/// [`SortHead::klen`] of an exhausted cursor. No record has it: live
+/// lengths saturate one below, and `RecRef::decode` stops short of both.
+const EXHAUSTED: u32 = u32::MAX;
+
+/// The first 8 bytes of `bytes`, zero-padded, read big-endian.
+#[inline]
+fn be_head(bytes: &[u8]) -> u64 {
+    match bytes.first_chunk::<8>() {
+        Some(full) => u64::from_be_bytes(*full),
+        // Each byte shifted to its place in a register: copied into a
+        // zeroed array and read back as one word, the load would wait on
+        // the narrower stores before it.
+        None => bytes
+            .iter()
+            .enumerate()
+            .fold(0, |head, (i, &b)| head | (b as u64) << (56 - 8 * i)),
+    }
+}
+
+/// Fixed-width comparison state of one cursor's current record.
+#[derive(Debug, Clone, Copy)]
+struct SortHead {
+    /// First [`KEY_HEAD`] key bytes, zero-padded, big-endian.
+    key: u128,
+    /// What orders two records whose `key`s tie, most significant first:
+    /// key length (32 bits), the first [`VAL_HEAD`] value bytes,
+    /// zero-padded, big-endian (64), value length (32).
+    rest: u128,
+}
+
+impl SortHead {
+    /// Head of `c`'s current record, or all ones once `c` is exhausted:
+    /// past every key prefix but sixteen `0xFF`, which ties, and then the
+    /// [`EXHAUSTED`] length sends the match to the slices.
+    #[inline]
+    fn of<C: RunCursor>(c: &C) -> SortHead {
+        if c.done() {
+            return SortHead {
+                key: u128::MAX,
+                rest: u128::MAX,
+            };
+        }
+        let (k, v) = (c.key(), c.value());
+        let live = |len: usize| len.min((EXHAUSTED - 1) as usize) as u128;
+        let key_low = be_head(k.get(8..).unwrap_or_default());
+        SortHead {
+            key: (be_head(k) as u128) << 64 | key_low as u128,
+            rest: live(k.len()) << 96 | (be_head(v) as u128) << 32 | live(v.len()),
+        }
+    }
+
+    #[inline]
+    fn klen(&self) -> u32 {
+        (self.rest >> 96) as u32
+    }
+
+    #[inline]
+    fn vlen(&self) -> u32 {
+        self.rest as u32
+    }
+}
 
 /// The shared loser-tree core, generic over cursor sources.
 ///
 /// `tree[0]` is the overall winner, `tree[1..k]` hold the losers of each
-/// internal match; the leaf of source `s` is node `k + s`. Exhausted
-/// (`done`) cursors are filtered at construction, and ties break by
-/// source index, matching the original heap's `(key, value, src)` order.
+/// internal match; the leaf of source `s` is node `k + s`. `heads[s]` is
+/// the [`SortHead`] of `cursors[s]`'s current record. Exhausted (`done`)
+/// cursors are filtered at construction, and ties break by source index,
+/// matching the original heap's `(key, value, src)` order.
 pub(crate) struct LoserTree<C: RunCursor> {
     pub(crate) cursors: Vec<C>,
-    tree: Vec<usize>,
+    heads: Vec<SortHead>,
+    tree: Vec<u32>,
 }
 
 impl<C: RunCursor> LoserTree<C> {
     pub(crate) fn new(cursors: Vec<C>) -> Self {
         let cursors: Vec<C> = cursors.into_iter().filter(|c| !c.done()).collect();
         let k = cursors.len();
+        assert!(u32::try_from(k).is_ok(), "merge fan-in exceeds u32");
         let mut t = LoserTree {
+            heads: cursors.iter().map(SortHead::of).collect(),
             cursors,
             tree: vec![0; k.max(1)],
         };
@@ -51,13 +137,34 @@ impl<C: RunCursor> LoserTree<C> {
 
     /// `true` when source `a`'s current record sorts before source `b`'s.
     /// Exhausted cursors lose to everything.
+    ///
+    /// Decided on the two heads as one `(key, rest, source)` comparison,
+    /// written without short-circuits so it compiles to flag arithmetic:
+    /// a match's outcome is data, and a branch on it mispredicts. The one
+    /// branch left is the rare tie that runs past a head into bytes it
+    /// does not hold.
     #[inline]
-    fn beats(&self, a: usize, b: usize) -> bool {
-        let (ca, cb) = (&self.cursors[a], &self.cursors[b]);
+    fn beats(&self, a: u32, b: u32) -> bool {
+        let (ha, hb) = (self.heads[a as usize], self.heads[b as usize]);
+        let key_tie = ha.key == hb.key;
+        let long_key = (ha.klen() > KEY_HEAD) | (hb.klen() > KEY_HEAD);
+        // Equal keys (same prefix, same length) and equal value prefixes.
+        let val_tie = ha.rest >> 32 == hb.rest >> 32;
+        let long_val = (ha.vlen() > VAL_HEAD) | (hb.vlen() > VAL_HEAD);
+        if key_tie & (long_key | (val_tie & long_val)) {
+            return self.beats_by_slices(a, b);
+        }
+        (ha.key < hb.key) | (key_tie & ((ha.rest < hb.rest) | ((ha.rest == hb.rest) & (a < b))))
+    }
+
+    /// [`Self::beats`] on the cursors' byte slices: the definition the
+    /// heads shortcut, and the fallback for what they cannot hold.
+    #[cold]
+    fn beats_by_slices(&self, a: u32, b: u32) -> bool {
+        let (ca, cb) = (&self.cursors[a as usize], &self.cursors[b as usize]);
         match (ca.done(), cb.done()) {
             (true, _) => false,
             (false, true) => true,
-            // Values are only sliced when the keys tie.
             (false, false) => ca
                 .key()
                 .cmp(cb.key())
@@ -69,50 +176,43 @@ impl<C: RunCursor> LoserTree<C> {
 
     /// Recursively play the initial tournament for the subtree at `node`,
     /// storing losers and returning the subtree winner.
-    fn play(&mut self, node: usize) -> usize {
+    fn play(&mut self, node: usize) -> u32 {
         let k = self.cursors.len();
         if node >= k {
-            return node - k; // leaf: the source itself
+            return (node - k) as u32; // leaf: the source itself
         }
         let a = self.play(2 * node);
         let b = self.play(2 * node + 1);
-        if self.beats(a, b) {
-            self.tree[node] = b;
-            a
-        } else {
-            self.tree[node] = a;
-            b
-        }
+        let (winner, loser) = if self.beats(a, b) { (a, b) } else { (b, a) };
+        self.tree[node] = loser;
+        winner
     }
 
     /// The winning source index, or `None` when all are exhausted.
     #[inline]
     pub(crate) fn winner(&self) -> Option<usize> {
-        if self.cursors.is_empty() {
-            return None;
-        }
-        let w = self.tree[0];
-        if self.cursors[w].done() {
-            None
-        } else {
-            Some(w)
+        let w = self.tree[0] as usize;
+        match self.heads.get(w) {
+            Some(h) if h.klen() != EXHAUSTED => Some(w),
+            _ => None,
         }
     }
 
     /// Advance the current winner's cursor and replay its leaf-to-root
     /// path. The only fallible step of a merge (spill cursors touch disk).
-    pub(crate) fn advance_winner(&mut self) -> std::io::Result<()> {
+    pub(crate) fn advance_winner(&mut self) -> io::Result<()> {
         let s = self.tree[0];
-        self.cursors[s].advance()?;
-        let k = self.cursors.len();
+        let cursor = &mut self.cursors[s as usize];
+        cursor.advance()?;
+        self.heads[s as usize] = SortHead::of(cursor);
         let mut winner = s;
-        let mut t = (k + s) / 2;
+        let mut t = (self.cursors.len() + s as usize) / 2;
         while t >= 1 {
+            // Winner and loser are selected, not branched on (see `beats`).
             let other = self.tree[t];
-            if self.beats(other, winner) {
-                self.tree[t] = winner;
-                winner = other;
-            }
+            let other_wins = self.beats(other, winner);
+            self.tree[t] = if other_wins { winner } else { other };
+            winner = if other_wins { other } else { winner };
             t /= 2;
         }
         self.tree[0] = winner;
@@ -191,7 +291,7 @@ where
 /// K-way merge over cursors — a lending view, since a source's buffer may
 /// be refilled on `advance` (framed spills). Peek, copy what you need,
 /// advance.
-pub struct CursorMerge<C: RunCursor = Box<dyn RunCursor>> {
+pub struct CursorMerge<C: RunCursor> {
     tree: LoserTree<C>,
 }
 
@@ -205,6 +305,7 @@ impl<C: RunCursor> CursorMerge<C> {
     }
 
     /// View the smallest remaining `(key, value)`, or `None` when done.
+    #[inline]
     pub fn peek(&self) -> Option<(&[u8], &[u8])> {
         let w = self.tree.winner()?;
         let c = &self.tree.cursors[w];
@@ -212,13 +313,15 @@ impl<C: RunCursor> CursorMerge<C> {
     }
 
     /// View the smallest remaining record's full serialized slice.
+    #[inline]
     pub fn peek_rec(&self) -> Option<&[u8]> {
         let w = self.tree.winner()?;
         Some(self.tree.cursors[w].rec())
     }
 
     /// Step past the current record.
-    pub fn advance(&mut self) -> std::io::Result<()> {
+    #[inline]
+    pub fn advance(&mut self) -> io::Result<()> {
         if self.tree.winner().is_some() {
             self.tree.advance_winner()?;
         }
@@ -226,15 +329,28 @@ impl<C: RunCursor> CursorMerge<C> {
     }
 }
 
+/// The `(offset, len)` span `len` bytes take when appended to an arena
+/// `arena_len` long, or `InvalidInput` when they would end beyond the
+/// 4 GiB a span addresses.
+fn span_at(arena_len: usize, len: usize) -> io::Result<(u32, u32)> {
+    match arena_len.checked_add(len) {
+        Some(end) if end <= u32::MAX as usize => Ok((arena_len as u32, len as u32)),
+        _ => Err(io::Error::new(
+            io::ErrorKind::InvalidInput,
+            "reduce chunk arena exceeds the 4 GiB range limit",
+        )),
+    }
+}
+
 /// One key-group slice streamed out of a [`GroupedCursorMerge`]: the key
-/// and value payloads were appended to the caller's arena, and the
-/// ranges here point into it (`(offset, len)` pairs).
+/// and value payloads were appended to the caller's arena, one
+/// `(offset, len)` span per value to the caller's span list.
 #[derive(Debug)]
 pub struct GroupSlice {
-    /// Key bytes in the arena.
+    /// Key bytes in the arena, as `(offset, len)`.
     pub key: (u32, u32),
-    /// Value byte ranges in the arena, in merge order.
-    pub values: Vec<(u32, u32)>,
+    /// The slice's values, in merge order: this range of the span list.
+    pub values: Range<usize>,
     /// `true` when this slice completes its key (no more values follow).
     pub last: bool,
 }
@@ -243,15 +359,17 @@ pub struct GroupSlice {
 /// cursors: each distinct key comes out once with its values in sorted
 /// order, but instead of collecting a key's full value list (which for a
 /// hot key can exceed memory), values stream out in caller-sized slices
-/// copied into a caller-owned arena. A key whose values span multiple
-/// slices yields `last = false` until its final slice — exactly the
-/// chunk-continuation contract the reduce pipeline's scratch-state
-/// machinery expects.
-pub struct GroupedCursorMerge<C: RunCursor = Box<dyn RunCursor>> {
+/// copied into a caller-owned arena and span list — nothing is allocated
+/// per key. A key whose values span multiple slices yields `last = false`
+/// until its final slice — exactly the chunk-continuation contract the
+/// reduce pipeline's scratch-state machinery expects.
+pub struct GroupedCursorMerge<C: RunCursor> {
     merge: CursorMerge<C>,
-    /// Owned copy of the key mid-slicing (`None` = next slice starts a
-    /// fresh key at the merge head).
-    pending: Option<Vec<u8>>,
+    /// The key being sliced; one buffer, refilled at each key start.
+    key: Vec<u8>,
+    /// `true` mid-key: the next slice continues `key` instead of
+    /// starting a fresh one at the merge head.
+    pending: bool,
 }
 
 impl<C: RunCursor> GroupedCursorMerge<C> {
@@ -259,69 +377,58 @@ impl<C: RunCursor> GroupedCursorMerge<C> {
     pub fn new(cursors: Vec<C>) -> Self {
         GroupedCursorMerge {
             merge: CursorMerge::new(cursors),
-            pending: None,
+            key: Vec::new(),
+            pending: false,
         }
     }
 
     /// `true` when the next slice starts a new key (the previous slice,
     /// if any, was its key's last).
     pub fn at_key_start(&self) -> bool {
-        self.pending.is_none()
+        !self.pending
     }
 
-    /// Stream the next slice of up to `max_values` values of one key into
-    /// `arena`. Returns `None` when the merge is exhausted.
+    /// Stream the next slice of up to `max_values` values of one key:
+    /// key and value bytes are appended to `arena`, one span per value to
+    /// `spans`. Returns `None` when the merge is exhausted, and
+    /// `InvalidInput` if `arena` would outgrow the 4 GiB its spans address.
     pub fn next_slice(
         &mut self,
         max_values: usize,
         arena: &mut Vec<u8>,
-    ) -> std::io::Result<Option<GroupSlice>> {
-        let key: Vec<u8> = match self.pending.take() {
-            Some(k) => k,
-            None => match self.merge.peek() {
-                Some((k, _)) => k.to_vec(),
-                None => return Ok(None),
-            },
-        };
-        assert!(
-            arena.len() + key.len() <= u32::MAX as usize,
-            "reduce chunk arena exceeds the 4 GiB range limit"
-        );
-        let key_off = arena.len() as u32;
-        arena.extend_from_slice(&key);
-        let mut values: Vec<(u32, u32)> = Vec::new();
-        while values.len() < max_values {
-            let matched = match self.merge.peek() {
-                Some((k, v)) if k == key.as_slice() => {
-                    assert!(
-                        arena.len() + v.len() <= u32::MAX as usize,
-                        "reduce chunk arena exceeds the 4 GiB range limit"
-                    );
-                    let off = arena.len() as u32;
-                    arena.extend_from_slice(v);
-                    values.push((off, v.len() as u32));
-                    true
-                }
-                _ => false,
+        spans: &mut Vec<(u32, u32)>,
+    ) -> io::Result<Option<GroupSlice>> {
+        if !self.pending {
+            let Some((k, _)) = self.merge.peek() else {
+                return Ok(None);
             };
-            if !matched {
-                break;
+            self.key.clear();
+            self.key.extend_from_slice(k);
+        }
+        let key = span_at(arena.len(), self.key.len())?;
+        arena.extend_from_slice(&self.key);
+        let first = spans.len();
+        // One peek per record: the peek that finds the slice full is also
+        // the one that tells whether the key goes on.
+        let last = loop {
+            match self.merge.peek() {
+                Some((k, v)) if k == self.key.as_slice() => {
+                    if spans.len() - first >= max_values {
+                        break false;
+                    }
+                    spans.push(span_at(arena.len(), v.len())?);
+                    arena.extend_from_slice(v);
+                }
+                _ => break true,
             }
             self.merge.advance()?;
-        }
-        let last = match self.merge.peek() {
-            Some((k, _)) => k != key.as_slice(),
-            None => true,
         };
-        let slice = GroupSlice {
-            key: (key_off, key.len() as u32),
-            values,
+        self.pending = !last;
+        Ok(Some(GroupSlice {
+            key,
+            values: first..spans.len(),
             last,
-        };
-        if !last {
-            self.pending = Some(key);
-        }
-        Ok(Some(slice))
+        }))
     }
 }
 
@@ -353,17 +460,18 @@ mod tests {
         runs: impl IntoIterator<Item = &'a Run>,
         max_values: usize,
     ) -> Groups {
-        let cursors: Vec<Box<dyn RunCursor>> = runs
+        let cursors = runs
             .into_iter()
-            .map(|r| Box::new(MemCursor::new(r.clone())) as Box<dyn RunCursor>)
+            .map(|r| MemCursor::new(r.clone()))
             .collect();
         let mut gm = GroupedCursorMerge::new(cursors);
-        let mut arena = Vec::new();
+        let (mut arena, mut spans) = (Vec::new(), Vec::new());
         let mut got: Groups = Vec::new();
         let mut prev_last = true;
-        while let Some(s) = gm.next_slice(max_values, &mut arena).unwrap() {
+        while let Some(s) = gm.next_slice(max_values, &mut arena, &mut spans).unwrap() {
+            assert_eq!(s.values.end, spans.len(), "a slice's spans are the newest");
             let bytes = |(off, len): (u32, u32)| arena[off as usize..(off + len) as usize].to_vec();
-            let values = s.values.iter().map(|&r| bytes(r));
+            let values = spans[s.values.clone()].iter().map(|&r| bytes(r));
             if prev_last {
                 got.push((bytes(s.key), values.collect()));
             } else {
@@ -376,6 +484,8 @@ mod tests {
             }
             prev_last = s.last;
         }
+        let emitted: usize = got.iter().map(|(_, vs)| vs.len()).sum();
+        assert_eq!(spans.len(), emitted, "one span per value, none per key");
         got
     }
 
@@ -437,17 +547,7 @@ mod tests {
         let borrowed: Vec<(Vec<u8>, Vec<u8>)> = MergeIter::new(runs.iter())
             .map(|(k, v)| (k.to_vec(), v.to_vec()))
             .collect();
-        let cursors: Vec<Box<dyn RunCursor>> = runs
-            .iter()
-            .map(|r| Box::new(MemCursor::new(r.clone())) as Box<dyn RunCursor>)
-            .collect();
-        let mut m = CursorMerge::new(cursors);
-        let mut external = Vec::new();
-        while let Some((k, v)) = m.peek() {
-            external.push((k.to_vec(), v.to_vec()));
-            m.advance().unwrap();
-        }
-        assert_eq!(external, borrowed);
+        assert_eq!(drain_owned(&runs), borrowed);
     }
 
     #[test]
@@ -544,6 +644,79 @@ mod tests {
             .collect()
     }
 
+    /// Every record of the merge over owned cursors, one per run.
+    fn drain_owned(runs: &[Run]) -> Vec<(Vec<u8>, Vec<u8>)> {
+        let mut m = CursorMerge::new(runs.iter().map(|r| MemCursor::new(r.clone())).collect());
+        let mut out = Vec::new();
+        while let Some((k, v)) = m.peek() {
+            out.push((k.to_vec(), v.to_vec()));
+            m.advance().unwrap();
+        }
+        out
+    }
+
+    /// `0..=max_len` bytes crowding the [`SortHead`] boundaries: one fill
+    /// byte from `{0x00, 0x01, 0xFF}` with up to two trailing bytes drawn
+    /// again, so strings share long prefixes — zero padding, all-`0xFF`
+    /// heads, and ties that run to the head's last byte and past it.
+    fn boundary_bytes(max_len: usize) -> impl Strategy<Value = Vec<u8>> {
+        let byte = || (0usize..3).prop_map(|i| [0x00u8, 0x01, 0xFF][i]);
+        (
+            byte(),
+            0..max_len + 1,
+            proptest::collection::vec(byte(), 0..3),
+        )
+            .prop_map(|(fill, len, tail)| {
+                let mut bytes = vec![fill; len];
+                let keep = len.saturating_sub(tail.len());
+                bytes[keep..].copy_from_slice(&tail[..len - keep]);
+                bytes
+            })
+    }
+
+    /// Pair lists for up to 7 runs of up to 29 records: keys of 0–20
+    /// bytes and values of 0–12 from [`boundary_bytes`], either side of
+    /// the head's 16 and 8.
+    fn boundary_runs() -> impl Strategy<Value = Vec<Vec<(Vec<u8>, Vec<u8>)>>> {
+        proptest::collection::vec(
+            proptest::collection::vec((boundary_bytes(20), boundary_bytes(12)), 0..30),
+            0..8,
+        )
+    }
+
+    #[test]
+    fn all_ones_record_beats_an_exhausted_cursor() {
+        // The one live head whose prefixes equal the exhausted sentinel's.
+        let ones = run_from_pairs([([0xFF; 16].as_slice(), [0xFF; 8].as_slice())]);
+        let dry = run_from_pairs([(b"a".as_slice(), b"".as_slice())]);
+        // The exhausted source has the lower index: a tie would go to it
+        // and end the merge one record early.
+        let mut tree = LoserTree::new(borrowed_cursors([&dry, &ones]));
+        assert_eq!(tree.winner(), Some(0));
+        tree.advance_winner().unwrap();
+        assert!(tree.beats(1, 0) && !tree.beats(0, 1));
+        assert_eq!(tree.winner(), Some(1));
+        tree.advance_winner().unwrap();
+        assert_eq!(tree.winner(), None);
+        assert_eq!(MergeIter::new([&ones, &dry]).count(), 2);
+    }
+
+    #[test]
+    fn spans_stop_at_the_4_gib_limit() {
+        let max = u32::MAX as usize;
+        assert_eq!(span_at(0, 0).unwrap(), (0, 0));
+        assert_eq!(span_at(max - 8, 8).unwrap(), (u32::MAX - 8, 8));
+        assert_eq!(span_at(max, 0).unwrap(), (u32::MAX, 0));
+        for (arena_len, len) in [(max - 8, 9), (max, 1), (0, max + 1), (1, usize::MAX)] {
+            let err = span_at(arena_len, len).unwrap_err();
+            assert_eq!(
+                err.kind(),
+                io::ErrorKind::InvalidInput,
+                "{arena_len} + {len}"
+            );
+        }
+    }
+
     #[test]
     fn loser_tree_matches_heap_with_duplicates_and_empties() {
         let built = runs_from(&[
@@ -583,18 +756,38 @@ mod tests {
             prop_assert_eq!(merged, expect);
         }
 
+        /// The sort head decides what the bytes would: the tree's
+        /// `(key, value, source)` sequence is `sort()` on those triples,
+        /// on inputs that tie through the head's last byte, pad with
+        /// zeros, fill it with `0xFF` and overrun it into the fallback.
+        #[test]
+        fn head_order_is_byte_order(runs in boundary_runs()) {
+            // Empty runs are dropped by the tree; drop them here so source
+            // indices line up.
+            let built: Vec<Run> =
+                runs_from(&runs).into_iter().filter(|r| !r.is_empty()).collect();
+            let mut expect: Vec<(Vec<u8>, Vec<u8>, usize)> = built
+                .iter()
+                .enumerate()
+                .flat_map(|(src, r)| r.iter().map(move |(k, v)| (k.to_vec(), v.to_vec(), src)))
+                .collect();
+            expect.sort();
+            let mut tree = LoserTree::new(borrowed_cursors(&built));
+            let mut got = Vec::new();
+            while let Some(w) = tree.winner() {
+                let c = &tree.cursors[w];
+                got.push((c.key().to_vec(), c.value().to_vec(), w));
+                tree.advance_winner().unwrap();
+            }
+            prop_assert_eq!(got, expect);
+        }
+
         /// Tentpole determinism contract: the loser tree emits the exact
         /// record sequence of the previous BinaryHeap merge — duplicate
         /// keys, duplicate records, and empty runs included — and
         /// [`merge_runs`] serializes that sequence byte-identically.
         #[test]
-        fn loser_tree_equals_heap_record_for_record(
-            runs in proptest::collection::vec(
-                proptest::collection::vec(
-                    (proptest::collection::vec(0u8..5, 0..4),
-                     proptest::collection::vec(0u8..5, 0..3)), 0..30),
-                0..8))
-        {
+        fn loser_tree_equals_heap_record_for_record(runs in boundary_runs()) {
             let built = runs_from(&runs);
             let tree: Vec<(Vec<u8>, Vec<u8>)> = MergeIter::new(built.iter())
                 .map(|(k, v)| (k.to_vec(), v.to_vec()))
@@ -622,28 +815,12 @@ mod tests {
         /// the borrowed merge for any mix of runs — the contract that
         /// lets spilled and cached data merge interchangeably.
         #[test]
-        fn cursor_merge_equals_borrowed_merge(
-            runs in proptest::collection::vec(
-                proptest::collection::vec(
-                    (proptest::collection::vec(0u8..5, 0..4),
-                     proptest::collection::vec(0u8..5, 0..3)), 0..30),
-                0..8))
-        {
+        fn cursor_merge_equals_borrowed_merge(runs in boundary_runs()) {
             let built = runs_from(&runs);
             let borrowed: Vec<(Vec<u8>, Vec<u8>)> = MergeIter::new(built.iter())
                 .map(|(k, v)| (k.to_vec(), v.to_vec()))
                 .collect();
-            let cursors: Vec<Box<dyn RunCursor>> = built
-                .iter()
-                .map(|r| Box::new(MemCursor::new(r.clone())) as Box<dyn RunCursor>)
-                .collect();
-            let mut m = CursorMerge::new(cursors);
-            let mut external = Vec::new();
-            while let Some((k, v)) = m.peek() {
-                external.push((k.to_vec(), v.to_vec()));
-                m.advance().unwrap();
-            }
-            prop_assert_eq!(external, borrowed);
+            prop_assert_eq!(drain_owned(&built), borrowed);
         }
 
         /// Streamed group slices reassemble to exactly the grouped merge:

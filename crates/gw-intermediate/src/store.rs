@@ -55,7 +55,7 @@ use std::time::{Duration, Instant};
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use parking_lot::{Condvar, Mutex};
 
-use crate::cursor::{MemCursor, RunCursor, SpillCursor};
+use crate::cursor::{MemCursor, PartCursor, RunCursor, SpillCursor};
 use crate::frame::{self, SpillFaultHook};
 use crate::gauge::MemGauge;
 use crate::kv::Run;
@@ -528,16 +528,15 @@ impl IntermediateStore {
     /// crossed `cache_threshold`, the cached runs are all there is. The
     /// reduce input reader performs the final k-way merge over these
     /// without ever materializing the partition.
-    pub fn partition_cursors(&self, p: PartitionId) -> io::Result<Vec<Box<dyn RunCursor>>> {
+    pub fn partition_cursors(&self, p: PartitionId) -> io::Result<Vec<PartCursor>> {
         self.inner.check_poison()?;
         let st = self.inner.parts[p as usize].lock();
-        let mut cursors: Vec<Box<dyn RunCursor>> =
-            Vec::with_capacity(st.spills.len() + st.cache.len());
+        let mut cursors = Vec::with_capacity(st.spills.len() + st.cache.len());
         for s in &st.spills {
-            cursors.push(Box::new(self.inner.open_spill(s)?));
+            cursors.push(PartCursor::Spill(Box::new(self.inner.open_spill(s)?)));
         }
         for r in &st.cache {
-            cursors.push(Box::new(MemCursor::new(r.clone())));
+            cursors.push(PartCursor::Mem(MemCursor::new(r.clone())));
         }
         Ok(cursors)
     }
@@ -626,9 +625,12 @@ mod tests {
     /// cursors.
     fn key_groups(store: &IntermediateStore, p: PartitionId) -> Vec<(Vec<u8>, usize)> {
         let mut merge = GroupedCursorMerge::new(store.partition_cursors(p).unwrap());
-        let mut arena = Vec::new();
+        let (mut arena, mut spans) = (Vec::new(), Vec::new());
         let mut groups = Vec::new();
-        while let Some(s) = merge.next_slice(usize::MAX, &mut arena).unwrap() {
+        while let Some(s) = merge
+            .next_slice(usize::MAX, &mut arena, &mut spans)
+            .unwrap()
+        {
             let (off, len) = (s.key.0 as usize, s.key.1 as usize);
             groups.push((arena[off..off + len].to_vec(), s.values.len()));
         }
@@ -828,9 +830,9 @@ mod tests {
         out
     }
 
-    #[test]
-    fn streaming_cursors_equal_materialized_runs() {
-        let runs: Vec<Run> = (0..40)
+    /// 40 runs of 20 records whose key ranges overlap.
+    fn overlapping_runs() -> Vec<Run> {
+        (0..40)
             .map(|i| {
                 let words: Vec<String> = (0..20)
                     .map(|j| format!("k{:03}-{i:02}", (i * 7 + j) % 50))
@@ -838,7 +840,41 @@ mod tests {
                 let refs: Vec<&str> = words.iter().map(|s| s.as_str()).collect();
                 word_run(&refs)
             })
-            .collect();
+            .collect()
+    }
+
+    #[test]
+    fn spilled_and_cached_runs_merge_to_the_in_memory_bytes() {
+        let runs = overlapping_runs();
+        let mut c = cfg(1);
+        c.cache_threshold = runs[..21].iter().map(|r| r.len_bytes()).sum::<usize>() - 1;
+        let store = IntermediateStore::new(c).unwrap();
+        for (i, r) in runs.iter().enumerate() {
+            store.add_run(0, r.clone());
+            if i == 20 {
+                // The 21st run tipped the cache into one spill; let the
+                // flush take exactly those so the other 19 (equal in size,
+                // so under the threshold) stay cached.
+                store.inner.wait_quiesce();
+            }
+        }
+        store.finish_map().unwrap();
+        let cached = store.inner.parts[0].lock().cache.len();
+        assert_eq!((store.spill_count(0), cached), (1, 19));
+        // One spill cursor and nineteen in-memory ones under the same tree.
+        let mut m = CursorMerge::new(store.partition_cursors(0).unwrap());
+        let mut bytes = Vec::new();
+        while let Some(rec) = m.peek_rec() {
+            bytes.extend_from_slice(rec);
+            m.advance().unwrap();
+        }
+        assert_eq!(bytes, crate::merge::merge_runs(&runs).bytes());
+        assert!(store.metrics().frames_read > 0);
+    }
+
+    #[test]
+    fn streaming_cursors_equal_materialized_runs() {
+        let runs = overlapping_runs();
         let expect = sorted_records(&runs);
         assert_eq!(expect.len(), 800);
         let lens: Vec<usize> = runs.iter().map(|r| r.len_bytes()).collect();

@@ -277,21 +277,26 @@ fn push_shuffle_moves_data_during_map() {
 }
 
 /// Reduce-side knobs: concurrent keys and keys-per-thread change launch
-/// counts exactly as Fig. 5's x-axis describes.
+/// counts exactly as Fig. 5's x-axis describes — and never the output:
+/// however the merge's span list is cut into slices and chunks, the
+/// files are the same.
 #[test]
 fn reduce_launch_count_follows_concurrency_knobs() {
-    let run = |concurrent_keys: usize, keys_per_thread: usize| {
+    let run = |concurrent_keys: usize, keys_per_thread: usize, max_values: usize| {
         let cluster = corpus_cluster(300, 1, 4096);
         let mut c = cfg();
         c.reduce_concurrent_keys = concurrent_keys;
         c.reduce_keys_per_thread = keys_per_thread;
+        c.reduce_max_values_per_chunk = max_values;
         let report = cluster
             .run(Arc::new(WordCount::without_combiner()), &c)
             .unwrap();
-        (report.nodes[0].reduce.launches, report.nodes[0].reduce.keys)
+        let out = read_job_output(cluster.store(), &report).unwrap();
+        let reduce = &report.nodes[0].reduce;
+        (reduce.launches, reduce.keys, out)
     };
-    let (launches_small, keys) = run(8, 1);
-    let (launches_large, keys2) = run(256, 1);
+    let (launches_small, keys, _) = run(8, 1, 4096);
+    let (launches_large, keys2, reference) = run(256, 1, 4096);
     assert_eq!(keys, keys2);
     assert!(
         launches_small > launches_large,
@@ -299,6 +304,21 @@ fn reduce_launch_count_follows_concurrency_knobs() {
     );
     // Expected launch count ≈ ceil(keys / concurrent) per partition.
     assert!(launches_small >= keys / 8);
+
+    // Without a combiner a key has one value per occurrence, so small
+    // slices cut value lists mid-key and carry scratch state across
+    // launches; one key per chunk puts every group first in its span list.
+    for max_values in [1, 3, 4096] {
+        for concurrent_keys in [1, 256] {
+            let (launches, keys3, out) = run(concurrent_keys, 4, max_values);
+            assert_eq!(keys3, keys, "{max_values} values × {concurrent_keys} keys");
+            assert!(launches >= keys.div_ceil(concurrent_keys));
+            assert_eq!(
+                out, reference,
+                "{max_values} values × {concurrent_keys} keys changed the output"
+            );
+        }
+    }
 }
 
 /// Network accounting closes: the fabric's per-node byte counters match
