@@ -50,41 +50,88 @@ fn hash4(bytes: &[u8]) -> usize {
     (v.wrapping_mul(2654435761) >> (32 - HASH_BITS)) as usize
 }
 
+/// The encoder's match table, reusable across inputs without clearing:
+/// `slots[h]` is the last position whose 4-byte prefix hashed to `h`,
+/// biased by `base`. `base` moves past every input it has seen, so a slot
+/// left by an earlier input (or never written: 0 < `base`) reads as a
+/// position before the start of the current one and is never a candidate —
+/// what [`compress_into`] emits depends on its input alone.
+pub struct LzTable {
+    slots: Vec<u32>,
+    base: u32,
+}
+
+impl LzTable {
+    /// An empty table (128 KiB).
+    pub fn new() -> Self {
+        LzTable {
+            slots: vec![0; HASH_SIZE],
+            base: 1,
+        }
+    }
+}
+
+impl Default for LzTable {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
 /// Compress `input`; the result always round-trips through [`decompress`].
 pub fn compress(input: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(input.len() / 2 + 16);
-    varint::write_len(&mut out, input.len());
+    compress_into(input, &mut LzTable::new(), &mut out);
+    out
+}
+
+/// [`compress`] into a caller-owned buffer (cleared first) with a
+/// caller-owned match table: a writer that encodes frame after frame pays
+/// for neither per call. The bytes are those `compress` returns.
+pub fn compress_into(input: &[u8], table: &mut LzTable, out: &mut Vec<u8>) {
+    out.clear();
+    varint::write_len(out, input.len());
     if input.is_empty() {
-        return out;
+        return;
     }
-    // table[h] = last position whose 4-byte prefix hashed to h.
-    let mut table = vec![usize::MAX; HASH_SIZE];
+    let n = input.len();
+    // Biased positions `base + pos` must not wrap within one input, or a
+    // stale slot could alias a live one: start over when they would. (An
+    // input of 4 GiB or more wraps regardless; a slot is then only a hint
+    // and the byte comparison below keeps the match true.)
+    let span = u32::try_from(n).unwrap_or(u32::MAX);
+    if table.base.checked_add(span).is_none() {
+        table.slots.fill(0);
+        table.base = 1;
+    }
+    let base = table.base;
+    table.base = base.saturating_add(span);
+    let slots = &mut table.slots[..];
     let mut pos = 0usize;
     let mut lit_start = 0usize;
-    let n = input.len();
     while pos + MIN_MATCH <= n {
         let h = hash4(&input[pos..]);
-        let candidate = table[h];
-        table[h] = pos;
-        let is_match = candidate != usize::MAX
-            && pos - candidate <= WINDOW
-            && input[candidate..candidate + MIN_MATCH] == input[pos..pos + MIN_MATCH];
+        let here = base.wrapping_add(pos as u32);
+        let dist = here.wrapping_sub(slots[h]) as usize;
+        slots[h] = here;
+        let is_match = (1..=WINDOW.min(pos)).contains(&dist)
+            && input[pos - dist..pos - dist + MIN_MATCH] == input[pos..pos + MIN_MATCH];
         if is_match {
+            let candidate = pos - dist;
             // Extend the match as far as possible.
             let mut len = MIN_MATCH;
             while pos + len < n && input[candidate + len] == input[pos + len] {
                 len += 1;
             }
             // Emit pending literals + this match.
-            varint::write_len(&mut out, pos - lit_start);
+            varint::write_len(out, pos - lit_start);
             out.extend_from_slice(&input[lit_start..pos]);
-            varint::write_len(&mut out, len - MIN_MATCH + 1);
-            varint::write_len(&mut out, pos - candidate);
+            varint::write_len(out, len - MIN_MATCH + 1);
+            varint::write_len(out, dist);
             // Index a few positions inside the match to help later matches.
             let step = (len / 8).max(1);
             let mut p = pos + 1;
             while p + MIN_MATCH <= n && p < pos + len {
-                table[hash4(&input[p..])] = p;
+                slots[hash4(&input[p..])] = base.wrapping_add(p as u32);
                 p += step;
             }
             pos += len;
@@ -94,10 +141,9 @@ pub fn compress(input: &[u8]) -> Vec<u8> {
         }
     }
     // Trailing literals with the no-match terminator.
-    varint::write_len(&mut out, n - lit_start);
+    varint::write_len(out, n - lit_start);
     out.extend_from_slice(&input[lit_start..]);
-    varint::write_len(&mut out, 0);
-    out
+    varint::write_len(out, 0);
 }
 
 /// Decompress data produced by [`compress`].
@@ -105,15 +151,32 @@ pub fn compress(input: &[u8]) -> Vec<u8> {
 /// Robust against arbitrary (adversarial) input: every length read from
 /// the stream is validated against the declared output size and the
 /// remaining input before any allocation or copy, so corrupt data yields
-/// `Err`, never a panic or an attacker-chosen allocation.
+/// `Err`, never a panic or an attacker-chosen allocation. Work and memory
+/// are bounded by the declared length — callers decoding *untrusted* data
+/// should hold it against their own limit with [`decompress_into`].
 pub fn decompress(data: &[u8]) -> Result<Vec<u8>, CompressError> {
+    let (total, _) = varint::read_len(data).ok_or(CompressError::Corrupt("missing length"))?;
+    let mut out = Vec::new();
+    decompress_into(data, total, &mut out)?;
+    Ok(out)
+}
+
+/// [`decompress`] into a caller-owned buffer (cleared first) for a caller
+/// that knows the raw length: a stream declaring any other length is
+/// rejected before a byte is copied.
+pub fn decompress_into(
+    data: &[u8],
+    raw_len: usize,
+    out: &mut Vec<u8>,
+) -> Result<(), CompressError> {
+    out.clear();
     let (total, mut at) = varint::read_len(data).ok_or(CompressError::Corrupt("missing length"))?;
-    // Cap the up-front reservation (corrupt headers cannot force a huge
-    // allocation); growth beyond this is incremental. Work and memory are
-    // bounded by the declared `total` — callers decoding *untrusted* data
-    // should validate the declared length against their own limits first
-    // (spill files are framework-internal, so none is imposed here).
-    let mut out = Vec::with_capacity(total.min(1 << 20));
+    if total != raw_len {
+        return Err(CompressError::Corrupt("declared length mismatch"));
+    }
+    // Cap the up-front reservation (a corrupt length cannot force a huge
+    // allocation); growth beyond this is incremental.
+    out.reserve(total.min(1 << 20));
     while out.len() < total {
         let (lit_len, n) = varint::read_len(&data[at..])
             .ok_or(CompressError::Corrupt("missing literal length"))?;
@@ -158,7 +221,7 @@ pub fn decompress(data: &[u8]) -> Result<Vec<u8>, CompressError> {
     if out.len() != total {
         return Err(CompressError::Corrupt("length mismatch"));
     }
-    Ok(out)
+    Ok(())
 }
 
 /// Compression ratio achieved on `input` (compressed/original; lower is
@@ -246,7 +309,59 @@ mod tests {
         }
     }
 
+    #[test]
+    fn declared_length_is_checked_before_anything_is_copied() {
+        let data = b"hello hello hello hello hello".to_vec();
+        let c = compress(&data);
+        let mut out = b"stale".to_vec();
+        for wrong in [0, data.len() - 1, data.len() + 1, usize::MAX] {
+            let err = decompress_into(&c, wrong, &mut out).unwrap_err();
+            assert_eq!(err, CompressError::Corrupt("declared length mismatch"));
+            assert!(out.is_empty(), "nothing decoded, nothing left over");
+        }
+        decompress_into(&c, data.len(), &mut out).unwrap();
+        assert_eq!(out, data);
+    }
+
+    #[test]
+    fn table_starts_over_before_its_positions_wrap() {
+        let data = b"the quick brown fox ".repeat(50);
+        let mut table = LzTable::new();
+        let mut out = Vec::new();
+        compress_into(&data, &mut table, &mut out);
+        // As if 4 GiB of input had gone by: every slot is live and the
+        // next input's positions would run past u32::MAX.
+        table.base = u32::MAX - 10;
+        compress_into(&data, &mut table, &mut out);
+        assert_eq!(out, compress(&data));
+        assert_eq!(table.base as usize, 1 + data.len());
+    }
+
     proptest! {
+        /// One table and one pair of buffers across consecutive inputs of
+        /// different sizes and compressibility give the bytes a fresh
+        /// table gives: a slot left by an earlier input is never a match.
+        #[test]
+        fn reused_table_and_buffers_equal_fresh_ones(
+            inputs in proptest::collection::vec(
+                prop_oneof![
+                    proptest::collection::vec(0u8..4, 0..3000),
+                    proptest::collection::vec(any::<u8>(), 0..300),
+                ],
+                1..6,
+            ))
+        {
+            let mut table = LzTable::new();
+            let (mut packed, mut raw) = (Vec::new(), Vec::new());
+            for input in &inputs {
+                compress_into(input, &mut table, &mut packed);
+                prop_assert_eq!(&packed, &compress(input));
+                decompress_into(&packed, input.len(), &mut raw).unwrap();
+                prop_assert_eq!(&raw, input);
+                prop_assert_eq!(&decompress(&packed).unwrap(), input);
+            }
+        }
+
         #[test]
         fn roundtrip_arbitrary(data in proptest::collection::vec(any::<u8>(), 0..4096)) {
             prop_assert_eq!(decompress(&compress(&data)).unwrap(), data);

@@ -128,15 +128,18 @@ impl<B: Deref<Target = [u8]> + Send> RunCursor for MemCursor<B> {
 }
 
 /// Cursor over a framed spill file, streaming frame by frame with one
-/// decode buffer (plus the stored-image scratch) resident.
+/// frame's records resident — plus, over a compressed file, that frame's
+/// stored image.
 pub struct SpillCursor {
     file: File,
     index: FrameIndex,
     /// Next frame to load (frames `0..next_frame` are consumed).
     next_frame: usize,
-    /// Decoded raw bytes of the current frame.
+    /// Raw records of the current frame; a stored frame is read straight
+    /// into it. Reused across frames.
     buf: Vec<u8>,
-    /// Stored (compressed) image scratch, reused across frames.
+    /// Compressed image of the current frame, reused across frames; stays
+    /// empty over a stored file.
     scratch: Vec<u8>,
     /// Current record within `buf`; the empty default position at a
     /// fresh frame's start and once `done`.
@@ -339,9 +342,9 @@ mod tests {
         assert!(c.done() && c.key().is_empty() && c.rec().is_empty());
     }
 
-    #[test]
-    fn spill_cursor_streams_identically_to_the_run() {
-        let run = sample_run(500);
+    /// Spill `run` through a compressing writer at 1 KiB frames, stream it
+    /// back, and return the cursor's peak charge.
+    fn spill_and_stream(run: &Run) -> usize {
         let dir = crate::tempdir::TempDir::new("gw-cursor-test").unwrap();
         let path = dir.file("s.gw");
         let mut w = frame::FrameWriter::create(path.clone(), 1 << 10, true, None, None).unwrap();
@@ -355,7 +358,7 @@ mod tests {
 
         let gauge = Arc::new(MemGauge::new());
         let mut c = SpillCursor::open(&path, Some(Arc::clone(&gauge)), None, None).unwrap();
-        assert_eq!(c.records(), 500);
+        assert_eq!(c.records(), run.records());
         let mut got = Vec::new();
         while !c.done() {
             got.push((c.key().to_vec(), c.value().to_vec()));
@@ -363,16 +366,33 @@ mod tests {
         }
         let expect: Vec<_> = run.iter().map(|(k, v)| (k.to_vec(), v.to_vec())).collect();
         assert_eq!(got, expect);
-        // One frame resident at a time: the gauge never saw more than the
-        // decoded frame + its stored image, far below the run size.
-        assert!(gauge.peak() > 0);
-        assert!(
-            gauge.peak() < run.len_bytes(),
-            "peak {} should be below the {}-byte run",
-            gauge.peak(),
-            run.len_bytes()
-        );
         drop(c);
         assert_eq!(gauge.current(), 0, "drop discharges the cursor's buffers");
+        gauge.peak()
+    }
+
+    #[test]
+    fn spill_cursor_streams_identically_to_the_run() {
+        let run = sample_run(500);
+        let peak = spill_and_stream(&run);
+        // One frame resident at a time: the gauge never saw more than the
+        // decoded frame + its stored image, far below the run size.
+        assert!(peak > 0);
+        assert!(
+            peak < run.len_bytes(),
+            "peak {peak} should be below the {}-byte run",
+            run.len_bytes()
+        );
+    }
+
+    #[test]
+    fn spill_cursor_over_stored_frames_charges_one_buffer() {
+        // A frame is cut by the record that takes it to 1 KiB, so it holds
+        // less than 1 KiB plus one 101-byte record — and a stored frame is
+        // read into the record buffer with no second image beside it.
+        use rand::{rngs::StdRng, SeedableRng};
+        let run = crate::kv::noise_run(0..300, &mut StdRng::seed_from_u64(11));
+        let peak = spill_and_stream(&run);
+        assert!((1 << 10..(1 << 10) + 101).contains(&peak), "peak {peak}");
     }
 }

@@ -1,19 +1,21 @@
 //! Framed on-disk spill format: record-aligned frames, each independently
-//! compressed and checksummed, plus a footer index.
+//! checksummed and — where the data warrants it — compressed, plus a
+//! footer index.
 //!
 //! The whole-run-blob spills this replaces had to be read and
 //! decompressed in full before a single record could be examined — peak
 //! memory per spill equaled the spill's raw size. A framed spill decodes
 //! incrementally: a reader holds exactly one frame's raw bytes (plus its
-//! compressed image) at a time, so the external k-way merges in
-//! [`crate::store`] run in `k × frame` memory regardless of partition
-//! size (paper §III-B's larger-than-memory intermediate data).
+//! compressed image, if it has one) at a time, so the external k-way
+//! merges in [`crate::store`] run in `k × frame` memory regardless of
+//! partition size (paper §III-B's larger-than-memory intermediate data).
 //!
 //! ## Layout
 //!
 //! ```text
 //! file    := frame* index trailer
-//! frame   := stored payload (per-frame LZ-compressed, or raw)
+//! frame   := stored payload (LZ-compressed in a compressed file, the raw
+//!            records in a stored one)
 //! index   := frame_count × { stored_len u32 | raw_len u32 |
 //!                            records u32   | checksum u64 }   (20 B LE)
 //! trailer := frame_count u32 | flags u32 | raw_total u64 |
@@ -22,16 +24,45 @@
 //!
 //! Frames are cut at record boundaries (a serialized record never spans
 //! frames), so every frame is independently a valid sorted record slice.
-//! `checksum` is FNV-1a 64 over the *stored* bytes: truncation, bit rot
-//! and torn writes all surface as a typed [`std::io::ErrorKind::InvalidData`]
-//! error instead of a debug assertion or a decoder panic.
+//!
+//! ## Stored or compressed, decided once per file
+//!
+//! A writer asked to compress encodes its first frame and keeps
+//! compressing only if that frame shrank to at most 9/10 of its raw
+//! length (`STORED_NUM`/`STORED_DEN`); otherwise that frame and every later
+//! one is written raw and the trailer's `FLAG_COMPRESSED` bit stays clear.
+//! Sorted WordCount runs encode to a fifth of their size and keep
+//! compressing; TeraGen records are random bytes, encode to 0.98 and would
+//! pay an LZ parse on the way out and a decode on the way back for
+//! nothing. The rule is per file, not per frame, because the flag it sets
+//! is the trailer's and a reader picks its decode path (and its buffers)
+//! once at open; a merge's frames are slices of one sorted stream, so the
+//! first speaks for the rest, and a compaction samples again for the file
+//! it writes. The decision is a function of the first frame's bytes, so
+//! the file a given record stream produces is deterministic.
+//!
+//! ## Checksum
+//!
+//! `checksum` covers the *stored* bytes and is verified on every frame
+//! read before anything is decoded: truncation, bit rot and torn writes
+//! surface as a typed [`std::io::ErrorKind::InvalidData`] error instead of
+//! a debug assertion or a decoder panic. It is word-wide — four
+//! independent 64-bit xor-multiply-rotate lanes over 32-byte blocks, then
+//! a byte tail, seeded with the length — because it is paid over every
+//! spilled byte twice (write, read back) and a byte-serial hash is a
+//! multiply latency per byte. Every step is a bijection of its lane's
+//! state for a fixed input word and of the word for a fixed state, and so
+//! are the fold of the lanes and the finish: corruption confined to one
+//! aligned 8-byte word (or one tail byte) always changes the checksum.
+//! Anything wider, and a change of length, escapes with probability 2⁻⁶⁴.
+//! It detects accidents, not adversaries.
 
 use std::fs::File;
 use std::io::{self, BufWriter, Read, Seek, SeekFrom, Write};
 use std::path::PathBuf;
 use std::sync::Arc;
 
-use crate::compress;
+use crate::compress::{self, LzTable};
 use crate::gauge::MemGauge;
 
 /// `"GWFRAME1"` in LE byte order.
@@ -42,6 +73,11 @@ const ENTRY_LEN: usize = 20;
 const TRAILER_LEN: usize = 32;
 /// Trailer flag bit: frames are LZ-compressed.
 const FLAG_COMPRESSED: u32 = 1;
+/// A file stays compressed only if its first frame encodes to at most
+/// `STORED_NUM / STORED_DEN` of its raw length. LZ output this close to
+/// its input is all literals: the bytes saved do not buy back the parse.
+const STORED_NUM: usize = 9;
+const STORED_DEN: usize = 10;
 
 /// Which spill-file operation a fault hook is probed before.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -63,14 +99,45 @@ pub trait SpillFaultHook: Send + Sync {
     fn spill_fault(&self, op: SpillOp) -> bool;
 }
 
-#[inline]
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+/// Odd multipliers (the golden ratio and three xxHash64 primes), one per
+/// lane so equal words in different lanes do not cancel.
+const LANE_MUL: [u64; 4] = [
+    0x9e37_79b9_7f4a_7c15,
+    0xc2b2_ae3d_27d4_eb4f,
+    0x1656_67b1_9e37_79f9,
+    0x27d4_eb2f_1656_67c5,
+];
+
+/// One lane step; a bijection of `h` for fixed `w` and of `w` for fixed `h`.
+#[inline(always)]
+fn mix(h: u64, w: u64, mul: u64) -> u64 {
+    (h ^ w).wrapping_mul(mul).rotate_left(29)
+}
+
+/// The per-frame checksum (module doc, "Checksum").
+fn checksum(bytes: &[u8]) -> u64 {
+    let mut lanes = LANE_MUL;
+    let mut blocks = bytes.chunks_exact(32);
+    for block in &mut blocks {
+        for (i, lane) in lanes.iter_mut().enumerate() {
+            let word: [u8; 8] = block[8 * i..8 * i + 8]
+                .try_into()
+                .expect("an 8-byte slice of a 32-byte block");
+            *lane = mix(*lane, u64::from_le_bytes(word), LANE_MUL[i]);
+        }
     }
-    h
+    let mut h = bytes.len() as u64;
+    for lane in lanes {
+        h = mix(h, lane, LANE_MUL[0]);
+    }
+    for &b in blocks.remainder() {
+        h = mix(h, b as u64, LANE_MUL[1]);
+    }
+    // Finish: spread the last steps' high bits down (xor-shifts and odd
+    // multiplies are bijections too).
+    h ^= h >> 32;
+    h = h.wrapping_mul(LANE_MUL[2]);
+    h ^ (h >> 29)
 }
 
 fn corrupt(msg: &str) -> io::Error {
@@ -159,8 +226,10 @@ pub(crate) fn read_index(file: &mut File) -> io::Result<FrameIndex> {
     })
 }
 
-/// Read one frame into `out`, verifying its checksum and raw length.
-/// `scratch` holds the stored (possibly compressed) image between calls.
+/// Read one frame's raw records into `out`, verifying its checksum and
+/// raw length before anything is decoded. A stored frame is read straight
+/// into `out`; a compressed one into `scratch` (untouched otherwise) and
+/// decoded from there. Both buffers are the caller's to reuse.
 pub(crate) fn read_frame(
     file: &mut File,
     entry: &FrameEntry,
@@ -168,20 +237,17 @@ pub(crate) fn read_frame(
     scratch: &mut Vec<u8>,
     out: &mut Vec<u8>,
 ) -> io::Result<()> {
-    scratch.resize(entry.stored_len as usize, 0);
+    let image = if compressed { &mut *scratch } else { &mut *out };
+    image.resize(entry.stored_len as usize, 0);
     file.seek(SeekFrom::Start(entry.offset))?;
-    file.read_exact(scratch)?;
-    if fnv1a(scratch) != entry.checksum {
+    file.read_exact(image)?;
+    if checksum(image) != entry.checksum {
         return Err(corrupt("frame checksum mismatch"));
     }
     if compressed {
-        *out =
-            compress::decompress(scratch).map_err(|e| corrupt(&format!("frame payload: {e}")))?;
-    } else {
-        out.clear();
-        out.extend_from_slice(scratch);
-    }
-    if out.len() != entry.raw_len as usize {
+        compress::decompress_into(scratch, entry.raw_len as usize, out)
+            .map_err(|e| corrupt(&format!("frame payload: {e}")))?;
+    } else if entry.stored_len != entry.raw_len {
         return Err(corrupt("frame raw length mismatch"));
     }
     Ok(())
@@ -198,13 +264,22 @@ pub(crate) struct SpillStats {
     pub(crate) frames: usize,
 }
 
+/// What a compressing writer keeps between frames, so that no frame
+/// allocates: the LZ match table and the encoded image.
+struct Codec {
+    table: LzTable,
+    image: Vec<u8>,
+}
+
 /// Streaming writer of a framed spill: records accumulate in a staging
-/// buffer that is cut, compressed and flushed one frame at a time, so
+/// buffer that is cut, encoded and flushed one frame at a time, so
 /// writing a spill of any size holds ~one frame in memory.
 pub(crate) struct FrameWriter {
     file: BufWriter<File>,
     frame_size: usize,
-    compress: bool,
+    /// `Some` while frames are written compressed: from `create` if asked
+    /// to compress, until a first frame that does not (module doc).
+    codec: Option<Codec>,
     cur: Vec<u8>,
     cur_records: u32,
     entries: Vec<FrameEntry>,
@@ -226,7 +301,13 @@ impl FrameWriter {
     ) -> io::Result<Self> {
         let frame_size = frame_size.max(1 << 10);
         let file = BufWriter::new(File::create(&path)?);
-        // Staging buffer plus (when compressing) the encoded image.
+        let codec = compress.then(|| Codec {
+            table: LzTable::new(),
+            image: Vec::with_capacity(frame_size),
+        });
+        // The intermediate bytes resident here: the staging buffer plus,
+        // while compressing, the encoded image. (The match table holds
+        // positions, not data, and is not charged.)
         let charged = if compress { 2 * frame_size } else { frame_size };
         if let Some(g) = &gauge {
             g.charge(charged);
@@ -234,7 +315,7 @@ impl FrameWriter {
         Ok(FrameWriter {
             file,
             frame_size,
-            compress,
+            codec,
             cur: Vec::with_capacity(frame_size + 1024),
             cur_records: 0,
             entries: Vec::new(),
@@ -267,24 +348,38 @@ impl FrameWriter {
                 return Err(injected(SpillOp::Write));
             }
         }
-        let enc;
-        let stored: &[u8] = if self.compress {
-            enc = compress::compress(&self.cur);
-            &enc
-        } else {
-            &self.cur
+        if let Some(codec) = &mut self.codec {
+            compress::compress_into(&self.cur, &mut codec.table, &mut codec.image);
+            let first = self.entries.is_empty();
+            if first && codec.image.len() * STORED_DEN > self.cur.len() * STORED_NUM {
+                // This file is stored: the encoded image goes, and its
+                // half of the charge with it.
+                self.codec = None;
+                if let Some(g) = &self.gauge {
+                    g.discharge(self.frame_size);
+                }
+                self.charged -= self.frame_size;
+            }
+        }
+        let stored: &[u8] = match &self.codec {
+            Some(codec) => &codec.image,
+            None => &self.cur,
         };
-        assert!(
-            self.cur.len() <= u32::MAX as usize && stored.len() <= u32::MAX as usize,
-            "frame exceeds the 4 GiB entry limit"
-        );
+        let too_long = |_| {
+            io::Error::new(
+                io::ErrorKind::InvalidInput,
+                "spill frame exceeds the 4 GiB index entry limit",
+            )
+        };
+        let stored_len = u32::try_from(stored.len()).map_err(too_long)?;
+        let raw_len = u32::try_from(self.cur.len()).map_err(too_long)?;
         self.file.write_all(stored)?;
         self.entries.push(FrameEntry {
             offset: self.offset,
-            stored_len: stored.len() as u32,
-            raw_len: self.cur.len() as u32,
+            stored_len,
+            raw_len,
             records: self.cur_records,
-            checksum: fnv1a(stored),
+            checksum: checksum(stored),
         });
         self.offset += stored.len() as u64;
         self.raw_total += self.cur.len() as u64;
@@ -305,7 +400,12 @@ impl FrameWriter {
             footer.extend_from_slice(&e.checksum.to_le_bytes());
         }
         footer.extend_from_slice(&(self.entries.len() as u32).to_le_bytes());
-        footer.extend_from_slice(&if self.compress { FLAG_COMPRESSED } else { 0 }.to_le_bytes());
+        let flags = if self.codec.is_some() {
+            FLAG_COMPRESSED
+        } else {
+            0
+        };
+        footer.extend_from_slice(&flags.to_le_bytes());
         footer.extend_from_slice(&self.raw_total.to_le_bytes());
         footer.extend_from_slice(&self.records_total.to_le_bytes());
         footer.extend_from_slice(&MAGIC.to_le_bytes());
@@ -331,6 +431,8 @@ impl Drop for FrameWriter {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use rand::{rngs::StdRng, Rng, SeedableRng};
 
     fn tmp(name: &str) -> (crate::tempdir::TempDir, PathBuf) {
         let dir = crate::tempdir::TempDir::new("gw-frame-test").unwrap();
@@ -338,17 +440,89 @@ mod tests {
         (dir, p)
     }
 
-    fn write_records(path: PathBuf, frame_size: usize, n: usize, compress: bool) -> SpillStats {
-        let mut w = FrameWriter::create(path, frame_size, compress, None, None).unwrap();
-        for i in 0..n {
-            let mut rec = Vec::new();
-            gw_storage::varint::write_len(&mut rec, 8);
-            gw_storage::varint::write_len(&mut rec, 4);
-            rec.extend_from_slice(format!("key{i:05}").as_bytes());
-            rec.extend_from_slice(b"val1");
-            w.push(&rec).unwrap();
+    fn record(key: &[u8], value: &[u8]) -> Vec<u8> {
+        let mut rec = Vec::new();
+        gw_storage::varint::write_len(&mut rec, key.len());
+        gw_storage::varint::write_len(&mut rec, value.len());
+        rec.extend_from_slice(key);
+        rec.extend_from_slice(value);
+        rec
+    }
+
+    /// Record `i` of the compressible fixture: sorted keys, one value.
+    fn text_record(i: usize) -> Vec<u8> {
+        record(format!("key{i:05}").as_bytes(), b"val1")
+    }
+
+    /// A record of the incompressible fixture, TeraGen-shaped: a
+    /// pseudo-random 10-byte key and 90-byte value.
+    fn noise_record(rng: &mut StdRng) -> Vec<u8> {
+        let mut bytes = [0u8; 100];
+        rng.fill(&mut bytes[..]);
+        record(&bytes[..10], &bytes[10..])
+    }
+
+    /// Write `records` through a writer charged to a fresh gauge; the
+    /// writer's charge must be gone once it is.
+    fn write_all(
+        path: &std::path::Path,
+        frame_size: usize,
+        compress: bool,
+        records: &[Vec<u8>],
+    ) -> SpillStats {
+        let gauge = Arc::new(MemGauge::new());
+        let mut w = FrameWriter::create(
+            path.to_path_buf(),
+            frame_size,
+            compress,
+            Some(Arc::clone(&gauge)),
+            None,
+        )
+        .unwrap();
+        for rec in records {
+            w.push(rec).unwrap();
         }
-        w.finish().unwrap()
+        let stats = w.finish().unwrap();
+        assert!(gauge.peak() >= frame_size);
+        assert_eq!(gauge.current(), 0, "a finished writer holds no charge");
+        stats
+    }
+
+    fn write_records(path: PathBuf, frame_size: usize, n: usize, compress: bool) -> SpillStats {
+        let records: Vec<Vec<u8>> = (0..n).map(text_record).collect();
+        write_all(&path, frame_size, compress, &records)
+    }
+
+    fn noise_records(n: usize, seed: u64) -> Vec<Vec<u8>> {
+        let mut rng = StdRng::seed_from_u64(seed);
+        (0..n).map(|_| noise_record(&mut rng)).collect()
+    }
+
+    /// Every frame of the file, decoded and concatenated, and the index.
+    fn read_all(path: &std::path::Path) -> (Vec<u8>, FrameIndex) {
+        let mut f = File::open(path).unwrap();
+        let idx = read_index(&mut f).unwrap();
+        let (mut scratch, mut out) = (Vec::new(), Vec::new());
+        let mut raw = Vec::new();
+        for e in &idx.entries {
+            read_frame(&mut f, e, idx.compressed, &mut scratch, &mut out).unwrap();
+            raw.extend_from_slice(&out);
+        }
+        (raw, idx)
+    }
+
+    fn first_frame_error(path: &std::path::Path) -> io::Error {
+        let mut f = File::open(path).unwrap();
+        let idx = read_index(&mut f).unwrap();
+        let (mut scratch, mut out) = (Vec::new(), Vec::new());
+        read_frame(
+            &mut f,
+            &idx.entries[0],
+            idx.compressed,
+            &mut scratch,
+            &mut out,
+        )
+        .unwrap_err()
     }
 
     #[test]
@@ -357,17 +531,72 @@ mod tests {
         let stats = write_records(path.clone(), 1 << 10, 500, true);
         assert!(stats.frames > 1, "want multiple frames, got {stats:?}");
         assert_eq!(stats.records, 500);
-        let mut f = File::open(&path).unwrap();
-        let idx = read_index(&mut f).unwrap();
+        let (raw, idx) = read_all(&path);
         assert_eq!(idx.entries.len(), stats.frames);
         assert_eq!(idx.records_total as usize, 500);
-        let (mut scratch, mut out) = (Vec::new(), Vec::new());
-        let mut raw = Vec::new();
-        for e in &idx.entries {
-            read_frame(&mut f, e, idx.compressed, &mut scratch, &mut out).unwrap();
-            raw.extend_from_slice(&out);
-        }
-        assert_eq!(raw.len(), stats.raw_bytes);
+        assert_eq!(raw, (0..500).flat_map(text_record).collect::<Vec<u8>>());
+        // Sorted text keeps compressing.
+        assert!(idx.compressed);
+        assert!(stats.disk_bytes < stats.raw_bytes, "{stats:?}");
+    }
+
+    #[test]
+    fn incompressible_records_are_stored_raw_under_a_compressing_writer() {
+        let (_dir, path) = tmp("n.gw");
+        let records = noise_records(200, 1);
+        let stats = write_all(&path, 1 << 10, true, &records);
+        assert!(stats.frames > 1, "{stats:?}");
+        assert_eq!(
+            stats.disk_bytes,
+            stats.raw_bytes + ENTRY_LEN * stats.frames + TRAILER_LEN,
+            "stored frames are the raw records: {stats:?}"
+        );
+        let (raw, idx) = read_all(&path);
+        assert!(!idx.compressed);
+        assert_eq!(raw, records.concat());
+
+        // Stored frames are verified like compressed ones.
+        let full = std::fs::read(&path).unwrap();
+        let mut flipped = full.clone();
+        flipped[40] ^= 0x01; // inside the first frame's payload
+        std::fs::write(&path, &flipped).unwrap();
+        let err = first_frame_error(&path);
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("checksum"), "{err}");
+        std::fs::write(&path, &full[..full.len() / 2]).unwrap();
+        let err = read_index(&mut File::open(&path).unwrap()).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+    }
+
+    #[test]
+    fn the_first_frame_decides_for_the_whole_file() {
+        let text: Vec<Vec<u8>> = (0..100).map(text_record).collect();
+        let noise = noise_records(100, 2);
+        let frames_of = |idx: &FrameIndex, compressed: bool| {
+            idx.entries
+                .iter()
+                .filter(|e| (e.stored_len < e.raw_len) == compressed)
+                .count()
+        };
+
+        // Compressible first, noise after: the file stays compressed, and
+        // the noise frames are carried encoded (a little larger than raw).
+        let (_dir, path) = tmp("tn.gw");
+        let records = [text.clone(), noise.clone()].concat();
+        write_all(&path, 1 << 10, true, &records);
+        let (raw, idx) = read_all(&path);
+        assert!(idx.compressed);
+        assert!(frames_of(&idx, false) > 0, "some frames did not shrink");
+        assert_eq!(raw, records.concat());
+
+        // Noise first: the file is stored, compressible frames included.
+        let (_dir, path) = tmp("nt.gw");
+        let records = [noise, text].concat();
+        write_all(&path, 1 << 10, true, &records);
+        let (raw, idx) = read_all(&path);
+        assert!(!idx.compressed);
+        assert_eq!(frames_of(&idx, true), 0);
+        assert_eq!(raw, records.concat());
     }
 
     #[test]
@@ -388,28 +617,59 @@ mod tests {
         let mut bytes = std::fs::read(&path).unwrap();
         bytes[3] ^= 0xff; // inside the first frame's stored payload
         std::fs::write(&path, &bytes).unwrap();
-        let mut f = File::open(&path).unwrap();
-        let idx = read_index(&mut f).unwrap();
-        let (mut scratch, mut out) = (Vec::new(), Vec::new());
-        let err = read_frame(
-            &mut f,
-            &idx.entries[0],
-            idx.compressed,
-            &mut scratch,
-            &mut out,
-        )
-        .unwrap_err();
+        let err = first_frame_error(&path);
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
         assert!(err.to_string().contains("checksum"), "{err}");
+    }
+
+    #[test]
+    fn a_frame_whose_index_lies_about_its_raw_length_is_rejected() {
+        for (name, compress) in [("lz.gw", true), ("raw.gw", false)] {
+            let (_dir, path) = tmp(name);
+            let stats = write_records(path.clone(), 1 << 10, 200, compress);
+            // Add one to frame 0's raw_len and to the trailer's raw_total,
+            // so the footer still adds up.
+            let mut bytes = std::fs::read(&path).unwrap();
+            let index_at = bytes.len() - TRAILER_LEN - stats.frames * ENTRY_LEN;
+            bytes[index_at + 4] = bytes[index_at + 4].wrapping_add(1);
+            let total_at = bytes.len() - TRAILER_LEN + 8;
+            bytes[total_at] = bytes[total_at].wrapping_add(1);
+            std::fs::write(&path, &bytes).unwrap();
+            let err = first_frame_error(&path);
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+            assert!(err.to_string().contains("length"), "{name}: {err}");
+        }
     }
 
     #[test]
     fn uncompressed_spills_roundtrip_too() {
         let (_dir, path) = tmp("u.gw");
         let stats = write_records(path.clone(), 1 << 10, 300, false);
-        let mut f = File::open(&path).unwrap();
-        let idx = read_index(&mut f).unwrap();
+        let (raw, idx) = read_all(&path);
         assert!(!idx.compressed);
         assert_eq!(idx.records_total as usize, stats.records);
+        assert_eq!(raw.len(), stats.raw_bytes);
+    }
+
+    proptest! {
+        /// Lengths 0..=200 cover the empty frame, every tail length 0..=31
+        /// and several full blocks.
+        #[test]
+        fn checksum_sees_every_byte_and_the_length(
+            data in proptest::collection::vec(any::<u8>(), 0..201),
+            at in any::<usize>(),
+            flip in 1u8..=255,
+        ) {
+            let sum = checksum(&data);
+            if !data.is_empty() {
+                let mut flipped = data.clone();
+                flipped[at % data.len()] ^= flip;
+                prop_assert_ne!(checksum(&flipped), sum);
+                prop_assert_ne!(checksum(&data[..data.len() - 1]), sum);
+            }
+            let mut longer = data.clone();
+            longer.push(0);
+            prop_assert_ne!(checksum(&longer), sum);
+        }
     }
 }

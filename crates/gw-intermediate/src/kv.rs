@@ -222,6 +222,22 @@ pub fn run_from_pairs<'r>(pairs: impl IntoIterator<Item = (&'r [u8], &'r [u8])>)
     b.build()
 }
 
+/// Test fixture for the stored-frame paths: one record per key in `keys`,
+/// sorted decimal keys under pseudo-random 90-byte values (101 serialized
+/// bytes each, the TeraGen shape) — a run no frame of which compresses.
+#[cfg(test)]
+pub(crate) fn noise_run(keys: std::ops::Range<usize>, rng: &mut rand::rngs::StdRng) -> Run {
+    use rand::Rng;
+    let pairs: Vec<(String, [u8; 90])> = keys
+        .map(|i| {
+            let mut value = [0u8; 90];
+            rng.fill(&mut value[..]);
+            (format!("key{i:06}"), value)
+        })
+        .collect();
+    run_from_pairs(pairs.iter().map(|(k, v)| (k.as_bytes(), v.as_slice())))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -41,12 +41,14 @@
 //! within a small constant of the budget no matter how large the
 //! partition grows.
 //!
-//! Spill I/O failures on merger threads do not panic: the first error
-//! **poisons** the store and surfaces from [`IntermediateStore::finish_map`]
-//! / [`IntermediateStore::partition_cursors`] as a typed
+//! Spill I/O failures on merger threads do not panic, and a panic there
+//! is caught: the first of either **poisons** the store and surfaces
+//! from [`IntermediateStore::finish_map`] /
+//! [`IntermediateStore::partition_cursors`] as a typed
 //! [`std::io::Error`] the engine maps to `EngineError::Io`.
 
 use std::io;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -354,8 +356,21 @@ impl Inner {
     }
 
     /// Merger-thread entry point: poison the store instead of panicking.
+    /// A panic below is caught and poisons like an error, and the thread
+    /// lives on to run (and count down) the tasks queued behind this one —
+    /// a merger that died would leave `pending` above zero for good, with
+    /// `finish_map` and every backpressured producer waiting on it.
     fn run_merge_task(&self, p: PartitionId) {
-        if let Err(e) = self.flush_and_compact(p) {
+        let outcome =
+            catch_unwind(AssertUnwindSafe(|| self.flush_and_compact(p))).unwrap_or_else(|panic| {
+                let msg = panic
+                    .downcast_ref::<&str>()
+                    .map(|s| s.to_string())
+                    .or_else(|| panic.downcast_ref::<String>().cloned())
+                    .unwrap_or_else(|| "non-string payload".into());
+                Err(io::Error::other(format!("merger thread panicked: {msg}")))
+            });
+        if let Err(e) = outcome {
             self.poison(e);
             self.parts[p as usize].lock().busy = false;
             // Wake any producer parked on backpressure so it can observe
@@ -927,39 +942,61 @@ mod tests {
         assert!(compacted.metrics().frames_read > m.frames_read);
     }
 
-    #[test]
-    fn memory_budget_bounds_peak_residency() {
+    /// Feed a budgeted store ≥ 4× its budget from `next_run` and hold it
+    /// to the out-of-core contract; `compresses` says which kind of spill
+    /// file the input must produce.
+    fn assert_budget_bounds_peak(compresses: bool, mut next_run: impl FnMut(usize) -> Run) {
         let budget = 64 << 10;
         let mut c = cfg(1).with_memory_budget(budget);
         c.merger_threads = 1;
         let store = IntermediateStore::new(c).unwrap();
-        // ≥4× the budget of intermediate data, in ~2 KiB runs.
-        let mut total = 0usize;
-        let mut i = 0usize;
+        let (mut total, mut records, mut i) = (0usize, 0usize, 0usize);
         while total < 4 * budget {
-            let words: Vec<String> = (0..64).map(|j| format!("key{:06}", i * 64 + j)).collect();
-            let refs: Vec<&str> = words.iter().map(|s| s.as_str()).collect();
-            let run = word_run(&refs);
+            let run = next_run(i);
             total += run.len_bytes();
+            records += run.records();
             store.add_run(0, run);
             i += 1;
         }
         store.finish_map().unwrap();
         let m = store.metrics();
         assert!(m.spilled_disk > 0, "{m:?}");
+        assert_eq!(m.spilled_disk < m.spilled_raw, compresses, "{m:?}");
         assert!(
             m.peak_resident_bytes <= budget + budget / 2,
             "peak {} exceeds 1.5× budget {budget} ({m:?})",
             m.peak_resident_bytes
         );
         // The data all made it, and streams back in bounded memory.
-        assert_eq!(store.partition_records(0), i * 64);
-        let streamed = stream_partition(&store, 0);
-        assert_eq!(streamed.len(), i * 64);
+        assert_eq!(store.partition_records(0), records);
+        assert_eq!(stream_partition(&store, 0).len(), records);
         assert!(
             store.metrics().peak_resident_bytes <= budget + budget / 2,
             "streaming reduce input must stay within the budget too"
         );
+        // Every writer and cursor is gone: what is still charged is what
+        // is still cached.
+        assert_eq!(
+            store.inner.gauge.current(),
+            store.inner.cache_bytes.load(Ordering::Relaxed)
+        );
+    }
+
+    #[test]
+    fn memory_budget_bounds_peak_residency() {
+        use rand::{rngs::StdRng, SeedableRng};
+        // ~2 KiB runs either way: 64 sorted keys under a one-byte value,
+        // whose spills compress, then 20 under 90 pseudo-random bytes,
+        // whose spills are stored.
+        assert_budget_bounds_peak(true, |i| {
+            let words: Vec<String> = (0..64).map(|j| format!("key{:06}", i * 64 + j)).collect();
+            let refs: Vec<&str> = words.iter().map(|s| s.as_str()).collect();
+            word_run(&refs)
+        });
+        let mut rng = StdRng::seed_from_u64(5);
+        assert_budget_bounds_peak(false, |i| {
+            crate::kv::noise_run(i * 20..(i + 1) * 20, &mut rng)
+        });
     }
 
     /// Fails every spill write from the `nth` probe on.
@@ -989,6 +1026,44 @@ mod tests {
         assert!(err.to_string().contains("injected"), "{err}");
         // The poison is sticky: later consumers see it too.
         assert!(store.partition_cursors(0).is_err());
+    }
+
+    /// Panics at the first spill write.
+    struct PanicOnWrite;
+    impl SpillFaultHook for PanicOnWrite {
+        fn spill_fault(&self, op: SpillOp) -> bool {
+            assert!(op != SpillOp::Write, "hook panic");
+            false
+        }
+    }
+
+    #[test]
+    fn merger_panic_poisons_instead_of_hanging_finish_map() {
+        let store = Arc::new(IntermediateStore::new(cfg(1)).unwrap());
+        store.arm_spill_faults(Some(Arc::new(PanicOnWrite)));
+        let words: Vec<String> = (0..400).map(|i| format!("w{i:05}")).collect();
+        let refs: Vec<&str> = words.iter().map(|s| s.as_str()).collect();
+        for _ in 0..4 {
+            store.add_run(0, word_run(&refs));
+        }
+        // A merger that dies with its task uncounted leaves `finish_map`
+        // waiting for good, so wait for it from here with a deadline.
+        let (tx, rx) = std::sync::mpsc::channel();
+        let waiter = {
+            let store = Arc::clone(&store);
+            std::thread::spawn(move || tx.send(store.finish_map()))
+        };
+        let finished = rx
+            .recv_timeout(Duration::from_secs(20))
+            .expect("finish_map hung after a merger-thread panic");
+        waiter.join().unwrap().unwrap();
+        let err = finished.unwrap_err();
+        assert!(err.to_string().contains("panicked: hook panic"), "{err}");
+        // The poison is sticky, the partition schedulable again, and no
+        // task is left counted.
+        assert!(store.partition_cursors(0).is_err());
+        assert!(!store.inner.parts[0].lock().busy);
+        assert_eq!(store.inner.pending.load(Ordering::Acquire), 0);
     }
 
     #[test]

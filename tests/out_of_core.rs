@@ -8,7 +8,9 @@
 //! open cursor frames, the high-water mark reported in
 //! `StoreMetrics::peak_resident_bytes` — stays ≤ 1.5×B, while the spill
 //! volume proves the partition never fit in memory. The spill strategy
-//! must be invisible in the output bytes.
+//! must be invisible in the output bytes, and so must what the frame codec
+//! made of the data: TeraGen records do not compress and are written as
+//! stored frames, WordCount's sorted text does and is not.
 
 use std::sync::Arc;
 
@@ -48,9 +50,19 @@ fn run(records: &workloads::Records, app: Arc<dyn GwApp>, cfg: &JobConfig) -> (J
     (report, out)
 }
 
-/// Assert the out-of-core contract on every node of a budgeted run.
-fn assert_budget_held(report: &JobReport) {
+/// Assert the out-of-core contract on every node of a budgeted run, and
+/// that its spill files are stored raw (`stored`) or compressed.
+fn assert_budget_held(report: &JobReport, stored: bool) {
     for n in &report.nodes {
+        assert_eq!(
+            n.intermediate.spilled_disk >= n.intermediate.spilled_raw,
+            stored,
+            "node {}: {} raw bytes went to disk as {} — spill files must be {}",
+            n.node,
+            n.intermediate.spilled_raw,
+            n.intermediate.spilled_disk,
+            if stored { "stored" } else { "compressed" }
+        );
         assert!(
             n.intermediate.spilled_raw >= 4 * BUDGET,
             "node {}: only {} raw bytes spilled — the run never left core \
@@ -111,7 +123,7 @@ fn terasort_under_budget_matches_incore_byte_for_byte() {
     let mut budget_cfg = base_cfg();
     budget_cfg.memory_budget = Some(BUDGET);
     let (budget_report, budget_out) = run(&recs, app, &budget_cfg);
-    assert_budget_held(&budget_report);
+    assert_budget_held(&budget_report, true);
     assert_eq!(
         budget_out, incore_out,
         "out-of-core terasort output diverged from the in-core run"
@@ -140,7 +152,7 @@ fn wordcount_reduce_under_budget_matches_incore_byte_for_byte() {
     let mut budget_cfg = base_cfg();
     budget_cfg.memory_budget = Some(BUDGET);
     let (budget_report, budget_out) = run(&recs, app, &budget_cfg);
-    assert_budget_held(&budget_report);
+    assert_budget_held(&budget_report, false);
     assert_eq!(
         budget_out, incore_out,
         "out-of-core wordcount output diverged from the in-core run"
