@@ -16,7 +16,7 @@
 
 use std::sync::Arc;
 
-use gw_core::{Combiner, Emit, GwApp};
+use gw_core::{Combiner, Emit, GwApp, Records};
 
 use crate::codec::{self, dec_u64, enc_key_u32, enc_u64};
 
@@ -31,13 +31,35 @@ impl Combiner for CentroidCombiner {
     }
 }
 
+/// Centers per block of the map kernel: two SSE registers of `f32` lanes.
+const LANES: usize = 8;
+
+/// Points the map kernel evaluates per pass over the centers. With
+/// [`LANES`] that is eight accumulator registers, which leaves room for a
+/// block row and a broadcast coordinate among the sixteen of baseline
+/// x86-64; a pass's tail runs one point at a time.
+const POINTS: usize = 4;
+
 /// The K-Means application (one iteration).
 pub struct KMeans {
     /// Flattened `k × dims` center matrix.
     centers: Vec<f32>,
+    /// The same centers for the map kernel: blocks of [`LANES`] centers,
+    /// dimension-major inside a block (`[block][dim][lane]`), the last
+    /// block's spare lanes filled with `+∞`: a point's distance to one is
+    /// `+∞` or NaN, which is `<` nothing.
+    blocks: Vec<[f32; LANES]>,
     k: usize,
     dims: usize,
     use_combiner: bool,
+}
+
+/// What the map kernel reuses from point to point.
+struct Scratch {
+    /// The pass's decoded points, point-major.
+    points: Vec<f32>,
+    /// The record being emitted: `count = 1 ++ point`.
+    payload: Vec<u8>,
 }
 
 impl KMeans {
@@ -45,8 +67,20 @@ impl KMeans {
     pub fn new(centers: Vec<f32>, k: usize, dims: usize) -> Self {
         assert_eq!(centers.len(), k * dims, "centers must be k × dims");
         assert!(k > 0 && dims > 0);
+        // A NaN center is nearer to nothing: every `<` against it is false.
+        assert!(
+            centers.iter().all(|c| c.is_finite()),
+            "centers must be finite"
+        );
+        let mut blocks = vec![[f32::INFINITY; LANES]; k.div_ceil(LANES) * dims];
+        for (c, center) in centers.chunks_exact(dims).enumerate() {
+            for (d, coord) in center.iter().enumerate() {
+                blocks[c / LANES * dims + d][c % LANES] = *coord;
+            }
+        }
         KMeans {
             centers,
+            blocks,
             k,
             dims,
             use_combiner: true,
@@ -70,10 +104,10 @@ impl KMeans {
     }
 
     /// Index of the nearest center to `point` (squared distance, ties to
-    /// the lower index).
+    /// the lower index). The reference the map kernel is tested against.
     #[inline]
     pub fn nearest_center(&self, point: &[f32]) -> usize {
-        debug_assert_eq!(point.len(), self.dims);
+        assert_eq!(point.len(), self.dims, "point must have dims coordinates");
         let mut best = 0usize;
         let mut best_d = f32::INFINITY;
         for c in 0..self.k {
@@ -90,6 +124,71 @@ impl KMeans {
         }
         best
     }
+
+    fn scratch(&self) -> Scratch {
+        Scratch {
+            points: vec![0.0; POINTS * self.dims],
+            payload: Vec::with_capacity(8 + self.dims * 4),
+        }
+    }
+
+    /// The map kernel: assign the `P` points in `values` to their nearest
+    /// centers and emit `(center, 1 ++ point)` for each, in order.
+    ///
+    /// Every (point, center) distance is [`KMeans::nearest_center`]'s: the
+    /// same `f32` subtractions, multiplications and additions, dimensions
+    /// ascending. What differs is which distances are in flight together
+    /// — `P` points against the [`LANES`] centers of a block — so that the
+    /// arithmetic fills vector lanes. Blocks are visited in center order,
+    /// a block's lanes in order, and a distance replaces the best so far
+    /// only on `<`: ties go to the lower index, as in the reference.
+    #[inline]
+    fn map_points<const P: usize>(&self, values: [&[u8]; P], s: &mut Scratch, emit: &Emit<'_>) {
+        let dims = self.dims;
+        let points = &mut s.points[..P * dims];
+        for (point, value) in points.chunks_exact_mut(dims).zip(values) {
+            // A real check: a shorter or longer value would be assigned by
+            // the coordinates it shares with the centers, silently.
+            assert_eq!(value.len(), dims * 4, "point must be dims × f32");
+            for (coord, bytes) in point.iter_mut().zip(value.chunks_exact(4)) {
+                *coord = f32::from_le_bytes(bytes.try_into().expect("4 bytes"));
+            }
+        }
+        let points: [&[f32]; P] = std::array::from_fn(|p| &points[p * dims..][..dims]);
+        let mut best = [0usize; P];
+        let mut best_d = [f32::INFINITY; P];
+        for (b, block) in self.blocks.chunks_exact(dims).enumerate() {
+            let mut dist = [[0.0f32; LANES]; P];
+            for (d, row) in block.iter().enumerate() {
+                for p in 0..P {
+                    let coord = points[p][d];
+                    for l in 0..LANES {
+                        let diff = coord - row[l];
+                        dist[p][l] += diff * diff;
+                    }
+                }
+            }
+            for p in 0..P {
+                // Most blocks hold nothing nearer: one compare per lane
+                // and no branch says so.
+                if dist[p].iter().fold(false, |any, d| any | (*d < best_d[p])) {
+                    for (l, d) in dist[p].iter().enumerate() {
+                        if *d < best_d[p] {
+                            best_d[p] = *d;
+                            best[p] = b * LANES + l;
+                        }
+                    }
+                }
+            }
+        }
+        for (value, nearest) in values.iter().zip(best) {
+            // Emit (center, count=1 ++ point) — ready for additive combining.
+            s.payload.clear();
+            s.payload.extend_from_slice(&enc_u64(1));
+            s.payload.extend_from_slice(value);
+            emit.emit(&enc_key_u32(nearest as u32), &s.payload);
+        }
+    }
 }
 
 impl GwApp for KMeans {
@@ -98,13 +197,20 @@ impl GwApp for KMeans {
     }
 
     fn map(&self, _key: &[u8], value: &[u8], emit: &Emit<'_>) {
-        let point = codec::get_f32s(value);
-        let nearest = self.nearest_center(&point) as u32;
-        // Emit (center, count=1 ++ point) — ready for additive combining.
-        let mut payload = Vec::with_capacity(8 + value.len());
-        payload.extend_from_slice(&enc_u64(1));
-        payload.extend_from_slice(value);
-        emit.emit(&enc_key_u32(nearest), &payload);
+        self.map_points([value], &mut self.scratch(), emit);
+    }
+
+    fn map_records(&self, records: &Records<'_>, emit: &Emit<'_>) {
+        let mut scratch = self.scratch();
+        let mut i = 0;
+        while i + POINTS <= records.len() {
+            let values = std::array::from_fn::<_, POINTS, _>(|p| records.get(i + p).1);
+            self.map_points(values, &mut scratch, emit);
+            i += POINTS;
+        }
+        for i in i..records.len() {
+            self.map_points([records.get(i).1], &mut scratch, emit);
+        }
     }
 
     fn combiner(&self) -> Option<Arc<dyn Combiner>> {
@@ -280,5 +386,157 @@ mod tests {
     #[should_panic(expected = "centers must be k × dims")]
     fn wrong_center_shape_is_rejected() {
         KMeans::new(vec![0.0; 5], 2, 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "centers must be finite")]
+    fn nan_center_is_rejected() {
+        KMeans::new(vec![0.0, f32::NAN, 1.0, 1.0], 2, 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "point must be dims × f32")]
+    fn short_point_is_rejected_by_map() {
+        let c = BufferPoolCollector::new(4096, 1);
+        app2d().map(b"0", &[0u8; 4], &Emit::new(&c));
+    }
+
+    #[test]
+    #[should_panic(expected = "point must be dims × f32")]
+    fn long_point_is_rejected_by_map_records() {
+        let mut points = vec![vec![1.0f32, 2.0]; 5];
+        points[2].push(3.0);
+        assigned_by_map_records(&app2d(), &points);
+    }
+
+    // --- the blocked kernel against the scalar reference ---
+
+    use gw_core::Collector;
+    use gw_storage::varint::RecRef;
+
+    /// The centers `run` emits for, after checking that every record is
+    /// `(center, 1 ++ point)` and that they come in point order.
+    fn assigned(
+        points: &[Vec<f32>],
+        run: impl FnOnce(&dyn Collector, &[u8], &[RecRef]),
+    ) -> Vec<u32> {
+        let mut bytes = Vec::new();
+        let refs: Vec<RecRef> = points
+            .iter()
+            .enumerate()
+            .map(|(i, point)| {
+                let mut value = Vec::new();
+                codec::put_f32s(&mut value, point);
+                RecRef::write(&mut bytes, &enc_key_u32(i as u32), &value)
+            })
+            .collect();
+        // One shard: records drain in emission order.
+        let c = BufferPoolCollector::new(1 << 16, 1);
+        run(&c, &bytes, &refs);
+        let mut out = Vec::new();
+        for_each_record(&c, &mut |k, v| {
+            let mut want = enc_u64(1).to_vec();
+            codec::put_f32s(&mut want, &points[out.len()]);
+            assert_eq!(v, want, "record {} is 1 ++ point", out.len());
+            out.push(codec::dec_key_u32(k));
+        });
+        assert_eq!(out.len(), points.len());
+        out
+    }
+
+    fn assigned_by_map_records(app: &KMeans, points: &[Vec<f32>]) -> Vec<u32> {
+        assigned(points, |c, bytes, refs| {
+            app.map_records(&Records::new(bytes, refs), &Emit::new(c))
+        })
+    }
+
+    fn assigned_by_map(app: &KMeans, points: &[Vec<f32>]) -> Vec<u32> {
+        assigned(points, |c, bytes, refs| {
+            for (key, value) in Records::new(bytes, refs).iter() {
+                app.map(key, value, &Emit::new(c));
+            }
+        })
+    }
+
+    fn assert_kernel_matches_reference(app: &KMeans, points: &[Vec<f32>]) {
+        let want: Vec<u32> = points
+            .iter()
+            .map(|p| app.nearest_center(p) as u32)
+            .collect();
+        assert_eq!(assigned_by_map_records(app, points), want, "map_records");
+        assert_eq!(assigned_by_map(app, points), want, "map");
+    }
+
+    #[test]
+    fn a_tie_across_a_block_boundary_goes_to_the_lower_index() {
+        // Centers 0..10 on a line, 7 and 8 in the same place: the last
+        // lane of block 0 and the first of block 1.
+        let mut centers: Vec<f32> = (0..10).map(|c| c as f32 * 10.0).collect();
+        centers[8] = centers[7];
+        let app = KMeans::new(centers, 10, 1);
+        let points = [vec![70.0], vec![71.0], vec![75.0], vec![85.0], vec![-5.0]];
+        assert_eq!(assigned_by_map_records(&app, &points), [7, 7, 7, 9, 0]);
+        assert_kernel_matches_reference(&app, &points);
+    }
+
+    #[test]
+    fn one_eight_and_nine_centers() {
+        for k in [1usize, 8, 9] {
+            // The last center is the near one: the only lane of its block
+            // at k = 1 and 9, the last lane at k = 8.
+            let centers: Vec<f32> = (0..k).flat_map(|c| [(k - c) as f32, 0.0]).collect();
+            let app = KMeans::new(centers, k, 2);
+            let points: Vec<Vec<f32>> = (0..7).map(|i| vec![1.0 - i as f32, 0.5]).collect();
+            assert_eq!(assigned_by_map_records(&app, &points)[0], k as u32 - 1);
+            assert_kernel_matches_reference(&app, &points);
+        }
+    }
+
+    #[test]
+    fn points_no_center_is_near_go_to_center_0_as_in_the_reference() {
+        // Every distance is +∞ or NaN, also against the padded lanes.
+        let app = KMeans::new((0..20).map(|c| c as f32).collect(), 10, 2);
+        let points = [
+            vec![f32::NAN, 1.0],
+            vec![f32::INFINITY, 1.0],
+            vec![1.0, f32::NEG_INFINITY],
+            vec![f32::MAX, f32::MAX],
+            vec![9.0, 9.0],
+        ];
+        assert_eq!(assigned_by_map_records(&app, &points), [0, 0, 0, 0, 4]);
+        assert_eq!(assigned_by_map(&app, &points), [0, 0, 0, 0, 4]);
+        assert_eq!(app.nearest_center(&points[0]), 0);
+        assert_eq!(app.nearest_center(&points[3]), 0);
+    }
+
+    mod properties {
+        use super::*;
+        use proptest::prelude::*;
+
+        proptest! {
+            /// `map_records` (four points a pass, then the tail), `map`
+            /// (one point a pass) and the scalar reference choose the same
+            /// center for every point. Coordinates come from a five-value
+            /// grid, so equidistant and duplicate centers are the rule;
+            /// `k` covers 0–7 padded lanes in 1–5 blocks and the slice
+            /// lengths every tail of the four-point pass.
+            #[test]
+            fn kernel_and_reference_choose_the_same_centers(
+                k in 1usize..=40,
+                dims in 1usize..=17,
+                n_points in 0usize..=9,
+                center_grid in proptest::collection::vec(-2i8..=2, 40 * 17),
+                point_grid in proptest::collection::vec(-2i8..=2, 9 * 17))
+            {
+                let centers = center_grid[..k * dims].iter().map(|c| f32::from(*c)).collect();
+                let app = KMeans::new(centers, k, dims);
+                let points: Vec<Vec<f32>> = point_grid[..n_points * dims]
+                    .chunks_exact(dims)
+                    // Half steps: points midway between grid centers.
+                    .map(|p| p.iter().map(|c| f32::from(*c) * 0.5).collect())
+                    .collect();
+                assert_kernel_matches_reference(&app, &points);
+            }
+        }
     }
 }

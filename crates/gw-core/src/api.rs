@@ -10,28 +10,94 @@
 //! from NDRange work items, concurrently, so they must be `Sync` and all
 //! shared state must be internally synchronised (just as OpenCL kernels
 //! must use atomics).
+//!
+//! The unit the map kernel hands an application is a *work item*, not a
+//! record: [`GwApp::map_records`] gets the work item's whole record slice
+//! ([`Records`]) and an [`Emit`] whose destination the collector resolved
+//! once for the work item ([`Collector::work_item`]). An application that
+//! only writes `map` gets the per-record loop as the default.
 
-use crate::collect::Collector;
+use std::cell::RefCell;
+
+use gw_storage::varint::RecRef;
+
+use crate::collect::{Collector, Sink};
 use crate::hash;
+
+/// One work item's records: a borrowed view of the chunk's bytes and the
+/// work item's slice of its record positions.
+pub struct Records<'a> {
+    bytes: &'a [u8],
+    refs: &'a [RecRef],
+}
+
+impl<'a> Records<'a> {
+    /// The records `refs` points at inside `bytes`.
+    pub fn new(bytes: &'a [u8], refs: &'a [RecRef]) -> Self {
+        Records { bytes, refs }
+    }
+
+    /// Number of records.
+    pub fn len(&self) -> usize {
+        self.refs.len()
+    }
+
+    /// Whether the work item has no record.
+    pub fn is_empty(&self) -> bool {
+        self.refs.is_empty()
+    }
+
+    /// The `i`-th record's `(key, value)`.
+    #[inline]
+    pub fn get(&self, i: usize) -> (&'a [u8], &'a [u8]) {
+        let r = &self.refs[i];
+        (r.key(self.bytes), r.value(self.bytes))
+    }
+
+    /// Every `(key, value)`, in record order.
+    pub fn iter(&self) -> impl Iterator<Item = (&'a [u8], &'a [u8])> + '_ {
+        (0..self.len()).map(|i| self.get(i))
+    }
+}
 
 /// Output emitter handed to map/reduce functions.
 ///
 /// Backed by one of the two collection mechanisms (shared buffer pool or
-/// hash table); see [`crate::collect`].
+/// hash table; see [`crate::collect`]), either through the collector's
+/// per-record [`Collector::emit`] or through the sink it resolved for one
+/// work item.
 pub struct Emit<'a> {
-    collector: &'a dyn Collector,
+    to: Target<'a>,
+}
+
+enum Target<'a> {
+    Collector(&'a dyn Collector),
+    /// `emit` takes `&self`; a work item runs on one thread.
+    Sink(RefCell<&'a mut Sink<'a>>),
 }
 
 impl<'a> Emit<'a> {
     /// Wrap a collector.
     pub fn new(collector: &'a dyn Collector) -> Self {
-        Emit { collector }
+        Emit {
+            to: Target::Collector(collector),
+        }
+    }
+
+    /// Wrap the sink of one work item ([`Collector::work_item`]).
+    pub fn to_sink(sink: &'a mut Sink<'a>) -> Self {
+        Emit {
+            to: Target::Sink(RefCell::new(sink)),
+        }
     }
 
     /// Emit one key/value pair.
     #[inline]
     pub fn emit(&self, key: &[u8], value: &[u8]) {
-        self.collector.emit(key, value);
+        match &self.to {
+            Target::Collector(collector) => collector.emit(key, value),
+            Target::Sink(sink) => (sink.borrow_mut())(key, value),
+        }
     }
 }
 
@@ -51,6 +117,16 @@ pub trait GwApp: Send + Sync + 'static {
 
     /// Map one input record. Invoked concurrently by kernel work items.
     fn map(&self, key: &[u8], value: &[u8], emit: &Emit<'_>);
+
+    /// Map one work item's records, in record order — what the map kernel
+    /// calls. Override it to work across records (K-Means evaluates four
+    /// points per pass over its centers); what it emits, and in which
+    /// order, must be what `map` record by record would.
+    fn map_records(&self, records: &Records<'_>, emit: &Emit<'_>) {
+        for (key, value) in records.iter() {
+            self.map(key, value, emit);
+        }
+    }
 
     /// The application's combiner, if any.
     fn combiner(&self) -> Option<std::sync::Arc<dyn Combiner>> {
@@ -143,5 +219,26 @@ mod tests {
         let collector = BufferPoolCollector::new(4096, 2);
         app.map(b"key", b"val", &Emit::new(&collector));
         assert_eq!(collector.records(), 1);
+    }
+
+    #[test]
+    fn map_records_defaults_to_map_in_record_order_through_the_work_items_sink() {
+        let mut block = Vec::new();
+        let refs = [(b"k0", b"v0"), (b"k1", b"v1"), (b"k2", b"v2")]
+            .map(|(k, v)| RecRef::write(&mut block, k, v));
+        let records = Records::new(&block, &refs[1..]);
+        assert_eq!(records.len(), 2);
+        assert_eq!(records.get(0), (&b"k1"[..], &b"v1"[..]));
+        let collector = BufferPoolCollector::new(4096, 1);
+        collector.work_item(&mut |sink| Echo.map_records(&records, &Emit::to_sink(sink)));
+        let mut out = Vec::new();
+        crate::collect::for_each_record(&collector, &mut |k, v| out.push((k.to_vec(), v.to_vec())));
+        assert_eq!(
+            out,
+            vec![
+                (b"k1".to_vec(), b"v1".to_vec()),
+                (b"k2".to_vec(), b"v2".to_vec())
+            ]
+        );
     }
 }

@@ -60,12 +60,23 @@ pub enum CollectorKind {
     HashTable,
 }
 
-/// A kernel-output collector. `emit` is called concurrently from work
-/// items; `for_each_part` and `reset` are called by the pipeline after the
-/// kernel completes (no concurrent emits).
+/// Where one work item's emits go: `sink(key, value)` stores one pair.
+pub type Sink<'a> = dyn FnMut(&[u8], &[u8]) + 'a;
+
+/// A kernel-output collector. `emit` and `work_item` are called
+/// concurrently from work items; `for_each_part` and `reset` are called by
+/// the pipeline after the kernel completes (no concurrent emits).
 pub trait Collector: Send + Sync {
     /// Store one key/value pair.
     fn emit(&self, key: &[u8], value: &[u8]);
+
+    /// Run `f`, one work item's body, with the sink for everything it
+    /// emits, so that a collector can find the caller's storage once per
+    /// work item instead of once per record. `f` must emit through the
+    /// sink only: a collector may hold a lock while it runs.
+    fn work_item(&self, f: &mut dyn FnMut(&mut Sink<'_>)) {
+        f(&mut |key, value| self.emit(key, value));
+    }
 
     /// Visit the `part`-th of `parts` disjoint slices of the collected
     /// records. Visiting all `parts` slices yields every record exactly
@@ -607,10 +618,14 @@ impl HashTableCollector {
 
 impl Collector for HashTableCollector {
     fn emit(&self, key: &[u8], value: &[u8]) {
-        let hash = hash_bytes(key);
-        self.table(current_group_id())
-            .write()
-            .emit(hash, key, value);
+        self.work_item(&mut |sink| sink(key, value));
+    }
+
+    /// The calling thread's work-group is looked up, and its table locked,
+    /// once; the lock is released when `f` returns or unwinds.
+    fn work_item(&self, f: &mut dyn FnMut(&mut Sink<'_>)) {
+        let mut table = self.table(current_group_id()).write();
+        f(&mut |key, value| table.emit(hash_bytes(key), key, value));
     }
 
     /// The entries of all tables, in group order and insertion order, cut
@@ -897,6 +912,25 @@ mod tests {
         pool.run(range, &kernel);
     }
 
+    /// [`launch`], each work item emitting through its own sink, the way
+    /// the map kernel does.
+    fn launch_work_items(
+        pool: &WorkerPool,
+        range: NdRange,
+        c: &dyn Collector,
+        chunk: &[(Vec<u8>, Vec<u8>)],
+    ) {
+        let kernel = KernelFn(|ctx: &WorkItemCtx| {
+            let (lo, hi) = ctx.my_items(chunk.len());
+            c.work_item(&mut |sink| {
+                for (k, v) in &chunk[lo..hi] {
+                    sink(k, v);
+                }
+            });
+        });
+        pool.run(range, &kernel);
+    }
+
     /// 3000 emits over 49 keys (the values `i² + 7i` takes mod 97), so every
     /// work-group meets most keys and the fold has real merging to do;
     /// `value(i)` encodes the `i`-th value.
@@ -911,22 +945,28 @@ mod tests {
             .collect()
     }
 
-    /// `chunk` emitted through pools of 0, 1 and 3 background threads
-    /// drains in one and the same order.
+    /// `chunk` emitted through pools of 0, 1 and 3 background threads,
+    /// record by record or a work item at a time, drains in one and the
+    /// same order and counts the same.
     fn assert_same_sequence_on_every_pool(
         name: &str,
         chunk: &[(Vec<u8>, Vec<u8>)],
         make: impl Fn() -> Box<dyn Collector>,
     ) {
-        let [alone, one, three] = [0, 1, 3].map(|threads| {
+        let range = NdRange::new(64, 16).unwrap();
+        let drained = |threads: usize, launch: &dyn Fn(&WorkerPool, &dyn Collector)| {
             let c = make();
-            let range = NdRange::new(64, 16).unwrap();
-            launch(&WorkerPool::new(threads), range, c.as_ref(), chunk);
-            sequence(c.as_ref())
-        });
-        assert!(!alone.is_empty());
-        assert_eq!(alone, one, "{name}: 0 vs 1 background threads");
-        assert_eq!(alone, three, "{name}: 0 vs 3 background threads");
+            launch(&WorkerPool::new(threads), c.as_ref());
+            (c.bytes(), c.records(), sequence(c.as_ref()))
+        };
+        let alone = drained(0, &|pool, c| launch(pool, range, c, chunk));
+        assert!(!alone.2.is_empty());
+        for threads in [0, 1, 3] {
+            let per_record = drained(threads, &|pool, c| launch(pool, range, c, chunk));
+            let per_item = drained(threads, &|pool, c| launch_work_items(pool, range, c, chunk));
+            assert!(alone == per_record, "{name}: emit, {threads} threads");
+            assert!(alone == per_item, "{name}: work_item, {threads} threads");
+        }
     }
 
     #[test]
@@ -946,6 +986,85 @@ mod tests {
         assert_same_sequence_on_every_pool("buffer pool", &counts, || {
             Box::new(BufferPoolCollector::new(1 << 20, 4))
         });
+    }
+
+    #[test]
+    fn an_emit_from_outside_waits_for_group_0s_open_work_item() {
+        use std::sync::mpsc::{channel, RecvTimeoutError};
+        use std::time::Duration;
+
+        let c = HashTableCollector::new(16, None);
+        let (open_tx, open_rx) = channel();
+        let (landed_tx, landed_rx) = channel();
+        std::thread::scope(|s| {
+            // Outside a launch every thread is group 0.
+            let c = &c;
+            s.spawn(move || {
+                open_rx.recv().unwrap();
+                c.emit(b"outside", b"3");
+                landed_tx.send(()).unwrap();
+            });
+            c.work_item(&mut |sink| {
+                sink(b"item", b"1");
+                open_tx.send(()).unwrap();
+                // The other thread is now at its `emit`, or soon will be;
+                // either way it cannot get past it while this sink is open.
+                assert_eq!(
+                    landed_rx.recv_timeout(Duration::from_millis(100)),
+                    Err(RecvTimeoutError::Timeout),
+                    "the emit landed inside another thread's open work item"
+                );
+                sink(b"item", b"2");
+            });
+            landed_rx.recv().unwrap();
+        });
+        assert_eq!(c.emits(), 3);
+        assert_eq!(
+            sequence(&c),
+            vec![
+                (b"item".to_vec(), b"1".to_vec()),
+                (b"item".to_vec(), b"2".to_vec()),
+                (b"outside".to_vec(), b"3".to_vec()),
+            ]
+        );
+    }
+
+    #[test]
+    fn a_work_item_that_panics_releases_its_table() {
+        let mut c = HashTableCollector::new(16, None);
+        let kernel = KernelFn(|_: &WorkItemCtx| {
+            c.work_item(&mut |sink| {
+                sink(b"partial", b"1");
+                panic!("injected map failure");
+            });
+        });
+        let pool = WorkerPool::new(1);
+        let range = NdRange::new(4, 2).unwrap();
+        let launch = std::panic::AssertUnwindSafe(|| pool.run(range, &kernel));
+        assert!(std::panic::catch_unwind(launch).is_err());
+        // What the retry path does next: discard, then emit again.
+        c.reset();
+        c.emit(b"retry", b"2");
+        assert_eq!(c.emits(), 1);
+        assert_eq!(sequence(&c), vec![(b"retry".to_vec(), b"2".to_vec())]);
+    }
+
+    #[test]
+    fn work_items_count_emits_like_emit() {
+        let pool = WorkerPool::new(2);
+        let range = NdRange::new(64, 16).unwrap();
+        let chunk = chunk_of(|i| (i as u64).to_le_bytes().to_vec());
+        for combiner in [Some(Arc::new(SumCombiner) as Arc<dyn Combiner>), None] {
+            let per_record = HashTableCollector::new(64, combiner.clone());
+            launch(&pool, range, &per_record, &chunk);
+            let per_item = HashTableCollector::new(64, combiner);
+            launch_work_items(&pool, range, &per_item, &chunk);
+            assert_eq!(per_item.emits(), 3000);
+            assert_eq!(per_item.emits(), per_record.emits());
+            assert_eq!(per_item.bytes(), per_record.bytes());
+            assert_eq!(per_item.records(), per_record.records());
+            assert_eq!(per_item.bytes(), per_record.bytes(), "after the fold");
+        }
     }
 
     #[test]

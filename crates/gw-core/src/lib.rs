@@ -48,7 +48,7 @@ pub mod map_pipeline;
 pub mod reduce_pipeline;
 pub mod schedule;
 
-pub use api::{Combiner, Emit, GwApp};
+pub use api::{Combiner, Emit, GwApp, Records};
 pub use cluster::{read_job_output, Cluster, JobReport, NodeReport, RunScope};
 pub use collect::{BufferPoolCollector, Collector, CollectorKind, HashTableCollector};
 pub use config::{Buffering, JobConfig, LanePlan, SpeculationConfig, TimingMode};

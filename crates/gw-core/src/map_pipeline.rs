@@ -57,23 +57,15 @@ use gw_pipeline::{
     Stage, StageCtx,
 };
 use gw_storage::split::FileStore;
-use gw_storage::{seqfile::SeqReader, InputSplit, NodeId};
+use gw_storage::varint::RecRef;
+use gw_storage::{InputSplit, NodeId, StorageError};
 use gw_trace::{CounterId, Lane, LaneId, Realm, StageId, Tracer};
 
-use crate::api::{Emit, GwApp};
+use crate::api::{Emit, GwApp, Records};
 use crate::collect::{BufferPoolCollector, Collector, CollectorKind, HashTableCollector};
 use crate::config::{JobConfig, TimingMode};
 use crate::coordinator::{Coordinator, MapPipelineProbe, NodeChaos, RecoveryState, RunKey};
 use crate::EngineError;
-
-/// Byte offsets of one record inside its block.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct RecordRef {
-    koff: u32,
-    klen: u32,
-    voff: u32,
-    vlen: u32,
-}
 
 /// The one chunk type carried through the whole graph: a block read from
 /// storage, progressively annotated with its staging buffer (discrete
@@ -81,7 +73,7 @@ pub(crate) struct RecordRef {
 struct MapChunk {
     block_idx: usize,
     block: Arc<[u8]>,
-    records: Vec<RecordRef>,
+    records: Vec<RecRef>,
     buffer: Option<DeviceBuffer>,
     collector: Option<Box<dyn Collector>>,
 }
@@ -136,18 +128,15 @@ pub(crate) fn make_collector(cfg: &JobConfig, app: &Arc<dyn GwApp>) -> Box<dyn C
     }
 }
 
-/// Parse a raw record block into record references.
-fn parse_block(block: &[u8]) -> Result<Vec<RecordRef>, EngineError> {
+/// Parse a raw record block into record positions.
+fn parse_block(block: &[u8]) -> Result<Vec<RecRef>, EngineError> {
     let mut records = Vec::new();
-    let mut reader = SeqReader::open_raw(block);
-    let base = block.as_ptr() as usize;
-    while let Some((k, v)) = reader.next()? {
-        records.push(RecordRef {
-            koff: (k.as_ptr() as usize - base) as u32,
-            klen: k.len() as u32,
-            voff: (v.as_ptr() as usize - base) as u32,
-            vlen: v.len() as u32,
-        });
+    let mut off = 0;
+    while off < block.len() {
+        let rec = RecRef::decode(block, off)
+            .ok_or_else(|| StorageError::Corrupt("truncated or malformed record".into()))?;
+        off = rec.end();
+        records.push(rec);
     }
     Ok(records)
 }
@@ -333,13 +322,9 @@ impl Stage<MapChunk, EngineError> for MapKernel<'_> {
             |collector| {
                 let emit_target: &dyn Collector = collector.as_ref();
                 let kernel = KernelFn(move |wctx: &WorkItemCtx| {
-                    let emit = Emit::new(emit_target);
                     let (lo, hi) = wctx.my_items(n_records);
-                    for r in &records[lo..hi] {
-                        let key = &bytes[r.koff as usize..(r.koff + r.klen) as usize];
-                        let value = &bytes[r.voff as usize..(r.voff + r.vlen) as usize];
-                        app.map(key, value, &emit);
-                    }
+                    let mine = Records::new(bytes, &records[lo..hi]);
+                    emit_target.work_item(&mut |sink| app.map_records(&mine, &Emit::to_sink(sink)));
                 });
                 device.launch(range, &kernel)
             },

@@ -7,7 +7,9 @@
 //! then a function of the chunk and the NDRange — not of which thread ran
 //! which group when — so the job's output files are the same bytes at
 //! every `device_threads`, including K-Means, whose combiner adds `f32`s
-//! and so records the order it was applied in.
+//! and so records the order it was applied in. The same argument covers
+//! an application's `map_records`: K-Means' four-points-a-pass kernel
+//! emits what `map` record by record emits, in the same order.
 
 use std::sync::Arc;
 
@@ -27,6 +29,20 @@ fn output_files(
     collector: CollectorKind,
     device_threads: usize,
 ) -> Vec<(String, Vec<u8>)> {
+    // The default NDRange: 64 work items in 4 work-groups per chunk.
+    let map_work_items = JobConfig::new("/in", "/out").map_work_items;
+    output_files_at(input, block, app, collector, device_threads, map_work_items)
+}
+
+/// [`output_files`] with `map_work_items` work items per chunk.
+fn output_files_at(
+    input: &Records,
+    block: usize,
+    app: Arc<dyn GwApp>,
+    collector: CollectorKind,
+    device_threads: usize,
+    map_work_items: usize,
+) -> Vec<(String, Vec<u8>)> {
     let dfs = Arc::new(Dfs::new(DfsConfig::new(NODES).free_io()));
     dfs.write_records(
         "/in",
@@ -37,8 +53,8 @@ fn output_files(
     )
     .unwrap();
     let cluster = Cluster::new(dfs, NetProfile::unlimited());
-    // The default NDRange: 64 work items in 4 work-groups per chunk.
     let mut cfg = JobConfig::new("/in", "/out");
+    cfg.map_work_items = map_work_items;
     cfg.collector = collector;
     cfg.device_threads = device_threads;
     cfg.partitions_per_node = PARTITIONS_PER_NODE;
@@ -111,6 +127,79 @@ fn output_files_are_byte_identical_at_1_2_and_4_device_threads() {
                     many == one,
                     "{name} {collector:?}: output at device_threads = {device_threads} \
                      differs from device_threads = 1"
+                );
+            }
+        }
+    }
+}
+
+/// K-Means with the trait's `map_records`: every `GwApp` method forwarded
+/// except that one, so the kernel maps its work items record by record.
+struct PerRecord(KMeans);
+
+impl GwApp for PerRecord {
+    fn name(&self) -> &'static str {
+        self.0.name()
+    }
+    fn map(&self, key: &[u8], value: &[u8], emit: &Emit<'_>) {
+        self.0.map(key, value, emit)
+    }
+    fn combiner(&self) -> Option<Arc<dyn Combiner>> {
+        self.0.combiner()
+    }
+    fn has_reduce(&self) -> bool {
+        self.0.has_reduce()
+    }
+    fn reduce(&self, key: &[u8], values: &[&[u8]], state: &mut Vec<u8>, last: bool, e: &Emit<'_>) {
+        self.0.reduce(key, values, state, last, e)
+    }
+    fn partition(&self, key: &[u8], num_partitions: u32) -> u32 {
+        self.0.partition(key, num_partitions)
+    }
+    fn merge_states(&self, acc: &mut Vec<u8>, other: &[u8]) -> bool {
+        self.0.merge_states(acc, other)
+    }
+}
+
+#[test]
+fn kmeans_map_records_writes_the_bytes_of_the_per_record_default() {
+    // 13 centers: a full block and one with three padded lanes. A 1 KiB
+    // chunk holds just under 40 points, so a work item gets all of them, five
+    // or six (one four-point pass and a tail), or one (no full pass).
+    let spec = KmeansSpec {
+        points: 1500,
+        dims: 5,
+        centers: 13,
+        seed: 47,
+    };
+    let points = workloads::kmeans_points(&spec);
+    let kmeans = || KMeans::new(workloads::kmeans_centers(&spec), spec.centers, spec.dims);
+    for map_work_items in [1, 7, 64] {
+        for collector in [CollectorKind::HashTable, CollectorKind::BufferPool] {
+            let run = |app: Arc<dyn GwApp>, device_threads| {
+                output_files_at(
+                    &points,
+                    8 << 10,
+                    app,
+                    collector,
+                    device_threads,
+                    map_work_items,
+                )
+            };
+            let reference = run(Arc::new(PerRecord(kmeans())), 1);
+            assert!(reference.iter().any(|(_, bytes)| !bytes.is_empty()));
+            for device_threads in [1, 2, 4] {
+                let what = format!(
+                    "{collector:?}, map_work_items = {map_work_items}, \
+                     device_threads = {device_threads}"
+                );
+                assert!(
+                    run(Arc::new(kmeans()), device_threads) == reference,
+                    "map_records differs from per-record map at device_threads = 1: {what}"
+                );
+                assert!(
+                    run(Arc::new(PerRecord(kmeans())), device_threads) == reference,
+                    "per-record map differs from itself at device_threads = 1: {what}"
                 );
             }
         }

@@ -362,3 +362,46 @@ fn retries_do_not_perturb_healthy_jobs() {
         0
     );
 }
+
+#[test]
+fn a_malformed_kmeans_point_fails_its_map_task_not_the_answer() {
+    use glasswing::apps::workloads::{self, KmeansSpec};
+
+    // One 7-float point among 8-float points. Assigned by the coordinates
+    // it has it would be a plausible, wrong member of some center, so the
+    // map kernel must refuse it where it decodes it, in every build
+    // profile (`cargo test --release` too): the chunk's partial output is
+    // discarded and the job fails typed. Without that check an optimised
+    // build assigns the point and stops only if a later stage happens to
+    // add vectors of unequal length — with the buffer pool, in the reduce.
+    let spec = KmeansSpec {
+        points: 200,
+        dims: 8,
+        centers: 10,
+        seed: 9,
+    };
+    let mut points = workloads::kmeans_points(&spec);
+    points[137].1.truncate(7 * 4);
+    for collector in [CollectorKind::HashTable, CollectorKind::BufferPool] {
+        let dfs = Arc::new(Dfs::new(DfsConfig::new(1).free_io()));
+        dfs.write_records(
+            "/ft/in",
+            NodeId(0),
+            2 << 10,
+            1,
+            points.iter().map(|(k, v)| (k.as_slice(), v.as_slice())),
+        )
+        .unwrap();
+        let cluster = Cluster::new(dfs, NetProfile::unlimited());
+        let centers = workloads::kmeans_centers(&spec);
+        let app = Arc::new(KMeans::new(centers, spec.centers, spec.dims));
+        let mut cfg = cfg(1);
+        cfg.collector = collector;
+        match cluster.run(app, &cfg) {
+            Err(EngineError::TaskFailed(msg)) => {
+                assert!(msg.starts_with("map task"), "{collector:?}: {msg}")
+            }
+            other => panic!("{collector:?}: expected TaskFailed, got {other:?}"),
+        }
+    }
+}
