@@ -15,13 +15,14 @@
 //! launch — the `Collector` trait carries no group argument) and writes to
 //! that group's own storage:
 //!
-//! * [`BufferPoolCollector`] — "each thread allocates space via a single
-//!   atomic operation": one bump arena per shard, the shard picked by
-//!   work-group. Fast emits, but every occurrence is stored, so downstream
-//!   partitioning must decode every record individually (Table II config
-//!   (iii): dominant partitioning stage). Shards drain in index order, so
-//!   with at least as many shards as work-groups the record order is a
-//!   function of the NDRange.
+//! * [`BufferPoolCollector`] — one growable byte arena per shard, the
+//!   shard picked by work-group, records appended encoded. The paper's
+//!   "each thread allocates space via a single atomic operation" becomes
+//!   one uncontended lock per work item. Fast emits, but every occurrence
+//!   is stored, so downstream partitioning must decode every record
+//!   individually (Table II config (iii): dominant partitioning stage).
+//!   Shards drain in index order, so with at least as many shards as
+//!   work-groups the record order is a function of the NDRange.
 //! * [`HashTableCollector`] — one private open-addressing table per
 //!   work-group, keys and values in one arena, combining in place. An emit
 //!   takes no lock and no atomic another group takes and, once the first
@@ -40,13 +41,12 @@
 //! threads share one table.
 
 use std::ops::Range;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 
 use parking_lot::{Mutex, RwLock};
 
 use gw_device::current_group_id;
-use gw_storage::varint::{self, RecRef};
+use gw_storage::varint::RecRef;
 
 use crate::api::Combiner;
 use crate::hash::hash_bytes;
@@ -102,159 +102,87 @@ pub fn for_each_record(c: &dyn Collector, f: &mut dyn FnMut(&[u8], &[u8])) {
 // Shared buffer pool
 // ---------------------------------------------------------------------------
 
-/// Raw arena storage written by concurrent work items at disjoint offsets.
-struct RawBuf {
-    ptr: *mut u8,
-    cap: usize,
-}
-
-// SAFETY: writers only touch disjoint `[off, off+len)` ranges reserved via
-// an atomic fetch_add, and readers only run after all writers finished
-// (enforced by the pipeline's kernel→partition ordering).
-unsafe impl Send for RawBuf {}
-unsafe impl Sync for RawBuf {}
-
-impl RawBuf {
-    fn new(cap: usize) -> Self {
-        let mut vec = vec![0u8; cap];
-        let ptr = vec.as_mut_ptr();
-        std::mem::forget(vec);
-        RawBuf { ptr, cap }
-    }
-}
-
-impl Drop for RawBuf {
-    fn drop(&mut self) {
-        // SAFETY: reconstitutes the Vec forgotten in `new`.
-        unsafe { drop(Vec::from_raw_parts(self.ptr, self.cap, self.cap)) };
-    }
-}
-
-/// One work-group's arena (several groups', when the launch has more
-/// groups than the pool has shards). Aligned so that two shards never
-/// share a cache line.
+/// One work-group's records (several groups', when the launch has more
+/// groups than the pool has shards), encoded back to back as
+/// `varint(klen) varint(vlen) key value` in emission order. Aligned so
+/// that two shards never share a cache line. In a launch only the group's
+/// thread takes the lock; it is there for emits that are not in one.
 #[repr(align(128))]
-struct Shard {
-    buf: RawBuf,
-    /// Next free offset: the bytes of every record emitted here, so it
-    /// exceeds `cap` once a reservation has failed.
-    used: AtomicUsize,
-    /// End of the last successfully written record (reservations succeed
-    /// in prefix order, so this is a valid parse boundary).
-    valid_end: AtomicUsize,
-    records: AtomicUsize,
-    /// Slow path for records that no longer fit in the arena.
-    overflow: Mutex<Vec<u8>>,
+struct Shard(Mutex<ShardBuf>);
+
+struct ShardBuf {
+    bytes: Vec<u8>,
+    records: usize,
 }
 
-impl Shard {
-    fn new(cap: usize) -> Self {
-        Shard {
-            buf: RawBuf::new(cap),
-            used: AtomicUsize::new(0),
-            valid_end: AtomicUsize::new(0),
-            records: AtomicUsize::new(0),
-            overflow: Mutex::new(Vec::new()),
-        }
-    }
-}
-
-/// The shared-buffer-pool collector: atomic bump allocation in the
-/// emitting work-group's shard.
+/// The shared-buffer-pool collector: every record appended, as emitted, to
+/// the emitting work-group's shard.
 pub struct BufferPoolCollector {
     shards: Vec<Shard>,
 }
 
 impl BufferPoolCollector {
-    /// Create with `capacity` total bytes across `shards` shards.
+    /// Create `shards` shards that reserve `capacity` bytes between them;
+    /// a shard that fills up grows.
     pub fn new(capacity: usize, shards: usize) -> Self {
         let shards = shards.max(1);
-        let per = (capacity / shards).max(256);
+        let shard = || {
+            Shard(Mutex::new(ShardBuf {
+                bytes: Vec::with_capacity(capacity / shards),
+                records: 0,
+            }))
+        };
         BufferPoolCollector {
-            shards: (0..shards).map(|_| Shard::new(per)).collect(),
+            shards: (0..shards).map(|_| shard()).collect(),
         }
     }
 
-    /// The record header `varint(klen) varint(vlen)` and its length.
-    #[inline]
-    fn encode_header(key: &[u8], value: &[u8]) -> ([u8; 20], usize) {
-        let mut hdr = [0u8; 20];
-        let n = varint::encode_u64(&mut hdr, key.len() as u64);
-        let n = n + varint::encode_u64(&mut hdr[n..], value.len() as u64);
-        (hdr, n)
+    fn sum(&self, of: impl Fn(&ShardBuf) -> usize) -> usize {
+        self.shards.iter().map(|shard| of(&shard.0.lock())).sum()
     }
 }
 
 impl Collector for BufferPoolCollector {
     fn emit(&self, key: &[u8], value: &[u8]) {
-        let (hdr, hdr_len) = Self::encode_header(key, value);
-        let total = hdr_len + key.len() + value.len();
-        // A work-group's records stay together, in emission order. A shard
-        // keeps serving until full (one atomic op per allocation, as in
-        // the paper).
-        let shard = &self.shards[current_group_id() % self.shards.len()];
-        let off = shard.used.fetch_add(total, Ordering::Relaxed);
-        if off + total <= shard.buf.cap {
-            // SAFETY: `[off, off+total)` is exclusively ours (fetch_add)
-            // and within capacity.
-            unsafe {
-                let dst = shard.buf.ptr.add(off);
-                std::ptr::copy_nonoverlapping(hdr.as_ptr(), dst, hdr_len);
-                std::ptr::copy_nonoverlapping(key.as_ptr(), dst.add(hdr_len), key.len());
-                std::ptr::copy_nonoverlapping(
-                    value.as_ptr(),
-                    dst.add(hdr_len + key.len()),
-                    value.len(),
-                );
-            }
-            shard.valid_end.fetch_max(off + total, Ordering::Release);
-        } else {
-            // Arena exhausted: append under the shard lock.
-            let mut ovf = shard.overflow.lock();
-            ovf.extend_from_slice(&hdr[..hdr_len]);
-            ovf.extend_from_slice(key);
-            ovf.extend_from_slice(value);
-        }
-        shard.records.fetch_add(1, Ordering::Relaxed);
+        self.work_item(&mut |sink| sink(key, value));
+    }
+
+    /// The calling thread's work-group's shard is looked up and locked
+    /// once; the lock is released when `f` returns or unwinds.
+    fn work_item(&self, f: &mut dyn FnMut(&mut Sink<'_>)) {
+        let mut shard = self.shards[current_group_id() % self.shards.len()].0.lock();
+        f(&mut |key, value| {
+            RecRef::write(&mut shard.bytes, key, value);
+            shard.records += 1;
+        });
     }
 
     fn for_each_part(&self, part: usize, parts: usize, f: &mut dyn FnMut(&[u8], &[u8])) {
-        for (s, shard) in self.shards.iter().enumerate() {
-            if s % parts != part {
-                continue;
-            }
-            let end = shard.valid_end.load(Ordering::Acquire).min(shard.buf.cap);
-            // SAFETY: all writers finished; `[0, end)` holds complete records.
-            let main = unsafe { std::slice::from_raw_parts(shard.buf.ptr, end) };
-            let ovf = shard.overflow.lock();
-            for region in [main, ovf.as_slice()] {
-                let mut rest = region;
-                while !rest.is_empty() {
-                    let rec = RecRef::decode(rest, 0).expect("corrupt arena record");
-                    f(rec.key(rest), rec.value(rest));
-                    rest = &rest[rec.end()..];
-                }
+        for shard in self.shards.iter().skip(part).step_by(parts) {
+            let shard = shard.0.lock();
+            let mut rest = shard.bytes.as_slice();
+            while !rest.is_empty() {
+                let rec = RecRef::decode(rest, 0).expect("corrupt arena record");
+                f(rec.key(rest), rec.value(rest));
+                rest = &rest[rec.end()..];
             }
         }
     }
 
     fn reset(&mut self) {
         for shard in &mut self.shards {
-            *shard.used.get_mut() = 0;
-            *shard.valid_end.get_mut() = 0;
-            *shard.records.get_mut() = 0;
-            shard.overflow.get_mut().clear();
+            let shard = shard.0.get_mut();
+            shard.bytes.clear();
+            shard.records = 0;
         }
     }
 
     fn records(&self) -> usize {
-        let count = |s: &Shard| s.records.load(Ordering::Relaxed);
-        self.shards.iter().map(count).sum()
+        self.sum(|shard| shard.records)
     }
 
     fn bytes(&self) -> usize {
-        let bytes = |s: &Shard| s.used.load(Ordering::Relaxed);
-        self.shards.iter().map(bytes).sum()
+        self.sum(|shard| shard.bytes.len())
     }
 }
 
@@ -729,17 +657,6 @@ mod tests {
     }
 
     #[test]
-    fn buffer_pool_overflow_path_keeps_records() {
-        // Tiny capacity forces the overflow path.
-        let c = BufferPoolCollector::new(256, 1);
-        for i in 0..200 {
-            c.emit(format!("key-{i:04}").as_bytes(), b"valuevalue");
-        }
-        assert_eq!(c.records(), 200);
-        assert_eq!(collect_all(&c).len(), 200);
-    }
-
-    #[test]
     fn buffer_pool_concurrent_emits_are_all_kept() {
         let c = std::sync::Arc::new(BufferPoolCollector::new(1 << 18, 8));
         let threads: Vec<_> = (0..8)
@@ -989,6 +906,19 @@ mod tests {
     }
 
     #[test]
+    fn buffer_pool_keeps_records_past_its_reservation_per_group_in_emission_order() {
+        // Four shards reserving 64 bytes each take some 12 KiB apiece.
+        let c = BufferPoolCollector::new(256, 4);
+        let chunk = chunk_of(|i| (i as u64).to_le_bytes().to_vec());
+        let range = NdRange::new(64, 16).unwrap();
+        launch_work_items(&WorkerPool::new(2), range, &c, &chunk);
+        assert_eq!(c.records(), 3000);
+        // A group's items run in item order over ascending slices of the
+        // chunk, and the four groups drain in group order.
+        assert_eq!(sequence(&c), chunk);
+    }
+
+    #[test]
     fn an_emit_from_outside_waits_for_group_0s_open_work_item() {
         use std::sync::mpsc::{channel, RecvTimeoutError};
         use std::time::Duration;
@@ -1031,22 +961,30 @@ mod tests {
 
     #[test]
     fn a_work_item_that_panics_releases_its_table() {
-        let mut c = HashTableCollector::new(16, None);
-        let kernel = KernelFn(|_: &WorkItemCtx| {
-            c.work_item(&mut |sink| {
-                sink(b"partial", b"1");
-                panic!("injected map failure");
+        let collectors: [Box<dyn Collector>; 2] = [
+            Box::new(HashTableCollector::new(16, None)),
+            Box::new(BufferPoolCollector::new(4096, 2)),
+        ];
+        for mut c in collectors {
+            let kernel = KernelFn(|_: &WorkItemCtx| {
+                c.work_item(&mut |sink| {
+                    sink(b"partial", b"1");
+                    panic!("injected task failure");
+                });
             });
-        });
-        let pool = WorkerPool::new(1);
-        let range = NdRange::new(4, 2).unwrap();
-        let launch = std::panic::AssertUnwindSafe(|| pool.run(range, &kernel));
-        assert!(std::panic::catch_unwind(launch).is_err());
-        // What the retry path does next: discard, then emit again.
-        c.reset();
-        c.emit(b"retry", b"2");
-        assert_eq!(c.emits(), 1);
-        assert_eq!(sequence(&c), vec![(b"retry".to_vec(), b"2".to_vec())]);
+            let pool = WorkerPool::new(1);
+            let range = NdRange::new(4, 2).unwrap();
+            let launch = std::panic::AssertUnwindSafe(|| pool.run(range, &kernel));
+            assert!(std::panic::catch_unwind(launch).is_err());
+            // What the retry path does next: discard, then emit again.
+            c.reset();
+            c.emit(b"retry", b"2");
+            assert_eq!(c.records(), 1);
+            assert_eq!(
+                sequence(c.as_ref()),
+                vec![(b"retry".to_vec(), b"2".to_vec())]
+            );
+        }
     }
 
     #[test]
@@ -1065,6 +1003,13 @@ mod tests {
             assert_eq!(per_item.records(), per_record.records());
             assert_eq!(per_item.bytes(), per_record.bytes(), "after the fold");
         }
+        let per_record = BufferPoolCollector::new(1 << 20, 4);
+        launch(&pool, range, &per_record, &chunk);
+        let per_item = BufferPoolCollector::new(1 << 20, 4);
+        launch_work_items(&pool, range, &per_item, &chunk);
+        assert_eq!(per_item.records(), 3000);
+        assert_eq!(per_item.records(), per_record.records());
+        assert_eq!(per_item.bytes(), per_record.bytes());
     }
 
     #[test]

@@ -27,9 +27,9 @@
 //! Kernels execute on a compute [`gw_device::Device`]; for unified-memory
 //! devices the Stage and Retrieve stages are disabled.
 //!
-//! Map output is harvested by one of two **collectors** (paper §III-F): a
-//! shared buffer pool with atomic allocation, or a concurrent hash table
-//! with optional in-kernel combiner ([`collect`]).
+//! Kernel output is harvested by one of two **collectors** (paper §III-F):
+//! a shared buffer pool, or a hash table with optional in-kernel combiner,
+//! both stored per work-group ([`collect`]).
 //!
 //! The [`cluster::Cluster`] runtime executes a job over `n` in-process
 //! nodes, with a locality-aware split [`coordinator`], per-node stage
@@ -37,6 +37,8 @@
 //! [`schedule`] model that converts per-chunk stage durations into
 //! pipeline makespans (used to validate the pipeline and to model
 //! accelerator timing).
+
+#![forbid(unsafe_code)]
 
 pub mod api;
 pub mod cluster;

@@ -386,9 +386,9 @@ impl<C: Send> Stage<C, EngineError> for ModeledTransfer<C> {
 }
 
 /// Bytes the kernel left in a chunk's output collector — what a Retrieve
-/// stage moves.
+/// stage moves; none for a chunk the kernel had nothing to launch on.
 pub(crate) fn output_bytes(collector: &Option<Box<dyn Collector>>) -> usize {
-    collector.as_ref().expect("kernel output collector").bytes()
+    collector.as_ref().map_or(0, |c| c.bytes())
 }
 
 /// Partition stage (sink): decode the collector over `N` lanes, bucket by

@@ -1,5 +1,7 @@
 //! The 5-stage reduce pipeline (paper §III-C), as thin stage definitions
-//! on the shared `gw-pipeline` executor.
+//! on the shared `gw-pipeline` executor: one stage graph per node per job,
+//! whose source walks the node's partitions in global-partition order and
+//! whose output stage writes a partition's file when its last chunk passes.
 //!
 //! ```text
 //! MergeRead → Stage → Kernel → Retrieve → Output
@@ -40,9 +42,11 @@
 //!   — value lists longer than `reduce_max_values_per_chunk` span several
 //!   chunks, with a per-key scratch buffer carried between invocations.
 //!
-//! Jobs without a reduce function (TeraSort) bypass the kernel: the merged,
-//! sorted intermediate stream is written directly — "its output is fully
-//! processed by the end of the intermediate data shuffle".
+//! Jobs without a reduce function (TeraSort) run the same graph without
+//! the Kernel slot and its Stage/Retrieve neighbours: the merge is plain,
+//! not grouped, and its sorted stream leaves MergeRead cut into the output
+//! file's blocks — "its output is fully processed by the end of the
+//! intermediate data shuffle".
 //!
 //! Every reduce stage runs **single-lane**, deliberately: the reduce
 //! kernel carries per-key scratch state across the value chunks of one
@@ -99,13 +103,18 @@ struct Assignment {
     parts: usize,
 }
 
-/// A batch of up to `reduce_concurrent_keys` groups travelling the graph,
-/// annotated with its kernel-output collector once past the Kernel stage.
-/// Self-contained: key/value bytes live in the chunk's own arena, so the
-/// pipeline holds at most B chunks of intermediate data in memory. Every
-/// buffer here is per chunk — no key has an allocation of its own.
+/// A batch of up to `reduce_concurrent_keys` groups of one partition
+/// travelling the graph, annotated with its kernel-output collector once
+/// past the Kernel stage. Self-contained: key/value bytes live in the
+/// chunk's own arena, so the pipeline holds at most B chunks of
+/// intermediate data in memory. Every buffer here is per chunk — no key
+/// has an allocation of its own. In a job without a reduce function a
+/// chunk is instead one block of the output file: `records` merged
+/// records in `arena`, encoded as the file stores them, and no groups.
+#[derive(Default)]
 struct ReduceChunk {
     arena: Vec<u8>,
+    records: usize,
     /// Every value of the chunk as an `(offset, len)` span of `arena`,
     /// group after group in merge order.
     spans: Vec<(u32, u32)>,
@@ -114,6 +123,10 @@ struct ReduceChunk {
     groups: Vec<GroupSlice>,
     assignments: Vec<Assignment>,
     collector: Option<Box<dyn Collector>>,
+    /// On a partition's last chunk, the one whose filling met the end of
+    /// the partition's merge (its only one, and empty, if the partition
+    /// is): the global partition whose output file it completes.
+    closes: Option<u32>,
 }
 
 impl ReduceChunk {
@@ -160,31 +173,65 @@ pub struct ReducePhaseReport {
     pub elapsed: Duration,
 }
 
-/// MergeRead stage: pull key-group slices off the grouped external merge
-/// and batch them into chunks, copying only the slice's bytes into the
+/// A partition's external merge: grouped by key for the reduce kernel, or
+/// plain for a job without a reduce function, whose output it is.
+enum PartMerge {
+    Grouped(GroupedCursorMerge<PartCursor>),
+    Plain(CursorMerge<PartCursor>),
+}
+
+/// MergeRead stage: walk the node's partitions in global-partition order,
+/// pulling key-group slices off each one's grouped external merge and
+/// batching them into chunks, copying only the slice's bytes into the
 /// chunk's arena. Oversized value lists arrive pre-sliced at
 /// `reduce_max_values_per_chunk` from the merge itself, so nothing here
-/// ever holds a whole key's value list.
+/// ever holds a whole key's value list. Off a plain merge a chunk is the
+/// next output block's worth of records.
 struct ReduceMergeRead<'a> {
-    merge: GroupedCursorMerge<PartCursor>,
-    cfg: &'a JobConfig,
+    phase: &'a ReducePhase<'a>,
     threads_per_key: usize,
+    /// Where the search for the node's next partition resumes.
+    next_gp: u32,
+    /// The open partition and its merge.
+    open: Option<(u32, PartMerge)>,
+    partitions: &'a AtomicUsize,
     keys_seen: &'a AtomicUsize,
 }
 
-impl Source<ReduceChunk, EngineError> for ReduceMergeRead<'_> {
-    fn next_chunk(&mut self, _ctx: &mut StageCtx<'_>) -> Result<Option<ReduceChunk>, EngineError> {
-        let mut arena: Vec<u8> = Vec::new();
-        let mut spans: Vec<(u32, u32)> = Vec::new();
-        let mut groups: Vec<GroupSlice> = Vec::new();
-        let mut assignments: Vec<Assignment> = Vec::new();
+impl ReduceMergeRead<'_> {
+    /// The next chunk of partition `gp`'s `merge`: the partition's last if
+    /// filling it met the merge's end, so possibly an empty one.
+    fn fill(&self, gp: u32, merge: &mut PartMerge) -> Result<ReduceChunk, EngineError> {
+        let cfg = self.phase.cfg;
+        let mut chunk = ReduceChunk::default();
+        let merge = match merge {
+            PartMerge::Grouped(merge) => merge,
+            PartMerge::Plain(merge) => {
+                // Cut where `RecordBlockBuilder` rolls a block.
+                while let Some(rec) = merge.peek_rec() {
+                    chunk.arena.extend_from_slice(rec);
+                    chunk.records += 1;
+                    merge.advance().map_err(EngineError::Io)?;
+                    if chunk.arena.len() >= cfg.output_block_size {
+                        break;
+                    }
+                }
+                self.keys_seen.fetch_add(chunk.records, Ordering::Relaxed);
+                chunk.closes = merge.peek_rec().is_none().then_some(gp);
+                return Ok(chunk);
+            }
+        };
         loop {
-            let fresh = self.merge.at_key_start();
-            let Some(slice) = self
-                .merge
-                .next_slice(self.cfg.reduce_max_values_per_chunk, &mut arena, &mut spans)
+            let fresh = merge.at_key_start();
+            let Some(slice) = merge
+                .next_slice(
+                    cfg.reduce_max_values_per_chunk,
+                    &mut chunk.arena,
+                    &mut chunk.spans,
+                )
                 .map_err(EngineError::Io)?
             else {
+                chunk.closes = Some(gp);
                 break;
             };
             if fresh {
@@ -198,34 +245,61 @@ impl Source<ReduceChunk, EngineError> for ReduceMergeRead<'_> {
                 } else {
                     1
                 };
-            let g = groups.len();
-            for part in 0..parts {
-                assignments.push(Assignment {
-                    group: g,
-                    part,
-                    parts,
-                });
-            }
+            let group = chunk.groups.len();
+            chunk
+                .assignments
+                .extend((0..parts).map(|part| Assignment { group, part, parts }));
             let last = slice.last;
-            groups.push(slice);
+            chunk.groups.push(slice);
             // A key's scratch state is only consistent across *launches*:
             // a continued (non-final) slice must close this chunk so its
             // successor lands in a later launch (otherwise two work items
             // could race on the key's state). Also close when full.
-            if !last || groups.len() >= self.cfg.reduce_concurrent_keys {
+            if !last || chunk.groups.len() >= cfg.reduce_concurrent_keys {
                 break;
             }
         }
-        if groups.is_empty() {
-            return Ok(None);
+        Ok(chunk)
+    }
+}
+
+impl Source<ReduceChunk, EngineError> for ReduceMergeRead<'_> {
+    fn next_chunk(&mut self, _ctx: &mut StageCtx<'_>) -> Result<Option<ReduceChunk>, EngineError> {
+        let (gp, mut merge) = match self.open.take() {
+            Some(open) => open,
+            None => {
+                let ReducePhase {
+                    cfg,
+                    node,
+                    nodes,
+                    coordinator,
+                    ..
+                } = self.phase;
+                let Some(gp) = (self.next_gp..cfg.partitions_per_node * nodes)
+                    .find(|&gp| coordinator.owner_of(gp, *nodes) == node.0)
+                else {
+                    return Ok(None);
+                };
+                self.next_gp = gp + 1;
+                if coordinator.aborted() {
+                    return Err(EngineError::NodeLost("job aborted during reduce".into()));
+                }
+                // Streaming cursors: spilled runs stay on disk and decode
+                // one frame at a time; cached runs are merged where they sit.
+                let cursors = self.phase.intermediate.partition_cursors(gp)?;
+                self.partitions.fetch_add(1, Ordering::Relaxed);
+                if self.phase.app.has_reduce() {
+                    (gp, PartMerge::Grouped(GroupedCursorMerge::new(cursors)))
+                } else {
+                    (gp, PartMerge::Plain(CursorMerge::new(cursors)))
+                }
+            }
+        };
+        let chunk = self.fill(gp, &mut merge)?;
+        if chunk.closes.is_none() {
+            self.open = Some((gp, merge));
         }
-        Ok(Some(ReduceChunk {
-            arena,
-            spans,
-            groups,
-            assignments,
-            collector: None,
-        }))
+        Ok(Some(chunk))
     }
 }
 
@@ -253,6 +327,9 @@ impl Stage<ReduceChunk, EngineError> for ReduceKernel<'_> {
         mut chunk: ReduceChunk,
         ctx: &mut StageCtx<'_>,
     ) -> Result<Option<ReduceChunk>, EngineError> {
+        if chunk.groups.is_empty() {
+            return Ok(Some(chunk)); // an empty closing chunk: nothing to launch
+        }
         let Some(mut collector) = self.collectors.take() else {
             ctx.stop(); // pool closed: the output stage died
             return Ok(None);
@@ -314,64 +391,69 @@ impl Stage<ReduceChunk, EngineError> for ReduceKernel<'_> {
                 }
                 let partials = &partials;
                 let kernel = KernelFn(move |wctx: &WorkItemCtx| {
-                    let emit = Emit::new(emit_target);
-                    let lo = wctx.global_id() * kpt;
-                    let hi = (lo + kpt).min(assignments.len());
-                    for a in &assignments[lo..hi] {
-                        let group = group(a.group);
-                        if a.parts == 1 {
-                            // Fetch the key's scratch state (if any earlier
-                            // chunk left one).
-                            let mut state = scratch.lock().remove(group.key).unwrap_or_default();
-                            app.reduce(group.key, group.values, &mut state, group.last, &emit);
-                            if !group.last {
-                                scratch.lock().insert(group.key.to_vec(), state);
-                            }
-                        } else {
-                            // Cooperative partial reduction over this
-                            // part's slice of the values; merging and the
-                            // final emit happen after the launch.
-                            let n = group.values.len();
-                            let lo_v = a.part * n / a.parts;
-                            let hi_v = (a.part + 1) * n / a.parts;
-                            let mut state = if a.part == 0 {
-                                scratch.lock().remove(group.key).unwrap_or_default()
+                    emit_target.work_item(&mut |sink| {
+                        let emit = Emit::to_sink(sink);
+                        let lo = wctx.global_id() * kpt;
+                        let hi = (lo + kpt).min(assignments.len());
+                        for a in &assignments[lo..hi] {
+                            let group = group(a.group);
+                            if a.parts == 1 {
+                                // Fetch the key's scratch state (if any earlier
+                                // chunk left one).
+                                let mut state =
+                                    scratch.lock().remove(group.key).unwrap_or_default();
+                                app.reduce(group.key, group.values, &mut state, group.last, &emit);
+                                if !group.last {
+                                    scratch.lock().insert(group.key.to_vec(), state);
+                                }
                             } else {
-                                Vec::new()
-                            };
-                            app.reduce(
-                                group.key,
-                                &group.values[lo_v..hi_v],
-                                &mut state,
-                                false,
-                                &emit,
-                            );
-                            partials[a.group].lock()[a.part] = Some(state);
+                                // Cooperative partial reduction over this
+                                // part's slice of the values; merging and the
+                                // final emit happen after the launch.
+                                let n = group.values.len();
+                                let lo_v = a.part * n / a.parts;
+                                let hi_v = (a.part + 1) * n / a.parts;
+                                let mut state = if a.part == 0 {
+                                    scratch.lock().remove(group.key).unwrap_or_default()
+                                } else {
+                                    Vec::new()
+                                };
+                                app.reduce(
+                                    group.key,
+                                    &group.values[lo_v..hi_v],
+                                    &mut state,
+                                    false,
+                                    &emit,
+                                );
+                                partials[a.group].lock()[a.part] = Some(state);
+                            }
                         }
-                    }
+                    });
                 });
                 let stats = device.launch(range, &kernel);
                 // Merge cooperative partial states and finish each
                 // parallel group with one last=true call.
-                let emit = Emit::new(emit_target);
-                for (g, slots) in partials.iter().enumerate() {
-                    let mut slots = slots.lock();
-                    if slots.is_empty() {
-                        continue;
+                emit_target.work_item(&mut |sink| {
+                    let emit = Emit::to_sink(sink);
+                    for (g, slots) in partials.iter().enumerate() {
+                        let mut slots = slots.lock();
+                        if slots.is_empty() {
+                            continue;
+                        }
+                        let group = group(g);
+                        let mut acc = slots[0].take().expect("part 0 state");
+                        for slot in slots.iter_mut().skip(1) {
+                            let other = slot.take().expect("partial state");
+                            let merged = app.merge_states(&mut acc, &other);
+                            debug_assert!(merged, "merge support changed mid-job");
+                        }
+                        if group.last {
+                            app.reduce(group.key, &[], &mut acc, true, &emit);
+                        } else {
+                            scratch.lock().insert(group.key.to_vec(), acc);
+                        }
                     }
-                    let group = group(g);
-                    let mut acc = slots[0].take().expect("part 0 state");
-                    for slot in slots.iter_mut().skip(1) {
-                        let other = slot.take().expect("partial state");
-                        let merged = app.merge_states(&mut acc, &other);
-                        debug_assert!(merged, "merge support changed mid-job");
-                    }
-                    if group.last {
-                        app.reduce(group.key, &[], &mut acc, true, &emit);
-                    } else {
-                        scratch.lock().insert(group.key.to_vec(), acc);
-                    }
-                }
+                });
                 stats
             },
             |collector| {
@@ -419,16 +501,18 @@ impl Stage<ReduceChunk, EngineError> for ReduceKernel<'_> {
     }
 }
 
-/// Output stage (sink): append every emitted record to the partition's
-/// block builder, recycling collectors; the output file is written once,
-/// in [`Stage::finish`], after the last chunk.
+/// Output stage (sink): append the records a chunk's kernel emitted to
+/// the open partition's block builder, recycling collectors, and write
+/// the partition's file when its last chunk passes. A chunk that met no
+/// kernel is a finished block (or an empty closing chunk): "its output is
+/// fully processed by the end of the intermediate data shuffle".
 struct ReduceOutput<'a> {
-    builder: Option<RecordBlockBuilder>,
-    path: &'a str,
-    store: Arc<dyn FileStore>,
-    node: NodeId,
-    cfg: &'a JobConfig,
+    phase: &'a ReducePhase<'a>,
+    builder: RecordBlockBuilder,
+    /// The open partition's finished blocks, of a job without a kernel.
+    blocks: Vec<(Vec<u8>, usize)>,
     records_out: &'a AtomicUsize,
+    output_files: &'a Mutex<Vec<String>>,
     collectors_back: PoolPut<Box<dyn Collector>>,
 }
 
@@ -436,94 +520,39 @@ impl Stage<ReduceChunk, EngineError> for ReduceOutput<'_> {
     fn run_chunk(
         &mut self,
         mut chunk: ReduceChunk,
-        _ctx: &mut StageCtx<'_>,
-    ) -> Result<Option<ReduceChunk>, EngineError> {
-        let mut collector = chunk.collector.take().expect("kernel output collector");
-        let records_out = self.records_out;
-        let builder = self.builder.as_mut().expect("builder lives until finish");
-        for_each_record(collector.as_ref(), &mut |k, v| {
-            builder.append(k, v);
-            records_out.fetch_add(1, Ordering::Relaxed);
-        });
-        collector.reset();
-        self.collectors_back.put(collector);
-        Ok(None)
-    }
-
-    fn finish(&mut self, ctx: &mut StageCtx<'_>) -> Result<(), EngineError> {
-        // Final write of the partition's output file.
-        let builder = self.builder.take().expect("finish runs once");
-        let t0 = Instant::now();
-        let sample = self.store.write_blocks(
-            self.path,
-            self.node,
-            builder.finish(),
-            self.cfg.output_replication,
-        )?;
-        let wall = t0.elapsed();
-        ctx.add_time(wall, self.cfg.timing.pick(wall, wall + sample.modeled));
-        Ok(())
-    }
-}
-
-/// A shuffle-only partition travelling the 2-stage passthrough pipeline.
-struct PassChunk {
-    builder: RecordBlockBuilder,
-    records: usize,
-}
-
-/// Merge-read for shuffle-only jobs: one chunk carrying the fully merged,
-/// sorted stream (emitted even when the partition is empty, so the output
-/// file always exists). The merge streams record by record off the
-/// cursors — only the block builder accumulates, never the input.
-struct PassthroughMerge<'a> {
-    merge: CursorMerge<PartCursor>,
-    cfg: &'a JobConfig,
-    done: bool,
-}
-
-impl Source<PassChunk, EngineError> for PassthroughMerge<'_> {
-    fn next_chunk(&mut self, _ctx: &mut StageCtx<'_>) -> Result<Option<PassChunk>, EngineError> {
-        if self.done {
-            return Ok(None);
-        }
-        self.done = true;
-        let mut builder = RecordBlockBuilder::new(self.cfg.output_block_size);
-        let mut records = 0usize;
-        while let Some((k, v)) = self.merge.peek() {
-            builder.append(k, v);
-            records += 1;
-            self.merge.advance().map_err(EngineError::Io)?;
-        }
-        Ok(Some(PassChunk { builder, records }))
-    }
-}
-
-/// Write side of the passthrough pipeline.
-struct PassthroughWrite<'a> {
-    path: &'a str,
-    store: Arc<dyn FileStore>,
-    node: NodeId,
-    cfg: &'a JobConfig,
-    records: &'a AtomicUsize,
-}
-
-impl Stage<PassChunk, EngineError> for PassthroughWrite<'_> {
-    fn run_chunk(
-        &mut self,
-        chunk: PassChunk,
         ctx: &mut StageCtx<'_>,
-    ) -> Result<Option<PassChunk>, EngineError> {
+    ) -> Result<Option<ReduceChunk>, EngineError> {
         let t0 = Instant::now();
-        let sample = self.store.write_blocks(
-            self.path,
-            self.node,
-            chunk.builder.finish(),
-            self.cfg.output_replication,
-        )?;
-        let wall = t0.elapsed();
-        ctx.add_time(wall, self.cfg.timing.pick(wall, wall + sample.modeled));
-        self.records.fetch_add(chunk.records, Ordering::Relaxed);
+        let cfg = self.phase.cfg;
+        let mut records = chunk.records;
+        match chunk.collector.take() {
+            Some(mut collector) => {
+                for_each_record(collector.as_ref(), &mut |k, v| {
+                    self.builder.append(k, v);
+                    records += 1;
+                });
+                collector.reset();
+                self.collectors_back.put(collector);
+            }
+            None if records > 0 => self.blocks.push((chunk.arena, records)),
+            None => {}
+        }
+        self.records_out.fetch_add(records, Ordering::Relaxed);
+        if let Some(gp) = chunk.closes {
+            let path = format!("{}/part-r-{gp:05}", cfg.output);
+            let builder = RecordBlockBuilder::new(cfg.output_block_size);
+            let mut blocks = std::mem::take(&mut self.blocks);
+            blocks.extend(std::mem::replace(&mut self.builder, builder).finish());
+            let sample = self.phase.store.write_blocks(
+                &path,
+                self.phase.node,
+                blocks,
+                cfg.output_replication,
+            )?;
+            let wall = t0.elapsed();
+            ctx.add_time(wall, cfg.timing.pick(wall, wall + sample.modeled));
+            self.output_files.lock().push(path);
+        }
         Ok(None)
     }
 }
@@ -555,85 +584,13 @@ pub struct ReducePhase<'a> {
 }
 
 impl ReducePhase<'_> {
-    /// Run reduction over every global partition this node owns.
+    /// Run reduction over every global partition this node owns, as one
+    /// stage graph: a job without a reduce function runs it without the
+    /// Kernel slot and its Stage/Retrieve neighbours.
     pub fn run(self) -> Result<ReducePhaseReport, EngineError> {
         let start = Instant::now();
-        let mut report = ReducePhaseReport::default();
-        let mut chunk_seq = 0usize;
-        let total_partitions = self.cfg.partitions_per_node * self.nodes;
-        for gp in 0..total_partitions {
-            if self.coordinator.owner_of(gp, self.nodes) != self.node.0 {
-                continue;
-            }
-            if self.coordinator.aborted() {
-                return Err(EngineError::NodeLost("job aborted during reduce".into()));
-            }
-            let path = format!("{}/part-r-{gp:05}", self.cfg.output);
-            // Streaming cursors: spilled runs stay on disk and decode one
-            // frame at a time; cached runs are merged where they sit.
-            let cursors = self.intermediate.partition_cursors(gp)?;
-            report.partitions += 1;
-            if self.app.has_reduce() {
-                self.reduce_partition(cursors, &path, &mut report, &mut chunk_seq)?;
-            } else {
-                self.passthrough_partition(cursors, &path, &mut report, &mut chunk_seq)?;
-            }
-            report.output_files.push(path);
-        }
-        report.elapsed = start.elapsed();
-        Ok(report)
-    }
-
-    /// Shuffle-only job: write the merged sorted stream directly, as a
-    /// 2-stage (merge → write) pipeline.
-    fn passthrough_partition(
-        &self,
-        cursors: Vec<PartCursor>,
-        path: &str,
-        report: &mut ReducePhaseReport,
-        chunk_seq: &mut usize,
-    ) -> Result<(), EngineError> {
-        let records = AtomicUsize::new(0);
-        PipelineBuilder::new(PipelineKind::Reduce, self.cfg.buffering)
-            .source(
-                StageId::Input,
-                PassthroughMerge {
-                    merge: CursorMerge::new(cursors),
-                    cfg: self.cfg,
-                    done: false,
-                },
-            )
-            .stage(
-                StageId::Partition,
-                PassthroughWrite {
-                    path,
-                    store: Arc::clone(&self.store),
-                    node: self.node,
-                    cfg: self.cfg,
-                    records: &records,
-                },
-            )
-            .first_seq(*chunk_seq)
-            .tracer(Arc::clone(&self.tracer), self.node.0)
-            .run()?;
-        *chunk_seq += 1;
-        let records = records.load(Ordering::Relaxed);
-        report.records_out += records;
-        report.keys += records;
-        Ok(())
-    }
-
-    /// Full 5-stage pipelined reduction of one partition.
-    fn reduce_partition(
-        &self,
-        cursors: Vec<PartCursor>,
-        path: &str,
-        report: &mut ReducePhaseReport,
-        chunk_seq: &mut usize,
-    ) -> Result<(), EngineError> {
         let cfg = self.cfg;
-        let b = cfg.buffering.depth();
-        let base_seq = *chunk_seq;
+        let reduces = self.app.has_reduce();
         let unified = self.device.unified_memory() && !cfg.disable_stage_fusion;
         // Parallel single-key reduction is available only when the app
         // declares an associative state merge (probed with empty states,
@@ -647,96 +604,105 @@ impl ReducePhase<'_> {
 
         // The §III-D output buffer sets: B collectors recycled through the
         // pool (the input group circulates the chunks themselves, so the
-        // executor's tokens are its only currency there).
+        // executor's tokens are its only currency there). None without a
+        // kernel to fill them.
         let max_work_items =
             (cfg.reduce_concurrent_keys * threads_per_key).div_ceil(cfg.reduce_keys_per_thread);
+        let sets = if reduces { cfg.buffering.depth() } else { 0 };
         let (collectors, collectors_back) = token_pool(
-            (0..b).map(|_| Box::new(pool_collector(cfg, max_work_items)) as Box<dyn Collector>),
+            (0..sets).map(|_| Box::new(pool_collector(cfg, max_work_items)) as Box<dyn Collector>),
         );
 
         let scratch: Mutex<HashMap<Vec<u8>, Vec<u8>>> = Mutex::new(HashMap::new());
+        let output_files = Mutex::new(Vec::new());
+        let partitions = AtomicUsize::new(0);
         let keys_seen = AtomicUsize::new(0);
         let launches = AtomicUsize::new(0);
         let records_out = AtomicUsize::new(0);
         let parallel_splits = AtomicUsize::new(0);
         let tasks_retried = AtomicUsize::new(0);
 
-        let mut pipeline = PipelineBuilder::new(PipelineKind::Reduce, cfg.buffering)
-            .source(
-                StageId::Input,
-                ReduceMergeRead {
-                    merge: GroupedCursorMerge::new(cursors),
-                    cfg,
-                    threads_per_key,
-                    keys_seen: &keys_seen,
-                },
-            )
-            .stage(
-                StageId::Stage,
-                ModeledTransfer {
-                    device: Arc::clone(&self.device),
-                    timing: cfg.timing,
-                    unified,
-                    to_device: true,
-                    // Exactly the chunk's key and value bytes.
-                    bytes: |c: &ReduceChunk| c.arena.len(),
-                },
-            )
-            .stage(
-                StageId::Kernel,
-                ReduceKernel {
-                    device: Arc::clone(&self.device),
-                    app: Arc::clone(&self.app),
-                    cfg,
-                    scratch: &scratch,
-                    collectors,
-                    launches: &launches,
-                    parallel_splits: &parallel_splits,
-                    tasks_retried: &tasks_retried,
-                },
-            )
-            .stage(
-                StageId::Retrieve,
-                ModeledTransfer {
-                    device: Arc::clone(&self.device),
-                    timing: cfg.timing,
-                    unified,
-                    to_device: false,
-                    bytes: |c: &ReduceChunk| output_bytes(&c.collector),
-                },
-            )
+        let mut pipeline = PipelineBuilder::new(PipelineKind::Reduce, cfg.buffering).source(
+            StageId::Input,
+            ReduceMergeRead {
+                phase: &self,
+                threads_per_key,
+                next_gp: 0,
+                open: None,
+                partitions: &partitions,
+                keys_seen: &keys_seen,
+            },
+        );
+        if reduces {
+            pipeline = pipeline
+                .stage(
+                    StageId::Stage,
+                    ModeledTransfer {
+                        device: Arc::clone(&self.device),
+                        timing: cfg.timing,
+                        unified,
+                        to_device: true,
+                        // Exactly the chunk's key and value bytes.
+                        bytes: |c: &ReduceChunk| c.arena.len(),
+                    },
+                )
+                .stage(
+                    StageId::Kernel,
+                    ReduceKernel {
+                        device: Arc::clone(&self.device),
+                        app: Arc::clone(&self.app),
+                        cfg,
+                        scratch: &scratch,
+                        collectors,
+                        launches: &launches,
+                        parallel_splits: &parallel_splits,
+                        tasks_retried: &tasks_retried,
+                    },
+                )
+                .stage(
+                    StageId::Retrieve,
+                    ModeledTransfer {
+                        device: Arc::clone(&self.device),
+                        timing: cfg.timing,
+                        unified,
+                        to_device: false,
+                        bytes: |c: &ReduceChunk| output_bytes(&c.collector),
+                    },
+                )
+                .interlock(StageId::Input, StageId::Kernel)
+                .interlock(StageId::Kernel, StageId::Partition);
+        }
+        pipeline = pipeline
             .stage(
                 StageId::Partition,
                 ReduceOutput {
-                    builder: Some(RecordBlockBuilder::new(cfg.output_block_size)),
-                    path,
-                    store: Arc::clone(&self.store),
-                    node: self.node,
-                    cfg,
+                    phase: &self,
+                    builder: RecordBlockBuilder::new(cfg.output_block_size),
+                    blocks: Vec::new(),
                     records_out: &records_out,
+                    output_files: &output_files,
                     collectors_back,
                 },
             )
-            .interlock(StageId::Input, StageId::Kernel)
-            .interlock(StageId::Kernel, StageId::Partition)
-            .first_seq(base_seq)
             .tracer(Arc::clone(&self.tracer), self.node.0);
         if let Some(chaos) = self.chaos.clone() {
             pipeline = pipeline.probe(ReduceTaskProbe::new(chaos, self.node));
         }
-        let stats = pipeline.run()?;
-        // Empty partitions still advance the sequence (they wrote a file).
-        *chunk_seq = (base_seq + stats.chunks).max(base_seq + 1);
+        pipeline.run()?;
 
         debug_assert!(
             scratch.into_inner().is_empty(),
             "scratch states must all be consumed by their final chunk"
         );
-        report.keys += keys_seen.load(Ordering::Relaxed);
-        report.launches += launches.load(Ordering::Relaxed);
-        report.records_out += records_out.load(Ordering::Relaxed);
-        report.parallel_key_splits += parallel_splits.load(Ordering::Relaxed);
-        report.tasks_retried += tasks_retried.load(Ordering::Relaxed);
-        Ok(())
+        Ok(ReducePhaseReport {
+            partitions: partitions.into_inner(),
+            keys: keys_seen.into_inner(),
+            records_out: records_out.into_inner(),
+            launches: launches.into_inner(),
+            parallel_key_splits: parallel_splits.into_inner(),
+            tasks_retried: tasks_retried.into_inner(),
+            output_files: output_files.into_inner(),
+            elapsed: start.elapsed(),
+        })
     }
 }

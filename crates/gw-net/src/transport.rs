@@ -7,7 +7,6 @@
 //! is still running*. The map phase ends, cluster-wide, when every node has
 //! received a [`ShuffleMsg::MapDone`] marker from every peer.
 
-use std::collections::HashSet;
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
@@ -105,13 +104,6 @@ impl ShuffleReceiver {
                     bytes: 0,
                     done_markers: 0,
                 };
-                // Duplicate-attempt suppression: tagged runs are admitted
-                // once per (partition, block, lane) identity, regardless of
-                // which producer's attempt arrives first — speculative
-                // clones re-produce byte-identical runs under the same
-                // identity. Untagged runs (the plain protocol) pass through
-                // unconditionally.
-                let mut admitted: HashSet<(u32, u32, u32)> = HashSet::new();
                 while summary.done_markers < expected_done {
                     let Some(env) = endpoint.recv() else {
                         // Defensive: cannot normally happen (every endpoint
@@ -124,13 +116,10 @@ impl ShuffleReceiver {
                             partition,
                             bytes,
                             records,
-                            tag,
+                            // Runs are tagged only under supervision, whose
+                            // receiver (gw-core) de-duplicates them.
+                            tag: _,
                         } => {
-                            if let Some(t) = tag {
-                                if !admitted.insert((t.partition, t.block, t.lane)) {
-                                    continue;
-                                }
-                            }
                             summary.runs += 1;
                             summary.bytes += bytes.len();
                             store.add_run(partition, Run::from_sorted_bytes(bytes, records));
@@ -207,41 +196,6 @@ mod tests {
         assert_eq!(summary.done_markers, 2);
         store0.finish_map().expect("finish_map");
         assert_eq!(store0.partition_records(0) + store0.partition_records(1), 2);
-    }
-
-    #[test]
-    fn duplicate_tagged_runs_are_admitted_once() {
-        let mut fabric: Fabric<ShuffleMsg> = Fabric::new(3, NetProfile::unlimited());
-        let rx_ep = fabric.endpoint(NodeId(0));
-        let store0 = store(1);
-        let receiver = ShuffleReceiver::spawn(Arc::new(rx_ep), Arc::clone(&store0), 2);
-        // Two producers race the same run identity (a speculative clone):
-        // only the first arrival is admitted, whoever produced it.
-        for producer in [1u32, 2] {
-            let ep = fabric.endpoint(NodeId(producer));
-            let run = run_from_pairs([(b"key".as_slice(), b"1".as_slice())]);
-            let records = run.records();
-            let bytes = run.into_shared();
-            let msg = ShuffleMsg::Partition {
-                partition: 0,
-                bytes,
-                records,
-                tag: Some(RunTag {
-                    producer,
-                    partition: 0,
-                    block: 7,
-                    lane: 0,
-                }),
-            };
-            let wire = msg.wire_bytes();
-            ep.send(NodeId(0), msg, wire);
-            ep.send(NodeId(0), ShuffleMsg::MapDone, 8);
-        }
-        let summary = receiver.join();
-        assert_eq!(summary.done_markers, 2);
-        assert_eq!(summary.runs, 1, "duplicate identity suppressed");
-        store0.finish_map().expect("finish_map");
-        assert_eq!(store0.partition_records(0), 1);
     }
 
     #[test]

@@ -82,8 +82,7 @@ impl<'p> StageCtx<'p> {
         }
     }
 
-    /// Sequence number of the chunk being handled (monotonic from the
-    /// builder's `first_seq`).
+    /// Sequence number of the chunk being handled (dense from 0).
     pub fn seq(&self) -> usize {
         self.seq
     }
@@ -256,15 +255,6 @@ pub trait Stage<T, E>: Send {
     /// regardless of the memory model.
     fn passthrough(&self) -> bool {
         false
-    }
-
-    /// Runs once the stage stops consuming without an error of its own —
-    /// input drained or the pipeline unwinding quietly. `ctx.seq()` is the
-    /// last chunk seen; [`StageCtx::add_time`] here records an extra timer
-    /// sample against it (the reduce output stage times its final write).
-    fn finish(&mut self, ctx: &mut StageCtx<'_>) -> Result<(), E> {
-        let _ = ctx;
-        Ok(())
     }
 }
 
@@ -444,10 +434,10 @@ struct TurnState {
 }
 
 impl Turn {
-    fn new(first: usize) -> Self {
+    fn new() -> Self {
         Turn {
             state: Mutex::new(TurnState {
-                next: first,
+                next: 0,
                 done: false,
             }),
             cv: Condvar::new(),
@@ -601,35 +591,6 @@ impl StageEvents {
             },
         });
     }
-
-    fn finish_begin(&self, seq: usize) {
-        self.emit(EventKind::Begin {
-            span: SpanId::Finish { seq: seq as u64 },
-        });
-    }
-
-    /// The finish hook returned: accounted (with its reported timing)
-    /// only if it called [`StageCtx::add_time`], mirroring the historical
-    /// timer behaviour of finish hooks.
-    fn finish_end(&self, seq: usize, elapsed: Duration, over: Option<(Duration, Duration)>) {
-        let accounted = over.is_some();
-        let (wall, modeled) = over.unwrap_or((elapsed, elapsed));
-        self.emit(EventKind::End {
-            span: SpanId::Finish { seq: seq as u64 },
-            wall_ns: wall.as_nanos() as u64,
-            modeled_ns: modeled.as_nanos() as u64,
-            accounted,
-        });
-    }
-
-    fn finish_abort(&self, seq: usize) {
-        self.emit(EventKind::End {
-            span: SpanId::Finish { seq: seq as u64 },
-            wall_ns: 0,
-            modeled_ns: 0,
-            accounted: false,
-        });
-    }
 }
 
 /// Envelope payload: a live chunk, or the hole left by a chunk consumed
@@ -665,7 +626,6 @@ pub struct PipelineBuilder<'a, T, E> {
     stages: Vec<(StageId, StageLaneVec<'a, T, E>)>,
     fused: Vec<StageId>,
     interlocks: Vec<(StageId, StageId)>,
-    first_seq: usize,
     probe: Option<Box<dyn PipelineProbe + 'a>>,
     tracer: Option<(Arc<Tracer>, u32)>,
 }
@@ -680,7 +640,6 @@ impl<'a, T: Send + 'a, E: Send + 'a> PipelineBuilder<'a, T, E> {
             stages: Vec::new(),
             fused: Vec::new(),
             interlocks: Vec::new(),
-            first_seq: 0,
             probe: None,
             tracer: None,
         }
@@ -742,14 +701,6 @@ impl<'a, T: Send + 'a, E: Send + 'a> PipelineBuilder<'a, T, E> {
         self
     }
 
-    /// Number chunks from `first_seq` instead of 0 (the reduce phase
-    /// threads one sequence through its per-partition pipelines, so their
-    /// spans never collide on the shared trace lanes).
-    pub fn first_seq(mut self, first_seq: usize) -> Self {
-        self.first_seq = first_seq;
-        self
-    }
-
     /// Arm the crash/abort probe (supervised runs only).
     pub fn probe(mut self, probe: impl PipelineProbe + 'a) -> Self {
         self.probe = Some(Box::new(probe));
@@ -769,7 +720,6 @@ impl<'a, T: Send + 'a, E: Send + 'a> PipelineBuilder<'a, T, E> {
     /// re-raises stage panics.
     pub fn run(mut self) -> Result<PipelineStats, E> {
         let depth = self.depth;
-        let first_seq = self.first_seq;
         let (source_id, sources) = self.source.take().expect("pipeline needs a source");
         let n_src = sources.len();
         let mut stages = std::mem::take(&mut self.stages);
@@ -918,7 +868,7 @@ impl<'a, T: Send + 'a, E: Send + 'a> PipelineBuilder<'a, T, E> {
 
             // ---- Source lanes ----
             let chunks_emitted = &chunks_emitted;
-            let src_turn: Option<Arc<Turn>> = (n_src > 1).then(|| Arc::new(Turn::new(first_seq)));
+            let src_turn: Option<Arc<Turn>> = (n_src > 1).then(|| Arc::new(Turn::new()));
             let mut source_handles = Vec::with_capacity(n_src);
             for (lane_idx, mut src) in sources.into_iter().enumerate() {
                 let txs: Option<Vec<Sender<Envelope<T>>>> = tx_rows
@@ -935,7 +885,7 @@ impl<'a, T: Send + 'a, E: Send + 'a> PipelineBuilder<'a, T, E> {
                     let result = (|| -> Result<(), E> {
                         let mut iter = 0usize;
                         'produce: loop {
-                            let seq = first_seq + lane_idx + iter * n_src;
+                            let seq = lane_idx + iter * n_src;
                             iter += 1;
                             // Claim turns keep multi-lane claims *and*
                             // permit acquisition in global seq order
@@ -1013,7 +963,7 @@ impl<'a, T: Send + 'a, E: Send + 'a> PipelineBuilder<'a, T, E> {
                             }
                             match &txs {
                                 Some(txs) => {
-                                    if txs[(seq - first_seq) % txs.len()]
+                                    if txs[seq % txs.len()]
                                         .send(Envelope {
                                             seq,
                                             payload: Payload::Chunk(chunk),
@@ -1053,8 +1003,8 @@ impl<'a, T: Send + 'a, E: Send + 'a> PipelineBuilder<'a, T, E> {
                 let crash_ids_proto = crash_iter.next().expect("stage crash slot");
                 // Seq-ordered admission into the token groups this slot
                 // acquires; single-lane or non-acquiring slots need none.
-                let slot_turn: Option<Arc<Turn>> = (l_here > 1 && !acquires_proto.is_empty())
-                    .then(|| Arc::new(Turn::new(first_seq)));
+                let slot_turn: Option<Arc<Turn>> =
+                    (l_here > 1 && !acquires_proto.is_empty()).then(|| Arc::new(Turn::new()));
                 for (lane_idx, mut stage) in lanes_vec.into_iter().enumerate() {
                     let rxs: Vec<Receiver<Envelope<T>>> = rx_cols[pos - 1][lane_idx]
                         .take()
@@ -1070,14 +1020,13 @@ impl<'a, T: Send + 'a, E: Send + 'a> PipelineBuilder<'a, T, E> {
                     handles.push(scope.spawn(move || -> Result<(), E> {
                         let lane = lane_idx as u32;
                         let mut guard = TurnFinishGuard::new(turn);
-                        let mut last_seq = first_seq;
                         let result = (|| -> Result<(), E> {
                             let mut eos = false;
                             let mut iter = 0usize;
                             'consume: loop {
-                                let expect = first_seq + lane_idx + iter * l_here;
+                                let expect = lane_idx + iter * l_here;
                                 iter += 1;
-                                let Ok(env) = rxs[(expect - first_seq) % k_up].recv() else {
+                                let Ok(env) = rxs[expect % k_up].recv() else {
                                     eos = true;
                                     break;
                                 };
@@ -1087,7 +1036,6 @@ impl<'a, T: Send + 'a, E: Send + 'a> PipelineBuilder<'a, T, E> {
                                     mut permits,
                                 } = env;
                                 debug_assert_eq!(seq, expect, "lane transport out of order");
-                                last_seq = seq;
                                 let chunk = match payload {
                                     Payload::Skip => {
                                         // A hole left by a chunk consumed
@@ -1102,7 +1050,7 @@ impl<'a, T: Send + 'a, E: Send + 'a> PipelineBuilder<'a, T, E> {
                                         }
                                         drop(permits);
                                         if let Some(txs) = &txs {
-                                            if txs[(seq - first_seq) % txs.len()]
+                                            if txs[seq % txs.len()]
                                                 .send(Envelope {
                                                     seq,
                                                     payload: Payload::Skip,
@@ -1177,7 +1125,7 @@ impl<'a, T: Send + 'a, E: Send + 'a> PipelineBuilder<'a, T, E> {
                                 }
                                 match (out, &txs) {
                                     (Some(chunk), Some(txs)) => {
-                                        if txs[(seq - first_seq) % txs.len()]
+                                        if txs[seq % txs.len()]
                                             .send(Envelope {
                                                 seq,
                                                 payload: Payload::Chunk(chunk),
@@ -1193,7 +1141,7 @@ impl<'a, T: Send + 'a, E: Send + 'a> PipelineBuilder<'a, T, E> {
                                         // Consumed mid-graph: drop the
                                         // permits here, forward the hole.
                                         drop(permits);
-                                        if txs[(seq - first_seq) % txs.len()]
+                                        if txs[seq % txs.len()]
                                             .send(Envelope {
                                                 seq,
                                                 payload: Payload::Skip,
@@ -1207,24 +1155,11 @@ impl<'a, T: Send + 'a, E: Send + 'a> PipelineBuilder<'a, T, E> {
                                     (None, None) => {}
                                 }
                             }
-                            // Resolve the turn before the finish hook so
-                            // sibling lanes never wait on a lane that is
-                            // done consuming. End-of-stream must *not*
-                            // finish the turn: siblings may still hold
-                            // live seqs behind it.
+                            // End-of-stream must *not* finish the turn:
+                            // siblings may still hold live seqs behind it.
                             if eos {
                                 guard.disarm();
-                            } else {
-                                guard.fire();
                             }
-                            let mut ctx = StageCtx::new(id, last_seq, lane, probe);
-                            events.finish_begin(last_seq);
-                            let t0 = Instant::now();
-                            if let Err(e) = stage.finish(&mut ctx) {
-                                events.finish_abort(last_seq);
-                                return Err(e);
-                            }
-                            events.finish_end(last_seq, t0.elapsed(), ctx.take_timing());
                             Ok(())
                         })();
                         if result.is_err() {

@@ -23,24 +23,6 @@ pub fn write_u64(out: &mut Vec<u8>, mut value: u64) -> usize {
     }
 }
 
-/// [`write_u64`] for a caller that frames a record where no `Vec` is at
-/// hand (a collector reserving arena space): the same bytes, at the front
-/// of `out`. Returns bytes written.
-///
-/// # Panics
-/// Panics if `out` is shorter than the encoding (at most 10 bytes).
-#[inline]
-pub fn encode_u64(out: &mut [u8], mut value: u64) -> usize {
-    let mut n = 0;
-    while value >= 0x80 {
-        out[n] = value as u8 | 0x80;
-        value >>= 7;
-        n += 1;
-    }
-    out[n] = value as u8;
-    n + 1
-}
-
 /// Decode a varint from the front of `buf`. Returns `(value, bytes_read)`,
 /// or `None` if the buffer is truncated or the varint overflows u64.
 #[inline]
@@ -285,9 +267,6 @@ mod tests {
             let written = write_u64(&mut out, v);
             prop_assert_eq!(written, out.len());
             prop_assert_eq!(written, size_u64(v));
-            let mut buf = [0u8; 10];
-            let encoded = encode_u64(&mut buf, v);
-            prop_assert_eq!(&buf[..encoded], out.as_slice());
             let (back, read) = read_u64(&out).unwrap();
             prop_assert_eq!(back, v);
             prop_assert_eq!(read, written);

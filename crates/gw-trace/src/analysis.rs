@@ -6,7 +6,7 @@
 //! [`PerfAnalysis`] folds one finished trace into exactly those answers:
 //!
 //! 1. **Per-node stage timelines** — busy intervals reconstructed from
-//!    chunk/finish span begin/end pairs, an interval-union overlap matrix
+//!    chunk span begin/end pairs, an interval-union overlap matrix
 //!    (for every stage pair, how long both were simultaneously busy) and
 //!    the pipeline-efficiency score `Σ stage busy ÷ busy union` (1.0 =
 //!    fully serialized, higher = the paper's overlap win).
@@ -107,7 +107,7 @@ pub struct StageSample {
 
 /// Per-stage timer totals of one pipeline (the paper's Tables II/III
 /// "timers for each pipeline stage"): the accounted wall and modeled
-/// time of every chunk and finish span, summed per stage.
+/// time of every chunk span, summed per stage.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct TimerReport {
     /// Wall totals indexed by [`StageId::index`].
@@ -186,10 +186,10 @@ pub struct StagePerf {
     pub fused: bool,
     /// Chunks that completed this stage (accounted ends + fused passages).
     pub chunks: u64,
-    /// Union length of the stage's busy (chunk + finish span) intervals.
+    /// Union length of the stage's busy (chunk span) intervals.
     pub busy_ns: u64,
     /// Accounted wall time: the durations the stage reported on its
-    /// chunk and finish span ends, summed.
+    /// chunk span ends, summed.
     pub wall_ns: u64,
     /// Accounted modeled time, as [`StagePerf::wall_ns`].
     pub modeled_ns: u64,
@@ -356,8 +356,9 @@ pub struct Anomalies {
     pub unclosed_spans: u64,
     /// Chunk spans closed unaccounted. Includes genuine aborts (injected
     /// crashes, stage errors) *and* each source's routine end-of-input
-    /// probe chunk, so a clean run reports one per pipeline
-    /// instantiation — the count is deterministic either way.
+    /// probe chunk, so a clean run reports one per pipeline instantiated:
+    /// one per phase per node, i.e. `2 × nodes` — the count is
+    /// deterministic either way.
     pub unaccounted_chunks: u64,
     /// Span ends with no matching begin (front-truncated lanes).
     pub orphan_ends: u64,
@@ -372,7 +373,7 @@ struct LaneFold {
     /// Accounted chunk (wall, modeled) durations by sequence number.
     chunk_times: BTreeMap<u64, (u64, u64)>,
     chunks: u64,
-    /// Accounted (wall, modeled) totals over chunk and finish spans.
+    /// Accounted (wall, modeled) totals over chunk spans.
     wall_ns: u64,
     modeled_ns: u64,
     service: ServiceStats,
@@ -452,7 +453,6 @@ impl PerfAnalysis {
                                     anomalies.unaccounted_chunks += 1;
                                 }
                             }
-                            SpanId::Finish { .. } => fold.busy.push(iv),
                             SpanId::TokenWait { .. } => {
                                 fold.waits.push(iv);
                                 fold.wait_count += 1;
@@ -567,7 +567,7 @@ impl PerfAnalysis {
 
 impl StagePerf {
     /// Whether the stage recorded any busy interval (logical: it did iff
-    /// the stage closed at least one chunk/finish span).
+    /// the stage closed at least one chunk span).
     fn busy_is_empty(&self) -> bool {
         self.busy_ns == 0 && self.service.count == 0 && self.chunks == 0
     }
@@ -1334,23 +1334,7 @@ mod tests {
     }
 
     #[test]
-    fn timers_fold_accounted_chunk_and_finish_spans_only() {
-        let finish = |at, begin: bool, accounted| {
-            let span = SpanId::Finish { seq: 1 };
-            ev(
-                at,
-                if begin {
-                    EventKind::Begin { span }
-                } else {
-                    EventKind::End {
-                        span,
-                        wall_ns: 7,
-                        modeled_ns: 9,
-                        accounted,
-                    }
-                },
-            )
-        };
+    fn timers_fold_accounted_chunk_spans_only() {
         let trace = Trace {
             lanes: vec![(
                 lane(0, PipelineKind::Reduce, StageId::Partition),
@@ -1367,21 +1351,17 @@ mod tests {
                             accounted: false,
                         },
                     ),
-                    finish(20, true, true),
-                    finish(30, false, true),
-                    finish(30, true, false),
-                    finish(40, false, false),
                 ],
             )],
         };
         let a = trace.analysis();
         let p = a.pipeline(0, PipelineKind::Reduce).unwrap();
         let sp = p.stage(StageId::Partition).unwrap();
-        assert_eq!((sp.chunks, sp.wall_ns, sp.modeled_ns), (1, 17, 19));
+        assert_eq!((sp.chunks, sp.wall_ns, sp.modeled_ns), (1, 10, 10));
         assert_eq!(sp.service.total_ns, 10);
         let timers = p.timers();
-        assert_eq!(timers.wall(StageId::Partition), Duration::from_nanos(17));
-        assert_eq!(timers.modeled(StageId::Partition), Duration::from_nanos(19));
+        assert_eq!(timers.wall(StageId::Partition), Duration::from_nanos(10));
+        assert_eq!(timers.modeled(StageId::Partition), Duration::from_nanos(10));
         assert_eq!(timers.wall(StageId::Kernel), Duration::ZERO);
         // Samples are positional by seq and hold chunk spans only.
         assert_eq!(p.chunk_samples.len(), 1);

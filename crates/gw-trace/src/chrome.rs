@@ -191,13 +191,12 @@ fn span_name(span: SpanId) -> &'static str {
     match span {
         SpanId::Chunk { .. } => "chunk",
         SpanId::TokenWait { .. } => "token-wait",
-        SpanId::Finish { .. } => "finish",
     }
 }
 
 fn span_args(out: &mut String, span: SpanId) {
     match span {
-        SpanId::Chunk { seq } | SpanId::Finish { seq } => {
+        SpanId::Chunk { seq } => {
             let _ = write!(out, "\"seq\":{seq}");
         }
         SpanId::TokenWait { group, seq } => {

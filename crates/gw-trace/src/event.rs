@@ -30,9 +30,8 @@ pub enum EventKind {
         span: SpanId,
     },
     /// A span closed on this lane. `accounted: false` marks a structural
-    /// span (an aborted chunk, a token wait, a finish hook that reported
-    /// no explicit timing): views over the stream must not fold its
-    /// durations into per-stage totals.
+    /// span (an aborted chunk, a token wait): views over the stream must
+    /// not fold its durations into per-stage totals.
     End {
         /// Which span.
         span: SpanId,
@@ -72,11 +71,6 @@ pub enum SpanId {
         /// Interlock group index within the pipeline.
         group: u32,
         /// Chunk sequence number the acquire is on behalf of.
-        seq: u64,
-    },
-    /// A stage's `finish` hook (e.g. the reduce output's final write).
-    Finish {
-        /// Last chunk sequence number the stage saw.
         seq: u64,
     },
 }

@@ -374,7 +374,7 @@ mod tests {
                     Duration::from_nanos(seq * 19),
                 );
             }
-            lane.end_unaccounted(SpanId::Finish { seq: 2 });
+            lane.end_unaccounted(SpanId::Chunk { seq: 3 });
             tracer.finish().logical_events()
         };
         assert_eq!(run(false), run(true));

@@ -68,7 +68,7 @@ fn zero_chunk_job_reports_zero_chunks_not_absence() {
     }
     assert_eq!(m.counter(0, CounterId::ShuffleRetransmit), 0);
     // The analysis layer folds the same trace without panicking: the
-    // pipelines still ran (end-of-input probes, finish hooks), but no
+    // pipelines still ran (end-of-input probes), but no
     // stage accounted a single chunk, so the advisor has no model.
     let a = &report.analysis;
     if let Some(p) = a.pipeline(0, PipelineKind::Map) {
@@ -143,7 +143,14 @@ fn timers_metrics_and_analysis_reconcile_per_stage() {
                     cfg.buffering = buffering;
                     cfg.lane_plan.kernel = kernel_lanes;
                     cfg.disable_stage_fusion = disable_stage_fusion;
+                    cfg.partitions_per_node = 3;
                 });
+                // One end-of-input probe per source, i.e. per pipeline
+                // instantiated: one per phase per node, not one more per
+                // partition the node reduces.
+                let anomalies = report.analysis.anomalies;
+                assert_eq!(anomalies.unaccounted_chunks, 2, "{what}");
+                assert_eq!(anomalies.unclosed_spans + anomalies.orphan_ends, 0);
                 for n in &report.nodes {
                     for (kind, timers) in [
                         (PipelineKind::Map, &n.map_timers),
@@ -163,14 +170,10 @@ fn timers_metrics_and_analysis_reconcile_per_stage() {
                             assert!(sp.chunks > 0, "{what}: {kind:?}/{stage:?} saw no chunks");
                             assert_eq!(timers.wall(stage).as_nanos() as u64, sp.wall_ns);
                             assert_eq!(timers.modeled(stage).as_nanos() as u64, sp.modeled_ns);
-                            // Only the reduce output stage accounts a
-                            // finish span (its final write) on top of
-                            // its chunk spans.
-                            if (kind, stage) != (PipelineKind::Reduce, StageId::Partition) {
-                                assert_eq!(sp.wall_ns, sp.service.total_ns);
-                            } else {
-                                assert!(sp.wall_ns >= sp.service.total_ns);
-                            }
+                            // Chunk spans are all a stage accounts: the
+                            // reduce output stage's file writes are part
+                            // of the chunks that close a partition.
+                            assert_eq!(sp.wall_ns, sp.service.total_ns);
                         }
                     }
                     // One sample row per map chunk, each stage's column

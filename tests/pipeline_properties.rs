@@ -9,7 +9,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use glasswing::apps::workloads::{self, CorpusSpec};
-use glasswing::apps::WordCount;
+use glasswing::apps::{TeraSort, WordCount};
 use glasswing::core::schedule::{pipeline_makespan, ChunkTimes};
 use glasswing::core::StageId;
 use glasswing::prelude::*;
@@ -317,6 +317,121 @@ fn reduce_launch_count_follows_concurrency_knobs() {
                 out, reference,
                 "{max_values} values × {concurrent_keys} keys changed the output"
             );
+        }
+    }
+}
+
+/// The reduce phase is one stage graph per node per job (DESIGN.md §3.3),
+/// read off the job's trace: over four partitions — one of them empty —
+/// every reduce lane numbers its chunks densely from 0, the source probes
+/// for end of input once and each §III-D token group is declared once,
+/// where a graph per partition would do either four times. WordCount runs
+/// the graph with its kernel, TeraSort without.
+#[test]
+fn reduce_phase_is_one_stage_graph_over_all_of_a_nodes_partitions() {
+    use glasswing::core::{EventKind, MarkId, PipelineKind, Realm, SpanId};
+
+    let corpus = workloads::text_corpus(&CorpusSpec {
+        lines: 60,
+        vocabulary: 5,
+        ..Default::default()
+    });
+    let tera = workloads::teragen(300, 8);
+    // Two samples make three key ranges: partition 3 gets no key.
+    let terasort = TeraSort::new(workloads::sample_keys(&tera, 2, 1), 4);
+    let apps: [(Arc<dyn GwApp>, &workloads::Records, usize); 2] = [
+        (Arc::new(WordCount::new()), &corpus, 2),
+        (Arc::new(terasort), &tera, 0),
+    ];
+    for (app, records, token_groups) in apps {
+        let name = app.name();
+        let mut reference: Option<Vec<glasswing::storage::KvVec>> = None;
+        for buffering in [Buffering::Single, Buffering::Double, Buffering::Triple] {
+            let dfs = Arc::new(Dfs::new(DfsConfig::new(1).free_io()));
+            dfs.write_records(
+                "/in",
+                NodeId(0),
+                1024,
+                1,
+                records.iter().map(|(k, v)| (k.as_slice(), v.as_slice())),
+            )
+            .unwrap();
+            let cluster = Cluster::new(dfs, NetProfile::unlimited());
+            let mut c = cfg();
+            c.partitions_per_node = 4;
+            c.output_replication = 1;
+            c.buffering = buffering;
+            // Several chunks a partition: one per key for WordCount's five
+            // words, one per 2 KiB output block for TeraSort's 30 KiB.
+            c.reduce_concurrent_keys = 1;
+            c.output_block_size = 2048;
+            let report = cluster.run(Arc::clone(&app), &c).unwrap();
+            let what = format!("{name}/{buffering:?}");
+
+            let files: Vec<glasswing::storage::KvVec> = (0..4)
+                .map(|gp| {
+                    let path = format!("/out/part-r-{gp:05}");
+                    assert!(cluster.store().exists(&path), "{what}: {path} is missing");
+                    cluster.store().read_all_records(&path, NodeId(0)).unwrap()
+                })
+                .collect();
+            assert_eq!(report.nodes[0].reduce.partitions, 4, "{what}");
+            assert_eq!(report.nodes[0].reduce.output_files.len(), 4, "{what}");
+            assert!(
+                files.iter().any(Vec::is_empty)
+                    && files.iter().filter(|f| !f.is_empty()).count() > 1,
+                "{what}: the input must leave a partition empty and fill several"
+            );
+            match &reference {
+                None => reference = Some(files),
+                Some(r) => assert_eq!(&files, r, "{what}: output diverged from Single"),
+            }
+
+            let (mut probes, mut groups, mut lanes) = (0, 0, 0);
+            for (lane, events) in &report.trace.lanes {
+                let Realm::Pipeline {
+                    kind: PipelineKind::Reduce,
+                    stage,
+                    ..
+                } = lane.realm
+                else {
+                    continue;
+                };
+                lanes += 1;
+                let mut seqs = Vec::new();
+                for ev in events {
+                    match ev.kind {
+                        EventKind::End {
+                            span: SpanId::Chunk { seq },
+                            accounted,
+                            ..
+                        } if accounted => seqs.push(seq),
+                        EventKind::End {
+                            span: SpanId::Chunk { seq },
+                            ..
+                        } => {
+                            assert_eq!(stage, StageId::Input, "{what}: aborted chunk {seq}");
+                            probes += 1;
+                        }
+                        EventKind::Instant {
+                            mark: MarkId::TokenGroup { .. },
+                        } => groups += 1,
+                        _ => {}
+                    }
+                }
+                assert!(
+                    seqs.len() > 4,
+                    "{what}: {stage:?} saw {} chunks",
+                    seqs.len()
+                );
+                assert!(
+                    seqs.iter().copied().eq(0..seqs.len() as u64),
+                    "{what}: {stage:?} chunk seqs {seqs:?} are not dense from 0"
+                );
+            }
+            assert_eq!(lanes, if app.has_reduce() { 3 } else { 2 }, "{what}");
+            assert_eq!(probes, 1, "{what}: one graph probes for end of input once");
+            assert_eq!(groups, token_groups, "{what}: token groups declared");
         }
     }
 }

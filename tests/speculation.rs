@@ -11,10 +11,11 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use glasswing::core::coordinator::{RecoveryState, RunKey};
 use glasswing::core::{Combiner, CounterId, LogicalKind, MarkId, Realm};
 use glasswing::intermediate::kv::run_from_pairs;
 use glasswing::intermediate::{IntermediateConfig, IntermediateStore};
-use glasswing::net::{Fabric, RunTag, ShuffleMsg, ShuffleReceiver};
+use glasswing::net::RunTag;
 use glasswing::prelude::*;
 use proptest::prelude::*;
 
@@ -258,37 +259,25 @@ proptest! {
         let mut perm: Vec<usize> = (0..msgs.len()).collect();
         perm.sort_by_key(|&i| (order_keys[i % order_keys.len()], i));
 
-        let mut fabric: Fabric<ShuffleMsg> = Fabric::new(2, NetProfile::unlimited());
-        let store = Arc::new(
-            IntermediateStore::new(IntermediateConfig {
-                num_partitions: PARTS,
-                ..Default::default()
-            })
-            .unwrap(),
-        );
-        let receiver = ShuffleReceiver::spawn(
-            Arc::new(fabric.endpoint(NodeId(0))),
-            Arc::clone(&store),
-            1,
-        );
-        // One sender delivers the permuted attempt stream in order.
-        let ep = fabric.endpoint(NodeId(1));
+        let store = IntermediateStore::new(IntermediateConfig {
+            num_partitions: PARTS,
+            ..Default::default()
+        })
+        .unwrap();
+        // The permuted attempt stream under the supervised receiver's
+        // admission rule (tags travel under supervision only): a run
+        // enters the store iff the node's `RecoveryState` admits its
+        // identity.
+        let recovery = RecoveryState::new();
+        let mut admitted = 0;
         for &i in &perm {
             let (tag, run) = &msgs[i];
-            let records = run.records();
-            let msg = ShuffleMsg::Partition {
-                partition: tag.partition,
-                bytes: run.clone().into_shared(),
-                records,
-                tag: Some(*tag),
-            };
-            let wire = msg.wire_bytes();
-            ep.send(NodeId(0), msg, wire);
+            if recovery.admit(RunKey::from(*tag)) {
+                admitted += 1;
+                store.add_run(tag.partition, run.clone());
+            }
         }
-        ep.send(NodeId(0), ShuffleMsg::MapDone, 8);
-        let summary = receiver.join();
-        prop_assert_eq!(summary.done_markers, 1);
-        prop_assert_eq!(summary.runs, 8); // one admission per identity
+        prop_assert_eq!(admitted, 8); // one admission per identity
 
         store.finish_map().expect("finish_map");
         // The reduce input is the k-way merge over the partition's runs;
