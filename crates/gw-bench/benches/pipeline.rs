@@ -1,7 +1,6 @@
 //! Tracked pipeline-executor benchmark: map throughput of the shared
 //! stage-graph executor at each §III-D buffering level, plus the cost of
-//! *not* fusing the Stage/Retrieve pass-through stages on a unified-memory
-//! (CPU) profile. Written to `BENCH_pipeline.json` at the repo root so the
+//! running the Stage/Retrieve slots a unified-memory (CPU) graph leaves out. Written to `BENCH_pipeline.json` at the repo root so the
 //! executor's behaviour is versioned alongside the code.
 //!
 //! Measured metrics (best-of-N wall time of the real map phase):
@@ -10,9 +9,10 @@
 //!   (million input records/s) at each buffering level, under paced
 //!   local-FS-style reads so the Input stage carries real time for
 //!   double/triple buffering to overlap (§III-D).
-//! * `fused_mrecs` vs `unfused_mrecs` — the same CPU-profile job with
-//!   Stage/Retrieve fused out of the graph (3 stage threads) vs forced
-//!   live (5 stage threads, DRAM-speed copies through a staging buffer).
+//! * `fused_mrecs` vs `unfused_mrecs` — the same CPU-profile job on the
+//!   unified-memory graph (3 stage threads) vs a discrete-memory copy of
+//!   the profile (5 stage threads, DRAM-speed copies through a staging
+//!   buffer).
 //!   `fused_over_unfused` is the headline delta: the paper's "the input
 //!   stager is disabled" optimisation as a measured ratio.
 //! * `lanes{1,2,4}_mrecs` — the lane-scaling sweep (DESIGN.md §3.9): the
@@ -25,8 +25,8 @@
 //!   0.5–1.5× of the promised one (the only place that band is checked).
 //!
 //! Every run also asserts the executor's structural invariants: observed
-//! in-flight chunks never exceed the buffering depth, and the fused graph
-//! spawns exactly 3 stage threads where the unfused one spawns 5.
+//! in-flight chunks never exceed the buffering depth, and the host graph
+//! spawns exactly 3 stage threads where the discrete one spawns 5.
 //!
 //! Usage: `cargo bench -p gw-bench --bench pipeline -- [--quick] [--check]`
 //!
@@ -69,9 +69,9 @@ const FULL: Sizes = Sizes {
     block: 64 << 10,
 };
 
-/// The host CPU profile with fusion defeated: same compute model, but the
-/// executor must keep the Stage and Retrieve threads (and their staging
-/// copies) live.
+/// The host CPU profile with discrete memory: same compute model, but
+/// the graph has the Stage and Retrieve threads (and their staging
+/// copies).
 fn unfused_host() -> DeviceProfile {
     DeviceProfile {
         name: "host-unfused",
@@ -142,7 +142,7 @@ impl Metrics {
 fn measure(sizes: &Sizes) -> Metrics {
     let buffered = |b: Buffering| {
         let (mrecs, threads) = measure_map(sizes, |cfg| cfg.buffering = b);
-        assert_eq!(threads, 3, "host profile must fuse Stage/Retrieve");
+        assert_eq!(threads, 3, "host profile has no Stage/Retrieve");
         mrecs
     };
     let single = buffered(Buffering::Single);
@@ -227,7 +227,7 @@ fn lane_sweep(sizes: &Sizes) -> LaneSweep {
                 cfg.lane_plan = LanePlan::single().with_stage(stage, lanes);
             },
         );
-        // Fused host graph (3 threads) plus one thread per extra lane.
+        // Host graph (3 threads) plus one thread per extra lane.
         assert_eq!(threads, 3 + (lanes - 1), "lane threads not spawned");
         mrecs
     };

@@ -106,12 +106,6 @@ pub struct JobConfig {
     pub output_block_size: usize,
     /// Which durations timers report.
     pub timing: TimingMode,
-    /// Keep the Stage (H2D) and Retrieve (D2H) stages live even on
-    /// unified-memory devices, where the builder normally fuses them out
-    /// of the stage graph as pass-throughs. The transfers still model to
-    /// zero time, so fused and unfused graphs report the same totals;
-    /// this switch exists to verify exactly that.
-    pub disable_stage_fusion: bool,
     /// Map-task re-execution budget: a chunk whose kernel fails is
     /// discarded and re-executed up to this many times before the job
     /// fails (paper §III-E: "if a task fails, its partial output is
@@ -146,9 +140,8 @@ pub struct JobConfig {
 /// bytes are identical at every lane count.
 ///
 /// Only Input, Kernel and Partition widen. Stage (H2D) and Retrieve
-/// (D2H) stay single-lane: they are fused out of the graph on unified
-/// memory, and on discrete memory they serialize on the one transfer
-/// link anyway. Reduce-side stages also stay single-lane — the reduce
+/// (D2H) stay single-lane: they are slots of discrete-memory graphs
+/// only, and there they serialize on the one transfer link anyway. Reduce-side stages also stay single-lane — the reduce
 /// kernel carries per-key scratch state across value chunks, which
 /// requires chunks of one key to arrive FIFO at a single stage instance.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -328,7 +321,6 @@ impl JobConfig {
             output_replication: 3,
             output_block_size: 8 << 20,
             timing: TimingMode::Wall,
-            disable_stage_fusion: false,
             max_task_retries: 0,
             job_deadline: None,
             heartbeat_interval: std::time::Duration::from_millis(25),

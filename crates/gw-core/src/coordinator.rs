@@ -151,21 +151,15 @@ impl NodeChaos {
 /// stage, the node's dead flag, and — on the input stage, which is the
 /// point where a node commits to more work — the coordinator's own view
 /// of this node's liveness and the job-wide abort flag.
+///
+/// A plan addresses five crash sites on every device: on a unified-memory
+/// node, whose graph has no Stage or Retrieve slot, the Kernel thread asks
+/// about Stage before its own site and the Partition thread about Retrieve.
 pub struct MapPipelineProbe {
-    chaos: NodeChaos,
-    coordinator: Arc<Coordinator>,
-    node: NodeId,
-}
-
-impl MapPipelineProbe {
-    /// Probe for `node`'s map pipeline.
-    pub fn new(chaos: NodeChaos, coordinator: Arc<Coordinator>, node: NodeId) -> Self {
-        MapPipelineProbe {
-            chaos,
-            coordinator,
-            node,
-        }
-    }
+    pub(crate) chaos: NodeChaos,
+    pub(crate) coordinator: Arc<Coordinator>,
+    pub(crate) node: NodeId,
+    pub(crate) unified_memory: bool,
 }
 
 impl gw_pipeline::PipelineProbe for MapPipelineProbe {
@@ -176,9 +170,17 @@ impl gw_pipeline::PipelineProbe for MapPipelineProbe {
     }
 
     fn crash_fires(&self, stage: gw_pipeline::StageId, lane: u32) -> bool {
-        self.chaos
-            .plan
-            .crash_fires(self.node.0, gw_chaos::CrashSite::for_map_stage(stage), lane)
+        use gw_pipeline::StageId;
+        let fires = |stage| {
+            let site = gw_chaos::CrashSite::for_map_stage(stage);
+            self.chaos.plan.crash_fires(self.node.0, site, lane)
+        };
+        let absent = match stage {
+            StageId::Kernel => StageId::Stage,
+            StageId::Partition => StageId::Retrieve,
+            _ => return fires(stage),
+        };
+        (self.unified_memory && fires(absent)) || fires(stage)
     }
 
     fn kill(&self) {
@@ -866,6 +868,8 @@ fn spec_lane(node: u32) -> LaneId {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gw_chaos::CrashSite;
+    use gw_pipeline::StageId;
 
     fn split(block: usize, locations: Vec<u32>) -> InputSplit {
         InputSplit {
@@ -1233,5 +1237,53 @@ mod tests {
         assert_eq!(c.splits_rescheduled(), 0);
         assert!(c.all_live_satisfied(1));
         assert_eq!(c.owner_of(5, 2), partition_owner(5, 2));
+    }
+
+    /// Node 1's map probe under `plan`.
+    fn map_probe(plan: FaultPlan, unified_memory: bool) -> MapPipelineProbe {
+        let chaos = NodeChaos {
+            plan: Arc::new(plan),
+            recovery: Arc::new(RecoveryState::new()),
+            dead: Arc::new(AtomicBool::new(false)),
+        };
+        MapPipelineProbe {
+            chaos,
+            coordinator: Arc::new(Coordinator::new(Vec::new())),
+            node: NodeId(1),
+            unified_memory,
+        }
+    }
+
+    /// The 0-based passage of `stage`'s thread on which the crash fires.
+    fn fires_on(probe: &MapPipelineProbe, stage: StageId) -> Option<usize> {
+        use gw_pipeline::PipelineProbe;
+        (0..6).position(|_| probe.crash_fires(stage, 0))
+    }
+
+    /// Every site fires on exactly one thread of the graph, on the passage
+    /// it was armed for: its own stage's, or — for Stage and Retrieve on a
+    /// unified-memory node, whose graph lacks them — the next stage's.
+    /// Kernel and Partition keep firing on their own third passage there,
+    /// so asking about the absent site first costs their own site nothing.
+    #[test]
+    fn each_crash_site_fires_on_the_one_thread_that_passes_it() {
+        for unified in [false, true] {
+            for site in StageId::ALL {
+                let front = match site {
+                    StageId::Stage if unified => StageId::Kernel,
+                    StageId::Retrieve if unified => StageId::Partition,
+                    own => own,
+                };
+                let plan = FaultPlan::crash(1, CrashSite::for_map_stage(site), 2);
+                let probe = map_probe(plan, unified);
+                let absent = |s| unified && matches!(s, StageId::Stage | StageId::Retrieve);
+                for thread in StageId::ALL {
+                    if thread != front && !absent(thread) {
+                        assert_eq!(fires_on(&probe, thread), None, "{site:?} on {thread:?}");
+                    }
+                }
+                assert_eq!(fires_on(&probe, front), Some(2), "{site:?} on {front:?}");
+            }
+        }
     }
 }

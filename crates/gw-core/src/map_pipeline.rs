@@ -11,10 +11,10 @@
 //! interlock (input group Input→Kernel, output group Kernel→Partition),
 //! crash-site probing, dead/abort checking, timers and error unwinding
 //! all live in [`gw_pipeline`]; the fault plane reaches the executor
-//! through [`MapPipelineProbe`]. On unified-memory devices the Stage and
-//! Retrieve stages report [`gw_pipeline::Stage::passthrough`] and are
-//! fused out of the graph at build time ("the input stager is disabled")
-//! — the pipeline runs on 3 threads, not 5.
+//! through [`MapPipelineProbe`]. Stage and Retrieve are slots of
+//! discrete-memory graphs only: on a unified-memory device "the input
+//! stager is disabled" and the graph is Input → Kernel → Partition, on 3
+//! threads, not 5.
 //!
 //! The Kernel stage launches the user's map function as an NDRange over
 //! the chunk's records — "Glasswing processes each split in parallel,
@@ -95,8 +95,8 @@ pub struct MapPhaseReport {
     pub runs_local: usize,
     /// Map tasks that were discarded and re-executed (paper §III-E).
     pub tasks_retried: usize,
-    /// Stage threads the executor spawned: 3 with Stage/Retrieve fused on
-    /// unified memory, 5 on discrete-memory devices, plus one per extra
+    /// Stage threads the executor spawned: 3 on unified memory, 5 on
+    /// discrete-memory devices (Stage and Retrieve), plus one per extra
     /// lane of every widened slot (`JobConfig::lane_plan`).
     pub stage_threads: usize,
     /// High-water mark of in-flight chunks across the §III-D token
@@ -234,12 +234,11 @@ impl LaneSource<MapChunk, EngineError> for MapInput<'_> {
     }
 }
 
-/// Stage (H2D): copy the chunk's block into its device buffer. Fused out
-/// of the graph on unified-memory devices.
+/// Stage (H2D): copy the chunk's block into its device buffer.
+/// Discrete-memory graphs only.
 struct MapStageH2D {
     device: Arc<Device>,
     timing: TimingMode,
-    unified: bool,
 }
 
 impl Stage<MapChunk, EngineError> for MapStageH2D {
@@ -257,10 +256,6 @@ impl Stage<MapChunk, EngineError> for MapStageH2D {
         let wall = t0.elapsed();
         ctx.add_time(wall, self.timing.pick(wall, stats.modeled));
         Ok(Some(chunk))
-    }
-
-    fn passthrough(&self) -> bool {
-        self.unified
     }
 }
 
@@ -361,11 +356,10 @@ impl Stage<MapChunk, EngineError> for MapKernel<'_> {
 /// it charges the device profile's modeled PCIe time for the bytes of the
 /// chunk that would cross the link, at zero wall. The map pipeline's
 /// Retrieve and the reduce pipeline's Stage and Retrieve are all this
-/// stage. Fused out of the graph on unified-memory devices.
+/// stage, on discrete-memory graphs only.
 pub(crate) struct ModeledTransfer<C> {
     pub(crate) device: Arc<Device>,
     pub(crate) timing: TimingMode,
-    pub(crate) unified: bool,
     /// Host→device (`true`) or device→host.
     pub(crate) to_device: bool,
     /// The bytes of a chunk that cross the link.
@@ -378,10 +372,6 @@ impl<C: Send> Stage<C, EngineError> for ModeledTransfer<C> {
         let transfer = self.device.profile().transfer_time(bytes, self.to_device);
         ctx.add_time(Duration::ZERO, self.timing.pick(Duration::ZERO, transfer));
         Ok(Some(chunk))
-    }
-
-    fn passthrough(&self) -> bool {
-        self.unified
     }
 }
 
@@ -612,7 +602,7 @@ impl MapPhase<'_> {
     pub fn run(self) -> Result<MapPhaseReport, EngineError> {
         let start = Instant::now();
         let b = self.cfg.buffering.depth();
-        let unified = self.device.unified_memory() && !self.cfg.disable_stage_fusion;
+        let unified = self.device.unified_memory();
         let total_partitions = self.cfg.partitions_per_node * self.nodes;
 
         // Partitioning worker pool: N lanes (orchestrator participates).
@@ -722,36 +712,40 @@ impl MapPhase<'_> {
         drop(collectors_back);
 
         let mut pipeline = PipelineBuilder::new(PipelineKind::Map, self.cfg.buffering)
-            .source_lanes(StageId::Input, input_lanes)
-            .stage(
+            .source_lanes(StageId::Input, input_lanes);
+        if !unified {
+            pipeline = pipeline.stage(
                 StageId::Stage,
                 MapStageH2D {
                     device: Arc::clone(&self.device),
                     timing: self.cfg.timing,
-                    unified,
                 },
-            )
-            .stage_lanes(StageId::Kernel, kernel_lanes)
-            .stage(
+            );
+        }
+        pipeline = pipeline.stage_lanes(StageId::Kernel, kernel_lanes);
+        if !unified {
+            pipeline = pipeline.stage(
                 StageId::Retrieve,
                 ModeledTransfer {
                     device: Arc::clone(&self.device),
                     timing: self.cfg.timing,
-                    unified,
                     to_device: false,
                     bytes: |c: &MapChunk| output_bytes(&c.collector),
                 },
-            )
+            );
+        }
+        pipeline = pipeline
             .stage_lanes(StageId::Partition, partition_lanes)
             .interlock(StageId::Input, StageId::Kernel)
             .interlock(StageId::Kernel, StageId::Partition)
             .tracer(Arc::clone(&self.tracer), self.node.0);
         if let Some(chaos) = self.chaos.clone() {
-            pipeline = pipeline.probe(MapPipelineProbe::new(
+            pipeline = pipeline.probe(MapPipelineProbe {
                 chaos,
-                Arc::clone(&self.coordinator),
-                self.node,
-            ));
+                coordinator: Arc::clone(&self.coordinator),
+                node: self.node,
+                unified_memory: unified,
+            });
         }
         let stats = pipeline.run();
 

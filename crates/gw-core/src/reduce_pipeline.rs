@@ -26,8 +26,8 @@
 //! work-item assignments) filled by the merge, and a launch adds one flat
 //! list of value slices over the arena. As in the map
 //! pipeline, all channel wiring, the §III-D token interlock, fault
-//! probing, timers and unwinding live in [`gw_pipeline`]; the Stage and
-//! Retrieve stages fuse out of the graph on unified-memory devices.
+//! probing, timers and unwinding live in [`gw_pipeline`]; Stage and
+//! Retrieve are slots of discrete-memory graphs only.
 //!
 //! Reduce-side fine-grained parallelism, exactly as the paper describes:
 //!
@@ -591,7 +591,7 @@ impl ReducePhase<'_> {
         let start = Instant::now();
         let cfg = self.cfg;
         let reduces = self.app.has_reduce();
-        let unified = self.device.unified_memory() && !cfg.disable_stage_fusion;
+        let unified = self.device.unified_memory();
         // Parallel single-key reduction is available only when the app
         // declares an associative state merge (probed with empty states,
         // which the contract requires to act as identities).
@@ -633,42 +633,35 @@ impl ReducePhase<'_> {
                 keys_seen: &keys_seen,
             },
         );
+        let transfer = |to_device, bytes: fn(&ReduceChunk) -> usize| ModeledTransfer {
+            device: Arc::clone(&self.device),
+            timing: cfg.timing,
+            to_device,
+            bytes,
+        };
         if reduces {
+            if !unified {
+                // Exactly the chunk's key and value bytes.
+                pipeline = pipeline.stage(StageId::Stage, transfer(true, |c| c.arena.len()));
+            }
+            pipeline = pipeline.stage(
+                StageId::Kernel,
+                ReduceKernel {
+                    device: Arc::clone(&self.device),
+                    app: Arc::clone(&self.app),
+                    cfg,
+                    scratch: &scratch,
+                    collectors,
+                    launches: &launches,
+                    parallel_splits: &parallel_splits,
+                    tasks_retried: &tasks_retried,
+                },
+            );
+            if !unified {
+                let bytes = |c: &ReduceChunk| output_bytes(&c.collector);
+                pipeline = pipeline.stage(StageId::Retrieve, transfer(false, bytes));
+            }
             pipeline = pipeline
-                .stage(
-                    StageId::Stage,
-                    ModeledTransfer {
-                        device: Arc::clone(&self.device),
-                        timing: cfg.timing,
-                        unified,
-                        to_device: true,
-                        // Exactly the chunk's key and value bytes.
-                        bytes: |c: &ReduceChunk| c.arena.len(),
-                    },
-                )
-                .stage(
-                    StageId::Kernel,
-                    ReduceKernel {
-                        device: Arc::clone(&self.device),
-                        app: Arc::clone(&self.app),
-                        cfg,
-                        scratch: &scratch,
-                        collectors,
-                        launches: &launches,
-                        parallel_splits: &parallel_splits,
-                        tasks_retried: &tasks_retried,
-                    },
-                )
-                .stage(
-                    StageId::Retrieve,
-                    ModeledTransfer {
-                        device: Arc::clone(&self.device),
-                        timing: cfg.timing,
-                        unified,
-                        to_device: false,
-                        bytes: |c: &ReduceChunk| output_bytes(&c.collector),
-                    },
-                )
                 .interlock(StageId::Input, StageId::Kernel)
                 .interlock(StageId::Kernel, StageId::Partition);
         }

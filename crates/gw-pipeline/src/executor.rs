@@ -1,10 +1,9 @@
 //! The bounded-stage executor.
 //!
 //! A pipeline is a pulling [`Source`] followed by a chain of [`Stage`]s.
-//! The executor spawns one scoped thread per *lane* of each live stage
-//! (pass-through stages are fused out at build time), links them with
-//! bounded handoff channels, and owns every cross-cutting concern the
-//! stages themselves used to copy-paste:
+//! The executor spawns one scoped thread per *lane* of each stage, links
+//! them with bounded handoff channels, and owns every cross-cutting
+//! concern the stages themselves used to copy-paste:
 //!
 //! * **§III-D buffer tokens** — each [`PipelineBuilder::interlock`] group
 //!   (e.g. the map pipeline's input group Input→Kernel and output group
@@ -246,16 +245,6 @@ pub trait Stage<T, E>: Send {
     /// Handle one chunk. `Ok(Some)` forwards a chunk downstream (dropped
     /// if this is the last stage); `Ok(None)` consumes it.
     fn run_chunk(&mut self, chunk: T, ctx: &mut StageCtx<'_>) -> Result<Option<T>, E>;
-
-    /// Build-time fusion hook: a `true` return removes the stage from the
-    /// graph entirely — no thread, no channel hop, no trace lane (the
-    /// paper's "the input stager is disabled" on unified memory). The
-    /// stage's *crash site* survives fusion: the next live stage probes it
-    /// on the fused stage's behalf, so fault plans address all five slots
-    /// regardless of the memory model.
-    fn passthrough(&self) -> bool {
-        false
-    }
 }
 
 /// Borrow half of a recycling payload pool: blocks for the next free
@@ -344,13 +333,10 @@ pub fn run_task_with_retries<C, R>(
 /// Outcome of a completed pipeline run.
 #[derive(Debug, Clone)]
 pub struct PipelineStats {
-    /// Threads the graph actually spawned (every lane of the source and
-    /// each live stage). Fused stages spawn nothing: a unified-memory
-    /// single-lane map pipeline runs on 3 threads, not 5.
+    /// Threads the graph spawned: every lane of the source and of each
+    /// stage.
     pub stage_threads: usize,
-    /// Stages fused out of the graph at build time.
-    pub fused: Vec<StageId>,
-    /// Lane count per live slot, in pipeline order.
+    /// Lane count per slot, in pipeline order.
     pub lanes: Vec<(StageId, usize)>,
     /// Chunks emitted by the source.
     pub chunks: usize,
@@ -579,18 +565,6 @@ impl StageEvents {
             accounted: false,
         });
     }
-
-    /// A chunk notionally passed a fused (pass-through) stage this thread
-    /// fronts for — zero cost, but the passage keeps fused and unfused
-    /// graphs reporting identical chunk counts and modeled totals.
-    fn fused_passage(&self, fused: StageId, seq: usize) {
-        self.emit(EventKind::Instant {
-            mark: MarkId::FusedPassage {
-                fused,
-                seq: seq as u64,
-            },
-        });
-    }
 }
 
 /// Envelope payload: a live chunk, or the hole left by a chunk consumed
@@ -624,7 +598,6 @@ pub struct PipelineBuilder<'a, T, E> {
     depth: usize,
     source: Option<(StageId, SourceLanes<'a, T, E>)>,
     stages: Vec<(StageId, StageLaneVec<'a, T, E>)>,
-    fused: Vec<StageId>,
     interlocks: Vec<(StageId, StageId)>,
     probe: Option<Box<dyn PipelineProbe + 'a>>,
     tracer: Option<(Arc<Tracer>, u32)>,
@@ -638,7 +611,6 @@ impl<'a, T: Send + 'a, E: Send + 'a> PipelineBuilder<'a, T, E> {
             depth: buffering.depth(),
             source: None,
             stages: Vec::new(),
-            fused: Vec::new(),
             interlocks: Vec::new(),
             probe: None,
             tracer: None,
@@ -669,24 +641,14 @@ impl<'a, T: Send + 'a, E: Send + 'a> PipelineBuilder<'a, T, E> {
         self
     }
 
-    /// Append a stage under slot `id`. A pass-through stage
-    /// ([`Stage::passthrough`]) is fused out of the graph here, at build
-    /// time: it gets no thread, no channel and no trace lane.
-    pub fn stage(mut self, id: StageId, stage: impl Stage<T, E> + 'a) -> Self {
-        if stage.passthrough() {
-            self.fused.push(id);
-        } else {
-            let lane: Box<dyn Stage<T, E> + 'a> = Box::new(stage);
-            self.stages.push((id, vec![lane]));
-        }
-        self
+    /// Append a stage under slot `id` (one lane).
+    pub fn stage(self, id: StageId, stage: impl Stage<T, E> + 'a) -> Self {
+        self.stage_lanes(id, vec![Box::new(stage)])
     }
 
     /// Append `lanes.len()` worker lanes under slot `id`: chunk `seq`
     /// runs on lane `seq mod N`, and the slot's exit re-presents chunks
-    /// to the next slot in sequence order. A widened slot is never fused
-    /// (a pass-through copy has no work worth parallelizing; ask for one
-    /// lane via [`PipelineBuilder::stage`] to keep fusion).
+    /// to the next slot in sequence order.
     pub fn stage_lanes(mut self, id: StageId, lanes: Vec<Box<dyn Stage<T, E> + 'a>>) -> Self {
         assert!(!lanes.is_empty(), "stage_lanes needs at least one lane");
         self.stages.push((id, lanes));
@@ -695,7 +657,7 @@ impl<'a, T: Send + 'a, E: Send + 'a> PipelineBuilder<'a, T, E> {
 
     /// Declare a §III-D token group spanning stages `first..=last`: at
     /// most `B` chunks live between the group's endpoints at any moment.
-    /// Endpoints that were fused resolve inward to the nearest live stage.
+    /// Both endpoints must be slots of this graph.
     pub fn interlock(mut self, first: StageId, last: StageId) -> Self {
         self.interlocks.push((first, last));
         self
@@ -723,31 +685,26 @@ impl<'a, T: Send + 'a, E: Send + 'a> PipelineBuilder<'a, T, E> {
         let (source_id, sources) = self.source.take().expect("pipeline needs a source");
         let n_src = sources.len();
         let mut stages = std::mem::take(&mut self.stages);
-        let n_live = 1 + stages.len();
+        let n_slots = 1 + stages.len();
 
-        // Resolve token groups onto live stage positions (0 = source).
+        // Resolve token groups onto stage positions (0 = source).
         let ids: Vec<StageId> = std::iter::once(source_id)
             .chain(stages.iter().map(|(id, _)| *id))
             .collect();
         let lane_counts: Vec<usize> = std::iter::once(n_src)
             .chain(stages.iter().map(|(_, lanes)| lanes.len()))
             .collect();
-        let mut acquire_at: Vec<Vec<Acquirer>> = (0..n_live).map(|_| Vec::new()).collect();
-        let mut release_at: Vec<Vec<usize>> = (0..n_live).map(|_| Vec::new()).collect();
+        let mut acquire_at: Vec<Vec<Acquirer>> = (0..n_slots).map(|_| Vec::new()).collect();
+        let mut release_at: Vec<Vec<usize>> = (0..n_slots).map(|_| Vec::new()).collect();
         let mut gauges: Vec<Arc<InFlightGauge>> = Vec::new();
-        // (acquire position, resolved first, resolved last) per group, for
-        // the §III-D topology marks below.
-        let mut topology: Vec<(usize, StageId, StageId)> = Vec::new();
+        let position = |end: StageId| {
+            ids.iter()
+                .position(|id| *id == end)
+                .expect("interlock endpoint is a slot of this graph")
+        };
         for &(first, last) in &self.interlocks {
-            let Some(a) = ids.iter().position(|id| id.index() >= first.index()) else {
-                continue;
-            };
-            let Some(r) = ids.iter().rposition(|id| id.index() <= last.index()) else {
-                continue;
-            };
-            if a > r {
-                continue;
-            }
+            let (a, r) = (position(first), position(last));
+            assert!(a <= r, "interlock runs downstream");
             let group = gauges.len();
             let gauge = Arc::new(InFlightGauge::default());
             let (tx, rx) = bounded(depth);
@@ -762,27 +719,8 @@ impl<'a, T: Send + 'a, E: Send + 'a> PipelineBuilder<'a, T, E> {
             });
             release_at[r].push(group);
             gauges.push(gauge);
-            topology.push((a, ids[a], ids[r]));
         }
         let n_groups = gauges.len();
-
-        // Fused stages keep their crash sites: a pass-through stage has no
-        // thread, but the fault plane still addresses it (a unified-memory
-        // node can be told to die "at Stage"). Each fused id is probed by
-        // the first live stage downstream of its slot, once per chunk
-        // passage, in slot order, before that stage's own site.
-        let mut crash_ids_at: Vec<Vec<StageId>> = (0..n_live).map(|_| Vec::new()).collect();
-        for &fid in &self.fused {
-            let pos = ids
-                .iter()
-                .position(|id| id.index() > fid.index())
-                .unwrap_or(n_live - 1);
-            crash_ids_at[pos].push(fid);
-        }
-        for (pos, &id) in ids.iter().enumerate() {
-            crash_ids_at[pos].sort_by_key(|f| f.index());
-            crash_ids_at[pos].push(id);
-        }
 
         let probe_box = self.probe.take();
         let probe: Option<&dyn PipelineProbe> = probe_box.as_deref();
@@ -809,8 +747,8 @@ impl<'a, T: Send + 'a, E: Send + 'a> PipelineBuilder<'a, T, E> {
         // so the mark leads that lane and per-lane order stays
         // deterministic. Post-hoc analysis replays the buffer-token
         // schedule from these instead of guessing the group endpoints.
-        for (group, &(pos, first, last)) in topology.iter().enumerate() {
-            events_for(ids[pos], 0).emit(EventKind::Instant {
+        for (group, &(first, last)) in self.interlocks.iter().enumerate() {
+            events_for(first, 0).emit(EventKind::Instant {
                 mark: MarkId::TokenGroup {
                     group: group as u32,
                     first,
@@ -835,8 +773,6 @@ impl<'a, T: Send + 'a, E: Send + 'a> PipelineBuilder<'a, T, E> {
         let mut acquire_iter = acquire_at.into_iter();
         let source_acquires = acquire_iter.next().expect("source position");
         let source_releases = release_at[0].clone();
-        let mut crash_iter = crash_ids_at.into_iter();
-        let source_crash_ids = crash_iter.next().expect("source crash slot");
 
         let result = std::thread::scope(|scope| -> Result<(), E> {
             // The handoff between adjacent slots is a K×L matrix of
@@ -845,7 +781,7 @@ impl<'a, T: Send + 'a, E: Send + 'a> PipelineBuilder<'a, T, E> {
             // `b` (one receiver per producer lane). Chunk `seq` travels
             // channel `[seq mod K][seq mod L]`; each consumer pulls its
             // expected seqs in order, which *is* the reorder buffer.
-            let n_gaps = n_live.saturating_sub(1);
+            let n_gaps = n_slots.saturating_sub(1);
             let mut tx_rows: LaneMatrix<Sender<Envelope<T>>> = Vec::with_capacity(n_gaps);
             let mut rx_cols: LaneMatrix<Receiver<Envelope<T>>> = Vec::with_capacity(n_gaps);
             for g in 0..n_gaps {
@@ -876,7 +812,6 @@ impl<'a, T: Send + 'a, E: Send + 'a> PipelineBuilder<'a, T, E> {
                     .map(|rows| rows[lane_idx].take().expect("source tx row"));
                 let acquires = source_acquires.clone();
                 let releases = source_releases.clone();
-                let crash_ids = source_crash_ids.clone();
                 let events = events_for(source_id, lane_idx as u32);
                 let turn = src_turn.clone();
                 source_handles.push(scope.spawn(move || -> Result<(), E> {
@@ -946,7 +881,7 @@ impl<'a, T: Send + 'a, E: Send + 'a> PipelineBuilder<'a, T, E> {
                             // crash dies holding the fresh claim (the
                             // survivors requeue it via liveness).
                             if let Some(p) = probe {
-                                if crash_ids.iter().any(|&cid| p.crash_fires(cid, lane)) {
+                                if p.crash_fires(source_id, lane) {
                                     p.kill();
                                     events.chunk_abort(seq);
                                     break;
@@ -1000,7 +935,6 @@ impl<'a, T: Send + 'a, E: Send + 'a> PipelineBuilder<'a, T, E> {
                 let k_up = lane_counts[pos - 1];
                 let acquires_proto = acquire_iter.next().expect("stage position");
                 let releases_proto = release_at[pos].clone();
-                let crash_ids_proto = crash_iter.next().expect("stage crash slot");
                 // Seq-ordered admission into the token groups this slot
                 // acquires; single-lane or non-acquiring slots need none.
                 let slot_turn: Option<Arc<Turn>> =
@@ -1014,7 +948,6 @@ impl<'a, T: Send + 'a, E: Send + 'a> PipelineBuilder<'a, T, E> {
                         .map(|rows| rows[lane_idx].take().expect("stage tx row"));
                     let acquires = acquires_proto.clone();
                     let releases = releases_proto.clone();
-                    let crash_ids = crash_ids_proto.clone();
                     let events = events_for(id, lane_idx as u32);
                     let turn = slot_turn.clone();
                     handles.push(scope.spawn(move || -> Result<(), E> {
@@ -1070,7 +1003,7 @@ impl<'a, T: Send + 'a, E: Send + 'a> PipelineBuilder<'a, T, E> {
                                     break;
                                 }
                                 if let Some(p) = probe {
-                                    if crash_ids.iter().any(|&cid| p.crash_fires(cid, lane)) {
+                                    if p.crash_fires(id, lane) {
                                         p.kill();
                                         break;
                                     }
@@ -1091,13 +1024,6 @@ impl<'a, T: Send + 'a, E: Send + 'a> PipelineBuilder<'a, T, E> {
                                 }
                                 if let Some(t) = guard.turn() {
                                     t.advance(seq + 1);
-                                }
-                                // The chunk survived every probe on this
-                                // thread, so it notionally passed the fused
-                                // stages this thread fronts for (all but the
-                                // last crash id, which is this stage's own).
-                                for &fid in &crash_ids[..crash_ids.len() - 1] {
-                                    events.fused_passage(fid, seq);
                                 }
                                 events.chunk_begin(seq);
                                 let t0 = Instant::now();
@@ -1205,7 +1131,6 @@ impl<'a, T: Send + 'a, E: Send + 'a> PipelineBuilder<'a, T, E> {
         result?;
         Ok(PipelineStats {
             stage_threads: lane_counts.iter().sum(),
-            fused: std::mem::take(&mut self.fused),
             lanes: ids
                 .iter()
                 .copied()
@@ -1252,20 +1177,6 @@ mod tests {
             _ctx: &mut StageCtx<'_>,
         ) -> Result<Option<usize>, String> {
             Ok(Some(c + 1))
-        }
-    }
-
-    struct Fused;
-    impl Stage<usize, String> for Fused {
-        fn run_chunk(
-            &mut self,
-            c: usize,
-            _ctx: &mut StageCtx<'_>,
-        ) -> Result<Option<usize>, String> {
-            Ok(Some(c))
-        }
-        fn passthrough(&self) -> bool {
-            true
         }
     }
 
@@ -1317,34 +1228,6 @@ mod tests {
     }
 
     #[test]
-    fn fused_stages_spawn_no_threads_and_chunks_flow_in_order() {
-        let sum = AtomicUsize::new(0);
-        let closed = Arc::new(AtomicBool::new(false));
-        let stats = PipelineBuilder::new(PipelineKind::Map, Buffering::Double)
-            .source(
-                StageId::Input,
-                Counter {
-                    next: 0,
-                    n: 10,
-                    closed: Arc::clone(&closed),
-                },
-            )
-            .stage(StageId::Stage, Fused)
-            .stage(StageId::Kernel, AddOne)
-            .stage(StageId::Retrieve, Fused)
-            .stage(StageId::Partition, SinkSum(&sum))
-            .interlock(StageId::Input, StageId::Kernel)
-            .interlock(StageId::Kernel, StageId::Partition)
-            .run()
-            .expect("pipeline run");
-        assert_eq!(stats.stage_threads, 3);
-        assert_eq!(stats.fused, vec![StageId::Stage, StageId::Retrieve]);
-        assert_eq!(stats.chunks, 10);
-        assert_eq!(sum.load(Ordering::SeqCst), (1..=10).sum::<usize>());
-        assert!(closed.load(Ordering::SeqCst), "source close hook must run");
-    }
-
-    #[test]
     fn interlock_bounds_in_flight_chunks() {
         for (buffering, b) in [
             (Buffering::Single, 1),
@@ -1352,13 +1235,14 @@ mod tests {
             (Buffering::Triple, 3),
         ] {
             let sum = AtomicUsize::new(0);
+            let closed = Arc::new(AtomicBool::new(false));
             let stats = PipelineBuilder::new(PipelineKind::Map, buffering)
                 .source(
                     StageId::Input,
                     Counter {
                         next: 0,
                         n: 32,
-                        closed: Arc::new(AtomicBool::new(false)),
+                        closed: Arc::clone(&closed),
                     },
                 )
                 .stage(StageId::Kernel, AddOne)
@@ -1367,6 +1251,10 @@ mod tests {
                 .interlock(StageId::Kernel, StageId::Partition)
                 .run()
                 .expect("pipeline run");
+            assert_eq!(stats.stage_threads, 3);
+            assert_eq!(stats.chunks, 32);
+            assert_eq!(sum.load(Ordering::SeqCst), (1..=32).sum::<usize>());
+            assert!(closed.load(Ordering::SeqCst), "source close hook must run");
             assert!(stats.max_in_flight >= 1);
             assert!(
                 stats.max_in_flight <= b,
@@ -1483,52 +1371,6 @@ mod tests {
         let err = run_task_with_retries(1, &mut state, |_| -> usize { panic!("always") }, |_| {})
             .expect_err("budget exhausted");
         assert_eq!(err.attempts, 2);
-    }
-
-    #[test]
-    fn fused_stage_crash_sites_are_probed_by_the_next_live_stage() {
-        struct CrashAtFused {
-            dead: Arc<AtomicBool>,
-            passages: AtomicUsize,
-        }
-        impl PipelineProbe for CrashAtFused {
-            fn should_abort(&self, _stage: StageId) -> bool {
-                self.dead.load(Ordering::SeqCst)
-            }
-            fn crash_fires(&self, stage: StageId, _lane: u32) -> bool {
-                // The Stage slot is fused out of the graph below; its site
-                // must still see passages.
-                stage == StageId::Stage && self.passages.fetch_add(1, Ordering::SeqCst) == 1
-            }
-            fn kill(&self) {
-                self.dead.store(true, Ordering::SeqCst);
-            }
-        }
-        let dead = Arc::new(AtomicBool::new(false));
-        let sum = AtomicUsize::new(0);
-        PipelineBuilder::new(PipelineKind::Map, Buffering::Double)
-            .source(
-                StageId::Input,
-                Counter {
-                    next: 0,
-                    n: 20,
-                    closed: Arc::new(AtomicBool::new(false)),
-                },
-            )
-            .stage(StageId::Stage, Fused)
-            .stage(StageId::Kernel, AddOne)
-            .stage(StageId::Partition, SinkSum(&sum))
-            .probe(CrashAtFused {
-                dead: Arc::clone(&dead),
-                passages: AtomicUsize::new(0),
-            })
-            .run()
-            .expect("injected crash drains quietly");
-        assert!(dead.load(Ordering::SeqCst), "fused Stage site never fired");
-        assert!(
-            sum.load(Ordering::SeqCst) <= 2 + 3,
-            "work after the crash must be discarded"
-        );
     }
 
     #[test]

@@ -9,13 +9,11 @@
 //! * [`Source`] / [`Stage`] — the per-stage logic (one `next_chunk` /
 //!   `run_chunk` call per chunk plus lifecycle hooks), written without any
 //!   channel wiring, crash probing or timer bookkeeping;
-//! * [`PipelineBuilder`] — wires N stages with bounded channels, circulates
-//!   [`Buffering`]`::{Single,Double,Triple}` buffer tokens (`B` in-flight
-//!   chunks per token group, enforced by the executor rather than ad-hoc
-//!   channel capacities), and *fuses* pass-through stages out of the graph
-//!   at build time (on unified-memory devices "the input stager is
-//!   disabled" — the stage does not exist, rather than running as a no-op
-//!   thread with channel hops);
+//! * [`PipelineBuilder`] — wires N stages with bounded channels and
+//!   circulates [`Buffering`]`::{Single,Double,Triple}` buffer tokens (`B`
+//!   in-flight chunks per token group, enforced by the executor rather than
+//!   ad-hoc channel capacities); a stage that has nothing to do on a device
+//!   (on unified memory "the input stager is disabled") is simply not added;
 //! * the four cross-cutting concerns previously copy-pasted per stage:
 //!   crash-site probing between chunks ([`PipelineProbe`]), dead/abort-flag
 //!   checking, wall+modeled span accounting on the `gw-trace` lanes, and error

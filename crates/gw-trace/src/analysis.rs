@@ -79,8 +79,7 @@ pub struct NodePerf {
 pub struct PipelinePerf {
     /// Map or reduce.
     pub kind: PipelineKind,
-    /// Stages that appeared in the trace, in pipeline order. Fused
-    /// stages appear with zero busy time but real chunk counts.
+    /// Stages that appeared in the trace, in pipeline order.
     pub stages: Vec<StagePerf>,
     /// Pairwise simultaneous-busy matrix over `stages`.
     pub overlap: OverlapMatrix,
@@ -92,7 +91,7 @@ pub struct PipelinePerf {
     pub span_ns: u64,
     /// Per-chunk (wall, modeled) stage times from accounted chunk spans,
     /// indexed by chunk sequence number, for schedule replay. Stages a
-    /// chunk never ran (fused, aborted) read zero.
+    /// chunk never ran (not in the graph, aborted) read zero.
     pub chunk_samples: Vec<[StageSample; 5]>,
 }
 
@@ -181,10 +180,7 @@ impl PipelinePerf {
 pub struct StagePerf {
     /// Stage slot.
     pub stage: StageId,
-    /// Whether the stage was fused out (pass-through): chunk counts come
-    /// from fused-passage marks, busy time is zero by construction.
-    pub fused: bool,
-    /// Chunks that completed this stage (accounted ends + fused passages).
+    /// Chunks that completed this stage (accounted span ends).
     pub chunks: u64,
     /// Union length of the stage's busy (chunk span) intervals.
     pub busy_ns: u64,
@@ -377,8 +373,6 @@ struct LaneFold {
     wall_ns: u64,
     modeled_ns: u64,
     service: ServiceStats,
-    /// Fused-passage chunk counts observed on this (fronting) lane.
-    fused_chunks: BTreeMap<StageId, u64>,
     /// Token-group topology marks seen on this lane.
     groups: Vec<(u32, StageId, StageId)>,
     /// Worker lanes the stage ran with: the max of the `StageLanes` mark
@@ -460,11 +454,6 @@ impl PerfAnalysis {
                         }
                     }
                     EventKind::Instant {
-                        mark: MarkId::FusedPassage { fused, .. },
-                    } => {
-                        *fold.fused_chunks.entry(fused).or_default() += 1;
-                    }
-                    EventKind::Instant {
                         mark: MarkId::TokenGroup { group, first, last },
                     } => fold.groups.push((group, first, last)),
                     EventKind::Instant {
@@ -474,22 +463,6 @@ impl PerfAnalysis {
                 }
             }
             anomalies.unclosed_spans += open.len() as u64;
-        }
-
-        // Re-home fused-passage counts from the fronting lane onto the
-        // fused stage's own (empty) entry, so fused stages report real
-        // chunk counts with zero busy time.
-        let fused_moves: Vec<((u32, PipelineKind), StageId, u64)> = folds
-            .iter()
-            .flat_map(|((node, kind, _), fold)| {
-                let key = (*node, *kind);
-                fold.fused_chunks
-                    .iter()
-                    .map(move |(stage, n)| (key, *stage, *n))
-            })
-            .collect();
-        for ((node, kind), stage, n) in fused_moves {
-            folds.entry((node, kind, stage)).or_default().chunks += n;
         }
 
         let nodes = build_node_perfs(&mut folds);
@@ -536,10 +509,9 @@ impl PerfAnalysis {
                     let sp = p.stage(*s).expect("matrix stage present");
                     let _ = write!(
                         out,
-                        " {}(chunks={chunks},waits={}{})",
+                        " {}(chunks={chunks},waits={})",
                         s.name_in(p.kind),
                         sp.token_waits,
-                        if sp.fused { ",fused" } else { "" },
                     );
                 }
                 // The critical path can only ever attribute time to
@@ -569,7 +541,7 @@ impl StagePerf {
     /// Whether the stage recorded any busy interval (logical: it did iff
     /// the stage closed at least one chunk span).
     fn busy_is_empty(&self) -> bool {
-        self.busy_ns == 0 && self.service.count == 0 && self.chunks == 0
+        self.busy_ns == 0 && self.chunks == 0
     }
 }
 
@@ -635,7 +607,6 @@ fn build_node_perfs(folds: &mut BTreeMap<(u32, PipelineKind, StageId), LaneFold>
                 let fold = &folds[&(node, kind, *stage)];
                 StagePerf {
                     stage: *stage,
-                    fused: fold.busy.is_empty() && fold.service.count == 0 && fold.chunks > 0,
                     chunks: fold.chunks,
                     busy_ns: total_len(&fold.busy),
                     wall_ns: fold.wall_ns,
@@ -1198,35 +1169,6 @@ mod tests {
         );
         // The accounted chunk still counts; the unclosed one does not.
         let p = a.pipeline(1, PipelineKind::Map).unwrap();
-        assert_eq!(p.stage(StageId::Kernel).unwrap().chunks, 1);
-    }
-
-    #[test]
-    fn fused_stages_report_chunks_with_zero_busy_time() {
-        let trace = Trace {
-            lanes: vec![(
-                lane(0, PipelineKind::Map, StageId::Kernel),
-                vec![
-                    begin(0, 0),
-                    ev(
-                        5,
-                        EventKind::Instant {
-                            mark: MarkId::FusedPassage {
-                                fused: StageId::Stage,
-                                seq: 0,
-                            },
-                        },
-                    ),
-                    end(10, 0, 10),
-                ],
-            )],
-        };
-        let a = trace.analysis();
-        let p = a.pipeline(0, PipelineKind::Map).unwrap();
-        let fused = p.stage(StageId::Stage).unwrap();
-        assert!(fused.fused);
-        assert_eq!(fused.chunks, 1);
-        assert_eq!(fused.busy_ns, 0);
         assert_eq!(p.stage(StageId::Kernel).unwrap().chunks, 1);
     }
 

@@ -207,7 +207,6 @@ fn span_args(out: &mut String, span: SpanId) {
 
 fn mark_name(mark: MarkId) -> &'static str {
     match mark {
-        MarkId::FusedPassage { .. } => "fused-passage",
         MarkId::CrashFired { .. } => "crash-fired",
         MarkId::FaultArmed { .. } => "fault-armed",
         MarkId::ReadFaultFired { .. } => "read-fault",
@@ -225,9 +224,6 @@ fn mark_name(mark: MarkId) -> &'static str {
 
 fn mark_args(out: &mut String, mark: MarkId) {
     match mark {
-        MarkId::FusedPassage { fused, seq } => {
-            let _ = write!(out, "\"stage\":\"{}\",\"seq\":{seq}", fused.name());
-        }
         MarkId::CrashFired { site, after } => {
             out.push_str("\"site\":\"");
             escape_into(out, site);

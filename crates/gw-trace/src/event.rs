@@ -78,16 +78,6 @@ pub enum SpanId {
 /// Instant-mark identity.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MarkId {
-    /// A chunk passed a stage that was fused out of the graph at build
-    /// time (unified-memory pass-through). Zero cost by construction;
-    /// timer views fold it in as an empty sample so fused and unfused
-    /// graphs report the same chunk counts and modeled totals.
-    FusedPassage {
-        /// The fused stage slot the chunk notionally passed.
-        fused: StageId,
-        /// Chunk sequence number.
-        seq: u64,
-    },
     /// A chaos-injected node crash fired.
     CrashFired {
         /// Crash-site name (e.g. "kernel").

@@ -1,14 +1,13 @@
 //! Metrics registry: the rollup view over a finished trace.
 //!
 //! Tables II/III-style aggregates derive from the same event stream the
-//! Chrome exporter renders: per-node counters, per-stage chunk counts
-//! (fused passages included, so fused and unfused graphs agree), and
-//! token-wait occupancy per stage.
+//! Chrome exporter renders: per-node counters, per-stage chunk counts,
+//! and token-wait occupancy per stage.
 
 use std::collections::BTreeMap;
 use std::time::Duration;
 
-use crate::event::{CounterId, EventKind, MarkId, Realm, SpanId};
+use crate::event::{CounterId, EventKind, Realm, SpanId};
 use crate::stage::{PipelineKind, StageId};
 use crate::tracer::Trace;
 
@@ -17,7 +16,7 @@ use crate::tracer::Trace;
 pub struct MetricsSummary {
     /// Counter totals keyed by `(node, counter)`.
     pub counters: BTreeMap<(u32, CounterId), u64>,
-    /// Chunks that completed each stage (fused passages count), keyed by
+    /// Chunks that completed each stage, keyed by
     /// `(node, pipeline, stage)`.
     pub stage_chunks: BTreeMap<(u32, PipelineKind, StageId), u64>,
     /// Wall nanoseconds spent waiting on §III-D buffer tokens, keyed by
@@ -47,11 +46,6 @@ impl MetricsSummary {
                         ..
                     } => {
                         *m.stage_chunks.entry((lane.node, kind, stage)).or_default() += 1;
-                    }
-                    EventKind::Instant {
-                        mark: MarkId::FusedPassage { fused, .. },
-                    } => {
-                        *m.stage_chunks.entry((lane.node, kind, fused)).or_default() += 1;
                     }
                     EventKind::Begin {
                         span: SpanId::TokenWait { .. },
@@ -128,15 +122,11 @@ mod tests {
     }
 
     #[test]
-    fn rollup_counts_chunks_counters_and_fused_passages() {
+    fn rollup_counts_chunks_and_counters() {
         let tracer = Tracer::new();
         let kernel = tracer.lane(pipe_lane(0, StageId::Kernel));
         for seq in 0..4u64 {
             kernel.begin(SpanId::Chunk { seq });
-            kernel.instant(MarkId::FusedPassage {
-                fused: StageId::Stage,
-                seq,
-            });
             kernel.end(
                 SpanId::Chunk { seq },
                 Duration::from_micros(10),
@@ -156,8 +146,7 @@ mod tests {
         storage.count(CounterId::DfsReadLocal, 2);
         let m = tracer.finish().metrics();
         assert_eq!(m.chunks(0, PipelineKind::Map, StageId::Kernel), 4);
-        assert_eq!(m.chunks(0, PipelineKind::Map, StageId::Stage), 4);
-        assert_eq!(m.chunks(0, PipelineKind::Map, StageId::Retrieve), 0);
+        assert_eq!(m.chunks(0, PipelineKind::Map, StageId::Stage), 0);
         assert_eq!(m.counter(0, CounterId::DfsReadBytes), 150);
         assert_eq!(m.counter_total(CounterId::DfsReadLocal), 2);
         assert_eq!(m.counter(1, CounterId::DfsReadBytes), 0);

@@ -13,7 +13,6 @@ use std::fmt::Write as _;
 
 use crate::analysis::{PerfAnalysis, PipelinePerf};
 use crate::chrome::escape_into;
-use crate::stage::StageId;
 
 fn ms(ns: u64) -> f64 {
     ns as f64 / 1e6
@@ -48,15 +47,10 @@ impl PerfAnalysis {
                     "stage", "chunks", "busy(ms)", "service mean/min/max (ms)", "waits", "wait(ms)"
                 );
                 for s in &p.stages {
-                    let name = if s.fused {
-                        format!("{} (fused)", s.stage.name_in(p.kind))
-                    } else {
-                        s.stage.name_in(p.kind).to_string()
-                    };
                     let _ = writeln!(
                         out,
                         "{:<12} {:>7} {:>10.3} {:>26} {:>7} {:>10.3}",
-                        name,
+                        s.stage.name_in(p.kind),
                         s.chunks,
                         ms(s.busy_ns),
                         format!(
@@ -175,11 +169,10 @@ impl PerfAnalysis {
                     }
                     let _ = write!(
                         o,
-                        "{{\"stage\":\"{}\",\"fused\":{},\"chunks\":{},\"busy_ns\":{},\
+                        "{{\"stage\":\"{}\",\"chunks\":{},\"busy_ns\":{},\
                          \"service\":{{\"count\":{},\"total_ns\":{},\"min_ns\":{},\"max_ns\":{}}},\
                          \"token_waits\":{},\"token_wait_ns\":{}}}",
                         s.stage.name_in(p.kind),
-                        s.fused,
                         s.chunks,
                         s.busy_ns,
                         s.service.count,
@@ -302,26 +295,19 @@ impl PerfAnalysis {
 }
 
 fn render_overlap(out: &mut String, p: &PipelinePerf) {
-    let live: Vec<StageId> = p
-        .overlap
-        .stages
-        .iter()
-        .zip(&p.stages)
-        .filter(|(_, s)| !s.fused)
-        .map(|(id, _)| *id)
-        .collect();
-    if live.len() < 2 {
+    let stages = &p.overlap.stages;
+    if stages.len() < 2 {
         return;
     }
     let _ = writeln!(out, "overlap (ms):");
     let _ = write!(out, "{:<12}", "");
-    for s in &live {
+    for s in stages {
         let _ = write!(out, " {:>10}", s.name_in(p.kind));
     }
     out.push('\n');
-    for (i, si) in live.iter().enumerate() {
+    for (i, si) in stages.iter().enumerate() {
         let _ = write!(out, "{:<12}", si.name_in(p.kind));
-        for (j, sj) in live.iter().enumerate() {
+        for (j, sj) in stages.iter().enumerate() {
             if j < i {
                 let _ = write!(out, " {:>10}", "");
             } else {

@@ -33,11 +33,11 @@ impl PipelineKind {
 pub enum StageId {
     /// Map: read input split / Reduce: final merge read.
     Input,
-    /// Host→device staging (fused out of the graph on unified memory).
+    /// Host→device staging (a slot of discrete-memory graphs only).
     Stage,
     /// Kernel execution.
     Kernel,
-    /// Device→host retrieval (fused out of the graph on unified memory).
+    /// Device→host retrieval (a slot of discrete-memory graphs only).
     Retrieve,
     /// Map: partition+sort+push / Reduce: output write.
     Partition,

@@ -1,7 +1,7 @@
 //! The analysis layer inherits the trace's determinism contract (ISSUE
 //! 5 acceptance): `PerfAnalysis` is a pure fold of the trace, so its
 //! *logical* projection — [`PerfAnalysis::determinism_digest`], which
-//! renders chunk counts, token-wait counts, fused flags, critical-path
+//! renders chunk counts, token-wait counts, critical-path
 //! gates, straggler ranking and anomaly counts but no timing — must be
 //! byte-identical
 //!

@@ -4,15 +4,15 @@
 //!
 //! * an empty trace (no lanes at all),
 //! * a zero-chunk job (valid input path, no records → no splits), and
-//! * a single-node unified-memory run, where Stage/Retrieve are fused
-//!   out of the graph: their chunk counts must equal the kernel's (via
-//!   fused passages) while everything the fused stages never did —
-//!   token waits, counters — still reads back as zero.
+//! * a single-node unified-memory run, whose graphs have no Stage or
+//!   Retrieve slot: the analysis has no entry for them, and their chunk
+//!   counts and timers read back as zero.
 //!
 //! Plus the reconciliation case: every report carried by `JobReport` is a
 //! fold of the one trace, so `NodeReport` timers/samples,
 //! `MetricsSummary` and `PerfAnalysis` must agree exactly at every
-//! buffering level, lane count and fusion setting.
+//! buffering level and lane count, on the 3-stage graph of a
+//! unified-memory device and the 5-stage graph of a discrete one.
 
 use std::sync::Arc;
 
@@ -82,7 +82,7 @@ fn zero_chunk_job_reports_zero_chunks_not_absence() {
 }
 
 #[test]
-fn fused_single_node_run_counts_fused_stages_as_zero_not_absent() {
+fn unified_single_node_run_has_no_stage_or_retrieve_and_reads_them_as_zero() {
     let records: Vec<(Vec<u8>, Vec<u8>)> = (0..32)
         .map(|i| {
             (
@@ -94,27 +94,20 @@ fn fused_single_node_run_counts_fused_stages_as_zero_not_absent() {
     let report = run_job(&records);
     let m = &report.metrics;
 
-    // The host profile is unified memory: Stage and Retrieve were fused
-    // out (no thread, no spans), yet their chunk counts match the
-    // kernel's in both pipelines via fused-passage marks.
-    for kind in [PipelineKind::Map, PipelineKind::Reduce] {
-        let kernel = m.chunks(0, kind, StageId::Kernel);
-        assert!(kernel > 0, "{kind:?} kernel saw no chunks");
-        assert_eq!(m.chunks(0, kind, StageId::Stage), kernel);
-        assert_eq!(m.chunks(0, kind, StageId::Retrieve), kernel);
-    }
-
-    // What the fused stages never did still reads back as zero.
+    // The host profile is unified memory: Stage and Retrieve are not in
+    // either graph — no analysis entry, and every accessor reads zero.
     let a = &report.analysis;
-    for kind in [PipelineKind::Map, PipelineKind::Reduce] {
+    for (kind, timers) in [
+        (PipelineKind::Map, report.map_timers_total()),
+        (PipelineKind::Reduce, report.reduce_timers_total()),
+    ] {
+        assert!(m.chunks(0, kind, StageId::Kernel) > 0, "{kind:?} kernel");
         let p = a.pipeline(0, kind).expect("pipeline present");
         for stage in [StageId::Stage, StageId::Retrieve] {
-            let sp = p.stage(stage).expect("fused stage entry present");
-            assert!(sp.fused, "{kind:?}/{stage:?} should be fused");
-            assert_eq!(sp.busy_ns, 0);
-            assert_eq!(sp.token_waits, 0);
-            assert_eq!(sp.token_wait_ns, 0);
-            assert_eq!(sp.service.count, 0);
+            assert!(p.stage(stage).is_none(), "{kind:?}/{stage:?}");
+            assert_eq!(m.chunks(0, kind, stage), 0);
+            assert_eq!(timers.wall(stage), std::time::Duration::ZERO);
+            assert_eq!(timers.modeled(stage), std::time::Duration::ZERO);
         }
     }
 
@@ -123,6 +116,9 @@ fn fused_single_node_run_counts_fused_stages_as_zero_not_absent() {
     // The new arena counters are present (the job really built runs).
     assert!(m.counter(0, CounterId::RunPoolHit) + m.counter(0, CounterId::RunPoolMiss) > 0);
 }
+
+/// The stages of a unified-memory graph.
+const UNIFIED_STAGES: [StageId; 3] = [StageId::Input, StageId::Kernel, StageId::Partition];
 
 #[test]
 fn timers_metrics_and_analysis_reconcile_per_stage() {
@@ -136,15 +132,24 @@ fn timers_metrics_and_analysis_reconcile_per_stage() {
         .collect();
     for buffering in [Buffering::Single, Buffering::Double, Buffering::Triple] {
         for kernel_lanes in [1, 2] {
-            for disable_stage_fusion in [false, true] {
-                let what =
-                    format!("{buffering:?}/lanes={kernel_lanes}/unfused={disable_stage_fusion}");
+            // Chunk counts of the stages both graphs have, per device.
+            let mut shared_chunks = Vec::new();
+            for (device, live) in [
+                (DeviceProfile::host(), &UNIFIED_STAGES[..]),
+                (DeviceProfile::gtx480(), &StageId::ALL[..]),
+            ] {
+                let what = format!("{buffering:?}/lanes={kernel_lanes}/{}", device.name);
                 let report = run_job_with(&records, |cfg| {
                     cfg.buffering = buffering;
                     cfg.lane_plan.kernel = kernel_lanes;
-                    cfg.disable_stage_fusion = disable_stage_fusion;
+                    cfg.device = device;
                     cfg.partitions_per_node = 3;
                 });
+                assert_eq!(
+                    report.nodes[0].map.stage_threads,
+                    live.len() + kernel_lanes - 1,
+                    "{what}"
+                );
                 // One end-of-input probe per source, i.e. per pipeline
                 // instantiated: one per phase per node, not one more per
                 // partition the node reduces.
@@ -160,8 +165,9 @@ fn timers_metrics_and_analysis_reconcile_per_stage() {
                             .analysis
                             .pipeline(n.node.0, kind)
                             .expect("pipeline present");
-                        for stage in StageId::ALL {
-                            let sp = p.stage(stage).expect("all five stages are on the books");
+                        assert_eq!(p.stages.len(), live.len(), "{what}: {kind:?} stages");
+                        for &stage in live {
+                            let sp = p.stage(stage).expect("every live stage is on the books");
                             assert_eq!(
                                 report.metrics.chunks(n.node.0, kind, stage),
                                 sp.chunks,
@@ -175,6 +181,8 @@ fn timers_metrics_and_analysis_reconcile_per_stage() {
                             // of the chunks that close a partition.
                             assert_eq!(sp.wall_ns, sp.service.total_ns);
                         }
+                        shared_chunks
+                            .push(UNIFIED_STAGES.map(|stage| p.stage(stage).unwrap().chunks));
                     }
                     // One sample row per map chunk, each stage's column
                     // summing to its timer total.
@@ -201,6 +209,8 @@ fn timers_metrics_and_analysis_reconcile_per_stage() {
                     }
                 }
             }
+            // Map then reduce on the one node, once per device.
+            assert_eq!(shared_chunks[..2], shared_chunks[2..], "{buffering:?}");
         }
     }
 }

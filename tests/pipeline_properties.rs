@@ -11,7 +11,7 @@ use std::time::Duration;
 use glasswing::apps::workloads::{self, CorpusSpec};
 use glasswing::apps::{TeraSort, WordCount};
 use glasswing::core::schedule::{pipeline_makespan, ChunkTimes};
-use glasswing::core::StageId;
+use glasswing::core::{EventKind, MarkId, PipelineKind, Realm, StageId};
 use glasswing::prelude::*;
 
 fn corpus_cluster(lines: usize, nodes: u32, block: usize) -> Cluster {
@@ -105,8 +105,8 @@ fn lane_counts_agree_byte_for_byte_at_every_buffering_level() {
                     "lanes={lanes} {buffering:?}: {} chunks in flight, interlock allows {b}",
                     n.map.max_in_flight
                 );
-                // Host profile fuses Stage/Retrieve: the three live slots
-                // each run `lanes` lanes.
+                // Host profile, so no Stage/Retrieve: the three slots each
+                // run `lanes` lanes.
                 assert_eq!(n.map.stage_threads, 3 * lanes, "lanes={lanes}");
             }
             let out = read_job_output(cluster.store(), &report).unwrap();
@@ -121,27 +121,57 @@ fn lane_counts_agree_byte_for_byte_at_every_buffering_level() {
     }
 }
 
-/// On a unified-memory device (the host CPU profile) the Stage and
-/// Retrieve stages fuse out of the pipeline graph at build time: the map
-/// pipeline runs on exactly 3 stage threads, not 5.
+/// Stage and Retrieve are slots of discrete-memory graphs only. On the
+/// host CPU profile (unified memory) the map pipeline runs on exactly 3
+/// stage threads and the trace has no lane, and no mark, naming either
+/// slot; a discrete-memory profile runs all five with equal chunk counts
+/// and writes the same bytes.
 #[test]
 fn unified_memory_fuses_stage_and_retrieve_out_of_the_graph() {
-    let cluster = corpus_cluster(300, 1, 2048);
-    let report = cluster.run(Arc::new(WordCount::new()), &cfg()).unwrap();
-    assert_eq!(
-        report.nodes[0].map.stage_threads, 3,
-        "host profile must fuse Stage and Retrieve"
-    );
+    let run = |device: DeviceProfile| {
+        let cluster = corpus_cluster(300, 1, 2048);
+        let mut c = cfg();
+        c.device = device;
+        let report = cluster.run(Arc::new(WordCount::new()), &c).unwrap();
+        let out = read_job_output(cluster.store(), &report).unwrap();
+        (report, out)
+    };
+    let transfer = |s: StageId| matches!(s, StageId::Stage | StageId::Retrieve);
 
-    // A discrete-memory profile keeps all five stages live.
-    let cluster = corpus_cluster(300, 1, 2048);
-    let mut c = cfg();
-    c.device = DeviceProfile::gtx480();
-    let report = cluster.run(Arc::new(WordCount::new()), &c).unwrap();
-    assert_eq!(
-        report.nodes[0].map.stage_threads, 5,
-        "discrete profile must keep Stage and Retrieve live"
+    let (host, host_out) = run(DeviceProfile::host());
+    assert_eq!(host.nodes[0].map.stage_threads, 3);
+    for (lane, events) in &host.trace.lanes {
+        if let Realm::Pipeline { stage, .. } = lane.realm {
+            assert!(!transfer(stage), "host trace has a {stage:?} lane");
+        }
+        for ev in events {
+            let named = match ev.kind {
+                EventKind::Instant {
+                    mark: MarkId::StageLanes { stage, .. },
+                } => vec![stage],
+                EventKind::Instant {
+                    mark: MarkId::TokenGroup { first, last, .. },
+                } => vec![first, last],
+                _ => vec![],
+            };
+            assert!(!named.into_iter().any(transfer), "{:?}", ev.kind);
+        }
+    }
+    for kind in [PipelineKind::Map, PipelineKind::Reduce] {
+        let p = host.analysis.pipeline(0, kind).expect("pipeline present");
+        assert_eq!(p.stages.len(), 3, "{kind:?}");
+        assert!(p.stage(StageId::Stage).is_none() && p.stage(StageId::Retrieve).is_none());
+    }
+
+    let (gpu, gpu_out) = run(DeviceProfile::gtx480());
+    assert_eq!(gpu.nodes[0].map.stage_threads, 5);
+    let map = gpu.analysis.pipeline(0, PipelineKind::Map).unwrap();
+    let chunks = StageId::ALL.map(|s| map.stage(s).expect("five live lanes").chunks);
+    assert!(
+        chunks[0] > 0 && chunks.iter().all(|c| *c == chunks[0]),
+        "{chunks:?}"
     );
+    assert_eq!(host_out, gpu_out);
 }
 
 /// The measured map-phase elapsed time must be consistent with replaying

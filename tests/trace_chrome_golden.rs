@@ -45,8 +45,7 @@ fn pipeline_lane(node: u32, stage: StageId) -> LaneId {
 }
 
 /// A small but representative trace: two nodes; chunk spans with a
-/// nested token wait; a fused-passage mark; storage, shuffle and chaos
-/// lanes. Timestamps are fixed by hand so the export is reproducible.
+/// nested token wait; storage, shuffle and chaos lanes. Timestamps are fixed by hand so the export is reproducible.
 fn sample_trace() -> Trace {
     let chunk = |seq| SpanId::Chunk { seq };
     let input0 = vec![
@@ -58,15 +57,6 @@ fn sample_trace() -> Trace {
                 wall_ns: 800,
                 modeled_ns: 800,
                 accounted: true,
-            },
-        ),
-        ev(
-            950,
-            EventKind::Instant {
-                mark: MarkId::FusedPassage {
-                    fused: StageId::Stage,
-                    seq: 0,
-                },
             },
         ),
     ];
