@@ -32,12 +32,13 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use bytes::Bytes;
 use crossbeam::channel::RecvTimeoutError;
 
 use gw_chaos::FaultPlan;
 use gw_device::Device;
 use gw_intermediate::{IntermediateConfig, IntermediateStore, Run, TempDir};
-use gw_net::{Fabric, NetProfile, ShuffleMsg, ShuffleReceiver, ShuffleSummary};
+use gw_net::{Fabric, NetProfile, RunTag, ShuffleMsg, ShuffleReceiver, ShuffleSummary};
 use gw_storage::split::{FileStore, FileStoreExt};
 use gw_storage::NodeId;
 use gw_trace::{
@@ -47,7 +48,7 @@ use gw_trace::{
 
 use crate::api::GwApp;
 use crate::config::JobConfig;
-use crate::coordinator::{Coordinator, NodeChaos, RecoveryState, RunKey, SpeculationReport};
+use crate::coordinator::{Coordinator, NodeChaos, RecoveryState, SpeculationReport};
 use crate::map_pipeline::{MapPhase, MapPhaseReport};
 use crate::reduce_pipeline::{ReducePhase, ReducePhaseReport};
 use crate::EngineError;
@@ -272,15 +273,19 @@ impl Cluster {
                 node_set: scope.node_set.clone(),
             })
         };
-        let fault_plan = scope.fault_plan;
+        // Speculation rides on the supervision machinery (run ledger,
+        // heartbeats, receiver de-dup), so it supervises the job even
+        // without a fault plan: an empty plan injects nothing.
+        let fault_plan = scope.fault_plan.or_else(|| {
+            cfg.speculation
+                .enabled
+                .then(|| Arc::new(FaultPlan::empty()))
+        });
         let total_partitions = cfg.partitions_per_node * nodes;
         let splits = store.splits(&cfg.input)?;
 
         let mut coordinator = Coordinator::new(splits);
-        // Speculation rides on the supervision machinery (run ledger,
-        // heartbeats, receiver de-dup), so enabling it supervises the job
-        // even without a fault plan.
-        if fault_plan.is_some() || cfg.speculation.enabled {
+        if fault_plan.is_some() {
             coordinator.enable_supervision(
                 nodes,
                 total_partitions,
@@ -329,10 +334,6 @@ impl Cluster {
         let failovers_before = store.fault_failovers();
 
         let start = Instant::now();
-        // Speculation without a fault plan still needs the supervised node
-        // machinery (recovery state, probes); an empty plan injects nothing.
-        let spec_only_plan =
-            (fault_plan.is_none() && cfg.speculation.enabled).then(|| Arc::new(FaultPlan::empty()));
         let (res_tx, res_rx) =
             crossbeam::channel::unbounded::<(u32, Result<NodeReport, EngineError>)>();
         let mut handles = Vec::with_capacity(nodes as usize);
@@ -343,14 +344,11 @@ impl Cluster {
             let store = Arc::clone(&store);
             let coordinator = Arc::clone(&coordinator);
             let cfg = cfg.clone();
-            let chaos = fault_plan
-                .as_ref()
-                .or(spec_only_plan.as_ref())
-                .map(|plan| NodeChaos {
-                    plan: Arc::clone(plan),
-                    recovery: Arc::new(RecoveryState::new()),
-                    dead: Arc::new(AtomicBool::new(false)),
-                });
+            let chaos = fault_plan.as_ref().map(|plan| NodeChaos {
+                plan: Arc::clone(plan),
+                recovery: Arc::new(RecoveryState::new()),
+                dead: Arc::new(AtomicBool::new(false)),
+            });
             let tracer = Arc::clone(&tracer);
             let res_tx = res_tx.clone();
             let job = scope.job;
@@ -729,6 +727,15 @@ fn spawn_supervised_receiver(
             let mut done_from: HashSet<u32> = HashSet::new();
             let mut satisfied = false;
             let mut last_rerequest = Instant::now() - REREQUEST_EVERY;
+            // Admit a run into the store, and count it, unless an identical
+            // run was already admitted.
+            let admit = |summary: &mut ShuffleSummary, tag: RunTag, bytes: Bytes, records| {
+                if chaos.recovery.admit(tag) {
+                    summary.runs += 1;
+                    summary.bytes += bytes.len();
+                    intermediate.add_run(tag.partition, Run::from_sorted_bytes(bytes, records));
+                }
+            };
             loop {
                 if chaos.is_dead() || coordinator.is_dead(node) {
                     return Err(EngineError::NodeLost(format!(
@@ -741,21 +748,13 @@ fn spawn_supervised_receiver(
                 match endpoint.recv_timeout(RX_TICK) {
                     Ok(Some(env)) => match env.payload {
                         ShuffleMsg::Partition {
-                            partition,
                             bytes,
                             records,
                             tag,
+                            ..
                         } => {
-                            let fresh = match tag {
-                                Some(t) => chaos.recovery.admit(RunKey::from(t)),
-                                None => true,
-                            };
-                            if fresh {
-                                summary.runs += 1;
-                                summary.bytes += bytes.len();
-                                intermediate
-                                    .add_run(partition, Run::from_sorted_bytes(bytes, records));
-                            }
+                            let tag = tag.expect("supervised peers tag every run");
+                            admit(&mut summary, tag, bytes, records);
                         }
                         ShuffleMsg::MapDone => {
                             done_from.insert(env.from.0);
@@ -763,9 +762,7 @@ fn spawn_supervised_receiver(
                         }
                         ShuffleMsg::Resend { ids } => {
                             for id in ids {
-                                if let Some((bytes, records)) =
-                                    chaos.recovery.retained(RunKey::from(id))
-                                {
+                                if let Some((bytes, records)) = chaos.recovery.retained(id) {
                                     let msg = ShuffleMsg::Partition {
                                         partition: id.partition,
                                         bytes,
@@ -818,17 +815,9 @@ fn spawn_supervised_receiver(
                                     // own (sent to a node that then died):
                                     // serve ourselves from retention.
                                     for id in ids {
-                                        let key = RunKey::from(id);
-                                        if let Some((bytes, records)) = chaos.recovery.retained(key)
+                                        if let Some((bytes, records)) = chaos.recovery.retained(id)
                                         {
-                                            if chaos.recovery.admit(key) {
-                                                summary.runs += 1;
-                                                summary.bytes += bytes.len();
-                                                intermediate.add_run(
-                                                    key.partition,
-                                                    Run::from_sorted_bytes(bytes, records),
-                                                );
-                                            }
+                                            admit(&mut summary, id, bytes, records);
                                         }
                                     }
                                 } else {

@@ -16,7 +16,7 @@
 //!   survivors, and each global partition it owned is adopted by the next
 //!   live node on the ring.
 //! * **Run ledger** — every sorted run a map task produces is recorded as
-//!   a [`RunKey`] → producer entry *before* it is retained/sent, so a
+//!   a run tag → producer entry *before* it is retained/sent, so a
 //!   receiver can compute exactly which runs it is still owed and
 //!   re-request them from the producers' retention buffers. Re-executed
 //!   splits overwrite their ledger entries, replacing dead producers.
@@ -44,50 +44,14 @@ use gw_trace::{LaneId, MarkId, Realm, Tracer};
 use crate::config::SpeculationConfig;
 use crate::hash::partition_owner;
 
-/// Identity of one sorted run, independent of which node produced it (a
-/// re-executed split re-produces runs under the same keys, which is what
-/// makes receiver-side de-duplication and ledger overwrite sound).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct RunKey {
-    /// Global partition the run belongs to.
-    pub partition: u32,
-    /// Input block the run was computed from.
-    pub block: u32,
-    /// Producer-side lane (pinned to 0 in supervised mode, where a block's
-    /// lanes are merged into one deterministic run per partition).
-    pub lane: u32,
-}
-
-impl From<RunTag> for RunKey {
-    fn from(t: RunTag) -> Self {
-        RunKey {
-            partition: t.partition,
-            block: t.block,
-            lane: t.lane,
-        }
-    }
-}
-
-impl RunKey {
-    /// The wire tag for this run as (re)produced by `producer`.
-    pub fn tag(self, producer: u32) -> RunTag {
-        RunTag {
-            producer,
-            partition: self.partition,
-            block: self.block,
-            lane: self.lane,
-        }
-    }
-}
-
 /// Per-node shuffle recovery state: which runs this node has admitted into
 /// its intermediate store (for de-duplication of re-produced runs), and
 /// the serialized runs it has sent to peers (retained so it can re-serve
 /// them on [`gw_net::ShuffleMsg::Resend`]).
 #[derive(Debug, Default)]
 pub struct RecoveryState {
-    received: Mutex<HashSet<RunKey>>,
-    retained: Mutex<HashMap<RunKey, (Bytes, usize)>>,
+    received: Mutex<HashSet<RunTag>>,
+    retained: Mutex<HashMap<RunTag, (Bytes, usize)>>,
 }
 
 impl RecoveryState {
@@ -98,26 +62,26 @@ impl RecoveryState {
 
     /// Admit a run into the local store. Returns `false` if an identical
     /// run was already admitted (duplicate delivery or re-execution).
-    pub fn admit(&self, key: RunKey) -> bool {
-        self.received.lock().insert(key)
+    pub fn admit(&self, tag: RunTag) -> bool {
+        self.received.lock().insert(tag)
     }
 
     /// Snapshot of the admitted set (for the missing-run scan).
-    pub fn received_snapshot(&self) -> HashSet<RunKey> {
+    pub fn received_snapshot(&self) -> HashSet<RunTag> {
         self.received.lock().clone()
     }
 
     /// Retain a serialized run sent to a peer, for possible re-serving.
     /// `Bytes` is refcounted, so retention aliases the run's arena rather
     /// than copying it.
-    pub fn retain(&self, key: RunKey, bytes: Bytes, records: usize) {
-        self.retained.lock().insert(key, (bytes, records));
+    pub fn retain(&self, tag: RunTag, bytes: Bytes, records: usize) {
+        self.retained.lock().insert(tag, (bytes, records));
     }
 
     /// Fetch a retained run (a refcount clone; retention survives
     /// re-serving).
-    pub fn retained(&self, key: RunKey) -> Option<(Bytes, usize)> {
-        self.retained.lock().get(&key).cloned()
+    pub fn retained(&self, tag: RunTag) -> Option<(Bytes, usize)> {
+        self.retained.lock().get(&tag).cloned()
     }
 }
 
@@ -323,8 +287,8 @@ struct Supervision {
     node_timeout: Duration,
     store: Option<Arc<dyn FileStore>>,
     live: Mutex<Liveness>,
-    /// RunKey → current producer. Lock order: `ledger` before `live`.
-    ledger: Mutex<HashMap<RunKey, u32>>,
+    /// Run tag → current producer. Lock order: `ledger` before `live`.
+    ledger: Mutex<HashMap<RunTag, u32>>,
 }
 
 /// Shared split queue with locality preference and (optionally) the
@@ -769,12 +733,12 @@ impl Coordinator {
             .unwrap_or_else(|| partition_owner(partition, nodes))
     }
 
-    /// Ledger write: `producer` has produced (or re-produced) run `key`.
+    /// Ledger write: `producer` has produced (or re-produced) run `tag`.
     /// Called before the run is retained/sent, so the ledger never misses
     /// a run a receiver might be owed.
-    pub fn record_run(&self, key: RunKey, producer: u32) {
+    pub fn record_run(&self, tag: RunTag, producer: u32) {
         if let Some(sup) = &self.supervision {
-            sup.ledger.lock().insert(key, producer);
+            sup.ledger.lock().insert(tag, producer);
         }
     }
 
@@ -787,7 +751,7 @@ impl Coordinator {
         &self,
         node: u32,
         nodes: u32,
-        received: &HashSet<RunKey>,
+        received: &HashSet<RunTag>,
     ) -> Vec<(u32, Vec<RunTag>)> {
         let Some(sup) = &self.supervision else {
             return Vec::new();
@@ -795,20 +759,17 @@ impl Coordinator {
         let ledger = sup.ledger.lock();
         let live = sup.live.lock();
         let mut by_producer: HashMap<u32, Vec<RunTag>> = HashMap::new();
-        for (key, &producer) in ledger.iter() {
-            if live.dead.contains(&producer) || received.contains(key) {
+        for (tag, &producer) in ledger.iter() {
+            if live.dead.contains(&producer) || received.contains(tag) {
                 continue;
             }
             let owner = live
                 .owner_override
-                .get(&key.partition)
+                .get(&tag.partition)
                 .copied()
-                .unwrap_or_else(|| partition_owner(key.partition, nodes));
+                .unwrap_or_else(|| partition_owner(tag.partition, nodes));
             if owner == node {
-                by_producer
-                    .entry(producer)
-                    .or_default()
-                    .push(key.tag(producer));
+                by_producer.entry(producer).or_default().push(*tag);
             }
         }
         let mut out: Vec<_> = by_producer.into_iter().collect();
@@ -1009,36 +970,42 @@ mod tests {
     #[test]
     fn ledger_reports_missing_runs_by_live_producer() {
         let c = supervised(2, 2, vec![split(0, vec![0]), split(1, vec![1])]);
-        let k0 = RunKey {
+        let k0 = RunTag {
             partition: 0,
             block: 0,
             lane: 0,
         };
-        let k1 = RunKey {
+        let k1 = RunTag {
             partition: 0,
             block: 1,
             lane: 0,
         };
-        let k2 = RunKey {
+        // Block 1's second partitioning worker built a run of its own.
+        let k1_lane1 = RunTag { lane: 1, ..k1 };
+        let k2 = RunTag {
             partition: 1,
             block: 0,
             lane: 0,
         };
         c.record_run(k0, 0);
         c.record_run(k1, 1);
+        c.record_run(k1_lane1, 1);
         c.record_run(k2, 0);
 
         // Node 0 owns partition 0 and has admitted nothing: it is owed k0
-        // (from itself) and k1 (from node 1).
-        let missing = c.missing_runs_for(0, 2, &HashSet::new());
+        // (from itself) and both of block 1's runs (from node 1).
+        let mut missing = c.missing_runs_for(0, 2, &HashSet::new());
         assert_eq!(missing.len(), 2);
         assert_eq!(missing[0].0, 0);
-        assert_eq!(missing[0].1, vec![k0.tag(0)]);
+        assert_eq!(missing[0].1, vec![k0]);
         assert_eq!(missing[1].0, 1);
-        assert_eq!(missing[1].1, vec![k1.tag(1)]);
+        missing[1].1.sort_by_key(|t| t.lane);
+        assert_eq!(missing[1].1, vec![k1, k1_lane1]);
 
-        // Once admitted, nothing is owed.
-        let have: HashSet<RunKey> = [k0, k1].into_iter().collect();
+        // Each worker's run is owed until it is admitted itself.
+        let mut have: HashSet<RunTag> = [k0, k1].into_iter().collect();
+        assert_eq!(c.missing_runs_for(0, 2, &have), vec![(1, vec![k1_lane1])]);
+        have.insert(k1_lane1);
         assert!(c.missing_runs_for(0, 2, &have).is_empty());
 
         // A dead producer's runs are not re-requestable (re-execution
@@ -1055,12 +1022,13 @@ mod tests {
         // — now from the survivor. Partition 1's adoption also routes k2
         // to node 0.
         c.record_run(k1, 0);
+        c.record_run(k1_lane1, 0);
         let missing = c.missing_runs_for(0, 2, &HashSet::new());
         assert_eq!(missing.len(), 1);
         let (producer, mut tags) = missing.into_iter().next().unwrap();
         assert_eq!(producer, 0);
-        tags.sort_by_key(|t| (t.partition, t.block));
-        assert_eq!(tags, vec![k0.tag(0), k1.tag(0), k2.tag(0)]);
+        tags.sort_by_key(|t| (t.partition, t.block, t.lane));
+        assert_eq!(tags, vec![k0, k1, k1_lane1, k2]);
     }
 
     #[test]

@@ -35,14 +35,12 @@
 //! the coordinator) unwinds the whole pipeline between chunks — a split
 //! is either fully processed (all of its runs recorded in the
 //! coordinator's ledger and delivered or retained, then `complete_split`)
-//! or not at all. The partitioning stage additionally merges each chunk's
-//! lanes into one run per (block, partition): lane runs sort by `(key,
-//! value)` bytes and the k-way merge preserves that order, so a
-//! re-executed split re-produces byte-identical runs under the same
-//! [`RunKey`]s no matter how the collector scattered records over lanes,
-//! which is what makes receiver-side de-duplication sound (see
-//! `gw_intermediate::radix` for the determinism contract).
+//! or not at all. Each partitioning worker's runs are the unsupervised
+//! job's, tagged `(partition, block, lane)`: a re-executed split
+//! re-produces them byte-identically (DESIGN.md §3.4), so receivers
+//! de-duplicate by tag.
 
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -50,8 +48,8 @@ use std::time::{Duration, Instant};
 use parking_lot::Mutex;
 
 use gw_device::{Device, DeviceBuffer, KernelFn, NdRange, WorkItemCtx, WorkerPool};
-use gw_intermediate::{merge_runs, IntermediateStore, Run, RunPool};
-use gw_net::{Endpoint, ShuffleMsg};
+use gw_intermediate::{IntermediateStore, Run, RunPool};
+use gw_net::{Endpoint, RunTag, ShuffleMsg};
 use gw_pipeline::{
     run_task_with_retries, token_pool, LaneSource, PipelineBuilder, PipelineKind, PoolGet, PoolPut,
     Stage, StageCtx,
@@ -64,7 +62,7 @@ use gw_trace::{CounterId, Lane, LaneId, Realm, StageId, Tracer};
 use crate::api::{Emit, GwApp, Records};
 use crate::collect::{BufferPoolCollector, Collector, CollectorKind, HashTableCollector};
 use crate::config::{JobConfig, TimingMode};
-use crate::coordinator::{Coordinator, MapPipelineProbe, NodeChaos, RecoveryState, RunKey};
+use crate::coordinator::{Coordinator, MapPipelineProbe, NodeChaos};
 use crate::EngineError;
 
 /// The one chunk type carried through the whole graph: a block read from
@@ -403,41 +401,34 @@ struct MapPartition<'a> {
     /// *probing* goes through the executor's probe.
     chaos: Option<NodeChaos>,
     collectors_back: PoolPut<Box<dyn Collector>>,
-    /// This stage's own trace lane (same lane the executor writes this
-    /// thread's chunk spans to, so single-writer order is preserved);
-    /// carries the supervised merge fan-in counter.
-    lane: Lane,
 }
 
 impl MapPartition<'_> {
-    /// Count one finished run of global partition `gp`, write its
-    /// durability copy (named by `file` = chunk seq and lane), and hand
-    /// it to the partition's current owner: the local store, or the
-    /// owner's node over the network. A supervised caller — having
-    /// entered the run in the ledger first, so a receiver can never be
-    /// owed a run the ledger does not know about — passes the run's
-    /// identity: the run is then admitted at most once locally, and
-    /// retained and tagged when sent. (Unsupervised jobs arm no fabric
-    /// fault hook, so `send_data` is a plain send for them.)
-    fn deliver_run(
-        &self,
-        gp: u32,
-        run: Run,
-        file: (usize, usize),
-        recovery: Option<(&RecoveryState, RunKey)>,
-    ) {
+    /// Count one finished run, write its durability copy (named by the
+    /// chunk's pipeline `seq` and the worker's lane), and hand it to the
+    /// partition's current owner: the local store, or the owner's node
+    /// over the network. Under supervision the run is first entered in
+    /// the ledger under `tag`, so a receiver can never be owed a run the
+    /// ledger does not know about; it is then admitted at most once
+    /// locally, and retained and tagged when sent. (Unsupervised jobs arm
+    /// no fabric fault hook, so `send_data` is a plain send for them.)
+    fn deliver_run(&self, seq: usize, tag: RunTag, run: Run) -> Result<(), EngineError> {
         let node = self.node;
+        let gp = tag.partition;
         self.records_out.fetch_add(run.records(), Ordering::Relaxed);
         // Durability copy (paper §III-E): map output is stored
         // persistently on local disk.
         if let Some(dir) = &self.durability_dir {
-            let (seq, lane) = file;
-            let path = dir.join(format!("map-{node}-c{seq}-l{lane}-p{gp}.gw"));
-            std::fs::write(path, run.bytes()).expect("durability write failed");
+            let path = dir.join(format!("map-{node}-c{seq}-l{}-p{gp}.gw", tag.lane));
+            std::fs::write(path, run.bytes())?;
         }
+        let recovery = self.chaos.as_ref().map(|cx| {
+            self.coordinator.record_run(tag, node.0);
+            &cx.recovery
+        });
         let owner = self.coordinator.owner_of(gp, self.nodes);
         if owner == node.0 {
-            if recovery.is_none_or(|(state, key)| state.admit(key)) {
+            if recovery.is_none_or(|state| state.admit(tag)) {
                 self.runs_local.fetch_add(1, Ordering::Relaxed);
                 self.intermediate.add_run(gp, run);
             }
@@ -448,9 +439,9 @@ impl MapPartition<'_> {
             // refcount bumps, and the message frames the run's shared
             // arena slice as-is.
             let bytes = run.into_shared();
-            let tag = recovery.map(|(state, key)| {
-                state.retain(key, bytes.clone(), records);
-                key.tag(node.0)
+            let tag = recovery.map(|state| {
+                state.retain(tag, bytes.clone(), records);
+                tag
             });
             let msg = ShuffleMsg::Partition {
                 partition: gp,
@@ -461,6 +452,7 @@ impl MapPartition<'_> {
             let wire = msg.wire_bytes();
             self.endpoint.send_data(NodeId(owner), msg, wire);
         }
+        Ok(())
     }
 }
 
@@ -472,22 +464,21 @@ impl Stage<MapChunk, EngineError> for MapPartition<'_> {
     ) -> Result<Option<MapChunk>, EngineError> {
         let n_lanes = self.cfg.partition_threads;
         let total_partitions = self.total_partitions;
+        let block = chunk.block_idx as u32;
         let mut collector = chunk.collector.take().expect("kernel output collector");
-        // Supervised mode collects every lane's runs here and merges them
-        // per partition after the pool drains, so each (block, partition)
-        // yields exactly one deterministic run.
-        let chunk_runs: Option<Mutex<Vec<(u32, Run)>>> =
-            self.chaos.as_ref().map(|_| Mutex::new(Vec::new()));
         // Durability copies are named by the chunk's pipeline sequence
         // number, which equals arrival order on a single-lane stage and
         // stays collision-free when the partition slot runs several lanes.
-        let dseq = ctx.seq();
+        let seq = ctx.seq();
+        // The first delivery error of any worker, returned once the pool
+        // has drained.
+        let failed: Mutex<Option<EngineError>> = Mutex::new(None);
         // Scope the kernel so its borrow of the collector ends before the
         // collector is reset and recycled.
         {
             let this = &*self;
             let collector: &dyn Collector = collector.as_ref();
-            let chunk_runs = &chunk_runs;
+            let failed = &failed;
             let kernel = KernelFn(move |ctx: &WorkItemCtx| {
                 let lane = ctx.global_id();
                 // Decode this lane's share and bucket by global partition.
@@ -500,16 +491,18 @@ impl Stage<MapChunk, EngineError> for MapPartition<'_> {
                     let gp = this.app.partition(k, total_partitions);
                     builders[gp as usize].push(k, v);
                 });
-                for (gp, builder) in builders.into_iter().enumerate() {
+                for (partition, builder) in (0..total_partitions).zip(builders) {
                     if builder.is_empty() {
                         continue;
                     }
-                    let run = builder.build();
-                    match chunk_runs {
-                        // Supervised: hand the lane's run to the per-chunk
-                        // merge below.
-                        Some(chunk_runs) => chunk_runs.lock().push((gp as u32, run)),
-                        None => this.deliver_run(gp as u32, run, (dseq, lane), None),
+                    let tag = RunTag {
+                        partition,
+                        block,
+                        lane: lane as u32,
+                    };
+                    if let Err(e) = this.deliver_run(seq, tag, builder.build()) {
+                        failed.lock().get_or_insert(e);
+                        return;
                     }
                 }
             });
@@ -518,47 +511,16 @@ impl Stage<MapChunk, EngineError> for MapPartition<'_> {
                 &kernel,
             );
         }
-        if let (Some(cx), Some(chunk_runs)) = (&self.chaos, chunk_runs) {
-            // Merge the chunk's lanes into one sorted run per partition.
-            let mut lane_runs = chunk_runs.into_inner();
-            // A single lane run needs no grouping pass at all; only
-            // re-order when lanes actually have to be grouped by partition.
-            if lane_runs.len() > 1 {
-                lane_runs.sort_by_key(|(gp, _)| *gp);
-            }
-            let mut i = 0;
-            while i < lane_runs.len() {
-                let gp = lane_runs[i].0;
-                let mut j = i + 1;
-                while j < lane_runs.len() && lane_runs[j].0 == gp {
-                    j += 1;
-                }
-                // Lane runs are sorted; a loser-tree merge over them
-                // yields the same bytes as re-sorting all records (the
-                // de-dup determinism contract), without re-pushing or
-                // re-encoding a single record. One lane is returned by
-                // refcount, zero copies.
-                let run = merge_runs(lane_runs[i..j].iter().map(|(_, r)| r));
-                // Fan-in pressure for the advisor: how many lane runs this
-                // partition's merge consumed. Per-partition fan-in is a
-                // function of the split alone, so the delta stays
-                // deterministic even though lane completion order races.
-                self.lane.count(CounterId::MergeFanIn, (j - i) as u64);
-                i = j;
-                let key = RunKey {
-                    partition: gp,
-                    block: chunk.block_idx as u32,
-                    lane: 0,
-                };
-                self.coordinator.record_run(key, self.node.0);
-                self.deliver_run(gp, run, (dseq, 0), Some((&cx.recovery, key)));
-            }
+        collector.reset();
+        self.collectors_back.put(collector);
+        if let Some(e) = failed.into_inner() {
+            return Err(e);
+        }
+        if self.chaos.is_some() {
             // The split is now fully processed: every run is in the
             // ledger and delivered or retained.
             self.coordinator.complete_split(self.node, chunk.block_idx);
         }
-        collector.reset();
-        self.collectors_back.put(collector);
         Ok(None)
     }
 }
@@ -639,13 +601,13 @@ impl MapPhase<'_> {
         // each gets its own trace sub-lane so the single-writer invariant
         // holds per executor thread.
         let plan = self.cfg.lane_plan;
-        let stage_lane = |stage: StageId, lane: usize| {
+        let kernel_lane = |lane: usize| {
             self.tracer.lane(LaneId {
                 job: 0,
                 node: self.node.0,
                 realm: Realm::Pipeline {
                     kind: PipelineKind::Map,
-                    stage,
+                    stage: StageId::Kernel,
                     lane: lane as u32,
                 },
             })
@@ -675,12 +637,12 @@ impl MapPhase<'_> {
                     collectors: collectors.clone(),
                     buffers_back: buffers_back.clone(),
                     tasks_retried: &tasks_retried,
-                    lane: stage_lane(StageId::Kernel, lane),
+                    lane: kernel_lane(lane),
                 }) as Box<dyn Stage<MapChunk, EngineError> + '_>
             })
             .collect();
         let partition_lanes: Vec<Box<dyn Stage<MapChunk, EngineError> + '_>> = (0..plan.partition)
-            .map(|lane| {
+            .map(|_| {
                 Box::new(MapPartition {
                     app: Arc::clone(&self.app),
                     endpoint: Arc::clone(&self.endpoint),
@@ -698,7 +660,6 @@ impl MapPhase<'_> {
                     durability_dir: self.durability_dir.clone(),
                     chaos: self.chaos.clone(),
                     collectors_back: collectors_back.clone(),
-                    lane: stage_lane(StageId::Partition, lane),
                 }) as Box<dyn Stage<MapChunk, EngineError> + '_>
             })
             .collect();
@@ -747,7 +708,15 @@ impl MapPhase<'_> {
                 unified_memory: unified,
             });
         }
-        let stats = pipeline.run();
+        // A panicking stage fails the phase like an error does: it must not
+        // unwind past the `MapDone` broadcast below, or every peer's plain
+        // receiver would wait for that marker forever.
+        let stats = catch_unwind(AssertUnwindSafe(|| pipeline.run())).unwrap_or_else(|_| {
+            Err(EngineError::TaskFailed(format!(
+                "a map stage panicked on node {}",
+                self.node
+            )))
+        });
 
         // Arena-reuse pressure for the advisor, as aggregate counters on
         // the job lane: per-acquire events would be interleaving-sensitive,
@@ -793,5 +762,65 @@ impl MapPhase<'_> {
         r.max_in_flight = stats.max_in_flight;
         r.elapsed = start.elapsed();
         Ok(r)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use gw_intermediate::IntermediateConfig;
+    use gw_net::{Fabric, NetProfile};
+    use gw_storage::split::FileStoreExt;
+    use gw_storage::{Dfs, DfsConfig};
+
+    struct Identity;
+
+    impl GwApp for Identity {
+        fn name(&self) -> &'static str {
+            "identity"
+        }
+        fn map(&self, key: &[u8], value: &[u8], emit: &Emit<'_>) {
+            emit.emit(key, value);
+        }
+        fn reduce(&self, _: &[u8], _: &[&[u8]], _: &mut Vec<u8>, _: bool, _: &Emit<'_>) {}
+    }
+
+    #[test]
+    fn a_failed_durability_write_is_an_io_error() {
+        let dfs = Dfs::new(DfsConfig::new(1).free_io());
+        dfs.write_records(
+            "/in",
+            NodeId(0),
+            64,
+            1,
+            [(b"k".as_slice(), b"v".as_slice())],
+        )
+        .unwrap();
+        let store: Arc<dyn FileStore> = Arc::new(dfs);
+        let cfg = JobConfig::new("/in", "/out");
+        let intermediate = IntermediateStore::new(IntermediateConfig {
+            num_partitions: cfg.partitions_per_node,
+            ..Default::default()
+        })
+        .unwrap();
+        let missing = std::env::temp_dir()
+            .join(format!("gw-missing-{}", std::process::id()))
+            .join("durability");
+        let phase = MapPhase {
+            cfg: &cfg,
+            node: NodeId(0),
+            nodes: 1,
+            app: Arc::new(Identity),
+            device: Arc::new(Device::open_with_threads(cfg.device.clone(), 1)),
+            coordinator: Arc::new(Coordinator::new(store.splits("/in").unwrap())),
+            store,
+            intermediate: Arc::new(intermediate),
+            endpoint: Arc::new(Fabric::new(1, NetProfile::unlimited()).endpoint(NodeId(0))),
+            tracer: Arc::new(Tracer::new()),
+            durability_dir: Some(missing),
+            chaos: None,
+        };
+        let err = phase.run().unwrap_err();
+        assert!(matches!(err, EngineError::Io(_)), "got: {err}");
     }
 }

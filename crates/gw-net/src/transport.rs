@@ -14,19 +14,19 @@ use gw_intermediate::{IntermediateStore, PartitionId, Run};
 
 use crate::fabric::Endpoint;
 
-/// Identity of one sorted run in the fault-tolerant shuffle. Present only
-/// when a recovery plan is armed: it lets receivers de-duplicate runs
-/// re-produced by re-executed map tasks and re-request runs lost to node
-/// crashes or message drops.
+/// Identity of one sorted run in the fault-tolerant shuffle, independent of
+/// the node that produced it: a re-executed split re-produces each run
+/// byte-identically under the same tag, which is what lets receivers
+/// de-duplicate it and re-request runs lost to node crashes or message
+/// drops. Runs are tagged only under supervision.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct RunTag {
-    /// Node that produced (or re-produced) the run.
-    pub producer: u32,
     /// Global partition the run belongs to.
     pub partition: u32,
     /// Input block the run was computed from.
     pub block: u32,
-    /// Producer-side lane (0 when lanes are merged per block).
+    /// The partitioning worker that built the run: its index in the
+    /// chunk's partition NDRange.
     pub lane: u32,
 }
 
@@ -35,8 +35,7 @@ pub struct RunTag {
 pub enum ShuffleMsg {
     /// A sorted run for one of the receiver's partitions.
     Partition {
-        /// Partition index at the receiver (global partition id when the
-        /// fault-tolerant protocol is armed).
+        /// Global partition id.
         partition: PartitionId,
         /// Serialized sorted run bytes (refcounted; shipping a run shares
         /// the producer's arena rather than copying it).
@@ -61,10 +60,10 @@ impl ShuffleMsg {
     pub fn wire_bytes(&self) -> usize {
         match self {
             ShuffleMsg::Partition { bytes, tag, .. } => {
-                bytes.len() + 16 + if tag.is_some() { 16 } else { 0 }
+                bytes.len() + 16 + if tag.is_some() { 12 } else { 0 }
             }
             ShuffleMsg::MapDone => 8,
-            ShuffleMsg::Resend { ids } => 8 + 16 * ids.len(),
+            ShuffleMsg::Resend { ids } => 8 + 12 * ids.len(),
         }
     }
 }

@@ -210,9 +210,6 @@ pub enum CounterId {
     RunPoolHit,
     /// `RunPool` builder acquisitions that had to allocate fresh arenas.
     RunPoolMiss,
-    /// Runs consumed across supervised map-side `merge_runs` calls
-    /// (fan-in; one bump per merge, delta = runs merged).
-    MergeFanIn,
     /// Stage passages throttled by an armed gray-failure slowdown (one
     /// bump per throttled passage; the passage count is a function of the
     /// seed and job configuration, unlike the injected wall time).
@@ -236,7 +233,6 @@ impl CounterId {
             CounterId::ShuffleRetransmit => "shuffle.retransmit",
             CounterId::RunPoolHit => "runpool.reuse.hit",
             CounterId::RunPoolMiss => "runpool.reuse.miss",
-            CounterId::MergeFanIn => "merge.fanin",
             CounterId::GraySlowdowns => "chaos.gray.slowdowns",
             CounterId::SpecSuperseded => "spec.superseded",
         }

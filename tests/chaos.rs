@@ -106,23 +106,76 @@ fn fault_plans_are_deterministic_per_seed() {
 fn node_crash_mid_map_recovers_byte_identical_output() {
     let reference = reference_output(NODES);
 
-    let plan = FaultPlan::crash(2, CrashSite::Kernel, 0);
-    let cluster = make_cluster(NODES).with_fault_plan(plan);
-    let report = cluster
-        .run(Arc::new(WordCount::new()), &chaos_cfg())
-        .unwrap();
+    // Re-executed splits must re-produce every partitioning worker's run
+    // under the same tag, whatever the number of workers.
+    for partition_threads in 1..=3 {
+        let mut cfg = chaos_cfg();
+        cfg.partition_threads = partition_threads;
+        let plan = FaultPlan::crash(2, CrashSite::Kernel, 0);
+        let cluster = make_cluster(NODES).with_fault_plan(plan);
+        let report = cluster.run(Arc::new(WordCount::new()), &cfg).unwrap();
 
-    assert_eq!(report.nodes_lost, 1, "node 2 must be declared dead");
-    assert!(
-        report.splits_rescheduled >= 1,
-        "its claimed splits must be requeued"
-    );
-    assert_eq!(report.nodes.len(), (NODES - 1) as usize, "survivors report");
-    // All 8 global partitions still written (adoption covered node 2's).
-    assert_eq!(report.output_files().len(), (NODES * 2) as usize);
+        let at = format!("partition_threads {partition_threads}");
+        assert_eq!(report.nodes_lost, 1, "node 2 must be declared dead ({at})");
+        assert!(
+            report.splits_rescheduled >= 1,
+            "its claimed splits must be requeued ({at})"
+        );
+        assert_eq!(report.nodes.len(), (NODES - 1) as usize, "survivors ({at})");
+        // All 8 global partitions still written (adoption covered node 2's).
+        assert_eq!(report.output_files().len(), (NODES * 2) as usize, "{at}");
 
-    let out = read_job_output(cluster.store(), &report).unwrap();
-    assert_eq!(out, reference, "recovered output must be byte-identical");
+        let out = read_job_output(cluster.store(), &report).unwrap();
+        assert_eq!(
+            out, reference,
+            "recovered output must be byte-identical ({at})"
+        );
+    }
+}
+
+/// A fault plan changes who runs a chunk, not what it produces: supervised
+/// under an empty plan, a job delivers the unsupervised job's runs — one
+/// per partitioning worker, block and partition — and its output bytes.
+#[test]
+fn supervised_and_plain_jobs_deliver_the_same_runs() {
+    for partition_threads in 1..=3 {
+        let mut cfg = chaos_cfg();
+        cfg.partition_threads = partition_threads;
+        let run = |plan: Option<FaultPlan>| {
+            let supervised = plan.is_some();
+            let mut cluster = make_cluster(2);
+            if let Some(plan) = plan {
+                cluster = cluster.with_fault_plan(plan);
+            }
+            let report = cluster.run(Arc::new(WordCount::new()), &cfg).unwrap();
+            // Which node maps which split is a race, so per-node counts are
+            // pinned against the same job: on two nodes, each receives
+            // exactly the runs its peer shipped.
+            for (n, peer) in [(0, 1), (1, 0)] {
+                assert_eq!(
+                    report.nodes[n].shuffle_runs_received, report.nodes[peer].map.runs_remote,
+                    "node {n}, supervised {supervised}, partition_threads {partition_threads}"
+                );
+            }
+            let delivered: usize = report
+                .nodes
+                .iter()
+                .map(|n| n.map.runs_local + n.map.runs_remote)
+                .sum();
+            let out = read_job_output(cluster.store(), &report).unwrap();
+            (delivered, out)
+        };
+        let (plain_runs, plain_out) = run(None);
+        let (supervised_runs, supervised_out) = run(Some(FaultPlan::empty()));
+        assert_eq!(
+            supervised_runs, plain_runs,
+            "runs delivered at partition_threads {partition_threads}"
+        );
+        assert_eq!(
+            supervised_out, plain_out,
+            "partition_threads {partition_threads}"
+        );
+    }
 }
 
 #[test]

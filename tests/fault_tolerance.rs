@@ -354,6 +354,61 @@ fn retries_do_not_perturb_healthy_jobs() {
     );
 }
 
+/// Word count whose partition function panics on its `nth` call — a bug
+/// in the map side's host code, outside any retried kernel.
+struct PanickingPartition {
+    calls: AtomicUsize,
+    nth: usize,
+}
+
+impl GwApp for PanickingPartition {
+    fn name(&self) -> &'static str {
+        "panicking-partition"
+    }
+    fn map(&self, key: &[u8], value: &[u8], emit: &Emit<'_>) {
+        WordCount::new().map(key, value, emit)
+    }
+    fn reduce(
+        &self,
+        key: &[u8],
+        values: &[&[u8]],
+        state: &mut Vec<u8>,
+        last: bool,
+        emit: &Emit<'_>,
+    ) {
+        WordCount::new().reduce(key, values, state, last, emit)
+    }
+    fn partition(&self, key: &[u8], num_partitions: u32) -> u32 {
+        if self.calls.fetch_add(1, Ordering::SeqCst) + 1 == self.nth {
+            panic!("injected partition panic");
+        }
+        WordCount::new().partition(key, num_partitions)
+    }
+}
+
+#[test]
+fn a_panicking_map_stage_fails_the_job_without_stranding_its_peers() {
+    // The panicking node must still broadcast its end-of-map marker, or
+    // its peer's plain receiver waits for it until the deadline fires.
+    let lines: Vec<String> = (0..2000).map(|i| format!("w{i} x{} y{i}", i % 7)).collect();
+    let lines: Vec<&str> = lines.iter().map(String::as_str).collect();
+    let cluster = cluster_with_lines(2, &lines);
+    let app = Arc::new(PanickingPartition {
+        calls: AtomicUsize::new(0),
+        nth: 500,
+    });
+    let mut job_cfg = cfg(0);
+    job_cfg.job_deadline = Some(std::time::Duration::from_secs(20));
+    let start = std::time::Instant::now();
+    let err = cluster.run(app, &job_cfg).unwrap_err();
+    assert!(matches!(err, EngineError::TaskFailed(_)), "got: {err}");
+    assert!(
+        start.elapsed() < std::time::Duration::from_secs(5),
+        "took {:?}",
+        start.elapsed()
+    );
+}
+
 #[test]
 fn a_malformed_kmeans_point_fails_its_map_task_not_the_answer() {
     use glasswing::apps::workloads::{self, KmeansSpec};

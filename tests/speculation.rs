@@ -11,7 +11,7 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use glasswing::core::coordinator::{RecoveryState, RunKey};
+use glasswing::core::coordinator::RecoveryState;
 use glasswing::core::{Combiner, CounterId, LogicalKind, MarkId, Realm};
 use glasswing::intermediate::kv::run_from_pairs;
 use glasswing::intermediate::{IntermediateConfig, IntermediateStore};
@@ -240,14 +240,13 @@ proptest! {
         order_keys in proptest::collection::vec(any::<u64>(), 24),
     ) {
         const PARTS: u32 = 2;
-        // 8 identities × 1..=3 attempts each, every attempt from a
-        // distinct "producer" (as when a clone races its primary).
+        // 8 identities × 1..=3 attempts each (as when a clone races its
+        // primary): every attempt carries the same tag, whoever ran it.
         let mut msgs: Vec<(RunTag, glasswing::intermediate::kv::Run)> = Vec::new();
         for (i, &d) in dups.iter().enumerate() {
             let (block, partition) = (i as u32 / PARTS, i as u32 % PARTS);
-            for attempt in 0..d {
+            for _attempt in 0..d {
                 let tag = RunTag {
-                    producer: 1 + attempt as u32,
                     partition,
                     block,
                     lane: 0,
@@ -272,7 +271,7 @@ proptest! {
         let mut admitted = 0;
         for &i in &perm {
             let (tag, run) = &msgs[i];
-            if recovery.admit(RunKey::from(*tag)) {
+            if recovery.admit(*tag) {
                 admitted += 1;
                 store.add_run(tag.partition, run.clone());
             }
