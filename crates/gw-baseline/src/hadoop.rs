@@ -129,7 +129,9 @@ impl HadoopCluster {
         // reducers in the shuffle (pull model).
         let map_outputs: Mutex<Vec<Vec<Fragment>>> = Mutex::new(Vec::new());
         let records_in = AtomicUsize::new(0);
-        let task_queue = gw_core::Coordinator::new(splits);
+        // Only the split queue: no heartbeat is ever posted, or scanned.
+        let task_queue =
+            gw_core::Coordinator::new(splits, nodes, total_reduces, Duration::MAX, None);
         let map_start = Instant::now();
         std::thread::scope(|scope| {
             for n in 0..nodes {

@@ -143,8 +143,8 @@ const PARTS: u32 = 16;
 const LANES: usize = 4;
 
 /// The arena partition stage: per-lane recycled builders, then a
-/// per-partition loser-tree merge across lanes (the supervised-mode
-/// shape of `gw-core`'s Partition stage).
+/// per-partition loser-tree merge across lanes (the shape of `gw-core`'s
+/// Partition stage before each partitioning worker shipped its own run).
 fn partition_arena(recs: &[(Vec<u8>, Vec<u8>)], pool: &Arc<RunPool>) -> Vec<Run> {
     let lane_len = recs.len().div_ceil(LANES);
     let lane_runs: Vec<Vec<Run>> = recs

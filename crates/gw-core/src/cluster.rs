@@ -14,21 +14,21 @@
 //!
 //! ## Fault tolerance
 //!
-//! Arming the cluster with a [`FaultPlan`] ([`Cluster::with_fault_plan`])
-//! switches the job into *supervised* mode: nodes heartbeat the
-//! coordinator, a staleness scan declares silent nodes dead, the dead
-//! node's splits are re-executed by the survivors (reading surviving DFS
-//! replicas), its partitions are adopted, and the shuffle runs it owed or
-//! held are re-produced or re-served from retention buffers — see
-//! DESIGN.md §3.5. The master tolerates [`EngineError::NodeLost`] results
-//! as long as the survivors cover every output partition.
-//! [`JobConfig::job_deadline`] additionally arms a master-side watchdog
-//! (supervised or not) that aborts the job with
+//! Every job runs the recovery protocol; a [`FaultPlan`]
+//! ([`Cluster::with_fault_plan`]) decides only what fails. Each node's
+//! shuffle receiver heartbeats the coordinator on every tick, a staleness
+//! scan declares silent nodes dead, the dead node's splits are
+//! re-executed by the survivors (reading surviving DFS replicas), its
+//! partitions are adopted, and the shuffle runs it owed or held are
+//! re-produced or re-served from retention buffers — see DESIGN.md §3.5.
+//! The master tolerates [`EngineError::NodeLost`] results as long as the
+//! survivors cover every output partition; a node that fails any other
+//! way aborts the job at once. [`JobConfig::job_deadline`] additionally
+//! arms a master-side watchdog that aborts the job with
 //! [`EngineError::JobTimeout`] when it expires, so no fault — injected or
 //! real — can hang the caller.
 
 use std::collections::HashSet;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -38,7 +38,7 @@ use crossbeam::channel::RecvTimeoutError;
 use gw_chaos::FaultPlan;
 use gw_device::Device;
 use gw_intermediate::{IntermediateConfig, IntermediateStore, Run, TempDir};
-use gw_net::{Fabric, NetProfile, RunTag, ShuffleMsg, ShuffleReceiver, ShuffleSummary};
+use gw_net::{Fabric, NetProfile, RunTag, ShuffleMsg};
 use gw_storage::split::{FileStore, FileStoreExt};
 use gw_storage::NodeId;
 use gw_trace::{
@@ -53,9 +53,10 @@ use crate::map_pipeline::{MapPhase, MapPhaseReport};
 use crate::reduce_pipeline::{ReducePhase, ReducePhaseReport};
 use crate::EngineError;
 
-/// Supervised receiver poll tick: how often it interleaves liveness scans
-/// and recovery checks with message reception.
-const RX_TICK: Duration = Duration::from_millis(2);
+/// Receiver poll tick: the longest a node's shuffle receiver blocks in
+/// `recv` before it heartbeats, scans liveness and re-checks whether its
+/// shuffle is complete. `JobConfig::node_timeout` must exceed it.
+pub(crate) const RX_TICK: Duration = Duration::from_millis(2);
 
 /// Minimum interval between re-requests of the same missing runs.
 const REREQUEST_EVERY: Duration = Duration::from_millis(50);
@@ -195,9 +196,9 @@ impl Cluster {
 
     /// Arm a fault-injection plan for the next job. Plans are single-use:
     /// each [`Cluster::run`] consumes the armed schedule, so runs after
-    /// the first execute fault-free (but still supervised). A node killed
-    /// by the plan stays dead in the underlying store across later runs on
-    /// this cluster, as a real crashed machine would.
+    /// the first execute fault-free. A node killed by the plan stays dead
+    /// in the underlying store across later runs on this cluster, as a
+    /// real crashed machine would.
     pub fn with_fault_plan(mut self, plan: FaultPlan) -> Self {
         self.fault_plan = Some(Arc::new(plan));
         self
@@ -230,7 +231,7 @@ impl Cluster {
     /// can be in flight against one cluster at once.
     ///
     /// The job runs in *virtual* node space `0..scope.node_set.len()`:
-    /// partition ownership, the shuffle fabric and supervision all see a
+    /// partition ownership, the shuffle fabric and liveness all see a
     /// cluster of that size, while storage reads/writes are remapped onto
     /// the physical nodes of `scope.node_set`. Two concurrent scopes with
     /// disjoint node sets therefore never share a node's pipeline lanes.
@@ -273,27 +274,21 @@ impl Cluster {
                 node_set: scope.node_set.clone(),
             })
         };
-        // Speculation rides on the supervision machinery (run ledger,
-        // heartbeats, receiver de-dup), so it supervises the job even
-        // without a fault plan: an empty plan injects nothing.
-        let fault_plan = scope.fault_plan.or_else(|| {
-            cfg.speculation
-                .enabled
-                .then(|| Arc::new(FaultPlan::empty()))
-        });
+        // No plan is an empty plan: it injects nothing.
+        let fault_plan = scope
+            .fault_plan
+            .unwrap_or_else(|| Arc::new(FaultPlan::empty()));
         let total_partitions = cfg.partitions_per_node * nodes;
         let splits = store.splits(&cfg.input)?;
 
-        let mut coordinator = Coordinator::new(splits);
-        if fault_plan.is_some() {
-            coordinator.enable_supervision(
-                nodes,
-                total_partitions,
-                cfg.node_timeout,
-                Some(Arc::clone(&store)),
-            );
-            coordinator.enable_speculation(cfg.speculation.clone());
-        }
+        let mut coordinator = Coordinator::new(
+            splits,
+            nodes,
+            total_partitions,
+            cfg.node_timeout,
+            Some(Arc::clone(&store)),
+        );
+        coordinator.enable_speculation(cfg.speculation.clone());
         let coordinator = Arc::new(coordinator);
 
         // Arm the chaos hooks on the storage and network planes for the
@@ -303,16 +298,13 @@ impl Cluster {
         // hook and tracer are only armed when this run owns the store
         // exclusively (one-shot mode). Service jobs therefore trace no
         // storage lanes — their determinism is pinned on output bytes.
-        let net_hook = fault_plan
-            .as_ref()
-            .map(|p| Arc::clone(p) as Arc<dyn gw_net::NetFaultHook>);
-        let mut fabric: Fabric<ShuffleMsg> = Fabric::with_fault_hook(nodes, self.net, net_hook);
+        let net_hook = Arc::clone(&fault_plan) as Arc<dyn gw_net::NetFaultHook>;
+        let mut fabric: Fabric<ShuffleMsg> =
+            Fabric::with_fault_hook(nodes, self.net, Some(net_hook));
         if scope.exclusive_store {
-            if let Some(plan) = &fault_plan {
-                store.arm_fault_hook(Some(
-                    Arc::clone(plan) as Arc<dyn gw_storage::StorageFaultHook>
-                ));
-            }
+            store.arm_fault_hook(Some(
+                Arc::clone(&fault_plan) as Arc<dyn gw_storage::StorageFaultHook>
+            ));
         }
         // Arm the observability plane for the duration of the job; the
         // guard disarms on every exit path. All lanes the run emits are
@@ -323,13 +315,11 @@ impl Cluster {
         if scope.exclusive_store {
             store.arm_tracer(Some(Arc::clone(&tracer)));
         }
-        if let Some(plan) = &fault_plan {
-            plan.arm_tracer(Some(Arc::clone(&tracer)));
-        }
+        fault_plan.arm_tracer(Some(Arc::clone(&tracer)));
         coordinator.arm_spec_tracer(Some(Arc::clone(&tracer)));
         let _disarm = DisarmOnDrop {
             store: scope.exclusive_store.then_some(&store),
-            plan: fault_plan.as_deref(),
+            plan: &fault_plan,
         };
         let failovers_before = store.fault_failovers();
 
@@ -344,11 +334,11 @@ impl Cluster {
             let store = Arc::clone(&store);
             let coordinator = Arc::clone(&coordinator);
             let cfg = cfg.clone();
-            let chaos = fault_plan.as_ref().map(|plan| NodeChaos {
-                plan: Arc::clone(plan),
+            let chaos = NodeChaos {
+                plan: Arc::clone(&fault_plan),
                 recovery: Arc::new(RecoveryState::new()),
-                dead: Arc::new(AtomicBool::new(false)),
-            });
+                dead: Arc::default(),
+            };
             let tracer = Arc::clone(&tracer);
             let res_tx = res_tx.clone();
             let job = scope.job;
@@ -361,7 +351,7 @@ impl Cluster {
                             nodes,
                             app,
                             store,
-                            coordinator,
+                            Arc::clone(&coordinator),
                             endpoint,
                             &cfg,
                             chaos,
@@ -371,6 +361,12 @@ impl Cluster {
                     .unwrap_or_else(|_| {
                         Err(EngineError::TaskFailed("node runtime panicked".into()))
                     });
+                    // A node that fails other than by being lost fails the
+                    // job: abort it now, rather than let the peers wait out
+                    // `node_timeout` to re-execute this node's splits.
+                    if matches!(&result, Err(e) if !matches!(e, EngineError::NodeLost(_))) {
+                        coordinator.abort();
+                    }
                     let _ = res_tx.send((n, result));
                 })
                 .expect("spawn node runtime");
@@ -407,7 +403,7 @@ impl Cluster {
             }
         }
         if timed_out {
-            // Tell every supervised loop to unwind, then *detach* the node
+            // Tell every wait loop to unwind, then *detach* the node
             // threads: the caller gets its deadline honored even if some
             // thread is stuck past any abort check.
             coordinator.abort();
@@ -420,35 +416,27 @@ impl Cluster {
         let elapsed = start.elapsed();
         results.sort_by_key(|(n, _)| *n);
 
-        let supervised = coordinator.supervised();
         let mut reports = Vec::with_capacity(results.len());
         let mut lost_nodes_seen = 0usize;
         let mut first_err: Option<EngineError> = None;
         for (_, result) in results {
             match result {
                 Ok(r) => reports.push(r),
-                // Supervised jobs tolerate lost nodes as long as the
-                // survivors cover the whole output (checked below).
-                Err(EngineError::NodeLost(_)) if supervised => lost_nodes_seen += 1,
+                // Lost nodes are tolerated as long as the survivors cover
+                // the whole output (checked below).
+                Err(EngineError::NodeLost(_)) => lost_nodes_seen += 1,
                 Err(e) => first_err = first_err.or(Some(e)),
             }
         }
         if let Some(e) = first_err {
             return Err(e);
         }
-        if reports.len() + lost_nodes_seen < nodes as usize {
-            return Err(EngineError::TaskFailed(
-                "a node runtime exited without reporting".into(),
-            ));
-        }
-        if supervised {
-            let covered: usize = reports.iter().map(|r| r.reduce.output_files.len()).sum();
-            if covered != total_partitions as usize {
-                return Err(EngineError::NodeLost(format!(
-                    "unrecovered partitions: only {covered} of {total_partitions} written \
-                     after losing {lost_nodes_seen} node(s)"
-                )));
-            }
+        let covered: usize = reports.iter().map(|r| r.reduce.output_files.len()).sum();
+        if covered != total_partitions as usize {
+            return Err(EngineError::NodeLost(format!(
+                "unrecovered partitions: only {covered} of {total_partitions} written \
+                 after losing {lost_nodes_seen} node(s)"
+            )));
         }
         reports.sort_by_key(|r| r.node.0);
         let trace = tracer.finish_job(scope.job);
@@ -536,9 +524,9 @@ impl RunScope {
 /// replica choice follow the physical node); split locations translate
 /// back into virtual space, dropping replicas held outside the subset
 /// (they stay readable, just never "local"). `mark_node_dead` translates
-/// too, so a supervised scoped job that loses virtual node `i` kills the
-/// right physical machine — a real node death, visible to co-tenants,
-/// whose reads fail over to surviving replicas.
+/// too, so a scoped job that loses virtual node `i` kills the right
+/// physical machine — a real node death, visible to co-tenants, whose
+/// reads fail over to surviving replicas.
 struct ScopedStore {
     inner: Arc<dyn FileStore>,
     node_set: Vec<NodeId>,
@@ -623,7 +611,7 @@ impl FileStore for ScopedStore {
 /// (non-exclusive) scopes, which never armed the store's global slots.
 struct DisarmOnDrop<'a> {
     store: Option<&'a Arc<dyn FileStore>>,
-    plan: Option<&'a FaultPlan>,
+    plan: &'a FaultPlan,
 }
 
 impl Drop for DisarmOnDrop<'_> {
@@ -632,82 +620,25 @@ impl Drop for DisarmOnDrop<'_> {
             store.arm_fault_hook(None);
             store.arm_tracer(None);
         }
-        if let Some(plan) = self.plan {
-            plan.arm_tracer(None);
-        }
+        self.plan.arm_tracer(None);
     }
 }
 
-/// Liveness heartbeat, posted from a dedicated thread for the node's whole
-/// lifetime (map, merge and reduce). Dropping the guard stops the beats —
-/// after which the staleness scan declares the node dead, which is exactly
-/// right on every exit path: normal completion (supervision ends with the
-/// job) and failure alike.
-struct Heartbeat {
-    stop: Arc<AtomicBool>,
-    handle: Option<std::thread::JoinHandle<()>>,
-}
-
-impl Heartbeat {
-    fn start(coordinator: Arc<Coordinator>, node: NodeId, interval: Duration) -> Self {
-        let stop = Arc::new(AtomicBool::new(false));
-        let stop_flag = Arc::clone(&stop);
-        let handle = std::thread::Builder::new()
-            .name(format!("gw-heartbeat-{node}"))
-            .spawn(move || {
-                while !stop_flag.load(Ordering::Relaxed) {
-                    coordinator.heartbeat(node);
-                    std::thread::sleep(interval);
-                }
-            })
-            .expect("spawn heartbeat");
-        Heartbeat {
-            stop,
-            handle: Some(handle),
-        }
-    }
-}
-
-impl Drop for Heartbeat {
-    fn drop(&mut self) {
-        self.stop.store(true, Ordering::Relaxed);
-        if let Some(h) = self.handle.take() {
-            let _ = h.join();
-        }
-    }
-}
-
-/// The node's merge-phase receiver: plain (the paper's protocol) or
-/// supervised (the fault-tolerant protocol).
-enum ShuffleRx {
-    Plain(ShuffleReceiver),
-    Supervised(std::thread::JoinHandle<Result<ShuffleSummary, EngineError>>),
-}
-
-impl ShuffleRx {
-    fn join(self) -> Result<ShuffleSummary, EngineError> {
-        match self {
-            ShuffleRx::Plain(r) => Ok(r.join()),
-            ShuffleRx::Supervised(h) => h.join().unwrap_or_else(|_| {
-                Err(EngineError::TaskFailed("shuffle receiver panicked".into()))
-            }),
-        }
-    }
-}
-
-/// The fault-tolerant shuffle receiver.
+/// The node's shuffle receiver; its thread returns how many runs it
+/// admitted from peers.
 ///
-/// Tick loop over `recv_timeout`: admits runs with de-duplication (tagged
-/// runs from re-executed splits arrive at most once), serves `Resend`
-/// requests from the node's retention buffer, and interleaves liveness
-/// scans. Reception is complete when the map phase is globally complete,
-/// every peer is done or dead, and the coordinator's ledger says this node
-/// is owed nothing; missing runs are periodically re-requested from their
-/// live producers instead of blocking in `recv`. The thread then *keeps
-/// serving* until every live node is satisfied, so no peer's re-request
-/// can hit an exited server.
-#[allow(clippy::too_many_arguments)]
-fn spawn_supervised_receiver(
+/// Tick loop over `recv_timeout`: posts the node's heartbeat, admits runs
+/// with de-duplication (tagged runs from re-executed splits arrive at most
+/// once), serves `Resend` requests from the node's retention buffer, and
+/// interleaves liveness scans. Reception is complete when the map phase is
+/// globally complete, every peer is done or dead, and the coordinator's
+/// ledger says this node is owed nothing; missing runs are periodically
+/// re-requested from their live producers instead of blocking in `recv`.
+/// The thread then *keeps serving* until every live node is satisfied, so
+/// no peer's re-request can hit an exited server. Beats stop when it
+/// exits: by then no receiver scans liveness any more, so a node may
+/// reduce for as long as its reduce takes.
+fn spawn_receiver(
     endpoint: Arc<gw_net::Endpoint<ShuffleMsg>>,
     intermediate: Arc<IntermediateStore>,
     coordinator: Arc<Coordinator>,
@@ -715,28 +646,24 @@ fn spawn_supervised_receiver(
     node: NodeId,
     chaos: NodeChaos,
     tracer: Arc<Tracer>,
-) -> std::thread::JoinHandle<Result<ShuffleSummary, EngineError>> {
+) -> std::thread::JoinHandle<Result<usize, EngineError>> {
     std::thread::Builder::new()
         .name(format!("gw-shuffle-rx-{node}"))
         .spawn(move || {
-            let mut summary = ShuffleSummary {
-                runs: 0,
-                bytes: 0,
-                done_markers: 0,
-            };
-            let mut done_from: HashSet<u32> = HashSet::new();
+            let mut runs = 0;
+            let mut done_from = vec![false; nodes as usize];
             let mut satisfied = false;
             let mut last_rerequest = Instant::now() - REREQUEST_EVERY;
             // Admit a run into the store, and count it, unless an identical
             // run was already admitted.
-            let admit = |summary: &mut ShuffleSummary, tag: RunTag, bytes: Bytes, records| {
+            let admit = |runs: &mut usize, tag: RunTag, bytes: Bytes, records| {
                 if chaos.recovery.admit(tag) {
-                    summary.runs += 1;
-                    summary.bytes += bytes.len();
+                    *runs += 1;
                     intermediate.add_run(tag.partition, Run::from_sorted_bytes(bytes, records));
                 }
             };
             loop {
+                coordinator.heartbeat(node);
                 if chaos.is_dead() || coordinator.is_dead(node) {
                     return Err(EngineError::NodeLost(format!(
                         "node {node} lost during the shuffle"
@@ -752,14 +679,8 @@ fn spawn_supervised_receiver(
                             records,
                             tag,
                             ..
-                        } => {
-                            let tag = tag.expect("supervised peers tag every run");
-                            admit(&mut summary, tag, bytes, records);
-                        }
-                        ShuffleMsg::MapDone => {
-                            done_from.insert(env.from.0);
-                            summary.done_markers += 1;
-                        }
+                        } => admit(&mut runs, tag, bytes, records),
+                        ShuffleMsg::MapDone => done_from[env.from.0 as usize] = true,
                         ShuffleMsg::Resend { ids } => {
                             for id in ids {
                                 if let Some((bytes, records)) = chaos.recovery.retained(id) {
@@ -767,7 +688,7 @@ fn spawn_supervised_receiver(
                                         partition: id.partition,
                                         bytes,
                                         records,
-                                        tag: Some(id),
+                                        tag: id,
                                     };
                                     let wire = msg.wire_bytes();
                                     // Control path: re-served runs are not
@@ -797,12 +718,13 @@ fn spawn_supervised_receiver(
                 }
                 if !satisfied {
                     if coordinator.map_complete() {
-                        let dead = coordinator.dead_nodes();
-                        let peers_done = (0..nodes)
-                            .all(|p| p == node.0 || done_from.contains(&p) || dead.contains(&p));
-                        let received = chaos.recovery.received_snapshot();
-                        let missing = coordinator.missing_runs_for(node.0, nodes, &received);
+                        let missing = coordinator.missing_runs_for(node.0, &chaos.recovery);
                         if missing.is_empty() {
+                            let peers_done = (0..nodes).all(|p| {
+                                p == node.0
+                                    || done_from[p as usize]
+                                    || coordinator.is_dead(NodeId(p))
+                            });
                             if peers_done {
                                 satisfied = true;
                                 coordinator.mark_shuffle_satisfied(node);
@@ -817,7 +739,7 @@ fn spawn_supervised_receiver(
                                     for id in ids {
                                         if let Some((bytes, records)) = chaos.recovery.retained(id)
                                         {
-                                            admit(&mut summary, id, bytes, records);
+                                            admit(&mut runs, id, bytes, records);
                                         }
                                     }
                                 } else {
@@ -837,22 +759,12 @@ fn spawn_supervised_receiver(
                         ));
                     }
                 }
-                if satisfied && coordinator.all_live_satisfied(nodes) {
-                    return Ok(summary);
+                if satisfied && coordinator.all_live_satisfied() {
+                    return Ok(runs);
                 }
             }
         })
-        .expect("spawn supervised shuffle receiver")
-}
-
-/// Broadcast `MapDone` to every peer (used on early failure paths; the
-/// map pipeline broadcasts it itself on normal or failed completion).
-fn broadcast_map_done(endpoint: &gw_net::Endpoint<ShuffleMsg>, nodes: u32, node: NodeId) {
-    for peer in 0..nodes {
-        if peer != node.0 {
-            endpoint.send(NodeId(peer), ShuffleMsg::MapDone, 8);
-        }
-    }
+        .expect("spawn shuffle receiver")
 }
 
 /// One node's full job execution: map ∥ merge, then reduce.
@@ -865,14 +777,9 @@ fn run_node(
     coordinator: Arc<Coordinator>,
     endpoint: Arc<gw_net::Endpoint<ShuffleMsg>>,
     cfg: &JobConfig,
-    chaos: Option<NodeChaos>,
+    chaos: NodeChaos,
     tracer: Arc<Tracer>,
 ) -> Result<NodeReport, EngineError> {
-    // Heartbeats span the node's whole lifetime (map through reduce).
-    let _heartbeat = chaos
-        .as_ref()
-        .map(|_| Heartbeat::start(Arc::clone(&coordinator), node, cfg.heartbeat_interval));
-
     let device = Arc::new(Device::open_with_threads(
         cfg.device.clone(),
         cfg.device_threads,
@@ -892,57 +799,32 @@ fn run_node(
         // frames so the out-of-core peak stays within ~1.5× budget.
         icfg = icfg.with_memory_budget(budget);
     }
-    let store_result = IntermediateStore::new(icfg);
-    let intermediate = match store_result {
-        Ok(s) => Arc::new(s),
-        Err(e) => {
-            // Tell peers we are done before dying, so they do not hang in
-            // the merge phase waiting for our MapDone.
-            broadcast_map_done(&endpoint, nodes, node);
-            return Err(e.into());
-        }
-    };
-    if let Some(cx) = &chaos {
-        // Spill-file I/O is a chaos fault site: probe the node's plan
-        // before every frame write/read. The store dies with the job, so
-        // no disarm guard is needed.
-        intermediate.arm_spill_faults(Some(
-            Arc::clone(&cx.plan) as Arc<dyn gw_intermediate::SpillFaultHook>
-        ));
-    }
+    let intermediate = Arc::new(IntermediateStore::new(icfg)?);
+    // Spill-file I/O is a chaos fault site: probe the node's plan before
+    // every frame write/read. The store dies with the job, so no disarm
+    // guard is needed.
+    intermediate.arm_spill_faults(Some(
+        Arc::clone(&chaos.plan) as Arc<dyn gw_intermediate::SpillFaultHook>
+    ));
+    let durability = cfg
+        .durable_map_output
+        .then(|| TempDir::new(&format!("gw-durability-{node}")))
+        .transpose()?;
 
     // Merge phase: receive peers' partitions concurrently with our map.
-    let receiver = match &chaos {
-        Some(cx) => ShuffleRx::Supervised(spawn_supervised_receiver(
-            Arc::clone(&endpoint),
-            Arc::clone(&intermediate),
-            Arc::clone(&coordinator),
-            nodes,
-            node,
-            cx.clone(),
-            Arc::clone(&tracer),
-        )),
-        None => ShuffleRx::Plain(ShuffleReceiver::spawn(
-            Arc::clone(&endpoint),
-            Arc::clone(&intermediate),
-            nodes as usize - 1,
-        )),
-    };
-
-    let durability = if cfg.durable_map_output {
-        match TempDir::new(&format!("gw-durability-{node}")) {
-            Ok(d) => Some(d),
-            Err(e) => {
-                if let Some(cx) = &chaos {
-                    cx.kill();
-                }
-                broadcast_map_done(&endpoint, nodes, node);
-                let _ = receiver.join();
-                return Err(e.into());
-            }
-        }
-    } else {
-        None
+    let receiver = spawn_receiver(
+        Arc::clone(&endpoint),
+        Arc::clone(&intermediate),
+        Arc::clone(&coordinator),
+        nodes,
+        node,
+        chaos.clone(),
+        Arc::clone(&tracer),
+    );
+    let join_receiver = |receiver: std::thread::JoinHandle<_>| {
+        receiver
+            .join()
+            .unwrap_or_else(|_| Err(EngineError::TaskFailed("shuffle receiver panicked".into())))
     };
 
     // Map phase.
@@ -964,19 +846,17 @@ fn run_node(
     let map_report = match map_report {
         Ok(r) => r,
         Err(e) => {
-            // Halt our receiver: a supervised one would otherwise keep
-            // waiting on a map phase this node will never finish.
-            if let Some(cx) = &chaos {
-                cx.kill();
-            }
-            let _ = receiver.join();
+            // Halt our receiver: it would otherwise keep waiting on a map
+            // phase this node will never finish.
+            chaos.kill();
+            let _ = join_receiver(receiver);
             return Err(e);
         }
     };
 
     // Wait for every peer's data, then let the mergers drain. Runs still
     // cached stay cached: the reduce merge reads them in place.
-    let shuffle_summary = receiver.join()?;
+    let shuffle_runs_received = join_receiver(receiver)?;
     // A spill I/O error on a merger thread poisons the store and surfaces
     // here (and from `partition_cursors` in reduce) instead of panicking.
     let merge_delay = intermediate.finish_map()?;
@@ -1006,7 +886,7 @@ fn run_node(
         map_timers: TimerReport::default(),
         map_samples: Vec::new(),
         merge_delay,
-        shuffle_runs_received: shuffle_summary.runs,
+        shuffle_runs_received,
         reduce: reduce_report,
         reduce_timers: TimerReport::default(),
         intermediate: intermediate.metrics(),
@@ -1307,17 +1187,5 @@ mod tests {
             )
             .unwrap_err();
         assert!(matches!(err, EngineError::Config(_)));
-    }
-
-    #[test]
-    fn empty_fault_plan_supervises_without_changing_the_answer() {
-        let cluster = make_cluster(2).with_fault_plan(FaultPlan::empty());
-        let mut cfg = base_cfg();
-        cfg.node_timeout = Duration::from_millis(500);
-        cfg.heartbeat_interval = Duration::from_millis(10);
-        let report = cluster.run(Arc::new(WordCount), &cfg).unwrap();
-        assert_eq!(report.nodes_lost, 0);
-        assert_eq!(report.splits_rescheduled, 0);
-        check_output(&cluster, &report);
     }
 }

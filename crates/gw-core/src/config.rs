@@ -119,11 +119,9 @@ pub struct JobConfig {
     /// hangs, even when recovery itself gets stuck. `None` (the default)
     /// disables the watchdog.
     pub job_deadline: Option<std::time::Duration>,
-    /// Interval at which each node posts a liveness heartbeat to the
-    /// coordinator (fault-tolerant mode only).
-    pub heartbeat_interval: std::time::Duration,
     /// A node whose last heartbeat is older than this is declared dead and
-    /// its work rescheduled. Must exceed `heartbeat_interval`.
+    /// its work rescheduled. A node's shuffle receiver heartbeats on every
+    /// tick of at most 2 ms, which this must exceed.
     pub node_timeout: std::time::Duration,
     /// Speculative re-execution of straggler map tasks (DESIGN.md §3.8).
     pub speculation: SpeculationConfig,
@@ -323,7 +321,6 @@ impl JobConfig {
             timing: TimingMode::Wall,
             max_task_retries: 0,
             job_deadline: None,
-            heartbeat_interval: std::time::Duration::from_millis(25),
             node_timeout: std::time::Duration::from_millis(1000),
             speculation: SpeculationConfig::default(),
             lane_plan: LanePlan::default(),
@@ -370,8 +367,8 @@ impl JobConfig {
         if self.output_replication == 0 {
             return Err("output replication must be ≥ 1".into());
         }
-        if self.node_timeout <= self.heartbeat_interval {
-            return Err("node_timeout must exceed heartbeat_interval".into());
+        if self.node_timeout <= crate::cluster::RX_TICK {
+            return Err("node_timeout must exceed the shuffle receiver's tick".into());
         }
         if self.job_deadline == Some(std::time::Duration::ZERO) {
             return Err("job_deadline must be nonzero when set".into());
@@ -427,7 +424,7 @@ mod tests {
     #[test]
     fn liveness_timing_is_validated() {
         let mut c = JobConfig::new("/in", "/out");
-        c.node_timeout = c.heartbeat_interval;
+        c.node_timeout = crate::cluster::RX_TICK;
         assert!(c.validate().is_err());
 
         let mut c = JobConfig::new("/in", "/out");

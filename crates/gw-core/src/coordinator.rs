@@ -7,11 +7,11 @@
 //! to remote splits only when no local work remains.
 //!
 //! Beyond the paper's task re-execution (§III-E), the coordinator carries
-//! the cluster's liveness and recovery state when *supervision* is enabled
-//! (a fault plan is armed):
+//! the cluster's liveness and recovery state, for every job:
 //!
-//! * **Liveness** — every node posts heartbeats; a staleness scan declares
-//!   a node dead once its last beat is older than `node_timeout`. A dead
+//! * **Liveness** — every node's shuffle receiver posts a heartbeat on
+//!   each tick; a staleness scan declares a node dead once its last beat
+//!   is older than `node_timeout`. A dead
 //!   node's claimed *and completed* splits return to the queue for the
 //!   survivors, and each global partition it owned is adopted by the next
 //!   live node on the ring.
@@ -22,10 +22,6 @@
 //!   splits overwrite their ledger entries, replacing dead producers.
 //! * **Fault accounting** — `nodes_lost` and `splits_rescheduled` feed the
 //!   job report.
-//!
-//! Unsupervised (the default), the coordinator is exactly the paper's
-//! split queue: every supervised path is behind an `Option` that stays
-//! `None`.
 
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -66,11 +62,6 @@ impl RecoveryState {
         self.received.lock().insert(tag)
     }
 
-    /// Snapshot of the admitted set (for the missing-run scan).
-    pub fn received_snapshot(&self) -> HashSet<RunTag> {
-        self.received.lock().clone()
-    }
-
     /// Retain a serialized run sent to a peer, for possible re-serving.
     /// `Bytes` is refcounted, so retention aliases the run's arena rather
     /// than copying it.
@@ -86,8 +77,8 @@ impl RecoveryState {
 }
 
 /// Everything a node's pipelines need to participate in fault injection
-/// and recovery. Present only when the cluster is armed with a
-/// [`FaultPlan`].
+/// and recovery. Every node carries one; a job run without a
+/// [`FaultPlan`] carries an empty one, which injects nothing.
 #[derive(Clone)]
 pub struct NodeChaos {
     /// The job's fault schedule.
@@ -287,17 +278,18 @@ struct Supervision {
     node_timeout: Duration,
     store: Option<Arc<dyn FileStore>>,
     live: Mutex<Liveness>,
-    /// Run tag → current producer. Lock order: `ledger` before `live`.
+    /// Run tag → current producer. Lock order: `ledger` before `live`,
+    /// and both before a node's [`RecoveryState`].
     ledger: Mutex<HashMap<RunTag, u32>>,
 }
 
-/// Shared split queue with locality preference and (optionally) the
-/// cluster's liveness/recovery state.
+/// Shared split queue with locality preference and the cluster's
+/// liveness/recovery state.
 pub struct Coordinator {
     /// Lock order: `live` (supervision) before `slots`.
     slots: Mutex<Vec<Slot>>,
     total: usize,
-    supervision: Option<Supervision>,
+    supervision: Supervision,
     speculation: Option<Speculation>,
     has_overrides: AtomicBool,
     aborted: AtomicBool,
@@ -306,8 +298,18 @@ pub struct Coordinator {
 }
 
 impl Coordinator {
-    /// Create a coordinator over a job's splits.
-    pub fn new(splits: Vec<InputSplit>) -> Self {
+    /// Create a coordinator over the splits of an `nodes`-node job with
+    /// `total_partitions` global partitions, declaring a node dead once
+    /// its last heartbeat is older than `node_timeout`. `store`, when
+    /// given, is told about node deaths so DFS reads fail over to
+    /// surviving replicas.
+    pub fn new(
+        splits: Vec<InputSplit>,
+        nodes: u32,
+        total_partitions: u32,
+        node_timeout: Duration,
+        store: Option<Arc<dyn FileStore>>,
+    ) -> Self {
         let total = splits.len();
         Coordinator {
             slots: Mutex::new(
@@ -322,7 +324,20 @@ impl Coordinator {
                     .collect(),
             ),
             total,
-            supervision: None,
+            supervision: Supervision {
+                nodes,
+                total_partitions,
+                node_timeout,
+                store,
+                live: Mutex::new(Liveness {
+                    beats: vec![Instant::now(); nodes as usize],
+                    dead: HashSet::new(),
+                    mapping: (0..nodes).collect(),
+                    satisfied: HashSet::new(),
+                    owner_override: HashMap::new(),
+                }),
+                ledger: Mutex::new(HashMap::new()),
+            },
             speculation: None,
             has_overrides: AtomicBool::new(false),
             aborted: AtomicBool::new(false),
@@ -331,42 +346,7 @@ impl Coordinator {
         }
     }
 
-    /// Arm liveness tracking and the run ledger for an `nodes`-node job
-    /// with `total_partitions` global partitions. `store`, when given, is
-    /// told about node deaths so DFS reads fail over to surviving
-    /// replicas.
-    pub fn enable_supervision(
-        &mut self,
-        nodes: u32,
-        total_partitions: u32,
-        node_timeout: Duration,
-        store: Option<Arc<dyn FileStore>>,
-    ) {
-        let now = Instant::now();
-        self.supervision = Some(Supervision {
-            nodes,
-            total_partitions,
-            node_timeout,
-            store,
-            live: Mutex::new(Liveness {
-                beats: vec![now; nodes as usize],
-                dead: HashSet::new(),
-                mapping: (0..nodes).collect(),
-                satisfied: HashSet::new(),
-                owner_override: HashMap::new(),
-            }),
-            ledger: Mutex::new(HashMap::new()),
-        });
-    }
-
-    /// Whether supervision is armed.
-    pub fn supervised(&self) -> bool {
-        self.supervision.is_some()
-    }
-
     /// Arm the speculation controller (no-op when `cfg.enabled` is false).
-    /// Requires supervision: speculation reuses the run ledger and
-    /// receiver de-dup to keep clone output byte-identical.
     pub fn enable_speculation(&mut self, cfg: SpeculationConfig) {
         if !cfg.enabled {
             return;
@@ -579,18 +559,14 @@ impl Coordinator {
 
     /// Post a liveness heartbeat for `node`.
     pub fn heartbeat(&self, node: NodeId) {
-        if let Some(sup) = &self.supervision {
-            let mut live = sup.live.lock();
-            let at = &mut live.beats[node.0 as usize];
-            *at = Instant::now();
-        }
+        self.supervision.live.lock().beats[node.0 as usize] = Instant::now();
     }
 
     /// Declare any node whose last heartbeat is older than `node_timeout`
     /// dead, requeueing its splits and adopting its partitions. Cheap when
-    /// nothing changed; any supervised wait loop may call it.
+    /// nothing changed; any wait loop may call it.
     pub fn scan_liveness(&self) {
-        let Some(sup) = &self.supervision else { return };
+        let sup = &self.supervision;
         let mut live = sup.live.lock();
         let stale: Vec<u32> = (0..sup.nodes)
             .filter(|n| !live.dead.contains(n))
@@ -682,26 +658,18 @@ impl Coordinator {
 
     /// Whether `node` has been declared dead.
     pub fn is_dead(&self, node: NodeId) -> bool {
-        match &self.supervision {
-            Some(sup) => sup.live.lock().dead.contains(&node.0),
-            None => false,
-        }
+        self.supervision.live.lock().dead.contains(&node.0)
     }
 
     /// The set of nodes declared dead so far.
     pub fn dead_nodes(&self) -> HashSet<u32> {
-        match &self.supervision {
-            Some(sup) => sup.live.lock().dead.clone(),
-            None => HashSet::new(),
-        }
+        self.supervision.live.lock().dead.clone()
     }
 
     /// Record that `node` left its map input loop (normally or by dying):
     /// it will not claim further splits.
     pub fn exit_map(&self, node: NodeId) {
-        if let Some(sup) = &self.supervision {
-            sup.live.lock().mapping.remove(&node.0);
-        }
+        self.supervision.live.lock().mapping.remove(&node.0);
     }
 
     /// `true` when splits remain unprocessed but no node can claim them
@@ -709,10 +677,7 @@ impl Coordinator {
     /// recover by re-execution and must fail over to a typed error rather
     /// than wait forever.
     pub fn map_stalled(&self) -> bool {
-        let Some(sup) = &self.supervision else {
-            return false;
-        };
-        let mappers = sup.live.lock().mapping.is_empty();
+        let mappers = self.supervision.live.lock().mapping.is_empty();
         mappers && !self.map_complete()
     }
 
@@ -722,10 +687,8 @@ impl Coordinator {
         if !self.has_overrides.load(Ordering::Acquire) {
             return partition_owner(partition, nodes);
         }
-        let Some(sup) = &self.supervision else {
-            return partition_owner(partition, nodes);
-        };
-        sup.live
+        self.supervision
+            .live
             .lock()
             .owner_override
             .get(&partition)
@@ -737,27 +700,20 @@ impl Coordinator {
     /// Called before the run is retained/sent, so the ledger never misses
     /// a run a receiver might be owed.
     pub fn record_run(&self, tag: RunTag, producer: u32) {
-        if let Some(sup) = &self.supervision {
-            sup.ledger.lock().insert(tag, producer);
-        }
+        self.supervision.ledger.lock().insert(tag, producer);
     }
 
-    /// Runs owed to `node` (it owns their partition) that it has not
-    /// admitted, grouped by live producer, producers sorted. Runs whose
-    /// recorded producer is dead are omitted: they are covered by split
-    /// re-execution, which overwrites their ledger entries with a live
-    /// producer.
-    pub fn missing_runs_for(
-        &self,
-        node: u32,
-        nodes: u32,
-        received: &HashSet<RunTag>,
-    ) -> Vec<(u32, Vec<RunTag>)> {
-        let Some(sup) = &self.supervision else {
-            return Vec::new();
-        };
+    /// Runs owed to `node` (it owns their partition) that its `received`
+    /// state has not admitted, grouped by live producer, producers
+    /// sorted. Runs whose recorded producer is dead are omitted: they are
+    /// covered by split re-execution, which overwrites their ledger
+    /// entries with a live producer. Scans the admitted set under its
+    /// lock, so a receiver that is owed nothing allocates nothing.
+    pub fn missing_runs_for(&self, node: u32, received: &RecoveryState) -> Vec<(u32, Vec<RunTag>)> {
+        let sup = &self.supervision;
         let ledger = sup.ledger.lock();
         let live = sup.live.lock();
+        let received = received.received.lock();
         let mut by_producer: HashMap<u32, Vec<RunTag>> = HashMap::new();
         for (tag, &producer) in ledger.iter() {
             if live.dead.contains(&producer) || received.contains(tag) {
@@ -767,7 +723,7 @@ impl Coordinator {
                 .owner_override
                 .get(&tag.partition)
                 .copied()
-                .unwrap_or_else(|| partition_owner(tag.partition, nodes));
+                .unwrap_or_else(|| partition_owner(tag.partition, sup.nodes));
             if owner == node {
                 by_producer.entry(producer).or_default().push(*tag);
             }
@@ -780,23 +736,18 @@ impl Coordinator {
     /// Record that `node`'s shuffle reception is complete (all owed runs
     /// admitted).
     pub fn mark_shuffle_satisfied(&self, node: NodeId) {
-        if let Some(sup) = &self.supervision {
-            sup.live.lock().satisfied.insert(node.0);
-        }
+        self.supervision.live.lock().satisfied.insert(node.0);
     }
 
     /// Whether every live node's shuffle reception is complete. Receivers
     /// keep serving `Resend` requests until this holds, so no node stops
     /// serving while a peer still needs its retention buffer.
-    pub fn all_live_satisfied(&self, nodes: u32) -> bool {
-        let Some(sup) = &self.supervision else {
-            return true;
-        };
-        let live = sup.live.lock();
-        (0..nodes).all(|n| live.dead.contains(&n) || live.satisfied.contains(&n))
+    pub fn all_live_satisfied(&self) -> bool {
+        let live = self.supervision.live.lock();
+        (0..self.supervision.nodes).all(|n| live.dead.contains(&n) || live.satisfied.contains(&n))
     }
 
-    /// Abort the job: every supervised loop unwinds at its next check.
+    /// Abort the job: every wait loop unwinds at its next check.
     pub fn abort(&self) {
         self.aborted.store(true, Ordering::Release);
     }
@@ -832,6 +783,12 @@ mod tests {
     use gw_chaos::CrashSite;
     use gw_pipeline::StageId;
 
+    /// A coordinator whose nodes are declared dead 5 ms after their last
+    /// heartbeat.
+    fn coordinator(nodes: u32, parts: u32, splits: Vec<InputSplit>) -> Coordinator {
+        Coordinator::new(splits, nodes, parts, Duration::from_millis(5), None)
+    }
+
     fn split(block: usize, locations: Vec<u32>) -> InputSplit {
         InputSplit {
             path: "/in".into(),
@@ -844,11 +801,11 @@ mod tests {
 
     #[test]
     fn prefers_local_splits() {
-        let c = Coordinator::new(vec![
-            split(0, vec![1]),
-            split(1, vec![0]),
-            split(2, vec![1]),
-        ]);
+        let c = coordinator(
+            2,
+            2,
+            vec![split(0, vec![1]), split(1, vec![0]), split(2, vec![1])],
+        );
         let first = c.next_for(NodeId(0)).unwrap();
         assert_eq!(first.block, 1, "node 0 should get its local split first");
         assert_eq!(c.remaining(), 2);
@@ -856,7 +813,7 @@ mod tests {
 
     #[test]
     fn falls_back_to_remote_work() {
-        let c = Coordinator::new(vec![split(0, vec![1]), split(1, vec![1])]);
+        let c = coordinator(2, 2, vec![split(0, vec![1]), split(1, vec![1])]);
         assert!(c.next_for(NodeId(0)).is_some());
         assert!(c.next_for(NodeId(0)).is_some());
         assert!(c.next_for(NodeId(0)).is_none());
@@ -864,7 +821,11 @@ mod tests {
 
     #[test]
     fn every_split_is_handed_out_exactly_once() {
-        let c = Coordinator::new((0..20).map(|i| split(i, vec![(i % 4) as u32])).collect());
+        let c = coordinator(
+            4,
+            4,
+            (0..20).map(|i| split(i, vec![(i % 4) as u32])).collect(),
+        );
         let mut seen = Vec::new();
         let mut turn = 0u32;
         while let Some(s) = c.next_for(NodeId(turn % 4)) {
@@ -877,7 +838,9 @@ mod tests {
 
     #[test]
     fn concurrent_claims_are_disjoint() {
-        let c = std::sync::Arc::new(Coordinator::new(
+        let c = std::sync::Arc::new(coordinator(
+            4,
+            4,
             (0..100).map(|i| split(i, vec![(i % 4) as u32])).collect(),
         ));
         let handles: Vec<_> = (0..4)
@@ -900,15 +863,9 @@ mod tests {
         assert_eq!(all, (0..100).collect::<Vec<_>>());
     }
 
-    fn supervised(nodes: u32, parts: u32, splits: Vec<InputSplit>) -> Coordinator {
-        let mut c = Coordinator::new(splits);
-        c.enable_supervision(nodes, parts, Duration::from_millis(5), None);
-        c
-    }
-
     #[test]
     fn dead_node_work_is_requeued_onto_survivors() {
-        let c = supervised(
+        let c = coordinator(
             2,
             2,
             (0..4).map(|i| split(i, vec![(i % 2) as u32])).collect(),
@@ -948,7 +905,7 @@ mod tests {
 
     #[test]
     fn dead_nodes_partitions_are_adopted_by_the_ring() {
-        let c = supervised(4, 8, vec![split(0, vec![0])]);
+        let c = coordinator(4, 8, vec![split(0, vec![0])]);
         for n in 0..4 {
             assert_eq!(c.owner_of(n, 4), n, "hash owners before any death");
         }
@@ -969,7 +926,7 @@ mod tests {
 
     #[test]
     fn ledger_reports_missing_runs_by_live_producer() {
-        let c = supervised(2, 2, vec![split(0, vec![0]), split(1, vec![1])]);
+        let c = coordinator(2, 2, vec![split(0, vec![0]), split(1, vec![1])]);
         let k0 = RunTag {
             partition: 0,
             block: 0,
@@ -994,7 +951,8 @@ mod tests {
 
         // Node 0 owns partition 0 and has admitted nothing: it is owed k0
         // (from itself) and both of block 1's runs (from node 1).
-        let mut missing = c.missing_runs_for(0, 2, &HashSet::new());
+        let none = RecoveryState::new();
+        let mut missing = c.missing_runs_for(0, &none);
         assert_eq!(missing.len(), 2);
         assert_eq!(missing[0].0, 0);
         assert_eq!(missing[0].1, vec![k0]);
@@ -1003,10 +961,11 @@ mod tests {
         assert_eq!(missing[1].1, vec![k1, k1_lane1]);
 
         // Each worker's run is owed until it is admitted itself.
-        let mut have: HashSet<RunTag> = [k0, k1].into_iter().collect();
-        assert_eq!(c.missing_runs_for(0, 2, &have), vec![(1, vec![k1_lane1])]);
-        have.insert(k1_lane1);
-        assert!(c.missing_runs_for(0, 2, &have).is_empty());
+        let have = RecoveryState::new();
+        assert!(have.admit(k0) && have.admit(k1));
+        assert_eq!(c.missing_runs_for(0, &have), vec![(1, vec![k1_lane1])]);
+        assert!(have.admit(k1_lane1));
+        assert!(c.missing_runs_for(0, &have).is_empty());
 
         // A dead producer's runs are not re-requestable (re-execution
         // covers them), so they drop out of the scan.
@@ -1014,7 +973,7 @@ mod tests {
         c.heartbeat(NodeId(0));
         c.scan_liveness();
         assert!(c.is_dead(NodeId(1)));
-        let missing = c.missing_runs_for(0, 2, &HashSet::new());
+        let missing = c.missing_runs_for(0, &none);
         assert_eq!(missing.len(), 1);
         assert_eq!(missing[0].0, 0);
 
@@ -1023,7 +982,7 @@ mod tests {
         // to node 0.
         c.record_run(k1, 0);
         c.record_run(k1_lane1, 0);
-        let missing = c.missing_runs_for(0, 2, &HashSet::new());
+        let missing = c.missing_runs_for(0, &none);
         assert_eq!(missing.len(), 1);
         let (producer, mut tags) = missing.into_iter().next().unwrap();
         assert_eq!(producer, 0);
@@ -1033,21 +992,21 @@ mod tests {
 
     #[test]
     fn shuffle_satisfaction_ignores_the_dead() {
-        let c = supervised(3, 3, vec![split(0, vec![0])]);
-        assert!(!c.all_live_satisfied(3));
+        let c = coordinator(3, 3, vec![split(0, vec![0])]);
+        assert!(!c.all_live_satisfied());
         c.mark_shuffle_satisfied(NodeId(0));
         c.mark_shuffle_satisfied(NodeId(2));
-        assert!(!c.all_live_satisfied(3), "node 1 not satisfied, not dead");
+        assert!(!c.all_live_satisfied(), "node 1 not satisfied, not dead");
         std::thread::sleep(Duration::from_millis(10));
         c.heartbeat(NodeId(0));
         c.heartbeat(NodeId(2));
         c.scan_liveness();
-        assert!(c.all_live_satisfied(3));
+        assert!(c.all_live_satisfied());
     }
 
     #[test]
     fn map_stall_is_detected_when_no_mapper_can_requeue() {
-        let c = supervised(2, 2, vec![split(0, vec![0]), split(1, vec![1])]);
+        let c = coordinator(2, 2, vec![split(0, vec![0]), split(1, vec![1])]);
         assert!(!c.map_stalled(), "all nodes still mapping");
         let s0 = c.next_for(NodeId(0)).unwrap();
         c.complete_split(NodeId(0), s0.block);
@@ -1065,8 +1024,7 @@ mod tests {
     }
 
     fn speculative(nodes: u32, splits: Vec<InputSplit>, budget: usize) -> Coordinator {
-        let mut c = Coordinator::new(splits);
-        c.enable_supervision(nodes, nodes, Duration::from_millis(5), None);
+        let mut c = coordinator(nodes, nodes, splits);
         c.enable_speculation(SpeculationConfig {
             enabled: true,
             threshold_pct: 100,
@@ -1194,16 +1152,14 @@ mod tests {
     }
 
     #[test]
-    fn unsupervised_coordinator_reports_no_faults() {
-        let c = Coordinator::new(vec![split(0, vec![0])]);
-        assert!(!c.supervised());
-        c.heartbeat(NodeId(0));
+    fn a_fresh_coordinator_reports_no_faults() {
+        let c = Coordinator::new(vec![split(0, vec![0])], 2, 2, Duration::from_secs(60), None);
         c.scan_liveness();
         assert!(!c.is_dead(NodeId(0)));
         assert!(!c.map_stalled());
         assert_eq!(c.nodes_lost(), 0);
         assert_eq!(c.splits_rescheduled(), 0);
-        assert!(c.all_live_satisfied(1));
+        assert!(!c.all_live_satisfied());
         assert_eq!(c.owner_of(5, 2), partition_owner(5, 2));
     }
 
@@ -1216,7 +1172,7 @@ mod tests {
         };
         MapPipelineProbe {
             chaos,
-            coordinator: Arc::new(Coordinator::new(Vec::new())),
+            coordinator: Arc::new(coordinator(2, 2, Vec::new())),
             node: NodeId(1),
             unified_memory,
         }

@@ -27,17 +27,17 @@
 //! each partition to its home node (in-memory cache if local, network
 //! otherwise), parallelised over `N = partition_threads` lanes (Fig. 4a).
 //!
-//! ## Fault-tolerant (supervised) mode
+//! ## Fault tolerance
 //!
-//! When the node carries a [`NodeChaos`] handle, the executor probes the
-//! fault plan's crash site for this node between chunks and checks the
-//! shared dead/abort flags, so an injected crash (or a death declared by
-//! the coordinator) unwinds the whole pipeline between chunks — a split
-//! is either fully processed (all of its runs recorded in the
-//! coordinator's ledger and delivered or retained, then `complete_split`)
-//! or not at all. Each partitioning worker's runs are the unsupervised
-//! job's, tagged `(partition, block, lane)`: a re-executed split
-//! re-produces them byte-identically (DESIGN.md §3.4), so receivers
+//! Every job runs the recovery protocol; its [`NodeChaos`] plan decides
+//! only what fails. The executor probes the plan's crash site for this
+//! node between chunks and checks the shared dead/abort flags, so an
+//! injected crash (or a death declared by the coordinator) unwinds the
+//! whole pipeline between chunks — a split is either fully processed (all
+//! of its runs recorded in the coordinator's ledger and delivered or
+//! retained, then `complete_split`) or not at all. Each partitioning
+//! worker's run is tagged `(partition, block, lane)`: a re-executed split
+//! re-produces it byte-identically (DESIGN.md §3.4), so receivers
 //! de-duplicate by tag.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -62,7 +62,7 @@ use gw_trace::{CounterId, Lane, LaneId, Realm, StageId, Tracer};
 use crate::api::{Emit, GwApp, Records};
 use crate::collect::{BufferPoolCollector, Collector, CollectorKind, HashTableCollector};
 use crate::config::{JobConfig, TimingMode};
-use crate::coordinator::{Coordinator, MapPipelineProbe, NodeChaos};
+use crate::coordinator::{Coordinator, MapPipelineProbe, NodeChaos, RecoveryState};
 use crate::EngineError;
 
 /// The one chunk type carried through the whole graph: a block read from
@@ -157,10 +157,6 @@ struct MapInput<'a> {
     coordinator: Arc<Coordinator>,
     node: NodeId,
     timing: TimingMode,
-    /// Supervised mode stays in the claim loop until every split is fully
-    /// processed (a dead node's splits may requeue); unsupervised drains
-    /// the queue exactly once (the paper's behaviour).
-    supervised: bool,
     buffers: Option<PoolGet<DeviceBuffer>>,
     report: &'a Mutex<MapPhaseReport>,
     /// The split (and staging buffer) claimed for this lane's next
@@ -169,6 +165,8 @@ struct MapInput<'a> {
 }
 
 impl LaneSource<MapChunk, EngineError> for MapInput<'_> {
+    /// Stays in the claim loop until every split is fully processed, by
+    /// this node or another: a dead node's splits may requeue.
     fn claim(&mut self, ctx: &mut StageCtx<'_>) -> Result<bool, EngineError> {
         let split = loop {
             if ctx.should_stop() {
@@ -177,7 +175,7 @@ impl LaneSource<MapChunk, EngineError> for MapInput<'_> {
             match self.coordinator.next_for(self.node) {
                 Some(split) => break split,
                 None => {
-                    if !self.supervised || self.coordinator.map_complete() {
+                    if self.coordinator.map_complete() {
                         return Ok(false);
                     }
                     self.coordinator.scan_liveness();
@@ -399,7 +397,7 @@ struct MapPartition<'a> {
     durability_dir: Option<std::path::PathBuf>,
     /// Recovery data plane only (run de-dup and retention); all fault
     /// *probing* goes through the executor's probe.
-    chaos: Option<NodeChaos>,
+    recovery: &'a RecoveryState,
     collectors_back: PoolPut<Box<dyn Collector>>,
 }
 
@@ -407,11 +405,10 @@ impl MapPartition<'_> {
     /// Count one finished run, write its durability copy (named by the
     /// chunk's pipeline `seq` and the worker's lane), and hand it to the
     /// partition's current owner: the local store, or the owner's node
-    /// over the network. Under supervision the run is first entered in
-    /// the ledger under `tag`, so a receiver can never be owed a run the
-    /// ledger does not know about; it is then admitted at most once
-    /// locally, and retained and tagged when sent. (Unsupervised jobs arm
-    /// no fabric fault hook, so `send_data` is a plain send for them.)
+    /// over the network. The run is first entered in the ledger under
+    /// `tag`, so a receiver can never be owed a run the ledger does not
+    /// know about; it is then admitted at most once locally, and retained
+    /// and tagged when sent.
     fn deliver_run(&self, seq: usize, tag: RunTag, run: Run) -> Result<(), EngineError> {
         let node = self.node;
         let gp = tag.partition;
@@ -422,13 +419,10 @@ impl MapPartition<'_> {
             let path = dir.join(format!("map-{node}-c{seq}-l{}-p{gp}.gw", tag.lane));
             std::fs::write(path, run.bytes())?;
         }
-        let recovery = self.chaos.as_ref().map(|cx| {
-            self.coordinator.record_run(tag, node.0);
-            &cx.recovery
-        });
+        self.coordinator.record_run(tag, node.0);
         let owner = self.coordinator.owner_of(gp, self.nodes);
         if owner == node.0 {
-            if recovery.is_none_or(|state| state.admit(tag)) {
+            if self.recovery.admit(tag) {
                 self.runs_local.fetch_add(1, Ordering::Relaxed);
                 self.intermediate.add_run(gp, run);
             }
@@ -439,10 +433,7 @@ impl MapPartition<'_> {
             // refcount bumps, and the message frames the run's shared
             // arena slice as-is.
             let bytes = run.into_shared();
-            let tag = recovery.map(|state| {
-                state.retain(tag, bytes.clone(), records);
-                tag
-            });
+            self.recovery.retain(tag, bytes.clone(), records);
             let msg = ShuffleMsg::Partition {
                 partition: gp,
                 bytes,
@@ -516,11 +507,9 @@ impl Stage<MapChunk, EngineError> for MapPartition<'_> {
         if let Some(e) = failed.into_inner() {
             return Err(e);
         }
-        if self.chaos.is_some() {
-            // The split is now fully processed: every run is in the
-            // ledger and delivered or retained.
-            self.coordinator.complete_split(self.node, chunk.block_idx);
-        }
+        // The split is now fully processed: every run is in the ledger and
+        // delivered or retained.
+        self.coordinator.complete_split(self.node, chunk.block_idx);
         Ok(None)
     }
 }
@@ -550,17 +539,17 @@ pub struct MapPhase<'a> {
     pub tracer: Arc<Tracer>,
     /// Directory for durability copies of map output (when enabled).
     pub durability_dir: Option<std::path::PathBuf>,
-    /// Fault-injection and recovery handle (supervised mode only).
-    pub chaos: Option<NodeChaos>,
+    /// Fault-injection and recovery handle.
+    pub chaos: NodeChaos,
 }
 
 impl MapPhase<'_> {
     /// Run the map phase to completion, then broadcast `MapDone`.
     ///
-    /// Supervised mode: an injected (or declared) node death unwinds the
-    /// pipeline and returns [`EngineError::NodeLost`]; the `MapDone`
-    /// broadcast is suppressed, since the peers' supervised receivers
-    /// account for dead nodes through the coordinator instead.
+    /// An injected (or declared) node death unwinds the pipeline and
+    /// returns [`EngineError::NodeLost`]; the `MapDone` broadcast is
+    /// suppressed, since the peers' receivers account for dead nodes
+    /// through the coordinator instead.
     pub fn run(self) -> Result<MapPhaseReport, EngineError> {
         let start = Instant::now();
         let b = self.cfg.buffering.depth();
@@ -619,7 +608,6 @@ impl MapPhase<'_> {
                     coordinator: Arc::clone(&self.coordinator),
                     node: self.node,
                     timing: self.cfg.timing,
-                    supervised: self.chaos.is_some(),
                     buffers: buffers.clone(),
                     report: &report,
                     pending: None,
@@ -658,7 +646,7 @@ impl MapPhase<'_> {
                     runs_remote: &runs_remote,
                     runs_local: &runs_local,
                     durability_dir: self.durability_dir.clone(),
-                    chaos: self.chaos.clone(),
+                    recovery: &self.chaos.recovery,
                     collectors_back: collectors_back.clone(),
                 }) as Box<dyn Stage<MapChunk, EngineError> + '_>
             })
@@ -699,18 +687,16 @@ impl MapPhase<'_> {
             .stage_lanes(StageId::Partition, partition_lanes)
             .interlock(StageId::Input, StageId::Kernel)
             .interlock(StageId::Kernel, StageId::Partition)
-            .tracer(Arc::clone(&self.tracer), self.node.0);
-        if let Some(chaos) = self.chaos.clone() {
-            pipeline = pipeline.probe(MapPipelineProbe {
-                chaos,
+            .tracer(Arc::clone(&self.tracer), self.node.0)
+            .probe(MapPipelineProbe {
+                chaos: self.chaos.clone(),
                 coordinator: Arc::clone(&self.coordinator),
                 node: self.node,
                 unified_memory: unified,
             });
-        }
-        // A panicking stage fails the phase like an error does: it must not
-        // unwind past the `MapDone` broadcast below, or every peer's plain
-        // receiver would wait for that marker forever.
+        // A panicking stage fails the phase like an error does (the
+        // executor has already killed the node), so the node still joins
+        // its receiver and fails the job with a typed error.
         let stats = catch_unwind(AssertUnwindSafe(|| pipeline.run())).unwrap_or_else(|_| {
             Err(EngineError::TaskFailed(format!(
                 "a map stage panicked on node {}",
@@ -733,16 +719,14 @@ impl MapPhase<'_> {
         job_lane.count(CounterId::RunPoolHit, reused);
         job_lane.count(CounterId::RunPoolMiss, acquired.saturating_sub(reused));
 
-        let crashed = self.chaos.as_ref().is_some_and(|cx| cx.is_dead());
+        let crashed = self.chaos.is_dead();
         if !crashed {
-            // Broadcast end-of-map to every peer — even on failure, so a
-            // failed node cannot hang the rest of the cluster in the merge
-            // phase. A *crashed* node stays silent: its peers account for
-            // it through the coordinator's dead set instead.
-            for peer in 0..self.nodes {
-                if peer != self.node.0 {
-                    self.endpoint.send(NodeId(peer), ShuffleMsg::MapDone, 8);
-                }
+            // Broadcast end-of-map to every peer. A *crashed* node stays
+            // silent: its peers account for it through the coordinator's
+            // dead set instead.
+            let wire = ShuffleMsg::MapDone.wire_bytes();
+            for peer in (0..self.nodes).filter(|&p| p != self.node.0) {
+                self.endpoint.send(NodeId(peer), ShuffleMsg::MapDone, wire);
             }
         }
         let stats = stats?;
@@ -812,13 +796,23 @@ mod tests {
             nodes: 1,
             app: Arc::new(Identity),
             device: Arc::new(Device::open_with_threads(cfg.device.clone(), 1)),
-            coordinator: Arc::new(Coordinator::new(store.splits("/in").unwrap())),
+            coordinator: Arc::new(Coordinator::new(
+                store.splits("/in").unwrap(),
+                1,
+                cfg.partitions_per_node,
+                cfg.node_timeout,
+                None,
+            )),
             store,
             intermediate: Arc::new(intermediate),
             endpoint: Arc::new(Fabric::new(1, NetProfile::unlimited()).endpoint(NodeId(0))),
             tracer: Arc::new(Tracer::new()),
             durability_dir: Some(missing),
-            chaos: None,
+            chaos: NodeChaos {
+                plan: Arc::new(gw_chaos::FaultPlan::empty()),
+                recovery: Arc::new(RecoveryState::new()),
+                dead: Arc::default(),
+            },
         };
         let err = phase.run().unwrap_err();
         assert!(matches!(err, EngineError::Io(_)), "got: {err}");

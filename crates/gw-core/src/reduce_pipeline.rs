@@ -66,7 +66,7 @@ use parking_lot::Mutex;
 use gw_device::{Device, KernelFn, NdRange, WorkItemCtx};
 use gw_intermediate::{CursorMerge, GroupSlice, GroupedCursorMerge, IntermediateStore, PartCursor};
 use gw_pipeline::{
-    run_task_with_retries, token_pool, PipelineBuilder, PipelineKind, PoolGet, PoolPut, Source,
+    run_task_with_retries, token_pool, LaneSource, PipelineBuilder, PipelineKind, PoolGet, PoolPut,
     Stage, StageCtx,
 };
 use gw_storage::split::{FileStore, RecordBlockBuilder};
@@ -263,27 +263,38 @@ impl ReduceMergeRead<'_> {
     }
 }
 
-impl Source<ReduceChunk, EngineError> for ReduceMergeRead<'_> {
-    fn next_chunk(&mut self, _ctx: &mut StageCtx<'_>) -> Result<Option<ReduceChunk>, EngineError> {
+impl LaneSource<ReduceChunk, EngineError> for ReduceMergeRead<'_> {
+    /// A chunk is due while a partition is open or another one is owned;
+    /// opening its merge is production.
+    fn claim(&mut self, _ctx: &mut StageCtx<'_>) -> Result<bool, EngineError> {
+        if self.open.is_some() {
+            return Ok(true);
+        }
+        let ReducePhase {
+            cfg,
+            node,
+            nodes,
+            coordinator,
+            ..
+        } = self.phase;
+        let Some(gp) = (self.next_gp..cfg.partitions_per_node * nodes)
+            .find(|&gp| coordinator.owner_of(gp, *nodes) == node.0)
+        else {
+            return Ok(false);
+        };
+        self.next_gp = gp + 1;
+        if coordinator.aborted() {
+            return Err(EngineError::NodeLost("job aborted during reduce".into()));
+        }
+        Ok(true)
+    }
+
+    fn produce(&mut self, _ctx: &mut StageCtx<'_>) -> Result<ReduceChunk, EngineError> {
         let (gp, mut merge) = match self.open.take() {
             Some(open) => open,
             None => {
-                let ReducePhase {
-                    cfg,
-                    node,
-                    nodes,
-                    coordinator,
-                    ..
-                } = self.phase;
-                let Some(gp) = (self.next_gp..cfg.partitions_per_node * nodes)
-                    .find(|&gp| coordinator.owner_of(gp, *nodes) == node.0)
-                else {
-                    return Ok(None);
-                };
-                self.next_gp = gp + 1;
-                if coordinator.aborted() {
-                    return Err(EngineError::NodeLost("job aborted during reduce".into()));
-                }
+                // The partition `claim` just found.
+                let gp = self.next_gp - 1;
                 // Streaming cursors: spilled runs stay on disk and decode
                 // one frame at a time; cached runs are merged where they sit.
                 let cursors = self.phase.intermediate.partition_cursors(gp)?;
@@ -299,7 +310,7 @@ impl Source<ReduceChunk, EngineError> for ReduceMergeRead<'_> {
         if chunk.closes.is_none() {
             self.open = Some((gp, merge));
         }
-        Ok(Some(chunk))
+        Ok(chunk)
     }
 }
 
@@ -579,8 +590,8 @@ pub struct ReducePhase<'a> {
     /// Job-wide event tracer; the executor emits chunk spans and
     /// token-wait regions onto this node's pipeline lanes.
     pub tracer: Arc<Tracer>,
-    /// Fault-injection context (supervised jobs only).
-    pub chaos: Option<NodeChaos>,
+    /// Fault-injection context.
+    pub chaos: NodeChaos,
 }
 
 impl ReducePhase<'_> {
@@ -622,17 +633,17 @@ impl ReducePhase<'_> {
         let parallel_splits = AtomicUsize::new(0);
         let tasks_retried = AtomicUsize::new(0);
 
-        let mut pipeline = PipelineBuilder::new(PipelineKind::Reduce, cfg.buffering).source(
-            StageId::Input,
-            ReduceMergeRead {
+        let merge_read: Box<dyn LaneSource<ReduceChunk, EngineError> + '_> =
+            Box::new(ReduceMergeRead {
                 phase: &self,
                 threads_per_key,
                 next_gp: 0,
                 open: None,
                 partitions: &partitions,
                 keys_seen: &keys_seen,
-            },
-        );
+            });
+        let mut pipeline = PipelineBuilder::new(PipelineKind::Reduce, cfg.buffering)
+            .source_lanes(StageId::Input, vec![merge_read]);
         let transfer = |to_device, bytes: fn(&ReduceChunk) -> usize| ModeledTransfer {
             device: Arc::clone(&self.device),
             timing: cfg.timing,
@@ -677,10 +688,8 @@ impl ReducePhase<'_> {
                     collectors_back,
                 },
             )
-            .tracer(Arc::clone(&self.tracer), self.node.0);
-        if let Some(chaos) = self.chaos.clone() {
-            pipeline = pipeline.probe(ReduceTaskProbe::new(chaos, self.node));
-        }
+            .tracer(Arc::clone(&self.tracer), self.node.0)
+            .probe(ReduceTaskProbe::new(self.chaos.clone(), self.node));
         pipeline.run()?;
 
         debug_assert!(

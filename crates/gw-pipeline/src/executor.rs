@@ -38,10 +38,11 @@
 //! * **Timing** — every chunk's pass through a stage closes a trace span
 //!   carrying its (wall, modeled) time; the default window is the whole
 //!   `run_chunk` call, and a stage needing a narrower one calls
-//!   [`StageCtx::add_time`]. The executor keeps no totals of its own:
-//!   stage timers are a fold of the finished trace.
-//! * **Unwinding** — a stage error kills the probe, drops the stage's
-//!   channel endpoints and lets the graph drain deterministically:
+//!   [`StageCtx::add_time`]. A source's span opens only once its claim
+//!   admitted a chunk, so end of input is not a chunk. The executor keeps
+//!   no totals of its own: stage timers are a fold of the finished trace.
+//! * **Unwinding** — a stage error or panic kills the probe, drops the
+//!   stage's channel endpoints and lets the graph drain deterministically:
 //!   upstream sends fail, downstream receives drain, queued chunks drop
 //!   (returning their permits), and the first error in stage order is
 //!   surfaced. Stage panics propagate after every thread has been joined;
@@ -156,7 +157,7 @@ pub trait PipelineProbe: Send + Sync {
     fn crash_fires(&self, stage: StageId, lane: u32) -> bool;
 
     /// Mark the node dead. Called when a crash fires, when `should_abort`
-    /// trips, and when any stage returns an error.
+    /// trips, and when any stage returns an error or panics.
     fn kill(&self);
 
     /// Task-level injected fault, probed by kernel stages inside their
@@ -218,8 +219,8 @@ pub trait LaneSource<T, E>: Send {
 
 /// Adapter running a classic [`Source`] as the only lane of its slot:
 /// the whole production happens at claim time (there is no sibling to
-/// overlap with), keeping the single-lane event stream identical to the
-/// historical one.
+/// overlap with), so it lands in the chunk's timing window but before
+/// its span opens.
 struct LegacySource<'a, T, E> {
     inner: Box<dyn Source<T, E> + 'a>,
     pending: Option<T>,
@@ -567,6 +568,22 @@ impl StageEvents {
     }
 }
 
+/// Kill the node through `probe` unless a lane's body returned `Ok`: a
+/// lane that fails — by error *or* by panic — must not leave a sibling
+/// lane waiting on work this node will never finish (the map input lane
+/// would otherwise wait for a map completion that cannot come, and the
+/// executor joins it first).
+fn kill_unless_ok<E>(
+    probe: Option<&dyn PipelineProbe>,
+    outcome: &std::thread::Result<Result<(), E>>,
+) {
+    if !matches!(outcome, Ok(Ok(()))) {
+        if let Some(p) = probe {
+            p.kill();
+        }
+    }
+}
+
 /// Envelope payload: a live chunk, or the hole left by a chunk consumed
 /// upstream. `Skip` keeps sequence numbers dense so every downstream
 /// lane's expected-seq arithmetic — and thus deterministic reassembly —
@@ -663,7 +680,7 @@ impl<'a, T: Send + 'a, E: Send + 'a> PipelineBuilder<'a, T, E> {
         self
     }
 
-    /// Arm the crash/abort probe (supervised runs only).
+    /// Arm the crash/abort probe.
     pub fn probe(mut self, probe: impl PipelineProbe + 'a) -> Self {
         self.probe = Some(Box::new(probe));
         self
@@ -817,7 +834,7 @@ impl<'a, T: Send + 'a, E: Send + 'a> PipelineBuilder<'a, T, E> {
                 source_handles.push(scope.spawn(move || -> Result<(), E> {
                     let lane = lane_idx as u32;
                     let mut guard = TurnFinishGuard::new(turn);
-                    let result = (|| -> Result<(), E> {
+                    let outcome = catch_unwind(AssertUnwindSafe(|| -> Result<(), E> {
                         let mut iter = 0usize;
                         'produce: loop {
                             let seq = lane_idx + iter * n_src;
@@ -847,19 +864,16 @@ impl<'a, T: Send + 'a, E: Send + 'a> PipelineBuilder<'a, T, E> {
                             if ctx.should_stop() {
                                 break;
                             }
-                            events.chunk_begin(seq);
+                            // The chunk span opens only once the claim
+                            // admitted a chunk: the end-of-input probe, and
+                            // any wait for input that never comes, is not
+                            // a chunk. The timing window still covers the
+                            // claim, where a `Source` does its production.
                             let t0 = Instant::now();
-                            let claimed = match src.claim(&mut ctx) {
-                                Ok(c) => c,
-                                Err(e) => {
-                                    events.chunk_abort(seq);
-                                    return Err(e);
-                                }
-                            };
-                            if !claimed {
-                                events.chunk_abort(seq);
+                            if !src.claim(&mut ctx)? {
                                 break;
                             }
+                            events.chunk_begin(seq);
                             if let Some(t) = guard.turn() {
                                 t.advance(seq + 1);
                             }
@@ -913,18 +927,14 @@ impl<'a, T: Send + 'a, E: Send + 'a> PipelineBuilder<'a, T, E> {
                             }
                         }
                         Ok(())
-                    })();
-                    if result.is_err() {
-                        if let Some(p) = probe {
-                            p.kill();
-                        }
-                    }
+                    }));
+                    kill_unless_ok(probe, &outcome);
                     // Every source exit ends the slot: exhaustion, stop,
-                    // error and downstream death all mean no later seq
-                    // will ever be claimed.
+                    // error, panic and downstream death all mean no later
+                    // seq will ever be claimed.
                     guard.fire();
                     src.close();
-                    result
+                    outcome.unwrap_or_else(|panic| resume_unwind(panic))
                 }));
             }
 
@@ -953,7 +963,7 @@ impl<'a, T: Send + 'a, E: Send + 'a> PipelineBuilder<'a, T, E> {
                     handles.push(scope.spawn(move || -> Result<(), E> {
                         let lane = lane_idx as u32;
                         let mut guard = TurnFinishGuard::new(turn);
-                        let result = (|| -> Result<(), E> {
+                        let outcome = catch_unwind(AssertUnwindSafe(|| -> Result<(), E> {
                             let mut eos = false;
                             let mut iter = 0usize;
                             'consume: loop {
@@ -1087,14 +1097,10 @@ impl<'a, T: Send + 'a, E: Send + 'a> PipelineBuilder<'a, T, E> {
                                 guard.disarm();
                             }
                             Ok(())
-                        })();
-                        if result.is_err() {
-                            if let Some(p) = probe {
-                                p.kill();
-                            }
-                        }
+                        }));
+                        kill_unless_ok(probe, &outcome);
                         guard.fire();
-                        result
+                        outcome.unwrap_or_else(|panic| resume_unwind(panic))
                     }));
                 }
             }

@@ -350,11 +350,8 @@ pub struct Anomalies {
     /// Span begins never closed (truncated lanes). Their intervals are
     /// excluded from busy time but counted here.
     pub unclosed_spans: u64,
-    /// Chunk spans closed unaccounted. Includes genuine aborts (injected
-    /// crashes, stage errors) *and* each source's routine end-of-input
-    /// probe chunk, so a clean run reports one per pipeline instantiated:
-    /// one per phase per node, i.e. `2 × nodes` — the count is
-    /// deterministic either way.
+    /// Chunk spans closed unaccounted: genuine aborts (injected crashes,
+    /// stage errors). A clean run reports none.
     pub unaccounted_chunks: u64,
     /// Span ends with no matching begin (front-truncated lanes).
     pub orphan_ends: u64,

@@ -50,7 +50,6 @@ fn cfg(speculation: bool) -> JobConfig {
     let mut cfg = JobConfig::new("/gray/in", "/gray/out");
     cfg.device_threads = 1;
     cfg.partitions_per_node = 2;
-    cfg.heartbeat_interval = Duration::from_millis(10);
     cfg.node_timeout = Duration::from_millis(500);
     cfg.job_deadline = Some(Duration::from_secs(60));
     cfg.speculation = SpeculationConfig {

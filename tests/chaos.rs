@@ -59,7 +59,6 @@ fn chaos_cfg() -> JobConfig {
     cfg.collector_capacity = 1 << 20;
     cfg.cache_threshold = 1 << 16;
     cfg.max_task_retries = 1;
-    cfg.heartbeat_interval = Duration::from_millis(10);
     cfg.node_timeout = Duration::from_millis(200);
     // Backstop only: recovery must resolve every fault long before this.
     cfg.job_deadline = Some(Duration::from_secs(60));
@@ -133,48 +132,29 @@ fn node_crash_mid_map_recovers_byte_identical_output() {
     }
 }
 
-/// A fault plan changes who runs a chunk, not what it produces: supervised
-/// under an empty plan, a job delivers the unsupervised job's runs — one
-/// per partitioning worker, block and partition — and its output bytes.
+/// Every job runs the recovery protocol, and its de-duplication drops
+/// nothing a fault-free job needs: each node admits exactly the runs its
+/// peer shipped — one per partitioning worker, block and partition — and
+/// the output bytes are the reference's at every worker count.
 #[test]
-fn supervised_and_plain_jobs_deliver_the_same_runs() {
+fn each_node_receives_exactly_the_runs_its_peer_shipped() {
+    let reference = reference_output(2);
     for partition_threads in 1..=3 {
         let mut cfg = chaos_cfg();
         cfg.partition_threads = partition_threads;
-        let run = |plan: Option<FaultPlan>| {
-            let supervised = plan.is_some();
-            let mut cluster = make_cluster(2);
-            if let Some(plan) = plan {
-                cluster = cluster.with_fault_plan(plan);
-            }
-            let report = cluster.run(Arc::new(WordCount::new()), &cfg).unwrap();
-            // Which node maps which split is a race, so per-node counts are
-            // pinned against the same job: on two nodes, each receives
-            // exactly the runs its peer shipped.
-            for (n, peer) in [(0, 1), (1, 0)] {
-                assert_eq!(
-                    report.nodes[n].shuffle_runs_received, report.nodes[peer].map.runs_remote,
-                    "node {n}, supervised {supervised}, partition_threads {partition_threads}"
-                );
-            }
-            let delivered: usize = report
-                .nodes
-                .iter()
-                .map(|n| n.map.runs_local + n.map.runs_remote)
-                .sum();
-            let out = read_job_output(cluster.store(), &report).unwrap();
-            (delivered, out)
-        };
-        let (plain_runs, plain_out) = run(None);
-        let (supervised_runs, supervised_out) = run(Some(FaultPlan::empty()));
-        assert_eq!(
-            supervised_runs, plain_runs,
-            "runs delivered at partition_threads {partition_threads}"
-        );
-        assert_eq!(
-            supervised_out, plain_out,
-            "partition_threads {partition_threads}"
-        );
+        let cluster = make_cluster(2);
+        let report = cluster.run(Arc::new(WordCount::new()), &cfg).unwrap();
+        // Which node maps which split is a race, so per-node counts are
+        // pinned against the same job: on two nodes, each receives exactly
+        // the runs its peer shipped.
+        for (n, peer) in [(0, 1), (1, 0)] {
+            assert_eq!(
+                report.nodes[n].shuffle_runs_received, report.nodes[peer].map.runs_remote,
+                "node {n}, partition_threads {partition_threads}"
+            );
+        }
+        let out = read_job_output(cluster.store(), &report).unwrap();
+        assert_eq!(out, reference, "partition_threads {partition_threads}");
     }
 }
 
@@ -451,19 +431,7 @@ fn lane_pinned_stall_fires_on_its_lane_and_output_is_unchanged() {
     let cluster = make_cluster(NODES).with_fault_plan(plan);
     let report = cluster.run(Arc::new(WordCount::new()), &cfg).unwrap();
     assert_eq!(report.nodes_lost, 0);
-    let stalls = report
-        .trace
-        .logical_events()
-        .iter()
-        .filter(|(_, k)| {
-            matches!(
-                k,
-                LogicalKind::Instant {
-                    mark: MarkId::StallFired { .. }
-                }
-            )
-        })
-        .count();
+    let stalls = stalls_fired(&report);
     assert_eq!(
         stalls, 1,
         "lane-pinned one-shot stall must fire exactly once"
@@ -475,8 +443,8 @@ fn lane_pinned_stall_fires_on_its_lane_and_output_is_unchanged() {
 #[test]
 fn slow_but_alive_node_is_not_declared_lost() {
     // Heartbeat watchdog audit: a 500ms kernel stall is 2.5× the 200ms
-    // node timeout, but the heartbeat thread beats independently of the
-    // stalled pipeline, re-arming the liveness deadline on every beat.
+    // node timeout, but the node's shuffle receiver beats on every tick,
+    // independently of the stalled pipeline.
     // The slow-but-alive node must neither be declared NodeLost nor have
     // its claimed work rescheduled out from under it.
     let reference = reference_output(NODES);
@@ -491,7 +459,36 @@ fn slow_but_alive_node_is_not_declared_lost() {
     );
     assert_eq!(report.splits_rescheduled, 0);
     // The stall itself must be visible in the trace exactly once.
-    let stalls = report
+    let stalls = stalls_fired(&report);
+    assert_eq!(stalls, 1, "one-shot stall must fire exactly once");
+    let out = read_job_output(cluster.store(), &report).unwrap();
+    assert_eq!(out, reference);
+}
+
+/// A reduce outlasting `node_timeout` by far is not a lost node: its
+/// receiver stops beating once every live node's shuffle is satisfied,
+/// and from then on nothing scans liveness.
+#[test]
+fn a_long_reduce_is_not_a_lost_node() {
+    let reference = reference_output(3);
+    let cfg = chaos_cfg();
+    let stall_ms = 3 * cfg.node_timeout.as_millis() as u64;
+    let plan = FaultPlan::empty().with_stall(1, CrashSite::Reduce, 0, stall_ms);
+    let cluster = make_cluster(3).with_fault_plan(plan);
+    let report = cluster.run(Arc::new(WordCount::new()), &cfg).unwrap();
+    assert_eq!(stalls_fired(&report), 1, "the reduce stall must fire");
+    assert_eq!(
+        report.nodes_lost, 0,
+        "a node busy reducing was declared dead"
+    );
+    assert_eq!(report.splits_rescheduled, 0);
+    let out = read_job_output(cluster.store(), &report).unwrap();
+    assert_eq!(out, reference);
+}
+
+/// `stall-fired` marks in the job's trace.
+fn stalls_fired(report: &JobReport) -> usize {
+    report
         .trace
         .logical_events()
         .iter()
@@ -503,10 +500,7 @@ fn slow_but_alive_node_is_not_declared_lost() {
                 }
             )
         })
-        .count();
-    assert_eq!(stalls, 1, "one-shot stall must fire exactly once");
-    let out = read_job_output(cluster.store(), &report).unwrap();
-    assert_eq!(out, reference);
+        .count()
 }
 
 #[test]

@@ -388,17 +388,20 @@ impl GwApp for PanickingPartition {
 
 #[test]
 fn a_panicking_map_stage_fails_the_job_without_stranding_its_peers() {
-    // The panicking node must still broadcast its end-of-map marker, or
-    // its peer's plain receiver waits for it until the deadline fires.
+    // The panicking partition lane must kill its node, or the node's input
+    // lane waits for a map completion that never comes; and the node's
+    // failure must abort the job, or its peer waits out the node timeout
+    // (far past the deadline here) before re-executing its splits.
     let lines: Vec<String> = (0..2000).map(|i| format!("w{i} x{} y{i}", i % 7)).collect();
     let lines: Vec<&str> = lines.iter().map(String::as_str).collect();
-    let cluster = cluster_with_lines(2, &lines);
+    let cluster = cluster_with_lines(2, &lines).with_fault_plan(FaultPlan::empty());
     let app = Arc::new(PanickingPartition {
         calls: AtomicUsize::new(0),
         nth: 500,
     });
     let mut job_cfg = cfg(0);
-    job_cfg.job_deadline = Some(std::time::Duration::from_secs(20));
+    job_cfg.node_timeout = std::time::Duration::from_secs(60);
+    job_cfg.job_deadline = Some(std::time::Duration::from_secs(10));
     let start = std::time::Instant::now();
     let err = cluster.run(app, &job_cfg).unwrap_err();
     assert!(matches!(err, EngineError::TaskFailed(_)), "got: {err}");

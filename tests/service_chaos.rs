@@ -49,8 +49,8 @@ fn write_inputs(dfs: &Dfs, seeds: &[u64]) {
     }
 }
 
-/// Supervised config: heartbeats + liveness scan so a killed node's
-/// splits reschedule, and a watchdog backstop so nothing can hang.
+/// A 200 ms node timeout so a killed node's splits reschedule quickly,
+/// and a watchdog backstop so nothing can hang.
 fn chaos_cfg(seed: u64) -> JobConfig {
     let mut cfg = JobConfig::new(input_path(seed), "/ignored");
     cfg.device_threads = 1;
@@ -58,7 +58,6 @@ fn chaos_cfg(seed: u64) -> JobConfig {
     cfg.collector_capacity = 1 << 20;
     cfg.cache_threshold = 1 << 16;
     cfg.max_task_retries = 1;
-    cfg.heartbeat_interval = Duration::from_millis(10);
     cfg.node_timeout = Duration::from_millis(200);
     cfg.job_deadline = Some(Duration::from_secs(60));
     cfg

@@ -103,7 +103,6 @@ fn spec_cfg(speculation: bool) -> JobConfig {
     cfg.device_threads = 1;
     cfg.partitions_per_node = 2;
     cfg.max_task_retries = 1;
-    cfg.heartbeat_interval = Duration::from_millis(10);
     cfg.node_timeout = Duration::from_millis(500);
     cfg.job_deadline = Some(Duration::from_secs(60));
     cfg.speculation = SpeculationConfig {
@@ -263,10 +262,9 @@ proptest! {
             ..Default::default()
         })
         .unwrap();
-        // The permuted attempt stream under the supervised receiver's
-        // admission rule (tags travel under supervision only): a run
-        // enters the store iff the node's `RecoveryState` admits its
-        // identity.
+        // The permuted attempt stream under the receiver's admission
+        // rule: a run enters the store iff the node's `RecoveryState`
+        // admits its identity.
         let recovery = RecoveryState::new();
         let mut admitted = 0;
         for &i in &perm {
