@@ -11,16 +11,19 @@
 //! pipeline with a consistent view of the intermediate data": a k-way
 //! loser-tree merge (`gw_intermediate::GroupedCursorMerge`, one
 //! comparison per tree level per record) over streaming cursors — every
-//! still-cached run plus one decoded frame per spill file, both behind
-//! the one concrete `gw_intermediate::PartCursor` type — grouped by
-//! key. The tree compares fixed-width sort heads (a key's first 16 bytes,
-//! a value's first 8, both lengths) and reads the records' bytes only for
-//! a tie that runs past a head; full ties still break by source index, so
-//! the order is `(key, value, source)` as ever. The store flushes nothing
-//! at end of map, so an in-core job's cached runs are the whole input and
-//! no byte is read from disk; for a job that spilled the merge is
-//! **external**, holding the cached remainder, `k` frames and one
-//! in-flight chunk arena, never the partition (paper §III-B; DESIGN.md
+//! run of the partition's cache tiers plus one decoded frame per spill
+//! file, both behind the one concrete `gw_intermediate::PartCursor` type —
+//! grouped by key. The store pre-merged full tiers while the map ran, so
+//! the cached runs are a few long ones (10 for 400 added), not one per
+//! map chunk and partition lane. The tree compares fixed-width sort heads
+//! (a key's first 16 bytes, a value's first 8, both lengths) and reads the
+//! records' bytes only for a tie that runs past a head; full ties still
+//! break by source index, so the order is `(key, value, source)` as ever,
+//! and the bytes do not depend on which runs were pre-merged together.
+//! The store flushes nothing at end of map, so an in-core job's tiers are
+//! the whole input and no byte is read from disk; for a job that spilled
+//! the merge is **external**, holding the cached remainder, `k` frames and
+//! one in-flight chunk arena, never the partition (paper §III-B; DESIGN.md
 //! §3.10). Between the tree and the kernel launch nothing is allocated
 //! per key: a chunk is four buffers (key/value arena, value spans, groups,
 //! work-item assignments) filled by the merge, and a launch adds one flat
@@ -40,7 +43,10 @@
 //!   one kernel invocation, some state must be saved across kernel calls.
 //!   Glasswing provides scratch buffers for each key to store such state"
 //!   — value lists longer than `reduce_max_values_per_chunk` span several
-//!   chunks, with a per-key scratch buffer carried between invocations.
+//!   chunks, and the key's scratch buffer is carried between invocations.
+//!   A continued slice closes its chunk, so only a chunk's last group
+//!   leaves state and only the next chunk's first takes it: the kernel
+//!   stage carries one `(key, state)` slot, not a map of keys.
 //!
 //! Jobs without a reduce function (TeraSort) run the same graph without
 //! the Kernel slot and its Stage/Retrieve neighbours: the merge is plain,
@@ -56,7 +62,6 @@
 //! addresses the map pipeline (see DESIGN.md §3.9); reduce-side
 //! parallelism comes from the per-key/per-chunk knobs above instead.
 
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -79,10 +84,6 @@ use crate::config::JobConfig;
 use crate::coordinator::{Coordinator, NodeChaos, ReduceTaskProbe};
 use crate::map_pipeline::{output_bytes, pool_collector, ModeledTransfer};
 use crate::EngineError;
-
-/// Saved scratch entries for one chunk's keys (`None` = key had no
-/// scratch state), restored when a failed reduce attempt rolls back.
-type ScratchSnapshot = Vec<(Vec<u8>, Option<Vec<u8>>)>;
 
 /// One key's slice of values within a reduce chunk, borrowed from the
 /// chunk's arena and its launch's flat view list ([`ReduceChunk::views`]).
@@ -321,11 +322,12 @@ struct ReduceKernel<'a> {
     device: Arc<Device>,
     app: Arc<dyn GwApp>,
     cfg: &'a JobConfig,
-    /// Per-key scratch state persisting across kernel invocations
-    /// (device-resident in real Glasswing; keyed map here). Keys within a
-    /// chunk are distinct and chunks flow FIFO through the single kernel
-    /// stage, so per-key access is serialized.
-    scratch: &'a Mutex<HashMap<Vec<u8>, Vec<u8>>>,
+    /// The scratch state carried between kernel invocations (device
+    /// resident in real Glasswing), with its key. At most one key has
+    /// one: a continued slice closes its chunk, so only a chunk's last
+    /// group leaves state behind and only the next chunk's first group,
+    /// the same key's continuation, takes it up.
+    carry: Option<(Vec<u8>, Vec<u8>)>,
     collectors: PoolGet<Box<dyn Collector>>,
     launches: &'a AtomicUsize,
     parallel_splits: &'a AtomicUsize,
@@ -349,19 +351,23 @@ impl Stage<ReduceChunk, EngineError> for ReduceKernel<'_> {
         let group = |g: usize| chunk.group(&views, g);
         let n_groups = chunk.groups.len();
         let retries = self.cfg.max_task_retries;
-        // Snapshot the scratch states this chunk can touch, so a failed
-        // attempt rolls back and re-executes (paper §III-E, extended to
-        // the reduce side).
-        let snapshot: Option<ScratchSnapshot> = if retries > 0 {
-            let s = self.scratch.lock();
-            Some(
-                (0..n_groups)
-                    .map(|g| group(g).key)
-                    .map(|key| (key.to_vec(), s.get(key).cloned()))
-                    .collect(),
-            )
+        // The carried state is the first group's: only that group's work
+        // item takes it. The last group's leaves its state behind if its
+        // key goes on. A failed attempt restores the snapshot and
+        // re-executes (paper §III-E, extended to the reduce side).
+        let incoming = Mutex::new(self.carry.take().map(|(key, state)| {
+            debug_assert_eq!(key, group(0).key, "carried state of another key");
+            state
+        }));
+        let outgoing: Mutex<Option<Vec<u8>>> = Mutex::new(None);
+        let snapshot = if retries > 0 {
+            incoming.lock().clone()
         } else {
             None
+        };
+        let first_state = |a: &Assignment| match a.group {
+            0 => incoming.lock().take().unwrap_or_default(),
+            _ => Vec::new(),
         };
         let coop_groups = chunk
             .assignments
@@ -373,7 +379,7 @@ impl Stage<ReduceChunk, EngineError> for ReduceKernel<'_> {
         let range = NdRange::new(n_items.max(1), self.cfg.work_group.min(n_items.max(1)))
             .map_err(EngineError::Device)?;
         let assignments = &chunk.assignments;
-        let scratch = self.scratch;
+        let (first_state, outgoing_ref) = (&first_state, &outgoing);
         let app = &self.app;
         let device = &self.device;
         let probe: &StageCtx<'_> = &*ctx;
@@ -409,13 +415,10 @@ impl Stage<ReduceChunk, EngineError> for ReduceKernel<'_> {
                         for a in &assignments[lo..hi] {
                             let group = group(a.group);
                             if a.parts == 1 {
-                                // Fetch the key's scratch state (if any earlier
-                                // chunk left one).
-                                let mut state =
-                                    scratch.lock().remove(group.key).unwrap_or_default();
+                                let mut state = first_state(a);
                                 app.reduce(group.key, group.values, &mut state, group.last, &emit);
                                 if !group.last {
-                                    scratch.lock().insert(group.key.to_vec(), state);
+                                    *outgoing_ref.lock() = Some(state);
                                 }
                             } else {
                                 // Cooperative partial reduction over this
@@ -425,7 +428,7 @@ impl Stage<ReduceChunk, EngineError> for ReduceKernel<'_> {
                                 let lo_v = a.part * n / a.parts;
                                 let hi_v = (a.part + 1) * n / a.parts;
                                 let mut state = if a.part == 0 {
-                                    scratch.lock().remove(group.key).unwrap_or_default()
+                                    first_state(a)
                                 } else {
                                     Vec::new()
                                 };
@@ -461,7 +464,7 @@ impl Stage<ReduceChunk, EngineError> for ReduceKernel<'_> {
                         if group.last {
                             app.reduce(group.key, &[], &mut acc, true, &emit);
                         } else {
-                            scratch.lock().insert(group.key.to_vec(), acc);
+                            *outgoing_ref.lock() = Some(acc);
                         }
                     }
                 });
@@ -469,22 +472,12 @@ impl Stage<ReduceChunk, EngineError> for ReduceKernel<'_> {
             },
             |collector| {
                 // Discard the attempt's partial output, restore the
-                // scratch states it consumed, and re-execute (paper
+                // scratch state it consumed, and re-execute (paper
                 // §III-E: "its partial output is discarded and its input
                 // is rescheduled for processing").
                 collector.reset();
-                let snap = snapshot.as_ref().expect("snapshot taken");
-                let mut s = scratch.lock();
-                for (key, state) in snap {
-                    match state {
-                        Some(state) => {
-                            s.insert(key.clone(), state.clone());
-                        }
-                        None => {
-                            s.remove(key.as_slice());
-                        }
-                    }
-                }
+                *incoming.lock() = snapshot.clone();
+                *outgoing.lock() = None;
             },
         );
         let stats = match attempt {
@@ -505,6 +498,14 @@ impl Stage<ReduceChunk, EngineError> for ReduceKernel<'_> {
         self.launches.fetch_add(1, Ordering::Relaxed);
         self.parallel_splits
             .fetch_add(coop_groups, Ordering::Relaxed);
+        debug_assert!(incoming.lock().is_none(), "carried state left untaken");
+        self.carry = outgoing
+            .into_inner()
+            .map(|state| (group(n_groups - 1).key.to_vec(), state));
+        debug_assert!(
+            self.carry.is_none() || chunk.closes.is_none(),
+            "a partition's last chunk ends its last key"
+        );
         let modeled = self.cfg.timing.pick(stats.wall, stats.modeled);
         ctx.add_time(stats.wall, modeled);
         chunk.collector = Some(collector);
@@ -624,7 +625,6 @@ impl ReducePhase<'_> {
             (0..sets).map(|_| Box::new(pool_collector(cfg, max_work_items)) as Box<dyn Collector>),
         );
 
-        let scratch: Mutex<HashMap<Vec<u8>, Vec<u8>>> = Mutex::new(HashMap::new());
         let output_files = Mutex::new(Vec::new());
         let partitions = AtomicUsize::new(0);
         let keys_seen = AtomicUsize::new(0);
@@ -661,7 +661,7 @@ impl ReducePhase<'_> {
                     device: Arc::clone(&self.device),
                     app: Arc::clone(&self.app),
                     cfg,
-                    scratch: &scratch,
+                    carry: None,
                     collectors,
                     launches: &launches,
                     parallel_splits: &parallel_splits,
@@ -691,11 +691,6 @@ impl ReducePhase<'_> {
             .tracer(Arc::clone(&self.tracer), self.node.0)
             .probe(ReduceTaskProbe::new(self.chaos.clone(), self.node));
         pipeline.run()?;
-
-        debug_assert!(
-            scratch.into_inner().is_empty(),
-            "scratch states must all be consumed by their final chunk"
-        );
         Ok(ReducePhaseReport {
             partitions: partitions.into_inner(),
             keys: keys_seen.into_inner(),

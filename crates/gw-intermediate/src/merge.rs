@@ -1,9 +1,11 @@
 //! K-way merging of sorted runs, in memory or external.
 //!
-//! Used in three places, exactly as in the paper: merging cached runs
+//! Used in four places: the three of the paper — merging cached runs
 //! before a flush, continuously merging spilled runs to bound the file
 //! count, and the reduce input reader's "one last merge operation" that
-//! presents a consistent, key-grouped view of a partition's data.
+//! presents a consistent, key-grouped view of a partition's data — and
+//! the store's in-memory pre-merge of a full cache tier while the map
+//! runs (`TIER_FANIN`, 16, runs into one).
 //!
 //! All sites run on one **loser tree** (tournament tree) generic over
 //! [`RunCursor`] sources: emitting a record replays exactly one
@@ -104,6 +106,14 @@ impl SortHead {
         self.rest as u32
     }
 }
+
+/// Fan-in of the store's in-memory pre-merges: a partition's cache tier
+/// is full at this many runs, and its merger task merges them into one
+/// run of the next tier. N runs then reach the reduce as N's base-F digit
+/// sum of streams (at most `F − 1` per tier, 10 for N = 400) instead of
+/// N, for at most `⌊log_F N⌋` extra copies of each byte, made while the
+/// map runs.
+pub(crate) const TIER_FANIN: usize = 16;
 
 /// The shared loser-tree core, generic over cursor sources.
 ///

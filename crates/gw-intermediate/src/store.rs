@@ -14,17 +14,27 @@
 //!   configurable count" — the compaction step of the merger tasks;
 //! * "Glasswing can be configured to use multiple threads to speed-up both
 //!   the merge and flush operations" — `merger_threads`;
+//! * intermediate data is merged "on background threads" while the map
+//!   runs — each partition's cache is kept in **tiers**: a run enters at
+//!   tier 0, and when a tier holds `TIER_FANIN` (16) runs the partition's
+//!   merger task merges its oldest ones in memory into one run of the
+//!   next tier, so the reduce opens a few long runs, not hundreds;
 //! * the **merge delay** metric — "the time dedicated to merging
 //!   intermediate data after the completion of the map phase and before
 //!   reduction starts" — the wait in [`IntermediateStore::finish_map`]
-//!   for the flush/compaction tasks still in flight at map end.
+//!   for the tasks still in flight at map end: it stops new pre-merges,
+//!   so at most one pre-merge batch per task, plus any flush and
+//!   compaction, is left to wait for.
 //!
 //! Intermediate bytes leave memory by exactly one rule, `add_run`'s
-//! `total > cache_threshold`, for budgeted and unbudgeted stores alike.
-//! Nothing is flushed at end of map: a job whose per-node intermediate
-//! data never crosses the threshold never touches disk (merge delay ~0),
-//! and the reduce input merge reads its cached runs directly — the
-//! paper's "one last merge operation" (§III-C).
+//! `total > cache_threshold`, for budgeted and unbudgeted stores alike: a
+//! flush takes the partition's whole cache, every tier. Nothing is flushed
+//! at end of map: a job whose per-node intermediate data never crosses the
+//! threshold never touches disk, and the reduce input merge reads its
+//! tiers directly — the paper's "one last merge operation" (§III-C). A
+//! pre-merge adds no combining: which runs share a batch is timing, and
+//! merge order `(key, value, source)` makes the merged stream the same
+//! for any grouping, where a combine result would not be.
 //!
 //! ## Out-of-core operation (DESIGN.md §3.10)
 //!
@@ -39,7 +49,8 @@
 //! [`StoreMetrics::peak_resident_bytes`]; with a `memory_budget` set,
 //! [`IntermediateStore::add_run`] applies backpressure so that peak stays
 //! within a small constant of the budget no matter how large the
-//! partition grows.
+//! partition grows, and a pre-merge, whose output sits beside its inputs
+//! until it ends, starts only when the gauge has room for that output.
 //!
 //! Spill I/O failures on merger threads do not panic, and a panic there
 //! is caught: the first of either **poisons** the store and surfaces
@@ -50,7 +61,7 @@
 use std::io;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -61,7 +72,7 @@ use crate::cursor::{MemCursor, PartCursor, RunCursor, SpillCursor};
 use crate::frame::{self, SpillFaultHook};
 use crate::gauge::MemGauge;
 use crate::kv::Run;
-use crate::merge::CursorMerge;
+use crate::merge::{merge_runs, CursorMerge, TIER_FANIN};
 use crate::tempdir::TempDir;
 use crate::PartitionId;
 
@@ -87,7 +98,8 @@ pub struct IntermediateConfig {
     pub frame_size: usize,
     /// Optional bound on resident intermediate bytes. When set,
     /// [`IntermediateStore::add_run`] blocks producers while the gauge is
-    /// over budget and flushes are in flight (backpressure), keeping peak
+    /// over budget and merger tasks are in flight (backpressure), and a
+    /// pre-merge starts only with room for its output, keeping peak
     /// residency within ~1.5× the budget. `None` disables backpressure;
     /// the gauge still records the peak.
     pub memory_budget: Option<usize>,
@@ -131,11 +143,17 @@ struct SpillFile {
 
 #[derive(Debug, Default)]
 struct PartState {
-    cache: Vec<Run>,
+    /// Cached runs by tier, oldest first: `tiers[t]` holds runs that `t`
+    /// rounds of pre-merging made, [`TIER_FANIN`] runs of tier `t` into
+    /// one of tier `t + 1`.
+    tiers: Vec<Vec<Run>>,
+    /// Bytes of every cached run, a running pre-merge's inputs included.
     cache_bytes: usize,
     spills: Vec<SpillFile>,
-    /// A flush/compact task is in flight for this partition.
+    /// A merger task is in flight for this partition.
     busy: bool,
+    /// A flush was asked for: the task flushes before it pre-merges.
+    flush_due: bool,
 }
 
 #[derive(Debug, Default)]
@@ -167,14 +185,17 @@ pub struct StoreMetrics {
     pub runs_added: usize,
     /// Records across all added runs.
     pub records_added: usize,
-    /// Background streaming merges (cache flushes + compactions).
+    /// Background merges: cache flushes, compactions, and the in-memory
+    /// tier merges made while the map runs. `flushes` and `compactions`
+    /// count only the disk work among them.
     ///
     /// Kept as store metrics rather than trace counters on purpose: these
     /// merges run on merger threads whose scheduling is timing-dependent,
     /// so emitting them as events would break the logical-stream
     /// determinism contract.
     pub merges: usize,
-    /// Total runs consumed across those merges (fan-in pressure).
+    /// Total runs consumed across those merges, tier merges included
+    /// (fan-in pressure).
     pub merge_fanin: usize,
     /// Spill frames written (flushes + compactions).
     pub frames_written: usize,
@@ -192,6 +213,8 @@ struct Inner {
     parts: Vec<Mutex<PartState>>,
     cache_bytes: AtomicUsize,
     pending: AtomicUsize,
+    /// Set by `finish_map`: no pre-merge starts after it.
+    map_done: AtomicBool,
     quiesce_lock: Mutex<()>,
     quiesce_cv: Condvar,
     spill_seq: AtomicU64,
@@ -306,19 +329,83 @@ impl Inner {
         }))
     }
 
-    /// Flush a partition's cache to one new spill, then compact if the
-    /// spill-file count exceeds the limit. Runs on merger threads; clears
-    /// the partition's `busy` flag on the success path (the error path is
-    /// handled by [`Inner::run_merge_task`]).
-    fn flush_and_compact(&self, p: PartitionId) -> io::Result<()> {
+    /// A partition's merger task: flush the whole cache while a flush is
+    /// due, else — until the map ends — pre-merge the oldest
+    /// [`TIER_FANIN`] runs of the lowest full tier, and repeat. Clears the
+    /// partition's `busy` flag under the lock that found neither to do, so
+    /// a request made meanwhile is never lost (the error path is handled
+    /// by [`Inner::run_merge_task`]).
+    fn merge_partition(&self, p: PartitionId) -> io::Result<()> {
         let idx = p as usize;
-        // Take the cached runs.
-        let (runs, bytes): (Vec<Run>, usize) = {
+        loop {
             let mut st = self.parts[idx].lock();
-            let bytes = std::mem::take(&mut st.cache_bytes);
-            self.cache_bytes.fetch_sub(bytes, Ordering::Relaxed);
-            (std::mem::take(&mut st.cache), bytes)
-        };
+            if st.flush_due {
+                let bytes = std::mem::take(&mut st.cache_bytes);
+                self.cache_bytes.fetch_sub(bytes, Ordering::Relaxed);
+                let runs: Vec<Run> = std::mem::take(&mut st.tiers)
+                    .into_iter()
+                    .flatten()
+                    .collect();
+                drop(st);
+                self.flush_and_compact(idx, runs, bytes)?;
+                // A request made while the flush ran is dropped, as it
+                // always was: the next add past the threshold asks again.
+                self.parts[idx].lock().flush_due = false;
+            } else if let Some((tier, runs)) = self.take_full_tier(&mut st) {
+                drop(st);
+                self.pre_merge(idx, tier, runs);
+            } else {
+                st.busy = false;
+                return Ok(());
+            }
+        }
+    }
+
+    /// The oldest [`TIER_FANIN`] runs of `st`'s lowest full tier, taken
+    /// for a pre-merge — unless the map has ended, or a budgeted store has
+    /// no room for the merged copy beside them.
+    fn take_full_tier(&self, st: &mut PartState) -> Option<(usize, Vec<Run>)> {
+        if self.map_done.load(Ordering::Acquire) {
+            return None;
+        }
+        let tier = st.tiers.iter().position(|t| t.len() >= TIER_FANIN)?;
+        let bytes: usize = st.tiers[tier][..TIER_FANIN]
+            .iter()
+            .map(Run::len_bytes)
+            .sum();
+        if let Some(budget) = self.cfg.memory_budget {
+            if self.gauge.current() + bytes > budget {
+                return None;
+            }
+        }
+        Some((tier, st.tiers[tier].drain(..TIER_FANIN).collect()))
+    }
+
+    /// Merge `runs`, taken from partition `idx`'s tier `tier`, into one run
+    /// of tier `tier + 1`. The partition's cached byte count stands: a
+    /// merge moves records, it adds or drops none. The gauge carries both
+    /// copies while the merge runs.
+    fn pre_merge(&self, idx: usize, tier: usize, runs: Vec<Run>) {
+        let bytes: usize = runs.iter().map(Run::len_bytes).sum();
+        self.gauge.charge(bytes);
+        self.metrics.merges.fetch_add(1, Ordering::Relaxed);
+        self.metrics
+            .merge_fanin
+            .fetch_add(runs.len(), Ordering::Relaxed);
+        let merged = merge_runs(&runs);
+        drop(runs);
+        self.gauge.discharge(bytes);
+        let mut st = self.parts[idx].lock();
+        if st.tiers.len() == tier + 1 {
+            st.tiers.push(Vec::new());
+        }
+        st.tiers[tier + 1].push(merged);
+    }
+
+    /// Flush `runs`, the whole of partition `idx`'s cache (`bytes` of it),
+    /// to one new spill, then compact while the spill-file count exceeds
+    /// the limit.
+    fn flush_and_compact(&self, idx: usize, runs: Vec<Run>, bytes: usize) -> io::Result<()> {
         if !runs.is_empty() {
             let spilled =
                 self.spill_merged(runs.iter().map(|r| MemCursor::over(r.bytes())).collect());
@@ -332,12 +419,10 @@ impl Inner {
                 self.parts[idx].lock().spills.push(spill);
             }
         }
-        // Compact spills if over the limit.
         loop {
             let spills: Vec<SpillFile> = {
                 let mut st = self.parts[idx].lock();
                 if st.spills.len() <= self.cfg.max_spill_files {
-                    st.busy = false;
                     return Ok(());
                 }
                 std::mem::take(&mut st.spills)
@@ -362,7 +447,7 @@ impl Inner {
     /// `finish_map` and every backpressured producer waiting on it.
     fn run_merge_task(&self, p: PartitionId) {
         let outcome =
-            catch_unwind(AssertUnwindSafe(|| self.flush_and_compact(p))).unwrap_or_else(|panic| {
+            catch_unwind(AssertUnwindSafe(|| self.merge_partition(p))).unwrap_or_else(|panic| {
                 let msg = panic
                     .downcast_ref::<&str>()
                     .map(|s| s.to_string())
@@ -403,6 +488,7 @@ impl IntermediateStore {
             parts,
             cache_bytes: AtomicUsize::new(0),
             pending: AtomicUsize::new(0),
+            map_done: AtomicBool::new(false),
             quiesce_lock: Mutex::new(()),
             quiesce_cv: Condvar::new(),
             spill_seq: AtomicU64::new(0),
@@ -448,11 +534,12 @@ impl IntermediateStore {
         *self.inner.hook.lock() = hook;
     }
 
-    /// Add a sorted run to partition `p`'s cache (local map output or a
-    /// partition received from another node). Triggers merge-and-flush when
-    /// the aggregate cache exceeds the threshold; with a `memory_budget`
-    /// set, blocks while resident bytes exceed the budget and flushes are
-    /// still in flight.
+    /// Add a sorted run to partition `p`'s cache tier 0 (local map output
+    /// or a partition received from another node). Triggers merge-and-flush
+    /// when the aggregate cache exceeds the threshold, else a pre-merge
+    /// when the tier is full; with a `memory_budget` set, blocks while
+    /// resident bytes exceed the budget and merger tasks are still in
+    /// flight.
     pub fn add_run(&self, p: PartitionId, run: Run) {
         assert!(p < self.inner.cfg.num_partitions, "partition out of range");
         if run.is_empty() {
@@ -468,19 +555,25 @@ impl IntermediateStore {
             .fetch_add(run.records(), Ordering::Relaxed);
         let bytes = run.len_bytes();
         self.inner.gauge.charge(bytes);
-        let total = {
+        let (total, tier_full) = {
             let mut st = self.inner.parts[p as usize].lock();
             st.cache_bytes += bytes;
-            st.cache.push(run);
+            if st.tiers.is_empty() {
+                st.tiers.push(Vec::new());
+            }
+            st.tiers[0].push(run);
             // Counted under the partition lock: a flush that takes this run
             // subtracts its bytes under the same lock, so never before this.
-            self.inner.cache_bytes.fetch_add(bytes, Ordering::Relaxed) + bytes
+            let total = self.inner.cache_bytes.fetch_add(bytes, Ordering::Relaxed) + bytes;
+            (total, st.tiers[0].len() >= TIER_FANIN)
         };
         if total > self.inner.cfg.cache_threshold {
             // The only flush trigger: every partition with cached data.
             for q in 0..self.inner.cfg.num_partitions {
-                self.schedule(q);
+                self.schedule(q, true);
             }
+        } else if tier_full {
+            self.schedule(p, false);
         }
         if let Some(budget) = self.inner.cfg.memory_budget {
             // Backpressure: park until the flushes in flight bring the
@@ -498,14 +591,22 @@ impl IntermediateStore {
         }
     }
 
-    /// Hand partition `p`'s cache to a merger thread unless it is empty or
-    /// a task for `p` is in flight. Spills never need a task of their own:
-    /// the one that wrote them compacted to the limit before clearing `busy`.
-    fn schedule(&self, p: PartitionId) {
+    /// Hand partition `p` to a merger thread — to flush its whole cache
+    /// when `flush` (no request if the cache is empty), else to pre-merge
+    /// its full tiers — unless a task for `p` is in flight, which takes the
+    /// request up before it clears `busy`. Spills never need a task of
+    /// their own: the one that wrote them compacted to the limit.
+    fn schedule(&self, p: PartitionId, flush: bool) {
         let inner = &self.inner;
         {
             let mut st = inner.parts[p as usize].lock();
-            if st.busy || st.cache.is_empty() {
+            if flush {
+                if st.cache_bytes == 0 {
+                    return;
+                }
+                st.flush_due = true;
+            }
+            if st.busy {
                 return;
             }
             st.busy = true;
@@ -521,17 +622,20 @@ impl IntermediateStore {
     }
 
     /// Signal that the map phase (including reception of all remote
-    /// partitions) has completed: wait for the flush/compaction tasks
-    /// still in flight to drain and return that wait, the **merge delay**.
-    /// Nothing is flushed here — runs still cached stay cached and reach
-    /// the reduce merge through [`IntermediateStore::partition_cursors`] —
-    /// and nothing needs scheduling: a task compacts its partition down to
-    /// `max_spill_files` before it clears `busy`.
+    /// partitions) has completed: stop new pre-merges, wait for the tasks
+    /// still in flight to drain — at most one pre-merge batch each, plus
+    /// any flush and compaction — and return that wait, the **merge
+    /// delay**. Nothing is flushed here — runs still cached stay cached, in
+    /// whatever tiers they reached, and reach the reduce merge through
+    /// [`IntermediateStore::partition_cursors`] — and nothing needs
+    /// scheduling: a task compacts its partition down to `max_spill_files`
+    /// before it clears `busy`.
     ///
     /// Surfaces any spill I/O error recorded by the merger threads — the
     /// poisoned-store replacement for their former panics.
     pub fn finish_map(&self) -> io::Result<Duration> {
         let start = Instant::now();
+        self.inner.map_done.store(true, Ordering::Release);
         self.inner.wait_quiesce();
         self.inner.check_poison()?;
         Ok(start.elapsed())
@@ -539,18 +643,19 @@ impl IntermediateStore {
 
     /// Open streaming cursors over partition `p` for reduction: one
     /// [`SpillCursor`] per spill file (a single decoded frame resident
-    /// each) plus a [`MemCursor`] per cached run — for a job that never
-    /// crossed `cache_threshold`, the cached runs are all there is. The
-    /// reduce input reader performs the final k-way merge over these
+    /// each) plus a [`MemCursor`] per cached run of every tier — for a job
+    /// that never crossed `cache_threshold`, the tiers are all there is.
+    /// The reduce input reader performs the final k-way merge over these
     /// without ever materializing the partition.
     pub fn partition_cursors(&self, p: PartitionId) -> io::Result<Vec<PartCursor>> {
         self.inner.check_poison()?;
         let st = self.inner.parts[p as usize].lock();
-        let mut cursors = Vec::with_capacity(st.spills.len() + st.cache.len());
+        let cached = st.tiers.iter().flatten();
+        let mut cursors = Vec::with_capacity(st.spills.len() + cached.clone().count());
         for s in &st.spills {
             cursors.push(PartCursor::Spill(Box::new(self.inner.open_spill(s)?)));
         }
-        for r in &st.cache {
+        for r in cached {
             cursors.push(PartCursor::Mem(MemCursor::new(r.clone())));
         }
         Ok(cursors)
@@ -575,7 +680,7 @@ impl IntermediateStore {
     pub fn partition_records(&self, p: PartitionId) -> usize {
         let st = self.inner.parts[p as usize].lock();
         st.spills.iter().map(|s| s.records).sum::<usize>()
-            + st.cache.iter().map(|r| r.records()).sum::<usize>()
+            + st.tiers.iter().flatten().map(Run::records).sum::<usize>()
     }
 
     #[cfg(test)]
@@ -622,6 +727,7 @@ mod tests {
     use crate::frame::SpillOp;
     use crate::kv::run_from_pairs;
     use crate::merge::GroupedCursorMerge;
+    use proptest::prelude::*;
 
     fn cfg(parts: u32) -> IntermediateConfig {
         IntermediateConfig {
@@ -635,10 +741,12 @@ mod tests {
         }
     }
 
-    /// `(key, value count)` per distinct key of partition `p`, read the
-    /// way the reduce phase reads it: a grouped merge over the store's
+    type Groups = Vec<(Vec<u8>, Vec<Vec<u8>>)>;
+
+    /// Each distinct key of partition `p` with its values, read the way
+    /// the reduce phase reads them: a grouped merge over the store's
     /// cursors.
-    fn key_groups(store: &IntermediateStore, p: PartitionId) -> Vec<(Vec<u8>, usize)> {
+    fn groups(store: &IntermediateStore, p: PartitionId) -> Groups {
         let mut merge = GroupedCursorMerge::new(store.partition_cursors(p).unwrap());
         let (mut arena, mut spans) = (Vec::new(), Vec::new());
         let mut groups = Vec::new();
@@ -646,10 +754,51 @@ mod tests {
             .next_slice(usize::MAX, &mut arena, &mut spans)
             .unwrap()
         {
-            let (off, len) = (s.key.0 as usize, s.key.1 as usize);
-            groups.push((arena[off..off + len].to_vec(), s.values.len()));
+            let bytes = |(off, len): (u32, u32)| arena[off as usize..][..len as usize].to_vec();
+            let values = spans[s.values].iter().map(|&span| bytes(span)).collect();
+            groups.push((bytes(s.key), values));
         }
         groups
+    }
+
+    /// `(key, value count)` per distinct key of partition `p`.
+    fn key_groups(store: &IntermediateStore, p: PartitionId) -> Vec<(Vec<u8>, usize)> {
+        groups(store, p)
+            .into_iter()
+            .map(|(k, vs)| (k, vs.len()))
+            .collect()
+    }
+
+    /// `records` grouped by key, the reference for [`groups`].
+    fn group_sorted(records: Vec<(Vec<u8>, Vec<u8>)>) -> Groups {
+        let mut out: Groups = Vec::new();
+        for (k, v) in records {
+            match out.last_mut() {
+                Some((key, values)) if *key == k => values.push(v),
+                _ => out.push((k, vec![v])),
+            }
+        }
+        out
+    }
+
+    /// Runs per tier of partition `p`'s cache, tier 0 first.
+    fn tier_lens(store: &IntermediateStore, p: PartitionId) -> Vec<usize> {
+        let st = store.inner.parts[p as usize].lock();
+        st.tiers.iter().map(Vec::len).collect()
+    }
+
+    /// With no task in flight, each partition's `cache_bytes`, their
+    /// aggregate and the gauge all equal the bytes the tiers hold.
+    fn assert_cache_accounting(store: &IntermediateStore) {
+        let mut total = 0;
+        for (p, part) in store.inner.parts.iter().enumerate() {
+            let st = part.lock();
+            let held: usize = st.tiers.iter().flatten().map(Run::len_bytes).sum();
+            assert_eq!(st.cache_bytes, held, "partition {p}");
+            total += held;
+        }
+        assert_eq!(store.inner.cache_bytes.load(Ordering::Relaxed), total);
+        assert_eq!(store.inner.gauge.current(), total);
     }
 
     fn word_run(words: &[&str]) -> Run {
@@ -789,7 +938,9 @@ mod tests {
 
     /// Four producer threads each adding `each` one-record runs, spread
     /// round-robin over the partitions; returns the store after
-    /// `finish_map`.
+    /// `finish_map`. Halfway through, the first producer waits until a
+    /// merger task has started a merge — by then its own adds alone have
+    /// asked for one — so merges race the other three for certain.
     fn hammer(c: IntermediateConfig, each: usize) -> IntermediateStore {
         let parts = c.num_partitions as usize;
         let store = IntermediateStore::new(c).unwrap();
@@ -798,6 +949,11 @@ mod tests {
                 let store = &store;
                 s.spawn(move || {
                     for i in 0..each {
+                        if t == 0 && i == each / 2 {
+                            while store.metrics().merges == 0 {
+                                std::thread::yield_now();
+                            }
+                        }
                         let w = format!("t{t}-k{i:05}");
                         store.add_run((i % parts) as u32, word_run(&[w.as_str()]));
                     }
@@ -819,19 +975,28 @@ mod tests {
 
     #[test]
     fn flushes_racing_producers_keep_the_cache_count_exact() {
-        // Every add crosses the threshold, so flush tasks take the cache
-        // while other producers are mid-`add_run`; the aggregate count must
-        // never see a run subtracted before it was added (the underflow
-        // panics in debug builds; in release it wraps and other producers
-        // read a spurious threshold crossing until the add lands).
-        let mut c = cfg(1);
-        c.cache_threshold = 1;
-        c.max_spill_files = 64;
-        c.compress = false;
-        let store = hammer(c, 3000);
-        assert_eq!(store.partition_records(0), 12_000);
-        let cached: usize = store.inner.parts[0].lock().cache_bytes;
-        assert_eq!(store.inner.cache_bytes.load(Ordering::Relaxed), cached);
+        // At a threshold of 1 every add crosses it, so flush tasks take the
+        // cache while other producers are mid-`add_run`; the aggregate
+        // count must never see a run subtracted before it was added (the
+        // underflow panics in debug builds; in release it wraps and other
+        // producers read a spurious threshold crossing until the add
+        // lands). At ~40 one-record runs tier 0 can fill between flushes,
+        // so pre-merges race the producers and the flushes; in core, the
+        // merges that race the producers are all pre-merges.
+        let run_bytes = word_run(&["t0-k00000"]).len_bytes();
+        for threshold in [1, 40 * run_bytes, usize::MAX] {
+            let mut c = cfg(1);
+            c.cache_threshold = threshold;
+            c.max_spill_files = 64;
+            c.compress = false;
+            let store = hammer(c, 3000);
+            assert_eq!(store.partition_records(0), 12_000);
+            assert_cache_accounting(&store);
+            let m = store.metrics();
+            if threshold == usize::MAX {
+                assert!(m.merges > 0 && m.flushes == 0, "{m:?}");
+            }
+        }
     }
 
     /// Walk a partition's streaming cursors and collect every record.
@@ -864,19 +1029,21 @@ mod tests {
         let mut c = cfg(1);
         c.cache_threshold = runs[..21].iter().map(|r| r.len_bytes()).sum::<usize>() - 1;
         let store = IntermediateStore::new(c).unwrap();
-        for (i, r) in runs.iter().enumerate() {
+        for r in &runs {
             store.add_run(0, r.clone());
-            if i == 20 {
-                // The 21st run tipped the cache into one spill; let the
-                // flush take exactly those so the other 19 (equal in size,
-                // so under the threshold) stay cached.
-                store.inner.wait_quiesce();
-            }
+            // Drain after every add: the 16th run's tier pre-merges before
+            // the 21st tips the cache into one spill, and the flush takes
+            // exactly those 21, so the other 19 (equal in size, so under
+            // the threshold) stay cached — 16 of them pre-merged.
+            store.inner.wait_quiesce();
         }
         store.finish_map().unwrap();
-        let cached = store.inner.parts[0].lock().cache.len();
-        assert_eq!((store.spill_count(0), cached), (1, 19));
-        // One spill cursor and nineteen in-memory ones under the same tree.
+        assert_eq!(
+            (store.spill_count(0), tier_lens(&store, 0)),
+            (1, vec![3, 1])
+        );
+        assert_eq!(store.partition_cursors(0).unwrap().len(), 1 + 3 + 1);
+        // One spill cursor and four in-memory ones under the same tree.
         let mut m = CursorMerge::new(store.partition_cursors(0).unwrap());
         let mut bytes = Vec::new();
         while let Some(rec) = m.peek_rec() {
@@ -896,18 +1063,19 @@ mod tests {
         let total: usize = lens.iter().sum();
 
         // Cached-run flush: the 40th run tips the cache over the threshold,
-        // which merges all 40 cached runs into one spill through borrowed
-        // cursors.
+        // which merges all 40 cached runs — by then two tier-1 runs of 16
+        // and eight of tier 0 — into one spill through borrowed cursors.
         let mut c = cfg(1);
         c.cache_threshold = total - 1;
         let flushed = IntermediateStore::new(c).unwrap();
         for r in &runs {
             flushed.add_run(0, r.clone());
+            flushed.inner.wait_quiesce();
         }
         flushed.finish_map().unwrap();
         let m = flushed.metrics();
         assert_eq!((m.flushes, m.compactions), (1, 0), "{m:?}");
-        assert_eq!((m.merges, m.merge_fanin), (1, 40), "{m:?}");
+        assert_eq!((m.merges, m.merge_fanin), (2 + 1, 2 * 16 + 10), "{m:?}");
         assert_eq!(m.spilled_raw, total, "{m:?}");
         assert_eq!(m.frames_written, flushed.frame_count(0), "{m:?}");
         assert_eq!(stream_partition(&flushed, 0), expect);
@@ -940,6 +1108,138 @@ mod tests {
         );
         assert_eq!(stream_partition(&compacted, 0), expect);
         assert!(compacted.metrics().frames_read > m.frames_read);
+    }
+
+    #[test]
+    fn full_tiers_pre_merge_to_one_stream_per_base_fanin_digit() {
+        // 16² + 15 runs, drained after every add: tier 0 fills 16 times,
+        // and its 16 tier-1 runs once, leaving 1 + 0 + 15 streams.
+        let n = TIER_FANIN * TIER_FANIN + TIER_FANIN - 1;
+        let runs: Vec<Run> = (0..n)
+            .map(|i| {
+                let (hot, own) = ("hot".to_string(), format!("k{:03}", i % 37));
+                word_run(&[hot.as_str(), own.as_str()])
+            })
+            .collect();
+        let mut c = cfg(1);
+        c.cache_threshold = usize::MAX;
+        let store = IntermediateStore::new(c).unwrap();
+        for r in &runs {
+            store.add_run(0, r.clone());
+            store.inner.wait_quiesce();
+        }
+        store.finish_map().unwrap();
+        assert_eq!(tier_lens(&store, 0), vec![TIER_FANIN - 1, 0, 1]);
+        assert_eq!(
+            store.partition_cursors(0).unwrap().len(),
+            1 + TIER_FANIN - 1
+        );
+        let m = store.metrics();
+        assert_eq!((m.flushes, m.frames_written), (0, 0), "{m:?}");
+        assert_eq!(
+            (m.merges, m.merge_fanin),
+            (TIER_FANIN + 1, (TIER_FANIN + 1) * TIER_FANIN),
+            "{m:?}"
+        );
+        assert_eq!(store.partition_records(0), 2 * n);
+        assert_eq!(stream_partition(&store, 0), sorted_records(&runs));
+        assert_cache_accounting(&store);
+    }
+
+    #[test]
+    fn a_flush_asked_for_while_the_task_is_busy_is_not_dropped() {
+        let runs: Vec<Run> = (0..21)
+            .map(|i| word_run(&[format!("k{i:02}").as_str()]))
+            .collect();
+        let mut c = cfg(1);
+        c.cache_threshold = runs[..20].iter().map(Run::len_bytes).sum();
+        let store = IntermediateStore::new(c).unwrap();
+        // Stand in for a task between two pre-merge batches: the adds
+        // fill tier 0 and cross the threshold, and schedule nothing.
+        store.inner.parts[0].lock().busy = true;
+        for r in &runs {
+            store.add_run(0, r.clone());
+        }
+        assert_eq!(tier_lens(&store, 0), vec![21]);
+        // The task looks for its next batch: the flush comes first, and
+        // takes every tier.
+        store.inner.merge_partition(0).unwrap();
+        assert_eq!((store.spill_count(0), tier_lens(&store, 0)), (1, vec![]));
+        assert!(!store.inner.parts[0].lock().busy);
+        store.finish_map().unwrap();
+        assert_eq!(stream_partition(&store, 0), sorted_records(&runs));
+        assert_cache_accounting(&store);
+    }
+
+    #[test]
+    fn no_pre_merge_starts_after_finish_map() {
+        let mut c = cfg(1);
+        c.cache_threshold = usize::MAX;
+        let store = IntermediateStore::new(c).unwrap();
+        store.finish_map().unwrap();
+        for i in 0..TIER_FANIN {
+            store.add_run(0, word_run(&[format!("k{i}").as_str()]));
+        }
+        store.inner.wait_quiesce();
+        assert_eq!(tier_lens(&store, 0), vec![TIER_FANIN]);
+        assert_eq!(store.metrics().merges, 0);
+    }
+
+    /// A run per `(key, value)` list: key indices below 8 are one hot key,
+    /// the rest 32 others; values are one of four bytes, so records repeat
+    /// within and across runs.
+    fn hot_key_run(pairs: &[(u8, u8)]) -> Run {
+        let records: Vec<(Vec<u8>, [u8; 1])> = pairs
+            .iter()
+            .map(|&(k, v)| {
+                let key = if k < 8 {
+                    "hot".to_string()
+                } else {
+                    format!("k{k:02}")
+                };
+                (key.into_bytes(), [v])
+            })
+            .collect();
+        run_from_pairs(records.iter().map(|(k, v)| (k.as_slice(), v.as_slice())))
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 48, ..Default::default() })]
+
+        /// However producers race the merger threads — pre-merging tiers,
+        /// flushing them, compacting spills — each partition reads back
+        /// exactly its runs' records, grouped as the reduce groups them,
+        /// and the cached byte counts close.
+        #[test]
+        fn pre_merged_and_spilled_partitions_read_back_their_records(
+            pair_lists in proptest::collection::vec(
+                proptest::collection::vec((0u8..40, 0u8..4), 0..12), 0..300),
+            producers in 1usize..5,
+            spills in any::<bool>(),
+        ) {
+            let runs: Vec<Run> = pair_lists.iter().map(|pairs| hot_key_run(pairs)).collect();
+            let mut c = cfg(2);
+            c.cache_threshold = if spills { 2 << 10 } else { usize::MAX };
+            let store = IntermediateStore::new(c).unwrap();
+            std::thread::scope(|s| {
+                for t in 0..producers {
+                    let (store, runs) = (&store, &runs);
+                    s.spawn(move || {
+                        for (i, r) in runs.iter().enumerate().skip(t).step_by(producers) {
+                            store.add_run((i % 2) as u32, r.clone());
+                        }
+                    });
+                }
+            });
+            store.finish_map().unwrap();
+            for p in 0..2u32 {
+                let mine: Vec<Run> = runs.iter().skip(p as usize).step_by(2).cloned().collect();
+                let expect = sorted_records(&mine);
+                prop_assert_eq!(store.partition_records(p), expect.len());
+                prop_assert_eq!(groups(&store, p), group_sorted(expect));
+            }
+            assert_cache_accounting(&store);
+        }
     }
 
     /// Feed a budgeted store ≥ 4× its budget from `next_run` and hold it

@@ -169,11 +169,16 @@ fn check_kmeans(nodes: u32, combiner: bool) {
     let reference_app = KMeans::new(centers, spec.centers, spec.dims);
     let expect = reference::kmeans_iteration(&pts, &reference_app);
 
-    let out = run_job(&cluster, app, &cfg);
+    assert_centers_close(&run_job(&cluster, app, &cfg), &expect);
+}
+
+/// K-Means output against the reference iteration, to f32 summation
+/// tolerance.
+fn assert_centers_close(out: &[(Vec<u8>, Vec<u8>)], expect: &[(u32, Vec<f32>)]) {
     assert_eq!(out.len(), expect.len(), "one record per non-empty center");
     for (k, v) in out {
-        let c = codec::dec_key_u32(&k);
-        let got = codec::get_f32s(&v);
+        let c = codec::dec_key_u32(k);
+        let got = codec::get_f32s(v);
         let (_, want) = expect
             .iter()
             .find(|(ec, _)| *ec == c)
@@ -285,6 +290,143 @@ fn simulated_gpu_cluster_matches_reference() {
     // GPU pipeline exercises Stage/Retrieve.
     let timers = report.map_timers_total();
     assert!(timers.modeled(glasswing::core::StageId::Stage) > std::time::Duration::ZERO);
+}
+
+/// Pre-merging cached runs while the map runs changes which runs the
+/// reduce opens, never its bytes. Blocks are small enough that every
+/// partition gets ≥ 16² runs, so tier-2 merges can happen. Every
+/// `partition_threads` × buffering combination must write the bytes of
+/// the app's reference and of a one-block job whose partitions never fill
+/// tier 0. K-Means' combiner sums each chunk's points in f32, so its bytes
+/// depend on the block size: its small-block jobs must agree with each
+/// other, and with the reference to float tolerance.
+#[test]
+fn pre_merged_tiers_leave_every_apps_bytes_unchanged() {
+    let corpus = workloads::text_corpus(&CorpusSpec {
+        lines: 3000,
+        words_per_line: 8,
+        vocabulary: 300,
+        zipf_s: 1.05,
+        seed: 3,
+    });
+    let tera = workloads::teragen(4000, 5);
+    let kspec = KmeansSpec {
+        points: 3600,
+        dims: 4,
+        centers: 12,
+        seed: 7,
+    };
+    let points = workloads::kmeans_points(&kspec);
+    let kmeans = || KMeans::new(workloads::kmeans_centers(&kspec), kspec.centers, kspec.dims);
+    let counts = |out: Vec<(Vec<u8>, Vec<u8>)>| {
+        let mut out: Vec<(Vec<u8>, u64)> = out
+            .into_iter()
+            .map(|(k, v)| (k, codec::dec_u64(&v)))
+            .collect();
+        out.sort();
+        out
+    };
+    let kmeans_expect = reference::kmeans_iteration(&points, &kmeans());
+    type Check<'a> = Box<dyn Fn(&[(Vec<u8>, Vec<u8>)]) + 'a>;
+    struct Case<'a> {
+        name: &'a str,
+        records: &'a workloads::Records,
+        nodes: u32,
+        block: usize,
+        app: Arc<dyn GwApp>,
+        check: Check<'a>,
+        /// Whether the output bytes are independent of the block size.
+        block_invariant: bool,
+    }
+    let wordcount = |name, app: Arc<dyn GwApp>| Case {
+        name,
+        records: &corpus,
+        nodes: 1,
+        block: 512,
+        app,
+        check: Box::new(|out| assert_eq!(counts(out.to_vec()), reference::wordcount(&corpus))),
+        block_invariant: true,
+    };
+    let cases = [
+        wordcount("wordcount", Arc::new(WordCount::new())),
+        wordcount(
+            "wordcount without combiner",
+            Arc::new(WordCount::without_combiner()),
+        ),
+        Case {
+            name: "terasort",
+            records: &tera,
+            nodes: 2,
+            block: 1024,
+            app: Arc::new(TeraSort::new(workloads::sample_keys(&tera, 100, 1), 4)),
+            check: Box::new(|out| assert_eq!(out, reference::terasort(&tera).as_slice())),
+            block_invariant: true,
+        },
+        Case {
+            name: "kmeans",
+            records: &points,
+            nodes: 1,
+            block: 256,
+            app: Arc::new(kmeans()),
+            check: Box::new(|out| assert_centers_close(out, &kmeans_expect)),
+            block_invariant: false,
+        },
+    ];
+    for case in cases {
+        let Case {
+            name,
+            records,
+            nodes,
+            block,
+            app,
+            check,
+            block_invariant,
+        } = case;
+        let mut cfg = small_cfg();
+        cfg.partitions_per_node = 2;
+        cfg.output_replication = 1;
+        cfg.cache_threshold = usize::MAX; // in core: only pre-merges merge
+        let run = |block: usize, cfg: &JobConfig| {
+            let cluster = Cluster::new(dfs_with(records, nodes, block), NetProfile::unlimited());
+            let report = cluster.run(Arc::clone(&app), cfg).unwrap();
+            let out = read_job_output(cluster.store(), &report).unwrap();
+            (report, out)
+        };
+        let (one_block, whole) = run(1 << 24, &cfg);
+        for n in &one_block.nodes {
+            assert_eq!(n.intermediate.merges, 0, "{name}: tier 0 filled");
+        }
+        check(&whole);
+        // Tier-0 merges take 16 runs each, so more merges than that
+        // bound allows took tier-1 runs and made tier-2 ones.
+        let (mut reference, mut merges, mut tier0_merges) = (None, 0, 0);
+        for partition_threads in [1, 2, 3] {
+            for buffering in [Buffering::Single, Buffering::Double, Buffering::Triple] {
+                let what = format!("{name}, {partition_threads} partition threads, {buffering:?}");
+                cfg.partition_threads = partition_threads;
+                cfg.buffering = buffering;
+                let (report, out) = run(block, &cfg);
+                for n in &report.nodes {
+                    let runs = n.intermediate.runs_added;
+                    assert!(runs >= 256 * 2, "{what}: {runs} runs on two partitions");
+                    assert_eq!(n.intermediate.flushes, 0, "{what}");
+                    merges += n.intermediate.merges;
+                    tier0_merges += runs / 16;
+                }
+                if block_invariant {
+                    assert_eq!(out, whole, "{what}: bytes differ from the one-block job");
+                }
+                match &reference {
+                    None => {
+                        check(&out);
+                        reference = Some(out);
+                    }
+                    Some(r) => assert_eq!(&out, r, "{what}: bytes differ across the sweep"),
+                }
+            }
+        }
+        assert!(merges > tier0_merges, "{name}: no tier-2 merge in {merges}");
+    }
 }
 
 #[test]

@@ -289,6 +289,81 @@ fn transient_reduce_fault_is_reexecuted_and_output_is_correct() {
     assert_eq!(count(b"POISON"), 1);
 }
 
+/// Combiner-less word count whose reduce panics once: the first time it
+/// continues a key from the state an earlier launch carried over.
+struct ContinuationFault {
+    armed: std::sync::atomic::AtomicBool,
+}
+
+impl GwApp for ContinuationFault {
+    fn name(&self) -> &'static str {
+        "continuation-fault"
+    }
+    fn map(&self, key: &[u8], value: &[u8], emit: &Emit<'_>) {
+        WordCount::without_combiner().map(key, value, emit)
+    }
+    fn reduce(
+        &self,
+        key: &[u8],
+        values: &[&[u8]],
+        state: &mut Vec<u8>,
+        last: bool,
+        emit: &Emit<'_>,
+    ) {
+        if !state.is_empty() && self.armed.swap(false, Ordering::SeqCst) {
+            panic!("injected fault on a carried state");
+        }
+        WordCount::without_combiner().reduce(key, values, state, last, emit)
+    }
+}
+
+#[test]
+fn retried_reduce_launches_restore_the_carried_state_byte_identically() {
+    // Without a combiner a word has a value per occurrence, so slices of 1
+    // or 3 values carry each key's state from launch to launch. The
+    // reduce-site fault fails a node's first launch; the app's fault fails
+    // a continuation, whose retry must start again from the carried state.
+    let lines: Vec<String> = (0..120)
+        .map(|i| format!("hot w{} hot x{} hot", i % 5, i % 3))
+        .collect();
+    let lines: Vec<&str> = lines.iter().map(String::as_str).collect();
+    let run = |cluster: &Cluster, app: Arc<dyn GwApp>, cfg: &JobConfig| {
+        let report = cluster.run(app, cfg).unwrap();
+        let retried: usize = report.nodes.iter().map(|n| n.reduce.tasks_retried).sum();
+        let out = glasswing::core::cluster::read_job_output(cluster.store(), &report).unwrap();
+        (retried, out)
+    };
+    let (_, reference) = run(
+        &cluster_with_lines(2, &lines),
+        Arc::new(WordCount::without_combiner()),
+        &cfg(0),
+    );
+    for max_values in [1, 3] {
+        let mut job_cfg = cfg(1);
+        job_cfg.reduce_max_values_per_chunk = max_values;
+        let site = cluster_with_lines(2, &lines).with_fault_plan(FaultPlan::crash(
+            1,
+            CrashSite::Reduce,
+            0,
+        ));
+        let app = Arc::new(ContinuationFault {
+            armed: std::sync::atomic::AtomicBool::new(true),
+        });
+        for (what, cluster, app) in [
+            (
+                "reduce-site fault",
+                site,
+                Arc::new(WordCount::without_combiner()) as Arc<dyn GwApp>,
+            ),
+            ("continuation fault", cluster_with_lines(2, &lines), app),
+        ] {
+            let (retried, out) = run(&cluster, app, &job_cfg);
+            assert_eq!(retried, 1, "{what} at {max_values} values");
+            assert_eq!(out, reference, "{what} at {max_values} values");
+        }
+    }
+}
+
 #[test]
 fn exhausted_budget_surfaces_task_failure_before_any_deadline() {
     // A deterministic fault burns the whole re-execution budget on a
