@@ -18,9 +18,10 @@
 //! ([`Cluster::with_fault_plan`]) decides only what fails. Each node's
 //! shuffle receiver heartbeats the coordinator on every tick, a staleness
 //! scan declares silent nodes dead, the dead node's splits are
-//! re-executed by the survivors (reading surviving DFS replicas), its
-//! partitions are adopted, and the shuffle runs it owed or held are
-//! re-produced or re-served from retention buffers — see DESIGN.md §3.5.
+//! re-executed by the survivors (reading surviving DFS replicas), and its
+//! partitions are adopted. A shuffle run that never reached its owner —
+//! dropped, or sent to a node that then died — is re-made by re-running
+//! the split that produced it; see DESIGN.md §3.5.
 //! The master tolerates [`EngineError::NodeLost`] results as long as the
 //! survivors cover every output partition; a node that fails any other
 //! way aborts the job at once. [`JobConfig::job_deadline`] additionally
@@ -32,18 +33,16 @@ use std::collections::HashSet;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use bytes::Bytes;
 use crossbeam::channel::RecvTimeoutError;
 
 use gw_chaos::FaultPlan;
 use gw_device::Device;
-use gw_intermediate::{IntermediateConfig, IntermediateStore, Run, TempDir};
-use gw_net::{Fabric, NetProfile, RunTag, ShuffleMsg};
+use gw_intermediate::{IntermediateConfig, IntermediateStore, Run};
+use gw_net::{Fabric, NetProfile, ShuffleRun};
 use gw_storage::split::{FileStore, FileStoreExt};
 use gw_storage::NodeId;
 use gw_trace::{
-    CounterId, LaneId, MetricsSummary, PerfAnalysis, PipelineKind, Realm, StageSample, TimerReport,
-    Trace, Tracer,
+    MetricsSummary, PerfAnalysis, PipelineKind, StageSample, TimerReport, Trace, Tracer,
 };
 
 use crate::api::GwApp;
@@ -57,9 +56,6 @@ use crate::EngineError;
 /// `recv` before it heartbeats, scans liveness and re-checks whether its
 /// shuffle is complete. `JobConfig::node_timeout` must exceed it.
 pub(crate) const RX_TICK: Duration = Duration::from_millis(2);
-
-/// Minimum interval between re-requests of the same missing runs.
-const REREQUEST_EVERY: Duration = Duration::from_millis(50);
 
 /// Per-node job outcome.
 #[derive(Debug, Clone)]
@@ -99,7 +95,9 @@ pub struct JobReport {
     /// Nodes declared dead during the job (0 unless a fault plan was
     /// armed and a whole-node fault fired).
     pub nodes_lost: usize,
-    /// Splits requeued and re-executed because their node died.
+    /// Splits requeued and re-executed: because their node died, or
+    /// because a shuffle run they produced was lost (dropped, or sent to
+    /// a node that then died).
     pub splits_rescheduled: usize,
     /// DFS block reads that failed over to another replica because of a
     /// dead node or an injected read fault.
@@ -299,7 +297,7 @@ impl Cluster {
         // exclusively (one-shot mode). Service jobs therefore trace no
         // storage lanes — their determinism is pinned on output bytes.
         let net_hook = Arc::clone(&fault_plan) as Arc<dyn gw_net::NetFaultHook>;
-        let mut fabric: Fabric<ShuffleMsg> =
+        let mut fabric: Fabric<ShuffleRun> =
             Fabric::with_fault_hook(nodes, self.net, Some(net_hook));
         if scope.exclusive_store {
             store.arm_fault_hook(Some(
@@ -629,37 +627,35 @@ impl Drop for DisarmOnDrop<'_> {
 ///
 /// Tick loop over `recv_timeout`: posts the node's heartbeat, admits runs
 /// with de-duplication (tagged runs from re-executed splits arrive at most
-/// once), serves `Resend` requests from the node's retention buffer, and
-/// interleaves liveness scans. Reception is complete when the map phase is
-/// globally complete, every peer is done or dead, and the coordinator's
-/// ledger says this node is owed nothing; missing runs are periodically
-/// re-requested from their live producers instead of blocking in `recv`.
-/// The thread then *keeps serving* until every live node is satisfied, so
-/// no peer's re-request can hit an exited server. Beats stop when it
-/// exits: by then no receiver scans liveness any more, so a node may
-/// reduce for as long as its reduce takes.
+/// once), and interleaves liveness scans. Once the map is complete it
+/// drains the inbox and lets the coordinator judge what the node still
+/// lacks ([`Coordinator::settle_shuffle`]): nothing, and the node is
+/// satisfied; otherwise the lost runs' splits are requeued and their
+/// re-runs re-make them. The verdict is taken again on every tick rather
+/// than latched, because a death unsettles every node. The thread exits
+/// once every live node is satisfied. Beats stop then: no receiver scans
+/// liveness any more, so a node may reduce for as long as its reduce
+/// takes.
 fn spawn_receiver(
-    endpoint: Arc<gw_net::Endpoint<ShuffleMsg>>,
+    endpoint: Arc<gw_net::Endpoint<ShuffleRun>>,
     intermediate: Arc<IntermediateStore>,
     coordinator: Arc<Coordinator>,
-    nodes: u32,
     node: NodeId,
     chaos: NodeChaos,
-    tracer: Arc<Tracer>,
 ) -> std::thread::JoinHandle<Result<usize, EngineError>> {
     std::thread::Builder::new()
         .name(format!("gw-shuffle-rx-{node}"))
         .spawn(move || {
             let mut runs = 0;
-            let mut done_from = vec![false; nodes as usize];
-            let mut satisfied = false;
-            let mut last_rerequest = Instant::now() - REREQUEST_EVERY;
             // Admit a run into the store, and count it, unless an identical
             // run was already admitted.
-            let admit = |runs: &mut usize, tag: RunTag, bytes: Bytes, records| {
-                if chaos.recovery.admit(tag) {
-                    *runs += 1;
-                    intermediate.add_run(tag.partition, Run::from_sorted_bytes(bytes, records));
+            let mut admit = |run: ShuffleRun| {
+                if chaos.recovery.admit(run.tag) {
+                    runs += 1;
+                    intermediate.add_run(
+                        run.tag.partition,
+                        Run::from_sorted_bytes(run.bytes, run.records),
+                    );
                 }
             };
             loop {
@@ -673,42 +669,7 @@ fn spawn_receiver(
                     return Err(EngineError::NodeLost("job aborted".into()));
                 }
                 match endpoint.recv_timeout(RX_TICK) {
-                    Ok(Some(env)) => match env.payload {
-                        ShuffleMsg::Partition {
-                            bytes,
-                            records,
-                            tag,
-                            ..
-                        } => admit(&mut runs, tag, bytes, records),
-                        ShuffleMsg::MapDone => done_from[env.from.0 as usize] = true,
-                        ShuffleMsg::Resend { ids } => {
-                            for id in ids {
-                                if let Some((bytes, records)) = chaos.recovery.retained(id) {
-                                    let msg = ShuffleMsg::Partition {
-                                        partition: id.partition,
-                                        bytes,
-                                        records,
-                                        tag: id,
-                                    };
-                                    let wire = msg.wire_bytes();
-                                    // Control path: re-served runs are not
-                                    // subject to further injected drops.
-                                    endpoint.send(env.from, msg, wire);
-                                    // The retransmit counter lives on the
-                                    // rx lane: this thread is the node's
-                                    // receiver, so the lane stays
-                                    // single-writer.
-                                    tracer
-                                        .lane(LaneId {
-                                            job: 0,
-                                            node: node.0,
-                                            realm: Realm::NetRx,
-                                        })
-                                        .count(CounterId::ShuffleRetransmit, 1);
-                                }
-                            }
-                        }
-                    },
+                    Ok(Some(env)) => admit(env.payload),
                     Ok(None) => {
                         return Err(EngineError::TaskFailed(
                             "shuffle fabric disconnected".into(),
@@ -716,51 +677,16 @@ fn spawn_receiver(
                     }
                     Err(_timeout) => coordinator.scan_liveness(),
                 }
-                if !satisfied {
-                    if coordinator.map_complete() {
-                        let missing = coordinator.missing_runs_for(node.0, &chaos.recovery);
-                        if missing.is_empty() {
-                            let peers_done = (0..nodes).all(|p| {
-                                p == node.0
-                                    || done_from[p as usize]
-                                    || coordinator.is_dead(NodeId(p))
-                            });
-                            if peers_done {
-                                satisfied = true;
-                                coordinator.mark_shuffle_satisfied(node);
-                            }
-                        } else if last_rerequest.elapsed() >= REREQUEST_EVERY {
-                            last_rerequest = Instant::now();
-                            for (producer, ids) in missing {
-                                if producer == node.0 {
-                                    // Runs we produced for partitions we now
-                                    // own (sent to a node that then died):
-                                    // serve ourselves from retention.
-                                    for id in ids {
-                                        if let Some((bytes, records)) = chaos.recovery.retained(id)
-                                        {
-                                            admit(&mut runs, id, bytes, records);
-                                        }
-                                    }
-                                } else {
-                                    let msg = ShuffleMsg::Resend { ids };
-                                    let wire = msg.wire_bytes();
-                                    endpoint.send(NodeId(producer), msg, wire);
-                                }
-                            }
-                        }
-                    } else if coordinator.map_stalled() {
-                        // Splits were lost after every node left its input
-                        // loop: nobody can re-execute them. Fail the whole
-                        // job cleanly rather than wait for the watchdog.
-                        coordinator.abort();
-                        return Err(EngineError::NodeLost(
-                            "splits lost with no live mapper left to re-execute them".into(),
-                        ));
+                // Every run of a complete split is already in its owner's
+                // inbox, so after this drain a run the node lacks is lost.
+                if coordinator.map_complete() {
+                    while let Some(env) = endpoint.try_recv() {
+                        admit(env.payload);
                     }
-                }
-                if satisfied && coordinator.all_live_satisfied() {
-                    return Ok(runs);
+                    coordinator.settle_shuffle(node, &chaos.recovery);
+                    if coordinator.all_live_satisfied() {
+                        return Ok(runs);
+                    }
                 }
             }
         })
@@ -775,7 +701,7 @@ fn run_node(
     app: Arc<dyn GwApp>,
     store: Arc<dyn FileStore>,
     coordinator: Arc<Coordinator>,
-    endpoint: Arc<gw_net::Endpoint<ShuffleMsg>>,
+    endpoint: Arc<gw_net::Endpoint<ShuffleRun>>,
     cfg: &JobConfig,
     chaos: NodeChaos,
     tracer: Arc<Tracer>,
@@ -806,20 +732,14 @@ fn run_node(
     intermediate.arm_spill_faults(Some(
         Arc::clone(&chaos.plan) as Arc<dyn gw_intermediate::SpillFaultHook>
     ));
-    let durability = cfg
-        .durable_map_output
-        .then(|| TempDir::new(&format!("gw-durability-{node}")))
-        .transpose()?;
 
     // Merge phase: receive peers' partitions concurrently with our map.
     let receiver = spawn_receiver(
         Arc::clone(&endpoint),
         Arc::clone(&intermediate),
         Arc::clone(&coordinator),
-        nodes,
         node,
         chaos.clone(),
-        Arc::clone(&tracer),
     );
     let join_receiver = |receiver: std::thread::JoinHandle<_>| {
         receiver
@@ -839,7 +759,6 @@ fn run_node(
         intermediate: Arc::clone(&intermediate),
         endpoint: Arc::clone(&endpoint),
         tracer: Arc::clone(&tracer),
-        durability_dir: durability.as_ref().map(|d| d.path().to_path_buf()),
         chaos: chaos.clone(),
     }
     .run();
@@ -1076,15 +995,6 @@ mod tests {
         cfg.reduce_keys_per_thread = 2;
         // Disable the combiner path so keys really have many values.
         cfg.collector = CollectorKind::BufferPool;
-        let report = cluster.run(Arc::new(WordCount), &cfg).unwrap();
-        check_output(&cluster, &report);
-    }
-
-    #[test]
-    fn durability_copies_do_not_change_output() {
-        let cluster = make_cluster(2);
-        let mut cfg = base_cfg();
-        cfg.durable_map_output = true;
         let report = cluster.run(Arc::new(WordCount), &cfg).unwrap();
         check_output(&cluster, &report);
     }

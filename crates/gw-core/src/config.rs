@@ -83,8 +83,6 @@ pub struct JobConfig {
     /// resident intermediate bytes stay ≤ ~1.5× the budget regardless of
     /// partition size. `None` (default) keeps the explicit knobs.
     pub memory_budget: Option<usize>,
-    /// Write a durability copy of map output to local disk (paper §III-E).
-    pub durable_map_output: bool,
     /// Reduce: number of keys processed concurrently per kernel launch.
     pub reduce_concurrent_keys: usize,
     /// Reduce: keys each work item processes sequentially (amortises
@@ -311,7 +309,6 @@ impl JobConfig {
             max_spill_files: 8,
             compress_intermediate: true,
             memory_budget: None,
-            durable_map_output: false,
             reduce_concurrent_keys: 256,
             reduce_keys_per_thread: 4,
             reduce_max_values_per_chunk: 4096,

@@ -13,13 +13,18 @@
 //!   each tick; a staleness scan declares a node dead once its last beat
 //!   is older than `node_timeout`. A dead
 //!   node's claimed *and completed* splits return to the queue for the
-//!   survivors, and each global partition it owned is adopted by the next
-//!   live node on the ring.
-//! * **Run ledger** — every sorted run a map task produces is recorded as
-//!   a run tag → producer entry *before* it is retained/sent, so a
-//!   receiver can compute exactly which runs it is still owed and
-//!   re-request them from the producers' retention buffers. Re-executed
-//!   splits overwrite their ledger entries, replacing dead producers.
+//!   survivors, each global partition it owned is adopted by the next
+//!   live node on the ring, and every node's shuffle must settle again.
+//! * **Run ledger** — the tag of every sorted run a map task produces is
+//!   recorded *before* the run is sent, and sent before its split
+//!   completes. So once the map is complete and a node has drained its
+//!   inbox, a ledger run of its partitions that it has not admitted is
+//!   lost, and [`Coordinator::settle_shuffle`] requeues the run's split:
+//!   a lost run is re-made by re-execution, never re-sent.
+//! * **Map end** — a node's input stage claims splits until every live
+//!   node's shuffle is settled, so a requeued split always has a live
+//!   claimant. It waits on [`Coordinator::wait_for_change`], which
+//!   requeues, completions, settlements, deaths and aborts wake.
 //! * **Fault accounting** — `nodes_lost` and `splits_rescheduled` feed the
 //!   job report.
 
@@ -28,8 +33,7 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use bytes::Bytes;
-use parking_lot::{Mutex, RwLock};
+use parking_lot::{Condvar, Mutex, RwLock};
 
 use gw_chaos::FaultPlan;
 use gw_net::RunTag;
@@ -41,13 +45,11 @@ use crate::config::SpeculationConfig;
 use crate::hash::partition_owner;
 
 /// Per-node shuffle recovery state: which runs this node has admitted into
-/// its intermediate store (for de-duplication of re-produced runs), and
-/// the serialized runs it has sent to peers (retained so it can re-serve
-/// them on [`gw_net::ShuffleMsg::Resend`]).
+/// its intermediate store, so a run re-made by a re-executed split enters
+/// it at most once.
 #[derive(Debug, Default)]
 pub struct RecoveryState {
     received: Mutex<HashSet<RunTag>>,
-    retained: Mutex<HashMap<RunTag, (Bytes, usize)>>,
 }
 
 impl RecoveryState {
@@ -60,19 +62,6 @@ impl RecoveryState {
     /// run was already admitted (duplicate delivery or re-execution).
     pub fn admit(&self, tag: RunTag) -> bool {
         self.received.lock().insert(tag)
-    }
-
-    /// Retain a serialized run sent to a peer, for possible re-serving.
-    /// `Bytes` is refcounted, so retention aliases the run's arena rather
-    /// than copying it.
-    pub fn retain(&self, tag: RunTag, bytes: Bytes, records: usize) {
-        self.retained.lock().insert(tag, (bytes, records));
-    }
-
-    /// Fetch a retained run (a refcount clone; retention survives
-    /// re-serving).
-    pub fn retained(&self, tag: RunTag) -> Option<(Bytes, usize)> {
-        self.retained.lock().get(&tag).cloned()
     }
 }
 
@@ -263,13 +252,27 @@ struct Liveness {
     beats: Vec<Instant>,
     /// Nodes declared dead.
     dead: HashSet<u32>,
-    /// Nodes still inside their map input loop (able to claim splits).
-    mapping: HashSet<u32>,
-    /// Nodes whose shuffle reception is complete.
+    /// Nodes whose shuffle is settled: they hold every run of their
+    /// partitions. A death clears it, since it moves partitions.
     satisfied: HashSet<u32>,
     /// Partition adoptions: global partition → live owner, for partitions
     /// whose hash owner died.
     owner_override: HashMap<u32, u32>,
+}
+
+impl Liveness {
+    /// Current owner of global `partition` in an `nodes`-node job.
+    fn owner(&self, partition: u32, nodes: u32) -> u32 {
+        self.owner_override
+            .get(&partition)
+            .copied()
+            .unwrap_or_else(|| partition_owner(partition, nodes))
+    }
+
+    /// Whether every live node's shuffle is settled.
+    fn all_satisfied(&self, nodes: u32) -> bool {
+        (0..nodes).all(|n| self.dead.contains(&n) || self.satisfied.contains(&n))
+    }
 }
 
 struct Supervision {
@@ -278,19 +281,29 @@ struct Supervision {
     node_timeout: Duration,
     store: Option<Arc<dyn FileStore>>,
     live: Mutex<Liveness>,
-    /// Run tag → current producer. Lock order: `ledger` before `live`,
-    /// and both before a node's [`RecoveryState`].
-    ledger: Mutex<HashMap<RunTag, u32>>,
+    /// Tags of every run produced so far. Lock order: `ledger` before
+    /// `live`, and both before a node's [`RecoveryState`].
+    ledger: Mutex<HashSet<RunTag>>,
 }
+
+/// The longest a claim loop waits without a wakeup: time alone can make a
+/// split claimable (a claim ages into a straggler), and a node's own kill
+/// flag wakes nobody.
+const CLAIM_WAIT: Duration = Duration::from_millis(2);
 
 /// Shared split queue with locality preference and the cluster's
 /// liveness/recovery state.
 pub struct Coordinator {
-    /// Lock order: `live` (supervision) before `slots`.
+    /// Lock order: `live` (supervision) before `slots`, and both before
+    /// `changes`.
     slots: Mutex<Vec<Slot>>,
     total: usize,
     supervision: Supervision,
     speculation: Option<Speculation>,
+    /// Count of the changes a waiting claim loop must look at, and the
+    /// condvar [`Coordinator::wait_for_change`] sleeps on.
+    changes: Mutex<u64>,
+    changed: Condvar,
     has_overrides: AtomicBool,
     aborted: AtomicBool,
     nodes_lost: AtomicUsize,
@@ -332,13 +345,14 @@ impl Coordinator {
                 live: Mutex::new(Liveness {
                     beats: vec![Instant::now(); nodes as usize],
                     dead: HashSet::new(),
-                    mapping: (0..nodes).collect(),
                     satisfied: HashSet::new(),
                     owner_override: HashMap::new(),
                 }),
-                ledger: Mutex::new(HashMap::new()),
+                ledger: Mutex::new(HashSet::new()),
             },
             speculation: None,
+            changes: Mutex::new(0),
+            changed: Condvar::new(),
             has_overrides: AtomicBool::new(false),
             aborted: AtomicBool::new(false),
             nodes_lost: AtomicUsize::new(0),
@@ -488,7 +502,7 @@ impl Coordinator {
     }
 
     /// Record that `node` fully processed the split for `block`: all its
-    /// runs are recorded in the ledger and delivered or retained. Resolves
+    /// runs are recorded in the ledger and delivered. Resolves
     /// a speculation race first-finisher-wins. No-op if the claim was
     /// revoked in the meantime (the claimant was declared dead and the
     /// split requeued) or another attempt already completed the split.
@@ -521,6 +535,8 @@ impl Coordinator {
         if let (Some(spec), Some(age)) = (&self.speculation, age) {
             spec.durations.lock().push(age);
         }
+        drop(slots);
+        self.wake();
     }
 
     /// Whether another attempt already completed the split for `block`:
@@ -549,7 +565,8 @@ impl Coordinator {
     }
 
     /// Whether every split has been fully processed by a (still-credited)
-    /// node. Reverts to `false` if a completer dies and its splits requeue.
+    /// node. Reverts to `false` when a split requeues: its completer died,
+    /// or a run it produced was lost.
     pub fn map_complete(&self) -> bool {
         self.slots
             .lock()
@@ -564,10 +581,16 @@ impl Coordinator {
 
     /// Declare any node whose last heartbeat is older than `node_timeout`
     /// dead, requeueing its splits and adopting its partitions. Cheap when
-    /// nothing changed; any wait loop may call it.
+    /// nothing changed; any wait loop may call it. Once every live node's
+    /// shuffle is settled, membership is final and this declares nobody:
+    /// the input stages have left their claim loops, so a split requeued
+    /// then would have no claimant.
     pub fn scan_liveness(&self) {
         let sup = &self.supervision;
         let mut live = sup.live.lock();
+        if live.all_satisfied(sup.nodes) {
+            return;
+        }
         let stale: Vec<u32> = (0..sup.nodes)
             .filter(|n| !live.dead.contains(n))
             .filter(|&n| live.beats[n as usize].elapsed() > sup.node_timeout)
@@ -581,7 +604,9 @@ impl Coordinator {
         if !live.dead.insert(node) {
             return;
         }
-        live.mapping.remove(&node);
+        // The adopter of the dead node's partitions lacks their runs, and
+        // requeued splits re-make runs: every node settles again.
+        live.satisfied.clear();
         self.nodes_lost.fetch_add(1, Ordering::Relaxed);
 
         // Requeue everything the dead node claimed or completed: its local
@@ -636,12 +661,7 @@ impl Coordinator {
         if let Some(adopter) = adopter {
             let mut adopted = false;
             for gp in 0..sup.total_partitions {
-                let owner = live
-                    .owner_override
-                    .get(&gp)
-                    .copied()
-                    .unwrap_or_else(|| partition_owner(gp, sup.nodes));
-                if owner == node {
+                if live.owner(gp, sup.nodes) == node {
                     live.owner_override.insert(gp, adopter);
                     adopted = true;
                 }
@@ -654,6 +674,7 @@ impl Coordinator {
         if let Some(store) = &sup.store {
             store.mark_node_dead(NodeId(node));
         }
+        self.wake();
     }
 
     /// Whether `node` has been declared dead.
@@ -666,90 +687,113 @@ impl Coordinator {
         self.supervision.live.lock().dead.clone()
     }
 
-    /// Record that `node` left its map input loop (normally or by dying):
-    /// it will not claim further splits.
-    pub fn exit_map(&self, node: NodeId) {
-        self.supervision.live.lock().mapping.remove(&node.0);
-    }
-
-    /// `true` when splits remain unprocessed but no node can claim them
-    /// anymore (every node left its input loop or died) — the job cannot
-    /// recover by re-execution and must fail over to a typed error rather
-    /// than wait forever.
-    pub fn map_stalled(&self) -> bool {
-        let mappers = self.supervision.live.lock().mapping.is_empty();
-        mappers && !self.map_complete()
-    }
-
     /// Current live owner of global `partition` (hash owner unless the
     /// partition was adopted after a death).
     pub fn owner_of(&self, partition: u32, nodes: u32) -> u32 {
         if !self.has_overrides.load(Ordering::Acquire) {
             return partition_owner(partition, nodes);
         }
+        self.supervision.live.lock().owner(partition, nodes)
+    }
+
+    /// Ledger write: run `tag` has been produced (or re-produced). Called
+    /// before the run is sent, so the ledger never misses a run a receiver
+    /// might lack.
+    pub fn record_run(&self, tag: RunTag) {
+        self.supervision.ledger.lock().insert(tag);
+    }
+
+    /// Judge `node`'s shuffle. Call it only after seeing
+    /// [`Coordinator::map_complete`] and then draining the node's inbox:
+    /// a run is in the ledger before it is sent, and in its owner's inbox
+    /// before its split completes, so a ledger run of `node`'s partitions
+    /// that `received` has not admitted is lost. Owed nothing, `node` is
+    /// satisfied and this returns `true`; otherwise the splits of the lost
+    /// runs are requeued for re-execution. Returns `false`
+    /// without a verdict when the map is no longer complete.
+    pub fn settle_shuffle(&self, node: NodeId, received: &RecoveryState) -> bool {
+        let sup = &self.supervision;
+        let ledger = sup.ledger.lock();
+        let mut live = sup.live.lock();
+        if live.satisfied.contains(&node.0) {
+            return true;
+        }
+        if !self.map_complete() {
+            return false;
+        }
+        let lost: Vec<RunTag> = {
+            let received = received.received.lock();
+            ledger
+                .iter()
+                .filter(|tag| {
+                    !received.contains(tag) && live.owner(tag.partition, sup.nodes) == node.0
+                })
+                .copied()
+                .collect()
+        };
+        if lost.is_empty() {
+            live.satisfied.insert(node.0);
+            self.wake();
+            return true;
+        }
+        self.requeue_lost(&lost);
+        false
+    }
+
+    /// Re-make `lost` runs: every `Complete` split that produced one goes
+    /// back to `Pending` for any live node to re-run, and counts as
+    /// rescheduled. `Pending` and `Claimed` splits are left as they are —
+    /// their next completion re-makes the runs anyway — so a repeated call
+    /// changes nothing.
+    fn requeue_lost(&self, lost: &[RunTag]) {
+        let blocks: HashSet<usize> = lost.iter().map(|t| t.block as usize).collect();
+        let mut requeued = 0;
+        for slot in self.slots.lock().iter_mut() {
+            if blocks.contains(&slot.split.block) && matches!(slot.state, SlotState::Complete(_)) {
+                slot.state = SlotState::Pending;
+                slot.claimed_at = None;
+                requeued += 1;
+            }
+        }
+        self.splits_rescheduled
+            .fetch_add(requeued, Ordering::Relaxed);
+        self.wake();
+    }
+
+    /// Whether every live node's shuffle is settled. Once it holds it
+    /// holds for good ([`Coordinator::scan_liveness`] declares nobody
+    /// dead after it), and the map phase ends.
+    pub fn all_live_satisfied(&self) -> bool {
         self.supervision
             .live
             .lock()
-            .owner_override
-            .get(&partition)
-            .copied()
-            .unwrap_or_else(|| partition_owner(partition, nodes))
+            .all_satisfied(self.supervision.nodes)
     }
 
-    /// Ledger write: `producer` has produced (or re-produced) run `tag`.
-    /// Called before the run is retained/sent, so the ledger never misses
-    /// a run a receiver might be owed.
-    pub fn record_run(&self, tag: RunTag, producer: u32) {
-        self.supervision.ledger.lock().insert(tag, producer);
+    /// Changes seen so far; hand it to [`Coordinator::wait_for_change`]
+    /// after looking for work.
+    pub fn changes(&self) -> u64 {
+        *self.changes.lock()
     }
 
-    /// Runs owed to `node` (it owns their partition) that its `received`
-    /// state has not admitted, grouped by live producer, producers
-    /// sorted. Runs whose recorded producer is dead are omitted: they are
-    /// covered by split re-execution, which overwrites their ledger
-    /// entries with a live producer. Scans the admitted set under its
-    /// lock, so a receiver that is owed nothing allocates nothing.
-    pub fn missing_runs_for(&self, node: u32, received: &RecoveryState) -> Vec<(u32, Vec<RunTag>)> {
-        let sup = &self.supervision;
-        let ledger = sup.ledger.lock();
-        let live = sup.live.lock();
-        let received = received.received.lock();
-        let mut by_producer: HashMap<u32, Vec<RunTag>> = HashMap::new();
-        for (tag, &producer) in ledger.iter() {
-            if live.dead.contains(&producer) || received.contains(tag) {
-                continue;
-            }
-            let owner = live
-                .owner_override
-                .get(&tag.partition)
-                .copied()
-                .unwrap_or_else(|| partition_owner(tag.partition, sup.nodes));
-            if owner == node {
-                by_producer.entry(producer).or_default().push(*tag);
-            }
+    /// Wait until something changed after `seen` — a requeue, completion,
+    /// settlement, death or abort — or for at most 2 ms (`CLAIM_WAIT`).
+    pub fn wait_for_change(&self, seen: u64) {
+        let mut changes = self.changes.lock();
+        if *changes == seen {
+            self.changed.wait_for(&mut changes, CLAIM_WAIT);
         }
-        let mut out: Vec<_> = by_producer.into_iter().collect();
-        out.sort_by_key(|(p, _)| *p);
-        out
     }
 
-    /// Record that `node`'s shuffle reception is complete (all owed runs
-    /// admitted).
-    pub fn mark_shuffle_satisfied(&self, node: NodeId) {
-        self.supervision.live.lock().satisfied.insert(node.0);
-    }
-
-    /// Whether every live node's shuffle reception is complete. Receivers
-    /// keep serving `Resend` requests until this holds, so no node stops
-    /// serving while a peer still needs its retention buffer.
-    pub fn all_live_satisfied(&self) -> bool {
-        let live = self.supervision.live.lock();
-        (0..self.supervision.nodes).all(|n| live.dead.contains(&n) || live.satisfied.contains(&n))
+    fn wake(&self) {
+        *self.changes.lock() += 1;
+        self.changed.notify_all();
     }
 
     /// Abort the job: every wait loop unwinds at its next check.
     pub fn abort(&self) {
         self.aborted.store(true, Ordering::Release);
+        self.wake();
     }
 
     /// Whether the job has been aborted.
@@ -762,7 +806,8 @@ impl Coordinator {
         self.nodes_lost.load(Ordering::Relaxed)
     }
 
-    /// Splits requeued because their node died (claimed and completed).
+    /// Splits requeued for re-execution: because their node died (claimed
+    /// and completed), or because a run they produced was lost.
     pub fn splits_rescheduled(&self) -> usize {
         self.splits_rescheduled.load(Ordering::Relaxed)
     }
@@ -924,103 +969,171 @@ mod tests {
         assert_eq!(c.owner_of(7, 4), 3);
     }
 
+    fn tag(partition: u32, block: u32, lane: u32) -> RunTag {
+        RunTag {
+            partition,
+            block,
+            lane,
+        }
+    }
+
+    /// Claim and complete every split on `node`.
+    fn map_everything(c: &Coordinator, node: u32) {
+        while let Some(s) = c.next_for(NodeId(node)) {
+            c.complete_split(NodeId(node), s.block);
+        }
+    }
+
+    /// A node that lacks a ledger run of its partitions once the map is
+    /// complete has that run's split requeued; each partitioning worker's
+    /// run counts on its own, and a node holding them all is satisfied.
     #[test]
-    fn ledger_reports_missing_runs_by_live_producer() {
+    fn settling_requeues_the_split_of_a_lost_run() {
         let c = coordinator(2, 2, vec![split(0, vec![0]), split(1, vec![1])]);
-        let k0 = RunTag {
-            partition: 0,
-            block: 0,
-            lane: 0,
-        };
-        let k1 = RunTag {
-            partition: 0,
-            block: 1,
-            lane: 0,
-        };
-        // Block 1's second partitioning worker built a run of its own.
-        let k1_lane1 = RunTag { lane: 1, ..k1 };
-        let k2 = RunTag {
-            partition: 1,
-            block: 0,
-            lane: 0,
-        };
-        c.record_run(k0, 0);
-        c.record_run(k1, 1);
-        c.record_run(k1_lane1, 1);
-        c.record_run(k2, 0);
-
-        // Node 0 owns partition 0 and has admitted nothing: it is owed k0
-        // (from itself) and both of block 1's runs (from node 1).
-        let none = RecoveryState::new();
-        let mut missing = c.missing_runs_for(0, &none);
-        assert_eq!(missing.len(), 2);
-        assert_eq!(missing[0].0, 0);
-        assert_eq!(missing[0].1, vec![k0]);
-        assert_eq!(missing[1].0, 1);
-        missing[1].1.sort_by_key(|t| t.lane);
-        assert_eq!(missing[1].1, vec![k1, k1_lane1]);
-
-        // Each worker's run is owed until it is admitted itself.
         let have = RecoveryState::new();
-        assert!(have.admit(k0) && have.admit(k1));
-        assert_eq!(c.missing_runs_for(0, &have), vec![(1, vec![k1_lane1])]);
-        assert!(have.admit(k1_lane1));
-        assert!(c.missing_runs_for(0, &have).is_empty());
+        // Block 0 built runs for both partitions, block 1 two workers' runs
+        // for partition 0, which node 0 owns.
+        for t in [tag(0, 0, 0), tag(1, 0, 0), tag(0, 1, 0), tag(0, 1, 1)] {
+            c.record_run(t);
+        }
+        // No verdict while the map runs.
+        assert!(!c.settle_shuffle(NodeId(0), &have));
+        map_everything(&c, 0);
+        assert!(have.admit(tag(0, 0, 0)) && have.admit(tag(0, 1, 0)));
 
-        // A dead producer's runs are not re-requestable (re-execution
-        // covers them), so they drop out of the scan.
+        // Block 1's second worker's run is lost: block 1, and only it,
+        // re-runs.
+        assert!(!c.settle_shuffle(NodeId(0), &have));
+        assert_eq!(c.splits_rescheduled(), 1);
+        assert!(!c.map_complete());
+        let again = c.next_for(NodeId(1)).unwrap();
+        assert_eq!(again.block, 1);
+        assert!(c.next_for(NodeId(1)).is_none());
+
+        // The re-run re-makes the run under the same tag.
+        c.record_run(tag(0, 1, 1));
+        assert!(have.admit(tag(0, 1, 1)));
+        c.complete_split(NodeId(1), again.block);
+        assert!(c.settle_shuffle(NodeId(0), &have));
+        assert!(!c.all_live_satisfied(), "node 1 has not settled");
+        // Node 1 owns partition 1 and admitted block 0's run for it.
+        let node1 = RecoveryState::new();
+        assert!(node1.admit(tag(1, 0, 0)));
+        assert!(c.settle_shuffle(NodeId(1), &node1));
+        assert!(c.all_live_satisfied());
+        assert_eq!(c.splits_rescheduled(), 1);
+    }
+
+    /// Only a `Complete` split goes back to the queue: a `Pending` or
+    /// `Claimed` one re-makes its runs anyway, so requeueing is idempotent.
+    #[test]
+    fn requeueing_a_lost_run_moves_only_its_complete_split() {
+        let c = coordinator(2, 2, (0..3).map(|i| split(i, vec![0])).collect());
+        let done = c.next_for(NodeId(0)).unwrap();
+        c.complete_split(NodeId(0), done.block);
+        let claimed = c.next_for(NodeId(1)).unwrap();
+        assert_eq!((done.block, claimed.block, c.remaining()), (0, 1, 1));
+
+        // Lost runs of the claimed and the pending split change nothing.
+        c.requeue_lost(&[tag(0, 1, 0), tag(1, 2, 0)]);
+        c.requeue_lost(&[tag(0, 1, 0), tag(1, 2, 0)]);
+        assert_eq!((c.splits_rescheduled(), c.remaining()), (0, 1));
+
+        // Two lost runs of the complete split requeue it once; a second
+        // call finds it pending.
+        c.requeue_lost(&[tag(0, 0, 0), tag(1, 0, 0)]);
+        c.requeue_lost(&[tag(0, 0, 0)]);
+        assert_eq!((c.splits_rescheduled(), c.remaining()), (1, 2));
+
+        // The claim was left alone: its completion still counts, and the
+        // map is complete only once the requeued split re-runs too.
+        c.complete_split(NodeId(1), claimed.block);
+        assert!(!c.map_complete());
+        map_everything(&c, 0);
+        assert!(c.map_complete());
+    }
+
+    /// A node declared dead after its peers settled hands its partitions
+    /// to one of them, which must then settle again: it lacks the runs of
+    /// the partitions it adopted.
+    #[test]
+    fn a_death_unsettles_the_node_that_adopts_its_partitions() {
+        let c = coordinator(3, 3, vec![split(0, vec![0])]);
+        // Block 0 made a run for partition 2, which node 2 owns.
+        c.record_run(tag(2, 0, 0));
+        map_everything(&c, 0);
+        let none = RecoveryState::new();
+        assert!(c.settle_shuffle(NodeId(0), &none));
+        assert!(c.settle_shuffle(NodeId(1), &none));
+        assert!(!c.all_live_satisfied(), "node 2 has not settled");
+
         std::thread::sleep(Duration::from_millis(10));
         c.heartbeat(NodeId(0));
+        c.heartbeat(NodeId(1));
         c.scan_liveness();
-        assert!(c.is_dead(NodeId(1)));
-        let missing = c.missing_runs_for(0, &none);
-        assert_eq!(missing.len(), 1);
-        assert_eq!(missing[0].0, 0);
+        assert!(c.is_dead(NodeId(2)));
+        assert_eq!(c.owner_of(2, 3), 0, "node 0 adopts partition 2");
+        assert!(!c.all_live_satisfied());
 
-        // Re-execution overwrites the dead producer; the run is owed again
-        // — now from the survivor. Partition 1's adoption also routes k2
-        // to node 0.
-        c.record_run(k1, 0);
-        c.record_run(k1_lane1, 0);
-        let missing = c.missing_runs_for(0, &none);
-        assert_eq!(missing.len(), 1);
-        let (producer, mut tags) = missing.into_iter().next().unwrap();
-        assert_eq!(producer, 0);
-        tags.sort_by_key(|t| (t.partition, t.block, t.lane));
-        assert_eq!(tags, vec![k0, k1, k1_lane1, k2]);
+        // Node 0 lacks the adopted partition's run: its split re-runs.
+        assert!(!c.settle_shuffle(NodeId(0), &none));
+        assert_eq!(c.splits_rescheduled(), 1);
+        assert!(!c.map_complete());
     }
 
     #[test]
     fn shuffle_satisfaction_ignores_the_dead() {
         let c = coordinator(3, 3, vec![split(0, vec![0])]);
+        map_everything(&c, 0);
+        let none = RecoveryState::new();
         assert!(!c.all_live_satisfied());
-        c.mark_shuffle_satisfied(NodeId(0));
-        c.mark_shuffle_satisfied(NodeId(2));
+        assert!(c.settle_shuffle(NodeId(0), &none));
+        assert!(c.settle_shuffle(NodeId(2), &none));
         assert!(!c.all_live_satisfied(), "node 1 not satisfied, not dead");
         std::thread::sleep(Duration::from_millis(10));
         c.heartbeat(NodeId(0));
         c.heartbeat(NodeId(2));
         c.scan_liveness();
+        // The survivors settle again; the dead node never has to.
+        assert!(!c.all_live_satisfied());
+        assert!(c.settle_shuffle(NodeId(0), &none));
+        assert!(c.settle_shuffle(NodeId(2), &none));
+        assert!(c.all_live_satisfied());
+
+        // Settled for good: nobody is declared dead any more.
+        std::thread::sleep(Duration::from_millis(10));
+        c.scan_liveness();
+        assert_eq!(c.nodes_lost(), 1);
         assert!(c.all_live_satisfied());
     }
 
+    /// Requeues, completions, settlements, deaths and aborts each wake a
+    /// waiting claim loop; a wait on an unchanged count returns on its own.
     #[test]
-    fn map_stall_is_detected_when_no_mapper_can_requeue() {
-        let c = coordinator(2, 2, vec![split(0, vec![0]), split(1, vec![1])]);
-        assert!(!c.map_stalled(), "all nodes still mapping");
-        let s0 = c.next_for(NodeId(0)).unwrap();
-        c.complete_split(NodeId(0), s0.block);
-        let s1 = c.next_for(NodeId(1)).unwrap();
-        c.complete_split(NodeId(1), s1.block);
-        c.exit_map(NodeId(0));
-        c.exit_map(NodeId(1));
-        assert!(!c.map_stalled(), "map is complete, not stalled");
-        // Node 1 dies after completion: its split requeues with nobody
-        // left to claim it.
+    fn every_wakeup_source_bumps_the_change_count() {
+        let c = coordinator(2, 2, vec![split(0, vec![0])]);
+        let mut seen = c.changes();
+        let mut bumped = |what: &str| {
+            let now = c.changes();
+            assert!(now > seen, "{what} woke nobody");
+            seen = now;
+        };
+        let s = c.next_for(NodeId(0)).unwrap();
+        c.complete_split(NodeId(0), s.block);
+        bumped("completion");
+        c.requeue_lost(&[tag(0, 0, 0)]);
+        bumped("requeue");
+        map_everything(&c, 0);
+        bumped("re-run");
+        assert!(c.settle_shuffle(NodeId(0), &RecoveryState::new()));
+        bumped("settlement");
         std::thread::sleep(Duration::from_millis(10));
         c.heartbeat(NodeId(0));
         c.scan_liveness();
-        assert!(c.map_stalled());
+        bumped("death");
+        c.abort();
+        bumped("abort");
+        c.wait_for_change(c.changes());
     }
 
     fn speculative(nodes: u32, splits: Vec<InputSplit>, budget: usize) -> Coordinator {
@@ -1156,7 +1269,6 @@ mod tests {
         let c = Coordinator::new(vec![split(0, vec![0])], 2, 2, Duration::from_secs(60), None);
         c.scan_liveness();
         assert!(!c.is_dead(NodeId(0)));
-        assert!(!c.map_stalled());
         assert_eq!(c.nodes_lost(), 0);
         assert_eq!(c.splits_rescheduled(), 0);
         assert!(!c.all_live_satisfied());

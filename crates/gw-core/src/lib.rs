@@ -73,7 +73,7 @@ pub enum EngineError {
     Storage(gw_storage::StorageError),
     /// Underlying device failure.
     Device(gw_device::DeviceError),
-    /// I/O failure (spills, durability copies).
+    /// I/O failure (spills).
     Io(std::io::Error),
     /// Invalid job configuration.
     Config(String),

@@ -23,9 +23,9 @@
 //! pipeline reads one input split at a time."
 //!
 //! The Partition stage decodes the collector, hash-partitions records,
-//! sorts each partition, optionally writes a durability copy, and pushes
-//! each partition to its home node (in-memory cache if local, network
-//! otherwise), parallelised over `N = partition_threads` lanes (Fig. 4a).
+//! sorts each partition, and pushes each partition to its home node
+//! (in-memory cache if local, network otherwise), parallelised over
+//! `N = partition_threads` lanes (Fig. 4a).
 //!
 //! ## Fault tolerance
 //!
@@ -34,11 +34,13 @@
 //! node between chunks and checks the shared dead/abort flags, so an
 //! injected crash (or a death declared by the coordinator) unwinds the
 //! whole pipeline between chunks — a split is either fully processed (all
-//! of its runs recorded in the coordinator's ledger and delivered or
-//! retained, then `complete_split`) or not at all. Each partitioning
-//! worker's run is tagged `(partition, block, lane)`: a re-executed split
-//! re-produces it byte-identically (DESIGN.md §3.4), so receivers
-//! de-duplicate by tag.
+//! of its runs recorded in the coordinator's ledger and delivered, then
+//! `complete_split`) or not at all. Each partitioning worker's run is
+//! tagged `(partition, block, lane)`: a re-executed split re-produces it
+//! byte-identically (DESIGN.md §3.4), so receivers de-duplicate by tag,
+//! and a run that never arrived is re-made by re-running its split. The
+//! input stage therefore claims splits until every live node's shuffle
+//! is settled, not merely until the map is complete.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -49,7 +51,7 @@ use parking_lot::Mutex;
 
 use gw_device::{Device, DeviceBuffer, KernelFn, NdRange, WorkItemCtx, WorkerPool};
 use gw_intermediate::{IntermediateStore, Run, RunPool};
-use gw_net::{Endpoint, RunTag, ShuffleMsg};
+use gw_net::{Endpoint, RunTag, ShuffleRun};
 use gw_pipeline::{
     run_task_with_retries, token_pool, LaneSource, PipelineBuilder, PipelineKind, PoolGet, PoolPut,
     Stage, StageCtx,
@@ -165,23 +167,22 @@ struct MapInput<'a> {
 }
 
 impl LaneSource<MapChunk, EngineError> for MapInput<'_> {
-    /// Stays in the claim loop until every split is fully processed, by
-    /// this node or another: a dead node's splits may requeue.
+    /// Stays in the claim loop until every live node's shuffle is settled:
+    /// until then a split may requeue, because its node died or a run it
+    /// produced was lost, and this node may be the one to re-run it.
     fn claim(&mut self, ctx: &mut StageCtx<'_>) -> Result<bool, EngineError> {
         let split = loop {
             if ctx.should_stop() {
                 return Ok(false);
             }
-            match self.coordinator.next_for(self.node) {
-                Some(split) => break split,
-                None => {
-                    if self.coordinator.map_complete() {
-                        return Ok(false);
-                    }
-                    self.coordinator.scan_liveness();
-                    std::thread::sleep(Duration::from_millis(2));
-                }
+            let seen = self.coordinator.changes();
+            if let Some(split) = self.coordinator.next_for(self.node) {
+                break split;
             }
+            if self.coordinator.all_live_satisfied() {
+                return Ok(false);
+            }
+            self.coordinator.wait_for_change(seen);
         };
         let buffer = match &self.buffers {
             Some(pool) => match pool.take() {
@@ -219,14 +220,6 @@ impl LaneSource<MapChunk, EngineError> for MapInput<'_> {
             buffer,
             collector: None,
         })
-    }
-
-    fn close(&mut self) {
-        // On every exit path — a node that leaves the pipeline can never
-        // claim splits again, and the coordinator must know that to
-        // detect stalls. `exit_map` is idempotent, so every lane calling
-        // it is safe.
-        self.coordinator.exit_map(self.node);
     }
 }
 
@@ -378,11 +371,11 @@ pub(crate) fn output_bytes(collector: &Option<Box<dyn Collector>>) -> usize {
 }
 
 /// Partition stage (sink): decode the collector over `N` lanes, bucket by
-/// global partition, sort, optionally write durability copies, and push
-/// each run to its home node. Recycles the collector when done.
+/// global partition, sort, and push each run to its home node. Recycles
+/// the collector when done.
 struct MapPartition<'a> {
     app: Arc<dyn GwApp>,
-    endpoint: Arc<Endpoint<ShuffleMsg>>,
+    endpoint: Arc<Endpoint<ShuffleRun>>,
     intermediate: Arc<IntermediateStore>,
     coordinator: Arc<Coordinator>,
     cfg: &'a JobConfig,
@@ -394,32 +387,24 @@ struct MapPartition<'a> {
     records_out: &'a AtomicUsize,
     runs_remote: &'a AtomicUsize,
     runs_local: &'a AtomicUsize,
-    durability_dir: Option<std::path::PathBuf>,
-    /// Recovery data plane only (run de-dup and retention); all fault
-    /// *probing* goes through the executor's probe.
+    /// Recovery data plane only (run de-dup); all fault *probing* goes
+    /// through the executor's probe.
     recovery: &'a RecoveryState,
     collectors_back: PoolPut<Box<dyn Collector>>,
 }
 
 impl MapPartition<'_> {
-    /// Count one finished run, write its durability copy (named by the
-    /// chunk's pipeline `seq` and the worker's lane), and hand it to the
-    /// partition's current owner: the local store, or the owner's node
-    /// over the network. The run is first entered in the ledger under
-    /// `tag`, so a receiver can never be owed a run the ledger does not
-    /// know about; it is then admitted at most once locally, and retained
-    /// and tagged when sent.
-    fn deliver_run(&self, seq: usize, tag: RunTag, run: Run) -> Result<(), EngineError> {
+    /// Count one finished run and hand it to the partition's current
+    /// owner: the local store, or the owner's node over the network. The
+    /// run is first entered in the ledger under `tag`, so a receiver can
+    /// never lack a run the ledger does not know about; it is then
+    /// admitted at most once locally, or pushed into the owner's inbox
+    /// before this returns.
+    fn deliver_run(&self, tag: RunTag, run: Run) {
         let node = self.node;
         let gp = tag.partition;
         self.records_out.fetch_add(run.records(), Ordering::Relaxed);
-        // Durability copy (paper §III-E): map output is stored
-        // persistently on local disk.
-        if let Some(dir) = &self.durability_dir {
-            let path = dir.join(format!("map-{node}-c{seq}-l{}-p{gp}.gw", tag.lane));
-            std::fs::write(path, run.bytes())?;
-        }
-        self.coordinator.record_run(tag, node.0);
+        self.coordinator.record_run(tag);
         let owner = self.coordinator.owner_of(gp, self.nodes);
         if owner == node.0 {
             if self.recovery.admit(tag) {
@@ -428,22 +413,16 @@ impl MapPartition<'_> {
             }
         } else {
             self.runs_remote.fetch_add(1, Ordering::Relaxed);
-            let records = run.records();
-            // Zero-copy ship: `into_shared` and the retention clone are
-            // refcount bumps, and the message frames the run's shared
-            // arena slice as-is.
-            let bytes = run.into_shared();
-            self.recovery.retain(tag, bytes.clone(), records);
-            let msg = ShuffleMsg::Partition {
-                partition: gp,
-                bytes,
-                records,
+            // Zero-copy ship: `into_shared` is a refcount bump, and the
+            // message frames the run's shared arena slice as-is.
+            let msg = ShuffleRun {
                 tag,
+                records: run.records(),
+                bytes: run.into_shared(),
             };
             let wire = msg.wire_bytes();
             self.endpoint.send_data(NodeId(owner), msg, wire);
         }
-        Ok(())
     }
 }
 
@@ -451,25 +430,17 @@ impl Stage<MapChunk, EngineError> for MapPartition<'_> {
     fn run_chunk(
         &mut self,
         mut chunk: MapChunk,
-        ctx: &mut StageCtx<'_>,
+        _ctx: &mut StageCtx<'_>,
     ) -> Result<Option<MapChunk>, EngineError> {
         let n_lanes = self.cfg.partition_threads;
         let total_partitions = self.total_partitions;
         let block = chunk.block_idx as u32;
         let mut collector = chunk.collector.take().expect("kernel output collector");
-        // Durability copies are named by the chunk's pipeline sequence
-        // number, which equals arrival order on a single-lane stage and
-        // stays collision-free when the partition slot runs several lanes.
-        let seq = ctx.seq();
-        // The first delivery error of any worker, returned once the pool
-        // has drained.
-        let failed: Mutex<Option<EngineError>> = Mutex::new(None);
         // Scope the kernel so its borrow of the collector ends before the
         // collector is reset and recycled.
         {
             let this = &*self;
             let collector: &dyn Collector = collector.as_ref();
-            let failed = &failed;
             let kernel = KernelFn(move |ctx: &WorkItemCtx| {
                 let lane = ctx.global_id();
                 // Decode this lane's share and bucket by global partition.
@@ -491,10 +462,7 @@ impl Stage<MapChunk, EngineError> for MapPartition<'_> {
                         block,
                         lane: lane as u32,
                     };
-                    if let Err(e) = this.deliver_run(seq, tag, builder.build()) {
-                        failed.lock().get_or_insert(e);
-                        return;
-                    }
+                    this.deliver_run(tag, builder.build());
                 }
             });
             self.pool.run(
@@ -504,11 +472,8 @@ impl Stage<MapChunk, EngineError> for MapPartition<'_> {
         }
         collector.reset();
         self.collectors_back.put(collector);
-        if let Some(e) = failed.into_inner() {
-            return Err(e);
-        }
         // The split is now fully processed: every run is in the ledger and
-        // delivered or retained.
+        // in its owner's store or inbox.
         self.coordinator.complete_split(self.node, chunk.block_idx);
         Ok(None)
     }
@@ -533,23 +498,20 @@ pub struct MapPhase<'a> {
     /// The node's intermediate store.
     pub intermediate: Arc<IntermediateStore>,
     /// The node's network endpoint (shared with its shuffle receiver).
-    pub endpoint: Arc<Endpoint<ShuffleMsg>>,
+    pub endpoint: Arc<Endpoint<ShuffleRun>>,
     /// Job-wide event tracer; the executor emits chunk spans and
     /// token-wait regions onto this node's pipeline lanes.
     pub tracer: Arc<Tracer>,
-    /// Directory for durability copies of map output (when enabled).
-    pub durability_dir: Option<std::path::PathBuf>,
     /// Fault-injection and recovery handle.
     pub chaos: NodeChaos,
 }
 
 impl MapPhase<'_> {
-    /// Run the map phase to completion, then broadcast `MapDone`.
+    /// Run the map phase to completion: until every live node's shuffle
+    /// is settled ([`Coordinator::all_live_satisfied`]).
     ///
     /// An injected (or declared) node death unwinds the pipeline and
-    /// returns [`EngineError::NodeLost`]; the `MapDone` broadcast is
-    /// suppressed, since the peers' receivers account for dead nodes
-    /// through the coordinator instead.
+    /// returns [`EngineError::NodeLost`].
     pub fn run(self) -> Result<MapPhaseReport, EngineError> {
         let start = Instant::now();
         let b = self.cfg.buffering.depth();
@@ -645,7 +607,6 @@ impl MapPhase<'_> {
                     records_out: &records_out,
                     runs_remote: &runs_remote,
                     runs_local: &runs_local,
-                    durability_dir: self.durability_dir.clone(),
                     recovery: &self.chaos.recovery,
                     collectors_back: collectors_back.clone(),
                 }) as Box<dyn Stage<MapChunk, EngineError> + '_>
@@ -719,18 +680,8 @@ impl MapPhase<'_> {
         job_lane.count(CounterId::RunPoolHit, reused);
         job_lane.count(CounterId::RunPoolMiss, acquired.saturating_sub(reused));
 
-        let crashed = self.chaos.is_dead();
-        if !crashed {
-            // Broadcast end-of-map to every peer. A *crashed* node stays
-            // silent: its peers account for it through the coordinator's
-            // dead set instead.
-            let wire = ShuffleMsg::MapDone.wire_bytes();
-            for peer in (0..self.nodes).filter(|&p| p != self.node.0) {
-                self.endpoint.send(NodeId(peer), ShuffleMsg::MapDone, wire);
-            }
-        }
         let stats = stats?;
-        if crashed {
+        if self.chaos.is_dead() {
             return Err(EngineError::NodeLost(format!(
                 "node {} crashed during its map phase",
                 self.node
@@ -746,75 +697,5 @@ impl MapPhase<'_> {
         r.max_in_flight = stats.max_in_flight;
         r.elapsed = start.elapsed();
         Ok(r)
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use gw_intermediate::IntermediateConfig;
-    use gw_net::{Fabric, NetProfile};
-    use gw_storage::split::FileStoreExt;
-    use gw_storage::{Dfs, DfsConfig};
-
-    struct Identity;
-
-    impl GwApp for Identity {
-        fn name(&self) -> &'static str {
-            "identity"
-        }
-        fn map(&self, key: &[u8], value: &[u8], emit: &Emit<'_>) {
-            emit.emit(key, value);
-        }
-        fn reduce(&self, _: &[u8], _: &[&[u8]], _: &mut Vec<u8>, _: bool, _: &Emit<'_>) {}
-    }
-
-    #[test]
-    fn a_failed_durability_write_is_an_io_error() {
-        let dfs = Dfs::new(DfsConfig::new(1).free_io());
-        dfs.write_records(
-            "/in",
-            NodeId(0),
-            64,
-            1,
-            [(b"k".as_slice(), b"v".as_slice())],
-        )
-        .unwrap();
-        let store: Arc<dyn FileStore> = Arc::new(dfs);
-        let cfg = JobConfig::new("/in", "/out");
-        let intermediate = IntermediateStore::new(IntermediateConfig {
-            num_partitions: cfg.partitions_per_node,
-            ..Default::default()
-        })
-        .unwrap();
-        let missing = std::env::temp_dir()
-            .join(format!("gw-missing-{}", std::process::id()))
-            .join("durability");
-        let phase = MapPhase {
-            cfg: &cfg,
-            node: NodeId(0),
-            nodes: 1,
-            app: Arc::new(Identity),
-            device: Arc::new(Device::open_with_threads(cfg.device.clone(), 1)),
-            coordinator: Arc::new(Coordinator::new(
-                store.splits("/in").unwrap(),
-                1,
-                cfg.partitions_per_node,
-                cfg.node_timeout,
-                None,
-            )),
-            store,
-            intermediate: Arc::new(intermediate),
-            endpoint: Arc::new(Fabric::new(1, NetProfile::unlimited()).endpoint(NodeId(0))),
-            tracer: Arc::new(Tracer::new()),
-            durability_dir: Some(missing),
-            chaos: NodeChaos {
-                plan: Arc::new(gw_chaos::FaultPlan::empty()),
-                recovery: Arc::new(RecoveryState::new()),
-                dead: Arc::default(),
-            },
-        };
-        let err = phase.run().unwrap_err();
-        assert!(matches!(err, EngineError::Io(_)), "got: {err}");
     }
 }

@@ -71,7 +71,7 @@ impl Run {
     }
 
     /// Consume into the shared byte buffer (zero-copy: the shuffle ships
-    /// this slice as-is, and retention/caching clones are refcounts).
+    /// this slice as-is, and caching clones are refcounts).
     pub fn into_shared(self) -> Bytes {
         self.bytes
     }

@@ -31,10 +31,10 @@ pub enum NetFaultAction {
 }
 
 /// Chaos hook for injecting message loss and delay. Only *data-class*
-/// traffic sent through [`Endpoint::send_data`] consults the hook; control
-/// messages (end-of-map markers, resend requests, re-served runs) use
-/// [`Endpoint::send`] and stay reliable, so the recovery protocol itself
-/// cannot be wedged by the faults it is recovering from.
+/// traffic sent through [`Endpoint::send_data`] (every shuffle run)
+/// consults the hook; [`Endpoint::send`] is the reliable path. The shuffle
+/// needs no reliable control message: a lost run is re-made by re-running
+/// its split, and the re-made run is data-class again.
 pub trait NetFaultHook: Send + Sync {
     /// Decide the fate of a data message from `from` to `to`.
     fn on_data_message(&self, from: NodeId, to: NodeId) -> NetFaultAction;

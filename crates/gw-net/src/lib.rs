@@ -20,6 +20,6 @@ pub mod transport;
 pub use fabric::{Endpoint, Fabric, NetFaultAction, NetFaultHook};
 pub use profile::NetProfile;
 pub use throttle::Throttle;
-pub use transport::{RunTag, ShuffleMsg};
+pub use transport::{RunTag, ShuffleRun};
 
 pub use gw_storage::NodeId;

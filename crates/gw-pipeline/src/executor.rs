@@ -95,7 +95,7 @@ impl<'p> StageCtx<'p> {
     /// Lane index within the stage slot (0 for single-lane slots). A
     /// widened stage handles chunk `seq` on lane `seq mod N`, so this is
     /// fully determined by [`StageCtx::seq`] — exposed for stages that
-    /// name per-lane resources (durability files, scratch buffers).
+    /// name per-lane resources (scratch buffers).
     pub fn lane(&self) -> u32 {
         self.lane
     }
@@ -185,11 +185,6 @@ pub trait Source<T, E>: Send {
     /// read into a free buffer set). Long waits inside this call should
     /// poll [`StageCtx::should_stop`].
     fn next_chunk(&mut self, ctx: &mut StageCtx<'_>) -> Result<Option<T>, E>;
-
-    /// Runs on every exit path — normal exhaustion, downstream failure,
-    /// error or injected crash — before the source's output closes. The
-    /// map source deregisters from the coordinator here.
-    fn close(&mut self) {}
 }
 
 /// Head of a pipeline when the source slot runs several lanes. The cheap,
@@ -212,9 +207,6 @@ pub trait LaneSource<T, E>: Send {
     /// [`LaneSource::claim`]. Runs outside the claim turn, concurrently
     /// with sibling lanes.
     fn produce(&mut self, ctx: &mut StageCtx<'_>) -> Result<T, E>;
-
-    /// As [`Source::close`]: runs on every exit path, once per lane.
-    fn close(&mut self) {}
 }
 
 /// Adapter running a classic [`Source`] as the only lane of its slot:
@@ -234,10 +226,6 @@ impl<'a, T: Send, E> LaneSource<T, E> for LegacySource<'a, T, E> {
 
     fn produce(&mut self, _ctx: &mut StageCtx<'_>) -> Result<T, E> {
         Ok(self.pending.take().expect("claim() admitted a chunk"))
-    }
-
-    fn close(&mut self) {
-        self.inner.close();
     }
 }
 
@@ -933,7 +921,6 @@ impl<'a, T: Send + 'a, E: Send + 'a> PipelineBuilder<'a, T, E> {
                     // error, panic and downstream death all mean no later
                     // seq will ever be claimed.
                     guard.fire();
-                    src.close();
                     outcome.unwrap_or_else(|panic| resume_unwind(panic))
                 }));
             }
@@ -1157,7 +1144,6 @@ mod tests {
     struct Counter {
         next: usize,
         n: usize,
-        closed: Arc<AtomicBool>,
     }
 
     impl Source<usize, String> for Counter {
@@ -1168,10 +1154,6 @@ mod tests {
             let v = self.next;
             self.next += 1;
             Ok(Some(v))
-        }
-
-        fn close(&mut self) {
-            self.closed.store(true, Ordering::SeqCst);
         }
     }
 
@@ -1241,16 +1223,8 @@ mod tests {
             (Buffering::Triple, 3),
         ] {
             let sum = AtomicUsize::new(0);
-            let closed = Arc::new(AtomicBool::new(false));
             let stats = PipelineBuilder::new(PipelineKind::Map, buffering)
-                .source(
-                    StageId::Input,
-                    Counter {
-                        next: 0,
-                        n: 32,
-                        closed: Arc::clone(&closed),
-                    },
-                )
+                .source(StageId::Input, Counter { next: 0, n: 32 })
                 .stage(StageId::Kernel, AddOne)
                 .stage(StageId::Partition, SinkSum(&sum))
                 .interlock(StageId::Input, StageId::Kernel)
@@ -1260,7 +1234,6 @@ mod tests {
             assert_eq!(stats.stage_threads, 3);
             assert_eq!(stats.chunks, 32);
             assert_eq!(sum.load(Ordering::SeqCst), (1..=32).sum::<usize>());
-            assert!(closed.load(Ordering::SeqCst), "source close hook must run");
             assert!(stats.max_in_flight >= 1);
             assert!(
                 stats.max_in_flight <= b,
@@ -1286,26 +1259,14 @@ mod tests {
             }
         }
         let sum = AtomicUsize::new(0);
-        let closed = Arc::new(AtomicBool::new(false));
         let err = PipelineBuilder::new(PipelineKind::Map, Buffering::Double)
-            .source(
-                StageId::Input,
-                Counter {
-                    next: 0,
-                    n: 100,
-                    closed: Arc::clone(&closed),
-                },
-            )
+            .source(StageId::Input, Counter { next: 0, n: 100 })
             .stage(StageId::Kernel, FailAt(3))
             .stage(StageId::Partition, SinkSum(&sum))
             .interlock(StageId::Input, StageId::Kernel)
             .run()
             .expect_err("kernel error must surface");
         assert_eq!(err, "boom at 3");
-        assert!(
-            closed.load(Ordering::SeqCst),
-            "close runs on failure paths too"
-        );
     }
 
     #[test]
@@ -1324,14 +1285,7 @@ mod tests {
         let sum = AtomicUsize::new(0);
         let tracer = Arc::new(Tracer::new());
         PipelineBuilder::new(PipelineKind::Map, Buffering::Double)
-            .source(
-                StageId::Input,
-                Counter {
-                    next: 0,
-                    n: 4,
-                    closed: Arc::new(AtomicBool::new(false)),
-                },
-            )
+            .source(StageId::Input, Counter { next: 0, n: 4 })
             .stage(StageId::Kernel, Timed)
             .stage(StageId::Partition, SinkSum(&sum))
             .tracer(Arc::clone(&tracer), 0)
@@ -1402,24 +1356,15 @@ mod tests {
             passages: AtomicUsize::new(0),
         };
         let sum = AtomicUsize::new(0);
-        let closed = Arc::new(AtomicBool::new(false));
         // The run itself succeeds (the crash is a quiet unwind — the
         // phase-level code turns the dead flag into NodeLost).
         PipelineBuilder::new(PipelineKind::Map, Buffering::Single)
-            .source(
-                StageId::Input,
-                Counter {
-                    next: 0,
-                    n: 50,
-                    closed: Arc::clone(&closed),
-                },
-            )
+            .source(StageId::Input, Counter { next: 0, n: 50 })
             .stage(StageId::Kernel, AddOne)
             .stage(StageId::Partition, SinkSum(&sum))
             .probe(probe)
             .run()
             .expect("injected crash drains quietly");
-        assert!(closed.load(Ordering::SeqCst));
         // At most the chunks before the crash passage reached the sink; a
         // dead node's remaining in-flight chunks are discarded, so the
         // sink may quietly drop work already queued when the kill landed.
@@ -1431,14 +1376,7 @@ mod tests {
     fn multi_lane_stage_reassembles_in_seq_order_downstream() {
         let order = Mutex::new(Vec::new());
         let stats = PipelineBuilder::new(PipelineKind::Map, Buffering::Triple)
-            .source(
-                StageId::Input,
-                Counter {
-                    next: 0,
-                    n: 24,
-                    closed: Arc::new(AtomicBool::new(false)),
-                },
-            )
+            .source(StageId::Input, Counter { next: 0, n: 24 })
             .stage_lanes(StageId::Kernel, jitter_lanes(2))
             .stage(StageId::Partition, SinkOrder(&order))
             .run()
@@ -1462,14 +1400,7 @@ mod tests {
     fn multi_lane_acquiring_stage_respects_single_buffering_without_deadlock() {
         let sum = AtomicUsize::new(0);
         let stats = PipelineBuilder::new(PipelineKind::Map, Buffering::Single)
-            .source(
-                StageId::Input,
-                Counter {
-                    next: 0,
-                    n: 32,
-                    closed: Arc::new(AtomicBool::new(false)),
-                },
-            )
+            .source(StageId::Input, Counter { next: 0, n: 32 })
             .stage_lanes(StageId::Kernel, jitter_lanes(2))
             .stage(StageId::Partition, SinkSum(&sum))
             .interlock(StageId::Input, StageId::Kernel)
@@ -1502,14 +1433,7 @@ mod tests {
         }
         let order = Mutex::new(Vec::new());
         let stats = PipelineBuilder::new(PipelineKind::Map, Buffering::Triple)
-            .source(
-                StageId::Input,
-                Counter {
-                    next: 0,
-                    n: 20,
-                    closed: Arc::new(AtomicBool::new(false)),
-                },
-            )
+            .source(StageId::Input, Counter { next: 0, n: 20 })
             .stage_lanes(
                 StageId::Kernel,
                 (0..2)
@@ -1601,14 +1525,7 @@ mod tests {
         let dead = Arc::new(AtomicBool::new(false));
         let sum = AtomicUsize::new(0);
         PipelineBuilder::new(PipelineKind::Map, Buffering::Double)
-            .source(
-                StageId::Input,
-                Counter {
-                    next: 0,
-                    n: 40,
-                    closed: Arc::new(AtomicBool::new(false)),
-                },
-            )
+            .source(StageId::Input, Counter { next: 0, n: 40 })
             .stage_lanes(StageId::Kernel, jitter_lanes(2))
             .stage(StageId::Partition, SinkSum(&sum))
             .probe(CrashLaneOne {
@@ -1660,14 +1577,7 @@ mod tests {
             let log = Mutex::new(Vec::new());
             let sum = AtomicUsize::new(0);
             PipelineBuilder::new(PipelineKind::Map, Buffering::Double)
-                .source(
-                    StageId::Input,
-                    Counter {
-                        next: 0,
-                        n: 20,
-                        closed: Arc::new(AtomicBool::new(false)),
-                    },
-                )
+                .source(StageId::Input, Counter { next: 0, n: 20 })
                 .stage_lanes(
                     StageId::Kernel,
                     (0..lanes)

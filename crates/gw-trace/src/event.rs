@@ -204,8 +204,6 @@ pub enum CounterId {
     ShuffleSendBytes,
     /// Shuffle messages received by this node.
     ShuffleRecvMsgs,
-    /// Shuffle runs retransmitted to a recovering peer.
-    ShuffleRetransmit,
     /// `RunPool` builder acquisitions served from the recycle pool.
     RunPoolHit,
     /// `RunPool` builder acquisitions that had to allocate fresh arenas.
@@ -230,7 +228,6 @@ impl CounterId {
             CounterId::ShuffleSendMsgs => "shuffle.send.msgs",
             CounterId::ShuffleSendBytes => "shuffle.send.bytes",
             CounterId::ShuffleRecvMsgs => "shuffle.recv.msgs",
-            CounterId::ShuffleRetransmit => "shuffle.retransmit",
             CounterId::RunPoolHit => "runpool.reuse.hit",
             CounterId::RunPoolMiss => "runpool.reuse.miss",
             CounterId::GraySlowdowns => "chaos.gray.slowdowns",

@@ -214,8 +214,8 @@ fn exhausted_retry_budget_fails_the_job_cleanly() {
 #[test]
 fn map_fault_on_one_node_does_not_hang_the_cluster() {
     // 3 nodes; the fault fires on whichever node claims the poisoned
-    // split. Without the failure-path MapDone broadcast the other two
-    // nodes would wait forever in their merge phase.
+    // split. Unless the failing node aborts the job, the other two would
+    // wait forever for a map phase that cannot complete.
     let cluster = cluster_with_lines(3, LINES);
     let app = Arc::new(FlakyWordCount::new(10, b"POISON"));
     let start = std::time::Instant::now();

@@ -291,9 +291,9 @@ fn locality_aware_scheduling_reads_locally() {
 }
 
 /// The push shuffle delivers runs while the map phase is still active:
-/// peers receive runs strictly before the sender's MapDone, which the
-/// engine expresses as nonzero received-run counts plus bounded merge
-/// delay even under a throttled network.
+/// every pushed run reaches its owner's inbox before its split completes,
+/// which the engine expresses as received-run counts equal to the pushed
+/// ones.
 #[test]
 fn push_shuffle_moves_data_during_map() {
     let cluster = corpus_cluster(400, 4, 1024);
