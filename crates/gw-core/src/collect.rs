@@ -13,43 +13,54 @@
 //! are built on that. `emit` asks the device which work-group the calling
 //! thread is executing ([`gw_device::current_group_id`], 0 outside a
 //! launch — the `Collector` trait carries no group argument) and writes to
-//! that group's own storage:
+//! that group's own storage.
 //!
-//! * [`BufferPoolCollector`] — one growable byte arena per shard, the
-//!   shard picked by work-group, records appended encoded. The paper's
-//!   "each thread allocates space via a single atomic operation" becomes
-//!   one uncontended lock per work item. Fast emits, but every occurrence
-//!   is stored, so downstream partitioning must decode every record
-//!   individually (Table II config (iii): dominant partitioning stage).
-//!   Shards drain in index order, so with at least as many shards as
-//!   work-groups the record order is a function of the NDRange.
+//! Each record is also filed at emission under its *slot* ([`Slots`]):
+//! its partition `p` (the application's partition function) and a
+//! partition lane `ℓ` of the `N` that partition the chunk. Partition lane
+//! `ℓ` then builds its run of every partition ([`Collector::lane_runs`])
+//! from its own slots alone: it gathers fixed-width [`SortRef`]s (an 8-byte
+//! head — the key bytes after the prefix all of the slot's keys share — and
+//! where the record is) from every group's slot in group order,
+//! radix-sorts them on the head, and writes each record once into the run.
+//! No lane waits for another and nothing is decoded twice.
+//!
+//! * [`BufferPoolCollector`] — per shard (picked by work-group) one
+//!   growable byte arena per partition, records appended encoded; a
+//!   record's partition is computed per record and its lane is its
+//!   shard's, `shard mod N`. The paper's "each thread allocates space via
+//!   a single atomic operation" becomes one uncontended lock per work item.
+//!   Fast emits, but every occurrence is stored and sorted (Table II config
+//!   (iii): dominant partitioning stage).
 //! * [`HashTableCollector`] — one private open-addressing table per
 //!   work-group, keys and values in one arena, combining in place. An emit
 //!   takes no lock and no atomic another group takes and, once the first
-//!   chunk has sized the arenas, allocates nothing. Tables are read one
-//!   after the other in group order, each in insertion order. With a
-//!   combiner the first read after a launch (`for_each_part` or `records`)
-//!   first folds groups `1..G` into group 0's table, in that same order,
-//!   so a chunk still yields one record per distinct key. Either way what
-//!   the collector hands out, *and in which order*, depends on the chunk
-//!   and the NDRange only, never on which thread ran which group when
-//!   (Table II configs (i)/(ii)). In the map pipeline that first read is
-//!   the Partition stage's.
+//!   chunk has sized the arenas, allocates nothing. A key's slot is
+//!   computed once per group, when the key is first inserted: the lane
+//!   comes from bits of the hash the table computed anyway, so all of a
+//!   key's records are one lane's. With a combiner the lane combines a key
+//!   held by several groups in group order — group 0's accumulator, then
+//!   groups `1..G` — so a chunk still yields one record per distinct key.
 //!
-//! The paper's "threads must loop multiple times before they allocate
-//! space" has no analogue left here: that cost belongs to a device whose
-//! threads share one table.
+//! Either way what the lanes build, *and the bits of every accumulator*,
+//! depend on the chunk, the NDRange and the slots only, never on which
+//! thread ran which group when (Table II configs (i)/(ii)). The paper's
+//! "threads must loop multiple times before they allocate space" has no
+//! analogue left here: that cost belongs to a device whose threads share
+//! one table.
 
+use std::cmp::Ordering;
 use std::ops::Range;
 use std::sync::{Arc, OnceLock};
 
 use parking_lot::{Mutex, RwLock};
 
 use gw_device::current_group_id;
+use gw_intermediate::{key_head, shared_prefix, Run, SortBuf, SortRef};
 use gw_storage::varint::RecRef;
 
 use crate::api::Combiner;
-use crate::hash::hash_bytes;
+use crate::hash::{bucket_of, hash_bytes};
 
 /// Which collection mechanism a job uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -63,9 +74,86 @@ pub enum CollectorKind {
 /// Where one work item's emits go: `sink(key, value)` stores one pair.
 pub type Sink<'a> = dyn FnMut(&[u8], &[u8]) + 'a;
 
+/// A key's partition.
+type PartitionFn = dyn Fn(&[u8]) -> u32 + Send + Sync;
+
+/// Where a collector files each record: one of `partitions` partitions,
+/// by the application's partition function, and one of `lanes` partition
+/// lanes. Lane `ℓ`'s slots are `ℓ·P .. (ℓ+1)·P`, one per partition.
+#[derive(Clone)]
+pub struct Slots {
+    partition: Arc<PartitionFn>,
+    partitions: u32,
+    lanes: usize,
+}
+
+impl Slots {
+    /// `partitions` partitions, `partition(key)` picking a key's, over
+    /// `lanes` partition lanes.
+    pub fn new(
+        partitions: u32,
+        lanes: usize,
+        partition: impl Fn(&[u8]) -> u32 + Send + Sync + 'static,
+    ) -> Self {
+        assert!(
+            partitions > 0 && lanes > 0,
+            "slots need a partition and a lane"
+        );
+        Slots {
+            partition: Arc::new(partition),
+            partitions,
+            lanes,
+        }
+    }
+
+    /// One partition and one lane: every record in one slot.
+    pub fn single() -> Self {
+        Slots::new(1, 1, |_| 0)
+    }
+
+    /// Partition lanes.
+    pub fn lanes(&self) -> usize {
+        self.lanes
+    }
+
+    fn len(&self) -> usize {
+        self.partitions as usize * self.lanes
+    }
+
+    /// The partition `key` belongs to.
+    #[inline]
+    fn partition_of(&self, key: &[u8]) -> usize {
+        if self.partitions == 1 {
+            return 0;
+        }
+        let p = (self.partition)(key);
+        assert!(
+            p < self.partitions,
+            "partition {p} out of range for {} partitions",
+            self.partitions
+        );
+        p as usize
+    }
+
+    /// The slot of `key`, whose hash is `hash`. The lane reads hash bits
+    /// below the top byte, which the default partitioner's multiply-shift
+    /// and the table's home slot read, so lanes split each partition.
+    #[inline]
+    fn slot_of(&self, key: &[u8], hash: u64) -> usize {
+        let lane = bucket_of(hash << 8, self.lanes);
+        lane * self.partitions as usize + self.partition_of(key)
+    }
+
+    /// Lane `lane`'s slots, in partition order, with their partitions.
+    fn lane(&self, lane: usize) -> impl Iterator<Item = (u32, usize)> {
+        let first = lane * self.partitions as usize;
+        (0..self.partitions).zip(first..)
+    }
+}
+
 /// A kernel-output collector. `emit` and `work_item` are called
-/// concurrently from work items; `for_each_part` and `reset` are called by
-/// the pipeline after the kernel completes (no concurrent emits).
+/// concurrently from work items; `lane_runs`, `visit` and `reset` by the
+/// pipeline after the kernel completes (no concurrent emits).
 pub trait Collector: Send + Sync {
     /// Store one key/value pair.
     fn emit(&self, key: &[u8], value: &[u8]);
@@ -78,67 +166,88 @@ pub trait Collector: Send + Sync {
         f(&mut |key, value| self.emit(key, value));
     }
 
-    /// Visit the `part`-th of `parts` disjoint slices of the collected
-    /// records. Visiting all `parts` slices yields every record exactly
-    /// once. Used by the partitioning stage's parallel decode.
-    fn for_each_part(&self, part: usize, parts: usize, f: &mut dyn FnMut(&[u8], &[u8]));
+    /// Build partition lane `lane`'s run of every partition, in partition
+    /// order, from the lane's own slots, and hand each non-empty one to
+    /// `deliver` with its partition. A run is sorted by key and, without
+    /// a combiner, by value; with one, each key is one record, combined
+    /// across work-groups in group order. Lanes may run concurrently;
+    /// `buf` is the lane's sort space.
+    fn lane_runs(&self, lane: usize, buf: &mut SortBuf, deliver: &mut dyn FnMut(u32, Run));
+
+    /// Visit every record the lanes would deliver (see [`for_each_record`]).
+    fn visit(&self, f: &mut dyn FnMut(&[u8], &[u8]));
 
     /// Clear for reuse by the next chunk (buffer recycling).
     fn reset(&mut self);
 
-    /// Records currently held (post-combining for the hash table).
+    /// Records currently held. The hash table counts each work-group's
+    /// table after its own combining: a key several groups hold counts
+    /// once per group until a lane combines it.
     fn records(&self) -> usize;
 
     /// Approximate payload bytes currently held.
     fn bytes(&self) -> usize;
 }
 
-/// Visit every collected record (convenience over [`Collector::for_each_part`]).
+/// Visit every collected record. The buffer pool hands them out shard by
+/// shard and, within a shard, partition by partition in emission order —
+/// emission order, for a pool with one shard and one slot; the hash table
+/// hands out its lane runs, lane by lane.
 pub fn for_each_record(c: &dyn Collector, f: &mut dyn FnMut(&[u8], &[u8])) {
-    c.for_each_part(0, 1, f);
+    c.visit(f);
 }
 
 // ---------------------------------------------------------------------------
 // Shared buffer pool
 // ---------------------------------------------------------------------------
 
-/// One work-group's records (several groups', when the launch has more
-/// groups than the pool has shards), encoded back to back as
-/// `varint(klen) varint(vlen) key value` in emission order. Aligned so
-/// that two shards never share a cache line. In a launch only the group's
-/// thread takes the lock; it is there for emits that are not in one.
-#[repr(align(128))]
-struct Shard(Mutex<ShardBuf>);
-
-struct ShardBuf {
+/// One partition's records in a shard, encoded back to back as
+/// `varint(klen) varint(vlen) key value` in emission order.
+struct Bucket {
     bytes: Vec<u8>,
     records: usize,
 }
 
+/// One work-group's buckets, one per partition (several groups', when the
+/// launch has more groups than the pool has shards). Aligned so that two
+/// shards never share a cache line. In a launch only the group's thread
+/// takes the lock; it is there for emits that are not in one.
+#[repr(align(128))]
+struct Shard(Mutex<Vec<Bucket>>);
+
 /// The shared-buffer-pool collector: every record appended, as emitted, to
-/// the emitting work-group's shard.
+/// its partition's bucket in the emitting work-group's shard.
 pub struct BufferPoolCollector {
+    slots: Slots,
     shards: Vec<Shard>,
 }
 
 impl BufferPoolCollector {
-    /// Create `shards` shards that reserve `capacity` bytes between them;
-    /// a shard that fills up grows.
+    /// Create `shards` shards that reserve `capacity` bytes between them,
+    /// filing every record in one slot; a shard that fills up grows.
     pub fn new(capacity: usize, shards: usize) -> Self {
+        Self::with_slots(capacity, shards, Slots::single())
+    }
+
+    /// [`BufferPoolCollector::new`], filing records under `slots`: shard
+    /// `s` belongs to lane `s mod N`, so build at least `N` shards.
+    pub fn with_slots(capacity: usize, shards: usize, slots: Slots) -> Self {
         let shards = shards.max(1);
-        let shard = || {
-            Shard(Mutex::new(ShardBuf {
-                bytes: Vec::with_capacity(capacity / shards),
-                records: 0,
-            }))
+        let partitions = slots.partitions as usize;
+        let bucket = || Bucket {
+            bytes: Vec::with_capacity(capacity / (shards * partitions)),
+            records: 0,
         };
+        let shard = || Shard(Mutex::new((0..partitions).map(|_| bucket()).collect()));
         BufferPoolCollector {
             shards: (0..shards).map(|_| shard()).collect(),
+            slots,
         }
     }
 
-    fn sum(&self, of: impl Fn(&ShardBuf) -> usize) -> usize {
-        self.shards.iter().map(|shard| of(&shard.0.lock())).sum()
+    fn sum(&self, of: impl Fn(&Bucket) -> usize) -> usize {
+        let shard = |shard: &Shard| shard.0.lock().iter().map(&of).sum::<usize>();
+        self.shards.iter().map(shard).sum()
     }
 }
 
@@ -152,37 +261,84 @@ impl Collector for BufferPoolCollector {
     fn work_item(&self, f: &mut dyn FnMut(&mut Sink<'_>)) {
         let mut shard = self.shards[current_group_id() % self.shards.len()].0.lock();
         f(&mut |key, value| {
-            RecRef::write(&mut shard.bytes, key, value);
-            shard.records += 1;
+            let bucket = &mut shard[self.slots.partition_of(key)];
+            RecRef::write(&mut bucket.bytes, key, value);
+            bucket.records += 1;
         });
     }
 
-    fn for_each_part(&self, part: usize, parts: usize, f: &mut dyn FnMut(&[u8], &[u8])) {
-        for shard in self.shards.iter().skip(part).step_by(parts) {
-            let shard = shard.0.lock();
-            let mut rest = shard.bytes.as_slice();
-            while !rest.is_empty() {
-                let rec = RecRef::decode(rest, 0).expect("corrupt arena record");
-                f(rec.key(rest), rec.value(rest));
-                rest = &rest[rec.end()..];
+    /// Refs name a record by its shard among the lane's and its position
+    /// in `buf.recs`, where each record is decoded once; heads are read
+    /// past the prefix every key of the slot shares.
+    fn lane_runs(&self, lane: usize, buf: &mut SortBuf, deliver: &mut dyn FnMut(u32, Run)) {
+        let lanes = self.slots.lanes;
+        let shards: Vec<_> = self
+            .shards
+            .iter()
+            .skip(lane)
+            .step_by(lanes)
+            .map(|s| s.0.lock())
+            .collect();
+        for (p, _) in self.slots.lane(lane) {
+            let bucket = |group: u32| shards[group as usize][p as usize].bytes.as_slice();
+            buf.clear();
+            let mut bytes = 0;
+            for (group, shard) in (0..).zip(&shards) {
+                let arena = &shard[p as usize].bytes;
+                bytes += arena.len();
+                let mut off = 0;
+                while off < arena.len() {
+                    let rec = RecRef::decode(arena, off).expect("corrupt arena record");
+                    off = rec.end();
+                    let at = span(buf.recs.len());
+                    buf.refs.push(SortRef {
+                        head: 0,
+                        group,
+                        entry: at,
+                    });
+                    buf.recs.push(rec);
+                }
+            }
+            if buf.refs.is_empty() {
+                continue;
+            }
+            buf.sort_records(bucket);
+            let mut run = Vec::with_capacity(bytes);
+            buf.write_records(bucket, &mut run);
+            deliver(p, Run::from_sorted_bytes(run, buf.refs.len()));
+        }
+    }
+
+    /// Shard by shard, each shard partition by partition in emission
+    /// order: no sort, so a single-slot pool hands records out as emitted.
+    fn visit(&self, f: &mut dyn FnMut(&[u8], &[u8])) {
+        for shard in &self.shards {
+            for bucket in shard.0.lock().iter() {
+                let mut rest = bucket.bytes.as_slice();
+                while !rest.is_empty() {
+                    let rec = RecRef::decode(rest, 0).expect("corrupt arena record");
+                    f(rec.key(rest), rec.value(rest));
+                    rest = &rest[rec.end()..];
+                }
             }
         }
     }
 
     fn reset(&mut self) {
         for shard in &mut self.shards {
-            let shard = shard.0.get_mut();
-            shard.bytes.clear();
-            shard.records = 0;
+            for bucket in shard.0.get_mut() {
+                bucket.bytes.clear();
+                bucket.records = 0;
+            }
         }
     }
 
     fn records(&self) -> usize {
-        self.sum(|shard| shard.records)
+        self.sum(|bucket| bucket.records)
     }
 
     fn bytes(&self) -> usize {
-        self.sum(|shard| shard.bytes.len())
+        self.sum(|bucket| bucket.bytes.len())
     }
 }
 
@@ -207,7 +363,7 @@ fn span(n: usize) -> u32 {
 /// One distinct key of a [`GroupTable`].
 #[derive(Clone, Copy)]
 struct Entry {
-    /// The key's hash, kept for growing the index and for the fold.
+    /// The key's hash, kept for growing the index.
     hash: u64,
     key_off: u32,
     key_len: u32,
@@ -218,9 +374,10 @@ struct Entry {
 }
 
 /// One work-group's table: an open-addressing index over entry ids, the
-/// entries in insertion order, and one arena holding every key and every
-/// value node (`next len value`, chained per key). Nothing here is
-/// allocated per key, and `clear` keeps every capacity.
+/// entries in insertion order, one arena holding every key and every
+/// value node (`next len value`, chained per key), and per slot the ids of
+/// the entries filed there. Nothing here is allocated per key, and `clear`
+/// keeps every capacity.
 struct GroupTable {
     combiner: Option<Arc<dyn Combiner>>,
     /// Slots the index opens with (`JobConfig::hash_buckets`).
@@ -233,13 +390,15 @@ struct GroupTable {
     /// The accumulator's stand-in while [`Combiner::combine`], which wants
     /// a `Vec`, works on it.
     scratch: Vec<u8>,
+    /// Per slot, the id of each entry filed there, in insertion order.
+    slots: Vec<Vec<u32>>,
     emits: usize,
     records: usize,
     bytes: usize,
 }
 
 impl GroupTable {
-    fn new(opening_slots: usize, combiner: Option<Arc<dyn Combiner>>) -> Self {
+    fn new(opening_slots: usize, combiner: Option<Arc<dyn Combiner>>, slots: usize) -> Self {
         GroupTable {
             combiner,
             opening_slots,
@@ -247,6 +406,7 @@ impl GroupTable {
             entries: Vec::new(),
             arena: Vec::new(),
             scratch: Vec::new(),
+            slots: vec![Vec::new(); slots],
             emits: 0,
             records: 0,
             bytes: 0,
@@ -256,6 +416,7 @@ impl GroupTable {
     fn clear(&mut self) {
         if !self.entries.is_empty() {
             self.index.fill(0);
+            self.slots.iter_mut().for_each(Vec::clear);
         }
         self.entries.clear();
         self.arena.clear();
@@ -264,9 +425,9 @@ impl GroupTable {
         self.bytes = 0;
     }
 
-    fn emit(&mut self, hash: u64, key: &[u8], value: &[u8]) {
+    fn emit(&mut self, slots: &Slots, hash: u64, key: &[u8], value: &[u8]) {
         self.emits += 1;
-        let id = self.entry(hash, key);
+        let id = self.entry(slots, hash, key);
         self.put(id, key, value);
     }
 
@@ -335,9 +496,9 @@ impl GroupTable {
         }
     }
 
-    /// The id of the entry for `key`, appended with no value yet if the
-    /// table has not seen the key.
-    fn entry(&mut self, hash: u64, key: &[u8]) -> usize {
+    /// The id of the entry for `key`, appended with no value yet, and
+    /// filed under its slot, if the table has not seen the key.
+    fn entry(&mut self, slots: &Slots, hash: u64, key: &[u8]) -> usize {
         if (self.entries.len() + 1) * 2 > self.index.len() {
             self.grow();
         }
@@ -360,6 +521,7 @@ impl GroupTable {
         }
         let id = self.entries.len();
         self.index[i] = tag << 32 | u64::from(span(id + 1));
+        self.slots[slots.slot_of(key, hash)].push(span(id));
         self.entries.push(Entry {
             hash,
             key_off: span(self.arena.len()),
@@ -405,28 +567,9 @@ impl GroupTable {
         }
     }
 
-    /// Fold `other` in: every key of `other` in its insertion order, every
-    /// value of a key in its emission order, each key looked up once by
-    /// the hash `other` already computed.
-    fn absorb(&mut self, other: &GroupTable) {
-        for e in &other.entries {
-            let key = other.key(e);
-            let id = self.entry(e.hash, key);
-            for value in other.values(e) {
-                self.put(id, key, value);
-            }
-        }
-        self.emits += other.emits;
-    }
-
-    /// Visit the records of `entries`, a range of entry ids.
-    fn for_each(&self, entries: Range<usize>, f: &mut dyn FnMut(&[u8], &[u8])) {
-        for e in &self.entries[entries] {
-            let key = self.key(e);
-            for value in self.values(e) {
-                f(key, value);
-            }
-        }
+    /// The combined value of `e`, in a table with a combiner.
+    fn accumulator(&self, e: &Entry) -> &[u8] {
+        &self.arena[self.value_range(e.head)]
     }
 }
 
@@ -472,31 +615,35 @@ impl<T> PerGroup<T> {
 
 /// A work-group's table behind its own lock, aligned so that two groups
 /// never share a cache line. In a launch only the group's thread takes
-/// the lock; it is there for emits that are not in one (group 0, from any
-/// thread) and for the fold.
+/// the write lock; it is there for emits that are not in one (group 0,
+/// from any thread). Partition lanes read every table at once.
 #[repr(align(128))]
 struct GroupSlot(RwLock<GroupTable>);
 
 /// The hash-table collector with optional in-kernel combiner: one table
-/// per work-group, read one after the other in group order — after the
-/// first read has folded them into group 0's, when there is a combiner.
+/// per work-group, each key filed under its slot when a group first
+/// inserts it.
 pub struct HashTableCollector {
     combiner: Option<Arc<dyn Combiner>>,
     buckets: usize,
+    slots: Slots,
     groups: PerGroup<GroupSlot>,
-    /// Held while folding, so that concurrent first reads fold once.
-    folding: Mutex<()>,
 }
 
 impl HashTableCollector {
-    /// Create tables whose index opens with `buckets` slots; `combiner`
-    /// enables combining mode.
+    /// Create tables whose index opens with `buckets` slots, filing every
+    /// key in one slot; `combiner` enables combining mode.
     pub fn new(buckets: usize, combiner: Option<Arc<dyn Combiner>>) -> Self {
+        Self::with_slots(buckets, combiner, Slots::single())
+    }
+
+    /// [`HashTableCollector::new`], filing keys under `slots`.
+    pub fn with_slots(buckets: usize, combiner: Option<Arc<dyn Combiner>>, slots: Slots) -> Self {
         HashTableCollector {
             combiner,
             buckets,
+            slots,
             groups: PerGroup::new(),
-            folding: Mutex::new(()),
         }
     }
 
@@ -510,6 +657,7 @@ impl HashTableCollector {
             GroupSlot(RwLock::new(GroupTable::new(
                 self.buckets,
                 self.combiner.clone(),
+                self.slots.len(),
             )))
         };
         &self.groups.get(group, make).0
@@ -519,28 +667,94 @@ impl HashTableCollector {
         self.groups.iter().map(|slot| of(&slot.0.read())).sum()
     }
 
-    /// With a combiner, a key must leave the chunk as one record: move
-    /// every other group that has entries into group 0's table — in group
-    /// order, so the result does not depend on which thread ran which
-    /// group — leaving those groups empty, so a second read has nothing to
-    /// fold. Without a combiner there is nothing to combine and the tables
-    /// stay as they are.
-    fn fold(&self) {
-        if self.combiner.is_none() {
-            return;
-        }
-        // Made here if group 0 never emitted, so that it is the first slot
-        // `iter` yields.
-        let root = self.table(0);
-        let _folding = self.folding.lock();
-        let mut into = None;
-        for slot in self.groups.iter().skip(1) {
-            let mut table = slot.0.write();
-            if !table.entries.is_empty() {
-                into.get_or_insert_with(|| root.write()).absorb(&table);
-                table.clear();
+    /// Serialize `refs`, sorted by key and then group, into `run`: one
+    /// record per key, its groups' accumulators combined in group order,
+    /// with a combiner; every value of a key, in value order, without.
+    /// Returns the records written.
+    fn write_sorted(
+        &self,
+        tables: &[&GroupTable],
+        keys: &[LaneKey<'_>],
+        refs: &[SortRef],
+        run: &mut Vec<u8>,
+    ) -> usize {
+        let entry = |r: &SortRef| (tables[r.group as usize], keys[r.entry as usize].entry);
+        let mut acc = Vec::new();
+        let mut values: Vec<&[u8]> = Vec::new();
+        let mut records = 0;
+        let mut at = 0;
+        while at < refs.len() {
+            let first = &keys[refs[at].entry as usize];
+            let same_key = |r: &SortRef| {
+                let k = &keys[r.entry as usize];
+                r.head == refs[at].head && k.tail == first.tail && k.key == first.key
+            };
+            let end = at + 1 + refs[at + 1..].iter().take_while(|r| same_key(r)).count();
+            let (same, k) = (&refs[at..end], first.key);
+            let (table, e) = entry(&refs[at]);
+            match &self.combiner {
+                Some(combiner) => {
+                    let mut value = table.accumulator(e);
+                    if same.len() > 1 {
+                        acc.clear();
+                        acc.extend_from_slice(value);
+                        for r in &same[1..] {
+                            let (table, e) = entry(r);
+                            combiner.combine(k, &mut acc, table.accumulator(e));
+                        }
+                        value = &acc;
+                    }
+                    RecRef::write(run, k, value);
+                    records += 1;
+                }
+                None if same.len() == 1 && e.head == e.tail => {
+                    RecRef::write(run, k, table.node(e.head).1);
+                    records += 1;
+                }
+                None => {
+                    values.clear();
+                    for r in same {
+                        let (table, e) = entry(r);
+                        values.extend(table.values(e));
+                    }
+                    values.sort_unstable();
+                    for value in &values {
+                        RecRef::write(run, k, value);
+                    }
+                    records += values.len();
+                }
             }
+            at = end;
         }
+        records
+    }
+}
+
+/// What a partition lane knows of one entry it sorts. Every key of a
+/// slot shares the slot's first `skip` bytes, so a ref's head is read
+/// after them and `tail` is the 8 bytes after the head, zero-padded and
+/// big-endian: on WordCount's `word…` keys the head then starts at the
+/// first byte that can differ. A ref's `entry` indexes these.
+struct LaneKey<'t> {
+    tail: u64,
+    key: &'t [u8],
+    entry: &'t Entry,
+}
+
+impl LaneKey<'_> {
+    /// Key order between two keys whose heads, read past `skip`, are
+    /// equal. Equal tails too mean equal zero-padded bytes up to
+    /// `skip + 16`: when neither key is longer, the shorter one is a
+    /// prefix of the other and sorts first, with no byte read; past that
+    /// the keys are compared.
+    fn cmp_past_head(&self, other: &Self, skip: usize) -> Ordering {
+        self.tail.cmp(&other.tail).then_with(|| {
+            if self.key.len().max(other.key.len()) <= skip + 16 {
+                self.key.len().cmp(&other.key.len())
+            } else {
+                self.key.cmp(other.key)
+            }
+        })
     }
 }
 
@@ -553,23 +767,68 @@ impl Collector for HashTableCollector {
     /// once; the lock is released when `f` returns or unwinds.
     fn work_item(&self, f: &mut dyn FnMut(&mut Sink<'_>)) {
         let mut table = self.table(current_group_id()).write();
-        f(&mut |key, value| table.emit(hash_bytes(key), key, value));
+        f(&mut |key, value| table.emit(&self.slots, hash_bytes(key), key, value));
     }
 
-    /// The entries of all tables, in group order and insertion order, cut
-    /// into `parts` contiguous pieces.
-    fn for_each_part(&self, part: usize, parts: usize, f: &mut dyn FnMut(&[u8], &[u8])) {
-        self.fold();
-        let entries = self.sum(|table| table.entries.len());
-        let mut skip = entries * part / parts;
-        let mut take = entries * (part + 1) / parts - skip;
-        for slot in self.groups.iter() {
-            let table = slot.0.read();
-            let from = skip.min(table.entries.len());
-            let to = (from + take).min(table.entries.len());
-            table.for_each(from..to, f);
-            skip -= from;
-            take -= to - from;
+    /// Refs name an entry by its table's place in group order and its
+    /// `LaneKey`; a key's refs sort by group after the key, so the walk
+    /// meets its groups in group order.
+    fn lane_runs(&self, lane: usize, buf: &mut SortBuf, deliver: &mut dyn FnMut(u32, Run)) {
+        let guards: Vec<_> = self.groups.iter().map(|slot| slot.0.read()).collect();
+        let tables: Vec<&GroupTable> = guards.iter().map(|table| &**table).collect();
+        let mut keys: Vec<LaneKey<'_>> = Vec::new();
+        for (p, slot) in self.slots.lane(lane) {
+            buf.clear();
+            keys.clear();
+            let (mut bytes, mut skip) = (0, usize::MAX);
+            for (group, table) in (0..).zip(&tables) {
+                for &id in &table.slots[slot] {
+                    let e = &table.entries[id as usize];
+                    let key = table.key(e);
+                    skip = shared_prefix(keys.first().map_or(key, |k| k.key), key, skip);
+                    buf.refs.push(SortRef {
+                        head: 0,
+                        group,
+                        entry: span(keys.len()),
+                    });
+                    keys.push(LaneKey {
+                        tail: 0,
+                        key,
+                        entry: e,
+                    });
+                }
+                // The slot's share of the table's bytes, by entry count.
+                bytes += table.bytes * table.slots[slot].len() / table.entries.len().max(1);
+            }
+            if buf.refs.is_empty() {
+                continue;
+            }
+            for (r, k) in buf.refs.iter_mut().zip(&mut keys) {
+                let rest = &k.key[skip..];
+                r.head = key_head(rest);
+                k.tail = key_head(rest.get(8..).unwrap_or_default());
+            }
+            buf.sort_by(|_, a, b| {
+                let (x, y) = (&keys[a.entry as usize], &keys[b.entry as usize]);
+                x.cmp_past_head(y, skip).then(a.group.cmp(&b.group))
+            });
+            let mut run = Vec::with_capacity(bytes);
+            let records = self.write_sorted(&tables, &keys, &buf.refs, &mut run);
+            // `bytes` is an estimate, counting a key once per group that
+            // holds it; the run is cached as it is, so it keeps no spare
+            // capacity.
+            run.shrink_to_fit();
+            deliver(p, Run::from_sorted_bytes(run, records));
+        }
+    }
+
+    /// The lane runs, lane by lane, each partition by partition.
+    fn visit(&self, f: &mut dyn FnMut(&[u8], &[u8])) {
+        let mut buf = SortBuf::default();
+        for lane in 0..self.slots.lanes {
+            self.lane_runs(lane, &mut buf, &mut |_, run| {
+                run.iter().for_each(|(key, value)| f(key, value));
+            });
         }
     }
 
@@ -580,13 +839,11 @@ impl Collector for HashTableCollector {
     }
 
     fn records(&self) -> usize {
-        self.fold();
         self.sum(|table| table.records)
     }
 
-    /// What the tables hold as they stand, without folding them: a
-    /// Retrieve stage asks before the first read, and what would cross the
-    /// link then is every group's table.
+    /// What the tables hold as they stand: a Retrieve stage asks for it,
+    /// and what would cross the link is every group's table.
     fn bytes(&self) -> usize {
         self.sum(|table| table.bytes)
     }
@@ -595,25 +852,54 @@ impl Collector for HashTableCollector {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::hash::default_partition;
+    use std::collections::BTreeMap;
+
+    type Pairs = Vec<(Vec<u8>, Vec<u8>)>;
 
     /// The records in the order the collector hands them out.
-    fn sequence(c: &dyn Collector) -> Vec<(Vec<u8>, Vec<u8>)> {
+    fn sequence(c: &dyn Collector) -> Pairs {
         let mut out = Vec::new();
         for_each_record(c, &mut |k, v| out.push((k.to_vec(), v.to_vec())));
         out
     }
 
-    fn collect_all(c: &dyn Collector) -> Vec<(Vec<u8>, Vec<u8>)> {
+    fn collect_all(c: &dyn Collector) -> Pairs {
         let mut out = sequence(c);
         out.sort();
         out
     }
 
-    fn collect_parts(c: &dyn Collector, parts: usize) -> Vec<(Vec<u8>, Vec<u8>)> {
-        let mut out = Vec::new();
-        for p in 0..parts {
-            c.for_each_part(p, parts, &mut |k, v| out.push((k.to_vec(), v.to_vec())));
+    /// `partitions` partitions by the default partitioner, over `lanes`
+    /// lanes.
+    fn slots(partitions: u32, lanes: usize) -> Slots {
+        Slots::new(partitions, lanes, move |key| {
+            default_partition(key, partitions)
+        })
+    }
+
+    /// Every run the collector's `lanes` lanes build, by `(partition,
+    /// lane)`, after checking that each is sorted and holds only keys of
+    /// its partition.
+    fn lane_runs(c: &dyn Collector, s: &Slots) -> BTreeMap<(u32, usize), Run> {
+        let mut runs = BTreeMap::new();
+        let mut buf = SortBuf::default();
+        for lane in 0..s.lanes() {
+            c.lane_runs(lane, &mut buf, &mut |p, run| {
+                assert!(run.check_sorted() && !run.is_empty());
+                assert!(run.iter().all(|(k, _)| s.partition_of(k) == p as usize));
+                assert!(runs.insert((p, lane), run).is_none(), "one run per slot");
+            });
         }
+        runs
+    }
+
+    /// The union of `runs`' records, sorted.
+    fn union(runs: &BTreeMap<(u32, usize), Run>) -> Pairs {
+        let mut out: Pairs = runs
+            .values()
+            .flat_map(|run| run.iter().map(|(k, v)| (k.to_vec(), v.to_vec())))
+            .collect();
         out.sort();
         out
     }
@@ -646,13 +932,19 @@ mod tests {
     }
 
     #[test]
-    fn buffer_pool_partitioned_read_covers_everything_once() {
-        let c = BufferPoolCollector::new(1 << 16, 8);
-        for i in 0..500 {
-            c.emit(format!("k{i}").as_bytes(), &[i as u8]);
-        }
-        for parts in [1, 2, 3, 8] {
-            assert_eq!(collect_parts(&c, parts).len(), 500, "parts={parts}");
+    fn buffer_pool_lane_runs_cover_everything_once() {
+        for (partitions, lanes) in [(1, 1), (1, 2), (3, 1), (2, 3), (4, 8)] {
+            let s = slots(partitions, lanes);
+            let c = BufferPoolCollector::with_slots(1 << 16, 8, s.clone());
+            for i in 0..500 {
+                c.emit(format!("k{i}").as_bytes(), &[i as u8]);
+            }
+            assert_eq!(
+                union(&lane_runs(&c, &s)),
+                collect_all(&c),
+                "{partitions}x{lanes}"
+            );
+            assert_eq!(collect_all(&c).len(), 500);
         }
     }
 
@@ -739,14 +1031,28 @@ mod tests {
     }
 
     #[test]
-    fn hash_table_partitioned_read_is_disjoint_and_complete() {
-        let c = HashTableCollector::new(32, None);
-        for i in 0..300 {
-            c.emit(format!("k{i}").as_bytes(), b"v");
+    fn hash_table_lane_runs_are_disjoint_and_complete() {
+        for (partitions, lanes) in [(1, 1), (1, 2), (2, 1), (3, 3)] {
+            let s = slots(partitions, lanes);
+            let c = HashTableCollector::with_slots(32, None, s.clone());
+            for i in 0..300 {
+                c.emit(format!("k{i}").as_bytes(), b"v");
+            }
+            let runs = lane_runs(&c, &s);
+            assert_eq!(union(&runs).len(), 300, "{partitions}x{lanes}");
+            assert_eq!(union(&runs), collect_all(&c));
+            if lanes > 1 {
+                let used: std::collections::BTreeSet<_> = runs.keys().map(|&(_, l)| l).collect();
+                assert_eq!(used.len(), lanes, "300 keys reach every lane");
+            }
         }
-        for parts in [1, 2, 5] {
-            assert_eq!(collect_parts(&c, parts).len(), 300, "parts={parts}");
-        }
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn a_partition_out_of_range_is_refused_at_emission() {
+        let c = HashTableCollector::with_slots(16, None, Slots::new(2, 1, |_| 2));
+        c.emit(b"k", b"v");
     }
 
     mod properties {
@@ -773,22 +1079,24 @@ mod tests {
                 prop_assert_eq!(table.records(), emits.len());
             }
 
-            /// Partitioned reads are a partition: disjoint and complete,
-            /// for any number of parts.
+            /// Lane runs partition the records: disjoint and complete, for
+            /// any number of partitions and lanes.
             #[test]
-            fn partitioned_reads_partition(
+            fn lane_runs_partition_the_records(
                 n_emits in 0usize..300,
-                parts in 1usize..10)
+                partitions in 1u32..5,
+                lanes in 1usize..5)
             {
-                let pool = BufferPoolCollector::new(1 << 14, 3);
-                let table = HashTableCollector::new(16, None);
+                let s = slots(partitions, lanes);
+                let pool = BufferPoolCollector::with_slots(1 << 14, 3, s.clone());
+                let table = HashTableCollector::with_slots(16, None, s.clone());
                 for i in 0..n_emits {
                     let k = format!("k{i}");
                     pool.emit(k.as_bytes(), b"v");
                     table.emit(k.as_bytes(), b"v");
                 }
-                prop_assert_eq!(collect_parts(&pool, parts).len(), n_emits);
-                prop_assert_eq!(collect_parts(&table, parts).len(), n_emits);
+                prop_assert_eq!(union(&lane_runs(&pool, &s)).len(), n_emits);
+                prop_assert_eq!(union(&lane_runs(&table, &s)), union(&lane_runs(&pool, &s)));
             }
         }
     }
@@ -802,7 +1110,7 @@ mod tests {
         assert!(collect_all(&c).is_empty());
     }
 
-    // --- work-group-local collection: order, fold, recycling ---
+    // --- work-group-local collection: order, lane combine, recycling ---
 
     use gw_device::{KernelFn, NdRange, WorkItemCtx, WorkerPool};
 
@@ -814,6 +1122,15 @@ mod tests {
             let a = f32::from_le_bytes(acc.as_slice().try_into().unwrap());
             let b = f32::from_le_bytes(value.try_into().unwrap());
             acc.copy_from_slice(&(a + b).to_le_bytes());
+        }
+    }
+
+    /// Appends instead of summing, so every combine grows the accumulator
+    /// and the result spells out the order values were combined in.
+    struct Concat;
+    impl Combiner for Concat {
+        fn combine(&self, _key: &[u8], acc: &mut Vec<u8>, value: &[u8]) {
+            acc.extend_from_slice(value);
         }
     }
 
@@ -849,9 +1166,9 @@ mod tests {
     }
 
     /// 3000 emits over 49 keys (the values `i² + 7i` takes mod 97), so every
-    /// work-group meets most keys and the fold has real merging to do;
+    /// work-group meets most keys and the lanes have real combining to do;
     /// `value(i)` encodes the `i`-th value.
-    fn chunk_of(value: impl Fn(usize) -> Vec<u8>) -> Vec<(Vec<u8>, Vec<u8>)> {
+    fn chunk_of(value: impl Fn(usize) -> Vec<u8>) -> Pairs {
         (0..3000usize)
             .map(|i| {
                 (
@@ -895,13 +1212,20 @@ mod tests {
             Box::new(HashTableCollector::new(64, Some(Arc::new(SumCombiner))))
         });
         assert_same_sequence_on_every_pool("f32 sum", &floats, || {
-            Box::new(HashTableCollector::new(64, Some(Arc::new(F32SumCombiner))))
+            Box::new(HashTableCollector::with_slots(
+                64,
+                Some(Arc::new(F32SumCombiner)),
+                slots(3, 2),
+            ))
         });
         assert_same_sequence_on_every_pool("no combiner", &counts, || {
             Box::new(HashTableCollector::new(64, None))
         });
         assert_same_sequence_on_every_pool("buffer pool", &counts, || {
             Box::new(BufferPoolCollector::new(1 << 20, 4))
+        });
+        assert_same_sequence_on_every_pool("slotted buffer pool", &counts, || {
+            Box::new(BufferPoolCollector::with_slots(1 << 20, 4, slots(2, 3)))
         });
     }
 
@@ -1001,7 +1325,7 @@ mod tests {
             assert_eq!(per_item.emits(), per_record.emits());
             assert_eq!(per_item.bytes(), per_record.bytes());
             assert_eq!(per_item.records(), per_record.records());
-            assert_eq!(per_item.bytes(), per_record.bytes(), "after the fold");
+            assert_eq!(sequence(&per_item), sequence(&per_record));
         }
         let per_record = BufferPoolCollector::new(1 << 20, 4);
         launch(&pool, range, &per_record, &chunk);
@@ -1012,9 +1336,15 @@ mod tests {
         assert_eq!(per_item.bytes(), per_record.bytes());
     }
 
+    /// How many work-groups' tables hold an entry.
+    fn filled(c: &HashTableCollector) -> usize {
+        let filled = |slot: &GroupSlot| !slot.0.read().entries.is_empty();
+        c.groups.iter().filter(|slot| filled(slot)).count()
+    }
+
     #[test]
-    fn reading_twice_folds_once() {
-        let c = HashTableCollector::new(64, Some(Arc::new(SumCombiner)));
+    fn reading_twice_combines_the_same_and_moves_nothing() {
+        let c = HashTableCollector::with_slots(64, Some(Arc::new(SumCombiner)), slots(2, 2));
         let chunk = chunk_of(|_| 1u64.to_le_bytes().to_vec());
         launch(
             &WorkerPool::new(1),
@@ -1022,46 +1352,36 @@ mod tests {
             &c,
             &chunk,
         );
-        let filled = |c: &HashTableCollector| {
-            let filled = |slot: &GroupSlot| !slot.0.read().entries.is_empty();
-            c.groups.iter().filter(|slot| filled(slot)).count()
-        };
-        assert_eq!(
-            filled(&c),
-            4,
-            "one table per work-group before the first read"
-        );
-        assert_eq!(c.records(), 49);
-        assert_eq!(filled(&c), 1, "the first read leaves everything in group 0");
+        assert_eq!(filled(&c), 4, "one table per work-group");
+        let held = c.records();
+        assert!(held > 49, "groups share keys: {held} group records");
         let first = sequence(&c);
-        assert_eq!(first, sequence(&c));
-        assert_eq!(c.emits(), 3000);
+        assert_eq!(first.len(), 49, "a lane combines a key across groups");
+        assert_eq!(first, sequence(&c), "a second read builds the same runs");
+        assert_eq!((filled(&c), c.records(), c.emits()), (4, held, 3000));
         let total: u64 = first
             .iter()
             .map(|(_, v)| u64::from_le_bytes(v.as_slice().try_into().unwrap()))
             .sum();
-        assert_eq!(total, 3000, "the fold combined, it did not overwrite");
+        assert_eq!(total, 3000, "the lanes combined, they did not overwrite");
     }
 
     #[test]
-    fn groups_fold_into_group_0_even_if_it_emitted_nothing() {
-        let c = HashTableCollector::new(16, Some(Arc::new(SumCombiner)));
+    fn groups_combine_in_group_order_even_if_group_0_emitted_nothing() {
+        let c = HashTableCollector::new(16, Some(Arc::new(Concat)));
         let kernel = KernelFn(|ctx: &WorkItemCtx| {
             if ctx.group_id() > 0 {
-                c.emit(b"k", &1u64.to_le_bytes());
+                c.emit(b"k", &[ctx.global_id() as u8]);
             }
         });
-        WorkerPool::new(1).run(NdRange::new(8, 2).unwrap(), &kernel);
-        assert_eq!(c.records(), 1);
-        assert_eq!(
-            sequence(&c),
-            vec![(b"k".to_vec(), 6u64.to_le_bytes().to_vec())]
-        );
+        WorkerPool::new(3).run(NdRange::new(8, 2).unwrap(), &kernel);
+        assert_eq!(c.records(), 3, "groups 1, 2 and 3 hold the key");
+        assert_eq!(sequence(&c), vec![(b"k".to_vec(), vec![2, 3, 4, 5, 6, 7])]);
     }
 
     #[test]
     fn reset_and_refill_grows_no_capacity_after_the_first_chunk() {
-        let capacities = |c: &HashTableCollector| -> Vec<[usize; 4]> {
+        let capacities = |c: &HashTableCollector| -> Vec<[usize; 5]> {
             c.groups
                 .iter()
                 .map(|slot| {
@@ -1071,6 +1391,7 @@ mod tests {
                         t.entries.capacity(),
                         t.arena.capacity(),
                         t.scratch.capacity(),
+                        t.slots.iter().map(Vec::capacity).sum(),
                     ]
                 })
                 .collect()
@@ -1079,7 +1400,7 @@ mod tests {
         let range = NdRange::new(64, 16).unwrap();
         let chunk = chunk_of(|i| (i as u64).to_le_bytes().to_vec());
         for combiner in [Some(Arc::new(SumCombiner) as Arc<dyn Combiner>), None] {
-            let mut c = HashTableCollector::new(16, combiner);
+            let mut c = HashTableCollector::with_slots(16, combiner, slots(2, 2));
             launch(&pool, range, &c, &chunk);
             let records = c.records();
             let after_first = capacities(&c);
@@ -1094,28 +1415,34 @@ mod tests {
     }
 
     #[test]
-    fn a_resized_accumulator_moves_and_survives_the_fold() {
-        /// Appends instead of summing, so every combine grows the accumulator.
-        struct Concat;
-        impl Combiner for Concat {
-            fn combine(&self, _key: &[u8], acc: &mut Vec<u8>, value: &[u8]) {
-                acc.extend_from_slice(value);
-            }
-        }
+    fn a_resized_accumulator_moves_and_combines_across_groups() {
         let c = HashTableCollector::new(16, Some(Arc::new(Concat)));
-        let chunk: Vec<_> = (0..64u8).map(|i| (vec![b'k', i % 3], vec![i])).collect();
-        // One item per group: the fold order is the emit order.
+        let chunk: Pairs = (0..64u8).map(|i| (vec![b'k', i % 3], vec![i])).collect();
+        // One item per group: the combine order is the emit order.
         launch(
             &WorkerPool::new(2),
             NdRange::new(64, 1).unwrap(),
             &c,
             &chunk,
         );
-        assert_eq!(c.records(), 3);
-        for (key, acc) in sequence(&c) {
+        assert_eq!(c.records(), 64, "each group holds its one record");
+        assert_eq!(
+            c.bytes(),
+            64 * (2 + 1 + 2),
+            "key, value, per-record overhead"
+        );
+        let combined = sequence(&c);
+        assert_eq!(combined.len(), 3);
+        for (key, acc) in combined {
             let expect: Vec<u8> = (0..64u8).filter(|i| i % 3 == key[1]).collect();
             assert_eq!(acc, expect);
         }
+        // Within a group the accumulator grows and moves in place.
+        let c = HashTableCollector::new(16, Some(Arc::new(Concat)));
+        for (k, v) in &chunk {
+            c.emit(k, v);
+        }
+        assert_eq!(c.records(), 3);
         assert_eq!(
             c.bytes(),
             3 * (2 + 2) + 64,
@@ -1126,65 +1453,116 @@ mod tests {
     mod group_properties {
         use super::*;
         use proptest::prelude::*;
-        use std::collections::BTreeMap;
+
+        /// The `Range`s of `chunk_len` records each work-group's items
+        /// emit, in group order: [`launch`]'s split, as a launch reports it.
+        fn group_slices(range: NdRange, chunk_len: usize) -> Vec<Range<usize>> {
+            let items = Mutex::new(Vec::new());
+            let kernel = KernelFn(|ctx: &WorkItemCtx| {
+                let (lo, hi) = ctx.my_items(chunk_len);
+                items.lock().push((ctx.group_id(), lo, hi));
+            });
+            WorkerPool::new(0).run(range, &kernel);
+            let mut groups: BTreeMap<usize, Range<usize>> = BTreeMap::new();
+            for (group, lo, hi) in items.into_inner() {
+                let r = groups.entry(group).or_insert(lo..hi);
+                *r = r.start.min(lo)..r.end.max(hi);
+            }
+            groups.into_values().collect()
+        }
+
+        /// The reference: each group's records folded in emission order,
+        /// then the groups' accumulators folded in group order (group 0's
+        /// first), one `BTreeMap` per step; without a combiner, every
+        /// record. Sorted by `(key, value)`.
+        fn reference(
+            chunk: &[(Vec<u8>, Vec<u8>)],
+            groups: &[Range<usize>],
+            combiner: Option<&dyn Combiner>,
+        ) -> Pairs {
+            let Some(combiner) = combiner else {
+                let mut all = chunk.to_vec();
+                all.sort();
+                return all;
+            };
+            let fold = |into: &mut BTreeMap<Vec<u8>, Vec<u8>>, k: &Vec<u8>, v: &[u8]| match into
+                .get_mut(k)
+            {
+                Some(acc) => combiner.combine(k, acc, v),
+                None => {
+                    into.insert(k.clone(), v.to_vec());
+                }
+            };
+            let mut total = BTreeMap::new();
+            for slice in groups {
+                let mut group = BTreeMap::new();
+                for (k, v) in &chunk[slice.clone()] {
+                    fold(&mut group, k, v);
+                }
+                for (k, acc) in &group {
+                    fold(&mut total, k, acc);
+                }
+            }
+            total.into_iter().collect()
+        }
 
         proptest! {
-            /// Multi-group launches against a `BTreeMap` fold: the combined
-            /// table holds each key once with the sum of its values, the
-            /// plain table holds every value under its key in emission
-            /// order per work item, and `for_each_part` cuts the drain
-            /// sequence into contiguous pieces for every part count.
+            #![proptest_config(ProptestConfig { cases: 96, ..Default::default() })]
+
+            /// Multi-group launches into slotted collectors against a
+            /// `BTreeMap` fold in group order, for a u64 sum, an `f32` sum,
+            /// a resizing `Concat` and no combiner: the union of the lane
+            /// runs is the reference — `f32`s bit for bit — and every
+            /// `(partition, lane)` run is the same bytes at pool sizes 0, 1
+            /// and 3. A third of the keys share a 12-byte prefix and a third
+            /// are 24 bytes of mostly zeros, so heads and tails tie and the
+            /// lanes compare lengths and full keys.
             #[test]
-            fn launches_fold_to_the_reference(
-                emits in proptest::collection::vec((0u8..40, 0u64..1000), 0..400),
+            fn lane_runs_match_a_group_order_fold(
+                emits in proptest::collection::vec((0u8..40, 0u32..1000), 0..300),
                 global in 1usize..40,
                 local in 1usize..9,
-                threads in 0usize..3)
+                partitions in 1u32..5,
+                lanes in 1usize..4)
             {
-                let chunk: Vec<(Vec<u8>, Vec<u8>)> = emits
+                let key = |k: u8| match k % 3 {
+                    0 => vec![b'k', k],
+                    1 => format!("shared-head-{k}").into_bytes(),
+                    _ => format!("{k:0>24}").into_bytes(),
+                };
+                let counts: Pairs = emits
                     .iter()
-                    .map(|(k, v)| (vec![b'k', *k], v.to_le_bytes().to_vec()))
+                    .map(|&(k, v)| (key(k), u64::from(v).to_le_bytes().to_vec()))
                     .collect();
-                let pool = WorkerPool::new(threads);
+                let floats: Pairs = emits
+                    .iter()
+                    .map(|&(k, v)| (key(k), (1.1f32.powi(v as i32 % 200) * 0.37).to_le_bytes().to_vec()))
+                    .collect();
+                let bytes: Pairs = emits.iter().map(|&(k, v)| (key(k), vec![v as u8])).collect();
                 let range = NdRange::new(global, local).unwrap();
-                let mut sums: BTreeMap<Vec<u8>, u64> = BTreeMap::new();
-                let mut lists: BTreeMap<Vec<u8>, Vec<Vec<u8>>> = BTreeMap::new();
-                for ((k, v), (_, n)) in chunk.iter().zip(&emits) {
-                    *sums.entry(k.clone()).or_default() += n;
-                    lists.entry(k.clone()).or_default().push(v.clone());
-                }
-
-                let combined = HashTableCollector::new(4, Some(Arc::new(SumCombiner)));
-                launch(&pool, range, &combined, &chunk);
-                prop_assert_eq!(combined.records(), sums.len());
-                prop_assert_eq!(combined.emits(), chunk.len());
-                let got: BTreeMap<Vec<u8>, u64> = sequence(&combined)
-                    .into_iter()
-                    .map(|(k, v)| (k, u64::from_le_bytes(v.as_slice().try_into().unwrap())))
-                    .collect();
-                prop_assert_eq!(&got, &sums);
-
-                let plain = HashTableCollector::new(4, None);
-                launch(&pool, range, &plain, &chunk);
-                prop_assert_eq!(plain.records(), chunk.len());
-                let mut got: BTreeMap<Vec<u8>, Vec<Vec<u8>>> = BTreeMap::new();
-                for (k, v) in sequence(&plain) {
-                    got.entry(k).or_default().push(v);
-                }
-                // Work items own contiguous, ascending slices of the chunk
-                // and groups fold in order: a key's values keep chunk order.
-                prop_assert_eq!(&got, &lists);
-
-                for c in [&combined, &plain] {
-                    let whole = sequence(c);
-                    for parts in 1..10 {
-                        let mut pieces = Vec::new();
-                        for part in 0..parts {
-                            c.for_each_part(part, parts, &mut |k, v| {
-                                pieces.push((k.to_vec(), v.to_vec()));
-                            });
+                let groups = group_slices(range, emits.len());
+                let s = slots(partitions, lanes);
+                let pools = [WorkerPool::new(0), WorkerPool::new(1), WorkerPool::new(3)];
+                type Case<'a> = (&'a str, &'a Pairs, Option<Arc<dyn Combiner>>);
+                let cases: [Case; 4] = [
+                    ("u64 sum", &counts, Some(Arc::new(SumCombiner))),
+                    ("f32 sum", &floats, Some(Arc::new(F32SumCombiner))),
+                    ("concat", &bytes, Some(Arc::new(Concat))),
+                    ("no combiner", &counts, None),
+                ];
+                for (name, chunk, combiner) in cases {
+                    let expect = reference(chunk, &groups, combiner.as_deref());
+                    let mut first: Option<BTreeMap<(u32, usize), Run>> = None;
+                    for pool in &pools {
+                        let c = HashTableCollector::with_slots(4, combiner.clone(), s.clone());
+                        launch_work_items(pool, range, &c, chunk);
+                        prop_assert_eq!(c.emits(), chunk.len());
+                        let runs = lane_runs(&c, &s);
+                        prop_assert!(union(&runs) == expect, "{}: union differs from the reference", name);
+                        match &first {
+                            None => first = Some(runs),
+                            Some(first) => prop_assert!(first == &runs, "{}: runs moved", name),
                         }
-                        prop_assert_eq!(&pieces, &whole);
                     }
                 }
             }

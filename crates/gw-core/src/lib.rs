@@ -52,7 +52,7 @@ pub mod schedule;
 
 pub use api::{Combiner, Emit, GwApp, Records};
 pub use cluster::{read_job_output, Cluster, JobReport, NodeReport, RunScope};
-pub use collect::{BufferPoolCollector, Collector, CollectorKind, HashTableCollector};
+pub use collect::{BufferPoolCollector, Collector, CollectorKind, HashTableCollector, Slots};
 pub use config::{Buffering, JobConfig, LanePlan, SpeculationConfig, TimingMode};
 pub use coordinator::{Coordinator, SpeculationReport};
 pub use schedule::{pipeline_makespan, ChunkTimes};

@@ -22,10 +22,11 @@
 //! design decision places less stress on the file system ... since the
 //! pipeline reads one input split at a time."
 //!
-//! The Partition stage decodes the collector, hash-partitions records,
-//! sorts each partition, and pushes each partition to its home node
-//! (in-memory cache if local, network otherwise), parallelised over
-//! `N = partition_threads` lanes (Fig. 4a).
+//! The Partition stage runs `N = partition_threads` lanes (Fig. 4a). The
+//! kernel's collector filed every record under its partition and a lane
+//! as it was emitted, so each lane sorts and writes its own share of
+//! every partition — one run per (partition, lane) — and pushes each run
+//! to its home node (in-memory cache if local, network otherwise).
 //!
 //! ## Fault tolerance
 //!
@@ -62,7 +63,7 @@ use gw_storage::{InputSplit, NodeId, StorageError};
 use gw_trace::{CounterId, Lane, LaneId, Realm, StageId, Tracer};
 
 use crate::api::{Emit, GwApp, Records};
-use crate::collect::{BufferPoolCollector, Collector, CollectorKind, HashTableCollector};
+use crate::collect::{BufferPoolCollector, Collector, CollectorKind, HashTableCollector, Slots};
 use crate::config::{JobConfig, TimingMode};
 use crate::coordinator::{Coordinator, MapPipelineProbe, NodeChaos, RecoveryState};
 use crate::EngineError;
@@ -107,24 +108,44 @@ pub struct MapPhaseReport {
 }
 
 /// A buffer-pool collector for kernels of at most `work_items` work
-/// items: one shard per work-group, so that the order records drain in is
-/// a function of the NDRange, and never fewer than the partition lanes
-/// that share the drain.
-pub(crate) fn pool_collector(cfg: &JobConfig, work_items: usize) -> BufferPoolCollector {
+/// items, filing records under `slots`: one shard per work-group, so that
+/// the order records drain in is a function of the NDRange, and never
+/// fewer than the partition lanes that own the shards.
+pub(crate) fn pool_collector(
+    cfg: &JobConfig,
+    work_items: usize,
+    slots: Slots,
+) -> BufferPoolCollector {
     let groups = work_items.div_ceil(cfg.work_group);
-    BufferPoolCollector::new(
+    BufferPoolCollector::with_slots(
         cfg.collector_capacity,
-        groups.max(cfg.partition_threads).max(8),
+        groups.max(slots.lanes()).max(8),
+        slots,
     )
 }
 
-/// Build the map kernel's collector according to the job configuration.
-pub(crate) fn make_collector(cfg: &JobConfig, app: &Arc<dyn GwApp>) -> Box<dyn Collector> {
+/// Build the map kernel's collector according to the job configuration:
+/// records filed under their partition of `partitions`, by the
+/// application's partition function, and one of the
+/// `partition_threads` lanes.
+pub(crate) fn make_collector(
+    cfg: &JobConfig,
+    app: &Arc<dyn GwApp>,
+    partitions: u32,
+) -> Box<dyn Collector> {
+    let slots = {
+        let app = Arc::clone(app);
+        Slots::new(partitions, cfg.partition_threads, move |key| {
+            app.partition(key, partitions)
+        })
+    };
     match cfg.collector {
-        CollectorKind::BufferPool => Box::new(pool_collector(cfg, cfg.map_work_items)),
-        CollectorKind::HashTable => {
-            Box::new(HashTableCollector::new(cfg.hash_buckets, app.combiner()))
-        }
+        CollectorKind::BufferPool => Box::new(pool_collector(cfg, cfg.map_work_items, slots)),
+        CollectorKind::HashTable => Box::new(HashTableCollector::with_slots(
+            cfg.hash_buckets,
+            app.combiner(),
+            slots,
+        )),
     }
 }
 
@@ -370,18 +391,16 @@ pub(crate) fn output_bytes(collector: &Option<Box<dyn Collector>>) -> usize {
     collector.as_ref().map_or(0, |c| c.bytes())
 }
 
-/// Partition stage (sink): decode the collector over `N` lanes, bucket by
-/// global partition, sort, and push each run to its home node. Recycles
-/// the collector when done.
+/// Partition stage (sink): on `N` lanes, each building its run of every
+/// partition from its own collector slots, and pushing each run to its
+/// home node. Recycles the collector when done.
 struct MapPartition<'a> {
-    app: Arc<dyn GwApp>,
     endpoint: Arc<Endpoint<ShuffleRun>>,
     intermediate: Arc<IntermediateStore>,
     coordinator: Arc<Coordinator>,
     cfg: &'a JobConfig,
     node: NodeId,
     nodes: u32,
-    total_partitions: u32,
     pool: &'a WorkerPool,
     run_pool: Arc<RunPool>,
     records_out: &'a AtomicUsize,
@@ -433,7 +452,6 @@ impl Stage<MapChunk, EngineError> for MapPartition<'_> {
         _ctx: &mut StageCtx<'_>,
     ) -> Result<Option<MapChunk>, EngineError> {
         let n_lanes = self.cfg.partition_threads;
-        let total_partitions = self.total_partitions;
         let block = chunk.block_idx as u32;
         let mut collector = chunk.collector.take().expect("kernel output collector");
         // Scope the kernel so its borrow of the collector ends before the
@@ -443,27 +461,17 @@ impl Stage<MapChunk, EngineError> for MapPartition<'_> {
             let collector: &dyn Collector = collector.as_ref();
             let kernel = KernelFn(move |ctx: &WorkItemCtx| {
                 let lane = ctx.global_id();
-                // Decode this lane's share and bucket by global partition.
-                // Builders come from the recycling pool: their
-                // arenas/indexes carry capacity from previous chunks.
-                let mut builders: Vec<_> = (0..total_partitions)
-                    .map(|_| this.run_pool.builder())
-                    .collect();
-                collector.for_each_part(lane, n_lanes, &mut |k, v| {
-                    let gp = this.app.partition(k, total_partitions);
-                    builders[gp as usize].push(k, v);
-                });
-                for (partition, builder) in (0..total_partitions).zip(builders) {
-                    if builder.is_empty() {
-                        continue;
-                    }
+                // Sort space from the recycling pool: its buffers carry
+                // capacity from previous chunks.
+                let mut buf = this.run_pool.sort_buf();
+                collector.lane_runs(lane, &mut buf, &mut |partition, run| {
                     let tag = RunTag {
                         partition,
                         block,
                         lane: lane as u32,
                     };
-                    this.deliver_run(tag, builder.build());
-                }
+                    this.deliver_run(tag, run);
+                });
             });
             self.pool.run(
                 NdRange::new(n_lanes, 1).map_err(EngineError::Device)?,
@@ -521,9 +529,9 @@ impl MapPhase<'_> {
         // Partitioning worker pool: N lanes (orchestrator participates).
         let partition_pool = WorkerPool::new(self.cfg.partition_threads.saturating_sub(1));
 
-        // Run-builder recycling: arenas and offset indexes cycle through
-        // this pool so steady-state partitioning does no per-record
-        // allocation (the first chunk's builders warm it up).
+        // Sort-space recycling: each partition lane's refs and scatter
+        // space cycle through this pool so steady-state partitioning does
+        // no per-record allocation (the first chunk's lanes warm it up).
         let run_pool = Arc::new(RunPool::new());
 
         // The §III-D buffer sets: B device staging buffers (discrete
@@ -539,7 +547,7 @@ impl MapPhase<'_> {
             (Some(get), Some(put))
         };
         let (collectors, collectors_back) =
-            token_pool((0..b).map(|_| make_collector(self.cfg, &self.app)));
+            token_pool((0..b).map(|_| make_collector(self.cfg, &self.app, total_partitions)));
 
         let report = Mutex::new(MapPhaseReport::default());
         let records_out = AtomicUsize::new(0);
@@ -594,14 +602,12 @@ impl MapPhase<'_> {
         let partition_lanes: Vec<Box<dyn Stage<MapChunk, EngineError> + '_>> = (0..plan.partition)
             .map(|_| {
                 Box::new(MapPartition {
-                    app: Arc::clone(&self.app),
                     endpoint: Arc::clone(&self.endpoint),
                     intermediate: Arc::clone(&self.intermediate),
                     coordinator: Arc::clone(&self.coordinator),
                     cfg: self.cfg,
                     node: self.node,
                     nodes: self.nodes,
-                    total_partitions,
                     pool: &partition_pool,
                     run_pool: Arc::clone(&run_pool),
                     records_out: &records_out,
@@ -667,9 +673,9 @@ impl MapPhase<'_> {
 
         // Arena-reuse pressure for the advisor, as aggregate counters on
         // the job lane: per-acquire events would be interleaving-sensitive,
-        // but the totals are a function of `(seed, JobConfig)` alone (the
-        // partition stage builds and recycles builders on one thread in
-        // chunk order, at every buffering level).
+        // but the totals are a function of `(seed, JobConfig)` alone with
+        // one partition lane (it takes and returns its sort space on one
+        // thread in chunk order, at every buffering level).
         let job_lane = self.tracer.lane(LaneId {
             job: 0,
             node: self.node.0,

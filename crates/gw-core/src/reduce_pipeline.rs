@@ -79,7 +79,7 @@ use gw_storage::NodeId;
 use gw_trace::{StageId, Tracer};
 
 use crate::api::{Emit, GwApp};
-use crate::collect::{for_each_record, Collector};
+use crate::collect::{for_each_record, Collector, Slots};
 use crate::config::JobConfig;
 use crate::coordinator::{Coordinator, NodeChaos, ReduceTaskProbe};
 use crate::map_pipeline::{output_bytes, pool_collector, ModeledTransfer};
@@ -621,9 +621,9 @@ impl ReducePhase<'_> {
         let max_work_items =
             (cfg.reduce_concurrent_keys * threads_per_key).div_ceil(cfg.reduce_keys_per_thread);
         let sets = if reduces { cfg.buffering.depth() } else { 0 };
-        let (collectors, collectors_back) = token_pool(
-            (0..sets).map(|_| Box::new(pool_collector(cfg, max_work_items)) as Box<dyn Collector>),
-        );
+        let (collectors, collectors_back) = token_pool((0..sets).map(|_| {
+            Box::new(pool_collector(cfg, max_work_items, Slots::single())) as Box<dyn Collector>
+        }));
 
         let output_files = Mutex::new(Vec::new());
         let partitions = AtomicUsize::new(0);

@@ -11,16 +11,16 @@
 //! for shuffle recovery, and framing it onto the network all share one
 //! refcounted arena slice instead of copying. [`RunBuilder`] accumulates
 //! records in a single flat arena (records serialized at push time) with a
-//! compact offset index; `build` sorts the index with the MSB radix sort in
-//! `radix` and gathers the records in one pass — no per-record
-//! allocation, and the arena/index buffers recycle through a
+//! [`SortRef`] per record; `build` sorts the refs with the sort-head radix
+//! in `radix` and gathers the records in one pass — no per-record
+//! allocation, and the arena and sort buffers recycle through a
 //! [`crate::pool::RunPool`].
 
 use bytes::Bytes;
 use gw_storage::varint::RecRef;
 
 use crate::pool::RunPool;
-use crate::radix;
+use crate::radix::{SortBuf, SortRef};
 
 /// A sorted, serialized run of key/value records.
 ///
@@ -126,30 +126,29 @@ impl<'a> IntoIterator for &'a Run {
     }
 }
 
-/// The recyclable guts of a [`RunBuilder`]: the flat record arena, the
-/// offset index sorted in its place, and the radix scatter scratch.
+/// The recyclable guts of a [`RunBuilder`]: the flat record arena and
+/// the sort buffers (each record's position and [`SortRef`]).
 #[derive(Debug, Default)]
 pub(crate) struct BuilderParts {
     pub(crate) arena: Vec<u8>,
-    pub(crate) index: Vec<RecRef>,
-    pub(crate) scratch: Vec<RecRef>,
+    pub(crate) sort: SortBuf,
 }
 
 impl BuilderParts {
     /// Clear contents, keeping capacity for reuse.
     pub(crate) fn clear(&mut self) {
         self.arena.clear();
-        self.index.clear();
-        // `scratch` holds no live data between sorts; keep as-is.
+        self.sort.clear();
     }
 }
 
-/// Accumulates unsorted records in a flat arena, then index-sorts and
-/// gathers them into a [`Run`]. This is the partitioning stage's workhorse.
+/// Accumulates unsorted records in a flat arena, then sorts and gathers
+/// them into a [`Run`].
 ///
 /// Records are serialized once at `push`; `build` never re-encodes — it
-/// sorts the offset index (MSB radix on key bytes, value tie-break) and
-/// copies whole record slices in index order.
+/// sorts the refs ([`SortBuf::sort_records`]: radix on 8-byte heads,
+/// full `(key, value)` bytes on a tie) and copies whole record slices in
+/// ref order.
 #[derive(Debug, Default)]
 pub struct RunBuilder {
     parts: BuilderParts,
@@ -172,32 +171,38 @@ impl RunBuilder {
 
     /// Add one record.
     pub fn push(&mut self, key: &[u8], value: &[u8]) {
-        let rec = RecRef::write(&mut self.parts.arena, key, value);
-        self.parts.index.push(rec);
+        let sort = &mut self.parts.sort;
+        let at = u32::try_from(sort.recs.len()).expect("a run holds under 4 Gi records");
+        sort.recs
+            .push(RecRef::write(&mut self.parts.arena, key, value));
+        sort.refs.push(SortRef {
+            head: 0,
+            group: 0,
+            entry: at,
+        });
     }
 
     /// Number of buffered records.
     pub fn len(&self) -> usize {
-        self.parts.index.len()
+        self.parts.sort.recs.len()
     }
 
     /// `true` when nothing was pushed.
     pub fn is_empty(&self) -> bool {
-        self.parts.index.is_empty()
+        self.parts.sort.recs.is_empty()
     }
 
     /// Sort by `(key, value)` and serialize. Byte-identical to sorting
     /// owned pairs with `sort_unstable` and serializing in order (the
     /// determinism contract shuffle de-duplication relies on).
     pub fn build(mut self) -> Run {
-        let parts = &mut self.parts;
-        radix::sort_index(&parts.arena, &mut parts.index, &mut parts.scratch);
-        let mut bytes = Vec::with_capacity(parts.arena.len());
-        for r in &parts.index {
-            bytes.extend_from_slice(r.rec(&parts.arena));
-        }
-        let records = parts.index.len();
-        // `self` drops here, recycling arena/index/scratch into the pool.
+        let BuilderParts { arena, sort } = &mut self.parts;
+        let arena = arena.as_slice();
+        sort.sort_records(|_| arena);
+        let mut bytes = Vec::with_capacity(arena.len());
+        sort.write_records(|_| arena, &mut bytes);
+        let records = sort.refs.len();
+        // `self` drops here, recycling the arena and sort buffers.
         Run {
             bytes: Bytes::from(bytes),
             records,

@@ -34,7 +34,8 @@ pub use frame::{SpillFaultHook, SpillOp};
 pub use gauge::MemGauge;
 pub use kv::{Run, RunBuilder};
 pub use merge::{merge_runs, CursorMerge, GroupSlice, GroupedCursorMerge, MergeIter};
-pub use pool::RunPool;
+pub use pool::{PooledSortBuf, RunPool};
+pub use radix::{key_head, shared_prefix, SortBuf, SortRef};
 pub use store::{IntermediateConfig, IntermediateStore, StoreMetrics};
 pub use tempdir::TempDir;
 

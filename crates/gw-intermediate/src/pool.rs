@@ -1,26 +1,28 @@
 //! Arena/run recycling pool.
 //!
-//! The partitioning stage acquires one [`RunBuilder`] per (chunk, lane,
-//! partition). Without recycling, every chunk re-grows each builder's
-//! arena and index from empty; with the pool, steady-state map execution
-//! performs **no per-record allocation**: pushed records append into an
-//! arena that already has capacity from previous chunks, and the offset
-//! index plus radix scratch are reused the same way. Only the final
-//! gathered run buffer is allocated per run (it is frozen into a shared
+//! Two things borrow buffers from a [`RunPool`]: a [`RunBuilder`] (record
+//! arena plus sort buffers), and a partition lane of the map pipeline,
+//! which takes a [`PooledSortBuf`] once per chunk and sorts every
+//! partition's refs of that chunk in it. Without recycling every chunk
+//! re-grows those buffers from empty; with the pool, steady-state map
+//! execution performs **no per-record allocation**. Only the run buffer a
+//! sort writes is allocated per run (it is frozen into a shared
 //! [`bytes::Bytes`] and shipped/cached, so it cannot be recycled).
 
+use std::ops::{Deref, DerefMut};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
 
 use crate::kv::{BuilderParts, RunBuilder};
+use crate::radix::SortBuf;
 
-/// Upper bound on pooled builder part sets; beyond this, released parts
-/// are dropped so an unusually wide chunk cannot pin memory forever.
+/// Upper bound on pooled buffer sets; beyond this, released sets are
+/// dropped so an unusually wide chunk cannot pin memory forever.
 const MAX_POOLED: usize = 128;
 
-/// A shared pool of recyclable [`RunBuilder`] buffers.
+/// A shared pool of recyclable [`RunBuilder`] and [`SortBuf`] buffers.
 #[derive(Debug, Default)]
 pub struct RunPool {
     parts: Mutex<Vec<BuilderParts>>,
@@ -34,17 +36,27 @@ impl RunPool {
         Self::default()
     }
 
-    /// Acquire a builder, reusing pooled arena/index/scratch buffers when
-    /// available. The builder returns its buffers on `build` or drop.
-    pub fn builder(self: &Arc<Self>) -> RunBuilder {
+    fn take(&self) -> BuilderParts {
         self.acquired.fetch_add(1, Ordering::Relaxed);
         let recycled = self.parts.lock().pop();
-        match recycled {
-            Some(parts) => {
-                self.reused.fetch_add(1, Ordering::Relaxed);
-                RunBuilder::recycled(parts, Arc::clone(self))
-            }
-            None => RunBuilder::recycled(BuilderParts::default(), Arc::clone(self)),
+        if recycled.is_some() {
+            self.reused.fetch_add(1, Ordering::Relaxed);
+        }
+        recycled.unwrap_or_default()
+    }
+
+    /// Acquire a builder, reusing pooled arena and sort buffers when
+    /// available. The builder returns its buffers on `build` or drop.
+    pub fn builder(self: &Arc<Self>) -> RunBuilder {
+        RunBuilder::recycled(self.take(), Arc::clone(self))
+    }
+
+    /// Acquire sort buffers, reused when available; they return to the
+    /// pool, emptied, on drop.
+    pub fn sort_buf(self: &Arc<Self>) -> PooledSortBuf {
+        PooledSortBuf {
+            parts: self.take(),
+            pool: Arc::clone(self),
         }
     }
 
@@ -56,7 +68,7 @@ impl RunPool {
         }
     }
 
-    /// Builders handed out so far.
+    /// Buffer sets handed out so far.
     pub fn acquired(&self) -> usize {
         self.acquired.load(Ordering::Relaxed)
     }
@@ -65,6 +77,32 @@ impl RunPool {
     /// the first wave).
     pub fn reused(&self) -> usize {
         self.reused.load(Ordering::Relaxed)
+    }
+}
+
+/// A [`SortBuf`] on loan from a [`RunPool`].
+#[derive(Debug)]
+pub struct PooledSortBuf {
+    parts: BuilderParts,
+    pool: Arc<RunPool>,
+}
+
+impl Deref for PooledSortBuf {
+    type Target = SortBuf;
+    fn deref(&self) -> &SortBuf {
+        &self.parts.sort
+    }
+}
+
+impl DerefMut for PooledSortBuf {
+    fn deref_mut(&mut self) -> &mut SortBuf {
+        &mut self.parts.sort
+    }
+}
+
+impl Drop for PooledSortBuf {
+    fn drop(&mut self) {
+        self.pool.release(std::mem::take(&mut self.parts));
     }
 }
 
@@ -117,5 +155,20 @@ mod tests {
         }
         let _ = pool.builder();
         assert_eq!(pool.reused(), 1);
+    }
+
+    #[test]
+    fn sort_bufs_and_builders_share_the_pool() {
+        let pool = Arc::new(RunPool::new());
+        {
+            let mut buf = pool.sort_buf();
+            buf.refs.push(crate::SortRef::default());
+        }
+        let mut b = pool.builder();
+        b.push(b"k", b"v");
+        assert_eq!(b.len(), 1, "the loaned buffers came back empty");
+        drop(b);
+        assert!(pool.sort_buf().refs.is_empty());
+        assert_eq!((pool.acquired(), pool.reused()), (3, 2));
     }
 }

@@ -1,15 +1,19 @@
-//! Output bytes do not depend on how many threads the device pool has.
+//! Output bytes do not depend on how many threads the device pool has,
+//! how many partition lanes there are, or how deep the buffering is.
 //!
 //! A work-group's emits go to storage no other work-group touches
-//! (`gw_core::collect`): the hash-table collector folds its per-group
-//! tables in group order, the buffer pool drains its per-group shards in
-//! shard order. What a chunk's collector holds, and in which order, is
-//! then a function of the chunk and the NDRange — not of which thread ran
-//! which group when — so the job's output files are the same bytes at
-//! every `device_threads`, including K-Means, whose combiner adds `f32`s
-//! and so records the order it was applied in. The same argument covers
-//! an application's `map_records`: K-Means' four-points-a-pass kernel
-//! emits what `map` record by record emits, in the same order.
+//! (`gw_core::collect`), each record filed under its partition and a
+//! partition lane as it is emitted. A lane sorts its own slots of every
+//! group's storage, and with a combiner it combines a key the groups
+//! share in group order. What each `(partition, lane)` run holds is then
+//! a function of the chunk, the NDRange and the lane count — not of which
+//! thread ran which group when — and the reduce merge sees every chunk's
+//! records whatever lane built their run, so the job's output files are
+//! the same bytes at every `device_threads`, `partition_threads` and
+//! buffering level, including K-Means, whose combiner adds `f32`s and so
+//! records the order it was applied in. The same argument covers an
+//! application's `map_records`: K-Means' four-points-a-pass kernel emits
+//! what `map` record by record emits, in the same order.
 
 use std::sync::Arc;
 
@@ -43,6 +47,21 @@ fn output_files_at(
     device_threads: usize,
     map_work_items: usize,
 ) -> Vec<(String, Vec<u8>)> {
+    output_files_with(input, block, app, |cfg| {
+        cfg.map_work_items = map_work_items;
+        cfg.collector = collector;
+        cfg.device_threads = device_threads;
+    })
+}
+
+/// Run `app` over `input` on a fresh cluster, under `JobConfig::new`
+/// defaults changed by `tweak`, and return every output file.
+fn output_files_with(
+    input: &Records,
+    block: usize,
+    app: Arc<dyn GwApp>,
+    tweak: impl FnOnce(&mut JobConfig),
+) -> Vec<(String, Vec<u8>)> {
     let dfs = Arc::new(Dfs::new(DfsConfig::new(NODES).free_io()));
     dfs.write_records(
         "/in",
@@ -54,11 +73,9 @@ fn output_files_at(
     .unwrap();
     let cluster = Cluster::new(dfs, NetProfile::unlimited());
     let mut cfg = JobConfig::new("/in", "/out");
-    cfg.map_work_items = map_work_items;
-    cfg.collector = collector;
-    cfg.device_threads = device_threads;
     cfg.partitions_per_node = PARTITIONS_PER_NODE;
     cfg.output_replication = 1;
+    tweak(&mut cfg);
     let report = cluster.run(app, &cfg).unwrap();
     let store = cluster.store();
     report
@@ -201,6 +218,112 @@ fn kmeans_map_records_writes_the_bytes_of_the_per_record_default() {
                     run(Arc::new(PerRecord(kmeans())), device_threads) == reference,
                     "per-record map differs from itself at device_threads = 1: {what}"
                 );
+            }
+        }
+    }
+}
+
+/// Every job at every `device_threads` {1, 2, 4} × `partition_threads`
+/// {1, 2, 3} × buffering {single, double} writes the bytes it writes at
+/// (1, 1, single): WordCount with and without a combiner on both
+/// collectors, 2-node TeraSort at 2 partitions per node (its range
+/// partitioner runs in the kernel) on both, and K-Means.
+#[test]
+fn output_files_are_byte_identical_across_device_threads_partition_lanes_and_buffering() {
+    let corpus = workloads::text_corpus(&CorpusSpec {
+        lines: 600,
+        vocabulary: 300,
+        seed: 9,
+        ..Default::default()
+    });
+    let kmeans = KmeansSpec {
+        points: 1500,
+        dims: 4,
+        centers: 12,
+        seed: 13,
+    };
+    let points = workloads::kmeans_points(&kmeans);
+    let centers = workloads::kmeans_centers(&kmeans);
+    let tera = workloads::teragen(1500, 21);
+    let samples = workloads::sample_keys(&tera, 100, 5);
+
+    type MakeApp<'a> = Box<dyn Fn() -> Arc<dyn GwApp> + 'a>;
+    use CollectorKind::{BufferPool, HashTable};
+    let jobs: [(&str, &Records, usize, CollectorKind, MakeApp); 7] = [
+        (
+            "wordcount",
+            &corpus,
+            4 << 10,
+            HashTable,
+            Box::new(|| Arc::new(WordCount::new())),
+        ),
+        (
+            "wordcount",
+            &corpus,
+            4 << 10,
+            BufferPool,
+            Box::new(|| Arc::new(WordCount::new())),
+        ),
+        (
+            "wordcount without combiner",
+            &corpus,
+            4 << 10,
+            HashTable,
+            Box::new(|| Arc::new(WordCount::without_combiner())),
+        ),
+        (
+            "wordcount without combiner",
+            &corpus,
+            4 << 10,
+            BufferPool,
+            Box::new(|| Arc::new(WordCount::without_combiner())),
+        ),
+        (
+            "terasort",
+            &tera,
+            16 << 10,
+            HashTable,
+            Box::new(|| Arc::new(TeraSort::new(samples.clone(), NODES * PARTITIONS_PER_NODE))),
+        ),
+        (
+            "terasort",
+            &tera,
+            16 << 10,
+            BufferPool,
+            Box::new(|| Arc::new(TeraSort::new(samples.clone(), NODES * PARTITIONS_PER_NODE))),
+        ),
+        (
+            "kmeans",
+            &points,
+            4 << 10,
+            HashTable,
+            Box::new(|| Arc::new(KMeans::new(centers.clone(), kmeans.centers, kmeans.dims))),
+        ),
+    ];
+    for (name, input, block, collector, app) in &jobs {
+        let run = |device_threads, partition_threads, buffering| {
+            output_files_with(input, *block, app(), |cfg| {
+                cfg.collector = *collector;
+                cfg.device_threads = device_threads;
+                cfg.partition_threads = partition_threads;
+                cfg.buffering = buffering;
+            })
+        };
+        let reference = run(1, 1, Buffering::Single);
+        assert!(
+            reference.iter().any(|(_, bytes)| !bytes.is_empty()),
+            "{name} {collector:?}: no output"
+        );
+        for device_threads in [1, 2, 4] {
+            for partition_threads in [1, 2, 3] {
+                for buffering in [Buffering::Single, Buffering::Double] {
+                    assert!(
+                        run(device_threads, partition_threads, buffering) == reference,
+                        "{name} {collector:?}: output at device_threads = {device_threads}, \
+                         partition_threads = {partition_threads}, {buffering:?} differs from \
+                         (1, 1, Single)"
+                    );
+                }
             }
         }
     }
