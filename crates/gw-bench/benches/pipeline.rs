@@ -41,8 +41,9 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use gw_apps::WordCount;
-use gw_bench::flatjson::{self, Val};
 use gw_bench::{bench_cfg, corpus_cluster_paced, corpus_cluster_paced_io};
+use gw_bench::{bench_json, print_fields, Committed};
+use gw_core::json::Value as Val;
 use gw_core::{Buffering, Cluster, JobConfig, LanePlan, PerfAnalysis, PipelineKind, StageId};
 use gw_device::DeviceProfile;
 
@@ -316,49 +317,25 @@ fn main() {
     }
 
     println!("pipeline bench ({})", if quick { "quick" } else { "full" });
-    for (k, v) in &fields {
-        match v {
-            Val::Str(s) => println!("  {k:24} {s}"),
-            Val::Num(n) => println!("  {k:24} {n:.3}"),
-        }
-    }
+    print_fields(&fields, 24);
     if let Some(map) = analysis.pipeline(0, PipelineKind::Map) {
         println!("  {:24} {:.3}", "map_efficiency", map.efficiency());
     }
 
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_pipeline.json");
     if check {
-        let committed = std::fs::read_to_string(path)
-            .unwrap_or_else(|e| panic!("BENCH_pipeline.json unreadable: {e}"));
-        let map = flatjson::parse(&committed)
-            .unwrap_or_else(|e| panic!("BENCH_pipeline.json malformed: {e}"));
-        match map.get("schema").and_then(Val::as_str) {
-            Some("gw-pipeline-bench-v1") => {}
-            other => panic!("BENCH_pipeline.json schema mismatch: {other:?}"),
-        }
-        let committed_num = |key: &str| -> f64 {
-            map.get(key)
-                .and_then(Val::as_num)
-                .filter(|n| *n > 0.0)
-                .unwrap_or_else(|| panic!("BENCH_pipeline.json missing/invalid {key}"))
-        };
+        let committed = Committed::read(path, "gw-pipeline-bench-v1");
         let prefix = if quick { "quick_" } else { "" };
-        let mut failed = false;
-        for (key, measured) in [
-            ("double_over_single", m.double_over_single()),
-            ("triple_over_single", m.triple_over_single()),
-            ("fused_over_unfused", m.fused_over_unfused()),
-            ("lanes2_over_lanes1", lanes.lanes2_over_lanes1()),
-            ("lanes4_over_lanes1", lanes.lanes4_over_lanes1()),
-        ] {
-            let floor = 0.75 * committed_num(&format!("{prefix}{key}"));
-            let ok = measured >= floor;
-            println!(
-                "  check {prefix}{key:22} measured {measured:.3} vs floor {floor:.3} ... {}",
-                if ok { "ok" } else { "REGRESSED" }
-            );
-            failed |= !ok;
-        }
+        let failed = committed.regressed(
+            prefix,
+            &[
+                ("double_over_single", m.double_over_single()),
+                ("triple_over_single", m.triple_over_single()),
+                ("fused_over_unfused", m.fused_over_unfused()),
+                ("lanes2_over_lanes1", lanes.lanes2_over_lanes1()),
+                ("lanes4_over_lanes1", lanes.lanes4_over_lanes1()),
+            ],
+        );
         for key in [
             "single_mrecs",
             "double_mrecs",
@@ -369,7 +346,7 @@ fn main() {
             "lanes4_mrecs",
             "predicted_lanes2_speedup",
         ] {
-            committed_num(key);
+            committed.num(key);
         }
         if failed {
             eprintln!("pipeline bench check FAILED: ratio regressed >25% vs committed");
@@ -396,7 +373,7 @@ fn main() {
             lanes.stage.name(),
             lanes.predicted2
         );
-        std::fs::write(path, flatjson::write(&fields)).expect("write BENCH_pipeline.json");
+        std::fs::write(path, bench_json(&fields)).expect("write BENCH_pipeline.json");
         println!("wrote {path}");
         // The full per-stage analysis of the same workload rides along,
         // so a bench regression can be attributed without a rerun.

@@ -50,7 +50,8 @@ use std::time::{Duration, Instant};
 use gw_apps::arrivals::{arrival_schedule, ArrivalSpec};
 use gw_apps::workloads::{web_logs, LogSpec};
 use gw_apps::PageviewCount;
-use gw_bench::flatjson::{self, Val};
+use gw_bench::{bench_json, print_fields, Committed};
+use gw_core::json::Value as Val;
 use gw_core::{Cluster, JobConfig, NodeId};
 use gw_net::NetProfile;
 use gw_service::{JobSpec, Service, ServiceConfig, ServiceError, TenantSpec};
@@ -310,12 +311,7 @@ fn main() {
     }
 
     println!("service bench ({})", if quick { "quick" } else { "full" });
-    for (k, v) in &fields {
-        match v {
-            Val::Str(s) => println!("  {k:26} {s}"),
-            Val::Num(n) => println!("  {k:26} {n:.3}"),
-        }
-    }
+    print_fields(&fields, 26);
 
     // Structural sanity regardless of mode: the popularity distribution
     // must actually exercise the cache, and the open loop must admit the
@@ -333,24 +329,11 @@ fn main() {
 
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_service.json");
     if check {
-        let committed = std::fs::read_to_string(path)
-            .unwrap_or_else(|e| panic!("BENCH_service.json unreadable: {e}"));
-        let map = flatjson::parse(&committed)
-            .unwrap_or_else(|e| panic!("BENCH_service.json malformed: {e}"));
-        match map.get("schema").and_then(Val::as_str) {
-            Some("gw-service-bench-v1") => {}
-            other => panic!("BENCH_service.json schema mismatch: {other:?}"),
-        }
-        let committed_num = |key: &str| -> f64 {
-            map.get(key)
-                .and_then(Val::as_num)
-                .filter(|n| *n > 0.0)
-                .unwrap_or_else(|| panic!("BENCH_service.json missing/invalid {key}"))
-        };
+        let committed = Committed::read(path, "gw-service-bench-v1");
         // p50_ms may legitimately be ~0 (the median submission can be a
         // cache hit resolved at admission), so it only needs to exist.
         assert!(
-            map.get("p50_ms").and_then(Val::as_num).is_some(),
+            committed.get("p50_ms").and_then(Val::as_num).is_some(),
             "BENCH_service.json missing p50_ms"
         );
         for key in [
@@ -360,7 +343,7 @@ fn main() {
             "telemetry_off_p99_ms",
             "telemetry_overhead_p99",
         ] {
-            committed_num(key);
+            committed.num(key);
         }
         // Tail-latency gate: LOWER is better, so the ceiling is 1.25x the
         // committed tail tax for the same mode, plus a small absolute
@@ -372,7 +355,7 @@ fn main() {
             "p99_over_solo"
         };
         let measured = run.p99_over_solo(solo);
-        let ceiling = 1.25 * committed_num(key) + 0.1;
+        let ceiling = 1.25 * committed.num(key) + 0.1;
         println!(
             "  check {key:24} measured {measured:.3} vs ceiling {ceiling:.3} ... {}",
             if measured <= ceiling {
@@ -407,7 +390,7 @@ fn main() {
         }
         println!("service bench check passed");
     } else {
-        std::fs::write(path, flatjson::write(&fields)).expect("write BENCH_service.json");
+        std::fs::write(path, bench_json(&fields)).expect("write BENCH_service.json");
         println!("wrote {path}");
     }
 }

@@ -38,8 +38,9 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use gw_bench::baseline::{heap_merge, naive_run_from_pairs};
-use gw_bench::flatjson::{self, Val};
+use gw_bench::{bench_json, print_fields, Committed};
 use gw_core::hash::default_partition;
+use gw_core::json::Value as Val;
 use gw_intermediate::{
     compress, merge_runs, CursorMerge, IntermediateConfig, IntermediateStore, Run, RunBuilder,
     RunPool,
@@ -446,47 +447,23 @@ fn main() {
     }
 
     println!("shuffle bench ({})", if quick { "quick" } else { "full" });
-    for (k, v) in &fields {
-        match v {
-            Val::Str(s) => println!("  {k:24} {s}"),
-            Val::Num(n) => println!("  {k:24} {n:.3}"),
-        }
-    }
+    print_fields(&fields, 24);
 
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_shuffle.json");
     if check {
-        let committed = std::fs::read_to_string(path)
-            .unwrap_or_else(|e| panic!("BENCH_shuffle.json unreadable: {e}"));
-        let map = flatjson::parse(&committed)
-            .unwrap_or_else(|e| panic!("BENCH_shuffle.json malformed: {e}"));
-        match map.get("schema").and_then(Val::as_str) {
-            Some("gw-shuffle-bench-v1") => {}
-            other => panic!("BENCH_shuffle.json schema mismatch: {other:?}"),
-        }
-        let committed_num = |key: &str| -> f64 {
-            map.get(key)
-                .and_then(Val::as_num)
-                .filter(|n| *n > 0.0)
-                .unwrap_or_else(|| panic!("BENCH_shuffle.json missing/invalid {key}"))
-        };
+        let committed = Committed::read(path, "gw-shuffle-bench-v1");
         // Compare speedups against the committed run of the same workload
         // size; the quick_* reference fields exist for exactly this.
         let prefix = if quick { "quick_" } else { "" };
-        let mut failed = false;
-        for (key, measured) in [
-            ("run_sort_speedup", m.run_sort_speedup()),
-            ("merge8_speedup", m.merge8_speedup()),
-            ("partition_speedup", m.partition_speedup()),
-            ("external_vs_incore", m.external_vs_incore()),
-        ] {
-            let floor = 0.75 * committed_num(&format!("{prefix}{key}"));
-            let ok = measured >= floor;
-            println!(
-                "  check {prefix}{key:22} measured {measured:.3} vs floor {floor:.3} ... {}",
-                if ok { "ok" } else { "REGRESSED" }
-            );
-            failed |= !ok;
-        }
+        let mut failed = committed.regressed(
+            prefix,
+            &[
+                ("run_sort_speedup", m.run_sort_speedup()),
+                ("merge8_speedup", m.merge8_speedup()),
+                ("partition_speedup", m.partition_speedup()),
+                ("external_vs_incore", m.external_vs_incore()),
+            ],
+        );
         // The out-of-core memory contract is machine-independent: peak
         // resident intermediate bytes must stay within 1.5× the budget.
         {
@@ -508,7 +485,7 @@ fn main() {
             "partition_new_mbps",
             "external_merge_mbps",
         ] {
-            committed_num(key);
+            committed.num(key);
         }
         if failed {
             eprintln!("shuffle bench check FAILED: speedup regressed >25% vs committed");
@@ -516,7 +493,7 @@ fn main() {
         }
         println!("shuffle bench check passed");
     } else {
-        std::fs::write(path, flatjson::write(&fields)).expect("write BENCH_shuffle.json");
+        std::fs::write(path, bench_json(&fields)).expect("write BENCH_shuffle.json");
         println!("wrote {path}");
     }
 }

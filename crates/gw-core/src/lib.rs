@@ -59,6 +59,7 @@ pub use schedule::{pipeline_makespan, ChunkTimes};
 
 pub use gw_chaos::{CrashSite, FaultPlan};
 pub use gw_storage::NodeId;
+pub use gw_trace::json;
 pub use gw_trace::{
     validate_json, Advice, Anomalies, CounterId, CriticalPath, Event, EventKind, Interference,
     JobActivity, JobOverlap, LaneId, LogicalKind, MarkId, MetricsSummary, NodePerf, OverlapMatrix,

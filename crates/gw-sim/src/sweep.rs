@@ -1,7 +1,5 @@
 //! Unified entry point and node-count sweeps for the figures.
 
-use serde::Serialize;
-
 use crate::glasswing_model::simulate_glasswing;
 use crate::gpmr_model::simulate_gpmr;
 use crate::hadoop_model::simulate_hadoop;
@@ -46,7 +44,7 @@ impl FrameworkKind {
 }
 
 /// Result of one simulated job.
-#[derive(Debug, Clone, Copy, Serialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct SimResult {
     /// Node count.
     pub nodes: usize,

@@ -8,61 +8,26 @@
 //! [`crate::promck::validate_exposition`], which CI enforces.
 //!
 //! **`gw-telemetry-v1` JSON** ([`snapshot_json`]): one object per
-//! [`Snapshot`], hand-written with pinned key order and fixed-point
-//! floats (no exponents), valid under `gw_trace::validate_json` — the
-//! same diff-stability convention as `gw-perf-analysis-v1`.
+//! [`Snapshot`], written through `gw_trace::json::Writer` with pinned
+//! key order and fixed-point floats (no exponents), the same
+//! diff-stability convention as `gw-perf-analysis-v1`. Prometheus
+//! values follow the same number rule (`gw_trace::json::number`).
 
 use std::fmt::Write as _;
+use std::sync::atomic::Ordering;
+
+use gw_trace::json::{number, Writer};
 
 use crate::histogram::{bucket_upper, BUCKETS};
-use crate::registry::{Cell, Registry};
+use crate::registry::{full_name, push_labels, Cell, Registry};
 use crate::snapshot::Snapshot;
-
-/// Format an `f64` as fixed-point JSON/Prometheus-safe text: no `+`
-/// exponents, no `NaN`/`Inf` (clamped to 0), ≤ 6 fractional digits with
-/// trailing zeros trimmed.
-pub(crate) fn push_num(out: &mut String, v: f64) {
-    if !v.is_finite() {
-        out.push('0');
-        return;
-    }
-    if v == v.trunc() && v.abs() < 1e15 {
-        let _ = write!(out, "{}", v as i64);
-        return;
-    }
-    let s = format!("{v:.6}");
-    let s = s.trim_end_matches('0').trim_end_matches('.');
-    out.push_str(if s.is_empty() { "0" } else { s });
-}
-
-fn push_labels(out: &mut String, labels: &[(String, String)], extra: Option<(&str, &str)>) {
-    if labels.is_empty() && extra.is_none() {
-        return;
-    }
-    out.push('{');
-    let mut first = true;
-    for (k, v) in labels {
-        if !first {
-            out.push(',');
-        }
-        first = false;
-        let _ = write!(out, "{k}=\"{v}\"");
-    }
-    if let Some((k, v)) = extra {
-        if !first {
-            out.push(',');
-        }
-        let _ = write!(out, "{k}=\"{v}\"");
-    }
-    out.push('}');
-}
 
 /// Render `registry` in Prometheus text exposition format.
 pub fn prometheus(registry: &Registry) -> String {
     let entries = registry.entries();
     let mut out = String::with_capacity(entries.len() * 64);
     let mut typed: Option<String> = None;
-    for (_, entry) in &entries {
+    for (key, entry) in &entries {
         // Entries are sorted by full name, so one family's label sets
         // are contiguous: emit `# TYPE` on the first.
         if typed.as_deref() != Some(entry.name.as_str()) {
@@ -74,123 +39,88 @@ pub fn prometheus(registry: &Registry) -> String {
             let _ = writeln!(out, "# TYPE {} {kind}", entry.name);
             typed = Some(entry.name.clone());
         }
+        // A histogram series' name and labels, up to its value.
+        let series = |out: &mut String, suffix: &str, extra: Option<(&str, &str)>| {
+            let _ = write!(out, "{}{suffix}", entry.name);
+            push_labels(out, &entry.labels, extra);
+            out.push(' ');
+        };
         match &entry.cell {
             Cell::Counter { cell, .. } => {
-                out.push_str(&entry.name);
-                push_labels(&mut out, &entry.labels, None);
-                let _ = writeln!(out, " {}", cell.load(std::sync::atomic::Ordering::Relaxed));
+                let _ = writeln!(out, "{key} {}", cell.load(Ordering::Relaxed));
             }
             Cell::Gauge(cell) => {
-                out.push_str(&entry.name);
-                push_labels(&mut out, &entry.labels, None);
-                out.push(' ');
-                push_num(
-                    &mut out,
-                    f64::from_bits(cell.load(std::sync::atomic::Ordering::Relaxed)),
-                );
+                let _ = write!(out, "{key} ");
+                number(&mut out, f64::from_bits(cell.load(Ordering::Relaxed)));
                 out.push('\n');
             }
             Cell::Histogram(cell) => {
-                let buckets = cell.bucket_counts();
                 let mut cum = 0u64;
-                for (i, &c) in buckets.iter().enumerate().take(BUCKETS) {
+                for (i, &c) in cell.bucket_counts().iter().enumerate().take(BUCKETS) {
                     if c == 0 {
                         continue;
                     }
                     cum += c;
                     let mut le = String::new();
-                    push_num(&mut le, bucket_upper(i).min(1 << 62) as f64);
-                    let _ = write!(out, "{}_bucket", entry.name);
-                    push_labels(&mut out, &entry.labels, Some(("le", &le)));
-                    let _ = writeln!(out, " {cum}");
+                    number(&mut le, bucket_upper(i).min(1 << 62) as f64);
+                    series(&mut out, "_bucket", Some(("le", &le)));
+                    let _ = writeln!(out, "{cum}");
                 }
-                let _ = write!(out, "{}_bucket", entry.name);
-                push_labels(&mut out, &entry.labels, Some(("le", "+Inf")));
-                let _ = writeln!(out, " {cum}");
-                let _ = write!(out, "{}_sum", entry.name);
-                push_labels(&mut out, &entry.labels, None);
-                let _ = writeln!(out, " {}", cell.sum());
-                let _ = write!(out, "{}_count", entry.name);
-                push_labels(&mut out, &entry.labels, None);
-                let _ = writeln!(out, " {cum}");
+                series(&mut out, "_bucket", Some(("le", "+Inf")));
+                let _ = writeln!(out, "{cum}");
+                series(&mut out, "_sum", None);
+                let _ = writeln!(out, "{}", cell.sum());
+                series(&mut out, "_count", None);
+                let _ = writeln!(out, "{cum}");
             }
         }
     }
     out
 }
 
-fn push_name(out: &mut String, name: &str, labels: &[(String, String)]) {
-    // The canonical full name contains `"` around label values — escape
-    // for JSON embedding.
-    let full = crate::registry::full_name(name, labels);
-    out.push_str("\"name\":\"");
-    for ch in full.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            _ => out.push(ch),
-        }
-    }
-    out.push('"');
-}
-
 /// Render a snapshot as `gw-telemetry-v1` JSON; see the module docs.
 pub fn snapshot_json(snap: &Snapshot) -> String {
-    let mut o = String::from("{\"schema\":\"gw-telemetry-v1\"");
-    let _ = write!(
-        o,
-        ",\"seq\":{},\"at_ms\":{},\"digest\":\"{}\"",
-        snap.seq, snap.at_ms, snap.digest
-    );
-
-    o.push_str(",\"counters\":[");
-    for (i, c) in snap.counters.iter().enumerate() {
-        if i > 0 {
-            o.push(',');
-        }
-        o.push('{');
-        push_name(&mut o, &c.name, &c.labels);
-        let _ = write!(
-            o,
-            ",\"value\":{},\"delta\":{},\"deterministic\":{}}}",
-            c.value, c.delta, c.deterministic
-        );
+    let mut w = Writer::default();
+    w.open('{')
+        .field("schema", "gw-telemetry-v1")
+        .field("seq", snap.seq)
+        .field("at_ms", snap.at_ms)
+        .field("digest", snap.digest.as_str())
+        .key("counters")
+        .open('[');
+    for c in &snap.counters {
+        w.open('{')
+            .field("name", full_name(&c.name, &c.labels))
+            .field("value", c.value)
+            .field("delta", c.delta)
+            .field("deterministic", c.deterministic)
+            .close('}');
     }
-    o.push(']');
-
-    o.push_str(",\"gauges\":[");
-    for (i, g) in snap.gauges.iter().enumerate() {
-        if i > 0 {
-            o.push(',');
-        }
-        o.push('{');
-        push_name(&mut o, &g.name, &g.labels);
-        o.push_str(",\"value\":");
-        push_num(&mut o, g.value);
-        o.push('}');
+    w.close(']').key("gauges").open('[');
+    for g in &snap.gauges {
+        w.open('{')
+            .field("name", full_name(&g.name, &g.labels))
+            .field("value", g.value)
+            .close('}');
     }
-    o.push(']');
-
-    o.push_str(",\"histograms\":[");
-    for (i, h) in snap.histograms.iter().enumerate() {
-        if i > 0 {
-            o.push(',');
-        }
-        o.push('{');
-        push_name(&mut o, &h.name, &h.labels);
-        let _ = write!(
-            o,
-            ",\"count\":{},\"delta_count\":{},\"sum\":{},\"delta_sum\":{}",
-            h.count, h.delta_count, h.sum, h.delta_sum
-        );
-        for (k, v) in [("p50", h.p50), ("p90", h.p90), ("p99", h.p99)] {
-            let _ = write!(o, ",\"{k}\":");
-            push_num(&mut o, v);
-        }
-        o.push('}');
+    w.close(']').key("histograms").open('[');
+    for h in &snap.histograms {
+        w.open('{')
+            .field("name", full_name(&h.name, &h.labels))
+            .field("count", h.count)
+            .field("delta_count", h.delta_count)
+            .field("sum", h.sum)
+            .field("delta_sum", h.delta_sum)
+            .key("p50")
+            .value(h.p50)
+            .key("p90")
+            .value(h.p90)
+            .key("p99")
+            .value(h.p99)
+            .close('}');
     }
-    o.push_str("]}");
-    o
+    w.close(']').close('}');
+    w.finish()
 }
 
 #[cfg(test)]
@@ -198,6 +128,7 @@ mod tests {
     use super::*;
     use crate::registry::Class;
     use crate::snapshot::SnapshotRing;
+    use gw_trace::json::Value;
 
     #[test]
     fn prometheus_rendering_lints_clean() {
@@ -235,11 +166,48 @@ mod tests {
     }
 
     #[test]
-    fn numbers_never_use_exponents() {
-        for v in [0.0, 1e-9, 123456789.125, -0.5, f64::NAN, f64::INFINITY] {
-            let mut s = String::new();
-            push_num(&mut s, v);
-            assert!(!s.contains('e') && !s.contains('E'), "{v} -> {s}");
+    fn label_values_are_escaped_in_both_exporters() {
+        // A value that forges a second label, the label set it forges,
+        // and a value with a newline.
+        let sets: [&[(&str, &str)]; 3] = [
+            &[("tenant", "a\",u=\"b")],
+            &[("tenant", "a"), ("u", "b")],
+            &[("tenant", "x\ny")],
+        ];
+        let reg = Registry::new();
+        for labels in sets {
+            reg.counter("gw_jobs_total", labels, Class::Logical).inc();
+        }
+
+        let text = prometheus(&reg);
+        crate::promck::validate_exposition(&text)
+            .unwrap_or_else(|e| panic!("exposition invalid: {e}\n{text}"));
+
+        let json = SnapshotRing::new(1).capture(&reg, 0).to_json();
+        let doc = gw_trace::json::parse(&json).unwrap_or_else(|e| panic!("{e}\n{json}"));
+        let Some(Value::Arr(counters)) = doc.get("counters") else {
+            panic!("no counters in {json}");
+        };
+        let names: Vec<&str> = counters
+            .iter()
+            .map(|c| c.get("name").and_then(Value::as_str).unwrap())
+            .collect();
+        let mut want: Vec<String> = sets
+            .iter()
+            .map(|labels| {
+                let owned: Vec<(String, String)> = labels
+                    .iter()
+                    .map(|(k, v)| (k.to_string(), v.to_string()))
+                    .collect();
+                full_name("gw_jobs_total", &owned)
+            })
+            .collect();
+        want.sort();
+        assert_eq!(names, want);
+        // Three cells of one each: the forged label set did not merge
+        // into the real one.
+        for c in counters {
+            assert_eq!(c.get("value").and_then(Value::as_num), Some(1.0));
         }
     }
 }

@@ -17,9 +17,9 @@
 //!    queue-age histograms all become *windows* the detector can reason
 //!    about.
 //! 3. **Exporters** — Prometheus text exposition ([`Registry::prometheus`],
-//!    validated by the in-repo [`validate_exposition`] linter, a sibling
-//!    of `jsonck`) and the pinned-key-order `gw-telemetry-v1` JSON
-//!    ([`Snapshot::to_json`]).
+//!    validated by the in-repo [`validate_exposition`] linter) and the
+//!    pinned-key-order `gw-telemetry-v1` JSON ([`Snapshot::to_json`]),
+//!    written through `gw_trace::json` like every JSON document here.
 //! 4. **Health detector** ([`HealthDetector`]) — consumes live snapshots
 //!    and raises named findings: [`HealthFinding::NodeSlow`] when a
 //!    node's service-rate EWMA diverges from the fleet median (this is

@@ -1,5 +1,6 @@
 //! `promck` — a strict, dependency-free Prometheus text-exposition
-//! linter, the sibling of `gw-trace`'s `jsonck`.
+//! linter: the test oracle for the text format, as `gw_trace::json`'s
+//! parser is for JSON.
 //!
 //! CI pipes every exporter rendering through
 //! [`validate_exposition`] so a malformed metric name, a broken label

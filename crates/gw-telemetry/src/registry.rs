@@ -112,26 +112,45 @@ pub struct Registry {
     shards: [RwLock<BTreeMap<String, Entry>>; SHARDS],
 }
 
-/// Canonical full name: `name{k="v",…}` with labels sorted by key.
-/// Doubles as the shard/map key and the exporters' sample identity.
+/// Canonical full name: `name{k="v",…}` with labels sorted by key and
+/// values escaped as Prometheus text 0.0.4 escapes them. Doubles as the
+/// shard/map key and the exporters' sample identity.
 pub fn full_name(name: &str, labels: &[(String, String)]) -> String {
-    if labels.is_empty() {
-        return name.to_string();
+    let mut out = name.to_string();
+    push_labels(&mut out, labels, None);
+    out
+}
+
+/// Append `{k="v",…}` for `labels` and then `extra` (nothing if both are
+/// empty), each value escaped the text-format 0.0.4 way (`\\`, `\"`,
+/// `\n`) so that no value can forge another label or end the line.
+pub(crate) fn push_labels(
+    out: &mut String,
+    labels: &[(String, String)],
+    extra: Option<(&str, &str)>,
+) {
+    if labels.is_empty() && extra.is_none() {
+        return;
     }
-    let mut out = String::with_capacity(name.len() + 16 * labels.len());
-    out.push_str(name);
     out.push('{');
-    for (i, (k, v)) in labels.iter().enumerate() {
+    let pairs = labels.iter().map(|(k, v)| (k.as_str(), v.as_str()));
+    for (i, (k, v)) in pairs.chain(extra).enumerate() {
         if i > 0 {
             out.push(',');
         }
         out.push_str(k);
         out.push_str("=\"");
-        out.push_str(v);
+        for c in v.chars() {
+            match c {
+                '\\' => out.push_str("\\\\"),
+                '"' => out.push_str("\\\""),
+                '\n' => out.push_str("\\n"),
+                c => out.push(c),
+            }
+        }
         out.push('"');
     }
     out.push('}');
-    out
 }
 
 fn fnv1a(bytes: &[u8], mut hash: u64) -> u64 {

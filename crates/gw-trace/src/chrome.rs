@@ -1,7 +1,7 @@
 //! Chrome `trace_event` JSON exporter.
 //!
-//! Written by hand (the workspace vendors no JSON crate) with a **stable
-//! field order** — `name, ph, pid, tid, ts, s, args` — so the golden-file
+//! Written through [`crate::json::Writer`] with a **stable field
+//! order** — `name, ph, pid, tid, ts, s, args` — so the golden-file
 //! test can byte-compare output. One process per job × node (job 0 keeps
 //! `pid == node`, so one-shot exports are byte-identical to the
 //! pre-service format), one thread per lane (pipeline stages first, then
@@ -10,15 +10,14 @@
 //! `chrome://tracing` or <https://ui.perfetto.dev>.
 
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
 
 use crate::event::{CounterId, EventKind, LaneId, MarkId, SpanId};
+use crate::json::Writer;
 use crate::tracer::Trace;
 
 pub(crate) fn export(trace: &Trace) -> String {
-    let mut out = String::with_capacity(256 + trace.event_count() * 96);
-    out.push_str("{\"traceEvents\":[");
-    let mut first = true;
+    let mut w = Writer::default();
+    w.open('{').key("traceEvents").open('[');
 
     // Lane → (pid, tid): each (job, node) pair becomes a process, lanes
     // become threads numbered in canonical lane order within it. Job 0
@@ -34,8 +33,7 @@ pub(crate) fn export(trace: &Trace) -> String {
 
     for &(job, node) in per_proc.keys() {
         meta(
-            &mut out,
-            &mut first,
+            &mut w,
             "process_name",
             pid_of(job, node),
             0,
@@ -43,14 +41,7 @@ pub(crate) fn export(trace: &Trace) -> String {
         );
     }
     for (lane, &(pid, tid)) in &tids {
-        meta(
-            &mut out,
-            &mut first,
-            "thread_name",
-            pid,
-            tid,
-            &lane.realm.lane_name(),
-        );
+        meta(&mut w, "thread_name", pid, tid, &lane.realm.lane_name());
     }
 
     for (lane, events) in &trace.lanes {
@@ -59,18 +50,10 @@ pub(crate) fn export(trace: &Trace) -> String {
         for ev in events {
             match ev.kind {
                 EventKind::Begin { span } => {
-                    event_head(
-                        &mut out,
-                        &mut first,
-                        span_name(span),
-                        'B',
-                        pid,
-                        tid,
-                        ev.at_ns,
-                    );
-                    out.push_str(",\"args\":{");
-                    span_args(&mut out, span);
-                    out.push_str("}}");
+                    event_head(&mut w, span_name(span), "B", pid, tid, ev.at_ns);
+                    w.key("args").open('{');
+                    span_args(&mut w, span);
+                    w.close('}').close('}');
                 }
                 EventKind::End {
                     span,
@@ -78,57 +61,37 @@ pub(crate) fn export(trace: &Trace) -> String {
                     modeled_ns,
                     accounted,
                 } => {
-                    event_head(
-                        &mut out,
-                        &mut first,
-                        span_name(span),
-                        'E',
-                        pid,
-                        tid,
-                        ev.at_ns,
-                    );
-                    out.push_str(",\"args\":{");
-                    span_args(&mut out, span);
-                    let _ = write!(
-                        out,
-                        ",\"wall_ns\":{wall_ns},\"modeled_ns\":{modeled_ns},\"accounted\":{accounted}"
-                    );
-                    out.push_str("}}");
+                    event_head(&mut w, span_name(span), "E", pid, tid, ev.at_ns);
+                    w.key("args").open('{');
+                    span_args(&mut w, span);
+                    w.field("wall_ns", wall_ns)
+                        .field("modeled_ns", modeled_ns)
+                        .field("accounted", accounted)
+                        .close('}')
+                        .close('}');
                 }
                 EventKind::Instant { mark } => {
-                    event_head(
-                        &mut out,
-                        &mut first,
-                        mark_name(mark),
-                        'i',
-                        pid,
-                        tid,
-                        ev.at_ns,
-                    );
-                    out.push_str(",\"s\":\"t\",\"args\":{");
-                    mark_args(&mut out, mark);
-                    out.push_str("}}");
+                    event_head(&mut w, mark_name(mark), "i", pid, tid, ev.at_ns);
+                    w.field("s", "t").key("args").open('{');
+                    mark_args(&mut w, mark);
+                    w.close('}').close('}');
                 }
                 EventKind::Count { counter, delta } => {
                     let total = totals.entry(counter).or_default();
                     *total += delta;
-                    event_head(
-                        &mut out,
-                        &mut first,
-                        counter.name(),
-                        'C',
-                        pid,
-                        tid,
-                        ev.at_ns,
-                    );
-                    let _ = write!(out, ",\"args\":{{\"value\":{total}}}}}");
+                    event_head(&mut w, counter.name(), "C", pid, tid, ev.at_ns);
+                    w.key("args")
+                        .open('{')
+                        .field("value", *total)
+                        .close('}')
+                        .close('}');
                 }
             }
         }
     }
 
-    out.push_str("],\"displayTimeUnit\":\"ms\"}");
-    out
+    w.close(']').field("displayTimeUnit", "ms").close('}');
+    w.finish()
 }
 
 /// Jobs are spaced `PID_STRIDE` pids apart so job 0 keeps `pid == node`
@@ -148,43 +111,31 @@ fn node_name(job: u32, node: u32) -> String {
     }
 }
 
-/// Common prefix of one event object: `{"name":…,"ph":…,"pid":…,"tid":…,
-/// "ts":…` — the caller appends any extras and the closing brace. `ts` is
-/// microseconds with nanosecond fraction, as the format expects.
-fn event_head(
-    out: &mut String,
-    first: &mut bool,
-    name: &str,
-    ph: char,
-    pid: u32,
-    tid: u32,
-    at_ns: u64,
-) {
-    if !*first {
-        out.push(',');
-    }
-    *first = false;
-    out.push_str("{\"name\":\"");
-    escape_into(out, name);
-    let _ = write!(
-        out,
-        "\",\"ph\":\"{ph}\",\"pid\":{pid},\"tid\":{tid},\"ts\":{}.{:03}",
-        at_ns / 1_000,
-        at_ns % 1_000
-    );
+/// Open one event object and write its common prefix: `{"name":…,
+/// "ph":…,"pid":…,"tid":…,"ts":…` — the caller writes any extras and
+/// closes it. `ts` is microseconds with an exact nanosecond fraction, as
+/// the format expects.
+fn event_head(w: &mut Writer, name: &str, ph: &str, pid: u32, tid: u32, at_ns: u64) {
+    w.open('{')
+        .field("name", name)
+        .field("ph", ph)
+        .field("pid", pid)
+        .field("tid", tid)
+        .key("ts")
+        .fixed_point(at_ns, 3);
 }
 
-fn meta(out: &mut String, first: &mut bool, what: &str, pid: u32, tid: u32, name: &str) {
-    if !*first {
-        out.push(',');
-    }
-    *first = false;
-    let _ = write!(
-        out,
-        "{{\"name\":\"{what}\",\"ph\":\"M\",\"pid\":{pid},\"tid\":{tid},\"args\":{{\"name\":\""
-    );
-    escape_into(out, name);
-    out.push_str("\"}}");
+fn meta(w: &mut Writer, what: &str, pid: u32, tid: u32, name: &str) {
+    w.open('{')
+        .field("name", what)
+        .field("ph", "M")
+        .field("pid", pid)
+        .field("tid", tid)
+        .key("args")
+        .open('{')
+        .field("name", name)
+        .close('}')
+        .close('}');
 }
 
 fn span_name(span: SpanId) -> &'static str {
@@ -194,13 +145,13 @@ fn span_name(span: SpanId) -> &'static str {
     }
 }
 
-fn span_args(out: &mut String, span: SpanId) {
+fn span_args(w: &mut Writer, span: SpanId) {
     match span {
         SpanId::Chunk { seq } => {
-            let _ = write!(out, "\"seq\":{seq}");
+            w.field("seq", seq);
         }
         SpanId::TokenWait { group, seq } => {
-            let _ = write!(out, "\"group\":{group},\"seq\":{seq}");
+            w.field("group", group).field("seq", seq);
         }
     }
 }
@@ -222,72 +173,40 @@ fn mark_name(mark: MarkId) -> &'static str {
     }
 }
 
-fn mark_args(out: &mut String, mark: MarkId) {
+fn mark_args(w: &mut Writer, mark: MarkId) {
     match mark {
         MarkId::CrashFired { site, after } => {
-            out.push_str("\"site\":\"");
-            escape_into(out, site);
-            let _ = write!(out, "\",\"after\":{after}");
+            w.field("site", site).field("after", after);
         }
         MarkId::FaultArmed { kind, detail } => {
-            out.push_str("\"kind\":\"");
-            escape_into(out, kind);
-            let _ = write!(out, "\",\"detail\":{detail}");
+            w.field("kind", kind).field("detail", detail);
         }
-        MarkId::ReadFaultFired { block } => {
-            let _ = write!(out, "\"block\":{block}");
+        MarkId::ReadFaultFired { block } | MarkId::SpecLaunched { block } => {
+            w.field("block", block);
         }
         MarkId::NetFaultFired { kind } => {
-            out.push_str("\"kind\":\"");
-            escape_into(out, kind);
-            out.push('"');
+            w.field("kind", kind);
         }
         MarkId::TaskFaultFired => {}
         MarkId::StallFired { site, ms } => {
-            out.push_str("\"site\":\"");
-            escape_into(out, site);
-            let _ = write!(out, "\",\"ms\":{ms}");
+            w.field("site", site).field("ms", ms);
         }
         MarkId::SpillFaultFired { op } => {
-            out.push_str("\"op\":\"");
-            escape_into(out, op);
-            out.push('"');
-        }
-        MarkId::SpecLaunched { block } => {
-            let _ = write!(out, "\"block\":{block}");
+            w.field("op", op);
         }
         MarkId::SpecResolved { block, outcome } => {
-            let _ = write!(out, "\"block\":{block},\"outcome\":\"");
-            escape_into(out, outcome);
-            out.push('"');
+            w.field("block", block).field("outcome", outcome);
         }
         MarkId::DfsRead { block, class } => {
-            let _ = write!(out, "\"block\":{block},\"class\":\"{}\"", class.name());
+            w.field("block", block).field("class", class.name());
         }
         MarkId::StageLanes { stage, lanes } => {
-            let _ = write!(out, "\"stage\":\"{}\",\"lanes\":{lanes}", stage.name());
+            w.field("stage", stage.name()).field("lanes", lanes);
         }
         MarkId::TokenGroup { group, first, last } => {
-            let _ = write!(
-                out,
-                "\"group\":{group},\"first\":\"{}\",\"last\":\"{}\"",
-                first.name(),
-                last.name()
-            );
-        }
-    }
-}
-
-/// Append `s` to `out` escaped for a JSON string literal.
-pub(crate) fn escape_into(out: &mut String, s: &str) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
+            w.field("group", group)
+                .field("first", first.name())
+                .field("last", last.name());
         }
     }
 }
@@ -296,7 +215,7 @@ pub(crate) fn escape_into(out: &mut String, s: &str) {
 mod tests {
     use super::*;
     use crate::event::{Event, Realm};
-    use crate::jsonck::validate_json;
+    use crate::json::validate_json;
     use crate::stage::{PipelineKind, StageId};
     use std::time::Duration;
 
@@ -414,13 +333,6 @@ mod tests {
     }
 
     #[test]
-    fn escaping_handles_quotes_and_control_chars() {
-        let mut s = String::new();
-        escape_into(&mut s, "a\"b\\c\nd");
-        assert_eq!(s, "a\\\"b\\\\c\\u000ad");
-    }
-
-    #[test]
     fn empty_trace_is_still_a_valid_document() {
         let json = Trace::default().chrome_json();
         validate_json(&json).expect("empty export must be valid JSON");
@@ -458,9 +370,8 @@ mod tests {
     #[test]
     fn timestamps_are_microseconds_with_nanosecond_fraction() {
         let ns = Duration::from_nanos(1_500).as_nanos() as u64;
-        let mut out = String::new();
-        let mut first = true;
-        event_head(&mut out, &mut first, "x", 'B', 0, 0, ns);
-        assert!(out.ends_with("\"ts\":1.500"));
+        let mut w = Writer::default();
+        event_head(&mut w, "x", "B", 0, 0, ns);
+        assert!(w.finish().ends_with("\"ts\":1.500"));
     }
 }

@@ -30,7 +30,7 @@ mod analysis;
 mod chrome;
 mod event;
 mod interference;
-mod jsonck;
+pub mod json;
 mod metrics;
 mod report;
 mod stage;
@@ -45,7 +45,7 @@ pub use event::{
     CounterId, Event, EventKind, LaneId, LogicalKind, MarkId, ReadClass, Realm, SpanId,
 };
 pub use interference::{Interference, JobActivity, JobOverlap};
-pub use jsonck::validate_json;
+pub use json::validate_json;
 pub use metrics::MetricsSummary;
 pub use stage::{PipelineKind, StageId};
 pub use tracer::{EventSink, Lane, Trace, Tracer};

@@ -1,27 +1,20 @@
 //! Stable renderers for [`PerfAnalysis`]: a paper-style plain-text
-//! report (`to_report`, the Table II/III per-stage breakdown) and a
-//! hand-written JSON form (`to_json`, schema `gw-perf-analysis-v1`).
+//! report (`to_report`, the Table II/III per-stage breakdown) and a JSON
+//! form (`to_json`, schema `gw-perf-analysis-v1`).
 //!
 //! Both renderers are pure functions of the analysis with fixed section
 //! and key order, so diffs between runs show performance changes, not
-//! formatting noise. The JSON writer emits fixed-point numbers only
-//! (never exponent notation) and is validated against the in-repo
-//! RFC 8259 checker in tests — which deliberately rejects `+` exponents,
-//! see `jsonck`.
+//! formatting noise. The JSON goes through [`crate::json::Writer`], so
+//! its floats follow the one number rule (fixed-point, never an
+//! exponent) and its tests check it with the same strict parser.
 
 use std::fmt::Write as _;
 
 use crate::analysis::{PerfAnalysis, PipelinePerf};
-use crate::chrome::escape_into;
+use crate::json::Writer;
 
 fn ms(ns: u64) -> f64 {
     ns as f64 / 1e6
-}
-
-fn push_num(out: &mut String, v: f64) {
-    // Fixed-point keeps the output inside the strict validator's number
-    // grammar (Rust's `{:.6}` never produces an exponent).
-    let _ = write!(out, "{v:.6}");
 }
 
 impl PerfAnalysis {
@@ -150,147 +143,123 @@ impl PerfAnalysis {
     /// JSON rendering (schema `gw-perf-analysis-v1`); one object, fixed
     /// key order, fixed-point floats, valid under `validate_json`.
     pub fn to_json(&self) -> String {
-        let mut o = String::from("{\"schema\":\"gw-perf-analysis-v1\"");
-
-        o.push_str(",\"nodes\":[");
-        for (ni, node) in self.nodes.iter().enumerate() {
-            if ni > 0 {
-                o.push(',');
+        let mut w = Writer::default();
+        w.open('{')
+            .field("schema", "gw-perf-analysis-v1")
+            .key("nodes")
+            .open('[');
+        for node in &self.nodes {
+            w.open('{')
+                .field("node", node.node)
+                .key("pipelines")
+                .open('[');
+            for p in &node.pipelines {
+                w.open('{')
+                    .field("kind", p.kind.name())
+                    .key("stages")
+                    .open('[');
+                for s in &p.stages {
+                    w.open('{')
+                        .field("stage", s.stage.name_in(p.kind))
+                        .field("chunks", s.chunks)
+                        .field("busy_ns", s.busy_ns)
+                        .key("service")
+                        .open('{')
+                        .field("count", s.service.count)
+                        .field("total_ns", s.service.total_ns)
+                        .field("min_ns", s.service.min_ns)
+                        .field("max_ns", s.service.max_ns)
+                        .close('}')
+                        .field("token_waits", s.token_waits)
+                        .field("token_wait_ns", s.token_wait_ns)
+                        .close('}');
+                }
+                w.close(']')
+                    .field("busy_union_ns", p.busy_union_ns)
+                    .field("busy_sum_ns", p.busy_sum_ns)
+                    .field("span_ns", p.span_ns)
+                    .field("efficiency", p.efficiency())
+                    .key("overlap_ns")
+                    .open('[');
+                for row in &p.overlap.overlap_ns {
+                    w.open('[');
+                    for &v in row {
+                        w.value(v);
+                    }
+                    w.close(']');
+                }
+                w.close(']').close('}');
             }
-            let _ = write!(o, "{{\"node\":{},\"pipelines\":[", node.node);
-            for (pi, p) in node.pipelines.iter().enumerate() {
-                if pi > 0 {
-                    o.push(',');
-                }
-                let _ = write!(o, "{{\"kind\":\"{}\",\"stages\":[", p.kind.name());
-                for (si, s) in p.stages.iter().enumerate() {
-                    if si > 0 {
-                        o.push(',');
-                    }
-                    let _ = write!(
-                        o,
-                        "{{\"stage\":\"{}\",\"chunks\":{},\"busy_ns\":{},\
-                         \"service\":{{\"count\":{},\"total_ns\":{},\"min_ns\":{},\"max_ns\":{}}},\
-                         \"token_waits\":{},\"token_wait_ns\":{}}}",
-                        s.stage.name_in(p.kind),
-                        s.chunks,
-                        s.busy_ns,
-                        s.service.count,
-                        s.service.total_ns,
-                        s.service.min_ns,
-                        s.service.max_ns,
-                        s.token_waits,
-                        s.token_wait_ns,
-                    );
-                }
-                let _ = write!(
-                    o,
-                    "],\"busy_union_ns\":{},\"busy_sum_ns\":{},\"span_ns\":{},\"efficiency\":",
-                    p.busy_union_ns, p.busy_sum_ns, p.span_ns
-                );
-                push_num(&mut o, p.efficiency());
-                o.push_str(",\"overlap_ns\":[");
-                for (ri, row) in p.overlap.overlap_ns.iter().enumerate() {
-                    if ri > 0 {
-                        o.push(',');
-                    }
-                    o.push('[');
-                    for (ci, v) in row.iter().enumerate() {
-                        if ci > 0 {
-                            o.push(',');
-                        }
-                        let _ = write!(o, "{v}");
-                    }
-                    o.push(']');
-                }
-                o.push_str("]}");
-            }
-            o.push_str("]}");
+            w.close(']').close('}');
         }
-        o.push(']');
+        w.close(']');
 
         let cp = &self.critical_path;
-        let _ = write!(o, ",\"critical_path\":{{\"wall_ns\":{}", cp.wall_ns);
-        o.push_str(",\"attribution\":[");
-        for (i, (&(node, kind, stage), &ns)) in cp.attribution.iter().enumerate() {
-            if i > 0 {
-                o.push(',');
-            }
-            let _ = write!(
-                o,
-                "{{\"node\":{node},\"pipeline\":\"{}\",\"stage\":\"{}\",\"ns\":{ns}}}",
-                kind.name(),
-                stage.name_in(kind)
-            );
+        w.key("critical_path")
+            .open('{')
+            .field("wall_ns", cp.wall_ns)
+            .key("attribution")
+            .open('[');
+        for (&(node, kind, stage), &ns) in &cp.attribution {
+            w.open('{')
+                .field("node", node)
+                .field("pipeline", kind.name())
+                .field("stage", stage.name_in(kind))
+                .field("ns", ns)
+                .close('}');
         }
-        let _ = write!(
-            o,
-            "],\"token_idle_ns\":{},\"idle_ns\":{}}}",
-            cp.token_idle_ns, cp.idle_ns
-        );
+        w.close(']')
+            .field("token_idle_ns", cp.token_idle_ns)
+            .field("idle_ns", cp.idle_ns)
+            .close('}');
 
-        o.push_str(",\"stragglers\":[");
-        for (i, s) in self.stragglers.iter().enumerate() {
-            if i > 0 {
-                o.push(',');
-            }
-            let _ = write!(
-                o,
-                "{{\"node\":{},\"done_ns\":{},\"map_done_ns\":{},\"skew_ns\":{}}}",
-                s.node, s.done_ns, s.map_done_ns, s.skew_ns
-            );
+        w.key("stragglers").open('[');
+        for s in &self.stragglers {
+            w.open('{')
+                .field("node", s.node)
+                .field("done_ns", s.done_ns)
+                .field("map_done_ns", s.map_done_ns)
+                .field("skew_ns", s.skew_ns)
+                .close('}');
         }
-        o.push(']');
+        w.close(']');
 
         let adv = &self.advice;
-        o.push_str(",\"advice\":{\"bottleneck\":");
-        match adv.bottleneck {
-            Some(s) => {
-                o.push('"');
-                o.push_str(s.name());
-                o.push('"');
-            }
-            None => o.push_str("null"),
+        w.key("advice")
+            .open('{')
+            .field("bottleneck", adv.bottleneck.map(|s| s.name()))
+            .key("bottleneck_nodes")
+            .open('[')
+            .value(adv.bottleneck_nodes.0)
+            .value(adv.bottleneck_nodes.1)
+            .close(']')
+            .key("buffering_makespan_ns")
+            .open('[');
+        for &ns in &adv.buffering_makespan_ns {
+            w.value(ns);
         }
-        let _ = write!(
-            o,
-            ",\"bottleneck_nodes\":[{},{}]",
-            adv.bottleneck_nodes.0, adv.bottleneck_nodes.1
-        );
-        let _ = write!(
-            o,
-            ",\"buffering_makespan_ns\":[{},{},{}]",
-            adv.buffering_makespan_ns[0],
-            adv.buffering_makespan_ns[1],
-            adv.buffering_makespan_ns[2]
-        );
-        o.push_str(",\"lane_scaling\":[");
-        for (i, (stage, x)) in adv.lane_scaling.iter().enumerate() {
-            if i > 0 {
-                o.push(',');
-            }
-            let _ = write!(o, "{{\"stage\":\"{}\",\"speedup\":", stage.name());
-            push_num(&mut o, *x);
-            o.push('}');
+        w.close(']').key("lane_scaling").open('[');
+        for (stage, x) in &adv.lane_scaling {
+            w.open('{')
+                .field("stage", stage.name())
+                .field("speedup", *x)
+                .close('}');
         }
-        o.push_str("],\"lines\":[");
-        for (i, line) in adv.lines.iter().enumerate() {
-            if i > 0 {
-                o.push(',');
-            }
-            o.push('"');
-            escape_into(&mut o, line);
-            o.push('"');
+        w.close(']').key("lines").open('[');
+        for line in &adv.lines {
+            w.value(line.as_str());
         }
-        o.push_str("]}");
+        w.close(']').close('}');
 
         let a = self.anomalies;
-        let _ = write!(
-            o,
-            ",\"anomalies\":{{\"unclosed_spans\":{},\"unaccounted_chunks\":{},\"orphan_ends\":{}}}}}",
-            a.unclosed_spans, a.unaccounted_chunks, a.orphan_ends
-        );
-        o
+        w.key("anomalies")
+            .open('{')
+            .field("unclosed_spans", a.unclosed_spans)
+            .field("unaccounted_chunks", a.unaccounted_chunks)
+            .field("orphan_ends", a.orphan_ends)
+            .close('}')
+            .close('}');
+        w.finish()
     }
 }
 
@@ -322,7 +291,7 @@ fn render_overlap(out: &mut String, p: &PipelinePerf) {
 mod tests {
     use crate::analysis::PerfAnalysis;
     use crate::event::{Event, EventKind, LaneId, Realm, SpanId};
-    use crate::jsonck::validate_json;
+    use crate::json::validate_json;
     use crate::stage::{PipelineKind, StageId};
     use crate::tracer::Trace;
 

@@ -1,11 +1,9 @@
-//! Golden-file test for the Chrome `trace_event` exporter (ISSUE:
-//! satellite 2).
+//! Golden-file test for the Chrome `trace_event` exporter.
 //!
-//! The exporter writes JSON by hand (no vendored JSON crate), so its
-//! schema — field order included — is part of the crate's contract: a
-//! reordered field or a changed lane name silently breaks every tool
-//! that consumes dumped traces. The fixture pins the full document for a
-//! small two-node trace; regenerate it with
+//! The exporter's schema — field order included — is part of the
+//! crate's contract: a reordered field or a changed lane name silently
+//! breaks every tool that consumes dumped traces. The fixture pins the
+//! full document for a small two-node trace; regenerate it with
 //!
 //! ```text
 //! UPDATE_GOLDEN=1 cargo test --test trace_chrome_golden
@@ -13,10 +11,11 @@
 //!
 //! and review the diff like any other API change. Alongside the byte
 //! comparison, the test checks the structural invariants any Chrome
-//! trace viewer relies on: the document is valid JSON (RFC 8259,
-//! hand-rolled validator) and `B`/`E` span events nest properly per
-//! `(pid, tid)` lane.
+//! trace viewer relies on: the document is valid JSON (RFC 8259, under
+//! the strict `gw_trace::json` parser) and `B`/`E` span events nest
+//! properly per `(pid, tid)` lane.
 
+use glasswing::core::json::{self, Value};
 use glasswing::core::{
     validate_json, CounterId, Event, EventKind, LaneId, MarkId, PipelineKind, ReadClass, Realm,
     SpanId, StageId, Trace,
@@ -195,38 +194,21 @@ fn sample_trace() -> Trace {
     }
 }
 
-/// Pull the events back out of the exported document, leaning on the
-/// exporter's pinned field order (`name, ph, pid, tid, …`): each event
-/// object starts `{"name":"…","ph":"X","pid":N,"tid":M`.
-fn parse_events(json: &str) -> Vec<(String, char, u32, u32)> {
-    // Anchor on `"ph"` — exactly one per event, and never inside `args`
-    // (metadata `args` objects also contain a `"name"` key, so the event
-    // name is the *last* `{"name":"` before each `"ph"`).
-    let mut events = Vec::new();
-    let pieces: Vec<&str> = json.split("\"ph\":\"").collect();
-    for i in 1..pieces.len() {
-        let before = pieces[i - 1];
-        let name_at = before.rfind("{\"name\":\"").unwrap() + "{\"name\":\"".len();
-        let name = before[name_at..].split('"').next().unwrap();
-        let rest = pieces[i];
-        let ph = rest.chars().next().unwrap();
-        let pid: u32 = rest
-            .split("\"pid\":")
-            .nth(1)
-            .and_then(|s| s.split([',', '}']).next())
-            .unwrap()
-            .parse()
-            .unwrap();
-        let tid: u32 = rest
-            .split("\"tid\":")
-            .nth(1)
-            .and_then(|s| s.split([',', '}']).next())
-            .unwrap()
-            .parse()
-            .unwrap();
-        events.push((name.to_string(), ph, pid, tid));
-    }
+/// The events of the exported document, as `(name, ph, pid, tid)`.
+fn parse_events(text: &str) -> Vec<(String, char, u32, u32)> {
+    let doc = json::parse(text).expect("chrome export must parse");
+    let Some(Value::Arr(events)) = doc.get("traceEvents") else {
+        panic!("no traceEvents array");
+    };
     events
+        .iter()
+        .map(|e| {
+            let text = |k| e.get(k).and_then(Value::as_str).unwrap();
+            let id = |k| e.get(k).and_then(Value::as_num).unwrap() as u32;
+            let ph = text("ph").chars().next().unwrap();
+            (text("name").to_string(), ph, id("pid"), id("tid"))
+        })
+        .collect()
 }
 
 #[test]
