@@ -6,11 +6,13 @@
 //! pipeline instantiations at other nodes. After the merge phase
 //! completes, the reduce phase is started."
 //!
-//! [`Cluster::run`] executes a job over `n` nodes, each a thread group:
-//! the 5-stage map pipeline, the shuffle receiver + intermediate mergers,
-//! then the 5-stage reduce pipeline. A shared [`Coordinator`] hands out
-//! splits with locality preference; a [`gw_net::Fabric`] carries the
-//! push-based shuffle.
+//! [`Cluster::run`] executes a job over `n` nodes, each a group of tasks
+//! on the cluster's resident [`Runtime`]: the 5-stage map pipeline, the
+//! shuffle receiver + intermediate mergers, then the 5-stage reduce
+//! pipeline. The runtime's threads outlive the job and keep their role
+//! `(physical node, role, lane)` from job to job, so a warm job spawns no
+//! thread. A shared [`Coordinator`] hands out splits with locality
+//! preference; a [`gw_net::Fabric`] carries the push-based shuffle.
 //!
 //! ## Fault tolerance
 //!
@@ -36,13 +38,15 @@ use std::time::{Duration, Instant};
 use crossbeam::channel::RecvTimeoutError;
 
 use gw_chaos::FaultPlan;
-use gw_device::Device;
+use gw_device::{Device, Join, Task};
 use gw_intermediate::{IntermediateConfig, IntermediateStore, Run};
 use gw_net::{Fabric, NetProfile, ShuffleRun};
+use gw_pipeline::{JoinHandle, Role, RoleKey, Runtime};
 use gw_storage::split::{FileStore, FileStoreExt};
 use gw_storage::NodeId;
 use gw_trace::{
-    MetricsSummary, PerfAnalysis, PipelineKind, StageSample, TimerReport, Trace, Tracer,
+    CounterId, LaneId, MetricsSummary, PerfAnalysis, PipelineKind, Realm, StageSample, TimerReport,
+    Trace, Tracer,
 };
 
 use crate::api::GwApp;
@@ -179,6 +183,7 @@ pub struct Cluster {
     store: Arc<dyn FileStore>,
     net: NetProfile,
     fault_plan: Option<Arc<FaultPlan>>,
+    runtime: Arc<Runtime>,
 }
 
 impl Cluster {
@@ -189,6 +194,7 @@ impl Cluster {
             store,
             net,
             fault_plan: None,
+            runtime: Arc::default(),
         }
     }
 
@@ -212,6 +218,12 @@ impl Cluster {
         &self.store
     }
 
+    /// The resident runtime every job's tasks run on; it lives as long as
+    /// the cluster (and any task a timed-out job left behind).
+    pub fn runtime(&self) -> &Arc<Runtime> {
+        &self.runtime
+    }
+
     /// Execute `app` under `cfg`, blocking until the job completes, fails
     /// with a typed error, or exceeds `cfg.job_deadline`.
     pub fn run(&self, app: Arc<dyn GwApp>, cfg: &JobConfig) -> Result<JobReport, EngineError> {
@@ -223,10 +235,11 @@ impl Cluster {
     /// Execute `app` under `cfg` within `scope`: on a subset of the
     /// store's nodes, stamped with a service job id, possibly sharing the
     /// store (and a service-lifetime tracer) with concurrent jobs. This
-    /// is the coordinator/cluster lifetime split: the `Cluster` (store +
-    /// network profile) is resident, while each call builds its own
-    /// [`Coordinator`], fabric and node threads, so any number of jobs
-    /// can be in flight against one cluster at once.
+    /// is the coordinator/cluster lifetime split: the `Cluster` (store,
+    /// network profile and runtime threads) is resident, while each call
+    /// builds its own [`Coordinator`] and fabric and runs its node tasks on
+    /// the runtime, so any number of jobs can be in flight against one
+    /// cluster at once.
     ///
     /// The job runs in *virtual* node space `0..scope.node_set.len()`:
     /// partition ownership, the shuffle fabric and liveness all see a
@@ -321,12 +334,19 @@ impl Cluster {
         };
         let failovers_before = store.fault_failovers();
 
+        // Threads born for this job, per node, from the runtime's tally on
+        // the node's physical id: a job owns its nodes while it runs.
+        let hosts: Vec<u32> = scope.node_set.iter().map(|n| n.0).collect();
+        let spawned_before: Vec<u64> = hosts.iter().map(|&h| self.runtime.spawned_on(h)).collect();
+
         let start = Instant::now();
         let (res_tx, res_rx) =
             crossbeam::channel::unbounded::<(u32, Result<NodeReport, EngineError>)>();
         let mut handles = Vec::with_capacity(nodes as usize);
         for n in 0..nodes {
             let node = NodeId(n);
+            let host = hosts[n as usize];
+            let runtime = Arc::clone(&self.runtime);
             let endpoint = Arc::new(fabric.endpoint(node));
             let app = Arc::clone(&app);
             let store = Arc::clone(&store);
@@ -339,14 +359,14 @@ impl Cluster {
             };
             let tracer = Arc::clone(&tracer);
             let res_tx = res_tx.clone();
-            let job = scope.job;
-            let handle = std::thread::Builder::new()
-                .name(format!("gw-j{job}-node-{n}"))
-                .spawn(move || {
+            let handle = self
+                .runtime
+                .spawn(RoleKey::new(host, Role::Node, 0), move || {
                     let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                         run_node(
                             node,
                             nodes,
+                            (&runtime, host),
                             app,
                             store,
                             Arc::clone(&coordinator),
@@ -366,8 +386,7 @@ impl Cluster {
                         coordinator.abort();
                     }
                     let _ = res_tx.send((n, result));
-                })
-                .expect("spawn node runtime");
+                });
             handles.push(handle);
         }
         drop(res_tx);
@@ -402,8 +421,9 @@ impl Cluster {
         }
         if timed_out {
             // Tell every wait loop to unwind, then *detach* the node
-            // threads: the caller gets its deadline honored even if some
-            // thread is stuck past any abort check.
+            // tasks: the caller gets its deadline honored even if some
+            // task is stuck past any abort check. A detached task keeps
+            // its runtime thread; the next job gets another one.
             coordinator.abort();
             drop(handles);
             return Err(EngineError::JobTimeout(wall_deadline.unwrap().1));
@@ -412,6 +432,17 @@ impl Cluster {
             let _ = h.join();
         }
         let elapsed = start.elapsed();
+        for (n, (&host, before)) in hosts.iter().zip(spawned_before).enumerate() {
+            let spawned = self.runtime.spawned_on(host) - before;
+            if spawned > 0 {
+                let lane = tracer.lane(LaneId {
+                    job: 0,
+                    node: n as u32,
+                    realm: Realm::Job,
+                });
+                lane.count(CounterId::ThreadsSpawned, spawned);
+            }
+        }
         results.sort_by_key(|(n, _)| *n);
 
         let mut reports = Vec::with_capacity(results.len());
@@ -622,7 +653,7 @@ impl Drop for DisarmOnDrop<'_> {
     }
 }
 
-/// The node's shuffle receiver; its thread returns how many runs it
+/// The node's shuffle receiver; its task returns how many runs it
 /// admitted from peers.
 ///
 /// Tick loop over `recv_timeout`: posts the node's heartbeat, admits runs
@@ -637,60 +668,58 @@ impl Drop for DisarmOnDrop<'_> {
 /// liveness any more, so a node may reduce for as long as its reduce
 /// takes.
 fn spawn_receiver(
+    (runtime, host): (&Runtime, u32),
     endpoint: Arc<gw_net::Endpoint<ShuffleRun>>,
     intermediate: Arc<IntermediateStore>,
     coordinator: Arc<Coordinator>,
     node: NodeId,
     chaos: NodeChaos,
-) -> std::thread::JoinHandle<Result<usize, EngineError>> {
-    std::thread::Builder::new()
-        .name(format!("gw-shuffle-rx-{node}"))
-        .spawn(move || {
-            let mut runs = 0;
-            // Admit a run into the store, and count it, unless an identical
-            // run was already admitted.
-            let mut admit = |run: ShuffleRun| {
-                if chaos.recovery.admit(run.tag) {
-                    runs += 1;
-                    intermediate.add_run(
-                        run.tag.partition,
-                        Run::from_sorted_bytes(run.bytes, run.records),
-                    );
+) -> JoinHandle<Result<usize, EngineError>> {
+    runtime.spawn(RoleKey::new(host, Role::ShuffleRx, 0), move || {
+        let mut runs = 0;
+        // Admit a run into the store, and count it, unless an identical
+        // run was already admitted.
+        let mut admit = |run: ShuffleRun| {
+            if chaos.recovery.admit(run.tag) {
+                runs += 1;
+                intermediate.add_run(
+                    run.tag.partition,
+                    Run::from_sorted_bytes(run.bytes, run.records),
+                );
+            }
+        };
+        loop {
+            coordinator.heartbeat(node);
+            if chaos.is_dead() || coordinator.is_dead(node) {
+                return Err(EngineError::NodeLost(format!(
+                    "node {node} lost during the shuffle"
+                )));
+            }
+            if coordinator.aborted() {
+                return Err(EngineError::NodeLost("job aborted".into()));
+            }
+            match endpoint.recv_timeout(RX_TICK) {
+                Ok(Some(env)) => admit(env.payload),
+                Ok(None) => {
+                    return Err(EngineError::TaskFailed(
+                        "shuffle fabric disconnected".into(),
+                    ));
                 }
-            };
-            loop {
-                coordinator.heartbeat(node);
-                if chaos.is_dead() || coordinator.is_dead(node) {
-                    return Err(EngineError::NodeLost(format!(
-                        "node {node} lost during the shuffle"
-                    )));
+                Err(_timeout) => coordinator.scan_liveness(),
+            }
+            // Every run of a complete split is already in its owner's
+            // inbox, so after this drain a run the node lacks is lost.
+            if coordinator.map_complete() {
+                while let Some(env) = endpoint.try_recv() {
+                    admit(env.payload);
                 }
-                if coordinator.aborted() {
-                    return Err(EngineError::NodeLost("job aborted".into()));
-                }
-                match endpoint.recv_timeout(RX_TICK) {
-                    Ok(Some(env)) => admit(env.payload),
-                    Ok(None) => {
-                        return Err(EngineError::TaskFailed(
-                            "shuffle fabric disconnected".into(),
-                        ));
-                    }
-                    Err(_timeout) => coordinator.scan_liveness(),
-                }
-                // Every run of a complete split is already in its owner's
-                // inbox, so after this drain a run the node lacks is lost.
-                if coordinator.map_complete() {
-                    while let Some(env) = endpoint.try_recv() {
-                        admit(env.payload);
-                    }
-                    coordinator.settle_shuffle(node, &chaos.recovery);
-                    if coordinator.all_live_satisfied() {
-                        return Ok(runs);
-                    }
+                coordinator.settle_shuffle(node, &chaos.recovery);
+                if coordinator.all_live_satisfied() {
+                    return Ok(runs);
                 }
             }
-        })
-        .expect("spawn shuffle receiver")
+        }
+    })
 }
 
 /// One node's full job execution: map ∥ merge, then reduce.
@@ -698,6 +727,7 @@ fn spawn_receiver(
 fn run_node(
     node: NodeId,
     nodes: u32,
+    (runtime, host): (&Runtime, u32),
     app: Arc<dyn GwApp>,
     store: Arc<dyn FileStore>,
     coordinator: Arc<Coordinator>,
@@ -706,9 +736,10 @@ fn run_node(
     chaos: NodeChaos,
     tracer: Arc<Tracer>,
 ) -> Result<NodeReport, EngineError> {
-    let device = Arc::new(Device::open_with_threads(
+    let device = Arc::new(Device::open_with_runner(
         cfg.device.clone(),
         cfg.device_threads,
+        &runner(runtime, host, Role::Device),
     ));
     // Intermediate stores are indexed by *global* partition, so a node can
     // adopt a dead peer's partitions without re-indexing.
@@ -725,7 +756,10 @@ fn run_node(
         // frames so the out-of-core peak stays within ~1.5× budget.
         icfg = icfg.with_memory_budget(budget);
     }
-    let intermediate = Arc::new(IntermediateStore::new(icfg)?);
+    let intermediate = Arc::new(IntermediateStore::with_runner(
+        icfg,
+        &runner(runtime, host, Role::Merger),
+    )?);
     // Spill-file I/O is a chaos fault site: probe the node's plan before
     // every frame write/read. The store dies with the job, so no disarm
     // guard is needed.
@@ -735,13 +769,14 @@ fn run_node(
 
     // Merge phase: receive peers' partitions concurrently with our map.
     let receiver = spawn_receiver(
+        (runtime, host),
         Arc::clone(&endpoint),
         Arc::clone(&intermediate),
         Arc::clone(&coordinator),
         node,
         chaos.clone(),
     );
-    let join_receiver = |receiver: std::thread::JoinHandle<_>| {
+    let join_receiver = |receiver: JoinHandle<_>| {
         receiver
             .join()
             .unwrap_or_else(|_| Err(EngineError::TaskFailed("shuffle receiver panicked".into())))
@@ -752,6 +787,7 @@ fn run_node(
         cfg,
         node,
         nodes,
+        runtime: (runtime, host),
         app: Arc::clone(&app),
         device: Arc::clone(&device),
         store: Arc::clone(&store),
@@ -789,6 +825,7 @@ fn run_node(
         cfg,
         node,
         nodes,
+        runtime: (runtime, host),
         app,
         device,
         store,
@@ -810,6 +847,21 @@ fn run_node(
         reduce_timers: TimerReport::default(),
         intermediate: intermediate.metrics(),
     })
+}
+
+/// A pool runner over `runtime`: worker `i` runs as lane `i` of `role` on
+/// physical node `host`, and joining it waits for that task.
+pub(crate) fn runner(
+    runtime: &Runtime,
+    host: u32,
+    role: Role,
+) -> impl Fn(usize, Task) -> Join + '_ {
+    move |i, task| {
+        let handle = runtime.spawn(RoleKey::new(host, role, i as u32), task);
+        Box::new(move || {
+            let _ = handle.join();
+        })
+    }
 }
 
 /// Read back a whole job's output, ordered by global partition then by the

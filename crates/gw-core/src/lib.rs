@@ -58,6 +58,7 @@ pub use coordinator::{Coordinator, SpeculationReport};
 pub use schedule::{pipeline_makespan, ChunkTimes};
 
 pub use gw_chaos::{CrashSite, FaultPlan};
+pub use gw_pipeline::{JoinHandle, Role, RoleKey, Runtime};
 pub use gw_storage::NodeId;
 pub use gw_trace::json;
 pub use gw_trace::{

@@ -55,7 +55,7 @@ use gw_intermediate::{IntermediateStore, Run, RunPool};
 use gw_net::{Endpoint, RunTag, ShuffleRun};
 use gw_pipeline::{
     run_task_with_retries, token_pool, LaneSource, PipelineBuilder, PipelineKind, PoolGet, PoolPut,
-    Stage, StageCtx,
+    Role, Runtime, Stage, StageCtx,
 };
 use gw_storage::split::FileStore;
 use gw_storage::varint::RecRef;
@@ -63,6 +63,7 @@ use gw_storage::{InputSplit, NodeId, StorageError};
 use gw_trace::{CounterId, Lane, LaneId, Realm, StageId, Tracer};
 
 use crate::api::{Emit, GwApp, Records};
+use crate::cluster::runner;
 use crate::collect::{BufferPoolCollector, Collector, CollectorKind, HashTableCollector, Slots};
 use crate::config::{JobConfig, TimingMode};
 use crate::coordinator::{Coordinator, MapPipelineProbe, NodeChaos, RecoveryState};
@@ -96,9 +97,9 @@ pub struct MapPhaseReport {
     pub runs_local: usize,
     /// Map tasks that were discarded and re-executed (paper §III-E).
     pub tasks_retried: usize,
-    /// Stage threads the executor spawned: 3 on unified memory, 5 on
-    /// discrete-memory devices (Stage and Retrieve), plus one per extra
-    /// lane of every widened slot (`JobConfig::lane_plan`).
+    /// Stage lanes the executor ran, one runtime task each: 3 on unified
+    /// memory, 5 on discrete-memory devices (Stage and Retrieve), plus one
+    /// per extra lane of every widened slot (`JobConfig::lane_plan`).
     pub stage_threads: usize,
     /// High-water mark of in-flight chunks across the §III-D token
     /// groups; never exceeds the buffering depth.
@@ -495,6 +496,9 @@ pub struct MapPhase<'a> {
     pub node: NodeId,
     /// Cluster size.
     pub nodes: u32,
+    /// The runtime the phase's tasks run on, and the physical node they
+    /// are keyed under.
+    pub runtime: (&'a Runtime, u32),
     /// The application.
     pub app: Arc<dyn GwApp>,
     /// The node's compute device.
@@ -527,7 +531,11 @@ impl MapPhase<'_> {
         let total_partitions = self.cfg.partitions_per_node * self.nodes;
 
         // Partitioning worker pool: N lanes (orchestrator participates).
-        let partition_pool = WorkerPool::new(self.cfg.partition_threads.saturating_sub(1));
+        let (runtime, host) = self.runtime;
+        let partition_pool = WorkerPool::with_runner(
+            self.cfg.partition_threads.saturating_sub(1),
+            &runner(runtime, host, Role::Partition),
+        );
 
         // Sort-space recycling: each partition lane's refs and scatter
         // space cycle through this pool so steady-state partitioning does
@@ -655,6 +663,7 @@ impl MapPhase<'_> {
             .interlock(StageId::Input, StageId::Kernel)
             .interlock(StageId::Kernel, StageId::Partition)
             .tracer(Arc::clone(&self.tracer), self.node.0)
+            .runtime(runtime, host)
             .probe(MapPipelineProbe {
                 chaos: self.chaos.clone(),
                 coordinator: Arc::clone(&self.coordinator),

@@ -72,7 +72,7 @@ use gw_device::{Device, KernelFn, NdRange, WorkItemCtx};
 use gw_intermediate::{CursorMerge, GroupSlice, GroupedCursorMerge, IntermediateStore, PartCursor};
 use gw_pipeline::{
     run_task_with_retries, token_pool, LaneSource, PipelineBuilder, PipelineKind, PoolGet, PoolPut,
-    Stage, StageCtx,
+    Runtime, Stage, StageCtx,
 };
 use gw_storage::split::{FileStore, RecordBlockBuilder};
 use gw_storage::NodeId;
@@ -577,6 +577,9 @@ pub struct ReducePhase<'a> {
     pub node: NodeId,
     /// Cluster size.
     pub nodes: u32,
+    /// The runtime the phase's tasks run on, and the physical node they
+    /// are keyed under.
+    pub runtime: (&'a Runtime, u32),
     /// The application.
     pub app: Arc<dyn GwApp>,
     /// The node's compute device.
@@ -689,6 +692,7 @@ impl ReducePhase<'_> {
                 },
             )
             .tracer(Arc::clone(&self.tracer), self.node.0)
+            .runtime(self.runtime.0, self.runtime.1)
             .probe(ReduceTaskProbe::new(self.chaos.clone(), self.node));
         pipeline.run()?;
         Ok(ReducePhaseReport {

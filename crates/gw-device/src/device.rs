@@ -15,7 +15,7 @@ use std::time::{Duration, Instant};
 use crate::buffer::DeviceBuffer;
 use crate::kernel::Kernel;
 use crate::ndrange::NdRange;
-use crate::pool::WorkerPool;
+use crate::pool::{Runner, WorkerPool};
 use crate::profile::DeviceProfile;
 use crate::DeviceError;
 
@@ -60,13 +60,27 @@ impl Device {
     }
 
     /// Open a device with an explicit pool size. Pool size controls *real*
-    /// parallelism; the profile controls *modeled* timing.
+    /// parallelism; the profile controls *modeled* timing. The pool's
+    /// workers get threads of their own, which end with the device.
     pub fn open_with_threads(profile: DeviceProfile, threads: usize) -> Self {
-        // The calling thread participates in launches, so spawn one fewer.
-        let background = threads.saturating_sub(1);
+        Self::with_pool(profile, WorkerPool::new(threads.saturating_sub(1)))
+    }
+
+    /// As [`Device::open_with_threads`], with the pool's workers started
+    /// by `run` (the engine's resident runtime).
+    pub fn open_with_runner(profile: DeviceProfile, threads: usize, run: Runner<'_>) -> Self {
+        Self::with_pool(
+            profile,
+            WorkerPool::with_runner(threads.saturating_sub(1), run),
+        )
+    }
+
+    /// The calling thread participates in launches, so `pool` holds one
+    /// fewer worker than the device's threads.
+    fn with_pool(profile: DeviceProfile, pool: WorkerPool) -> Self {
         Device {
             profile,
-            pool: WorkerPool::new(background),
+            pool,
             allocated: AtomicUsize::new(0),
         }
     }

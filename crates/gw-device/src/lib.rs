@@ -35,7 +35,7 @@ pub use buffer::DeviceBuffer;
 pub use device::{Device, LaunchStats, TransferStats};
 pub use kernel::{current_group_id, Kernel, KernelFn, WorkItemCtx};
 pub use ndrange::NdRange;
-pub use pool::WorkerPool;
+pub use pool::{Join, Runner, Task, WorkerPool};
 pub use profile::{DeviceKind, DeviceProfile};
 
 /// Errors produced by the device layer.

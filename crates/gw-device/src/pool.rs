@@ -11,11 +11,14 @@
 //! The calling thread participates in execution, so a pool of `n` threads
 //! provides `n + 1` lanes during a launch and a pool is usable even with
 //! zero background threads (useful for deterministic tests).
+//!
+//! Where the workers run is the caller's choice ([`WorkerPool::with_runner`]):
+//! the engine runs them on its resident runtime, [`WorkerPool::new`] on
+//! threads of their own.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use parking_lot::{Condvar, Mutex};
@@ -93,36 +96,62 @@ impl Job {
     }
 }
 
+/// A task a [`Runner`] starts: one pool worker's whole life.
+pub type Task = Box<dyn FnOnce() + Send>;
+
+/// Waits for a task a [`Runner`] started to return.
+pub type Join = Box<dyn FnOnce() + Send + Sync>;
+
+/// Starts worker `i` of a pool on some thread; called once per worker
+/// when the pool is built.
+pub type Runner<'a> = &'a dyn Fn(usize, Task) -> Join;
+
 /// A fixed-size pool of worker threads executing NDRange kernel launches.
 pub struct WorkerPool {
     tx: Sender<Arc<Job>>,
-    handles: Vec<JoinHandle<()>>,
+    workers: Vec<Join>,
     threads: usize,
 }
 
 impl WorkerPool {
-    /// Spawn a pool with `threads` background workers.
+    /// A pool with `threads` background workers, each on a thread of its
+    /// own that ends with the pool.
     ///
     /// `threads == 0` is allowed: launches then run entirely on the calling
     /// thread, which is useful for deterministic unit tests.
     pub fn new(threads: usize) -> Self {
+        Self::with_runner(threads, &|i, task| {
+            let handle = std::thread::Builder::new()
+                .name(format!("gw-compute-{i}"))
+                .spawn(task)
+                .expect("spawn compute worker");
+            Box::new(move || {
+                let _ = handle.join();
+            })
+        })
+    }
+
+    /// A pool with `threads` background workers started by `run`. Each
+    /// worker serves launches until the pool is dropped, which waits for
+    /// every worker to return.
+    pub fn with_runner(threads: usize, run: Runner<'_>) -> Self {
         let (tx, rx): (Sender<Arc<Job>>, Receiver<Arc<Job>>) = unbounded();
-        let handles = (0..threads)
+        let workers = (0..threads)
             .map(|i| {
                 let rx = rx.clone();
-                std::thread::Builder::new()
-                    .name(format!("gw-compute-{i}"))
-                    .spawn(move || {
+                run(
+                    i,
+                    Box::new(move || {
                         while let Ok(job) = rx.recv() {
                             job.work();
                         }
-                    })
-                    .expect("spawn compute worker")
+                    }),
+                )
             })
             .collect();
         WorkerPool {
             tx,
-            handles,
+            workers,
             threads,
         }
     }
@@ -172,8 +201,8 @@ impl Drop for WorkerPool {
         // Close the channel; workers exit once in-flight jobs are drained.
         let (dead_tx, _) = unbounded();
         self.tx = dead_tx;
-        for h in self.handles.drain(..) {
-            let _ = h.join();
+        for join in self.workers.drain(..) {
+            join();
         }
     }
 }

@@ -36,7 +36,9 @@ pub use kv::{Run, RunBuilder};
 pub use merge::{merge_runs, CursorMerge, GroupSlice, GroupedCursorMerge, MergeIter};
 pub use pool::{PooledSortBuf, RunPool};
 pub use radix::{key_head, shared_prefix, SortBuf, SortRef};
-pub use store::{IntermediateConfig, IntermediateStore, StoreMetrics};
+pub use store::{
+    IntermediateConfig, IntermediateStore, MergerJoin, MergerRunner, MergerTask, StoreMetrics,
+};
 pub use tempdir::TempDir;
 
 /// Identifier of an intermediate-data partition (0..P per job).

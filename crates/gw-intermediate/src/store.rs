@@ -1,5 +1,5 @@
 //! Per-node intermediate-data store: partition cache, framed spill files,
-//! and the background merger threads.
+//! and the background merger tasks.
 //!
 //! Reproduces paper §III-B:
 //!
@@ -466,16 +466,42 @@ impl Inner {
     }
 }
 
+/// A merger task a [`MergerRunner`] starts: one merger's whole life.
+pub type MergerTask = Box<dyn FnOnce() + Send>;
+
+/// Waits for a task a [`MergerRunner`] started to return.
+pub type MergerJoin = Box<dyn FnOnce() + Send + Sync>;
+
+/// Starts merger `i` of a store on some thread; called once per merger
+/// when the store is built.
+pub type MergerRunner<'a> = &'a dyn Fn(usize, MergerTask) -> MergerJoin;
+
 /// The per-node intermediate store.
 pub struct IntermediateStore {
     inner: Arc<Inner>,
     task_tx: Option<Sender<PartitionId>>,
-    workers: Vec<std::thread::JoinHandle<()>>,
+    workers: Vec<MergerJoin>,
 }
 
 impl IntermediateStore {
-    /// Create a store with its background merger threads.
+    /// Create a store whose `merger_threads` mergers each get a thread of
+    /// their own, which ends with the store.
     pub fn new(cfg: IntermediateConfig) -> io::Result<Self> {
+        Self::with_runner(cfg, &|i, task| {
+            let handle = std::thread::Builder::new()
+                .name(format!("gw-merger-{i}"))
+                .spawn(task)
+                .expect("spawn merger thread");
+            Box::new(move || {
+                let _ = handle.join();
+            })
+        })
+    }
+
+    /// Create a store whose mergers are started by `run` (the engine's
+    /// resident runtime). Each merger serves tasks until the store is
+    /// dropped, which waits for every merger to return.
+    pub fn with_runner(cfg: IntermediateConfig, run: MergerRunner<'_>) -> io::Result<Self> {
         assert!(cfg.num_partitions > 0, "at least one partition");
         let dir = TempDir::new("gw-intermediate")?;
         let parts = (0..cfg.num_partitions)
@@ -504,15 +530,15 @@ impl IntermediateStore {
             .map(|i| {
                 let inner = Arc::clone(&inner);
                 let rx = rx.clone();
-                std::thread::Builder::new()
-                    .name(format!("gw-merger-{i}"))
-                    .spawn(move || {
+                run(
+                    i,
+                    Box::new(move || {
                         while let Ok(p) = rx.recv() {
                             inner.run_merge_task(p);
                             inner.task_done();
                         }
-                    })
-                    .expect("spawn merger thread")
+                    }),
+                )
             })
             .collect();
         Ok(IntermediateStore {
@@ -715,8 +741,8 @@ impl IntermediateStore {
 impl Drop for IntermediateStore {
     fn drop(&mut self) {
         self.task_tx = None; // close the channel
-        for w in self.workers.drain(..) {
-            let _ = w.join();
+        for join in self.workers.drain(..) {
+            join();
         }
     }
 }

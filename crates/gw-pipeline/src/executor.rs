@@ -1,9 +1,10 @@
 //! The bounded-stage executor.
 //!
 //! A pipeline is a pulling [`Source`] followed by a chain of [`Stage`]s.
-//! The executor spawns one scoped thread per *lane* of each stage, links
-//! them with bounded handoff channels, and owns every cross-cutting
-//! concern the stages themselves used to copy-paste:
+//! The executor runs one scoped task per *lane* of each stage on a
+//! [`Runtime`] (the caller's, or one local to the call), links them with
+//! bounded handoff channels, and owns every cross-cutting concern the
+//! stages themselves used to copy-paste:
 //!
 //! * **§III-D buffer tokens** — each [`PipelineBuilder::interlock`] group
 //!   (e.g. the map pipeline's input group Input→Kernel and output group
@@ -45,7 +46,7 @@
 //!   stage's channel endpoints and lets the graph drain deterministically:
 //!   upstream sends fail, downstream receives drain, queued chunks drop
 //!   (returning their permits), and the first error in stage order is
-//!   surfaced. Stage panics propagate after every thread has been joined;
+//!   surfaced. Stage panics propagate after every lane has been joined;
 //!   turn-taking slots release their siblings on every exit path.
 
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
@@ -58,6 +59,7 @@ use parking_lot::{Condvar, Mutex};
 
 use gw_trace::{EventKind, Lane, LaneId, MarkId, Realm, SpanId, Tracer};
 
+use crate::runtime::{Role, RoleKey, Runtime};
 use crate::{Buffering, PipelineKind, StageId};
 
 /// A stage's view of the executor while it handles one chunk.
@@ -322,8 +324,8 @@ pub fn run_task_with_retries<C, R>(
 /// Outcome of a completed pipeline run.
 #[derive(Debug, Clone)]
 pub struct PipelineStats {
-    /// Threads the graph spawned: every lane of the source and of each
-    /// stage.
+    /// Lanes the graph ran, one runtime task each: every lane of the
+    /// source and of each stage.
     pub stage_threads: usize,
     /// Lane count per slot, in pipeline order.
     pub lanes: Vec<(StageId, usize)>,
@@ -606,6 +608,7 @@ pub struct PipelineBuilder<'a, T, E> {
     interlocks: Vec<(StageId, StageId)>,
     probe: Option<Box<dyn PipelineProbe + 'a>>,
     tracer: Option<(Arc<Tracer>, u32)>,
+    runtime: Option<(&'a Runtime, u32)>,
 }
 
 impl<'a, T: Send + 'a, E: Send + 'a> PipelineBuilder<'a, T, E> {
@@ -619,6 +622,7 @@ impl<'a, T: Send + 'a, E: Send + 'a> PipelineBuilder<'a, T, E> {
             interlocks: Vec::new(),
             probe: None,
             tracer: None,
+            runtime: None,
         }
     }
 
@@ -679,6 +683,14 @@ impl<'a, T: Send + 'a, E: Send + 'a> PipelineBuilder<'a, T, E> {
     /// `node` × pipeline kind × stage × lane.
     pub fn tracer(mut self, tracer: Arc<Tracer>, node: u32) -> Self {
         self.tracer = Some((tracer, node));
+        self
+    }
+
+    /// Run every lane as a task of `runtime`, keyed
+    /// `(host, Role::Stage(kind, slot), lane)` with `host` the physical
+    /// node. Without one, `run` uses a runtime local to the call.
+    pub fn runtime(mut self, runtime: &'a Runtime, host: u32) -> Self {
+        self.runtime = Some((runtime, host));
         self
     }
 
@@ -748,7 +760,7 @@ impl<'a, T: Send + 'a, E: Send + 'a> PipelineBuilder<'a, T, E> {
         };
 
         // §III-D topology marks: one per token group, on the acquiring
-        // stage's lane-0 sub-lane, emitted before any stage thread spawns
+        // stage's lane-0 sub-lane, emitted before any stage task starts
         // so the mark leads that lane and per-lane order stays
         // deterministic. Post-hoc analysis replays the buffer-token
         // schedule from these instead of guessing the group endpoints.
@@ -761,7 +773,7 @@ impl<'a, T: Send + 'a, E: Send + 'a> PipelineBuilder<'a, T, E> {
                 },
             });
         }
-        // Lane-plan marks: one per widened slot, also pre-spawn on the
+        // Lane-plan marks: one per widened slot, also before any task on the
         // slot's lane-0 sub-lane, so analysis learns the lane count even
         // when some lanes never record a chunk.
         for (pos, &n) in lane_counts.iter().enumerate() {
@@ -779,7 +791,18 @@ impl<'a, T: Send + 'a, E: Send + 'a> PipelineBuilder<'a, T, E> {
         let source_acquires = acquire_iter.next().expect("source position");
         let source_releases = release_at[0].clone();
 
-        let result = std::thread::scope(|scope| -> Result<(), E> {
+        let local;
+        let (runtime, host) = match self.runtime {
+            Some(rt) => rt,
+            None => {
+                local = Runtime::new();
+                (&local, 0)
+            }
+        };
+        let role =
+            |id: StageId, lane: usize| RoleKey::new(host, Role::Stage(kind, id), lane as u32);
+
+        let result = runtime.scope(|scope| -> Result<(), E> {
             // The handoff between adjacent slots is a K×L matrix of
             // bounded(1) channels: producer lane `a` owns row `a` (one
             // sender per consumer lane), consumer lane `b` owns column
@@ -819,7 +842,8 @@ impl<'a, T: Send + 'a, E: Send + 'a> PipelineBuilder<'a, T, E> {
                 let releases = source_releases.clone();
                 let events = events_for(source_id, lane_idx as u32);
                 let turn = src_turn.clone();
-                source_handles.push(scope.spawn(move || -> Result<(), E> {
+                let key = role(source_id, lane_idx);
+                source_handles.push(scope.spawn(key, move || -> Result<(), E> {
                     let lane = lane_idx as u32;
                     let mut guard = TurnFinishGuard::new(turn);
                     let outcome = catch_unwind(AssertUnwindSafe(|| -> Result<(), E> {
@@ -947,7 +971,8 @@ impl<'a, T: Send + 'a, E: Send + 'a> PipelineBuilder<'a, T, E> {
                     let releases = releases_proto.clone();
                     let events = events_for(id, lane_idx as u32);
                     let turn = slot_turn.clone();
-                    handles.push(scope.spawn(move || -> Result<(), E> {
+                    let key = role(id, lane_idx);
+                    handles.push(scope.spawn(key, move || -> Result<(), E> {
                         let lane = lane_idx as u32;
                         let mut guard = TurnFinishGuard::new(turn);
                         let outcome = catch_unwind(AssertUnwindSafe(|| -> Result<(), E> {
@@ -1094,7 +1119,7 @@ impl<'a, T: Send + 'a, E: Send + 'a> PipelineBuilder<'a, T, E> {
 
             // Join in pipeline order (lanes of a slot in lane order);
             // surface the first error, re-raise panics only after every
-            // thread is accounted for.
+            // lane is accounted for.
             let mut first_err: Option<E> = None;
             let mut panic: Option<Box<dyn std::any::Any + Send>> = None;
             for handle in source_handles.into_iter().chain(handles) {

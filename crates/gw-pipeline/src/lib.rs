@@ -18,17 +18,21 @@
 //!   crash-site probing between chunks ([`PipelineProbe`]), dead/abort-flag
 //!   checking, wall+modeled span accounting on the `gw-trace` lanes, and error
 //!   unwinding that drains and closes the whole graph deterministically;
+//! * [`Runtime`] — the resident threads every engine task runs on, parked
+//!   between jobs and keyed by `(physical node, role, lane)`;
 //! * [`run_task_with_retries`] — the §III-E task re-execution loop
 //!   ("if a task fails, its partial output is discarded and its input is
 //!   rescheduled for processing") shared by both kernel stages.
 
 pub mod executor;
+pub mod runtime;
 
 pub use executor::{
     run_task_with_retries, token_pool, LaneSource, PipelineBuilder, PipelineProbe, PipelineStats,
     PoolGet, PoolPut, RetryExhausted, Source, Stage, StageCtx,
 };
 pub use gw_trace::{PipelineKind, StageId};
+pub use runtime::{JoinHandle, Role, RoleKey, Runtime, Scope, ScopedJoinHandle};
 
 /// Pipeline buffering level (paper §III-D).
 ///

@@ -13,8 +13,10 @@
 //!    each dispatch a *node subset* of the shared cluster (the slot
 //!    model: one slot = one node's full lane set). A slot-owner ledger
 //!    asserts two concurrent jobs never double-book a node.
-//! 3. **Execution** — each dispatched job runs on its own worker thread
-//!    via [`Cluster::run_scoped`] with a unique service job id, its node
+//! 3. **Execution** — each dispatched job runs as a task on the cluster's
+//!    resident runtime, on the parked thread of its first node's job role
+//!    (a warm service spawns no thread per submission), via
+//!    [`Cluster::run_scoped`] with a unique service job id, its node
 //!    subset, its own fault plan, and the service-lifetime tracer (so
 //!    concurrent jobs land on one wall-clock axis for interference
 //!    attribution — see [`Service::interference`]).
@@ -34,7 +36,7 @@ use crossbeam::channel::{bounded, Receiver, Sender};
 use parking_lot::{Condvar, Mutex};
 
 use gw_chaos::FaultPlan;
-use gw_core::{read_job_output, Cluster, GwApp, JobConfig, JobReport, RunScope};
+use gw_core::{read_job_output, Cluster, GwApp, JobConfig, JobReport, Role, RoleKey, RunScope};
 use gw_storage::{KvVec, NodeId};
 use gw_trace::{Interference, Trace, Tracer};
 
@@ -272,7 +274,10 @@ struct State {
     cache: ResultCache,
     next_job: u32,
     shutdown: bool,
-    workers: Vec<JoinHandle<()>>,
+    /// Running (or ended, not yet joined) job tasks, by job id.
+    workers: Vec<(u32, gw_core::JoinHandle<()>)>,
+    /// Jobs whose task has published its result and is about to return.
+    ended: Vec<u32>,
 }
 
 struct Inner {
@@ -339,6 +344,7 @@ impl Service {
                 next_job: 1, // job 0 is the one-shot convention
                 shutdown: false,
                 workers: Vec::new(),
+                ended: Vec::new(),
             }),
             cv: Condvar::new(),
             counters: ServiceCounters::default(),
@@ -538,12 +544,12 @@ impl Service {
         if let Some(h) = self.scheduler.take() {
             let _ = h.join();
         }
-        for h in workers {
+        for (_, h) in workers {
             let _ = h.join();
         }
         // Workers that finished after the drain appended to the list again.
         let leftover = std::mem::take(&mut self.inner.state.lock().workers);
-        for h in leftover {
+        for (_, h) in leftover {
             let _ = h.join();
         }
     }
@@ -616,17 +622,25 @@ fn scheduler_loop(inner: Arc<Inner>, cluster: Arc<Cluster>, tracer: Tracer) {
                 // health findings name physical nodes.
                 t.on_dispatch(d.job, &node_set, d.queued_for);
             }
+            // Join the tasks of jobs that already ended (each has only its
+            // return left), so a job dispatched onto their nodes finds
+            // their threads idle instead of spawning another.
+            for job in std::mem::take(&mut state.ended) {
+                if let Some(i) = state.workers.iter().position(|(j, _)| *j == job) {
+                    let _ = state.workers.swap_remove(i).1.join();
+                }
+            }
+            let role = RoleKey::new(node_set[0].0, Role::Job, 0);
             let handle = {
                 let inner = Arc::clone(&inner);
-                let cluster = Arc::clone(&cluster);
+                let runs_on = Arc::clone(&cluster);
                 let tracer = tracer.clone();
                 let job = d.job;
-                thread::Builder::new()
-                    .name(format!("gw-svc-job-{job}"))
-                    .spawn(move || run_job(inner, cluster, tracer, job, node_set, pending))
-                    .expect("spawn worker thread")
+                cluster.runtime().spawn(role, move || {
+                    run_job(inner, runs_on, tracer, job, node_set, pending)
+                })
             };
-            state.workers.push(handle);
+            state.workers.push((d.job, handle));
             continue;
         }
         // Nothing dispatchable: pump telemetry if the cadence is due,
@@ -690,6 +704,7 @@ fn run_job(
     state
         .sched
         .complete(job, elapsed.as_secs_f64() * slots as f64);
+    state.ended.push(job);
     match result {
         Ok((output, report)) => {
             let output = Arc::new(output);

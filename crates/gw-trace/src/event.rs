@@ -215,6 +215,9 @@ pub enum CounterId {
     /// Map kernel launches skipped because the chunk's split was already
     /// completed by another attempt (speculation superseded the work).
     SpecSuperseded,
+    /// Runtime threads born for the job's tasks on this node (0 on a warm
+    /// cluster: every role finds its parked thread idle).
+    ThreadsSpawned,
 }
 
 impl CounterId {
@@ -232,6 +235,7 @@ impl CounterId {
             CounterId::RunPoolMiss => "runpool.reuse.miss",
             CounterId::GraySlowdowns => "chaos.gray.slowdowns",
             CounterId::SpecSuperseded => "spec.superseded",
+            CounterId::ThreadsSpawned => "runtime.threads.spawned",
         }
     }
 }

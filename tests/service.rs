@@ -15,6 +15,7 @@ use proptest::prelude::*;
 
 use glasswing::apps::workloads::{web_logs, LogSpec};
 use glasswing::apps::PageviewCount;
+use glasswing::core::CounterId;
 use glasswing::prelude::*;
 use glasswing::service::JobTicket;
 
@@ -204,6 +205,25 @@ fn service_bytes_match_solo_even_under_concurrent_load() {
     assert_eq!(service.counters().engine_runs, 2);
     assert!(ra.turnaround >= ra.queue_wait);
     assert!(rb.turnaround >= rb.queue_wait);
+
+    // The first wave left a parked thread for every role of both node
+    // pairs: a second wave (new seeds, so no cache hit) spawns none.
+    let runtime = Arc::clone(service.cluster().runtime());
+    let warm = runtime.threads();
+    let c = submit(&service, "alpha", 0, 2);
+    let d = submit(&service, "beta", 1, 2);
+    for (ticket, seed) in [(c, 0), (d, 1)] {
+        let r = ticket.wait().unwrap();
+        assert_eq!(*r.output, solo_reference(seed, 2));
+        let spawned = r.report.metrics.counter_total(CounterId::ThreadsSpawned);
+        assert_eq!(spawned, 0, "seed {seed}: a warm submission spawned threads");
+    }
+    assert_eq!(service.counters().engine_runs, 4);
+    assert_eq!(
+        runtime.threads(),
+        warm,
+        "the service spawned a thread per job"
+    );
 }
 
 #[test]
