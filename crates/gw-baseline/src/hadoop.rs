@@ -26,7 +26,7 @@ use std::time::{Duration, Instant};
 use parking_lot::Mutex;
 
 use gw_core::collect::{for_each_record, BufferPoolCollector};
-use gw_core::{Emit, EngineError, GwApp};
+use gw_core::{Coordinator, Emit, EngineError, GwApp, SpeculationConfig};
 use gw_storage::split::{FileStore, FileStoreExt, RecordBlockBuilder};
 use gw_storage::{seqfile::SeqReader, NodeId};
 
@@ -130,8 +130,15 @@ impl HadoopCluster {
         let map_outputs: Mutex<Vec<Vec<Fragment>>> = Mutex::new(Vec::new());
         let records_in = AtomicUsize::new(0);
         // Only the split queue: no heartbeat is ever posted, or scanned.
-        let task_queue =
-            gw_core::Coordinator::new(splits, nodes, total_reduces, Duration::MAX, None);
+        let task_queue = Coordinator::new(
+            splits,
+            nodes,
+            total_reduces,
+            Duration::MAX,
+            None,
+            SpeculationConfig::default(),
+            None,
+        );
         let map_start = Instant::now();
         std::thread::scope(|scope| {
             for n in 0..nodes {

@@ -649,6 +649,25 @@ impl FaultPlan {
         self.slow.is_some() || self.stall.is_some() || self.flaky.is_some()
     }
 
+    /// The one-shot faults this plan armed that have not fired, by kind
+    /// (`crash`, `read`, `net`, `stall`, `spill`). A test that builds its
+    /// plan by hand asserts this is empty after the run: a fault that
+    /// never fired tested nothing. Persistent slowdowns and flaky links
+    /// are profiles, not one-shot events, so they never appear here.
+    pub fn unfired(&self) -> Vec<&'static str> {
+        [
+            ("crash", self.crash.as_ref().map(|c| &c.fired)),
+            ("read", self.read.as_ref().map(|r| &r.fired)),
+            ("net", self.net.as_ref().map(|n| &n.fired)),
+            ("stall", self.stall.as_ref().map(|s| &s.fired)),
+            ("spill", self.spill.as_ref().map(|s| &s.fired)),
+        ]
+        .into_iter()
+        .filter(|(_, fired)| fired.is_some_and(|f| !f.load(Ordering::Relaxed)))
+        .map(|(kind, _)| kind)
+        .collect()
+    }
+
     /// Probe a map-pipeline crash site from lane `lane` of its stage
     /// (0 on a single-lane stage). Returns `true` exactly once — on the
     /// victim node's `after+1`-th passage of the scheduled site — after
@@ -887,6 +906,20 @@ mod tests {
         assert!(!p.crash_fires(2, CrashSite::Kernel, 0));
         assert!(p.crash_fires(2, CrashSite::Kernel, 0));
         assert!(!p.crash_fires(2, CrashSite::Kernel, 0));
+    }
+
+    /// Armed one-shot faults are listed until they fire; profiles never.
+    #[test]
+    fn unfired_lists_armed_one_shot_faults_until_they_fire() {
+        let p = FaultPlan::crash(2, CrashSite::Kernel, 0)
+            .with_read_fault(3)
+            .with_slowdown(1, 400)
+            .with_flaky_link(0, 1, 50, 0, Duration::ZERO);
+        assert_eq!(p.unfired(), ["crash", "read"]);
+        assert!(p.crash_fires(2, CrashSite::Kernel, 0));
+        assert_eq!(p.unfired(), ["read"]);
+        assert!(p.read_fault("/f", 3, NodeId(1)));
+        assert!(p.unfired().is_empty());
     }
 
     #[test]

@@ -51,7 +51,7 @@ use gw_trace::{
 
 use crate::api::GwApp;
 use crate::config::JobConfig;
-use crate::coordinator::{Coordinator, NodeChaos, RecoveryState, SpeculationReport};
+use crate::coordinator::{Coordinator, NodeChaos, SpeculationReport};
 use crate::map_pipeline::{MapPhase, MapPhaseReport};
 use crate::reduce_pipeline::{ReducePhase, ReducePhaseReport};
 use crate::EngineError;
@@ -203,8 +203,8 @@ impl Cluster {
     /// the first execute fault-free. A node killed by the plan stays dead
     /// in the underlying store across later runs on this cluster, as a
     /// real crashed machine would.
-    pub fn with_fault_plan(mut self, plan: FaultPlan) -> Self {
-        self.fault_plan = Some(Arc::new(plan));
+    pub fn with_fault_plan(mut self, plan: impl Into<Arc<FaultPlan>>) -> Self {
+        self.fault_plan = Some(plan.into());
         self
     }
 
@@ -292,16 +292,6 @@ impl Cluster {
         let total_partitions = cfg.partitions_per_node * nodes;
         let splits = store.splits(&cfg.input)?;
 
-        let mut coordinator = Coordinator::new(
-            splits,
-            nodes,
-            total_partitions,
-            cfg.node_timeout,
-            Some(Arc::clone(&store)),
-        );
-        coordinator.enable_speculation(cfg.speculation.clone());
-        let coordinator = Arc::new(coordinator);
-
         // Arm the chaos hooks on the storage and network planes for the
         // duration of the job (the guard disarms storage on every exit).
         // The fabric and the fault plan are per-run, so they are armed in
@@ -327,7 +317,15 @@ impl Cluster {
             store.arm_tracer(Some(Arc::clone(&tracer)));
         }
         fault_plan.arm_tracer(Some(Arc::clone(&tracer)));
-        coordinator.arm_spec_tracer(Some(Arc::clone(&tracer)));
+        let coordinator = Arc::new(Coordinator::new(
+            splits,
+            nodes,
+            total_partitions,
+            cfg.node_timeout,
+            Some(Arc::clone(&store)),
+            cfg.speculation.clone(),
+            Some(Arc::clone(&tracer)),
+        ));
         let _disarm = DisarmOnDrop {
             store: scope.exclusive_store.then_some(&store),
             plan: &fault_plan,
@@ -354,7 +352,6 @@ impl Cluster {
             let cfg = cfg.clone();
             let chaos = NodeChaos {
                 plan: Arc::clone(&fault_plan),
-                recovery: Arc::new(RecoveryState::new()),
                 dead: Arc::default(),
             };
             let tracer = Arc::clone(&tracer);
@@ -680,7 +677,7 @@ fn spawn_receiver(
         // Admit a run into the store, and count it, unless an identical
         // run was already admitted.
         let mut admit = |run: ShuffleRun| {
-            if chaos.recovery.admit(run.tag) {
+            if coordinator.admit(node, run.tag) {
                 runs += 1;
                 intermediate.add_run(
                     run.tag.partition,
@@ -689,15 +686,7 @@ fn spawn_receiver(
             }
         };
         loop {
-            coordinator.heartbeat(node);
-            if chaos.is_dead() || coordinator.is_dead(node) {
-                return Err(EngineError::NodeLost(format!(
-                    "node {node} lost during the shuffle"
-                )));
-            }
-            if coordinator.aborted() {
-                return Err(EngineError::NodeLost("job aborted".into()));
-            }
+            coordinator.heartbeat(node, chaos.is_dead())?;
             match endpoint.recv_timeout(RX_TICK) {
                 Ok(Some(env)) => admit(env.payload),
                 Ok(None) => {
@@ -713,8 +702,7 @@ fn spawn_receiver(
                 while let Some(env) = endpoint.try_recv() {
                     admit(env.payload);
                 }
-                coordinator.settle_shuffle(node, &chaos.recovery);
-                if coordinator.all_live_satisfied() {
+                if coordinator.settle_shuffle(node) {
                     return Ok(runs);
                 }
             }

@@ -257,7 +257,7 @@ impl LanePlan {
 /// `min_runtime`). Clones race their primaries first-finisher-wins; the
 /// tagged-run ledger plus receiver-side de-dup guarantee output bytes are
 /// identical with or without speculation.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct SpeculationConfig {
     /// Master switch. Off by default: speculation costs duplicate work.
     pub enabled: bool,

@@ -66,7 +66,7 @@ use crate::api::{Emit, GwApp, Records};
 use crate::cluster::runner;
 use crate::collect::{BufferPoolCollector, Collector, CollectorKind, HashTableCollector, Slots};
 use crate::config::{JobConfig, TimingMode};
-use crate::coordinator::{Coordinator, MapPipelineProbe, NodeChaos, RecoveryState};
+use crate::coordinator::{Coordinator, MapPipelineProbe, NodeChaos, Route};
 use crate::EngineError;
 
 /// The one chunk type carried through the whole graph: a block read from
@@ -401,15 +401,11 @@ struct MapPartition<'a> {
     coordinator: Arc<Coordinator>,
     cfg: &'a JobConfig,
     node: NodeId,
-    nodes: u32,
     pool: &'a WorkerPool,
     run_pool: Arc<RunPool>,
     records_out: &'a AtomicUsize,
     runs_remote: &'a AtomicUsize,
     runs_local: &'a AtomicUsize,
-    /// Recovery data plane only (run de-dup); all fault *probing* goes
-    /// through the executor's probe.
-    recovery: &'a RecoveryState,
     collectors_back: PoolPut<Box<dyn Collector>>,
 }
 
@@ -421,27 +417,25 @@ impl MapPartition<'_> {
     /// admitted at most once locally, or pushed into the owner's inbox
     /// before this returns.
     fn deliver_run(&self, tag: RunTag, run: Run) {
-        let node = self.node;
-        let gp = tag.partition;
         self.records_out.fetch_add(run.records(), Ordering::Relaxed);
-        self.coordinator.record_run(tag);
-        let owner = self.coordinator.owner_of(gp, self.nodes);
-        if owner == node.0 {
-            if self.recovery.admit(tag) {
+        match self.coordinator.route_run(self.node, tag) {
+            Route::Keep => {
                 self.runs_local.fetch_add(1, Ordering::Relaxed);
-                self.intermediate.add_run(gp, run);
+                self.intermediate.add_run(tag.partition, run);
             }
-        } else {
-            self.runs_remote.fetch_add(1, Ordering::Relaxed);
-            // Zero-copy ship: `into_shared` is a refcount bump, and the
-            // message frames the run's shared arena slice as-is.
-            let msg = ShuffleRun {
-                tag,
-                records: run.records(),
-                bytes: run.into_shared(),
-            };
-            let wire = msg.wire_bytes();
-            self.endpoint.send_data(NodeId(owner), msg, wire);
+            Route::Discard => {}
+            Route::Ship(owner) => {
+                self.runs_remote.fetch_add(1, Ordering::Relaxed);
+                // Zero-copy ship: `into_shared` is a refcount bump, and the
+                // message frames the run's shared arena slice as-is.
+                let msg = ShuffleRun {
+                    tag,
+                    records: run.records(),
+                    bytes: run.into_shared(),
+                };
+                let wire = msg.wire_bytes();
+                self.endpoint.send_data(owner, msg, wire);
+            }
         }
     }
 }
@@ -615,13 +609,11 @@ impl MapPhase<'_> {
                     coordinator: Arc::clone(&self.coordinator),
                     cfg: self.cfg,
                     node: self.node,
-                    nodes: self.nodes,
                     pool: &partition_pool,
                     run_pool: Arc::clone(&run_pool),
                     records_out: &records_out,
                     runs_remote: &runs_remote,
                     runs_local: &runs_local,
-                    recovery: &self.chaos.recovery,
                     collectors_back: collectors_back.clone(),
                 }) as Box<dyn Stage<MapChunk, EngineError> + '_>
             })

@@ -279,7 +279,7 @@ impl LaneSource<ReduceChunk, EngineError> for ReduceMergeRead<'_> {
             ..
         } = self.phase;
         let Some(gp) = (self.next_gp..cfg.partitions_per_node * nodes)
-            .find(|&gp| coordinator.owner_of(gp, *nodes) == node.0)
+            .find(|&gp| coordinator.owner_of(gp) == node.0)
         else {
             return Ok(false);
         };

@@ -12,7 +12,7 @@
 /// that produced it: a re-executed split re-produces each run
 /// byte-identically under the same tag, which is what lets receivers
 /// de-duplicate it and tell which runs a node still lacks.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct RunTag {
     /// Global partition the run belongs to.
     pub partition: u32,

@@ -117,7 +117,7 @@ pub struct JobSpec {
     /// Nodes the job wants (1 ≤ slots ≤ cluster nodes).
     pub slots: u32,
     /// Optional per-job fault schedule (chaos testing of resident jobs).
-    pub fault_plan: Option<FaultPlan>,
+    pub fault_plan: Option<Arc<FaultPlan>>,
 }
 
 /// A finished job as seen by its submitter.
@@ -256,7 +256,7 @@ impl JobTicket {
 struct Pending {
     app: Arc<dyn GwApp>,
     cfg: JobConfig,
-    fault_plan: Option<FaultPlan>,
+    fault_plan: Option<Arc<FaultPlan>>,
     tenant: String,
     slots: u32,
     key: CacheKey,
@@ -675,7 +675,7 @@ fn run_job(
     let mut cfg = pending.cfg;
     cfg.output = format!("/svc/out/job-{job}");
     let mut scope = RunScope::for_job(job, node_set.clone());
-    scope.fault_plan = pending.fault_plan.map(Arc::new);
+    scope.fault_plan = pending.fault_plan;
     scope.tracer = Some(tracer);
 
     let result = cluster

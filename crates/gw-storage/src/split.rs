@@ -14,7 +14,7 @@ use crate::varint;
 use crate::{NodeId, StorageError};
 
 /// One unit of map input: a record-aligned block of a stored file.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct InputSplit {
     /// File path this split belongs to.
     pub path: String,

@@ -74,6 +74,13 @@ fn chaos_cfg() -> JobConfig {
 }
 
 /// The fault-free reference output (fresh cluster, unarmed, same input).
+/// Every one-shot fault a hand-built plan armed must have fired, or the
+/// test exercised nothing.
+fn assert_fired(plan: &FaultPlan) {
+    let unfired = plan.unfired();
+    assert!(unfired.is_empty(), "armed faults never fired: {unfired:?}");
+}
+
 fn reference_output(nodes: u32) -> Vec<(Vec<u8>, Vec<u8>)> {
     let cluster = make_cluster(nodes);
     let report = cluster
@@ -110,8 +117,8 @@ fn node_crash_mid_map_recovers_byte_identical_output() {
     for partition_threads in 1..=3 {
         let mut cfg = chaos_cfg();
         cfg.partition_threads = partition_threads;
-        let plan = FaultPlan::crash(2, CrashSite::Kernel, 0);
-        let cluster = make_cluster(NODES).with_fault_plan(plan);
+        let plan = Arc::new(FaultPlan::crash(2, CrashSite::Kernel, 0));
+        let cluster = make_cluster(NODES).with_fault_plan(Arc::clone(&plan));
         let report = cluster.run(Arc::new(WordCount::new()), &cfg).unwrap();
 
         let at = format!("partition_threads {partition_threads}");
@@ -129,6 +136,7 @@ fn node_crash_mid_map_recovers_byte_identical_output() {
             out, reference,
             "recovered output must be byte-identical ({at})"
         );
+        assert_fired(&plan);
     }
 }
 
@@ -174,8 +182,8 @@ fn crashes_at_every_pipeline_stage_recover() {
         CrashSite::Retrieve,
         CrashSite::Shuffle,
     ] {
-        let plan = FaultPlan::crash(1, site, 1);
-        let cluster = make_cluster(NODES).with_fault_plan(plan);
+        let plan = Arc::new(FaultPlan::crash(1, site, 1));
+        let cluster = make_cluster(NODES).with_fault_plan(Arc::clone(&plan));
         let report = cluster
             .run(Arc::new(WordCount::new()), &chaos_cfg())
             .unwrap_or_else(|e| panic!("crash at {} not recovered: {e}", site.name()));
@@ -187,6 +195,7 @@ fn crashes_at_every_pipeline_stage_recover() {
             "output differs after crash at {}",
             site.name()
         );
+        assert_fired(&plan);
     }
 }
 
@@ -197,12 +206,14 @@ fn seeded_sweep_is_correct_or_fails_cleanly() {
     // error well inside the watchdog deadline. Nothing may hang, panic,
     // or silently drop/duplicate records.
     let reference = reference_output(NODES);
-    let mut recovered = 0usize;
+    let (mut recovered, mut unfired) = (0usize, 0usize);
     for seed in 0..20u64 {
-        let plan = FaultPlan::from_seed(seed, NODES);
+        let plan = Arc::new(FaultPlan::from_seed(seed, NODES));
         let schedule = plan.describe();
-        let cluster = make_cluster(NODES).with_fault_plan(plan);
-        match cluster.run(Arc::new(WordCount::new()), &chaos_cfg()) {
+        let cluster = make_cluster(NODES).with_fault_plan(Arc::clone(&plan));
+        let outcome = cluster.run(Arc::new(WordCount::new()), &chaos_cfg());
+        unfired += plan.unfired().len();
+        match outcome {
             Ok(report) => {
                 let out = read_job_output(cluster.store(), &report).unwrap();
                 assert_eq!(out, reference, "seed {seed} ({schedule}): output diverged");
@@ -219,7 +230,7 @@ fn seeded_sweep_is_correct_or_fails_cleanly() {
             Err(other) => panic!("seed {seed} ({schedule}): unexpected error {other}"),
         }
     }
-    eprintln!("{recovered}/20 seeds recovered");
+    eprintln!("{recovered}/20 seeds recovered, {unfired} armed faults never fired");
     assert!(
         recovered >= 10,
         "only {recovered}/20 seeds recovered — plane too lossy"
@@ -236,11 +247,14 @@ fn ci_pinned_seeds_recover_byte_identical() {
         .map(|s| s.split_whitespace().map(|t| t.parse().unwrap()).collect())
         .unwrap_or_else(|| vec![3, 7, 11]);
     let reference = reference_output(NODES);
-    for seed in seeds {
-        let plan = FaultPlan::from_seed(seed, NODES);
+    let mut unfired = 0;
+    for &seed in &seeds {
+        let plan = Arc::new(FaultPlan::from_seed(seed, NODES));
         let schedule = plan.describe();
-        let cluster = make_cluster(NODES).with_fault_plan(plan);
-        match cluster.run(Arc::new(WordCount::new()), &chaos_cfg()) {
+        let cluster = make_cluster(NODES).with_fault_plan(Arc::clone(&plan));
+        let outcome = cluster.run(Arc::new(WordCount::new()), &chaos_cfg());
+        unfired += plan.unfired().len();
+        match outcome {
             Ok(report) => {
                 let out = read_job_output(cluster.store(), &report).unwrap();
                 assert_eq!(out, reference, "seed {seed} ({schedule}): output diverged");
@@ -253,15 +267,16 @@ fn ci_pinned_seeds_recover_byte_identical() {
             }
         }
     }
+    eprintln!("seeds {seeds:?}: {unfired} armed faults never fired");
 }
 
 #[test]
 fn same_seed_reproduces_the_same_outcome() {
     let seed = 3u64;
     let run = || {
-        let plan = FaultPlan::from_seed(seed, NODES);
+        let plan = Arc::new(FaultPlan::from_seed(seed, NODES));
         let schedule = plan.describe();
-        let cluster = make_cluster(NODES).with_fault_plan(plan);
+        let cluster = make_cluster(NODES).with_fault_plan(Arc::clone(&plan));
         let outcome = cluster.run(Arc::new(WordCount::new()), &chaos_cfg());
         match outcome {
             Ok(report) => (
@@ -287,8 +302,8 @@ fn same_seed_reproduces_the_same_outcome() {
 #[test]
 fn storage_read_fault_fails_over_to_another_replica() {
     let reference = reference_output(NODES);
-    let plan = FaultPlan::empty().with_read_fault(0);
-    let cluster = make_cluster(NODES).with_fault_plan(plan);
+    let plan = Arc::new(FaultPlan::empty().with_read_fault(0));
+    let cluster = make_cluster(NODES).with_fault_plan(Arc::clone(&plan));
     let report = cluster
         .run(Arc::new(WordCount::new()), &chaos_cfg())
         .unwrap();
@@ -299,13 +314,14 @@ fn storage_read_fault_fails_over_to_another_replica() {
     assert_eq!(report.nodes_lost, 0);
     let out = read_job_output(cluster.store(), &report).unwrap();
     assert_eq!(out, reference);
+    assert_fired(&plan);
 }
 
 #[test]
 fn dropped_shuffle_message_is_re_made_by_re_running_its_split() {
     let reference = reference_output(NODES);
-    let plan = FaultPlan::empty().with_net_drop(0, 1, 1);
-    let cluster = make_cluster(NODES).with_fault_plan(plan);
+    let plan = Arc::new(FaultPlan::empty().with_net_drop(0, 1, 1));
+    let cluster = make_cluster(NODES).with_fault_plan(Arc::clone(&plan));
     let report = cluster
         .run(Arc::new(WordCount::new()), &chaos_cfg())
         .unwrap();
@@ -319,6 +335,7 @@ fn dropped_shuffle_message_is_re_made_by_re_running_its_split() {
         out, reference,
         "the dropped run must be re-made, and admitted exactly once"
     );
+    assert_fired(&plan);
 }
 
 /// A link that drops 40 % of its runs: every lost run is re-made by
@@ -328,8 +345,8 @@ fn dropped_shuffle_message_is_re_made_by_re_running_its_split() {
 #[test]
 fn flaky_link_drops_are_re_made_by_re_running_their_splits() {
     let reference = reference_output(2);
-    let plan = FaultPlan::empty().with_flaky_link(0, 1, 40, 0, Duration::ZERO);
-    let cluster = make_cluster(2).with_fault_plan(plan);
+    let plan = Arc::new(FaultPlan::empty().with_flaky_link(0, 1, 40, 0, Duration::ZERO));
+    let cluster = make_cluster(2).with_fault_plan(Arc::clone(&plan));
     let report = cluster
         .run(Arc::new(WordCount::new()), &chaos_cfg())
         .unwrap();
@@ -340,19 +357,21 @@ fn flaky_link_drops_are_re_made_by_re_running_their_splits() {
     );
     let out = read_job_output(cluster.store(), &report).unwrap();
     assert_eq!(out, reference);
+    assert_fired(&plan);
 }
 
 #[test]
 fn delayed_shuffle_message_is_tolerated() {
     let reference = reference_output(NODES);
-    let plan = FaultPlan::empty().with_net_delay(0, 1, 1, Duration::from_millis(40));
-    let cluster = make_cluster(NODES).with_fault_plan(plan);
+    let plan = Arc::new(FaultPlan::empty().with_net_delay(0, 1, 1, Duration::from_millis(40)));
+    let cluster = make_cluster(NODES).with_fault_plan(Arc::clone(&plan));
     let report = cluster
         .run(Arc::new(WordCount::new()), &chaos_cfg())
         .unwrap();
     assert_eq!(report.nodes_lost, 0);
     let out = read_job_output(cluster.store(), &report).unwrap();
     assert_eq!(out, reference);
+    assert_fired(&plan);
 }
 
 #[test]
@@ -360,12 +379,12 @@ fn reduce_site_fault_is_recovered_by_the_retry_budget() {
     let reference = reference_output(NODES);
 
     // Budget 1: the injected reduce-kernel fault is re-executed.
-    let plan = FaultPlan::crash(1, CrashSite::Reduce, 0);
+    let plan = Arc::new(FaultPlan::crash(1, CrashSite::Reduce, 0));
     assert!(
         !plan.schedules_node_crash(),
         "reduce site is a task fault, not a node death"
     );
-    let cluster = make_cluster(NODES).with_fault_plan(plan);
+    let cluster = make_cluster(NODES).with_fault_plan(Arc::clone(&plan));
     let report = cluster
         .run(Arc::new(WordCount::new()), &chaos_cfg())
         .unwrap();
@@ -377,14 +396,16 @@ fn reduce_site_fault_is_recovered_by_the_retry_budget() {
     assert_eq!(report.nodes_lost, 0);
     let out = read_job_output(cluster.store(), &report).unwrap();
     assert_eq!(out, reference);
+    assert_fired(&plan);
 
     // Budget 0: the same fault fails the job cleanly.
-    let plan = FaultPlan::crash(1, CrashSite::Reduce, 0);
-    let cluster = make_cluster(NODES).with_fault_plan(plan);
+    let plan = Arc::new(FaultPlan::crash(1, CrashSite::Reduce, 0));
+    let cluster = make_cluster(NODES).with_fault_plan(Arc::clone(&plan));
     let mut cfg = chaos_cfg();
     cfg.max_task_retries = 0;
     let err = cluster.run(Arc::new(WordCount::new()), &cfg).unwrap_err();
     assert!(matches!(err, EngineError::TaskFailed(_)), "got: {err}");
+    assert_fired(&plan);
 }
 
 #[test]
@@ -395,22 +416,25 @@ fn gray_fault_sweep_recovers_byte_identical() {
     // control path is reliable) — so unlike the crash sweep, *every* seed
     // must finish with zero nodes lost and byte-identical output.
     let reference = reference_output(NODES);
+    let mut unfired = 0;
     for seed in 0..20u64 {
-        let plan = FaultPlan::gray_from_seed(seed, NODES);
+        let plan = Arc::new(FaultPlan::gray_from_seed(seed, NODES));
         let schedule = plan.describe();
         assert!(plan.schedules_gray_fault(), "seed {seed}: {schedule}");
         assert!(
             !plan.schedules_node_crash(),
             "gray plans must not kill nodes: seed {seed}: {schedule}"
         );
-        let cluster = make_cluster(NODES).with_fault_plan(plan);
+        let cluster = make_cluster(NODES).with_fault_plan(Arc::clone(&plan));
         let report = cluster
             .run(Arc::new(WordCount::new()), &chaos_cfg())
             .unwrap_or_else(|e| panic!("seed {seed} ({schedule}): gray run failed: {e}"));
         assert_eq!(report.nodes_lost, 0, "seed {seed} ({schedule})");
         let out = read_job_output(cluster.store(), &report).unwrap();
         assert_eq!(out, reference, "seed {seed} ({schedule}): output diverged");
+        unfired += plan.unfired().len();
     }
+    eprintln!("20 gray seeds: {unfired} armed faults never fired");
 }
 
 #[test]
@@ -423,15 +447,18 @@ fn multi_lane_kernel_survives_pinned_chaos_and_gray_seeds() {
     let reference = reference_output(NODES);
     let mut lanes_cfg = chaos_cfg();
     lanes_cfg.lane_plan.kernel = 2;
+    let mut unfired = 0;
     for (gray, seed) in [(false, 3u64), (false, 7), (false, 11), (true, 0), (true, 5)] {
-        let plan = if gray {
+        let plan = Arc::new(if gray {
             FaultPlan::gray_from_seed(seed, NODES)
         } else {
             FaultPlan::from_seed(seed, NODES)
-        };
+        });
         let schedule = plan.describe();
-        let cluster = make_cluster(NODES).with_fault_plan(plan);
-        match cluster.run(Arc::new(WordCount::new()), &lanes_cfg) {
+        let cluster = make_cluster(NODES).with_fault_plan(Arc::clone(&plan));
+        let outcome = cluster.run(Arc::new(WordCount::new()), &lanes_cfg);
+        unfired += plan.unfired().len();
+        match outcome {
             Ok(report) => {
                 let out = read_job_output(cluster.store(), &report).unwrap();
                 assert_eq!(
@@ -448,6 +475,7 @@ fn multi_lane_kernel_survives_pinned_chaos_and_gray_seeds() {
             }
         }
     }
+    eprintln!("lanes=2 seeds: {unfired} armed faults never fired");
 }
 
 #[test]
@@ -457,10 +485,12 @@ fn lane_pinned_stall_fires_on_its_lane_and_output_is_unchanged() {
     let reference = reference_output(NODES);
     let mut cfg = chaos_cfg();
     cfg.lane_plan.kernel = 2;
-    let plan = FaultPlan::empty()
-        .with_stall(2, CrashSite::Kernel, 0, 300)
-        .with_stall_lane(1);
-    let cluster = make_cluster(NODES).with_fault_plan(plan);
+    let plan = Arc::new(
+        FaultPlan::empty()
+            .with_stall(2, CrashSite::Kernel, 0, 300)
+            .with_stall_lane(1),
+    );
+    let cluster = make_cluster(NODES).with_fault_plan(Arc::clone(&plan));
     let report = cluster.run(Arc::new(WordCount::new()), &cfg).unwrap();
     assert_eq!(report.nodes_lost, 0);
     let stalls = stalls_fired(&report);
@@ -470,6 +500,7 @@ fn lane_pinned_stall_fires_on_its_lane_and_output_is_unchanged() {
     );
     let out = read_job_output(cluster.store(), &report).unwrap();
     assert_eq!(out, reference);
+    assert_fired(&plan);
 }
 
 #[test]
@@ -480,8 +511,8 @@ fn slow_but_alive_node_is_not_declared_lost() {
     // The slow-but-alive node must neither be declared NodeLost nor have
     // its claimed work rescheduled out from under it.
     let reference = reference_output(NODES);
-    let plan = FaultPlan::empty().with_stall(2, CrashSite::Kernel, 0, 500);
-    let cluster = make_cluster(NODES).with_fault_plan(plan);
+    let plan = Arc::new(FaultPlan::empty().with_stall(2, CrashSite::Kernel, 0, 500));
+    let cluster = make_cluster(NODES).with_fault_plan(Arc::clone(&plan));
     let report = cluster
         .run(Arc::new(WordCount::new()), &chaos_cfg())
         .unwrap();
@@ -495,6 +526,7 @@ fn slow_but_alive_node_is_not_declared_lost() {
     assert_eq!(stalls, 1, "one-shot stall must fire exactly once");
     let out = read_job_output(cluster.store(), &report).unwrap();
     assert_eq!(out, reference);
+    assert_fired(&plan);
 }
 
 /// A reduce outlasting `node_timeout` by far is not a lost node: its
@@ -505,8 +537,8 @@ fn a_long_reduce_is_not_a_lost_node() {
     let reference = reference_output(3);
     let cfg = chaos_cfg();
     let stall_ms = 3 * cfg.node_timeout.as_millis() as u64;
-    let plan = FaultPlan::empty().with_stall(1, CrashSite::Reduce, 0, stall_ms);
-    let cluster = make_cluster(3).with_fault_plan(plan);
+    let plan = Arc::new(FaultPlan::empty().with_stall(1, CrashSite::Reduce, 0, stall_ms));
+    let cluster = make_cluster(3).with_fault_plan(Arc::clone(&plan));
     let report = cluster.run(Arc::new(WordCount::new()), &cfg).unwrap();
     assert_eq!(stalls_fired(&report), 1, "the reduce stall must fire");
     assert_eq!(
@@ -516,6 +548,7 @@ fn a_long_reduce_is_not_a_lost_node() {
     assert_eq!(report.splits_rescheduled, 0);
     let out = read_job_output(cluster.store(), &report).unwrap();
     assert_eq!(out, reference);
+    assert_fired(&plan);
 }
 
 /// `stall-fired` marks in the job's trace.
@@ -541,8 +574,8 @@ fn persistent_slowdown_degrades_but_never_kills() {
     // stays correct and alive, only slow. The run must complete with the
     // reference bytes, no liveness action, and the throttles accounted.
     let reference = reference_output(NODES);
-    let plan = FaultPlan::empty().with_slowdown(1, 400);
-    let cluster = make_cluster(NODES).with_fault_plan(plan);
+    let plan = Arc::new(FaultPlan::empty().with_slowdown(1, 400));
+    let cluster = make_cluster(NODES).with_fault_plan(Arc::clone(&plan));
     let report = cluster
         .run(Arc::new(WordCount::new()), &chaos_cfg())
         .unwrap();
@@ -556,6 +589,7 @@ fn persistent_slowdown_degrades_but_never_kills() {
     });
     let out = read_job_output(cluster.store(), &report).unwrap();
     assert_eq!(out, reference);
+    assert_fired(&plan);
 }
 
 /// Chaos config with a one-byte run cache: every added run spills to a
@@ -575,12 +609,14 @@ fn spill_heavy_chaos_sweep_recovers_byte_identical() {
     // bytes must match the *in-core* reference — the determinism
     // contract says the spill strategy is invisible in the output.
     let reference = reference_output(NODES);
-    let mut recovered = 0usize;
+    let (mut recovered, mut unfired) = (0usize, 0usize);
     for seed in 0..20u64 {
-        let plan = FaultPlan::from_seed(seed, NODES);
+        let plan = Arc::new(FaultPlan::from_seed(seed, NODES));
         let schedule = plan.describe();
-        let cluster = make_cluster(NODES).with_fault_plan(plan);
-        match cluster.run(Arc::new(WordCount::new()), &spill_heavy_cfg()) {
+        let cluster = make_cluster(NODES).with_fault_plan(Arc::clone(&plan));
+        let outcome = cluster.run(Arc::new(WordCount::new()), &spill_heavy_cfg());
+        unfired += plan.unfired().len();
+        match outcome {
             Ok(report) => {
                 let spilled: usize = report
                     .nodes
@@ -604,7 +640,7 @@ fn spill_heavy_chaos_sweep_recovers_byte_identical() {
             Err(other) => panic!("seed {seed} ({schedule}): unexpected error {other}"),
         }
     }
-    eprintln!("{recovered}/20 spill-heavy seeds recovered");
+    eprintln!("{recovered}/20 spill-heavy seeds recovered, {unfired} armed faults never fired");
     assert!(
         recovered >= 10,
         "only {recovered}/20 spill-heavy seeds recovered"
@@ -616,10 +652,11 @@ fn spill_heavy_gray_sweep_recovers_byte_identical() {
     // Gray faults never kill nodes, so with spilling forced on every
     // seed must still finish, spill, and reproduce the in-core bytes.
     let reference = reference_output(NODES);
+    let mut unfired = 0;
     for seed in 0..20u64 {
-        let plan = FaultPlan::gray_from_seed(seed, NODES);
+        let plan = Arc::new(FaultPlan::gray_from_seed(seed, NODES));
         let schedule = plan.describe();
-        let cluster = make_cluster(NODES).with_fault_plan(plan);
+        let cluster = make_cluster(NODES).with_fault_plan(Arc::clone(&plan));
         let report = cluster
             .run(Arc::new(WordCount::new()), &spill_heavy_cfg())
             .unwrap_or_else(|e| panic!("seed {seed} ({schedule}): gray run failed: {e}"));
@@ -632,7 +669,9 @@ fn spill_heavy_gray_sweep_recovers_byte_identical() {
         assert!(spilled > 0, "seed {seed} ({schedule}): nothing spilled");
         let out = read_job_output(cluster.store(), &report).unwrap();
         assert_eq!(out, reference, "seed {seed} ({schedule}): output diverged");
+        unfired += plan.unfired().len();
     }
+    eprintln!("20 spill-heavy gray seeds: {unfired} armed faults never fired");
 }
 
 #[test]
@@ -640,8 +679,8 @@ fn spill_write_fault_fails_the_job_cleanly() {
     // An injected I/O error on the first spill-frame write poisons that
     // node's store; the job must surface it as a typed I/O error from
     // the node runtime — never a panic on a merger thread, never a hang.
-    let plan = FaultPlan::empty().with_spill_fault(SpillOp::Write, 0);
-    let cluster = make_cluster(NODES).with_fault_plan(plan);
+    let plan = Arc::new(FaultPlan::empty().with_spill_fault(SpillOp::Write, 0));
+    let cluster = make_cluster(NODES).with_fault_plan(Arc::clone(&plan));
     let err = cluster
         .run(Arc::new(WordCount::new()), &spill_heavy_cfg())
         .unwrap_err();
@@ -650,6 +689,7 @@ fn spill_write_fault_fails_the_job_cleanly() {
         err.to_string().contains("injected"),
         "error must carry the fault provenance: {err}"
     );
+    assert_fired(&plan);
 }
 
 #[test]
@@ -657,8 +697,8 @@ fn spill_read_fault_fails_the_job_cleanly() {
     // Same site, read side: the fault fires when a compaction or reduce
     // cursor loads a frame, and surfaces through `partition_cursors` /
     // `finish_map` instead of killing the process.
-    let plan = FaultPlan::empty().with_spill_fault(SpillOp::Read, 0);
-    let cluster = make_cluster(NODES).with_fault_plan(plan);
+    let plan = Arc::new(FaultPlan::empty().with_spill_fault(SpillOp::Read, 0));
+    let cluster = make_cluster(NODES).with_fault_plan(Arc::clone(&plan));
     let err = cluster
         .run(Arc::new(WordCount::new()), &spill_heavy_cfg())
         .unwrap_err();
@@ -667,6 +707,7 @@ fn spill_read_fault_fails_the_job_cleanly() {
         err.to_string().contains("injected"),
         "error must carry the fault provenance: {err}"
     );
+    assert_fired(&plan);
 }
 
 #[test]

@@ -341,11 +341,8 @@ fn retried_reduce_launches_restore_the_carried_state_byte_identically() {
     for max_values in [1, 3] {
         let mut job_cfg = cfg(1);
         job_cfg.reduce_max_values_per_chunk = max_values;
-        let site = cluster_with_lines(2, &lines).with_fault_plan(FaultPlan::crash(
-            1,
-            CrashSite::Reduce,
-            0,
-        ));
+        let plan = Arc::new(FaultPlan::crash(1, CrashSite::Reduce, 0));
+        let site = cluster_with_lines(2, &lines).with_fault_plan(Arc::clone(&plan));
         let app = Arc::new(ContinuationFault {
             armed: std::sync::atomic::AtomicBool::new(true),
         });
@@ -361,6 +358,7 @@ fn retried_reduce_launches_restore_the_carried_state_byte_identically() {
             assert_eq!(retried, 1, "{what} at {max_values} values");
             assert_eq!(out, reference, "{what} at {max_values} values");
         }
+        assert_eq!(plan.unfired(), Vec::<&str>::new(), "{max_values} values");
     }
 }
 
@@ -469,7 +467,8 @@ fn a_panicking_map_stage_fails_the_job_without_stranding_its_peers() {
     // (far past the deadline here) before re-executing its splits.
     let lines: Vec<String> = (0..2000).map(|i| format!("w{i} x{} y{i}", i % 7)).collect();
     let lines: Vec<&str> = lines.iter().map(String::as_str).collect();
-    let cluster = cluster_with_lines(2, &lines).with_fault_plan(FaultPlan::empty());
+    let plan = Arc::new(FaultPlan::empty());
+    let cluster = cluster_with_lines(2, &lines).with_fault_plan(Arc::clone(&plan));
     let app = Arc::new(PanickingPartition {
         calls: AtomicUsize::new(0),
         nth: 500,
@@ -485,6 +484,7 @@ fn a_panicking_map_stage_fails_the_job_without_stranding_its_peers() {
         "took {:?}",
         start.elapsed()
     );
+    assert_eq!(plan.unfired(), Vec::<&str>::new());
 }
 
 #[test]

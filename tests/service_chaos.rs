@@ -87,7 +87,7 @@ fn submit(
     service: &Service,
     tenant: &str,
     seed: u64,
-    plan: Option<FaultPlan>,
+    plan: Option<Arc<FaultPlan>>,
     speculate: bool,
 ) -> glasswing::service::JobTicket {
     let mut cfg = chaos_cfg(seed);
@@ -137,13 +137,8 @@ fn node_kill_with_two_resident_jobs_recovers_both_byte_identical() {
             write_inputs(&dfs, &[1, 2]);
             let service = service_over(dfs);
 
-            let armed = submit(
-                &service,
-                "armed",
-                1,
-                Some(FaultPlan::crash(node, site, 1)),
-                false,
-            );
+            let plan = Arc::new(FaultPlan::crash(node, site, 1));
+            let armed = submit(&service, "armed", 1, Some(Arc::clone(&plan)), false);
             let bystander = submit(&service, "bystander", 2, None, false);
 
             let ra = armed
@@ -171,6 +166,11 @@ fn node_kill_with_two_resident_jobs_recovers_both_byte_identical() {
             );
             assert_ledger_balances(&tag, &ra);
             assert_ledger_balances(&tag, &rb);
+            assert_eq!(
+                plan.unfired(),
+                Vec::<&str>::new(),
+                "{tag}: the crash never fired"
+            );
         }
     }
 }
@@ -183,19 +183,19 @@ fn seeded_sweep_with_a_bystander_is_correct_or_fails_cleanly() {
     // or fails with a clean typed error — never a hang past the watchdog.
     let ref_armed = solo_reference(1);
     let ref_bystander = solo_reference(2);
-    let mut recovered = 0usize;
+    let (mut recovered, mut unfired) = (0usize, 0usize);
     let seeds: Vec<u64> = std::env::var("GW_CHAOS_SEEDS")
         .ok()
         .map(|s| s.split_whitespace().map(|t| t.parse().unwrap()).collect())
         .unwrap_or_else(|| (0..10).collect());
     for &seed in &seeds {
-        let plan = FaultPlan::from_seed(seed, SLOTS);
+        let plan = Arc::new(FaultPlan::from_seed(seed, SLOTS));
         let schedule = plan.describe();
         let dfs = Arc::new(Dfs::new(DfsConfig::new(NODES).free_io()));
         write_inputs(&dfs, &[1, 2]);
         let service = service_over(dfs);
 
-        let armed = submit(&service, "armed", 1, Some(plan), false);
+        let armed = submit(&service, "armed", 1, Some(Arc::clone(&plan)), false);
         let bystander = submit(&service, "bystander", 2, None, false);
 
         match armed.wait() {
@@ -223,7 +223,12 @@ fn seeded_sweep_with_a_bystander_is_correct_or_fails_cleanly() {
             "seed {seed} ({schedule}): bystander output diverged"
         );
         assert_ledger_balances(&format!("seed {seed} bystander"), &rb);
+        unfired += plan.unfired().len();
     }
+    eprintln!(
+        "{recovered}/{} seeds recovered, {unfired} armed faults never fired",
+        seeds.len()
+    );
     assert!(
         recovered * 2 >= seeds.len(),
         "only {recovered}/{} seeds recovered — service recovery too lossy",
@@ -242,13 +247,8 @@ fn speculating_tenants_keep_independent_balanced_ledgers() {
     write_inputs(&dfs, &[1, 2]);
     let service = service_over(dfs);
 
-    let armed = submit(
-        &service,
-        "armed",
-        1,
-        Some(FaultPlan::empty().with_slowdown(0, 400)),
-        true,
-    );
+    let plan = Arc::new(FaultPlan::empty().with_slowdown(0, 400));
+    let armed = submit(&service, "armed", 1, Some(Arc::clone(&plan)), true);
     let bystander = submit(&service, "bystander", 2, None, true);
 
     let ra = armed.wait().expect("gray faults never kill a job");
@@ -263,4 +263,5 @@ fn speculating_tenants_keep_independent_balanced_ledgers() {
         rb.report.speculation.launched <= chaos_cfg(2).speculation.budget,
         "budget is per job, not per service"
     );
+    assert_eq!(plan.unfired(), Vec::<&str>::new());
 }

@@ -11,8 +11,7 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use glasswing::core::coordinator::RecoveryState;
-use glasswing::core::{Combiner, CounterId, LogicalKind, MarkId, Realm};
+use glasswing::core::{Combiner, Coordinator, CounterId, LogicalKind, MarkId, Realm};
 use glasswing::intermediate::kv::run_from_pairs;
 use glasswing::intermediate::{IntermediateConfig, IntermediateStore};
 use glasswing::net::RunTag;
@@ -133,7 +132,8 @@ fn speculation_beats_the_straggler_with_identical_bytes() {
     // 4× the wall time, so each of its ~40ms map tasks leaves queued
     // claims behind that healthy nodes can clone.
     let run = |speculation: bool| {
-        let cluster = make_cluster().with_fault_plan(FaultPlan::empty().with_slowdown(1, 400));
+        let plan = Arc::new(FaultPlan::empty().with_slowdown(1, 400));
+        let cluster = make_cluster().with_fault_plan(Arc::clone(&plan));
         let start = Instant::now();
         let report = cluster.run(app(), &spec_cfg(speculation)).unwrap();
         let elapsed = start.elapsed();
@@ -143,6 +143,7 @@ fn speculation_beats_the_straggler_with_identical_bytes() {
             out, reference,
             "output under slowdown (speculation={speculation}) diverged"
         );
+        assert_eq!(plan.unfired(), Vec::<&str>::new());
         (elapsed, report)
     };
 
@@ -263,13 +264,21 @@ proptest! {
         })
         .unwrap();
         // The permuted attempt stream under the receiver's admission
-        // rule: a run enters the store iff the node's `RecoveryState`
-        // admits its identity.
-        let recovery = RecoveryState::new();
+        // rule: a run enters the store iff the coordinator admits its
+        // identity into the node's run set.
+        let coordinator = Coordinator::new(
+            Vec::new(),
+            1,
+            PARTS,
+            Duration::MAX,
+            None,
+            SpeculationConfig::default(),
+            None,
+        );
         let mut admitted = 0;
         for &i in &perm {
             let (tag, run) = &msgs[i];
-            if recovery.admit(*tag) {
+            if coordinator.admit(NodeId(0), *tag) {
                 admitted += 1;
                 store.add_run(tag.partition, run.clone());
             }

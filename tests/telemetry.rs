@@ -99,7 +99,7 @@ fn submit(service: &Service, tenant: &str, seed: u64, plan: Option<FaultPlan>) -
             cfg: job_cfg(seed),
             workload_seed: seed,
             slots: SLOTS,
-            fault_plan: plan,
+            fault_plan: plan.map(Arc::new),
         })
         .expect("within admission bounds")
 }
