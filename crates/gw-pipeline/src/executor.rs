@@ -109,6 +109,16 @@ impl<'p> StageCtx<'p> {
         self.timing = Some((w + wall, m + modeled));
     }
 
+    /// Charge an injected gray delay to an explicit timing override too:
+    /// the executor slept it after the stage returned, so without this a
+    /// stage that reports its own window would hide the slowdown.
+    fn stretch(&mut self, extra: Duration) {
+        if let Some((wall, modeled)) = &mut self.timing {
+            *wall += extra;
+            *modeled += extra;
+        }
+    }
+
     /// Probe the dead/abort flags; returns `true` (after marking the node
     /// dead) when the stage must unwind. Blocking sources call this inside
     /// their wait loops; the executor calls it once per chunk.
@@ -902,6 +912,7 @@ impl<'a, T: Send + 'a, E: Send + 'a> PipelineBuilder<'a, T, E> {
                             {
                                 std::thread::sleep(extra);
                                 wall += extra;
+                                ctx.stretch(extra);
                             }
                             // Probed after production: an injected Read
                             // crash dies holding the fresh claim (the
@@ -1062,6 +1073,7 @@ impl<'a, T: Send + 'a, E: Send + 'a> PipelineBuilder<'a, T, E> {
                                 {
                                     std::thread::sleep(extra);
                                     wall += extra;
+                                    ctx.stretch(extra);
                                 }
                                 if ctx.stopped {
                                     events.chunk_abort(seq);
@@ -1327,6 +1339,51 @@ mod tests {
         // Default timing recorded a whole-call sample for the untimed stages.
         assert_eq!(chunks(StageId::Partition), 4);
         assert_eq!(map.chunk_samples.len(), 4);
+    }
+
+    #[test]
+    fn a_gray_delay_stretches_a_stage_that_reports_its_own_time() {
+        struct Timed;
+        impl Stage<usize, String> for Timed {
+            fn run_chunk(
+                &mut self,
+                c: usize,
+                ctx: &mut StageCtx<'_>,
+            ) -> Result<Option<usize>, String> {
+                ctx.add_time(Duration::from_millis(5), Duration::from_millis(9));
+                Ok(Some(c))
+            }
+        }
+        struct SlowKernel;
+        impl PipelineProbe for SlowKernel {
+            fn should_abort(&self, _stage: StageId) -> bool {
+                false
+            }
+            fn crash_fires(&self, _stage: StageId, _lane: u32) -> bool {
+                false
+            }
+            fn kill(&self) {}
+            fn gray_delay(&self, stage: StageId, _lane: u32, _wall: Duration) -> Option<Duration> {
+                (stage == StageId::Kernel).then_some(Duration::from_millis(1))
+            }
+        }
+        let sum = AtomicUsize::new(0);
+        let tracer = Arc::new(Tracer::new());
+        PipelineBuilder::new(PipelineKind::Map, Buffering::Double)
+            .source(StageId::Input, Counter { next: 0, n: 4 })
+            .stage(StageId::Kernel, Timed)
+            .stage(StageId::Partition, SinkSum(&sum))
+            .probe(SlowKernel)
+            .tracer(Arc::clone(&tracer), 0)
+            .run()
+            .expect("pipeline run");
+        let analysis = tracer.finish().analysis();
+        let timers = analysis
+            .pipeline(0, PipelineKind::Map)
+            .expect("map lanes")
+            .timers();
+        assert_eq!(timers.wall(StageId::Kernel), Duration::from_millis(24));
+        assert_eq!(timers.modeled(StageId::Kernel), Duration::from_millis(40));
     }
 
     #[test]

@@ -21,7 +21,7 @@
 //! | `gw_health_findings_total{kind}` | counter | timing |
 //! | `gw_engine_chunks_total` | counter | logical (via bridge) |
 //! | `gw_node_chunks_total{node}`, `gw_engine_*_total{node}` | counter | timing² (via bridge) |
-//! | `gw_node_chunk_wall_ns{node}` | histogram | timing (via bridge) |
+//! | `gw_node_chunk_wall_ns{node}`, `gw_node_stage_chunk_wall_ns{node,pipeline,stage}` | histogram | timing (via bridge) |
 //!
 //! ¹ cache hit/miss counts depend on wall-clock races between identical
 //! submissions (whether the second arrives before the first finishes),

@@ -8,9 +8,12 @@
 //! recorded* and folds the interesting ones into live metrics:
 //!
 //! - accounted `Chunk` span ends on pipeline lanes →
-//!   `gw_node_chunk_wall_ns{node}` (timing histogram, the health
-//!   detector's node signal), `gw_node_chunks_total{node}` (timing) and
-//!   the fleet-wide `gw_engine_chunks_total` (logical);
+//!   `gw_node_chunk_wall_ns{node}` (timing histogram),
+//!   `gw_node_stage_chunk_wall_ns{node,pipeline,stage}` (timing
+//!   histogram, the health detector's node signal: a node's stages
+//!   differ in service time by an order of magnitude, so it compares
+//!   like with like), `gw_node_chunks_total{node}` (timing) and the
+//!   fleet-wide `gw_engine_chunks_total` (logical);
 //! - `Count` events → `gw_engine_<counter>_total{node}` (timing).
 //!
 //! **Why per-node series are timing-class.** The engine's determinism
@@ -37,7 +40,9 @@ use std::sync::Arc;
 
 use parking_lot::RwLock;
 
-use gw_trace::{CounterId, Event, EventKind, EventSink, LaneId, Realm, SpanId};
+use gw_trace::{
+    CounterId, Event, EventKind, EventSink, LaneId, PipelineKind, Realm, SpanId, StageId,
+};
 
 use crate::registry::{Class, Counter, Histogram, Registry};
 
@@ -60,6 +65,7 @@ struct BridgeState {
     /// job → physical node set (virtual lane node indexes into it).
     jobs: HashMap<u32, Vec<u32>>,
     chunk_wall: HashMap<u32, Histogram>,
+    stage_wall: HashMap<(u32, PipelineKind, StageId), Histogram>,
     chunk_count: HashMap<u32, Counter>,
     engine: HashMap<(CounterId, u32), Counter>,
 }
@@ -129,6 +135,23 @@ impl TelemetryBridge {
         (h, c)
     }
 
+    fn stage_handle(&self, node: u32, kind: PipelineKind, stage: StageId) -> Histogram {
+        let key = (node, kind, stage);
+        if let Some(h) = self.state.read().stage_wall.get(&key) {
+            return h.clone();
+        }
+        let h = self.registry.histogram(
+            crate::health::STAGE_CHUNK_WALL,
+            &[
+                ("node", &node.to_string()),
+                ("pipeline", kind.name()),
+                ("stage", stage.name_in(kind)),
+            ],
+        );
+        self.state.write().stage_wall.insert(key, h.clone());
+        h
+    }
+
     fn engine_handle(&self, id: CounterId, node: u32) -> Counter {
         {
             let st = self.state.read();
@@ -154,10 +177,14 @@ impl EventSink for TelemetryBridge {
                 wall_ns,
                 accounted: true,
                 ..
-            } if matches!(lane.realm, Realm::Pipeline { .. }) => {
+            } => {
+                let Realm::Pipeline { kind, stage, .. } = lane.realm else {
+                    return;
+                };
                 let node = self.phys_node(lane);
                 let (hist, cnt) = self.chunk_handles(node);
                 hist.observe(wall_ns);
+                self.stage_handle(node, kind, stage).observe(wall_ns);
                 cnt.inc();
                 self.chunk_total.inc();
             }
@@ -221,6 +248,11 @@ mod tests {
         assert_eq!(eng.get(), 4);
         let hist = reg.histogram(crate::health::NODE_CHUNK_WALL, &[("node", "5")]);
         assert_eq!(hist.cell().count(), 1);
+        let stage = reg.histogram(
+            crate::health::STAGE_CHUNK_WALL,
+            &[("node", "5"), ("pipeline", "map"), ("stage", "kernel")],
+        );
+        assert_eq!(stage.cell().count(), 1, "and on its stage's series");
     }
 
     #[test]

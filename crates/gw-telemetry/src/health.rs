@@ -5,20 +5,27 @@
 //! `gw-chaos` gray plane — an injected slowdown must surface here, not
 //! in a post-hoc trace fold):
 //!
-//! - **Node service-rate divergence.** Per node, the mean per-chunk wall
-//!   time inside each snapshot window (from the `gw_node_chunk_wall_ns`
-//!   histogram deltas) feeds an EWMA; a node whose EWMA exceeds
-//!   [`HealthConfig::node_ratio`] × the fleet median for
+//! - **Node service-rate divergence.** Per snapshot window and pipeline
+//!   stage, each node's lower-quartile chunk wall time (from the
+//!   `gw_node_stage_chunk_wall_ns` bucket deltas) is divided by the
+//!   fleet median for that stage. A node's window ratio is the *least*
+//!   of its stage ratios, and it feeds an EWMA. A node whose EWMA and
+//!   window ratio both reach [`HealthConfig::node_ratio`] for
 //!   [`HealthConfig::confirm`] consecutive observed windows raises
-//!   [`HealthFinding::NodeSlow`]. The confirmation streak is what keeps
-//!   one-shot stalls (10–100 ms, a single window spike) from paging.
+//!   [`HealthFinding::NodeSlow`]. The confirmation streak keeps one-shot
+//!   stalls (10–100 ms, a single window spike) from paging. The lower
+//!   quartile and the least stage keep a node that shared its CPU for a
+//!   window from paging: a chunk that waits out one scheduler quantum
+//!   lifts a window *mean* of ~50 µs chunks several-fold, but not the
+//!   window's faster chunks, and not every stage at once. A slow node
+//!   stretches every passage of every stage, its fastest ones included.
 //! - **Tenant SLO budget burn.** A tenant with a configured p99
 //!   turnaround budget raises [`HealthFinding::TenantSloBurn`] when the
 //!   `gw_service_turnaround_ns` histogram's estimated p99 crosses the
 //!   budget. Findings re-arm only after p99 drops below 80% of budget.
 //!
 //! Detection latency is bounded by construction: a persistent slowdown
-//! that lifts a node's window means above the threshold is reported on
+//! that lifts a node's window ratios above the threshold is reported on
 //! the `confirm`-th observed window after onset — the sweep in
 //! `tests/telemetry.rs` pins this bound end to end.
 
@@ -37,7 +44,7 @@ pub struct HealthConfig {
     /// Minimum chunks a node must serve inside a window for the window
     /// to count (guards against judging a node on one noisy chunk).
     pub min_chunks: u64,
-    /// EWMA weight of the newest window mean.
+    /// EWMA weight of the newest window ratio.
     pub ewma_alpha: f64,
     /// Per-tenant p99 turnaround budgets in milliseconds; tenants
     /// without an entry have no SLO (the default: no budgets, so a
@@ -67,10 +74,9 @@ pub enum HealthFinding {
         node: u32,
         /// Snapshot sequence that confirmed the finding.
         seq: u64,
-        /// EWMA per-chunk wall at confirmation, milliseconds.
-        ewma_ms: f64,
-        /// Fleet median EWMA at confirmation, milliseconds.
-        fleet_median_ms: f64,
+        /// EWMA of the node's window ratio to the fleet at confirmation
+        /// (2.0 = its least slow stage serves chunks twice as slowly).
+        ewma_ratio: f64,
         /// Suspect windows observed before confirmation.
         streak: u32,
     },
@@ -110,12 +116,11 @@ impl HealthFinding {
             HealthFinding::NodeSlow {
                 node,
                 seq,
-                ewma_ms,
-                fleet_median_ms,
+                ewma_ratio,
                 streak,
             } => format!(
-                "node-slow: node {node} per-chunk ewma {ewma_ms:.3} ms vs fleet median \
-                 {fleet_median_ms:.3} ms ({streak} windows, snapshot {seq})"
+                "node-slow: node {node} per-chunk ewma {ewma_ratio:.2}x the fleet median \
+                 ({streak} windows, snapshot {seq})"
             ),
             HealthFinding::TenantSloBurn {
                 tenant,
@@ -130,15 +135,19 @@ impl HealthFinding {
     }
 }
 
-/// The name of the per-node chunk service-time histogram the detector
-/// consumes (recorded by the telemetry bridge).
+/// The name of the per-node chunk service-time histogram (recorded by
+/// the telemetry bridge).
 pub const NODE_CHUNK_WALL: &str = "gw_node_chunk_wall_ns";
+/// The name of the per-(node, pipeline, stage) chunk service-time
+/// histogram the detector consumes (recorded by the telemetry bridge).
+pub const STAGE_CHUNK_WALL: &str = "gw_node_stage_chunk_wall_ns";
 /// The name of the per-tenant turnaround histogram.
 pub const TENANT_TURNAROUND: &str = "gw_service_turnaround_ns";
 
 #[derive(Debug, Default)]
 struct NodeState {
-    ewma_ns: f64,
+    /// EWMA of the node's window ratio to the fleet.
+    ewma: f64,
     streak: u32,
     reported: bool,
 }
@@ -168,61 +177,74 @@ impl HealthDetector {
     pub fn observe(&mut self, snap: &Snapshot) -> Vec<HealthFinding> {
         let mut findings = Vec::new();
 
-        // Per-node window means from the chunk-wall histogram deltas.
-        let mut observed: Vec<(u32, f64)> = Vec::new();
+        // Each node's chunks in this window, and per stage its window
+        // lower quartile.
+        let mut served: BTreeMap<u32, u64> = BTreeMap::new();
+        let mut stages: BTreeMap<(&str, &str), Vec<(u32, f64)>> = BTreeMap::new();
         for h in &snap.histograms {
-            if h.name != NODE_CHUNK_WALL || h.delta_count < self.cfg.min_chunks {
+            if h.name != STAGE_CHUNK_WALL || h.delta_count == 0 {
                 continue;
             }
             let Some(node) = h.label("node").and_then(|s| s.parse::<u32>().ok()) else {
                 continue;
             };
-            if let Some(mean) = h.window_mean() {
-                observed.push((node, mean));
+            *served.entry(node).or_default() += h.delta_count;
+            let stage = (
+                h.label("pipeline").unwrap_or(""),
+                h.label("stage").unwrap_or(""),
+            );
+            stages.entry(stage).or_default().push((node, h.window_p25));
+        }
+        // A node's window ratio: the least slow of its stages against the
+        // fleet's median for that stage, over stages at least two judged
+        // nodes served.
+        let mut ratios: BTreeMap<u32, f64> = BTreeMap::new();
+        for per_node in stages.values() {
+            let judged: Vec<(u32, f64)> = per_node
+                .iter()
+                .copied()
+                .filter(|(node, _)| served[node] >= self.cfg.min_chunks)
+                .collect();
+            if judged.len() < 2 {
+                continue;
+            }
+            let fleet = median(judged.iter().map(|&(_, p25)| p25).collect());
+            if fleet <= 0.0 {
+                continue;
+            }
+            for (node, p25) in judged {
+                let ratio = p25 / fleet;
+                ratios
+                    .entry(node)
+                    .and_modify(|least| *least = least.min(ratio))
+                    .or_insert(ratio);
             }
         }
-        for &(node, mean) in &observed {
+        for (node, ratio) in ratios {
             let st = self.nodes.entry(node).or_default();
-            st.ewma_ns = if st.ewma_ns == 0.0 {
-                mean
+            st.ewma = if st.ewma == 0.0 {
+                ratio
             } else {
-                self.cfg.ewma_alpha * mean + (1.0 - self.cfg.ewma_alpha) * st.ewma_ns
+                self.cfg.ewma_alpha * ratio + (1.0 - self.cfg.ewma_alpha) * st.ewma
             };
-        }
-        if self.nodes.len() >= 2 && !observed.is_empty() {
-            let mut ewmas: Vec<f64> = self.nodes.values().map(|s| s.ewma_ns).collect();
-            ewmas.sort_by(f64::total_cmp);
-            let median = if ewmas.len() % 2 == 1 {
-                ewmas[ewmas.len() / 2]
-            } else {
-                0.5 * (ewmas[ewmas.len() / 2 - 1] + ewmas[ewmas.len() / 2])
-            };
-            if median > 0.0 {
-                for &(node, mean) in &observed {
-                    let st = self.nodes.get_mut(&node).expect("observed node exists");
-                    // Both the smoothed estimate and the current window
-                    // must diverge: the EWMA alone would keep a one-shot
-                    // stall "suspect" for a couple of windows after it
-                    // cleared, and the raw mean alone would page on a
-                    // single noisy window.
-                    let bound = self.cfg.node_ratio * median;
-                    if st.ewma_ns >= bound && mean >= bound {
-                        st.streak += 1;
-                        if st.streak >= self.cfg.confirm && !st.reported {
-                            st.reported = true;
-                            findings.push(HealthFinding::NodeSlow {
-                                node,
-                                seq: snap.seq,
-                                ewma_ms: st.ewma_ns / 1e6,
-                                fleet_median_ms: median / 1e6,
-                                streak: st.streak,
-                            });
-                        }
-                    } else {
-                        st.streak = 0;
-                        st.reported = false;
-                    }
+            // Both the smoothed estimate and the current window must
+            // diverge: the EWMA alone would keep a one-shot stall
+            // "suspect" for a couple of windows after it cleared, and the
+            // raw window alone would page on a single noisy window.
+            if st.ewma >= self.cfg.node_ratio && ratio >= self.cfg.node_ratio {
+                st.streak += 1;
+                if st.streak >= self.cfg.confirm && !st.reported {
+                    st.reported = true;
+                    findings.push(HealthFinding::NodeSlow {
+                        node,
+                        seq: snap.seq,
+                        ewma_ratio: st.ewma,
+                        streak: st.streak,
+                    });
                 }
+            } else {
+                st.streak = 0;
+                st.reported = false;
             }
         }
 
@@ -256,27 +278,47 @@ impl HealthDetector {
     }
 }
 
+/// Median of `values` (the mean of the middle two for an even count;
+/// 0.0 for none).
+fn median(mut values: Vec<f64>) -> f64 {
+    if values.is_empty() {
+        return 0.0;
+    }
+    values.sort_by(f64::total_cmp);
+    let mid = values.len() / 2;
+    if values.len() % 2 == 1 {
+        values[mid]
+    } else {
+        0.5 * (values[mid - 1] + values[mid])
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::registry::{Class, Registry};
+    use crate::registry::Registry;
     use crate::snapshot::SnapshotRing;
 
     fn plane() -> (std::sync::Arc<Registry>, SnapshotRing) {
         (Registry::new(), SnapshotRing::new(64))
     }
 
-    fn feed(reg: &Registry, node: u32, chunks: u64, each_ns: u64) {
-        let h = reg.histogram(NODE_CHUNK_WALL, &[("node", &node.to_string())]);
+    fn feed_stage(reg: &Registry, node: u32, stage: &str, chunks: u64, each_ns: u64) {
+        let h = reg.histogram(
+            STAGE_CHUNK_WALL,
+            &[
+                ("node", &node.to_string()),
+                ("pipeline", "map"),
+                ("stage", stage),
+            ],
+        );
         for _ in 0..chunks {
             h.observe(each_ns);
         }
-        reg.counter(
-            "gw_node_chunks_total",
-            &[("node", &node.to_string())],
-            Class::Logical,
-        )
-        .add(chunks);
+    }
+
+    fn feed(reg: &Registry, node: u32, chunks: u64, each_ns: u64) {
+        feed_stage(reg, node, "kernel", chunks, each_ns);
     }
 
     #[test]
@@ -327,6 +369,57 @@ mod tests {
             fired.is_empty(),
             "one-shot spike must not confirm: {fired:?}"
         );
+    }
+
+    #[test]
+    fn stage_mix_and_slow_stages_of_a_fast_node_stay_silent() {
+        let (reg, ring) = plane();
+        let mut det = HealthDetector::new(HealthConfig::default());
+        let mut fired = Vec::new();
+        for w in 1..=5u64 {
+            for node in 0..3u32 {
+                // Node 0's windows hold mostly partition chunks, which
+                // every node serves 8x slower than input chunks: a
+                // node-wide statistic would read node 0 as slow.
+                let (inputs, partitions) = if node == 0 { (4, 12) } else { (12, 4) };
+                // Node 1 runs its kernel and partition stages 3x slow,
+                // but its input stage at the fleet's speed: a slow node
+                // would stretch every stage.
+                let slow = if node == 1 { 3 } else { 1 };
+                feed_stage(&reg, node, "input", inputs, 10_000);
+                feed_stage(&reg, node, "kernel", 8, 20_000 * slow);
+                feed_stage(&reg, node, "partition", partitions, 80_000 * slow);
+            }
+            fired.extend(det.observe(&ring.capture(&reg, w * 10)));
+        }
+        assert!(fired.is_empty(), "no node is slow: {fired:?}");
+    }
+
+    #[test]
+    fn a_node_is_judged_on_its_chunks_across_stages() {
+        let (reg, ring) = plane();
+        let mut det = HealthDetector::new(HealthConfig::default());
+        let mut fired = Vec::new();
+        for w in 1..=3u64 {
+            for node in 0..3u32 {
+                // Node 2 runs every stage 3x slow and so serves only two
+                // chunks per stage: too few for one stage, enough for
+                // the window.
+                let (chunks, slow) = if node == 2 { (2, 3) } else { (8, 1) };
+                feed_stage(&reg, node, "input", chunks, 10_000 * slow);
+                feed_stage(&reg, node, "kernel", chunks, 20_000 * slow);
+                feed_stage(&reg, node, "partition", chunks, 80_000 * slow);
+            }
+            fired.extend(det.observe(&ring.capture(&reg, w * 10)));
+        }
+        let named: Vec<(u32, u64)> = fired
+            .iter()
+            .map(|f| match f {
+                HealthFinding::NodeSlow { node, seq, .. } => (*node, *seq),
+                other => panic!("unexpected finding {other:?}"),
+            })
+            .collect();
+        assert_eq!(named, vec![(2, 2)], "node 2 confirmed on the second window");
     }
 
     #[test]

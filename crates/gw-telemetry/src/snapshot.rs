@@ -61,6 +61,10 @@ pub struct HistogramSample {
     pub sum: u64,
     /// Sum increase since the previous snapshot.
     pub delta_sum: u64,
+    /// Estimated lower quartile of the observations inside this window
+    /// (log2-bucket interpolation over the bucket deltas; 0.0 for an
+    /// empty window).
+    pub window_p25: f64,
     /// Estimated cumulative quantiles (log2-bucket interpolation).
     pub p50: f64,
     /// See [`HistogramSample::p50`].
@@ -76,11 +80,6 @@ impl HistogramSample {
             .iter()
             .find(|(k, _)| k == key)
             .map(|(_, v)| v.as_str())
-    }
-
-    /// Mean of the observations inside this snapshot's window, if any.
-    pub fn window_mean(&self) -> Option<f64> {
-        (self.delta_count > 0).then(|| self.delta_sum as f64 / self.delta_count as f64)
     }
 }
 
@@ -115,9 +114,9 @@ struct RingState {
     seq: u64,
     /// Previous cumulative values for delta computation, keyed by
     /// canonical full name: counters map to `value`, histograms to
-    /// `(count, sum)`.
+    /// `(buckets, sum)`.
     prev_counters: HashMap<String, u64>,
-    prev_histos: HashMap<String, (u64, u64)>,
+    prev_histos: HashMap<String, ([u64; BUCKETS], u64)>,
 }
 
 /// Bounded ring of [`Snapshot`]s; see the module docs.
@@ -173,14 +172,20 @@ impl SnapshotRing {
                     let buckets: [u64; BUCKETS] = cell.bucket_counts();
                     let count: u64 = buckets.iter().sum();
                     let sum = cell.sum();
-                    let (pc, ps) = st.prev_histos.insert(key, (count, sum)).unwrap_or((0, 0));
+                    let (pb, ps) = st
+                        .prev_histos
+                        .insert(key, (buckets, sum))
+                        .unwrap_or(([0; BUCKETS], 0));
+                    let window: [u64; BUCKETS] =
+                        std::array::from_fn(|i| buckets[i].saturating_sub(pb[i]));
                     snap.histograms.push(HistogramSample {
                         name: entry.name,
                         labels: entry.labels,
                         count,
-                        delta_count: count.saturating_sub(pc),
+                        delta_count: window.iter().sum(),
                         sum,
                         delta_sum: sum.saturating_sub(ps),
+                        window_p25: quantile_from_buckets(&window, 0.25),
                         p50: quantile_from_buckets(&buckets, 0.50),
                         p90: quantile_from_buckets(&buckets, 0.90),
                         p99: quantile_from_buckets(&buckets, 0.99),
@@ -242,6 +247,31 @@ mod tests {
         let seqs: Vec<u64> = kept.iter().map(|s| s.seq).collect();
         assert_eq!(seqs, vec![3, 4, 5], "oldest dropped, order kept");
         assert_eq!(ring.captures(), 5);
+    }
+
+    #[test]
+    fn window_quartile_sees_only_the_window() {
+        let reg = Registry::new();
+        let h = reg.histogram("lat_ns", &[]);
+        let ring = SnapshotRing::new(4);
+        for _ in 0..100 {
+            h.observe(1_000);
+        }
+        let first = ring.capture(&reg, 10);
+        assert!((512.0..1024.0).contains(&first.histograms[0].window_p25));
+        for _ in 0..10 {
+            h.observe(1_000_000);
+        }
+        let second = ring.capture(&reg, 20);
+        let s = &second.histograms[0];
+        assert_eq!(s.delta_count, 10);
+        assert!(
+            (524_288.0..1_048_576.0).contains(&s.window_p25),
+            "the window holds only the slow observations: {}",
+            s.window_p25
+        );
+        assert!(s.p50 < 1024.0, "the cumulative median still sees both");
+        assert_eq!(ring.capture(&reg, 30).histograms[0].window_p25, 0.0);
     }
 
     #[test]
