@@ -740,8 +740,9 @@ fn run_node(
         ..Default::default()
     };
     if let Some(budget) = cfg.memory_budget {
-        // The budget knob overrides the explicit threshold and sizes spill
-        // frames so the out-of-core peak stays within ~1.5× budget.
+        // The budget knob overrides the explicit threshold and spill-file
+        // limit and sizes spill frames so the out-of-core peak stays within
+        // ~1.5× budget.
         icfg = icfg.with_memory_budget(budget);
     }
     let intermediate = Arc::new(IntermediateStore::with_runner(

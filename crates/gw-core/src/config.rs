@@ -72,16 +72,19 @@ pub struct JobConfig {
     /// for when intermediate data leaves memory: a node whose cached runs
     /// never exceed it never touches disk, and reduce merges them in place.
     pub cache_threshold: usize,
-    /// Maximum spill files per partition before compaction.
+    /// Spill files a partition may hold before its merger task compacts
+    /// the smallest of them (`IntermediateConfig::max_spill_files`).
+    /// Ignored under `memory_budget`, which derives it from the budget.
     pub max_spill_files: usize,
     /// Compress cached/spilled intermediate data.
     pub compress_intermediate: bool,
     /// Bound on resident intermediate bytes per node (paper §III-B's
     /// larger-than-memory regime). When set, it overrides
-    /// `cache_threshold` via `IntermediateConfig::with_memory_budget`,
-    /// sizes spill frames, and enables producer backpressure so peak
-    /// resident intermediate bytes stay ≤ ~1.5× the budget regardless of
-    /// partition size. `None` (default) keeps the explicit knobs.
+    /// `cache_threshold` and `max_spill_files` via
+    /// `IntermediateConfig::with_memory_budget`, sizes spill frames, and
+    /// enables producer backpressure so peak resident intermediate bytes
+    /// stay ≤ ~1.5× the budget regardless of partition size. `None`
+    /// (default) keeps the explicit knobs.
     pub memory_budget: Option<usize>,
     /// Reduce: number of keys processed concurrently per kernel launch.
     pub reduce_concurrent_keys: usize,

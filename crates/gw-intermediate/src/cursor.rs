@@ -342,12 +342,14 @@ mod tests {
         assert!(c.done() && c.key().is_empty() && c.rec().is_empty());
     }
 
-    /// Spill `run` through a compressing writer at 1 KiB frames, stream it
+    /// Spill `run` through a probing writer at 1 KiB frames, stream it
     /// back, and return the cursor's peak charge.
     fn spill_and_stream(run: &Run) -> usize {
         let dir = crate::tempdir::TempDir::new("gw-cursor-test").unwrap();
         let path = dir.file("s.gw");
-        let mut w = frame::FrameWriter::create(path.clone(), 1 << 10, true, None, None).unwrap();
+        let mut w =
+            frame::FrameWriter::create(path.clone(), 1 << 10, frame::Encoding::Probe, None, None)
+                .unwrap();
         let mut mc = MemCursor::new(run.clone());
         while !mc.done() {
             w.push(mc.rec()).unwrap();

@@ -25,21 +25,25 @@
 //! Frames are cut at record boundaries (a serialized record never spans
 //! frames), so every frame is independently a valid sorted record slice.
 //!
-//! ## Stored or compressed, decided once per file
+//! ## Stored or compressed, decided once per partition
 //!
-//! A writer asked to compress encodes its first frame and keeps
-//! compressing only if that frame shrank to at most 9/10 of its raw
-//! length (`STORED_NUM`/`STORED_DEN`); otherwise that frame and every later
-//! one is written raw and the trailer's `FLAG_COMPRESSED` bit stays clear.
+//! A writer is created with an `Encoding`. `Stored` writes every frame
+//! raw, `Compressed` LZ-encodes every frame, and `Probe` encodes its first
+//! frame and keeps compressing only if that frame shrank to at most 9/10 of
+//! its raw length (`STORED_NUM`/`STORED_DEN`); otherwise that frame and
+//! every later one is written raw. The trailer's `FLAG_COMPRESSED` bit
+//! records the outcome, because a reader picks its decode path (and its
+//! buffers) once at open. The store probes only with a partition's first
+//! spill: the encoding that file settles on (`SpillStats::encoding`) is
+//! the one every later flush and compaction of the partition writes with,
+//! so the LZ parse is paid on one frame per partition, not one per file.
 //! Sorted WordCount runs encode to a fifth of their size and keep
 //! compressing; TeraGen records are random bytes, encode to 0.98 and would
-//! pay an LZ parse on the way out and a decode on the way back for
-//! nothing. The rule is per file, not per frame, because the flag it sets
-//! is the trailer's and a reader picks its decode path (and its buffers)
-//! once at open; a merge's frames are slices of one sorted stream, so the
-//! first speaks for the rest, and a compaction samples again for the file
-//! it writes. The decision is a function of the first frame's bytes, so
-//! the file a given record stream produces is deterministic.
+//! pay an LZ parse on the way out and a decode on the way back for nothing.
+//! A partition's spills are slices of one key range of one job, so its
+//! first frame speaks for the rest. The decision is a function of that
+//! frame's bytes, and `compress = false` means `Stored`: no frame is ever
+//! encoded.
 //!
 //! ## Checksum
 //!
@@ -73,11 +77,24 @@ const ENTRY_LEN: usize = 20;
 const TRAILER_LEN: usize = 32;
 /// Trailer flag bit: frames are LZ-compressed.
 const FLAG_COMPRESSED: u32 = 1;
-/// A file stays compressed only if its first frame encodes to at most
-/// `STORED_NUM / STORED_DEN` of its raw length. LZ output this close to
-/// its input is all literals: the bytes saved do not buy back the parse.
+/// A probing writer keeps compressing only if its first frame encodes to
+/// at most `STORED_NUM / STORED_DEN` of its raw length. LZ output this
+/// close to its input is all literals: the bytes saved do not buy back the
+/// parse.
 const STORED_NUM: usize = 9;
 const STORED_DEN: usize = 10;
+
+/// How a [`FrameWriter`] encodes its frames (module doc, "Stored or
+/// compressed, decided once per partition").
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Encoding {
+    /// Every frame raw.
+    Stored,
+    /// Every frame LZ-compressed.
+    Compressed,
+    /// The first frame decides between the other two.
+    Probe,
+}
 
 /// Which spill-file operation a fault hook is probed before.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -262,6 +279,8 @@ pub(crate) struct SpillStats {
     pub(crate) disk_bytes: usize,
     pub(crate) records: usize,
     pub(crate) frames: usize,
+    /// What the file was written as: `Probe` only if it has no frame.
+    pub(crate) encoding: Encoding,
 }
 
 /// What a compressing writer keeps between frames, so that no frame
@@ -277,9 +296,11 @@ struct Codec {
 pub(crate) struct FrameWriter {
     file: BufWriter<File>,
     frame_size: usize,
-    /// `Some` while frames are written compressed: from `create` if asked
-    /// to compress, until a first frame that does not (module doc).
+    /// `Some` while frames are written compressed: unless the encoding is
+    /// `Stored` from `create` or a probed first frame did not shrink.
     codec: Option<Codec>,
+    /// `Probe` until the first frame is cut, then what it decided.
+    encoding: Encoding,
     cur: Vec<u8>,
     cur_records: u32,
     entries: Vec<FrameEntry>,
@@ -295,12 +316,13 @@ impl FrameWriter {
     pub(crate) fn create(
         path: PathBuf,
         frame_size: usize,
-        compress: bool,
+        encoding: Encoding,
         gauge: Option<Arc<MemGauge>>,
         hook: Option<Arc<dyn SpillFaultHook>>,
     ) -> io::Result<Self> {
         let frame_size = frame_size.max(1 << 10);
         let file = BufWriter::new(File::create(&path)?);
+        let compress = encoding != Encoding::Stored;
         let codec = compress.then(|| Codec {
             table: LzTable::new(),
             image: Vec::with_capacity(frame_size),
@@ -316,6 +338,7 @@ impl FrameWriter {
             file,
             frame_size,
             codec,
+            encoding,
             cur: Vec::with_capacity(frame_size + 1024),
             cur_records: 0,
             entries: Vec::new(),
@@ -350,8 +373,15 @@ impl FrameWriter {
         }
         if let Some(codec) = &mut self.codec {
             compress::compress_into(&self.cur, &mut codec.table, &mut codec.image);
-            let first = self.entries.is_empty();
-            if first && codec.image.len() * STORED_DEN > self.cur.len() * STORED_NUM {
+            if self.encoding == Encoding::Probe {
+                let shrank = codec.image.len() * STORED_DEN <= self.cur.len() * STORED_NUM;
+                self.encoding = if shrank {
+                    Encoding::Compressed
+                } else {
+                    Encoding::Stored
+                };
+            }
+            if self.encoding == Encoding::Stored {
                 // This file is stored: the encoded image goes, and its
                 // half of the charge with it.
                 self.codec = None;
@@ -416,6 +446,7 @@ impl FrameWriter {
             disk_bytes: self.offset as usize + footer.len(),
             records: self.records_total as usize,
             frames: self.entries.len(),
+            encoding: self.encoding,
         })
     }
 }
@@ -467,14 +498,14 @@ mod tests {
     fn write_all(
         path: &std::path::Path,
         frame_size: usize,
-        compress: bool,
+        encoding: Encoding,
         records: &[Vec<u8>],
     ) -> SpillStats {
         let gauge = Arc::new(MemGauge::new());
         let mut w = FrameWriter::create(
             path.to_path_buf(),
             frame_size,
-            compress,
+            encoding,
             Some(Arc::clone(&gauge)),
             None,
         )
@@ -488,9 +519,9 @@ mod tests {
         stats
     }
 
-    fn write_records(path: PathBuf, frame_size: usize, n: usize, compress: bool) -> SpillStats {
+    fn write_records(path: PathBuf, frame_size: usize, n: usize, encoding: Encoding) -> SpillStats {
         let records: Vec<Vec<u8>> = (0..n).map(text_record).collect();
-        write_all(&path, frame_size, compress, &records)
+        write_all(&path, frame_size, encoding, &records)
     }
 
     fn noise_records(n: usize, seed: u64) -> Vec<Vec<u8>> {
@@ -528,7 +559,7 @@ mod tests {
     #[test]
     fn roundtrip_multi_frame() {
         let (_dir, path) = tmp("s.gw");
-        let stats = write_records(path.clone(), 1 << 10, 500, true);
+        let stats = write_records(path.clone(), 1 << 10, 500, Encoding::Probe);
         assert!(stats.frames > 1, "want multiple frames, got {stats:?}");
         assert_eq!(stats.records, 500);
         let (raw, idx) = read_all(&path);
@@ -537,6 +568,7 @@ mod tests {
         assert_eq!(raw, (0..500).flat_map(text_record).collect::<Vec<u8>>());
         // Sorted text keeps compressing.
         assert!(idx.compressed);
+        assert_eq!(stats.encoding, Encoding::Compressed);
         assert!(stats.disk_bytes < stats.raw_bytes, "{stats:?}");
     }
 
@@ -544,8 +576,9 @@ mod tests {
     fn incompressible_records_are_stored_raw_under_a_compressing_writer() {
         let (_dir, path) = tmp("n.gw");
         let records = noise_records(200, 1);
-        let stats = write_all(&path, 1 << 10, true, &records);
+        let stats = write_all(&path, 1 << 10, Encoding::Probe, &records);
         assert!(stats.frames > 1, "{stats:?}");
+        assert_eq!(stats.encoding, Encoding::Stored);
         assert_eq!(
             stats.disk_bytes,
             stats.raw_bytes + ENTRY_LEN * stats.frames + TRAILER_LEN,
@@ -569,7 +602,7 @@ mod tests {
     }
 
     #[test]
-    fn the_first_frame_decides_for_the_whole_file() {
+    fn a_probed_first_frame_decides_for_the_whole_file() {
         let text: Vec<Vec<u8>> = (0..100).map(text_record).collect();
         let noise = noise_records(100, 2);
         let frames_of = |idx: &FrameIndex, compressed: bool| {
@@ -583,7 +616,7 @@ mod tests {
         // the noise frames are carried encoded (a little larger than raw).
         let (_dir, path) = tmp("tn.gw");
         let records = [text.clone(), noise.clone()].concat();
-        write_all(&path, 1 << 10, true, &records);
+        write_all(&path, 1 << 10, Encoding::Probe, &records);
         let (raw, idx) = read_all(&path);
         assert!(idx.compressed);
         assert!(frames_of(&idx, false) > 0, "some frames did not shrink");
@@ -592,7 +625,7 @@ mod tests {
         // Noise first: the file is stored, compressible frames included.
         let (_dir, path) = tmp("nt.gw");
         let records = [noise, text].concat();
-        write_all(&path, 1 << 10, true, &records);
+        write_all(&path, 1 << 10, Encoding::Probe, &records);
         let (raw, idx) = read_all(&path);
         assert!(!idx.compressed);
         assert_eq!(frames_of(&idx, true), 0);
@@ -600,9 +633,23 @@ mod tests {
     }
 
     #[test]
+    fn a_decided_encoding_is_not_probed_again() {
+        // A writer for a partition that compresses encodes every frame,
+        // even noise a probe would have stored (and the text a stored
+        // partition writes is never encoded: `uncompressed_spills…`).
+        let (_dir, path) = tmp("cn.gw");
+        let noise = noise_records(100, 3);
+        let stats = write_all(&path, 1 << 10, Encoding::Compressed, &noise);
+        assert_eq!(stats.encoding, Encoding::Compressed);
+        let (raw, idx) = read_all(&path);
+        assert!(idx.compressed);
+        assert_eq!(raw, noise.concat());
+    }
+
+    #[test]
     fn truncated_file_is_a_typed_error() {
         let (_dir, path) = tmp("t.gw");
-        write_records(path.clone(), 1 << 10, 200, true);
+        write_records(path.clone(), 1 << 10, 200, Encoding::Probe);
         let full = std::fs::read(&path).unwrap();
         // Chop the tail: the footer (or part of it) is gone.
         std::fs::write(&path, &full[..full.len() / 2]).unwrap();
@@ -613,7 +660,7 @@ mod tests {
     #[test]
     fn flipped_payload_byte_fails_the_frame_checksum() {
         let (_dir, path) = tmp("c.gw");
-        write_records(path.clone(), 1 << 10, 200, true);
+        write_records(path.clone(), 1 << 10, 200, Encoding::Probe);
         let mut bytes = std::fs::read(&path).unwrap();
         bytes[3] ^= 0xff; // inside the first frame's stored payload
         std::fs::write(&path, &bytes).unwrap();
@@ -624,9 +671,9 @@ mod tests {
 
     #[test]
     fn a_frame_whose_index_lies_about_its_raw_length_is_rejected() {
-        for (name, compress) in [("lz.gw", true), ("raw.gw", false)] {
+        for (name, encoding) in [("lz.gw", Encoding::Probe), ("raw.gw", Encoding::Stored)] {
             let (_dir, path) = tmp(name);
-            let stats = write_records(path.clone(), 1 << 10, 200, compress);
+            let stats = write_records(path.clone(), 1 << 10, 200, encoding);
             // Add one to frame 0's raw_len and to the trailer's raw_total,
             // so the footer still adds up.
             let mut bytes = std::fs::read(&path).unwrap();
@@ -644,9 +691,10 @@ mod tests {
     #[test]
     fn uncompressed_spills_roundtrip_too() {
         let (_dir, path) = tmp("u.gw");
-        let stats = write_records(path.clone(), 1 << 10, 300, false);
+        let stats = write_records(path.clone(), 1 << 10, 300, Encoding::Stored);
         let (raw, idx) = read_all(&path);
         assert!(!idx.compressed);
+        assert_eq!(stats.encoding, Encoding::Stored);
         assert_eq!(idx.records_total as usize, stats.records);
         assert_eq!(raw.len(), stats.raw_bytes);
     }

@@ -11,7 +11,13 @@
 //!   calls the same `add_run`;
 //! * "Partitions residing on disk are continuously merged using multi-way
 //!   merging so the number of intermediate data files is limited to a
-//!   configurable count" — the compaction step of the merger tasks;
+//!   configurable count" — the compaction step of the merger tasks: a
+//!   partition may hold `max_spill_files` (M) spill files, and one more
+//!   makes its task merge the smallest F = `max(M / (2 × merger_threads)
+//!   − 1, 2)` of them into one. N flushes of equal size then rewrite no
+//!   byte while N ≤ M, and each byte at most once while N stays under
+//!   ~M·F/2 — the ⌈log_M N⌉ rounds of an M-way external merge, the last
+//!   of which is the reduce's;
 //! * "Glasswing can be configured to use multiple threads to speed-up both
 //!   the merge and flush operations" — `merger_threads`;
 //! * intermediate data is merged "on background threads" while the map
@@ -51,6 +57,13 @@
 //! within a small constant of the budget no matter how large the
 //! partition grows, and a pre-merge, whose output sits beside its inputs
 //! until it ends, starts only when the gauge has room for that output.
+//! The budget also sizes M ([`IntermediateConfig::with_memory_budget`]):
+//! the reduce merge holds M spill cursors of at most two frames each
+//! beside a cache of about half the budget, and the compactions, which
+//! run beside a live cache of up to the whole budget, share half as many
+//! cursors among the merger threads, their writers included. A
+//! partition's first spill decides whether all of its spills are stored
+//! or compressed ([`crate::frame`], "Stored or compressed").
 //!
 //! Spill I/O failures on merger threads do not panic, and a panic there
 //! is caught: the first of either **poisons** the store and surfaces
@@ -69,7 +82,7 @@ use crossbeam::channel::{unbounded, Receiver, Sender};
 use parking_lot::{Condvar, Mutex};
 
 use crate::cursor::{MemCursor, PartCursor, RunCursor, SpillCursor};
-use crate::frame::{self, SpillFaultHook};
+use crate::frame::{self, Encoding, SpillFaultHook};
 use crate::gauge::MemGauge;
 use crate::kv::Run;
 use crate::merge::{merge_runs, CursorMerge, TIER_FANIN};
@@ -85,7 +98,11 @@ pub struct IntermediateConfig {
     /// trigger: a store that never exceeds it never spills. Its default is
     /// also `JobConfig::new`'s.
     pub cache_threshold: usize,
-    /// Maximum spill files per partition before compaction merges them.
+    /// Spill files a partition may hold (M): one more makes its merger
+    /// task compact, merging the smallest `max(M / (2 × merger_threads) −
+    /// 1, 2)` files into one (module doc).
+    /// [`IntermediateConfig::with_memory_budget`] derives it from the
+    /// budget.
     pub max_spill_files: usize,
     /// Background merger/flusher threads (the paper sets this equal to `P`
     /// in its Fig. 4 experiments).
@@ -120,16 +137,30 @@ impl Default for IntermediateConfig {
 }
 
 impl IntermediateConfig {
-    /// Derive the out-of-core knobs from a memory budget: the cache flushes
-    /// at half the budget, and frames are sized so the handful the external
-    /// merges keep resident (one per open cursor plus writer staging) stays
-    /// a small fraction of it. Together these keep
-    /// [`StoreMetrics::peak_resident_bytes`] ≤ ~1.5× `budget`.
+    /// Derive the out-of-core knobs from a memory budget, overriding
+    /// `cache_threshold`, `frame_size` and `max_spill_files`: the cache
+    /// flushes at half the budget, frames are `budget / 64` (clamped to
+    /// 1 KiB–1 MiB), and a partition may hold M = `budget / (2 ×
+    /// frame_size)` spill files — 32 at the derived frame size — so the
+    /// reduce merge's M cursors of at most two frames each fit in the other
+    /// half. Together these keep [`StoreMetrics::peak_resident_bytes`] ≤
+    /// ~1.5× `budget`.
     pub fn with_memory_budget(mut self, budget: usize) -> Self {
         self.memory_budget = Some(budget);
         self.cache_threshold = (budget / 2).max(4 << 10);
         self.frame_size = (budget / 64).clamp(1 << 10, 1 << 20);
+        self.max_spill_files = (budget / (2 * self.frame_size)).max(2);
         self
+    }
+
+    /// Spill files one compaction merges, at least two. The reduce merge
+    /// holds `max_spill_files` cursors beside a cache of about half the
+    /// budget; compactions run beside a live cache of up to the whole
+    /// budget, one per merger thread at most, so they share half the
+    /// reduce merge's cursors, each writer taking one.
+    fn compaction_fanin(&self) -> usize {
+        let share = self.max_spill_files / (2 * self.merger_threads.max(1));
+        share.saturating_sub(1).max(2)
     }
 }
 
@@ -137,11 +168,12 @@ impl IntermediateConfig {
 #[derive(Debug)]
 struct SpillFile {
     path: PathBuf,
+    raw_bytes: usize,
     records: usize,
     frames: usize,
 }
 
-#[derive(Debug, Default)]
+#[derive(Debug)]
 struct PartState {
     /// Cached runs by tier, oldest first: `tiers[t]` holds runs that `t`
     /// rounds of pre-merging made, [`TIER_FANIN`] runs of tier `t` into
@@ -154,6 +186,10 @@ struct PartState {
     busy: bool,
     /// A flush was asked for: the task flushes before it pre-merges.
     flush_due: bool,
+    /// How the partition's next spill is written: `Probe` until its first
+    /// frame decides, then what that frame decided (`Stored` throughout
+    /// when the store does not compress).
+    encoding: Encoding,
 }
 
 #[derive(Debug, Default)]
@@ -164,6 +200,7 @@ struct Metrics {
     spilled_disk: AtomicUsize,
     runs_added: AtomicUsize,
     records_added: AtomicUsize,
+    bytes_added: AtomicUsize,
     merges: AtomicUsize,
     merge_fanin: AtomicUsize,
     frames_written: AtomicUsize,
@@ -185,6 +222,9 @@ pub struct StoreMetrics {
     pub runs_added: usize,
     /// Records across all added runs.
     pub records_added: usize,
+    /// Serialized bytes across all added runs: the node's intermediate
+    /// data, against which `spilled_raw` reads as a write amplification.
+    pub bytes_added: usize,
     /// Background merges: cache flushes, compactions, and the in-memory
     /// tier merges made while the map runs. `flushes` and `compactions`
     /// count only the disk work among them.
@@ -283,22 +323,29 @@ impl Inner {
         )
     }
 
-    /// Stream the k-way merge of `cursors` into one new framed spill —
-    /// the single writer behind both a cache flush (borrowed in-memory
-    /// cursors) and a compaction (spill cursors). Peak memory is one
-    /// decode buffer per spill cursor plus the writer's staging buffers;
-    /// the merged run is never materialized. `None` when the merge was
-    /// empty (no file is left behind).
-    fn spill_merged<C: RunCursor>(&self, cursors: Vec<C>) -> io::Result<Option<SpillFile>> {
+    /// Stream the k-way merge of `cursors` into one new framed spill of
+    /// partition `idx` — the single writer behind both a cache flush
+    /// (borrowed in-memory cursors) and a compaction (spill cursors) —
+    /// written in the partition's encoding, which the partition's first
+    /// spill settles. Peak memory is one decode buffer per spill cursor
+    /// plus the writer's staging buffers; the merged run is never
+    /// materialized. `None` when the merge was empty (no file is left
+    /// behind).
+    fn spill_merged<C: RunCursor>(
+        &self,
+        idx: usize,
+        cursors: Vec<C>,
+    ) -> io::Result<Option<SpillFile>> {
         self.metrics.merges.fetch_add(1, Ordering::Relaxed);
         self.metrics
             .merge_fanin
             .fetch_add(cursors.len(), Ordering::Relaxed);
         let path = self.new_spill_path();
+        let encoding = self.parts[idx].lock().encoding;
         let mut w = frame::FrameWriter::create(
             path.clone(),
             self.cfg.frame_size,
-            self.cfg.compress,
+            encoding,
             Some(Arc::clone(&self.gauge)),
             self.spill_hook(),
         )?;
@@ -312,7 +359,7 @@ impl Inner {
             let _ = std::fs::remove_file(&path);
             return Ok(None);
         }
-        self.metrics.flushes.fetch_add(1, Ordering::Relaxed);
+        self.parts[idx].lock().encoding = stats.encoding;
         self.metrics
             .spilled_raw
             .fetch_add(stats.raw_bytes, Ordering::Relaxed);
@@ -324,6 +371,7 @@ impl Inner {
             .fetch_add(stats.frames, Ordering::Relaxed);
         Ok(Some(SpillFile {
             path,
+            raw_bytes: stats.raw_bytes,
             records: stats.records,
             frames: stats.frames,
         }))
@@ -403,12 +451,15 @@ impl Inner {
     }
 
     /// Flush `runs`, the whole of partition `idx`'s cache (`bytes` of it),
-    /// to one new spill, then compact while the spill-file count exceeds
-    /// the limit.
+    /// to one new spill, then, while the partition holds more than
+    /// `max_spill_files`, merge its smallest `compaction_fanin` files —
+    /// oldest first among equals — into one.
     fn flush_and_compact(&self, idx: usize, runs: Vec<Run>, bytes: usize) -> io::Result<()> {
         if !runs.is_empty() {
-            let spilled =
-                self.spill_merged(runs.iter().map(|r| MemCursor::over(r.bytes())).collect());
+            let spilled = self.spill_merged(
+                idx,
+                runs.iter().map(|r| MemCursor::over(r.bytes())).collect(),
+            );
             // The cached bytes leave memory whether or not the spill
             // succeeded — discharge before propagating so backpressured
             // producers wake either way.
@@ -416,6 +467,7 @@ impl Inner {
             self.gauge.discharge(bytes);
             self.notify_backpressure();
             if let Some(spill) = spilled? {
+                self.metrics.flushes.fetch_add(1, Ordering::Relaxed);
                 self.parts[idx].lock().spills.push(spill);
             }
         }
@@ -425,13 +477,15 @@ impl Inner {
                 if st.spills.len() <= self.cfg.max_spill_files {
                     return Ok(());
                 }
-                std::mem::take(&mut st.spills)
+                // A stable sort: among equal sizes the older file first.
+                st.spills.sort_by_key(|s| s.raw_bytes);
+                st.spills.drain(..self.cfg.compaction_fanin()).collect()
             };
             let cursors = spills
                 .iter()
                 .map(|s| self.open_spill(s))
                 .collect::<io::Result<Vec<_>>>()?;
-            let merged = self.spill_merged(cursors)?;
+            let merged = self.spill_merged(idx, cursors)?;
             for s in &spills {
                 let _ = std::fs::remove_file(&s.path);
             }
@@ -504,8 +558,22 @@ impl IntermediateStore {
     pub fn with_runner(cfg: IntermediateConfig, run: MergerRunner<'_>) -> io::Result<Self> {
         assert!(cfg.num_partitions > 0, "at least one partition");
         let dir = TempDir::new("gw-intermediate")?;
+        let encoding = if cfg.compress {
+            Encoding::Probe
+        } else {
+            Encoding::Stored
+        };
         let parts = (0..cfg.num_partitions)
-            .map(|_| Mutex::new(PartState::default()))
+            .map(|_| {
+                Mutex::new(PartState {
+                    tiers: Vec::new(),
+                    cache_bytes: 0,
+                    spills: Vec::new(),
+                    busy: false,
+                    flush_due: false,
+                    encoding,
+                })
+            })
             .collect();
         let threads = cfg.merger_threads.max(1);
         let inner = Arc::new(Inner {
@@ -580,6 +648,10 @@ impl IntermediateStore {
             .records_added
             .fetch_add(run.records(), Ordering::Relaxed);
         let bytes = run.len_bytes();
+        self.inner
+            .metrics
+            .bytes_added
+            .fetch_add(bytes, Ordering::Relaxed);
         self.inner.gauge.charge(bytes);
         let (total, tier_full) = {
             let mut st = self.inner.parts[p as usize].lock();
@@ -729,6 +801,7 @@ impl IntermediateStore {
             spilled_disk: m.spilled_disk.load(Ordering::Relaxed),
             runs_added: m.runs_added.load(Ordering::Relaxed),
             records_added: m.records_added.load(Ordering::Relaxed),
+            bytes_added: m.bytes_added.load(Ordering::Relaxed),
             merges: m.merges.load(Ordering::Relaxed),
             merge_fanin: m.merge_fanin.load(Ordering::Relaxed),
             frames_written: m.frames_written.load(Ordering::Relaxed),
@@ -1121,7 +1194,7 @@ mod tests {
         }
         compacted.finish_map().unwrap();
         let m = compacted.metrics();
-        assert_eq!((m.flushes, m.compactions), (40 + 39, 39), "{m:?}");
+        assert_eq!((m.flushes, m.compactions), (40, 39), "{m:?}");
         assert_eq!((m.merges, m.merge_fanin), (40 + 39, 40 + 2 * 39), "{m:?}");
         // Each flush writes its run; each compaction rewrites everything
         // added so far.
@@ -1323,6 +1396,149 @@ mod tests {
         assert_budget_bounds_peak(false, |i| {
             crate::kv::noise_run(i * 20..(i + 1) * 20, &mut rng)
         });
+    }
+
+    /// A run of `n` records that overlaps every other run of the same `n`:
+    /// key `j` of run `i` is `{j}-{i}`.
+    fn interleaved_run(i: usize, n: usize) -> Run {
+        let words: Vec<String> = (0..n).map(|j| format!("{j:05}-{i:03}")).collect();
+        let refs: Vec<&str> = words.iter().map(|s| s.as_str()).collect();
+        word_run(&refs)
+    }
+
+    /// The smallest `r` with `m^r ≥ n`: the rounds of an `m`-way external
+    /// merge of `n` runs.
+    fn ceil_log(m: usize, n: usize) -> u32 {
+        (0..).find(|&r| m.pow(r) >= n).unwrap()
+    }
+
+    #[test]
+    fn a_budgeted_store_within_its_fanin_writes_each_byte_once() {
+        let budget = 64 << 10;
+        let c = cfg(1).with_memory_budget(budget);
+        let fanin = c.max_spill_files;
+        assert_eq!(fanin, 32, "budget / (2 × frame_size) at the derived frame");
+        let store = IntermediateStore::new(c).unwrap();
+        // Each run crosses the cache threshold alone, so each add is one
+        // flush of exactly that run.
+        let runs: Vec<Run> = (0..fanin).map(|i| interleaved_run(i, 2800)).collect();
+        assert!(runs[0].len_bytes() > budget / 2);
+        for r in &runs {
+            store.add_run(0, r.clone());
+            store.inner.wait_quiesce();
+        }
+        store.finish_map().unwrap();
+        let m = store.metrics();
+        assert_eq!((m.flushes, m.compactions), (fanin, 0), "{m:?}");
+        assert_eq!(store.spill_count(0), fanin);
+        assert_eq!(m.spilled_raw, m.bytes_added, "{m:?}");
+        assert_eq!(stream_partition(&store, 0), sorted_records(&runs));
+        assert_eq!(store.metrics().frames_read, m.frames_written);
+    }
+
+    #[test]
+    fn past_its_fanin_a_budgeted_store_rewrites_each_byte_at_most_log_m_n_minus_one_times() {
+        let budget = 64 << 10;
+        let c = cfg(2).with_memory_budget(budget);
+        let fanin = c.max_spill_files;
+        let store = IntermediateStore::new(c).unwrap();
+        // ~3.6 KiB runs alternating partitions, from one producer racing
+        // the two mergers: backpressure parks it while the gauge is over
+        // budget, and each flush takes whatever its partition cached.
+        let runs: Vec<Run> = (0..1200).map(|i| interleaved_run(i, 300)).collect();
+        for (i, r) in runs.iter().enumerate() {
+            store.add_run((i % 2) as u32, r.clone());
+        }
+        store.finish_map().unwrap();
+        let m = store.metrics();
+        assert!(m.flushes > 2 * fanin && m.compactions > 0, "{m:?}");
+        assert!(
+            m.peak_resident_bytes <= budget + budget / 2,
+            "peak {} over 1.5× budget {budget} through finish_map ({m:?})",
+            m.peak_resident_bytes
+        );
+        let flushed = m.bytes_added - store.inner.cache_bytes.load(Ordering::Relaxed);
+        // Rounds for all the store's flushes: no fewer than a partition's.
+        let rounds = ceil_log(fanin, m.flushes) as usize;
+        assert!(
+            m.spilled_raw <= rounds * flushed,
+            "{} bytes flushed, {} written: more than {} rewrite(s) per byte ({m:?})",
+            flushed,
+            m.spilled_raw,
+            rounds - 1
+        );
+        for p in 0..2u32 {
+            assert!(store.spill_count(p) <= fanin, "partition {p}");
+            let mine: Vec<Run> = runs.iter().skip(p as usize).step_by(2).cloned().collect();
+            assert_eq!(stream_partition(&store, p), sorted_records(&mine));
+        }
+        let m = store.metrics();
+        assert!(
+            m.peak_resident_bytes <= budget + budget / 2,
+            "peak {} over 1.5× budget {budget} through the reduce stream ({m:?})",
+            m.peak_resident_bytes
+        );
+        assert_eq!(
+            store.inner.gauge.current(),
+            store.inner.cache_bytes.load(Ordering::Relaxed)
+        );
+    }
+
+    /// Whether each of partition `p`'s spill files is compressed.
+    fn compressed_files(store: &IntermediateStore, p: PartitionId) -> Vec<bool> {
+        store
+            .spill_paths(p)
+            .iter()
+            .map(|path| {
+                let mut f = std::fs::File::open(path).unwrap();
+                frame::read_index(&mut f).unwrap().compressed
+            })
+            .collect()
+    }
+
+    #[test]
+    fn a_partitions_first_spill_decides_how_every_later_spill_is_written() {
+        use rand::{rngs::StdRng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(3);
+        let text = |i: usize| interleaved_run(i, 200);
+        // Partition 0 spills noise first, then text; partition 1 the
+        // opposite. Every run crosses the threshold alone, and at two
+        // files a partition compacts, so both flushes and compactions
+        // write under the first spill's decision.
+        let mut added: [Vec<Run>; 2] = Default::default();
+        for compress in [true, false] {
+            let mut c = cfg(2);
+            c.compress = compress;
+            let store = IntermediateStore::new(c).unwrap();
+            for i in 0..6 {
+                let noise = crate::kv::noise_run(i * 20..(i + 1) * 20, &mut rng);
+                let (first, second) = if i == 0 {
+                    (noise, text(i))
+                } else {
+                    (text(i), noise)
+                };
+                for (p, run) in [(0, first), (1, second)] {
+                    added[p].push(run.clone());
+                    store.add_run(p as u32, run);
+                    store.inner.wait_quiesce();
+                }
+            }
+            store.finish_map().unwrap();
+            assert!(store.metrics().compactions >= 2, "{:?}", store.metrics());
+            for (p, runs) in added.iter_mut().enumerate() {
+                let want = compress && p == 1;
+                let files = compressed_files(&store, p as u32);
+                assert!(!files.is_empty());
+                assert!(
+                    files.iter().all(|&c| c == want),
+                    "compress {compress}, partition {p}: {files:?}"
+                );
+                assert_eq!(
+                    stream_partition(&store, p as u32),
+                    sorted_records(&std::mem::take(runs))
+                );
+            }
+        }
     }
 
     /// Fails every spill write from the `nth` probe on.

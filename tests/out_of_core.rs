@@ -124,6 +124,19 @@ fn terasort_under_budget_matches_incore_byte_for_byte() {
     budget_cfg.memory_budget = Some(BUDGET);
     let (budget_report, budget_out) = run(&recs, app, &budget_cfg);
     assert_budget_held(&budget_report, true);
+    // Each partition holds up to budget / (2 × frame) spill files before
+    // it compacts, so at ~8× the budget a node writes its intermediate
+    // bytes about once.
+    for n in &budget_report.nodes {
+        let m = &n.intermediate;
+        assert!(
+            m.spilled_raw * 5 <= m.bytes_added * 6,
+            "node {}: spilled {}B for {}B of intermediate data, over 1.2× ({m:?})",
+            n.node,
+            m.spilled_raw,
+            m.bytes_added
+        );
+    }
     assert_eq!(
         budget_out, incore_out,
         "out-of-core terasort output diverged from the in-core run"
