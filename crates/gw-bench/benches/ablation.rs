@@ -108,7 +108,7 @@ fn main() {
         let mut cfg = bench_cfg();
         cfg.collector = CollectorKind::BufferPool;
         cfg.compress_intermediate = compress;
-        cfg.cache_threshold = 1 << 20; // force spills
+        cfg.memory_budget = Some(2 << 20); // force spills
         let report = cluster
             .run(Arc::new(WordCount::without_combiner()), &cfg)
             .expect("job failed");

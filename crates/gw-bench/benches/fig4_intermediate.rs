@@ -93,8 +93,8 @@ fn main() {
             // number of threads allocated to merging and flushing are
             // chosen equal to P").
             cfg.merger_threads = p as usize;
-            // Small cache so merging has real work to chew on.
-            cfg.cache_threshold = 4 << 20;
+            // Small budget so merging has real work to chew on.
+            cfg.memory_budget = Some(8 << 20);
             let report = cluster
                 .run(Arc::new(WordCount::without_combiner()), &cfg)
                 .expect("job failed");

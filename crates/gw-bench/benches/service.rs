@@ -128,7 +128,7 @@ fn job_cfg(seed: u64) -> JobConfig {
     cfg.device_threads = 2;
     cfg.partitions_per_node = 2;
     cfg.collector_capacity = 1 << 20;
-    cfg.cache_threshold = 1 << 16;
+    cfg.memory_budget = Some(1 << 17);
     cfg
 }
 

@@ -94,9 +94,9 @@ fn main() {
         cfg.collector = *collector;
         cfg.buffering = *buffering;
         cfg.partition_threads = 2;
-        // Cache scaled with the corpus (as in fig4), so the no-combiner
+        // Budget scaled with the corpus (as in fig4), so the no-combiner
         // columns spill and "Merge delay" measures background merging.
-        cfg.cache_threshold = 4 << 20;
+        cfg.memory_budget = Some(8 << 20);
         let app: Arc<dyn GwApp> = if *combiner {
             Arc::new(WordCount::new())
         } else {

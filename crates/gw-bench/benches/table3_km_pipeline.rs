@@ -47,8 +47,8 @@ fn run_device(device: DeviceProfile, modeled: bool, configs: &[Config]) {
         let mut cfg = bench_cfg();
         cfg.device = device.clone();
         cfg.collector = cfg_desc.collector;
-        // Cache scaled with the dataset (as in fig4 and Table II).
-        cfg.cache_threshold = 4 << 20;
+        // Budget scaled with the dataset (as in fig4 and Table II).
+        cfg.memory_budget = Some(8 << 20);
         cfg.timing = if modeled {
             TimingMode::Modeled
         } else {

@@ -731,20 +731,13 @@ fn run_node(
     ));
     // Intermediate stores are indexed by *global* partition, so a node can
     // adopt a dead peer's partitions without re-indexing.
-    let mut icfg = IntermediateConfig {
+    let defaults = IntermediateConfig::default();
+    let icfg = IntermediateConfig {
         num_partitions: cfg.partitions_per_node * nodes,
-        cache_threshold: cfg.cache_threshold,
-        max_spill_files: cfg.max_spill_files,
         merger_threads: cfg.merger_threads,
         compress: cfg.compress_intermediate,
-        ..Default::default()
+        memory_budget: cfg.memory_budget.unwrap_or(defaults.memory_budget),
     };
-    if let Some(budget) = cfg.memory_budget {
-        // The budget knob overrides the explicit threshold and spill-file
-        // limit and sizes spill frames so the out-of-core peak stays within
-        // ~1.5× budget.
-        icfg = icfg.with_memory_budget(budget);
-    }
     let intermediate = Arc::new(IntermediateStore::with_runner(
         icfg,
         &runner(runtime, host, Role::Merger),
@@ -965,7 +958,7 @@ mod tests {
         let mut cfg = JobConfig::new("/wc/in", "/wc/out");
         cfg.device_threads = 2;
         cfg.collector_capacity = 1 << 20;
-        cfg.cache_threshold = 1 << 16;
+        cfg.memory_budget = Some(1 << 17);
         cfg
     }
 

@@ -5,7 +5,6 @@
 use std::time::Duration;
 
 use gw_device::DeviceProfile;
-use gw_intermediate::IntermediateConfig;
 use gw_pipeline::StageId;
 use gw_trace::Advice;
 
@@ -68,23 +67,17 @@ pub struct JobConfig {
     pub partitions_per_node: u32,
     /// Background merger/flusher threads (the paper ties this to `P`).
     pub merger_threads: usize,
-    /// Intermediate cache flush threshold, bytes per node — the one rule
-    /// for when intermediate data leaves memory: a node whose cached runs
-    /// never exceed it never touches disk, and reduce merges them in place.
-    pub cache_threshold: usize,
-    /// Spill files a partition may hold before its merger task compacts
-    /// the smallest of them (`IntermediateConfig::max_spill_files`).
-    /// Ignored under `memory_budget`, which derives it from the budget.
-    pub max_spill_files: usize,
     /// Compress cached/spilled intermediate data.
     pub compress_intermediate: bool,
     /// Bound on resident intermediate bytes per node (paper §III-B's
-    /// larger-than-memory regime). When set, it overrides
-    /// `cache_threshold` and `max_spill_files` via
-    /// `IntermediateConfig::with_memory_budget`, sizes spill frames, and
-    /// enables producer backpressure so peak resident intermediate bytes
-    /// stay ≤ ~1.5× the budget regardless of partition size. `None`
-    /// (default) keeps the explicit knobs.
+    /// larger-than-memory regime), and the one spill setting: it derives
+    /// the flush point (half the budget — a node whose cached runs never
+    /// exceed it never touches disk), the spill frame size and the spill
+    /// files a partition may hold (`IntermediateConfig::with_memory_budget`),
+    /// and producer backpressure keeps peak resident intermediate bytes
+    /// ≤ ~1.5× the budget regardless of partition size. `None` means
+    /// `IntermediateConfig`'s default, 64 MiB; a set budget is at least
+    /// 12 KiB.
     pub memory_budget: Option<usize>,
     /// Reduce: number of keys processed concurrently per kernel launch.
     pub reduce_concurrent_keys: usize,
@@ -308,8 +301,6 @@ impl JobConfig {
             partition_threads: 2,
             partitions_per_node: 1,
             merger_threads: 1,
-            cache_threshold: IntermediateConfig::default().cache_threshold,
-            max_spill_files: 8,
             compress_intermediate: true,
             memory_budget: None,
             reduce_concurrent_keys: 256,
@@ -361,8 +352,10 @@ impl JobConfig {
         if self.collector_capacity < 1024 {
             return Err("collector capacity unreasonably small".into());
         }
-        if self.memory_budget == Some(0) {
-            return Err("memory_budget must be nonzero when set".into());
+        // The smallest budget whose derived limits keep the store within
+        // 1.5× of it (`IntermediateConfig::with_memory_budget`).
+        if self.memory_budget.is_some_and(|b| b < 12 << 10) {
+            return Err("memory_budget must be at least 12 KiB when set".into());
         }
         if self.output_replication == 0 {
             return Err("output replication must be ≥ 1".into());
@@ -419,6 +412,15 @@ mod tests {
         let mut c = JobConfig::new("/in", "/out");
         c.output_replication = 0;
         assert!(c.validate().is_err());
+    }
+
+    #[test]
+    fn a_memory_budget_under_twelve_kib_is_rejected() {
+        let mut c = JobConfig::new("/in", "/out");
+        for (budget, valid) in [(0, false), ((12 << 10) - 1, false), (12 << 10, true)] {
+            c.memory_budget = Some(budget);
+            assert_eq!(c.validate().is_ok(), valid, "budget {budget}");
+        }
     }
 
     #[test]

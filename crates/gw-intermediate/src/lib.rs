@@ -4,12 +4,12 @@
 //! manage intermediate data", with three components this crate implements:
 //!
 //! 1. an **in-memory cache** of partitions, merged and flushed to disk when
-//!    their aggregate size exceeds a configurable threshold — and, while
+//!    their aggregate size exceeds half the node's memory budget — and, while
 //!    the map runs, merged in memory tier by tier, so the reduce opens a
 //!    few long runs;
 //! 2. a **receiver path** adding partitions produced by other nodes;
 //! 3. **continuous multi-way merging** of on-disk partitions so the number
-//!    of intermediate files stays below a configurable count.
+//!    of intermediate files stays below a count the budget derives.
 //!
 //! "All intermediate data Partitions residing in the cache or disk are
 //! stored in a serialized and compressed form" — see [`compress`] for the

@@ -12,12 +12,11 @@
 //! * "Partitions residing on disk are continuously merged using multi-way
 //!   merging so the number of intermediate data files is limited to a
 //!   configurable count" — the compaction step of the merger tasks: a
-//!   partition may hold `max_spill_files` (M) spill files, and one more
-//!   makes its task merge the smallest F = `max(M / (2 × merger_threads)
-//!   − 1, 2)` of them into one. N flushes of equal size then rewrite no
-//!   byte while N ≤ M, and each byte at most once while N stays under
-//!   ~M·F/2 — the ⌈log_M N⌉ rounds of an M-way external merge, the last
-//!   of which is the reduce's;
+//!   partition may hold M spill files, and one more makes its task merge
+//!   the smallest F = `max(M / (2 × merger_threads) − 1, 2)` of them into
+//!   one. N flushes of equal size then rewrite no byte while N ≤ M, and
+//!   each byte at most once while N stays under ~M·F/2 — the ⌈log_M N⌉
+//!   rounds of an M-way external merge, the last of which is the reduce's;
 //! * "Glasswing can be configured to use multiple threads to speed-up both
 //!   the merge and flush operations" — `merger_threads`;
 //! * intermediate data is merged "on background threads" while the map
@@ -33,11 +32,10 @@
 //!   compaction, is left to wait for.
 //!
 //! Intermediate bytes leave memory by exactly one rule, `add_run`'s
-//! `total > cache_threshold`, for budgeted and unbudgeted stores alike: a
-//! flush takes the partition's whole cache, every tier. Nothing is flushed
-//! at end of map: a job whose per-node intermediate data never crosses the
-//! threshold never touches disk, and the reduce input merge reads its
-//! tiers directly — the paper's "one last merge operation" (§III-C). A
+//! `total > memory_budget / 2`: a flush takes the partition's whole cache,
+//! every tier. Nothing is flushed at end of map: a job whose per-node
+//! intermediate data never crosses that flush point never touches disk,
+//! and the reduce input merge reads its tiers directly — the paper's "one last merge operation" (§III-C). A
 //! pre-merge adds no combining: which runs share a batch is timing, and
 //! merge order `(key, value, source)` makes the merged stream the same
 //! for any grouping, where a combine result would not be.
@@ -52,18 +50,20 @@
 //! materializing the merged run. Every resident intermediate byte —
 //! cached runs, writer staging buffers, cursor frames — is charged to one
 //! [`MemGauge`], whose high-water mark is exported as
-//! [`StoreMetrics::peak_resident_bytes`]; with a `memory_budget` set,
+//! [`StoreMetrics::peak_resident_bytes`]. Every store runs under a
+//! `memory_budget`, its one spill setting: it derives the flush point, the
+//! frame size, M and the compaction fan-in
+//! ([`IntermediateConfig::with_memory_budget`]).
 //! [`IntermediateStore::add_run`] applies backpressure so that peak stays
-//! within a small constant of the budget no matter how large the
-//! partition grows, and a pre-merge, whose output sits beside its inputs
-//! until it ends, starts only when the gauge has room for that output.
-//! The budget also sizes M ([`IntermediateConfig::with_memory_budget`]):
-//! the reduce merge holds M spill cursors of at most two frames each
-//! beside a cache of about half the budget, and the compactions, which
-//! run beside a live cache of up to the whole budget, share half as many
-//! cursors among the merger threads, their writers included. A
-//! partition's first spill decides whether all of its spills are stored
-//! or compressed ([`crate::frame`], "Stored or compressed").
+//! within a small constant of the budget no matter how large the partition
+//! grows, and a pre-merge, whose output sits beside its inputs until it
+//! ends, starts only when the gauge has room for that output. The reduce
+//! merge holds M spill cursors of at most two frames each beside a cache of
+//! about half the budget, and the compactions, which run beside a live
+//! cache of up to the whole budget, share half as many cursors among the
+//! merger threads, their writers included. A partition's first spill
+//! decides whether all of its spills are stored or compressed
+//! ([`crate::frame`], "Stored or compressed").
 //!
 //! Spill I/O failures on merger threads do not panic, and a panic there
 //! is caught: the first of either **poisons** the store and surfaces
@@ -94,74 +94,77 @@ use crate::PartitionId;
 pub struct IntermediateConfig {
     /// Number of partitions hosted by this node (the paper's `P`).
     pub num_partitions: u32,
-    /// Aggregate cached bytes that trigger a merge-and-flush — the only
-    /// trigger: a store that never exceeds it never spills. Its default is
-    /// also `JobConfig::new`'s.
-    pub cache_threshold: usize,
-    /// Spill files a partition may hold (M): one more makes its merger
-    /// task compact, merging the smallest `max(M / (2 × merger_threads) −
-    /// 1, 2)` files into one (module doc).
-    /// [`IntermediateConfig::with_memory_budget`] derives it from the
-    /// budget.
-    pub max_spill_files: usize,
     /// Background merger/flusher threads (the paper sets this equal to `P`
     /// in its Fig. 4 experiments).
     pub merger_threads: usize,
     /// Whether spills are stored compressed (the paper always compresses;
     /// disabling is useful for ablation).
     pub compress: bool,
-    /// Target raw bytes per spill frame: the unit of incremental decode,
-    /// and the granule the external merges hold in memory per source.
-    pub frame_size: usize,
-    /// Optional bound on resident intermediate bytes. When set,
-    /// [`IntermediateStore::add_run`] blocks producers while the gauge is
-    /// over budget and merger tasks are in flight (backpressure), and a
+    /// Bound on resident intermediate bytes, and the store's one spill
+    /// setting: it derives the whole spill policy
+    /// ([`IntermediateConfig::with_memory_budget`]).
+    /// [`IntermediateStore::add_run`] blocks a producer whose run would
+    /// take the gauge over it while merger tasks are in flight, and a
     /// pre-merge starts only with room for its output, keeping peak
-    /// residency within ~1.5× the budget. `None` disables backpressure;
-    /// the gauge still records the peak.
-    pub memory_budget: Option<usize>,
+    /// residency within ~1.5× the budget.
+    pub memory_budget: usize,
 }
 
 impl Default for IntermediateConfig {
     fn default() -> Self {
         IntermediateConfig {
             num_partitions: 1,
-            cache_threshold: 32 << 20,
-            max_spill_files: 8,
             merger_threads: 1,
             compress: true,
-            frame_size: 256 << 10,
-            memory_budget: None,
+            memory_budget: 64 << 20,
         }
     }
 }
 
 impl IntermediateConfig {
-    /// Derive the out-of-core knobs from a memory budget, overriding
-    /// `cache_threshold`, `frame_size` and `max_spill_files`: the cache
-    /// flushes at half the budget, frames are `budget / 64` (clamped to
-    /// 1 KiB–1 MiB), and a partition may hold M = `budget / (2 ×
-    /// frame_size)` spill files — 32 at the derived frame size — so the
-    /// reduce merge's M cursors of at most two frames each fit in the other
-    /// half. Together these keep [`StoreMetrics::peak_resident_bytes`] ≤
-    /// ~1.5× `budget`.
+    /// Set the memory budget, from which the store derives its spill
+    /// policy: the cache flushes at half the budget, frames are `budget /
+    /// 64` (clamped to 1 KiB–1 MiB), and a partition may hold M = `budget
+    /// / (2 × frame)` spill files, at least two — 32 at the derived frame
+    /// — so the reduce merge's M cursors of at most two frames each fit in
+    /// the other half. These keep [`StoreMetrics::peak_resident_bytes`] ≤
+    /// ~1.5× `budget` from 12 KiB up: below it a compaction's two input
+    /// cursors and its writer, two 1 KiB frames each, outgrow half the
+    /// budget.
     pub fn with_memory_budget(mut self, budget: usize) -> Self {
-        self.memory_budget = Some(budget);
-        self.cache_threshold = (budget / 2).max(4 << 10);
-        self.frame_size = (budget / 64).clamp(1 << 10, 1 << 20);
-        self.max_spill_files = (budget / (2 * self.frame_size)).max(2);
+        self.memory_budget = budget;
         self
     }
 
-    /// Spill files one compaction merges, at least two. The reduce merge
-    /// holds `max_spill_files` cursors beside a cache of about half the
-    /// budget; compactions run beside a live cache of up to the whole
-    /// budget, one per merger thread at most, so they share half the
-    /// reduce merge's cursors, each writer taking one.
-    fn compaction_fanin(&self) -> usize {
-        let share = self.max_spill_files / (2 * self.merger_threads.max(1));
-        share.saturating_sub(1).max(2)
+    /// The spill policy `memory_budget` derives (module doc and
+    /// [`IntermediateConfig::with_memory_budget`]).
+    fn limits(&self) -> Limits {
+        let budget = self.memory_budget;
+        let frame = (budget / 64).clamp(1 << 10, 1 << 20);
+        let max_spill_files = (budget / (2 * frame)).max(2);
+        let share = max_spill_files / (2 * self.merger_threads.max(1));
+        Limits {
+            flush_at: budget / 2,
+            frame,
+            max_spill_files,
+            compaction_fanin: share.saturating_sub(1).max(2),
+        }
     }
+}
+
+/// What a budget derives ([`IntermediateConfig::limits`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Limits {
+    /// Aggregate cached bytes past which every partition flushes its whole
+    /// cache — the only trigger.
+    flush_at: usize,
+    /// Target raw bytes per spill frame: the unit of incremental decode,
+    /// and the granule the external merges hold in memory per source.
+    frame: usize,
+    /// Spill files a partition may hold (M) before its task compacts.
+    max_spill_files: usize,
+    /// Spill files one compaction merges, the smallest first.
+    compaction_fanin: usize,
 }
 
 /// A spilled, framed, (optionally) compressed run on disk.
@@ -249,6 +252,7 @@ pub struct StoreMetrics {
 
 struct Inner {
     cfg: IntermediateConfig,
+    limits: Limits,
     dir: TempDir,
     parts: Vec<Mutex<PartState>>,
     cache_bytes: AtomicUsize,
@@ -344,7 +348,7 @@ impl Inner {
         let encoding = self.parts[idx].lock().encoding;
         let mut w = frame::FrameWriter::create(
             path.clone(),
-            self.cfg.frame_size,
+            self.limits.frame,
             encoding,
             Some(Arc::clone(&self.gauge)),
             self.spill_hook(),
@@ -397,7 +401,7 @@ impl Inner {
                 drop(st);
                 self.flush_and_compact(idx, runs, bytes)?;
                 // A request made while the flush ran is dropped, as it
-                // always was: the next add past the threshold asks again.
+                // always was: the next add past the flush point asks again.
                 self.parts[idx].lock().flush_due = false;
             } else if let Some((tier, runs)) = self.take_full_tier(&mut st) {
                 drop(st);
@@ -410,8 +414,8 @@ impl Inner {
     }
 
     /// The oldest [`TIER_FANIN`] runs of `st`'s lowest full tier, taken
-    /// for a pre-merge — unless the map has ended, or a budgeted store has
-    /// no room for the merged copy beside them.
+    /// for a pre-merge — unless the map has ended, or the budget has no
+    /// room for the merged copy beside them.
     fn take_full_tier(&self, st: &mut PartState) -> Option<(usize, Vec<Run>)> {
         if self.map_done.load(Ordering::Acquire) {
             return None;
@@ -421,10 +425,8 @@ impl Inner {
             .iter()
             .map(Run::len_bytes)
             .sum();
-        if let Some(budget) = self.cfg.memory_budget {
-            if self.gauge.current() + bytes > budget {
-                return None;
-            }
+        if self.gauge.current() + bytes > self.cfg.memory_budget {
+            return None;
         }
         Some((tier, st.tiers[tier].drain(..TIER_FANIN).collect()))
     }
@@ -451,9 +453,9 @@ impl Inner {
     }
 
     /// Flush `runs`, the whole of partition `idx`'s cache (`bytes` of it),
-    /// to one new spill, then, while the partition holds more than
-    /// `max_spill_files`, merge its smallest `compaction_fanin` files —
-    /// oldest first among equals — into one.
+    /// to one new spill, then, while the partition holds more than M
+    /// files, merge its smallest `compaction_fanin` files — oldest first
+    /// among equals — into one.
     fn flush_and_compact(&self, idx: usize, runs: Vec<Run>, bytes: usize) -> io::Result<()> {
         if !runs.is_empty() {
             let spilled = self.spill_merged(
@@ -474,12 +476,12 @@ impl Inner {
         loop {
             let spills: Vec<SpillFile> = {
                 let mut st = self.parts[idx].lock();
-                if st.spills.len() <= self.cfg.max_spill_files {
+                if st.spills.len() <= self.limits.max_spill_files {
                     return Ok(());
                 }
                 // A stable sort: among equal sizes the older file first.
                 st.spills.sort_by_key(|s| s.raw_bytes);
-                st.spills.drain(..self.cfg.compaction_fanin()).collect()
+                st.spills.drain(..self.limits.compaction_fanin).collect()
             };
             let cursors = spills
                 .iter()
@@ -577,6 +579,7 @@ impl IntermediateStore {
             .collect();
         let threads = cfg.merger_threads.max(1);
         let inner = Arc::new(Inner {
+            limits: cfg.limits(),
             cfg,
             dir,
             parts,
@@ -630,10 +633,9 @@ impl IntermediateStore {
 
     /// Add a sorted run to partition `p`'s cache tier 0 (local map output
     /// or a partition received from another node). Triggers merge-and-flush
-    /// when the aggregate cache exceeds the threshold, else a pre-merge
-    /// when the tier is full; with a `memory_budget` set, blocks while
-    /// resident bytes exceed the budget and merger tasks are still in
-    /// flight.
+    /// when the aggregate cache exceeds the flush point, else a pre-merge
+    /// when the tier is full. First blocks while the run would take
+    /// resident bytes over the budget and merger tasks are in flight.
     pub fn add_run(&self, p: PartitionId, run: Run) {
         assert!(p < self.inner.cfg.num_partitions, "partition out of range");
         if run.is_empty() {
@@ -652,6 +654,22 @@ impl IntermediateStore {
             .metrics
             .bytes_added
             .fetch_add(bytes, Ordering::Relaxed);
+        // Backpressure: park while this run would take the gauge over
+        // budget, until the flushes in flight make room for it. Bounded
+        // waits keep this live across races with task completion and
+        // poisoning.
+        let over = || self.inner.gauge.current() + bytes > self.inner.cfg.memory_budget;
+        if over() {
+            let mut guard = self.inner.bp_lock.lock();
+            while over()
+                && self.inner.pending.load(Ordering::Acquire) > 0
+                && self.inner.poison.lock().is_none()
+            {
+                self.inner
+                    .bp_cv
+                    .wait_for(&mut guard, Duration::from_millis(1));
+            }
+        }
         self.inner.gauge.charge(bytes);
         let (total, tier_full) = {
             let mut st = self.inner.parts[p as usize].lock();
@@ -665,27 +683,13 @@ impl IntermediateStore {
             let total = self.inner.cache_bytes.fetch_add(bytes, Ordering::Relaxed) + bytes;
             (total, st.tiers[0].len() >= TIER_FANIN)
         };
-        if total > self.inner.cfg.cache_threshold {
+        if total > self.inner.limits.flush_at {
             // The only flush trigger: every partition with cached data.
             for q in 0..self.inner.cfg.num_partitions {
                 self.schedule(q, true);
             }
         } else if tier_full {
             self.schedule(p, false);
-        }
-        if let Some(budget) = self.inner.cfg.memory_budget {
-            // Backpressure: park until the flushes in flight bring the
-            // gauge back under budget. Bounded waits keep this live across
-            // races with task completion and poisoning.
-            let mut guard = self.inner.bp_lock.lock();
-            while self.inner.gauge.current() > budget
-                && self.inner.pending.load(Ordering::Acquire) > 0
-                && self.inner.poison.lock().is_none()
-            {
-                self.inner
-                    .bp_cv
-                    .wait_for(&mut guard, Duration::from_millis(1));
-            }
         }
     }
 
@@ -726,7 +730,7 @@ impl IntermediateStore {
     /// delay**. Nothing is flushed here — runs still cached stay cached, in
     /// whatever tiers they reached, and reach the reduce merge through
     /// [`IntermediateStore::partition_cursors`] — and nothing needs
-    /// scheduling: a task compacts its partition down to `max_spill_files`
+    /// scheduling: a task compacts its partition down to M spill files
     /// before it clears `busy`.
     ///
     /// Surfaces any spill I/O error recorded by the merger threads — the
@@ -742,7 +746,7 @@ impl IntermediateStore {
     /// Open streaming cursors over partition `p` for reduction: one
     /// [`SpillCursor`] per spill file (a single decoded frame resident
     /// each) plus a [`MemCursor`] per cached run of every tier — for a job
-    /// that never crossed `cache_threshold`, the tiers are all there is.
+    /// that never crossed the flush point, the tiers are all there is.
     /// The reduce input reader performs the final k-way merge over these
     /// without ever materializing the partition.
     pub fn partition_cursors(&self, p: PartitionId) -> io::Result<Vec<PartCursor>> {
@@ -828,16 +832,44 @@ mod tests {
     use crate::merge::GroupedCursorMerge;
     use proptest::prelude::*;
 
+    /// A 2 KiB budget: flush point 1 KiB, frame 1 KiB, M 2.
     fn cfg(parts: u32) -> IntermediateConfig {
         IntermediateConfig {
             num_partitions: parts,
-            cache_threshold: 1 << 10,
-            max_spill_files: 2,
             merger_threads: 2,
             compress: true,
-            frame_size: 1 << 10,
-            memory_budget: None,
+            memory_budget: 2 << 10,
         }
+    }
+
+    #[test]
+    fn a_budget_derives_the_whole_spill_policy() {
+        let limits = |budget| {
+            IntermediateConfig::default()
+                .with_memory_budget(budget)
+                .limits()
+        };
+        let derived = |flush_at, frame| Limits {
+            flush_at,
+            frame,
+            max_spill_files: 32,
+            compaction_fanin: 15,
+        };
+        // `ts_spill`'s 2 MiB per node, and the default.
+        assert_eq!(limits(2 << 20), derived(1 << 20, 32 << 10));
+        assert_eq!(limits(64 << 20), derived(32 << 20, 1 << 20));
+        assert_eq!(IntermediateConfig::default().limits(), limits(64 << 20));
+        // No floor: the flush point is half of any budget.
+        assert_eq!(limits(1 << 10).flush_at, 1 << 9);
+        assert_eq!(
+            cfg(1).limits(),
+            Limits {
+                flush_at: 1 << 10,
+                frame: 1 << 10,
+                max_spill_files: 2,
+                compaction_fanin: 2,
+            }
+        );
     }
 
     type Groups = Vec<(Vec<u8>, Vec<Vec<u8>>)>;
@@ -959,8 +991,7 @@ mod tests {
     #[test]
     fn spill_file_count_is_bounded() {
         let mut c = cfg(1);
-        c.cache_threshold = 1; // flush on every run
-        c.max_spill_files = 2;
+        c.memory_budget = 2; // flush on every run; M 2
         let store = IntermediateStore::new(c).unwrap();
         for i in 0..20 {
             let w = format!("key{i:03}");
@@ -982,7 +1013,7 @@ mod tests {
     #[test]
     fn partition_runs_merge_to_global_order() {
         let mut c = cfg(1);
-        c.cache_threshold = 64;
+        c.memory_budget = 128;
         let store = IntermediateStore::new(c).unwrap();
         store.add_run(0, word_run(&["m", "z", "a"]));
         store.add_run(0, word_run(&["b", "m", "q"]));
@@ -1066,7 +1097,7 @@ mod tests {
     #[test]
     fn concurrent_producers_do_not_lose_records() {
         let mut c = cfg(2);
-        c.cache_threshold = 256;
+        c.memory_budget = 512;
         let store = hammer(c, 50);
         let total = store.partition_records(0) + store.partition_records(1);
         assert_eq!(total, 200);
@@ -1074,7 +1105,7 @@ mod tests {
 
     #[test]
     fn flushes_racing_producers_keep_the_cache_count_exact() {
-        // At a threshold of 1 every add crosses it, so flush tasks take the
+        // At a flush point of 1 every add crosses it, so flush tasks take the
         // cache while other producers are mid-`add_run`; the aggregate
         // count must never see a run subtracted before it was added (the
         // underflow panics in debug builds; in release it wraps and other
@@ -1083,16 +1114,15 @@ mod tests {
         // so pre-merges race the producers and the flushes; in core, the
         // merges that race the producers are all pre-merges.
         let run_bytes = word_run(&["t0-k00000"]).len_bytes();
-        for threshold in [1, 40 * run_bytes, usize::MAX] {
+        for budget in [2, 80 * run_bytes, usize::MAX] {
             let mut c = cfg(1);
-            c.cache_threshold = threshold;
-            c.max_spill_files = 64;
+            c.memory_budget = budget;
             c.compress = false;
             let store = hammer(c, 3000);
             assert_eq!(store.partition_records(0), 12_000);
             assert_cache_accounting(&store);
             let m = store.metrics();
-            if threshold == usize::MAX {
+            if budget == usize::MAX {
                 assert!(m.merges > 0 && m.flushes == 0, "{m:?}");
             }
         }
@@ -1126,14 +1156,14 @@ mod tests {
     fn spilled_and_cached_runs_merge_to_the_in_memory_bytes() {
         let runs = overlapping_runs();
         let mut c = cfg(1);
-        c.cache_threshold = runs[..21].iter().map(|r| r.len_bytes()).sum::<usize>() - 1;
+        c.memory_budget = 2 * (runs[..21].iter().map(|r| r.len_bytes()).sum::<usize>() - 1);
         let store = IntermediateStore::new(c).unwrap();
         for r in &runs {
             store.add_run(0, r.clone());
             // Drain after every add: the 16th run's tier pre-merges before
             // the 21st tips the cache into one spill, and the flush takes
             // exactly those 21, so the other 19 (equal in size, so under
-            // the threshold) stay cached — 16 of them pre-merged.
+            // the flush point) stay cached — 16 of them pre-merged.
             store.inner.wait_quiesce();
         }
         store.finish_map().unwrap();
@@ -1161,11 +1191,11 @@ mod tests {
         let lens: Vec<usize> = runs.iter().map(|r| r.len_bytes()).collect();
         let total: usize = lens.iter().sum();
 
-        // Cached-run flush: the 40th run tips the cache over the threshold,
+        // Cached-run flush: the 40th run tips the cache over the flush point,
         // which merges all 40 cached runs — by then two tier-1 runs of 16
         // and eight of tier 0 — into one spill through borrowed cursors.
         let mut c = cfg(1);
-        c.cache_threshold = total - 1;
+        c.memory_budget = 2 * (total - 1);
         let flushed = IntermediateStore::new(c).unwrap();
         for r in &runs {
             flushed.add_run(0, r.clone());
@@ -1181,11 +1211,10 @@ mod tests {
         assert_eq!(flushed.metrics().frames_read, m.frames_written);
 
         // Forced compaction: every run is flushed alone, and from the
-        // second on the new spill is at once merged with the previous one
-        // through spill cursors — the same writer, fed the other cursor.
+        // third on the partition's two smallest spills are at once merged
+        // through spill cursors — the same writer, fed other cursors.
         let mut c = cfg(1);
-        c.cache_threshold = 1; // spill every run
-        c.max_spill_files = 1;
+        c.memory_budget = 2; // spill every run; M 2
         let compacted = IntermediateStore::new(c).unwrap();
         for r in &runs {
             compacted.add_run(0, r.clone());
@@ -1194,15 +1223,24 @@ mod tests {
         }
         compacted.finish_map().unwrap();
         let m = compacted.metrics();
-        assert_eq!((m.flushes, m.compactions), (40, 39), "{m:?}");
-        assert_eq!((m.merges, m.merge_fanin), (40 + 39, 40 + 2 * 39), "{m:?}");
-        // Each flush writes its run; each compaction rewrites everything
-        // added so far.
-        let rewritten: usize = (2..=40).map(|n| lens[..n].iter().sum::<usize>()).sum();
+        assert_eq!((m.flushes, m.compactions), (40, 38), "{m:?}");
+        assert_eq!((m.merges, m.merge_fanin), (40 + 38, 40 + 2 * 38), "{m:?}");
+        // Each flush writes its run; each compaction rewrites the two
+        // smallest files.
+        let (mut files, mut rewritten) = (Vec::new(), 0);
+        for &len in &lens {
+            files.push(len);
+            if files.len() > 2 {
+                files.sort_unstable();
+                let merged: usize = files.drain(..2).sum();
+                rewritten += merged;
+                files.push(merged);
+            }
+        }
         assert_eq!(m.spilled_raw, total + rewritten, "{m:?}");
-        assert_eq!(compacted.spill_count(0), 1);
+        assert_eq!(compacted.spill_count(0), 2);
         assert!(
-            m.frames_written >= 40 + 38 + compacted.frame_count(0),
+            m.frames_written >= 40 + 38 - 2 + compacted.frame_count(0),
             "every write has at least one frame: {m:?}"
         );
         assert_eq!(stream_partition(&compacted, 0), expect);
@@ -1221,7 +1259,7 @@ mod tests {
             })
             .collect();
         let mut c = cfg(1);
-        c.cache_threshold = usize::MAX;
+        c.memory_budget = usize::MAX;
         let store = IntermediateStore::new(c).unwrap();
         for r in &runs {
             store.add_run(0, r.clone());
@@ -1251,7 +1289,7 @@ mod tests {
             .map(|i| word_run(&[format!("k{i:02}").as_str()]))
             .collect();
         let mut c = cfg(1);
-        c.cache_threshold = runs[..20].iter().map(Run::len_bytes).sum();
+        c.memory_budget = 2 * runs[..20].iter().map(Run::len_bytes).sum::<usize>();
         let store = IntermediateStore::new(c).unwrap();
         // Stand in for a task between two pre-merge batches: the adds
         // fill tier 0 and cross the threshold, and schedule nothing.
@@ -1273,7 +1311,7 @@ mod tests {
     #[test]
     fn no_pre_merge_starts_after_finish_map() {
         let mut c = cfg(1);
-        c.cache_threshold = usize::MAX;
+        c.memory_budget = usize::MAX;
         let store = IntermediateStore::new(c).unwrap();
         store.finish_map().unwrap();
         for i in 0..TIER_FANIN {
@@ -1318,7 +1356,7 @@ mod tests {
         ) {
             let runs: Vec<Run> = pair_lists.iter().map(|pairs| hot_key_run(pairs)).collect();
             let mut c = cfg(2);
-            c.cache_threshold = if spills { 2 << 10 } else { usize::MAX };
+            c.memory_budget = if spills { 4 << 10 } else { usize::MAX };
             let store = IntermediateStore::new(c).unwrap();
             std::thread::scope(|s| {
                 for t in 0..producers {
@@ -1341,11 +1379,14 @@ mod tests {
         }
     }
 
-    /// Feed a budgeted store ≥ 4× its budget from `next_run` and hold it
-    /// to the out-of-core contract; `compresses` says which kind of spill
-    /// file the input must produce.
-    fn assert_budget_bounds_peak(compresses: bool, mut next_run: impl FnMut(usize) -> Run) {
-        let budget = 64 << 10;
+    /// Feed a store ≥ 4× its `budget` from `next_run` and hold it to the
+    /// out-of-core contract; `compresses` says which kind of spill file the
+    /// input must produce.
+    fn assert_budget_bounds_peak(
+        budget: usize,
+        compresses: bool,
+        mut next_run: impl FnMut(usize) -> Run,
+    ) {
         let mut c = cfg(1).with_memory_budget(budget);
         c.merger_threads = 1;
         let store = IntermediateStore::new(c).unwrap();
@@ -1384,18 +1425,24 @@ mod tests {
     #[test]
     fn memory_budget_bounds_peak_residency() {
         use rand::{rngs::StdRng, SeedableRng};
-        // ~2 KiB runs either way: 64 sorted keys under a one-byte value,
-        // whose spills compress, then 20 under 90 pseudo-random bytes,
-        // whose spills are stored.
-        assert_budget_bounds_peak(true, |i| {
-            let words: Vec<String> = (0..64).map(|j| format!("key{:06}", i * 64 + j)).collect();
-            let refs: Vec<&str> = words.iter().map(|s| s.as_str()).collect();
-            word_run(&refs)
-        });
-        let mut rng = StdRng::seed_from_u64(5);
-        assert_budget_bounds_peak(false, |i| {
-            crate::kv::noise_run(i * 20..(i + 1) * 20, &mut rng)
-        });
+        // At 64 KiB and at the smallest budget a job may set, 12 KiB:
+        // runs of ~1/32 of the budget either way — sorted keys under a
+        // one-byte value, whose spills compress, then records of 90
+        // pseudo-random bytes, whose spills are stored.
+        for budget in [64 << 10, 12 << 10] {
+            let (keys, noise) = (budget >> 10, (budget / (3 << 10)).max(1));
+            assert_budget_bounds_peak(budget, true, |i| {
+                let words: Vec<String> = (0..keys)
+                    .map(|j| format!("key{:06}", i * keys + j))
+                    .collect();
+                let refs: Vec<&str> = words.iter().map(|s| s.as_str()).collect();
+                word_run(&refs)
+            });
+            let mut rng = StdRng::seed_from_u64(5);
+            assert_budget_bounds_peak(budget, false, |i| {
+                crate::kv::noise_run(i * noise..(i + 1) * noise, &mut rng)
+            });
+        }
     }
 
     /// A run of `n` records that overlaps every other run of the same `n`:
@@ -1416,8 +1463,8 @@ mod tests {
     fn a_budgeted_store_within_its_fanin_writes_each_byte_once() {
         let budget = 64 << 10;
         let c = cfg(1).with_memory_budget(budget);
-        let fanin = c.max_spill_files;
-        assert_eq!(fanin, 32, "budget / (2 × frame_size) at the derived frame");
+        let fanin = c.limits().max_spill_files;
+        assert_eq!(fanin, 32, "budget / (2 × frame) at the derived frame");
         let store = IntermediateStore::new(c).unwrap();
         // Each run crosses the cache threshold alone, so each add is one
         // flush of exactly that run.
@@ -1440,7 +1487,7 @@ mod tests {
     fn past_its_fanin_a_budgeted_store_rewrites_each_byte_at_most_log_m_n_minus_one_times() {
         let budget = 64 << 10;
         let c = cfg(2).with_memory_budget(budget);
-        let fanin = c.max_spill_files;
+        let fanin = c.limits().max_spill_files;
         let store = IntermediateStore::new(c).unwrap();
         // ~3.6 KiB runs alternating partitions, from one producer racing
         // the two mergers: backpressure parks it while the gauge is over
@@ -1611,7 +1658,7 @@ mod tests {
     #[test]
     fn truncated_spill_surfaces_invalid_data() {
         let mut c = cfg(1);
-        c.cache_threshold = 1;
+        c.memory_budget = 2;
         let store = IntermediateStore::new(c).unwrap();
         let words: Vec<String> = (0..300).map(|i| format!("t{i:05}")).collect();
         let refs: Vec<&str> = words.iter().map(|s| s.as_str()).collect();

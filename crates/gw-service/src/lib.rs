@@ -150,7 +150,7 @@ mod tests {
     fn job_cfg() -> JobConfig {
         let mut cfg = JobConfig::new("/svc/in", "/ignored");
         cfg.collector_capacity = 1 << 20;
-        cfg.cache_threshold = 1 << 16;
+        cfg.memory_budget = Some(1 << 17);
         cfg
     }
 

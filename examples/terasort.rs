@@ -36,8 +36,7 @@ fn main() {
     let mut cfg = JobConfig::new("/ts/in", "/ts/out");
     cfg.partitions_per_node = 2;
     cfg.output_replication = 1; // the paper's TS output setting
-    cfg.cache_threshold = 1 << 20; // force out-of-core intermediate data
-    cfg.max_spill_files = 4;
+    cfg.memory_budget = Some(2 << 20); // force out-of-core intermediate data
     cfg.merger_threads = 2;
 
     // Sample the input to estimate the key spread, as TeraSort does.

@@ -56,7 +56,7 @@ fn job_config(buffering: Buffering) -> JobConfig {
     cfg.partition_threads = 1;
     cfg.buffering = buffering;
     cfg.collector_capacity = 1 << 16;
-    cfg.cache_threshold = 1 << 12;
+    cfg.memory_budget = Some(12 << 10);
     cfg.output_replication = 1;
     cfg
 }

@@ -57,7 +57,7 @@ fn chaos_cfg() -> JobConfig {
     cfg.device_threads = 1;
     cfg.partitions_per_node = 2;
     cfg.collector_capacity = 1 << 20;
-    cfg.cache_threshold = 1 << 16;
+    cfg.memory_budget = Some(1 << 17);
     cfg.max_task_retries = 1;
     cfg.node_timeout = Duration::from_millis(200);
     // Backstop only: recovery must resolve every fault long before this.
@@ -592,13 +592,17 @@ fn persistent_slowdown_degrades_but_never_kills() {
     assert_fired(&plan);
 }
 
-/// Chaos config with a one-byte run cache: every added run spills to a
-/// framed file immediately and compaction churns throughout the job, so
-/// the reduce input is served almost entirely from streaming spill
-/// cursors (the out-of-core path).
+/// The smallest memory budget a job may set.
+const SPILL_HEAVY_BUDGET: usize = 12 << 10;
+
+/// Chaos config at [`SPILL_HEAVY_BUDGET`], for WordCount without its
+/// combiner, so every word instance crosses the store (80–140 KB a node):
+/// the cache spills to a framed file every 6 KiB and compaction churns
+/// throughout the job, so the reduce input is served almost entirely from
+/// streaming spill cursors (the out-of-core path).
 fn spill_heavy_cfg() -> JobConfig {
     let mut cfg = chaos_cfg();
-    cfg.cache_threshold = 1;
+    cfg.memory_budget = Some(SPILL_HEAVY_BUDGET);
     cfg
 }
 
@@ -614,7 +618,7 @@ fn spill_heavy_chaos_sweep_recovers_byte_identical() {
         let plan = Arc::new(FaultPlan::from_seed(seed, NODES));
         let schedule = plan.describe();
         let cluster = make_cluster(NODES).with_fault_plan(Arc::clone(&plan));
-        let outcome = cluster.run(Arc::new(WordCount::new()), &spill_heavy_cfg());
+        let outcome = cluster.run(Arc::new(WordCount::without_combiner()), &spill_heavy_cfg());
         unfired += plan.unfired().len();
         match outcome {
             Ok(report) => {
@@ -650,7 +654,8 @@ fn spill_heavy_chaos_sweep_recovers_byte_identical() {
 #[test]
 fn spill_heavy_gray_sweep_recovers_byte_identical() {
     // Gray faults never kill nodes, so with spilling forced on every
-    // seed must still finish, spill, and reproduce the in-core bytes.
+    // seed must still finish, spill within the budget, and reproduce the
+    // in-core bytes.
     let reference = reference_output(NODES);
     let mut unfired = 0;
     for seed in 0..20u64 {
@@ -658,7 +663,7 @@ fn spill_heavy_gray_sweep_recovers_byte_identical() {
         let schedule = plan.describe();
         let cluster = make_cluster(NODES).with_fault_plan(Arc::clone(&plan));
         let report = cluster
-            .run(Arc::new(WordCount::new()), &spill_heavy_cfg())
+            .run(Arc::new(WordCount::without_combiner()), &spill_heavy_cfg())
             .unwrap_or_else(|e| panic!("seed {seed} ({schedule}): gray run failed: {e}"));
         assert_eq!(report.nodes_lost, 0, "seed {seed} ({schedule})");
         let spilled: usize = report
@@ -667,6 +672,16 @@ fn spill_heavy_gray_sweep_recovers_byte_identical() {
             .map(|n| n.intermediate.spilled_disk)
             .sum();
         assert!(spilled > 0, "seed {seed} ({schedule}): nothing spilled");
+        // Stalls and throttles hold the budget as a clean run does.
+        for n in &report.nodes {
+            let peak = n.intermediate.peak_resident_bytes;
+            assert!(
+                peak <= SPILL_HEAVY_BUDGET + SPILL_HEAVY_BUDGET / 2,
+                "seed {seed} ({schedule}): node {} peak resident {peak}B exceeds \
+                 1.5× the {SPILL_HEAVY_BUDGET}B budget",
+                n.node
+            );
+        }
         let out = read_job_output(cluster.store(), &report).unwrap();
         assert_eq!(out, reference, "seed {seed} ({schedule}): output diverged");
         unfired += plan.unfired().len();
@@ -682,7 +697,7 @@ fn spill_write_fault_fails_the_job_cleanly() {
     let plan = Arc::new(FaultPlan::empty().with_spill_fault(SpillOp::Write, 0));
     let cluster = make_cluster(NODES).with_fault_plan(Arc::clone(&plan));
     let err = cluster
-        .run(Arc::new(WordCount::new()), &spill_heavy_cfg())
+        .run(Arc::new(WordCount::without_combiner()), &spill_heavy_cfg())
         .unwrap_err();
     assert!(matches!(err, EngineError::Io(_)), "got: {err}");
     assert!(
@@ -700,7 +715,7 @@ fn spill_read_fault_fails_the_job_cleanly() {
     let plan = Arc::new(FaultPlan::empty().with_spill_fault(SpillOp::Read, 0));
     let cluster = make_cluster(NODES).with_fault_plan(Arc::clone(&plan));
     let err = cluster
-        .run(Arc::new(WordCount::new()), &spill_heavy_cfg())
+        .run(Arc::new(WordCount::without_combiner()), &spill_heavy_cfg())
         .unwrap_err();
     assert!(matches!(err, EngineError::Io(_)), "got: {err}");
     assert!(

@@ -27,7 +27,7 @@ fn small_cfg() -> JobConfig {
     cfg.device_threads = 2;
     cfg.partition_threads = 2;
     cfg.collector_capacity = 1 << 20;
-    cfg.cache_threshold = 1 << 18;
+    cfg.memory_budget = Some(1 << 19);
     cfg
 }
 
@@ -385,7 +385,7 @@ fn pre_merged_tiers_leave_every_apps_bytes_unchanged() {
         let mut cfg = small_cfg();
         cfg.partitions_per_node = 2;
         cfg.output_replication = 1;
-        cfg.cache_threshold = usize::MAX; // in core: only pre-merges merge
+        cfg.memory_budget = None; // in core: only pre-merges merge
         let run = |block: usize, cfg: &JobConfig| {
             let cluster = Cluster::new(dfs_with(records, nodes, block), NetProfile::unlimited());
             let report = cluster.run(Arc::clone(&app), cfg).unwrap();

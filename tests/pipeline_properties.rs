@@ -253,20 +253,20 @@ fn collector_choice_shifts_stage_balance() {
     );
 }
 
-/// Merge delay is measured and bounded; spill counts follow the cache
-/// threshold (paper §III-B / Fig. 4(b) machinery).
+/// Merge delay is measured and bounded; spill counts follow the memory
+/// budget (paper §III-B / Fig. 4(b) machinery).
 #[test]
 fn intermediate_machinery_reports_metrics() {
     let cluster = corpus_cluster(500, 2, 2048);
     let mut c = cfg();
-    c.cache_threshold = 1 << 12; // force spills
+    c.memory_budget = Some(12 << 10); // force spills
     c.partitions_per_node = 2;
     c.merger_threads = 2;
     let report = cluster
         .run(Arc::new(WordCount::without_combiner()), &c)
         .unwrap();
     let spills: usize = report.nodes.iter().map(|n| n.intermediate.flushes).sum();
-    assert!(spills > 0, "tiny cache threshold must force flushes");
+    assert!(spills > 0, "a tiny memory budget must force flushes");
     for n in &report.nodes {
         assert!(
             n.intermediate.spilled_disk <= n.intermediate.spilled_raw,

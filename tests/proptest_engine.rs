@@ -32,7 +32,7 @@ fn tiny_cfg() -> JobConfig {
     cfg.device_threads = 1;
     cfg.partition_threads = 1;
     cfg.collector_capacity = 1 << 16;
-    cfg.cache_threshold = 1 << 12;
+    cfg.memory_budget = Some(12 << 10);
     cfg.output_replication = 1;
     cfg
 }

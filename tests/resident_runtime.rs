@@ -122,7 +122,7 @@ fn base_cfg() -> JobConfig {
     cfg.device_threads = 2;
     cfg.partitions_per_node = 2;
     cfg.collector_capacity = 1 << 20;
-    cfg.cache_threshold = 1 << 16;
+    cfg.memory_budget = Some(1 << 17);
     cfg.job_deadline = Some(Duration::from_secs(60));
     cfg
 }
@@ -339,7 +339,7 @@ fn the_runtime_survives_a_poisoned_merger() {
         Some(FaultPlan::empty().with_spill_fault(SpillOp::Write, 0)),
         |cluster| {
             let mut cfg = failing_cfg();
-            cfg.cache_threshold = 1;
+            cfg.memory_budget = Some(12 << 10);
             run(
                 cluster,
                 &(Arc::new(WordCount::new()) as Arc<dyn GwApp>),

@@ -56,7 +56,7 @@ fn job_cfg(seed: u64) -> JobConfig {
     let mut cfg = JobConfig::new(input_path(seed), "/ignored");
     cfg.partitions_per_node = 2;
     cfg.collector_capacity = 1 << 20;
-    cfg.cache_threshold = 1 << 16;
+    cfg.memory_budget = Some(1 << 17);
     cfg
 }
 

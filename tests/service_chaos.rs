@@ -56,7 +56,7 @@ fn chaos_cfg(seed: u64) -> JobConfig {
     cfg.device_threads = 1;
     cfg.partitions_per_node = 2;
     cfg.collector_capacity = 1 << 20;
-    cfg.cache_threshold = 1 << 16;
+    cfg.memory_budget = Some(1 << 17);
     cfg.max_task_retries = 1;
     cfg.node_timeout = Duration::from_millis(200);
     cfg.job_deadline = Some(Duration::from_secs(60));

@@ -81,7 +81,7 @@ fn out_of_core_column() {
         GpmrError::IntermediateOverflow { .. }
     ));
 
-    // Same pressure on Glasswing: a tiny cache threshold just means
+    // Same pressure on Glasswing: a tiny memory budget just means
     // spilling; the job completes and the output is exact.
     let gw = Cluster::new(
         load(Dfs::new(DfsConfig::new(1).free_io()), &recs),
@@ -89,8 +89,7 @@ fn out_of_core_column() {
     );
     let mut cfg = JobConfig::new("/in", "/gw-out");
     cfg.device_threads = 1;
-    cfg.cache_threshold = 4 << 10;
-    cfg.max_spill_files = 3;
+    cfg.memory_budget = Some(12 << 10);
     let report = gw
         .run(Arc::new(WordCount::without_combiner()), &cfg)
         .expect("Glasswing handles out-of-core intermediate data");

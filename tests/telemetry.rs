@@ -56,7 +56,7 @@ fn job_cfg(seed: u64) -> JobConfig {
     cfg.device_threads = 1;
     cfg.partitions_per_node = 2;
     cfg.collector_capacity = 1 << 20;
-    cfg.cache_threshold = 1 << 16;
+    cfg.memory_budget = Some(1 << 17);
     cfg.job_deadline = Some(Duration::from_secs(60));
     cfg
 }
