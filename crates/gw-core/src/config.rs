@@ -70,14 +70,11 @@ pub struct JobConfig {
     /// Compress cached/spilled intermediate data.
     pub compress_intermediate: bool,
     /// Bound on resident intermediate bytes per node (paper §III-B's
-    /// larger-than-memory regime), and the one spill setting: it derives
-    /// the flush point (half the budget — a node whose cached runs never
-    /// exceed it never touches disk), the spill frame size and the spill
-    /// files a partition may hold (`IntermediateConfig::with_memory_budget`),
-    /// and producer backpressure keeps peak resident intermediate bytes
-    /// ≤ ~1.5× the budget regardless of partition size. `None` means
-    /// `IntermediateConfig`'s default, 64 MiB; a set budget is at least
-    /// 12 KiB.
+    /// larger-than-memory regime), and the one spill setting, from which
+    /// `IntermediateConfig::with_memory_budget` derives the spill policy;
+    /// backpressure keeps peak resident intermediate bytes ≤ ~1.5× it.
+    /// `None` means 64 MiB; a set budget is at least
+    /// `IntermediateConfig::MIN_MEMORY_BUDGET`.
     pub memory_budget: Option<usize>,
     /// Reduce: number of keys processed concurrently per kernel launch.
     pub reduce_concurrent_keys: usize,
@@ -339,8 +336,8 @@ impl JobConfig {
         if self.partitions_per_node == 0 {
             return Err("at least one partition per node".into());
         }
-        if self.partition_threads == 0 {
-            return Err("at least one partitioning thread".into());
+        if self.partition_threads == 0 || self.merger_threads == 0 {
+            return Err("at least one partitioning thread and one merger thread".into());
         }
         if self.reduce_concurrent_keys == 0
             || self.reduce_keys_per_thread == 0
@@ -354,8 +351,9 @@ impl JobConfig {
         }
         // The smallest budget whose derived limits keep the store within
         // 1.5× of it (`IntermediateConfig::with_memory_budget`).
-        if self.memory_budget.is_some_and(|b| b < 12 << 10) {
-            return Err("memory_budget must be at least 12 KiB when set".into());
+        let floor = gw_intermediate::IntermediateConfig::MIN_MEMORY_BUDGET;
+        if self.memory_budget.is_some_and(|b| b < floor) {
+            return Err(format!("memory_budget must be at least {floor} B when set"));
         }
         if self.output_replication == 0 {
             return Err("output replication must be ≥ 1".into());
@@ -412,12 +410,17 @@ mod tests {
         let mut c = JobConfig::new("/in", "/out");
         c.output_replication = 0;
         assert!(c.validate().is_err());
+
+        let mut c = JobConfig::new("/in", "/out");
+        c.merger_threads = 0;
+        assert!(c.validate().is_err());
     }
 
     #[test]
-    fn a_memory_budget_under_twelve_kib_is_rejected() {
+    fn a_memory_budget_under_the_floor_is_rejected() {
         let mut c = JobConfig::new("/in", "/out");
-        for (budget, valid) in [(0, false), ((12 << 10) - 1, false), (12 << 10, true)] {
+        let floor = gw_intermediate::IntermediateConfig::MIN_MEMORY_BUDGET;
+        for (budget, valid) in [(0, false), (floor - 1, false), (floor, true)] {
             c.memory_budget = Some(budget);
             assert_eq!(c.validate().is_ok(), valid, "budget {budget}");
         }

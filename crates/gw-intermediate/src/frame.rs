@@ -86,13 +86,14 @@ const STORED_DEN: usize = 10;
 
 /// How a [`FrameWriter`] encodes its frames (module doc, "Stored or
 /// compressed, decided once per partition").
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub(crate) enum Encoding {
     /// Every frame raw.
     Stored,
     /// Every frame LZ-compressed.
     Compressed,
     /// The first frame decides between the other two.
+    #[default]
     Probe,
 }
 

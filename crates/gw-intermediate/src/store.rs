@@ -14,9 +14,8 @@
 //!   configurable count" — the compaction step of the merger tasks: a
 //!   partition may hold M spill files, and one more makes its task merge
 //!   the smallest F = `max(M / (2 × merger_threads) − 1, 2)` of them into
-//!   one. N flushes of equal size then rewrite no byte while N ≤ M, and
-//!   each byte at most once while N stays under ~M·F/2 — the ⌈log_M N⌉
-//!   rounds of an M-way external merge, the last of which is the reduce's;
+//!   one, so that a byte is rewritten at most ⌈log_M N⌉ − 1 times over N
+//!   flushes (Goodrich et al., arXiv:1101.1902) while N ≤ M + 4;
 //! * "Glasswing can be configured to use multiple threads to speed-up both
 //!   the merge and flush operations" — `merger_threads`;
 //! * intermediate data is merged "on background threads" while the map
@@ -27,62 +26,44 @@
 //! * the **merge delay** metric — "the time dedicated to merging
 //!   intermediate data after the completion of the map phase and before
 //!   reduction starts" — the wait in [`IntermediateStore::finish_map`]
-//!   for the tasks still in flight at map end: it stops new pre-merges,
-//!   so at most one pre-merge batch per task, plus any flush and
-//!   compaction, is left to wait for.
+//!   for the tasks still in flight at map end: it stops new pre-merges.
 //!
 //! Intermediate bytes leave memory by exactly one rule, `add_run`'s
 //! `total > memory_budget / 2`: a flush takes the partition's whole cache,
-//! every tier. Nothing is flushed at end of map: a job whose per-node
-//! intermediate data never crosses that flush point never touches disk,
-//! and the reduce input merge reads its tiers directly — the paper's "one last merge operation" (§III-C). A
-//! pre-merge adds no combining: which runs share a batch is timing, and
-//! merge order `(key, value, source)` makes the merged stream the same
-//! for any grouping, where a combine result would not be.
+//! every tier. Nothing is flushed at end of map, and the reduce merge
+//! reads the tiers where they sit — the paper's "one last merge operation"
+//! (§III-C). A pre-merge adds no combining: merge order `(key, value,
+//! source)` makes the merged stream the same for any batching.
 //!
-//! ## Out-of-core operation (DESIGN.md §3.10)
+//! ## One state, one lock (DESIGN.md §3.10)
 //!
-//! Spills use the framed format of [`crate::frame`], so both the
-//! continuous compaction here and the reduce-input merge downstream are
-//! true **external k-way merges**: data streams cursor-to-cursor through
-//! [`crate::cursor::SpillCursor`]s holding one decoded frame each, and a
-//! flush streams cache runs straight into a framed spill writer without
-//! materializing the merged run. Every resident intermediate byte —
-//! cached runs, writer staging buffers, cursor frames — is charged to one
-//! [`MemGauge`], whose high-water mark is exported as
-//! [`StoreMetrics::peak_resident_bytes`]. Every store runs under a
-//! `memory_budget`, its one spill setting: it derives the flush point, the
-//! frame size, M and the compaction fan-in
-//! ([`IntermediateConfig::with_memory_budget`]).
-//! [`IntermediateStore::add_run`] applies backpressure so that peak stays
-//! within a small constant of the budget no matter how large the partition
-//! grows, and a pre-merge, whose output sits beside its inputs until it
-//! ends, starts only when the gauge has room for that output. The reduce
-//! merge holds M spill cursors of at most two frames each beside a cache of
-//! about half the budget, and the compactions, which run beside a live
-//! cache of up to the whole budget, share half as many cursors among the
-//! merger threads, their writers included. A partition's first spill
-//! decides whether all of its spills are stored or compressed
-//! ([`crate::frame`], "Stored or compressed").
-//!
-//! Spill I/O failures on merger threads do not panic, and a panic there
-//! is caught: the first of either **poisons** the store and surfaces
-//! from [`IntermediateStore::finish_map`] /
-//! [`IntermediateStore::partition_cursors`] as a typed
-//! [`std::io::Error`] the engine maps to `EngineError::Io`.
+//! Every decision (flush, pre-merge, compaction, park, wake, `finish_map`)
+//! is a method of the private `StoreState`, which takes one event each,
+//! is handed the gauge reading its room checks need, returns the merger's
+//! next step, and takes no lock, reads no clock or atomic and does no I/O.
+//! [`IntermediateStore`] holds it behind one mutex and two condvars (idle
+//! mergers; parked producers and `finish_map`), and does all I/O outside
+//! it: spills in the framed format of [`crate::frame`], and cursors that
+//! hold a frame each. Cached runs, writer buffers and cursor frames are
+//! charged to one [`MemGauge`], whose high-water mark is
+//! [`StoreMetrics::peak_resident_bytes`]. The `checker` tests drive the
+//! state through every event order of small stores. A spill I/O error or
+//! a panic on a merger **poisons** the store, releases every waiter, and
+//! surfaces from [`IntermediateStore::finish_map`] and
+//! [`IntermediateStore::partition_cursors`] as an [`std::io::Error`].
 
+use std::collections::VecDeque;
 use std::io;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use crossbeam::channel::{unbounded, Receiver, Sender};
-use parking_lot::{Condvar, Mutex};
+use parking_lot::{Condvar, Mutex, MutexGuard};
 
 use crate::cursor::{MemCursor, PartCursor, RunCursor, SpillCursor};
-use crate::frame::{self, Encoding, SpillFaultHook};
+use crate::frame::{self, Encoding, SpillFaultHook, SpillStats};
 use crate::gauge::MemGauge;
 use crate::kv::Run;
 use crate::merge::{merge_runs, CursorMerge, TIER_FANIN};
@@ -95,18 +76,14 @@ pub struct IntermediateConfig {
     /// Number of partitions hosted by this node (the paper's `P`).
     pub num_partitions: u32,
     /// Background merger/flusher threads (the paper sets this equal to `P`
-    /// in its Fig. 4 experiments).
+    /// in its Fig. 4 experiments); at least one.
     pub merger_threads: usize,
     /// Whether spills are stored compressed (the paper always compresses;
     /// disabling is useful for ablation).
     pub compress: bool,
     /// Bound on resident intermediate bytes, and the store's one spill
-    /// setting: it derives the whole spill policy
-    /// ([`IntermediateConfig::with_memory_budget`]).
-    /// [`IntermediateStore::add_run`] blocks a producer whose run would
-    /// take the gauge over it while merger tasks are in flight, and a
-    /// pre-merge starts only with room for its output, keeping peak
-    /// residency within ~1.5× the budget.
+    /// setting ([`IntermediateConfig::with_memory_budget`]): peak
+    /// residency stays within ~1.5× of it.
     pub memory_budget: usize,
 }
 
@@ -122,15 +99,19 @@ impl Default for IntermediateConfig {
 }
 
 impl IntermediateConfig {
+    /// The smallest `memory_budget` a job may set: the store's `checker`
+    /// tests hold [`StoreMetrics::peak_resident_bytes`] within 1.5× of it
+    /// over every event order they explore with one or two mergers, and
+    /// find it broken 4 KiB below.
+    pub const MIN_MEMORY_BUDGET: usize = 24 << 10;
+
     /// Set the memory budget, from which the store derives its spill
     /// policy: the cache flushes at half the budget, frames are `budget /
     /// 64` (clamped to 1 KiB–1 MiB), and a partition may hold M = `budget
     /// / (2 × frame)` spill files, at least two — 32 at the derived frame
     /// — so the reduce merge's M cursors of at most two frames each fit in
     /// the other half. These keep [`StoreMetrics::peak_resident_bytes`] ≤
-    /// ~1.5× `budget` from 12 KiB up: below it a compaction's two input
-    /// cursors and its writer, two 1 KiB frames each, outgrow half the
-    /// budget.
+    /// ~1.5× `budget` from [`IntermediateConfig::MIN_MEMORY_BUDGET`] up.
     pub fn with_memory_budget(mut self, budget: usize) -> Self {
         self.memory_budget = budget;
         self
@@ -142,7 +123,7 @@ impl IntermediateConfig {
         let budget = self.memory_budget;
         let frame = (budget / 64).clamp(1 << 10, 1 << 20);
         let max_spill_files = (budget / (2 * frame)).max(2);
-        let share = max_spill_files / (2 * self.merger_threads.max(1));
+        let share = max_spill_files / (2 * self.merger_threads);
         Limits {
             flush_at: budget / 2,
             frame,
@@ -153,7 +134,7 @@ impl IntermediateConfig {
 }
 
 /// What a budget derives ([`IntermediateConfig::limits`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 struct Limits {
     /// Aggregate cached bytes past which every partition flushes its whole
     /// cache — the only trigger.
@@ -167,27 +148,36 @@ struct Limits {
     compaction_fanin: usize,
 }
 
-/// A spilled, framed, (optionally) compressed run on disk.
-#[derive(Debug)]
+/// Spill file `spill-{seq}.gw` of the store's directory, and its totals.
+#[derive(Debug, Clone)]
 struct SpillFile {
-    path: PathBuf,
-    raw_bytes: usize,
-    records: usize,
-    frames: usize,
+    seq: u64,
+    stats: SpillStats,
 }
 
-#[derive(Debug)]
-struct PartState {
+/// What the state reads of a cached run (the checker caches stand-ins).
+trait Cached: Default {
+    fn len_bytes(&self) -> usize;
+}
+
+impl Cached for Run {
+    fn len_bytes(&self) -> usize {
+        Run::len_bytes(self)
+    }
+}
+
+#[derive(Debug, Clone, Default)]
+struct PartState<R> {
     /// Cached runs by tier, oldest first: `tiers[t]` holds runs that `t`
     /// rounds of pre-merging made, [`TIER_FANIN`] runs of tier `t` into
     /// one of tier `t + 1`.
-    tiers: Vec<Vec<Run>>,
+    tiers: Vec<Vec<R>>,
     /// Bytes of every cached run, a running pre-merge's inputs included.
     cache_bytes: usize,
     spills: Vec<SpillFile>,
-    /// A merger task is in flight for this partition.
+    /// A merger task for this partition is queued or running.
     busy: bool,
-    /// A flush was asked for: the task flushes before it pre-merges.
+    /// A flush was asked for, maybe while the task flushed.
     flush_due: bool,
     /// How the partition's next spill is written: `Probe` until its first
     /// frame decides, then what that frame decided (`Stored` throughout
@@ -195,23 +185,254 @@ struct PartState {
     encoding: Encoding,
 }
 
-#[derive(Debug, Default)]
-struct Metrics {
-    flushes: AtomicUsize,
-    compactions: AtomicUsize,
-    spilled_raw: AtomicUsize,
-    spilled_disk: AtomicUsize,
-    runs_added: AtomicUsize,
-    records_added: AtomicUsize,
-    bytes_added: AtomicUsize,
-    merges: AtomicUsize,
-    merge_fanin: AtomicUsize,
-    frames_written: AtomicUsize,
-    frames_read: Arc<AtomicUsize>,
+/// Everything the store decides by (module doc, "One state, one lock").
+#[derive(Clone, Default)]
+struct StoreState<R> {
+    limits: Limits,
+    budget: usize,
+    parts: Vec<PartState<R>>,
+    /// Aggregate cached bytes: the flush trigger's operand.
+    cache_bytes: usize,
+    /// Partitions whose task waits for a merger, oldest first.
+    ready: VecDeque<usize>,
+    /// Tasks a merger is running.
+    in_flight: usize,
+    /// Parked producers and waiting `finish_map` callers.
+    waiters: usize,
+    /// Set by `finish_map`: no pre-merge starts after it.
+    map_done: bool,
+    /// Set when the store drops: mergers return once `ready` is empty.
+    closed: bool,
+    /// First spill I/O error or merger panic; sticky.
+    poison: Option<(io::ErrorKind, String)>,
+    spill_seq: u64,
+    /// Chaos hook probed before spill reads/writes (None when unarmed).
+    hook: Option<Arc<dyn SpillFaultHook>>,
+    /// The condvars the last event asks the wrapper to notify.
+    wake_mergers: bool,
+    wake_waiters: bool,
+    /// All but `frames_read` and the peak, which cursors and gauge count.
+    metrics: StoreMetrics,
+}
+
+/// A merger's next step on partition `part`, taken under the lock and run
+/// outside it; a spill goes to file `seq`, written in `encoding`.
+#[derive(Clone)]
+struct Work<R> {
+    part: usize,
+    seq: u64,
+    encoding: Encoding,
+    hook: Option<Arc<dyn SpillFaultHook>>,
+    step: Step<R>,
+}
+
+#[derive(Clone)]
+enum Step<R> {
+    /// Spill the partition's whole cache, and its bytes.
+    Flush(Vec<R>, usize),
+    /// Merge the oldest [`TIER_FANIN`] runs of a tier, of these bytes,
+    /// into one run of the next; the gauge carries the copy until it ends.
+    PreMerge(usize, Vec<R>, usize),
+    /// Merge the partition's smallest spill files into one.
+    Compact(Vec<SpillFile>),
+}
+
+/// What a step left: a spill (no file when it held no record), or a
+/// pre-merged tier's run of the next tier.
+enum Done<R> {
+    Spilled(SpillFile),
+    PreMerged(usize, R),
+}
+
+impl<R: Cached> StoreState<R> {
+    fn new(cfg: &IntermediateConfig) -> Self {
+        let encoding = if cfg.compress {
+            Encoding::Probe
+        } else {
+            Encoding::Stored
+        };
+        let part = || PartState {
+            encoding,
+            ..Default::default()
+        };
+        StoreState {
+            limits: cfg.limits(),
+            budget: cfg.memory_budget,
+            parts: (0..cfg.num_partitions).map(|_| part()).collect(),
+            ..Default::default()
+        }
+    }
+
+    /// A task is queued or running.
+    fn working(&self) -> bool {
+        !self.ready.is_empty() || self.in_flight > 0
+    }
+
+    /// Whether a producer must park before charging `bytes`: they would
+    /// take the gauge over the budget, and a task can still make room.
+    fn must_park(&self, bytes: usize, gauge: usize) -> bool {
+        gauge + bytes > self.budget && self.working() && self.poison.is_none()
+    }
+
+    /// Whether `finish_map` may return.
+    fn settled(&self) -> bool {
+        !self.working() || self.poison.is_some()
+    }
+
+    fn check_poison(&self) -> io::Result<()> {
+        match &self.poison {
+            Some((kind, msg)) => Err(io::Error::new(*kind, msg.clone())),
+            None => Ok(()),
+        }
+    }
+
+    /// A run enters partition `p`'s tier 0, and the wrapper charges it —
+    /// unless the store is poisoned, so the job fails: the run is dropped.
+    /// Asks every partition with cached data for a flush when the
+    /// aggregate cache passes the flush point, else `p` for a pre-merge
+    /// when its tier 0 is full.
+    fn add(&mut self, p: usize, run: R) -> bool {
+        if self.poison.is_some() {
+            return false;
+        }
+        let bytes = run.len_bytes();
+        let part = &mut self.parts[p];
+        part.cache_bytes += bytes;
+        part.tiers.resize_with(part.tiers.len().max(1), Vec::new);
+        part.tiers[0].push(run);
+        let tier_full = part.tiers[0].len() >= TIER_FANIN;
+        self.cache_bytes += bytes;
+        if self.cache_bytes > self.limits.flush_at {
+            for q in 0..self.parts.len() {
+                self.schedule(q, true);
+            }
+        } else if tier_full {
+            self.schedule(p, false);
+        }
+        true
+    }
+
+    /// Queue partition `p`'s task — to flush its whole cache when `flush`
+    /// (no request if the cache is empty), else to pre-merge its full
+    /// tiers — unless it is queued or running, which takes the request
+    /// up before it ends.
+    fn schedule(&mut self, p: usize, flush: bool) {
+        let part = &mut self.parts[p];
+        if flush && part.cache_bytes == 0 {
+            return;
+        }
+        part.flush_due |= flush;
+        if !part.busy {
+            part.busy = true;
+            self.ready.push_back(p);
+            self.wake_mergers = true;
+        }
+    }
+
+    /// A merger asks for the next step of the oldest queued task with one.
+    fn take(&mut self, gauge: usize) -> Option<Work<R>> {
+        while let Some(p) = self.ready.pop_front() {
+            self.in_flight += 1;
+            if let Some(work) = self.step(p, gauge) {
+                return Some(work);
+            }
+        }
+        None
+    }
+
+    /// A step of partition `p`'s task ended: record what it left, and
+    /// return the task's next step.
+    fn done(&mut self, p: usize, done: Done<R>, gauge: usize) -> Option<Work<R>> {
+        self.wake_waiters |= self.waiters > 0;
+        let part = &mut self.parts[p];
+        match done {
+            Done::Spilled(file) => {
+                let (m, s) = (&mut self.metrics, &file.stats);
+                part.encoding = s.encoding;
+                if s.records > 0 {
+                    m.spilled_raw += s.raw_bytes;
+                    m.spilled_disk += s.disk_bytes;
+                    m.frames_written += s.frames;
+                    part.spills.push(file);
+                }
+            }
+            Done::PreMerged(tier, run) => {
+                part.tiers
+                    .resize_with(part.tiers.len().max(tier + 2), Vec::new);
+                part.tiers[tier + 1].push(run);
+            }
+        }
+        self.step(p, gauge)
+    }
+
+    /// A step of partition `p`'s task failed or panicked: poison the
+    /// store, which ends every task at its next step.
+    fn fail(&mut self, p: usize, err: io::Error) {
+        self.poison.get_or_insert((err.kind(), err.to_string()));
+        self.step(p, 0);
+    }
+
+    /// Partition `p`'s task's next step: compact while it holds more than
+    /// M files, flush while a flush is due, else pre-merge a full tier;
+    /// or end the task.
+    fn step(&mut self, p: usize, gauge: usize) -> Option<Work<R>> {
+        let (part, m) = (&mut self.parts[p], &mut self.metrics);
+        let step = if self.poison.is_some() {
+            None
+        } else if part.spills.len() > self.limits.max_spill_files {
+            // A stable sort: among equal sizes the older file first.
+            part.spills.sort_by_key(|s| s.stats.raw_bytes);
+            let files = part.spills.drain(..self.limits.compaction_fanin);
+            m.compactions += 1;
+            Some(Step::Compact(files.collect()))
+        } else if std::mem::take(&mut part.flush_due) && part.cache_bytes > 0 {
+            let bytes = std::mem::take(&mut part.cache_bytes);
+            self.cache_bytes -= bytes;
+            let runs = std::mem::take(&mut part.tiers).into_iter().flatten();
+            m.flushes += 1;
+            Some(Step::Flush(runs.collect(), bytes))
+        } else {
+            self.full_tier(p, gauge)
+        };
+        let Some(step) = step else {
+            self.parts[p].busy = false;
+            self.in_flight -= 1;
+            self.wake_waiters |= self.waiters > 0;
+            return None;
+        };
+        self.metrics.merges += 1;
+        self.metrics.merge_fanin += match &step {
+            Step::Flush(runs, _) | Step::PreMerge(_, runs, _) => runs.len(),
+            Step::Compact(files) => files.len(),
+        };
+        let seq = self.spill_seq;
+        self.spill_seq += u64::from(!matches!(step, Step::PreMerge(..)));
+        let (encoding, hook) = (self.parts[p].encoding, self.hook.clone());
+        Some(Work {
+            part: p,
+            seq,
+            encoding,
+            hook,
+            step,
+        })
+    }
+
+    /// The oldest runs of partition `p`'s lowest full tier, unless the map
+    /// has ended or the budget has no room for their merged copy.
+    fn full_tier(&mut self, p: usize, gauge: usize) -> Option<Step<R>> {
+        let tiers = &mut self.parts[p].tiers;
+        let tier = tiers.iter().position(|t| t.len() >= TIER_FANIN)?;
+        let bytes: usize = tiers[tier][..TIER_FANIN].iter().map(R::len_bytes).sum();
+        if self.map_done || gauge + bytes > self.budget {
+            return None;
+        }
+        let runs = tiers[tier].drain(..TIER_FANIN).collect();
+        Some(Step::PreMerge(tier, runs, bytes))
+    }
 }
 
 /// Snapshot of store metrics.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StoreMetrics {
     /// Cache→disk flush operations performed.
     pub flushes: usize,
@@ -252,272 +473,139 @@ pub struct StoreMetrics {
 
 struct Inner {
     cfg: IntermediateConfig,
-    limits: Limits,
     dir: TempDir,
-    parts: Vec<Mutex<PartState>>,
-    cache_bytes: AtomicUsize,
-    pending: AtomicUsize,
-    /// Set by `finish_map`: no pre-merge starts after it.
-    map_done: AtomicBool,
-    quiesce_lock: Mutex<()>,
-    quiesce_cv: Condvar,
-    spill_seq: AtomicU64,
-    metrics: Metrics,
+    state: Mutex<StoreState<Run>>,
+    /// Mergers wait here for a queued task, or for the store to drop.
+    idle: Condvar,
+    /// Parked producers and `finish_map` wait here for a step to end.
+    waiters: Condvar,
     gauge: Arc<MemGauge>,
-    /// First spill I/O error seen on a merger thread; sticky.
-    poison: Mutex<Option<(io::ErrorKind, String)>>,
-    /// Chaos hook probed before spill reads/writes (None when unarmed).
-    hook: Mutex<Option<Arc<dyn SpillFaultHook>>>,
-    /// Producers park here when over `memory_budget` (backpressure).
-    bp_lock: Mutex<()>,
-    bp_cv: Condvar,
+    frames_read: Arc<AtomicUsize>,
 }
 
 impl Inner {
-    fn task_done(&self) {
-        if self.pending.fetch_sub(1, Ordering::AcqRel) == 1 {
-            let _g = self.quiesce_lock.lock();
-            self.quiesce_cv.notify_all();
+    /// Notify what the last event asked for.
+    fn wake(&self, st: &mut StoreState<Run>) {
+        if std::mem::take(&mut st.wake_mergers) {
+            self.idle.notify_all();
+        }
+        if std::mem::take(&mut st.wake_waiters) {
+            self.waiters.notify_all();
         }
     }
 
-    fn wait_quiesce(&self) {
-        let mut guard = self.quiesce_lock.lock();
-        while self.pending.load(Ordering::Acquire) != 0 {
-            self.quiesce_cv.wait(&mut guard);
-        }
+    /// Wait, counted among the state's waiters, for a step to end.
+    fn wait(&self, st: &mut MutexGuard<'_, StoreState<Run>>) {
+        st.waiters += 1;
+        self.waiters.wait(st);
+        st.waiters -= 1;
     }
 
-    fn poison(&self, err: io::Error) {
-        let mut p = self.poison.lock();
-        if p.is_none() {
-            *p = Some((err.kind(), err.to_string()));
-        }
-    }
-
-    fn check_poison(&self) -> io::Result<()> {
-        match &*self.poison.lock() {
-            Some((kind, msg)) => Err(io::Error::new(*kind, msg.clone())),
-            None => Ok(()),
-        }
-    }
-
-    fn notify_backpressure(&self) {
-        let _g = self.bp_lock.lock();
-        self.bp_cv.notify_all();
-    }
-
-    fn spill_hook(&self) -> Option<Arc<dyn SpillFaultHook>> {
-        self.hook.lock().clone()
-    }
-
-    fn new_spill_path(&self) -> PathBuf {
-        let seq = self.spill_seq.fetch_add(1, Ordering::Relaxed);
+    fn spill_path(&self, seq: u64) -> PathBuf {
         self.dir.file(&format!("spill-{seq}.gw"))
     }
 
     /// Open a streaming cursor over one of this store's spill files,
     /// charged to the gauge and counted in `frames_read`.
-    fn open_spill(&self, spill: &SpillFile) -> io::Result<SpillCursor> {
-        SpillCursor::open(
-            &spill.path,
-            Some(Arc::clone(&self.gauge)),
-            self.spill_hook(),
-            Some(Arc::clone(&self.metrics.frames_read)),
-        )
+    fn open_spill(
+        &self,
+        seq: u64,
+        hook: &Option<Arc<dyn SpillFaultHook>>,
+    ) -> io::Result<SpillCursor> {
+        let (gauge, read) = (Arc::clone(&self.gauge), Arc::clone(&self.frames_read));
+        SpillCursor::open(&self.spill_path(seq), Some(gauge), hook.clone(), Some(read))
     }
 
-    /// Stream the k-way merge of `cursors` into one new framed spill of
-    /// partition `idx` — the single writer behind both a cache flush
-    /// (borrowed in-memory cursors) and a compaction (spill cursors) —
-    /// written in the partition's encoding, which the partition's first
-    /// spill settles. Peak memory is one decode buffer per spill cursor
-    /// plus the writer's staging buffers; the merged run is never
-    /// materialized. `None` when the merge was empty (no file is left
-    /// behind).
+    /// Stream the k-way merge of `cursors` (a flush's cached runs or a
+    /// compaction's files) into `work`'s spill, never materializing the
+    /// merged run. No file is left behind when the merge was empty.
     fn spill_merged<C: RunCursor>(
         &self,
-        idx: usize,
+        work: &Work<Run>,
         cursors: Vec<C>,
-    ) -> io::Result<Option<SpillFile>> {
-        self.metrics.merges.fetch_add(1, Ordering::Relaxed);
-        self.metrics
-            .merge_fanin
-            .fetch_add(cursors.len(), Ordering::Relaxed);
-        let path = self.new_spill_path();
-        let encoding = self.parts[idx].lock().encoding;
-        let mut w = frame::FrameWriter::create(
-            path.clone(),
-            self.limits.frame,
-            encoding,
-            Some(Arc::clone(&self.gauge)),
-            self.spill_hook(),
-        )?;
-        let mut m = CursorMerge::new(cursors);
-        while let Some(rec) = m.peek_rec() {
+    ) -> io::Result<Done<Run>> {
+        let path = self.spill_path(work.seq);
+        let (frame, gauge, hook) = (
+            self.cfg.limits().frame,
+            Arc::clone(&self.gauge),
+            work.hook.clone(),
+        );
+        let mut w =
+            frame::FrameWriter::create(path.clone(), frame, work.encoding, Some(gauge), hook)?;
+        let mut merge = CursorMerge::new(cursors);
+        while let Some(rec) = merge.peek_rec() {
             w.push(rec)?;
-            m.advance()?;
+            merge.advance()?;
         }
         let stats = w.finish()?;
         if stats.records == 0 {
             let _ = std::fs::remove_file(&path);
-            return Ok(None);
         }
-        self.parts[idx].lock().encoding = stats.encoding;
-        self.metrics
-            .spilled_raw
-            .fetch_add(stats.raw_bytes, Ordering::Relaxed);
-        self.metrics
-            .spilled_disk
-            .fetch_add(stats.disk_bytes, Ordering::Relaxed);
-        self.metrics
-            .frames_written
-            .fetch_add(stats.frames, Ordering::Relaxed);
-        Ok(Some(SpillFile {
-            path,
-            raw_bytes: stats.raw_bytes,
-            records: stats.records,
-            frames: stats.frames,
+        Ok(Done::Spilled(SpillFile {
+            seq: work.seq,
+            stats,
         }))
     }
 
-    /// A partition's merger task: flush the whole cache while a flush is
-    /// due, else — until the map ends — pre-merge the oldest
-    /// [`TIER_FANIN`] runs of the lowest full tier, and repeat. Clears the
-    /// partition's `busy` flag under the lock that found neither to do, so
-    /// a request made meanwhile is never lost (the error path is handled
-    /// by [`Inner::run_merge_task`]).
-    fn merge_partition(&self, p: PartitionId) -> io::Result<()> {
-        let idx = p as usize;
-        loop {
-            let mut st = self.parts[idx].lock();
-            if st.flush_due {
-                let bytes = std::mem::take(&mut st.cache_bytes);
-                self.cache_bytes.fetch_sub(bytes, Ordering::Relaxed);
-                let runs: Vec<Run> = std::mem::take(&mut st.tiers)
-                    .into_iter()
-                    .flatten()
-                    .collect();
-                drop(st);
-                self.flush_and_compact(idx, runs, bytes)?;
-                // A request made while the flush ran is dropped, as it
-                // always was: the next add past the flush point asks again.
-                self.parts[idx].lock().flush_due = false;
-            } else if let Some((tier, runs)) = self.take_full_tier(&mut st) {
-                drop(st);
-                self.pre_merge(idx, tier, runs);
-            } else {
-                st.busy = false;
-                return Ok(());
+    /// Run one step outside the lock. The cached bytes a flush took leave
+    /// memory whether or not its spill succeeded.
+    fn run(&self, work: Work<Run>) -> io::Result<Done<Run>> {
+        match &work.step {
+            Step::Flush(runs, bytes) => {
+                let cursors = runs.iter().map(|r| MemCursor::over(r.bytes())).collect();
+                let done = self.spill_merged(&work, cursors);
+                self.gauge.discharge(*bytes);
+                done
             }
-        }
-    }
-
-    /// The oldest [`TIER_FANIN`] runs of `st`'s lowest full tier, taken
-    /// for a pre-merge — unless the map has ended, or the budget has no
-    /// room for the merged copy beside them.
-    fn take_full_tier(&self, st: &mut PartState) -> Option<(usize, Vec<Run>)> {
-        if self.map_done.load(Ordering::Acquire) {
-            return None;
-        }
-        let tier = st.tiers.iter().position(|t| t.len() >= TIER_FANIN)?;
-        let bytes: usize = st.tiers[tier][..TIER_FANIN]
-            .iter()
-            .map(Run::len_bytes)
-            .sum();
-        if self.gauge.current() + bytes > self.cfg.memory_budget {
-            return None;
-        }
-        Some((tier, st.tiers[tier].drain(..TIER_FANIN).collect()))
-    }
-
-    /// Merge `runs`, taken from partition `idx`'s tier `tier`, into one run
-    /// of tier `tier + 1`. The partition's cached byte count stands: a
-    /// merge moves records, it adds or drops none. The gauge carries both
-    /// copies while the merge runs.
-    fn pre_merge(&self, idx: usize, tier: usize, runs: Vec<Run>) {
-        let bytes: usize = runs.iter().map(Run::len_bytes).sum();
-        self.gauge.charge(bytes);
-        self.metrics.merges.fetch_add(1, Ordering::Relaxed);
-        self.metrics
-            .merge_fanin
-            .fetch_add(runs.len(), Ordering::Relaxed);
-        let merged = merge_runs(&runs);
-        drop(runs);
-        self.gauge.discharge(bytes);
-        let mut st = self.parts[idx].lock();
-        if st.tiers.len() == tier + 1 {
-            st.tiers.push(Vec::new());
-        }
-        st.tiers[tier + 1].push(merged);
-    }
-
-    /// Flush `runs`, the whole of partition `idx`'s cache (`bytes` of it),
-    /// to one new spill, then, while the partition holds more than M
-    /// files, merge its smallest `compaction_fanin` files — oldest first
-    /// among equals — into one.
-    fn flush_and_compact(&self, idx: usize, runs: Vec<Run>, bytes: usize) -> io::Result<()> {
-        if !runs.is_empty() {
-            let spilled = self.spill_merged(
-                idx,
-                runs.iter().map(|r| MemCursor::over(r.bytes())).collect(),
-            );
-            // The cached bytes leave memory whether or not the spill
-            // succeeded — discharge before propagating so backpressured
-            // producers wake either way.
-            drop(runs);
-            self.gauge.discharge(bytes);
-            self.notify_backpressure();
-            if let Some(spill) = spilled? {
-                self.metrics.flushes.fetch_add(1, Ordering::Relaxed);
-                self.parts[idx].lock().spills.push(spill);
+            Step::PreMerge(tier, runs, bytes) => {
+                let done = Done::PreMerged(*tier, merge_runs(runs));
+                self.gauge.discharge(*bytes);
+                Ok(done)
             }
-        }
-        loop {
-            let spills: Vec<SpillFile> = {
-                let mut st = self.parts[idx].lock();
-                if st.spills.len() <= self.limits.max_spill_files {
-                    return Ok(());
+            Step::Compact(files) => {
+                let cursors = files.iter().map(|s| self.open_spill(s.seq, &work.hook));
+                let done = self.spill_merged(&work, cursors.collect::<io::Result<Vec<_>>>()?)?;
+                for s in files {
+                    let _ = std::fs::remove_file(self.spill_path(s.seq));
                 }
-                // A stable sort: among equal sizes the older file first.
-                st.spills.sort_by_key(|s| s.raw_bytes);
-                st.spills.drain(..self.limits.compaction_fanin).collect()
-            };
-            let cursors = spills
-                .iter()
-                .map(|s| self.open_spill(s))
-                .collect::<io::Result<Vec<_>>>()?;
-            let merged = self.spill_merged(idx, cursors)?;
-            for s in &spills {
-                let _ = std::fs::remove_file(&s.path);
+                Ok(done)
             }
-            self.metrics.compactions.fetch_add(1, Ordering::Relaxed);
-            self.parts[idx].lock().spills.extend(merged);
         }
     }
 
-    /// Merger-thread entry point: poison the store instead of panicking.
-    /// A panic below is caught and poisons like an error, and the thread
-    /// lives on to run (and count down) the tasks queued behind this one —
-    /// a merger that died would leave `pending` above zero for good, with
-    /// `finish_map` and every backpressured producer waiting on it.
-    fn run_merge_task(&self, p: PartitionId) {
-        let outcome =
-            catch_unwind(AssertUnwindSafe(|| self.merge_partition(p))).unwrap_or_else(|panic| {
+    /// One merger's life: take a step under the lock, run it outside and
+    /// report it, until the store drops. A panic poisons like an error.
+    fn serve(&self) {
+        let mut st = self.state.lock();
+        let mut next = None;
+        loop {
+            let work = next.take().or_else(|| st.take(self.gauge.current()));
+            self.wake(&mut st);
+            let Some(work) = work else {
+                if st.closed {
+                    return;
+                }
+                self.idle.wait(&mut st);
+                continue;
+            };
+            if let Step::PreMerge(_, _, bytes) = &work.step {
+                self.gauge.charge(*bytes);
+            }
+            let part = work.part;
+            drop(st);
+            let outcome = catch_unwind(AssertUnwindSafe(|| self.run(work)));
+            st = self.state.lock();
+            match outcome.unwrap_or_else(|panic| {
                 let msg = panic
                     .downcast_ref::<&str>()
                     .map(|s| s.to_string())
                     .or_else(|| panic.downcast_ref::<String>().cloned())
                     .unwrap_or_else(|| "non-string payload".into());
                 Err(io::Error::other(format!("merger thread panicked: {msg}")))
-            });
-        if let Err(e) = outcome {
-            self.poison(e);
-            self.parts[p as usize].lock().busy = false;
-            // Wake any producer parked on backpressure so it can observe
-            // the poisoned state instead of waiting for a flush that will
-            // never complete.
-            self.notify_backpressure();
+            }) {
+                Ok(done) => next = st.done(part, done, self.gauge.current()),
+                Err(e) => st.fail(part, e),
+            }
         }
     }
 }
@@ -535,7 +623,6 @@ pub type MergerRunner<'a> = &'a dyn Fn(usize, MergerTask) -> MergerJoin;
 /// The per-node intermediate store.
 pub struct IntermediateStore {
     inner: Arc<Inner>,
-    task_tx: Option<Sender<PartitionId>>,
     workers: Vec<MergerJoin>,
 }
 
@@ -559,64 +646,23 @@ impl IntermediateStore {
     /// dropped, which waits for every merger to return.
     pub fn with_runner(cfg: IntermediateConfig, run: MergerRunner<'_>) -> io::Result<Self> {
         assert!(cfg.num_partitions > 0, "at least one partition");
-        let dir = TempDir::new("gw-intermediate")?;
-        let encoding = if cfg.compress {
-            Encoding::Probe
-        } else {
-            Encoding::Stored
-        };
-        let parts = (0..cfg.num_partitions)
-            .map(|_| {
-                Mutex::new(PartState {
-                    tiers: Vec::new(),
-                    cache_bytes: 0,
-                    spills: Vec::new(),
-                    busy: false,
-                    flush_due: false,
-                    encoding,
-                })
-            })
-            .collect();
-        let threads = cfg.merger_threads.max(1);
+        assert!(cfg.merger_threads > 0, "at least one merger thread");
         let inner = Arc::new(Inner {
-            limits: cfg.limits(),
+            dir: TempDir::new("gw-intermediate")?,
+            state: Mutex::new(StoreState::new(&cfg)),
             cfg,
-            dir,
-            parts,
-            cache_bytes: AtomicUsize::new(0),
-            pending: AtomicUsize::new(0),
-            map_done: AtomicBool::new(false),
-            quiesce_lock: Mutex::new(()),
-            quiesce_cv: Condvar::new(),
-            spill_seq: AtomicU64::new(0),
-            metrics: Metrics::default(),
-            gauge: Arc::new(MemGauge::new()),
-            poison: Mutex::new(None),
-            hook: Mutex::new(None),
-            bp_lock: Mutex::new(()),
-            bp_cv: Condvar::new(),
+            idle: Condvar::new(),
+            waiters: Condvar::new(),
+            gauge: Arc::default(),
+            frames_read: Arc::default(),
         });
-        let (tx, rx): (Sender<PartitionId>, Receiver<PartitionId>) = unbounded();
-        let workers = (0..threads)
+        let workers = (0..inner.cfg.merger_threads)
             .map(|i| {
                 let inner = Arc::clone(&inner);
-                let rx = rx.clone();
-                run(
-                    i,
-                    Box::new(move || {
-                        while let Ok(p) = rx.recv() {
-                            inner.run_merge_task(p);
-                            inner.task_done();
-                        }
-                    }),
-                )
+                run(i, Box::new(move || inner.serve()))
             })
             .collect();
-        Ok(IntermediateStore {
-            inner,
-            task_tx: Some(tx),
-            workers,
-        })
+        Ok(IntermediateStore { inner, workers })
     }
 
     /// The store's configuration.
@@ -628,196 +674,110 @@ impl IntermediateStore {
     /// read/write — the chaos plane's injection site for spill-file I/O
     /// errors.
     pub fn arm_spill_faults(&self, hook: Option<Arc<dyn SpillFaultHook>>) {
-        *self.inner.hook.lock() = hook;
+        self.inner.state.lock().hook = hook;
     }
 
     /// Add a sorted run to partition `p`'s cache tier 0 (local map output
-    /// or a partition received from another node). Triggers merge-and-flush
-    /// when the aggregate cache exceeds the flush point, else a pre-merge
-    /// when the tier is full. First blocks while the run would take
-    /// resident bytes over the budget and merger tasks are in flight.
+    /// or a partition received from another node), after parking while it
+    /// would take resident bytes over the budget and a merger task can
+    /// make room; each step's end wakes the producer.
     pub fn add_run(&self, p: PartitionId, run: Run) {
         assert!(p < self.inner.cfg.num_partitions, "partition out of range");
         if run.is_empty() {
             return;
         }
-        self.inner
-            .metrics
-            .runs_added
-            .fetch_add(1, Ordering::Relaxed);
-        self.inner
-            .metrics
-            .records_added
-            .fetch_add(run.records(), Ordering::Relaxed);
-        let bytes = run.len_bytes();
-        self.inner
-            .metrics
-            .bytes_added
-            .fetch_add(bytes, Ordering::Relaxed);
-        // Backpressure: park while this run would take the gauge over
-        // budget, until the flushes in flight make room for it. Bounded
-        // waits keep this live across races with task completion and
-        // poisoning.
-        let over = || self.inner.gauge.current() + bytes > self.inner.cfg.memory_budget;
-        if over() {
-            let mut guard = self.inner.bp_lock.lock();
-            while over()
-                && self.inner.pending.load(Ordering::Acquire) > 0
-                && self.inner.poison.lock().is_none()
-            {
-                self.inner
-                    .bp_cv
-                    .wait_for(&mut guard, Duration::from_millis(1));
-            }
+        let (bytes, records) = (run.len_bytes(), run.records());
+        let mut st = self.inner.state.lock();
+        while st.must_park(bytes, self.inner.gauge.current()) {
+            self.inner.wait(&mut st);
         }
-        self.inner.gauge.charge(bytes);
-        let (total, tier_full) = {
-            let mut st = self.inner.parts[p as usize].lock();
-            st.cache_bytes += bytes;
-            if st.tiers.is_empty() {
-                st.tiers.push(Vec::new());
-            }
-            st.tiers[0].push(run);
-            // Counted under the partition lock: a flush that takes this run
-            // subtracts its bytes under the same lock, so never before this.
-            let total = self.inner.cache_bytes.fetch_add(bytes, Ordering::Relaxed) + bytes;
-            (total, st.tiers[0].len() >= TIER_FANIN)
-        };
-        if total > self.inner.limits.flush_at {
-            // The only flush trigger: every partition with cached data.
-            for q in 0..self.inner.cfg.num_partitions {
-                self.schedule(q, true);
-            }
-        } else if tier_full {
-            self.schedule(p, false);
+        let m = &mut st.metrics;
+        (m.runs_added, m.records_added, m.bytes_added) = (
+            m.runs_added + 1,
+            m.records_added + records,
+            m.bytes_added + bytes,
+        );
+        if st.add(p as usize, run) {
+            self.inner.gauge.charge(bytes);
         }
-    }
-
-    /// Hand partition `p` to a merger thread — to flush its whole cache
-    /// when `flush` (no request if the cache is empty), else to pre-merge
-    /// its full tiers — unless a task for `p` is in flight, which takes the
-    /// request up before it clears `busy`. Spills never need a task of
-    /// their own: the one that wrote them compacted to the limit.
-    fn schedule(&self, p: PartitionId, flush: bool) {
-        let inner = &self.inner;
-        {
-            let mut st = inner.parts[p as usize].lock();
-            if flush {
-                if st.cache_bytes == 0 {
-                    return;
-                }
-                st.flush_due = true;
-            }
-            if st.busy {
-                return;
-            }
-            st.busy = true;
-        }
-        inner.pending.fetch_add(1, Ordering::AcqRel);
-        if let Some(tx) = &self.task_tx {
-            if tx.send(p).is_err() {
-                // Workers gone (drop in progress): run inline.
-                inner.run_merge_task(p);
-                inner.task_done();
-            }
-        }
+        self.inner.wake(&mut st);
     }
 
     /// Signal that the map phase (including reception of all remote
     /// partitions) has completed: stop new pre-merges, wait for the tasks
-    /// still in flight to drain — at most one pre-merge batch each, plus
-    /// any flush and compaction — and return that wait, the **merge
-    /// delay**. Nothing is flushed here — runs still cached stay cached, in
-    /// whatever tiers they reached, and reach the reduce merge through
-    /// [`IntermediateStore::partition_cursors`] — and nothing needs
-    /// scheduling: a task compacts its partition down to M spill files
-    /// before it clears `busy`.
-    ///
-    /// Surfaces any spill I/O error recorded by the merger threads — the
-    /// poisoned-store replacement for their former panics.
+    /// still queued or running to end, and return that wait, the **merge
+    /// delay**. Nothing is flushed here: runs still cached reach the
+    /// reduce merge through [`IntermediateStore::partition_cursors`].
+    /// Surfaces any spill I/O error or panic recorded by the mergers.
     pub fn finish_map(&self) -> io::Result<Duration> {
         let start = Instant::now();
-        self.inner.map_done.store(true, Ordering::Release);
-        self.inner.wait_quiesce();
-        self.inner.check_poison()?;
+        let mut st = self.inner.state.lock();
+        st.map_done = true;
+        while !st.settled() {
+            self.inner.wait(&mut st);
+        }
+        st.check_poison()?;
         Ok(start.elapsed())
     }
 
-    /// Open streaming cursors over partition `p` for reduction: one
-    /// [`SpillCursor`] per spill file (a single decoded frame resident
-    /// each) plus a [`MemCursor`] per cached run of every tier — for a job
-    /// that never crossed the flush point, the tiers are all there is.
-    /// The reduce input reader performs the final k-way merge over these
-    /// without ever materializing the partition.
+    /// Open streaming cursors over partition `p` for the reduce's final
+    /// k-way merge: one [`SpillCursor`] per spill file, opened outside the
+    /// lock, and a [`MemCursor`] per cached run of every tier.
     pub fn partition_cursors(&self, p: PartitionId) -> io::Result<Vec<PartCursor>> {
-        self.inner.check_poison()?;
-        let st = self.inner.parts[p as usize].lock();
-        let cached = st.tiers.iter().flatten();
-        let mut cursors = Vec::with_capacity(st.spills.len() + cached.clone().count());
-        for s in &st.spills {
-            cursors.push(PartCursor::Spill(Box::new(self.inner.open_spill(s)?)));
-        }
-        for r in cached {
-            cursors.push(PartCursor::Mem(MemCursor::new(r.clone())));
-        }
-        Ok(cursors)
+        let (files, runs, hook) = {
+            let st = self.inner.state.lock();
+            st.check_poison()?;
+            let part = &st.parts[p as usize];
+            let files: Vec<u64> = part.spills.iter().map(|s| s.seq).collect();
+            (files, part.tiers.concat(), st.hook.clone())
+        };
+        let spills = files.into_iter().map(|seq| {
+            let cursor = self.inner.open_spill(seq, &hook)?;
+            Ok(PartCursor::Spill(Box::new(cursor)))
+        });
+        let mems = runs
+            .into_iter()
+            .map(|r| Ok(PartCursor::Mem(MemCursor::new(r))));
+        spills.chain(mems).collect()
     }
 
     /// Number of spill files currently held by partition `p`.
     pub fn spill_count(&self, p: PartitionId) -> usize {
-        self.inner.parts[p as usize].lock().spills.len()
+        self.inner.state.lock().parts[p as usize].spills.len()
     }
 
     /// Total frames across partition `p`'s spill files.
     pub fn frame_count(&self, p: PartitionId) -> usize {
-        self.inner.parts[p as usize]
-            .lock()
+        let st = self.inner.state.lock();
+        st.parts[p as usize]
             .spills
             .iter()
-            .map(|s| s.frames)
+            .map(|s| s.stats.frames)
             .sum()
     }
 
     /// Total records across a partition's cache and spills.
     pub fn partition_records(&self, p: PartitionId) -> usize {
-        let st = self.inner.parts[p as usize].lock();
-        st.spills.iter().map(|s| s.records).sum::<usize>()
-            + st.tiers.iter().flatten().map(Run::records).sum::<usize>()
-    }
-
-    #[cfg(test)]
-    fn spill_paths(&self, p: PartitionId) -> Vec<PathBuf> {
-        self.inner.parts[p as usize]
-            .lock()
-            .spills
-            .iter()
-            .map(|s| s.path.clone())
-            .collect()
+        let st = self.inner.state.lock();
+        let part = &st.parts[p as usize];
+        part.spills.iter().map(|s| s.stats.records).sum::<usize>()
+            + part.tiers.iter().flatten().map(Run::records).sum::<usize>()
     }
 
     /// Metrics snapshot.
     pub fn metrics(&self) -> StoreMetrics {
-        let m = &self.inner.metrics;
         StoreMetrics {
-            flushes: m.flushes.load(Ordering::Relaxed),
-            compactions: m.compactions.load(Ordering::Relaxed),
-            spilled_raw: m.spilled_raw.load(Ordering::Relaxed),
-            spilled_disk: m.spilled_disk.load(Ordering::Relaxed),
-            runs_added: m.runs_added.load(Ordering::Relaxed),
-            records_added: m.records_added.load(Ordering::Relaxed),
-            bytes_added: m.bytes_added.load(Ordering::Relaxed),
-            merges: m.merges.load(Ordering::Relaxed),
-            merge_fanin: m.merge_fanin.load(Ordering::Relaxed),
-            frames_written: m.frames_written.load(Ordering::Relaxed),
-            frames_read: m.frames_read.load(Ordering::Relaxed),
+            frames_read: self.inner.frames_read.load(Ordering::Relaxed),
             peak_resident_bytes: self.inner.gauge.peak(),
+            ..self.inner.state.lock().metrics
         }
     }
 }
 
 impl Drop for IntermediateStore {
     fn drop(&mut self) {
-        self.task_tx = None; // close the channel
+        self.inner.state.lock().closed = true;
+        self.inner.idle.notify_all();
         for join in self.workers.drain(..) {
             join();
         }
@@ -914,21 +874,39 @@ mod tests {
 
     /// Runs per tier of partition `p`'s cache, tier 0 first.
     fn tier_lens(store: &IntermediateStore, p: PartitionId) -> Vec<usize> {
-        let st = store.inner.parts[p as usize].lock();
-        st.tiers.iter().map(Vec::len).collect()
+        let st = store.inner.state.lock();
+        st.parts[p as usize].tiers.iter().map(Vec::len).collect()
+    }
+
+    /// Wait until no task is queued or running.
+    fn quiesce(store: &IntermediateStore) {
+        let mut st = store.inner.state.lock();
+        while st.working() {
+            store.inner.wait(&mut st);
+        }
+    }
+
+    /// Partition `p`'s spill file paths.
+    fn spill_paths(store: &IntermediateStore, p: PartitionId) -> Vec<PathBuf> {
+        let st = store.inner.state.lock();
+        let spills = &st.parts[p as usize].spills;
+        spills
+            .iter()
+            .map(|s| store.inner.spill_path(s.seq))
+            .collect()
     }
 
     /// With no task in flight, each partition's `cache_bytes`, their
     /// aggregate and the gauge all equal the bytes the tiers hold.
     fn assert_cache_accounting(store: &IntermediateStore) {
         let mut total = 0;
-        for (p, part) in store.inner.parts.iter().enumerate() {
-            let st = part.lock();
-            let held: usize = st.tiers.iter().flatten().map(Run::len_bytes).sum();
-            assert_eq!(st.cache_bytes, held, "partition {p}");
+        let st = store.inner.state.lock();
+        for (p, part) in st.parts.iter().enumerate() {
+            let held: usize = part.tiers.iter().flatten().map(Run::len_bytes).sum();
+            assert_eq!(part.cache_bytes, held, "partition {p}");
             total += held;
         }
-        assert_eq!(store.inner.cache_bytes.load(Ordering::Relaxed), total);
+        assert_eq!(st.cache_bytes, total);
         assert_eq!(store.inner.gauge.current(), total);
     }
 
@@ -998,7 +976,7 @@ mod tests {
             store.add_run(0, word_run(&[w.as_str()]));
             // Drain after every run so each add produces its own spill and
             // the compaction path is exercised deterministically.
-            store.inner.wait_quiesce();
+            quiesce(&store);
         }
         store.finish_map().unwrap();
         assert!(
@@ -1164,7 +1142,7 @@ mod tests {
             // the 21st tips the cache into one spill, and the flush takes
             // exactly those 21, so the other 19 (equal in size, so under
             // the flush point) stay cached — 16 of them pre-merged.
-            store.inner.wait_quiesce();
+            quiesce(&store);
         }
         store.finish_map().unwrap();
         assert_eq!(
@@ -1199,7 +1177,7 @@ mod tests {
         let flushed = IntermediateStore::new(c).unwrap();
         for r in &runs {
             flushed.add_run(0, r.clone());
-            flushed.inner.wait_quiesce();
+            quiesce(&flushed);
         }
         flushed.finish_map().unwrap();
         let m = flushed.metrics();
@@ -1219,7 +1197,7 @@ mod tests {
         for r in &runs {
             compacted.add_run(0, r.clone());
             // Drain so every add becomes its own spill, forcing compaction.
-            compacted.inner.wait_quiesce();
+            quiesce(&compacted);
         }
         compacted.finish_map().unwrap();
         let m = compacted.metrics();
@@ -1263,7 +1241,7 @@ mod tests {
         let store = IntermediateStore::new(c).unwrap();
         for r in &runs {
             store.add_run(0, r.clone());
-            store.inner.wait_quiesce();
+            quiesce(&store);
         }
         store.finish_map().unwrap();
         assert_eq!(tier_lens(&store, 0), vec![TIER_FANIN - 1, 0, 1]);
@@ -1293,16 +1271,24 @@ mod tests {
         let store = IntermediateStore::new(c).unwrap();
         // Stand in for a task between two pre-merge batches: the adds
         // fill tier 0 and cross the threshold, and schedule nothing.
-        store.inner.parts[0].lock().busy = true;
+        {
+            let mut st = store.inner.state.lock();
+            st.parts[0].busy = true;
+            st.in_flight += 1;
+        }
         for r in &runs {
             store.add_run(0, r.clone());
         }
         assert_eq!(tier_lens(&store, 0), vec![21]);
         // The task looks for its next batch: the flush comes first, and
         // takes every tier.
-        store.inner.merge_partition(0).unwrap();
+        let gauge = store.inner.gauge.current();
+        let work = store.inner.state.lock().step(0, gauge).expect("a flush");
+        let done = store.inner.run(work).unwrap();
+        let next = store.inner.state.lock().done(0, done, gauge);
+        assert!(next.is_none());
         assert_eq!((store.spill_count(0), tier_lens(&store, 0)), (1, vec![]));
-        assert!(!store.inner.parts[0].lock().busy);
+        assert!(!store.inner.state.lock().parts[0].busy);
         store.finish_map().unwrap();
         assert_eq!(stream_partition(&store, 0), sorted_records(&runs));
         assert_cache_accounting(&store);
@@ -1317,7 +1303,7 @@ mod tests {
         for i in 0..TIER_FANIN {
             store.add_run(0, word_run(&[format!("k{i}").as_str()]));
         }
-        store.inner.wait_quiesce();
+        quiesce(&store);
         assert_eq!(tier_lens(&store, 0), vec![TIER_FANIN]);
         assert_eq!(store.metrics().merges, 0);
     }
@@ -1418,18 +1404,18 @@ mod tests {
         // is still cached.
         assert_eq!(
             store.inner.gauge.current(),
-            store.inner.cache_bytes.load(Ordering::Relaxed)
+            store.inner.state.lock().cache_bytes
         );
     }
 
     #[test]
     fn memory_budget_bounds_peak_residency() {
         use rand::{rngs::StdRng, SeedableRng};
-        // At 64 KiB and at the smallest budget a job may set, 12 KiB:
+        // At 64 KiB and at the smallest budget a job may set:
         // runs of ~1/32 of the budget either way — sorted keys under a
         // one-byte value, whose spills compress, then records of 90
         // pseudo-random bytes, whose spills are stored.
-        for budget in [64 << 10, 12 << 10] {
+        for budget in [64 << 10, IntermediateConfig::MIN_MEMORY_BUDGET] {
             let (keys, noise) = (budget >> 10, (budget / (3 << 10)).max(1));
             assert_budget_bounds_peak(budget, true, |i| {
                 let words: Vec<String> = (0..keys)
@@ -1472,7 +1458,7 @@ mod tests {
         assert!(runs[0].len_bytes() > budget / 2);
         for r in &runs {
             store.add_run(0, r.clone());
-            store.inner.wait_quiesce();
+            quiesce(&store);
         }
         store.finish_map().unwrap();
         let m = store.metrics();
@@ -1504,7 +1490,7 @@ mod tests {
             "peak {} over 1.5× budget {budget} through finish_map ({m:?})",
             m.peak_resident_bytes
         );
-        let flushed = m.bytes_added - store.inner.cache_bytes.load(Ordering::Relaxed);
+        let flushed = m.bytes_added - store.inner.state.lock().cache_bytes;
         // Rounds for all the store's flushes: no fewer than a partition's.
         let rounds = ceil_log(fanin, m.flushes) as usize;
         assert!(
@@ -1527,14 +1513,13 @@ mod tests {
         );
         assert_eq!(
             store.inner.gauge.current(),
-            store.inner.cache_bytes.load(Ordering::Relaxed)
+            store.inner.state.lock().cache_bytes
         );
     }
 
     /// Whether each of partition `p`'s spill files is compressed.
     fn compressed_files(store: &IntermediateStore, p: PartitionId) -> Vec<bool> {
-        store
-            .spill_paths(p)
+        spill_paths(store, p)
             .iter()
             .map(|path| {
                 let mut f = std::fs::File::open(path).unwrap();
@@ -1567,7 +1552,7 @@ mod tests {
                 for (p, run) in [(0, first), (1, second)] {
                     added[p].push(run.clone());
                     store.add_run(p as u32, run);
-                    store.inner.wait_quiesce();
+                    quiesce(&store);
                 }
             }
             store.finish_map().unwrap();
@@ -1651,8 +1636,59 @@ mod tests {
         // The poison is sticky, the partition schedulable again, and no
         // task is left counted.
         assert!(store.partition_cursors(0).is_err());
-        assert!(!store.inner.parts[0].lock().busy);
-        assert_eq!(store.inner.pending.load(Ordering::Acquire), 0);
+        let st = store.inner.state.lock();
+        assert!(!st.parts[0].busy);
+        assert!(!st.working());
+    }
+
+    /// Blocks the first spill write until the test sends on `release`.
+    struct BlockFirstWrite {
+        release: Mutex<Option<std::sync::mpsc::Receiver<()>>>,
+    }
+    impl SpillFaultHook for BlockFirstWrite {
+        fn spill_fault(&self, op: SpillOp) -> bool {
+            if op == SpillOp::Write {
+                if let Some(release) = self.release.lock().take() {
+                    release.recv().unwrap();
+                }
+            }
+            false
+        }
+    }
+
+    #[test]
+    fn a_parked_producer_is_released_by_a_task_end_alone() {
+        let store = Arc::new(IntermediateStore::new(cfg(1)).unwrap());
+        let (release, blocked) = std::sync::mpsc::channel();
+        store.arm_spill_faults(Some(Arc::new(BlockFirstWrite {
+            release: Mutex::new(Some(blocked)),
+        })));
+        // Each run, just over 1 KiB, crosses the 1 KiB flush point alone,
+        // and the first flush stalls in its first frame write, so the
+        // second run parks on the 2 KiB budget with the flush in flight.
+        let words: Vec<String> = (0..120).map(|i| format!("w{i:05}")).collect();
+        let refs: Vec<&str> = words.iter().map(|s| s.as_str()).collect();
+        let run = word_run(&refs);
+        assert!(run.len_bytes() > 1 << 10, "{}", run.len_bytes());
+        let (tx, rx) = std::sync::mpsc::channel();
+        let producer = {
+            let store = Arc::clone(&store);
+            std::thread::spawn(move || {
+                store.add_run(0, run.clone());
+                store.add_run(0, run);
+                tx.send(()).unwrap();
+            })
+        };
+        while store.inner.state.lock().waiters == 0 {
+            std::thread::yield_now();
+        }
+        assert!(rx.try_recv().is_err(), "the producer parks on the budget");
+        release.send(()).unwrap();
+        rx.recv_timeout(Duration::from_secs(20))
+            .expect("the parked producer was not woken by the flush's end");
+        producer.join().unwrap();
+        store.finish_map().unwrap();
+        assert_eq!(store.partition_records(0), 240);
     }
 
     #[test]
@@ -1664,7 +1700,7 @@ mod tests {
         let refs: Vec<&str> = words.iter().map(|s| s.as_str()).collect();
         store.add_run(0, word_run(&refs));
         store.finish_map().unwrap();
-        let paths = store.spill_paths(0);
+        let paths = spill_paths(&store, 0);
         assert!(!paths.is_empty());
         let bytes = std::fs::read(&paths[0]).unwrap();
         std::fs::write(&paths[0], &bytes[..bytes.len() / 2]).unwrap();
@@ -1673,5 +1709,672 @@ mod tests {
             Ok(_) => panic!("truncated spill must not open"),
         };
         assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+    }
+}
+
+/// Exhaustive breadth-first exploration of `StoreState` under every order
+/// of the events a store sees: producers' adds and parks, `finish_map`,
+/// each merger's steps, the gauge charges its writer and cursors make
+/// outside the lock, a failed write, and the reduce's cursors. States are
+/// deduplicated by hash; a violated property comes back with a shortest
+/// event trace to it.
+#[cfg(test)]
+mod checker {
+    use super::*;
+    use std::collections::hash_map::{DefaultHasher, Entry};
+    use std::collections::{BTreeMap, HashMap};
+    use std::hash::{Hash, Hasher};
+
+    /// A cached run's stand-in: the script runs it holds, a bit each.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
+    struct Mock {
+        runs: u64,
+        bytes: usize,
+    }
+
+    impl Cached for Mock {
+        fn len_bytes(&self) -> usize {
+            self.bytes
+        }
+    }
+
+    /// The store and the script the search covers.
+    #[derive(Debug, Clone)]
+    struct Bounds {
+        budget: usize,
+        parts: u32,
+        mergers: usize,
+        /// Whether the spilled data compresses: its first frame decides.
+        compresses: bool,
+        /// The runs, `(partition, bytes)`: producer `k` of `producers` adds
+        /// runs `k`, `k + producers`, … in order.
+        script: Vec<(usize, usize)>,
+        producers: usize,
+        /// Spill steps that may fail.
+        faults: u8,
+    }
+
+    /// A thread's wait on a condvar.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+    enum Wait {
+        Running,
+        Waiting,
+        /// Notified: it re-checks at its next event.
+        Woken,
+    }
+
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+    enum Event {
+        /// Producer `k` adds its next run, or parks before it.
+        Add(usize),
+        /// Once every producer returned, `finish_map` is called, or
+        /// re-checks.
+        Finish,
+        /// The merger asks for work.
+        Take(usize),
+        /// The merger's writer, and a compaction's cursors, charge the
+        /// gauge.
+        Open(usize),
+        /// The merger's probing writer cuts its first frame, of data that
+        /// does not compress, and sheds its image.
+        Cut(usize),
+        /// The merger's step ends, and it reports under the lock.
+        End(usize),
+        /// The merger's step fails instead.
+        Fail(usize),
+        /// The reduce opens partition `p`'s cursors, reads every frame and
+        /// drops them.
+        Reduce(usize),
+    }
+
+    #[derive(Clone)]
+    struct Merger {
+        work: Option<Work<Mock>>,
+        /// Writer and cursor bytes on the gauge.
+        charged: usize,
+        opened: bool,
+        cut: bool,
+        wait: Wait,
+    }
+
+    #[derive(Clone)]
+    struct World {
+        st: StoreState<Mock>,
+        gauge: usize,
+        mergers: Vec<Merger>,
+        /// Each producer's next script run and wait; the last entry is the
+        /// thread that calls `finish_map`.
+        threads: Vec<(usize, Wait)>,
+        /// The script runs added so far, a bit each.
+        added: u64,
+        /// `finish_map` returned.
+        finished: bool,
+        reduced: usize,
+        /// What each spill file holds.
+        files: BTreeMap<u64, u64>,
+        /// Disk writes of each script run, and flushes per partition.
+        writes: Vec<u8>,
+        flushes: Vec<u8>,
+        frames_written: usize,
+        frames_read: usize,
+        faults: u8,
+    }
+
+    /// The smallest `r` with `m^r ≥ n`.
+    fn ceil_log(m: usize, n: usize) -> u32 {
+        (0..).find(|&r| m.pow(r) >= n).unwrap()
+    }
+
+    fn held(runs: &[Mock]) -> u64 {
+        runs.iter().fold(0, |all, r| all | r.runs)
+    }
+
+    impl World {
+        fn new(b: &Bounds) -> Self {
+            let cfg = IntermediateConfig {
+                num_partitions: b.parts,
+                merger_threads: b.mergers,
+                compress: true,
+                memory_budget: b.budget,
+            };
+            let merger = Merger {
+                work: None,
+                charged: 0,
+                opened: false,
+                cut: false,
+                wait: Wait::Running,
+            };
+            World {
+                st: StoreState::new(&cfg),
+                gauge: 0,
+                mergers: vec![merger; b.mergers],
+                threads: (0..=b.producers).map(|k| (k, Wait::Running)).collect(),
+                added: 0,
+                finished: false,
+                reduced: 0,
+                files: BTreeMap::new(),
+                writes: vec![0; b.script.len()],
+                flushes: vec![0; b.parts as usize],
+                frames_written: 0,
+                frames_read: 0,
+                faults: 0,
+            }
+        }
+
+        fn frame(&self) -> usize {
+            self.st.limits.frame
+        }
+
+        /// What a spill cursor of partition `p` holds, as `SpillCursor`
+        /// charges it: a frame's records and, over a compressed file, that
+        /// frame's stored image.
+        fn cursor_charge(&self, p: usize) -> usize {
+            match self.st.parts[p].encoding {
+                Encoding::Compressed => 2 * self.frame(),
+                _ => self.frame(),
+            }
+        }
+
+        fn events(&self, b: &Bounds) -> Vec<Event> {
+            let mut events = Vec::new();
+            let n = b.producers;
+            for (k, &(next, wait)) in self.threads[..n].iter().enumerate() {
+                if next < b.script.len() && wait != Wait::Waiting {
+                    events.push(Event::Add(k));
+                }
+            }
+            let all_added = self.threads[..n].iter().all(|t| t.0 >= b.script.len());
+            if all_added && !self.finished && self.threads[n].1 != Wait::Waiting {
+                events.push(Event::Finish);
+            }
+            for (i, m) in self.mergers.iter().enumerate() {
+                let Some(work) = &m.work else {
+                    if m.wait != Wait::Waiting {
+                        events.push(Event::Take(i));
+                    }
+                    continue;
+                };
+                if matches!(work.step, Step::PreMerge(..)) {
+                    events.push(Event::End(i));
+                } else if !m.opened {
+                    events.push(Event::Open(i));
+                } else {
+                    if work.encoding == Encoding::Probe && !b.compresses && !m.cut {
+                        events.push(Event::Cut(i));
+                    }
+                    events.push(Event::End(i));
+                    if self.faults < b.faults {
+                        events.push(Event::Fail(i));
+                    }
+                }
+            }
+            if self.finished && self.st.poison.is_none() && self.reduced < b.parts as usize {
+                events.push(Event::Reduce(self.reduced));
+            }
+            events
+        }
+
+        /// Notify what the last event asked for, as the wrapper does.
+        fn wake(&mut self) {
+            if std::mem::take(&mut self.st.wake_waiters) {
+                for t in &mut self.threads {
+                    if t.1 == Wait::Waiting {
+                        t.1 = Wait::Woken;
+                    }
+                }
+            }
+            let mergers = std::mem::take(&mut self.st.wake_mergers);
+            for m in &mut self.mergers {
+                if mergers && m.wait == Wait::Waiting {
+                    m.wait = Wait::Woken;
+                }
+            }
+        }
+
+        /// Merger `i` goes on with `next`, or takes the next queued step
+        /// in the same locked region, or waits; a pre-merge charges its
+        /// copy there, as `Inner::serve` does.
+        fn give(&mut self, i: usize, next: Option<Work<Mock>>) {
+            let next = next.or_else(|| self.st.take(self.gauge));
+            if let Some(Step::PreMerge(_, _, bytes)) = next.as_ref().map(|w| &w.step) {
+                self.gauge += bytes;
+            }
+            let m = &mut self.mergers[i];
+            m.wait = match next {
+                Some(_) => Wait::Running,
+                None => Wait::Waiting,
+            };
+            (m.work, m.charged, m.opened, m.cut) = (next, 0, false, false);
+        }
+
+        /// The spill file `seq` a flush or compaction wrote, `encoding` being
+        /// what its partition's first frame decided.
+        fn spill(
+            &mut self,
+            seq: u64,
+            runs: u64,
+            raw_bytes: usize,
+            encoding: Encoding,
+        ) -> Done<Mock> {
+            let frames = raw_bytes.div_ceil(self.frame());
+            self.frames_written += frames;
+            self.files.insert(seq, runs);
+            for (r, w) in self.writes.iter_mut().enumerate() {
+                *w += (runs >> r & 1) as u8;
+            }
+            let stats = SpillStats {
+                raw_bytes,
+                disk_bytes: raw_bytes,
+                records: runs.count_ones() as usize,
+                frames,
+                encoding,
+            };
+            Done::Spilled(SpillFile { seq, stats })
+        }
+
+        /// Thread `k`'s `add_run` (or, past the producers, `finish_map`),
+        /// as the wrapper runs them: a woken waiter leaves the count, then
+        /// re-checks.
+        fn produce(&mut self, b: &Bounds, k: usize) {
+            let (next, wait) = self.threads[k];
+            if wait == Wait::Woken {
+                self.st.waiters -= 1;
+            }
+            let parks = if k == b.producers {
+                self.st.map_done = true;
+                self.finished = self.st.settled();
+                !self.finished
+            } else {
+                let (part, bytes) = b.script[next];
+                let parks = self.st.must_park(bytes, self.gauge);
+                if !parks {
+                    let runs = 1 << next;
+                    if self.st.add(part, Mock { runs, bytes }) {
+                        self.gauge += bytes;
+                    }
+                    self.added |= runs;
+                    self.threads[k].0 += b.producers;
+                }
+                parks
+            };
+            self.st.waiters += usize::from(parks);
+            self.threads[k].1 = if parks { Wait::Waiting } else { Wait::Running };
+        }
+
+        /// Merger `i`'s step ends (`fails`, or writes what it read), and
+        /// the merger reports it under the lock.
+        fn end(&mut self, b: &Bounds, i: usize, fails: bool) {
+            let m = &mut self.mergers[i];
+            let work = m.work.take().expect("a step");
+            self.gauge -= m.charged;
+            let part = work.part;
+            if fails {
+                self.faults += 1;
+                if let Step::Flush(_, bytes) = work.step {
+                    self.gauge -= bytes;
+                }
+                self.st.fail(part, io::Error::other("injected"));
+                return self.give(i, None);
+            }
+            let encoding = match work.encoding {
+                Encoding::Probe if b.compresses => Encoding::Compressed,
+                Encoding::Probe => Encoding::Stored,
+                decided => decided,
+            };
+            let done = match work.step {
+                Step::Flush(runs, bytes) => {
+                    self.gauge -= bytes;
+                    self.flushes[part] += 1;
+                    self.spill(work.seq, held(&runs), bytes, encoding)
+                }
+                Step::Compact(files) => {
+                    let mut runs = 0;
+                    for f in &files {
+                        runs |= self.files.remove(&f.seq).expect("a live file");
+                        self.frames_read += f.stats.frames;
+                    }
+                    let raw = files.iter().map(|f| f.stats.raw_bytes).sum();
+                    self.spill(work.seq, runs, raw, encoding)
+                }
+                Step::PreMerge(tier, runs, bytes) => {
+                    self.gauge -= bytes;
+                    let runs = held(&runs);
+                    Done::PreMerged(tier, Mock { runs, bytes })
+                }
+            };
+            let next = self.st.done(part, done, self.gauge);
+            self.give(i, next);
+        }
+
+        fn apply(&mut self, b: &Bounds, event: Event) {
+            match event {
+                Event::Add(k) => self.produce(b, k),
+                Event::Finish => self.produce(b, b.producers),
+                Event::Take(i) => self.give(i, None),
+                Event::Open(i) => {
+                    let work = self.mergers[i].work.as_ref().expect("a spill");
+                    let cursors = match &work.step {
+                        Step::Compact(files) => files.len() * self.cursor_charge(work.part),
+                        _ => 0,
+                    };
+                    let writer = match work.encoding {
+                        Encoding::Stored => self.frame(),
+                        _ => 2 * self.frame(),
+                    };
+                    self.gauge += writer + cursors;
+                    let m = &mut self.mergers[i];
+                    (m.charged, m.opened) = (writer + cursors, true);
+                }
+                Event::Cut(i) => {
+                    self.gauge -= self.frame();
+                    let frame = self.frame();
+                    let m = &mut self.mergers[i];
+                    (m.charged, m.cut) = (m.charged - frame, true);
+                }
+                Event::End(i) => self.end(b, i, false),
+                Event::Fail(i) => self.end(b, i, true),
+                Event::Reduce(p) => {
+                    for s in &self.st.parts[p].spills {
+                        self.frames_read += s.stats.frames;
+                    }
+                    self.reduced += 1;
+                }
+            }
+            self.wake();
+        }
+
+        /// Bytes the reduce's cursors over partition `p` hold at once.
+        fn reduce_charge(&self, p: usize) -> usize {
+            self.st.parts[p].spills.len() * self.cursor_charge(p)
+        }
+
+        /// The properties every state keeps, `peak` being the gauge's
+        /// highest reading on the way in.
+        fn check(&self, b: &Bounds, peak: usize) -> Result<(), String> {
+            if 2 * peak > 3 * b.budget {
+                return Err(format!("the gauge reads {peak} B, over 1.5× the budget"));
+            }
+            for (k, t) in self.threads.iter().enumerate() {
+                if t.1 != Wait::Waiting {
+                    continue;
+                }
+                let what = if k == b.producers {
+                    "finish_map waits"
+                } else {
+                    "a producer stays parked"
+                };
+                if self.st.poison.is_some() {
+                    return Err(format!("{what} after a poison"));
+                }
+                if !self.st.working() {
+                    return Err(format!("{what} with nothing in flight"));
+                }
+            }
+            if self.st.poison.is_some() {
+                return Ok(());
+            }
+            // Every run added is held exactly once, by its own partition:
+            // cached, spilled, or in a step.
+            for p in 0..b.parts as usize {
+                let part = &self.st.parts[p];
+                let mut held: Vec<u64> = part.tiers.iter().flatten().map(|r| r.runs).collect();
+                held.extend(part.spills.iter().map(|s| self.files[&s.seq]));
+                for work in self.mergers.iter().filter_map(|m| m.work.as_ref()) {
+                    match &work.step {
+                        _ if work.part != p => {}
+                        Step::Flush(runs, _) | Step::PreMerge(_, runs, _) => {
+                            held.extend(runs.iter().map(|r| r.runs))
+                        }
+                        Step::Compact(files) => {
+                            held.extend(files.iter().map(|f| self.files[&f.seq]))
+                        }
+                    }
+                }
+                let mut all = 0u64;
+                for runs in held {
+                    if all & runs != 0 {
+                        return Err(format!("partition {p} holds runs {:#b} twice", all & runs));
+                    }
+                    all |= runs;
+                }
+                let want = (0..b.script.len())
+                    .filter(|&r| self.added >> r & 1 == 1 && b.script[r].0 == p)
+                    .fold(0, |all, r| all | 1 << r);
+                if all != want {
+                    return Err(format!("partition {p} holds runs {all:#b}, not {want:#b}"));
+                }
+            }
+            Ok(())
+        }
+
+        /// The properties of a state no event changes.
+        fn ends(&self, b: &Bounds) -> Result<(), String> {
+            if !self.finished {
+                return Err("finish_map never returns".into());
+            }
+            if self.st.poison.is_some() {
+                return Ok(());
+            }
+            if self.frames_written != self.frames_read {
+                return Err(format!(
+                    "{} frames written, {} read",
+                    self.frames_written, self.frames_read
+                ));
+            }
+            // Goodrich et al. (arXiv:1101.1902): an M-way external merge of
+            // N runs writes each byte ⌈log_M N⌉ times, the reduce's read
+            // included, so it rewrites it at most ⌈log_M N⌉ − 1 times.
+            let m = self.st.limits.max_spill_files;
+            for (r, &(p, _)) in b.script.iter().enumerate() {
+                let rounds = ceil_log(m, self.flushes[p] as usize).max(1);
+                if u32::from(self.writes[r]) > rounds {
+                    return Err(format!(
+                        "run {r} was written {} times over {} flushes of partition {p}, M {m}",
+                        self.writes[r], self.flushes[p]
+                    ));
+                }
+            }
+            Ok(())
+        }
+
+        /// A hash of what decides the future: spill files by their
+        /// content, not by their sequence number.
+        fn fingerprint(&self) -> u64 {
+            let mut h = DefaultHasher::new();
+            let file = |s: &SpillFile| (self.files.get(&s.seq), s.stats.raw_bytes);
+            for part in &self.st.parts {
+                part.tiers.hash(&mut h);
+                part.spills.iter().map(file).for_each(|f| f.hash(&mut h));
+                let flags = (part.busy, part.flush_due, part.encoding);
+                (part.cache_bytes, flags).hash(&mut h);
+            }
+            let st = &self.st;
+            (st.cache_bytes, &st.ready, st.in_flight, st.waiters).hash(&mut h);
+            (st.map_done, st.poison.is_some()).hash(&mut h);
+            for m in &self.mergers {
+                (m.charged, m.opened, m.cut, m.wait).hash(&mut h);
+                let Some(work) = &m.work else {
+                    continue;
+                };
+                (work.part, work.encoding).hash(&mut h);
+                match &work.step {
+                    Step::Flush(runs, _) => (1, runs).hash(&mut h),
+                    Step::PreMerge(tier, runs, _) => (2, tier, runs).hash(&mut h),
+                    Step::Compact(files) => files.iter().map(file).for_each(|f| f.hash(&mut h)),
+                }
+            }
+            let producer = (&self.threads, self.added, self.finished, self.reduced);
+            (self.gauge, producer, &self.writes, self.faults).hash(&mut h);
+            (self.frames_written, self.frames_read).hash(&mut h);
+            h.finish()
+        }
+    }
+
+    /// Explore every state reachable within `b`, and return the number of
+    /// states; the first property violated comes back with a shortest
+    /// event trace to it.
+    fn explore(b: &Bounds) -> Result<usize, String> {
+        let started = Instant::now();
+        let start = World::new(b);
+        // Each state's parent and the event that led from it.
+        let mut seen: HashMap<u64, Option<(u64, Event)>> = HashMap::new();
+        seen.insert(start.fingerprint(), None);
+        let mut frontier = VecDeque::from([start]);
+        let mut top = 0;
+        let fail = |seen: &HashMap<u64, Option<(u64, Event)>>,
+                    mut at: u64,
+                    last: Option<Event>,
+                    why: String| {
+            let mut trace: Vec<Event> = last.into_iter().collect();
+            while let Some(Some((parent, event))) = seen.get(&at) {
+                trace.push(*event);
+                at = *parent;
+            }
+            trace.reverse();
+            Err(format!(
+                "{}: {why}\nshortest trace ({} events): {trace:?}",
+                label(b),
+                trace.len()
+            ))
+        };
+        while let Some(world) = frontier.pop_front() {
+            let here = world.fingerprint();
+            let events = world.events(b);
+            if events.is_empty() {
+                if let Err(why) = world.ends(b) {
+                    return fail(&seen, here, None, why);
+                }
+            }
+            for event in events {
+                let mut next = world.clone();
+                next.apply(b, event);
+                let mut peak = next.gauge;
+                if let Event::Reduce(p) = event {
+                    peak += world.reduce_charge(p);
+                }
+                top = top.max(peak);
+                if let Err(why) = next.check(b, peak) {
+                    return fail(&seen, here, Some(event), why);
+                }
+                if let Entry::Vacant(e) = seen.entry(next.fingerprint()) {
+                    e.insert(Some((here, event)));
+                    frontier.push_back(next);
+                }
+            }
+        }
+        println!(
+            "store checker {}: {} states in {:.2?}, peak {:.2}× the budget",
+            label(b),
+            seen.len(),
+            started.elapsed(),
+            top as f64 / b.budget as f64,
+        );
+        Ok(seen.len())
+    }
+
+    fn label(b: &Bounds) -> String {
+        format!(
+            "{} KiB, {} partition(s), {} merger(s), {}, {} runs from {} producer(s), {} fault(s)",
+            b.budget >> 10,
+            b.parts,
+            b.mergers,
+            if b.compresses {
+                "compressing"
+            } else {
+                "stored"
+            },
+            b.script.len(),
+            b.producers,
+            b.faults,
+        )
+    }
+
+    /// Per partition, `M + 4` runs that each cross the flush point alone,
+    /// so the partition compacts, then six runs of a sixth of the budget,
+    /// which fill the cache while the last spills run.
+    fn spilling(budget: usize, parts: u32, mergers: usize, compresses: bool) -> Bounds {
+        let m = (IntermediateConfig::default().with_memory_budget(budget))
+            .limits()
+            .max_spill_files;
+        let parts_ = parts as usize;
+        let big = (0..(m + 4) * parts_).map(|i| (i % parts_, budget / 2 + 256));
+        let small = (0..6).map(|i| (i % parts_, budget / 6));
+        Bounds {
+            budget,
+            parts,
+            mergers,
+            compresses,
+            script: big.chain(small).collect(),
+            producers: 1,
+            faults: 0,
+        }
+    }
+
+    /// Partition 0's tier 0 fills twice below the flush point, so
+    /// pre-merges race the adds, then `spills` runs that spill; with none,
+    /// the last add queues a pre-merge that `finish_map` races.
+    fn pre_merging(budget: usize, mergers: usize, spills: usize) -> Bounds {
+        let small = (0..2 * TIER_FANIN).map(|_| (0, budget / 80));
+        let big = (0..spills).map(|i| (i % 2, budget / 4));
+        Bounds {
+            budget,
+            parts: 2,
+            mergers,
+            compresses: true,
+            script: small.chain(big).collect(),
+            producers: 1,
+            faults: 0,
+        }
+    }
+
+    /// Every bound a budget floor is held to.
+    fn every_bound(budget: usize) -> Vec<Bounds> {
+        let mut all = Vec::new();
+        for (parts, mergers) in [(1, 1), (1, 2), (2, 1), (2, 2)] {
+            for compresses in [false, true] {
+                all.push(spilling(budget, parts, mergers, compresses));
+            }
+        }
+        // Two producers race each other's parks and wakes.
+        all.push(Bounds {
+            producers: 2,
+            ..spilling(budget, 2, 2, true)
+        });
+        for mergers in [1, 2] {
+            all.push(pre_merging(budget, mergers, 6));
+            all.push(pre_merging(budget, mergers, 0));
+            all.push(Bounds {
+                faults: 1,
+                ..spilling(budget, 2, mergers, true)
+            });
+        }
+        all
+    }
+
+    #[test]
+    fn at_the_floor_every_event_order_keeps_every_property() {
+        let mut all = every_bound(IntermediateConfig::MIN_MEMORY_BUDGET);
+        // A budget whose M is 32, as every budget from 64 KiB up derives.
+        all.push(spilling(64 << 10, 1, 2, true));
+        let states: usize = all
+            .iter()
+            .map(|b| explore(b).unwrap_or_else(|e| panic!("{e}")))
+            .sum();
+        println!("store checker: {states} states over {} bounds", all.len());
+    }
+
+    #[test]
+    fn four_kib_below_the_floor_the_gauge_passes_one_and_a_half_budgets() {
+        let budget = IntermediateConfig::MIN_MEMORY_BUDGET - (4 << 10);
+        let broken: Vec<String> = every_bound(budget)
+            .iter()
+            .filter_map(|b| explore(b).err())
+            .collect();
+        for why in &broken {
+            println!("store checker, broken: {why}");
+        }
+        assert!(broken
+            .iter()
+            .any(|why| why.contains("over 1.5× the budget")));
     }
 }

@@ -17,6 +17,7 @@ use std::sync::Arc;
 use proptest::prelude::*;
 
 use glasswing::apps::WordCount;
+use glasswing::intermediate::IntermediateConfig;
 use glasswing::prelude::*;
 
 /// Deterministic pseudo-text: the seed fully determines every line.
@@ -56,7 +57,7 @@ fn job_config(buffering: Buffering) -> JobConfig {
     cfg.partition_threads = 1;
     cfg.buffering = buffering;
     cfg.collector_capacity = 1 << 16;
-    cfg.memory_budget = Some(12 << 10);
+    cfg.memory_budget = Some(IntermediateConfig::MIN_MEMORY_BUDGET);
     cfg.output_replication = 1;
     cfg
 }

@@ -11,6 +11,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use glasswing::core::{CounterId, EngineError, LogicalKind, MarkId};
+use glasswing::intermediate::IntermediateConfig;
 use glasswing::prelude::*;
 
 const CORPUS: &str = "the quick brown fox jumps over the lazy dog \
@@ -593,13 +594,13 @@ fn persistent_slowdown_degrades_but_never_kills() {
 }
 
 /// The smallest memory budget a job may set.
-const SPILL_HEAVY_BUDGET: usize = 12 << 10;
+const SPILL_HEAVY_BUDGET: usize = IntermediateConfig::MIN_MEMORY_BUDGET;
 
 /// Chaos config at [`SPILL_HEAVY_BUDGET`], for WordCount without its
 /// combiner, so every word instance crosses the store (80–140 KB a node):
-/// the cache spills to a framed file every 6 KiB and compaction churns
-/// throughout the job, so the reduce input is served almost entirely from
-/// streaming spill cursors (the out-of-core path).
+/// the cache spills to a framed file every 12 KiB throughout the job, so
+/// the reduce input is served almost entirely from streaming spill cursors
+/// (the out-of-core path).
 fn spill_heavy_cfg() -> JobConfig {
     let mut cfg = chaos_cfg();
     cfg.memory_budget = Some(SPILL_HEAVY_BUDGET);

@@ -12,6 +12,7 @@ use glasswing::apps::workloads::{self, CorpusSpec};
 use glasswing::apps::{TeraSort, WordCount};
 use glasswing::core::schedule::{pipeline_makespan, ChunkTimes};
 use glasswing::core::{EventKind, MarkId, PipelineKind, Realm, StageId};
+use glasswing::intermediate::IntermediateConfig;
 use glasswing::prelude::*;
 
 fn corpus_cluster(lines: usize, nodes: u32, block: usize) -> Cluster {
@@ -259,7 +260,7 @@ fn collector_choice_shifts_stage_balance() {
 fn intermediate_machinery_reports_metrics() {
     let cluster = corpus_cluster(500, 2, 2048);
     let mut c = cfg();
-    c.memory_budget = Some(12 << 10); // force spills
+    c.memory_budget = Some(IntermediateConfig::MIN_MEMORY_BUDGET); // force spills
     c.partitions_per_node = 2;
     c.merger_threads = 2;
     let report = cluster

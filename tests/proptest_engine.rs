@@ -12,6 +12,7 @@ use proptest::prelude::*;
 
 use glasswing::apps::workloads::sample_keys;
 use glasswing::apps::{codec, TeraSort, WordCount};
+use glasswing::intermediate::IntermediateConfig;
 use glasswing::prelude::*;
 
 fn write_input(records: &[(Vec<u8>, Vec<u8>)], nodes: u32, block: usize) -> Arc<Dfs> {
@@ -32,7 +33,7 @@ fn tiny_cfg() -> JobConfig {
     cfg.device_threads = 1;
     cfg.partition_threads = 1;
     cfg.collector_capacity = 1 << 16;
-    cfg.memory_budget = Some(12 << 10);
+    cfg.memory_budget = Some(IntermediateConfig::MIN_MEMORY_BUDGET);
     cfg.output_replication = 1;
     cfg
 }

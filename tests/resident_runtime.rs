@@ -17,7 +17,7 @@ use std::time::{Duration, Instant};
 use glasswing::apps::workloads::{self, CorpusSpec, Records};
 use glasswing::apps::{TeraSort, WordCount};
 use glasswing::core::{CounterId, EngineError};
-use glasswing::intermediate::SpillOp;
+use glasswing::intermediate::{IntermediateConfig, SpillOp};
 use glasswing::prelude::*;
 
 static SERIAL: Mutex<()> = Mutex::new(());
@@ -339,7 +339,7 @@ fn the_runtime_survives_a_poisoned_merger() {
         Some(FaultPlan::empty().with_spill_fault(SpillOp::Write, 0)),
         |cluster| {
             let mut cfg = failing_cfg();
-            cfg.memory_budget = Some(12 << 10);
+            cfg.memory_budget = Some(IntermediateConfig::MIN_MEMORY_BUDGET);
             run(
                 cluster,
                 &(Arc::new(WordCount::new()) as Arc<dyn GwApp>),

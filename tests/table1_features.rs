@@ -14,6 +14,7 @@ use glasswing::apps::{reference, WordCount};
 use glasswing::baseline::{
     GpmrCluster, GpmrConfig, GpmrError, PhoenixConfig, PhoenixError, PhoenixRuntime,
 };
+use glasswing::intermediate::IntermediateConfig;
 use glasswing::prelude::*;
 
 fn corpus(lines: usize) -> workloads::Records {
@@ -89,7 +90,7 @@ fn out_of_core_column() {
     );
     let mut cfg = JobConfig::new("/in", "/gw-out");
     cfg.device_threads = 1;
-    cfg.memory_budget = Some(12 << 10);
+    cfg.memory_budget = Some(IntermediateConfig::MIN_MEMORY_BUDGET);
     let report = gw
         .run(Arc::new(WordCount::without_combiner()), &cfg)
         .expect("Glasswing handles out-of-core intermediate data");

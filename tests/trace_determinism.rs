@@ -22,6 +22,7 @@ use proptest::prelude::*;
 
 use glasswing::apps::WordCount;
 use glasswing::core::{LaneId, LogicalKind};
+use glasswing::intermediate::IntermediateConfig;
 use glasswing::prelude::*;
 
 /// Deterministic pseudo-text: the seed fully determines every line, so
@@ -64,7 +65,7 @@ fn job_config(buffering: Buffering) -> JobConfig {
     cfg.partition_threads = 1;
     cfg.buffering = buffering;
     cfg.collector_capacity = 1 << 16;
-    cfg.memory_budget = Some(12 << 10);
+    cfg.memory_budget = Some(IntermediateConfig::MIN_MEMORY_BUDGET);
     cfg.output_replication = 1;
     cfg
 }
