@@ -74,7 +74,7 @@ pub struct JobConfig {
     /// `IntermediateConfig::with_memory_budget` derives the spill policy;
     /// backpressure keeps peak resident intermediate bytes ≤ ~1.5× it.
     /// `None` means 64 MiB; a set budget is at least
-    /// `IntermediateConfig::MIN_MEMORY_BUDGET`.
+    /// `IntermediateConfig::min_memory_budget(merger_threads)`.
     pub memory_budget: Option<usize>,
     /// Reduce: number of keys processed concurrently per kernel launch.
     pub reduce_concurrent_keys: usize,
@@ -349,11 +349,14 @@ impl JobConfig {
         if self.collector_capacity < 1024 {
             return Err("collector capacity unreasonably small".into());
         }
-        // The smallest budget whose derived limits keep the store within
-        // 1.5× of it (`IntermediateConfig::with_memory_budget`).
-        let floor = gw_intermediate::IntermediateConfig::MIN_MEMORY_BUDGET;
+        // The smallest budget whose derived limits keep a store of this
+        // many mergers within 1.5× of it.
+        let floor = gw_intermediate::IntermediateConfig::min_memory_budget(self.merger_threads);
         if self.memory_budget.is_some_and(|b| b < floor) {
-            return Err(format!("memory_budget must be at least {floor} B when set"));
+            return Err(format!(
+                "memory_budget must be at least {floor} B when set, for {} merger threads",
+                self.merger_threads
+            ));
         }
         if self.output_replication == 0 {
             return Err("output replication must be ≥ 1".into());
@@ -413,6 +416,12 @@ mod tests {
 
         let mut c = JobConfig::new("/in", "/out");
         c.merger_threads = 0;
+        assert!(c.validate().is_err());
+
+        // Four mergers need 48 KiB: the two-merger floor is too small.
+        let mut c = JobConfig::new("/in", "/out");
+        c.merger_threads = 4;
+        c.memory_budget = Some(gw_intermediate::IntermediateConfig::MIN_MEMORY_BUDGET);
         assert!(c.validate().is_err());
     }
 

@@ -28,7 +28,7 @@
 //! per key: a chunk is four buffers (key/value arena, value spans, groups,
 //! work-item assignments) filled by the merge, and a launch adds one flat
 //! list of value slices over the arena. As in the map
-//! pipeline, all channel wiring, the §III-D token interlock, fault
+//! pipeline, all chunk handoff, the §III-D token interlock, fault
 //! probing, timers and unwinding live in [`gw_pipeline`]; Stage and
 //! Retrieve are slots of discrete-memory graphs only.
 //!

@@ -99,11 +99,22 @@ impl Default for IntermediateConfig {
 }
 
 impl IntermediateConfig {
-    /// The smallest `memory_budget` a job may set: the store's `checker`
-    /// tests hold [`StoreMetrics::peak_resident_bytes`] within 1.5× of it
-    /// over every event order they explore with one or two mergers, and
-    /// find it broken 4 KiB below.
+    /// The smallest `memory_budget` a job of one or two mergers may set:
+    /// [`IntermediateConfig::min_memory_budget`] of 2.
     pub const MIN_MEMORY_BUDGET: usize = 24 << 10;
+
+    /// The smallest `memory_budget` a store of `mergers` merger threads
+    /// may run under: 12 KiB a merger, and never under
+    /// [`IntermediateConfig::MIN_MEMORY_BUDGET`]. Below 64 KiB a frame is
+    /// 1 KiB, and each merger may hold a compaction's writer and two input
+    /// cursors of two frames each (6 KiB) beside a full cache: their sum
+    /// must fit in half the budget. The store's `checker` tests hold
+    /// [`StoreMetrics::peak_resident_bytes`] within 1.5× of it over every
+    /// event order they explore with one to three mergers, and find it
+    /// broken 4 KiB below with two.
+    pub fn min_memory_budget(mergers: usize) -> usize {
+        (12 << 10) * mergers.max(2)
+    }
 
     /// Set the memory budget, from which the store derives its spill
     /// policy: the cache flushes at half the budget, frames are `budget /
@@ -2327,25 +2338,33 @@ mod checker {
         }
     }
 
-    /// Every bound a budget floor is held to.
-    fn every_bound(budget: usize) -> Vec<Bounds> {
+    /// Every bound the budget floor is held to, each `below` bytes under
+    /// the floor for its merger count.
+    fn every_bound(below: usize) -> Vec<Bounds> {
+        let budget = |mergers| IntermediateConfig::min_memory_budget(mergers) - below;
         let mut all = Vec::new();
         for (parts, mergers) in [(1, 1), (1, 2), (2, 1), (2, 2)] {
             for compresses in [false, true] {
-                all.push(spilling(budget, parts, mergers, compresses));
+                all.push(spilling(budget(mergers), parts, mergers, compresses));
             }
+        }
+        // Three mergers derive a smaller compaction fan-in and a higher
+        // floor; a partition's task is one step at a time, so two
+        // partitions run two of them at once.
+        for parts in [1, 2] {
+            all.push(spilling(budget(3), parts, 3, true));
         }
         // Two producers race each other's parks and wakes.
         all.push(Bounds {
             producers: 2,
-            ..spilling(budget, 2, 2, true)
+            ..spilling(budget(2), 2, 2, true)
         });
         for mergers in [1, 2] {
-            all.push(pre_merging(budget, mergers, 6));
-            all.push(pre_merging(budget, mergers, 0));
+            all.push(pre_merging(budget(mergers), mergers, 6));
+            all.push(pre_merging(budget(mergers), mergers, 0));
             all.push(Bounds {
                 faults: 1,
-                ..spilling(budget, 2, mergers, true)
+                ..spilling(budget(mergers), 2, mergers, true)
             });
         }
         all
@@ -2353,7 +2372,7 @@ mod checker {
 
     #[test]
     fn at_the_floor_every_event_order_keeps_every_property() {
-        let mut all = every_bound(IntermediateConfig::MIN_MEMORY_BUDGET);
+        let mut all = every_bound(0);
         // A budget whose M is 32, as every budget from 64 KiB up derives.
         all.push(spilling(64 << 10, 1, 2, true));
         let states: usize = all
@@ -2365,8 +2384,7 @@ mod checker {
 
     #[test]
     fn four_kib_below_the_floor_the_gauge_passes_one_and_a_half_budgets() {
-        let budget = IntermediateConfig::MIN_MEMORY_BUDGET - (4 << 10);
-        let broken: Vec<String> = every_bound(budget)
+        let broken: Vec<String> = every_bound(4 << 10)
             .iter()
             .filter_map(|b| explore(b).err())
             .collect();

@@ -2,34 +2,33 @@
 //!
 //! A pipeline is a pulling [`Source`] followed by a chain of [`Stage`]s.
 //! The executor runs one scoped task per *lane* of each stage on a
-//! [`Runtime`] (the caller's, or one local to the call), links them with
-//! bounded handoff channels, and owns every cross-cutting concern the
-//! stages themselves used to copy-paste:
+//! [`Runtime`] (the caller's, or one local to the call), hands chunks
+//! from lane to lane, and owns every cross-cutting concern the stages
+//! themselves used to copy-paste:
 //!
 //! * **§III-D buffer tokens** — each [`PipelineBuilder::interlock`] group
-//!   (e.g. the map pipeline's input group Input→Kernel and output group
-//!   Kernel→Partition) is a semaphore of `B =`
-//!   [`Buffering::depth`](crate::Buffering::depth) permits. A chunk
-//!   acquires the group's permit before its first stage runs and carries
-//!   it until its last stage completes, so at most `B` chunks are ever in
-//!   flight inside the group — enforced here, not by ad-hoc channel
-//!   capacities. A high-water gauge per group backs the property test
-//!   pinning that invariant.
+//!   (e.g. the map pipeline's Input→Kernel and Kernel→Partition) holds
+//!   `B =` [`Buffering::depth`](crate::Buffering::depth) permits. A chunk
+//!   takes the group's permit before its first stage runs and holds it
+//!   until its last stage completes, so at most `B` chunks are ever in
+//!   flight inside the group (a high-water mark per group).
 //! * **Lanes** — a slot may run several worker lanes
-//!   ([`PipelineBuilder::stage_lanes`], [`PipelineBuilder::source_lanes`]).
-//!   Chunks are dealt round-robin by sequence number (chunk `s` runs on
-//!   lane `s mod N` of an N-lane slot), the handoff between adjacent slots
-//!   is an N×M matrix of bounded channels, and every consumer pulls its
-//!   expected sequence numbers in order from the producer lane that owns
-//!   each one — so a single-lane consumer (and the final stage) sees
-//!   chunks in exactly the global sequence order, byte-identical for
-//!   every lane count, with no separate reorder-buffer thread. A chunk
-//!   consumed mid-graph leaves a `Payload::Skip` hole that keeps
-//!   sequence numbers dense. Input claims and token-permit acquisition
-//!   stay in global sequence order (per-slot turn-taking), which is what
-//!   keeps the B-bounded interlocks deadlock-free at any lane count: a
-//!   permit can only ever be held by a seq whose predecessors already
-//!   acquired theirs.
+//!   ([`PipelineBuilder::stage_lanes`], [`PipelineBuilder::source_lanes`]);
+//!   chunk `s` runs on lane `s mod N` of an N-lane slot. Between a K-lane
+//!   and an L-lane slot sit K×L one-chunk handoff cells, and each consumer
+//!   lane takes its seqs in order, so a single-lane consumer (and the
+//!   final stage) sees the global sequence order for every lane count. A
+//!   chunk consumed mid-graph leaves a `Payload::Skip` hole that keeps
+//!   seqs dense. A source's claims, and each permit-taking slot's
+//!   admissions, run in global sequence order — a lane waits for its
+//!   slot's admission turn, then for its permits — so a permit is only
+//!   ever held by a seq whose predecessors hold theirs: the B-bounded
+//!   interlocks cannot deadlock at any lane count.
+//! * **One state, one lock** — every handoff decision is a method of the
+//!   private `GraphState`, which takes one event and names the lanes it
+//!   may unblock; `run` keeps it behind one mutex and parks each lane on a
+//!   condvar of its own. The `checker` test module explores every event
+//!   order of the graphs the engine builds.
 //! * **Crash probing and dead/abort flags** — between chunks the executor
 //!   consults the [`PipelineProbe`]: `should_abort` unwinds the stage
 //!   quietly (marking the node dead), `crash_fires` injects a node
@@ -42,20 +41,19 @@
 //!   [`StageCtx::add_time`]. A source's span opens only once its claim
 //!   admitted a chunk, so end of input is not a chunk. The executor keeps
 //!   no totals of its own: stage timers are a fold of the finished trace.
-//! * **Unwinding** — a stage error or panic kills the probe, drops the
-//!   stage's channel endpoints and lets the graph drain deterministically:
-//!   upstream sends fail, downstream receives drain, queued chunks drop
-//!   (returning their permits), and the first error in stage order is
-//!   surfaced. Stage panics propagate after every lane has been joined;
-//!   turn-taking slots release their siblings on every exit path.
+//! * **Unwinding** — a stage error, panic, stop or injected crash kills
+//!   the probe and closes the graph: every lane ends at its next step,
+//!   chunks waiting in handoff cells drop and return their permits, and
+//!   the first error in stage order is surfaced. Stage panics propagate
+//!   after every lane has been joined.
 
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
+use std::task::Poll;
 use std::time::{Duration, Instant};
 
 use crossbeam::channel::{bounded, Receiver, Sender};
-use parking_lot::{Condvar, Mutex};
+use parking_lot::{Condvar, Mutex, MutexGuard};
 
 use gw_trace::{EventKind, Lane, LaneId, MarkId, Realm, SpanId, Tracer};
 
@@ -337,8 +335,6 @@ pub struct PipelineStats {
     /// Lanes the graph ran, one runtime task each: every lane of the
     /// source and of each stage.
     pub stage_threads: usize,
-    /// Lane count per slot, in pipeline order.
-    pub lanes: Vec<(StageId, usize)>,
     /// Chunks emitted by the source.
     pub chunks: usize,
     /// High-water mark of in-flight chunks across the token groups; never
@@ -346,156 +342,515 @@ pub struct PipelineStats {
     pub max_in_flight: usize,
 }
 
-/// In-flight gauge for one token group (current + high-water).
-#[derive(Debug, Default)]
-struct InFlightGauge {
-    current: AtomicUsize,
-    max: AtomicUsize,
-}
-
-impl InFlightGauge {
-    fn inc(&self) {
-        let now = self.current.fetch_add(1, Ordering::SeqCst) + 1;
-        self.max.fetch_max(now, Ordering::SeqCst);
-    }
-
-    fn dec(&self) {
-        self.current.fetch_sub(1, Ordering::SeqCst);
-    }
-
-    fn high_water(&self) -> usize {
-        self.max.load(Ordering::SeqCst)
-    }
-}
-
-/// One held token-group slot; returns itself (and decrements the gauge)
-/// on drop, so unwinding anywhere releases the interlock.
-struct Permit {
-    slot: Sender<()>,
-    gauge: Arc<InFlightGauge>,
-}
-
-impl Drop for Permit {
-    fn drop(&mut self) {
-        self.gauge.dec();
-        let _ = self.slot.send(());
-    }
-}
-
-/// The acquire side of one token group, cloned to every lane of the
-/// group's first stage (clones share the permit channel and gauge, so
-/// `B` bounds the group across all lanes together).
+/// A handoff cell's content: a live chunk, or the hole left by a chunk
+/// consumed upstream. `Skip` keeps sequence numbers dense, so every
+/// downstream lane's expected-seq arithmetic — and thus deterministic
+/// reassembly — survives mid-graph consumption; it holds no permits,
+/// emits no events and probes no crash sites.
 #[derive(Clone)]
-struct Acquirer {
-    group: usize,
-    rx: Receiver<()>,
-    tx: Sender<()>,
-    gauge: Arc<InFlightGauge>,
+enum Payload<T> {
+    Chunk(T),
+    Skip,
 }
 
-impl Acquirer {
-    fn acquire(&self) -> Option<Permit> {
-        self.rx.recv().ok()?;
-        self.gauge.inc();
-        Some(Permit {
-            slot: self.tx.clone(),
-            gauge: Arc::clone(&self.gauge),
-        })
-    }
+/// Where a lane stands in its loop, as the graph state sees it; the lane
+/// handles seq `LaneState::next`.
+#[derive(Clone)]
+enum Phase<T> {
+    /// Waits for its input: a stage's handoff cell (a source needs none).
+    Input,
+    /// Runs the arrival probes on its live chunk, outside the lock.
+    Arrived,
+    /// Waits for the slot's admission turn; `false` for a `Skip`.
+    Turn(bool),
+    /// Waits for the permit of the slot's `i`-th group, once the wait's
+    /// trace region has begun (`true`).
+    Token(usize, bool),
+    /// Claims or runs its chunk outside the lock.
+    Busy,
+    /// Waits for room in its handoff cell.
+    Output(Payload<T>),
+    Ended,
 }
 
-/// Seq-ordered turn-taking across the lanes of one slot. Multi-lane
-/// sources claim under it (so split→seq assignment is deterministic and
-/// permit acquisition happens in seq order); multi-lane acquiring stages
-/// admit chunks into their token groups under it (out-of-order
-/// acquisition would trap a permit inside a queued envelope and deadlock
-/// whenever `B <` lane count).
-struct Turn {
-    state: Mutex<TurnState>,
-    cv: Condvar,
+/// What a lane does next, outside the lock.
+enum Ask<T> {
+    End,
+    /// A stage's live chunk arrived: probe, then ask again.
+    Arrived(usize, T),
+    /// Seq `.1` waits for group `.0`'s permit: the wait's trace region
+    /// begins.
+    TokenWait(usize, usize),
+    /// Seq `.1` took group `.0`'s permit (or a failure ended its wait);
+    /// `false` when it took it without a wait, whose region then begins
+    /// and ends at once.
+    Token(usize, usize, bool),
+    /// The seq is admitted: a source claims it, a stage runs it.
+    Go(usize),
 }
 
-struct TurnState {
+#[derive(Clone, Default)]
+struct Slot {
+    width: usize,
+    /// Flat index of the slot's lane 0.
+    base: usize,
+    /// The next seq admitted, on a source and on a slot that takes
+    /// permits: their lanes admit in global sequence order.
+    admit: Option<usize>,
+    /// Groups whose first slot this is, in declaration order.
+    takes: Vec<usize>,
+    /// Groups whose last slot this is, a bit each.
+    frees: u64,
+    /// Groups a live chunk leaving this slot still holds.
+    carries: u64,
+}
+
+#[derive(Clone, Default)]
+struct Group {
+    /// The slot that takes its permits.
+    first: usize,
+    in_use: usize,
+    high: usize,
+}
+
+#[derive(Clone)]
+struct LaneState<T> {
+    slot: usize,
     next: usize,
-    done: bool,
+    /// Groups whose permits the lane holds, a bit each.
+    held: u64,
+    phase: Phase<T>,
 }
 
-impl Turn {
-    fn new() -> Self {
-        Turn {
-            state: Mutex::new(TurnState {
-                next: 0,
-                done: false,
-            }),
-            cv: Condvar::new(),
+/// Everything the executor decides by (module doc, "One state, one
+/// lock"). Its methods take one event each, take no lock, read no clock
+/// and run no stage code; they name the lanes that event may unblock in
+/// `wake`.
+#[derive(Clone)]
+struct GraphState<T> {
+    depth: usize,
+    slots: Vec<Slot>,
+    groups: Vec<Group>,
+    lanes: Vec<LaneState<T>>,
+    /// Gap `p`'s handoff cells, between slot `p`'s K lanes and slot `p +
+    /// 1`'s L: seq `s` travels cell `(s mod K) × L + s mod L`.
+    cells: Vec<Vec<Option<Payload<T>>>>,
+    /// The first seq that will never exist: a source claim came back
+    /// empty at it.
+    end: usize,
+    /// A lane failed: every lane ends at its next step.
+    closed: bool,
+    /// Chunks the source emitted.
+    chunks: usize,
+    /// The lanes the last event asks the wrapper to notify.
+    wake: Vec<usize>,
+}
+
+impl<T> GraphState<T> {
+    /// A graph of slots `widths[p]` lanes wide (slot 0 the source) and
+    /// token groups of `depth` permits spanning slots `(first, last)`.
+    fn new(depth: usize, widths: &[usize], groups: &[(usize, usize)]) -> Self {
+        assert!(groups.len() <= 64, "at most 64 token groups");
+        let mut slots: Vec<Slot> = Vec::with_capacity(widths.len());
+        for &width in widths {
+            let base = slots.last().map_or(0, |s| s.base + s.width);
+            slots.push(Slot {
+                width,
+                base,
+                ..Slot::default()
+            });
+        }
+        slots[0].admit = Some(0);
+        for (g, &(first, last)) in groups.iter().enumerate() {
+            slots[first].admit = Some(0);
+            slots[first].takes.push(g);
+            slots[last].frees |= 1 << g;
+            for slot in &mut slots[first..last] {
+                slot.carries |= 1 << g;
+            }
+        }
+        let lanes = (slots.iter().enumerate())
+            .flat_map(|(p, slot)| {
+                (0..slot.width).map(move |i| LaneState {
+                    slot: p,
+                    next: i,
+                    held: 0,
+                    phase: Phase::Input,
+                })
+            })
+            .collect();
+        let gap = |w: &[usize]| (0..w[0] * w[1]).map(|_| None).collect();
+        GraphState {
+            depth,
+            slots,
+            groups: groups
+                .iter()
+                .map(|&(first, _)| Group {
+                    first,
+                    ..Group::default()
+                })
+                .collect(),
+            lanes,
+            cells: widths.windows(2).map(gap).collect(),
+            end: usize::MAX,
+            closed: false,
+            chunks: 0,
+            wake: Vec::new(),
         }
     }
 
-    /// Block until `seq`'s turn comes up; `false` once the slot finished
-    /// (a sibling lane stopped advancing) and the turn can never arrive.
-    fn wait_for(&self, seq: usize) -> bool {
-        let mut s = self.state.lock();
+    /// Gap `p`'s cell for seq `s`.
+    fn cell(&self, p: usize, s: usize) -> usize {
+        let (k, l) = (self.slots[p].width, self.slots[p + 1].width);
+        (s % k) * l + s % l
+    }
+
+    /// Slot `p`'s lane for seq `s`, flat.
+    fn lane_of(&self, p: usize, s: usize) -> usize {
+        self.slots[p].base + s % self.slots[p].width
+    }
+
+    /// Lane `l` asks for work: what it does next outside the lock, or
+    /// `Pending` to park until an event names it.
+    fn ask(&mut self, l: usize) -> Poll<Ask<T>> {
         loop {
-            if s.done {
-                return false;
-            }
-            if s.next >= seq {
-                return true;
-            }
-            self.cv.wait(&mut s);
+            let (p, s) = (self.lanes[l].slot, self.lanes[l].next);
+            let phase = std::mem::replace(&mut self.lanes[l].phase, Phase::Ended);
+            let park = |st: &mut Self, phase| {
+                st.lanes[l].phase = phase;
+                Poll::Pending
+            };
+            self.lanes[l].phase = match phase {
+                Phase::Ended => return Poll::Ready(Ask::End),
+                // A failure ends an open permit wait: its trace region
+                // closes before the lane ends.
+                Phase::Token(i, true) if self.closed => {
+                    self.lanes[l].phase = Phase::Input;
+                    return Poll::Ready(Ask::Token(self.slots[p].takes[i], s, true));
+                }
+                _ if self.closed || s >= self.end => return self.quit(l),
+                Phase::Input if p == 0 => Phase::Turn(true),
+                Phase::Input => {
+                    let c = self.cell(p - 1, s);
+                    let Some(payload) = self.cells[p - 1][c].take() else {
+                        return park(self, Phase::Input);
+                    };
+                    let producer = self.lane_of(p - 1, s);
+                    if let Phase::Output(_) = self.lanes[producer].phase {
+                        if self.cell(p - 1, self.lanes[producer].next) == c {
+                            self.wake.push(producer);
+                        }
+                    }
+                    match payload {
+                        Payload::Chunk(chunk) => {
+                            self.lanes[l].held = self.slots[p - 1].carries;
+                            self.lanes[l].phase = Phase::Arrived;
+                            return Poll::Ready(Ask::Arrived(s, chunk));
+                        }
+                        Payload::Skip => Phase::Turn(false),
+                    }
+                }
+                Phase::Arrived => Phase::Turn(true),
+                Phase::Turn(live) if self.slots[p].admit.is_some_and(|a| a != s) => {
+                    return park(self, Phase::Turn(live));
+                }
+                Phase::Turn(true) => Phase::Token(0, false),
+                Phase::Turn(false) => {
+                    self.admitted(p, s);
+                    Phase::Output(Payload::Skip)
+                }
+                Phase::Token(i, begun) => {
+                    let Some(&g) = self.slots[p].takes.get(i) else {
+                        // A source's claim admits; a stage is admitted.
+                        if p > 0 {
+                            self.admitted(p, s);
+                        }
+                        self.lanes[l].phase = Phase::Busy;
+                        return Poll::Ready(Ask::Go(s));
+                    };
+                    let group = &mut self.groups[g];
+                    if group.in_use == self.depth {
+                        if begun {
+                            return park(self, Phase::Token(i, true));
+                        }
+                        self.lanes[l].phase = Phase::Token(i, true);
+                        return Poll::Ready(Ask::TokenWait(g, s));
+                    }
+                    group.in_use += 1;
+                    group.high = group.high.max(group.in_use);
+                    self.lanes[l].held |= 1 << g;
+                    self.lanes[l].phase = Phase::Token(i + 1, false);
+                    return Poll::Ready(Ask::Token(g, s, begun));
+                }
+                Phase::Busy => unreachable!("a busy lane reports before it asks"),
+                // Past the last slot only the seq moves on.
+                Phase::Output(_) if p + 1 == self.slots.len() => self.next_seq(l),
+                Phase::Output(payload) => {
+                    let c = self.cell(p, s);
+                    if self.cells[p][c].is_some() {
+                        return park(self, Phase::Output(payload));
+                    }
+                    self.cells[p][c] = Some(payload);
+                    let consumer = self.lane_of(p + 1, s);
+                    let waiting = &self.lanes[consumer];
+                    if matches!(waiting.phase, Phase::Input) && waiting.next == s {
+                        self.wake.push(consumer);
+                    }
+                    self.next_seq(l)
+                }
+            };
         }
     }
 
-    fn advance(&self, next: usize) {
-        let mut s = self.state.lock();
-        if next > s.next {
-            s.next = next;
-        }
-        drop(s);
-        self.cv.notify_all();
+    /// Lane `l` moves on to its next seq, its chunk's permits handed on.
+    fn next_seq(&mut self, l: usize) -> Phase<T> {
+        let lane = &mut self.lanes[l];
+        lane.next += self.slots[lane.slot].width;
+        lane.held = 0;
+        Phase::Input
     }
 
-    fn finish(&self) {
-        self.state.lock().done = true;
-        self.cv.notify_all();
-    }
-}
-
-/// Arms a [`Turn::finish`] on every abnormal lane exit (including a lane
-/// panic, via `Drop`), so sibling lanes blocked on the turn never wait on
-/// a lane that will no longer advance it. Disarmed only on the one exit
-/// where siblings may still hold live work: normal end-of-stream.
-struct TurnFinishGuard {
-    turn: Option<Arc<Turn>>,
-    armed: bool,
-}
-
-impl TurnFinishGuard {
-    fn new(turn: Option<Arc<Turn>>) -> Self {
-        TurnFinishGuard { turn, armed: true }
-    }
-
-    fn turn(&self) -> Option<&Turn> {
-        self.turn.as_deref()
-    }
-
-    fn fire(&mut self) {
-        if self.armed {
-            self.armed = false;
-            if let Some(t) = &self.turn {
-                t.finish();
+    /// Slot `p` admitted seq `s`: the turn passes to `s + 1`'s lane.
+    fn admitted(&mut self, p: usize, s: usize) {
+        if let Some(admit) = &mut self.slots[p].admit {
+            *admit = s + 1;
+            let l = self.lane_of(p, s + 1);
+            let waiting = &self.lanes[l];
+            if matches!(waiting.phase, Phase::Turn(_)) && waiting.next == s + 1 {
+                self.wake.push(l);
             }
         }
     }
 
-    fn disarm(&mut self) {
-        self.armed = false;
+    /// Return the permits of the groups in `mask`, a bit each; the lane
+    /// whose turn it is at each group's first slot may be waiting for one.
+    fn release(&mut self, mask: u64) {
+        for g in (0..self.groups.len()).filter(|g| mask >> g & 1 == 1) {
+            self.groups[g].in_use -= 1;
+            let first = self.groups[g].first;
+            let admit = self.slots[first]
+                .admit
+                .expect("a permit-taking slot admits");
+            let l = self.lane_of(first, admit);
+            if matches!(self.lanes[l].phase, Phase::Token(..)) {
+                self.wake.push(l);
+            }
+        }
+    }
+
+    /// Lane `l` ends, returning the permits it holds.
+    fn quit(&mut self, l: usize) -> Poll<Ask<T>> {
+        let held = std::mem::take(&mut self.lanes[l].held);
+        self.release(held);
+        self.lanes[l].phase = Phase::Ended;
+        Poll::Ready(Ask::End)
+    }
+
+    /// Source lane `l`'s claim returned: `true` admits its seq, `false`
+    /// ends the stream there.
+    fn claimed(&mut self, l: usize, ok: bool) {
+        let s = self.lanes[l].next;
+        if ok {
+            return self.admitted(0, s);
+        }
+        self.end = self.end.min(s);
+        for m in 0..self.lanes.len() {
+            let lane = &self.lanes[m];
+            if lane.next >= s && matches!(lane.phase, Phase::Input | Phase::Turn(_)) {
+                self.wake.push(m);
+            }
+        }
+        let _ = self.quit(l);
+    }
+
+    /// Lane `l`'s stage returned a chunk, or consumed it (`None`); a
+    /// source always returns one. Frees the groups ending here and queues
+    /// the output, or its `Skip`, for the lane's next ask. Returns a
+    /// chunk past the last slot, for the lane to drop outside the lock.
+    fn done(&mut self, l: usize, out: Option<T>) -> Option<T> {
+        let p = self.lanes[l].slot;
+        let frees = self.lanes[l].held & self.slots[p].frees;
+        self.lanes[l].held &= !frees;
+        self.release(frees);
+        self.chunks += usize::from(p == 0);
+        let (payload, past) = match out {
+            Some(chunk) if p + 1 == self.slots.len() => (Payload::Skip, Some(chunk)),
+            Some(chunk) => (Payload::Chunk(chunk), None),
+            None => {
+                let held = std::mem::take(&mut self.lanes[l].held);
+                self.release(held);
+                (Payload::Skip, None)
+            }
+        };
+        self.lanes[l].phase = Phase::Output(payload);
+        past
+    }
+
+    /// Lane `l` erred, panicked, stopped or crashed: it ends, and so does
+    /// the graph — the node is dead or the job failed. Every other lane
+    /// ends at its next ask, and the chunks in handoff cells drop.
+    fn fail(&mut self, l: usize) {
+        let _ = self.quit(l);
+        self.closed = true;
+        for p in 0..self.cells.len() {
+            for c in 0..self.cells[p].len() {
+                if let Some(Payload::Chunk(_)) = self.cells[p][c].take() {
+                    self.release(self.slots[p].carries);
+                }
+            }
+        }
+        for m in 0..self.lanes.len() {
+            if !matches!(self.lanes[m].phase, Phase::Ended | Phase::Busy) {
+                self.wake.push(m);
+            }
+        }
     }
 }
 
-impl Drop for TurnFinishGuard {
-    fn drop(&mut self) {
-        self.fire();
+/// The graph's one lock, and a condvar per lane to park it on.
+struct Graph<T> {
+    state: Mutex<GraphState<T>>,
+    parked: Vec<Condvar>,
+}
+
+impl<T> Graph<T> {
+    /// Apply one event.
+    fn report<R>(&self, event: impl FnOnce(&mut GraphState<T>) -> R) -> R {
+        let mut st = self.state.lock();
+        let r = event(&mut st);
+        self.unlock(st);
+        r
+    }
+
+    /// Lane `l` applies `event`, then asks for its next step, parking
+    /// until there is one.
+    fn step<R>(&self, l: usize, event: impl FnOnce(&mut GraphState<T>) -> R) -> (R, Ask<T>) {
+        let mut st = self.state.lock();
+        let r = event(&mut st);
+        loop {
+            match st.ask(l) {
+                Poll::Pending if st.wake.is_empty() => self.parked[l].wait(&mut st),
+                Poll::Pending => {
+                    self.unlock(st);
+                    st = self.state.lock();
+                }
+                Poll::Ready(ask) => {
+                    self.unlock(st);
+                    return (r, ask);
+                }
+            }
+        }
+    }
+
+    /// Release the lock, then notify the lanes the last events named.
+    fn unlock(&self, mut st: MutexGuard<'_, GraphState<T>>) {
+        let woken = std::mem::take(&mut st.wake);
+        drop(st);
+        for l in woken {
+            self.parked[l].notify_one();
+        }
+    }
+}
+
+/// What a lane runs: a source's claim and production, or a stage.
+enum Work<'a, T, E> {
+    Source(Box<dyn LaneSource<T, E> + 'a>),
+    Stage(Box<dyn Stage<T, E> + 'a>),
+}
+
+/// One lane's loop, flat lane `l` of the graph: lane `lane` of slot
+/// `stage`. `Ok(true)` once the graph has no more work for it,
+/// `Ok(false)` when it stopped or crashed.
+fn lane_loop<T, E>(
+    graph: &Graph<T>,
+    l: usize,
+    (stage, lane): (StageId, u32),
+    work: &mut Work<'_, T, E>,
+    events: &StageEvents,
+    probe: Option<&dyn PipelineProbe>,
+) -> Result<bool, E> {
+    // Probe this lane's crash site; a firing crash kills the node.
+    let crash = || match probe {
+        Some(p) if p.crash_fires(stage, lane) => {
+            p.kill();
+            true
+        }
+        _ => false,
+    };
+    // A stage's arrived chunk; a finished chunk's output, reported with
+    // the next ask.
+    let (mut input, mut output) = (None, None);
+    loop {
+        let report = |st: &mut GraphState<T>| output.take().and_then(|out| st.done(l, out));
+        let (past, ask) = graph.step(l, report);
+        drop(past);
+        let seq = match ask {
+            Ask::End => return Ok(true),
+            Ask::TokenWait(g, seq) => {
+                events.token_wait_begin(g, seq);
+                continue;
+            }
+            Ask::Token(g, seq, waited) => {
+                if !waited {
+                    events.token_wait_begin(g, seq);
+                }
+                events.token_wait_end(g, seq);
+                continue;
+            }
+            Ask::Arrived(seq, chunk) => {
+                let mut ctx = StageCtx::new(stage, seq, lane, probe);
+                if ctx.should_stop() || crash() {
+                    return Ok(false);
+                }
+                input = Some(chunk);
+                continue;
+            }
+            Ask::Go(seq) => seq,
+        };
+        let mut ctx = StageCtx::new(stage, seq, lane, probe);
+        let t0;
+        let out = match work {
+            Work::Stage(s) => {
+                events.chunk_begin(seq);
+                t0 = Instant::now();
+                s.run_chunk(input.take().expect("an arrived chunk"), &mut ctx)
+            }
+            Work::Source(src) => {
+                if ctx.should_stop() {
+                    return Ok(false);
+                }
+                // The chunk span opens only once the claim admitted a
+                // chunk: the end-of-input probe, and any wait for input
+                // that never comes, is not a chunk. The timing window
+                // still covers the claim, where a `Source` produces.
+                t0 = Instant::now();
+                let claimed = src.claim(&mut ctx)?;
+                if claimed {
+                    events.chunk_begin(seq);
+                }
+                graph.report(|st| st.claimed(l, claimed));
+                if !claimed {
+                    continue;
+                }
+                src.produce(&mut ctx).map(Some)
+            }
+        };
+        let out = out.inspect_err(|_| events.chunk_abort(seq))?;
+        let mut wall = t0.elapsed();
+        if let Some(extra) = probe.and_then(|p| p.gray_delay(stage, lane, wall)) {
+            std::thread::sleep(extra);
+            wall += extra;
+            ctx.stretch(extra);
+        }
+        // Probed after production: an injected Read crash dies holding
+        // the fresh claim (the survivors requeue it via liveness).
+        let source = matches!(work, Work::Source(_));
+        if (source && crash()) || ctx.stopped {
+            events.chunk_abort(seq);
+            return Ok(false);
+        }
+        events.chunk_end(seq, wall, ctx.take_timing());
+        output = Some(out);
     }
 }
 
@@ -514,100 +869,59 @@ impl StageEvents {
         }
     }
 
-    /// §III-D token-acquire wait region (closed even when the acquire
-    /// fails because the pool closed).
+    /// Close `span`: accounted when it carries a (wall, modeled) pair.
+    fn end(&self, span: SpanId, timing: Option<(Duration, Duration)>) {
+        let (wall, modeled) = timing.unwrap_or_default();
+        self.emit(EventKind::End {
+            span,
+            wall_ns: wall.as_nanos() as u64,
+            modeled_ns: modeled.as_nanos() as u64,
+            accounted: timing.is_some(),
+        });
+    }
+
+    /// §III-D token-acquire wait region.
     fn token_wait_begin(&self, group: usize, seq: usize) {
         self.emit(EventKind::Begin {
-            span: SpanId::TokenWait {
-                group: group as u32,
-                seq: seq as u64,
-            },
+            span: token_wait(group, seq),
         });
     }
 
     fn token_wait_end(&self, group: usize, seq: usize) {
-        self.emit(EventKind::End {
-            span: SpanId::TokenWait {
-                group: group as u32,
-                seq: seq as u64,
-            },
-            wall_ns: 0,
-            modeled_ns: 0,
-            accounted: false,
-        });
+        self.end(token_wait(group, seq), None);
     }
 
     fn chunk_begin(&self, seq: usize) {
-        self.emit(EventKind::Begin {
-            span: SpanId::Chunk { seq: seq as u64 },
-        });
+        let span = SpanId::Chunk { seq: seq as u64 };
+        self.emit(EventKind::Begin { span });
     }
 
     /// A chunk completed this stage: the accounted span end carries the
     /// (wall, modeled) pair — the stage's [`StageCtx::add_time`] override
     /// or the default whole-call window.
     fn chunk_end(&self, seq: usize, default_wall: Duration, over: Option<(Duration, Duration)>) {
-        let (wall, modeled) = over.unwrap_or((default_wall, default_wall));
-        self.emit(EventKind::End {
-            span: SpanId::Chunk { seq: seq as u64 },
-            wall_ns: wall.as_nanos() as u64,
-            modeled_ns: modeled.as_nanos() as u64,
-            accounted: true,
-        });
+        let timing = over.unwrap_or((default_wall, default_wall));
+        self.end(SpanId::Chunk { seq: seq as u64 }, Some(timing));
     }
 
-    /// A chunk span that must not count: source exhaustion, injected
-    /// crash, quiet unwind or stage error.
+    /// A chunk span that must not count: injected crash, quiet unwind or
+    /// stage error.
     fn chunk_abort(&self, seq: usize) {
-        self.emit(EventKind::End {
-            span: SpanId::Chunk { seq: seq as u64 },
-            wall_ns: 0,
-            modeled_ns: 0,
-            accounted: false,
-        });
+        self.end(SpanId::Chunk { seq: seq as u64 }, None);
     }
 }
 
-/// Kill the node through `probe` unless a lane's body returned `Ok`: a
-/// lane that fails — by error *or* by panic — must not leave a sibling
-/// lane waiting on work this node will never finish (the map input lane
-/// would otherwise wait for a map completion that cannot come, and the
-/// executor joins it first).
-fn kill_unless_ok<E>(
-    probe: Option<&dyn PipelineProbe>,
-    outcome: &std::thread::Result<Result<(), E>>,
-) {
-    if !matches!(outcome, Ok(Ok(()))) {
-        if let Some(p) = probe {
-            p.kill();
-        }
+fn token_wait(group: usize, seq: usize) -> SpanId {
+    SpanId::TokenWait {
+        group: group as u32,
+        seq: seq as u64,
     }
-}
-
-/// Envelope payload: a live chunk, or the hole left by a chunk consumed
-/// upstream. `Skip` keeps sequence numbers dense so every downstream
-/// lane's expected-seq arithmetic — and thus deterministic reassembly —
-/// survives mid-graph consumption; it carries no permits, emits no
-/// events and probes no crash sites (a consumed chunk never reached
-/// these stages before lanes existed either).
-enum Payload<T> {
-    Chunk(T),
-    Skip,
-}
-
-/// A chunk travelling the graph with the permits it holds.
-struct Envelope<T> {
-    seq: usize,
-    payload: Payload<T>,
-    permits: Vec<Option<Permit>>,
 }
 
 /// One slot's worth of source lanes.
 type SourceLanes<'a, T, E> = Vec<Box<dyn LaneSource<T, E> + 'a>>;
 /// One slot's worth of stage lanes.
 type StageLaneVec<'a, T, E> = Vec<Box<dyn Stage<T, E> + 'a>>;
-/// One slot gap's channel matrix, rows/columns taken lane by lane.
-type LaneMatrix<H> = Vec<Vec<Option<Vec<H>>>>;
 
 /// Declarative wiring for one pipeline instantiation.
 pub struct PipelineBuilder<'a, T, E> {
@@ -708,50 +1022,30 @@ impl<'a, T: Send + 'a, E: Send + 'a> PipelineBuilder<'a, T, E> {
     /// pipeline order, after the whole graph has drained and joined;
     /// re-raises stage panics.
     pub fn run(mut self) -> Result<PipelineStats, E> {
-        let depth = self.depth;
         let (source_id, sources) = self.source.take().expect("pipeline needs a source");
-        let n_src = sources.len();
-        let mut stages = std::mem::take(&mut self.stages);
-        let n_slots = 1 + stages.len();
-
-        // Resolve token groups onto stage positions (0 = source).
+        let stages = std::mem::take(&mut self.stages);
         let ids: Vec<StageId> = std::iter::once(source_id)
             .chain(stages.iter().map(|(id, _)| *id))
             .collect();
-        let lane_counts: Vec<usize> = std::iter::once(n_src)
+        let widths: Vec<usize> = std::iter::once(sources.len())
             .chain(stages.iter().map(|(_, lanes)| lanes.len()))
             .collect();
-        let mut acquire_at: Vec<Vec<Acquirer>> = (0..n_slots).map(|_| Vec::new()).collect();
-        let mut release_at: Vec<Vec<usize>> = (0..n_slots).map(|_| Vec::new()).collect();
-        let mut gauges: Vec<Arc<InFlightGauge>> = Vec::new();
+        // Resolve token groups onto slot positions (0 = source).
         let position = |end: StageId| {
             ids.iter()
                 .position(|id| *id == end)
                 .expect("interlock endpoint is a slot of this graph")
         };
-        for &(first, last) in &self.interlocks {
-            let (a, r) = (position(first), position(last));
-            assert!(a <= r, "interlock runs downstream");
-            let group = gauges.len();
-            let gauge = Arc::new(InFlightGauge::default());
-            let (tx, rx) = bounded(depth);
-            for _ in 0..depth {
-                tx.send(()).expect("prime interlock");
-            }
-            acquire_at[a].push(Acquirer {
-                group,
-                rx,
-                tx,
-                gauge: Arc::clone(&gauge),
-            });
-            release_at[r].push(group);
-            gauges.push(gauge);
-        }
-        let n_groups = gauges.len();
+        let groups: Vec<(usize, usize)> = (self.interlocks.iter())
+            .map(|&(first, last)| (position(first), position(last)))
+            .collect();
+        assert!(
+            groups.iter().all(|(a, r)| a <= r),
+            "interlock runs downstream"
+        );
 
         let probe_box = self.probe.take();
         let probe: Option<&dyn PipelineProbe> = probe_box.as_deref();
-        let chunks_emitted = AtomicUsize::new(0);
 
         let kind = self.kind;
         let tracer = self.tracer.take();
@@ -786,7 +1080,7 @@ impl<'a, T: Send + 'a, E: Send + 'a> PipelineBuilder<'a, T, E> {
         // Lane-plan marks: one per widened slot, also before any task on the
         // slot's lane-0 sub-lane, so analysis learns the lane count even
         // when some lanes never record a chunk.
-        for (pos, &n) in lane_counts.iter().enumerate() {
+        for (pos, &n) in widths.iter().enumerate() {
             if n > 1 {
                 events_for(ids[pos], 0).emit(EventKind::Instant {
                     mark: MarkId::StageLanes {
@@ -797,9 +1091,18 @@ impl<'a, T: Send + 'a, E: Send + 'a> PipelineBuilder<'a, T, E> {
             }
         }
 
-        let mut acquire_iter = acquire_at.into_iter();
-        let source_acquires = acquire_iter.next().expect("source position");
-        let source_releases = release_at[0].clone();
+        let slots = std::iter::once(sources.into_iter().map(Work::Source).collect()).chain(
+            stages
+                .into_iter()
+                .map(|(_, lanes)| lanes.into_iter().map(Work::Stage).collect::<Vec<_>>()),
+        );
+        let graph = Graph {
+            state: Mutex::new(GraphState::new(self.depth, &widths, &groups)),
+            parked: widths
+                .iter()
+                .flat_map(|&n| (0..n).map(|_| Condvar::new()))
+                .collect(),
+        };
 
         let local;
         let (runtime, host) = match self.runtime {
@@ -813,361 +1116,54 @@ impl<'a, T: Send + 'a, E: Send + 'a> PipelineBuilder<'a, T, E> {
             |id: StageId, lane: usize| RoleKey::new(host, Role::Stage(kind, id), lane as u32);
 
         let result = runtime.scope(|scope| -> Result<(), E> {
-            // The handoff between adjacent slots is a K×L matrix of
-            // bounded(1) channels: producer lane `a` owns row `a` (one
-            // sender per consumer lane), consumer lane `b` owns column
-            // `b` (one receiver per producer lane). Chunk `seq` travels
-            // channel `[seq mod K][seq mod L]`; each consumer pulls its
-            // expected seqs in order, which *is* the reorder buffer.
-            let n_gaps = n_slots.saturating_sub(1);
-            let mut tx_rows: LaneMatrix<Sender<Envelope<T>>> = Vec::with_capacity(n_gaps);
-            let mut rx_cols: LaneMatrix<Receiver<Envelope<T>>> = Vec::with_capacity(n_gaps);
-            for g in 0..n_gaps {
-                let k = lane_counts[g];
-                let l = lane_counts[g + 1];
-                let mut rows: Vec<Vec<Sender<Envelope<T>>>> =
-                    (0..k).map(|_| Vec::with_capacity(l)).collect();
-                let mut cols: Vec<Vec<Receiver<Envelope<T>>>> =
-                    (0..l).map(|_| Vec::with_capacity(k)).collect();
-                for row in rows.iter_mut() {
-                    for col in cols.iter_mut() {
-                        let (tx, rx) = bounded(1);
-                        row.push(tx);
-                        col.push(rx);
-                    }
-                }
-                tx_rows.push(rows.into_iter().map(Some).collect());
-                rx_cols.push(cols.into_iter().map(Some).collect());
-            }
-
-            // ---- Source lanes ----
-            let chunks_emitted = &chunks_emitted;
-            let src_turn: Option<Arc<Turn>> = (n_src > 1).then(|| Arc::new(Turn::new()));
-            let mut source_handles = Vec::with_capacity(n_src);
-            for (lane_idx, mut src) in sources.into_iter().enumerate() {
-                let txs: Option<Vec<Sender<Envelope<T>>>> = tx_rows
-                    .first_mut()
-                    .map(|rows| rows[lane_idx].take().expect("source tx row"));
-                let acquires = source_acquires.clone();
-                let releases = source_releases.clone();
-                let events = events_for(source_id, lane_idx as u32);
-                let turn = src_turn.clone();
-                let key = role(source_id, lane_idx);
-                source_handles.push(scope.spawn(key, move || -> Result<(), E> {
-                    let lane = lane_idx as u32;
-                    let mut guard = TurnFinishGuard::new(turn);
-                    let outcome = catch_unwind(AssertUnwindSafe(|| -> Result<(), E> {
-                        let mut iter = 0usize;
-                        'produce: loop {
-                            let seq = lane_idx + iter * n_src;
-                            iter += 1;
-                            // Claim turns keep multi-lane claims *and*
-                            // permit acquisition in global seq order
-                            // (turn-before-permit: the reverse deadlocks
-                            // at B=1); the expensive produce runs after
-                            // the turn advances, overlapped across lanes.
-                            if let Some(t) = guard.turn() {
-                                if !t.wait_for(seq) {
-                                    break;
-                                }
-                            }
-                            let mut permits: Vec<Option<Permit>> =
-                                (0..n_groups).map(|_| None).collect();
-                            for acq in &acquires {
-                                events.token_wait_begin(acq.group, seq);
-                                let got = acq.acquire();
-                                events.token_wait_end(acq.group, seq);
-                                match got {
-                                    Some(p) => permits[acq.group] = Some(p),
-                                    None => break 'produce,
-                                }
-                            }
-                            let mut ctx = StageCtx::new(source_id, seq, lane, probe);
-                            if ctx.should_stop() {
-                                break;
-                            }
-                            // The chunk span opens only once the claim
-                            // admitted a chunk: the end-of-input probe, and
-                            // any wait for input that never comes, is not
-                            // a chunk. The timing window still covers the
-                            // claim, where a `Source` does its production.
-                            let t0 = Instant::now();
-                            if !src.claim(&mut ctx)? {
-                                break;
-                            }
-                            events.chunk_begin(seq);
-                            if let Some(t) = guard.turn() {
-                                t.advance(seq + 1);
-                            }
-                            let chunk = match src.produce(&mut ctx) {
-                                Ok(c) => c,
-                                Err(e) => {
-                                    events.chunk_abort(seq);
-                                    return Err(e);
-                                }
-                            };
-                            let mut wall = t0.elapsed();
-                            if let Some(extra) =
-                                probe.and_then(|p| p.gray_delay(source_id, lane, wall))
-                            {
-                                std::thread::sleep(extra);
-                                wall += extra;
-                                ctx.stretch(extra);
-                            }
-                            // Probed after production: an injected Read
-                            // crash dies holding the fresh claim (the
-                            // survivors requeue it via liveness).
-                            if let Some(p) = probe {
-                                if p.crash_fires(source_id, lane) {
-                                    p.kill();
-                                    events.chunk_abort(seq);
-                                    break;
-                                }
-                            }
-                            if ctx.stopped {
-                                events.chunk_abort(seq);
-                                break;
-                            }
-                            events.chunk_end(seq, wall, ctx.take_timing());
-                            chunks_emitted.fetch_add(1, Ordering::Relaxed);
-                            for &g in &releases {
-                                permits[g] = None;
-                            }
-                            match &txs {
-                                Some(txs) => {
-                                    if txs[seq % txs.len()]
-                                        .send(Envelope {
-                                            seq,
-                                            payload: Payload::Chunk(chunk),
-                                            permits,
-                                        })
-                                        .is_err()
-                                    {
-                                        break; // downstream stage gone
-                                    }
-                                }
-                                None => drop(chunk), // single-stage graph
-                            }
-                        }
-                        Ok(())
-                    }));
-                    kill_unless_ok(probe, &outcome);
-                    // Every source exit ends the slot: exhaustion, stop,
-                    // error, panic and downstream death all mean no later
-                    // seq will ever be claimed.
-                    guard.fire();
-                    outcome.unwrap_or_else(|panic| resume_unwind(panic))
-                }));
-            }
-
-            // ---- Stage lanes ----
+            let graph = &graph;
             let mut handles = Vec::new();
-            for (pos, (id, lanes_vec)) in stages.drain(..).enumerate().map(|(i, s)| (i + 1, s)) {
-                let l_here = lanes_vec.len();
-                let k_up = lane_counts[pos - 1];
-                let acquires_proto = acquire_iter.next().expect("stage position");
-                let releases_proto = release_at[pos].clone();
-                // Seq-ordered admission into the token groups this slot
-                // acquires; single-lane or non-acquiring slots need none.
-                let slot_turn: Option<Arc<Turn>> =
-                    (l_here > 1 && !acquires_proto.is_empty()).then(|| Arc::new(Turn::new()));
-                for (lane_idx, mut stage) in lanes_vec.into_iter().enumerate() {
-                    let rxs: Vec<Receiver<Envelope<T>>> = rx_cols[pos - 1][lane_idx]
-                        .take()
-                        .expect("stage input column");
-                    let txs: Option<Vec<Sender<Envelope<T>>>> = tx_rows
-                        .get_mut(pos)
-                        .map(|rows| rows[lane_idx].take().expect("stage tx row"));
-                    let acquires = acquires_proto.clone();
-                    let releases = releases_proto.clone();
+            for (pos, lanes) in slots.enumerate() {
+                for (lane_idx, mut work) in lanes.into_iter().enumerate() {
+                    let (id, l) = (ids[pos], handles.len());
                     let events = events_for(id, lane_idx as u32);
-                    let turn = slot_turn.clone();
-                    let key = role(id, lane_idx);
-                    handles.push(scope.spawn(key, move || -> Result<(), E> {
-                        let lane = lane_idx as u32;
-                        let mut guard = TurnFinishGuard::new(turn);
-                        let outcome = catch_unwind(AssertUnwindSafe(|| -> Result<(), E> {
-                            let mut eos = false;
-                            let mut iter = 0usize;
-                            'consume: loop {
-                                let expect = lane_idx + iter * l_here;
-                                iter += 1;
-                                let Ok(env) = rxs[expect % k_up].recv() else {
-                                    eos = true;
-                                    break;
-                                };
-                                let Envelope {
-                                    seq,
-                                    payload,
-                                    mut permits,
-                                } = env;
-                                debug_assert_eq!(seq, expect, "lane transport out of order");
-                                let chunk = match payload {
-                                    Payload::Skip => {
-                                        // A hole left by a chunk consumed
-                                        // upstream: advance the admission
-                                        // turn (later seqs may be waiting
-                                        // on it) and pass the hole on.
-                                        if let Some(t) = guard.turn() {
-                                            if !t.wait_for(seq) {
-                                                break;
-                                            }
-                                            t.advance(seq + 1);
-                                        }
-                                        drop(permits);
-                                        if let Some(txs) = &txs {
-                                            if txs[seq % txs.len()]
-                                                .send(Envelope {
-                                                    seq,
-                                                    payload: Payload::Skip,
-                                                    permits: Vec::new(),
-                                                })
-                                                .is_err()
-                                            {
-                                                break;
-                                            }
-                                        }
-                                        continue;
-                                    }
-                                    Payload::Chunk(c) => c,
-                                };
-                                let mut ctx = StageCtx::new(id, seq, lane, probe);
-                                if ctx.should_stop() {
-                                    break;
-                                }
-                                if let Some(p) = probe {
-                                    if p.crash_fires(id, lane) {
-                                        p.kill();
-                                        break;
-                                    }
-                                }
-                                if let Some(t) = guard.turn() {
-                                    if !t.wait_for(seq) {
-                                        break;
-                                    }
-                                }
-                                for acq in &acquires {
-                                    events.token_wait_begin(acq.group, seq);
-                                    let got = acq.acquire();
-                                    events.token_wait_end(acq.group, seq);
-                                    match got {
-                                        Some(p) => permits[acq.group] = Some(p),
-                                        None => break 'consume,
-                                    }
-                                }
-                                if let Some(t) = guard.turn() {
-                                    t.advance(seq + 1);
-                                }
-                                events.chunk_begin(seq);
-                                let t0 = Instant::now();
-                                let out = match stage.run_chunk(chunk, &mut ctx) {
-                                    Ok(o) => o,
-                                    Err(e) => {
-                                        events.chunk_abort(seq);
-                                        return Err(e);
-                                    }
-                                };
-                                let mut wall = t0.elapsed();
-                                if let Some(extra) =
-                                    probe.and_then(|p| p.gray_delay(id, lane, wall))
-                                {
-                                    std::thread::sleep(extra);
-                                    wall += extra;
-                                    ctx.stretch(extra);
-                                }
-                                if ctx.stopped {
-                                    events.chunk_abort(seq);
-                                    break; // quiet unwind requested mid-chunk
-                                }
-                                events.chunk_end(seq, wall, ctx.take_timing());
-                                for &g in &releases {
-                                    permits[g] = None;
-                                }
-                                match (out, &txs) {
-                                    (Some(chunk), Some(txs)) => {
-                                        if txs[seq % txs.len()]
-                                            .send(Envelope {
-                                                seq,
-                                                payload: Payload::Chunk(chunk),
-                                                permits,
-                                            })
-                                            .is_err()
-                                        {
-                                            break; // downstream stage gone
-                                        }
-                                    }
-                                    (Some(chunk), None) => drop(chunk), // last stage
-                                    (None, Some(txs)) => {
-                                        // Consumed mid-graph: drop the
-                                        // permits here, forward the hole.
-                                        drop(permits);
-                                        if txs[seq % txs.len()]
-                                            .send(Envelope {
-                                                seq,
-                                                payload: Payload::Skip,
-                                                permits: Vec::new(),
-                                            })
-                                            .is_err()
-                                        {
-                                            break;
-                                        }
-                                    }
-                                    (None, None) => {}
-                                }
-                            }
-                            // End-of-stream must *not* finish the turn:
-                            // siblings may still hold live seqs behind it.
-                            if eos {
-                                guard.disarm();
-                            }
-                            Ok(())
+                    handles.push(scope.spawn(role(id, lane_idx), move || -> Result<(), E> {
+                        let at = (id, lane_idx as u32);
+                        let outcome = catch_unwind(AssertUnwindSafe(|| {
+                            lane_loop(graph, l, at, &mut work, &events, probe)
                         }));
-                        kill_unless_ok(probe, &outcome);
-                        guard.fire();
-                        outcome.unwrap_or_else(|panic| resume_unwind(panic))
+                        // A lane that errs or panics kills the node, so no
+                        // sibling waits on work it will never finish (the
+                        // map input lane waits for the map's completion).
+                        if let (false, Some(p)) = (matches!(outcome, Ok(Ok(_))), probe) {
+                            p.kill();
+                        }
+                        if !matches!(outcome, Ok(Ok(true))) {
+                            graph.report(|st| st.fail(l));
+                        }
+                        outcome
+                            .unwrap_or_else(|panic| resume_unwind(panic))
+                            .map(drop)
                     }));
                 }
             }
 
-            // Join in pipeline order (lanes of a slot in lane order);
-            // surface the first error, re-raise panics only after every
-            // lane is accounted for.
-            let mut first_err: Option<E> = None;
-            let mut panic: Option<Box<dyn std::any::Any + Send>> = None;
-            for handle in source_handles.into_iter().chain(handles) {
-                match handle.join() {
-                    Ok(Ok(())) => {}
-                    Ok(Err(e)) => {
-                        if first_err.is_none() {
-                            first_err = Some(e);
-                        }
-                    }
-                    Err(p) => {
-                        if panic.is_none() {
-                            panic = Some(p);
-                        }
-                    }
+            // Join every lane, in pipeline order (lanes of a slot in lane
+            // order); then re-raise the first panic, or surface the first
+            // error.
+            let joined: Vec<_> = handles.into_iter().map(|h| h.join()).collect();
+            let mut first_err = Ok(());
+            for outcome in joined {
+                match outcome {
+                    Err(panic) => resume_unwind(panic),
+                    Ok(Err(e)) if first_err.is_ok() => first_err = Err(e),
+                    Ok(_) => {}
                 }
             }
-            if let Some(p) = panic {
-                resume_unwind(p);
-            }
-            match first_err {
-                Some(e) => Err(e),
-                None => Ok(()),
-            }
+            first_err
         });
 
         result?;
+        let st = graph.state.into_inner();
         Ok(PipelineStats {
-            stage_threads: lane_counts.iter().sum(),
-            lanes: ids
-                .iter()
-                .copied()
-                .zip(lane_counts.iter().copied())
-                .collect(),
-            chunks: chunks_emitted.load(Ordering::Relaxed),
-            max_in_flight: gauges.iter().map(|g| g.high_water()).max().unwrap_or(0),
+            stage_threads: widths.iter().sum(),
+            chunks: st.chunks,
+            max_in_flight: st.groups.iter().map(|g| g.high).max().unwrap_or(0),
         })
     }
 }
@@ -1175,7 +1171,7 @@ impl<'a, T: Send + 'a, E: Send + 'a> PipelineBuilder<'a, T, E> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicBool;
+    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
     /// A source yielding 0..n.
     struct Counter {
@@ -1464,14 +1460,6 @@ mod tests {
             .run()
             .expect("pipeline run");
         assert_eq!(stats.stage_threads, 4);
-        assert_eq!(
-            stats.lanes,
-            vec![
-                (StageId::Input, 1),
-                (StageId::Kernel, 2),
-                (StageId::Partition, 1)
-            ]
-        );
         assert_eq!(stats.chunks, 24);
         // Even chunks are slower on lane 0 than odd chunks on lane 1, yet
         // the single-lane sink sees global sequence order.
@@ -1581,8 +1569,37 @@ mod tests {
             .run()
             .expect("pipeline run");
         assert_eq!(stats.chunks, 16);
-        assert_eq!(stats.lanes[0], (StageId::Input, 2));
+        assert_eq!(stats.stage_threads, 3);
         assert_eq!(*order.lock(), (0..16).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn a_parked_producer_is_released_by_its_consumers_take_alone() {
+        // A source lane 0 feeding a sink lane 1 through one cell, no
+        // token groups: nothing but the sink's take can wake the source
+        // once it parks with seq 1 behind seq 0.
+        let graph = Arc::new(Graph {
+            state: Mutex::new(GraphState::new(1, &[1, 1], &[])),
+            parked: vec![Condvar::new(), Condvar::new()],
+        });
+        let (tx, rx) = std::sync::mpsc::channel();
+        let source = Arc::clone(&graph);
+        std::thread::spawn(move || {
+            let mut out = None;
+            for seq in 0..3 {
+                let (_, ask) = source.step(0, |st| out.take().and_then(|o| st.done(0, o)));
+                assert!(matches!(ask, Ask::Go(s) if s == seq));
+                source.report(|st| st.claimed(0, true));
+                out = Some(Some(seq));
+            }
+            tx.send(()).unwrap();
+        });
+        while !matches!(graph.state.lock().lanes[0].phase, Phase::Output(_)) {
+            std::thread::yield_now();
+        }
+        assert!(matches!(graph.step(1, |_| ()).1, Ask::Arrived(0, 0)));
+        rx.recv_timeout(Duration::from_secs(20))
+            .expect("the parked producer was not woken by its consumer's take");
     }
 
     #[test]
@@ -1687,5 +1704,379 @@ mod tests {
         // case, just a lane count.
         assert_eq!(run(1, 0), (20, (0..20).collect()));
         assert_eq!(run(1, 1), (0, Vec::new()));
+    }
+}
+
+/// Exhaustive breadth-first exploration of `GraphState` under every order
+/// of the events its lanes bring: asks, arrival probes, claims that admit
+/// a chunk or end the stream, stages that return or consume their chunk,
+/// and one error, panic, stop or crash at any step. It drives the state as
+/// `run`'s lanes do, one event per lock hold, and wakes only the lanes the
+/// state names. States are deduplicated by hash; a violated property comes
+/// back with a shortest event trace to it.
+#[cfg(test)]
+mod checker {
+    use super::*;
+    use std::collections::hash_map::{DefaultHasher, Entry};
+    use std::collections::{HashMap, VecDeque};
+    use std::hash::{Hash, Hasher};
+
+    /// The graph and the traffic the search covers.
+    struct Bounds {
+        name: &'static str,
+        depth: usize,
+        widths: Vec<usize>,
+        groups: Vec<(usize, usize)>,
+        /// The source's claim comes back empty at seq `chunks`, or at any
+        /// earlier claim.
+        chunks: usize,
+        /// Chunks a stage short of the last may consume.
+        consumes: u8,
+        /// Lanes that may err, panic, stop or crash.
+        failures: u8,
+    }
+
+    /// A lane's thread, as `lane_loop` runs it.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+    enum Thread {
+        /// Asks at its next event: fresh, woken, or past a trace emission.
+        Asking,
+        Parked,
+        /// Probes its arrived chunk, then asks.
+        Probing,
+        /// Claims (a source) or runs (a stage) its admitted seq.
+        Going,
+        /// A source produces its claimed chunk.
+        Producing,
+        Done,
+    }
+
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+    enum Event {
+        Ask(usize),
+        /// A source's claim returns.
+        Claim(usize, bool),
+        /// A stage returns its chunk, or consumes it (`true`); a source
+        /// returns the chunk it produced.
+        Done(usize, bool),
+        /// The lane errs, panics, stops or crashes.
+        Fail(usize),
+    }
+
+    #[derive(Clone)]
+    struct World {
+        st: GraphState<usize>,
+        threads: Vec<Thread>,
+        /// Seqs each slot ran (a source: claimed) and consumed, a bit each.
+        seen: Vec<u8>,
+        gone: Vec<u8>,
+        /// Seqs admitted into each group, a bit each.
+        admitted: Vec<u8>,
+        consumes: u8,
+        failures: u8,
+    }
+
+    impl World {
+        fn new(b: &Bounds) -> Self {
+            let st = GraphState::new(b.depth, &b.widths, &b.groups);
+            World {
+                threads: vec![Thread::Asking; st.lanes.len()],
+                seen: vec![0; b.widths.len()],
+                gone: vec![0; b.widths.len()],
+                admitted: vec![0; b.groups.len()],
+                consumes: 0,
+                failures: 0,
+                st,
+            }
+        }
+
+        fn events(&self, b: &Bounds) -> Vec<Event> {
+            let mut events = Vec::new();
+            let fails = self.failures < b.failures;
+            for (l, &t) in self.threads.iter().enumerate() {
+                let (p, s) = (self.st.lanes[l].slot, self.st.lanes[l].next);
+                match t {
+                    Thread::Asking => events.push(Event::Ask(l)),
+                    Thread::Probing => events.push(Event::Ask(l)),
+                    Thread::Going if p == 0 => {
+                        if s < b.chunks {
+                            events.push(Event::Claim(l, true));
+                        }
+                        events.push(Event::Claim(l, false));
+                    }
+                    Thread::Going | Thread::Producing => {
+                        events.push(Event::Done(l, false));
+                        let last = p + 1 == b.widths.len();
+                        if p > 0 && !last && self.consumes < b.consumes {
+                            events.push(Event::Done(l, true));
+                        }
+                    }
+                    Thread::Parked | Thread::Done => continue,
+                }
+                if fails && !matches!(t, Thread::Asking) {
+                    events.push(Event::Fail(l));
+                }
+            }
+            events
+        }
+
+        /// Whether slot `p`'s lane for seq `s` already ran a later seq
+        /// or this one.
+        fn out_of_order(&self, p: usize, s: usize) -> bool {
+            let width = self.st.slots[p].width;
+            let lane_seqs = (0..8).filter(|t| t % width == s % width);
+            lane_seqs
+                .filter(|&t| t >= s)
+                .any(|t| self.seen[p] >> t & 1 == 1)
+        }
+
+        fn apply(&mut self, event: Event) -> Result<(), String> {
+            match event {
+                Event::Ask(l) => {
+                    let p = self.st.lanes[l].slot;
+                    self.threads[l] = match self.st.ask(l) {
+                        Poll::Pending => Thread::Parked,
+                        Poll::Ready(Ask::End) => Thread::Done,
+                        Poll::Ready(Ask::Arrived(s, chunk)) => {
+                            if chunk != s {
+                                return Err(format!("lane {l} got chunk {chunk} as seq {s}"));
+                            }
+                            Thread::Probing
+                        }
+                        Poll::Ready(Ask::TokenWait(..)) => Thread::Asking,
+                        Poll::Ready(Ask::Token(g, s, _)) => {
+                            if self.st.lanes[l].held >> g & 1 == 1 {
+                                if self.admitted[g] >> s != 0 {
+                                    return Err(format!("seq {s} enters group {g} late"));
+                                }
+                                self.admitted[g] |= 1 << s;
+                            }
+                            Thread::Asking
+                        }
+                        Poll::Ready(Ask::Go(s)) => {
+                            if s % self.st.slots[p].width != l - self.st.slots[p].base
+                                || self.out_of_order(p, s)
+                            {
+                                return Err(format!(
+                                    "slot {p}'s lane {l} runs seq {s} out of turn"
+                                ));
+                            }
+                            if p > 0 {
+                                self.seen[p] |= 1 << s;
+                            }
+                            Thread::Going
+                        }
+                    };
+                }
+                Event::Claim(l, ok) => {
+                    if ok {
+                        self.seen[0] |= 1 << self.st.lanes[l].next;
+                    }
+                    self.st.claimed(l, ok);
+                    self.threads[l] = if ok {
+                        Thread::Producing
+                    } else {
+                        Thread::Asking
+                    };
+                }
+                Event::Done(l, consumed) => {
+                    let (p, s) = (self.st.lanes[l].slot, self.st.lanes[l].next);
+                    if consumed {
+                        self.gone[p] |= 1 << s;
+                        self.consumes += 1;
+                    }
+                    self.st.done(l, (!consumed).then_some(s));
+                    self.threads[l] = Thread::Asking;
+                }
+                Event::Fail(l) => {
+                    self.failures += 1;
+                    self.st.fail(l);
+                    self.threads[l] = Thread::Done;
+                }
+            }
+            for l in std::mem::take(&mut self.st.wake) {
+                if self.threads[l] == Thread::Parked {
+                    self.threads[l] = Thread::Asking;
+                }
+            }
+            match self.st.groups.iter().position(|g| g.in_use > self.st.depth) {
+                Some(g) => Err(format!(
+                    "group {g} has {} chunks in flight",
+                    self.st.groups[g].in_use
+                )),
+                None => Ok(()),
+            }
+        }
+
+        /// The properties of a state no event changes.
+        fn ends(&self) -> Result<(), String> {
+            if let Some(l) = self.threads.iter().position(|&t| t != Thread::Done) {
+                return Err(format!(
+                    "lane {l} is {:?} and nothing wakes it",
+                    self.threads[l]
+                ));
+            }
+            if let Some(g) = self.st.groups.iter().position(|g| g.in_use > 0) {
+                return Err(format!("group {g} never gets its permits back"));
+            }
+            if self.st.cells.iter().flatten().any(Option::is_some) {
+                return Err("a chunk is left in a handoff cell".into());
+            }
+            if self.failures > 0 {
+                return Ok(());
+            }
+            // Every slot ran every seq of the stream that no slot before
+            // it consumed.
+            let stream = (1u8 << self.st.end) - 1;
+            let mut live = stream;
+            for (p, &seen) in self.seen.iter().enumerate() {
+                if seen != live {
+                    return Err(format!("slot {p} ran seqs {seen:#b}, not {live:#b}"));
+                }
+                live &= !self.gone[p];
+            }
+            if self.st.chunks != self.st.end {
+                return Err(format!(
+                    "{} chunks emitted of {}",
+                    self.st.chunks, self.st.end
+                ));
+            }
+            Ok(())
+        }
+
+        /// A hash of what decides the future.
+        fn fingerprint(&self) -> u64 {
+            let mut h = DefaultHasher::new();
+            let st = &self.st;
+            for slot in &st.slots {
+                slot.admit.hash(&mut h);
+            }
+            for g in &st.groups {
+                g.in_use.hash(&mut h);
+            }
+            let payload = |p: &Payload<usize>| match p {
+                Payload::Chunk(c) => Some(*c),
+                Payload::Skip => None,
+            };
+            for lane in &st.lanes {
+                (lane.next, lane.held).hash(&mut h);
+                match &lane.phase {
+                    Phase::Input => 0.hash(&mut h),
+                    Phase::Arrived => 1.hash(&mut h),
+                    Phase::Turn(live) => (2, live).hash(&mut h),
+                    Phase::Token(i, begun) => (3, i, begun).hash(&mut h),
+                    Phase::Busy => 4.hash(&mut h),
+                    Phase::Output(p) => (5, payload(p)).hash(&mut h),
+                    Phase::Ended => 6.hash(&mut h),
+                }
+            }
+            for cell in st.cells.iter().flatten() {
+                cell.as_ref().map(payload).hash(&mut h);
+            }
+            (st.end, st.closed, st.chunks, &self.threads).hash(&mut h);
+            (&self.seen, &self.gone, &self.admitted).hash(&mut h);
+            (self.consumes, self.failures).hash(&mut h);
+            h.finish()
+        }
+    }
+
+    /// Explore every state reachable within `b`, and return the number of
+    /// states; the first property violated comes back with a shortest
+    /// event trace to it.
+    fn explore(b: &Bounds) -> Result<usize, String> {
+        let started = Instant::now();
+        let start = World::new(b);
+        // Each state's parent and the event that led from it.
+        let mut seen: HashMap<u64, Option<(u64, Event)>> = HashMap::new();
+        seen.insert(start.fingerprint(), None);
+        let mut frontier = VecDeque::from([start]);
+        let fail = |seen: &HashMap<u64, Option<(u64, Event)>>,
+                    mut at: u64,
+                    last: Option<Event>,
+                    why: String| {
+            let mut trace: Vec<Event> = last.into_iter().collect();
+            while let Some(Some((parent, event))) = seen.get(&at) {
+                trace.push(*event);
+                at = *parent;
+            }
+            trace.reverse();
+            Err(format!(
+                "{}: {why}\nshortest trace ({} events): {trace:?}",
+                label(b),
+                trace.len()
+            ))
+        };
+        while let Some(world) = frontier.pop_front() {
+            let here = world.fingerprint();
+            let events = world.events(b);
+            if events.is_empty() {
+                if let Err(why) = world.ends() {
+                    return fail(&seen, here, None, why);
+                }
+            }
+            for event in events {
+                let mut next = world.clone();
+                if let Err(why) = next.apply(event) {
+                    return fail(&seen, here, Some(event), why);
+                }
+                if let Entry::Vacant(e) = seen.entry(next.fingerprint()) {
+                    e.insert(Some((here, event)));
+                    frontier.push_back(next);
+                }
+            }
+        }
+        println!(
+            "pipeline checker {}: {} states in {:.2?}",
+            label(b),
+            seen.len(),
+            started.elapsed(),
+        );
+        Ok(seen.len())
+    }
+
+    fn label(b: &Bounds) -> String {
+        format!(
+            "{} graph, lanes {:?}, B {}, {} chunks, {} consumed, {} failure(s)",
+            b.name, b.widths, b.depth, b.chunks, b.consumes, b.failures,
+        )
+    }
+
+    /// The graphs the engine and the benches build: the map graph
+    /// Input→Kernel→Partition with its two token groups at 1–2 lanes a
+    /// slot, the 5-slot discrete-memory map graph, and the reduce graph of
+    /// an application without a reduce function.
+    fn every_bound() -> Vec<Bounds> {
+        let bound = |name, depth, widths: &[usize], groups: &[(usize, usize)]| Bounds {
+            name,
+            depth,
+            widths: widths.to_vec(),
+            groups: groups.to_vec(),
+            chunks: 4,
+            consumes: 1,
+            failures: 1,
+        };
+        let mut all = Vec::new();
+        for depth in 1..=3 {
+            for lanes in 0..8 {
+                let widths = [1 + (lanes & 1), 1 + (lanes >> 1 & 1), 1 + (lanes >> 2)];
+                all.push(bound("map", depth, &widths, &[(0, 1), (1, 2)]));
+            }
+            all.push(bound("discrete", depth, &[1; 5], &[(0, 2), (2, 4)]));
+        }
+        all.push(bound("reduce", 2, &[1, 1], &[]));
+        all
+    }
+
+    #[test]
+    fn every_event_order_keeps_every_property() {
+        let all = every_bound();
+        let states: usize = all
+            .iter()
+            .map(|b| explore(b).unwrap_or_else(|e| panic!("{e}")))
+            .sum();
+        println!(
+            "pipeline checker: {states} states over {} bounds",
+            all.len()
+        );
     }
 }

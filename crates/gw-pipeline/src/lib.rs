@@ -9,15 +9,16 @@
 //! * [`Source`] / [`Stage`] — the per-stage logic (one `next_chunk` /
 //!   `run_chunk` call per chunk plus lifecycle hooks), written without any
 //!   channel wiring, crash probing or timer bookkeeping;
-//! * [`PipelineBuilder`] — wires N stages with bounded channels and
-//!   circulates [`Buffering`]`::{Single,Double,Triple}` buffer tokens (`B`
-//!   in-flight chunks per token group, enforced by the executor rather than
-//!   ad-hoc channel capacities); a stage that has nothing to do on a device
-//!   (on unified memory "the input stager is disabled") is simply not added;
+//! * [`PipelineBuilder`] — wires N stages through one-chunk handoff cells
+//!   and circulates [`Buffering`]`::{Single,Double,Triple}` buffer tokens
+//!   (`B` in-flight chunks per token group), every handoff decision one
+//!   method of a state behind one lock; a stage that has nothing to do on a
+//!   device (on unified memory "the input stager is disabled") is simply
+//!   not added;
 //! * the four cross-cutting concerns previously copy-pasted per stage:
 //!   crash-site probing between chunks ([`PipelineProbe`]), dead/abort-flag
 //!   checking, wall+modeled span accounting on the `gw-trace` lanes, and error
-//!   unwinding that drains and closes the whole graph deterministically;
+//!   unwinding that closes the whole graph;
 //! * [`Runtime`] — the resident threads every engine task runs on, parked
 //!   between jobs and keyed by `(physical node, role, lane)`;
 //! * [`run_task_with_retries`] — the §III-E task re-execution loop

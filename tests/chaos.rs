@@ -28,19 +28,17 @@ const NODES: u32 = 4;
 /// charging a fixed 4096-bucket drain per chunk, and whichever node the
 /// scheduler ran first mapped all of it before an armed node claimed the
 /// chunk its fault was waiting for.
-fn write_input(dfs: &Dfs) {
+/// Each line holds the corpus `repeat` times, in blocks `repeat` times
+/// as large, so the split count stays near 48.
+fn write_input(dfs: &Dfs, repeat: usize) {
+    let line = vec![CORPUS; repeat].join(" ");
     let lines: Vec<(Vec<u8>, Vec<u8>)> = (0..NUM_LINES)
-        .map(|i| {
-            (
-                format!("line{i:03}").into_bytes(),
-                CORPUS.as_bytes().to_vec(),
-            )
-        })
+        .map(|i| (format!("line{i:03}").into_bytes(), line.as_bytes().to_vec()))
         .collect();
     dfs.write_records(
         "/chaos/in",
         NodeId(0),
-        3200,
+        3200 * repeat,
         3,
         lines.iter().map(|(k, v)| (k.as_slice(), v.as_slice())),
     )
@@ -48,8 +46,12 @@ fn write_input(dfs: &Dfs) {
 }
 
 fn make_cluster(nodes: u32) -> Cluster {
+    cluster_of(nodes, 1)
+}
+
+fn cluster_of(nodes: u32, repeat: usize) -> Cluster {
     let dfs = Arc::new(Dfs::new(DfsConfig::new(nodes).free_io()));
-    write_input(&dfs);
+    write_input(&dfs, repeat);
     Cluster::new(dfs, NetProfile::unlimited())
 }
 
@@ -597,14 +599,33 @@ fn persistent_slowdown_degrades_but_never_kills() {
 const SPILL_HEAVY_BUDGET: usize = IntermediateConfig::MIN_MEMORY_BUDGET;
 
 /// Chaos config at [`SPILL_HEAVY_BUDGET`], for WordCount without its
-/// combiner, so every word instance crosses the store (80–140 KB a node):
-/// the cache spills to a framed file every 12 KiB throughout the job, so
-/// the reduce input is served almost entirely from streaming spill cursors
-/// (the out-of-core path).
+/// combiner, so every word instance crosses the store (80–140 KB a node
+/// on the chaos input): the cache spills to a framed file every 12 KiB
+/// throughout the job, so the reduce input is served almost entirely from
+/// streaming spill cursors (the out-of-core path).
 fn spill_heavy_cfg() -> JobConfig {
     let mut cfg = chaos_cfg();
     cfg.memory_budget = Some(SPILL_HEAVY_BUDGET);
     cfg
+}
+
+/// How many times a line of the spill-heavy sweeps' input repeats the
+/// corpus: enough that a node flushes each partition more than M = 12
+/// times (the files the budget lets it hold), so it compacts while the
+/// map runs, and crash and gray recovery run with a compaction in flight.
+const SPILL_HEAVY_REPEAT: usize = 3;
+
+/// The in-core output of the spill-heavy input.
+fn spill_heavy_reference() -> Vec<(Vec<u8>, Vec<u8>)> {
+    let cluster = cluster_of(NODES, SPILL_HEAVY_REPEAT);
+    let mut cfg = chaos_cfg();
+    cfg.memory_budget = None;
+    let report = cluster.run(Arc::new(WordCount::new()), &cfg).unwrap();
+    assert!(report
+        .nodes
+        .iter()
+        .all(|n| n.intermediate.spilled_disk == 0));
+    read_job_output(cluster.store(), &report).unwrap()
 }
 
 #[test]
@@ -613,12 +634,12 @@ fn spill_heavy_chaos_sweep_recovers_byte_identical() {
     // compose with the out-of-core intermediate path, and the output
     // bytes must match the *in-core* reference — the determinism
     // contract says the spill strategy is invisible in the output.
-    let reference = reference_output(NODES);
+    let reference = spill_heavy_reference();
     let (mut recovered, mut unfired) = (0usize, 0usize);
     for seed in 0..20u64 {
         let plan = Arc::new(FaultPlan::from_seed(seed, NODES));
         let schedule = plan.describe();
-        let cluster = make_cluster(NODES).with_fault_plan(Arc::clone(&plan));
+        let cluster = cluster_of(NODES, SPILL_HEAVY_REPEAT).with_fault_plan(Arc::clone(&plan));
         let outcome = cluster.run(Arc::new(WordCount::without_combiner()), &spill_heavy_cfg());
         unfired += plan.unfired().len();
         match outcome {
@@ -657,12 +678,12 @@ fn spill_heavy_gray_sweep_recovers_byte_identical() {
     // Gray faults never kill nodes, so with spilling forced on every
     // seed must still finish, spill within the budget, and reproduce the
     // in-core bytes.
-    let reference = reference_output(NODES);
-    let mut unfired = 0;
+    let reference = spill_heavy_reference();
+    let (mut unfired, mut compacted) = (0, 0);
     for seed in 0..20u64 {
         let plan = Arc::new(FaultPlan::gray_from_seed(seed, NODES));
         let schedule = plan.describe();
-        let cluster = make_cluster(NODES).with_fault_plan(Arc::clone(&plan));
+        let cluster = cluster_of(NODES, SPILL_HEAVY_REPEAT).with_fault_plan(Arc::clone(&plan));
         let report = cluster
             .run(Arc::new(WordCount::without_combiner()), &spill_heavy_cfg())
             .unwrap_or_else(|e| panic!("seed {seed} ({schedule}): gray run failed: {e}"));
@@ -673,6 +694,16 @@ fn spill_heavy_gray_sweep_recovers_byte_identical() {
             .map(|n| n.intermediate.spilled_disk)
             .sum();
         assert!(spilled > 0, "seed {seed} ({schedule}): nothing spilled");
+        let compactions: Vec<usize> = report
+            .nodes
+            .iter()
+            .map(|n| n.intermediate.compactions)
+            .collect();
+        assert!(
+            compactions.iter().any(|&c| c > 0),
+            "seed {seed} ({schedule}): no node compacted ({compactions:?})"
+        );
+        compacted += compactions.iter().sum::<usize>();
         // Stalls and throttles hold the budget as a clean run does.
         for n in &report.nodes {
             let peak = n.intermediate.peak_resident_bytes;
@@ -687,7 +718,9 @@ fn spill_heavy_gray_sweep_recovers_byte_identical() {
         assert_eq!(out, reference, "seed {seed} ({schedule}): output diverged");
         unfired += plan.unfired().len();
     }
-    eprintln!("20 spill-heavy gray seeds: {unfired} armed faults never fired");
+    eprintln!(
+        "20 spill-heavy gray seeds: {compacted} compactions, {unfired} armed faults never fired"
+    );
 }
 
 #[test]
