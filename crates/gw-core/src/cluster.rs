@@ -45,15 +45,15 @@ use gw_pipeline::{JoinHandle, Role, RoleKey, Runtime};
 use gw_storage::split::{FileStore, FileStoreExt};
 use gw_storage::NodeId;
 use gw_trace::{
-    CounterId, LaneId, MetricsSummary, PerfAnalysis, PipelineKind, Realm, StageSample, TimerReport,
-    Trace, Tracer,
+    CounterId, LaneId, MetricsSummary, PerfAnalysis, PipelineKind, Realm, StageId, StageSample,
+    TimerReport, Trace, Tracer,
 };
 
 use crate::api::GwApp;
 use crate::config::JobConfig;
 use crate::coordinator::{Coordinator, NodeChaos, SpeculationReport};
 use crate::map_pipeline::{MapPhase, MapPhaseReport};
-use crate::reduce_pipeline::{ReducePhase, ReducePhaseReport};
+use crate::reduce_pipeline::{output_path, ReducePhase, ReducePhaseReport};
 use crate::EngineError;
 
 /// Receiver poll tick: the longest a node's shuffle receiver blocks in
@@ -457,6 +457,17 @@ impl Cluster {
         if let Some(e) = first_err {
             return Err(e);
         }
+        // Ownership settles with the shuffle, before any reduce starts, so
+        // a node whose reduce succeeded wrote the file of every partition
+        // the coordinator assigns it (`ReduceMergeRead::claim` walks the
+        // same predicate); a lost node's stay unwritten.
+        for r in &mut reports {
+            r.reduce.output_files = (0..total_partitions)
+                .filter(|&gp| coordinator.owner_of(gp) == r.node.0)
+                .map(|gp| output_path(cfg, gp))
+                .collect();
+            r.reduce.partitions = r.reduce.output_files.len();
+        }
         let covered: usize = reports.iter().map(|r| r.reduce.output_files.len()).sum();
         if covered != total_partitions as usize {
             return Err(EngineError::NodeLost(format!(
@@ -467,15 +478,30 @@ impl Cluster {
         reports.sort_by_key(|r| r.node.0);
         let trace = tracer.finish_job(scope.job);
         let analysis = PerfAnalysis::from_trace(&trace);
-        // Stage timers are a view of the same fold (node threads leave
-        // them empty), so they agree with `metrics` and `analysis` by
-        // construction.
+        let metrics = trace.metrics();
+        // Stage counts and timers are views of the same trace (node
+        // threads leave them empty), so they agree with `metrics` and
+        // `analysis` by construction.
         for r in &mut reports {
-            if let Some(map) = analysis.pipeline(r.node.0, PipelineKind::Map) {
+            let node = r.node.0;
+            let count = |counter| metrics.counter(node, counter) as usize;
+            r.map.splits = metrics.chunks(node, PipelineKind::Map, StageId::Input) as usize;
+            r.map.records_in = count(CounterId::MapRecordsIn);
+            r.map.local_splits = count(CounterId::MapLocalSplits);
+            r.map.tasks_retried = count(CounterId::MapTasksRetried);
+            r.map.records_out = count(CounterId::MapRecordsOut);
+            r.map.runs_local = count(CounterId::MapRunsLocal);
+            r.map.runs_remote = count(CounterId::MapRunsRemote);
+            r.reduce.keys = count(CounterId::ReduceKeys);
+            r.reduce.launches = count(CounterId::ReduceLaunches);
+            r.reduce.parallel_key_splits = count(CounterId::ReduceParallelKeySplits);
+            r.reduce.tasks_retried = count(CounterId::ReduceTasksRetried);
+            r.reduce.records_out = count(CounterId::ReduceRecordsOut);
+            if let Some(map) = analysis.pipeline(node, PipelineKind::Map) {
                 r.map_timers = map.timers();
                 r.map_samples = map.chunk_samples.clone();
             }
-            if let Some(reduce) = analysis.pipeline(r.node.0, PipelineKind::Reduce) {
+            if let Some(reduce) = analysis.pipeline(node, PipelineKind::Reduce) {
                 r.reduce_timers = reduce.timers();
             }
         }
@@ -489,7 +515,7 @@ impl Cluster {
                 .fault_failovers()
                 .saturating_sub(failovers_before),
             speculation: coordinator.speculation_report(),
-            metrics: trace.metrics(),
+            metrics,
             analysis,
             trace,
         })

@@ -48,8 +48,6 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use parking_lot::Mutex;
-
 use gw_device::{Device, DeviceBuffer, KernelFn, NdRange, WorkItemCtx, WorkerPool};
 use gw_intermediate::{IntermediateStore, Run, RunPool};
 use gw_net::{Endpoint, RunTag, ShuffleRun};
@@ -60,7 +58,7 @@ use gw_pipeline::{
 use gw_storage::split::FileStore;
 use gw_storage::varint::RecRef;
 use gw_storage::{InputSplit, NodeId, StorageError};
-use gw_trace::{CounterId, Lane, LaneId, Realm, StageId, Tracer};
+use gw_trace::{CounterId, LaneId, Realm, StageId, Tracer};
 
 use crate::api::{Emit, GwApp, Records};
 use crate::cluster::runner;
@@ -80,7 +78,9 @@ struct MapChunk {
     collector: Option<Box<dyn Collector>>,
 }
 
-/// Outcome of a node's map phase.
+/// Outcome of a node's map phase. The counts are folds of the job's
+/// trace ([`crate::Cluster::run_scoped`] fills them from the counters the
+/// stages emit); the phase itself measures only the last three fields.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct MapPhaseReport {
     /// Splits processed by this node.
@@ -175,20 +175,19 @@ fn parse_block(block: &[u8]) -> Result<Vec<RecRef>, EngineError> {
 /// *produce* (reading and parsing the split) overlaps across lanes,
 /// which is exactly the vertical-scaling win when split reads gate the
 /// pipeline. One instance per lane; instances share the coordinator,
-/// store, buffer pool and report.
-struct MapInput<'a> {
+/// store and buffer pool.
+struct MapInput {
     store: Arc<dyn FileStore>,
     coordinator: Arc<Coordinator>,
     node: NodeId,
     timing: TimingMode,
     buffers: Option<PoolGet<DeviceBuffer>>,
-    report: &'a Mutex<MapPhaseReport>,
     /// The split (and staging buffer) claimed for this lane's next
     /// [`LaneSource::produce`].
     pending: Option<(InputSplit, Option<DeviceBuffer>)>,
 }
 
-impl LaneSource<MapChunk, EngineError> for MapInput<'_> {
+impl LaneSource<MapChunk, EngineError> for MapInput {
     /// Stays in the claim loop until every live node's shuffle is settled:
     /// until then a split may requeue, because its node died or a run it
     /// produced was lost, and this node may be the one to re-run it.
@@ -227,14 +226,11 @@ impl LaneSource<MapChunk, EngineError> for MapInput<'_> {
         let records = parse_block(&block)?;
         let wall = t0.elapsed();
         ctx.add_time(wall, self.timing.pick(wall, wall + sample.modeled));
-        {
-            let mut r = self.report.lock();
-            r.splits += 1;
-            r.records_in += records.len();
-            if split.is_local_to(self.node) {
-                r.local_splits += 1;
-            }
-        }
+        ctx.count(CounterId::MapRecordsIn, records.len());
+        ctx.count(
+            CounterId::MapLocalSplits,
+            split.is_local_to(self.node).into(),
+        );
         Ok(MapChunk {
             block_idx: split.block,
             block,
@@ -281,9 +277,6 @@ struct MapKernel<'a> {
     node: NodeId,
     collectors: PoolGet<Box<dyn Collector>>,
     buffers_back: Option<PoolPut<DeviceBuffer>>,
-    tasks_retried: &'a AtomicUsize,
-    /// This stage's trace lane; carries the superseded-skip counter.
-    lane: Lane,
 }
 
 impl Stage<MapChunk, EngineError> for MapKernel<'_> {
@@ -302,7 +295,7 @@ impl Stage<MapChunk, EngineError> for MapKernel<'_> {
             // empty collector yields no runs downstream and the stale
             // `complete_split` is a no-op, so the skip cannot change
             // output bytes — it only saves the wasted kernel time.
-            self.lane.count(CounterId::SpecSuperseded, 1);
+            ctx.count(CounterId::SpecSuperseded, 1);
             if let (Some(buf), Some(put)) = (chunk.buffer.take(), &self.buffers_back) {
                 put.put(buf);
             }
@@ -338,12 +331,11 @@ impl Stage<MapChunk, EngineError> for MapKernel<'_> {
         );
         let stats = match attempt {
             Ok((stats, retried)) => {
-                self.tasks_retried.fetch_add(retried, Ordering::Relaxed);
+                ctx.count(CounterId::MapTasksRetried, retried);
                 stats
             }
             Err(e) => {
-                self.tasks_retried
-                    .fetch_add(self.cfg.max_task_retries, Ordering::Relaxed);
+                ctx.count(CounterId::MapTasksRetried, e.attempts - 1);
                 return Err(EngineError::TaskFailed(format!(
                     "map task for chunk {} failed after {} attempt(s)",
                     ctx.seq(),
@@ -403,29 +395,30 @@ struct MapPartition<'a> {
     node: NodeId,
     pool: &'a WorkerPool,
     run_pool: Arc<RunPool>,
-    records_out: &'a AtomicUsize,
-    runs_remote: &'a AtomicUsize,
-    runs_local: &'a AtomicUsize,
     collectors_back: PoolPut<Box<dyn Collector>>,
 }
 
+/// What a chunk's partitioning workers delivered, tallied across them:
+/// records, runs kept and runs shipped.
+type Delivered = [AtomicUsize; 3];
+
 impl MapPartition<'_> {
-    /// Count one finished run and hand it to the partition's current
+    /// Tally one finished run and hand it to the partition's current
     /// owner: the local store, or the owner's node over the network. The
     /// run is first entered in the ledger under `tag`, so a receiver can
     /// never lack a run the ledger does not know about; it is then
     /// admitted at most once locally, or pushed into the owner's inbox
     /// before this returns.
-    fn deliver_run(&self, tag: RunTag, run: Run) {
-        self.records_out.fetch_add(run.records(), Ordering::Relaxed);
+    fn deliver_run(&self, tag: RunTag, run: Run, [records, kept, shipped]: &Delivered) {
+        records.fetch_add(run.records(), Ordering::Relaxed);
         match self.coordinator.route_run(self.node, tag) {
             Route::Keep => {
-                self.runs_local.fetch_add(1, Ordering::Relaxed);
+                kept.fetch_add(1, Ordering::Relaxed);
                 self.intermediate.add_run(tag.partition, run);
             }
             Route::Discard => {}
             Route::Ship(owner) => {
-                self.runs_remote.fetch_add(1, Ordering::Relaxed);
+                shipped.fetch_add(1, Ordering::Relaxed);
                 // Zero-copy ship: `into_shared` is a refcount bump, and the
                 // message frames the run's shared arena slice as-is.
                 let msg = ShuffleRun {
@@ -444,15 +437,16 @@ impl Stage<MapChunk, EngineError> for MapPartition<'_> {
     fn run_chunk(
         &mut self,
         mut chunk: MapChunk,
-        _ctx: &mut StageCtx<'_>,
+        ctx: &mut StageCtx<'_>,
     ) -> Result<Option<MapChunk>, EngineError> {
         let n_lanes = self.cfg.partition_threads;
         let block = chunk.block_idx as u32;
         let mut collector = chunk.collector.take().expect("kernel output collector");
+        let delivered = Delivered::default();
         // Scope the kernel so its borrow of the collector ends before the
         // collector is reset and recycled.
         {
-            let this = &*self;
+            let (this, delivered) = (&*self, &delivered);
             let collector: &dyn Collector = collector.as_ref();
             let kernel = KernelFn(move |ctx: &WorkItemCtx| {
                 let lane = ctx.global_id();
@@ -465,7 +459,7 @@ impl Stage<MapChunk, EngineError> for MapPartition<'_> {
                         block,
                         lane: lane as u32,
                     };
-                    this.deliver_run(tag, run);
+                    this.deliver_run(tag, run, delivered);
                 });
             });
             self.pool.run(
@@ -473,6 +467,10 @@ impl Stage<MapChunk, EngineError> for MapPartition<'_> {
                 &kernel,
             );
         }
+        let [records, kept, shipped] = delivered.map(AtomicUsize::into_inner);
+        ctx.count(CounterId::MapRecordsOut, records);
+        ctx.count(CounterId::MapRunsLocal, kept);
+        ctx.count(CounterId::MapRunsRemote, shipped);
         collector.reset();
         self.collectors_back.put(collector);
         // The split is now fully processed: every run is in the ledger and
@@ -505,8 +503,8 @@ pub struct MapPhase<'a> {
     pub intermediate: Arc<IntermediateStore>,
     /// The node's network endpoint (shared with its shuffle receiver).
     pub endpoint: Arc<Endpoint<ShuffleRun>>,
-    /// Job-wide event tracer; the executor emits chunk spans and
-    /// token-wait regions onto this node's pipeline lanes.
+    /// Job-wide event tracer: chunk spans, token waits and stage counts
+    /// land on this node's pipeline lanes.
     pub tracer: Arc<Tracer>,
     /// Fault-injection and recovery handle.
     pub chaos: NodeChaos,
@@ -551,28 +549,11 @@ impl MapPhase<'_> {
         let (collectors, collectors_back) =
             token_pool((0..b).map(|_| make_collector(self.cfg, &self.app, total_partitions)));
 
-        let report = Mutex::new(MapPhaseReport::default());
-        let records_out = AtomicUsize::new(0);
-        let runs_remote = AtomicUsize::new(0);
-        let runs_local = AtomicUsize::new(0);
-        let tasks_retried = AtomicUsize::new(0);
-
         // Widened stage slots (DESIGN.md §3.9): one stage instance per
-        // lane. Instances share pools, the coordinator and the report;
-        // each gets its own trace sub-lane so the single-writer invariant
-        // holds per executor thread.
+        // lane. Instances share pools and the coordinator; the executor
+        // gives each its own trace sub-lane, which carries its counts, so
+        // the single-writer invariant holds per executor thread.
         let plan = self.cfg.lane_plan;
-        let kernel_lane = |lane: usize| {
-            self.tracer.lane(LaneId {
-                job: 0,
-                node: self.node.0,
-                realm: Realm::Pipeline {
-                    kind: PipelineKind::Map,
-                    stage: StageId::Kernel,
-                    lane: lane as u32,
-                },
-            })
-        };
         let input_lanes: Vec<Box<dyn LaneSource<MapChunk, EngineError> + '_>> = (0..plan.input)
             .map(|_| {
                 Box::new(MapInput {
@@ -581,13 +562,12 @@ impl MapPhase<'_> {
                     node: self.node,
                     timing: self.cfg.timing,
                     buffers: buffers.clone(),
-                    report: &report,
                     pending: None,
                 }) as Box<dyn LaneSource<MapChunk, EngineError> + '_>
             })
             .collect();
         let kernel_lanes: Vec<Box<dyn Stage<MapChunk, EngineError> + '_>> = (0..plan.kernel)
-            .map(|lane| {
+            .map(|_| {
                 Box::new(MapKernel {
                     device: Arc::clone(&self.device),
                     app: Arc::clone(&self.app),
@@ -596,8 +576,6 @@ impl MapPhase<'_> {
                     node: self.node,
                     collectors: collectors.clone(),
                     buffers_back: buffers_back.clone(),
-                    tasks_retried: &tasks_retried,
-                    lane: kernel_lane(lane),
                 }) as Box<dyn Stage<MapChunk, EngineError> + '_>
             })
             .collect();
@@ -611,9 +589,6 @@ impl MapPhase<'_> {
                     node: self.node,
                     pool: &partition_pool,
                     run_pool: Arc::clone(&run_pool),
-                    records_out: &records_out,
-                    runs_remote: &runs_remote,
-                    runs_local: &runs_local,
                     collectors_back: collectors_back.clone(),
                 }) as Box<dyn Stage<MapChunk, EngineError> + '_>
             })
@@ -695,14 +670,11 @@ impl MapPhase<'_> {
             )));
         }
 
-        let mut r = report.into_inner();
-        r.records_out = records_out.load(Ordering::Relaxed);
-        r.runs_remote = runs_remote.load(Ordering::Relaxed);
-        r.runs_local = runs_local.load(Ordering::Relaxed);
-        r.tasks_retried = tasks_retried.load(Ordering::Relaxed);
-        r.stage_threads = stats.stage_threads;
-        r.max_in_flight = stats.max_in_flight;
-        r.elapsed = start.elapsed();
-        Ok(r)
+        Ok(MapPhaseReport {
+            stage_threads: stats.stage_threads,
+            max_in_flight: stats.max_in_flight,
+            elapsed: start.elapsed(),
+            ..MapPhaseReport::default()
+        })
     }
 }

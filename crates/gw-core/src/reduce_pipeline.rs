@@ -62,7 +62,6 @@
 //! addresses the map pipeline (see DESIGN.md §3.9); reduce-side
 //! parallelism comes from the per-key/per-chunk knobs above instead.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -76,7 +75,7 @@ use gw_pipeline::{
 };
 use gw_storage::split::{FileStore, RecordBlockBuilder};
 use gw_storage::NodeId;
-use gw_trace::{StageId, Tracer};
+use gw_trace::{CounterId, StageId, Tracer};
 
 use crate::api::{Emit, GwApp};
 use crate::collect::{for_each_record, Collector, Slots};
@@ -151,7 +150,10 @@ impl ReduceChunk {
     }
 }
 
-/// Outcome of a node's reduce phase.
+/// Outcome of a node's reduce phase. Apart from `elapsed`, which the phase
+/// measures, it is a fold: [`crate::Cluster::run_scoped`] fills the counts
+/// from the counters the stages emit on the job's trace, and the files
+/// from the partitions the coordinator assigns the node.
 #[derive(Debug, Clone, Default)]
 pub struct ReducePhaseReport {
     /// Local partitions reduced.
@@ -195,14 +197,13 @@ struct ReduceMergeRead<'a> {
     next_gp: u32,
     /// The open partition and its merge.
     open: Option<(u32, PartMerge)>,
-    partitions: &'a AtomicUsize,
-    keys_seen: &'a AtomicUsize,
 }
 
 impl ReduceMergeRead<'_> {
-    /// The next chunk of partition `gp`'s `merge`: the partition's last if
-    /// filling it met the merge's end, so possibly an empty one.
-    fn fill(&self, gp: u32, merge: &mut PartMerge) -> Result<ReduceChunk, EngineError> {
+    /// The next chunk of partition `gp`'s `merge` — the partition's last if
+    /// filling it met the merge's end, so possibly an empty one — and the
+    /// keys it starts (its records, off a plain merge).
+    fn fill(&self, gp: u32, merge: &mut PartMerge) -> Result<(ReduceChunk, usize), EngineError> {
         let cfg = self.phase.cfg;
         let mut chunk = ReduceChunk::default();
         let merge = match merge {
@@ -217,11 +218,12 @@ impl ReduceMergeRead<'_> {
                         break;
                     }
                 }
-                self.keys_seen.fetch_add(chunk.records, Ordering::Relaxed);
                 chunk.closes = merge.peek_rec().is_none().then_some(gp);
-                return Ok(chunk);
+                let records = chunk.records;
+                return Ok((chunk, records));
             }
         };
+        let mut keys = 0;
         loop {
             let fresh = merge.at_key_start();
             let Some(slice) = merge
@@ -235,9 +237,7 @@ impl ReduceMergeRead<'_> {
                 chunk.closes = Some(gp);
                 break;
             };
-            if fresh {
-                self.keys_seen.fetch_add(1, Ordering::Relaxed);
-            }
+            keys += usize::from(fresh);
             // Split large value chunks over cooperating work items when
             // the app supports it.
             let parts =
@@ -260,7 +260,7 @@ impl ReduceMergeRead<'_> {
                 break;
             }
         }
-        Ok(chunk)
+        Ok((chunk, keys))
     }
 }
 
@@ -290,7 +290,7 @@ impl LaneSource<ReduceChunk, EngineError> for ReduceMergeRead<'_> {
         Ok(true)
     }
 
-    fn produce(&mut self, _ctx: &mut StageCtx<'_>) -> Result<ReduceChunk, EngineError> {
+    fn produce(&mut self, ctx: &mut StageCtx<'_>) -> Result<ReduceChunk, EngineError> {
         let (gp, mut merge) = match self.open.take() {
             Some(open) => open,
             None => {
@@ -299,7 +299,6 @@ impl LaneSource<ReduceChunk, EngineError> for ReduceMergeRead<'_> {
                 // Streaming cursors: spilled runs stay on disk and decode
                 // one frame at a time; cached runs are merged where they sit.
                 let cursors = self.phase.intermediate.partition_cursors(gp)?;
-                self.partitions.fetch_add(1, Ordering::Relaxed);
                 if self.phase.app.has_reduce() {
                     (gp, PartMerge::Grouped(GroupedCursorMerge::new(cursors)))
                 } else {
@@ -307,7 +306,8 @@ impl LaneSource<ReduceChunk, EngineError> for ReduceMergeRead<'_> {
                 }
             }
         };
-        let chunk = self.fill(gp, &mut merge)?;
+        let (chunk, keys) = self.fill(gp, &mut merge)?;
+        ctx.count(CounterId::ReduceKeys, keys);
         if chunk.closes.is_none() {
             self.open = Some((gp, merge));
         }
@@ -329,9 +329,6 @@ struct ReduceKernel<'a> {
     /// the same key's continuation, takes it up.
     carry: Option<(Vec<u8>, Vec<u8>)>,
     collectors: PoolGet<Box<dyn Collector>>,
-    launches: &'a AtomicUsize,
-    parallel_splits: &'a AtomicUsize,
-    tasks_retried: &'a AtomicUsize,
 }
 
 impl Stage<ReduceChunk, EngineError> for ReduceKernel<'_> {
@@ -482,12 +479,11 @@ impl Stage<ReduceChunk, EngineError> for ReduceKernel<'_> {
         );
         let stats = match attempt {
             Ok((stats, retried)) => {
-                self.tasks_retried.fetch_add(retried, Ordering::Relaxed);
+                ctx.count(CounterId::ReduceTasksRetried, retried);
                 stats
             }
             Err(e) => {
-                self.tasks_retried
-                    .fetch_add(e.attempts - 1, Ordering::Relaxed);
+                ctx.count(CounterId::ReduceTasksRetried, e.attempts - 1);
                 return Err(EngineError::TaskFailed(format!(
                     "reduce kernel for chunk {} failed after {} attempt(s)",
                     ctx.seq(),
@@ -495,9 +491,8 @@ impl Stage<ReduceChunk, EngineError> for ReduceKernel<'_> {
                 )));
             }
         };
-        self.launches.fetch_add(1, Ordering::Relaxed);
-        self.parallel_splits
-            .fetch_add(coop_groups, Ordering::Relaxed);
+        ctx.count(CounterId::ReduceLaunches, 1);
+        ctx.count(CounterId::ReduceParallelKeySplits, coop_groups);
         debug_assert!(incoming.lock().is_none(), "carried state left untaken");
         self.carry = outgoing
             .into_inner()
@@ -523,8 +518,6 @@ struct ReduceOutput<'a> {
     builder: RecordBlockBuilder,
     /// The open partition's finished blocks, of a job without a kernel.
     blocks: Vec<(Vec<u8>, usize)>,
-    records_out: &'a AtomicUsize,
-    output_files: &'a Mutex<Vec<String>>,
     collectors_back: PoolPut<Box<dyn Collector>>,
 }
 
@@ -549,9 +542,9 @@ impl Stage<ReduceChunk, EngineError> for ReduceOutput<'_> {
             None if records > 0 => self.blocks.push((chunk.arena, records)),
             None => {}
         }
-        self.records_out.fetch_add(records, Ordering::Relaxed);
+        ctx.count(CounterId::ReduceRecordsOut, records);
         if let Some(gp) = chunk.closes {
-            let path = format!("{}/part-r-{gp:05}", cfg.output);
+            let path = output_path(cfg, gp);
             let builder = RecordBlockBuilder::new(cfg.output_block_size);
             let mut blocks = std::mem::take(&mut self.blocks);
             blocks.extend(std::mem::replace(&mut self.builder, builder).finish());
@@ -563,7 +556,6 @@ impl Stage<ReduceChunk, EngineError> for ReduceOutput<'_> {
             )?;
             let wall = t0.elapsed();
             ctx.add_time(wall, cfg.timing.pick(wall, wall + sample.modeled));
-            self.output_files.lock().push(path);
         }
         Ok(None)
     }
@@ -591,8 +583,8 @@ pub struct ReducePhase<'a> {
     /// Split/partition coordinator: the reduce phase asks it which global
     /// partitions this node owns (adopted partitions included).
     pub coordinator: Arc<Coordinator>,
-    /// Job-wide event tracer; the executor emits chunk spans and
-    /// token-wait regions onto this node's pipeline lanes.
+    /// Job-wide event tracer: chunk spans, token waits and stage counts
+    /// land on this node's pipeline lanes.
     pub tracer: Arc<Tracer>,
     /// Fault-injection context.
     pub chaos: NodeChaos,
@@ -628,22 +620,12 @@ impl ReducePhase<'_> {
             Box::new(pool_collector(cfg, max_work_items, Slots::single())) as Box<dyn Collector>
         }));
 
-        let output_files = Mutex::new(Vec::new());
-        let partitions = AtomicUsize::new(0);
-        let keys_seen = AtomicUsize::new(0);
-        let launches = AtomicUsize::new(0);
-        let records_out = AtomicUsize::new(0);
-        let parallel_splits = AtomicUsize::new(0);
-        let tasks_retried = AtomicUsize::new(0);
-
         let merge_read: Box<dyn LaneSource<ReduceChunk, EngineError> + '_> =
             Box::new(ReduceMergeRead {
                 phase: &self,
                 threads_per_key,
                 next_gp: 0,
                 open: None,
-                partitions: &partitions,
-                keys_seen: &keys_seen,
             });
         let mut pipeline = PipelineBuilder::new(PipelineKind::Reduce, cfg.buffering)
             .source_lanes(StageId::Input, vec![merge_read]);
@@ -666,9 +648,6 @@ impl ReducePhase<'_> {
                     cfg,
                     carry: None,
                     collectors,
-                    launches: &launches,
-                    parallel_splits: &parallel_splits,
-                    tasks_retried: &tasks_retried,
                 },
             );
             if !unified {
@@ -686,8 +665,6 @@ impl ReducePhase<'_> {
                     phase: &self,
                     builder: RecordBlockBuilder::new(cfg.output_block_size),
                     blocks: Vec::new(),
-                    records_out: &records_out,
-                    output_files: &output_files,
                     collectors_back,
                 },
             )
@@ -696,14 +673,13 @@ impl ReducePhase<'_> {
             .probe(ReduceTaskProbe::new(self.chaos.clone(), self.node));
         pipeline.run()?;
         Ok(ReducePhaseReport {
-            partitions: partitions.into_inner(),
-            keys: keys_seen.into_inner(),
-            records_out: records_out.into_inner(),
-            launches: launches.into_inner(),
-            parallel_key_splits: parallel_splits.into_inner(),
-            tasks_retried: tasks_retried.into_inner(),
-            output_files: output_files.into_inner(),
             elapsed: start.elapsed(),
+            ..ReducePhaseReport::default()
         })
     }
+}
+
+/// The output file of global partition `gp`.
+pub(crate) fn output_path(cfg: &JobConfig, gp: u32) -> String {
+    format!("{}/part-r-{gp:05}", cfg.output)
 }

@@ -1736,10 +1736,13 @@ mod checker {
     use std::collections::{BTreeMap, HashMap};
     use std::hash::{Hash, Hasher};
 
-    /// A cached run's stand-in: the script runs it holds, a bit each.
+    /// A set of script runs, a bit each: a script holds at most 128.
+    type RunSet = u128;
+
+    /// A cached run's stand-in: the script runs it holds.
     #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
     struct Mock {
-        runs: u64,
+        runs: RunSet,
         bytes: usize,
     }
 
@@ -1816,13 +1819,13 @@ mod checker {
         /// Each producer's next script run and wait; the last entry is the
         /// thread that calls `finish_map`.
         threads: Vec<(usize, Wait)>,
-        /// The script runs added so far, a bit each.
-        added: u64,
+        /// The script runs added so far.
+        added: RunSet,
         /// `finish_map` returned.
         finished: bool,
         reduced: usize,
         /// What each spill file holds.
-        files: BTreeMap<u64, u64>,
+        files: BTreeMap<u64, RunSet>,
         /// Disk writes of each script run, and flushes per partition.
         writes: Vec<u8>,
         flushes: Vec<u8>,
@@ -1836,12 +1839,16 @@ mod checker {
         (0..).find(|&r| m.pow(r) >= n).unwrap()
     }
 
-    fn held(runs: &[Mock]) -> u64 {
+    fn held(runs: &[Mock]) -> RunSet {
         runs.iter().fold(0, |all, r| all | r.runs)
     }
 
     impl World {
         fn new(b: &Bounds) -> Self {
+            assert!(
+                b.script.len() <= RunSet::BITS as usize,
+                "a run set holds at most 128 runs"
+            );
             let cfg = IntermediateConfig {
                 num_partitions: b.parts,
                 merger_threads: b.mergers,
@@ -1963,7 +1970,7 @@ mod checker {
         fn spill(
             &mut self,
             seq: u64,
-            runs: u64,
+            runs: RunSet,
             raw_bytes: usize,
             encoding: Encoding,
         ) -> Done<Mock> {
@@ -2128,7 +2135,7 @@ mod checker {
             // cached, spilled, or in a step.
             for p in 0..b.parts as usize {
                 let part = &self.st.parts[p];
-                let mut held: Vec<u64> = part.tiers.iter().flatten().map(|r| r.runs).collect();
+                let mut held: Vec<RunSet> = part.tiers.iter().flatten().map(|r| r.runs).collect();
                 held.extend(part.spills.iter().map(|s| self.files[&s.seq]));
                 for work in self.mergers.iter().filter_map(|m| m.work.as_ref()) {
                     match &work.step {
@@ -2141,7 +2148,7 @@ mod checker {
                         }
                     }
                 }
-                let mut all = 0u64;
+                let mut all: RunSet = 0;
                 for runs in held {
                     if all & runs != 0 {
                         return Err(format!("partition {p} holds runs {:#b} twice", all & runs));
@@ -2349,9 +2356,9 @@ mod checker {
             }
         }
         // Three mergers derive a smaller compaction fan-in and a higher
-        // floor; a partition's task is one step at a time, so two
-        // partitions run two of them at once.
-        for parts in [1, 2] {
+        // floor; a partition's task is one step at a time, so it takes
+        // three partitions to run all three at once.
+        for parts in [1, 2, 3] {
             all.push(spilling(budget(3), parts, 3, true));
         }
         // Two producers race each other's parks and wakes.

@@ -55,7 +55,7 @@ use std::time::{Duration, Instant};
 use crossbeam::channel::{bounded, Receiver, Sender};
 use parking_lot::{Condvar, Mutex, MutexGuard};
 
-use gw_trace::{EventKind, Lane, LaneId, MarkId, Realm, SpanId, Tracer};
+use gw_trace::{CounterId, EventKind, Lane, LaneId, MarkId, Realm, SpanId, Tracer};
 
 use crate::runtime::{Role, RoleKey, Runtime};
 use crate::{Buffering, PipelineKind, StageId};
@@ -66,30 +66,15 @@ pub struct StageCtx<'p> {
     seq: usize,
     lane: u32,
     probe: Option<&'p dyn PipelineProbe>,
+    events: &'p StageEvents,
     timing: Option<(Duration, Duration)>,
     stopped: bool,
 }
 
 impl<'p> StageCtx<'p> {
-    fn new(stage: StageId, seq: usize, lane: u32, probe: Option<&'p dyn PipelineProbe>) -> Self {
-        StageCtx {
-            stage,
-            seq,
-            lane,
-            probe,
-            timing: None,
-            stopped: false,
-        }
-    }
-
     /// Sequence number of the chunk being handled (dense from 0).
     pub fn seq(&self) -> usize {
         self.seq
-    }
-
-    /// The stage slot this context belongs to.
-    pub fn stage(&self) -> StageId {
-        self.stage
     }
 
     /// Lane index within the stage slot (0 for single-lane slots). A
@@ -145,6 +130,18 @@ impl<'p> StageCtx<'p> {
     /// fault of the chaos plane); `false` without a probe.
     pub fn task_fault_fires(&self) -> bool {
         self.probe.is_some_and(|p| p.task_fault_fires())
+    }
+
+    /// Count what the stage handled of this chunk: bump `counter` by a
+    /// non-zero `delta` on the trace lane that carries the lane's chunk
+    /// spans, where reports and live metrics fold it.
+    pub fn count(&self, counter: CounterId, delta: usize) {
+        if delta > 0 {
+            self.events.emit(EventKind::Count {
+                counter,
+                delta: delta as u64,
+            });
+        }
     }
 
     fn take_timing(&mut self) -> Option<(Duration, Duration)> {
@@ -777,6 +774,15 @@ fn lane_loop<T, E>(
         }
         _ => false,
     };
+    let ctx = |seq| StageCtx {
+        stage,
+        seq,
+        lane,
+        probe,
+        events,
+        timing: None,
+        stopped: false,
+    };
     // A stage's arrived chunk; a finished chunk's output, reported with
     // the next ask.
     let (mut input, mut output) = (None, None);
@@ -798,8 +804,7 @@ fn lane_loop<T, E>(
                 continue;
             }
             Ask::Arrived(seq, chunk) => {
-                let mut ctx = StageCtx::new(stage, seq, lane, probe);
-                if ctx.should_stop() || crash() {
+                if ctx(seq).should_stop() || crash() {
                     return Ok(false);
                 }
                 input = Some(chunk);
@@ -807,7 +812,7 @@ fn lane_loop<T, E>(
             }
             Ask::Go(seq) => seq,
         };
-        let mut ctx = StageCtx::new(stage, seq, lane, probe);
+        let mut ctx = ctx(seq);
         let t0;
         let out = match work {
             Work::Stage(s) => {

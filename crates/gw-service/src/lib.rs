@@ -54,8 +54,7 @@ pub use cache::{CacheKey, CachedResult, ResultCache};
 pub use error::{RejectReason, ServiceError};
 pub use sched::{Dispatch, FairScheduler, SchedConfig};
 pub use service::{
-    CounterSnapshot, JobSpec, JobTicket, Service, ServiceConfig, ServiceCounters, ServiceReport,
-    TenantSpec,
+    CounterSnapshot, JobSpec, JobTicket, Service, ServiceConfig, ServiceReport, TenantSpec,
 };
 pub use telemetry::{GaugeValues, ServiceTelemetry, TelemetryConfig};
 

@@ -27,7 +27,6 @@
 //! with `served_from_cache` set, without touching the engine.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
@@ -139,33 +138,8 @@ pub struct ServiceReport {
     pub turnaround: Duration,
 }
 
-/// Monotonic service counters (readable at any time).
-#[derive(Debug, Default)]
-pub struct ServiceCounters {
-    /// Submissions admitted (queued or served from cache).
-    pub submitted: AtomicU64,
-    /// Submissions rejected by admission control.
-    pub rejected: AtomicU64,
-    /// Rejections because the global queue bound was reached.
-    pub rejected_queue_full: AtomicU64,
-    /// Rejections because the tenant's own quota was reached.
-    pub rejected_tenant_queue_full: AtomicU64,
-    /// Rejections of unregistered tenants.
-    pub rejected_unknown_tenant: AtomicU64,
-    /// Rejections of never-schedulable slot requests.
-    pub rejected_slots_unsatisfiable: AtomicU64,
-    /// Submissions served from the result cache.
-    pub cache_hits: AtomicU64,
-    /// Engine runs actually launched.
-    pub engine_runs: AtomicU64,
-    /// Jobs completed successfully (including cache hits).
-    pub completed: AtomicU64,
-    /// Jobs that failed in the engine.
-    pub failed: AtomicU64,
-}
-
-/// A point-in-time copy of [`ServiceCounters`] plus the queue/cache
-/// state captured under the same state lock — which makes the
+/// A point-in-time copy of the service's monotone counts plus the
+/// queue/cache state, all captured under the state lock — which makes the
 /// conservation invariants *exact*, not racy approximations:
 ///
 /// - `submitted == completed + failed + in_flight + queued`
@@ -178,57 +152,34 @@ pub struct ServiceCounters {
 /// crate's tests.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CounterSnapshot {
-    /// See [`ServiceCounters::submitted`].
+    /// Submissions admitted (queued or served from cache).
     pub submitted: u64,
-    /// See [`ServiceCounters::rejected`].
+    /// Submissions rejected by admission control.
     pub rejected: u64,
-    /// See [`ServiceCounters::rejected_queue_full`].
+    /// Rejections because the global queue bound was reached.
     pub rejected_queue_full: u64,
-    /// See [`ServiceCounters::rejected_tenant_queue_full`].
+    /// Rejections because the tenant's own quota was reached.
     pub rejected_tenant_queue_full: u64,
-    /// See [`ServiceCounters::rejected_unknown_tenant`].
+    /// Rejections of unregistered tenants.
     pub rejected_unknown_tenant: u64,
-    /// See [`ServiceCounters::rejected_slots_unsatisfiable`].
+    /// Rejections of never-schedulable slot requests.
     pub rejected_slots_unsatisfiable: u64,
-    /// See [`ServiceCounters::cache_hits`].
+    /// Submissions served from the result cache.
     pub cache_hits: u64,
     /// Result-cache lookups that missed.
     pub cache_misses: u64,
     /// Result-cache entries dropped by FIFO eviction.
     pub cache_evictions: u64,
-    /// See [`ServiceCounters::engine_runs`].
+    /// Engine runs actually launched.
     pub engine_runs: u64,
-    /// See [`ServiceCounters::completed`].
+    /// Jobs completed successfully (including cache hits).
     pub completed: u64,
-    /// See [`ServiceCounters::failed`].
+    /// Jobs that failed in the engine.
     pub failed: u64,
     /// Jobs dispatched to a worker and not yet completed or failed.
     pub in_flight: u64,
     /// Jobs admitted and still queued (not yet dispatched).
     pub queued: u64,
-}
-
-impl ServiceCounters {
-    /// Atomics only; the caller (holding the state lock) fills in the
-    /// queue/cache fields so the whole snapshot is one consistent cut.
-    fn snapshot(&self) -> CounterSnapshot {
-        CounterSnapshot {
-            submitted: self.submitted.load(Ordering::Relaxed),
-            rejected: self.rejected.load(Ordering::Relaxed),
-            rejected_queue_full: self.rejected_queue_full.load(Ordering::Relaxed),
-            rejected_tenant_queue_full: self.rejected_tenant_queue_full.load(Ordering::Relaxed),
-            rejected_unknown_tenant: self.rejected_unknown_tenant.load(Ordering::Relaxed),
-            rejected_slots_unsatisfiable: self.rejected_slots_unsatisfiable.load(Ordering::Relaxed),
-            cache_hits: self.cache_hits.load(Ordering::Relaxed),
-            cache_misses: 0,
-            cache_evictions: 0,
-            engine_runs: self.engine_runs.load(Ordering::Relaxed),
-            completed: self.completed.load(Ordering::Relaxed),
-            failed: self.failed.load(Ordering::Relaxed),
-            in_flight: 0,
-            queued: 0,
-        }
-    }
 }
 
 /// Handle to one admitted submission. [`JobTicket::wait`] blocks until
@@ -278,12 +229,22 @@ struct State {
     workers: Vec<(u32, gw_core::JoinHandle<()>)>,
     /// Jobs whose task has published its result and is about to return.
     ended: Vec<u32>,
+    /// The monotone counts of [`CounterSnapshot`], its fields' namesakes;
+    /// the cache counts its own hits.
+    submitted: u64,
+    rejected: u64,
+    rejected_queue_full: u64,
+    rejected_tenant_queue_full: u64,
+    rejected_unknown_tenant: u64,
+    rejected_slots_unsatisfiable: u64,
+    engine_runs: u64,
+    completed: u64,
+    failed: u64,
 }
 
 struct Inner {
     state: Mutex<State>,
     cv: Condvar,
-    counters: ServiceCounters,
     epoch: Instant,
     max_queued: usize,
     tenant_quota: HashMap<String, usize>,
@@ -345,9 +306,17 @@ impl Service {
                 shutdown: false,
                 workers: Vec::new(),
                 ended: Vec::new(),
+                submitted: 0,
+                rejected: 0,
+                rejected_queue_full: 0,
+                rejected_tenant_queue_full: 0,
+                rejected_unknown_tenant: 0,
+                rejected_slots_unsatisfiable: 0,
+                engine_runs: 0,
+                completed: 0,
+                failed: 0,
             }),
             cv: Condvar::new(),
-            counters: ServiceCounters::default(),
             epoch: Instant::now(),
             max_queued: cfg.max_queued,
             tenant_quota,
@@ -386,48 +355,54 @@ impl Service {
         if state.shutdown {
             return Err(ServiceError::ShuttingDown);
         }
-        let reject = |r: RejectReason| {
-            inner.counters.rejected.fetch_add(1, Ordering::Relaxed);
-            let by_reason = match &r {
-                RejectReason::QueueFull { .. } => &inner.counters.rejected_queue_full,
-                RejectReason::TenantQueueFull { .. } => &inner.counters.rejected_tenant_queue_full,
-                RejectReason::UnknownTenant(_) => &inner.counters.rejected_unknown_tenant,
-                RejectReason::SlotsUnsatisfiable { .. } => {
-                    &inner.counters.rejected_slots_unsatisfiable
-                }
-            };
-            by_reason.fetch_add(1, Ordering::Relaxed);
+        let reject = |state: &mut State, r: RejectReason| {
+            state.rejected += 1;
+            *match &r {
+                RejectReason::QueueFull { .. } => &mut state.rejected_queue_full,
+                RejectReason::TenantQueueFull { .. } => &mut state.rejected_tenant_queue_full,
+                RejectReason::UnknownTenant(_) => &mut state.rejected_unknown_tenant,
+                RejectReason::SlotsUnsatisfiable { .. } => &mut state.rejected_slots_unsatisfiable,
+            } += 1;
             if let Some(t) = &inner.telemetry {
                 t.on_rejected(r.name());
             }
             Err(ServiceError::AdmissionRejected(r))
         };
         if !state.sched.has_tenant(&spec.tenant) {
-            return reject(RejectReason::UnknownTenant(spec.tenant));
+            return reject(&mut state, RejectReason::UnknownTenant(spec.tenant));
         }
         let total = self.cluster.nodes();
         if spec.slots == 0 || spec.slots > total {
-            return reject(RejectReason::SlotsUnsatisfiable {
-                requested: spec.slots,
-                total,
-            });
+            return reject(
+                &mut state,
+                RejectReason::SlotsUnsatisfiable {
+                    requested: spec.slots,
+                    total,
+                },
+            );
         }
         if state.sched.total_queued() >= inner.max_queued {
-            return reject(RejectReason::QueueFull {
-                limit: inner.max_queued,
-            });
+            return reject(
+                &mut state,
+                RejectReason::QueueFull {
+                    limit: inner.max_queued,
+                },
+            );
         }
         let quota = inner.tenant_quota[&spec.tenant];
         if state.sched.queued(&spec.tenant) >= quota {
-            return reject(RejectReason::TenantQueueFull {
-                tenant: spec.tenant,
-                limit: quota,
-            });
+            return reject(
+                &mut state,
+                RejectReason::TenantQueueFull {
+                    tenant: spec.tenant,
+                    limit: quota,
+                },
+            );
         }
 
         let job = state.next_job;
         state.next_job += 1;
-        inner.counters.submitted.fetch_add(1, Ordering::Relaxed);
+        state.submitted += 1;
         if let Some(t) = &inner.telemetry {
             t.on_submitted(&spec.tenant);
         }
@@ -436,8 +411,7 @@ impl Service {
 
         if let Some((output, report)) = state.cache.get(&key) {
             // Served from cache: resolve the ticket without queueing.
-            inner.counters.cache_hits.fetch_add(1, Ordering::Relaxed);
-            inner.counters.completed.fetch_add(1, Ordering::Relaxed);
+            state.completed += 1;
             if let Some(t) = &inner.telemetry {
                 t.on_completed(job, &spec.tenant, Duration::ZERO);
             }
@@ -477,16 +451,26 @@ impl Service {
     /// snapshot (see [`CounterSnapshot`]).
     pub fn counters(&self) -> CounterSnapshot {
         let state = self.inner.state.lock();
-        let mut snap = self.inner.counters.snapshot();
-        let (_, misses) = state.cache.stats();
-        snap.cache_misses = misses;
-        snap.cache_evictions = state.cache.evictions();
-        snap.queued = state.sched.total_queued() as u64;
         let mut owners: Vec<u32> = state.slot_owner.iter().filter_map(|o| *o).collect();
         owners.sort_unstable();
         owners.dedup();
-        snap.in_flight = owners.len() as u64;
-        snap
+        let (cache_hits, cache_misses) = state.cache.stats();
+        CounterSnapshot {
+            submitted: state.submitted,
+            rejected: state.rejected,
+            rejected_queue_full: state.rejected_queue_full,
+            rejected_tenant_queue_full: state.rejected_tenant_queue_full,
+            rejected_unknown_tenant: state.rejected_unknown_tenant,
+            rejected_slots_unsatisfiable: state.rejected_slots_unsatisfiable,
+            cache_hits,
+            cache_misses,
+            cache_evictions: state.cache.evictions(),
+            engine_runs: state.engine_runs,
+            completed: state.completed,
+            failed: state.failed,
+            in_flight: owners.len() as u64,
+            queued: state.sched.total_queued() as u64,
+        }
     }
 
     /// The live telemetry plane, if enabled in [`ServiceConfig`].
@@ -581,8 +565,7 @@ fn scheduler_loop(inner: Arc<Inner>, cluster: Arc<Cluster>, tracer: Tracer) {
             // completed while this one sat queued.
             if let Some((output, report)) = state.cache.get(&pending.key) {
                 state.sched.complete(d.job, 0.0);
-                inner.counters.cache_hits.fetch_add(1, Ordering::Relaxed);
-                inner.counters.completed.fetch_add(1, Ordering::Relaxed);
+                state.completed += 1;
                 let queue_wait = pending.submitted_at.elapsed();
                 if let Some(t) = &inner.telemetry {
                     t.on_completed(d.job, &pending.tenant, queue_wait);
@@ -614,7 +597,7 @@ fn scheduler_loop(inner: Arc<Inner>, cluster: Arc<Cluster>, tracer: Tracer) {
                 d.job
             );
 
-            inner.counters.engine_runs.fetch_add(1, Ordering::Relaxed);
+            state.engine_runs += 1;
             if let Some(t) = &inner.telemetry {
                 t.on_engine_run();
                 // Register the virtual→physical node mapping before the
@@ -711,7 +694,7 @@ fn run_job(
             state
                 .cache
                 .insert(pending.key, Arc::clone(&output), Arc::new(report.clone()));
-            inner.counters.completed.fetch_add(1, Ordering::Relaxed);
+            state.completed += 1;
             if let Some(t) = &inner.telemetry {
                 t.on_completed(job, &pending.tenant, queue_wait + elapsed);
             }
@@ -725,7 +708,7 @@ fn run_job(
             }));
         }
         Err(e) => {
-            inner.counters.failed.fetch_add(1, Ordering::Relaxed);
+            state.failed += 1;
             if let Some(t) = &inner.telemetry {
                 t.on_failed(job);
             }

@@ -218,6 +218,29 @@ pub enum CounterId {
     /// Runtime threads born for the job's tasks on this node (0 on a warm
     /// cluster: every role finds its parked thread idle).
     ThreadsSpawned,
+    /// Input records the map Input stage parsed.
+    MapRecordsIn,
+    /// Map splits with a replica on the node that read them.
+    MapLocalSplits,
+    /// Map tasks discarded and re-executed (paper §III-E).
+    MapTasksRetried,
+    /// Intermediate records in the runs the Partition stage built.
+    MapRecordsOut,
+    /// Runs the Partition stage added to the node's own store.
+    MapRunsLocal,
+    /// Runs the Partition stage shipped to their owner node.
+    MapRunsRemote,
+    /// Keys the reduce MergeRead stage grouped (records, without a
+    /// reduce function).
+    ReduceKeys,
+    /// Reduce kernel launches.
+    ReduceLaunches,
+    /// Key-chunks reduced cooperatively by several work items.
+    ReduceParallelKeySplits,
+    /// Reduce kernel launches discarded and re-executed.
+    ReduceTasksRetried,
+    /// Records the reduce Output stage wrote.
+    ReduceRecordsOut,
 }
 
 impl CounterId {
@@ -236,6 +259,17 @@ impl CounterId {
             CounterId::GraySlowdowns => "chaos.gray.slowdowns",
             CounterId::SpecSuperseded => "spec.superseded",
             CounterId::ThreadsSpawned => "runtime.threads.spawned",
+            CounterId::MapRecordsIn => "map.records.in",
+            CounterId::MapLocalSplits => "map.splits.local",
+            CounterId::MapTasksRetried => "map.tasks.retried",
+            CounterId::MapRecordsOut => "map.records.out",
+            CounterId::MapRunsLocal => "map.runs.local",
+            CounterId::MapRunsRemote => "map.runs.remote",
+            CounterId::ReduceKeys => "reduce.keys",
+            CounterId::ReduceLaunches => "reduce.launches",
+            CounterId::ReduceParallelKeySplits => "reduce.key-splits.parallel",
+            CounterId::ReduceTasksRetried => "reduce.tasks.retried",
+            CounterId::ReduceRecordsOut => "reduce.records.out",
         }
     }
 }

@@ -15,15 +15,20 @@
 //!    pumps never panic and keep exporting valid documents.
 //! 4. **Exporters** — live Prometheus text passes the in-repo linter;
 //!    snapshot JSON is valid and schema-pinned.
+//! 5. **The planes agree** — a node's live engine counters equal the
+//!    counts of its `JobReport`: both are folds of the same trace events.
 
 use std::sync::Arc;
 use std::time::Duration;
 
 use glasswing::apps::workloads::{web_logs, LogSpec};
 use glasswing::apps::PageviewCount;
+use glasswing::core::CounterId;
 use glasswing::prelude::*;
 use glasswing::service::{JobTicket, ServiceConfig, TelemetryConfig, TenantSpec};
-use glasswing::telemetry::{validate_exposition, HealthConfig, HealthFinding};
+use glasswing::telemetry::{
+    engine_counter_name, validate_exposition, Class, HealthConfig, HealthFinding,
+};
 
 const NODES: u32 = 4;
 const SLOTS: u32 = 4;
@@ -355,4 +360,42 @@ fn exporters_stay_valid_on_a_live_service() {
         .filter(|h| h.name == "gw_node_chunk_wall_ns")
         .count();
     assert_eq!(chunk_nodes, NODES as usize, "one series per physical node");
+}
+
+/// The live plane and the post-hoc report count the same things: for
+/// each node, the registry's `gw_engine_<counter>_total{node}` equals the
+/// node's `JobReport` count of records in, intermediate records, records
+/// out and keys.
+#[test]
+fn live_engine_counters_equal_the_job_report_counts() {
+    let dfs = Arc::new(Dfs::new(DfsConfig::new(NODES).free_io()));
+    write_inputs(&dfs, &[6000]);
+    let service = service_over(dfs, telemetry_cfg());
+    let report = submit(&service, "armed", 6000, None)
+        .wait()
+        .expect("job finishes")
+        .report;
+    let registry = service.telemetry().unwrap().registry();
+    // The only job on an idle service takes the first `SLOTS` nodes in
+    // order, so its virtual node `i` is physical node `i`.
+    let live = |counter: CounterId, node: u32| -> usize {
+        let label = node.to_string();
+        let name = engine_counter_name(counter);
+        registry
+            .counter(&name, &[("node", &label)], Class::Timing)
+            .get() as usize
+    };
+    assert_eq!(report.nodes.len(), SLOTS as usize);
+    for n in &report.nodes {
+        let node = n.node.0;
+        assert_eq!(live(CounterId::MapRecordsIn, node), n.map.records_in);
+        assert_eq!(live(CounterId::MapRecordsOut, node), n.map.records_out);
+        assert_eq!(
+            live(CounterId::ReduceRecordsOut, node),
+            n.reduce.records_out
+        );
+        assert_eq!(live(CounterId::ReduceKeys, node), n.reduce.keys);
+    }
+    assert_eq!(report.records_mapped(), 600, "every input record counted");
+    assert!(report.records_out() > 0);
 }
