@@ -491,7 +491,7 @@ fn lane_pinned_stall_fires_on_its_lane_and_output_is_unchanged() {
     let plan = Arc::new(
         FaultPlan::empty()
             .with_stall(2, CrashSite::Kernel, 0, 300)
-            .with_stall_lane(1),
+            .on_lane(1),
     );
     let cluster = make_cluster(NODES).with_fault_plan(Arc::clone(&plan));
     let report = cluster.run(Arc::new(WordCount::new()), &cfg).unwrap();
