@@ -6,7 +6,10 @@
 //! * (b) the merge delay as a function of `P` (partitions per node, with
 //!   merger threads = P as in the paper) and `N`: "an increase in P leads
 //!   to a sharp decrease in merge delay ... An increase in N causes an
-//!   increase of the merge delay."
+//!   increase of the merge delay." Here partitioning threads own whole
+//!   partitions, so a chunk yields one run per partition and N raises
+//!   the merge delay only while N > P: a deliberate deviation from the
+//!   paper, whose N threads each write a run of every partition.
 //!
 //! Run on one node without HDFS, like the paper's pipeline analysis. The
 //! simple collector (no combiner) maximises intermediate volume so the

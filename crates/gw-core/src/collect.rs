@@ -16,10 +16,14 @@
 //! that group's own storage.
 //!
 //! Each record is also filed at emission under its *slot* ([`Slots`]):
-//! its partition `p` (the application's partition function) and a
-//! partition lane `ℓ` of the `N` that partition the chunk. Partition lane
-//! `ℓ` then builds its run of every partition ([`Collector::lane_runs`])
-//! from its own slots alone: it gathers fixed-width [`SortRef`]s (an 8-byte
+//! its partition `p` (the application's partition function) and, when
+//! the `N` partition lanes outnumber the `P` partitions, one of the
+//! partition's `⌊N/P⌋` sub-slots. Each slot belongs to one lane and lanes
+//! own whole partitions: with `P ≥ N`, lane `p mod N` builds partition
+//! `p`'s only run of the chunk, so the runs a chunk yields — and the
+//! merge work downstream — grow with `P`, not with `P × N`. A lane builds
+//! the run of each of its slots ([`Collector::lane_runs`]) from that slot
+//! alone: it gathers fixed-width [`SortRef`]s (an 8-byte
 //! head — the key bytes after the prefix all of the slot's keys share — and
 //! where the record is) from every group's slot in group order,
 //! radix-sorts them on the head, and writes each record once into the run.
@@ -27,20 +31,22 @@
 //!
 //! * [`BufferPoolCollector`] — per shard (picked by work-group) one
 //!   growable byte arena per partition, records appended encoded; a
-//!   record's partition is computed per record and its lane is its
-//!   shard's, `shard mod N`. The paper's "each thread allocates space via
-//!   a single atomic operation" becomes one uncontended lock per work item.
+//!   record's partition is computed per record and its sub-slot is its
+//!   shard's, `shard mod ⌊N/P⌋`. The paper's "each thread allocates space
+//!   via a single atomic operation" becomes one uncontended lock per work
+//!   item.
 //!   Fast emits, but every occurrence is stored and sorted (Table II config
 //!   (iii): dominant partitioning stage).
 //! * [`HashTableCollector`] — one private open-addressing table per
 //!   work-group, keys and values in one arena, combining in place. An emit
 //!   takes no lock and no atomic another group takes and, once the first
 //!   chunk has sized the arenas, allocates nothing. A key's slot is
-//!   computed once per group, when the key is first inserted: the lane
-//!   comes from bits of the hash the table computed anyway, so all of a
-//!   key's records are one lane's. With a combiner the lane combines a key
-//!   held by several groups in group order — group 0's accumulator, then
-//!   groups `1..G` — so a chunk still yields one record per distinct key.
+//!   computed once per group, when the key is first inserted: the
+//!   sub-slot comes from bits of the hash the table computed anyway, so
+//!   all of a key's records are one lane's. With a combiner the lane
+//!   combines a key held by several groups in group order — group 0's
+//!   accumulator, then groups `1..G` — so a chunk still yields one record
+//!   per distinct key.
 //!
 //! Either way what the lanes build, *and the bits of every accumulator*,
 //! depend on the chunk, the NDRange and the slots only, never on which
@@ -53,7 +59,7 @@ use std::cmp::Ordering;
 use std::ops::Range;
 use std::sync::{Arc, OnceLock};
 
-use parking_lot::{Mutex, RwLock};
+use parking_lot::RwLock;
 
 use gw_device::current_group_id;
 use gw_intermediate::{key_head, shared_prefix, Run, SortBuf, SortRef};
@@ -77,14 +83,19 @@ pub type Sink<'a> = dyn FnMut(&[u8], &[u8]) + 'a;
 /// A key's partition.
 type PartitionFn = dyn Fn(&[u8]) -> u32 + Send + Sync;
 
-/// Where a collector files each record: one of `partitions` partitions,
-/// by the application's partition function, and one of `lanes` partition
-/// lanes. Lane `ℓ`'s slots are `ℓ·P .. (ℓ+1)·P`, one per partition.
+/// Where a collector files each record: one of `P = partitions`
+/// partitions, by the application's partition function, and one of its
+/// `s = max(1, ⌊N/P⌋)` sub-slots, `N = lanes` being the partition lanes.
+/// Slot `p·s + j` is sub-slot `j` of partition `p` and belongs to lane
+/// `(p·s + j) mod N`. Lanes own whole partitions: with `P ≥ N` a partition
+/// is one slot, lane `p mod N`'s, and only lanes beyond `P` split one.
 #[derive(Clone)]
 pub struct Slots {
     partition: Arc<PartitionFn>,
     partitions: u32,
     lanes: usize,
+    /// Sub-slots per partition, `s`.
+    split: usize,
 }
 
 impl Slots {
@@ -103,6 +114,7 @@ impl Slots {
             partition: Arc::new(partition),
             partitions,
             lanes,
+            split: (lanes / partitions as usize).max(1),
         }
     }
 
@@ -117,7 +129,7 @@ impl Slots {
     }
 
     fn len(&self) -> usize {
-        self.partitions as usize * self.lanes
+        self.partitions as usize * self.split
     }
 
     /// The partition `key` belongs to.
@@ -135,19 +147,22 @@ impl Slots {
         p as usize
     }
 
-    /// The slot of `key`, whose hash is `hash`. The lane reads hash bits
-    /// below the top byte, which the default partitioner's multiply-shift
-    /// and the table's home slot read, so lanes split each partition.
+    /// The slot of `key`, whose hash is `hash`. The sub-slot reads hash
+    /// bits below the top byte, which the default partitioner's
+    /// multiply-shift and the table's home slot read, so sub-slots split
+    /// each partition.
     #[inline]
     fn slot_of(&self, key: &[u8], hash: u64) -> usize {
-        let lane = bucket_of(hash << 8, self.lanes);
-        lane * self.partitions as usize + self.partition_of(key)
+        self.partition_of(key) * self.split + bucket_of(hash << 8, self.split)
     }
 
-    /// Lane `lane`'s slots, in partition order, with their partitions.
+    /// Lane `lane`'s slots, every `N`-th from `lane` on, in partition
+    /// order, with their partitions.
     fn lane(&self, lane: usize) -> impl Iterator<Item = (u32, usize)> {
-        let first = lane * self.partitions as usize;
-        (0..self.partitions).zip(first..)
+        let split = self.split;
+        (lane..self.len())
+            .step_by(self.lanes)
+            .map(move |slot| ((slot / split) as u32, slot))
     }
 }
 
@@ -166,11 +181,11 @@ pub trait Collector: Send + Sync {
         f(&mut |key, value| self.emit(key, value));
     }
 
-    /// Build partition lane `lane`'s run of every partition, in partition
-    /// order, from the lane's own slots, and hand each non-empty one to
-    /// `deliver` with its partition. A run is sorted by key and, without
-    /// a combiner, by value; with one, each key is one record, combined
-    /// across work-groups in group order. Lanes may run concurrently;
+    /// Build partition lane `lane`'s run of each of its slots ([`Slots`]),
+    /// in partition order, and hand each non-empty one to `deliver` with
+    /// its partition. A run is sorted by key and, without a combiner, by
+    /// value; with one, each key is one record, combined across
+    /// work-groups in group order. Lanes may run concurrently;
     /// `buf` is the lane's sort space.
     fn lane_runs(&self, lane: usize, buf: &mut SortBuf, deliver: &mut dyn FnMut(u32, Run));
 
@@ -211,9 +226,10 @@ struct Bucket {
 /// One work-group's buckets, one per partition (several groups', when the
 /// launch has more groups than the pool has shards). Aligned so that two
 /// shards never share a cache line. In a launch only the group's thread
-/// takes the lock; it is there for emits that are not in one.
+/// takes the write lock; it is there for emits that are not in one.
+/// Partition lanes read the shards at once.
 #[repr(align(128))]
-struct Shard(Mutex<Vec<Bucket>>);
+struct Shard(RwLock<Vec<Bucket>>);
 
 /// The shared-buffer-pool collector: every record appended, as emitted, to
 /// its partition's bucket in the emitting work-group's shard.
@@ -230,7 +246,8 @@ impl BufferPoolCollector {
     }
 
     /// [`BufferPoolCollector::new`], filing records under `slots`: shard
-    /// `s` belongs to lane `s mod N`, so build at least `N` shards.
+    /// `i` fills sub-slot `i mod s` of every partition, so build at least
+    /// `N` shards.
     pub fn with_slots(capacity: usize, shards: usize, slots: Slots) -> Self {
         let shards = shards.max(1);
         let partitions = slots.partitions as usize;
@@ -238,7 +255,7 @@ impl BufferPoolCollector {
             bytes: Vec::with_capacity(capacity / (shards * partitions)),
             records: 0,
         };
-        let shard = || Shard(Mutex::new((0..partitions).map(|_| bucket()).collect()));
+        let shard = || Shard(RwLock::new((0..partitions).map(|_| bucket()).collect()));
         BufferPoolCollector {
             shards: (0..shards).map(|_| shard()).collect(),
             slots,
@@ -246,7 +263,7 @@ impl BufferPoolCollector {
     }
 
     fn sum(&self, of: impl Fn(&Bucket) -> usize) -> usize {
-        let shard = |shard: &Shard| shard.0.lock().iter().map(&of).sum::<usize>();
+        let shard = |shard: &Shard| shard.0.read().iter().map(&of).sum::<usize>();
         self.shards.iter().map(shard).sum()
     }
 }
@@ -259,7 +276,8 @@ impl Collector for BufferPoolCollector {
     /// The calling thread's work-group's shard is looked up and locked
     /// once; the lock is released when `f` returns or unwinds.
     fn work_item(&self, f: &mut dyn FnMut(&mut Sink<'_>)) {
-        let mut shard = self.shards[current_group_id() % self.shards.len()].0.lock();
+        let shard = &self.shards[current_group_id() % self.shards.len()];
+        let mut shard = shard.0.write();
         f(&mut |key, value| {
             let bucket = &mut shard[self.slots.partition_of(key)];
             RecRef::write(&mut bucket.bytes, key, value);
@@ -267,19 +285,19 @@ impl Collector for BufferPoolCollector {
         });
     }
 
-    /// Refs name a record by its shard among the lane's and its position
+    /// Refs name a record by its shard among the slot's and its position
     /// in `buf.recs`, where each record is decoded once; heads are read
     /// past the prefix every key of the slot shares.
     fn lane_runs(&self, lane: usize, buf: &mut SortBuf, deliver: &mut dyn FnMut(u32, Run)) {
-        let lanes = self.slots.lanes;
-        let shards: Vec<_> = self
-            .shards
-            .iter()
-            .skip(lane)
-            .step_by(lanes)
-            .map(|s| s.0.lock())
-            .collect();
-        for (p, _) in self.slots.lane(lane) {
+        let split = self.slots.split;
+        for (p, slot) in self.slots.lane(lane) {
+            let shards: Vec<_> = self
+                .shards
+                .iter()
+                .skip(slot % split)
+                .step_by(split)
+                .map(|s| s.0.read())
+                .collect();
             let bucket = |group: u32| shards[group as usize][p as usize].bytes.as_slice();
             buf.clear();
             let mut bytes = 0;
@@ -313,7 +331,7 @@ impl Collector for BufferPoolCollector {
     /// order: no sort, so a single-slot pool hands records out as emitted.
     fn visit(&self, f: &mut dyn FnMut(&[u8], &[u8])) {
         for shard in &self.shards {
-            for bucket in shard.0.lock().iter() {
+            for bucket in shard.0.read().iter() {
                 let mut rest = bucket.bytes.as_slice();
                 while !rest.is_empty() {
                     let rec = RecRef::decode(rest, 0).expect("corrupt arena record");
@@ -1079,24 +1097,65 @@ mod tests {
                 prop_assert_eq!(table.records(), emits.len());
             }
 
-            /// Lane runs partition the records: disjoint and complete, for
-            /// any number of partitions and lanes.
+            /// Lane runs partition a chunk's records by the slot rule, for
+            /// `P` in 1..=6 partitions × `N` in 1..=4 lanes and both
+            /// collectors, emitted by a multi-group launch: the runs' union
+            /// is the chunk; a chunk yields at most `max(P, N)` runs and,
+            /// with `P ≥ N`, exactly one per non-empty partition `p`, lane
+            /// `p mod N`'s; all of a key's records lie in one run (the
+            /// buffer pool's sub-slot is the shard's, so there only when
+            /// `P ≥ N`); and with `P ≥ N` the two collectors build the same
+            /// bytes for every partition.
             #[test]
             fn lane_runs_partition_the_records(
-                n_emits in 0usize..300,
-                partitions in 1u32..5,
-                lanes in 1usize..5)
+                emits in proptest::collection::vec((0u8..60, any::<u8>()), 0..300),
+                global in 1usize..40,
+                local in 1usize..9,
+                partitions in 1u32..=6,
+                lanes in 1usize..=4)
             {
+                let chunk: Pairs = emits
+                    .iter()
+                    .map(|&(k, v)| (format!("k{k}").into_bytes(), vec![v]))
+                    .collect();
+                let mut expect = chunk.clone();
+                expect.sort();
                 let s = slots(partitions, lanes);
-                let pool = BufferPoolCollector::with_slots(1 << 14, 3, s.clone());
+                let range = NdRange::new(global, local).unwrap();
+                let pool = BufferPoolCollector::with_slots(1 << 14, lanes.max(3), s.clone());
                 let table = HashTableCollector::with_slots(16, None, s.clone());
-                for i in 0..n_emits {
-                    let k = format!("k{i}");
-                    pool.emit(k.as_bytes(), b"v");
-                    table.emit(k.as_bytes(), b"v");
+                launch_work_items(&WorkerPool::new(0), range, &pool, &chunk);
+                launch_work_items(&WorkerPool::new(0), range, &table, &chunk);
+                let whole = partitions as usize >= lanes;
+                let owners: Vec<(u32, usize)> = chunk
+                    .iter()
+                    .map(|(k, _)| default_partition(k, partitions))
+                    .collect::<std::collections::BTreeSet<_>>()
+                    .into_iter()
+                    .map(|p| (p, p as usize % lanes))
+                    .collect();
+                let pool_runs = lane_runs(&pool, &s);
+                let table_runs = lane_runs(&table, &s);
+                for (name, runs) in [("buffer pool", &pool_runs), ("hash table", &table_runs)] {
+                    prop_assert!(union(runs) == expect, "{}: union is not the chunk", name);
+                    prop_assert!(runs.len() <= lanes.max(partitions as usize), "{}: too many runs", name);
+                    if whole {
+                        let built: Vec<(u32, usize)> = runs.keys().copied().collect();
+                        prop_assert!(built == owners, "{}: not one run per partition", name);
+                    }
+                    if whole || name == "hash table" {
+                        let mut home = BTreeMap::new();
+                        for (slot, run) in runs {
+                            for (k, _) in run.iter() {
+                                let first = *home.entry(k.to_vec()).or_insert(slot);
+                                prop_assert!(first == slot, "{}: a key in two runs", name);
+                            }
+                        }
+                    }
                 }
-                prop_assert_eq!(union(&lane_runs(&pool, &s)).len(), n_emits);
-                prop_assert_eq!(union(&lane_runs(&table, &s)), union(&lane_runs(&pool, &s)));
+                if whole {
+                    prop_assert!(pool_runs == table_runs, "the collectors' run bytes differ");
+                }
             }
         }
     }
@@ -1452,6 +1511,7 @@ mod tests {
 
     mod group_properties {
         use super::*;
+        use parking_lot::Mutex;
         use proptest::prelude::*;
 
         /// The `Range`s of `chunk_len` records each work-group's items

@@ -60,7 +60,10 @@ pub struct JobConfig {
     pub collector_capacity: usize,
     /// Hash-table bucket count (hash-table collector only).
     pub hash_buckets: usize,
-    /// Partitioning threads per node (the paper's `N`, Fig. 4a).
+    /// Partitioning threads per node (the paper's `N`, Fig. 4a). Threads
+    /// own whole partitions, so a chunk yields one run per partition; a
+    /// thread beyond the job's partition count `P` splits a partition
+    /// (`⌊N/P⌋` runs of each).
     pub partition_threads: usize,
     /// Partitions per node (the paper's `P`, Fig. 4b). The global partition
     /// count is `P * nodes`.

@@ -23,10 +23,12 @@
 //! pipeline reads one input split at a time."
 //!
 //! The Partition stage runs `N = partition_threads` lanes (Fig. 4a). The
-//! kernel's collector filed every record under its partition and a lane
-//! as it was emitted, so each lane sorts and writes its own share of
-//! every partition — one run per (partition, lane) — and pushes each run
-//! to its home node (in-memory cache if local, network otherwise).
+//! kernel's collector filed every record under its partition's slot as
+//! it was emitted, and lanes own whole partitions: with `P ≥ N`
+//! partitions, lane `p mod N` sorts and writes partition `p`'s one run of
+//! the chunk; only lanes beyond `P` split a partition, into `⌊N/P⌋` runs
+//! ([`Slots`]). Each lane pushes each run to its home node (in-memory
+//! cache if local, network otherwise).
 //!
 //! ## Fault tolerance
 //!
@@ -36,12 +38,13 @@
 //! injected crash (or a death declared by the coordinator) unwinds the
 //! whole pipeline between chunks — a split is either fully processed (all
 //! of its runs recorded in the coordinator's ledger and delivered, then
-//! `complete_split`) or not at all. Each partitioning worker's run is
-//! tagged `(partition, block, lane)`: a re-executed split re-produces it
-//! byte-identically (DESIGN.md §3.4), so receivers de-duplicate by tag,
-//! and a run that never arrived is re-made by re-running its split. The
-//! input stage therefore claims splits until every live node's shuffle
-//! is settled, not merely until the map is complete.
+//! `complete_split`) or not at all. Each run is tagged `(partition,
+//! block, lane)`, `lane` the partitioning worker that built it: a
+//! re-executed split re-produces it byte-identically (DESIGN.md §3.4), so
+//! receivers de-duplicate by tag, and a run that never arrived is re-made
+//! by re-running its split. The input stage therefore claims splits
+//! until every live node's shuffle is settled, not merely until the map
+//! is complete.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -111,7 +114,7 @@ pub struct MapPhaseReport {
 /// A buffer-pool collector for kernels of at most `work_items` work
 /// items, filing records under `slots`: one shard per work-group, so that
 /// the order records drain in is a function of the NDRange, and never
-/// fewer than the partition lanes that own the shards.
+/// fewer than the partition lanes, so that every sub-slot has a shard.
 pub(crate) fn pool_collector(
     cfg: &JobConfig,
     work_items: usize,
@@ -384,9 +387,9 @@ pub(crate) fn output_bytes(collector: &Option<Box<dyn Collector>>) -> usize {
     collector.as_ref().map_or(0, |c| c.bytes())
 }
 
-/// Partition stage (sink): on `N` lanes, each building its run of every
-/// partition from its own collector slots, and pushing each run to its
-/// home node. Recycles the collector when done.
+/// Partition stage (sink): on `N` lanes, each building the run of each
+/// collector slot it owns, and pushing each run to its home node.
+/// Recycles the collector when done.
 struct MapPartition<'a> {
     endpoint: Arc<Endpoint<ShuffleRun>>,
     intermediate: Arc<IntermediateStore>,

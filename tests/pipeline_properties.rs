@@ -277,6 +277,64 @@ fn intermediate_machinery_reports_metrics() {
     assert!(report.merge_delay() < Duration::from_secs(10));
 }
 
+/// Partition lanes own whole partitions: TeraSort on 2 nodes × 2
+/// partitions per node builds one run per partition per split — `splits
+/// × 4` runs, kept or shipped — at every `partition_threads` from 1 to 4,
+/// and writes the same output files at each.
+#[test]
+fn the_run_count_follows_the_partitions_not_the_partition_lanes() {
+    let tera = workloads::teragen(2000, 41);
+    let samples = workloads::sample_keys(&tera, 100, 3);
+    let run = |lanes: usize| {
+        let dfs = Arc::new(Dfs::new(DfsConfig::new(2).free_io()));
+        dfs.write_records(
+            "/in",
+            NodeId(0),
+            16 << 10,
+            2,
+            tera.iter().map(|(k, v)| (k.as_slice(), v.as_slice())),
+        )
+        .unwrap();
+        let cluster = Cluster::new(dfs, NetProfile::unlimited());
+        let mut c = cfg();
+        c.partitions_per_node = 2;
+        c.partition_threads = lanes;
+        c.output_replication = 1;
+        let report = cluster
+            .run(Arc::new(TeraSort::new(samples.clone(), 4)), &c)
+            .unwrap();
+        let runs: usize = report
+            .nodes
+            .iter()
+            .map(|n| n.map.runs_local + n.map.runs_remote)
+            .sum();
+        let splits: usize = report.nodes.iter().map(|n| n.map.splits).sum();
+        assert!(splits > 1);
+        assert_eq!(runs, splits * 4, "partition_threads {lanes}");
+        let store = cluster.store();
+        let files: Vec<(String, Vec<u8>)> = report
+            .output_files()
+            .into_iter()
+            .map(|path| {
+                let mut bytes = Vec::new();
+                for split in store.splits(&path).unwrap() {
+                    bytes.extend_from_slice(&store.read_split(&split, NodeId(0)).unwrap().0);
+                }
+                (path, bytes)
+            })
+            .collect();
+        files
+    };
+    let reference = run(1);
+    assert_eq!(reference.len(), 4);
+    for lanes in 2..=4 {
+        assert!(
+            run(lanes) == reference,
+            "partition_threads {lanes}: output files differ from 1"
+        );
+    }
+}
+
 /// Locality-aware scheduling: with replication 3 on a small cluster,
 /// virtually all splits are read locally.
 #[test]
