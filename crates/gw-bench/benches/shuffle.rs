@@ -7,6 +7,10 @@
 //! * `run_sort`    — arena `RunBuilder` (MSB radix on the offset index)
 //!   vs owned-pair `sort_unstable` + serialize.
 //! * `merge8`      — 8-way loser-tree merge vs the `BinaryHeap` merge.
+//! * `tier0_sort`  — the store's tier-0 pre-merge kernel: 16 sorted runs
+//!   of TeraSort records (10-byte keys, 90-byte values), one partition's
+//!   fresh chunk runs, sorted into one (`sort_runs`) vs a 16-way
+//!   `merge_runs`.
 //! * `partition`   — the end-to-end WordCount partition stage (lane
 //!   builders + per-partition lane merge, recycled arenas) vs the same
 //!   stage on the owned-pair path. This is the headline number.
@@ -42,8 +46,8 @@ use gw_bench::{bench_json, print_fields, Committed};
 use gw_core::hash::default_partition;
 use gw_core::json::Value as Val;
 use gw_intermediate::{
-    compress, merge_runs, CursorMerge, IntermediateConfig, IntermediateStore, Run, RunBuilder,
-    RunPool,
+    compress, merge_runs, sort_runs, CursorMerge, IntermediateConfig, IntermediateStore, Run,
+    RunBuilder, RunPool, SortBuf,
 };
 
 /// Words drawn from a Zipf-ish rank distribution — the WordCount map
@@ -64,6 +68,31 @@ fn word_stream(n: usize) -> Vec<(Vec<u8>, Vec<u8>)> {
             let rank = if r % 3 == 0 { r % 16 } else { r % 16_384 };
             let key = format!("word{rank:05}").into_bytes();
             (key, 1u32.to_le_bytes().to_vec())
+        })
+        .collect()
+}
+
+/// `runs` sorted runs of `per_run` TeraSort-shaped records: random
+/// 10-byte keys, 90-byte values.
+fn terasort_runs(runs: usize, per_run: usize) -> Vec<Run> {
+    let mut state = 0x2545_F491_4F6C_DD1Du64;
+    let mut next = || {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        state
+    };
+    (0..runs)
+        .map(|_| {
+            let mut b = RunBuilder::new();
+            for _ in 0..per_run {
+                let (hi, lo) = (next(), next());
+                let key = [&hi.to_be_bytes()[..], &lo.to_be_bytes()[..2]].concat();
+                let mut value = [0u8; 90];
+                value[..8].copy_from_slice(&lo.to_le_bytes());
+                b.push(&key, &value);
+            }
+            b.build()
         })
         .collect()
 }
@@ -111,6 +140,8 @@ struct Sizes {
     iters: usize,
     sort_records: usize,
     merge_records_per_run: usize,
+    /// Records in each of the tier-0 kernel's 16 runs.
+    tier0_records_per_run: usize,
     partition_records: usize,
     /// Records pushed through the out-of-core external merge.
     external_records: usize,
@@ -126,6 +157,7 @@ const QUICK: Sizes = Sizes {
     iters: 5,
     sort_records: 16_000,
     merge_records_per_run: 8_000,
+    tier0_records_per_run: 640,
     partition_records: 120_000,
     external_records: 120_000,
     external_budget: 256 << 10,
@@ -135,6 +167,7 @@ const FULL: Sizes = Sizes {
     iters: 5,
     sort_records: 64_000,
     merge_records_per_run: 16_000,
+    tier0_records_per_run: 640,
     partition_records: 600_000,
     external_records: 600_000,
     external_budget: 1 << 20,
@@ -142,6 +175,10 @@ const FULL: Sizes = Sizes {
 
 const PARTS: u32 = 16;
 const LANES: usize = 4;
+
+/// Tier-0 batches sorted or merged per timed sample: one batch takes
+/// well under a millisecond, too short for a best-of-N timing alone.
+const TIER0_REPS: usize = 32;
 
 /// The arena partition stage: per-lane recycled builders, then a
 /// per-partition loser-tree merge across lanes (the shape of `gw-core`'s
@@ -196,6 +233,8 @@ struct Metrics {
     run_sort_naive: f64,
     merge8_new: f64,
     merge8_heap: f64,
+    tier0_sort: f64,
+    tier0_merge: f64,
     compress_mbps: f64,
     decompress_mbps: f64,
     partition_new: f64,
@@ -214,6 +253,9 @@ impl Metrics {
     }
     fn merge8_speedup(&self) -> f64 {
         self.merge8_new / self.merge8_heap
+    }
+    fn tier0_sort_speedup(&self) -> f64 {
+        self.tier0_sort / self.tier0_merge
     }
     fn partition_speedup(&self) -> f64 {
         self.partition_new / self.partition_naive
@@ -270,6 +312,29 @@ fn measure(sizes: &Sizes) -> Metrics {
         "merge8",
         &merge_runs(&merge_input),
         &heap_merge(&merge_input),
+    );
+
+    // --- tier0_sort: the store's tier-0 sort vs a 16-way merge ---
+    let tier0_input = terasort_runs(16, sizes.tier0_records_per_run);
+    let tier0_records = TIER0_REPS * 16 * sizes.tier0_records_per_run;
+    let mut sort_buf = SortBuf::default();
+    let (tier0_sort, tier0_merge) = best_secs_pair(
+        sizes.iters,
+        || {
+            (0..TIER0_REPS)
+                .map(|_| sort_runs(&tier0_input, &mut sort_buf).records())
+                .sum::<usize>()
+        },
+        || {
+            (0..TIER0_REPS)
+                .map(|_| merge_runs(&tier0_input).records())
+                .sum::<usize>()
+        },
+    );
+    assert_same_bytes(
+        "tier0_sort",
+        &sort_runs(&tier0_input, &mut sort_buf),
+        &merge_runs(&tier0_input),
     );
 
     // --- compress / decompress over run bytes ---
@@ -379,6 +444,8 @@ fn measure(sizes: &Sizes) -> Metrics {
         run_sort_naive: mrecs(sizes.sort_records, naive_sort),
         merge8_new: mrecs(merged_records, tree_merge),
         merge8_heap: mrecs(merged_records, heap_merge_s),
+        tier0_sort: mrecs(tier0_records, tier0_sort),
+        tier0_merge: mrecs(tier0_records, tier0_merge),
         compress_mbps: mbps(codec_run.len(), comp),
         decompress_mbps: mbps(codec_run.len(), decomp),
         partition_new: mbps(input_bytes, arena_part),
@@ -418,6 +485,9 @@ fn main() {
         ("merge8_new_mrecs", Val::Num(m.merge8_new)),
         ("merge8_heap_mrecs", Val::Num(m.merge8_heap)),
         ("merge8_speedup", Val::Num(m.merge8_speedup())),
+        ("tier0_sort_mrecs", Val::Num(m.tier0_sort)),
+        ("tier0_merge_mrecs", Val::Num(m.tier0_merge)),
+        ("tier0_sort_speedup", Val::Num(m.tier0_sort_speedup())),
         ("compress_mbps", Val::Num(m.compress_mbps)),
         ("decompress_mbps", Val::Num(m.decompress_mbps)),
         ("partition_new_mbps", Val::Num(m.partition_new)),
@@ -441,6 +511,7 @@ fn main() {
         fields.extend([
             ("quick_run_sort_speedup", Val::Num(q.run_sort_speedup())),
             ("quick_merge8_speedup", Val::Num(q.merge8_speedup())),
+            ("quick_tier0_sort_speedup", Val::Num(q.tier0_sort_speedup())),
             ("quick_partition_speedup", Val::Num(q.partition_speedup())),
             ("quick_external_vs_incore", Val::Num(q.external_vs_incore())),
         ]);
@@ -460,6 +531,7 @@ fn main() {
             &[
                 ("run_sort_speedup", m.run_sort_speedup()),
                 ("merge8_speedup", m.merge8_speedup()),
+                ("tier0_sort_speedup", m.tier0_sort_speedup()),
                 ("partition_speedup", m.partition_speedup()),
                 ("external_vs_incore", m.external_vs_incore()),
             ],
@@ -480,6 +552,7 @@ fn main() {
         for key in [
             "run_sort_new_mrecs",
             "merge8_new_mrecs",
+            "tier0_sort_mrecs",
             "compress_mbps",
             "decompress_mbps",
             "partition_new_mbps",

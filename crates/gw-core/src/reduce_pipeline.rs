@@ -13,11 +13,16 @@
 //! comparison per tree level per record) over streaming cursors — every
 //! run of the partition's cache tiers plus one decoded frame per spill
 //! file, both behind the one concrete `gw_intermediate::PartCursor` type —
-//! grouped by key. The store pre-merged full tiers while the map ran, so
-//! the cached runs are a few long ones (10 for 400 added), not one per
-//! map chunk and partition lane. The tree compares fixed-width sort heads
-//! (a key's first 16 bytes, a value's first 8, both lengths) and reads the
-//! records' bytes only for a tie that runs past a head; full ties still
+//! grouped by key. The store pre-merged full tiers while the map ran (a
+//! full tier 0 by a sort, whose fresh runs fit in cache; higher tiers
+//! by the same loser tree, which needs no sort space), so the cached
+//! runs are a few long ones (10 for 400 added), not one per map chunk
+//! and partition lane. Merging them all once here instead was measured
+//! slower: a ~195-way tree costs more per record than the 16-way
+//! pre-merges and this 15-way merge together. The tree compares
+//! fixed-width sort heads (a key's first 16 bytes, a value's first 8,
+//! both lengths) and reads the records' bytes only for a tie that runs
+//! past a head; full ties still
 //! break by source index, so the order is `(key, value, source)` as ever,
 //! and the bytes do not depend on which runs were pre-merged together.
 //! The store flushes nothing at end of map, so an in-core job's tiers are

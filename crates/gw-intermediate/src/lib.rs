@@ -33,7 +33,7 @@ pub use cursor::{MemCursor, PartCursor, RunCursor, SpillCursor};
 pub use frame::{SpillFaultHook, SpillOp};
 pub use gauge::MemGauge;
 pub use kv::{Run, RunBuilder};
-pub use merge::{merge_runs, CursorMerge, GroupSlice, GroupedCursorMerge, MergeIter};
+pub use merge::{merge_runs, sort_runs, CursorMerge, GroupSlice, GroupedCursorMerge, MergeIter};
 pub use pool::{PooledSortBuf, RunPool};
 pub use radix::{key_head, shared_prefix, SortBuf, SortRef};
 pub use store::{

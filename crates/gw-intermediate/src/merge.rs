@@ -4,8 +4,18 @@
 //! before a flush, continuously merging spilled runs to bound the file
 //! count, and the reduce input reader's "one last merge operation" that
 //! presents a consistent, key-grouped view of a partition's data — and
-//! the store's in-memory pre-merge of a full cache tier while the map
-//! runs (`TIER_FANIN`, 16, runs into one).
+//! the store's in-memory pre-merge of a full cache tier of tier 1 or
+//! above while the map runs (`TIER_FANIN`, 16, runs into one). A full
+//! tier 0 is not merged but sorted, by [`sort_runs`]: its 16 runs are a
+//! few chunks' fresh records, which fit in cache, and there the sort-head
+//! radix beats a 16-way tree (~55 against ~105 ns a record, the
+//! `tier0_sort` row of the shuffle bench). A higher tier holds up to 16×
+//! the records in a few long sorted runs; the tree merges those without
+//! 48 bytes a record of sort space. Either way the bytes are the same.
+//! The sort's edge needs keys whose heads spread: on WordCount-shaped
+//! batches (decimal-like words, each in many runs) the radix takes a pass
+//! per key byte and the tree was the faster kernel (~97 against ~60–75 ns
+//! a record), a few percent of that workload's CPU (EXPERIMENTS.md).
 //!
 //! All sites run on one **loser tree** (tournament tree) generic over
 //! [`RunCursor`] sources: emitting a record replays exactly one
@@ -38,8 +48,11 @@
 use std::io;
 use std::ops::Range;
 
+use gw_storage::varint::RecRef;
+
 use crate::cursor::{MemCursor, RunCursor};
 use crate::kv::Run;
+use crate::radix::{key_head, shared_prefix, SortBuf, SortRef};
 
 /// Key bytes a [`SortHead`] holds.
 const KEY_HEAD: u32 = 16;
@@ -108,11 +121,12 @@ impl SortHead {
 }
 
 /// Fan-in of the store's in-memory pre-merges: a partition's cache tier
-/// is full at this many runs, and its merger task merges them into one
-/// run of the next tier. N runs then reach the reduce as N's base-F digit
-/// sum of streams (at most `F − 1` per tier, 10 for N = 400) instead of
-/// N, for at most `⌊log_F N⌋` extra copies of each byte, made while the
-/// map runs.
+/// is full at this many runs, and its merger task makes them one run of
+/// the next tier — tier 0 by [`sort_runs`], higher tiers by
+/// [`merge_runs`] (module doc). N runs then reach the reduce as N's
+/// base-F digit sum of streams (at most `F − 1` per tier, 10 for N = 400)
+/// instead of N, for at most `⌊log_F N⌋` extra copies of each byte, made
+/// while the map runs. 16 stays with the sort: 32 read no better.
 pub(crate) const TIER_FANIN: usize = 16;
 
 /// The shared loser-tree core, generic over cursor sources.
@@ -296,6 +310,60 @@ where
             Run::from_sorted_bytes(bytes, records)
         }
     }
+}
+
+/// The records of `runs` as one [`Run`], by a sort instead of a merge:
+/// each record's position and [`SortRef`] go into `buf` as the runs are
+/// decoded, the sort-head radix orders them as [`SortBuf::sort_records`]
+/// would (the heads read in the same pass, and again past a prefix all
+/// the keys share, if they share one), and the record slices are
+/// gathered in that order. The bytes are [`merge_runs`]'s — both order
+/// by `(key, value)`, and equal records serialise identically — and so is
+/// the path for fewer than two non-empty runs. `buf` grows to 48 bytes a
+/// record (`radix::SORT_SPACE`) and keeps its capacity for the next call.
+/// The store's tier-0 pre-merge (`TIER_FANIN` runs) is its caller.
+pub fn sort_runs<'a, I>(runs: I, buf: &mut SortBuf) -> Run
+where
+    I: IntoIterator<Item = &'a Run>,
+{
+    let runs: Vec<&Run> = runs.into_iter().filter(|r| !r.is_empty()).collect();
+    if runs.len() < 2 {
+        return merge_runs(runs);
+    }
+    let records: usize = runs.iter().map(|r| r.records()).sum();
+    buf.clear();
+    buf.reserve_exact(records);
+    let first = runs[0].iter().next().expect("a non-empty run").0;
+    let mut skip = usize::MAX;
+    for (group, run) in runs.iter().enumerate() {
+        let group = u32::try_from(group).expect("under 4 Gi runs");
+        let bytes = run.bytes();
+        let mut at = 0;
+        while at < bytes.len() {
+            let rec = RecRef::decode(bytes, at).expect("corrupt run: malformed record");
+            let key = rec.key(bytes);
+            skip = shared_prefix(first, key, skip);
+            let entry = u32::try_from(buf.recs.len()).expect("a run holds under 4 Gi records");
+            buf.refs.push(SortRef {
+                head: key_head(key),
+                group,
+                entry,
+            });
+            buf.recs.push(rec);
+            at = rec.end();
+        }
+    }
+    let arena = |group: u32| runs[group as usize].bytes();
+    if skip > 0 {
+        for r in &mut buf.refs {
+            let key = buf.recs[r.entry as usize].key(arena(r.group));
+            r.head = key_head(&key[skip..]);
+        }
+    }
+    buf.sort_headed(arena);
+    let mut bytes = Vec::with_capacity(runs.iter().map(|r| r.len_bytes()).sum());
+    buf.write_records(arena, &mut bytes);
+    Run::from_sorted_bytes(bytes, records)
 }
 
 /// K-way merge over cursors — a lending view, since a source's buffer may
@@ -694,6 +762,47 @@ mod tests {
         )
     }
 
+    /// Records on which both kernels' heads tie: keys sharing a 13-byte
+    /// prefix, keys that differ only by trailing zero bytes (`a`, `a\0`),
+    /// and equal keys with values longer than 8 bytes. The alphabet is
+    /// small, so records repeat within and across runs.
+    fn tie_record() -> impl Strategy<Value = (Vec<u8>, Vec<u8>)> {
+        let tail = || 0u8..3;
+        let key = prop_oneof![
+            Just(Vec::new()),
+            Just(b"a".to_vec()),
+            Just(b"a\0".to_vec()),
+            Just(b"a\0\0".to_vec()),
+            tail().prop_map(|b| [b"shared-prefix".as_slice(), &[b]].concat()),
+            tail().prop_map(|b| [b"shared-prefix\0".as_slice(), &[b]].concat()),
+        ];
+        let value = prop_oneof![
+            Just(Vec::new()),
+            Just(b"1".to_vec()),
+            tail().prop_map(|b| [b"value-past-8-bytes".as_slice(), &[b]].concat()),
+        ];
+        (key, value)
+    }
+
+    /// Pair lists for a tier's worth of runs, empty ones among them — or
+    /// one non-empty run among empty ones, which both kernels return by
+    /// refcount clone.
+    fn tier_runs() -> impl Strategy<Value = Vec<Vec<(Vec<u8>, Vec<u8>)>>> {
+        let run = || proptest::collection::vec(tie_record(), 0..24);
+        let lone = (
+            proptest::collection::vec(tie_record(), 1..24),
+            0..3usize,
+            0..3usize,
+        )
+            .prop_map(|(run, before, after)| {
+                let mut runs = vec![Vec::new(); before];
+                runs.push(run);
+                runs.extend(vec![Vec::new(); after]);
+                runs
+            });
+        prop_oneof![proptest::collection::vec(run(), 0..TIER_FANIN + 2), lone,]
+    }
+
     #[test]
     fn all_ones_record_beats_an_exhausted_cursor() {
         // The one live head whose prefixes equal the exhausted sentinel's.
@@ -819,6 +928,35 @@ mod tests {
                 expect_bytes.extend_from_slice(v);
             }
             prop_assert_eq!(merged.bytes(), expect_bytes.as_slice());
+        }
+
+        /// The store's tier-0 sort writes [`merge_runs`]'s bytes, and a
+        /// sort buffer left by one sort serves the next.
+        #[test]
+        fn sorted_runs_are_the_merged_bytes(runs in tier_runs()) {
+            let built = runs_from(&runs);
+            let merged = merge_runs(&built);
+            let mut buf = SortBuf::default();
+            let sorted = sort_runs(&built, &mut buf);
+            prop_assert_eq!(sorted.bytes(), merged.bytes());
+            prop_assert_eq!(sorted.records(), merged.records());
+            let reversed = sort_runs(built.iter().rev(), &mut buf);
+            prop_assert_eq!(reversed.bytes(), merged.bytes());
+            let mut live = built.iter().filter(|r| !r.is_empty());
+            if let (Some(lone), None) = (live.next(), live.next()) {
+                prop_assert_eq!(sorted.bytes().as_ptr(), lone.bytes().as_ptr());
+            }
+            // Behind a prefix every key shares, which the heads skip.
+            let prefixed: Vec<Vec<(Vec<u8>, Vec<u8>)>> = runs
+                .iter()
+                .map(|run| {
+                    let key = |k: &Vec<u8>| [b"shared-by-all".as_slice(), k].concat();
+                    run.iter().map(|(k, v)| (key(k), v.clone())).collect()
+                })
+                .collect();
+            let built = runs_from(&prefixed);
+            let (sorted, merged) = (sort_runs(&built, &mut buf), merge_runs(&built));
+            prop_assert_eq!(sorted.bytes(), merged.bytes());
         }
 
         /// The external cursor merge emits the exact record sequence of

@@ -61,6 +61,11 @@ pub fn key_head(key: &[u8]) -> u64 {
     u64::from_be_bytes(head)
 }
 
+/// Bytes a [`SortBuf`] holds for each record it sorts: its ref, its
+/// position and a ref's worth of scatter space (48).
+pub(crate) const SORT_SPACE: usize =
+    2 * std::mem::size_of::<SortRef>() + std::mem::size_of::<RecRef>();
+
 /// The buffers one sort works in, reusable across sorts (a
 /// [`crate::RunPool`] recycles them): the refs to sort, record positions
 /// the refs may point at, and the radix's scatter space.
@@ -103,6 +108,12 @@ impl SortBuf {
         for r in refs.iter_mut() {
             r.head = key_head(&key(r)[skip..]);
         }
+        self.sort_headed(arena);
+    }
+
+    /// [`SortBuf::sort_records`] once every ref's head is set, read past
+    /// the prefix all the keys share.
+    pub(crate) fn sort_headed<'a>(&mut self, arena: impl Fn(u32) -> &'a [u8]) {
         self.sort_by(|recs, a, b| {
             let (x, y) = (&recs[a.entry as usize], &recs[b.entry as usize]);
             let (xa, ya) = (arena(a.group), arena(b.group));
@@ -115,6 +126,14 @@ impl SortBuf {
         for r in &self.refs {
             out.extend_from_slice(self.recs[r.entry as usize].rec(arena(r.group)));
         }
+    }
+
+    /// Make room for sorting `n` records, and no more than that: the
+    /// [`SORT_SPACE`] a sort of `n` records is charged for.
+    pub(crate) fn reserve_exact(&mut self, n: usize) {
+        self.refs.reserve_exact(n.saturating_sub(self.refs.len()));
+        self.recs.reserve_exact(n.saturating_sub(self.recs.len()));
+        self.spare.reserve_exact(n.saturating_sub(self.spare.len()));
     }
 
     /// Empty `refs` and `recs`, keeping every capacity.

@@ -21,8 +21,14 @@
 //! * intermediate data is merged "on background threads" while the map
 //!   runs — each partition's cache is kept in **tiers**: a run enters at
 //!   tier 0, and when a tier holds `TIER_FANIN` (16) runs the partition's
-//!   merger task merges its oldest ones in memory into one run of the
-//!   next tier, so the reduce opens a few long runs, not hundreds;
+//!   merger task makes its oldest ones, in memory, one run of the next
+//!   tier, so the reduce opens a few long runs, not hundreds. Tier 0 is
+//!   **sorted** ([`crate::merge::sort_runs`]): its runs are a few fresh
+//!   chunks' records, which stay in cache, where the sort-head radix
+//!   takes ~55 ns a record and a 16-way loser tree ~105. Higher tiers are
+//!   **merged**: they hold up to 16× the records, already in a few long
+//!   sorted runs, and the tree needs no sort space (48 B a record, which
+//!   the step charges to the gauge beside the copy);
 //! * the **merge delay** metric — "the time dedicated to merging
 //!   intermediate data after the completion of the map phase and before
 //!   reduction starts" — the wait in [`IntermediateStore::finish_map`]
@@ -66,7 +72,8 @@ use crate::cursor::{MemCursor, PartCursor, RunCursor, SpillCursor};
 use crate::frame::{self, Encoding, SpillFaultHook, SpillStats};
 use crate::gauge::MemGauge;
 use crate::kv::Run;
-use crate::merge::{merge_runs, CursorMerge, TIER_FANIN};
+use crate::merge::{merge_runs, sort_runs, CursorMerge, TIER_FANIN};
+use crate::radix::{SortBuf, SORT_SPACE};
 use crate::tempdir::TempDir;
 use crate::PartitionId;
 
@@ -169,11 +176,16 @@ struct SpillFile {
 /// What the state reads of a cached run (the checker caches stand-ins).
 trait Cached: Default {
     fn len_bytes(&self) -> usize;
+    fn records(&self) -> usize;
 }
 
 impl Cached for Run {
     fn len_bytes(&self) -> usize {
         Run::len_bytes(self)
+    }
+
+    fn records(&self) -> usize {
+        Run::records(self)
     }
 }
 
@@ -241,8 +253,9 @@ struct Work<R> {
 enum Step<R> {
     /// Spill the partition's whole cache, and its bytes.
     Flush(Vec<R>, usize),
-    /// Merge the oldest [`TIER_FANIN`] runs of a tier, of these bytes,
-    /// into one run of the next; the gauge carries the copy until it ends.
+    /// Merge the oldest [`TIER_FANIN`] runs of a tier into one run of the
+    /// next — at tier 0 by a sort — holding these bytes on the gauge until
+    /// it ends: the copy, and a sort's space ([`StoreState::full_tier`]).
     PreMerge(usize, Vec<R>, usize),
     /// Merge the partition's smallest spill files into one.
     Compact(Vec<SpillFile>),
@@ -429,16 +442,22 @@ impl<R: Cached> StoreState<R> {
     }
 
     /// The oldest runs of partition `p`'s lowest full tier, unless the map
-    /// has ended or the budget has no room for their merged copy.
+    /// has ended or the budget has no room for what merging them holds:
+    /// their merged copy and, at tier 0, which sorts, [`SORT_SPACE`]
+    /// bytes a record.
     fn full_tier(&mut self, p: usize, gauge: usize) -> Option<Step<R>> {
         let tiers = &mut self.parts[p].tiers;
         let tier = tiers.iter().position(|t| t.len() >= TIER_FANIN)?;
-        let bytes: usize = tiers[tier][..TIER_FANIN].iter().map(R::len_bytes).sum();
-        if self.map_done || gauge + bytes > self.budget {
+        let runs = &tiers[tier][..TIER_FANIN];
+        let mut charge: usize = runs.iter().map(R::len_bytes).sum();
+        if tier == 0 {
+            charge += SORT_SPACE * runs.iter().map(R::records).sum::<usize>();
+        }
+        if self.map_done || gauge + charge > self.budget {
             return None;
         }
         let runs = tiers[tier].drain(..TIER_FANIN).collect();
-        Some(Step::PreMerge(tier, runs, bytes))
+        Some(Step::PreMerge(tier, runs, charge))
     }
 }
 
@@ -558,9 +577,10 @@ impl Inner {
         }))
     }
 
-    /// Run one step outside the lock. The cached bytes a flush took leave
-    /// memory whether or not its spill succeeded.
-    fn run(&self, work: Work<Run>) -> io::Result<Done<Run>> {
+    /// Run one step outside the lock, a tier-0 pre-merge sorting in
+    /// `sort`. The cached bytes a flush took leave memory whether or not
+    /// its spill succeeded.
+    fn run(&self, work: Work<Run>, sort: &mut SortBuf) -> io::Result<Done<Run>> {
         match &work.step {
             Step::Flush(runs, bytes) => {
                 let cursors = runs.iter().map(|r| MemCursor::over(r.bytes())).collect();
@@ -568,10 +588,17 @@ impl Inner {
                 self.gauge.discharge(*bytes);
                 done
             }
-            Step::PreMerge(tier, runs, bytes) => {
-                let done = Done::PreMerged(*tier, merge_runs(runs));
-                self.gauge.discharge(*bytes);
-                Ok(done)
+            Step::PreMerge(tier, runs, charge) => {
+                // Tier 0's runs are a few chunks' worth, fresh from the
+                // map: sorted in cache, they cost less than a 16-way tree.
+                // Higher tiers hold up to 16× the records, in long sorted
+                // runs that the tree merges without a sort's space.
+                let run = match tier {
+                    0 => sort_runs(runs, sort),
+                    _ => merge_runs(runs),
+                };
+                self.gauge.discharge(*charge);
+                Ok(Done::PreMerged(*tier, run))
             }
             Step::Compact(files) => {
                 let cursors = files.iter().map(|s| self.open_spill(s.seq, &work.hook));
@@ -586,7 +613,9 @@ impl Inner {
 
     /// One merger's life: take a step under the lock, run it outside and
     /// report it, until the store drops. A panic poisons like an error.
+    /// The merger's tier-0 sorts share one buffer.
     fn serve(&self) {
+        let mut sort = SortBuf::default();
         let mut st = self.state.lock();
         let mut next = None;
         loop {
@@ -599,12 +628,12 @@ impl Inner {
                 self.idle.wait(&mut st);
                 continue;
             };
-            if let Step::PreMerge(_, _, bytes) = &work.step {
-                self.gauge.charge(*bytes);
+            if let Step::PreMerge(_, _, charge) = &work.step {
+                self.gauge.charge(*charge);
             }
             let part = work.part;
             drop(st);
-            let outcome = catch_unwind(AssertUnwindSafe(|| self.run(work)));
+            let outcome = catch_unwind(AssertUnwindSafe(|| self.run(work, &mut sort)));
             st = self.state.lock();
             match outcome.unwrap_or_else(|panic| {
                 let msg = panic
@@ -1128,15 +1157,17 @@ mod tests {
         out
     }
 
-    /// 40 runs of 20 records whose key ranges overlap.
+    /// 40 runs of 20 records whose key ranges overlap. Values are
+    /// TeraSort's 90 bytes, so a tier-0 sort's space (48 B a record) is
+    /// half its runs' bytes and fits the budgets these tests set.
     fn overlapping_runs() -> Vec<Run> {
+        let value = [b'v'; 90];
         (0..40)
             .map(|i| {
-                let words: Vec<String> = (0..20)
+                let keys: Vec<String> = (0..20)
                     .map(|j| format!("k{:03}-{i:02}", (i * 7 + j) % 50))
                     .collect();
-                let refs: Vec<&str> = words.iter().map(|s| s.as_str()).collect();
-                word_run(&refs)
+                run_from_pairs(keys.iter().map(|k| (k.as_bytes(), value.as_slice())))
             })
             .collect()
     }
@@ -1238,38 +1269,50 @@ mod tests {
 
     #[test]
     fn full_tiers_pre_merge_to_one_stream_per_base_fanin_digit() {
-        // 16² + 15 runs, drained after every add: tier 0 fills 16 times,
-        // and its 16 tier-1 runs once, leaving 1 + 0 + 15 streams.
-        let n = TIER_FANIN * TIER_FANIN + TIER_FANIN - 1;
-        let runs: Vec<Run> = (0..n)
-            .map(|i| {
-                let (hot, own) = ("hot".to_string(), format!("k{:03}", i % 37));
-                word_run(&[hot.as_str(), own.as_str()])
-            })
-            .collect();
-        let mut c = cfg(1);
-        c.memory_budget = usize::MAX;
-        let store = IntermediateStore::new(c).unwrap();
-        for r in &runs {
-            store.add_run(0, r.clone());
-            quiesce(&store);
+        const F: usize = TIER_FANIN;
+        // Runs drained after every add. 2·16 + 3: tier 0 fills twice,
+        // leaving 3 + 2 streams (depth 1). 16² + 15: tier 0 fills 16
+        // times, and its 16 tier-1 runs once, leaving 15 + 0 + 1 (depth 2).
+        for (n, tiers) in [(2 * F + 3, vec![3, 2]), (F * F + F - 1, vec![F - 1, 0, 1])] {
+            let runs: Vec<Run> = (0..n)
+                .map(|i| {
+                    let (hot, own) = ("hot".to_string(), format!("k{:03}", i % 37));
+                    word_run(&[hot.as_str(), own.as_str()])
+                })
+                .collect();
+            let mut c = cfg(1);
+            c.memory_budget = usize::MAX;
+            let store = IntermediateStore::new(c).unwrap();
+            for r in &runs {
+                store.add_run(0, r.clone());
+                quiesce(&store);
+            }
+            store.finish_map().unwrap();
+            assert_eq!(tier_lens(&store, 0), tiers);
+            assert_eq!(
+                store.partition_cursors(0).unwrap().len(),
+                tiers.iter().sum::<usize>()
+            );
+            let m = store.metrics();
+            assert_eq!((m.flushes, m.frames_written), (0, 0), "{m:?}");
+            let pre_merges = n / F + n / (F * F);
+            assert_eq!(
+                (m.merges, m.merge_fanin),
+                (pre_merges, pre_merges * F),
+                "{m:?}"
+            );
+            assert_eq!(store.partition_records(0), 2 * n);
+            // Sorted tier-0 batches and merged tier-1 ones read back as
+            // the one merge of every run, byte for byte.
+            let mut merge = CursorMerge::new(store.partition_cursors(0).unwrap());
+            let mut bytes = Vec::new();
+            while let Some(rec) = merge.peek_rec() {
+                bytes.extend_from_slice(rec);
+                merge.advance().unwrap();
+            }
+            assert_eq!(bytes, merge_runs(&runs).bytes(), "{n} runs");
+            assert_cache_accounting(&store);
         }
-        store.finish_map().unwrap();
-        assert_eq!(tier_lens(&store, 0), vec![TIER_FANIN - 1, 0, 1]);
-        assert_eq!(
-            store.partition_cursors(0).unwrap().len(),
-            1 + TIER_FANIN - 1
-        );
-        let m = store.metrics();
-        assert_eq!((m.flushes, m.frames_written), (0, 0), "{m:?}");
-        assert_eq!(
-            (m.merges, m.merge_fanin),
-            (TIER_FANIN + 1, (TIER_FANIN + 1) * TIER_FANIN),
-            "{m:?}"
-        );
-        assert_eq!(store.partition_records(0), 2 * n);
-        assert_eq!(stream_partition(&store, 0), sorted_records(&runs));
-        assert_cache_accounting(&store);
     }
 
     #[test]
@@ -1295,7 +1338,7 @@ mod tests {
         // takes every tier.
         let gauge = store.inner.gauge.current();
         let work = store.inner.state.lock().step(0, gauge).expect("a flush");
-        let done = store.inner.run(work).unwrap();
+        let done = store.inner.run(work, &mut SortBuf::default()).unwrap();
         let next = store.inner.state.lock().done(0, done, gauge);
         assert!(next.is_none());
         assert_eq!((store.spill_count(0), tier_lens(&store, 0)), (1, vec![]));
@@ -1739,16 +1782,22 @@ mod checker {
     /// A set of script runs, a bit each: a script holds at most 128.
     type RunSet = u128;
 
-    /// A cached run's stand-in: the script runs it holds.
+    /// A cached run's stand-in: the script runs it holds, and their bytes
+    /// and records (a tier-0 pre-merge charges a sort's space by these).
     #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
     struct Mock {
         runs: RunSet,
         bytes: usize,
+        records: usize,
     }
 
     impl Cached for Mock {
         fn len_bytes(&self) -> usize {
             self.bytes
+        }
+
+        fn records(&self) -> usize {
+            self.records
         }
     }
 
@@ -1763,6 +1812,9 @@ mod checker {
         /// The runs, `(partition, bytes)`: producer `k` of `producers` adds
         /// runs `k`, `k + producers`, … in order.
         script: Vec<(usize, usize)>,
+        /// Bytes a record of the script's runs: a run holds `bytes /
+        /// record` records, one at least.
+        record: usize,
         producers: usize,
         /// Spill steps that may fail.
         faults: u8,
@@ -1951,11 +2003,11 @@ mod checker {
 
         /// Merger `i` goes on with `next`, or takes the next queued step
         /// in the same locked region, or waits; a pre-merge charges its
-        /// copy there, as `Inner::serve` does.
+        /// copy and sort space there, as `Inner::serve` does.
         fn give(&mut self, i: usize, next: Option<Work<Mock>>) {
             let next = next.or_else(|| self.st.take(self.gauge));
-            if let Some(Step::PreMerge(_, _, bytes)) = next.as_ref().map(|w| &w.step) {
-                self.gauge += bytes;
+            if let Some(Step::PreMerge(_, _, charge)) = next.as_ref().map(|w| &w.step) {
+                self.gauge += charge;
             }
             let m = &mut self.mergers[i];
             m.wait = match next {
@@ -2007,7 +2059,15 @@ mod checker {
                 let parks = self.st.must_park(bytes, self.gauge);
                 if !parks {
                     let runs = 1 << next;
-                    if self.st.add(part, Mock { runs, bytes }) {
+                    let records = (bytes / b.record).max(1);
+                    if self.st.add(
+                        part,
+                        Mock {
+                            runs,
+                            bytes,
+                            records,
+                        },
+                    ) {
                         self.gauge += bytes;
                     }
                     self.added |= runs;
@@ -2054,10 +2114,14 @@ mod checker {
                     let raw = files.iter().map(|f| f.stats.raw_bytes).sum();
                     self.spill(work.seq, runs, raw, encoding)
                 }
-                Step::PreMerge(tier, runs, bytes) => {
-                    self.gauge -= bytes;
-                    let runs = held(&runs);
-                    Done::PreMerged(tier, Mock { runs, bytes })
+                Step::PreMerge(tier, runs, charge) => {
+                    self.gauge -= charge;
+                    let merged = Mock {
+                        runs: held(&runs),
+                        bytes: runs.iter().map(|r| r.bytes).sum(),
+                        records: runs.iter().map(|r| r.records).sum(),
+                    };
+                    Done::PreMerged(tier, merged)
                 }
             };
             let next = self.st.done(part, done, self.gauge);
@@ -2292,7 +2356,7 @@ mod checker {
 
     fn label(b: &Bounds) -> String {
         format!(
-            "{} KiB, {} partition(s), {} merger(s), {}, {} runs from {} producer(s), {} fault(s)",
+            "{} KiB, {} partition(s), {} merger(s), {}, {} runs of {} B records from {} producer(s), {} fault(s)",
             b.budget >> 10,
             b.parts,
             b.mergers,
@@ -2302,6 +2366,7 @@ mod checker {
                 "stored"
             },
             b.script.len(),
+            b.record,
             b.producers,
             b.faults,
         )
@@ -2323,10 +2388,15 @@ mod checker {
             mergers,
             compresses,
             script: big.chain(small).collect(),
+            record: TERASORT_RECORD,
             producers: 1,
             faults: 0,
         }
     }
+
+    /// A TeraSort record, header included: a sort's space is about half
+    /// its run's bytes.
+    const TERASORT_RECORD: usize = 102;
 
     /// Partition 0's tier 0 fills twice below the flush point, so
     /// pre-merges race the adds, then `spills` runs that spill; with none,
@@ -2340,6 +2410,26 @@ mod checker {
             mergers,
             compresses: true,
             script: small.chain(big).collect(),
+            record: TERASORT_RECORD,
+            producers: 1,
+            faults: 0,
+        }
+    }
+
+    /// Partition 1 crosses the flush point alone, and while its spill
+    /// holds its bytes partition 0's tier 0 fills with 16-byte records
+    /// (WordCount's), whose sort space is three times their bytes: the
+    /// room check must count it.
+    fn sorting(budget: usize, mergers: usize) -> Bounds {
+        let big = std::iter::once((1, budget / 2 + 256));
+        let small = (0..TIER_FANIN).map(|_| (0, budget / 80));
+        Bounds {
+            budget,
+            parts: 2,
+            mergers,
+            compresses: true,
+            script: big.chain(small).collect(),
+            record: 16,
             producers: 1,
             faults: 0,
         }
@@ -2369,6 +2459,7 @@ mod checker {
         for mergers in [1, 2] {
             all.push(pre_merging(budget(mergers), mergers, 6));
             all.push(pre_merging(budget(mergers), mergers, 0));
+            all.push(sorting(budget(mergers), mergers));
             all.push(Bounds {
                 faults: 1,
                 ..spilling(budget(mergers), 2, mergers, true)
