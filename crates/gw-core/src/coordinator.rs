@@ -1374,9 +1374,9 @@ mod tests {
     }
 }
 
-/// An exhaustive check of the recovery protocol: a breadth-first search,
-/// with state hashing, over every order of the events a small job can
-/// see, driving [`CoordState`] directly.
+/// An exhaustive check of the recovery protocol: `gw_check::explore` over
+/// every order of the events a small job can see, driving [`CoordState`]
+/// directly.
 ///
 /// The model. Split `b` is local to node `b mod nodes` and makes one run
 /// for each of partitions `b` and `b + 1` (mod `2 × nodes`). Each node has
@@ -1409,9 +1409,7 @@ mod tests {
 #[cfg(test)]
 mod checker {
     use super::*;
-    use std::collections::hash_map::DefaultHasher;
-    use std::collections::{HashMap, VecDeque};
-    use std::hash::{Hash, Hasher};
+    use gw_check::{explore, Model};
 
     const TIMEOUT: Duration = Duration::from_millis(10);
     const TICK: Duration = Duration::from_millis(1);
@@ -1482,79 +1480,10 @@ mod checker {
     }
 
     impl World {
-        fn new(b: &Bounds) -> Self {
-            let splits = (0..b.splits)
-                .map(|block| InputSplit {
-                    path: String::new(),
-                    block,
-                    len: 0,
-                    records: 0,
-                    locations: vec![NodeId(block as u32 % b.nodes)],
-                })
-                .collect();
-            let spec = SpeculationConfig {
-                enabled: b.speculation,
-                threshold_pct: 100,
-                min_runtime: Duration::ZERO,
-                budget: 1,
-                backoff: Duration::ZERO,
-            };
-            World {
-                st: CoordState::new(splits, b.nodes, 2 * b.nodes, TIMEOUT, spec),
-                now: Duration::ZERO,
-                nodes: vec![Node::default(); b.nodes as usize],
-                drops: 0,
-                ticks: 0,
-            }
-        }
-
         fn deaths(&self) -> usize {
             (0..self.nodes.len())
                 .filter(|&n| self.st.dead[n] || self.nodes[n].crashed)
                 .count()
-        }
-
-        fn events(&self, b: &Bounds) -> Vec<Event> {
-            use Event::*;
-            let settled = self.st.all_satisfied();
-            let complete = self.st.map_complete();
-            let deaths = self.deaths();
-            let live = |m: usize| !self.st.dead[m] && !self.nodes[m].crashed;
-            // Without a pending split or a clone left in the budget, a
-            // claim hands out nothing.
-            let claimable = self.st.slots.iter().any(|s| s.state == SlotState::Pending)
-                || (self.st.spec.as_ref()).is_some_and(|s| s.report.launched < s.cfg.budget);
-            let mut events = Vec::new();
-            for (i, node) in self.nodes.iter().enumerate() {
-                let n = i as u32;
-                if !node.stopped {
-                    if node.work.is_some() {
-                        events.push(Step(n));
-                    } else if claimable {
-                        events.push(Claim(n));
-                    }
-                    if !node.reducing && complete {
-                        events.push(Settle(n));
-                    }
-                    if !node.reducing && self.st.dead[i] {
-                        events.push(Notice(n));
-                    }
-                    if !settled && node.work.is_some() && live(i) && deaths < b.deaths {
-                        events.push(Crash(n));
-                    }
-                }
-                let survivor = (0..self.nodes.len()).any(|m| m != i && live(m));
-                if !settled && !self.st.dead[i] && survivor && (node.crashed || deaths < b.deaths) {
-                    events.push(Declare(n));
-                }
-                if self.drops < b.drops {
-                    events.extend(node.inbox.iter().map(|&tag| Drop(n, tag)));
-                }
-            }
-            if self.ticks < b.ticks {
-                events.push(Tick);
-            }
-            events
         }
 
         fn store(&mut self, node: u32, tag: RunTag) {
@@ -1571,88 +1500,6 @@ mod checker {
                 .copied()
         }
 
-        fn apply(&mut self, b: &Bounds, event: Event) -> Result<(), String> {
-            match event {
-                Event::Claim(n) => {
-                    let split = self.st.claim(n, self.now);
-                    self.nodes[n as usize].work = split.map(|s| (s.block, 0));
-                }
-                Event::Step(n) => {
-                    let (block, routed) = self.nodes[n as usize].work.expect("a claimed split");
-                    let skip = routed == 0 && self.st.superseded(n, block);
-                    match runs(b, block).get(routed) {
-                        Some(&tag) if !skip => {
-                            match self.st.route(n, tag) {
-                                Route::Keep => self.store(n, tag),
-                                Route::Discard => {}
-                                Route::Ship(NodeId(owner)) => {
-                                    let owner = &mut self.nodes[owner as usize];
-                                    if !owner.stopped {
-                                        owner.inbox.insert(tag);
-                                    }
-                                }
-                            }
-                            self.nodes[n as usize].work = Some((block, routed + 1));
-                        }
-                        _ => {
-                            self.st.complete(n, block, self.now);
-                            self.nodes[n as usize].work = None;
-                        }
-                    }
-                }
-                Event::Settle(n) => {
-                    if self.st.map_complete() {
-                        for tag in std::mem::take(&mut self.nodes[n as usize].inbox) {
-                            if self.st.admit(n, tag) {
-                                self.store(n, tag);
-                            }
-                        }
-                        if self.st.settle(n) && self.st.all_satisfied() {
-                            self.nodes[n as usize].reducing = true;
-                            if let Some(tag) = self.missing(n) {
-                                return Err(format!("node {n} reduces without run {tag:?}"));
-                            }
-                        }
-                    }
-                }
-                Event::Notice(n) => {
-                    // It owns no partition any more: what it holds is moot.
-                    self.nodes[n as usize] = Node {
-                        stopped: true,
-                        ..Node::default()
-                    };
-                }
-                Event::Crash(n) => {
-                    let node = &mut self.nodes[n as usize];
-                    (node.crashed, node.stopped, node.work) = (true, true, None);
-                    node.inbox.clear();
-                }
-                Event::Declare(n) => {
-                    self.now += TIMEOUT + TICK;
-                    for m in 0..b.nodes {
-                        if m != n && !self.nodes[m as usize].stopped {
-                            self.st.beats[m as usize] = self.now;
-                        }
-                    }
-                    self.st.scan(self.now);
-                }
-                Event::Drop(n, tag) => {
-                    self.nodes[n as usize].inbox.remove(&tag);
-                    self.drops += 1;
-                }
-                Event::Tick => {
-                    self.now += TICK;
-                    self.ticks += 1;
-                }
-            }
-            // What the wrapper does with these, and the fault accounting,
-            // decide nothing.
-            self.st.out = Outbox::default();
-            self.st.changes = 0;
-            (self.st.nodes_lost, self.st.splits_rescheduled) = (0, 0);
-            self.credits_only_the_living()
-        }
-
         fn credits_only_the_living(&self) -> Result<(), String> {
             let dead = |n: &u32| self.st.dead[*n as usize];
             for slot in &self.st.slots {
@@ -1666,15 +1513,170 @@ mod checker {
             }
             Ok(())
         }
+    }
 
-        /// The properties of a state no event changes.
-        fn job_ends(&self, b: &Bounds) -> Result<(), String> {
-            if let Some(n) = self.nodes.iter().position(|n| !n.stopped && !n.reducing) {
+    impl Model for Bounds {
+        type State = World;
+        type Event = Event;
+
+        fn start(&self) -> World {
+            let splits = (0..self.splits)
+                .map(|block| InputSplit {
+                    path: String::new(),
+                    block,
+                    len: 0,
+                    records: 0,
+                    locations: vec![NodeId(block as u32 % self.nodes)],
+                })
+                .collect();
+            let spec = SpeculationConfig {
+                enabled: self.speculation,
+                threshold_pct: 100,
+                min_runtime: Duration::ZERO,
+                budget: 1,
+                backoff: Duration::ZERO,
+            };
+            World {
+                st: CoordState::new(splits, self.nodes, 2 * self.nodes, TIMEOUT, spec),
+                now: Duration::ZERO,
+                nodes: vec![Node::default(); self.nodes as usize],
+                drops: 0,
+                ticks: 0,
+            }
+        }
+
+        fn events(&self, w: &World) -> Vec<Event> {
+            use Event::*;
+            let settled = w.st.all_satisfied();
+            let complete = w.st.map_complete();
+            let deaths = w.deaths();
+            let live = |m: usize| !w.st.dead[m] && !w.nodes[m].crashed;
+            // Without a pending split or a clone left in the budget, a
+            // claim hands out nothing.
+            let claimable = w.st.slots.iter().any(|s| s.state == SlotState::Pending)
+                || (w.st.spec.as_ref()).is_some_and(|s| s.report.launched < s.cfg.budget);
+            let mut events = Vec::new();
+            for (i, node) in w.nodes.iter().enumerate() {
+                let n = i as u32;
+                if !node.stopped {
+                    if node.work.is_some() {
+                        events.push(Step(n));
+                    } else if claimable {
+                        events.push(Claim(n));
+                    }
+                    if !node.reducing && complete {
+                        events.push(Settle(n));
+                    }
+                    if !node.reducing && w.st.dead[i] {
+                        events.push(Notice(n));
+                    }
+                    if !settled && node.work.is_some() && live(i) && deaths < self.deaths {
+                        events.push(Crash(n));
+                    }
+                }
+                let survivor = (0..w.nodes.len()).any(|m| m != i && live(m));
+                if !settled && !w.st.dead[i] && survivor && (node.crashed || deaths < self.deaths) {
+                    events.push(Declare(n));
+                }
+                if w.drops < self.drops {
+                    events.extend(node.inbox.iter().map(|&tag| Drop(n, tag)));
+                }
+            }
+            if w.ticks < self.ticks {
+                events.push(Tick);
+            }
+            events
+        }
+
+        fn apply(&self, w: &mut World, event: Event) -> Result<(), String> {
+            match event {
+                Event::Claim(n) => {
+                    let split = w.st.claim(n, w.now);
+                    w.nodes[n as usize].work = split.map(|s| (s.block, 0));
+                }
+                Event::Step(n) => {
+                    let (block, routed) = w.nodes[n as usize].work.expect("a claimed split");
+                    let skip = routed == 0 && w.st.superseded(n, block);
+                    match runs(self, block).get(routed) {
+                        Some(&tag) if !skip => {
+                            match w.st.route(n, tag) {
+                                Route::Keep => w.store(n, tag),
+                                Route::Discard => {}
+                                Route::Ship(NodeId(owner)) => {
+                                    let owner = &mut w.nodes[owner as usize];
+                                    if !owner.stopped {
+                                        owner.inbox.insert(tag);
+                                    }
+                                }
+                            }
+                            w.nodes[n as usize].work = Some((block, routed + 1));
+                        }
+                        _ => {
+                            w.st.complete(n, block, w.now);
+                            w.nodes[n as usize].work = None;
+                        }
+                    }
+                }
+                Event::Settle(n) => {
+                    if w.st.map_complete() {
+                        for tag in std::mem::take(&mut w.nodes[n as usize].inbox) {
+                            if w.st.admit(n, tag) {
+                                w.store(n, tag);
+                            }
+                        }
+                        if w.st.settle(n) && w.st.all_satisfied() {
+                            w.nodes[n as usize].reducing = true;
+                            if let Some(tag) = w.missing(n) {
+                                return Err(format!("node {n} reduces without run {tag:?}"));
+                            }
+                        }
+                    }
+                }
+                Event::Notice(n) => {
+                    // It owns no partition any more: what it holds is moot.
+                    w.nodes[n as usize] = Node {
+                        stopped: true,
+                        ..Node::default()
+                    };
+                }
+                Event::Crash(n) => {
+                    let node = &mut w.nodes[n as usize];
+                    (node.crashed, node.stopped, node.work) = (true, true, None);
+                    node.inbox.clear();
+                }
+                Event::Declare(n) => {
+                    w.now += TIMEOUT + TICK;
+                    for m in 0..self.nodes {
+                        if m != n && !w.nodes[m as usize].stopped {
+                            w.st.beats[m as usize] = w.now;
+                        }
+                    }
+                    w.st.scan(w.now);
+                }
+                Event::Drop(n, tag) => {
+                    w.nodes[n as usize].inbox.remove(&tag);
+                    w.drops += 1;
+                }
+                Event::Tick => {
+                    w.now += TICK;
+                    w.ticks += 1;
+                }
+            }
+            // What the wrapper does with these, and the fault accounting,
+            // decide nothing.
+            w.st.out = Outbox::default();
+            w.st.changes = 0;
+            (w.st.nodes_lost, w.st.splits_rescheduled) = (0, 0);
+            w.credits_only_the_living()
+        }
+
+        fn ends(&self, w: &World) -> Result<(), String> {
+            if let Some(n) = w.nodes.iter().position(|n| !n.stopped && !n.reducing) {
                 return Err(format!("node {n} never settles"));
             }
-            for partition in 0..2 * b.nodes {
-                let owner = self.st.owner(partition);
-                if self.st.dead[owner as usize] {
+            for partition in 0..2 * self.nodes {
+                let owner = w.st.owner(partition);
+                if w.st.dead[owner as usize] {
                     return Err(format!(
                         "partition {partition} is owned by dead node {owner}"
                     ));
@@ -1682,18 +1684,18 @@ mod checker {
                 // A node that crashes after it settled, while it still
                 // drains a clone it lost, takes its partitions with it:
                 // the job then fails with `NodeLost`, typed, not silent.
-                if self.nodes[owner as usize].crashed {
+                if w.nodes[owner as usize].crashed {
                     continue;
                 }
-                let stored = &self.nodes[owner as usize].stored;
-                for tag in self.st.ledger.iter().filter(|t| t.partition == partition) {
+                let stored = &w.nodes[owner as usize].stored;
+                for tag in w.st.ledger.iter().filter(|t| t.partition == partition) {
                     let times = stored.get(tag).copied().unwrap_or(0);
                     if times != 1 {
                         return Err(format!("node {owner} stored {tag:?} {times} times"));
                     }
                 }
             }
-            match &self.st.spec {
+            match &w.st.spec {
                 Some(spec) if !spec.report.balanced() => Err(format!(
                     "speculation ledger {:?} does not balance",
                     spec.report
@@ -1701,120 +1703,66 @@ mod checker {
                 _ => Ok(()),
             }
         }
-    }
 
-    fn fingerprint(w: &World) -> u64 {
-        let mut h = DefaultHasher::new();
-        w.hash(&mut h);
-        h.finish()
-    }
-
-    /// Explore every state reachable within `b`, and panic with a
-    /// shortest event trace to the first property violated.
-    fn explore(b: Bounds) {
-        let started = Instant::now();
-        let start = World::new(&b);
-        // Each state's parent and the event that led from it.
-        let mut seen: HashMap<u64, Option<(u64, Event)>> = HashMap::new();
-        seen.insert(fingerprint(&start), None);
-        let mut frontier = VecDeque::from([start]);
-        let fail = |seen: &HashMap<u64, Option<(u64, Event)>>,
-                    mut at: u64,
-                    last: Option<Event>,
-                    why: String| {
-            let mut trace: Vec<Event> = last.into_iter().collect();
-            while let Some(Some((parent, event))) = seen.get(&at) {
-                trace.push(*event);
-                at = *parent;
-            }
-            trace.reverse();
-            panic!(
-                "{b:?}: {why}\nshortest trace ({} events): {trace:?}",
-                trace.len()
-            );
-        };
-        while let Some(world) = frontier.pop_front() {
-            let here = fingerprint(&world);
-            let mut terminal = true;
-            for event in world.events(&b) {
-                let mut next = world.clone();
-                let verdict = next.apply(&b, event);
-                if let Err(why) = verdict {
-                    fail(&seen, here, Some(event), why);
-                }
-                let key = fingerprint(&next);
-                if key == here {
-                    continue;
-                }
-                terminal = false;
-                if let std::collections::hash_map::Entry::Vacant(e) = seen.entry(key) {
-                    e.insert(Some((here, event)));
-                    frontier.push_back(next);
-                }
-            }
-            if terminal {
-                if let Err(why) = world.job_ends(&b) {
-                    fail(&seen, here, None, why);
-                }
-            }
+        fn label(&self) -> String {
+            format!("coordinator checker {self:?}")
         }
-        println!(
-            "coordinator checker {b:?}: {} states in {:.2?}",
-            seen.len(),
-            started.elapsed()
-        );
     }
 
     /// Two nodes: the death of either, after any step, and a lost run.
     #[test]
     fn two_nodes_a_death_and_a_drop() {
-        explore(Bounds {
+        explore(&Bounds {
             nodes: 2,
             splits: 4,
             deaths: 1,
             drops: 1,
             ticks: 0,
             speculation: false,
-        });
+        })
+        .unwrap_or_else(|e| panic!("{e}"));
     }
 
     /// Two speculating nodes: a straggler is cloned once time ticks, and
     /// a death may strike the primary or the clone.
     #[test]
     fn two_nodes_speculating() {
-        explore(Bounds {
+        explore(&Bounds {
             nodes: 2,
             splits: 4,
             deaths: 1,
             drops: 0,
             ticks: 1,
             speculation: true,
-        });
+        })
+        .unwrap_or_else(|e| panic!("{e}"));
     }
 
     /// Three nodes, two deaths: an adopter can die in its turn.
     #[test]
     fn three_nodes_two_deaths() {
-        explore(Bounds {
+        explore(&Bounds {
             nodes: 3,
             splits: 2,
             deaths: 2,
             drops: 0,
             ticks: 0,
             speculation: false,
-        });
+        })
+        .unwrap_or_else(|e| panic!("{e}"));
     }
 
     /// Three nodes, a death and a lost run.
     #[test]
     fn three_nodes_a_death_and_a_drop() {
-        explore(Bounds {
+        explore(&Bounds {
             nodes: 3,
             splits: 2,
             deaths: 1,
             drops: 1,
             ticks: 0,
             speculation: false,
-        });
+        })
+        .unwrap_or_else(|e| panic!("{e}"));
     }
 }

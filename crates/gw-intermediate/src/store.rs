@@ -14,8 +14,7 @@
 //!   configurable count" — the compaction step of the merger tasks: a
 //!   partition may hold M spill files, and one more makes its task merge
 //!   the smallest F = `max(M / (2 × merger_threads) − 1, 2)` of them into
-//!   one, so that a byte is rewritten at most ⌈log_M N⌉ − 1 times over N
-//!   flushes (Goodrich et al., arXiv:1101.1902) while N ≤ M + 4;
+//!   one, which rewrites a byte once a round of flushes ("Rewrites");
 //! * "Glasswing can be configured to use multiple threads to speed-up both
 //!   the merge and flush operations" — `merger_threads`;
 //! * intermediate data is merged "on background threads" while the map
@@ -40,6 +39,30 @@
 //! reads the tiers where they sit — the paper's "one last merge operation"
 //! (§III-C). A pre-merge adds no combining: merge order `(key, value,
 //! source)` makes the merged stream the same for any batching.
+//!
+//! ## Rewrites: once a round
+//!
+//! A byte is written by its flush, and again by each compaction that takes
+//! its file. While a partition's flushes are of one size (each crosses the
+//! flush point alone, as a one-partition store's do), fresh files are
+//! smaller than compacted ones, and each compaction finds at least F − 1
+//! fresh files: a compaction leaves M + 2 − F files, and the next comes
+//! F − 1 flushes later. It merges F fresh files, or F − 1 and the smallest
+//! compacted file, the oldest among equals. What it writes is no smaller
+//! than the other compacted files, so it is taken again only after the
+//! M + 1 − F files left beside it: once a **round** of G = (M + 2 − F)(F − 1)
+//! flushes. The first compaction comes at flush M + 1, so over N flushes a
+//! byte is written at most 1 + ⌈(N − M) / G⌉ times, once while N ≤ M. The
+//! `checker` tests hold this to 4M flushes and find runs written that often.
+//!
+//! The growth is linear, not the ⌈log_M N⌉ of an M-way external merge
+//! (Goodrich et al., arXiv:1101.1902): no rule of fan-in F keeps that past
+//! F·M flushes. From M to M² flushes that allows one rewrite a byte, so
+//! each compaction must merge files never rewritten, into a file no later
+//! compaction may take; but N − M flushes need (N − M)/(F − 1)
+//! compactions, and at most M such files fit in M. Flushes of unequal
+//! sizes, as several partitions' are, may be merged sooner: at worst each
+//! compaction takes the byte, 1 + ⌈(N − M)/(F − 1)⌉ writes.
 //!
 //! ## One state, one lock (DESIGN.md §3.10)
 //!
@@ -130,6 +153,10 @@ impl IntermediateConfig {
     /// — so the reduce merge's M cursors of at most two frames each fit in
     /// the other half. These keep [`StoreMetrics::peak_resident_bytes`] ≤
     /// ~1.5× `budget` from [`IntermediateConfig::MIN_MEMORY_BUDGET`] up.
+    /// A compaction merges F = `max(M / (2 × merger_threads) − 1, 2)`
+    /// files, so over N flushes of one size a byte is written at most
+    /// 1 + ⌈(N − M) / G⌉ times, G = (M + 2 − F)(F − 1) (module doc,
+    /// "Rewrites").
     pub fn with_memory_budget(mut self, budget: usize) -> Self {
         self.memory_budget = budget;
         self
@@ -164,6 +191,18 @@ struct Limits {
     max_spill_files: usize,
     /// Spill files one compaction merges, the smallest first.
     compaction_fanin: usize,
+}
+
+impl Limits {
+    /// The most times the compaction rule writes a byte over `flushes`
+    /// flushes of its partition, each of one size: once by its flush, and
+    /// once a round of G = (M + 2 − F)(F − 1) flushes past the first M
+    /// (module doc, "Rewrites").
+    #[cfg(test)]
+    fn max_writes(&self, flushes: usize) -> usize {
+        let (m, f) = (self.max_spill_files, self.compaction_fanin);
+        1 + flushes.saturating_sub(m).div_ceil((m + 2 - f) * (f - 1))
+    }
 }
 
 /// Spill file `spill-{seq}.gw` of the store's directory, and its totals.
@@ -577,10 +616,9 @@ impl Inner {
         }))
     }
 
-    /// Run one step outside the lock, a tier-0 pre-merge sorting in
-    /// `sort`. The cached bytes a flush took leave memory whether or not
-    /// its spill succeeded.
-    fn run(&self, work: Work<Run>, sort: &mut SortBuf) -> io::Result<Done<Run>> {
+    /// Run one step outside the lock. The cached bytes a flush took leave
+    /// memory whether or not its spill succeeded.
+    fn run(&self, work: Work<Run>) -> io::Result<Done<Run>> {
         match &work.step {
             Step::Flush(runs, bytes) => {
                 let cursors = runs.iter().map(|r| MemCursor::over(r.bytes())).collect();
@@ -592,9 +630,10 @@ impl Inner {
                 // Tier 0's runs are a few chunks' worth, fresh from the
                 // map: sorted in cache, they cost less than a 16-way tree.
                 // Higher tiers hold up to 16× the records, in long sorted
-                // runs that the tree merges without a sort's space.
+                // runs that the tree merges without a sort's space. The
+                // sort's space is freed with the step's charge.
                 let run = match tier {
-                    0 => sort_runs(runs, sort),
+                    0 => sort_runs(runs, &mut SortBuf::default()),
                     _ => merge_runs(runs),
                 };
                 self.gauge.discharge(*charge);
@@ -613,9 +652,7 @@ impl Inner {
 
     /// One merger's life: take a step under the lock, run it outside and
     /// report it, until the store drops. A panic poisons like an error.
-    /// The merger's tier-0 sorts share one buffer.
     fn serve(&self) {
-        let mut sort = SortBuf::default();
         let mut st = self.state.lock();
         let mut next = None;
         loop {
@@ -633,7 +670,7 @@ impl Inner {
             }
             let part = work.part;
             drop(st);
-            let outcome = catch_unwind(AssertUnwindSafe(|| self.run(work, &mut sort)));
+            let outcome = catch_unwind(AssertUnwindSafe(|| self.run(work)));
             st = self.state.lock();
             match outcome.unwrap_or_else(|panic| {
                 let msg = panic
@@ -1338,7 +1375,7 @@ mod tests {
         // takes every tier.
         let gauge = store.inner.gauge.current();
         let work = store.inner.state.lock().step(0, gauge).expect("a flush");
-        let done = store.inner.run(work, &mut SortBuf::default()).unwrap();
+        let done = store.inner.run(work).unwrap();
         let next = store.inner.state.lock().done(0, done, gauge);
         assert!(next.is_none());
         assert_eq!((store.spill_count(0), tier_lens(&store, 0)), (1, vec![]));
@@ -1493,12 +1530,6 @@ mod tests {
         word_run(&refs)
     }
 
-    /// The smallest `r` with `m^r ≥ n`: the rounds of an `m`-way external
-    /// merge of `n` runs.
-    fn ceil_log(m: usize, n: usize) -> u32 {
-        (0..).find(|&r| m.pow(r) >= n).unwrap()
-    }
-
     #[test]
     fn a_budgeted_store_within_its_fanin_writes_each_byte_once() {
         let budget = 64 << 10;
@@ -1524,10 +1555,11 @@ mod tests {
     }
 
     #[test]
-    fn past_its_fanin_a_budgeted_store_rewrites_each_byte_at_most_log_m_n_minus_one_times() {
+    fn past_its_fanin_a_budgeted_store_rewrites_each_byte_at_most_once_a_round() {
         let budget = 64 << 10;
         let c = cfg(2).with_memory_budget(budget);
-        let fanin = c.limits().max_spill_files;
+        let limits = c.limits();
+        let fanin = limits.max_spill_files;
         let store = IntermediateStore::new(c).unwrap();
         // ~3.6 KiB runs alternating partitions, from one producer racing
         // the two mergers: backpressure parks it while the gauge is over
@@ -1545,14 +1577,14 @@ mod tests {
             m.peak_resident_bytes
         );
         let flushed = m.bytes_added - store.inner.state.lock().cache_bytes;
-        // Rounds for all the store's flushes: no fewer than a partition's.
-        let rounds = ceil_log(fanin, m.flushes) as usize;
+        // Writes for all the store's flushes: no fewer than a partition's.
+        let writes = limits.max_writes(m.flushes);
         assert!(
-            m.spilled_raw <= rounds * flushed,
+            m.spilled_raw <= writes * flushed,
             "{} bytes flushed, {} written: more than {} rewrite(s) per byte ({m:?})",
             flushed,
             m.spilled_raw,
-            rounds - 1
+            writes - 1
         );
         for p in 0..2u32 {
             assert!(store.spill_count(p) <= fanin, "partition {p}");
@@ -1766,17 +1798,16 @@ mod tests {
     }
 }
 
-/// Exhaustive breadth-first exploration of `StoreState` under every order
-/// of the events a store sees: producers' adds and parks, `finish_map`,
-/// each merger's steps, the gauge charges its writer and cursors make
-/// outside the lock, a failed write, and the reduce's cursors. States are
-/// deduplicated by hash; a violated property comes back with a shortest
-/// event trace to it.
+/// Exhaustive exploration (`gw_check::explore`) of `StoreState` under
+/// every order of the events a store sees: producers' adds and parks,
+/// `finish_map`, each merger's steps, the gauge charges its writer and
+/// cursors make outside the lock, a failed write, and the reduce's cursors.
 #[cfg(test)]
 mod checker {
     use super::*;
-    use std::collections::hash_map::{DefaultHasher, Entry};
-    use std::collections::{BTreeMap, HashMap};
+    use gw_check::{explore, Model};
+    use std::cell::Cell;
+    use std::collections::BTreeMap;
     use std::hash::{Hash, Hasher};
 
     /// A set of script runs, a bit each: a script holds at most 128.
@@ -1818,6 +1849,8 @@ mod checker {
         producers: usize,
         /// Spill steps that may fail.
         faults: u8,
+        /// The gauge's highest reading the search has seen, for its label.
+        peak: Cell<usize>,
     }
 
     /// A thread's wait on a condvar.
@@ -1886,51 +1919,11 @@ mod checker {
         faults: u8,
     }
 
-    /// The smallest `r` with `m^r ≥ n`.
-    fn ceil_log(m: usize, n: usize) -> u32 {
-        (0..).find(|&r| m.pow(r) >= n).unwrap()
-    }
-
     fn held(runs: &[Mock]) -> RunSet {
         runs.iter().fold(0, |all, r| all | r.runs)
     }
 
     impl World {
-        fn new(b: &Bounds) -> Self {
-            assert!(
-                b.script.len() <= RunSet::BITS as usize,
-                "a run set holds at most 128 runs"
-            );
-            let cfg = IntermediateConfig {
-                num_partitions: b.parts,
-                merger_threads: b.mergers,
-                compress: true,
-                memory_budget: b.budget,
-            };
-            let merger = Merger {
-                work: None,
-                charged: 0,
-                opened: false,
-                cut: false,
-                wait: Wait::Running,
-            };
-            World {
-                st: StoreState::new(&cfg),
-                gauge: 0,
-                mergers: vec![merger; b.mergers],
-                threads: (0..=b.producers).map(|k| (k, Wait::Running)).collect(),
-                added: 0,
-                finished: false,
-                reduced: 0,
-                files: BTreeMap::new(),
-                writes: vec![0; b.script.len()],
-                flushes: vec![0; b.parts as usize],
-                frames_written: 0,
-                frames_read: 0,
-                faults: 0,
-            }
-        }
-
         fn frame(&self) -> usize {
             self.st.limits.frame
         }
@@ -1943,45 +1936,6 @@ mod checker {
                 Encoding::Compressed => 2 * self.frame(),
                 _ => self.frame(),
             }
-        }
-
-        fn events(&self, b: &Bounds) -> Vec<Event> {
-            let mut events = Vec::new();
-            let n = b.producers;
-            for (k, &(next, wait)) in self.threads[..n].iter().enumerate() {
-                if next < b.script.len() && wait != Wait::Waiting {
-                    events.push(Event::Add(k));
-                }
-            }
-            let all_added = self.threads[..n].iter().all(|t| t.0 >= b.script.len());
-            if all_added && !self.finished && self.threads[n].1 != Wait::Waiting {
-                events.push(Event::Finish);
-            }
-            for (i, m) in self.mergers.iter().enumerate() {
-                let Some(work) = &m.work else {
-                    if m.wait != Wait::Waiting {
-                        events.push(Event::Take(i));
-                    }
-                    continue;
-                };
-                if matches!(work.step, Step::PreMerge(..)) {
-                    events.push(Event::End(i));
-                } else if !m.opened {
-                    events.push(Event::Open(i));
-                } else {
-                    if work.encoding == Encoding::Probe && !b.compresses && !m.cut {
-                        events.push(Event::Cut(i));
-                    }
-                    events.push(Event::End(i));
-                    if self.faults < b.faults {
-                        events.push(Event::Fail(i));
-                    }
-                }
-            }
-            if self.finished && self.st.poison.is_none() && self.reduced < b.parts as usize {
-                events.push(Event::Reduce(self.reduced));
-            }
-            events
         }
 
         /// Notify what the last event asked for, as the wrapper does.
@@ -2000,7 +1954,6 @@ mod checker {
                 }
             }
         }
-
         /// Merger `i` goes on with `next`, or takes the next queued step
         /// in the same locked region, or waits; a pre-merge charges its
         /// copy and sort space there, as `Inner::serve` does.
@@ -2128,43 +2081,6 @@ mod checker {
             self.give(i, next);
         }
 
-        fn apply(&mut self, b: &Bounds, event: Event) {
-            match event {
-                Event::Add(k) => self.produce(b, k),
-                Event::Finish => self.produce(b, b.producers),
-                Event::Take(i) => self.give(i, None),
-                Event::Open(i) => {
-                    let work = self.mergers[i].work.as_ref().expect("a spill");
-                    let cursors = match &work.step {
-                        Step::Compact(files) => files.len() * self.cursor_charge(work.part),
-                        _ => 0,
-                    };
-                    let writer = match work.encoding {
-                        Encoding::Stored => self.frame(),
-                        _ => 2 * self.frame(),
-                    };
-                    self.gauge += writer + cursors;
-                    let m = &mut self.mergers[i];
-                    (m.charged, m.opened) = (writer + cursors, true);
-                }
-                Event::Cut(i) => {
-                    self.gauge -= self.frame();
-                    let frame = self.frame();
-                    let m = &mut self.mergers[i];
-                    (m.charged, m.cut) = (m.charged - frame, true);
-                }
-                Event::End(i) => self.end(b, i, false),
-                Event::Fail(i) => self.end(b, i, true),
-                Event::Reduce(p) => {
-                    for s in &self.st.parts[p].spills {
-                        self.frames_read += s.stats.frames;
-                    }
-                    self.reduced += 1;
-                }
-            }
-            self.wake();
-        }
-
         /// Bytes the reduce's cursors over partition `p` hold at once.
         fn reduce_charge(&self, p: usize) -> usize {
             self.st.parts[p].spills.len() * self.cursor_charge(p)
@@ -2228,148 +2144,206 @@ mod checker {
             }
             Ok(())
         }
+    }
+
+    /// What decides the future: spill files by their content, not by their
+    /// sequence number.
+    impl Hash for World {
+        fn hash<H: Hasher>(&self, h: &mut H) {
+            let file = |s: &SpillFile| (self.files.get(&s.seq), s.stats.raw_bytes);
+            for part in &self.st.parts {
+                part.tiers.hash(h);
+                part.spills.iter().map(file).for_each(|f| f.hash(h));
+                let flags = (part.busy, part.flush_due, part.encoding);
+                (part.cache_bytes, flags).hash(h);
+            }
+            let st = &self.st;
+            (st.cache_bytes, &st.ready, st.in_flight, st.waiters).hash(h);
+            (st.map_done, st.poison.is_some()).hash(h);
+            for m in &self.mergers {
+                (m.charged, m.opened, m.cut, m.wait).hash(h);
+                let Some(work) = &m.work else {
+                    continue;
+                };
+                (work.part, work.encoding).hash(h);
+                match &work.step {
+                    Step::Flush(runs, _) => (1, runs).hash(h),
+                    Step::PreMerge(tier, runs, _) => (2, tier, runs).hash(h),
+                    Step::Compact(files) => files.iter().map(file).for_each(|f| f.hash(h)),
+                }
+            }
+            let producer = (&self.threads, self.added, self.finished, self.reduced);
+            (self.gauge, producer, &self.writes, self.faults).hash(h);
+            (self.frames_written, self.frames_read).hash(h);
+        }
+    }
+
+    impl Model for Bounds {
+        type State = World;
+        type Event = Event;
+
+        fn start(&self) -> World {
+            assert!(
+                self.script.len() <= RunSet::BITS as usize,
+                "a run set holds at most 128 runs"
+            );
+            let cfg = IntermediateConfig {
+                num_partitions: self.parts,
+                merger_threads: self.mergers,
+                compress: true,
+                memory_budget: self.budget,
+            };
+            let merger = Merger {
+                work: None,
+                charged: 0,
+                opened: false,
+                cut: false,
+                wait: Wait::Running,
+            };
+            World {
+                st: StoreState::new(&cfg),
+                gauge: 0,
+                mergers: vec![merger; self.mergers],
+                threads: (0..=self.producers).map(|k| (k, Wait::Running)).collect(),
+                added: 0,
+                finished: false,
+                reduced: 0,
+                files: BTreeMap::new(),
+                writes: vec![0; self.script.len()],
+                flushes: vec![0; self.parts as usize],
+                frames_written: 0,
+                frames_read: 0,
+                faults: 0,
+            }
+        }
+
+        fn events(&self, w: &World) -> Vec<Event> {
+            let mut events = Vec::new();
+            let n = self.producers;
+            for (k, &(next, wait)) in w.threads[..n].iter().enumerate() {
+                if next < self.script.len() && wait != Wait::Waiting {
+                    events.push(Event::Add(k));
+                }
+            }
+            let all_added = w.threads[..n].iter().all(|t| t.0 >= self.script.len());
+            if all_added && !w.finished && w.threads[n].1 != Wait::Waiting {
+                events.push(Event::Finish);
+            }
+            for (i, m) in w.mergers.iter().enumerate() {
+                let Some(work) = &m.work else {
+                    if m.wait != Wait::Waiting {
+                        events.push(Event::Take(i));
+                    }
+                    continue;
+                };
+                if matches!(work.step, Step::PreMerge(..)) {
+                    events.push(Event::End(i));
+                } else if !m.opened {
+                    events.push(Event::Open(i));
+                } else {
+                    if work.encoding == Encoding::Probe && !self.compresses && !m.cut {
+                        events.push(Event::Cut(i));
+                    }
+                    events.push(Event::End(i));
+                    if w.faults < self.faults {
+                        events.push(Event::Fail(i));
+                    }
+                }
+            }
+            if w.finished && w.st.poison.is_none() && w.reduced < self.parts as usize {
+                events.push(Event::Reduce(w.reduced));
+            }
+            events
+        }
+
+        fn apply(&self, w: &mut World, event: Event) -> Result<(), String> {
+            // The reduce's cursors are charged only while it reads.
+            let mut peak = 0;
+            match event {
+                Event::Add(k) => w.produce(self, k),
+                Event::Finish => w.produce(self, self.producers),
+                Event::Take(i) => w.give(i, None),
+                Event::Open(i) => {
+                    let work = w.mergers[i].work.as_ref().expect("a spill");
+                    let cursors = match &work.step {
+                        Step::Compact(files) => files.len() * w.cursor_charge(work.part),
+                        _ => 0,
+                    };
+                    let writer = match work.encoding {
+                        Encoding::Stored => w.frame(),
+                        _ => 2 * w.frame(),
+                    };
+                    w.gauge += writer + cursors;
+                    let m = &mut w.mergers[i];
+                    (m.charged, m.opened) = (writer + cursors, true);
+                }
+                Event::Cut(i) => {
+                    w.gauge -= w.frame();
+                    let frame = w.frame();
+                    let m = &mut w.mergers[i];
+                    (m.charged, m.cut) = (m.charged - frame, true);
+                }
+                Event::End(i) => w.end(self, i, false),
+                Event::Fail(i) => w.end(self, i, true),
+                Event::Reduce(p) => {
+                    for s in &w.st.parts[p].spills {
+                        w.frames_read += s.stats.frames;
+                    }
+                    w.reduced += 1;
+                    peak = w.reduce_charge(p);
+                }
+            }
+            w.wake();
+            peak += w.gauge;
+            self.peak.set(self.peak.get().max(peak));
+            w.check(self, peak)
+        }
 
         /// The properties of a state no event changes.
-        fn ends(&self, b: &Bounds) -> Result<(), String> {
-            if !self.finished {
+        fn ends(&self, w: &World) -> Result<(), String> {
+            if !w.finished {
                 return Err("finish_map never returns".into());
             }
-            if self.st.poison.is_some() {
+            if w.st.poison.is_some() {
                 return Ok(());
             }
-            if self.frames_written != self.frames_read {
+            if w.frames_written != w.frames_read {
                 return Err(format!(
                     "{} frames written, {} read",
-                    self.frames_written, self.frames_read
+                    w.frames_written, w.frames_read
                 ));
             }
-            // Goodrich et al. (arXiv:1101.1902): an M-way external merge of
-            // N runs writes each byte ⌈log_M N⌉ times, the reduce's read
-            // included, so it rewrites it at most ⌈log_M N⌉ − 1 times.
-            let m = self.st.limits.max_spill_files;
-            for (r, &(p, _)) in b.script.iter().enumerate() {
-                let rounds = ceil_log(m, self.flushes[p] as usize).max(1);
-                if u32::from(self.writes[r]) > rounds {
+            // The rewrite bound of the compaction rule (module doc).
+            let limits = w.st.limits;
+            for (r, &(p, _)) in self.script.iter().enumerate() {
+                if usize::from(w.writes[r]) > limits.max_writes(w.flushes[p].into()) {
                     return Err(format!(
-                        "run {r} was written {} times over {} flushes of partition {p}, M {m}",
-                        self.writes[r], self.flushes[p]
+                        "run {r} was written {} times over {} flushes of partition {p}, {limits:?}",
+                        w.writes[r], w.flushes[p]
                     ));
                 }
             }
             Ok(())
         }
 
-        /// A hash of what decides the future: spill files by their
-        /// content, not by their sequence number.
-        fn fingerprint(&self) -> u64 {
-            let mut h = DefaultHasher::new();
-            let file = |s: &SpillFile| (self.files.get(&s.seq), s.stats.raw_bytes);
-            for part in &self.st.parts {
-                part.tiers.hash(&mut h);
-                part.spills.iter().map(file).for_each(|f| f.hash(&mut h));
-                let flags = (part.busy, part.flush_due, part.encoding);
-                (part.cache_bytes, flags).hash(&mut h);
-            }
-            let st = &self.st;
-            (st.cache_bytes, &st.ready, st.in_flight, st.waiters).hash(&mut h);
-            (st.map_done, st.poison.is_some()).hash(&mut h);
-            for m in &self.mergers {
-                (m.charged, m.opened, m.cut, m.wait).hash(&mut h);
-                let Some(work) = &m.work else {
-                    continue;
-                };
-                (work.part, work.encoding).hash(&mut h);
-                match &work.step {
-                    Step::Flush(runs, _) => (1, runs).hash(&mut h),
-                    Step::PreMerge(tier, runs, _) => (2, tier, runs).hash(&mut h),
-                    Step::Compact(files) => files.iter().map(file).for_each(|f| f.hash(&mut h)),
-                }
-            }
-            let producer = (&self.threads, self.added, self.finished, self.reduced);
-            (self.gauge, producer, &self.writes, self.faults).hash(&mut h);
-            (self.frames_written, self.frames_read).hash(&mut h);
-            h.finish()
+        fn label(&self) -> String {
+            format!(
+                "store checker {} KiB, {} partition(s), {} merger(s), {}, {} runs of {} B records from {} producer(s), {} fault(s), peak {:.2}× the budget",
+                self.budget >> 10,
+                self.parts,
+                self.mergers,
+                if self.compresses {
+                    "compressing"
+                } else {
+                    "stored"
+                },
+                self.script.len(),
+                self.record,
+                self.producers,
+                self.faults,
+                self.peak.get() as f64 / self.budget as f64,
+            )
         }
-    }
-
-    /// Explore every state reachable within `b`, and return the number of
-    /// states; the first property violated comes back with a shortest
-    /// event trace to it.
-    fn explore(b: &Bounds) -> Result<usize, String> {
-        let started = Instant::now();
-        let start = World::new(b);
-        // Each state's parent and the event that led from it.
-        let mut seen: HashMap<u64, Option<(u64, Event)>> = HashMap::new();
-        seen.insert(start.fingerprint(), None);
-        let mut frontier = VecDeque::from([start]);
-        let mut top = 0;
-        let fail = |seen: &HashMap<u64, Option<(u64, Event)>>,
-                    mut at: u64,
-                    last: Option<Event>,
-                    why: String| {
-            let mut trace: Vec<Event> = last.into_iter().collect();
-            while let Some(Some((parent, event))) = seen.get(&at) {
-                trace.push(*event);
-                at = *parent;
-            }
-            trace.reverse();
-            Err(format!(
-                "{}: {why}\nshortest trace ({} events): {trace:?}",
-                label(b),
-                trace.len()
-            ))
-        };
-        while let Some(world) = frontier.pop_front() {
-            let here = world.fingerprint();
-            let events = world.events(b);
-            if events.is_empty() {
-                if let Err(why) = world.ends(b) {
-                    return fail(&seen, here, None, why);
-                }
-            }
-            for event in events {
-                let mut next = world.clone();
-                next.apply(b, event);
-                let mut peak = next.gauge;
-                if let Event::Reduce(p) = event {
-                    peak += world.reduce_charge(p);
-                }
-                top = top.max(peak);
-                if let Err(why) = next.check(b, peak) {
-                    return fail(&seen, here, Some(event), why);
-                }
-                if let Entry::Vacant(e) = seen.entry(next.fingerprint()) {
-                    e.insert(Some((here, event)));
-                    frontier.push_back(next);
-                }
-            }
-        }
-        println!(
-            "store checker {}: {} states in {:.2?}, peak {:.2}× the budget",
-            label(b),
-            seen.len(),
-            started.elapsed(),
-            top as f64 / b.budget as f64,
-        );
-        Ok(seen.len())
-    }
-
-    fn label(b: &Bounds) -> String {
-        format!(
-            "{} KiB, {} partition(s), {} merger(s), {}, {} runs of {} B records from {} producer(s), {} fault(s)",
-            b.budget >> 10,
-            b.parts,
-            b.mergers,
-            if b.compresses {
-                "compressing"
-            } else {
-                "stored"
-            },
-            b.script.len(),
-            b.record,
-            b.producers,
-            b.faults,
-        )
     }
 
     /// Per partition, `M + 4` runs that each cross the flush point alone,
@@ -2383,20 +2357,39 @@ mod checker {
         let big = (0..(m + 4) * parts_).map(|i| (i % parts_, budget / 2 + 256));
         let small = (0..6).map(|i| (i % parts_, budget / 6));
         Bounds {
-            budget,
-            parts,
-            mergers,
             compresses,
-            script: big.chain(small).collect(),
-            record: TERASORT_RECORD,
-            producers: 1,
-            faults: 0,
+            ..store(budget, parts, mergers, big.chain(small).collect())
         }
+    }
+
+    /// `spilling`'s one-partition script, stored, with `n` runs that each
+    /// cross the flush point alone.
+    fn flushing(budget: usize, mergers: usize, n: usize) -> Bounds {
+        let mut b = spilling(budget, 1, mergers, false);
+        let (big, small) = b.script.split_at(b.script.len() - 6);
+        b.script = [vec![big[0]; n], small.to_vec()].concat();
+        b
     }
 
     /// A TeraSort record, header included: a sort's space is about half
     /// its run's bytes.
     const TERASORT_RECORD: usize = 102;
+
+    /// One producer adds `script`'s runs of TeraSort records to a store
+    /// whose spills compress.
+    fn store(budget: usize, parts: u32, mergers: usize, script: Vec<(usize, usize)>) -> Bounds {
+        Bounds {
+            budget,
+            parts,
+            mergers,
+            compresses: true,
+            script,
+            record: TERASORT_RECORD,
+            producers: 1,
+            faults: 0,
+            peak: Cell::default(),
+        }
+    }
 
     /// Partition 0's tier 0 fills twice below the flush point, so
     /// pre-merges race the adds, then `spills` runs that spill; with none,
@@ -2404,16 +2397,7 @@ mod checker {
     fn pre_merging(budget: usize, mergers: usize, spills: usize) -> Bounds {
         let small = (0..2 * TIER_FANIN).map(|_| (0, budget / 80));
         let big = (0..spills).map(|i| (i % 2, budget / 4));
-        Bounds {
-            budget,
-            parts: 2,
-            mergers,
-            compresses: true,
-            script: small.chain(big).collect(),
-            record: TERASORT_RECORD,
-            producers: 1,
-            faults: 0,
-        }
+        store(budget, 2, mergers, small.chain(big).collect())
     }
 
     /// Partition 1 crosses the flush point alone, and while its spill
@@ -2424,14 +2408,8 @@ mod checker {
         let big = std::iter::once((1, budget / 2 + 256));
         let small = (0..TIER_FANIN).map(|_| (0, budget / 80));
         Bounds {
-            budget,
-            parts: 2,
-            mergers,
-            compresses: true,
-            script: big.chain(small).collect(),
             record: 16,
-            producers: 1,
-            faults: 0,
+            ..store(budget, 2, mergers, big.chain(small).collect())
         }
     }
 
@@ -2487,10 +2465,38 @@ mod checker {
             .filter_map(|b| explore(b).err())
             .collect();
         for why in &broken {
-            println!("store checker, broken: {why}");
+            println!("broken: {why}");
         }
         assert!(broken
             .iter()
             .any(|why| why.contains("over 1.5× the budget")));
+    }
+
+    /// Flushes of one size, past the M + 4 of `spilling`: the rewrite
+    /// bound holds to 4M flushes at F 2 (two mergers, a round of M
+    /// flushes) and F 5 (one merger, a round of 3M). It is tight: over
+    /// each bound's 27, 37 and 49 flushes, run 0 is written 3, 4 and 5
+    /// times at F 2, and 2, 2 and 3 times at F 5, which ⌈log_M N⌉ (2 at
+    /// these N) does not allow past 2M flushes at F 2, nor at 4M at F 5.
+    #[test]
+    fn past_2m_flushes_a_byte_is_rewritten_once_a_round() {
+        let budget = IntermediateConfig::MIN_MEMORY_BUDGET;
+        let m = (IntermediateConfig::default().with_memory_budget(budget))
+            .limits()
+            .max_spill_files;
+        let mut all = Vec::new();
+        for mergers in [1, 2] {
+            for n in [2 * m + 2, 3 * m, 4 * m] {
+                all.push(flushing(budget, mergers, n));
+            }
+        }
+        let states: usize = all
+            .iter()
+            .map(|b| explore(b).unwrap_or_else(|e| panic!("{e}")))
+            .sum();
+        println!(
+            "store checker, rewrite bound: {states} states over {} bounds",
+            all.len()
+        );
     }
 }

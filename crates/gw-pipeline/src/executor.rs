@@ -1712,18 +1712,16 @@ mod tests {
     }
 }
 
-/// Exhaustive breadth-first exploration of `GraphState` under every order
-/// of the events its lanes bring: asks, arrival probes, claims that admit
-/// a chunk or end the stream, stages that return or consume their chunk,
-/// and one error, panic, stop or crash at any step. It drives the state as
-/// `run`'s lanes do, one event per lock hold, and wakes only the lanes the
-/// state names. States are deduplicated by hash; a violated property comes
-/// back with a shortest event trace to it.
+/// Exhaustive exploration (`gw_check::explore`) of `GraphState` under
+/// every order of the events its lanes bring: asks, arrival probes, claims
+/// that admit a chunk or end the stream, stages that return or consume
+/// their chunk, and one error, panic, stop or crash at any step. It drives
+/// the state as `run`'s lanes do, one event per lock hold, and wakes only
+/// the lanes the state names.
 #[cfg(test)]
 mod checker {
     use super::*;
-    use std::collections::hash_map::{DefaultHasher, Entry};
-    use std::collections::{HashMap, VecDeque};
+    use gw_check::{explore, Model};
     use std::hash::{Hash, Hasher};
 
     /// The graph and the traffic the search covers.
@@ -1782,37 +1780,86 @@ mod checker {
     }
 
     impl World {
-        fn new(b: &Bounds) -> Self {
-            let st = GraphState::new(b.depth, &b.widths, &b.groups);
+        /// Whether slot `p`'s lane for seq `s` already ran a later seq
+        /// or this one.
+        fn out_of_order(&self, p: usize, s: usize) -> bool {
+            let width = self.st.slots[p].width;
+            let lane_seqs = (0..8).filter(|t| t % width == s % width);
+            lane_seqs
+                .filter(|&t| t >= s)
+                .any(|t| self.seen[p] >> t & 1 == 1)
+        }
+    }
+
+    /// What decides the future.
+    impl Hash for World {
+        fn hash<H: Hasher>(&self, h: &mut H) {
+            let st = &self.st;
+            for slot in &st.slots {
+                slot.admit.hash(h);
+            }
+            for g in &st.groups {
+                g.in_use.hash(h);
+            }
+            let payload = |p: &Payload<usize>| match p {
+                Payload::Chunk(c) => Some(*c),
+                Payload::Skip => None,
+            };
+            for lane in &st.lanes {
+                (lane.next, lane.held).hash(h);
+                match &lane.phase {
+                    Phase::Input => 0.hash(h),
+                    Phase::Arrived => 1.hash(h),
+                    Phase::Turn(live) => (2, live).hash(h),
+                    Phase::Token(i, begun) => (3, i, begun).hash(h),
+                    Phase::Busy => 4.hash(h),
+                    Phase::Output(p) => (5, payload(p)).hash(h),
+                    Phase::Ended => 6.hash(h),
+                }
+            }
+            for cell in st.cells.iter().flatten() {
+                cell.as_ref().map(payload).hash(h);
+            }
+            (st.end, st.closed, st.chunks, &self.threads).hash(h);
+            (&self.seen, &self.gone, &self.admitted).hash(h);
+            (self.consumes, self.failures).hash(h);
+        }
+    }
+
+    impl Model for Bounds {
+        type State = World;
+        type Event = Event;
+
+        fn start(&self) -> World {
+            let st = GraphState::new(self.depth, &self.widths, &self.groups);
             World {
                 threads: vec![Thread::Asking; st.lanes.len()],
-                seen: vec![0; b.widths.len()],
-                gone: vec![0; b.widths.len()],
-                admitted: vec![0; b.groups.len()],
+                seen: vec![0; self.widths.len()],
+                gone: vec![0; self.widths.len()],
+                admitted: vec![0; self.groups.len()],
                 consumes: 0,
                 failures: 0,
                 st,
             }
         }
 
-        fn events(&self, b: &Bounds) -> Vec<Event> {
+        fn events(&self, w: &World) -> Vec<Event> {
             let mut events = Vec::new();
-            let fails = self.failures < b.failures;
-            for (l, &t) in self.threads.iter().enumerate() {
-                let (p, s) = (self.st.lanes[l].slot, self.st.lanes[l].next);
+            let fails = w.failures < self.failures;
+            for (l, &t) in w.threads.iter().enumerate() {
+                let (p, s) = (w.st.lanes[l].slot, w.st.lanes[l].next);
                 match t {
-                    Thread::Asking => events.push(Event::Ask(l)),
-                    Thread::Probing => events.push(Event::Ask(l)),
+                    Thread::Asking | Thread::Probing => events.push(Event::Ask(l)),
                     Thread::Going if p == 0 => {
-                        if s < b.chunks {
+                        if s < self.chunks {
                             events.push(Event::Claim(l, true));
                         }
                         events.push(Event::Claim(l, false));
                     }
                     Thread::Going | Thread::Producing => {
                         events.push(Event::Done(l, false));
-                        let last = p + 1 == b.widths.len();
-                        if p > 0 && !last && self.consumes < b.consumes {
+                        let last = p + 1 == self.widths.len();
+                        if p > 0 && !last && w.consumes < self.consumes {
                             events.push(Event::Done(l, true));
                         }
                     }
@@ -1825,21 +1872,11 @@ mod checker {
             events
         }
 
-        /// Whether slot `p`'s lane for seq `s` already ran a later seq
-        /// or this one.
-        fn out_of_order(&self, p: usize, s: usize) -> bool {
-            let width = self.st.slots[p].width;
-            let lane_seqs = (0..8).filter(|t| t % width == s % width);
-            lane_seqs
-                .filter(|&t| t >= s)
-                .any(|t| self.seen[p] >> t & 1 == 1)
-        }
-
-        fn apply(&mut self, event: Event) -> Result<(), String> {
+        fn apply(&self, w: &mut World, event: Event) -> Result<(), String> {
             match event {
                 Event::Ask(l) => {
-                    let p = self.st.lanes[l].slot;
-                    self.threads[l] = match self.st.ask(l) {
+                    let p = w.st.lanes[l].slot;
+                    w.threads[l] = match w.st.ask(l) {
                         Poll::Pending => Thread::Parked,
                         Poll::Ready(Ask::End) => Thread::Done,
                         Poll::Ready(Ask::Arrived(s, chunk)) => {
@@ -1850,24 +1887,24 @@ mod checker {
                         }
                         Poll::Ready(Ask::TokenWait(..)) => Thread::Asking,
                         Poll::Ready(Ask::Token(g, s, _)) => {
-                            if self.st.lanes[l].held >> g & 1 == 1 {
-                                if self.admitted[g] >> s != 0 {
+                            if w.st.lanes[l].held >> g & 1 == 1 {
+                                if w.admitted[g] >> s != 0 {
                                     return Err(format!("seq {s} enters group {g} late"));
                                 }
-                                self.admitted[g] |= 1 << s;
+                                w.admitted[g] |= 1 << s;
                             }
                             Thread::Asking
                         }
                         Poll::Ready(Ask::Go(s)) => {
-                            if s % self.st.slots[p].width != l - self.st.slots[p].base
-                                || self.out_of_order(p, s)
+                            if s % w.st.slots[p].width != l - w.st.slots[p].base
+                                || w.out_of_order(p, s)
                             {
                                 return Err(format!(
                                     "slot {p}'s lane {l} runs seq {s} out of turn"
                                 ));
                             }
                             if p > 0 {
-                                self.seen[p] |= 1 << s;
+                                w.seen[p] |= 1 << s;
                             }
                             Thread::Going
                         }
@@ -1875,175 +1912,82 @@ mod checker {
                 }
                 Event::Claim(l, ok) => {
                     if ok {
-                        self.seen[0] |= 1 << self.st.lanes[l].next;
+                        w.seen[0] |= 1 << w.st.lanes[l].next;
                     }
-                    self.st.claimed(l, ok);
-                    self.threads[l] = if ok {
+                    w.st.claimed(l, ok);
+                    w.threads[l] = if ok {
                         Thread::Producing
                     } else {
                         Thread::Asking
                     };
                 }
                 Event::Done(l, consumed) => {
-                    let (p, s) = (self.st.lanes[l].slot, self.st.lanes[l].next);
+                    let (p, s) = (w.st.lanes[l].slot, w.st.lanes[l].next);
                     if consumed {
-                        self.gone[p] |= 1 << s;
-                        self.consumes += 1;
+                        w.gone[p] |= 1 << s;
+                        w.consumes += 1;
                     }
-                    self.st.done(l, (!consumed).then_some(s));
-                    self.threads[l] = Thread::Asking;
+                    w.st.done(l, (!consumed).then_some(s));
+                    w.threads[l] = Thread::Asking;
                 }
                 Event::Fail(l) => {
-                    self.failures += 1;
-                    self.st.fail(l);
-                    self.threads[l] = Thread::Done;
+                    w.failures += 1;
+                    w.st.fail(l);
+                    w.threads[l] = Thread::Done;
                 }
             }
-            for l in std::mem::take(&mut self.st.wake) {
-                if self.threads[l] == Thread::Parked {
-                    self.threads[l] = Thread::Asking;
+            for l in std::mem::take(&mut w.st.wake) {
+                if w.threads[l] == Thread::Parked {
+                    w.threads[l] = Thread::Asking;
                 }
             }
-            match self.st.groups.iter().position(|g| g.in_use > self.st.depth) {
+            match w.st.groups.iter().position(|g| g.in_use > w.st.depth) {
                 Some(g) => Err(format!(
                     "group {g} has {} chunks in flight",
-                    self.st.groups[g].in_use
+                    w.st.groups[g].in_use
                 )),
                 None => Ok(()),
             }
         }
 
-        /// The properties of a state no event changes.
-        fn ends(&self) -> Result<(), String> {
-            if let Some(l) = self.threads.iter().position(|&t| t != Thread::Done) {
+        fn ends(&self, w: &World) -> Result<(), String> {
+            if let Some(l) = w.threads.iter().position(|&t| t != Thread::Done) {
                 return Err(format!(
                     "lane {l} is {:?} and nothing wakes it",
-                    self.threads[l]
+                    w.threads[l]
                 ));
             }
-            if let Some(g) = self.st.groups.iter().position(|g| g.in_use > 0) {
+            if let Some(g) = w.st.groups.iter().position(|g| g.in_use > 0) {
                 return Err(format!("group {g} never gets its permits back"));
             }
-            if self.st.cells.iter().flatten().any(Option::is_some) {
+            if w.st.cells.iter().flatten().any(Option::is_some) {
                 return Err("a chunk is left in a handoff cell".into());
             }
-            if self.failures > 0 {
+            if w.failures > 0 {
                 return Ok(());
             }
             // Every slot ran every seq of the stream that no slot before
             // it consumed.
-            let stream = (1u8 << self.st.end) - 1;
+            let stream = (1u8 << w.st.end) - 1;
             let mut live = stream;
-            for (p, &seen) in self.seen.iter().enumerate() {
+            for (p, &seen) in w.seen.iter().enumerate() {
                 if seen != live {
                     return Err(format!("slot {p} ran seqs {seen:#b}, not {live:#b}"));
                 }
-                live &= !self.gone[p];
+                live &= !w.gone[p];
             }
-            if self.st.chunks != self.st.end {
-                return Err(format!(
-                    "{} chunks emitted of {}",
-                    self.st.chunks, self.st.end
-                ));
+            if w.st.chunks != w.st.end {
+                return Err(format!("{} chunks emitted of {}", w.st.chunks, w.st.end));
             }
             Ok(())
         }
 
-        /// A hash of what decides the future.
-        fn fingerprint(&self) -> u64 {
-            let mut h = DefaultHasher::new();
-            let st = &self.st;
-            for slot in &st.slots {
-                slot.admit.hash(&mut h);
-            }
-            for g in &st.groups {
-                g.in_use.hash(&mut h);
-            }
-            let payload = |p: &Payload<usize>| match p {
-                Payload::Chunk(c) => Some(*c),
-                Payload::Skip => None,
-            };
-            for lane in &st.lanes {
-                (lane.next, lane.held).hash(&mut h);
-                match &lane.phase {
-                    Phase::Input => 0.hash(&mut h),
-                    Phase::Arrived => 1.hash(&mut h),
-                    Phase::Turn(live) => (2, live).hash(&mut h),
-                    Phase::Token(i, begun) => (3, i, begun).hash(&mut h),
-                    Phase::Busy => 4.hash(&mut h),
-                    Phase::Output(p) => (5, payload(p)).hash(&mut h),
-                    Phase::Ended => 6.hash(&mut h),
-                }
-            }
-            for cell in st.cells.iter().flatten() {
-                cell.as_ref().map(payload).hash(&mut h);
-            }
-            (st.end, st.closed, st.chunks, &self.threads).hash(&mut h);
-            (&self.seen, &self.gone, &self.admitted).hash(&mut h);
-            (self.consumes, self.failures).hash(&mut h);
-            h.finish()
+        fn label(&self) -> String {
+            format!(
+                "pipeline checker {} graph, lanes {:?}, B {}, {} chunks, {} consumed, {} failure(s)",
+                self.name, self.widths, self.depth, self.chunks, self.consumes, self.failures,
+            )
         }
-    }
-
-    /// Explore every state reachable within `b`, and return the number of
-    /// states; the first property violated comes back with a shortest
-    /// event trace to it.
-    fn explore(b: &Bounds) -> Result<usize, String> {
-        let started = Instant::now();
-        let start = World::new(b);
-        // Each state's parent and the event that led from it.
-        let mut seen: HashMap<u64, Option<(u64, Event)>> = HashMap::new();
-        seen.insert(start.fingerprint(), None);
-        let mut frontier = VecDeque::from([start]);
-        let fail = |seen: &HashMap<u64, Option<(u64, Event)>>,
-                    mut at: u64,
-                    last: Option<Event>,
-                    why: String| {
-            let mut trace: Vec<Event> = last.into_iter().collect();
-            while let Some(Some((parent, event))) = seen.get(&at) {
-                trace.push(*event);
-                at = *parent;
-            }
-            trace.reverse();
-            Err(format!(
-                "{}: {why}\nshortest trace ({} events): {trace:?}",
-                label(b),
-                trace.len()
-            ))
-        };
-        while let Some(world) = frontier.pop_front() {
-            let here = world.fingerprint();
-            let events = world.events(b);
-            if events.is_empty() {
-                if let Err(why) = world.ends() {
-                    return fail(&seen, here, None, why);
-                }
-            }
-            for event in events {
-                let mut next = world.clone();
-                if let Err(why) = next.apply(event) {
-                    return fail(&seen, here, Some(event), why);
-                }
-                if let Entry::Vacant(e) = seen.entry(next.fingerprint()) {
-                    e.insert(Some((here, event)));
-                    frontier.push_back(next);
-                }
-            }
-        }
-        println!(
-            "pipeline checker {}: {} states in {:.2?}",
-            label(b),
-            seen.len(),
-            started.elapsed(),
-        );
-        Ok(seen.len())
-    }
-
-    fn label(b: &Bounds) -> String {
-        format!(
-            "{} graph, lanes {:?}, B {}, {} chunks, {} consumed, {} failure(s)",
-            b.name, b.widths, b.depth, b.chunks, b.consumes, b.failures,
-        )
     }
 
     /// The graphs the engine and the benches build: the map graph
