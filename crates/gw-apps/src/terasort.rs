@@ -18,10 +18,26 @@
 use gw_core::{Emit, GwApp};
 
 /// Sampled range partitioner: `boundaries[i]` is the smallest key of
-/// partition `i + 1`.
+/// partition `i + 1`. A lookup compares *heads*, each key's first 16 bytes
+/// zero-padded and read big-endian, and reads bytes past them only when a
+/// boundary's head ties the key's and one of the two is longer.
 #[derive(Debug, Clone)]
 pub struct RangePartitioner {
     boundaries: Vec<Vec<u8>>,
+    /// `boundaries[i]`'s head.
+    heads: Vec<u128>,
+}
+
+/// `key`'s first 16 bytes, zero-padded, as a big-endian integer: heads
+/// that differ order as their keys do.
+#[inline]
+fn head(key: &[u8]) -> u128 {
+    if let Some(head) = key.first_chunk::<16>() {
+        return u128::from_be_bytes(*head);
+    }
+    let mut head = [0u8; 16];
+    head[..key.len()].copy_from_slice(key);
+    u128::from_be_bytes(head)
 }
 
 impl RangePartitioner {
@@ -40,13 +56,35 @@ impl RangePartitioner {
                 }
             }
         }
-        RangePartitioner { boundaries }
+        let heads = boundaries.iter().map(|b| head(b)).collect();
+        RangePartitioner { boundaries, heads }
     }
 
-    /// Partition of `key`: number of boundaries ≤ key.
+    /// Partition of `key`: number of boundaries ≤ key. A boundary whose
+    /// head is below the key's is below the key. Those are counted, not
+    /// searched for: on random keys every step of a binary search is a
+    /// branch the CPU cannot predict, and the count has none. The count is
+    /// linear in the boundaries: measured faster at 3 and about even at
+    /// 255, it is unmeasured beyond. Of the boundaries whose heads tie the
+    /// key's, equal zero-padded bytes up to 16, those ≤ key come first:
+    /// when neither is longer, the shorter is a prefix of the other and
+    /// sorts first, with no byte read; past that the keys are compared.
     #[inline]
     pub fn partition_of(&self, key: &[u8]) -> u32 {
-        self.boundaries.partition_point(|b| b.as_slice() <= key) as u32
+        let k = head(key);
+        let below = self.heads.iter().filter(|&&h| h < k).count();
+        let ties = self.heads[below..]
+            .iter()
+            .zip(&self.boundaries[below..])
+            .take_while(|&(&h, b)| {
+                h == k
+                    && match b.len().max(key.len()) {
+                        ..=16 => b.len() <= key.len(),
+                        _ => b.as_slice() <= key,
+                    }
+            })
+            .count();
+        (below + ties) as u32
     }
 
     /// Number of partitions this partitioner can address.
@@ -245,6 +283,44 @@ mod tests {
         let a = validate([(b"a".as_slice(), b"1".as_slice())]);
         let b = validate([(b"a".as_slice(), b"2".as_slice())]);
         assert_ne!(a.checksum, b.checksum);
+    }
+
+    mod properties {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// Keys built to meet the head's edges: from a few stems of 0, 5,
+        /// 16 and 20 bytes, each extended by 0–3 bytes drawn from
+        /// `{0, 1, 0xff}`, so keys are empty, shorter and longer than 16
+        /// bytes, share a 16-byte prefix with a boundary, or differ from
+        /// one by trailing zeros only.
+        fn key() -> impl Strategy<Value = Vec<u8>> {
+            let stems: [&[u8]; 4] = [b"", b"mid-k", b"sixteen-byte-key", b"sixteen-byte-key-and"];
+            (
+                0..stems.len(),
+                proptest::collection::vec(prop_oneof![Just(0u8), Just(1), Just(0xff)], 0..4),
+            )
+                .prop_map(move |(stem, tail)| [stems[stem], &tail[..]].concat())
+        }
+
+        proptest! {
+            /// The head lookup finds the partition a slice `partition_point`
+            /// over the boundaries finds, for keys drawn from the boundaries'
+            /// own neighbourhood, each boundary itself among them.
+            #[test]
+            fn head_lookup_matches_slice_partition_point(
+                samples in proptest::collection::vec(key(), 0..40),
+                probes in proptest::collection::vec(key(), 0..40),
+                partitions in 1u32..8)
+            {
+                let rp = RangePartitioner::from_samples(samples, partitions);
+                let slices: Vec<&[u8]> = rp.boundaries.iter().map(Vec::as_slice).collect();
+                for key in probes.iter().map(Vec::as_slice).chain(slices.iter().copied()) {
+                    let expect = slices.partition_point(|b| *b <= key) as u32;
+                    prop_assert!(rp.partition_of(key) == expect, "key {:?}", key);
+                }
+            }
+        }
     }
 
     #[test]

@@ -602,7 +602,7 @@ impl FileStore for ScopedStore {
         &self,
         path: &str,
         writer: NodeId,
-        blocks: Vec<(Vec<u8>, usize)>,
+        blocks: Vec<gw_storage::split::RecordBlock>,
         replication: usize,
     ) -> Result<gw_storage::IoSample, gw_storage::StorageError> {
         self.inner

@@ -29,24 +29,45 @@
 //! radix-sorts them on the head, and writes each record once into the run.
 //! No lane waits for another and nothing is decoded twice.
 //!
-//! * [`BufferPoolCollector`] — per shard (picked by work-group) one
-//!   growable byte arena per partition, records appended encoded; a
-//!   record's partition is computed per record and its sub-slot is its
-//!   shard's, `shard mod ⌊N/P⌋`. The paper's "each thread allocates space
-//!   via a single atomic operation" becomes one uncontended lock per work
-//!   item.
-//!   Fast emits, but every occurrence is stored and sorted (Table II config
-//!   (iii): dominant partitioning stage).
-//! * [`HashTableCollector`] — one private open-addressing table per
-//!   work-group, keys and values in one arena, combining in place. An emit
-//!   takes no lock and no atomic another group takes and, once the first
-//!   chunk has sized the arenas, allocates nothing. A key's slot is
-//!   computed once per group, when the key is first inserted: the
-//!   sub-slot comes from bits of the hash the table computed anyway, so
-//!   all of a key's records are one lane's. With a combiner the lane
-//!   combines a key held by several groups in group order — group 0's
-//!   accumulator, then groups `1..G` — so a chunk still yields one record
-//!   per distinct key.
+//! Much map output is input: TeraSort's identity map emits each record's
+//! own key and value. So before each launch attempt the map kernel binds
+//! its collector to the chunk's input block ([`Collector::bind`]), and a
+//! bound collector keeps a key or value slice that lies inside that block
+//! as a `u32` span of it, not a copy: a pointer-range check against where
+//! the kernel reads the block (the block itself, or its staged copy on a
+//! discrete-memory device, translated back onto the block). The lanes
+//! resolve spans against the same block and write records with
+//! [`RecRef::write`], so run bytes do not depend on where a record was
+//! kept, and `records`/`bytes` count what they count unbound.
+//! [`Collector::reset`] releases the binding, so no block outlives its
+//! chunk, and a retried attempt binds again. Only the buffer pool and a
+//! hash table that files (below) bind: a keyed table's accumulators and
+//! value chains are its own bytes.
+//!
+//! * [`BufferPoolCollector`] — per shard (picked by work-group) one growable
+//!   list of records per partition, each record's key and value kept as a
+//!   span of the bound input or as raw arena bytes; a record's partition is
+//!   computed per record and its sub-slot is its shard's, `shard mod ⌊N/P⌋`.
+//!   The paper's "each thread allocates space via a single atomic operation"
+//!   becomes one uncontended lock per work item. Fast emits, but every
+//!   occurrence is stored and sorted (Table II config (iii): dominant
+//!   partitioning stage).
+//! * [`HashTableCollector`] — one private table per work-group, keyed: an
+//!   open-addressing index, keys and value nodes in one arena. A key's slot
+//!   is computed once per group, when the key is first inserted. With a
+//!   combiner a key's one node is its accumulator, combined in place;
+//!   without one (Table II config (ii)) the node chain keeps every value, so
+//!   a group stores a repeated key once. An emit takes no lock and no atomic
+//!   another group takes and, once a chunk has sized the arenas, allocates
+//!   nothing. The lane combines a key held by several groups in group order
+//!   — group 0's accumulator, then groups `1..G` — so a chunk still yields
+//!   one record per distinct key. A table without a combiner whose keys do
+//!   not repeat (TeraSort's) has nothing to compact: once the lanes have
+//!   read a chunk in which no group held a key twice, the collector's
+//!   tables file each record under its key's slot as the pool does, with no
+//!   probe (bound: as two spans when it is input), for the rest of its
+//!   life. Either way the sub-slot comes from bits of the key's hash, so
+//!   all of a key's records are one lane's, and the runs are the same bytes.
 //!
 //! Either way what the lanes build, *and the bits of every accumulator*,
 //! depend on the chunk, the NDRange and the slots only, never on which
@@ -57,13 +78,14 @@
 
 use std::cmp::Ordering;
 use std::ops::Range;
+use std::sync::atomic::{AtomicBool, Ordering as AtomicOrdering};
 use std::sync::{Arc, OnceLock};
 
 use parking_lot::RwLock;
 
 use gw_device::current_group_id;
 use gw_intermediate::{key_head, shared_prefix, Run, SortBuf, SortRef};
-use gw_storage::varint::RecRef;
+use gw_storage::varint::{size_u64, RecRef};
 
 use crate::api::Combiner;
 use crate::hash::{bucket_of, hash_bytes};
@@ -147,6 +169,15 @@ impl Slots {
         p as usize
     }
 
+    /// The slot of `key`, hashing it only if partitions have sub-slots.
+    #[inline]
+    fn slot_of_key(&self, key: &[u8]) -> usize {
+        match self.split {
+            1 => self.partition_of(key),
+            _ => self.slot_of(key, hash_bytes(key)),
+        }
+    }
+
     /// The slot of `key`, whose hash is `hash`. The sub-slot reads hash
     /// bits below the top byte, which the default partitioner's
     /// multiply-shift and the table's home slot read, so sub-slots split
@@ -166,10 +197,84 @@ impl Slots {
     }
 }
 
+/// Where a collector keeps a key or value: `len` bytes at `off` of its own
+/// arena or, with [`Loc::INPUT`] set in `len`, of the input block it is
+/// bound to.
+#[derive(Clone, Copy)]
+struct Loc {
+    off: u32,
+    len: u32,
+}
+
+impl Loc {
+    /// `len`'s flag for a span of the bound input.
+    const INPUT: u32 = 1 << 31;
+
+    /// The bytes this names, in `arena` or `input`.
+    #[inline]
+    fn get<'a>(self, arena: &'a [u8], input: &'a [u8]) -> &'a [u8] {
+        let (from, len) = match self.len & Loc::INPUT {
+            0 => (arena, self.len),
+            _ => (input, self.len & !Loc::INPUT),
+        };
+        &from[self.off as usize..][..len as usize]
+    }
+}
+
+/// The chunk input a collector is bound to for one launch attempt.
+struct Binding {
+    block: Arc<[u8]>,
+    /// The addresses the kernel reads the block at: the block's own, or a
+    /// staged copy's, byte for byte the same.
+    view: Range<usize>,
+}
+
+impl Binding {
+    fn new(block: &Arc<[u8]>, view: &[u8]) -> Self {
+        assert_eq!(block.len(), view.len(), "a view is the whole block");
+        let view = view.as_ptr_range();
+        Binding {
+            block: Arc::clone(block),
+            view: view.start as usize..view.end as usize,
+        }
+    }
+
+    /// `bytes` as a span of the block, if they lie in the view and the
+    /// span fits a [`Loc`].
+    #[inline]
+    fn span(&self, bytes: &[u8]) -> Option<Loc> {
+        let at = (bytes.as_ptr() as usize).wrapping_sub(self.view.start);
+        if at > self.view.len() || bytes.len() > self.view.len() - at {
+            return None;
+        }
+        let len = u32::try_from(bytes.len())
+            .ok()
+            .filter(|&len| len < Loc::INPUT)?;
+        Some(Loc {
+            off: u32::try_from(at).ok()?,
+            len: len | Loc::INPUT,
+        })
+    }
+}
+
+/// The bytes spans resolve against: the bound block, or none.
+fn input_of(binding: &Option<Binding>) -> &[u8] {
+    binding.as_ref().map_or(&[], |b| &b.block)
+}
+
 /// A kernel-output collector. `emit` and `work_item` are called
-/// concurrently from work items; `lane_runs`, `visit` and `reset` by the
-/// pipeline after the kernel completes (no concurrent emits).
+/// concurrently from work items; `bind` by the pipeline before a launch,
+/// and `lane_runs`, `visit` and `reset` after the kernel completes (no
+/// concurrent emits).
 pub trait Collector: Send + Sync {
+    /// Bind to the chunk input `block` for one launch attempt: `view` is
+    /// where the kernel reads it, the block itself or a staged copy of
+    /// it. A collector may then keep a key or value that lies in `view`
+    /// as a span of `block`; [`Collector::reset`] releases the binding.
+    /// Nothing may emit into a bound collector once the view's memory is
+    /// reused. The default keeps nothing.
+    fn bind(&mut self, _block: &Arc<[u8]>, _view: &[u8]) {}
+
     /// Store one key/value pair.
     fn emit(&self, key: &[u8], value: &[u8]);
 
@@ -216,11 +321,84 @@ pub fn for_each_record(c: &dyn Collector, f: &mut dyn FnMut(&[u8], &[u8])) {
 // Shared buffer pool
 // ---------------------------------------------------------------------------
 
-/// One partition's records in a shard, encoded back to back as
-/// `varint(klen) varint(vlen) key value` in emission order.
+/// Records filed together — a buffer-pool shard's of one partition, or a
+/// table's of one slot — in emission order: each record's key and value
+/// as [`Loc`]s, those that are not spans of the bound input copied to
+/// `bytes`.
+#[derive(Default)]
 struct Bucket {
     bytes: Vec<u8>,
-    records: usize,
+    held: Vec<[Loc; 2]>,
+    /// The records' size encoded as a run holds them.
+    encoded: usize,
+}
+
+impl Bucket {
+    /// File a record: its key and its value each as a span of `input` if
+    /// bound and it lies there, else copied to `bytes`.
+    fn hold(&mut self, input: Option<&Binding>, key: &[u8], value: &[u8]) {
+        let mut loc = |bytes: &[u8]| {
+            input
+                .and_then(|input| input.span(bytes))
+                .unwrap_or_else(|| {
+                    let off = span(self.bytes.len());
+                    self.bytes.extend_from_slice(bytes);
+                    let len = span(bytes.len());
+                    assert!(len < Loc::INPUT, "a key or value of 2 GiB or more");
+                    Loc { off, len }
+                })
+        };
+        self.held.push([loc(key), loc(value)]);
+        let (k, v) = (key.len(), value.len());
+        self.encoded += size_u64(k as u64) + size_u64(v as u64) + k + v;
+    }
+
+    /// Every record, in emission order, spans resolved against `input`.
+    fn records<'a>(&'a self, input: &'a [u8]) -> impl Iterator<Item = (&'a [u8], &'a [u8])> {
+        let arena = self.bytes.as_slice();
+        let get = move |&[key, value]: &[Loc; 2]| (key.get(arena, input), value.get(arena, input));
+        self.held.iter().map(get)
+    }
+
+    fn clear(&mut self) {
+        self.bytes.clear();
+        self.held.clear();
+        self.encoded = 0;
+    }
+}
+
+/// The sorted run of every record `buckets` hold, spans resolved against
+/// `input`, or `None` if they hold none. Refs name a record by its place
+/// in `pairs`, where each is gathered once, bucket by bucket; heads are
+/// read past the prefix every key shares. Records are written with
+/// [`RecRef::write`], so the run's bytes do not depend on where a record
+/// was kept.
+fn filed_run<'a>(
+    buckets: impl Iterator<Item = &'a Bucket> + Clone,
+    input: &'a [u8],
+    pairs: &mut Vec<(&'a [u8], &'a [u8])>,
+    buf: &mut SortBuf,
+) -> Option<Run> {
+    pairs.clear();
+    pairs.extend(buckets.clone().flat_map(|bucket| bucket.records(input)));
+    let &(first, _) = pairs.first()?;
+    let skip = pairs
+        .iter()
+        .fold(usize::MAX, |skip, (key, _)| shared_prefix(first, key, skip));
+    buf.clear();
+    buf.refs
+        .extend(pairs.iter().enumerate().map(|(at, (key, _))| SortRef {
+            head: key_head(&key[skip..]),
+            group: 0,
+            entry: span(at),
+        }));
+    buf.sort_by(|_, a, b| pairs[a.entry as usize].cmp(&pairs[b.entry as usize]));
+    let mut run = Vec::with_capacity(buckets.map(|bucket| bucket.encoded).sum());
+    for r in &buf.refs {
+        let (key, value) = pairs[r.entry as usize];
+        RecRef::write(&mut run, key, value);
+    }
+    Some(Run::from_sorted_bytes(run, pairs.len()))
 }
 
 /// One work-group's buckets, one per partition (several groups', when the
@@ -236,6 +414,7 @@ struct Shard(RwLock<Vec<Bucket>>);
 pub struct BufferPoolCollector {
     slots: Slots,
     shards: Vec<Shard>,
+    input: Option<Binding>,
 }
 
 impl BufferPoolCollector {
@@ -253,12 +432,13 @@ impl BufferPoolCollector {
         let partitions = slots.partitions as usize;
         let bucket = || Bucket {
             bytes: Vec::with_capacity(capacity / (shards * partitions)),
-            records: 0,
+            ..Bucket::default()
         };
         let shard = || Shard(RwLock::new((0..partitions).map(|_| bucket()).collect()));
         BufferPoolCollector {
             shards: (0..shards).map(|_| shard()).collect(),
             slots,
+            input: None,
         }
     }
 
@@ -269,6 +449,10 @@ impl BufferPoolCollector {
 }
 
 impl Collector for BufferPoolCollector {
+    fn bind(&mut self, block: &Arc<[u8]>, view: &[u8]) {
+        self.input = Some(Binding::new(block, view));
+    }
+
     fn emit(&self, key: &[u8], value: &[u8]) {
         self.work_item(&mut |sink| sink(key, value));
     }
@@ -277,86 +461,47 @@ impl Collector for BufferPoolCollector {
     /// once; the lock is released when `f` returns or unwinds.
     fn work_item(&self, f: &mut dyn FnMut(&mut Sink<'_>)) {
         let shard = &self.shards[current_group_id() % self.shards.len()];
-        let mut shard = shard.0.write();
-        f(&mut |key, value| {
-            let bucket = &mut shard[self.slots.partition_of(key)];
-            RecRef::write(&mut bucket.bytes, key, value);
-            bucket.records += 1;
-        });
+        let (mut shard, input) = (shard.0.write(), self.input.as_ref());
+        f(&mut |key, value| shard[self.slots.partition_of(key)].hold(input, key, value));
     }
 
-    /// Refs name a record by its shard among the slot's and its position
-    /// in `buf.recs`, where each record is decoded once; heads are read
-    /// past the prefix every key of the slot shares.
     fn lane_runs(&self, lane: usize, buf: &mut SortBuf, deliver: &mut dyn FnMut(u32, Run)) {
-        let split = self.slots.split;
+        let (split, input) = (self.slots.split, input_of(&self.input));
+        let shards: Vec<_> = self.shards.iter().map(|s| s.0.read()).collect();
+        let mut pairs = Vec::new();
         for (p, slot) in self.slots.lane(lane) {
-            let shards: Vec<_> = self
-                .shards
-                .iter()
-                .skip(slot % split)
-                .step_by(split)
-                .map(|s| s.0.read())
-                .collect();
-            let bucket = |group: u32| shards[group as usize][p as usize].bytes.as_slice();
-            buf.clear();
-            let mut bytes = 0;
-            for (group, shard) in (0..).zip(&shards) {
-                let arena = &shard[p as usize].bytes;
-                bytes += arena.len();
-                let mut off = 0;
-                while off < arena.len() {
-                    let rec = RecRef::decode(arena, off).expect("corrupt arena record");
-                    off = rec.end();
-                    let at = span(buf.recs.len());
-                    buf.refs.push(SortRef {
-                        head: 0,
-                        group,
-                        entry: at,
-                    });
-                    buf.recs.push(rec);
-                }
+            let shards = shards.iter().skip(slot % split).step_by(split);
+            let buckets = shards.map(|shard| &shard[p as usize]);
+            if let Some(run) = filed_run(buckets, input, &mut pairs, buf) {
+                deliver(p, run);
             }
-            if buf.refs.is_empty() {
-                continue;
-            }
-            buf.sort_records(bucket);
-            let mut run = Vec::with_capacity(bytes);
-            buf.write_records(bucket, &mut run);
-            deliver(p, Run::from_sorted_bytes(run, buf.refs.len()));
         }
     }
 
     /// Shard by shard, each shard partition by partition in emission
     /// order: no sort, so a single-slot pool hands records out as emitted.
     fn visit(&self, f: &mut dyn FnMut(&[u8], &[u8])) {
+        let input = input_of(&self.input);
         for shard in &self.shards {
             for bucket in shard.0.read().iter() {
-                let mut rest = bucket.bytes.as_slice();
-                while !rest.is_empty() {
-                    let rec = RecRef::decode(rest, 0).expect("corrupt arena record");
-                    f(rec.key(rest), rec.value(rest));
-                    rest = &rest[rec.end()..];
-                }
+                bucket.records(input).for_each(|(key, value)| f(key, value));
             }
         }
     }
 
     fn reset(&mut self) {
+        self.input = None;
         for shard in &mut self.shards {
-            for bucket in shard.0.get_mut() {
-                bucket.bytes.clear();
-                bucket.records = 0;
-            }
+            shard.0.get_mut().iter_mut().for_each(Bucket::clear);
         }
     }
 
     fn records(&self) -> usize {
-        self.sum(|bucket| bucket.records)
+        self.sum(|bucket| bucket.held.len())
     }
 
     fn bytes(&self) -> usize {
-        self.sum(|bucket| bucket.bytes.len())
+        self.sum(|bucket| bucket.encoded)
     }
 }
 
@@ -378,7 +523,7 @@ fn span(n: usize) -> u32 {
     u32::try_from(n).expect("a work-group's collector table exceeds the 4 GiB index limit")
 }
 
-/// One distinct key of a [`GroupTable`].
+/// One distinct key of a [`KeyedTable`].
 #[derive(Clone, Copy)]
 struct Entry {
     /// The key's hash, kept for growing the index.
@@ -391,12 +536,12 @@ struct Entry {
     tail: u32,
 }
 
-/// One work-group's table: an open-addressing index over entry ids, the
-/// entries in insertion order, one arena holding every key and every
-/// value node (`next len value`, chained per key), and per slot the ids of
-/// the entries filed there. Nothing here is allocated per key, and `clear`
-/// keeps every capacity.
-struct GroupTable {
+/// One work-group's table of keys: an open-addressing index over entry
+/// ids, the entries in insertion order, one arena holding every key and
+/// every value node (`next len value`, chained per key), and per slot the
+/// ids of the entries filed there. Nothing here is allocated per key, and
+/// `clear` keeps every capacity.
+struct KeyedTable {
     combiner: Option<Arc<dyn Combiner>>,
     /// Slots the index opens with (`JobConfig::hash_buckets`).
     opening_slots: usize,
@@ -415,9 +560,9 @@ struct GroupTable {
     bytes: usize,
 }
 
-impl GroupTable {
+impl KeyedTable {
     fn new(opening_slots: usize, combiner: Option<Arc<dyn Combiner>>, slots: usize) -> Self {
-        GroupTable {
+        KeyedTable {
             combiner,
             opening_slots,
             index: Vec::new(),
@@ -631,21 +776,74 @@ impl<T> PerGroup<T> {
     }
 }
 
+/// One work-group's records, filed with no probe: per slot, every record
+/// filed there in emission order, as the buffer pool files them (bound: a
+/// key or value lying in the input as a span of it).
+struct FiledTable {
+    slots: Vec<Bucket>,
+    /// What a [`KeyedTable`] counts for the same records if no key repeats
+    /// (none did in the chunk that made the tables file): each record's key
+    /// and value, plus a byte of overhead each.
+    bytes: usize,
+}
+
+impl FiledTable {
+    fn new(slots: usize) -> Self {
+        FiledTable {
+            slots: (0..slots).map(|_| Bucket::default()).collect(),
+            bytes: 0,
+        }
+    }
+
+    fn file(&mut self, slots: &Slots, input: Option<&Binding>, key: &[u8], value: &[u8]) {
+        self.bytes += key.len() + value.len() + 2;
+        self.slots[slots.slot_of_key(key)].hold(input, key, value);
+    }
+
+    fn records(&self) -> usize {
+        self.slots.iter().map(|bucket| bucket.held.len()).sum()
+    }
+
+    fn clear(&mut self) {
+        self.slots.iter_mut().for_each(Bucket::clear);
+        self.bytes = 0;
+    }
+}
+
 /// A work-group's table behind its own lock, aligned so that two groups
 /// never share a cache line. In a launch only the group's thread takes
 /// the write lock; it is there for emits that are not in one (group 0,
 /// from any thread). Partition lanes read every table at once.
 #[repr(align(128))]
-struct GroupSlot(RwLock<GroupTable>);
+struct GroupSlot<T>(RwLock<T>);
+
+/// Every work-group's table, all in one form.
+enum Tables {
+    /// Each of a group's distinct keys once, with its accumulator or the
+    /// chain of its values: what a combiner needs, and what compacts a
+    /// chunk whose keys repeat.
+    Keyed(PerGroup<GroupSlot<KeyedTable>>),
+    /// Every record as emitted, for a table without a combiner whose keys
+    /// do not repeat, where a probe would find nothing to compact.
+    Filed(PerGroup<GroupSlot<FiledTable>>),
+}
 
 /// The hash-table collector with optional in-kernel combiner: one table
-/// per work-group, each key filed under its slot when a group first
-/// inserts it.
+/// per work-group. Tables start keyed, each key filed under its slot when
+/// a group first inserts it. Without a combiner, once the lanes have read
+/// a chunk in which no group's table held a key twice, `reset` turns the
+/// tables to filing each record under its key's slot, for good: the same
+/// runs, with no probe.
 pub struct HashTableCollector {
     combiner: Option<Arc<dyn Combiner>>,
     buckets: usize,
     slots: Slots,
-    groups: PerGroup<GroupSlot>,
+    tables: Tables,
+    /// Set by a lane that read keyed tables without a combiner, no key
+    /// held twice by one table; `reset` reads it.
+    unique: AtomicBool,
+    /// The input filed tables are bound to.
+    input: Option<Binding>,
 }
 
 impl HashTableCollector {
@@ -661,28 +859,84 @@ impl HashTableCollector {
             combiner,
             buckets,
             slots,
-            groups: PerGroup::new(),
+            tables: Tables::Keyed(PerGroup::new()),
+            unique: AtomicBool::new(false),
+            input: None,
         }
     }
 
     /// Total emit calls (pre-combining).
     pub fn emits(&self) -> usize {
-        self.sum(|table| table.emits)
+        self.sum(|table| table.emits, FiledTable::records)
     }
 
-    fn table(&self, group: usize) -> &RwLock<GroupTable> {
-        let make = || {
-            GroupSlot(RwLock::new(GroupTable::new(
-                self.buckets,
-                self.combiner.clone(),
-                self.slots.len(),
-            )))
-        };
-        &self.groups.get(group, make).0
+    /// `keyed` or `filed` of every table, summed.
+    fn sum(
+        &self,
+        keyed: impl Fn(&KeyedTable) -> usize,
+        filed: impl Fn(&FiledTable) -> usize,
+    ) -> usize {
+        match &self.tables {
+            Tables::Keyed(groups) => groups.iter().map(|slot| keyed(&slot.0.read())).sum(),
+            Tables::Filed(groups) => groups.iter().map(|slot| filed(&slot.0.read())).sum(),
+        }
     }
 
-    fn sum(&self, of: impl Fn(&GroupTable) -> usize) -> usize {
-        self.groups.iter().map(|slot| of(&slot.0.read())).sum()
+    /// [`Collector::lane_runs`] over keyed tables: refs name an entry by
+    /// its table's place in group order and its `LaneKey`; a key's refs
+    /// sort by group after the key, so the walk meets its groups in group
+    /// order.
+    fn keyed_runs(
+        &self,
+        tables: &[&KeyedTable],
+        lane: usize,
+        buf: &mut SortBuf,
+        deliver: &mut dyn FnMut(u32, Run),
+    ) {
+        let mut keys: Vec<LaneKey<'_>> = Vec::new();
+        for (p, slot) in self.slots.lane(lane) {
+            buf.clear();
+            keys.clear();
+            let (mut bytes, mut skip) = (0, usize::MAX);
+            for (group, table) in (0..).zip(tables) {
+                for &id in &table.slots[slot] {
+                    let e = &table.entries[id as usize];
+                    let key = table.key(e);
+                    skip = shared_prefix(keys.first().map_or(key, |k| k.key), key, skip);
+                    buf.refs.push(SortRef {
+                        head: 0,
+                        group,
+                        entry: span(keys.len()),
+                    });
+                    keys.push(LaneKey {
+                        tail: 0,
+                        key,
+                        entry: e,
+                    });
+                }
+                // The slot's share of the table's bytes, by entry count.
+                bytes += table.bytes * table.slots[slot].len() / table.entries.len().max(1);
+            }
+            if buf.refs.is_empty() {
+                continue;
+            }
+            for (r, k) in buf.refs.iter_mut().zip(&mut keys) {
+                let rest = &k.key[skip..];
+                r.head = key_head(rest);
+                k.tail = key_head(rest.get(8..).unwrap_or_default());
+            }
+            buf.sort_by(|_, a, b| {
+                let (x, y) = (&keys[a.entry as usize], &keys[b.entry as usize]);
+                x.cmp_past_head(y, skip).then(a.group.cmp(&b.group))
+            });
+            let mut run = Vec::with_capacity(bytes);
+            let records = self.write_sorted(tables, &keys, &buf.refs, &mut run);
+            // `bytes` is an estimate, counting a key once per group that
+            // holds it; the run is cached as it is, so it keeps no spare
+            // capacity.
+            run.shrink_to_fit();
+            deliver(p, Run::from_sorted_bytes(run, records));
+        }
     }
 
     /// Serialize `refs`, sorted by key and then group, into `run`: one
@@ -691,7 +945,7 @@ impl HashTableCollector {
     /// Returns the records written.
     fn write_sorted(
         &self,
-        tables: &[&GroupTable],
+        tables: &[&KeyedTable],
         keys: &[LaneKey<'_>],
         refs: &[SortRef],
         run: &mut Vec<u8>,
@@ -777,6 +1031,13 @@ impl LaneKey<'_> {
 }
 
 impl Collector for HashTableCollector {
+    /// Binds filed tables only: keyed ones copy what they keep.
+    fn bind(&mut self, block: &Arc<[u8]>, view: &[u8]) {
+        if let Tables::Filed(_) = self.tables {
+            self.input = Some(Binding::new(block, view));
+        }
+    }
+
     fn emit(&self, key: &[u8], value: &[u8]) {
         self.work_item(&mut |sink| sink(key, value));
     }
@@ -784,59 +1045,49 @@ impl Collector for HashTableCollector {
     /// The calling thread's work-group is looked up, and its table locked,
     /// once; the lock is released when `f` returns or unwinds.
     fn work_item(&self, f: &mut dyn FnMut(&mut Sink<'_>)) {
-        let mut table = self.table(current_group_id()).write();
-        f(&mut |key, value| table.emit(&self.slots, hash_bytes(key), key, value));
+        let (slots, group) = (&self.slots, current_group_id());
+        match &self.tables {
+            Tables::Keyed(groups) => {
+                let make = || {
+                    let table = KeyedTable::new(self.buckets, self.combiner.clone(), slots.len());
+                    GroupSlot(RwLock::new(table))
+                };
+                let mut table = groups.get(group, make).0.write();
+                f(&mut |key, value| table.emit(slots, hash_bytes(key), key, value));
+            }
+            Tables::Filed(groups) => {
+                let make = || GroupSlot(RwLock::new(FiledTable::new(slots.len())));
+                let (mut table, input) = (groups.get(group, make).0.write(), self.input.as_ref());
+                f(&mut |key, value| table.file(slots, input, key, value));
+            }
+        }
     }
 
-    /// Refs name an entry by its table's place in group order and its
-    /// `LaneKey`; a key's refs sort by group after the key, so the walk
-    /// meets its groups in group order.
+    /// Filed tables' slots are sorted as the buffer pool sorts its own.
     fn lane_runs(&self, lane: usize, buf: &mut SortBuf, deliver: &mut dyn FnMut(u32, Run)) {
-        let guards: Vec<_> = self.groups.iter().map(|slot| slot.0.read()).collect();
-        let tables: Vec<&GroupTable> = guards.iter().map(|table| &**table).collect();
-        let mut keys: Vec<LaneKey<'_>> = Vec::new();
-        for (p, slot) in self.slots.lane(lane) {
-            buf.clear();
-            keys.clear();
-            let (mut bytes, mut skip) = (0, usize::MAX);
-            for (group, table) in (0..).zip(&tables) {
-                for &id in &table.slots[slot] {
-                    let e = &table.entries[id as usize];
-                    let key = table.key(e);
-                    skip = shared_prefix(keys.first().map_or(key, |k| k.key), key, skip);
-                    buf.refs.push(SortRef {
-                        head: 0,
-                        group,
-                        entry: span(keys.len()),
-                    });
-                    keys.push(LaneKey {
-                        tail: 0,
-                        key,
-                        entry: e,
-                    });
+        match &self.tables {
+            Tables::Keyed(groups) => {
+                let guards: Vec<_> = groups.iter().map(|slot| slot.0.read()).collect();
+                let tables: Vec<&KeyedTable> = guards.iter().map(|table| &**table).collect();
+                let unique = |t: &&KeyedTable| t.entries.len() == t.emits;
+                if self.combiner.is_none()
+                    && tables.iter().all(unique)
+                    && tables.iter().any(|t| t.emits > 0)
+                {
+                    self.unique.store(true, AtomicOrdering::Relaxed);
                 }
-                // The slot's share of the table's bytes, by entry count.
-                bytes += table.bytes * table.slots[slot].len() / table.entries.len().max(1);
+                self.keyed_runs(&tables, lane, buf, deliver);
             }
-            if buf.refs.is_empty() {
-                continue;
+            Tables::Filed(groups) => {
+                let tables: Vec<_> = groups.iter().map(|slot| slot.0.read()).collect();
+                let (input, mut pairs) = (input_of(&self.input), Vec::new());
+                for (p, slot) in self.slots.lane(lane) {
+                    let filed = tables.iter().map(|table| &table.slots[slot]);
+                    if let Some(run) = filed_run(filed, input, &mut pairs, buf) {
+                        deliver(p, run);
+                    }
+                }
             }
-            for (r, k) in buf.refs.iter_mut().zip(&mut keys) {
-                let rest = &k.key[skip..];
-                r.head = key_head(rest);
-                k.tail = key_head(rest.get(8..).unwrap_or_default());
-            }
-            buf.sort_by(|_, a, b| {
-                let (x, y) = (&keys[a.entry as usize], &keys[b.entry as usize]);
-                x.cmp_past_head(y, skip).then(a.group.cmp(&b.group))
-            });
-            let mut run = Vec::with_capacity(bytes);
-            let records = self.write_sorted(&tables, &keys, &buf.refs, &mut run);
-            // `bytes` is an estimate, counting a key once per group that
-            // holds it; the run is cached as it is, so it keeps no spare
-            // capacity.
-            run.shrink_to_fit();
-            deliver(p, Run::from_sorted_bytes(run, records));
         }
     }
 
@@ -851,19 +1102,24 @@ impl Collector for HashTableCollector {
     }
 
     fn reset(&mut self) {
-        for slot in self.groups.iter_mut() {
-            slot.0.get_mut().clear();
+        self.input = None;
+        if std::mem::take(self.unique.get_mut()) {
+            self.tables = Tables::Filed(PerGroup::new());
+        }
+        match &mut self.tables {
+            Tables::Keyed(groups) => groups.iter_mut().for_each(|slot| slot.0.get_mut().clear()),
+            Tables::Filed(groups) => groups.iter_mut().for_each(|slot| slot.0.get_mut().clear()),
         }
     }
 
     fn records(&self) -> usize {
-        self.sum(|table| table.records)
+        self.sum(|table| table.records, FiledTable::records)
     }
 
     /// What the tables hold as they stand: a Retrieve stage asks for it,
     /// and what would cross the link is every group's table.
     fn bytes(&self) -> usize {
-        self.sum(|table| table.bytes)
+        self.sum(|table| table.bytes, |table| table.bytes)
     }
 }
 
@@ -1344,8 +1600,9 @@ mod tests {
 
     #[test]
     fn a_work_item_that_panics_releases_its_table() {
-        let collectors: [Box<dyn Collector>; 2] = [
+        let collectors: [Box<dyn Collector>; 3] = [
             Box::new(HashTableCollector::new(16, None)),
+            Box::new(filing(Slots::single())),
             Box::new(BufferPoolCollector::new(4096, 2)),
         ];
         for mut c in collectors {
@@ -1375,10 +1632,15 @@ mod tests {
         let pool = WorkerPool::new(2);
         let range = NdRange::new(64, 16).unwrap();
         let chunk = chunk_of(|i| (i as u64).to_le_bytes().to_vec());
-        for combiner in [Some(Arc::new(SumCombiner) as Arc<dyn Combiner>), None] {
-            let per_record = HashTableCollector::new(64, combiner.clone());
+        let makes: [&dyn Fn() -> HashTableCollector; 3] = [
+            &|| HashTableCollector::new(64, Some(Arc::new(SumCombiner))),
+            &|| HashTableCollector::new(64, None),
+            &|| filing(Slots::single()),
+        ];
+        for make in makes {
+            let per_record = make();
             launch(&pool, range, &per_record, &chunk);
-            let per_item = HashTableCollector::new(64, combiner);
+            let per_item = make();
             launch_work_items(&pool, range, &per_item, &chunk);
             assert_eq!(per_item.emits(), 3000);
             assert_eq!(per_item.emits(), per_record.emits());
@@ -1395,10 +1657,24 @@ mod tests {
         assert_eq!(per_item.bytes(), per_record.bytes());
     }
 
-    /// How many work-groups' tables hold an entry.
+    /// How many work-groups' keyed tables hold an entry.
     fn filled(c: &HashTableCollector) -> usize {
-        let filled = |slot: &GroupSlot| !slot.0.read().entries.is_empty();
-        c.groups.iter().filter(|slot| filled(slot)).count()
+        let Tables::Keyed(groups) = &c.tables else {
+            panic!("the tables file")
+        };
+        let filled = |slot: &GroupSlot<KeyedTable>| !slot.0.read().entries.is_empty();
+        groups.iter().filter(|slot| filled(slot)).count()
+    }
+
+    /// A table without a combiner that files: the lanes read one chunk
+    /// whose keys do not repeat, and it was reset.
+    fn filing(slots: Slots) -> HashTableCollector {
+        let mut c = HashTableCollector::with_slots(16, None, slots);
+        c.emit(b"once", b"");
+        sequence(&c);
+        c.reset();
+        assert!(matches!(c.tables, Tables::Filed(_)), "the tables file");
+        c
     }
 
     #[test]
@@ -1441,25 +1717,37 @@ mod tests {
     #[test]
     fn reset_and_refill_grows_no_capacity_after_the_first_chunk() {
         let capacities = |c: &HashTableCollector| -> Vec<[usize; 5]> {
-            c.groups
-                .iter()
-                .map(|slot| {
-                    let t = slot.0.read();
-                    [
-                        t.index.capacity(),
-                        t.entries.capacity(),
-                        t.arena.capacity(),
-                        t.scratch.capacity(),
-                        t.slots.iter().map(Vec::capacity).sum(),
-                    ]
-                })
-                .collect()
+            let keyed = |t: &KeyedTable| {
+                [
+                    t.index.capacity(),
+                    t.entries.capacity(),
+                    t.arena.capacity(),
+                    t.scratch.capacity(),
+                    t.slots.iter().map(Vec::capacity).sum(),
+                ]
+            };
+            let filed = |t: &FiledTable| {
+                let (held, bytes) = (
+                    t.slots.iter().map(|b| b.held.capacity()),
+                    t.slots.iter().map(|b| b.bytes.capacity()),
+                );
+                [held.sum(), bytes.sum(), 0, 0, 0]
+            };
+            match &c.tables {
+                Tables::Keyed(groups) => groups.iter().map(|slot| keyed(&slot.0.read())).collect(),
+                Tables::Filed(groups) => groups.iter().map(|slot| filed(&slot.0.read())).collect(),
+            }
         };
         let pool = WorkerPool::new(1);
         let range = NdRange::new(64, 16).unwrap();
         let chunk = chunk_of(|i| (i as u64).to_le_bytes().to_vec());
-        for combiner in [Some(Arc::new(SumCombiner) as Arc<dyn Combiner>), None] {
-            let mut c = HashTableCollector::with_slots(16, combiner, slots(2, 2));
+        let makes: [&dyn Fn() -> HashTableCollector; 3] = [
+            &|| HashTableCollector::with_slots(16, Some(Arc::new(SumCombiner)), slots(2, 2)),
+            &|| HashTableCollector::with_slots(16, None, slots(2, 2)),
+            &|| filing(slots(2, 2)),
+        ];
+        for make in makes {
+            let mut c = make();
             launch(&pool, range, &c, &chunk);
             let records = c.records();
             let after_first = capacities(&c);
@@ -1507,6 +1795,159 @@ mod tests {
             3 * (2 + 2) + 64,
             "keys, per-record overhead, payload"
         );
+    }
+
+    #[test]
+    fn a_table_without_a_combiner_files_once_the_lanes_read_no_repeated_key() {
+        let pool = WorkerPool::new(1);
+        let range = NdRange::new(64, 16).unwrap();
+        let s = slots(2, 2);
+        let repeating = chunk_of(|i| (i as u64).to_le_bytes().to_vec());
+        let unique: Pairs = (0..3000u64)
+            .map(|i| (format!("key{i}").into_bytes(), i.to_le_bytes().to_vec()))
+            .collect();
+        let keyed = |c: &HashTableCollector| matches!(c.tables, Tables::Keyed(_));
+        for (combiner, chunk) in [
+            (Some(Arc::new(SumCombiner) as Arc<dyn Combiner>), &unique),
+            (Some(Arc::new(SumCombiner)), &repeating),
+            (None, &repeating),
+        ] {
+            let mut c = HashTableCollector::with_slots(16, combiner, s.clone());
+            launch(&pool, range, &c, chunk);
+            sequence(&c);
+            c.reset();
+            assert!(keyed(&c), "a combiner or a repeated key keeps the probe");
+        }
+        let mut c = HashTableCollector::with_slots(16, None, s.clone());
+        launch(&pool, range, &c, &unique);
+        c.reset();
+        assert!(keyed(&c), "a chunk the lanes did not read decides nothing");
+        launch(&pool, range, &c, &unique);
+        let held = (lane_runs(&c, &s), c.records(), c.bytes(), c.emits());
+        c.reset();
+        assert!(!keyed(&c), "no key repeated: the tables file");
+        launch(&pool, range, &c, &unique);
+        assert!((lane_runs(&c, &s), c.records(), c.bytes(), c.emits()) == held);
+        // Filed tables never probe again, and still build the keyed runs
+        // when keys repeat; their bytes then count every record's key.
+        let fresh = HashTableCollector::with_slots(16, None, s.clone());
+        launch(&pool, range, &fresh, &repeating);
+        c.reset();
+        launch(&pool, range, &c, &repeating);
+        assert!(lane_runs(&c, &s) == lane_runs(&fresh, &s));
+        assert_eq!((c.records(), c.emits()), (fresh.records(), fresh.emits()));
+        assert!(c.bytes() > fresh.bytes());
+        c.reset();
+        assert!(!keyed(&c));
+    }
+
+    mod binding {
+        use super::*;
+        use proptest::prelude::*;
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+
+        /// Where an emit's key or value comes from: the record's own bytes
+        /// in the input, or a fresh copy of them.
+        type Emits<'a> = Vec<(&'a [u8], &'a [u8])>;
+
+        /// Emit `emits` from a launch over `range`, split over the work
+        /// items like the map kernel splits a block; with `fail`, the
+        /// group-0 item that emits first panics after its first emit.
+        fn launch(c: &dyn Collector, range: NdRange, emits: &Emits<'_>, fail: bool) {
+            let kernel = KernelFn(|ctx: &WorkItemCtx| {
+                let (lo, hi) = ctx.my_items(emits.len());
+                c.work_item(&mut |sink| {
+                    for &(k, v) in &emits[lo..hi] {
+                        sink(k, v);
+                        if fail && ctx.group_id() == 0 {
+                            panic!("injected task failure");
+                        }
+                    }
+                });
+            });
+            WorkerPool::new(1).run(range, &kernel);
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig { cases: 128, ..Default::default() })]
+
+            /// A collector bound to the chunk's block — directly, or through
+            /// a staged copy as on a discrete-memory device — holds what the
+            /// unbound one holds: the same lane runs, visit order, records
+            /// and bytes, for the buffer pool and the combiner-less hash
+            /// table, filed (it keeps spans) and keyed (it binds nothing), at
+            /// `P` 1–4 × `N` 1–3. Emits mix whole input records,
+            /// input keys with fresh values, fresh keys with input values and
+            /// fresh records, over 24 keys, so groups see duplicates. The
+            /// bound collector's first attempt fails part-way and is reset
+            /// and retried, as the map kernel retries; each reset hands the
+            /// block back, its `Arc` count 1 again.
+            #[test]
+            fn bound_collection_matches_unbound(
+                records in proptest::collection::vec((0u8..24, proptest::collection::vec(any::<u8>(), 0..6)), 1..80),
+                picks in proptest::collection::vec((0usize..80, 0u8..4), 0..160),
+                global in 1usize..24,
+                local in 1usize..6,
+                partitions in 1u32..=4,
+                lanes in 1usize..=3,
+                staged in any::<bool>())
+            {
+                let mut block = Vec::new();
+                let refs: Vec<RecRef> = records
+                    .iter()
+                    .map(|(k, v)| RecRef::write(&mut block, format!("key-{k}").as_bytes(), v))
+                    .collect();
+                let block: Arc<[u8]> = block.into();
+                let staging = block.to_vec();
+                let view: &[u8] = if staged { &staging } else { &block };
+                let fresh: Vec<(Vec<u8>, Vec<u8>)> = refs
+                    .iter()
+                    .map(|r| (r.key(view).to_vec(), r.value(view).to_vec()))
+                    .collect();
+                let emits: Emits<'_> = picks
+                    .iter()
+                    .map(|&(at, kind)| {
+                        let at = at % refs.len();
+                        let (input, copy) = ((refs[at].key(view), refs[at].value(view)), &fresh[at]);
+                        match kind {
+                            0 => input,
+                            1 => (input.0, copy.1.as_slice()),
+                            2 => (copy.0.as_slice(), input.1),
+                            _ => (copy.0.as_slice(), copy.1.as_slice()),
+                        }
+                    })
+                    .collect();
+                let range = NdRange::new(global, local).unwrap();
+                let s = slots(partitions, lanes);
+                let make = |name| -> Box<dyn Collector> {
+                    match name {
+                        // One shard per work-group, as the map kernel's, so
+                        // that emission order is a function of the NDRange.
+                        "buffer pool" => Box::new(BufferPoolCollector::with_slots(1 << 10, global.max(lanes), s.clone())),
+                        "keyed hash table" => Box::new(HashTableCollector::with_slots(16, None, s.clone())),
+                        _ => Box::new(filing(s.clone())),
+                    }
+                };
+                for name in ["buffer pool", "keyed hash table", "filed hash table"] {
+                    let unbound = make(name);
+                    launch(unbound.as_ref(), range, &emits, false);
+                    let mut bound = make(name);
+                    bound.bind(&block, view);
+                    let first = catch_unwind(AssertUnwindSafe(|| launch(bound.as_ref(), range, &emits, true)));
+                    prop_assert!(first.is_err() || emits.is_empty(), "{}: the first attempt failed", name);
+                    bound.reset();
+                    prop_assert!(Arc::strong_count(&block) == 1, "{}: reset keeps the block", name);
+                    bound.bind(&block, view);
+                    launch(bound.as_ref(), range, &emits, false);
+                    prop_assert!(lane_runs(bound.as_ref(), &s) == lane_runs(unbound.as_ref(), &s), "{}: runs differ", name);
+                    prop_assert!(sequence(bound.as_ref()) == sequence(unbound.as_ref()), "{}: visits differ", name);
+                    prop_assert_eq!(bound.records(), unbound.records());
+                    prop_assert_eq!(bound.bytes(), unbound.bytes());
+                    bound.reset();
+                    prop_assert!(Arc::strong_count(&block) == 1, "{}: reset keeps the block", name);
+                }
+            }
+        }
     }
 
     mod group_properties {
@@ -1571,10 +2012,10 @@ mod tests {
 
             /// Multi-group launches into slotted collectors against a
             /// `BTreeMap` fold in group order, for a u64 sum, an `f32` sum,
-            /// a resizing `Concat` and no combiner: the union of the lane
-            /// runs is the reference — `f32`s bit for bit — and every
-            /// `(partition, lane)` run is the same bytes at pool sizes 0, 1
-            /// and 3. A third of the keys share a 12-byte prefix and a third
+            /// a resizing `Concat` and no combiner, keyed and filed: the
+            /// union of the lane runs is the reference — `f32`s bit for bit
+            /// — and every `(partition, lane)` run is the same bytes at pool
+            /// sizes 0, 1 and 3, and filed tables build the keyed ones'. A third of the keys share a 12-byte prefix and a third
             /// are 24 bytes of mostly zeros, so heads and tails tie and the
             /// lanes compare lengths and full keys.
             #[test]
@@ -1604,17 +2045,22 @@ mod tests {
                 let s = slots(partitions, lanes);
                 let pools = [WorkerPool::new(0), WorkerPool::new(1), WorkerPool::new(3)];
                 type Case<'a> = (&'a str, &'a Pairs, Option<Arc<dyn Combiner>>);
-                let cases: [Case; 4] = [
+                let cases: [Case; 5] = [
                     ("u64 sum", &counts, Some(Arc::new(SumCombiner))),
                     ("f32 sum", &floats, Some(Arc::new(F32SumCombiner))),
                     ("concat", &bytes, Some(Arc::new(Concat))),
                     ("no combiner", &counts, None),
+                    ("filed", &counts, None),
                 ];
+                let mut keyed = None;
                 for (name, chunk, combiner) in cases {
                     let expect = reference(chunk, &groups, combiner.as_deref());
                     let mut first: Option<BTreeMap<(u32, usize), Run>> = None;
                     for pool in &pools {
-                        let c = HashTableCollector::with_slots(4, combiner.clone(), s.clone());
+                        let c = match name {
+                            "filed" => filing(s.clone()),
+                            _ => HashTableCollector::with_slots(4, combiner.clone(), s.clone()),
+                        };
                         launch_work_items(pool, range, &c, chunk);
                         prop_assert_eq!(c.emits(), chunk.len());
                         let runs = lane_runs(&c, &s);
@@ -1623,6 +2069,11 @@ mod tests {
                             None => first = Some(runs),
                             Some(first) => prop_assert!(first == &runs, "{}: runs moved", name),
                         }
+                    }
+                    match name {
+                        "no combiner" => keyed = first,
+                        "filed" => prop_assert!(first == keyed, "filed and keyed runs differ"),
+                        _ => {}
                     }
                 }
             }

@@ -313,15 +313,19 @@ impl Stage<MapChunk, EngineError> for MapKernel<'_> {
         let work_items = self.cfg.map_work_items.min(n_records.max(1));
         let range = NdRange::new(work_items, self.cfg.work_group.min(work_items))
             .map_err(EngineError::Device)?;
-        let records = &chunk.records;
+        let (block, records) = (&chunk.block, &chunk.records);
         let app = &self.app;
         let device = &self.device;
         // Task execution with §III-E re-execution: a failed task's partial
-        // output is discarded (collector reset) and the chunk re-executed.
+        // output is discarded (collector reset, which also releases its
+        // binding to the block) and the chunk re-executed. Each attempt
+        // binds the collector to the block the kernel reads `bytes` from,
+        // so output that is input can stay a span of it.
         let attempt = run_task_with_retries(
             self.cfg.max_task_retries,
             &mut collector,
             |collector| {
+                collector.bind(block, bytes);
                 let emit_target: &dyn Collector = collector.as_ref();
                 let kernel = KernelFn(move |wctx: &WorkItemCtx| {
                     let (lo, hi) = wctx.my_items(n_records);

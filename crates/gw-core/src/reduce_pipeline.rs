@@ -57,7 +57,11 @@
 //! the Kernel slot and its Stage/Retrieve neighbours: the merge is plain,
 //! not grouped, and its sorted stream leaves MergeRead cut into the output
 //! file's blocks — "its output is fully processed by the end of the
-//! intermediate data shuffle".
+//! intermediate data shuffle". Each block fills one of `B` recycled
+//! arenas, pre-sized to `output_block_size` and a record's slack, so no
+//! block grows by copying; Output copies the filled block once, into the
+//! exact-size shared block the file store keeps as it is, and hands the
+//! arena back.
 //!
 //! Every reduce stage runs **single-lane**, deliberately: the reduce
 //! kernel carries per-key scratch state across the value chunks of one
@@ -78,7 +82,7 @@ use gw_pipeline::{
     run_task_with_retries, token_pool, LaneSource, PipelineBuilder, PipelineKind, PoolGet, PoolPut,
     Runtime, Stage, StageCtx,
 };
-use gw_storage::split::{FileStore, RecordBlockBuilder};
+use gw_storage::split::{FileStore, RecordBlock, RecordBlockBuilder};
 use gw_storage::NodeId;
 use gw_trace::{CounterId, StageId, Tracer};
 
@@ -88,6 +92,12 @@ use crate::config::JobConfig;
 use crate::coordinator::{Coordinator, NodeChaos, ReduceTaskProbe};
 use crate::map_pipeline::{output_bytes, pool_collector, ModeledTransfer};
 use crate::EngineError;
+
+/// What an output block arena holds beyond `output_block_size`: a block
+/// is cut after the record that reaches the size, so it may run over by
+/// up to one record; a longer record grows the arena, which keeps the
+/// capacity.
+const BLOCK_SLACK: usize = 64 << 10;
 
 /// One key's slice of values within a reduce chunk, borrowed from the
 /// chunk's arena and its launch's flat view list ([`ReduceChunk::views`]).
@@ -115,7 +125,8 @@ struct Assignment {
 /// intermediate data in memory. Every buffer here is per chunk — no key
 /// has an allocation of its own. In a job without a reduce function a
 /// chunk is instead one block of the output file: `records` merged
-/// records in `arena`, encoded as the file stores them, and no groups.
+/// records in `arena`, one of the recycled block arenas, encoded as the
+/// file stores them, and no groups.
 #[derive(Default)]
 struct ReduceChunk {
     arena: Vec<u8>,
@@ -194,10 +205,14 @@ enum PartMerge {
 /// chunk's arena. Oversized value lists arrive pre-sliced at
 /// `reduce_max_values_per_chunk` from the merge itself, so nothing here
 /// ever holds a whole key's value list. Off a plain merge a chunk is the
-/// next output block's worth of records.
+/// next output block's worth of records, in a recycled block arena.
 struct ReduceMergeRead<'a> {
     phase: &'a ReducePhase<'a>,
     threads_per_key: usize,
+    /// The block arenas, in a job without a reduce function.
+    arenas: Option<PoolGet<Vec<u8>>>,
+    /// The arena claimed for the next chunk.
+    arena: Option<Vec<u8>>,
     /// Where the search for the node's next partition resumes.
     next_gp: u32,
     /// The open partition and its merge.
@@ -207,13 +222,19 @@ struct ReduceMergeRead<'a> {
 impl ReduceMergeRead<'_> {
     /// The next chunk of partition `gp`'s `merge` — the partition's last if
     /// filling it met the merge's end, so possibly an empty one — and the
-    /// keys it starts (its records, off a plain merge).
-    fn fill(&self, gp: u32, merge: &mut PartMerge) -> Result<(ReduceChunk, usize), EngineError> {
+    /// keys it starts (its records, off a plain merge, which fills the
+    /// claimed arena).
+    fn fill(
+        &mut self,
+        gp: u32,
+        merge: &mut PartMerge,
+    ) -> Result<(ReduceChunk, usize), EngineError> {
         let cfg = self.phase.cfg;
         let mut chunk = ReduceChunk::default();
         let merge = match merge {
             PartMerge::Grouped(merge) => merge,
             PartMerge::Plain(merge) => {
+                chunk.arena = self.arena.take().expect("claim() took a block arena");
                 // Cut where `RecordBlockBuilder` rolls a block.
                 while let Some(rec) = merge.peek_rec() {
                     chunk.arena.extend_from_slice(rec);
@@ -267,12 +288,10 @@ impl ReduceMergeRead<'_> {
         }
         Ok((chunk, keys))
     }
-}
 
-impl LaneSource<ReduceChunk, EngineError> for ReduceMergeRead<'_> {
-    /// A chunk is due while a partition is open or another one is owned;
-    /// opening its merge is production.
-    fn claim(&mut self, _ctx: &mut StageCtx<'_>) -> Result<bool, EngineError> {
+    /// Whether a chunk is due: a partition is open, or the node owns
+    /// another one, which becomes the next to open.
+    fn due(&mut self) -> Result<bool, EngineError> {
         if self.open.is_some() {
             return Ok(true);
         }
@@ -291,6 +310,25 @@ impl LaneSource<ReduceChunk, EngineError> for ReduceMergeRead<'_> {
         self.next_gp = gp + 1;
         if coordinator.aborted() {
             return Err(EngineError::NodeLost("job aborted during reduce".into()));
+        }
+        Ok(true)
+    }
+}
+
+impl LaneSource<ReduceChunk, EngineError> for ReduceMergeRead<'_> {
+    /// A chunk is due while a partition is open or another one is owned;
+    /// opening its merge is production. A job without a reduce function
+    /// takes the chunk's block arena here, so production waits for one.
+    fn claim(&mut self, ctx: &mut StageCtx<'_>) -> Result<bool, EngineError> {
+        if !self.due()? {
+            return Ok(false);
+        }
+        if let Some(arenas) = &self.arenas {
+            let Some(arena) = arenas.take() else {
+                ctx.stop(); // pool closed: the output stage died
+                return Ok(false);
+            };
+            self.arena = Some(arena);
         }
         Ok(true)
     }
@@ -522,8 +560,10 @@ struct ReduceOutput<'a> {
     phase: &'a ReducePhase<'a>,
     builder: RecordBlockBuilder,
     /// The open partition's finished blocks, of a job without a kernel.
-    blocks: Vec<(Vec<u8>, usize)>,
+    blocks: Vec<RecordBlock>,
     collectors_back: PoolPut<Box<dyn Collector>>,
+    /// Where block arenas go back to MergeRead, in a job without a kernel.
+    arenas_back: Option<PoolPut<Vec<u8>>>,
 }
 
 impl Stage<ReduceChunk, EngineError> for ReduceOutput<'_> {
@@ -544,8 +584,16 @@ impl Stage<ReduceChunk, EngineError> for ReduceOutput<'_> {
                 collector.reset();
                 self.collectors_back.put(collector);
             }
-            None if records > 0 => self.blocks.push((chunk.arena, records)),
-            None => {}
+            None => {
+                if records > 0 {
+                    self.blocks
+                        .push((Arc::from(chunk.arena.as_slice()), records));
+                }
+                if let Some(back) = &self.arenas_back {
+                    chunk.arena.clear();
+                    back.put(chunk.arena);
+                }
+            }
         }
         ctx.count(CounterId::ReduceRecordsOut, records);
         if let Some(gp) = chunk.closes {
@@ -624,11 +672,22 @@ impl ReducePhase<'_> {
         let (collectors, collectors_back) = token_pool((0..sets).map(|_| {
             Box::new(pool_collector(cfg, max_work_items, Slots::single())) as Box<dyn Collector>
         }));
+        // Without a kernel, B block arenas instead, recycled from Output
+        // back to MergeRead.
+        let (arenas, arenas_back) = if reduces {
+            (None, None)
+        } else {
+            let arena = || Vec::with_capacity(cfg.output_block_size + BLOCK_SLACK);
+            let (get, put) = token_pool((0..cfg.buffering.depth()).map(|_| arena()));
+            (Some(get), Some(put))
+        };
 
         let merge_read: Box<dyn LaneSource<ReduceChunk, EngineError> + '_> =
             Box::new(ReduceMergeRead {
                 phase: &self,
                 threads_per_key,
+                arenas,
+                arena: None,
                 next_gp: 0,
                 open: None,
             });
@@ -671,6 +730,7 @@ impl ReducePhase<'_> {
                     builder: RecordBlockBuilder::new(cfg.output_block_size),
                     blocks: Vec::new(),
                     collectors_back,
+                    arenas_back,
                 },
             )
             .tracer(Arc::clone(&self.tracer), self.node.0)

@@ -25,7 +25,7 @@ use parking_lot::RwLock;
 use gw_trace::{CounterId, LaneId, MarkId, ReadClass, Realm, Tracer};
 
 use crate::iomodel::{IoModel, IoSample};
-use crate::split::{FileStore, InputSplit, StorageFaultHook};
+use crate::split::{FileStore, InputSplit, RecordBlock, StorageFaultHook};
 use crate::{NodeId, StorageError};
 
 /// Configuration of a [`Dfs`] instance.
@@ -154,7 +154,7 @@ impl FileStore for Dfs {
         &self,
         path: &str,
         writer: NodeId,
-        blocks: Vec<(Vec<u8>, usize)>,
+        blocks: Vec<RecordBlock>,
         replication: usize,
     ) -> Result<IoSample, StorageError> {
         if writer.0 >= self.cfg.nodes {
@@ -174,7 +174,7 @@ impl FileStore for Dfs {
             }
             bytes += data.len();
             metas.push(BlockMeta {
-                data: data.into(),
+                data,
                 records,
                 replicas,
             });
@@ -475,7 +475,7 @@ mod tests {
     fn unknown_writer_is_rejected() {
         let dfs = Dfs::new(DfsConfig::new(2));
         let err = dfs
-            .write_blocks("/x", NodeId(9), vec![(vec![0], 1)], 1)
+            .write_blocks("/x", NodeId(9), vec![(Arc::from([0u8]), 1)], 1)
             .unwrap_err();
         assert!(matches!(err, StorageError::UnknownNode(_)));
     }

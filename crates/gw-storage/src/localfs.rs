@@ -13,7 +13,7 @@ use std::sync::Arc;
 use parking_lot::RwLock;
 
 use crate::iomodel::{IoModel, IoSample};
-use crate::split::{FileStore, InputSplit};
+use crate::split::{FileStore, InputSplit, RecordBlock};
 use crate::{NodeId, StorageError};
 
 #[derive(Debug, Clone)]
@@ -59,7 +59,7 @@ impl FileStore for LocalFs {
         &self,
         path: &str,
         writer: NodeId,
-        blocks: Vec<(Vec<u8>, usize)>,
+        blocks: Vec<RecordBlock>,
         _replication: usize,
     ) -> Result<IoSample, StorageError> {
         if writer.0 >= self.nodes {
@@ -72,10 +72,7 @@ impl FileStore for LocalFs {
             .map(|(data, records)| {
                 modeled += self.io.call_time(data.len(), true);
                 bytes += data.len();
-                LocalBlock {
-                    data: data.into(),
-                    records,
-                }
+                LocalBlock { data, records }
             })
             .collect();
         let mut files = self.files.write();

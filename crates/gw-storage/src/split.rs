@@ -45,16 +45,22 @@ pub trait StorageFaultHook: Send + Sync {
     fn read_fault(&self, path: &str, block: usize, source: NodeId) -> bool;
 }
 
+/// One block of a record-blocked file: its bytes, shared, and its record
+/// count.
+pub type RecordBlock = (Arc<[u8]>, usize);
+
 /// Common read interface over the storage backends.
 pub trait FileStore: Send + Sync {
     /// Write a record-blocked file. `blocks` are raw record streams (no
-    /// header) as produced by [`RecordBlockBuilder`]; `replication` is the
-    /// number of replicas per block (clamped to the cluster size).
+    /// header) as produced by [`RecordBlockBuilder`], with their record
+    /// counts; the store keeps each block's bytes as they are handed in,
+    /// without copying them. `replication` is the number of replicas per
+    /// block (clamped to the cluster size).
     fn write_blocks(
         &self,
         path: &str,
         writer: NodeId,
-        blocks: Vec<(Vec<u8>, usize)>,
+        blocks: Vec<RecordBlock>,
         replication: usize,
     ) -> Result<IoSample, StorageError>;
 
@@ -177,18 +183,18 @@ impl RecordBlockBuilder {
         }
     }
 
-    /// Finish, returning `(block_bytes, record_count)` pairs.
-    pub fn finish(mut self) -> Vec<(Vec<u8>, usize)> {
+    /// Finish, returning `(block_bytes, record_count)` pairs, each block
+    /// copied once into its exact size, ready for
+    /// [`FileStore::write_blocks`].
+    pub fn finish(mut self) -> Vec<RecordBlock> {
         self.roll();
-        self.blocks
+        let blocks = self.blocks.into_iter();
+        blocks.map(|(data, n)| (data.into(), n)).collect()
     }
 }
 
 /// Cut an existing raw record stream into record-aligned blocks.
-pub fn split_blocks(
-    bytes: &[u8],
-    block_size: usize,
-) -> Result<Vec<(Vec<u8>, usize)>, StorageError> {
+pub fn split_blocks(bytes: &[u8], block_size: usize) -> Result<Vec<RecordBlock>, StorageError> {
     let mut builder = RecordBlockBuilder::new(block_size);
     let mut reader = crate::seqfile::SeqReader::open_raw(bytes);
     while let Some((k, v)) = reader.next()? {

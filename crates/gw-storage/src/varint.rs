@@ -70,8 +70,8 @@ pub fn read_len(buf: &[u8]) -> Option<(usize, usize)> {
 }
 
 /// Position of one `varint(klen) varint(vlen) key value` record inside a
-/// buffer — the framing shared by SeqFile blocks, sorted runs, spill
-/// frames and collector arenas. [`RecRef::decode`] is the one place that
+/// buffer — the framing shared by SeqFile blocks, sorted runs and spill
+/// frames. [`RecRef::decode`] is the one place that
 /// header is parsed; readers and merge cursors hold the result and slice
 /// the buffer through it.
 ///

@@ -8,6 +8,7 @@ use std::sync::Arc;
 use glasswing::apps::workloads::{self, CorpusSpec, KmeansSpec, LogSpec, MatmulSpec};
 use glasswing::apps::{codec, reference, KMeans, MatMul, PageviewCount, TeraSort, WordCount};
 use glasswing::prelude::*;
+use glasswing::storage::split::RecordBlockBuilder;
 
 fn dfs_with(records: &workloads::Records, nodes: u32, block: usize) -> Arc<Dfs> {
     let dfs = Arc::new(Dfs::new(DfsConfig::new(nodes).free_io()));
@@ -142,6 +143,76 @@ fn terasort_single_node_degenerates_gracefully() {
     let app = Arc::new(TeraSort::new(workloads::sample_keys(&recs, 50, 1), 1));
     let out = run_job(&cluster, app, &cfg);
     assert_eq!(out, reference::terasort(&recs));
+}
+
+/// TeraSort at a 4 KiB `output_block_size`, so that every partition's
+/// file is many blocks, each filled in a recycled arena: in core and under
+/// a 2 MiB budget (which spills), on a unified and a discrete-memory
+/// (K20m) profile, each file holds its partition's reference records, cut
+/// into blocks where `RecordBlockBuilder` cuts them.
+#[test]
+fn terasort_many_output_blocks_match_the_reference_blocks() {
+    let recs = workloads::teragen(24_000, 21);
+    let reference = reference::terasort(&recs);
+    let nodes = 2u32;
+    let samples = workloads::sample_keys(&recs, 400, 5);
+    for device in [DeviceProfile::host(), DeviceProfile::k20m()] {
+        for budget in [None, Some(2 << 20)] {
+            let what = format!("{}, budget {budget:?}", device.name);
+            let mut cfg = small_cfg();
+            cfg.device = device.clone();
+            cfg.memory_budget = budget;
+            cfg.partitions_per_node = 2;
+            cfg.output_replication = 1;
+            cfg.output_block_size = 4 << 10;
+            let partitions = cfg.partitions_per_node * nodes;
+            let app = Arc::new(TeraSort::new(samples.clone(), partitions));
+            let cluster = Cluster::new(dfs_with(&recs, nodes, 64 << 10), NetProfile::unlimited());
+            let report = cluster
+                .run(Arc::clone(&app) as Arc<dyn GwApp>, &cfg)
+                .unwrap();
+            let spilled = report.nodes.iter().any(|n| n.intermediate.flushes > 0);
+            assert_eq!(
+                spilled,
+                budget.is_some(),
+                "{what}: spills only under the budget"
+            );
+            let files = report.output_files();
+            assert_eq!(files.len(), partitions as usize, "{what}");
+            let store = cluster.store();
+            for (p, path) in (0..).zip(&files) {
+                let mut builder = RecordBlockBuilder::new(cfg.output_block_size);
+                for (k, v) in reference
+                    .iter()
+                    .filter(|(k, _)| app.partition(k, partitions) == p)
+                {
+                    builder.append(k, v);
+                }
+                let expect: Vec<(Vec<u8>, usize)> = builder
+                    .finish()
+                    .into_iter()
+                    .map(|(block, records)| (block.to_vec(), records))
+                    .collect();
+                assert!(
+                    expect.len() > 8,
+                    "{what}: partition {p} is {} blocks",
+                    expect.len()
+                );
+                let written: Vec<(Vec<u8>, usize)> = store
+                    .splits(path)
+                    .unwrap()
+                    .iter()
+                    .map(|split| {
+                        (
+                            store.read_split(split, NodeId(0)).unwrap().0.to_vec(),
+                            split.records,
+                        )
+                    })
+                    .collect();
+                assert!(written == expect, "{what}: partition {p}'s blocks differ");
+            }
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------
