@@ -29,45 +29,42 @@
 //! radix-sorts them on the head, and writes each record once into the run.
 //! No lane waits for another and nothing is decoded twice.
 //!
-//! Much map output is input: TeraSort's identity map emits each record's
-//! own key and value. So before each launch attempt the map kernel binds
-//! its collector to the chunk's input block ([`Collector::bind`]), and a
-//! bound collector keeps a key or value slice that lies inside that block
-//! as a `u32` span of it, not a copy: a pointer-range check against where
-//! the kernel reads the block (the block itself, or its staged copy on a
+//! Both mechanisms file records in one *filing store*: per work-group, one
+//! bucket per slot, each holding its records in emission order. Much map
+//! output is input: TeraSort's identity map emits each record's own key
+//! and value. So before each launch attempt the map kernel binds its
+//! collector to the chunk's input block ([`Collector::bind`]), and the
+//! store keeps a key or value slice that lies inside that block as a
+//! `u32` span of it, not a copy: a pointer-range check against where the
+//! kernel reads the block (the block itself, or its staged copy on a
 //! discrete-memory device, translated back onto the block). The lanes
 //! resolve spans against the same block and write records with
 //! [`RecRef::write`], so run bytes do not depend on where a record was
 //! kept, and `records`/`bytes` count what they count unbound.
 //! [`Collector::reset`] releases the binding, so no block outlives its
-//! chunk, and a retried attempt binds again. Only the buffer pool and a
-//! hash table that files (below) bind: a keyed table's accumulators and
-//! value chains are its own bytes.
+//! chunk, and a retried attempt binds again. A keyed table binds nothing:
+//! its accumulators and value chains are its own bytes.
 //!
-//! * [`BufferPoolCollector`] — per shard (picked by work-group) one growable
-//!   list of records per partition, each record's key and value kept as a
-//!   span of the bound input or as raw arena bytes; a record's partition is
-//!   computed per record and its sub-slot is its shard's, `shard mod ⌊N/P⌋`.
-//!   The paper's "each thread allocates space via a single atomic operation"
-//!   becomes one uncontended lock per work item. Fast emits, but every
-//!   occurrence is stored and sorted (Table II config (iii): dominant
-//!   partitioning stage).
+//! * [`BufferPoolCollector`] — the store, every record filed under the
+//!   emitting group's sub-slot. The paper's "each thread allocates space
+//!   via a single atomic operation" becomes one uncontended lock per work
+//!   item. Fast emits, but every occurrence is stored and sorted (Table II
+//!   config (iii): dominant partitioning stage).
 //! * [`HashTableCollector`] — one private table per work-group, keyed: an
 //!   open-addressing index, keys and value nodes in one arena. A key's slot
-//!   is computed once per group, when the key is first inserted. With a
-//!   combiner a key's one node is its accumulator, combined in place;
-//!   without one (Table II config (ii)) the node chain keeps every value, so
-//!   a group stores a repeated key once. An emit takes no lock and no atomic
-//!   another group takes and, once a chunk has sized the arenas, allocates
-//!   nothing. The lane combines a key held by several groups in group order
-//!   — group 0's accumulator, then groups `1..G` — so a chunk still yields
-//!   one record per distinct key. A table without a combiner whose keys do
-//!   not repeat (TeraSort's) has nothing to compact: once the lanes have
-//!   read a chunk in which no group held a key twice, the collector's
-//!   tables file each record under its key's slot as the pool does, with no
-//!   probe (bound: as two spans when it is input), for the rest of its
-//!   life. Either way the sub-slot comes from bits of the key's hash, so
-//!   all of a key's records are one lane's, and the runs are the same bytes.
+//!   is computed once per group, when the key is first inserted, its
+//!   sub-slot from bits of the key's hash. With a combiner a key's one node
+//!   is its accumulator, combined in place; without one (Table II config
+//!   (ii)) the node chain keeps every value, so a group stores a repeated
+//!   key once. An emit takes no lock and no atomic another group takes
+//!   and, once a chunk has sized the arenas, allocates nothing. The lane
+//!   combines a key held by several groups in group order — group 0's
+//!   accumulator, then groups `1..G` — so a chunk still yields one record
+//!   per distinct key. A table without a combiner whose keys do not repeat
+//!   (TeraSort's) has nothing to compact: once the lanes have read a chunk
+//!   in which no group held a key twice, the collector files every record
+//!   in the store instead, with no probe, under the same key-hash
+//!   sub-slot, for the rest of its life; the runs are the same bytes.
 //!
 //! Either way what the lanes build, *and the bits of every accumulator*,
 //! depend on the chunk, the NDRange and the slots only, never on which
@@ -169,7 +166,21 @@ impl Slots {
         p as usize
     }
 
-    /// The slot of `key`, hashing it only if partitions have sub-slots.
+    /// The buffer pool's slot of `key`, emitted by work-group `group`: the
+    /// sub-slot is `group mod s`. The pool stores every occurrence and
+    /// combines nothing, so it may split a key's records; splitting by
+    /// group keeps a partition's lanes balanced even when one key (a Zipf
+    /// corpus's top word) is most of it.
+    #[inline]
+    fn slot_of_group(&self, key: &[u8], group: usize) -> usize {
+        match self.split {
+            1 => self.partition_of(key),
+            split => self.partition_of(key) * split + group % split,
+        }
+    }
+
+    /// A hash table's slot of `key`, hashing it only if partitions have
+    /// sub-slots.
     #[inline]
     fn slot_of_key(&self, key: &[u8]) -> usize {
         match self.split {
@@ -178,10 +189,12 @@ impl Slots {
         }
     }
 
-    /// The slot of `key`, whose hash is `hash`. The sub-slot reads hash
-    /// bits below the top byte, which the default partitioner's
+    /// A hash table's slot of `key`, whose hash is `hash`: the sub-slot
+    /// reads hash bits below the top byte, which the default partitioner's
     /// multiply-shift and the table's home slot read, so sub-slots split
-    /// each partition.
+    /// each partition. Combining needs all of a key's records in one lane,
+    /// and a filing table's runs must be the keyed tables' bytes, so that
+    /// the runs of a re-executed split de-duplicate by tag.
     #[inline]
     fn slot_of(&self, key: &[u8], hash: u64) -> usize {
         self.partition_of(key) * self.split + bucket_of(hash << 8, self.split)
@@ -275,16 +288,16 @@ pub trait Collector: Send + Sync {
     /// reused. The default keeps nothing.
     fn bind(&mut self, _block: &Arc<[u8]>, _view: &[u8]) {}
 
-    /// Store one key/value pair.
-    fn emit(&self, key: &[u8], value: &[u8]);
+    /// Store one key/value pair: a work item of one emit.
+    fn emit(&self, key: &[u8], value: &[u8]) {
+        self.work_item(&mut |sink| sink(key, value));
+    }
 
     /// Run `f`, one work item's body, with the sink for everything it
-    /// emits, so that a collector can find the caller's storage once per
+    /// emits, so that a collector finds the caller's storage once per
     /// work item instead of once per record. `f` must emit through the
     /// sink only: a collector may hold a lock while it runs.
-    fn work_item(&self, f: &mut dyn FnMut(&mut Sink<'_>)) {
-        f(&mut |key, value| self.emit(key, value));
-    }
+    fn work_item(&self, f: &mut dyn FnMut(&mut Sink<'_>));
 
     /// Build partition lane `lane`'s run of each of its slots ([`Slots`]),
     /// in partition order, and hand each non-empty one to `deliver` with
@@ -309,22 +322,21 @@ pub trait Collector: Send + Sync {
     fn bytes(&self) -> usize;
 }
 
-/// Visit every collected record. The buffer pool hands them out shard by
-/// shard and, within a shard, partition by partition in emission order —
-/// emission order, for a pool with one shard and one slot; the hash table
-/// hands out its lane runs, lane by lane.
+/// Visit every collected record. Filed records (the buffer pool's, a
+/// filing hash table's) go out group by group and, within a group, slot
+/// by slot in emission order — emission order, for a pool with one slot;
+/// a keyed hash table hands out its lane runs, lane by lane.
 pub fn for_each_record(c: &dyn Collector, f: &mut dyn FnMut(&[u8], &[u8])) {
     c.visit(f);
 }
 
 // ---------------------------------------------------------------------------
-// Shared buffer pool
+// Filing store
 // ---------------------------------------------------------------------------
 
-/// Records filed together — a buffer-pool shard's of one partition, or a
-/// table's of one slot — in emission order: each record's key and value
-/// as [`Loc`]s, those that are not spans of the bound input copied to
-/// `bytes`.
+/// The records of one work-group filed under one slot, in emission
+/// order: each record's key and value as [`Loc`]s, those that are not
+/// spans of the bound input copied to `bytes`.
 #[derive(Default)]
 struct Bucket {
     bytes: Vec<u8>,
@@ -401,89 +413,119 @@ fn filed_run<'a>(
     Some(Run::from_sorted_bytes(run, pairs.len()))
 }
 
-/// One work-group's buckets, one per partition (several groups', when the
-/// launch has more groups than the pool has shards). Aligned so that two
-/// shards never share a cache line. In a launch only the group's thread
-/// takes the write lock; it is there for emits that are not in one.
-/// Partition lanes read the shards at once.
-#[repr(align(128))]
-struct Shard(RwLock<Vec<Bucket>>);
+/// One `T` per work-group behind its own lock, made on first touch
+/// without a lock: segment `s` holds the `2^s` groups from `2^s - 1` on,
+/// so finding a group's `T` is one `OnceLock` load and a `T` never moves.
+/// In a launch only the group's thread takes the write lock; it is there
+/// for emits that are not in one (group 0, from any thread). Partition
+/// lanes read every group's at once.
+struct PerGroup<T> {
+    segments: [OnceLock<Box<[GroupSlot<T>]>>; usize::BITS as usize],
+}
 
-/// The shared-buffer-pool collector: every record appended, as emitted, to
-/// its partition's bucket in the emitting work-group's shard.
-pub struct BufferPoolCollector {
+/// A group's `T`, aligned so that two groups never share a cache line.
+#[repr(align(128))]
+struct GroupSlot<T>(RwLock<T>);
+
+impl<T> PerGroup<T> {
+    fn new() -> Self {
+        PerGroup {
+            segments: std::array::from_fn(|_| OnceLock::new()),
+        }
+    }
+
+    /// `group`'s `T`, after `make`-ing its whole segment if this is the
+    /// segment's first touch.
+    fn get(&self, group: usize, make: impl Fn() -> T) -> &RwLock<T> {
+        let n = group.saturating_add(1);
+        let segment = n.ilog2();
+        let slots = self.segments[segment as usize].get_or_init(|| {
+            (0..1usize << segment)
+                .map(|_| GroupSlot(RwLock::new(make())))
+                .collect()
+        });
+        &slots[n - (1 << segment)].0
+    }
+
+    /// Every `T` made so far, in group order.
+    fn iter(&self) -> impl Iterator<Item = &RwLock<T>> {
+        self.segments
+            .iter()
+            .filter_map(OnceLock::get)
+            .flat_map(|slots| slots.iter().map(|slot| &slot.0))
+    }
+
+    fn iter_mut(&mut self) -> impl Iterator<Item = &mut T> {
+        self.segments
+            .iter_mut()
+            .filter_map(OnceLock::get_mut)
+            .flat_map(|slots| slots.iter_mut().map(|slot| slot.0.get_mut()))
+    }
+}
+
+/// The filing store: per work-group one [`Bucket`] per slot, and the
+/// input it is bound to. Its collectors differ only in the slot they file
+/// a record under ([`Slots::slot_of_group`], [`Slots::slot_of_key`]).
+struct Filing {
     slots: Slots,
-    shards: Vec<Shard>,
+    groups: PerGroup<Vec<Bucket>>,
+    /// The arena bytes each bucket reserves when its group first files.
+    reserve: usize,
     input: Option<Binding>,
 }
 
-impl BufferPoolCollector {
-    /// Create `shards` shards that reserve `capacity` bytes between them,
-    /// filing every record in one slot; a shard that fills up grows.
-    pub fn new(capacity: usize, shards: usize) -> Self {
-        Self::with_slots(capacity, shards, Slots::single())
-    }
-
-    /// [`BufferPoolCollector::new`], filing records under `slots`: shard
-    /// `i` fills sub-slot `i mod s` of every partition, so build at least
-    /// `N` shards.
-    pub fn with_slots(capacity: usize, shards: usize, slots: Slots) -> Self {
-        let shards = shards.max(1);
-        let partitions = slots.partitions as usize;
-        let bucket = || Bucket {
-            bytes: Vec::with_capacity(capacity / (shards * partitions)),
-            ..Bucket::default()
-        };
-        let shard = || Shard(RwLock::new((0..partitions).map(|_| bucket()).collect()));
-        BufferPoolCollector {
-            shards: (0..shards).map(|_| shard()).collect(),
+impl Filing {
+    fn new(slots: Slots, reserve: usize) -> Self {
+        Filing {
             slots,
+            groups: PerGroup::new(),
+            reserve,
             input: None,
         }
     }
 
-    fn sum(&self, of: impl Fn(&Bucket) -> usize) -> usize {
-        let shard = |shard: &Shard| shard.0.read().iter().map(&of).sum::<usize>();
-        self.shards.iter().map(shard).sum()
-    }
-}
-
-impl Collector for BufferPoolCollector {
     fn bind(&mut self, block: &Arc<[u8]>, view: &[u8]) {
         self.input = Some(Binding::new(block, view));
     }
 
-    fn emit(&self, key: &[u8], value: &[u8]) {
-        self.work_item(&mut |sink| sink(key, value));
-    }
-
-    /// The calling thread's work-group's shard is looked up and locked
-    /// once; the lock is released when `f` returns or unwinds.
-    fn work_item(&self, f: &mut dyn FnMut(&mut Sink<'_>)) {
-        let shard = &self.shards[current_group_id() % self.shards.len()];
-        let (mut shard, input) = (shard.0.write(), self.input.as_ref());
-        f(&mut |key, value| shard[self.slots.partition_of(key)].hold(input, key, value));
+    /// [`Collector::work_item`], filing each record under `slot(slots,
+    /// key, group)`: the calling thread's work-group's buckets are looked
+    /// up, and locked, once; the lock is released when `f` returns or
+    /// unwinds.
+    fn work_item(
+        &self,
+        f: &mut dyn FnMut(&mut Sink<'_>),
+        slot: impl Fn(&Slots, &[u8], usize) -> usize,
+    ) {
+        let (slots, group) = (&self.slots, current_group_id());
+        let make = || {
+            let bucket = || Bucket {
+                bytes: Vec::with_capacity(self.reserve),
+                ..Bucket::default()
+            };
+            (0..slots.len()).map(|_| bucket()).collect()
+        };
+        let (mut buckets, input) = (self.groups.get(group, make).write(), self.input.as_ref());
+        f(&mut |key, value| buckets[slot(slots, key, group)].hold(input, key, value));
     }
 
     fn lane_runs(&self, lane: usize, buf: &mut SortBuf, deliver: &mut dyn FnMut(u32, Run)) {
-        let (split, input) = (self.slots.split, input_of(&self.input));
-        let shards: Vec<_> = self.shards.iter().map(|s| s.0.read()).collect();
-        let mut pairs = Vec::new();
+        let groups: Vec<_> = self.groups.iter().map(RwLock::read).collect();
+        let (input, mut pairs) = (input_of(&self.input), Vec::new());
         for (p, slot) in self.slots.lane(lane) {
-            let shards = shards.iter().skip(slot % split).step_by(split);
-            let buckets = shards.map(|shard| &shard[p as usize]);
+            let buckets = groups.iter().map(|buckets| &buckets[slot]);
             if let Some(run) = filed_run(buckets, input, &mut pairs, buf) {
                 deliver(p, run);
             }
         }
     }
 
-    /// Shard by shard, each shard partition by partition in emission
-    /// order: no sort, so a single-slot pool hands records out as emitted.
+    /// Group by group, each group slot by slot in emission order: no
+    /// sort.
     fn visit(&self, f: &mut dyn FnMut(&[u8], &[u8])) {
         let input = input_of(&self.input);
-        for shard in &self.shards {
-            for bucket in shard.0.read().iter() {
+        for group in self.groups.iter() {
+            for bucket in group.read().iter() {
                 bucket.records(input).for_each(|(key, value)| f(key, value));
             }
         }
@@ -491,9 +533,14 @@ impl Collector for BufferPoolCollector {
 
     fn reset(&mut self) {
         self.input = None;
-        for shard in &mut self.shards {
-            shard.0.get_mut().iter_mut().for_each(Bucket::clear);
+        for group in self.groups.iter_mut() {
+            group.iter_mut().for_each(Bucket::clear);
         }
+    }
+
+    fn sum(&self, of: impl Fn(&Bucket) -> usize) -> usize {
+        let group = |group: &RwLock<Vec<Bucket>>| group.read().iter().map(&of).sum::<usize>();
+        self.groups.iter().map(group).sum()
     }
 
     fn records(&self) -> usize {
@@ -502,6 +549,62 @@ impl Collector for BufferPoolCollector {
 
     fn bytes(&self) -> usize {
         self.sum(|bucket| bucket.encoded)
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Shared buffer pool
+// ---------------------------------------------------------------------------
+
+/// The shared-buffer-pool collector: the filing store, every record filed
+/// as emitted under its partition and its work-group's sub-slot.
+pub struct BufferPoolCollector(Filing);
+
+impl BufferPoolCollector {
+    /// Create a pool that reserves `capacity` bytes spread over `groups`
+    /// work-groups, a group's share when it first emits, filing every
+    /// record in one slot. A bucket that fills up grows; a launch of more
+    /// groups gives each group beyond `groups` buckets of its own too.
+    pub fn new(capacity: usize, groups: usize) -> Self {
+        Self::with_slots(capacity, groups, Slots::single())
+    }
+
+    /// [`BufferPoolCollector::new`], filing records under `slots`, the
+    /// reservation spread over the `groups` groups' slots.
+    pub fn with_slots(capacity: usize, groups: usize, slots: Slots) -> Self {
+        let reserve = capacity / (groups.max(1) * slots.len());
+        BufferPoolCollector(Filing::new(slots, reserve))
+    }
+}
+
+impl Collector for BufferPoolCollector {
+    fn bind(&mut self, block: &Arc<[u8]>, view: &[u8]) {
+        self.0.bind(block, view);
+    }
+
+    fn work_item(&self, f: &mut dyn FnMut(&mut Sink<'_>)) {
+        self.0.work_item(f, Slots::slot_of_group);
+    }
+
+    fn lane_runs(&self, lane: usize, buf: &mut SortBuf, deliver: &mut dyn FnMut(u32, Run)) {
+        self.0.lane_runs(lane, buf, deliver);
+    }
+
+    /// No sort, so a single-slot pool hands records out as emitted.
+    fn visit(&self, f: &mut dyn FnMut(&[u8], &[u8])) {
+        self.0.visit(f);
+    }
+
+    fn reset(&mut self) {
+        self.0.reset();
+    }
+
+    fn records(&self) -> usize {
+        self.0.records()
+    }
+
+    fn bytes(&self) -> usize {
+        self.0.bytes()
     }
 }
 
@@ -736,104 +839,23 @@ impl KeyedTable {
     }
 }
 
-/// One `T` per work-group, made on first touch without a lock: segment
-/// `s` holds the `2^s` groups from `2^s - 1` on, so finding a group's `T`
-/// is one `OnceLock` load and a `T` never moves.
-struct PerGroup<T> {
-    segments: [OnceLock<Box<[T]>>; usize::BITS as usize],
-}
-
-impl<T> PerGroup<T> {
-    fn new() -> Self {
-        PerGroup {
-            segments: std::array::from_fn(|_| OnceLock::new()),
-        }
-    }
-
-    /// `group`'s `T`, after `make`-ing its whole segment if this is the
-    /// segment's first touch.
-    fn get(&self, group: usize, make: impl Fn() -> T) -> &T {
-        let n = group.saturating_add(1);
-        let segment = n.ilog2();
-        let slots = self.segments[segment as usize]
-            .get_or_init(|| (0..1usize << segment).map(|_| make()).collect());
-        &slots[n - (1 << segment)]
-    }
-
-    /// Every `T` made so far, in group order.
-    fn iter(&self) -> impl Iterator<Item = &T> {
-        self.segments
-            .iter()
-            .filter_map(OnceLock::get)
-            .flat_map(|slots| slots.iter())
-    }
-
-    fn iter_mut(&mut self) -> impl Iterator<Item = &mut T> {
-        self.segments
-            .iter_mut()
-            .filter_map(OnceLock::get_mut)
-            .flat_map(|slots| slots.iter_mut())
-    }
-}
-
-/// One work-group's records, filed with no probe: per slot, every record
-/// filed there in emission order, as the buffer pool files them (bound: a
-/// key or value lying in the input as a span of it).
-struct FiledTable {
-    slots: Vec<Bucket>,
-    /// What a [`KeyedTable`] counts for the same records if no key repeats
-    /// (none did in the chunk that made the tables file): each record's key
-    /// and value, plus a byte of overhead each.
-    bytes: usize,
-}
-
-impl FiledTable {
-    fn new(slots: usize) -> Self {
-        FiledTable {
-            slots: (0..slots).map(|_| Bucket::default()).collect(),
-            bytes: 0,
-        }
-    }
-
-    fn file(&mut self, slots: &Slots, input: Option<&Binding>, key: &[u8], value: &[u8]) {
-        self.bytes += key.len() + value.len() + 2;
-        self.slots[slots.slot_of_key(key)].hold(input, key, value);
-    }
-
-    fn records(&self) -> usize {
-        self.slots.iter().map(|bucket| bucket.held.len()).sum()
-    }
-
-    fn clear(&mut self) {
-        self.slots.iter_mut().for_each(Bucket::clear);
-        self.bytes = 0;
-    }
-}
-
-/// A work-group's table behind its own lock, aligned so that two groups
-/// never share a cache line. In a launch only the group's thread takes
-/// the write lock; it is there for emits that are not in one (group 0,
-/// from any thread). Partition lanes read every table at once.
-#[repr(align(128))]
-struct GroupSlot<T>(RwLock<T>);
-
 /// Every work-group's table, all in one form.
 enum Tables {
     /// Each of a group's distinct keys once, with its accumulator or the
     /// chain of its values: what a combiner needs, and what compacts a
     /// chunk whose keys repeat.
-    Keyed(PerGroup<GroupSlot<KeyedTable>>),
+    Keyed(PerGroup<KeyedTable>),
     /// Every record as emitted, for a table without a combiner whose keys
     /// do not repeat, where a probe would find nothing to compact.
-    Filed(PerGroup<GroupSlot<FiledTable>>),
+    Filed(Filing),
 }
 
 /// The hash-table collector with optional in-kernel combiner: one table
 /// per work-group. Tables start keyed, each key filed under its slot when
 /// a group first inserts it. Without a combiner, once the lanes have read
 /// a chunk in which no group's table held a key twice, `reset` turns the
-/// tables to filing each record under its key's slot, for good: the same
-/// runs, with no probe.
+/// collector to filing each record in the filing store under its key's
+/// slot, for good: the same runs, with no probe.
 pub struct HashTableCollector {
     combiner: Option<Arc<dyn Combiner>>,
     buckets: usize,
@@ -842,8 +864,6 @@ pub struct HashTableCollector {
     /// Set by a lane that read keyed tables without a combiner, no key
     /// held twice by one table; `reset` reads it.
     unique: AtomicBool,
-    /// The input filed tables are bound to.
-    input: Option<Binding>,
 }
 
 impl HashTableCollector {
@@ -861,24 +881,19 @@ impl HashTableCollector {
             slots,
             tables: Tables::Keyed(PerGroup::new()),
             unique: AtomicBool::new(false),
-            input: None,
         }
     }
 
     /// Total emit calls (pre-combining).
     pub fn emits(&self) -> usize {
-        self.sum(|table| table.emits, FiledTable::records)
+        self.sum(|table| table.emits, Filing::records)
     }
 
-    /// `keyed` or `filed` of every table, summed.
-    fn sum(
-        &self,
-        keyed: impl Fn(&KeyedTable) -> usize,
-        filed: impl Fn(&FiledTable) -> usize,
-    ) -> usize {
+    /// `keyed` of every keyed table, summed, or `filed` of the store.
+    fn sum(&self, keyed: impl Fn(&KeyedTable) -> usize, filed: impl Fn(&Filing) -> usize) -> usize {
         match &self.tables {
-            Tables::Keyed(groups) => groups.iter().map(|slot| keyed(&slot.0.read())).sum(),
-            Tables::Filed(groups) => groups.iter().map(|slot| filed(&slot.0.read())).sum(),
+            Tables::Keyed(groups) => groups.iter().map(|table| keyed(&table.read())).sum(),
+            Tables::Filed(store) => filed(store),
         }
     }
 
@@ -1031,43 +1046,31 @@ impl LaneKey<'_> {
 }
 
 impl Collector for HashTableCollector {
-    /// Binds filed tables only: keyed ones copy what they keep.
+    /// Binds a filing store only: keyed tables copy what they keep.
     fn bind(&mut self, block: &Arc<[u8]>, view: &[u8]) {
-        if let Tables::Filed(_) = self.tables {
-            self.input = Some(Binding::new(block, view));
+        if let Tables::Filed(store) = &mut self.tables {
+            store.bind(block, view);
         }
-    }
-
-    fn emit(&self, key: &[u8], value: &[u8]) {
-        self.work_item(&mut |sink| sink(key, value));
     }
 
     /// The calling thread's work-group is looked up, and its table locked,
     /// once; the lock is released when `f` returns or unwinds.
     fn work_item(&self, f: &mut dyn FnMut(&mut Sink<'_>)) {
-        let (slots, group) = (&self.slots, current_group_id());
+        let slots = &self.slots;
         match &self.tables {
             Tables::Keyed(groups) => {
-                let make = || {
-                    let table = KeyedTable::new(self.buckets, self.combiner.clone(), slots.len());
-                    GroupSlot(RwLock::new(table))
-                };
-                let mut table = groups.get(group, make).0.write();
+                let make = || KeyedTable::new(self.buckets, self.combiner.clone(), slots.len());
+                let mut table = groups.get(current_group_id(), make).write();
                 f(&mut |key, value| table.emit(slots, hash_bytes(key), key, value));
             }
-            Tables::Filed(groups) => {
-                let make = || GroupSlot(RwLock::new(FiledTable::new(slots.len())));
-                let (mut table, input) = (groups.get(group, make).0.write(), self.input.as_ref());
-                f(&mut |key, value| table.file(slots, input, key, value));
-            }
+            Tables::Filed(store) => store.work_item(f, |slots, key, _| slots.slot_of_key(key)),
         }
     }
 
-    /// Filed tables' slots are sorted as the buffer pool sorts its own.
     fn lane_runs(&self, lane: usize, buf: &mut SortBuf, deliver: &mut dyn FnMut(u32, Run)) {
         match &self.tables {
             Tables::Keyed(groups) => {
-                let guards: Vec<_> = groups.iter().map(|slot| slot.0.read()).collect();
+                let guards: Vec<_> = groups.iter().map(RwLock::read).collect();
                 let tables: Vec<&KeyedTable> = guards.iter().map(|table| &**table).collect();
                 let unique = |t: &&KeyedTable| t.entries.len() == t.emits;
                 if self.combiner.is_none()
@@ -1078,21 +1081,16 @@ impl Collector for HashTableCollector {
                 }
                 self.keyed_runs(&tables, lane, buf, deliver);
             }
-            Tables::Filed(groups) => {
-                let tables: Vec<_> = groups.iter().map(|slot| slot.0.read()).collect();
-                let (input, mut pairs) = (input_of(&self.input), Vec::new());
-                for (p, slot) in self.slots.lane(lane) {
-                    let filed = tables.iter().map(|table| &table.slots[slot]);
-                    if let Some(run) = filed_run(filed, input, &mut pairs, buf) {
-                        deliver(p, run);
-                    }
-                }
-            }
+            Tables::Filed(store) => store.lane_runs(lane, buf, deliver),
         }
     }
 
-    /// The lane runs, lane by lane, each partition by partition.
+    /// Keyed tables hand out the lane runs, lane by lane, each partition
+    /// by partition; a filing store, its records as filed.
     fn visit(&self, f: &mut dyn FnMut(&[u8], &[u8])) {
+        if let Tables::Filed(store) = &self.tables {
+            return store.visit(f);
+        }
         let mut buf = SortBuf::default();
         for lane in 0..self.slots.lanes {
             self.lane_runs(lane, &mut buf, &mut |_, run| {
@@ -1102,24 +1100,23 @@ impl Collector for HashTableCollector {
     }
 
     fn reset(&mut self) {
-        self.input = None;
         if std::mem::take(self.unique.get_mut()) {
-            self.tables = Tables::Filed(PerGroup::new());
+            self.tables = Tables::Filed(Filing::new(self.slots.clone(), 0));
         }
         match &mut self.tables {
-            Tables::Keyed(groups) => groups.iter_mut().for_each(|slot| slot.0.get_mut().clear()),
-            Tables::Filed(groups) => groups.iter_mut().for_each(|slot| slot.0.get_mut().clear()),
+            Tables::Keyed(groups) => groups.iter_mut().for_each(KeyedTable::clear),
+            Tables::Filed(store) => store.reset(),
         }
     }
 
     fn records(&self) -> usize {
-        self.sum(|table| table.records, FiledTable::records)
+        self.sum(|table| table.records, Filing::records)
     }
 
     /// What the tables hold as they stand: a Retrieve stage asks for it,
     /// and what would cross the link is every group's table.
     fn bytes(&self) -> usize {
-        self.sum(|table| table.bytes, |table| table.bytes)
+        self.sum(|table| table.bytes, Filing::bytes)
     }
 }
 
@@ -1546,15 +1543,19 @@ mod tests {
 
     #[test]
     fn buffer_pool_keeps_records_past_its_reservation_per_group_in_emission_order() {
-        // Four shards reserving 64 bytes each take some 12 KiB apiece.
-        let c = BufferPoolCollector::new(256, 4);
         let chunk = chunk_of(|i| (i as u64).to_le_bytes().to_vec());
         let range = NdRange::new(64, 16).unwrap();
-        launch_work_items(&WorkerPool::new(2), range, &c, &chunk);
-        assert_eq!(c.records(), 3000);
-        // A group's items run in item order over ascending slices of the
-        // chunk, and the four groups drain in group order.
-        assert_eq!(sequence(&c), chunk);
+        // Four groups reserving 64 bytes each take some 12 KiB apiece; a
+        // pool built for two groups gives the launch's other two buckets
+        // of their own.
+        for groups in [4, 2] {
+            let c = BufferPoolCollector::new(256, groups);
+            launch_work_items(&WorkerPool::new(2), range, &c, &chunk);
+            assert_eq!(c.records(), 3000);
+            // A group's items run in item order over ascending slices of
+            // the chunk, and the four groups drain in group order.
+            assert!(sequence(&c) == chunk, "a pool built for {groups} groups");
+        }
     }
 
     #[test]
@@ -1662,8 +1663,8 @@ mod tests {
         let Tables::Keyed(groups) = &c.tables else {
             panic!("the tables file")
         };
-        let filled = |slot: &GroupSlot<KeyedTable>| !slot.0.read().entries.is_empty();
-        groups.iter().filter(|slot| filled(slot)).count()
+        let filled = |table: &&RwLock<KeyedTable>| !table.read().entries.is_empty();
+        groups.iter().filter(filled).count()
     }
 
     /// A table without a combiner that files: the lanes read one chunk
@@ -1726,16 +1727,20 @@ mod tests {
                     t.slots.iter().map(Vec::capacity).sum(),
                 ]
             };
-            let filed = |t: &FiledTable| {
+            let filed = |buckets: &[Bucket]| {
                 let (held, bytes) = (
-                    t.slots.iter().map(|b| b.held.capacity()),
-                    t.slots.iter().map(|b| b.bytes.capacity()),
+                    buckets.iter().map(|b| b.held.capacity()),
+                    buckets.iter().map(|b| b.bytes.capacity()),
                 );
                 [held.sum(), bytes.sum(), 0, 0, 0]
             };
             match &c.tables {
-                Tables::Keyed(groups) => groups.iter().map(|slot| keyed(&slot.0.read())).collect(),
-                Tables::Filed(groups) => groups.iter().map(|slot| filed(&slot.0.read())).collect(),
+                Tables::Keyed(groups) => groups.iter().map(|table| keyed(&table.read())).collect(),
+                Tables::Filed(store) => store
+                    .groups
+                    .iter()
+                    .map(|group| filed(&group.read()))
+                    .collect(),
             }
         };
         let pool = WorkerPool::new(1);
@@ -1878,13 +1883,16 @@ mod tests {
             /// table, filed (it keeps spans) and keyed (it binds nothing), at
             /// `P` 1–4 × `N` 1–3. Emits mix whole input records,
             /// input keys with fresh values, fresh keys with input values and
-            /// fresh records, over 24 keys, so groups see duplicates. The
-            /// bound collector's first attempt fails part-way and is reset
-            /// and retried, as the map kernel retries; each reset hands the
-            /// block back, its `Arc` count 1 again.
+            /// fresh records, over 24 keys, so groups see duplicates, and
+            /// values of up to 199 bytes, so some lengths take a two-byte
+            /// varint. The bound collector's first attempt fails part-way
+            /// and is reset and retried, as the map kernel retries; each
+            /// reset hands the block back, its `Arc` count 1 again. What
+            /// the pool and the filing table count as `bytes` is what their
+            /// lanes deliver.
             #[test]
             fn bound_collection_matches_unbound(
-                records in proptest::collection::vec((0u8..24, proptest::collection::vec(any::<u8>(), 0..6)), 1..80),
+                records in proptest::collection::vec((0u8..24, proptest::collection::vec(any::<u8>(), 0..200)), 1..80),
                 picks in proptest::collection::vec((0usize..80, 0u8..4), 0..160),
                 global in 1usize..24,
                 local in 1usize..6,
@@ -1921,9 +1929,9 @@ mod tests {
                 let s = slots(partitions, lanes);
                 let make = |name| -> Box<dyn Collector> {
                     match name {
-                        // One shard per work-group, as the map kernel's, so
-                        // that emission order is a function of the NDRange.
-                        "buffer pool" => Box::new(BufferPoolCollector::with_slots(1 << 10, global.max(lanes), s.clone())),
+                        // Reserving over the launch's groups, as the map
+                        // kernel's does.
+                        "buffer pool" => Box::new(BufferPoolCollector::with_slots(1 << 10, global.div_ceil(local), s.clone())),
                         "keyed hash table" => Box::new(HashTableCollector::with_slots(16, None, s.clone())),
                         _ => Box::new(filing(s.clone())),
                     }
@@ -1939,10 +1947,15 @@ mod tests {
                     prop_assert!(Arc::strong_count(&block) == 1, "{}: reset keeps the block", name);
                     bound.bind(&block, view);
                     launch(bound.as_ref(), range, &emits, false);
-                    prop_assert!(lane_runs(bound.as_ref(), &s) == lane_runs(unbound.as_ref(), &s), "{}: runs differ", name);
+                    let runs = lane_runs(bound.as_ref(), &s);
+                    prop_assert!(runs == lane_runs(unbound.as_ref(), &s), "{}: runs differ", name);
                     prop_assert!(sequence(bound.as_ref()) == sequence(unbound.as_ref()), "{}: visits differ", name);
                     prop_assert_eq!(bound.records(), unbound.records());
                     prop_assert_eq!(bound.bytes(), unbound.bytes());
+                    if name != "keyed hash table" {
+                        let delivered: usize = runs.values().map(Run::len_bytes).sum();
+                        prop_assert!(bound.bytes() == delivered, "{}: bytes are not the runs' length", name);
+                    }
                     bound.reset();
                     prop_assert!(Arc::strong_count(&block) == 1, "{}: reset keeps the block", name);
                 }

@@ -112,20 +112,15 @@ pub struct MapPhaseReport {
 }
 
 /// A buffer-pool collector for kernels of at most `work_items` work
-/// items, filing records under `slots`: one shard per work-group, so that
-/// the order records drain in is a function of the NDRange, and never
-/// fewer than the partition lanes, so that every sub-slot has a shard.
+/// items, filing records under `slots`, its reservation spread over their
+/// work-groups.
 pub(crate) fn pool_collector(
     cfg: &JobConfig,
     work_items: usize,
     slots: Slots,
 ) -> BufferPoolCollector {
     let groups = work_items.div_ceil(cfg.work_group);
-    BufferPoolCollector::with_slots(
-        cfg.collector_capacity,
-        groups.max(slots.lanes()).max(8),
-        slots,
-    )
+    BufferPoolCollector::with_slots(cfg.collector_capacity, groups, slots)
 }
 
 /// Build the map kernel's collector according to the job configuration:
