@@ -20,6 +20,12 @@ impl Combiner for CountSumCombiner {
         let sum = dec_u64(acc) + dec_u64(value);
         acc.copy_from_slice(&enc_u64(sum));
     }
+
+    /// An integer sum: any grouping and order of a key's counts sums to
+    /// the same bytes.
+    fn order_free(&self) -> bool {
+        true
+    }
 }
 
 /// The WordCount application.

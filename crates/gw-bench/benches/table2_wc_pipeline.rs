@@ -7,7 +7,9 @@
 //!   (iv)  hash table + combiner, single buffering.
 //!
 //! Rows: Input, Kernel, Partitioning stage totals, the map elapsed time,
-//! the merge delay, and the reduce time. The pipeline analysis runs on one
+//! the merge delay, and the reduce time, each the median of `RUNS` runs of
+//! the configuration, so a shape check compares medians, not one
+//! wall-clock sample a side. The pipeline analysis runs on one
 //! node without HDFS cost ("the pipeline analysis was performed on one
 //! Type-1 node without HDFS"), on a scaled-down Zipf corpus.
 //!
@@ -25,13 +27,22 @@ use gw_apps::WordCount;
 use gw_bench::{bench_cfg, corpus_cluster_paced, rule, secs};
 use gw_core::{Buffering, CollectorKind, GwApp, StageId};
 
+/// Runs of each configuration; every row is their median.
+const RUNS: usize = 5;
+
 struct Row {
     label: &'static str,
     values: Vec<Duration>,
 }
 
+/// The median of `samples`.
+fn median(mut samples: Vec<Duration>) -> Duration {
+    samples.sort();
+    samples[samples.len() / 2]
+}
+
 fn main() {
-    println!("=== Table II: WC map pipeline time breakdown (seconds) ===\n");
+    println!("=== Table II: WC map pipeline time breakdown (seconds, median of {RUNS} runs) ===\n");
     let configs: [(&str, CollectorKind, bool, Buffering); 4] = [
         (
             "hash+comb/dbl",
@@ -87,9 +98,7 @@ fn main() {
     ];
     let mut records_out = Vec::new();
 
-    for (label, collector, combiner, buffering) in &configs {
-        // Fresh cluster per configuration (identical corpus, seeded).
-        let cluster = corpus_cluster_paced(60_000, 40_000, 1, 256 << 10);
+    for (_, collector, combiner, buffering) in &configs {
         let mut cfg = bench_cfg();
         cfg.collector = *collector;
         cfg.buffering = *buffering;
@@ -102,16 +111,29 @@ fn main() {
         } else {
             Arc::new(WordCount::without_combiner())
         };
-        let report = cluster.run(app, &cfg).expect("job failed");
-        let n = &report.nodes[0];
-        rows[0].values.push(n.map_timers.wall(StageId::Input));
-        rows[1].values.push(n.map_timers.wall(StageId::Kernel));
-        rows[2].values.push(n.map_timers.wall(StageId::Partition));
-        rows[3].values.push(n.map.elapsed);
-        rows[4].values.push(n.merge_delay);
-        rows[5].values.push(n.reduce.elapsed);
-        records_out.push(n.map.records_out);
-        let _ = label;
+        let (mut samples, mut records) = (vec![Vec::new(); rows.len()], 0);
+        for _ in 0..RUNS {
+            // Fresh cluster per run (identical corpus, seeded).
+            let cluster = corpus_cluster_paced(60_000, 40_000, 1, 256 << 10);
+            let report = cluster.run(Arc::clone(&app), &cfg).expect("job failed");
+            let n = &report.nodes[0];
+            let run = [
+                n.map_timers.wall(StageId::Input),
+                n.map_timers.wall(StageId::Kernel),
+                n.map_timers.wall(StageId::Partition),
+                n.map.elapsed,
+                n.merge_delay,
+                n.reduce.elapsed,
+            ];
+            for (sample, value) in samples.iter_mut().zip(run) {
+                sample.push(value);
+            }
+            records = n.map.records_out; // a count: the same every run
+        }
+        records_out.push(records);
+        for (row, sample) in rows.iter_mut().zip(samples) {
+            row.values.push(median(sample));
+        }
     }
 
     println!(

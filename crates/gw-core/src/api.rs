@@ -24,6 +24,8 @@ use gw_storage::varint::RecRef;
 use crate::collect::{Collector, Sink};
 use crate::hash;
 
+pub use gw_intermediate::Combiner;
+
 /// One work item's records: a borrowed view of the chunk's bytes and the
 /// work item's slice of its record positions.
 pub struct Records<'a> {
@@ -99,15 +101,6 @@ impl<'a> Emit<'a> {
             Target::Sink(sink) => (sink.borrow_mut())(key, value),
         }
     }
-}
-
-/// An in-kernel combiner: merges a newly emitted value into the
-/// accumulated value for a key ("a local reduce over the results of one
-/// map chunk"). Only used with the hash-table collection mechanism, as in
-/// the paper.
-pub trait Combiner: Send + Sync {
-    /// Merge `value` into `acc` (both in the application's value encoding).
-    fn combine(&self, key: &[u8], acc: &mut Vec<u8>, value: &[u8]);
 }
 
 /// A Glasswing MapReduce application.

@@ -764,8 +764,14 @@ fn run_node(
         compress: cfg.compress_intermediate,
         memory_budget: cfg.memory_budget.unwrap_or(defaults.memory_budget),
     };
+    // An order-free combiner folds where a key's records meet: in the
+    // store's pre-merges and in the reduce merge.
+    let fold = app
+        .combiner()
+        .filter(|c| app.has_reduce() && c.order_free());
     let intermediate = Arc::new(IntermediateStore::with_runner(
         icfg,
+        fold,
         &runner(runtime, host, Role::Merger),
     )?);
     // Spill-file I/O is a chaos fault site: probe the node's plan before

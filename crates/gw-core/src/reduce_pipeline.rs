@@ -25,6 +25,15 @@
 //! past a head; full ties still
 //! break by source index, so the order is `(key, value, source)` as ever,
 //! and the bytes do not depend on which runs were pre-merged together.
+//! An app with an order-free combiner (`Combiner::order_free`: WordCount,
+//! PageView) gets a folding store, whose pre-merges write each key once a
+//! batch (by the tree at every tier, not the sort), and a folding merge
+//! (`IntermediateStore::partition_groups`): each key reaches the kernel as
+//! one value, its records combined, so the reduce's chunks, launches,
+//! key splits and logical trace cannot depend on which runs the mergers
+//! reached before map end — which a key's value count, beside
+//! `reduce_max_values_per_chunk` and `reduce_threads_per_key`, would
+//! show. Every other app's merge is the plain grouping.
 //! The store flushes nothing at end of map, so an in-core job's tiers are
 //! the whole input and no byte is read from disk; for a job that spilled
 //! the merge is **external**, holding the cached remainder, `k` frames and
@@ -340,13 +349,15 @@ impl LaneSource<ReduceChunk, EngineError> for ReduceMergeRead<'_> {
                 // The partition `claim` just found.
                 let gp = self.next_gp - 1;
                 // Streaming cursors: spilled runs stay on disk and decode
-                // one frame at a time; cached runs are merged where they sit.
-                let cursors = self.phase.intermediate.partition_cursors(gp)?;
-                if self.phase.app.has_reduce() {
-                    (gp, PartMerge::Grouped(GroupedCursorMerge::new(cursors)))
+                // one frame at a time; cached runs are merged where they
+                // sit. A folding store's groups come one value a key.
+                let store = &self.phase.intermediate;
+                let merge = if self.phase.app.has_reduce() {
+                    PartMerge::Grouped(store.partition_groups(gp)?)
                 } else {
-                    (gp, PartMerge::Plain(CursorMerge::new(cursors)))
-                }
+                    PartMerge::Plain(CursorMerge::new(store.partition_cursors(gp)?))
+                };
+                (gp, merge)
             }
         };
         let (chunk, keys) = self.fill(gp, &mut merge)?;

@@ -18,6 +18,7 @@
 //! reduction starts" — is measured by [`store::IntermediateStore`] and is
 //! the metric of paper Fig. 4(b).
 
+pub mod combine;
 pub mod compress;
 pub mod cursor;
 pub mod frame;
@@ -29,6 +30,7 @@ mod radix;
 pub mod store;
 pub mod tempdir;
 
+pub use combine::Combiner;
 pub use cursor::{MemCursor, PartCursor, RunCursor, SpillCursor};
 pub use frame::{SpillFaultHook, SpillOp};
 pub use gauge::MemGauge;

@@ -16,6 +16,10 @@
 //! batches (decimal-like words, each in many runs) the radix takes a pass
 //! per key byte and the tree was the faster kernel (~97 against ~60–75 ns
 //! a record), a few percent of that workload's CPU (EXPERIMENTS.md).
+//! WordCount's combiner is order-free, though, and a store given one
+//! pre-merges every tier by [`fold_runs`]: the tree, writing a key's
+//! records as one, folded by the combiner; the reduce's
+//! [`GroupedCursorMerge::folding`] folds what the pre-merges left apart.
 //!
 //! All sites run on one **loser tree** (tournament tree) generic over
 //! [`RunCursor`] sources: emitting a record replays exactly one
@@ -47,9 +51,11 @@
 
 use std::io;
 use std::ops::Range;
+use std::sync::Arc;
 
 use gw_storage::varint::RecRef;
 
+use crate::combine::Combiner;
 use crate::cursor::{MemCursor, RunCursor};
 use crate::kv::Run;
 use crate::radix::{key_head, shared_prefix, SortBuf, SortRef};
@@ -222,6 +228,19 @@ impl<C: RunCursor> LoserTree<C> {
         }
     }
 
+    /// Whether the winning record's key is `key`, whose head is `head`:
+    /// decided on the heads unless both keys run past them.
+    #[inline]
+    fn winner_has_key(&self, head: SortHead, key: &[u8]) -> bool {
+        let Some(w) = self.winner() else {
+            return false;
+        };
+        let h = self.heads[w];
+        h.key == head.key
+            && h.klen() == head.klen()
+            && (h.klen() <= KEY_HEAD || self.cursors[w].key() == key)
+    }
+
     /// Advance the current winner's cursor and replay its leaf-to-root
     /// path. The only fallible step of a merge (spill cursors touch disk).
     pub(crate) fn advance_winner(&mut self) -> io::Result<()> {
@@ -366,6 +385,47 @@ where
     Run::from_sorted_bytes(bytes, records)
 }
 
+/// The records of `runs` as one [`Run`] in which each key occurs once:
+/// one loser-tree merge that copies a record whose key does not repeat
+/// and folds a run of equal keys into one record by `combiner`, in merge
+/// order. Returns the run and the records folded away. The bytes are the
+/// same for any batching of the records only when `combiner` is
+/// [`Combiner::order_free`]; the store's pre-merges, at every tier, are
+/// its caller then.
+pub fn fold_runs<'a, I>(runs: I, combiner: &dyn Combiner) -> (Run, usize)
+where
+    I: IntoIterator<Item = &'a Run>,
+{
+    let runs: Vec<&Run> = runs.into_iter().filter(|r| !r.is_empty()).collect();
+    let inputs: usize = runs.iter().map(|r| r.records()).sum();
+    let mut bytes = Vec::with_capacity(runs.iter().map(|r| r.len_bytes()).sum());
+    let (mut records, mut acc) = (0, Vec::new());
+    let mut tree = LoserTree::new(borrowed_cursors(runs));
+    while let Some(w) = tree.winner() {
+        // The run's own bytes (`'a`), which outlive the step.
+        let (buf, cur, head) = (tree.cursors[w].buf, tree.cursors[w].cur, tree.heads[w]);
+        let key = cur.key(buf);
+        tree.advance_winner().expect("in-memory merge cannot fail");
+        records += 1;
+        if !tree.winner_has_key(head, key) {
+            bytes.extend_from_slice(cur.rec(buf));
+            continue;
+        }
+        acc.clear();
+        acc.extend_from_slice(cur.value(buf));
+        while tree.winner_has_key(head, key) {
+            let w = tree.tree[0] as usize;
+            combiner.combine(key, &mut acc, tree.cursors[w].value());
+            tree.advance_winner().expect("in-memory merge cannot fail");
+        }
+        RecRef::write(&mut bytes, key, &acc);
+    }
+    // The caller takes the bytes the fold saved off the gauge: give the
+    // allocator back the capacity that held them.
+    bytes.shrink_to_fit();
+    (Run::from_sorted_bytes(bytes, records), inputs - records)
+}
+
 /// K-way merge over cursors — a lending view, since a source's buffer may
 /// be refilled on `advance` (framed spills). Peek, copy what you need,
 /// advance.
@@ -440,7 +500,9 @@ pub struct GroupSlice {
 /// copied into a caller-owned arena and span list — nothing is allocated
 /// per key. A key whose values span multiple slices yields `last = false`
 /// until its final slice — exactly the chunk-continuation contract the
-/// reduce pipeline's scratch-state machinery expects.
+/// reduce pipeline's scratch-state machinery expects. A folding merge
+/// ([`GroupedCursorMerge::folding`]) instead hands out each key's values
+/// combined into one, in one slice.
 pub struct GroupedCursorMerge<C: RunCursor> {
     merge: CursorMerge<C>,
     /// The key being sliced; one buffer, refilled at each key start.
@@ -448,6 +510,9 @@ pub struct GroupedCursorMerge<C: RunCursor> {
     /// `true` mid-key: the next slice continues `key` instead of
     /// starting a fresh one at the merge head.
     pending: bool,
+    /// The order-free combiner a folding merge applies, and the value it
+    /// folds into, one buffer refilled at each key.
+    fold: Option<(Arc<dyn Combiner>, Vec<u8>)>,
 }
 
 impl<C: RunCursor> GroupedCursorMerge<C> {
@@ -457,6 +522,22 @@ impl<C: RunCursor> GroupedCursorMerge<C> {
             merge: CursorMerge::new(cursors),
             key: Vec::new(),
             pending: false,
+            fold: None,
+        }
+    }
+
+    /// Group the merge of `cursors` by key, folding each key's values
+    /// into one by `combiner`, which must be [`Combiner::order_free`]: a
+    /// key's one value then does not depend on how its records were
+    /// split across the cursors, nor on the slice size.
+    pub fn folding(cursors: Vec<C>, combiner: Arc<dyn Combiner>) -> Self {
+        assert!(
+            combiner.order_free(),
+            "a folding merge needs an order-free combiner"
+        );
+        GroupedCursorMerge {
+            fold: Some((combiner, Vec::new())),
+            ..Self::new(cursors)
         }
     }
 
@@ -468,7 +549,8 @@ impl<C: RunCursor> GroupedCursorMerge<C> {
 
     /// Stream the next slice of up to `max_values` values of one key:
     /// key and value bytes are appended to `arena`, one span per value to
-    /// `spans`. Returns `None` when the merge is exhausted, and
+    /// `spans`; a folding merge's slice is a whole key's one folded value,
+    /// whatever `max_values`. Returns `None` when the merge is exhausted, and
     /// `InvalidInput` if `arena` would outgrow the 4 GiB its spans address.
     pub fn next_slice(
         &mut self,
@@ -486,6 +568,26 @@ impl<C: RunCursor> GroupedCursorMerge<C> {
         let key = span_at(arena.len(), self.key.len())?;
         arena.extend_from_slice(&self.key);
         let first = spans.len();
+        if let Some((combiner, acc)) = &mut self.fold {
+            let (_, v) = self.merge.peek().expect("a key starts at a record");
+            acc.clear();
+            acc.extend_from_slice(v);
+            self.merge.advance()?;
+            while let Some((k, v)) = self.merge.peek() {
+                if k != self.key.as_slice() {
+                    break;
+                }
+                combiner.combine(&self.key, acc, v);
+                self.merge.advance()?;
+            }
+            spans.push(span_at(arena.len(), acc.len())?);
+            arena.extend_from_slice(acc);
+            return Ok(Some(GroupSlice {
+                key,
+                values: first..spans.len(),
+                last: true,
+            }));
+        }
         // One peek per record: the peek that finds the slice full is also
         // the one that tells whether the key goes on.
         let last = loop {
@@ -513,8 +615,10 @@ impl<C: RunCursor> GroupedCursorMerge<C> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::combine::U64Sum;
     use crate::kv::{run_from_pairs, RunBuilder, RunIter};
     use proptest::prelude::*;
+    use std::collections::BTreeMap;
 
     type Groups = Vec<(Vec<u8>, Vec<Vec<u8>>)>;
 
@@ -803,6 +907,16 @@ mod tests {
         prop_oneof![proptest::collection::vec(run(), 0..TIER_FANIN + 2), lone,]
     }
 
+    /// Keys for a fold: a few short ones, one that fills the head's 16
+    /// bytes exactly, and longer ones that tie through it.
+    fn folding_key() -> impl Strategy<Value = Vec<u8>> {
+        prop_oneof![
+            proptest::collection::vec(0u8..3, 0..3),
+            Just(b"sixteen-byte-key".to_vec()),
+            (0u8..3).prop_map(|b| [b"sixteen-byte-key".as_slice(), &[b]].concat()),
+        ]
+    }
+
     #[test]
     fn all_ones_record_beats_an_exhausted_cursor() {
         // The one live head whose prefixes equal the exhausted sentinel's.
@@ -957,6 +1071,47 @@ mod tests {
             let built = runs_from(&prefixed);
             let (sorted, merged) = (sort_runs(&built, &mut buf), merge_runs(&built));
             prop_assert_eq!(sorted.bytes(), merged.bytes());
+        }
+
+        /// A fold writes each key once, with its values' sum, and the same
+        /// bytes for any order of its runs; the folding grouped merge hands
+        /// out the same sums, one value a key in one slice, at any slice
+        /// size. Keys tie through the head's 16 bytes and run past them.
+        #[test]
+        fn folded_runs_are_each_keys_sum(
+            runs in proptest::collection::vec(
+                proptest::collection::vec((folding_key(), 0u64..1000), 0..24),
+                0..TIER_FANIN + 2),
+            max_values in 1usize..4)
+        {
+            let pairs: Vec<Vec<(Vec<u8>, Vec<u8>)>> = runs
+                .iter()
+                .map(|run| run.iter().map(|(k, n)| (k.clone(), n.to_le_bytes().to_vec())).collect())
+                .collect();
+            let built = runs_from(&pairs);
+            let mut sums: BTreeMap<Vec<u8>, u64> = BTreeMap::new();
+            for (k, n) in runs.iter().flatten() {
+                *sums.entry(k.clone()).or_default() += n;
+            }
+            let expect: Vec<(Vec<u8>, u64)> = sums.into_iter().collect();
+            let (folded, combined) = fold_runs(&built, &U64Sum);
+            let got: Vec<(Vec<u8>, u64)> =
+                folded.iter().map(|(k, v)| (k.to_vec(), U64Sum::read(v))).collect();
+            prop_assert_eq!(&got, &expect);
+            prop_assert_eq!(folded.records() + combined, built.iter().map(Run::records).sum::<usize>());
+            let (reversed, _) = fold_runs(built.iter().rev(), &U64Sum);
+            prop_assert_eq!(reversed.bytes(), folded.bytes());
+
+            let cursors = built.iter().map(|r| MemCursor::new(r.clone())).collect();
+            let mut gm = GroupedCursorMerge::folding(cursors, Arc::new(U64Sum));
+            let (mut arena, mut spans) = (Vec::new(), Vec::new());
+            let mut grouped = Vec::new();
+            while let Some(s) = gm.next_slice(max_values, &mut arena, &mut spans).unwrap() {
+                prop_assert!(s.last && s.values.len() == 1 && gm.at_key_start());
+                let bytes = |(off, len): (u32, u32)| arena[off as usize..][..len as usize].to_vec();
+                grouped.push((bytes(s.key), U64Sum::read(&bytes(spans[s.values.start]))));
+            }
+            prop_assert_eq!(grouped, expect);
         }
 
         /// The external cursor merge emits the exact record sequence of

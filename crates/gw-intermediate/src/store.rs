@@ -21,13 +21,21 @@
 //!   runs — each partition's cache is kept in **tiers**: a run enters at
 //!   tier 0, and when a tier holds `TIER_FANIN` (16) runs the partition's
 //!   merger task makes its oldest ones, in memory, one run of the next
-//!   tier, so the reduce opens a few long runs, not hundreds. Tier 0 is
-//!   **sorted** ([`crate::merge::sort_runs`]): its runs are a few fresh
-//!   chunks' records, which stay in cache, where the sort-head radix
-//!   takes ~55 ns a record and a 16-way loser tree ~105. Higher tiers are
+//!   tier, so the reduce opens a few long runs, not hundreds. A store
+//!   given an order-free combiner ([`IntermediateStore::with_runner`])
+//!   **folds**: at every tier the pre-merge is one loser-tree merge that
+//!   copies a record whose key does not repeat and combines each run of
+//!   equal keys into one record ([`crate::merge::fold_runs`]), so the
+//!   cache holds each key once a run — about a third of WordCount's
+//!   records — and the bytes a fold gives back leave the gauge and the
+//!   cache count as it ends. Otherwise tier 0 is **sorted**
+//!   ([`crate::merge::sort_runs`]): its runs are a few fresh chunks'
+//!   records, which stay in cache, where the sort-head radix takes ~55 ns
+//!   a TeraSort record and a 16-way loser tree ~105 (on WordCount's
+//!   batches the tree is the faster, 60–75 against 97). Higher tiers are
 //!   **merged**: they hold up to 16× the records, already in a few long
 //!   sorted runs, and the tree needs no sort space (48 B a record, which
-//!   the step charges to the gauge beside the copy);
+//!   a sorting step charges to the gauge beside the copy);
 //! * the **merge delay** metric — "the time dedicated to merging
 //!   intermediate data after the completion of the map phase and before
 //!   reduction starts" — the wait in [`IntermediateStore::finish_map`]
@@ -37,8 +45,14 @@
 //! `total > memory_budget / 2`: a flush takes the partition's whole cache,
 //! every tier. Nothing is flushed at end of map, and the reduce merge
 //! reads the tiers where they sit — the paper's "one last merge operation"
-//! (§III-C). A pre-merge adds no combining: merge order `(key, value,
-//! source)` makes the merged stream the same for any batching.
+//! (§III-C). Without a combiner a pre-merge combines nothing, and merge
+//! order `(key, value, source)` makes the merged stream the same for any
+//! batching. A folding store's batching does show in its runs, but not
+//! past the reduce merge: an order-free combiner gives a key's one value
+//! the same bytes for any grouping, and
+//! [`IntermediateStore::partition_groups`] folds what the pre-merges left
+//! apart. Flushes and compactions never fold: what is spilled is what was
+//! cached.
 //!
 //! ## Rewrites: once a round
 //!
@@ -91,11 +105,12 @@ use std::time::{Duration, Instant};
 
 use parking_lot::{Condvar, Mutex, MutexGuard};
 
+use crate::combine::Combiner;
 use crate::cursor::{MemCursor, PartCursor, RunCursor, SpillCursor};
 use crate::frame::{self, Encoding, SpillFaultHook, SpillStats};
 use crate::gauge::MemGauge;
 use crate::kv::Run;
-use crate::merge::{merge_runs, sort_runs, CursorMerge, TIER_FANIN};
+use crate::merge::{fold_runs, merge_runs, sort_runs, CursorMerge, GroupedCursorMerge, TIER_FANIN};
 use crate::radix::{SortBuf, SORT_SPACE};
 use crate::tempdir::TempDir;
 use crate::PartitionId;
@@ -265,6 +280,9 @@ struct StoreState<R> {
     map_done: bool,
     /// Set when the store drops: mergers return once `ready` is empty.
     closed: bool,
+    /// Pre-merges fold each key's records by an order-free combiner, at
+    /// every tier and without a sort's space.
+    folds: bool,
     /// First spill I/O error or merger panic; sticky.
     poison: Option<(io::ErrorKind, String)>,
     spill_seq: u64,
@@ -293,22 +311,29 @@ enum Step<R> {
     /// Spill the partition's whole cache, and its bytes.
     Flush(Vec<R>, usize),
     /// Merge the oldest [`TIER_FANIN`] runs of a tier into one run of the
-    /// next — at tier 0 by a sort — holding these bytes on the gauge until
-    /// it ends: the copy, and a sort's space ([`StoreState::full_tier`]).
+    /// next — in a folding store by a folding merge, else at tier 0 by a
+    /// sort — holding these bytes on the gauge until it ends: the copy,
+    /// and a sort's space ([`StoreState::full_tier`]).
     PreMerge(usize, Vec<R>, usize),
     /// Merge the partition's smallest spill files into one.
     Compact(Vec<SpillFile>),
 }
 
 /// What a step left: a spill (no file when it held no record), or a
-/// pre-merged tier's run of the next tier.
+/// pre-merged tier's run of the next tier, with the bytes and records its
+/// fold took off its inputs'.
 enum Done<R> {
     Spilled(SpillFile),
-    PreMerged(usize, R),
+    PreMerged {
+        tier: usize,
+        run: R,
+        freed: usize,
+        combined: usize,
+    },
 }
 
 impl<R: Cached> StoreState<R> {
-    fn new(cfg: &IntermediateConfig) -> Self {
+    fn new(cfg: &IntermediateConfig, folds: bool) -> Self {
         let encoding = if cfg.compress {
             Encoding::Probe
         } else {
@@ -322,6 +347,7 @@ impl<R: Cached> StoreState<R> {
             limits: cfg.limits(),
             budget: cfg.memory_budget,
             parts: (0..cfg.num_partitions).map(|_| part()).collect(),
+            folds,
             ..Default::default()
         }
     }
@@ -419,10 +445,18 @@ impl<R: Cached> StoreState<R> {
                     part.spills.push(file);
                 }
             }
-            Done::PreMerged(tier, run) => {
+            Done::PreMerged {
+                tier,
+                run,
+                freed,
+                combined,
+            } => {
                 part.tiers
                     .resize_with(part.tiers.len().max(tier + 2), Vec::new);
                 part.tiers[tier + 1].push(run);
+                part.cache_bytes -= freed;
+                self.cache_bytes -= freed;
+                self.metrics.records_combined += combined;
             }
         }
         self.step(p, gauge)
@@ -482,14 +516,14 @@ impl<R: Cached> StoreState<R> {
 
     /// The oldest runs of partition `p`'s lowest full tier, unless the map
     /// has ended or the budget has no room for what merging them holds:
-    /// their merged copy and, at tier 0, which sorts, [`SORT_SPACE`]
-    /// bytes a record.
+    /// their merged copy (a fold's is no larger) and, at tier 0 of a store
+    /// that does not fold, which sorts, [`SORT_SPACE`] bytes a record.
     fn full_tier(&mut self, p: usize, gauge: usize) -> Option<Step<R>> {
         let tiers = &mut self.parts[p].tiers;
         let tier = tiers.iter().position(|t| t.len() >= TIER_FANIN)?;
         let runs = &tiers[tier][..TIER_FANIN];
         let mut charge: usize = runs.iter().map(R::len_bytes).sum();
-        if tier == 0 {
+        if tier == 0 && !self.folds {
             charge += SORT_SPACE * runs.iter().map(R::records).sum::<usize>();
         }
         if self.map_done || gauge + charge > self.budget {
@@ -530,6 +564,10 @@ pub struct StoreMetrics {
     /// Total runs consumed across those merges, tier merges included
     /// (fan-in pressure).
     pub merge_fanin: usize,
+    /// Records the store's merges folded away: in a store given an
+    /// order-free combiner, the pre-merges' input records less those they
+    /// wrote. Timing-dependent, as `merges` is.
+    pub records_combined: usize,
     /// Spill frames written (flushes + compactions).
     pub frames_written: usize,
     /// Spill frames decoded (compactions + reduce-input cursors).
@@ -542,6 +580,8 @@ pub struct StoreMetrics {
 
 struct Inner {
     cfg: IntermediateConfig,
+    /// The order-free combiner the pre-merges fold by, in a folding store.
+    fold: Option<Arc<dyn Combiner>>,
     dir: TempDir,
     state: Mutex<StoreState<Run>>,
     /// Mergers wait here for a queued task, or for the store to drop.
@@ -627,17 +667,27 @@ impl Inner {
                 done
             }
             Step::PreMerge(tier, runs, charge) => {
-                // Tier 0's runs are a few chunks' worth, fresh from the
-                // map: sorted in cache, they cost less than a 16-way tree.
-                // Higher tiers hold up to 16× the records, in long sorted
-                // runs that the tree merges without a sort's space. The
-                // sort's space is freed with the step's charge.
-                let run = match tier {
-                    0 => sort_runs(runs, &mut SortBuf::default()),
-                    _ => merge_runs(runs),
+                // A folding store merges every tier with the tree, which
+                // writes each key once. Otherwise tier 0's runs are a few
+                // chunks' worth, fresh from the map: sorted in cache, they
+                // cost less than a 16-way tree. Higher tiers hold up to 16×
+                // the records, in long sorted runs that the tree merges
+                // without a sort's space. The sort's space is freed with
+                // the step's charge, and the bytes a fold took off the
+                // inputs with it.
+                let (run, combined) = match (&self.fold, tier) {
+                    (Some(combiner), _) => fold_runs(runs, combiner.as_ref()),
+                    (None, 0) => (sort_runs(runs, &mut SortBuf::default()), 0),
+                    (None, _) => (merge_runs(runs), 0),
                 };
-                self.gauge.discharge(*charge);
-                Ok(Done::PreMerged(*tier, run))
+                let freed = runs.iter().map(Run::len_bytes).sum::<usize>() - run.len_bytes();
+                self.gauge.discharge(charge + freed);
+                Ok(Done::PreMerged {
+                    tier: *tier,
+                    run,
+                    freed,
+                    combined,
+                })
             }
             Step::Compact(files) => {
                 let cursors = files.iter().map(|s| self.open_spill(s.seq, &work.hook));
@@ -707,26 +757,31 @@ impl IntermediateStore {
     /// Create a store whose `merger_threads` mergers each get a thread of
     /// their own, which ends with the store.
     pub fn new(cfg: IntermediateConfig) -> io::Result<Self> {
-        Self::with_runner(cfg, &|i, task| {
-            let handle = std::thread::Builder::new()
-                .name(format!("gw-merger-{i}"))
-                .spawn(task)
-                .expect("spawn merger thread");
-            Box::new(move || {
-                let _ = handle.join();
-            })
-        })
+        Self::with_runner(cfg, None, &own_thread)
     }
 
     /// Create a store whose mergers are started by `run` (the engine's
     /// resident runtime). Each merger serves tasks until the store is
-    /// dropped, which waits for every merger to return.
-    pub fn with_runner(cfg: IntermediateConfig, run: MergerRunner<'_>) -> io::Result<Self> {
+    /// dropped, which waits for every merger to return. Given `fold`, an
+    /// order-free combiner ([`Combiner::order_free`]), the store folds:
+    /// its pre-merges write each key of a batch once, and
+    /// [`IntermediateStore::partition_groups`] hands the reduce each key's
+    /// values folded into one.
+    pub fn with_runner(
+        cfg: IntermediateConfig,
+        fold: Option<Arc<dyn Combiner>>,
+        run: MergerRunner<'_>,
+    ) -> io::Result<Self> {
         assert!(cfg.num_partitions > 0, "at least one partition");
         assert!(cfg.merger_threads > 0, "at least one merger thread");
+        assert!(
+            fold.as_ref().is_none_or(|c| c.order_free()),
+            "a store folds by an order-free combiner only"
+        );
         let inner = Arc::new(Inner {
             dir: TempDir::new("gw-intermediate")?,
-            state: Mutex::new(StoreState::new(&cfg)),
+            state: Mutex::new(StoreState::new(&cfg, fold.is_some())),
+            fold,
             cfg,
             idle: Condvar::new(),
             waiters: Condvar::new(),
@@ -818,6 +873,17 @@ impl IntermediateStore {
         spills.chain(mems).collect()
     }
 
+    /// Partition `p`'s cursors ([`IntermediateStore::partition_cursors`])
+    /// grouped by key for the reduce, each key's values folded into one
+    /// when the store folds.
+    pub fn partition_groups(&self, p: PartitionId) -> io::Result<GroupedCursorMerge<PartCursor>> {
+        let cursors = self.partition_cursors(p)?;
+        Ok(match &self.inner.fold {
+            Some(combiner) => GroupedCursorMerge::folding(cursors, Arc::clone(combiner)),
+            None => GroupedCursorMerge::new(cursors),
+        })
+    }
+
     /// Number of spill files currently held by partition `p`.
     pub fn spill_count(&self, p: PartitionId) -> usize {
         self.inner.state.lock().parts[p as usize].spills.len()
@@ -851,6 +917,17 @@ impl IntermediateStore {
     }
 }
 
+/// Start a merger on a thread of its own.
+fn own_thread(i: usize, task: MergerTask) -> MergerJoin {
+    let handle = std::thread::Builder::new()
+        .name(format!("gw-merger-{i}"))
+        .spawn(task)
+        .expect("spawn merger thread");
+    Box::new(move || {
+        let _ = handle.join();
+    })
+}
+
 impl Drop for IntermediateStore {
     fn drop(&mut self) {
         self.inner.state.lock().closed = true;
@@ -864,9 +941,9 @@ impl Drop for IntermediateStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::combine::U64Sum;
     use crate::frame::SpillOp;
     use crate::kv::run_from_pairs;
-    use crate::merge::GroupedCursorMerge;
     use proptest::prelude::*;
 
     /// A 2 KiB budget: flush point 1 KiB, frame 1 KiB, M 2.
@@ -915,7 +992,7 @@ mod tests {
     /// the reduce phase reads them: a grouped merge over the store's
     /// cursors.
     fn groups(store: &IntermediateStore, p: PartitionId) -> Groups {
-        let mut merge = GroupedCursorMerge::new(store.partition_cursors(p).unwrap());
+        let mut merge = store.partition_groups(p).unwrap();
         let (mut arena, mut spans) = (Vec::new(), Vec::new());
         let mut groups = Vec::new();
         while let Some(s) = merge
@@ -1456,6 +1533,111 @@ mod tests {
         }
     }
 
+    /// A store that folds by [`U64Sum`].
+    fn folding_store(c: IntermediateConfig) -> IntermediateStore {
+        IntermediateStore::with_runner(c, Some(Arc::new(U64Sum)), &own_thread).unwrap()
+    }
+
+    /// A run of `(key index, count)` pairs, keyed as [`hot_key_run`]'s.
+    fn count_run(pairs: &[(u8, u64)]) -> Run {
+        let key = |k: u8| match k {
+            0..8 => "hot".to_string(),
+            _ => format!("k{k:02}"),
+        };
+        let records: Vec<(String, [u8; 8])> = pairs
+            .iter()
+            .map(|&(k, n)| (key(k), n.to_le_bytes()))
+            .collect();
+        run_from_pairs(records.iter().map(|(k, v)| (k.as_bytes(), v.as_slice())))
+    }
+
+    /// Each key of partition `p` and its value, read through the
+    /// store's folding grouped merge, which hands out one value a key.
+    fn folded_counts(store: &IntermediateStore, p: PartitionId) -> Vec<(Vec<u8>, u64)> {
+        groups(store, p)
+            .into_iter()
+            .map(|(k, vs)| {
+                assert_eq!(vs.len(), 1, "one value a key");
+                (k, U64Sum::read(&vs[0]))
+            })
+            .collect()
+    }
+
+    #[test]
+    fn a_folding_store_writes_each_key_once_a_pre_merge() {
+        let mut c = cfg(1);
+        c.memory_budget = usize::MAX;
+        let store = folding_store(c);
+        // Tier 0 fills 17 times: each fold leaves "hot" and one own key,
+        // and the tier-1 fold of the first 16 leaves "hot" and 16.
+        let runs: Vec<Run> = (0..17 * TIER_FANIN)
+            .map(|i| count_run(&[(0, 1), (8 + (i / TIER_FANIN % 32) as u8, 2)]))
+            .collect();
+        for r in &runs {
+            store.add_run(0, r.clone());
+            quiesce(&store);
+        }
+        store.finish_map().unwrap();
+        assert_eq!(tier_lens(&store, 0), vec![0, 1, 1]);
+        let m = store.metrics();
+        assert_eq!(store.partition_records(0), 17 + 2);
+        assert_eq!(m.records_added, m.records_combined + 17 + 2, "{m:?}");
+        assert_cache_accounting(&store);
+        let mut expect = vec![(b"hot".to_vec(), 17 * TIER_FANIN as u64)];
+        expect.extend(
+            (0..17).map(|i| (format!("k{:02}", 8 + i).into_bytes(), 2 * TIER_FANIN as u64)),
+        );
+        expect.sort();
+        assert_eq!(folded_counts(&store, 0), expect);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 48, ..Default::default() })]
+
+        /// However producers race the mergers of a store that folds by an
+        /// order-free sum — in core, where every pre-merge folds, or
+        /// spilling, where flushes and compactions do not — each partition
+        /// reads back one value a key, its inputs' sum, and the records
+        /// the folds took away are the ones missing.
+        #[test]
+        fn a_folding_store_reads_back_each_keys_sum(
+            pair_lists in proptest::collection::vec(
+                proptest::collection::vec((0u8..40, 0u64..1000), 1..12), 0..300),
+            producers in 1usize..5,
+            spills in any::<bool>(),
+        ) {
+            let runs: Vec<Run> = pair_lists.iter().map(|pairs| count_run(pairs)).collect();
+            let mut c = cfg(2);
+            c.memory_budget = if spills { 4 << 10 } else { usize::MAX };
+            let store = folding_store(c);
+            std::thread::scope(|s| {
+                for t in 0..producers {
+                    let (store, runs) = (&store, &runs);
+                    s.spawn(move || {
+                        for (i, r) in runs.iter().enumerate().skip(t).step_by(producers) {
+                            store.add_run((i % 2) as u32, r.clone());
+                        }
+                    });
+                }
+            });
+            store.finish_map().unwrap();
+            let mut held = 0;
+            for p in 0..2u32 {
+                let mut sums = std::collections::BTreeMap::new();
+                for r in runs.iter().skip(p as usize).step_by(2) {
+                    for (k, v) in r.iter() {
+                        *sums.entry(k.to_vec()).or_insert(0) += U64Sum::read(v);
+                    }
+                }
+                prop_assert_eq!(folded_counts(&store, p), sums.into_iter().collect::<Vec<_>>());
+                held += store.partition_records(p);
+            }
+            let m = store.metrics();
+            prop_assert_eq!(held + m.records_combined, m.records_added);
+            assert_cache_accounting(&store);
+        }
+    }
+
     /// Feed a store ≥ 4× its `budget` from `next_run` and hold it to the
     /// out-of-core contract; `compresses` says which kind of spill file the
     /// input must produce.
@@ -1849,6 +2031,9 @@ mod checker {
         producers: usize,
         /// Spill steps that may fail.
         faults: u8,
+        /// The store folds: its pre-merges charge no sort space, and each
+        /// leaves a stand-in a third of its inputs' bytes and records.
+        folds: bool,
         /// The gauge's highest reading the search has seen, for its label.
         peak: Cell<usize>,
     }
@@ -2068,13 +2253,24 @@ mod checker {
                     self.spill(work.seq, runs, raw, encoding)
                 }
                 Step::PreMerge(tier, runs, charge) => {
-                    self.gauge -= charge;
-                    let merged = Mock {
+                    let (bytes, records) = runs
+                        .iter()
+                        .fold((0, 0), |(b, r), m| (b + m.bytes, r + m.records));
+                    // A fold keeps a third, about what WordCount's keeps.
+                    let kept = |n: usize| if b.folds { n.div_ceil(3) } else { n };
+                    let run = Mock {
                         runs: held(&runs),
-                        bytes: runs.iter().map(|r| r.bytes).sum(),
-                        records: runs.iter().map(|r| r.records).sum(),
+                        bytes: kept(bytes),
+                        records: kept(records),
                     };
-                    Done::PreMerged(tier, merged)
+                    let freed = bytes - run.bytes;
+                    self.gauge -= charge + freed;
+                    Done::PreMerged {
+                        tier,
+                        run,
+                        freed,
+                        combined: records - run.records,
+                    }
                 }
             };
             let next = self.st.done(part, done, self.gauge);
@@ -2201,7 +2397,7 @@ mod checker {
                 wait: Wait::Running,
             };
             World {
-                st: StoreState::new(&cfg),
+                st: StoreState::new(&cfg, self.folds),
                 gauge: 0,
                 mergers: vec![merger; self.mergers],
                 threads: (0..=self.producers).map(|k| (k, Wait::Running)).collect(),
@@ -2328,7 +2524,7 @@ mod checker {
 
         fn label(&self) -> String {
             format!(
-                "store checker {} KiB, {} partition(s), {} merger(s), {}, {} runs of {} B records from {} producer(s), {} fault(s), peak {:.2}× the budget",
+                "store checker {} KiB, {} partition(s), {} merger(s), {}{}, {} runs of {} B records from {} producer(s), {} fault(s), peak {:.2}× the budget",
                 self.budget >> 10,
                 self.parts,
                 self.mergers,
@@ -2337,6 +2533,7 @@ mod checker {
                 } else {
                     "stored"
                 },
+                if self.folds { ", folding" } else { "" },
                 self.script.len(),
                 self.record,
                 self.producers,
@@ -2387,6 +2584,7 @@ mod checker {
             record: TERASORT_RECORD,
             producers: 1,
             faults: 0,
+            folds: false,
             peak: Cell::default(),
         }
     }
@@ -2410,6 +2608,17 @@ mod checker {
         Bounds {
             record: 16,
             ..store(budget, 2, mergers, big.chain(small).collect())
+        }
+    }
+
+    /// `pre_merging`'s script of WordCount's 16-byte records in a folding
+    /// store: its pre-merges charge no sort space, and each gives back two
+    /// thirds of its inputs' bytes while the adds and spills go on.
+    fn folding(budget: usize, mergers: usize) -> Bounds {
+        Bounds {
+            record: 16,
+            folds: true,
+            ..pre_merging(budget, mergers, 6)
         }
     }
 
@@ -2438,6 +2647,7 @@ mod checker {
             all.push(pre_merging(budget(mergers), mergers, 6));
             all.push(pre_merging(budget(mergers), mergers, 0));
             all.push(sorting(budget(mergers), mergers));
+            all.push(folding(budget(mergers), mergers));
             all.push(Bounds {
                 faults: 1,
                 ..spilling(budget(mergers), 2, mergers, true)

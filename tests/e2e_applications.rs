@@ -3,10 +3,12 @@
 //! pipelined reduce) and validated bit-for-bit (or within float tolerance)
 //! against its sequential reference implementation.
 
-use std::sync::Arc;
+use std::collections::BTreeMap;
+use std::sync::{Arc, Mutex, MutexGuard};
 
 use glasswing::apps::workloads::{self, CorpusSpec, KmeansSpec, LogSpec, MatmulSpec};
 use glasswing::apps::{codec, reference, KMeans, MatMul, PageviewCount, TeraSort, WordCount};
+use glasswing::core::{CounterId, LogicalKind, Records};
 use glasswing::prelude::*;
 use glasswing::storage::split::RecordBlockBuilder;
 
@@ -363,6 +365,15 @@ fn simulated_gpu_cluster_matches_reference() {
     assert!(timers.modeled(glasswing::core::StageId::Stage) > std::time::Duration::ZERO);
 }
 
+/// Held by each test whose jobs race the store's mergers against map end
+/// over hundreds of 512-byte blocks: two of them side by side starve
+/// each other's mergers, and the tier-2 merges one of them counts on may
+/// not start before map end.
+fn merger_race() -> MutexGuard<'static, ()> {
+    static RACE: Mutex<()> = Mutex::new(());
+    RACE.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+}
+
 /// Pre-merging cached runs while the map runs changes which runs the
 /// reduce opens, never its bytes. Blocks are small enough that every
 /// partition gets ≥ 16² runs, so tier-2 merges can happen. Every
@@ -373,6 +384,7 @@ fn simulated_gpu_cluster_matches_reference() {
 /// other, and with the reference to float tolerance.
 #[test]
 fn pre_merged_tiers_leave_every_apps_bytes_unchanged() {
+    let _alone = merger_race();
     let corpus = workloads::text_corpus(&CorpusSpec {
         lines: 3000,
         words_per_line: 8,
@@ -408,8 +420,10 @@ fn pre_merged_tiers_leave_every_apps_bytes_unchanged() {
         check: Check<'a>,
         /// Whether the output bytes are independent of the block size.
         block_invariant: bool,
+        /// Whether the app's combiner is order-free, so pre-merges fold.
+        folds: bool,
     }
-    let wordcount = |name, app: Arc<dyn GwApp>| Case {
+    let wordcount = |name, app: Arc<dyn GwApp>, folds| Case {
         name,
         records: &corpus,
         nodes: 1,
@@ -417,12 +431,14 @@ fn pre_merged_tiers_leave_every_apps_bytes_unchanged() {
         app,
         check: Box::new(|out| assert_eq!(counts(out.to_vec()), reference::wordcount(&corpus))),
         block_invariant: true,
+        folds,
     };
     let cases = [
-        wordcount("wordcount", Arc::new(WordCount::new())),
+        wordcount("wordcount", Arc::new(WordCount::new()), true),
         wordcount(
             "wordcount without combiner",
             Arc::new(WordCount::without_combiner()),
+            false,
         ),
         Case {
             name: "terasort",
@@ -432,6 +448,7 @@ fn pre_merged_tiers_leave_every_apps_bytes_unchanged() {
             app: Arc::new(TeraSort::new(workloads::sample_keys(&tera, 100, 1), 4)),
             check: Box::new(|out| assert_eq!(out, reference::terasort(&tera).as_slice())),
             block_invariant: true,
+            folds: false,
         },
         Case {
             name: "kmeans",
@@ -441,6 +458,7 @@ fn pre_merged_tiers_leave_every_apps_bytes_unchanged() {
             app: Arc::new(kmeans()),
             check: Box::new(|out| assert_centers_close(out, &kmeans_expect)),
             block_invariant: false,
+            folds: false,
         },
     ];
     for case in cases {
@@ -452,6 +470,7 @@ fn pre_merged_tiers_leave_every_apps_bytes_unchanged() {
             app,
             check,
             block_invariant,
+            folds,
         } = case;
         let mut cfg = small_cfg();
         cfg.partitions_per_node = 2;
@@ -481,6 +500,9 @@ fn pre_merged_tiers_leave_every_apps_bytes_unchanged() {
                     let runs = n.intermediate.runs_added;
                     assert!(runs >= 256 * 2, "{what}: {runs} runs on two partitions");
                     assert_eq!(n.intermediate.flushes, 0, "{what}");
+                    // Only an order-free combiner's pre-merges fold.
+                    let combined = n.intermediate.records_combined;
+                    assert_eq!(combined > 0, folds, "{what}: {combined} records combined");
                     merges += n.intermediate.merges;
                     tier0_merges += runs / 16;
                 }
@@ -498,6 +520,142 @@ fn pre_merged_tiers_leave_every_apps_bytes_unchanged() {
         }
         assert!(merges > tier0_merges, "{name}: no tier-2 merge in {merges}");
     }
+}
+
+/// WordCount, recording per key the longest value list its reduce is
+/// handed.
+struct LongestLists {
+    wc: WordCount,
+    longest: Mutex<BTreeMap<Vec<u8>, usize>>,
+}
+
+impl LongestLists {
+    fn new(wc: WordCount) -> Self {
+        LongestLists {
+            wc,
+            longest: Mutex::default(),
+        }
+    }
+}
+
+impl GwApp for LongestLists {
+    fn name(&self) -> &'static str {
+        self.wc.name()
+    }
+
+    fn map(&self, key: &[u8], value: &[u8], emit: &Emit<'_>) {
+        self.wc.map(key, value, emit);
+    }
+
+    fn map_records(&self, records: &Records<'_>, emit: &Emit<'_>) {
+        self.wc.map_records(records, emit);
+    }
+
+    fn combiner(&self) -> Option<Arc<dyn Combiner>> {
+        self.wc.combiner()
+    }
+
+    fn reduce(
+        &self,
+        key: &[u8],
+        values: &[&[u8]],
+        state: &mut Vec<u8>,
+        last: bool,
+        emit: &Emit<'_>,
+    ) {
+        let mut longest = self.longest.lock().unwrap();
+        let list = longest.entry(key.to_vec()).or_default();
+        *list = (*list).max(values.len());
+        drop(longest);
+        self.wc.reduce(key, values, state, last, emit);
+    }
+
+    fn merge_states(&self, acc: &mut Vec<u8>, other: &[u8]) -> bool {
+        self.wc.merge_states(acc, other)
+    }
+}
+
+/// WordCount's combiner is order-free, so the store's pre-merges fold
+/// whichever runs their mergers reach before map end and the reduce merge
+/// folds the rest: the reduce is handed one value a key, at every
+/// partition-thread count and buffering level, with a key's values split
+/// over four work items where there are enough of them. Which runs were
+/// pre-merged cannot show in the output, nor in the logical trace, which
+/// three runs of each configuration replay. Without a combiner the lists
+/// are the words' occurrences.
+#[test]
+fn an_order_free_combiner_hands_the_reduce_one_value_a_key() {
+    let _alone = merger_race();
+    let corpus = workloads::text_corpus(&CorpusSpec {
+        lines: 3000,
+        words_per_line: 8,
+        vocabulary: 300,
+        zipf_s: 1.05,
+        seed: 3,
+    });
+    let expect = reference::wordcount(&corpus);
+    let counts = |out: Vec<(Vec<u8>, Vec<u8>)>| {
+        let mut out: Vec<(Vec<u8>, u64)> = out
+            .into_iter()
+            .map(|(k, v)| (k, codec::dec_u64(&v)))
+            .collect();
+        out.sort();
+        out
+    };
+    let mut cfg = small_cfg();
+    cfg.partitions_per_node = 2;
+    cfg.output_replication = 1;
+    cfg.memory_budget = None; // in core: tier 0 fills many times
+    cfg.reduce_threads_per_key = 4;
+    let run = |app: &Arc<LongestLists>, cfg: &JobConfig| {
+        let cluster = Cluster::new(dfs_with(&corpus, 1, 512), NetProfile::unlimited());
+        let report = cluster.run(Arc::clone(app) as Arc<dyn GwApp>, cfg).unwrap();
+        let out = read_job_output(cluster.store(), &report).unwrap();
+        assert_eq!(counts(out), expect);
+        report
+    };
+    for partition_threads in [1, 2, 3] {
+        for buffering in [Buffering::Single, Buffering::Double, Buffering::Triple] {
+            let what = format!("{partition_threads} partition threads, {buffering:?}");
+            cfg.partition_threads = partition_threads;
+            cfg.buffering = buffering;
+            let mut first = None;
+            for _ in 0..3 {
+                let app = Arc::new(LongestLists::new(WordCount::new()));
+                let report = run(&app, &cfg);
+                let longest = app.longest.lock().unwrap();
+                assert_eq!(longest.len(), expect.len(), "{what}: a key was not reduced");
+                for (key, &list) in longest.iter() {
+                    assert_eq!(list, 1, "{what}: {:?}", String::from_utf8_lossy(key));
+                }
+                // Several partition lanes race for the run pool's sort
+                // space, so only one lane's reuse totals are logical.
+                let logical: Vec<_> = report
+                    .trace
+                    .logical_events()
+                    .into_iter()
+                    .filter(|(_, kind)| {
+                        let pooled = matches!(
+                            kind,
+                            LogicalKind::Count {
+                                counter: CounterId::RunPoolHit | CounterId::RunPoolMiss,
+                                ..
+                            }
+                        );
+                        partition_threads == 1 || !pooled
+                    })
+                    .collect();
+                match &first {
+                    None => first = Some(logical),
+                    Some(f) => assert!(logical == *f, "{what}: the logical stream differs"),
+                }
+            }
+        }
+    }
+    let app = Arc::new(LongestLists::new(WordCount::without_combiner()));
+    run(&app, &cfg);
+    let longest = app.longest.lock().unwrap().values().copied().max();
+    assert!(longest > Some(1), "without a combiner: {longest:?}");
 }
 
 #[test]
