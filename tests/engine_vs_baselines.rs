@@ -1,13 +1,15 @@
-//! Cross-engine validation: the Glasswing engine, the Hadoop-model
-//! baseline, and the GPMR-model baseline must produce identical results
-//! from the same input — the paper "verified the output of Glasswing and
+//! Cross-engine validation: the Glasswing engine and the Hadoop-, GPMR-
+//! and Phoenix-model baselines must produce identical results from the
+//! same input — the paper "verified the output of Glasswing and
 //! Hadoop applications to be identical and correct".
 
 use std::sync::Arc;
 
 use glasswing::apps::workloads::{self, CorpusSpec, KmeansSpec};
 use glasswing::apps::{codec, reference, KMeans, WordCount};
-use glasswing::baseline::{GpmrCluster, GpmrConfig, HadoopCluster, HadoopConfig};
+use glasswing::baseline::{
+    GpmrCluster, GpmrConfig, HadoopCluster, HadoopConfig, PhoenixConfig, PhoenixRuntime,
+};
 use glasswing::prelude::*;
 
 fn counts(records: Vec<(Vec<u8>, Vec<u8>)>) -> Vec<(Vec<u8>, u64)> {
@@ -17,6 +19,22 @@ fn counts(records: Vec<(Vec<u8>, Vec<u8>)>) -> Vec<(Vec<u8>, u64)> {
         .collect();
     out.sort();
     out
+}
+
+/// A local-FS copy of `recs` over `nodes` nodes: GPMR's and Phoenix's
+/// store (GPMR reads fully replicated local files, Phoenix one machine's).
+fn local_copy(recs: &workloads::Records, nodes: u32, block: usize) -> Arc<dyn FileStore> {
+    let local = LocalFs::new(nodes);
+    local
+        .write_records(
+            "/in",
+            NodeId(0),
+            block,
+            1,
+            recs.iter().map(|(k, v)| (k.as_slice(), v.as_slice())),
+        )
+        .unwrap();
+    Arc::new(local)
 }
 
 #[test]
@@ -50,30 +68,36 @@ fn three_engines_agree_on_wordcount() {
     let gw_out = counts(read_job_output(gw.store(), &report).unwrap());
     assert_eq!(gw_out, expect);
 
-    // Hadoop-model engine on the same DFS.
+    // Each baseline with and without the app's combiner: the app, not the
+    // engine, decides whether map output is combined.
     let hadoop = HadoopCluster::new(Arc::clone(&dfs) as Arc<dyn FileStore>);
-    let hcfg = HadoopConfig::new("/in", "/hadoop-out");
-    hadoop.run(Arc::new(WordCount::new()), &hcfg).unwrap();
-    let h_out = counts(hadoop.read_output(&hcfg).unwrap());
-    assert_eq!(h_out, expect);
+    let gpmr = GpmrCluster::new(local_copy(&recs, nodes, 4096));
+    let phoenix = PhoenixRuntime::new(local_copy(&recs, 1, 4096));
+    for (name, app) in [
+        ("combined", WordCount::new()),
+        ("uncombined", WordCount::without_combiner()),
+    ] {
+        let app = Arc::new(app);
 
-    // GPMR-model engine on a local FS copy.
-    let local = Arc::new(LocalFs::new(nodes));
-    local
-        .write_records(
-            "/in",
-            NodeId(0),
-            4096,
-            1,
-            recs.iter().map(|(k, v)| (k.as_slice(), v.as_slice())),
-        )
-        .unwrap();
-    let gpmr = GpmrCluster::new(local as Arc<dyn FileStore>);
-    let gcfg = GpmrConfig::new("/in", "/gpmr-out");
-    gpmr.run(Arc::new(WordCount::without_combiner()), &gcfg)
-        .unwrap();
-    let g_out = counts(gpmr.read_output(&gcfg).unwrap());
-    assert_eq!(g_out, expect);
+        // Hadoop-model engine on the same DFS.
+        let hcfg = HadoopConfig::new("/in", format!("/hadoop-{name}"));
+        hadoop
+            .run(Arc::clone(&app) as Arc<dyn GwApp>, &hcfg)
+            .unwrap();
+        let h_out = counts(hadoop.read_output(&hcfg).unwrap());
+        assert_eq!(h_out, expect, "hadoop, {name}");
+
+        // GPMR-model engine on a local FS copy.
+        let gcfg = GpmrConfig::new("/in", format!("/gpmr-{name}"));
+        gpmr.run(Arc::clone(&app) as Arc<dyn GwApp>, &gcfg).unwrap();
+        let g_out = counts(gpmr.read_output(&gcfg).unwrap());
+        assert_eq!(g_out, expect, "gpmr, {name}");
+
+        // Phoenix-model runtime on a one-node copy; its output stays in
+        // memory.
+        let p_report = phoenix.run(app, &PhoenixConfig::new("/in")).unwrap();
+        assert_eq!(counts(p_report.output), expect, "phoenix, {name}");
+    }
 }
 
 #[test]
@@ -154,9 +178,24 @@ fn hadoop_terasort_equals_glasswing_terasort() {
     let hadoop = HadoopCluster::new(Arc::clone(&dfs) as Arc<dyn FileStore>);
     let mut hcfg = HadoopConfig::new("/in", "/hadoop-out");
     hcfg.output_replication = 1;
-    hadoop.run(app, &hcfg).unwrap();
+    hadoop
+        .run(Arc::clone(&app) as Arc<dyn GwApp>, &hcfg)
+        .unwrap();
     let h_out = hadoop.read_output(&hcfg).unwrap();
 
     assert_eq!(gw_out, h_out);
-    assert_eq!(gw_out, reference::terasort(&recs));
+    let expect = reference::terasort(&recs);
+    assert_eq!(gw_out, expect);
+
+    // GPMR partitions by the same range partitioner, one partition a node,
+    // so its partition files read back in order are the sorted records.
+    let gpmr = GpmrCluster::new(local_copy(&recs, nodes, 8 << 10));
+    let gcfg = GpmrConfig::new("/in", "/gpmr-out");
+    gpmr.run(Arc::clone(&app) as Arc<dyn GwApp>, &gcfg).unwrap();
+    assert_eq!(gpmr.read_output(&gcfg).unwrap(), expect, "gpmr");
+
+    // Phoenix holds the whole sorted output in memory.
+    let phoenix = PhoenixRuntime::new(local_copy(&recs, 1, 8 << 10));
+    let p_report = phoenix.run(app, &PhoenixConfig::new("/in")).unwrap();
+    assert_eq!(p_report.output, expect, "phoenix");
 }
