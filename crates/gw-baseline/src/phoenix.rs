@@ -4,27 +4,23 @@
 //! CPU-only, in-core MapReduce: "Phoenix is an implementation of MapReduce
 //! for symmetric multi-core systems. It manages task scheduling across
 //! cores within a single machine. ... Both systems [Phoenix and
-//! Tiled-MapReduce] use only a single node and do not exploit GPUs." Table
-//! I additionally marks it as lacking out-of-core support.
-//!
-//! This model executes the same [`GwApp`] applications with Phoenix's
-//! structure — a task queue over per-core worker threads, all input,
-//! intermediate and output data resident in memory — and *enforces* the
-//! constraints the paper's comparison rests on: single node only, in-core
-//! only, CPU only. The constraints are checked, not assumed, so Table I
-//! can be demonstrated by construction in tests.
+//! Tiled-MapReduce] use only a single node and do not exploit GPUs."
+//! The model runs the shared map and reduce steps over a task queue of
+//! per-core worker threads, and *checks* Table I's constraints, so tests
+//! can show them by construction: one node only, input plus intermediate
+//! data within the in-core budget, output held in memory.
 
-use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
 
-use gw_core::collect::{for_each_record, BufferPoolCollector};
-use gw_core::{Emit, EngineError, GwApp};
+use gw_core::GwApp;
 use gw_storage::split::FileStore;
-use gw_storage::{seqfile::SeqReader, KvVec, NodeId};
+use gw_storage::{KvVec, NodeId};
+
+use crate::shared::{self, on_threads};
+use crate::{BaselineError, Result};
 
 /// Phoenix job configuration.
 #[derive(Debug, Clone)]
@@ -36,8 +32,6 @@ pub struct PhoenixConfig {
     /// In-core memory budget in bytes for input + intermediate data; jobs
     /// beyond it fail (Phoenix has no out-of-core path).
     pub memory_budget: usize,
-    /// Apply the app's combiner at task end.
-    pub use_combiner: bool,
 }
 
 impl PhoenixConfig {
@@ -47,50 +41,7 @@ impl PhoenixConfig {
             input: input.into(),
             workers: 2,
             memory_budget: 1 << 30,
-            use_combiner: true,
         }
-    }
-}
-
-/// Phoenix failure modes — the Table I feature gaps, surfaced as errors.
-#[derive(Debug)]
-pub enum PhoenixError {
-    /// Phoenix runs on a single machine only.
-    ClusterUnsupported {
-        /// Nodes the store was configured with.
-        nodes: u32,
-    },
-    /// The job's data exceeds the in-core budget.
-    OutOfCore {
-        /// Bytes the job needs resident.
-        required: usize,
-        /// The configured budget.
-        budget: usize,
-    },
-    /// Underlying engine error.
-    Engine(EngineError),
-}
-
-impl std::fmt::Display for PhoenixError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            PhoenixError::ClusterUnsupported { nodes } => {
-                write!(f, "phoenix runs on a single node, store has {nodes}")
-            }
-            PhoenixError::OutOfCore { required, budget } => write!(
-                f,
-                "phoenix is in-core only: needs {required} bytes, budget {budget}"
-            ),
-            PhoenixError::Engine(e) => write!(f, "{e}"),
-        }
-    }
-}
-
-impl std::error::Error for PhoenixError {}
-
-impl From<gw_storage::StorageError> for PhoenixError {
-    fn from(e: gw_storage::StorageError) -> Self {
-        PhoenixError::Engine(EngineError::Storage(e))
     }
 }
 
@@ -107,7 +58,7 @@ pub struct PhoenixReport {
     pub elapsed: Duration,
     /// Input records processed.
     pub records_in: usize,
-    /// Output records (also the job output, held in memory).
+    /// Output records (also the job output, held in memory), sorted.
     pub output: KvVec,
 }
 
@@ -123,131 +74,56 @@ impl PhoenixRuntime {
     }
 
     /// Execute a job entirely in memory on this machine.
-    pub fn run(
-        &self,
-        app: Arc<dyn GwApp>,
-        cfg: &PhoenixConfig,
-    ) -> Result<PhoenixReport, PhoenixError> {
+    pub fn run(&self, app: Arc<dyn GwApp>, cfg: &PhoenixConfig) -> Result<PhoenixReport> {
+        let app = app.as_ref();
         // ---- Table I constraint: single node only ----
         let nodes = self.store.cluster_size();
         if nodes != 1 {
-            return Err(PhoenixError::ClusterUnsupported { nodes });
+            return Err(BaselineError::ClusterUnsupported { nodes });
         }
         let start = Instant::now();
 
         // ---- Load ALL input into memory (in-core model) ----
         let splits = self.store.splits(&cfg.input)?;
         let input_bytes: usize = splits.iter().map(|s| s.len).sum();
-        if input_bytes > cfg.memory_budget {
-            return Err(PhoenixError::OutOfCore {
-                required: input_bytes,
-                budget: cfg.memory_budget,
-            });
-        }
-        let mut blocks = Vec::with_capacity(splits.len());
-        for s in &splits {
-            let (block, _) = self.store.read_split(s, NodeId(0))?;
-            blocks.push(block);
-        }
+        let in_core = |required: usize| {
+            let budget = cfg.memory_budget;
+            (required <= budget)
+                .then_some(())
+                .ok_or(BaselineError::OutOfCore { required, budget })
+        };
+        in_core(input_bytes)?;
+        let blocks = splits
+            .iter()
+            .map(|s| Ok(self.store.read_split(s, NodeId(0))?.0))
+            .collect::<Result<Vec<_>>>()?;
 
         // ---- Map phase: task queue over per-core workers ----
         let map_start = Instant::now();
-        let next_task = AtomicUsize::new(0);
-        let records_in = AtomicUsize::new(0);
-        let intermediate_bytes = AtomicUsize::new(0);
-        let task_outputs: Mutex<Vec<KvVec>> = Mutex::new(Vec::new());
-        std::thread::scope(|scope| {
-            for _ in 0..cfg.workers.max(1) {
-                let app = Arc::clone(&app);
-                let blocks = &blocks;
-                let next_task = &next_task;
-                let records_in = &records_in;
-                let intermediate_bytes = &intermediate_bytes;
-                let task_outputs = &task_outputs;
-                scope.spawn(move || loop {
-                    let t = next_task.fetch_add(1, Ordering::Relaxed);
-                    if t >= blocks.len() {
-                        break;
-                    }
-                    let collector = BufferPoolCollector::new(8 << 20, 1);
-                    let emit = Emit::new(&collector);
-                    let mut reader = SeqReader::open_raw(&blocks[t]);
-                    let mut count = 0usize;
-                    while let Some((k, v)) = reader.next().expect("corrupt input") {
-                        app.map(k, v, &emit);
-                        count += 1;
-                    }
-                    records_in.fetch_add(count, Ordering::Relaxed);
-                    let mut pairs: KvVec = Vec::new();
-                    for_each_record(&collector, &mut |k, v| pairs.push((k.to_vec(), v.to_vec())));
-                    if cfg.use_combiner {
-                        if let Some(combiner) = app.combiner() {
-                            let mut combined: BTreeMap<Vec<u8>, Vec<u8>> = BTreeMap::new();
-                            for (k, v) in pairs.drain(..) {
-                                match combined.entry(k) {
-                                    std::collections::btree_map::Entry::Occupied(mut e) => {
-                                        let key = e.key().clone();
-                                        combiner.combine(&key, e.get_mut(), &v);
-                                    }
-                                    std::collections::btree_map::Entry::Vacant(e) => {
-                                        e.insert(v);
-                                    }
-                                }
-                            }
-                            pairs = combined.into_iter().collect();
-                        }
-                    }
-                    intermediate_bytes.fetch_add(
-                        pairs.iter().map(|(k, v)| k.len() + v.len()).sum::<usize>(),
-                        Ordering::Relaxed,
-                    );
-                    task_outputs.lock().push(pairs);
-                });
-            }
-        });
+        let queue = Mutex::new(blocks.iter());
+        let tasks = on_threads(
+            0..cfg.workers.max(1),
+            |_| queue.lock().next(),
+            |_, block| shared::map_split(app, block),
+        )?;
         let map_phase = map_start.elapsed();
+        let records_in = tasks.iter().map(|(records, _)| records).sum();
 
         // ---- Table I constraint: intermediate data stays in core ----
-        let required = input_bytes + intermediate_bytes.load(Ordering::Relaxed);
-        if required > cfg.memory_budget {
-            return Err(PhoenixError::OutOfCore {
-                required,
-                budget: cfg.memory_budget,
-            });
-        }
+        let intermediate_bytes: usize = (tasks.iter().flat_map(|(_, pairs)| pairs))
+            .map(|(k, v)| k.len() + v.len())
+            .sum();
+        in_core(input_bytes + intermediate_bytes)?;
 
         // ---- Merge: sort/group the in-memory intermediate data ----
         let merge_start = Instant::now();
-        let mut all: KvVec = task_outputs.into_inner().into_iter().flatten().collect();
+        let mut all: KvVec = tasks.into_iter().flat_map(|(_, pairs)| pairs).collect();
         all.sort();
         let merge_phase = merge_start.elapsed();
 
         // ---- Reduce ----
         let reduce_start = Instant::now();
-        let collector = BufferPoolCollector::new(8 << 20, 1);
-        let emit = Emit::new(&collector);
-        if app.has_reduce() {
-            let mut i = 0usize;
-            while i < all.len() {
-                let key = all[i].0.clone();
-                let mut j = i;
-                while j < all.len() && all[j].0 == key {
-                    j += 1;
-                }
-                let values: Vec<&[u8]> = all[i..j].iter().map(|(_, v)| v.as_slice()).collect();
-                let mut state = Vec::new();
-                app.reduce(&key, &values, &mut state, true, &emit);
-                i = j;
-            }
-        } else {
-            for (k, v) in &all {
-                emit.emit(k, v);
-            }
-        }
-        let mut output: KvVec = Vec::new();
-        for_each_record(&collector, &mut |k, v| {
-            output.push((k.to_vec(), v.to_vec()))
-        });
+        let mut output = shared::reduce(app, all);
         output.sort();
         let reduce_phase = reduce_start.elapsed();
 
@@ -256,7 +132,7 @@ impl PhoenixRuntime {
             merge_phase,
             reduce_phase,
             elapsed: start.elapsed(),
-            records_in: records_in.load(Ordering::Relaxed),
+            records_in,
             output,
         })
     }
@@ -309,7 +185,10 @@ mod tests {
         let err = phoenix
             .run(Arc::new(WordCount::new()), &PhoenixConfig::new("/in"))
             .unwrap_err();
-        assert!(matches!(err, PhoenixError::ClusterUnsupported { nodes: 4 }));
+        assert!(matches!(
+            err,
+            BaselineError::ClusterUnsupported { nodes: 4 }
+        ));
     }
 
     #[test]
@@ -323,7 +202,7 @@ mod tests {
         let mut cfg = PhoenixConfig::new("/in");
         cfg.memory_budget = 64;
         let err = phoenix.run(Arc::new(WordCount::new()), &cfg).unwrap_err();
-        assert!(matches!(err, PhoenixError::OutOfCore { .. }));
+        assert!(matches!(err, BaselineError::OutOfCore { .. }));
     }
 
     #[test]

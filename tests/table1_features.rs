@@ -11,9 +11,7 @@ use std::sync::Arc;
 
 use glasswing::apps::workloads::{self, CorpusSpec};
 use glasswing::apps::{reference, WordCount};
-use glasswing::baseline::{
-    GpmrCluster, GpmrConfig, GpmrError, PhoenixConfig, PhoenixError, PhoenixRuntime,
-};
+use glasswing::baseline::{BaselineError, GpmrCluster, GpmrConfig, PhoenixConfig, PhoenixRuntime};
 use glasswing::intermediate::IntermediateConfig;
 use glasswing::prelude::*;
 
@@ -47,7 +45,7 @@ fn cluster_support_column() {
         phoenix
             .run(Arc::new(WordCount::new()), &PhoenixConfig::new("/in"))
             .unwrap_err(),
-        PhoenixError::ClusterUnsupported { nodes: 3 }
+        BaselineError::ClusterUnsupported { nodes: 3 }
     ));
 
     let gpmr = GpmrCluster::new(load(LocalFs::new(3), &recs));
@@ -79,7 +77,7 @@ fn out_of_core_column() {
     assert!(matches!(
         gpmr.run(Arc::new(WordCount::without_combiner()), &gcfg)
             .unwrap_err(),
-        GpmrError::IntermediateOverflow { .. }
+        BaselineError::IntermediateOverflow { .. }
     ));
 
     // Same pressure on Glasswing: a tiny memory budget just means
